@@ -1,7 +1,6 @@
 package sbon_test
 
 import (
-	"math/rand"
 	"strconv"
 	"testing"
 	"time"
@@ -9,8 +8,8 @@ import (
 	sbon "github.com/hourglass/sbon"
 	"github.com/hourglass/sbon/internal/exp"
 	"github.com/hourglass/sbon/internal/optimizer"
-	"github.com/hourglass/sbon/internal/overlay"
 	"github.com/hourglass/sbon/internal/placement"
+	"github.com/hourglass/sbon/internal/scenario"
 	"github.com/hourglass/sbon/internal/simtime"
 	"github.com/hourglass/sbon/internal/topology"
 	"github.com/hourglass/sbon/internal/trace"
@@ -287,153 +286,6 @@ func BenchmarkTwoStepOptimize592Nodes4Way(b *testing.B) {
 	}
 }
 
-// Batch-optimization benchmarks: 1000 queries drawn from overlapping
-// stream sets with varied consumers, so the plan cache sees repeats — the
-// scenario OptimizeBatch is built for. The sequential variant runs the
-// same workload through one-at-a-time Optimize calls for comparison.
-
-func batchWorkload(sys *sbon.System, n int) []sbon.Query {
-	sets := [][]sbon.StreamID{{0, 1}, {1, 2}, {2, 3}, {0, 1, 2}, {1, 2, 3}, {0, 1, 2, 3}}
-	stubs := sys.StubNodes()
-	qs := make([]sbon.Query, n)
-	for i := range qs {
-		qs[i] = sbon.Query{
-			ID:       sbon.QueryID(i + 1),
-			Consumer: stubs[(i*7)%32], // 32 distinct consumers -> repeated cache keys
-			Streams:  sets[i%len(sets)],
-		}
-	}
-	return qs
-}
-
-func BenchmarkOptimizeBatch1k(b *testing.B) {
-	sys := paperScaleSystem(b)
-	qs := batchWorkload(sys, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sys.OptimizeBatch(qs, sbon.BatchOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res) != len(qs) {
-			b.Fatalf("got %d results", len(res))
-		}
-	}
-	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-func BenchmarkOptimizeBatch1kNoCache(b *testing.B) {
-	sys := paperScaleSystem(b)
-	qs := batchWorkload(sys, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.OptimizeBatch(qs, sbon.BatchOptions{NoCache: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkOptimizeBatch1kNoCacheOracle runs the uncached batch with
-// the DHT disabled, so every physical mapping goes through the
-// snapshot's k-d tree index (oracle mapper) instead of the ring walk —
-// the pure spatial-index hot path.
-func BenchmarkOptimizeBatch1kNoCacheOracle(b *testing.B) {
-	sys, err := sbon.New(sbon.Options{Seed: 1, DisableDHT: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(sys.Close)
-	stubs := sys.StubNodes()
-	for i := 0; i < 4; i++ {
-		if err := sys.AddStream(sbon.StreamID(i), stubs[i*140], 100); err != nil {
-			b.Fatal(err)
-		}
-	}
-	qs := batchWorkload(sys, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.OptimizeBatch(qs, sbon.BatchOptions{NoCache: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-func BenchmarkOptimizeSequential1k(b *testing.B) {
-	sys := paperScaleSystem(b)
-	qs := batchWorkload(sys, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, q := range qs {
-			if _, err := sys.Optimize(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// Sharded batch benchmarks: the cost space is split into Hilbert-prefix
-// regions with a private snapshot, plan cache, cost index, and worker
-// pool each (optimizer.OptimizeBatchSharded). Compare the queries/s
-// metric against BenchmarkOptimizeBatch1k (the single-pool path) —
-// shards share nothing mutable, so the gap widens with core count.
-
-func benchSharded(b *testing.B, shards, n int, noCache bool) {
-	sys := paperScaleSystem(b)
-	qs := batchWorkload(sys, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, _, err := sys.OptimizeBatchSharded(qs, sbon.ShardedBatchOptions{Shards: shards, NoCache: noCache})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res) != len(qs) {
-			b.Fatalf("got %d results", len(res))
-		}
-	}
-	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-func BenchmarkOptimizeBatchSharded1k(b *testing.B)        { benchSharded(b, 8, 1000, false) }
-func BenchmarkOptimizeBatchSharded1kNoCache(b *testing.B) { benchSharded(b, 8, 1000, true) }
-
-// BenchmarkOptimizeBatchSharded16x10k is the "path to ~1M queries/s"
-// configuration: 16 shards over a 10k-query cache-friendly batch. The
-// queries/s metric is the number to track.
-func BenchmarkOptimizeBatchSharded16x10k(b *testing.B) { benchSharded(b, 16, 10000, false) }
-
-// Scheduling micro-benchmarks for the virtual-time kernel: schedule and
-// drain pendingEvents timers through the full VirtualClock API on the
-// hierarchical timer wheel vs the reference binary heap. The wheel's
-// O(1) amortized schedule/fire is what keeps ≥100k pending events (16k
-// nodes' heartbeats) cheap; see internal/simtime BenchmarkWheelQueue*
-// for the mutex-free queue-only numbers.
-func benchClockSchedule(b *testing.B, clk *simtime.VirtualClock, pending int) {
-	release := clk.Drive()
-	defer release()
-	rng := rand.New(rand.NewSource(1))
-	fired := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < pending; j++ {
-			clk.AfterFunc(time.Duration(1+rng.Intn(10_000_000))*time.Microsecond, func() { fired++ })
-		}
-		clk.Sleep(11_000_000 * time.Microsecond) // drain: fire everything
-	}
-	b.StopTimer()
-	if fired != b.N*pending {
-		b.Fatalf("fired %d of %d", fired, b.N*pending)
-	}
-	b.ReportMetric(float64(fired)/b.Elapsed().Seconds(), "events/s")
-}
-
-func BenchmarkSchedule100kWheel(b *testing.B) { benchClockSchedule(b, simtime.NewVirtual(), 100_000) }
-func BenchmarkSchedule100kHeap(b *testing.B) {
-	benchClockSchedule(b, simtime.NewVirtualReference(), 100_000)
-}
-
 // BenchmarkX14_SharedExecution1024 runs the shared-execution comparison
 // (200 queries / 40 shared subtrees on 1024 nodes, reuse on vs off) end
 // to end on the virtual clock. The reported metric is the measured
@@ -476,111 +328,6 @@ func BenchmarkX15_IncrementalReplanning1024(b *testing.B) {
 	}
 }
 
-// BenchmarkX16_FailureRepair1024 regenerates the unplanned-failure
-// scenario (1024 nodes, 5% staggered crashes under 1% ambient message
-// loss): heartbeat detection, automatic circuit repair, bounded tuple
-// loss. Reported metrics are the total services repaired and the mean
-// per-round detections — both must stay stable across same-seed runs.
-func BenchmarkX16_FailureRepair1024(b *testing.B) {
-	var last *exp.Table
-	for i := 0; i < b.N; i++ {
-		t, err := exp.X16(exp.DefaultX16Params())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	repaired := 0.0
-	for i := range last.Rows {
-		if v, err := strconv.ParseFloat(last.Rows[i][4], 64); err == nil {
-			repaired += v
-		}
-	}
-	b.ReportMetric(repaired, "services-repaired")
-	b.ReportMetric(colMean(b, last, 2), "detections/round")
-}
-
-// BenchmarkX17_Scale16k regenerates the full-scale scenario: 16400
-// nodes under sparse latency, 100k queries through 16 optimizer
-// shards, full-population heartbeats on the timer-wheel kernel, and
-// ticker-fed coordinate sync across three adaptation rounds. Reported
-// metrics are the peak pending timer count (event-kernel load), the
-// mean coordinates synced per round, and the mean coordinate staleness
-// the sync repairs.
-func BenchmarkX17_Scale16k(b *testing.B) {
-	var last *exp.Table
-	for i := 0; i < b.N; i++ {
-		t, err := exp.X17(exp.DefaultX17Params())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	peak := 0.0
-	for i := range last.Rows {
-		if v, err := strconv.ParseFloat(last.Rows[i][8], 64); err == nil && v > peak {
-			peak = v
-		}
-	}
-	b.ReportMetric(peak, "peak-pending-events")
-	b.ReportMetric(colMean(b, last, 1), "synced/round")
-	b.ReportMetric(colMean(b, last, 2), "staleness-ms")
-}
-
-// benchShardedNetwork drives a ~100k-node overlay's full-population
-// heartbeat traffic (the X18 data-plane load, minus the optimizer) for
-// two simulated seconds per iteration on the given shard count. The
-// events/s metric is raw event-kernel throughput; comparing the 64-shard
-// variant against the single-queue twin on a multi-core host shows the
-// parallel windows' speedup — on one core they should be within noise.
-func benchShardedNetwork(b *testing.B, shards int) {
-	topoCfg := topology.DefaultConfig()
-	topoCfg.TransitDomains = 8
-	topoCfg.TransitNodes = 8
-	topoCfg.StubsPerTransit = 125
-	topoCfg.StubNodes = 100 // 64 + 8·125·100 = 100064 nodes
-	topo, err := topology.Generate(topoCfg, rand.New(rand.NewSource(18)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := topo.EnableSparseLatency(); err != nil {
-		b.Fatal(err)
-	}
-	n := topo.NumNodes()
-	beats := 0.0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		clk := simtime.NewVirtual()
-		if shards > 1 {
-			// Modulo lanes: no locality, so this is the worst case for
-			// cross-shard traffic — the kernel number is conservative.
-			laneOf := make([]int32, n)
-			for j := range laneOf {
-				laneOf[j] = int32(j % shards)
-			}
-			clk.ShardLanes(laneOf, shards, time.Duration(topo.MinEdgeLatency()*float64(time.Millisecond)))
-		}
-		release := clk.Drive()
-		net := overlay.NewNetwork(topo, overlay.Config{TimeScale: time.Millisecond, InboxSize: 8192, Clock: clk})
-		net.Start()
-		hb := net.StartHeartbeats(500*time.Millisecond, 0.05)
-		b.StartTimer()
-		clk.Sleep(2 * time.Second)
-		b.StopTimer()
-		beats = net.Metrics.Counter("hb.recv").Value()
-		hb.Stop()
-		net.Stop()
-		release()
-		b.StartTimer()
-	}
-	b.ReportMetric(beats*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-	b.ReportMetric(beats, "beats/iter")
-}
-
-func BenchmarkShardedNetwork100k(b *testing.B)            { benchShardedNetwork(b, 64) }
-func BenchmarkShardedNetwork100kSingleQueue(b *testing.B) { benchShardedNetwork(b, 1) }
-
 // Tracer micro-benchmarks: the disabled (nil) path is the cost every
 // instrumented call site pays in production, so it must stay within
 // noise; the enabled path bounds the per-event recording cost.
@@ -605,63 +352,35 @@ func BenchmarkTraceEmitEnabled(b *testing.B) {
 	}
 }
 
-// BenchmarkX16_FailureRepair1024Traced runs the same crash/repair
-// scenario as BenchmarkX16_FailureRepair1024 with a tracer attached —
-// the pairing quantifies the enabled-tracer overhead, while the
-// untraced variant vs its pre-trace baseline bounds the disabled cost.
-func BenchmarkX16_FailureRepair1024Traced(b *testing.B) {
-	events := 0
-	for i := 0; i < b.N; i++ {
-		p := exp.DefaultX16Params()
-		p.Trace = trace.New(simtime.NewVirtual())
-		if _, err := exp.X16(p); err != nil {
-			b.Fatal(err)
-		}
-		events = p.Trace.Len()
-	}
-	b.ReportMetric(float64(events), "trace-events")
-}
-
 // Re-planning benchmarks: the cost of one re-optimization round on the
 // 1024-node, 200-circuit deployment after a 1%-node load drift — full
 // sweep vs delta-driven incremental sweep over the same sequence of
 // drifts. The services-evaluated metric is the work ratio the wall
 // clock should track.
 
-func planBench(b *testing.B) (*topology.Topology, *optimizer.Env, *optimizer.Deployment, *optimizer.Reoptimizer) {
+func planBench(b *testing.B) (*scenario.World, *optimizer.Reoptimizer) {
 	b.Helper()
-	topoCfg := topology.DefaultConfig()
-	topoCfg.StubNodes = 21 // 1024 nodes
-	topo, err := topology.Generate(topoCfg, rand.New(rand.NewSource(31)))
+	spec := scenario.Spec{
+		Seed:     31,
+		Topology: topology.DefaultConfig(),
+		Streams:  workload.DefaultStreamConfig(),
+		Queries:  workload.DefaultQueryConfig(),
+	}
+	spec.Topology.StubNodes = 21 // 1024 nodes
+	spec.Streams.NumStreams = 16
+	spec.Queries.NumQueries = 200
+	spec.Queries.StreamsPerQuery = [2]int{2, 3}
+	spec.Queries.AggregateProb = 0
+	w, err := scenario.Build(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(31 * 3))
-	sCfg := workload.DefaultStreamConfig()
-	sCfg.NumStreams = 16
-	stats, err := workload.GenerateStats(topo, sCfg, rng)
+	b.Cleanup(w.Close)
+	env, dep := w.Env, w.Deployment
+	results, err := optimizer.OptimizeBatch(env, w.Queries, optimizer.BatchOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	qCfg := workload.DefaultQueryConfig()
-	qCfg.NumQueries = 200
-	qCfg.StreamsPerQuery = [2]int{2, 3}
-	qCfg.AggregateProb = 0
-	qs, err := workload.GenerateQueries(topo, stats, qCfg, rng, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	envCfg := optimizer.DefaultEnvConfig(31)
-	envCfg.UseDHT = false
-	env, err := optimizer.NewEnv(topo, stats, envCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	results, err := optimizer.OptimizeBatch(env, qs, optimizer.BatchOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	dep := optimizer.NewDeployment(env, nil)
 	for i := range results {
 		if err := dep.Deploy(results[i].Circuit); err != nil {
 			b.Fatal(err)
@@ -685,7 +404,7 @@ func planBench(b *testing.B) (*topology.Topology, *optimizer.Env, *optimizer.Dep
 			b.Fatal("deployment did not settle")
 		}
 	}
-	return topo, env, dep, ro
+	return w, ro
 }
 
 func applyBenchPlan(b *testing.B, dep *optimizer.Deployment, plan optimizer.MigrationPlan) {
@@ -702,13 +421,12 @@ func applyBenchPlan(b *testing.B, dep *optimizer.Deployment, plan optimizer.Migr
 }
 
 func BenchmarkPlanFull1024(b *testing.B) {
-	topo, env, dep, ro := planBench(b)
-	churn := rand.New(rand.NewSource(31 * 11))
+	w, ro := planBench(b)
 	evaluated := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		workload.ApplyChurn(topo, env, workload.Churn{LoadFraction: 0.01, LoadMax: 0.4}, churn)
+		w.Drift(workload.Churn{LoadFraction: 0.01, LoadMax: 0.4})
 		b.StartTimer()
 		plan, err := ro.Plan()
 		if err != nil {
@@ -716,21 +434,20 @@ func BenchmarkPlanFull1024(b *testing.B) {
 		}
 		b.StopTimer()
 		evaluated += plan.ServicesEvaluated
-		applyBenchPlan(b, dep, plan)
-		env.CompactDirty(env.Epoch()) // keep the unconsumed log bounded
+		applyBenchPlan(b, w.Deployment, plan)
+		w.Env.CompactDirty(w.Env.Epoch()) // keep the unconsumed log bounded
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(evaluated)/float64(b.N), "services-evaluated")
 }
 
 func BenchmarkPlanIncremental1024(b *testing.B) {
-	topo, env, dep, ro := planBench(b)
-	churn := rand.New(rand.NewSource(31 * 11))
+	w, ro := planBench(b)
 	evaluated := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		workload.ApplyChurn(topo, env, workload.Churn{LoadFraction: 0.01, LoadMax: 0.4}, churn)
+		w.Drift(workload.Churn{LoadFraction: 0.01, LoadMax: 0.4})
 		b.StartTimer()
 		plan, _, err := ro.PlanIncremental()
 		if err != nil {
@@ -738,7 +455,7 @@ func BenchmarkPlanIncremental1024(b *testing.B) {
 		}
 		b.StopTimer()
 		evaluated += plan.ServicesEvaluated
-		applyBenchPlan(b, dep, plan)
+		applyBenchPlan(b, w.Deployment, plan)
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(evaluated)/float64(b.N), "services-evaluated")

@@ -76,22 +76,20 @@ import (
 	"time"
 
 	"github.com/hourglass/sbon/internal/adapt"
-	"github.com/hourglass/sbon/internal/failure"
 	"github.com/hourglass/sbon/internal/metrics"
 	"github.com/hourglass/sbon/internal/optimizer"
 	"github.com/hourglass/sbon/internal/overlay"
 	"github.com/hourglass/sbon/internal/query"
-	"github.com/hourglass/sbon/internal/simtime"
-	"github.com/hourglass/sbon/internal/stream"
+	"github.com/hourglass/sbon/internal/scenario"
 	"github.com/hourglass/sbon/internal/topology"
 	"github.com/hourglass/sbon/internal/trace"
 	"github.com/hourglass/sbon/internal/workload"
 )
 
 // traceSink gathers the observability flags and the tracer they imply.
-// attach creates the tracer on the scenario's clock (so virtual-time
-// runs stamp events deterministically); finish writes the requested
-// exports once the run completes.
+// open creates the tracer (the scenario re-bases it onto the run's
+// clock, so virtual-time runs stamp events deterministically); finish
+// writes the requested exports once the run completes.
 type traceSink struct {
 	chrome string
 	jsonl  string
@@ -103,24 +101,18 @@ type traceSink struct {
 	streamFile *os.File
 }
 
-func (s *traceSink) wanted() bool {
-	return s.chrome != "" || s.jsonl != "" || s.stream != "" || s.dump
-}
-
-func (s *traceSink) attach(clk simtime.Clock) *trace.Tracer {
-	if !s.wanted() {
+func (s *traceSink) open() *trace.Tracer {
+	if s.chrome == "" && s.jsonl == "" && s.stream == "" && !s.dump {
 		return nil
 	}
-	if s.tr == nil {
-		s.tr = trace.New(clk)
-		if s.stream != "" {
-			f, err := os.Create(s.stream)
-			if err != nil {
-				fail(err)
-			}
-			s.streamFile = f
-			s.tr.StreamJSONL(f)
+	s.tr = trace.New(nil)
+	if s.stream != "" {
+		f, err := os.Create(s.stream)
+		if err != nil {
+			fail(err)
 		}
+		s.streamFile = f
+		s.tr.StreamJSONL(f)
 	}
 	return s.tr
 }
@@ -217,35 +209,34 @@ func main() {
 	}
 	sink := &traceSink{chrome: *traceFile, jsonl: *traceJSONL, stream: *traceStream, dump: *metricsDump}
 
-	topoCfg := topology.DefaultConfig()
-	topoCfg.StubNodes = *stubNodes
-	topo, err := topology.Generate(topoCfg, rand.New(rand.NewSource(*seed)))
-	if err != nil {
-		fail(err)
-	}
-	rng := rand.New(rand.NewSource(*seed * 3))
-	sCfg := workload.DefaultStreamConfig()
-	sCfg.NumStreams = *streams
-	stats, err := workload.GenerateStats(topo, sCfg, rng)
-	if err != nil {
-		fail(err)
-	}
-	qCfg := workload.DefaultQueryConfig()
-	qCfg.NumQueries = *queries
-	if *batchN > 0 {
-		qCfg.NumQueries = *batchDistinct
-	}
-	qs, err := workload.GenerateQueries(topo, stats, qCfg, rng, 1)
-	if err != nil {
-		fail(err)
+	if *dataShards > 1 && (!*execute || !*virtualTime) {
+		fail(fmt.Errorf("-data-shards requires -execute -virtual-time: only the discrete-event data plane shards"))
 	}
 
-	envCfg := optimizer.DefaultEnvConfig(*seed)
-	envCfg.UseDHT = *useDHT
-	env, err := optimizer.NewEnv(topo, stats, envCfg)
+	spec := scenario.Spec{
+		Seed:       *seed,
+		Topology:   topology.DefaultConfig(),
+		Streams:    workload.DefaultStreamConfig(),
+		Queries:    workload.DefaultQueryConfig(),
+		UseDHT:     *useDHT,
+		DataShards: *dataShards,
+		Tracer:     sink.open(),
+	}
+	spec.Topology.StubNodes = *stubNodes
+	spec.Streams.NumStreams = *streams
+	spec.Queries.NumQueries = *queries
+	if *batchN > 0 {
+		spec.Queries.NumQueries = *batchDistinct
+	}
+	if *virtualTime {
+		spec.Clock = scenario.Virtual
+	}
+	w, err := scenario.Build(spec)
 	if err != nil {
 		fail(err)
 	}
+	defer w.Close()
+	topo, env, qs := w.Topo, w.Env, w.Queries
 	fmt.Printf("topology: %s\n", topo.ComputeStats())
 	fmt.Printf("coordinates: %s\n", env.EmbeddingQuality)
 
@@ -254,8 +245,7 @@ func main() {
 		return
 	}
 
-	reg := optimizer.NewRegistry()
-	dep := optimizer.NewDeployment(env, reg)
+	dep, reg := w.Deployment, w.Deployment.Registry
 	truth := optimizer.TrueLatency{Topo: topo}
 
 	r := *radius
@@ -302,7 +292,7 @@ func main() {
 		if !*execute || !*virtualTime {
 			fail(fmt.Errorf("-crash-frac/-drop-prob require -execute -virtual-time: crashes, detection, and repair are discrete events"))
 		}
-		sink.finish(runFailureScenario(topo, env, dep, circuits, truth, *crashFrac, *dropProb, *simSeconds, *seed, sink))
+		sink.finish(runFailureScenario(w, circuits, *crashFrac, *dropProb, *simSeconds))
 		return
 	}
 
@@ -310,25 +300,20 @@ func main() {
 		if *adaptCont && !*virtualTime {
 			fail(fmt.Errorf("-adapt-continuous requires -virtual-time: the loop and its drift schedule are discrete events"))
 		}
-		sink.finish(runAdaptation(topo, env, dep, circuits, truth,
-			*adaptSweeps, *adaptBudget, *adaptDrift, *execute, *virtualTime, *simSeconds, *seed,
-			*adaptCont, *adaptIntMs, sink))
+		sink.finish(runAdaptation(w, circuits, *adaptSweeps, *adaptBudget, *adaptDrift, *execute, *simSeconds,
+			*adaptCont, *adaptIntMs))
 		return
-	}
-
-	if *dataShards > 1 && (!*execute || !*virtualTime) {
-		fail(fmt.Errorf("-data-shards requires -execute -virtual-time: only the discrete-event data plane shards"))
 	}
 
 	var runReg *metrics.Registry
 	if *execute {
-		runReg = runDataPlane(topo, env, circuits, truth, *virtualTime, *simSeconds, *heartbeatMs, *seed, *dataShards, sink)
+		runReg = runDataPlane(w, circuits, *simSeconds, *heartbeatMs)
 	}
 
 	if *churnSteps > 0 {
 		fmt.Printf("\nchurn + re-optimization (%d steps):\n", *churnSteps)
 		ro := optimizer.NewReoptimizer(dep)
-		ro.Tracer = sink.attach(simtime.Real())
+		ro.Tracer = sink.tr
 		churnRng := rand.New(rand.NewSource(*seed * 5))
 		churn := workload.Churn{LoadFraction: 0.25, LoadMax: 0.95}
 		for step := 1; step <= *churnSteps; step++ {
@@ -344,92 +329,60 @@ func main() {
 	sink.finish(runReg)
 }
 
+// execute starts the data plane and the circuits on it — in
+// optimization order, so a circuit reusing another's services always
+// finds its provider running.
+func execute(w *scenario.World, circuits []*optimizer.Circuit) {
+	if err := w.StartDataPlane(); err != nil {
+		fail(err)
+	}
+	if err := w.Execute(circuits...); err != nil {
+		fail(err)
+	}
+}
+
 // runDataPlane deploys the circuits on the stream engine and measures
 // the executing dataflow against the analytic model. With virtual time
 // the whole window is a deterministic discrete-event run that finishes
 // in milliseconds regardless of the simulated duration.
-func runDataPlane(topo *topology.Topology, env *optimizer.Env, circuits []*optimizer.Circuit, truth optimizer.TrueLatency,
-	virtual bool, simSeconds, heartbeatMs float64, seed int64, dataShards int, sink *traceSink) *metrics.Registry {
-	netCfg := overlay.Config{TimeScale: 50 * time.Microsecond, InboxSize: 8192}
-	var clk simtime.Clock = simtime.Real()
-	if virtual {
-		vclk := simtime.NewVirtual()
-		defer vclk.Drive()()
-		clk = vclk
-		netCfg = overlay.Config{TimeScale: time.Millisecond, InboxSize: 8192, Clock: vclk}
-		if dataShards > 1 {
-			k := optimizer.RoundShards(dataShards)
-			laneOf, err := optimizer.NodeRegions(env, k)
-			if err != nil {
-				fail(err)
-			}
-			lookahead := time.Duration(topo.MinEdgeLatency() * float64(netCfg.TimeScale))
-			if lookahead <= 0 {
-				fail(fmt.Errorf("topology has no positive edge latency — data-plane sharding needs a conservative lookahead"))
-			}
-			vclk.ShardLanes(laneOf, k, lookahead)
-			netCfg.DataShards = k
-			netCfg.ShardOf = laneOf
-			fmt.Printf("\ndata plane sharded across %d parallel event queues (lookahead %v)\n", k, lookahead)
-		}
+func runDataPlane(w *scenario.World, circuits []*optimizer.Circuit, simSeconds, heartbeatMs float64) *metrics.Registry {
+	defer w.Close()
+	execute(w, circuits)
+	net := w.Net
+	if net.DataShards() > 1 {
+		fmt.Printf("\ndata plane sharded across %d parallel event queues (lookahead %v)\n", net.DataShards(), w.Lookahead)
 	}
-	tr := sink.attach(clk)
-	net := overlay.NewNetwork(topo, netCfg)
-	net.SetTracer(tr)
-	net.Start()
-	defer net.Stop()
-	ecfg := stream.DefaultEngineConfig()
-	ecfg.Seed = seed
-	ecfg.Tracer = tr
-	engine := stream.NewEngine(net, topo, ecfg)
-	defer engine.Close()
-
 	mode := "wall-clock"
-	if virtual {
+	if w.VClock != nil {
 		mode = "virtual-time"
 	}
 	fmt.Printf("\nexecuting %d circuits on the %s engine for %.1f simulated seconds...\n",
 		len(circuits), mode, simSeconds)
 
+	truth := optimizer.TrueLatency{Topo: w.Topo}
 	var analyticUsage, analyticRate float64
-	type deployed struct {
-		c   *optimizer.Circuit
-		run *stream.Running
-	}
-	var runs []deployed
 	for _, c := range circuits {
-		// Circuits are deployed in optimization order, so a circuit
-		// reusing another's services always finds its provider running.
-		run, err := engine.Deploy(c)
-		if err != nil {
-			fail(err)
-		}
-		runs = append(runs, deployed{c: c, run: run})
 		analyticUsage += c.NetworkUsage(truth)
 		analyticRate += c.Plan.OutRate
 	}
-	if st := engine.SharedStats(); st.Instances > 0 {
+	if st := w.Engine.SharedStats(); st.Instances > 0 {
 		fmt.Printf("shared execution: %d instances feed %d subscriber circuits (no duplicated operators)\n",
 			st.Instances, st.Subscribers)
 	}
-	var hb *overlay.Heartbeats
 	if heartbeatMs > 0 {
-		hb = net.StartHeartbeats(time.Duration(heartbeatMs*float64(netCfg.TimeScale)), 0.05)
+		w.StartHeartbeats(time.Duration(heartbeatMs * float64(w.TimeScale())))
 	}
 	wallStart := time.Now()
-	clk.Sleep(time.Duration(simSeconds * 1000 * float64(netCfg.TimeScale)))
+	w.SimSleep(simSeconds)
 	wall := time.Since(wallStart)
 
 	var measuredUsage, measuredRate float64
 	tuples := 0
-	for _, d := range runs {
-		m := d.run.Measure()
+	for _, run := range w.Runs {
+		m := run.Measure()
 		measuredUsage += m.NetworkUsage
 		measuredRate += m.OutRateKBs
 		tuples += m.TuplesOut
-	}
-	if hb != nil {
-		hb.Stop()
 	}
 	fmt.Printf("delivered %d tuples, %.0f overlay messages, %.0f heartbeats in %v of wall time\n",
 		tuples, net.Metrics.Counter("msgs.sent").Value(), net.Metrics.Counter("hb.recv").Value(), wall.Round(time.Millisecond))
@@ -444,51 +397,25 @@ func runDataPlane(topo *topology.Topology, env *optimizer.Env, circuits []*optim
 // circuits with drifting background load. With execute the circuits run
 // on the stream engine and every migration is a live buffered handoff;
 // without it the moves commit on the control plane only.
-func runAdaptation(topo *topology.Topology, env *optimizer.Env, dep *optimizer.Deployment,
-	circuits []*optimizer.Circuit, truth optimizer.TrueLatency,
-	sweeps, budget int, drift float64, execute, virtual bool, simSeconds float64, seed int64,
-	continuous bool, intervalMs int, sink *traceSink) *metrics.Registry {
+func runAdaptation(w *scenario.World, circuits []*optimizer.Circuit,
+	sweeps, budget int, drift float64, executing bool, simSeconds float64,
+	continuous bool, intervalMs int) *metrics.Registry {
 
-	var engine *stream.Engine
-	var net *overlay.Network
-	var clk simtime.Clock = simtime.Real()
-	var vclk *simtime.VirtualClock
-	if virtual {
-		vclk = simtime.NewVirtual()
-		defer vclk.Drive()()
-		clk = vclk
+	// Torn down before the trace is written: cancelling the handoffs
+	// still in flight ends their spans.
+	defer w.Close()
+	clk, dep := w.Clock, w.Deployment
+	truth := optimizer.TrueLatency{Topo: w.Topo}
+	if executing {
+		execute(w, circuits)
+		w.SimSleep(simSeconds)
 	}
-	tr := sink.attach(clk)
-	var runs []*stream.Running
-	if execute {
-		netCfg := overlay.Config{TimeScale: 50 * time.Microsecond, InboxSize: 8192}
-		if virtual {
-			netCfg = overlay.Config{TimeScale: time.Millisecond, InboxSize: 8192, Clock: vclk}
-		}
-		net = overlay.NewNetwork(topo, netCfg)
-		net.SetTracer(tr)
-		net.Start()
-		defer net.Stop()
-		ecfg := stream.DefaultEngineConfig()
-		ecfg.Seed = seed
-		ecfg.Tracer = tr
-		engine = stream.NewEngine(net, topo, ecfg)
-		defer engine.Close()
-		for _, c := range circuits {
-			run, err := engine.Deploy(c)
-			if err != nil {
-				fail(err)
-			}
-			runs = append(runs, run)
-		}
-		clk.Sleep(time.Duration(simSeconds * 1000 * float64(netCfg.TimeScale)))
-	}
+	net, runs := w.Net, w.Runs
 
-	co := &adapt.Coordinator{Dep: dep, Engine: engine, Clock: clk, Budget: budget, Tracer: tr}
-	driftRng := rand.New(rand.NewSource(seed * 11))
+	co := &adapt.Coordinator{Dep: dep, Engine: w.Engine, Clock: clk, Budget: budget, Tracer: w.Spec.Tracer}
 	churn := workload.Churn{LoadFraction: drift, LoadMax: 0.9}
 	mode := "control-plane only"
-	if engine != nil {
+	if executing {
 		mode = fmt.Sprintf("%d circuits executing", len(runs))
 	}
 	if continuous {
@@ -500,12 +427,10 @@ func runAdaptation(topo *topology.Topology, env *optimizer.Env, dep *optimizer.D
 		// (deterministically, through the virtual clock) after the last
 		// round.
 		for i := 0; i < sweeps; i++ {
-			clk.AfterFunc(time.Duration(i)*interval+interval/2, func() {
-				workload.ApplyChurn(topo, env, churn, driftRng)
-			})
+			clk.AfterFunc(time.Duration(i)*interval+interval/2, func() { w.Drift(churn) })
 		}
 		stop := make(chan struct{})
-		clk.AfterFunc(time.Duration(sweeps)*interval+interval/4, func() { vclk.Signal(stop) })
+		clk.AfterFunc(time.Duration(sweeps)*interval+interval/4, func() { w.VClock.Signal(stop) })
 		rs, err := co.Run(interval, stop)
 		if err != nil {
 			fail(err)
@@ -514,18 +439,13 @@ func runAdaptation(topo *topology.Topology, env *optimizer.Env, dep *optimizer.D
 			rs.Sweeps, rs.FullSweeps, rs.Migrated, rs.ServicesEvaluated, dep.TotalUsage(truth))
 		fmt.Printf("last round: dirty-nodes=%d affected-circuits=%d planned=%d migrated=%d\n",
 			rs.Last.DirtyNodes, rs.Last.AffectedCircuits, rs.Last.Planned, rs.Last.Migrated)
-		if net != nil {
-			fmt.Printf("loss counters: unrouted=%.0f data-to-dead=%.0f (must be 0)\n",
-				net.Metrics.Counter("msgs.unrouted").Value(), net.Metrics.Counter("msgs.down_dropped").Value())
-			return net.Metrics
-		}
-		return nil
+		return lossCounters(net)
 	}
 
 	fmt.Printf("\nadaptation: %d sweeps, budget %d, drift %.0f%% (%s)\n",
 		sweeps, budget, drift*100, mode)
 	for i := 1; i <= sweeps; i++ {
-		workload.ApplyChurn(topo, env, churn, driftRng)
+		w.Drift(churn)
 		st, err := co.Sweep(nil)
 		if err != nil {
 			fail(err)
@@ -538,12 +458,18 @@ func runAdaptation(topo *topology.Topology, env *optimizer.Env, dep *optimizer.D
 			i, st.Planned, st.Migrated, st.DataPlane, st.Buffered, st.Forwarded,
 			settle, dep.TotalUsage(truth))
 	}
-	if net != nil {
-		fmt.Printf("loss counters: unrouted=%.0f data-to-dead=%.0f (must be 0)\n",
-			net.Metrics.Counter("msgs.unrouted").Value(), net.Metrics.Counter("msgs.down_dropped").Value())
-		return net.Metrics
+	return lossCounters(net)
+}
+
+// lossCounters prints the counters live migration must leave at zero
+// and returns the run's registry (nil without a data plane).
+func lossCounters(net *overlay.Network) *metrics.Registry {
+	if net == nil {
+		return nil
 	}
-	return nil
+	fmt.Printf("loss counters: unrouted=%.0f data-to-dead=%.0f (must be 0)\n",
+		net.Metrics.Counter("msgs.unrouted").Value(), net.Metrics.Counter("msgs.down_dropped").Value())
+	return net.Metrics
 }
 
 // runFailureScenario executes the circuits under ambient message loss
@@ -552,78 +478,23 @@ func runAdaptation(topo *topology.Topology, env *optimizer.Env, dep *optimizer.D
 // and the coordinator's repair loop re-places every affected service
 // onto live nodes automatically; the scenario reports repair activity
 // and the bounded loss counters. Deterministic for a given seed.
-func runFailureScenario(topo *topology.Topology, env *optimizer.Env, dep *optimizer.Deployment,
-	circuits []*optimizer.Circuit, truth optimizer.TrueLatency,
-	crashFrac, dropProb, simSeconds float64, seed int64, sink *traceSink) *metrics.Registry {
-
-	vclk := simtime.NewVirtual()
-	defer vclk.Drive()()
-	tr := sink.attach(vclk)
-	net := overlay.NewNetwork(topo, overlay.Config{TimeScale: time.Millisecond, InboxSize: 8192, Clock: vclk})
-	net.SetTracer(tr)
-	net.Start()
-	defer net.Stop()
-	ecfg := stream.DefaultEngineConfig()
-	ecfg.Seed = seed
-	ecfg.Tracer = tr
-	engine := stream.NewEngine(net, topo, ecfg)
-	defer engine.Close()
-	var runs []*stream.Running
-	for _, c := range circuits {
-		run, err := engine.Deploy(c)
-		if err != nil {
-			fail(err)
-		}
-		runs = append(runs, run)
-	}
+func runFailureScenario(w *scenario.World, circuits []*optimizer.Circuit, crashFrac, dropProb, simSeconds float64) *metrics.Registry {
+	defer w.Close()
+	execute(w, circuits)
+	topo, dep, net, vclk := w.Topo, w.Deployment, w.Net, w.VClock
+	truth := optimizer.TrueLatency{Topo: topo}
 
 	// Victims: non-endpoint nodes only — a dead pinned producer or
 	// consumer cancels its circuit by definition; this scenario measures
 	// repair.
-	endpoint := map[topology.NodeID]bool{}
-	for _, c := range circuits {
-		for _, s := range c.Services {
-			if s.Pinned {
-				endpoint[s.Node] = true
-			}
-		}
-	}
-	var candidates []topology.NodeID
-	for i := 0; i < topo.NumNodes(); i++ {
-		if n := topology.NodeID(i); !endpoint[n] {
-			candidates = append(candidates, n)
-		}
-	}
-	vrng := rand.New(rand.NewSource(seed * 13))
-	vrng.Shuffle(len(candidates), func(i, j int) { candidates[i], candidates[j] = candidates[j], candidates[i] })
-	crashCount := int(crashFrac*float64(topo.NumNodes()) + 0.5)
-	if crashCount > len(candidates) {
-		crashCount = len(candidates)
-	}
-	victims := candidates[:crashCount]
+	victims := w.CrashVictims(int(crashFrac*float64(topo.NumNodes())+0.5), false)
 	warmup := time.Duration(simSeconds/4*1000) * time.Millisecond
-	spread := warmup
-	crashes := make([]overlay.NodeCrash, len(victims))
-	for i, n := range victims {
-		at := warmup
-		if len(victims) > 1 {
-			at += time.Duration(int64(spread) * int64(i) / int64(len(victims)-1))
-		}
-		crashes[i] = overlay.NodeCrash{Node: n, At: at}
-	}
-	fi := net.InstallFaults(overlay.FaultPlan{Seed: seed, DropProb: dropProb, Crashes: crashes})
-	defer fi.Stop()
-
-	beat := 200 * time.Millisecond
-	hb := net.StartHeartbeatsOpts(beat, 0.05, overlay.HeartbeatOpts{SkipDownTargets: true})
-	dcfg := failure.DefaultConfig(beat)
-	dcfg.Tracer = tr
-	det := failure.New(net, dcfg)
-	defer func() { det.Stop(); hb.Stop() }()
+	w.InjectFaults(overlay.FaultPlan{Seed: w.Spec.Seed, DropProb: dropProb, Crashes: scenario.StaggerCrashes(victims, warmup, warmup)})
+	det := w.StartFailureDetection(200 * time.Millisecond)
 	co := &adapt.Coordinator{
-		Dep: dep, Engine: engine, Clock: vclk,
+		Dep: dep, Engine: w.Engine, Clock: vclk,
 		Threshold: 0.3, TicketTTL: 5 * time.Second,
-		Tracer: tr,
+		Tracer: w.Spec.Tracer,
 	}
 
 	usageBefore := dep.TotalUsage(truth)
@@ -636,17 +507,8 @@ func runFailureScenario(topo *topology.Topology, env *optimizer.Env, dep *optimi
 	if err != nil {
 		fail(err)
 	}
-	for _, run := range runs {
-		run.HaltProducers()
-	}
-	vclk.Sleep(time.Second)
+	produced, delivered := w.Quiesce()
 	wall := time.Since(wallStart)
-
-	var produced, delivered int
-	for _, run := range runs {
-		produced += run.TuplesProduced()
-		delivered += run.Measure().TuplesOut
-	}
 	fmt.Printf("detector: %d dead confirmed; repair: %d services re-placed (%d zombie, %d adopted), %d circuits cancelled, %d moves aborted\n",
 		rep.DeadNodes, rep.Repaired, rep.ZombieRepaired, rep.Adopted, rep.CancelledCircuits, rep.Aborted)
 	fmt.Printf("adaptation: %d rounds, %d migrations alongside repair\n", rs.Sweeps, rs.Migrated)
@@ -665,7 +527,6 @@ func runFailureScenario(topo *topology.Topology, env *optimizer.Env, dep *optimi
 		}
 	}
 	fmt.Printf("all deployed services verified off the crashed nodes (zero manual evacuations)\n")
-	_ = env
 	return net.Metrics
 }
 

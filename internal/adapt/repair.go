@@ -58,7 +58,8 @@ type RepairStats struct {
 	Duration time.Duration
 }
 
-func (a *RepairStats) add(b RepairStats) {
+// Add accumulates another round's statistics into a.
+func (a *RepairStats) Add(b RepairStats) {
 	a.DeadNodes += b.DeadNodes
 	a.CancelledCircuits += b.CancelledCircuits
 	a.Planned += b.Planned
@@ -334,7 +335,7 @@ func (co *Coordinator) RunWithRepair(det *failure.Detector, interval time.Durati
 			return rs, rep, nil
 		}
 		r, err := co.HandleFailures(det.TakeEvents(), stop)
-		rep.add(r)
+		rep.Add(r)
 		if err != nil {
 			return rs, rep, err
 		}

@@ -12,6 +12,7 @@ import (
 	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/plan"
 	"github.com/hourglass/sbon/internal/query"
+	"github.com/hourglass/sbon/internal/scenario"
 	"github.com/hourglass/sbon/internal/topology"
 	"github.com/hourglass/sbon/internal/vivaldi"
 	"github.com/hourglass/sbon/internal/workload"
@@ -33,9 +34,7 @@ func DefaultX1Params() X1Params {
 // relaxation placement against random, at-consumer, and at-producer
 // baselines, reporting total network usage as the query population grows.
 func X1(p X1Params) (*Table, error) {
-	if len(p.QueryCounts) == 0 {
-		p.QueryCounts = []int{5, 10, 20}
-	}
+	orDefaultList(&p.QueryCounts, DefaultX1Params().QueryCounts)
 	t := NewTable("X1 — placement strategies: total network usage (KB·ms/s)",
 		"queries", "relaxation", "random", "consumer", "producer", "random/relax", "consumer/relax", "producer/relax")
 
@@ -114,9 +113,7 @@ func DefaultX2Params() X2Params {
 // X2 measures the Vivaldi embedding's error against update rounds — the
 // convergence behaviour the cost space's vector dimensions depend on.
 func X2(p X2Params) (*Table, error) {
-	if len(p.Rounds) == 0 {
-		p.Rounds = DefaultX2Params().Rounds
-	}
+	orDefaultList(&p.Rounds, DefaultX2Params().Rounds)
 	topo := genTopo(p.Scale, p.Seed)
 	m := topo.LatencyMatrix()
 	t := NewTable("X2 — Vivaldi convergence (2-D, transit-stub latency matrix)",
@@ -151,12 +148,8 @@ func DefaultX3Params() X3Params {
 // (fixed 64-bit keys buy fewer bits per dimension), so the walk must
 // inspect more candidates for the same accuracy.
 func X3(p X3Params) (*Table, error) {
-	if len(p.Dims) == 0 {
-		p.Dims = []int{2, 3, 4, 5}
-	}
-	if p.Targets <= 0 {
-		p.Targets = 100
-	}
+	orDefaultList(&p.Dims, DefaultX3Params().Dims)
+	orDefault(&p.Targets, DefaultX3Params().Targets)
 	topo := genTopo(p.Scale, p.Seed)
 	m := topo.LatencyMatrix()
 	t := NewTable("X3 — Hilbert-DHT mapping error vs cost-space dimensionality",
@@ -243,35 +236,25 @@ func DefaultX4Params() X4Params {
 // step: total load penalty (how hard circuits lean on busy nodes) and
 // network usage.
 func X4(p X4Params) (*Table, error) {
-	if p.Queries <= 0 {
-		p.Queries = 12
-	}
-	if p.Steps <= 0 {
-		p.Steps = 12
-	}
+	orDefault(&p.Queries, DefaultX4Params().Queries)
+	orDefault(&p.Steps, DefaultX4Params().Steps)
 	run := func(reopt bool) ([]float64, []float64, int, error) {
-		topo := genTopo(p.Scale, p.Seed)
-		rng := rand.New(rand.NewSource(p.Seed * 3))
-		stats, err := workload.GenerateStats(topo, workload.DefaultStreamConfig(), rng)
-		if err != nil {
-			return nil, nil, 0, err
-		}
 		qCfg := workload.DefaultQueryConfig()
 		qCfg.NumQueries = p.Queries
-		queries, err := workload.GenerateQueries(topo, stats, qCfg, rng, 1)
+		w, err := scenario.Build(scenario.Spec{
+			Seed:     p.Seed,
+			Topology: topoConfig(p.Scale),
+			Streams:  workload.DefaultStreamConfig(),
+			Queries:  qCfg,
+		})
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		envCfg := optimizer.DefaultEnvConfig(p.Seed)
-		envCfg.UseDHT = false
-		env, err := optimizer.NewEnv(topo, stats, envCfg)
-		if err != nil {
-			return nil, nil, 0, err
-		}
+		defer w.Close()
+		topo, env, dep := w.Topo, w.Env, w.Deployment
 		mapper := placement.OracleMapper{Source: env}
-		dep := optimizer.NewDeployment(env, nil)
 		integ := &optimizer.Integrated{Env: env, Mapper: mapper}
-		for _, q := range queries {
+		for _, q := range w.Queries {
 			res, err := integ.Optimize(q)
 			if err != nil {
 				return nil, nil, 0, err
@@ -336,12 +319,8 @@ func DefaultX5Params() X5Params {
 // X5 measures Chord lookup hops against ring size — the cost of the
 // paper's physical-mapping primitive, expected O(log N).
 func X5(p X5Params) (*Table, error) {
-	if len(p.Sizes) == 0 {
-		p.Sizes = DefaultX5Params().Sizes
-	}
-	if p.Lookups <= 0 {
-		p.Lookups = 300
-	}
+	orDefaultList(&p.Sizes, DefaultX5Params().Sizes)
+	orDefault(&p.Lookups, DefaultX5Params().Lookups)
 	t := NewTable("X5 — DHT lookup hops vs ring size", "peers", "mean hops", "max hops", "log2(N)")
 	for _, n := range p.Sizes {
 		ring := dht.NewRing()
@@ -385,9 +364,7 @@ func DefaultX6Params() X6Params {
 // the §4 claim that "enumeration-based query optimization performs
 // poorly in a large-scale system".
 func X6(p X6Params) (*Table, error) {
-	if len(p.StubSizes) == 0 {
-		p.StubSizes = DefaultX6Params().StubSizes
-	}
+	orDefaultList(&p.StubSizes, DefaultX6Params().StubSizes)
 	t := NewTable("X6 — optimizer scalability vs network size (3-way join)",
 		"nodes", "integrated ms", "exhaustive ms", "speedup", "usage integrated", "usage exhaustive", "usage gap %")
 	for _, stubs := range p.StubSizes {
@@ -468,9 +445,7 @@ func DefaultX7Params() X7Params { return X7Params{Scale: Full, Seed: 17, Runs: 1
 // Weiszfeld minimization of Σ rate·latency for virtual placement: how
 // much does the quadratic surrogate cost in final measured usage?
 func X7(p X7Params) (*Table, error) {
-	if p.Runs <= 0 {
-		p.Runs = 12
-	}
+	orDefault(&p.Runs, DefaultX7Params().Runs)
 	t := NewTable("X7 — virtual placement objective: spring (rate·d²) vs Weiszfeld (rate·d)",
 		"run", "usage spring", "usage weiszfeld", "weiszfeld/spring")
 	var ratios []float64

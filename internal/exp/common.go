@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"github.com/hourglass/sbon/internal/optimizer"
+	"github.com/hourglass/sbon/internal/stream"
 	"github.com/hourglass/sbon/internal/topology"
+	"github.com/hourglass/sbon/internal/workload"
 )
 
 // Scale selects experiment size: Full reproduces the paper's ~600-node
@@ -39,22 +41,82 @@ func genTopo(s Scale, seed int64) *topology.Topology {
 	return topology.MustGenerate(topoConfig(s), rand.New(rand.NewSource(seed)))
 }
 
-// dataPlaneShards derives the sharded-clock inputs for a scenario: the
-// optimizer's Hilbert-prefix regions as the lane map (so the traffic a
-// region-local placement generates stays shard-local) and the minimum
-// edge latency, scaled to the overlay TimeScale, as the conservative
-// lookahead. Returns the rounded shard count alongside.
-func dataPlaneShards(topo *topology.Topology, env *optimizer.Env, shards int, timeScale time.Duration) ([]int32, int, time.Duration, error) {
-	k := optimizer.RoundShards(shards)
-	laneOf, err := optimizer.NodeRegions(env, k)
-	if err != nil {
-		return nil, 0, 0, err
+// orDefault replaces an unset size, count or duration (<= 0) with its
+// default, so each Params type states its literals once, in its
+// Default function.
+func orDefault[T int | float64 | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
 	}
-	lookahead := time.Duration(topo.MinEdgeLatency() * float64(timeScale))
-	if lookahead <= 0 {
-		return nil, 0, 0, fmt.Errorf("exp: topology has no positive edge latency — no conservative lookahead exists")
+}
+
+// orDefaultList is orDefault for a sweep's list of points.
+func orDefaultList[T any](v *[]T, def []T) {
+	if len(*v) == 0 {
+		*v = def
 	}
-	return laneOf, k, lookahead, nil
+}
+
+// stubTopology is the paper's transit-stub shape with the given stub
+// domain size — the knob the runtime experiments scale by.
+func stubTopology(stubNodes int) topology.Config {
+	cfg := topology.DefaultConfig()
+	cfg.StubNodes = stubNodes
+	return cfg
+}
+
+// streamsOf sizes the default catalog.
+func streamsOf(n int) workload.StreamConfig {
+	cfg := workload.DefaultStreamConfig()
+	cfg.NumStreams = n
+	return cfg
+}
+
+// queriesOf sizes a population of minW..maxW-stream joins without
+// aggregates: operators whose measured rates the model predicts
+// tightly.
+func queriesOf(n, minW, maxW int) workload.QueryConfig {
+	cfg := workload.DefaultQueryConfig()
+	cfg.NumQueries = n
+	cfg.StreamsPerQuery = [2]int{minW, maxW}
+	cfg.AggregateProb = 0
+	return cfg
+}
+
+// expEngine is the engine configuration of the scenario experiments: a
+// key domain a quarter of the engine's default shrinks join windows
+// proportionally, so they fill within the warm-up phase at these tuple
+// granularities.
+func expEngine(tupleSizeKB float64) stream.EngineConfig {
+	return stream.EngineConfig{Keyspace: 250, TupleSizeKB: tupleSizeKB}
+}
+
+// circuitsOf lists the circuits of a batch result, in query order.
+func circuitsOf(results []optimizer.Result) []*optimizer.Circuit {
+	out := make([]*optimizer.Circuit, len(results))
+	for i := range results {
+		out[i] = results[i].Circuit
+	}
+	return out
+}
+
+// bestMoves selects one adaptation round's migrations from a sweep's
+// plan: positive incident-usage gain only, highest gain first, at most
+// budget of them. With at most one unpinned operator per 1-2-stream
+// circuit the gains are independent and the realized usage drop equals
+// their sum exactly.
+func bestMoves(plan optimizer.MigrationPlan, budget int) optimizer.MigrationPlan {
+	moves := plan.Moves[:0:0]
+	for _, m := range plan.Moves {
+		if m.UsageGain > 1e-9 {
+			moves = append(moves, m)
+		}
+	}
+	sort.SliceStable(moves, func(i, j int) bool { return moves[i].UsageGain > moves[j].UsageGain })
+	if len(moves) > budget {
+		moves = moves[:budget]
+	}
+	return optimizer.MigrationPlan{Moves: moves, ServicesEvaluated: plan.ServicesEvaluated}
 }
 
 // placementFingerprint hashes a deployment's final circuit table — every

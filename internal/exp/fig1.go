@@ -34,9 +34,7 @@ func DefaultFig1Params() Fig1Params { return Fig1Params{Scale: Full, Seeds: 15} 
 // Reported: network usage (Σ rate·latency, measured on the true
 // topology) and consumer latency of both deployed circuits.
 func Fig1(p Fig1Params) (*Table, error) {
-	if p.Seeds <= 0 {
-		p.Seeds = 15
-	}
+	orDefault(&p.Seeds, DefaultFig1Params().Seeds)
 	t := NewTable("Figure 1 — two-step vs integrated optimization (4-way join, clustered producers)",
 		"seed", "two-step plan", "integrated plan", "usage two-step", "usage integrated",
 		"usage ratio", "latency two-step", "latency integrated")

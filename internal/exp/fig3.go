@@ -34,9 +34,7 @@ func DefaultFig3Params() Fig3Params { return Fig3Params{Scale: Full, Seed: 3, Tr
 // vector-only mapper must fall into it. Mapping error is the full-space
 // distance between the virtual coordinate and the chosen node.
 func Fig3(p Fig3Params) (*Table, error) {
-	if p.Trials <= 0 {
-		p.Trials = 150
-	}
+	orDefault(&p.Trials, DefaultFig3Params().Trials)
 	topo := genTopo(p.Scale, p.Seed)
 	cfg := optimizer.DefaultEnvConfig(p.Seed)
 	env, err := optimizer.NewEnv(topo, nil, cfg)

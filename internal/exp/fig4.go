@@ -42,15 +42,9 @@ func DefaultFig4Params() Fig4Params {
 // quantity pruning bounds), how often it found a reusable service, and
 // the marginal network usage of the circuits it built.
 func Fig4(p Fig4Params) (*Table, error) {
-	if p.Background <= 0 {
-		p.Background = 30
-	}
-	if p.Probes <= 0 {
-		p.Probes = 15
-	}
-	if len(p.Radii) == 0 {
-		p.Radii = DefaultFig4Params().Radii
-	}
+	orDefault(&p.Background, DefaultFig4Params().Background)
+	orDefault(&p.Probes, DefaultFig4Params().Probes)
+	orDefaultList(&p.Radii, DefaultFig4Params().Radii)
 	topo := genTopo(p.Scale, p.Seed)
 	rng := rand.New(rand.NewSource(p.Seed * 13))
 

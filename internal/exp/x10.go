@@ -27,12 +27,8 @@ func DefaultX10Params() X10Params {
 // narrows the gap as K grows — at the cost of guessing the right states
 // in advance, which is exactly the limitation the paper calls out.
 func X10(p X10Params) (*Table, error) {
-	if p.Seeds <= 0 {
-		p.Seeds = 8
-	}
-	if len(p.States) == 0 {
-		p.States = []int{1, 2, 4, 8}
-	}
+	orDefault(&p.Seeds, DefaultX10Params().Seeds)
+	orDefaultList(&p.States, DefaultX10Params().States)
 	t := NewTable("X10 — precomputed plan banks (Graefe–Ward) vs two-step and integrated",
 		"seed", "two-step", "bank K=1", "bank K=2", "bank K=4", "bank K=8",
 		"integrated", "distinct plans @K=8")

@@ -1,15 +1,11 @@
 package exp
 
 import (
-	"math/rand"
 	"time"
 
 	"github.com/hourglass/sbon/internal/optimizer"
-	"github.com/hourglass/sbon/internal/overlay"
-	"github.com/hourglass/sbon/internal/simtime"
+	"github.com/hourglass/sbon/internal/scenario"
 	"github.com/hourglass/sbon/internal/stream"
-	"github.com/hourglass/sbon/internal/topology"
-	"github.com/hourglass/sbon/internal/workload"
 )
 
 // X11Params configures the large-scale virtual-time scenario.
@@ -60,104 +56,64 @@ func DefaultX11Params() X11Params {
 // delivery events — completes in seconds of wall time and is
 // bit-reproducible for a fixed seed.
 func X11(p X11Params) (*Table, error) {
-	if p.StubNodes <= 0 {
-		p.StubNodes = 21
-	}
-	if p.Streams <= 0 {
-		p.Streams = 16
-	}
-	if p.Queries <= 0 {
-		p.Queries = 200
-	}
-	if p.SimSeconds <= 0 {
-		p.SimSeconds = 3
-	}
-	if p.WarmupSimSeconds <= 0 {
-		p.WarmupSimSeconds = 5
-	}
-	if p.TupleSizeKB <= 0 {
-		p.TupleSizeKB = 4
-	}
+	d := DefaultX11Params()
+	orDefault(&p.StubNodes, d.StubNodes)
+	orDefault(&p.Streams, d.Streams)
+	orDefault(&p.Queries, d.Queries)
+	orDefault(&p.SimSeconds, d.SimSeconds)
+	orDefault(&p.WarmupSimSeconds, d.WarmupSimSeconds)
+	orDefault(&p.TupleSizeKB, d.TupleSizeKB)
 	wallStart := time.Now()
 
-	topoCfg := topology.DefaultConfig()
-	topoCfg.StubNodes = p.StubNodes
-	topo, err := topology.Generate(topoCfg, rand.New(rand.NewSource(p.Seed)))
+	w, err := scenario.Build(scenario.Spec{
+		Seed:     p.Seed,
+		Topology: stubTopology(p.StubNodes),
+		Streams:  streamsOf(p.Streams),
+		// Relays, filters, and 2-way joins: the aggregate ratio is a
+		// meaningful validation signal at scale (deeper trees are mostly
+		// window-fill transient over short windows).
+		Queries: queriesOf(p.Queries, 1, 2),
+		UseDHT:  true,
+		Clock:   scenario.Virtual,
+		Engine:  expEngine(p.TupleSizeKB),
+	})
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(p.Seed * 3))
-	sCfg := workload.DefaultStreamConfig()
-	sCfg.NumStreams = p.Streams
-	stats, err := workload.GenerateStats(topo, sCfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	qCfg := workload.DefaultQueryConfig()
-	qCfg.NumQueries = p.Queries
-	// Relays, filters, and 2-way joins: operators whose measured rates
-	// the model predicts tightly, so the aggregate ratio is a meaningful
-	// validation signal at scale (deeper trees are mostly window-fill
-	// transient over short windows).
-	qCfg.StreamsPerQuery = [2]int{1, 2}
-	qCfg.AggregateProb = 0
-	qs, err := workload.GenerateQueries(topo, stats, qCfg, rng, 1)
-	if err != nil {
-		return nil, err
-	}
-	envCfg := optimizer.DefaultEnvConfig(p.Seed)
-	env, err := optimizer.NewEnv(topo, stats, envCfg)
-	if err != nil {
-		return nil, err
-	}
+	defer w.Close()
+	topo := w.Topo
 
 	// Optimize the whole population concurrently over one frozen
 	// snapshot, then execute every circuit at once under virtual time.
-	results, err := optimizer.OptimizeBatch(env, qs, optimizer.BatchOptions{})
+	results, err := optimizer.OptimizeBatch(w.Env, w.Queries, optimizer.BatchOptions{})
 	if err != nil {
 		return nil, err
 	}
-
-	clk := simtime.NewVirtual()
-	defer clk.Drive()()
-	net := overlay.NewNetwork(topo, overlay.Config{TimeScale: time.Millisecond, InboxSize: 8192, Clock: clk})
-	net.Start()
-	defer net.Stop()
-	ecfg := stream.DefaultEngineConfig()
-	ecfg.Seed = p.Seed
-	ecfg.TupleSizeKB = p.TupleSizeKB
-	// A smaller key domain shrinks join windows proportionally, so they
-	// fill within the warm-up phase at these tuple granularities.
-	ecfg.Keyspace = 250
-	engine := stream.NewEngine(net, topo, ecfg)
-	defer engine.Close()
-
+	if err := w.StartDataPlane(); err != nil {
+		return nil, err
+	}
+	if err := w.Execute(circuitsOf(results)...); err != nil {
+		return nil, err
+	}
 	truth := optimizer.TrueLatency{Topo: topo}
 	var analyticUsage, analyticRate float64
-	runs := make([]*stream.Running, 0, len(results))
 	for i := range results {
-		c := results[i].Circuit
-		run, err := engine.Deploy(c)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, run)
-		analyticUsage += c.NetworkUsage(truth)
-		analyticRate += c.Plan.OutRate
+		analyticUsage += results[i].Circuit.NetworkUsage(truth)
+		analyticRate += results[i].Circuit.Plan.OutRate
 	}
-	var hb *overlay.Heartbeats
 	if p.HeartbeatEvery > 0 {
-		hb = net.StartHeartbeats(p.HeartbeatEvery, 0.05)
+		w.StartHeartbeats(p.HeartbeatEvery)
 	}
 
 	// Warm up (join windows fill), snapshot, run the measurement window,
 	// and report steady-state deltas.
-	clk.Sleep(time.Duration(p.WarmupSimSeconds * float64(time.Second)))
+	runs := w.Runs
+	w.SimSleep(p.WarmupSimSeconds)
 	before := make([]stream.Measurement, len(runs))
 	for i, run := range runs {
 		before[i] = run.Measure()
 	}
-	clk.Sleep(time.Duration(p.SimSeconds * float64(time.Second)))
+	w.SimSleep(p.SimSeconds)
 
 	var measuredUsage, measuredRate float64
 	tuples := 0
@@ -168,11 +124,8 @@ func X11(p X11Params) (*Table, error) {
 		measuredRate += (m1.OutRateKBs*m1.SimSeconds - m0.OutRateKBs*m0.SimSeconds) / dt
 		tuples += m1.TuplesOut - m0.TuplesOut
 	}
-	if hb != nil {
-		hb.Stop()
-	}
-	msgs := net.Metrics.Counter("msgs.sent").Value()
-	beats := net.Metrics.Counter("hb.recv").Value()
+	msgs := w.Net.Metrics.Counter("msgs.sent").Value()
+	beats := w.Net.Metrics.Counter("hb.recv").Value()
 	wall := time.Since(wallStart)
 
 	t := NewTable("X11 — thousand-node scenario under virtual time",

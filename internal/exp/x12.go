@@ -7,14 +7,11 @@ import (
 
 	"github.com/hourglass/sbon/internal/adapt"
 	"github.com/hourglass/sbon/internal/optimizer"
-	"github.com/hourglass/sbon/internal/overlay"
 	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/query"
-	"github.com/hourglass/sbon/internal/simtime"
-	"github.com/hourglass/sbon/internal/stream"
+	"github.com/hourglass/sbon/internal/scenario"
 	"github.com/hourglass/sbon/internal/topology"
 	"github.com/hourglass/sbon/internal/trace"
-	"github.com/hourglass/sbon/internal/workload"
 )
 
 // X12Params configures the node-churn-during-execution scenario.
@@ -64,93 +61,47 @@ func DefaultX12Params() X12Params {
 // producers — every produced tuple accounted for at a consumer or
 // inside a (counted) join/aggregate reduction.
 func X12(p X12Params) (*Table, error) {
-	if p.StubNodes <= 0 {
-		p.StubNodes = 12
-	}
-	if p.Streams <= 0 {
-		p.Streams = 12
-	}
-	if p.Queries <= 0 {
-		p.Queries = 40
-	}
-	if p.KillFraction <= 0 {
-		p.KillFraction = 0.05
-	}
-	if p.WarmupSimSeconds <= 0 {
-		p.WarmupSimSeconds = 5
-	}
-	if p.TupleSizeKB <= 0 {
-		p.TupleSizeKB = 4
-	}
+	d := DefaultX12Params()
+	orDefault(&p.StubNodes, d.StubNodes)
+	orDefault(&p.Streams, d.Streams)
+	orDefault(&p.Queries, d.Queries)
+	orDefault(&p.KillFraction, d.KillFraction)
+	orDefault(&p.WarmupSimSeconds, d.WarmupSimSeconds)
+	orDefault(&p.TupleSizeKB, d.TupleSizeKB)
 	wallStart := time.Now()
 
-	topoCfg := topology.DefaultConfig()
-	topoCfg.StubNodes = p.StubNodes
-	topo, err := topology.Generate(topoCfg, rand.New(rand.NewSource(p.Seed)))
+	// Oracle mapping: identical results, faster churn sweeps.
+	w, err := scenario.Build(scenario.Spec{
+		Seed:     p.Seed,
+		Topology: stubTopology(p.StubNodes),
+		Streams:  streamsOf(p.Streams),
+		Queries:  queriesOf(p.Queries, 1, 2),
+		Clock:    scenario.Virtual,
+		Engine:   expEngine(p.TupleSizeKB),
+		Tracer:   p.Trace,
+	})
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(p.Seed * 3))
-	sCfg := workload.DefaultStreamConfig()
-	sCfg.NumStreams = p.Streams
-	stats, err := workload.GenerateStats(topo, sCfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	qCfg := workload.DefaultQueryConfig()
-	qCfg.NumQueries = p.Queries
-	qCfg.StreamsPerQuery = [2]int{1, 2}
-	qCfg.AggregateProb = 0
-	qs, err := workload.GenerateQueries(topo, stats, qCfg, rng, 1)
-	if err != nil {
-		return nil, err
-	}
-	envCfg := optimizer.DefaultEnvConfig(p.Seed)
-	envCfg.UseDHT = false // oracle mapping: identical results, faster churn sweeps
-	env, err := optimizer.NewEnv(topo, stats, envCfg)
-	if err != nil {
-		return nil, err
-	}
+	defer w.Close()
+	topo, env, dep := w.Topo, w.Env, w.Deployment
 
-	results, err := optimizer.OptimizeBatch(env, qs, optimizer.BatchOptions{})
+	results, err := optimizer.OptimizeBatch(env, w.Queries, optimizer.BatchOptions{})
 	if err != nil {
 		return nil, err
 	}
-
-	clk := simtime.NewVirtual()
-	defer clk.Drive()()
-	p.Trace.Rebase(clk)
-	net := overlay.NewNetwork(topo, overlay.Config{TimeScale: time.Millisecond, InboxSize: 8192, Clock: clk})
-	net.SetTracer(p.Trace)
-	net.Start()
-	defer net.Stop()
-	ecfg := stream.DefaultEngineConfig()
-	ecfg.Seed = p.Seed
-	ecfg.TupleSizeKB = p.TupleSizeKB
-	ecfg.Keyspace = 250
-	ecfg.Tracer = p.Trace
-	engine := stream.NewEngine(net, topo, ecfg)
-	defer engine.Close()
-
-	dep := optimizer.NewDeployment(env, nil)
+	if err := w.StartDataPlane(); err != nil {
+		return nil, err
+	}
+	net := w.Net
+	if err := w.Deploy(circuitsOf(results)...); err != nil {
+		return nil, err
+	}
 	truth := optimizer.TrueLatency{Topo: topo}
-	runs := make([]*stream.Running, 0, len(results))
-	for i := range results {
-		c := results[i].Circuit
-		if err := dep.Deploy(c); err != nil {
-			return nil, err
-		}
-		run, err := engine.Deploy(c)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, run)
-	}
-	var hb *overlay.Heartbeats
 	if p.HeartbeatEvery > 0 {
-		hb = net.StartHeartbeats(p.HeartbeatEvery, 0.05)
+		w.StartHeartbeats(p.HeartbeatEvery)
 	}
-	clk.Sleep(time.Duration(p.WarmupSimSeconds * float64(time.Second)))
+	w.SimSleep(p.WarmupSimSeconds)
 
 	// Victim selection: KillFraction of all nodes, skipping any that pin
 	// an endpoint (producers and consumers cannot leave losslessly —
@@ -206,8 +157,8 @@ func X12(p X12Params) (*Table, error) {
 
 	co := &adapt.Coordinator{
 		Dep:     dep,
-		Engine:  engine,
-		Clock:   clk,
+		Engine:  w.Engine,
+		Clock:   w.Clock,
 		Mapper:  placement.OracleMapper{Source: env},
 		Exclude: seen,
 		Tracer:  p.Trace,
@@ -227,7 +178,7 @@ func X12(p X12Params) (*Table, error) {
 	for _, v := range victims {
 		net.SetNodeDown(v, true)
 	}
-	clk.Sleep(2 * time.Second) // run on the shrunk overlay
+	w.SimSleep(2) // run on the shrunk overlay
 	drainLoss := lossNow()
 
 	// Phase 2: the killed nodes re-join and a sweep may claim them.
@@ -241,21 +192,10 @@ func X12(p X12Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	clk.Sleep(2 * time.Second)
+	w.SimSleep(2)
 
 	// Quiesce and account for every tuple.
-	for _, run := range runs {
-		run.HaltProducers()
-	}
-	clk.Sleep(time.Second)
-	var produced, delivered int
-	for _, run := range runs {
-		produced += run.TuplesProduced()
-		delivered += run.Measure().TuplesOut
-	}
-	if hb != nil {
-		hb.Stop()
-	}
+	produced, delivered := w.Quiesce()
 	usageAfter := dep.TotalUsage(truth)
 	unrouted := int(net.Metrics.Counter("msgs.unrouted").Value())
 	downDropped := int(net.Metrics.Counter("msgs.down_dropped").Value())
@@ -269,7 +209,7 @@ func X12(p X12Params) (*Table, error) {
 	t.AddRow("rejoin+sweep", len(victims), rejoin.Migrated, rejoin.Buffered, rejoin.Forwarded,
 		net.SimMillis(rejoin.SettleDuration), unrouted+downDropped-drainLoss)
 	t.AddNote("killed %.0f%% of %d nodes mid-execution; %d circuits kept running; produced %d tuples, delivered %d",
-		p.KillFraction*100, topo.NumNodes(), len(runs), produced, delivered)
+		p.KillFraction*100, topo.NumNodes(), len(w.Runs), produced, delivered)
 	t.AddNote("loss accounting: unrouted=%d, data-to-dead-node=%d (heartbeats to dead nodes: %d, counted separately)",
 		unrouted, downDropped, hbDropped)
 	t.AddNote("total network usage %.0f → %.0f KB·ms/s across the churn; wall %v",

@@ -1,17 +1,12 @@
 package exp
 
 import (
-	"math/rand"
-	"sort"
 	"time"
 
 	"github.com/hourglass/sbon/internal/adapt"
 	"github.com/hourglass/sbon/internal/optimizer"
-	"github.com/hourglass/sbon/internal/overlay"
 	"github.com/hourglass/sbon/internal/placement"
-	"github.com/hourglass/sbon/internal/simtime"
-	"github.com/hourglass/sbon/internal/stream"
-	"github.com/hourglass/sbon/internal/topology"
+	"github.com/hourglass/sbon/internal/scenario"
 	"github.com/hourglass/sbon/internal/workload"
 )
 
@@ -64,99 +59,51 @@ func DefaultX13Params() X13Params {
 // sweeps with zero tuple loss — the paper's central "continuous
 // optimization" claim exercised end to end on running circuits.
 func X13(p X13Params) (*Table, error) {
-	if p.StubNodes <= 0 {
-		p.StubNodes = 21
-	}
-	if p.Streams <= 0 {
-		p.Streams = 16
-	}
-	if p.Queries <= 0 {
-		p.Queries = 120
-	}
-	if p.Sweeps <= 0 {
-		p.Sweeps = 4
-	}
-	if p.Budget <= 0 {
-		p.Budget = 16
-	}
-	if p.DriftFraction <= 0 {
-		p.DriftFraction = 0.1
-	}
-	if p.IntervalSimSeconds <= 0 {
-		p.IntervalSimSeconds = 2
-	}
-	if p.WarmupSimSeconds <= 0 {
-		p.WarmupSimSeconds = 4
-	}
-	if p.TupleSizeKB <= 0 {
-		p.TupleSizeKB = 4
-	}
+	d := DefaultX13Params()
+	orDefault(&p.StubNodes, d.StubNodes)
+	orDefault(&p.Streams, d.Streams)
+	orDefault(&p.Queries, d.Queries)
+	orDefault(&p.Sweeps, d.Sweeps)
+	orDefault(&p.Budget, d.Budget)
+	orDefault(&p.DriftFraction, d.DriftFraction)
+	orDefault(&p.IntervalSimSeconds, d.IntervalSimSeconds)
+	orDefault(&p.WarmupSimSeconds, d.WarmupSimSeconds)
+	orDefault(&p.TupleSizeKB, d.TupleSizeKB)
 	wallStart := time.Now()
 
-	topoCfg := topology.DefaultConfig()
-	topoCfg.StubNodes = p.StubNodes
-	topo, err := topology.Generate(topoCfg, rand.New(rand.NewSource(p.Seed)))
+	// Oracle mapping: same answers, fast drift sweeps.
+	w, err := scenario.Build(scenario.Spec{
+		Seed:     p.Seed,
+		Topology: stubTopology(p.StubNodes),
+		Streams:  streamsOf(p.Streams),
+		Queries:  queriesOf(p.Queries, 1, 2),
+		Clock:    scenario.Virtual,
+		Engine:   expEngine(p.TupleSizeKB),
+	})
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(p.Seed * 3))
-	sCfg := workload.DefaultStreamConfig()
-	sCfg.NumStreams = p.Streams
-	stats, err := workload.GenerateStats(topo, sCfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	qCfg := workload.DefaultQueryConfig()
-	qCfg.NumQueries = p.Queries
-	qCfg.StreamsPerQuery = [2]int{1, 2}
-	qCfg.AggregateProb = 0
-	qs, err := workload.GenerateQueries(topo, stats, qCfg, rng, 1)
-	if err != nil {
-		return nil, err
-	}
-	envCfg := optimizer.DefaultEnvConfig(p.Seed)
-	envCfg.UseDHT = false // oracle mapping: same answers, fast drift sweeps
-	env, err := optimizer.NewEnv(topo, stats, envCfg)
-	if err != nil {
-		return nil, err
-	}
-	results, err := optimizer.OptimizeBatch(env, qs, optimizer.BatchOptions{})
-	if err != nil {
-		return nil, err
-	}
+	defer w.Close()
+	topo, env, dep := w.Topo, w.Env, w.Deployment
 
-	clk := simtime.NewVirtual()
-	defer clk.Drive()()
-	net := overlay.NewNetwork(topo, overlay.Config{TimeScale: time.Millisecond, InboxSize: 8192, Clock: clk})
-	net.Start()
-	defer net.Stop()
-	ecfg := stream.DefaultEngineConfig()
-	ecfg.Seed = p.Seed
-	ecfg.TupleSizeKB = p.TupleSizeKB
-	ecfg.Keyspace = 250
-	engine := stream.NewEngine(net, topo, ecfg)
-	defer engine.Close()
-
-	dep := optimizer.NewDeployment(env, nil)
+	results, err := optimizer.OptimizeBatch(env, w.Queries, optimizer.BatchOptions{})
+	if err != nil {
+		return nil, err
+	}
+	if err := w.StartDataPlane(); err != nil {
+		return nil, err
+	}
+	net := w.Net
+	if err := w.Deploy(circuitsOf(results)...); err != nil {
+		return nil, err
+	}
 	truth := optimizer.TrueLatency{Topo: topo}
-	runs := make([]*stream.Running, 0, len(results))
-	for i := range results {
-		c := results[i].Circuit
-		if err := dep.Deploy(c); err != nil {
-			return nil, err
-		}
-		run, err := engine.Deploy(c)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, run)
-	}
-	clk.Sleep(time.Duration(p.WarmupSimSeconds * float64(time.Second)))
+	w.SimSleep(p.WarmupSimSeconds)
 
 	co := &adapt.Coordinator{
 		Dep:    dep,
-		Engine: engine,
-		Clock:  clk,
+		Engine: w.Engine,
+		Clock:  w.Clock,
 		Mapper: placement.OracleMapper{Source: env},
 		// Real measured latencies for the local re-optimization
 		// criterion (precedent: X9's rewriting also re-optimizes
@@ -164,7 +111,6 @@ func X13(p X13Params) (*Table, error) {
 		Model:     truth,
 		Threshold: 0.01,
 	}
-	driftRng := rand.New(rand.NewSource(p.Seed * 11))
 	churn := workload.Churn{LoadFraction: p.DriftFraction, LoadMax: 0.9}
 
 	t := NewTable("X13 — periodic adaptation on a 1024-node overlay under drifting load",
@@ -173,33 +119,18 @@ func X13(p X13Params) (*Table, error) {
 	var totalMigrations, totalBuffered, totalForwarded int
 	decreasing := true
 	for sweep := 1; sweep <= p.Sweeps; sweep++ {
-		workload.ApplyChurn(topo, env, churn, driftRng)
+		w.Drift(churn)
 		before := dep.TotalUsage(truth)
 
-		// Select this round's moves: highest incident-usage gain first,
-		// positive gains only, capped by the budget. With ≤1 unpinned
-		// operator per 1–2-stream circuit the gains are independent and
-		// the realized usage drop equals their sum exactly.
 		plan, err := co.Plan()
 		if err != nil {
 			return nil, err
 		}
-		moves := plan.Moves[:0:0]
-		for _, m := range plan.Moves {
-			if m.UsageGain > 1e-9 {
-				moves = append(moves, m)
-			}
-		}
-		sort.SliceStable(moves, func(i, j int) bool { return moves[i].UsageGain > moves[j].UsageGain })
-		if len(moves) > p.Budget {
-			moves = moves[:p.Budget]
-		}
-		selected := optimizer.MigrationPlan{Moves: moves, ServicesEvaluated: plan.ServicesEvaluated}
-		st, err := co.Execute(selected, nil)
+		st, err := co.Execute(bestMoves(plan, p.Budget), nil)
 		if err != nil {
 			return nil, err
 		}
-		clk.Sleep(time.Duration(p.IntervalSimSeconds * float64(time.Second)))
+		w.SimSleep(p.IntervalSimSeconds)
 
 		after := dep.TotalUsage(truth)
 		if after >= before {
@@ -214,24 +145,16 @@ func X13(p X13Params) (*Table, error) {
 	}
 
 	// Quiesce and close the loss accounting.
-	for _, run := range runs {
-		run.HaltProducers()
-	}
-	clk.Sleep(time.Second)
-	var produced, delivered int
-	for _, run := range runs {
-		produced += run.TuplesProduced()
-		delivered += run.Measure().TuplesOut
-	}
+	produced, delivered := w.Quiesce()
 	unrouted := int(net.Metrics.Counter("msgs.unrouted").Value())
 	downDropped := int(net.Metrics.Counter("msgs.down_dropped").Value())
 	wall := time.Since(wallStart)
 
 	t.AddNote("%d nodes, %d circuits, %d migrations over %d sweeps; final usage %.0f KB·ms/s; strictly decreasing per sweep: %v",
-		topo.NumNodes(), len(runs), totalMigrations, p.Sweeps, usage, decreasing)
+		topo.NumNodes(), len(w.Runs), totalMigrations, p.Sweeps, usage, decreasing)
 	t.AddNote("zero-loss accounting: unrouted=%d data-to-dead=%d; produced %d tuples, delivered %d; buffered %d / forwarded %d across handoffs",
 		unrouted, downDropped, produced, delivered, totalBuffered, totalForwarded)
 	t.AddNote("wall %v for %.0f simulated circuit-seconds of adaptive execution",
-		wall.Round(time.Millisecond), float64(len(runs))*(p.WarmupSimSeconds+float64(p.Sweeps)*p.IntervalSimSeconds))
+		wall.Round(time.Millisecond), float64(len(w.Runs))*(p.WarmupSimSeconds+float64(p.Sweeps)*p.IntervalSimSeconds))
 	return t, nil
 }

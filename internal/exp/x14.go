@@ -6,13 +6,10 @@ import (
 	"time"
 
 	"github.com/hourglass/sbon/internal/optimizer"
-	"github.com/hourglass/sbon/internal/overlay"
 	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/query"
-	"github.com/hourglass/sbon/internal/simtime"
-	"github.com/hourglass/sbon/internal/stream"
+	"github.com/hourglass/sbon/internal/scenario"
 	"github.com/hourglass/sbon/internal/topology"
-	"github.com/hourglass/sbon/internal/workload"
 )
 
 // X14Params configures the shared-execution scenario.
@@ -54,6 +51,7 @@ func DefaultX14Params() X14Params {
 // x14Pass is one full build-optimize-deploy-execute-measure run of the
 // workload at a fixed reuse radius.
 type x14Pass struct {
+	nodes       int
 	circuits    int
 	reusedSvcs  int
 	instances   int
@@ -100,79 +98,52 @@ func x14Queries(p X14Params, stubs []topology.NodeID, rng *rand.Rand) []query.Qu
 	return qs
 }
 
-func x14RunPass(p X14Params, qs []query.Query, radius float64) (x14Pass, error) {
+// x14RunPass builds a fresh, identically seeded world and runs the
+// workload on it at the given reuse radius.
+func x14RunPass(p X14Params, radius float64) (x14Pass, error) {
 	var out x14Pass
-
-	topoCfg := topology.DefaultConfig()
-	topoCfg.StubNodes = p.StubNodes
-	topo, err := topology.Generate(topoCfg, rand.New(rand.NewSource(p.Seed)))
+	// Oracle mapping: same answers, fast sequential deploys.
+	w, err := scenario.Build(scenario.Spec{
+		Seed:     p.Seed,
+		Topology: stubTopology(p.StubNodes),
+		Streams:  streamsOf(p.Streams),
+		Clock:    scenario.Virtual,
+		Engine:   expEngine(p.TupleSizeKB),
+	})
 	if err != nil {
 		return out, err
 	}
-	rng := rand.New(rand.NewSource(p.Seed * 3))
-	sCfg := workload.DefaultStreamConfig()
-	sCfg.NumStreams = p.Streams
-	stats, err := workload.GenerateStats(topo, sCfg, rng)
-	if err != nil {
+	defer w.Close()
+	if err := w.StartDataPlane(); err != nil {
 		return out, err
 	}
-	envCfg := optimizer.DefaultEnvConfig(p.Seed)
-	envCfg.UseDHT = false // oracle mapping: same answers, fast sequential deploys
-	env, err := optimizer.NewEnv(topo, stats, envCfg)
-	if err != nil {
-		return out, err
-	}
+	// The query population is identical for both passes: its own RNG,
+	// independent of the world's streams.
+	qs := x14Queries(p, w.Topo.StubNodeIDs(), rand.New(rand.NewSource(p.Seed*7)))
 
-	clk := simtime.NewVirtual()
-	defer clk.Drive()()
-	net := overlay.NewNetwork(topo, overlay.Config{TimeScale: time.Millisecond, InboxSize: 8192, Clock: clk})
-	net.Start()
-	defer net.Stop()
-	ecfg := stream.DefaultEngineConfig()
-	ecfg.Seed = p.Seed
-	ecfg.TupleSizeKB = p.TupleSizeKB
-	ecfg.Keyspace = 250
-	engine := stream.NewEngine(net, topo, ecfg)
-	defer engine.Close()
-
-	reg := optimizer.NewRegistry()
-	dep := optimizer.NewDeployment(env, reg)
-	mq := optimizer.NewMultiQuery(env, reg, radius)
-	mq.Mapper = placement.OracleMapper{Source: env}
-
-	runs := make([]*stream.Running, 0, len(qs))
+	mq := optimizer.NewMultiQuery(w.Env, w.Deployment.Registry, radius)
+	mq.Mapper = placement.OracleMapper{Source: w.Env}
 	for _, q := range qs {
 		res, err := mq.Optimize(q)
 		if err != nil {
 			return out, err
 		}
-		if err := dep.Deploy(res.Circuit); err != nil {
+		if err := w.Deploy(res.Circuit); err != nil {
 			return out, err
 		}
-		run, err := engine.Deploy(res.Circuit)
-		if err != nil {
-			return out, err
-		}
-		runs = append(runs, run)
 		out.reusedSvcs += res.ReusedServices
 	}
-	out.circuits = len(runs)
-	st := engine.SharedStats()
+	runs, net := w.Runs, w.Net
+	out.nodes, out.circuits = w.Topo.NumNodes(), len(runs)
+	st := w.Engine.SharedStats()
 	out.instances = st.Instances
 	out.subscribers = st.Subscribers
 
-	clk.Sleep(time.Duration(p.MeasureSimSeconds * float64(time.Second)))
+	w.SimSleep(p.MeasureSimSeconds)
+	out.produced, out.delivered = w.Quiesce()
 	for _, run := range runs {
-		run.HaltProducers()
-	}
-	clk.Sleep(time.Second)
-
-	for _, run := range runs {
-		m := run.Measure()
-		out.usage += m.NetworkUsage
-		out.delivered += m.TuplesOut
+		out.usage += run.Measure().NetworkUsage
 		out.sharedIn += run.SharedIn()
-		out.produced += run.TuplesProduced()
 	}
 	out.unrouted = int(net.Metrics.Counter("msgs.unrouted").Value())
 	out.downDropped = int(net.Metrics.Counter("msgs.down_dropped").Value())
@@ -190,44 +161,23 @@ func x14RunPass(p X14Params, qs []query.Query, radius float64) (x14Pass, error) 
 // not just in control-plane accounting. Both passes are deterministic
 // under the virtual clock.
 func X14(p X14Params) (*Table, error) {
-	if p.StubNodes <= 0 {
-		p.StubNodes = 21
-	}
-	if p.Streams <= 0 {
-		p.Streams = 16
-	}
-	if p.Groups <= 0 {
-		p.Groups = 40
-	}
-	if p.PerGroup <= 0 {
-		p.PerGroup = 5
-	}
+	d := DefaultX14Params()
+	orDefault(&p.StubNodes, d.StubNodes)
+	orDefault(&p.Streams, d.Streams)
+	orDefault(&p.Groups, d.Groups)
+	orDefault(&p.PerGroup, d.PerGroup)
 	if p.Radius == 0 {
-		p.Radius = math.Inf(1)
+		p.Radius = d.Radius
 	}
-	if p.MeasureSimSeconds <= 0 {
-		p.MeasureSimSeconds = 5
-	}
-	if p.TupleSizeKB <= 0 {
-		p.TupleSizeKB = 4
-	}
+	orDefault(&p.MeasureSimSeconds, d.MeasureSimSeconds)
+	orDefault(&p.TupleSizeKB, d.TupleSizeKB)
 	wallStart := time.Now()
 
-	// The query population is identical for both passes (its own RNG,
-	// independent of either pass's env construction).
-	topoCfg := topology.DefaultConfig()
-	topoCfg.StubNodes = p.StubNodes
-	topo, err := topology.Generate(topoCfg, rand.New(rand.NewSource(p.Seed)))
+	on, err := x14RunPass(p, p.Radius)
 	if err != nil {
 		return nil, err
 	}
-	qs := x14Queries(p, topo.StubNodeIDs(), rand.New(rand.NewSource(p.Seed*7)))
-
-	on, err := x14RunPass(p, qs, p.Radius)
-	if err != nil {
-		return nil, err
-	}
-	off, err := x14RunPass(p, qs, 0)
+	off, err := x14RunPass(p, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +194,7 @@ func X14(p X14Params) (*Table, error) {
 		reduction = 100 * (1 - on.usage/off.usage)
 	}
 	t.AddNote("%d nodes, %d queries over %d shared subtrees; measured usage %.1f vs %.1f KB·ms/s — reuse saves %.1f%% on the wire",
-		topo.NumNodes(), len(qs), p.Groups, on.usage, off.usage, reduction)
+		on.nodes, on.circuits, p.Groups, on.usage, off.usage, reduction)
 	t.AddNote("reuse-on executed %d shared instances once each for %d subscribers (produced %d tuples vs %d without reuse); loss counters %d/%d (must be 0)",
 		on.instances, on.subscribers, on.produced, off.produced, on.unrouted+on.downDropped, off.unrouted+off.downDropped)
 	t.AddNote("wall %v for both %0.f-simulated-second passes under the virtual clock",

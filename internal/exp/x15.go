@@ -2,12 +2,11 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"github.com/hourglass/sbon/internal/optimizer"
 	"github.com/hourglass/sbon/internal/placement"
-	"github.com/hourglass/sbon/internal/topology"
+	"github.com/hourglass/sbon/internal/scenario"
 	"github.com/hourglass/sbon/internal/trace"
 	"github.com/hourglass/sbon/internal/workload"
 )
@@ -54,52 +53,29 @@ func DefaultX15Params() X15Params {
 // degenerate to a full sweep rather than track a log bigger than the
 // overlay.
 func X15(p X15Params) (*Table, error) {
-	if p.StubNodes <= 0 {
-		p.StubNodes = 21
-	}
-	if p.Streams <= 0 {
-		p.Streams = 16
-	}
-	if p.Queries <= 0 {
-		p.Queries = 200
-	}
-	if len(p.DeltaFractions) == 0 {
-		p.DeltaFractions = DefaultX15Params().DeltaFractions
-	}
+	d := DefaultX15Params()
+	orDefault(&p.StubNodes, d.StubNodes)
+	orDefault(&p.Streams, d.Streams)
+	orDefault(&p.Queries, d.Queries)
+	orDefaultList(&p.DeltaFractions, d.DeltaFractions)
 	wallStart := time.Now()
 
-	topoCfg := topology.DefaultConfig()
-	topoCfg.StubNodes = p.StubNodes
-	topo, err := topology.Generate(topoCfg, rand.New(rand.NewSource(p.Seed)))
+	// Oracle mapping: the incremental equivalence contract's regime.
+	w, err := scenario.Build(scenario.Spec{
+		Seed:     p.Seed,
+		Topology: stubTopology(p.StubNodes),
+		Streams:  streamsOf(p.Streams),
+		Queries:  queriesOf(p.Queries, 2, 3),
+	})
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(p.Seed * 3))
-	sCfg := workload.DefaultStreamConfig()
-	sCfg.NumStreams = p.Streams
-	stats, err := workload.GenerateStats(topo, sCfg, rng)
+	defer w.Close()
+	topo, env, dep := w.Topo, w.Env, w.Deployment
+	results, err := optimizer.OptimizeBatch(env, w.Queries, optimizer.BatchOptions{})
 	if err != nil {
 		return nil, err
 	}
-	qCfg := workload.DefaultQueryConfig()
-	qCfg.NumQueries = p.Queries
-	qCfg.StreamsPerQuery = [2]int{2, 3}
-	qCfg.AggregateProb = 0
-	qs, err := workload.GenerateQueries(topo, stats, qCfg, rng, 1)
-	if err != nil {
-		return nil, err
-	}
-	envCfg := optimizer.DefaultEnvConfig(p.Seed)
-	envCfg.UseDHT = false // oracle mapping: the incremental equivalence contract's regime
-	env, err := optimizer.NewEnv(topo, stats, envCfg)
-	if err != nil {
-		return nil, err
-	}
-	results, err := optimizer.OptimizeBatch(env, qs, optimizer.BatchOptions{})
-	if err != nil {
-		return nil, err
-	}
-	dep := optimizer.NewDeployment(env, nil)
 	for i := range results {
 		if err := dep.Deploy(results[i].Circuit); err != nil {
 			return nil, err
@@ -147,12 +123,11 @@ func X15(p X15Params) (*Table, error) {
 		}
 	}
 
-	churnRng := rand.New(rand.NewSource(p.Seed * 11))
 	t := NewTable("X15 — incremental re-planning vs full sweeps under load drift",
 		"delta %", "dirty nodes", "affected circuits", "evaluated full", "evaluated incr", "speedup", "full sweep", "moves")
 	var speedupAt1pct float64
 	for _, f := range p.DeltaFractions {
-		workload.ApplyChurn(topo, env, workload.Churn{LoadFraction: f, LoadMax: 0.4}, churnRng)
+		w.Drift(workload.Churn{LoadFraction: f, LoadMax: 0.4})
 		full, err := ro.Plan()
 		if err != nil {
 			return nil, err

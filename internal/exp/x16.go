@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"github.com/hourglass/sbon/internal/adapt"
@@ -10,11 +9,9 @@ import (
 	"github.com/hourglass/sbon/internal/optimizer"
 	"github.com/hourglass/sbon/internal/overlay"
 	"github.com/hourglass/sbon/internal/placement"
-	"github.com/hourglass/sbon/internal/simtime"
-	"github.com/hourglass/sbon/internal/stream"
+	"github.com/hourglass/sbon/internal/scenario"
 	"github.com/hourglass/sbon/internal/topology"
 	"github.com/hourglass/sbon/internal/trace"
-	"github.com/hourglass/sbon/internal/workload"
 )
 
 // X16Params configures the failure-recovery scenario.
@@ -94,193 +91,70 @@ func DefaultX16Params() X16Params {
 // and post-repair vs pre-crash network usage. The whole run is
 // virtual-clock deterministic: same seed, bit-identical table.
 func X16(p X16Params) (*Table, error) {
-	if p.StubNodes <= 0 {
-		p.StubNodes = 21
-	}
-	if p.Streams <= 0 {
-		p.Streams = 16
-	}
-	if p.Queries <= 0 {
-		p.Queries = 120
-	}
-	if p.CrashFraction <= 0 {
-		p.CrashFraction = 0.05
-	}
-	if p.DropProb <= 0 {
-		p.DropProb = 0.01
-	}
-	if p.HeartbeatSimMillis <= 0 {
-		p.HeartbeatSimMillis = 200
-	}
-	if p.RepairIntervalSimMillis <= 0 {
-		p.RepairIntervalSimMillis = 500
-	}
-	if p.WarmupSimSeconds <= 0 {
-		p.WarmupSimSeconds = 4
-	}
-	if p.CrashSpreadSimSeconds <= 0 {
-		p.CrashSpreadSimSeconds = 4
-	}
-	if p.RunSimSeconds <= 0 {
-		p.RunSimSeconds = 8
-	}
-	if p.TupleSizeKB <= 0 {
-		p.TupleSizeKB = 4
-	}
+	d := DefaultX16Params()
+	orDefault(&p.StubNodes, d.StubNodes)
+	orDefault(&p.Streams, d.Streams)
+	orDefault(&p.Queries, d.Queries)
+	orDefault(&p.CrashFraction, d.CrashFraction)
+	orDefault(&p.DropProb, d.DropProb)
+	orDefault(&p.HeartbeatSimMillis, d.HeartbeatSimMillis)
+	orDefault(&p.RepairIntervalSimMillis, d.RepairIntervalSimMillis)
+	orDefault(&p.WarmupSimSeconds, d.WarmupSimSeconds)
+	orDefault(&p.CrashSpreadSimSeconds, d.CrashSpreadSimSeconds)
+	orDefault(&p.RunSimSeconds, d.RunSimSeconds)
+	orDefault(&p.TupleSizeKB, d.TupleSizeKB)
 	wallStart := time.Now()
 
-	topoCfg := topology.DefaultConfig()
-	topoCfg.StubNodes = p.StubNodes
-	topo, err := topology.Generate(topoCfg, rand.New(rand.NewSource(p.Seed)))
+	// Oracle mapping: same answers, fast repair sweeps.
+	w, err := scenario.Build(scenario.Spec{
+		Seed:       p.Seed,
+		Topology:   stubTopology(p.StubNodes),
+		Streams:    streamsOf(p.Streams),
+		Queries:    queriesOf(p.Queries, 1, 2),
+		Clock:      scenario.Virtual,
+		DataShards: p.DataShards,
+		Engine:     expEngine(p.TupleSizeKB),
+		Tracer:     p.Trace,
+	})
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(p.Seed * 3))
-	sCfg := workload.DefaultStreamConfig()
-	sCfg.NumStreams = p.Streams
-	stats, err := workload.GenerateStats(topo, sCfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	qCfg := workload.DefaultQueryConfig()
-	qCfg.NumQueries = p.Queries
-	qCfg.StreamsPerQuery = [2]int{1, 2}
-	qCfg.AggregateProb = 0
-	qs, err := workload.GenerateQueries(topo, stats, qCfg, rng, 1)
-	if err != nil {
-		return nil, err
-	}
-	envCfg := optimizer.DefaultEnvConfig(p.Seed)
-	envCfg.UseDHT = false // oracle mapping: same answers, fast repair sweeps
-	env, err := optimizer.NewEnv(topo, stats, envCfg)
-	if err != nil {
-		return nil, err
-	}
-	results, err := optimizer.OptimizeBatch(env, qs, optimizer.BatchOptions{})
-	if err != nil {
-		return nil, err
-	}
+	defer w.Close()
+	topo, env, dep, clk := w.Topo, w.Env, w.Deployment, w.Clock
 
-	clk := simtime.NewVirtual()
-	defer clk.Drive()()
-	p.Trace.Rebase(clk)
-	netCfg := overlay.Config{TimeScale: time.Millisecond, InboxSize: 8192, Clock: clk}
-	if p.DataShards > 1 {
-		laneOf, k, lookahead, err := dataPlaneShards(topo, env, p.DataShards, netCfg.TimeScale)
-		if err != nil {
-			return nil, err
-		}
-		clk.ShardLanes(laneOf, k, lookahead)
-		netCfg.DataShards = k
-		netCfg.ShardOf = laneOf
+	results, err := optimizer.OptimizeBatch(env, w.Queries, optimizer.BatchOptions{})
+	if err != nil {
+		return nil, err
 	}
-	net := overlay.NewNetwork(topo, netCfg)
-	net.SetTracer(p.Trace)
-	net.Start()
-	defer net.Stop()
-	ecfg := stream.DefaultEngineConfig()
-	ecfg.Seed = p.Seed
-	ecfg.TupleSizeKB = p.TupleSizeKB
-	ecfg.Keyspace = 250
-	ecfg.Tracer = p.Trace
-	engine := stream.NewEngine(net, topo, ecfg)
-	defer engine.Close()
-
-	dep := optimizer.NewDeployment(env, nil)
+	if err := w.StartDataPlane(); err != nil {
+		return nil, err
+	}
+	net := w.Net
+	if err := w.Deploy(circuitsOf(results)...); err != nil {
+		return nil, err
+	}
 	truth := optimizer.TrueLatency{Topo: topo}
-	runs := make([]*stream.Running, 0, len(results))
-	for i := range results {
-		c := results[i].Circuit
-		if err := dep.Deploy(c); err != nil {
-			return nil, err
-		}
-		run, err := engine.Deploy(c)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, run)
-	}
 
-	// Victim selection: CrashFraction of all nodes, none of them
-	// pinned endpoints (a dead producer or consumer makes its circuit
-	// unrepairable by definition — that path is unit-tested; this
-	// scenario measures repair). Half the victims come from operator
-	// hosts so affected circuits are guaranteed, the rest are ambient.
-	endpoint := map[topology.NodeID]bool{}
-	opHost := map[topology.NodeID]bool{}
-	for i := range results {
-		for _, s := range results[i].Circuit.Services {
-			if s.Pinned {
-				endpoint[s.Node] = true
-			} else {
-				opHost[s.Node] = true
-			}
-		}
-	}
-	var opHosts, ambient []topology.NodeID
-	for i := 0; i < topo.NumNodes(); i++ {
-		n := topology.NodeID(i)
-		switch {
-		case endpoint[n]:
-		case opHost[n]:
-			opHosts = append(opHosts, n)
-		default:
-			ambient = append(ambient, n)
-		}
-	}
-	vrng := rand.New(rand.NewSource(p.Seed * 13))
-	vrng.Shuffle(len(opHosts), func(i, j int) { opHosts[i], opHosts[j] = opHosts[j], opHosts[i] })
-	vrng.Shuffle(len(ambient), func(i, j int) { ambient[i], ambient[j] = ambient[j], ambient[i] })
-	crashCount := int(p.CrashFraction*float64(topo.NumNodes()) + 0.5)
-	if crashCount < 1 {
-		crashCount = 1
-	}
-	fromOps := crashCount / 2
-	if fromOps < 1 {
-		fromOps = 1
-	}
-	if fromOps > len(opHosts) {
-		fromOps = len(opHosts)
-	}
-	victims := append([]topology.NodeID{}, opHosts[:fromOps]...)
-	for _, n := range ambient {
-		if len(victims) >= crashCount {
-			break
-		}
-		victims = append(victims, n)
-	}
+	// CrashFraction of all nodes crash, none of them pinned endpoints
+	// (that path is unit-tested; this scenario measures repair), half of
+	// them operator hosts so affected circuits are guaranteed.
+	victims := w.CrashVictims(max(int(p.CrashFraction*float64(topo.NumNodes())+0.5), 1), true)
 	if len(victims) == 0 {
 		return nil, fmt.Errorf("x16: no crashable non-endpoint nodes")
 	}
-
 	warmup := time.Duration(p.WarmupSimSeconds * float64(time.Second))
 	spread := time.Duration(p.CrashSpreadSimSeconds * float64(time.Second))
-	crashes := make([]overlay.NodeCrash, len(victims))
-	for i, n := range victims {
-		at := warmup + 500*time.Millisecond
-		if len(victims) > 1 {
-			at += time.Duration(int64(spread) * int64(i) / int64(len(victims)-1))
-		}
-		crashes[i] = overlay.NodeCrash{Node: n, At: at}
-	}
-	fi := net.InstallFaults(overlay.FaultPlan{
+	fi := w.InjectFaults(overlay.FaultPlan{
 		Seed:     p.Seed,
 		DropProb: p.DropProb,
 		JitterMs: p.JitterMs,
-		Crashes:  crashes,
+		Crashes:  scenario.StaggerCrashes(victims, warmup+500*time.Millisecond, spread),
 	})
-	defer fi.Stop()
-
-	beat := time.Duration(p.HeartbeatSimMillis * float64(time.Millisecond))
-	hb := net.StartHeartbeatsOpts(beat, 0.05, overlay.HeartbeatOpts{SkipDownTargets: true})
-	dcfg := failure.DefaultConfig(beat)
-	dcfg.Tracer = p.Trace
-	det := failure.New(net, dcfg)
-	defer func() { det.Stop(); hb.Stop() }()
+	det := w.StartFailureDetection(time.Duration(p.HeartbeatSimMillis * float64(time.Millisecond)))
 
 	co := &adapt.Coordinator{
 		Dep:       dep,
-		Engine:    engine,
+		Engine:    w.Engine,
 		Clock:     clk,
 		Mapper:    placement.OracleMapper{Source: env},
 		Model:     truth,
@@ -292,10 +166,6 @@ func X16(p X16Params) (*Table, error) {
 	t0 := clk.Now()
 	clk.Sleep(warmup)
 	usageBefore := dep.TotalUsage(truth)
-	producedAtCrash := 0
-	for _, run := range runs {
-		producedAtCrash += run.TuplesProduced()
-	}
 
 	// The detect-repair-adapt loop (RunWithRepair's body, inlined for
 	// per-round metric visibility).
@@ -328,17 +198,7 @@ func X16(p X16Params) (*Table, error) {
 				outages = append(outages, now.Sub(at))
 			}
 		}
-		totalRep.DeadNodes += rep.DeadNodes
-		totalRep.CancelledCircuits += rep.CancelledCircuits
-		totalRep.Planned += rep.Planned
-		totalRep.Repaired += rep.Repaired
-		totalRep.DataPlane += rep.DataPlane
-		totalRep.Adopted += rep.Adopted
-		totalRep.ZombieRepaired += rep.ZombieRepaired
-		totalRep.Unmovable += rep.Unmovable
-		totalRep.Aborted += rep.Aborted
-		totalRep.BufferedLost += rep.BufferedLost
-		totalRep.StateLostKB += rep.StateLostKB
+		totalRep.Add(rep)
 		st, err := co.SweepIncremental(nil)
 		if err != nil {
 			return nil, err
@@ -373,15 +233,7 @@ func X16(p X16Params) (*Table, error) {
 	// Drain in-flight handoffs, then quiesce and close the books.
 	clk.Sleep(2 * time.Second)
 	usageAfter := dep.TotalUsage(truth)
-	for _, run := range runs {
-		run.HaltProducers()
-	}
-	clk.Sleep(time.Second)
-	var produced, delivered int
-	for _, run := range runs {
-		produced += run.TuplesProduced()
-		delivered += run.Measure().TuplesOut
-	}
+	produced, delivered := w.Quiesce()
 	faultDropped := int(net.Metrics.Counter("faults.dropped").Value())
 	hbDropped := int(net.Metrics.Counter("faults.hb_dropped").Value())
 	downDropped := int(net.Metrics.Counter("msgs.down_dropped").Value())
@@ -413,7 +265,7 @@ func X16(p X16Params) (*Table, error) {
 	outAvg, outMax := simMs(outages)
 
 	t.AddNote("%d nodes, %d circuits; crashed %d nodes (%.1f%%) under %.0f%% ambient loss — %d services repaired (%d zombie), %d sweeps-migrated, zero manual Evacuate calls",
-		topo.NumNodes(), len(runs), len(victims), 100*float64(len(victims))/float64(topo.NumNodes()),
+		topo.NumNodes(), len(w.Runs), len(victims), 100*float64(len(victims))/float64(topo.NumNodes()),
 		100*p.DropProb, totalRep.Repaired, totalRep.ZombieRepaired, sweepMigrated)
 	t.AddNote("detection latency avg %.0f / max %.0f sim-ms; crash-to-repair avg %.0f / max %.0f sim-ms (beat %.0f ms, repair interval %.0f ms)",
 		detAvg, detMax, outAvg, outMax, p.HeartbeatSimMillis, p.RepairIntervalSimMillis)
@@ -426,6 +278,5 @@ func X16(p X16Params) (*Table, error) {
 	t.AddNote("wall %v for %.0f simulated seconds (warmup %.0f + repair loop %.0f + drain 3)",
 		time.Since(wallStart).Round(time.Millisecond), p.WarmupSimSeconds+p.RunSimSeconds+3,
 		p.WarmupSimSeconds, p.RunSimSeconds)
-	_ = producedAtCrash
 	return t, nil
 }

@@ -2,19 +2,14 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 	"time"
 
 	"github.com/hourglass/sbon/internal/adapt"
 	"github.com/hourglass/sbon/internal/optimizer"
-	"github.com/hourglass/sbon/internal/overlay"
 	"github.com/hourglass/sbon/internal/placement"
-	"github.com/hourglass/sbon/internal/simtime"
-	"github.com/hourglass/sbon/internal/stream"
+	"github.com/hourglass/sbon/internal/scenario"
 	"github.com/hourglass/sbon/internal/topology"
 	"github.com/hourglass/sbon/internal/trace"
-	"github.com/hourglass/sbon/internal/vivaldi"
 	"github.com/hourglass/sbon/internal/workload"
 )
 
@@ -119,57 +114,24 @@ func DefaultX17Params() X17Params {
 // numbers are recorded on the overlay metrics registry as
 // coord.syncs / coord.staleness_ms / adapt.oscillations.
 func X17(p X17Params) (*Table, error) {
-	if p.TransitDomains <= 0 {
-		p.TransitDomains = 4
-	}
-	if p.TransitNodes <= 0 {
-		p.TransitNodes = 4
-	}
-	if p.StubsPerTransit <= 0 {
-		p.StubsPerTransit = 64
-	}
-	if p.StubNodes <= 0 {
-		p.StubNodes = 16
-	}
-	if p.Streams <= 0 {
-		p.Streams = 64
-	}
-	if p.Queries <= 0 {
-		p.Queries = 100_000
-	}
-	if p.Shards <= 0 {
-		p.Shards = 16
-	}
-	if p.EngineCircuits <= 0 {
-		p.EngineCircuits = 512
-	}
-	if p.TickerInterval <= 0 {
-		p.TickerInterval = 200 * time.Millisecond
-	}
-	if p.TickerSamples <= 0 {
-		p.TickerSamples = 4
-	}
-	if p.TickerWarmRounds <= 0 {
-		p.TickerWarmRounds = 40
-	}
-	if p.Rounds <= 0 {
-		p.Rounds = 3
-	}
-	if p.DriftFraction <= 0 {
-		p.DriftFraction = 0.02
-	}
-	if p.Budget <= 0 {
-		p.Budget = 32
-	}
-	if p.IntervalSimSeconds <= 0 {
-		p.IntervalSimSeconds = 1
-	}
-	if p.WarmupSimSeconds <= 0 {
-		p.WarmupSimSeconds = 2
-	}
-	if p.TupleSizeKB <= 0 {
-		p.TupleSizeKB = 4
-	}
+	d := DefaultX17Params()
+	orDefault(&p.TransitDomains, d.TransitDomains)
+	orDefault(&p.TransitNodes, d.TransitNodes)
+	orDefault(&p.StubsPerTransit, d.StubsPerTransit)
+	orDefault(&p.StubNodes, d.StubNodes)
+	orDefault(&p.Streams, d.Streams)
+	orDefault(&p.Queries, d.Queries)
+	orDefault(&p.Shards, d.Shards)
+	orDefault(&p.EngineCircuits, d.EngineCircuits)
+	orDefault(&p.TickerInterval, d.TickerInterval)
+	orDefault(&p.TickerSamples, d.TickerSamples)
+	orDefault(&p.TickerWarmRounds, d.TickerWarmRounds)
+	orDefault(&p.Rounds, d.Rounds)
+	orDefault(&p.DriftFraction, d.DriftFraction)
+	orDefault(&p.Budget, d.Budget)
+	orDefault(&p.IntervalSimSeconds, d.IntervalSimSeconds)
+	orDefault(&p.WarmupSimSeconds, d.WarmupSimSeconds)
+	orDefault(&p.TupleSizeKB, d.TupleSizeKB)
 	wallStart := time.Now()
 
 	topoCfg := topology.DefaultConfig()
@@ -177,56 +139,30 @@ func X17(p X17Params) (*Table, error) {
 	topoCfg.TransitNodes = p.TransitNodes
 	topoCfg.StubsPerTransit = p.StubsPerTransit
 	topoCfg.StubNodes = p.StubNodes
-	topo, err := topology.Generate(topoCfg, rand.New(rand.NewSource(p.Seed)))
+	// Everything runs on one virtual clock: Vivaldi gossip rounds, tuple
+	// deliveries, heartbeats, migration phases. Sparse latency is
+	// mandatory at this scale (O(1) lookups, no O(n²) matrix), a deployed
+	// overlay measures a few peers per round rather than batch-embedding
+	// a latency matrix, and building a 16k-peer ring adds nothing here,
+	// so mapping is the oracle's.
+	w, err := scenario.Build(scenario.Spec{
+		Seed:          p.Seed,
+		Topology:      topoCfg,
+		SparseLatency: true,
+		Streams:       streamsOf(p.Streams),
+		Queries:       queriesOf(p.Queries, 1, 2),
+		Ticker:        &scenario.Ticker{Samples: p.TickerSamples, Interval: p.TickerInterval, WarmRounds: p.TickerWarmRounds},
+		Clock:         scenario.Virtual,
+		DataShards:    p.DataShards,
+		Engine:        expEngine(p.TupleSizeKB),
+		Tracer:        p.Trace,
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Sparse latency is mandatory at this scale: O(1) lookups, no O(n²)
-	// matrix — and overlay.NewNetwork skips the dense force because of it.
-	if err := topo.EnableSparseLatency(); err != nil {
-		return nil, err
-	}
+	defer w.Close()
+	topo, env, dep, clk, ticker, qs := w.Topo, w.Env, w.Deployment, w.VClock, w.Ticker, w.Queries
 	n := topo.NumNodes()
-
-	rng := rand.New(rand.NewSource(p.Seed * 3))
-	sCfg := workload.DefaultStreamConfig()
-	sCfg.NumStreams = p.Streams
-	stats, err := workload.GenerateStats(topo, sCfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	qCfg := workload.DefaultQueryConfig()
-	qCfg.NumQueries = p.Queries
-	qCfg.StreamsPerQuery = [2]int{1, 2}
-	qCfg.AggregateProb = 0
-	qs, err := workload.GenerateQueries(topo, stats, qCfg, rng, 1)
-	if err != nil {
-		return nil, err
-	}
-
-	// Everything below runs on one virtual clock: Vivaldi gossip rounds,
-	// tuple deliveries, heartbeats, migration phases.
-	clk := simtime.NewVirtual()
-	defer clk.Drive()()
-
-	// Background coordinate maintenance: a deployed overlay measures a
-	// few peers per round, it never batch-embeds a latency matrix.
-	ticker, err := vivaldi.NewTicker(n, func(i, j int) float64 {
-		return topo.Latency(topology.NodeID(i), topology.NodeID(j))
-	}, vivaldi.DefaultConfig(), p.TickerSamples, p.TickerInterval, clk, rand.New(rand.NewSource(p.Seed*5)))
-	if err != nil {
-		return nil, err
-	}
-	ticker.Start()
-	defer ticker.Stop()
-	clk.Sleep(time.Duration(p.TickerWarmRounds) * p.TickerInterval)
-
-	envCfg := optimizer.DefaultEnvConfig(p.Seed)
-	envCfg.UseDHT = false // oracle mapping: building a 16k-peer ring adds nothing here
-	env, err := optimizer.NewEnvFromCoords(topo, stats, envCfg, ticker.Embedding().Coords)
-	if err != nil {
-		return nil, err
-	}
 
 	// The sharded batch: the scenario's optimization throughput claim.
 	optStart := time.Now()
@@ -240,68 +176,31 @@ func X17(p X17Params) (*Table, error) {
 		homeRouted += c
 	}
 
-	// The data plane shards only now that the environment exists: the
-	// lane map is the same region assignment the batch above routed by,
-	// and the only events scheduled so far are the ticker's
-	// control-domain rounds, which ShardLanes leaves untouched.
-	netCfg := overlay.Config{TimeScale: time.Millisecond, InboxSize: 8192, Clock: clk}
-	if p.DataShards > 1 {
-		laneOf, k, lookahead, err := dataPlaneShards(topo, env, p.DataShards, netCfg.TimeScale)
-		if err != nil {
-			return nil, err
-		}
-		clk.ShardLanes(laneOf, k, lookahead)
-		netCfg.DataShards = k
-		netCfg.ShardOf = laneOf
+	// The data plane's lane map is the same region assignment the batch
+	// above routed by.
+	if err := w.StartDataPlane(); err != nil {
+		return nil, err
 	}
-	p.Trace.Rebase(clk)
-	net := overlay.NewNetwork(topo, netCfg)
-	net.SetTracer(p.Trace)
-	net.Start()
-	defer net.Stop()
-	ecfg := stream.DefaultEngineConfig()
-	ecfg.Seed = p.Seed
-	ecfg.TupleSizeKB = p.TupleSizeKB
-	ecfg.Keyspace = 250
-	ecfg.Tracer = p.Trace
-	engine := stream.NewEngine(net, topo, ecfg)
-	defer engine.Close()
-
-	dep := optimizer.NewDeployment(env, nil)
+	net := w.Net
+	if err := w.Deploy(circuitsOf(results[:min(p.EngineCircuits, len(results))])...); err != nil {
+		return nil, err
+	}
 	truth := optimizer.TrueLatency{Topo: topo}
-	nRun := p.EngineCircuits
-	if nRun > len(results) {
-		nRun = len(results)
-	}
-	runs := make([]*stream.Running, 0, nRun)
-	for i := 0; i < nRun; i++ {
-		c := results[i].Circuit
-		if err := dep.Deploy(c); err != nil {
-			return nil, err
-		}
-		run, err := engine.Deploy(c)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, run)
-	}
-	var hb *overlay.Heartbeats
 	if p.HeartbeatEvery > 0 {
-		hb = net.StartHeartbeats(p.HeartbeatEvery, 0.05)
+		w.StartHeartbeats(p.HeartbeatEvery)
 	}
-	clk.Sleep(time.Duration(p.WarmupSimSeconds * float64(time.Second)))
+	w.SimSleep(p.WarmupSimSeconds)
 	pendingPeak := clk.PendingEvents()
 
 	co := &adapt.Coordinator{
 		Dep:       dep,
-		Engine:    engine,
+		Engine:    w.Engine,
 		Clock:     clk,
 		Mapper:    placement.OracleMapper{Source: env},
 		Model:     truth,
 		Threshold: 0.01,
 		Tracer:    p.Trace,
 	}
-	driftRng := rand.New(rand.NewSource(p.Seed * 11))
 	churn := workload.Churn{LoadFraction: p.DriftFraction, LoadMax: 0.9}
 
 	staleSeries := net.Metrics.Series("coord.staleness_ms")
@@ -316,7 +215,7 @@ func X17(p X17Params) (*Table, error) {
 	lastFrom := make(map[string]topology.NodeID)
 	totalOsc, totalMigrations := 0, 0
 	for round := 1; round <= p.Rounds; round++ {
-		workload.ApplyChurn(topo, env, churn, driftRng)
+		w.Drift(churn)
 
 		// Periodic coordinate sync from the ticker: measure how stale the
 		// optimizer's view had become (mean displacement in coordinate
@@ -340,18 +239,9 @@ func X17(p X17Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		moves := plan.Moves[:0:0]
-		for _, m := range plan.Moves {
-			if m.UsageGain > 1e-9 {
-				moves = append(moves, m)
-			}
-		}
-		sort.SliceStable(moves, func(i, j int) bool { return moves[i].UsageGain > moves[j].UsageGain })
-		if len(moves) > p.Budget {
-			moves = moves[:p.Budget]
-		}
+		selected := bestMoves(plan, p.Budget)
 		osc := 0
-		for _, m := range moves {
+		for _, m := range selected.Moves {
 			key := fmt.Sprintf("%d/%d", m.Query, m.Service)
 			if prev, ok := lastFrom[key]; ok && prev == m.To {
 				osc++
@@ -361,12 +251,12 @@ func X17(p X17Params) (*Table, error) {
 		totalOsc += osc
 		oscCounter.Add(float64(osc))
 
-		st, err := co.Execute(optimizer.MigrationPlan{Moves: moves, ServicesEvaluated: plan.ServicesEvaluated}, nil)
+		st, err := co.Execute(selected, nil)
 		if err != nil {
 			return nil, err
 		}
 		totalMigrations += st.Migrated
-		clk.Sleep(time.Duration(p.IntervalSimSeconds * float64(time.Second)))
+		w.SimSleep(p.IntervalSimSeconds)
 		if pe := clk.PendingEvents(); pe > pendingPeak {
 			pendingPeak = pe
 		}
@@ -375,18 +265,7 @@ func X17(p X17Params) (*Table, error) {
 	}
 
 	// Quiesce and close the loss accounting.
-	for _, run := range runs {
-		run.HaltProducers()
-	}
-	clk.Sleep(time.Second)
-	if hb != nil {
-		hb.Stop()
-	}
-	var produced, delivered int
-	for _, run := range runs {
-		produced += run.TuplesProduced()
-		delivered += run.Measure().TuplesOut
-	}
+	produced, delivered := w.Quiesce()
 	beats := net.Metrics.Counter("hb.recv").Value()
 	unrouted := int(net.Metrics.Counter("msgs.unrouted").Value())
 	wall := time.Since(wallStart)
@@ -399,7 +278,7 @@ func X17(p X17Params) (*Table, error) {
 	t.AddNote("ticker coordinates: %d gossip rounds total, embedding median rel err %.3f; %d periodic syncs, %d oscillations out of %d migrations",
 		ticker.Rounds(), env.EmbeddingQuality.MedianRelErr, p.Rounds, totalOsc, totalMigrations)
 	t.AddNote("event kernel: peak %d pending events; %d circuits executing, %.0f heartbeats delivered; produced %d tuples, delivered %d, unrouted %d",
-		pendingPeak, len(runs), beats, produced, delivered, unrouted)
+		pendingPeak, len(w.Runs), beats, produced, delivered, unrouted)
 	t.AddNote("placement fingerprint %016x; data plane on %d event queue(s)",
 		placementFingerprint(dep), net.DataShards())
 	t.AddNote("wall %v end to end under virtual time", wall.Round(time.Millisecond))

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"os"
 	"testing"
 )
 
@@ -64,10 +65,14 @@ func TestX17Deterministic(t *testing.T) {
 // nodes, 100k queries through 16 shards, full-population heartbeats
 // under virtual time — a scenario that requires the sparse latency
 // decomposition and is infeasible on the binary-heap scheduler within
-// any reasonable budget.
+// any reasonable budget. It takes a third of tier-1's wall time on its
+// own, so like TestX18FullScale it is opt-in: set SBON_FULLSCALE=1.
 func TestX17FullScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("16k-node scenario skipped in -short")
+	}
+	if os.Getenv("SBON_FULLSCALE") == "" {
+		t.Skip("~5 CPU-seconds at 16k nodes; set SBON_FULLSCALE=1 to run")
 	}
 	tb, err := X17(DefaultX17Params())
 	if err != nil {

@@ -1,15 +1,14 @@
 package exp
 
 import (
-	"math/rand"
 	"time"
 
 	"github.com/hourglass/sbon/internal/optimizer"
-	"github.com/hourglass/sbon/internal/overlay"
 	"github.com/hourglass/sbon/internal/query"
-	"github.com/hourglass/sbon/internal/simtime"
+	"github.com/hourglass/sbon/internal/scenario"
 	"github.com/hourglass/sbon/internal/stream"
 	"github.com/hourglass/sbon/internal/topology"
+	"github.com/hourglass/sbon/internal/workload"
 )
 
 // x8WallTimeScale is the wall-clock engine's time scale; RunFor windows
@@ -42,57 +41,48 @@ func DefaultX8Params() X8Params { return X8Params{Seed: 18, RunFor: 2 * time.Sec
 // on the discrete-event clock — same simulated window, milliseconds of
 // wall time, bit-identical tables for a fixed seed.
 func X8(p X8Params) (*Table, error) {
-	if p.RunFor <= 0 {
-		p.RunFor = 2 * time.Second
+	orDefault(&p.RunFor, DefaultX8Params().RunFor)
+	spec := scenario.Spec{
+		Seed: p.Seed,
+		// The wall-clock engine runs in real time, so use a small topology
+		// regardless of scale.
+		Topology: topology.Config{
+			TransitDomains:      2,
+			TransitNodes:        2,
+			StubsPerTransit:     1,
+			StubNodes:           4,
+			IntraStubLatency:    [2]float64{1, 4},
+			StubUplinkLatency:   [2]float64{2, 8},
+			IntraTransitLatency: [2]float64{5, 15},
+			InterTransitLatency: [2]float64{20, 50},
+			ExtraStubEdgeProb:   0.2,
+		},
+		Streams: workload.StreamConfig{DefaultSel: 0.8},
+		Engine:  stream.EngineConfig{Seed: 1},
 	}
-	// The wall-clock engine runs in real time, so use a small topology
-	// regardless of scale.
-	cfg := topology.Config{
-		TransitDomains:      2,
-		TransitNodes:        2,
-		StubsPerTransit:     1,
-		StubNodes:           4,
-		IntraStubLatency:    [2]float64{1, 4},
-		StubUplinkLatency:   [2]float64{2, 8},
-		IntraTransitLatency: [2]float64{5, 15},
-		InterTransitLatency: [2]float64{20, 50},
-		ExtraStubEdgeProb:   0.2,
+	if p.Virtual {
+		spec.Clock = scenario.Virtual
+	} else {
+		spec.TimeScale = x8WallTimeScale
 	}
-	topo := topology.MustGenerate(cfg, rand.New(rand.NewSource(p.Seed)))
-	stats, err := query.NewCatalog(0.8)
+	w, err := scenario.Build(spec)
 	if err != nil {
 		return nil, err
 	}
+	defer w.Close()
+	topo, env := w.Topo, w.Env
 	stubs := topo.StubNodeIDs()
 	for i := 0; i < 2; i++ {
-		if err := stats.AddStream(query.StreamID(i), stubs[i*5], 50); err != nil {
+		if err := w.Stats.AddStream(query.StreamID(i), stubs[i*5], 50); err != nil {
 			return nil, err
 		}
 	}
-	envCfg := optimizer.DefaultEnvConfig(p.Seed)
-	envCfg.UseDHT = false
-	env, err := optimizer.NewEnv(topo, stats, envCfg)
-	if err != nil {
+	if err := w.StartDataPlane(); err != nil {
 		return nil, err
-	}
-
-	netCfg := overlay.Config{TimeScale: x8WallTimeScale, InboxSize: 8192}
-	var clk simtime.Clock = simtime.Real()
-	if p.Virtual {
-		vclk := simtime.NewVirtual()
-		defer vclk.Drive()()
-		clk = vclk
-		netCfg = overlay.Config{TimeScale: time.Millisecond, InboxSize: 8192, Clock: vclk}
 	}
 	// The same simulated window on either clock.
 	simMs := float64(p.RunFor) / float64(x8WallTimeScale)
-	window := time.Duration(simMs * float64(netCfg.TimeScale))
-
-	net := overlay.NewNetwork(topo, netCfg)
-	net.Start()
-	defer net.Stop()
-	engine := stream.NewEngine(net, topo, stream.DefaultEngineConfig())
-	defer engine.Close()
+	window := time.Duration(simMs * float64(w.TimeScale()))
 
 	cases := []struct {
 		name string
@@ -114,13 +104,12 @@ func X8(p X8Params) (*Table, error) {
 		}
 		analyticUsage := res.Circuit.NetworkUsage(truth)
 		analyticRate := res.Circuit.Plan.OutRate
-		run, err := engine.Deploy(res.Circuit)
-		if err != nil {
+		if err := w.Execute(res.Circuit); err != nil {
 			return nil, err
 		}
-		clk.Sleep(window)
-		m := run.Measure()
-		if err := engine.Stop(tc.q.ID); err != nil {
+		w.Clock.Sleep(window)
+		m := w.Runs[len(w.Runs)-1].Measure()
+		if err := w.Engine.Stop(tc.q.ID); err != nil {
 			return nil, err
 		}
 		t.AddRow(tc.name, analyticUsage, m.NetworkUsage, m.NetworkUsage/analyticUsage,

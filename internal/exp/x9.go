@@ -24,9 +24,7 @@ func DefaultX9Params() X9Params { return X9Params{Scale: Full, Seeds: 10} }
 // benefit can be recovered *online* by rewriting an already-running
 // circuit.
 func X9(p X9Params) (*Table, error) {
-	if p.Seeds <= 0 {
-		p.Seeds = 10
-	}
+	orDefault(&p.Seeds, DefaultX9Params().Seeds)
 	t := NewTable("X9 — online plan rewriting of running circuits (§3.3)",
 		"seed", "usage two-step", "after rewriting", "integrated (reference)",
 		"rewrites", "recovered %")

@@ -59,9 +59,6 @@ func OptimizeBatch(env *Env, queries []query.Query, opts BatchOptions) ([]Result
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
 
 	cache := opts.Cache
 	if cache == nil && !opts.NoCache {
@@ -71,48 +68,64 @@ func OptimizeBatch(env *Env, queries []query.Query, opts BatchOptions) ([]Result
 		cache = nil
 	}
 
-	snap := env.Freeze()
-	// Build the snapshot's k-NN index up front: workers then share one
-	// immutable index lock-free instead of racing to build duplicates on
-	// first use.
-	snap.CostIndex()
-
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		stop.Store(true)
+	b := &batchPools{env: env, queries: queries, results: results, label: "batch"}
+	b.run(nil, len(queries), workers, cache)
+	if b.firstErr != nil {
+		return nil, b.firstErr
 	}
+	return results, nil
+}
 
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+// batchPools is what the worker pools of one batch share: the queries,
+// the result slots, and the first error, which stops every pool.
+type batchPools struct {
+	env     *Env
+	queries []query.Query
+	results []Result
+	label   string // names the entry point in error text
+
+	stop     atomic.Bool
+	errOnce  sync.Once
+	firstErr error
+}
+
+// run optimizes n queries — those at idxs, or all of them in order when
+// idxs is nil — with up to workers goroutines and returns when they are
+// done. The pool
+// freezes its own snapshot — private coordinate and load arrays — and
+// builds the snapshot's k-NN index up front, so its workers share one
+// immutable index lock-free instead of racing to build duplicates on
+// first use.
+func (b *batchPools) run(idxs []int, n, workers int, cache *PlanCache) {
+	snap := b.env.Freeze()
+	snap.CostIndex()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(workers, n); w > 0; w-- {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			opt := NewIntegrated(snap)
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(queries) || stop.Load() {
+				if i >= n || b.stop.Load() {
 					return
 				}
-				res, err := optimizeOne(snap, opt, cache, queries[i])
+				if idxs != nil {
+					i = idxs[i]
+				}
+				res, err := optimizeOne(snap, opt, cache, b.queries[i])
 				if err != nil {
-					fail(fmt.Errorf("optimizer: batch query %d (index %d): %w", queries[i].ID, i, err))
+					err = fmt.Errorf("optimizer: %s query %d (index %d): %w", b.label, b.queries[i].ID, i, err)
+					b.errOnce.Do(func() { b.firstErr = err })
+					b.stop.Store(true)
 					return
 				}
-				results[i] = *res
+				b.results[i] = *res
 			}
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
 }
 
 // optimizeOne answers one batch query: from the plan cache when the key

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"github.com/hourglass/sbon/internal/costspace"
 	"github.com/hourglass/sbon/internal/hilbert"
@@ -212,51 +211,13 @@ func OptimizeBatchSharded(env *Env, queries []query.Query, opts ShardedBatchOpti
 		}
 	}
 
-	var (
-		stop     atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		stop.Store(true)
-	}
-
-	// Each pool freezes its own snapshot (private coordinate and load
-	// arrays) and builds its own cost index, in parallel with the other
-	// pools' freezes.
+	// Each pool freezes its own snapshot and builds its own cost index,
+	// in parallel with the other pools' freezes.
+	b := &batchPools{env: env, queries: queries, results: results, label: "sharded batch"}
+	var wg sync.WaitGroup
 	runPool := func(idxs []int, cache *PlanCache) {
 		defer wg.Done()
-		snap := env.Freeze()
-		snap.CostIndex()
-		w := workers
-		if w > len(idxs) {
-			w = len(idxs)
-		}
-		var next atomic.Int64
-		var pwg sync.WaitGroup
-		pwg.Add(w)
-		for j := 0; j < w; j++ {
-			go func() {
-				defer pwg.Done()
-				opt := NewIntegrated(snap)
-				for {
-					n := int(next.Add(1)) - 1
-					if n >= len(idxs) || stop.Load() {
-						return
-					}
-					i := idxs[n]
-					res, err := optimizeOne(snap, opt, cache, queries[i])
-					if err != nil {
-						fail(fmt.Errorf("optimizer: sharded batch query %d (index %d): %w", queries[i].ID, i, err))
-						return
-					}
-					results[i] = *res
-				}
-			}()
-		}
-		pwg.Wait()
+		b.run(idxs, len(idxs), workers, cache)
 	}
 
 	for r := 0; r < k; r++ {
@@ -279,8 +240,8 @@ func OptimizeBatchSharded(env *Env, queries []query.Query, opts ShardedBatchOpti
 		go runPool(fallback, cache)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
+	if b.firstErr != nil {
+		return nil, nil, b.firstErr
 	}
 	return results, stats, nil
 }

@@ -55,7 +55,6 @@ package sbon
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"github.com/hourglass/sbon/internal/adapt"
@@ -64,10 +63,11 @@ import (
 	"github.com/hourglass/sbon/internal/optimizer"
 	"github.com/hourglass/sbon/internal/overlay"
 	"github.com/hourglass/sbon/internal/query"
-	"github.com/hourglass/sbon/internal/simtime"
+	"github.com/hourglass/sbon/internal/scenario"
 	"github.com/hourglass/sbon/internal/stream"
 	"github.com/hourglass/sbon/internal/topology"
 	"github.com/hourglass/sbon/internal/trace"
+	"github.com/hourglass/sbon/internal/workload"
 )
 
 // Re-exported identifier and model types, so applications only import
@@ -175,18 +175,16 @@ type System struct {
 	Registry   *optimizer.Registry
 	Deployment *optimizer.Deployment
 
-	opts      Options
-	net       *overlay.Network
-	engine    *stream.Engine
-	vclk      *simtime.VirtualClock
+	// w is the assembled overlay; its data-plane fields are nil until
+	// StartEngine.
+	w         *scenario.World
 	planCache *optimizer.PlanCache
 	// shardCaches is the persistent per-region cache set behind
 	// OptimizeBatchSharded, allocated on first use and re-allocated when
 	// the requested shard count changes.
 	shardCaches *optimizer.ShardedPlanCache
-	hb          *overlay.Heartbeats
-	det         *failure.Detector
-	tracer      *trace.Tracer
+	// tracer is Options.Trace's tracer once the engine has started.
+	tracer *trace.Tracer
 
 	// adaptCo is the persistent adaptation coordinator: incremental
 	// sweeps carry a delta-log watermark across Adapt/AdaptContinuously
@@ -198,36 +196,39 @@ type System struct {
 // assigns background loads, and (unless disabled) constructs the DHT
 // catalog with every node's cost-space coordinate published.
 func New(opts Options) (*System, error) {
-	topoCfg := opts.Topology
-	if topoCfg.TotalNodes() == 0 {
-		topoCfg = topology.DefaultConfig()
+	spec := scenario.Spec{
+		Seed:       opts.Seed,
+		Topology:   opts.Topology,
+		Streams:    workload.StreamConfig{DefaultSel: opts.DefaultJoinSelectivity},
+		UseDHT:     !opts.DisableDHT,
+		TimeScale:  opts.TimeScale,
+		DataShards: opts.DataShards,
 	}
-	topo, err := topology.Generate(topoCfg, rand.New(rand.NewSource(opts.Seed)))
+	if spec.Topology.TotalNodes() == 0 {
+		spec.Topology = topology.DefaultConfig()
+	}
+	if spec.Streams.DefaultSel <= 0 {
+		spec.Streams.DefaultSel = 0.8
+	}
+	if opts.VirtualTime {
+		// The facade's methods may be called from several goroutines, so
+		// each registers itself around its waits on the clock.
+		spec.Clock = scenario.SharedVirtual
+	}
+	if opts.Trace {
+		spec.Tracer = trace.New(nil)
+	}
+	w, err := scenario.Build(spec)
 	if err != nil {
 		return nil, err
 	}
-	defSel := opts.DefaultJoinSelectivity
-	if defSel <= 0 {
-		defSel = 0.8
-	}
-	stats, err := query.NewCatalog(defSel)
-	if err != nil {
-		return nil, err
-	}
-	envCfg := optimizer.DefaultEnvConfig(opts.Seed)
-	envCfg.UseDHT = !opts.DisableDHT
-	env, err := optimizer.NewEnv(topo, stats, envCfg)
-	if err != nil {
-		return nil, err
-	}
-	reg := optimizer.NewRegistry()
 	return &System{
-		Topo:       topo,
-		Env:        env,
-		Stats:      stats,
-		Registry:   reg,
-		Deployment: optimizer.NewDeployment(env, reg),
-		opts:       opts,
+		Topo:       w.Topo,
+		Env:        w.Env,
+		Stats:      w.Stats,
+		Registry:   w.Deployment.Registry,
+		Deployment: w.Deployment,
+		w:          w,
 		planCache:  optimizer.NewPlanCache(),
 	}, nil
 }
@@ -399,12 +400,7 @@ func (s *System) Adapt(opts AdaptOptions) ([]AdaptStats, error) {
 		sweeps = 1
 	}
 	co := s.coordinator(opts)
-	// Settle waits are tracked virtual-clock sleeps; register the caller
-	// as the driving actor for their duration (same contract as RunFor).
-	if s.vclk != nil {
-		s.vclk.Register()
-		defer s.vclk.Unregister()
-	}
+	defer s.drive()()
 	out := make([]AdaptStats, 0, sweeps)
 	for i := 0; i < sweeps; i++ {
 		st, err := co.Sweep(nil)
@@ -432,10 +428,7 @@ func (s *System) Adapt(opts AdaptOptions) ([]AdaptStats, error) {
 // across Adapt and AdaptContinuously calls on the same System.
 func (s *System) AdaptContinuously(interval time.Duration, stop <-chan struct{}, opts AdaptOptions) (AdaptRunStats, error) {
 	co := s.coordinator(opts)
-	if s.vclk != nil {
-		s.vclk.Register()
-		defer s.vclk.Unregister()
-	}
+	defer s.drive()()
 	return co.Run(interval, stop)
 }
 
@@ -448,10 +441,7 @@ func (s *System) Evacuate(nodes []NodeID) (AdaptStats, error) {
 	for _, n := range nodes {
 		opts.Exclude[n] = true
 	}
-	if s.vclk != nil {
-		s.vclk.Register()
-		defer s.vclk.Unregister()
-	}
+	defer s.drive()()
 	return s.coordinator(opts).Evacuate(nodes, nil)
 }
 
@@ -462,10 +452,10 @@ func (s *System) Evacuate(nodes []NodeID) (AdaptStats, error) {
 // sequences under VirtualTime. Returns the injector for live control
 // (CrashNode, Partition, CrashTime) — it stops with the System.
 func (s *System) InstallFaults(plan FaultPlan) (*overlay.FaultInjector, error) {
-	if s.net == nil {
+	if s.w.Net == nil {
 		return nil, fmt.Errorf("sbon: engine not started; call StartEngine first")
 	}
-	return s.net.InstallFaults(plan), nil
+	return s.w.InjectFaults(plan), nil
 }
 
 // StartFailureDetection begins heartbeat emission (each node beats to
@@ -476,20 +466,16 @@ func (s *System) InstallFaults(plan FaultPlan) (*overlay.FaultInjector, error) {
 // bounded by 5 beats plus one check period. The detector feeds
 // AdaptWithRepair; both stop with the System.
 func (s *System) StartFailureDetection(beat time.Duration) (*failure.Detector, error) {
-	if s.net == nil {
+	if s.w.Net == nil {
 		return nil, fmt.Errorf("sbon: engine not started; call StartEngine first")
 	}
-	if s.det != nil {
+	if s.w.Detector != nil {
 		return nil, fmt.Errorf("sbon: failure detection already started")
 	}
 	if beat <= 0 {
 		beat = 200 * time.Millisecond
 	}
-	s.hb = s.net.StartHeartbeatsOpts(beat, 0.05, overlay.HeartbeatOpts{SkipDownTargets: true})
-	dcfg := failure.DefaultConfig(beat)
-	dcfg.Tracer = s.tracer
-	s.det = failure.New(s.net, dcfg)
-	return s.det, nil
+	return s.w.StartFailureDetection(beat), nil
 }
 
 // AdaptWithRepair runs the continuous adaptation loop with automatic
@@ -503,18 +489,15 @@ func (s *System) StartFailureDetection(beat time.Duration) (*failure.Detector, e
 // Evacuate calls are needed for crashes. Deterministic under
 // VirtualTime, like AdaptContinuously.
 func (s *System) AdaptWithRepair(interval time.Duration, stop <-chan struct{}, opts AdaptOptions) (AdaptRunStats, RepairStats, error) {
-	if s.det == nil {
+	if s.w.Detector == nil {
 		return AdaptRunStats{}, RepairStats{}, fmt.Errorf("sbon: failure detection not started; call StartFailureDetection first")
 	}
 	co := s.coordinator(opts)
 	if co.TicketTTL <= 0 {
 		co.TicketTTL = 5 * time.Second
 	}
-	if s.vclk != nil {
-		s.vclk.Register()
-		defer s.vclk.Unregister()
-	}
-	return co.RunWithRepair(s.det, interval, stop)
+	defer s.drive()()
+	return co.RunWithRepair(s.w.Detector, interval, stop)
 }
 
 // StopAfter returns a channel signalled after simSeconds of simulated
@@ -522,13 +505,13 @@ func (s *System) AdaptWithRepair(interval time.Duration, stop <-chan struct{}, o
 // AdaptWithRepair. Under VirtualTime the signal is a discrete event of
 // the virtual clock; otherwise a wall-clock timer fires it.
 func (s *System) StopAfter(simSeconds float64) (<-chan struct{}, error) {
-	if s.net == nil {
+	if s.w.Net == nil {
 		return nil, fmt.Errorf("sbon: engine not started; call StartEngine first")
 	}
 	stop := make(chan struct{})
-	d := time.Duration(simSeconds * 1000 * float64(s.net.Config().TimeScale))
-	if s.vclk != nil {
-		s.vclk.AfterFunc(d, func() { s.vclk.Signal(stop) })
+	d := time.Duration(simSeconds * 1000 * float64(s.w.TimeScale()))
+	if vclk := s.w.VClock; vclk != nil {
+		vclk.AfterFunc(d, func() { vclk.Signal(stop) })
 	} else {
 		time.AfterFunc(d, func() { close(stop) })
 	}
@@ -544,17 +527,12 @@ func (s *System) coordinator(opts AdaptOptions) *adapt.Coordinator {
 		s.adaptCo = &adapt.Coordinator{Dep: s.Deployment}
 	}
 	co := s.adaptCo
-	co.Engine = s.engine
+	co.Engine = s.w.Engine
 	co.Threshold = opts.Threshold
 	co.Budget = opts.Budget
 	co.Exclude = opts.Exclude
 	co.Tracer = s.tracer
-	co.Clock = nil
-	if s.vclk != nil {
-		co.Clock = s.vclk
-	} else if s.net != nil {
-		co.Clock = s.net.Clock()
-	}
+	co.Clock = s.w.Clock
 	return co
 }
 
@@ -570,51 +548,17 @@ func (s *System) Rewrite() (optimizer.RewriteStats, error) {
 // time by default, or the deterministic discrete-event runtime when
 // Options.VirtualTime is set.
 func (s *System) StartEngine() error {
-	if s.engine != nil {
+	if s.w.Net != nil {
 		return fmt.Errorf("sbon: engine already started")
 	}
-	cfg := overlay.DefaultConfig()
-	if s.opts.TimeScale > 0 {
-		cfg.TimeScale = s.opts.TimeScale
+	if err := s.w.StartDataPlane(); err != nil {
+		return err
 	}
-	if s.opts.VirtualTime {
-		s.vclk = simtime.NewVirtual()
-		cfg.Clock = s.vclk
-		if s.opts.TimeScale <= 0 {
-			cfg.TimeScale = time.Millisecond
-		}
-		if s.opts.DataShards > 1 {
-			k := optimizer.RoundShards(s.opts.DataShards)
-			laneOf, err := optimizer.NodeRegions(s.Env, k)
-			if err != nil {
-				return err
-			}
-			lookahead := time.Duration(s.Topo.MinEdgeLatency() * float64(cfg.TimeScale))
-			if lookahead <= 0 {
-				return fmt.Errorf("sbon: topology has no positive edge latency — data-plane sharding needs a conservative lookahead")
-			}
-			s.vclk.ShardLanes(laneOf, k, lookahead)
-			cfg.DataShards = k
-			cfg.ShardOf = laneOf
-		}
-	} else if s.opts.DataShards > 1 {
-		return fmt.Errorf("sbon: DataShards requires VirtualTime")
-	}
-	s.net = overlay.NewNetwork(s.Topo, cfg)
-	if s.opts.Trace {
-		s.tracer = trace.New(cfg.Clock)
-		s.net.SetTracer(s.tracer)
+	if s.tracer = s.w.Spec.Tracer; s.tracer != nil {
 		if cat := s.Env.Catalog(); cat != nil {
 			cat.Ring().SetTracer(s.tracer)
 		}
 	}
-	s.net.Start()
-	s.engine = stream.NewEngine(s.net, s.Topo, stream.EngineConfig{
-		Keyspace:    1000,
-		TupleSizeKB: 1.0,
-		Seed:        s.opts.Seed,
-		Tracer:      s.tracer,
-	})
 	return nil
 }
 
@@ -626,10 +570,10 @@ func (s *System) Tracer() *trace.Tracer { return s.tracer }
 // Metrics returns the overlay runtime's metric registry (counters,
 // histograms, labeled families), or nil before StartEngine.
 func (s *System) Metrics() *metrics.Registry {
-	if s.net == nil {
+	if s.w.Net == nil {
 		return nil
 	}
-	return s.net.Metrics
+	return s.w.Net.Metrics
 }
 
 // WriteReport writes one JSON document merging the runtime's metric
@@ -637,10 +581,10 @@ func (s *System) Metrics() *metrics.Registry {
 // run-scoped export behind sbon-sim's -metrics-dump flag. The engine
 // must be started.
 func (s *System) WriteReport(w io.Writer, label string) error {
-	if s.net == nil {
+	if s.w.Net == nil {
 		return fmt.Errorf("sbon: engine not started; call StartEngine first")
 	}
-	rep := metrics.Report{Label: label, Registry: s.net.Metrics}
+	rep := metrics.Report{Label: label, Registry: s.w.Net.Metrics}
 	if s.tracer != nil {
 		rep.Trace = s.tracer.WriteEventsJSON
 	}
@@ -654,10 +598,10 @@ func (s *System) WriteReport(w io.Writer, label string) error {
 // their consumers (OptimizeShared results reuse instances of circuits
 // deployed earlier).
 func (s *System) Run(c *Circuit) (*stream.Running, error) {
-	if s.engine == nil {
+	if s.w.Engine == nil {
 		return nil, fmt.Errorf("sbon: engine not started; call StartEngine first")
 	}
-	return s.engine.Deploy(c)
+	return s.w.Engine.Deploy(c)
 }
 
 // SharedExecution reports how many shared service instances the engine
@@ -665,58 +609,44 @@ func (s *System) Run(c *Circuit) (*stream.Running, error) {
 // to them, and how many cancelled providers linger for their
 // subscribers. Zero value when the engine is not started.
 func (s *System) SharedExecution() SharedStats {
-	if s.engine == nil {
+	if s.w.Engine == nil {
 		return SharedStats{}
 	}
-	return s.engine.SharedStats()
+	return s.w.Engine.SharedStats()
 }
 
 // StopRun halts an executing circuit.
 func (s *System) StopRun(id QueryID) error {
-	if s.engine == nil {
+	if s.w.Engine == nil {
 		return fmt.Errorf("sbon: engine not started")
 	}
-	return s.engine.Stop(id)
+	return s.w.Engine.Stop(id)
 }
 
 // RunFor advances the data plane by simSeconds simulated seconds: a
 // scaled wall-clock sleep on the real engine, an instant deterministic
 // jump of the event scheduler under VirtualTime.
 func (s *System) RunFor(simSeconds float64) error {
-	if s.net == nil {
+	if s.w.Net == nil {
 		return fmt.Errorf("sbon: engine not started; call StartEngine first")
 	}
-	d := time.Duration(simSeconds * 1000 * float64(s.net.Config().TimeScale))
-	if s.vclk != nil {
-		s.vclk.Register()
-		defer s.vclk.Unregister()
-		s.vclk.Sleep(d)
-		return nil
-	}
-	time.Sleep(d)
+	defer s.drive()()
+	s.w.SimSleep(simSeconds)
 	return nil
 }
 
-// Close shuts down the engine and overlay runtime if they were started.
-func (s *System) Close() {
-	if s.det != nil {
-		s.det.Stop()
-		s.det = nil
+// drive registers the calling goroutine as an actor of the virtual
+// clock for the duration of a call that waits on it — settle waits and
+// RunFor windows are tracked sleeps — and returns the release. A no-op
+// on the wall clock.
+func (s *System) drive() (release func()) {
+	vclk := s.w.VClock
+	if vclk == nil {
+		return func() {}
 	}
-	if s.hb != nil {
-		s.hb.Stop()
-		s.hb = nil
-	}
-	if s.engine != nil {
-		s.engine.Close()
-		s.engine = nil
-	}
-	if s.net != nil {
-		s.net.Stop()
-		s.net = nil
-	}
-	if s.vclk != nil {
-		s.vclk.Stop()
-		s.vclk = nil
-	}
+	vclk.Register()
+	return vclk.Unregister
 }
+
+// Close shuts down the engine and overlay runtime if they were started.
+func (s *System) Close() { s.w.Close() }
