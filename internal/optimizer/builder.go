@@ -6,7 +6,6 @@ import (
 	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/query"
 	"github.com/hourglass/sbon/internal/topology"
-	"github.com/hourglass/sbon/internal/vivaldi"
 )
 
 // Builder turns logical plans into circuits: it constructs the service
@@ -23,18 +22,46 @@ import (
 type Builder struct {
 	Env *Env
 
-	// scratch recycles the placement problem graph across candidate
-	// plans (the ROADMAP "builder problem-graph churn" item): vertex and
-	// link slices, the service↔vertex index maps, and the pinned
-	// coordinate buffers are reused by every problemFor call on this
-	// Builder. A Builder is consequently single-goroutine; concurrent
-	// optimizations each own one (one per batch worker).
-	scratch struct {
-		prob        placement.Problem
-		svcToVertex []int
-		vertexToSvc []int
-		coords      []vivaldi.Coord
+	// prob is the placement problem every circuit is converted into. Its
+	// vertex and link slices, and the solver scratch a placement.Problem
+	// carries, are recycled from one candidate plan to the next, so a
+	// warm Builder places a circuit without allocating. cand are the two
+	// scratch circuits Integrated evaluates candidates on. All of it
+	// makes a Builder single-goroutine: concurrent optimizations each
+	// own one (one per batch worker).
+	prob placement.Problem
+	cand [2]Circuit
+	// prods are the producers of one query's streams, looked up once per
+	// query (resolveProducers) instead of once per leaf of every
+	// candidate plan; a catalog never re-homes a stream.
+	prods []streamProducer
+}
+
+type streamProducer struct {
+	stream query.StreamID
+	node   topology.NodeID
+}
+
+// resolveProducers looks up the producers of q's streams for the
+// skeletons that follow. Unknown streams are left for build to report.
+func (b *Builder) resolveProducers(q query.Query) {
+	b.prods = b.prods[:0]
+	for _, s := range q.Streams {
+		if node, ok := b.Env.Stats.Producer(s); ok {
+			b.prods = append(b.prods, streamProducer{s, node})
+		}
 	}
+}
+
+// producer returns the node that publishes stream s: from prods, or
+// from the catalog for a stream no resolved query has.
+func (b *Builder) producer(s query.StreamID) (topology.NodeID, bool) {
+	for _, p := range b.prods {
+		if p.stream == s {
+			return p.node, true
+		}
+	}
+	return b.Env.Stats.Producer(s)
 }
 
 // reuseFn lets the multi-query optimizer substitute an existing service
@@ -44,176 +71,131 @@ type reuseFn func(n *query.PlanNode) *ServiceInstance
 // Skeleton builds the circuit's services and links from a rated plan.
 // Reused subtrees become single pinned services with shared upstream
 // cost. The returned circuit has no virtual coordinates or physical
-// nodes for unpinned services yet.
+// nodes for unpinned services yet. It is the caller's: nothing in it is
+// Builder scratch.
 func (b *Builder) Skeleton(q query.Query, root *query.PlanNode, reuse reuseFn) (*Circuit, error) {
-	if root == nil {
-		return nil, fmt.Errorf("optimizer: nil plan")
-	}
-	c := &Circuit{Query: q, Plan: root}
-
-	var build func(n *query.PlanNode, atProducer bool) (int, error)
-	build = func(n *query.PlanNode, atProducer bool) (int, error) {
-		// Multi-query reuse: an existing instance serves this whole
-		// subtree.
-		if reuse != nil && n.Kind != query.KindSource {
-			if inst := reuse(n); inst != nil {
-				idx := len(c.Services)
-				c.Services = append(c.Services, &PlacedService{
-					Plan:       n,
-					Node:       inst.Node,
-					Pinned:     true,
-					Reused:     true,
-					ReusedFrom: inst,
-					Signature:  n.Signature(),
-					OutRate:    n.OutRate,
-				})
-				return idx, nil
-			}
-		}
-		switch n.Kind {
-		case query.KindSource:
-			prod, ok := b.Env.Stats.Producer(n.Stream)
-			if !ok {
-				return 0, fmt.Errorf("optimizer: stream %d has no producer", n.Stream)
-			}
-			idx := len(c.Services)
-			c.Services = append(c.Services, &PlacedService{
-				Plan:      n,
-				Node:      prod,
-				Pinned:    true,
-				Signature: n.Signature(),
-				OutRate:   n.OutRate,
-			})
-			return idx, nil
-		case query.KindFilter:
-			childIdx, err := build(n.Left, false)
-			if err != nil {
-				return 0, err
-			}
-			child := c.Services[childIdx]
-			pinned := child.Plan != nil && child.Plan.Kind == query.KindSource && !child.Reused
-			idx := len(c.Services)
-			svc := &PlacedService{
-				Plan:      n,
-				Pinned:    pinned,
-				Signature: n.Signature(),
-				OutRate:   n.OutRate,
-				InRate:    n.Left.OutRate,
-			}
-			if pinned {
-				svc.Node = child.Node // pushdown to producer
-			}
-			c.Services = append(c.Services, svc)
-			c.Links = append(c.Links, Link{From: childIdx, To: idx, Rate: n.Left.OutRate})
-			return idx, nil
-		case query.KindAggregate:
-			childIdx, err := build(n.Left, false)
-			if err != nil {
-				return 0, err
-			}
-			idx := len(c.Services)
-			c.Services = append(c.Services, &PlacedService{
-				Plan:      n,
-				Signature: n.Signature(),
-				OutRate:   n.OutRate,
-				InRate:    n.Left.OutRate,
-			})
-			c.Links = append(c.Links, Link{From: childIdx, To: idx, Rate: n.Left.OutRate})
-			return idx, nil
-		case query.KindJoin, query.KindUnion:
-			li, err := build(n.Left, false)
-			if err != nil {
-				return 0, err
-			}
-			ri, err := build(n.Right, false)
-			if err != nil {
-				return 0, err
-			}
-			idx := len(c.Services)
-			c.Services = append(c.Services, &PlacedService{
-				Plan:      n,
-				Signature: n.Signature(),
-				OutRate:   n.OutRate,
-				InRate:    n.Left.OutRate + n.Right.OutRate,
-			})
-			c.Links = append(c.Links,
-				Link{From: li, To: idx, Rate: n.Left.OutRate},
-				Link{From: ri, To: idx, Rate: n.Right.OutRate},
-			)
-			return idx, nil
-		default:
-			return 0, fmt.Errorf("optimizer: unsupported plan node kind %v", n.Kind)
-		}
-	}
-
-	rootIdx, err := build(root, false)
-	if err != nil {
+	c := new(Circuit)
+	if err := b.skeletonInto(c, q, root, reuse); err != nil {
 		return nil, err
 	}
-	c.rootIdx = rootIdx
-	c.consumerIdx = len(c.Services)
-	c.Services = append(c.Services, &PlacedService{
-		Plan:   nil,
-		Node:   q.Consumer,
-		Pinned: true,
-	})
-	c.Links = append(c.Links, Link{From: rootIdx, To: c.consumerIdx, Rate: root.OutRate})
 	return c, nil
 }
 
+// skeletonInto is Skeleton into c's own storage: whatever c held is
+// overwritten, and nothing is allocated when c has held a circuit this
+// large before.
+func (b *Builder) skeletonInto(c *Circuit, q query.Query, root *query.PlanNode, reuse reuseFn) error {
+	if root == nil {
+		return fmt.Errorf("optimizer: nil plan")
+	}
+	// One service per plan node at most, plus the consumer sink: sized up
+	// front, because Services points into the slab.
+	if n := planSize(root) + 1; cap(c.slab) < n {
+		c.slab, c.Services, c.Links = make([]PlacedService, 0, n), make([]*PlacedService, 0, n), make([]Link, 0, n)
+	}
+	c.Query, c.Plan = q, root
+	c.slab, c.Services, c.Links = c.slab[:0], c.Services[:0], c.Links[:0]
+	rootIdx, err := b.build(c, root, reuse)
+	if err != nil {
+		return err
+	}
+	c.rootIdx = rootIdx
+	c.consumerIdx = c.add(PlacedService{Node: q.Consumer, Pinned: true})
+	c.Links = append(c.Links, Link{From: rootIdx, To: c.consumerIdx, Rate: root.OutRate})
+	return nil
+}
+
+func planSize(n *query.PlanNode) int {
+	if n == nil {
+		return 0
+	}
+	return 1 + planSize(n.Left) + planSize(n.Right)
+}
+
+// build appends the services and links of the sub-plan under n, children
+// first, and returns the index of n's own service.
+func (b *Builder) build(c *Circuit, n *query.PlanNode, reuse reuseFn) (int, error) {
+	svc := PlacedService{Plan: n, Signature: n.Signature(), OutRate: n.OutRate}
+	// Multi-query reuse: an existing instance serves this whole subtree.
+	if reuse != nil && n.Kind != query.KindSource {
+		if inst := reuse(n); inst != nil {
+			svc.Node, svc.Pinned, svc.Reused, svc.ReusedFrom = inst.Node, true, true, inst
+			return c.add(svc), nil
+		}
+	}
+	switch n.Kind {
+	case query.KindSource:
+		prod, ok := b.producer(n.Stream)
+		if !ok {
+			return 0, fmt.Errorf("optimizer: stream %d has no producer", n.Stream)
+		}
+		svc.Node, svc.Pinned = prod, true
+		return c.add(svc), nil
+	case query.KindFilter, query.KindAggregate:
+		childIdx, err := b.build(c, n.Left, reuse)
+		if err != nil {
+			return 0, err
+		}
+		if child := c.Services[childIdx]; n.Kind == query.KindFilter && child.Plan.Kind == query.KindSource && !child.Reused {
+			svc.Node, svc.Pinned = child.Node, true // pushdown to producer
+		}
+		svc.InRate = n.Left.OutRate
+		idx := c.add(svc)
+		c.Links = append(c.Links, Link{From: childIdx, To: idx, Rate: n.Left.OutRate})
+		return idx, nil
+	case query.KindJoin, query.KindUnion:
+		li, err := b.build(c, n.Left, reuse)
+		if err != nil {
+			return 0, err
+		}
+		ri, err := b.build(c, n.Right, reuse)
+		if err != nil {
+			return 0, err
+		}
+		svc.InRate = n.Left.OutRate + n.Right.OutRate
+		idx := c.add(svc)
+		c.Links = append(c.Links,
+			Link{From: li, To: idx, Rate: n.Left.OutRate},
+			Link{From: ri, To: idx, Rate: n.Right.OutRate},
+		)
+		return idx, nil
+	default:
+		return 0, fmt.Errorf("optimizer: unsupported plan node kind %v", n.Kind)
+	}
+}
+
 // problemFor converts the circuit into a placement problem over the
-// vector subspace. The returned index slice maps problem vertices back to
-// circuit services. Both the problem and the index slice are scratch
-// state owned by the Builder: they are valid until the next problemFor
-// call. Unpinned vertices always start with a nil coordinate so the
-// placer's seeding is independent of whatever the scratch held before.
+// vector subspace, vertex i being service i. The problem is scratch
+// owned by the Builder, valid until the next problemFor call. Pinned
+// vertices borrow their host's coordinate from the environment (placers
+// leave pinned coordinates untouched); unpinned vertices always start
+// with a nil coordinate so the placer's seeding is independent of
+// whatever the scratch held before.
 //
 // nodeOf resolves a pinned service's host; nil means live bindings. A
 // shadow sweep passes its simulated resolver so re-bound shared
 // instances anchor later placements at their simulated positions.
-func (b *Builder) problemFor(c *Circuit, nodeOf func(*PlacedService) topology.NodeID) (*placement.Problem, []int) {
-	s := &b.scratch
-	p := &s.prob
+func (b *Builder) problemFor(c *Circuit, nodeOf func(*PlacedService) topology.NodeID) *placement.Problem {
+	p := &b.prob
 	p.Vertices = p.Vertices[:0]
 	p.Links = p.Links[:0]
-	s.svcToVertex = s.svcToVertex[:0]
-	s.vertexToSvc = s.vertexToSvc[:0]
-	for i, svc := range c.Services {
-		vi := len(p.Vertices)
+	for _, svc := range c.Services {
 		v := placement.Vertex{Pinned: svc.Pinned}
 		if svc.Pinned {
 			node := svc.Node
 			if nodeOf != nil {
 				node = nodeOf(svc)
 			}
-			src := b.Env.VecCoord(node)
-			for len(s.coords) <= vi {
-				s.coords = append(s.coords, nil)
-			}
-			buf := s.coords[vi]
-			if cap(buf) < len(src) {
-				buf = make(vivaldi.Coord, len(src))
-			}
-			buf = buf[:len(src)]
-			copy(buf, src)
-			s.coords[vi] = buf
-			v.Coord = buf
+			v.Coord = b.Env.VecCoord(node)
 		}
-		s.svcToVertex = append(s.svcToVertex, vi)
-		s.vertexToSvc = append(s.vertexToSvc, i)
 		p.Vertices = append(p.Vertices, v)
 	}
 	for _, l := range c.Links {
-		if l.Shared {
-			continue
+		if !l.Shared {
+			p.Links = append(p.Links, placement.Link{A: l.From, B: l.To, Rate: l.Rate})
 		}
-		p.Links = append(p.Links, placement.Link{
-			A:    s.svcToVertex[l.From],
-			B:    s.svcToVertex[l.To],
-			Rate: l.Rate,
-		})
 	}
-	return p, s.vertexToSvc
+	return p
 }
 
 // PlaceVirtual runs the virtual placer over the circuit and records the
@@ -223,15 +205,25 @@ func (b *Builder) PlaceVirtual(c *Circuit, placer placement.VirtualPlacer) error
 }
 
 // placeVirtualAs is PlaceVirtual with pinned hosts resolved through
-// nodeOf (nil = live bindings) — the shadow-sweep entry point.
+// nodeOf (nil = live bindings) — the shadow-sweep entry point. The
+// coordinates are copied out of the Builder's problem into the
+// circuit's own arena, packed in service order.
 func (b *Builder) placeVirtualAs(c *Circuit, placer placement.VirtualPlacer, nodeOf func(*PlacedService) topology.NodeID) error {
-	prob, vertexToSvc := b.problemFor(c, nodeOf)
+	prob := b.problemFor(c, nodeOf)
 	if err := placer.PlaceVirtual(prob); err != nil {
 		return err
 	}
-	for vi, si := range vertexToSvc {
-		if !c.Services[si].Pinned {
-			c.Services[si].Virtual = prob.Vertices[vi].Coord.Clone()
+	// Room for every service, so the appends below never move the arena
+	// out from under the Virtual slices already handed out.
+	d := len(prob.Vertices[0].Coord)
+	if need := d * len(c.Services); cap(c.coords) < need {
+		c.coords = make([]float64, 0, need)
+	}
+	c.coords = c.coords[:0]
+	for i, s := range c.Services {
+		if !s.Pinned {
+			c.coords = append(c.coords, prob.Vertices[i].Coord...)
+			s.Virtual = c.coords[len(c.coords)-d : len(c.coords) : len(c.coords)]
 		}
 	}
 	return nil

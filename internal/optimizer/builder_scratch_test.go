@@ -32,10 +32,9 @@ func TestProblemForReusesScratch(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		c := skels[i%len(skels)]
 		i++
-		prob, backMap := b.problemFor(c, nil)
-		if len(prob.Vertices) != len(c.Services) || len(backMap) != len(c.Services) {
-			t.Fatalf("problem shape wrong: %d vertices / %d back-map for %d services",
-				len(prob.Vertices), len(backMap), len(c.Services))
+		prob := b.problemFor(c, nil)
+		if len(prob.Vertices) != len(c.Services) {
+			t.Fatalf("problem shape wrong: %d vertices for %d services", len(prob.Vertices), len(c.Services))
 		}
 	})
 	if allocs > 0 {

@@ -56,6 +56,62 @@ type Circuit struct {
 
 	rootIdx     int // index of the root service (plan root)
 	consumerIdx int // index of the consumer sink
+
+	// Backing storage, so that building a circuit costs a handful of
+	// allocations and rebuilding one in place costs none: Services[i]
+	// points at slab[i], and the unpinned services' Virtual coordinates
+	// are consecutive slices of coords, in service order.
+	slab   []PlacedService
+	coords []float64
+}
+
+// add appends a service; the slab must have room (skeletonInto sizes it).
+func (c *Circuit) add(s PlacedService) int {
+	c.slab = append(c.slab, s)
+	c.Services = append(c.Services, &c.slab[len(c.slab)-1])
+	return len(c.Services) - 1
+}
+
+// owned returns a copy of c that shares no storage with it, nor its plan
+// with any other plan: a circuit evaluated on scratch, or planned over
+// the shared sub-plans of an enumeration, becomes a result that can be
+// kept while the scratch is reused.
+func (c *Circuit) owned() *Circuit {
+	out := &Circuit{
+		Query: c.Query, Links: append([]Link(nil), c.Links...),
+		rootIdx: c.rootIdx, consumerIdx: c.consumerIdx,
+		slab: append([]PlacedService(nil), c.slab...), coords: append([]float64(nil), c.coords...),
+	}
+	out.Services = make([]*PlacedService, len(out.slab))
+	off := 0
+	for i := range out.slab {
+		s := &out.slab[i]
+		out.Services[i] = s
+		if d := len(s.Virtual); d > 0 {
+			s.Virtual = out.coords[off : off+d : off+d]
+			off += d
+		}
+	}
+	out.Plan = c.Plan.Clone()
+	out.replan(c.Plan, out.Plan, 0)
+	return out
+}
+
+// replan re-points the services at the nodes of to, a clone of the plan
+// from they were built over. Services are in the plan's post-order (a
+// reused sub-plan contributes only its root), so one walk over both
+// trees pairs them; i is the next service to pair.
+func (c *Circuit) replan(from, to *query.PlanNode, i int) int {
+	if from == nil {
+		return i
+	}
+	i = c.replan(from.Left, to.Left, i)
+	i = c.replan(from.Right, to.Right, i)
+	if c.Services[i].Plan == from {
+		c.Services[i].Plan = to
+		i++
+	}
+	return i
 }
 
 // Root returns the service running the plan root.

@@ -1,7 +1,7 @@
 package optimizer
 
 import (
-	"fmt"
+	"cmp"
 
 	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/plan"
@@ -35,6 +35,11 @@ type Result struct {
 // Integrated is the paper's optimizer (§3.3): every candidate plan is
 // virtually placed and physically mapped, yielding one candidate circuit
 // per plan; the cheapest circuit under the latency model wins.
+//
+// An Integrated serves one goroutine at a time (batch workers each own
+// one): it enumerates into its own sub-plan table and evaluates the
+// candidates on its Builder's scratch circuits. What Optimize returns is
+// a copy that shares nothing with that scratch.
 type Integrated struct {
 	Env *Env
 	// Enum generates candidate plans. Defaults to a fresh enumerator over
@@ -49,10 +54,18 @@ type Integrated struct {
 	// (default CoordLatency — what a decentralized node can know).
 	Model LatencyModel
 
-	// b is the reusable circuit builder: its scratch problem graph is
-	// recycled across every candidate plan this optimizer places, so an
-	// Integrated is single-goroutine (batch workers each own one).
-	b *Builder
+	// st holds the defaults for the components left nil above, resolved
+	// once, and the optimizer's scratch: its Builder and sub-plan table.
+	st *integratedState
+}
+
+type integratedState struct {
+	enum   *plan.Enumerator
+	placer placement.VirtualPlacer
+	mapper placement.Mapper
+	model  LatencyModel
+	b      Builder
+	table  plan.Table
 }
 
 // NewIntegrated returns an integrated optimizer with default components.
@@ -60,83 +73,84 @@ func NewIntegrated(env *Env) *Integrated {
 	return &Integrated{Env: env}
 }
 
-func (o *Integrated) components() (*plan.Enumerator, placement.VirtualPlacer, placement.Mapper, LatencyModel) {
-	enum := o.Enum
-	if enum == nil {
-		enum = plan.NewEnumerator(o.Env.Stats)
-	}
-	placer := o.Placer
-	if placer == nil {
-		placer = placement.Relaxation{}
-	}
-	mapper := o.Mapper
-	if mapper == nil {
+// state returns the optimizer's defaults and scratch, resolving them on
+// first use.
+func (o *Integrated) state() *integratedState {
+	if o.st == nil {
+		o.st = &integratedState{
+			enum:   plan.NewEnumerator(o.Env.Stats),
+			placer: placement.Relaxation{},
+			mapper: placement.OracleMapper{Source: o.Env},
+			model:  CoordLatency{Env: o.Env},
+			b:      Builder{Env: o.Env},
+		}
 		if cat := o.Env.Catalog(); cat != nil {
-			mapper = placement.DHTMapper{Catalog: cat}
-		} else {
-			mapper = placement.OracleMapper{Source: o.Env}
+			o.st.mapper = placement.DHTMapper{Catalog: cat}
 		}
 	}
-	model := o.Model
-	if model == nil {
-		model = CoordLatency{Env: o.Env}
-	}
-	return enum, placer, mapper, model
+	return o.st
 }
 
-// builder returns the optimizer's reusable Builder, creating it on first
-// use.
-func (o *Integrated) builder() *Builder {
-	if o.b == nil {
-		o.b = &Builder{Env: o.Env}
-	}
-	return o.b
+func (o *Integrated) components() (*plan.Enumerator, placement.VirtualPlacer, placement.Mapper, LatencyModel) {
+	def := o.state()
+	return cmp.Or(o.Enum, def.enum), cmp.Or(o.Placer, def.placer), cmp.Or(o.Mapper, def.mapper), cmp.Or(o.Model, def.model)
 }
+
+// builder returns the optimizer's reusable Builder.
+func (o *Integrated) builder() *Builder { return &o.state().b }
 
 // Optimize performs full circuit optimization for the query and returns
 // the best circuit without deploying it.
 func (o *Integrated) Optimize(q query.Query) (*Result, error) {
 	enum, placer, mapper, model := o.components()
-	plans, err := enum.Enumerate(q)
+	st := o.state()
+	plans, err := enum.EnumerateInto(&st.table, q)
 	if err != nil {
 		return nil, err
 	}
-	if len(plans) == 0 {
-		return nil, fmt.Errorf("optimizer: no plans for query %d", q.ID)
-	}
 	res := &Result{PlansConsidered: len(plans)}
-	b := o.builder()
-	for _, p := range plans {
-		circuit, stats, err := buildPlaceMap(b, q, p, placer, mapper)
+	// Candidates are built on two scratch circuits, the one under
+	// evaluation and the best so far, which trade places on improvement.
+	b := &st.b
+	b.resolveProducers(q)
+	cur, best := &b.cand[0], &b.cand[1]
+	for i, p := range plans {
+		stats, err := b.buildPlaceMapInto(cur, q, p, placer, mapper)
 		if err != nil {
 			return nil, err
 		}
-		usage := circuit.NetworkUsage(model)
 		res.CircuitsConsidered++
-		if res.Circuit == nil || usage < res.EstimatedUsage {
-			res.Circuit = circuit
+		if usage := cur.NetworkUsage(model); i == 0 || usage < res.EstimatedUsage {
+			cur, best = best, cur
 			res.EstimatedUsage = usage
 			res.MapStats = stats
 		}
 	}
+	res.Circuit = best.owned()
 	return res, nil
 }
 
 // buildPlaceMap runs the skeleton → virtual placement → physical mapping
-// pipeline for one plan.
+// pipeline for one plan and returns the circuit, which is the caller's.
 func buildPlaceMap(b *Builder, q query.Query, p *query.PlanNode, placer placement.VirtualPlacer, mapper placement.Mapper) (*Circuit, placement.MapStats, error) {
-	circuit, err := b.Skeleton(q, p, nil)
+	c := new(Circuit)
+	stats, err := b.buildPlaceMapInto(c, q, p, placer, mapper)
 	if err != nil {
 		return nil, placement.MapStats{}, err
 	}
-	if err := b.PlaceVirtual(circuit, placer); err != nil {
-		return nil, placement.MapStats{}, err
+	return c, stats, nil
+}
+
+// buildPlaceMapInto is the pipeline into c's own storage (see
+// skeletonInto).
+func (b *Builder) buildPlaceMapInto(c *Circuit, q query.Query, p *query.PlanNode, placer placement.VirtualPlacer, mapper placement.Mapper) (placement.MapStats, error) {
+	if err := b.skeletonInto(c, q, p, nil); err != nil {
+		return placement.MapStats{}, err
 	}
-	stats, err := b.MapPhysical(circuit, mapper)
-	if err != nil {
-		return nil, placement.MapStats{}, err
+	if err := b.PlaceVirtual(c, placer); err != nil {
+		return placement.MapStats{}, err
 	}
-	return circuit, stats, nil
+	return b.MapPhysical(c, mapper)
 }
 
 // TwoStep is the classical baseline (§2.3): plan generation ignores the

@@ -74,6 +74,9 @@ func (o *MultiQuery) Optimize(q query.Query) (*Result, error) {
 			}
 		}
 	}
+	// The candidates were planned over the enumeration's shared
+	// sub-plans; the winner gets a plan of its own.
+	res.Circuit = res.Circuit.owned()
 	return res, nil
 }
 

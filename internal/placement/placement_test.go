@@ -117,7 +117,7 @@ func TestRelaxationReducesEnergyProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomTreeProblem(rng, 3+rng.Intn(4))
 		// Seed manually so we can snapshot the initial energy.
-		seedUnpinned(p)
+		p.prepare()
 		before := p.QuadraticEnergy()
 		if err := (Relaxation{}).PlaceVirtual(p); err != nil {
 			return false
@@ -565,6 +565,55 @@ func BenchmarkRelaxationPlace(b *testing.B) {
 		p := &Problem{Vertices: vertices, Links: base.Links}
 		if err := (Relaxation{}).PlaceVirtual(p); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestPlacersDoNotAllocateOnAReusedProblem pins the scratch the Problem
+// carries (adjacency, coordinate arena, accumulator): once a Problem has
+// been solved, solving it again — as the optimizer's Builder does for
+// every candidate plan — costs no allocation, whichever placer runs.
+func TestPlacersDoNotAllocateOnAReusedProblem(t *testing.T) {
+	base := randomTreeProblem(rand.New(rand.NewSource(33)), 8)
+	for _, placer := range []VirtualPlacer{Relaxation{}, Weiszfeld{MaxIter: 50}, Centroid{}, GradientDescent{MaxIter: 50}} {
+		p := &Problem{Vertices: make([]Vertex, len(base.Vertices)), Links: base.Links}
+		allocs := testing.AllocsPerRun(20, func() {
+			copy(p.Vertices, base.Vertices) // unpinned vertices start unplaced again
+			if err := placer.PlaceVirtual(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per solve of a reused problem, want 0", placer.Name(), allocs)
+		}
+	}
+}
+
+// TestReusedProblemMatchesFresh pins that the recycled scratch is only
+// scratch: solving problems of different shapes through one Problem
+// value gives, bit for bit, what a fresh Problem gives.
+func TestReusedProblemMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	reused := &Problem{}
+	for i := 0; i < 30; i++ {
+		base := randomTreeProblem(rng, 3+rng.Intn(8))
+		for _, placer := range []VirtualPlacer{Relaxation{}, Weiszfeld{MaxIter: 50}, Centroid{}, GradientDescent{MaxIter: 50}} {
+			fresh := cloneProblem(base)
+			reused.Vertices = append(reused.Vertices[:0], base.Vertices...)
+			reused.Links = append(reused.Links[:0], base.Links...)
+			if err := placer.PlaceVirtual(fresh); err != nil {
+				t.Fatal(err)
+			}
+			if err := placer.PlaceVirtual(reused); err != nil {
+				t.Fatal(err)
+			}
+			for vi := range fresh.Vertices {
+				for k, want := range fresh.Vertices[vi].Coord {
+					if got := reused.Vertices[vi].Coord[k]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("problem %d, %s, vertex %d dim %d: reused %v, fresh %v", i, placer.Name(), vi, k, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -19,7 +19,11 @@
 // calls and mutate only the Problem (or return values) they are given, so
 // one placer value may solve many Problems from concurrent goroutines —
 // the property the batch optimizer's shared-snapshot worker pool relies
-// on. Implementations must preserve this.
+// on. Implementations must preserve this. What a solve needs beyond its
+// inputs (adjacency, coordinate arena, accumulator) is scratch on the
+// Problem itself, recycled by the next solve of that Problem: a Problem
+// belongs to one goroutine at a time, and a reused one is solved without
+// allocating.
 package placement
 
 import (
@@ -49,10 +53,23 @@ type Link struct {
 	Rate float64
 }
 
-// Problem is a circuit placement instance.
+// Problem is a circuit placement instance. A placer leaves the unpinned
+// vertices' coordinates in storage the Problem owns, where they stay
+// valid until the Problem is solved again; Clone a coordinate to keep it
+// longer.
 type Problem struct {
 	Vertices []Vertex
 	Links    []Link
+
+	// Scratch, rebuilt by prepare. Vertex v's incident links are
+	// adj[adjOff[v]:adjOff[v+1]], in Links order. arena backs acc and the
+	// unpinned coordinates; it alternates with spare from solve to solve,
+	// so a solve that starts from the previous solve's coordinates never
+	// reads what it is overwriting.
+	adjOff       []int
+	adj          []adjEntry
+	arena, spare []float64
+	acc          vivaldi.Coord // per-vertex accumulator
 }
 
 // Validate reports whether the problem is well formed: consistent
@@ -107,11 +124,10 @@ func (p *Problem) dims() int {
 	return 0
 }
 
-// pinnedCentroid returns the unweighted centroid of pinned vertices,
-// used to seed unpinned coordinates.
-func (p *Problem) pinnedCentroid() vivaldi.Coord {
-	d := p.dims()
-	c := make(vivaldi.Coord, d)
+// pinnedCentroid writes the unweighted centroid of the pinned vertices,
+// the seed for unpinned coordinates, into c.
+func (p *Problem) pinnedCentroid(c vivaldi.Coord) {
+	clear(c)
 	n := 0
 	for _, v := range p.Vertices {
 		if v.Pinned {
@@ -121,12 +137,88 @@ func (p *Problem) pinnedCentroid() vivaldi.Coord {
 			n++
 		}
 	}
-	if n > 0 {
-		for i := range c {
-			c[i] /= float64(n)
+	for i := range c {
+		c[i] /= float64(n)
+	}
+}
+
+// adjEntry is one incident link from a vertex's perspective.
+type adjEntry struct {
+	other int
+	rate  float64
+}
+
+// neighbors returns vertex v's incident links (valid after prepare).
+func (p *Problem) neighbors(v int) []adjEntry { return p.adj[p.adjOff[v]:p.adjOff[v+1]] }
+
+// buildAdjacency indexes the links by endpoint in compressed-row form.
+func (p *Problem) buildAdjacency() {
+	n := len(p.Vertices)
+	if cap(p.adjOff) < n+2 || cap(p.adj) < 2*len(p.Links) {
+		p.adjOff, p.adj = make([]int, n+2), make([]adjEntry, 2*len(p.Links))
+	}
+	// off[v+2] counts v's links, then off[v+1] is advanced from v's first
+	// slot to its end as they are filled in, leaving off[v]..off[v+1].
+	off := p.adjOff[:n+2]
+	clear(off)
+	for _, l := range p.Links {
+		off[l.A+2]++
+		off[l.B+2]++
+	}
+	for v := 2; v < len(off); v++ {
+		off[v] += off[v-1]
+	}
+	p.adj = p.adj[:2*len(p.Links)]
+	for _, l := range p.Links {
+		p.adj[off[l.A+1]] = adjEntry{other: l.B, rate: l.Rate}
+		off[l.A+1]++
+		p.adj[off[l.B+1]] = adjEntry{other: l.A, rate: l.Rate}
+		off[l.B+1]++
+	}
+	p.adjOff = off[:n+1]
+}
+
+// prepare readies a validated problem for an in-place solve. It builds
+// the adjacency and moves every unpinned vertex's coordinate into the
+// problem's arena, holding its starting position: the caller's initial
+// guess (copied, so the caller's slice is never written through), or the
+// pinned centroid when it has none.
+func (p *Problem) prepare() {
+	p.buildAdjacency()
+	d := p.dims()
+	need := 2 * d
+	for _, v := range p.Vertices {
+		if !v.Pinned {
+			need += d
 		}
 	}
-	return c
+	p.arena, p.spare = p.spare, p.arena
+	if cap(p.arena) < need {
+		p.arena = make([]float64, need)
+	}
+	a := p.arena[:need]
+	p.acc = a[:d:d]
+	seed := vivaldi.Coord(a[d : 2*d : 2*d])
+	seeded := false
+	for vi, off := 0, 2*d; vi < len(p.Vertices); vi++ {
+		v := &p.Vertices[vi]
+		if v.Pinned {
+			continue
+		}
+		// Full slice expression: a caller-side append must not run into
+		// the next vertex's coordinate.
+		own := vivaldi.Coord(a[off : off+d : off+d])
+		off += d
+		if len(v.Coord) != d {
+			if !seeded {
+				p.pinnedCentroid(seed)
+				seeded = true
+			}
+			v.Coord = seed
+		}
+		copy(own, v.Coord)
+		v.Coord = own
+	}
 }
 
 // QuadraticEnergy returns Σ rate·dist² over the links — the spring
@@ -175,13 +267,8 @@ type Relaxation struct {
 // Name implements VirtualPlacer.
 func (r Relaxation) Name() string { return "relaxation" }
 
-// PlaceVirtual implements VirtualPlacer.
-//
-// The sweep loop is allocation-free: every unpinned vertex gets an
-// owned coordinate slice carved from one arena up front (so caller-
-// provided initial guesses are never mutated in place), and a single
-// scratch accumulator is reused across vertices and sweeps. The
-// arithmetic matches the textbook num.Scale(1/den) update bit for bit.
+// PlaceVirtual implements VirtualPlacer. The arithmetic matches the
+// textbook num.Scale(1/den) update bit for bit.
 func (r Relaxation) PlaceVirtual(p *Problem) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -194,67 +281,51 @@ func (r Relaxation) PlaceVirtual(p *Problem) error {
 	if tol <= 0 {
 		tol = 1e-3
 	}
-	seedUnpinned(p)
-	adj := buildAdjacency(p)
-	d := p.dims()
+	p.prepare()
+	p.relax(maxIter, tol, 0)
+	return nil
+}
 
-	// Give each active unpinned vertex an owned backing slice from one
-	// arena, carrying over its current (seed or caller-guess) position.
-	active := 0
-	for vi := range p.Vertices {
-		if !p.Vertices[vi].Pinned && len(adj[vi]) > 0 {
-			active++
-		}
-	}
-	arena := make([]float64, 0, d*active)
-	for vi := range p.Vertices {
-		v := &p.Vertices[vi]
-		if v.Pinned || len(adj[vi]) == 0 {
-			continue
-		}
-		arena = append(arena, v.Coord...)
-		// Full slice expression: the result must not share spare
-		// capacity with the next vertex's arena region, or a later
-		// caller-side append could silently overwrite it.
-		v.Coord = vivaldi.Coord(arena[len(arena)-d : len(arena) : len(arena)])
-	}
-
-	num := make(vivaldi.Coord, d)
+// relax sweeps a prepared problem, moving each unpinned vertex to the
+// weighted centroid of its neighbors, until no vertex moves farther than
+// tol or maxIter sweeps are done. With eps == 0 a link weighs its rate
+// (the spring model); with eps > 0 it weighs rate/√(dist²+eps²), the
+// reweighting that makes the same sweep minimize Σ rate·dist instead.
+func (p *Problem) relax(maxIter int, tol, eps float64) {
+	num := p.acc
 	for iter := 0; iter < maxIter; iter++ {
 		maxMove := 0.0
 		for vi := range p.Vertices {
-			v := &p.Vertices[vi]
-			if v.Pinned || len(adj[vi]) == 0 {
+			v, adj := &p.Vertices[vi], p.neighbors(vi)
+			if v.Pinned || len(adj) == 0 {
 				continue
 			}
-			for k := range num {
-				num[k] = 0
-			}
+			clear(num)
 			var den float64
-			for _, e := range adj[vi] {
-				o := p.Vertices[e.other].Coord
-				for k := range num {
-					num[k] += e.rate * o[k]
+			for _, e := range adj {
+				o, wgt := p.Vertices[e.other].Coord, e.rate
+				if eps > 0 {
+					dist := v.Coord.Distance(o)
+					wgt /= math.Sqrt(dist*dist + eps*eps)
 				}
-				den += e.rate
+				for k := range num {
+					num[k] += wgt * o[k]
+				}
+				den += wgt
 			}
 			inv := 1 / den
-			var ss float64
 			for k := range num {
 				num[k] *= inv
-				delta := num[k] - v.Coord[k]
-				ss += delta * delta
 			}
-			if move := math.Sqrt(ss); move > maxMove {
+			if move := num.Distance(v.Coord); move > maxMove {
 				maxMove = move
 			}
 			copy(v.Coord, num)
 		}
 		if maxMove < tol {
-			return nil
+			return
 		}
 	}
-	return nil
 }
 
 // Weiszfeld minimizes the linear network-usage objective Σ rate·dist
@@ -292,40 +363,10 @@ func (w Weiszfeld) PlaceVirtual(p *Problem) error {
 	if eps <= 0 {
 		eps = 1e-3
 	}
+	p.prepare()
 	// Seed from the quadratic optimum: a good convex start.
-	if err := (Relaxation{MaxIter: maxIter, Tolerance: tol}).PlaceVirtual(p); err != nil {
-		return err
-	}
-	adj := buildAdjacency(p)
-	d := p.dims()
-	for iter := 0; iter < maxIter; iter++ {
-		maxMove := 0.0
-		for vi := range p.Vertices {
-			v := &p.Vertices[vi]
-			if v.Pinned || len(adj[vi]) == 0 {
-				continue
-			}
-			num := make(vivaldi.Coord, d)
-			var den float64
-			for _, e := range adj[vi] {
-				o := p.Vertices[e.other].Coord
-				dist := v.Coord.Distance(o)
-				wgt := e.rate / math.Sqrt(dist*dist+eps*eps)
-				for k := range num {
-					num[k] += wgt * o[k]
-				}
-				den += wgt
-			}
-			next := num.Scale(1 / den)
-			if move := next.Distance(v.Coord); move > maxMove {
-				maxMove = move
-			}
-			v.Coord = next
-		}
-		if maxMove < tol {
-			return nil
-		}
-	}
+	p.relax(maxIter, tol, 0)
+	p.relax(maxIter, tol, eps)
 	return nil
 }
 
@@ -343,17 +384,16 @@ func (Centroid) PlaceVirtual(p *Problem) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	seedUnpinned(p)
-	adj := buildAdjacency(p)
-	d := p.dims()
+	p.prepare()
+	num := p.acc
 	for vi := range p.Vertices {
 		v := &p.Vertices[vi]
 		if v.Pinned {
 			continue
 		}
-		num := make(vivaldi.Coord, d)
+		clear(num)
 		var den float64
-		for _, e := range adj[vi] {
+		for _, e := range p.neighbors(vi) {
 			o := p.Vertices[e.other]
 			if !o.Pinned {
 				continue
@@ -364,7 +404,10 @@ func (Centroid) PlaceVirtual(p *Problem) error {
 			den += e.rate
 		}
 		if den > 0 {
-			v.Coord = num.Scale(1 / den)
+			inv := 1 / den
+			for k := range num {
+				v.Coord[k] = num[k] * inv
+			}
 		}
 	}
 	return nil
@@ -400,30 +443,32 @@ func (g GradientDescent) PlaceVirtual(p *Problem) error {
 	if tol <= 0 {
 		tol = 1e-4
 	}
-	seedUnpinned(p)
-	adj := buildAdjacency(p)
-	d := p.dims()
+	p.prepare()
+	grad := p.acc
 	for iter := 0; iter < maxIter; iter++ {
 		maxMove := 0.0
 		for vi := range p.Vertices {
-			v := &p.Vertices[vi]
-			if v.Pinned || len(adj[vi]) == 0 {
+			v, adj := &p.Vertices[vi], p.neighbors(vi)
+			if v.Pinned || len(adj) == 0 {
 				continue
 			}
 			// ∇E_v = Σ 2·rate·(x_v - x_u); scale step by Σ rate so the
 			// effective step is dimensionless.
-			grad := make(vivaldi.Coord, d)
+			clear(grad)
 			var totalRate float64
-			for _, e := range adj[vi] {
+			for _, e := range adj {
 				o := p.Vertices[e.other].Coord
 				for k := range grad {
 					grad[k] += 2 * e.rate * (v.Coord[k] - o[k])
 				}
 				totalRate += e.rate
 			}
-			delta := grad.Scale(-step / (2 * totalRate))
-			v.Coord = v.Coord.Add(delta)
-			if m := delta.Norm(); m > maxMove {
+			f := -step / (2 * totalRate)
+			for k := range grad {
+				grad[k] *= f // the step taken
+				v.Coord[k] += grad[k]
+			}
+			if m := grad.Norm(); m > maxMove {
 				maxMove = m
 			}
 		}
@@ -432,36 +477,4 @@ func (g GradientDescent) PlaceVirtual(p *Problem) error {
 		}
 	}
 	return nil
-}
-
-// adjEntry is one incident link from a vertex's perspective.
-type adjEntry struct {
-	other int
-	rate  float64
-}
-
-func buildAdjacency(p *Problem) [][]adjEntry {
-	adj := make([][]adjEntry, len(p.Vertices))
-	for _, l := range p.Links {
-		adj[l.A] = append(adj[l.A], adjEntry{other: l.B, rate: l.Rate})
-		adj[l.B] = append(adj[l.B], adjEntry{other: l.A, rate: l.Rate})
-	}
-	return adj
-}
-
-// seedUnpinned gives zero-length unpinned coordinates an initial position
-// at the pinned centroid.
-func seedUnpinned(p *Problem) {
-	d := p.dims()
-	var seed vivaldi.Coord
-	for vi := range p.Vertices {
-		v := &p.Vertices[vi]
-		if v.Pinned || len(v.Coord) == d {
-			continue
-		}
-		if seed == nil {
-			seed = p.pinnedCentroid()
-		}
-		v.Coord = seed.Clone()
-	}
 }

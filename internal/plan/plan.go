@@ -3,18 +3,22 @@
 // costing them with the network-oblivious rate model from the statistics
 // catalog.
 //
-// Two enumeration strategies are provided:
+// Two enumeration strategies are provided, both one subset dynamic
+// program over a per-query table of distinct sub-plans (see Table):
 //
 //   - Exhaustive enumeration of all unordered binary join trees, feasible
 //     for small stream counts ((2k-3)!! trees over k streams: 15 for a
 //     4-way join). The integrated optimizer virtually places each of these
 //     (§3.3: "a set of candidate plans is created ... each plan is
 //     virtually placed and physically mapped").
-//   - Subset dynamic programming with a beam (top-B plans kept per stream
-//     subset), for larger queries where exhaustive enumeration explodes.
+//   - The same program with a beam (top-B plans kept per stream subset),
+//     for larger queries where exhaustive enumeration explodes.
 //
-// Plans returned are deduplicated by canonical signature and sorted by the
-// traditional cost metric, total intermediate data rate.
+// Plans returned are distinct by canonical signature and sorted by the
+// traditional cost metric, total intermediate data rate. The unit of
+// work is the sub-plan, not the tree: a 5-way join has 105 trees of 9
+// nodes each but only 225 distinct sub-plans, and each is built, rated
+// and signed once and shared by every tree that contains it.
 package plan
 
 import (
@@ -45,69 +49,27 @@ func NewEnumerator(c *query.Catalog) *Enumerator {
 }
 
 // Enumerate returns candidate plans for q, cheapest (by intermediate
-// rate) first. Every plan has rates computed and ends with the query's
-// aggregate, if any.
+// rate) first. Every plan has rates and signatures computed and ends
+// with the query's aggregate, if any.
+//
+// The plans of one call share their sub-plans: they are roots into one
+// DAG with a single node per distinct sub-plan, not disjoint trees.
+// Treat them as read-only — Clone a plan before mutating it, ShallowClone
+// a node before re-parenting it.
 func (e *Enumerator) Enumerate(q query.Query) ([]*query.PlanNode, error) {
-	if err := q.Validate(); err != nil {
+	return e.EnumerateInto(new(Table), q)
+}
+
+// EnumerateInto is Enumerate with caller-owned storage: the returned
+// plans live in t and are valid until t is used again. An optimizer that
+// keeps one Table per goroutine enumerates without allocating plan
+// nodes; Clone the plan that is to outlive the table.
+func (e *Enumerator) EnumerateInto(t *Table, q query.Query) ([]*query.PlanNode, error) {
+	if err := e.candidates(t, q); err != nil {
 		return nil, err
 	}
-	if e.Catalog == nil {
-		return nil, fmt.Errorf("plan: enumerator has no catalog")
-	}
-	for _, s := range q.Streams {
-		if e.Catalog.Rate(s) <= 0 {
-			return nil, fmt.Errorf("plan: stream %d not in catalog", s)
-		}
-	}
-
-	si := &query.SigInterner{}
-	leaves := make([]*query.PlanNode, len(q.Streams))
-	for i, s := range q.Streams {
-		leaf := query.NewSource(s)
-		if sel, ok := q.FilterSel[s]; ok {
-			leaf = query.NewFilter(leaf, sel)
-		}
-		// Pre-interned leaf signatures propagate into every clone the
-		// enumeration makes.
-		si.Intern(leaf)
-		leaves[i] = leaf
-	}
-
-	var trees []*query.PlanNode
-	maxEx := e.MaxExhaustive
-	if maxEx <= 0 {
-		maxEx = 6
-	}
-	if len(leaves) <= maxEx {
-		trees = enumerateAllTrees(leaves, si)
-	} else {
-		var err error
-		trees, err = e.beamDP(leaves, si)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	seen := make(map[string]bool, len(trees))
-	plans := make([]*query.PlanNode, 0, len(trees))
-	for _, tr := range trees {
-		root := tr
-		if q.AggregateFraction > 0 {
-			root = query.NewAggregate(root, q.AggregateFraction)
-		}
-		if err := root.ComputeRates(e.Catalog); err != nil {
-			return nil, err
-		}
-		sig := si.Intern(root)
-		if seen[sig] {
-			continue
-		}
-		seen[sig] = true
-		plans = append(plans, root)
-	}
-	sort.SliceStable(plans, func(i, j int) bool {
-		return plans[i].IntermediateRate() < plans[j].IntermediateRate()
-	})
+	sort.Stable(&t.ranked)
+	plans := t.ranked.plans
 	if e.TopK > 0 && len(plans) > e.TopK {
 		plans = plans[:e.TopK]
 	}
@@ -115,196 +77,224 @@ func (e *Enumerator) Enumerate(q query.Query) ([]*query.PlanNode, error) {
 }
 
 // Best returns only the cheapest plan by intermediate rate — what a
-// traditional two-step optimizer would hand to the placement phase.
+// traditional two-step optimizer would hand to the placement phase: the
+// plan Enumerate would return first, found without sorting. The plan is
+// the caller's own copy.
 func (e *Enumerator) Best(q query.Query) (*query.PlanNode, error) {
-	saved := e.TopK
-	e.TopK = 1
-	plans, err := e.Enumerate(q)
-	e.TopK = saved
-	if err != nil {
+	var t Table
+	if err := e.candidates(&t, q); err != nil {
 		return nil, err
 	}
-	if len(plans) == 0 {
-		return nil, fmt.Errorf("plan: no plans for query %d", q.ID)
+	r, best := &t.ranked, 0
+	for i := range r.keys {
+		if r.Less(i, best) {
+			best = i
+		}
 	}
-	return plans[0], nil
+	return r.plans[best].Clone(), nil
 }
 
 // CountTrees returns the number of unordered binary join trees over k
 // leaves: (2k-3)!! for k >= 2, 1 for k <= 1.
-func CountTrees(k int) int {
-	if k <= 1 {
-		return 1
-	}
+func CountTrees(k int) int { return subPlans(k, 0) }
+
+// subPlans returns how many sub-plans the table holds for a set of k
+// leaves: every join tree over them, or the beam best of them when
+// beam > 0 (the count saturates there, so it cannot overflow).
+func subPlans(k, beam int) int {
 	n := 1
 	for f := 2*k - 3; f > 1; f -= 2 {
 		n *= f
+		if beam > 0 && n >= beam {
+			return beam
+		}
 	}
 	return n
 }
 
-// nodeArena batch-allocates PlanNodes for enumeration: candidate trees
-// are built from slab-carved nodes instead of one heap object per Clone,
-// cutting the allocator traffic of (2k-3)!!-tree enumeration to the slab
-// count. Winning plans escape to callers, so slabs are never recycled —
-// the arena amortizes allocation, it does not pool it.
-type nodeArena struct {
-	slab []query.PlanNode
+// Table holds one query's enumeration: every distinct sub-plan, built
+// once — rated, signed, and shared by all candidate trees that contain
+// it — and indexed by the bitmask of the leaves it covers. A zero Table
+// is ready to use; reusing one recycles its storage, so a Table serves
+// one goroutine at a time.
+type Table struct {
+	// nodes is the slab all plan nodes are carved from. It is sized
+	// before the first node is built and never grows after: nodes point
+	// at each other.
+	nodes []query.PlanNode
+	// cost[i] is the beam DP's cumulative intermediate rate of nodes[i].
+	cost []float64
+	// span[mask] bounds the sub-plans over leaf set mask: nodes[lo:hi],
+	// in enumeration order.
+	span   [][2]int
+	cands  []candidate
+	sig    []byte
+	ranked ranked
 }
 
-const arenaSlabNodes = 256
-
-func (a *nodeArena) alloc() *query.PlanNode {
-	if len(a.slab) == 0 {
-		a.slab = make([]query.PlanNode, arenaSlabNodes)
-	}
-	n := &a.slab[0]
-	a.slab = a.slab[1:]
-	return n
-}
-
-// clone deep-copies the tree from arena nodes. Cached signature strings
-// are shared with the original (see query.PlanNode.Clone).
-func (a *nodeArena) clone(n *query.PlanNode) *query.PlanNode {
-	if n == nil {
-		return nil
-	}
-	out := a.alloc()
-	*out = *n
-	out.Left = a.clone(n.Left)
-	out.Right = a.clone(n.Right)
-	return out
-}
-
-// join builds a join node from the arena, mirroring query.NewJoin.
-func (a *nodeArena) join(left, right *query.PlanNode) *query.PlanNode {
-	out := a.alloc()
-	*out = query.PlanNode{Kind: query.KindJoin, Left: left, Right: right}
-	return out
-}
-
-// enumerateAllTrees generates every unordered binary join tree over the
-// leaves. Mirror duplicates are avoided by keeping the leaf with the
-// lowest index on the left side of every split. All nodes come from one
-// arena, and every constructed subtree's signature is interned eagerly,
-// so clones carry shared signature strings instead of recomputing them.
-func enumerateAllTrees(leaves []*query.PlanNode, si *query.SigInterner) []*query.PlanNode {
-	idx := make([]int, len(leaves))
-	for i := range idx {
-		idx[i] = i
-	}
-	var arena nodeArena
-	var build func(set []int) []*query.PlanNode
-	build = func(set []int) []*query.PlanNode {
-		if len(set) == 1 {
-			// Fresh clone per use: plans must not share mutable nodes.
-			return []*query.PlanNode{arena.clone(leaves[set[0]])}
-		}
-		var out []*query.PlanNode
-		first, rest := set[0], set[1:]
-		// Choose which of the remaining leaves accompany `first` on the
-		// left side: any proper subset (possibly empty).
-		n := len(rest)
-		for mask := 0; mask < 1<<n; mask++ {
-			left := []int{first}
-			var right []int
-			for i := 0; i < n; i++ {
-				if mask&(1<<i) != 0 {
-					left = append(left, rest[i])
-				} else {
-					right = append(right, rest[i])
-				}
-			}
-			if len(right) == 0 {
-				continue
-			}
-			for _, lt := range build(left) {
-				for _, rt := range build(right) {
-					j := arena.join(arena.clone(lt), arena.clone(rt))
-					si.Intern(j)
-					out = append(out, j)
-				}
-			}
-		}
-		return out
-	}
-	return build(idx)
-}
-
-// ratedPlan pairs a subtree with its cumulative intermediate rate, used
-// by the beam DP.
-type ratedPlan struct {
-	node *query.PlanNode
+// candidate is a join the table may keep: the rated node by value (it
+// enters the slab only if it survives the beam) and its DP cost.
+type candidate struct {
+	node query.PlanNode
 	cost float64
 }
 
-// beamDP runs subset dynamic programming keeping the BeamWidth cheapest
-// plans per stream subset. Cost is cumulative intermediate rate, which is
-// additive over subtrees, so the beam is a high-quality heuristic (exact
-// when BeamWidth covers all distinct subtree rates).
-func (e *Enumerator) beamDP(leaves []*query.PlanNode, si *query.SigInterner) ([]*query.PlanNode, error) {
-	k := len(leaves)
-	if k > 20 {
-		return nil, fmt.Errorf("plan: %d streams exceeds DP limit of 20", k)
+// ranked orders candidate plans by intermediate rate, computed once per
+// plan; sorting it stably keeps enumeration order among equals.
+type ranked struct {
+	plans []*query.PlanNode
+	keys  []float64
+}
+
+func (r *ranked) Len() int           { return len(r.plans) }
+func (r *ranked) Less(i, j int) bool { return r.keys[i] < r.keys[j] }
+func (r *ranked) Swap(i, j int) {
+	r.plans[i], r.plans[j] = r.plans[j], r.plans[i]
+	r.keys[i], r.keys[j] = r.keys[j], r.keys[i]
+}
+
+// add moves a rated node into the slab and signs it.
+func (t *Table) add(n query.PlanNode, cost float64) *query.PlanNode {
+	if len(t.nodes) == cap(t.nodes) {
+		panic("plan: sub-plan table outgrew its slab")
 	}
-	beam := e.BeamWidth
-	if beam < 1 {
-		beam = 3
+	t.nodes = append(t.nodes, n)
+	t.cost = append(t.cost, cost)
+	out := &t.nodes[len(t.nodes)-1]
+	t.sig = out.CacheSignature(t.sig)
+	return out
+}
+
+// candidates fills t.ranked with q's candidate plans, in enumeration
+// order, and their intermediate rates.
+//
+// Exhaustive enumeration and the beam DP are the same subset dynamic
+// program: for every leaf set, in increasing mask order, join each
+// sub-plan of a left part with each sub-plan of the complementary right
+// part. Keeping the set's lowest leaf on the left generates every
+// unordered tree exactly once, so no two sub-plans (and no two
+// candidate plans) share a signature. The beam keeps only the BeamWidth
+// cheapest per set; cost is cumulative intermediate rate, additive over
+// subtrees, so the beam is a high-quality heuristic (exact when it
+// covers all distinct subtree rates).
+func (e *Enumerator) candidates(t *Table, q query.Query) error {
+	if err := q.Validate(); err != nil {
+		return err
 	}
-	var arena nodeArena
-	dp := make([][]ratedPlan, 1<<k)
-	for i, leaf := range leaves {
-		l := arena.clone(leaf)
-		if err := l.ComputeRates(e.Catalog); err != nil {
-			return nil, err
+	c := e.Catalog
+	if c == nil {
+		return fmt.Errorf("plan: enumerator has no catalog")
+	}
+	for _, s := range q.Streams {
+		if c.Rate(s) <= 0 {
+			return fmt.Errorf("plan: stream %d not in catalog", s)
 		}
-		cost := 0.0
-		if l.Kind != query.KindSource {
-			cost = l.OutRate // a pushed-down filter is a service too
-		}
-		dp[1<<i] = []ratedPlan{{node: l, cost: cost}}
 	}
-	for mask := 1; mask < 1<<k; mask++ {
-		if bits.OnesCount(uint(mask)) < 2 {
+	k, beam, maxEx := len(q.Streams), 0, e.MaxExhaustive
+	if maxEx <= 0 {
+		maxEx = 6
+	}
+	if k > maxEx {
+		if k > 20 {
+			return fmt.Errorf("plan: %d streams exceeds DP limit of 20", k)
+		}
+		if beam = e.BeamWidth; beam < 1 {
+			beam = 3
+		}
+	}
+
+	full := 1<<k - 1
+	need := k + len(q.FilterSel)
+	for mask := 1; mask <= full; mask++ {
+		if mask&(mask-1) != 0 {
+			need += subPlans(bits.OnesCount(uint(mask)), beam)
+		}
+	}
+	if q.AggregateFraction > 0 {
+		need += subPlans(k, beam)
+	}
+	if cap(t.nodes) < need {
+		t.nodes, t.cost = make([]query.PlanNode, 0, need), make([]float64, 0, need)
+	}
+	if len(t.span) <= full {
+		t.span = make([][2]int, full+1)
+	}
+	t.nodes, t.cost = t.nodes[:0], t.cost[:0]
+
+	for i, s := range q.Streams {
+		leaf := t.add(query.PlanNode{Kind: query.KindSource, Stream: s, OutRate: c.Rate(s)}, 0)
+		if sel, ok := q.FilterSel[s]; ok {
+			// A pushed-down filter is a service too: it has a cost.
+			f := query.PlanNode{Kind: query.KindFilter, Sel: sel, Left: leaf}
+			if err := f.Rate(c); err != nil {
+				return err
+			}
+			t.add(f, f.OutRate)
+		}
+		t.span[1<<i] = [2]int{len(t.nodes) - 1, len(t.nodes)}
+	}
+	for mask := 1; mask <= full; mask++ {
+		if mask&(mask-1) == 0 {
 			continue
 		}
 		lowest := mask & -mask
-		var cands []ratedPlan
-		// Enumerate splits; keep the lowest bit on the left to halve work.
-		for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
-			if sub&lowest == 0 {
-				continue
-			}
-			other := mask ^ sub
-			if other == 0 {
-				continue
-			}
-			for _, lp := range dp[sub] {
-				for _, rp := range dp[other] {
-					jn := arena.join(arena.clone(lp.node), arena.clone(rp.node))
-					if err := jn.ComputeRates(e.Catalog); err != nil {
-						return nil, err
+		rest := mask ^ lowest
+		// The left part is the lowest leaf plus a proper subset x of the
+		// rest. Both historical orders are kept, because ties are broken
+		// by position: exhaustive enumeration walks x upwards, the beam
+		// DP downwards.
+		x, last := 0, (rest-1)&rest
+		if beam > 0 {
+			x, last = last, 0
+		}
+		t.cands = t.cands[:0]
+		for {
+			l, r := t.span[lowest|x], t.span[rest^x]
+			for li := l[0]; li < l[1]; li++ {
+				for ri := r[0]; ri < r[1]; ri++ {
+					j := query.PlanNode{Kind: query.KindJoin, Left: &t.nodes[li], Right: &t.nodes[ri]}
+					if err := j.Rate(c); err != nil {
+						return err
 					}
-					si.Intern(jn)
-					cands = append(cands, ratedPlan{
-						node: jn,
-						cost: lp.cost + rp.cost + jn.OutRate,
-					})
+					t.cands = append(t.cands, candidate{j, t.cost[li] + t.cost[ri] + j.OutRate})
 				}
 			}
+			if x == last {
+				break
+			}
+			if beam > 0 {
+				x = (x - 1) & rest
+			} else {
+				x = (x - rest) & rest
+			}
 		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].cost < cands[j].cost })
-		if len(cands) > beam {
-			cands = cands[:beam]
+		if beam > 0 {
+			sort.Slice(t.cands, func(i, j int) bool { return t.cands[i].cost < t.cands[j].cost })
+			t.cands = t.cands[:min(beam, len(t.cands))]
 		}
-		dp[mask] = cands
+		lo := len(t.nodes)
+		for _, cd := range t.cands {
+			t.add(cd.node, cd.cost)
+		}
+		t.span[mask] = [2]int{lo, len(t.nodes)}
 	}
-	full := dp[1<<k-1]
-	out := make([]*query.PlanNode, len(full))
-	for i, rp := range full {
-		out[i] = rp.node
+
+	rk := &t.ranked
+	rk.plans, rk.keys = rk.plans[:0], rk.keys[:0]
+	roots := t.span[full]
+	for i := roots[0]; i < roots[1]; i++ {
+		root := &t.nodes[i]
+		if q.AggregateFraction > 0 {
+			agg := query.PlanNode{Kind: query.KindAggregate, Sel: q.AggregateFraction, Left: root}
+			if err := agg.Rate(c); err != nil {
+				return err
+			}
+			root = t.add(agg, 0)
+		}
+		rk.plans = append(rk.plans, root)
+		rk.keys = append(rk.keys, root.IntermediateRate())
 	}
-	return out, nil
+	return nil
 }
 
 // LeftDeepChain builds the left-deep join tree over the query's streams

@@ -1,8 +1,12 @@
 package plan
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -393,9 +397,13 @@ func BenchmarkBeamDP10Way(b *testing.B) {
 	}
 }
 
-// referenceEnumerate is the pre-arena, pre-interning enumeration kept as
-// the oracle for bit-identical plan selection: plain Clone calls, no
-// arena, no signature sharing.
+// The reference enumerator: what Enumerate was before the sub-plan
+// table — every candidate tree cloned node by node out of an arena, each
+// tree rated from scratch with slice-building leaf walks, the beam DP
+// cloning both sub-trees per combination, signature dedup, and a stable
+// sort that recomputes IntermediateRate on every comparison. It is the
+// oracle the table is held to, bit for bit.
+
 func referenceEnumerate(e *Enumerator, q query.Query) ([]*query.PlanNode, error) {
 	leaves := make([]*query.PlanNode, len(q.Streams))
 	for i, s := range q.Streams {
@@ -403,19 +411,150 @@ func referenceEnumerate(e *Enumerator, q query.Query) ([]*query.PlanNode, error)
 		if sel, ok := q.FilterSel[s]; ok {
 			leaf = query.NewFilter(leaf, sel)
 		}
+		leaf.Signature()
 		leaves[i] = leaf
 	}
+
+	var trees []*query.PlanNode
+	maxEx := e.MaxExhaustive
+	if maxEx <= 0 {
+		maxEx = 6
+	}
+	if len(leaves) <= maxEx {
+		trees = enumerateAllTrees(leaves)
+	} else {
+		var err error
+		trees, err = e.beamDP(leaves)
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	seen := make(map[string]bool, len(trees))
+	plans := make([]*query.PlanNode, 0, len(trees))
+	for _, tr := range trees {
+		root := tr
+		if q.AggregateFraction > 0 {
+			root = query.NewAggregate(root, q.AggregateFraction)
+		}
+		if err := referenceComputeRates(root, e.Catalog); err != nil {
+			return nil, err
+		}
+		sig := root.Signature()
+		if seen[sig] {
+			continue
+		}
+		seen[sig] = true
+		plans = append(plans, root)
+	}
+	sort.SliceStable(plans, func(i, j int) bool {
+		return referenceIntermediateRate(plans[i]) < referenceIntermediateRate(plans[j])
+	})
+	if e.TopK > 0 && len(plans) > e.TopK {
+		plans = plans[:e.TopK]
+	}
+	return plans, nil
+}
+
+// referenceComputeRates is the rate model as ComputeRates implemented it
+// before it stopped allocating: leaf slices per join, selectivities
+// multiplied in left-to-right leaf order.
+func referenceComputeRates(n *query.PlanNode, c *query.Catalog) error {
+	switch n.Kind {
+	case query.KindSource:
+		n.OutRate = c.Rate(n.Stream)
+		return nil
+	case query.KindFilter, query.KindAggregate:
+		if err := referenceComputeRates(n.Left, c); err != nil {
+			return err
+		}
+		n.OutRate = n.Sel * n.Left.OutRate
+		return nil
+	case query.KindJoin:
+		if err := referenceComputeRates(n.Left, c); err != nil {
+			return err
+		}
+		if err := referenceComputeRates(n.Right, c); err != nil {
+			return err
+		}
+		n.Sel = 1.0
+		for _, a := range n.Left.Leaves() {
+			for _, b := range n.Right.Leaves() {
+				n.Sel *= c.PairSelectivity(a, b)
+			}
+		}
+		n.OutRate = n.Sel * (n.Left.OutRate + n.Right.OutRate)
+		return nil
+	default:
+		return fmt.Errorf("reference: unexpected kind %v", n.Kind)
+	}
+}
+
+// referenceIntermediateRate sums service output rates over the
+// materialised post-order list, as IntermediateRate used to.
+func referenceIntermediateRate(n *query.PlanNode) float64 {
+	var sum float64
+	for _, s := range n.Services() {
+		sum += s.OutRate
+	}
+	return sum
+}
+
+// nodeArena batch-allocates PlanNodes for the reference enumeration.
+type nodeArena struct {
+	slab []query.PlanNode
+}
+
+const arenaSlabNodes = 256
+
+func (a *nodeArena) alloc() *query.PlanNode {
+	if len(a.slab) == 0 {
+		a.slab = make([]query.PlanNode, arenaSlabNodes)
+	}
+	n := &a.slab[0]
+	a.slab = a.slab[1:]
+	return n
+}
+
+// clone deep-copies the tree from arena nodes. Cached signature strings
+// are shared with the original (see query.PlanNode.Clone).
+func (a *nodeArena) clone(n *query.PlanNode) *query.PlanNode {
+	if n == nil {
+		return nil
+	}
+	out := a.alloc()
+	*out = *n
+	out.Left = a.clone(n.Left)
+	out.Right = a.clone(n.Right)
+	return out
+}
+
+// join builds a join node from the arena, mirroring query.NewJoin.
+func (a *nodeArena) join(left, right *query.PlanNode) *query.PlanNode {
+	out := a.alloc()
+	*out = query.PlanNode{Kind: query.KindJoin, Left: left, Right: right}
+	return out
+}
+
+// enumerateAllTrees generates every unordered binary join tree over the
+// leaves. Mirror duplicates are avoided by keeping the leaf with the
+// lowest index on the left side of every split.
+func enumerateAllTrees(leaves []*query.PlanNode) []*query.PlanNode {
 	idx := make([]int, len(leaves))
 	for i := range idx {
 		idx[i] = i
 	}
+	var arena nodeArena
 	var build func(set []int) []*query.PlanNode
 	build = func(set []int) []*query.PlanNode {
 		if len(set) == 1 {
-			return []*query.PlanNode{leaves[set[0]].Clone()}
+			// Fresh clone per use: plans must not share mutable nodes.
+			return []*query.PlanNode{arena.clone(leaves[set[0]])}
 		}
 		var out []*query.PlanNode
 		first, rest := set[0], set[1:]
+		// Choose which of the remaining leaves accompany `first` on the
+		// left side: any proper subset (possibly empty).
 		n := len(rest)
 		for mask := 0; mask < 1<<n; mask++ {
 			left := []int{first}
@@ -432,44 +571,250 @@ func referenceEnumerate(e *Enumerator, q query.Query) ([]*query.PlanNode, error)
 			}
 			for _, lt := range build(left) {
 				for _, rt := range build(right) {
-					out = append(out, query.NewJoin(lt.Clone(), rt.Clone()))
+					j := arena.join(arena.clone(lt), arena.clone(rt))
+					j.Signature()
+					out = append(out, j)
 				}
 			}
 		}
 		return out
 	}
-	trees := build(idx)
-	seen := make(map[string]bool, len(trees))
-	plans := make([]*query.PlanNode, 0, len(trees))
-	for _, tr := range trees {
-		root := tr
-		if q.AggregateFraction > 0 {
-			root = query.NewAggregate(root, q.AggregateFraction)
-		}
-		if err := root.ComputeRates(e.Catalog); err != nil {
-			return nil, err
-		}
-		sig := root.Signature()
-		if seen[sig] {
-			continue
-		}
-		seen[sig] = true
-		plans = append(plans, root)
-	}
-	sortPlansByRate(plans)
-	if e.TopK > 0 && len(plans) > e.TopK {
-		plans = plans[:e.TopK]
-	}
-	return plans, nil
+	return build(idx)
 }
 
-func sortPlansByRate(plans []*query.PlanNode) {
-	// Mirror Enumerate's stable sort exactly.
-	for i := 1; i < len(plans); i++ {
-		for j := i; j > 0 && plans[j].IntermediateRate() < plans[j-1].IntermediateRate(); j-- {
-			plans[j], plans[j-1] = plans[j-1], plans[j]
+// ratedPlan pairs a subtree with its cumulative intermediate rate, used
+// by the reference beam DP.
+type ratedPlan struct {
+	node *query.PlanNode
+	cost float64
+}
+
+// beamDP runs subset dynamic programming keeping the BeamWidth cheapest
+// plans per stream subset.
+func (e *Enumerator) beamDP(leaves []*query.PlanNode) ([]*query.PlanNode, error) {
+	k := len(leaves)
+	if k > 20 {
+		return nil, fmt.Errorf("plan: %d streams exceeds DP limit of 20", k)
+	}
+	beam := e.BeamWidth
+	if beam < 1 {
+		beam = 3
+	}
+	var arena nodeArena
+	dp := make([][]ratedPlan, 1<<k)
+	for i, leaf := range leaves {
+		l := arena.clone(leaf)
+		if err := referenceComputeRates(l, e.Catalog); err != nil {
+			return nil, err
+		}
+		cost := 0.0
+		if l.Kind != query.KindSource {
+			cost = l.OutRate // a pushed-down filter is a service too
+		}
+		dp[1<<i] = []ratedPlan{{node: l, cost: cost}}
+	}
+	for mask := 1; mask < 1<<k; mask++ {
+		if bits.OnesCount(uint(mask)) < 2 {
+			continue
+		}
+		lowest := mask & -mask
+		var cands []ratedPlan
+		// Enumerate splits; keep the lowest bit on the left to halve work.
+		for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
+			if sub&lowest == 0 {
+				continue
+			}
+			other := mask ^ sub
+			if other == 0 {
+				continue
+			}
+			for _, lp := range dp[sub] {
+				for _, rp := range dp[other] {
+					jn := arena.join(arena.clone(lp.node), arena.clone(rp.node))
+					if err := referenceComputeRates(jn, e.Catalog); err != nil {
+						return nil, err
+					}
+					jn.Signature()
+					cands = append(cands, ratedPlan{
+						node: jn,
+						cost: lp.cost + rp.cost + jn.OutRate,
+					})
+				}
+			}
+		}
+		sort.Slice(cands, func(i, j int) bool { return cands[i].cost < cands[j].cost })
+		if len(cands) > beam {
+			cands = cands[:beam]
+		}
+		dp[mask] = cands
+	}
+	full := dp[1<<k-1]
+	out := make([]*query.PlanNode, len(full))
+	for i, rp := range full {
+		out[i] = rp.node
+	}
+	return out, nil
+}
+
+// samePlans requires got to be want bit for bit: count, order, and for
+// every node of every plan its kind, stream, signature, selectivity and
+// output rate, plus each plan's intermediate rate.
+func samePlans(t testing.TB, got, want []*query.PlanNode) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d plans, reference %d", len(got), len(want))
+	}
+	var same func(i int, g, w *query.PlanNode)
+	same = func(i int, g, w *query.PlanNode) {
+		if (g == nil) != (w == nil) {
+			t.Fatalf("plan %d: shapes diverge", i)
+		}
+		if g == nil {
+			return
+		}
+		if g.Kind != w.Kind || g.Stream != w.Stream || g.Signature() != w.Signature() {
+			t.Fatalf("plan %d: node %q, reference %q", i, g.Signature(), w.Signature())
+		}
+		if math.Float64bits(g.Sel) != math.Float64bits(w.Sel) || math.Float64bits(g.OutRate) != math.Float64bits(w.OutRate) {
+			t.Fatalf("plan %d node %q: sel %v rate %v, reference sel %v rate %v", i, g.Signature(), g.Sel, g.OutRate, w.Sel, w.OutRate)
+		}
+		same(i, g.Left, w.Left)
+		same(i, g.Right, w.Right)
+	}
+	for i := range got {
+		same(i, got[i], want[i])
+		if g, w := got[i].IntermediateRate(), referenceIntermediateRate(want[i]); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("plan %d: intermediate rate %v, reference %v", i, g, w)
 		}
 	}
+}
+
+// referenceCase builds the catalog and query of one differential case:
+// width streams with seeded rates and pairwise selectivities (coarse
+// ones when coarse is set, so that costs tie and order is decided by
+// position), filters on the streams in filterMask, and the aggregate.
+func referenceCase(t testing.TB, width int, filterMask uint, agg float64, seed int64, coarse bool) (*query.Catalog, query.Query) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	draw := func(lo, span float64) float64 {
+		if coarse {
+			return lo + span*float64(rng.Intn(3))/2
+		}
+		return lo + span*rng.Float64()
+	}
+	c, err := query.NewCatalog(0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := query.Query{ID: 1, Streams: streams(width), AggregateFraction: agg}
+	for i := 0; i < width; i++ {
+		if err := c.AddStream(query.StreamID(i), topology.NodeID(i), draw(50, 400)); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < i; j++ {
+			if err := c.SetPairSelectivity(query.StreamID(j), query.StreamID(i), draw(0.3, 0.9)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if filterMask&(1<<i) != 0 {
+			if q.FilterSel == nil {
+				q.FilterSel = map[query.StreamID]float64{}
+			}
+			q.FilterSel[query.StreamID(i)] = draw(0.25, 0.75)
+		}
+	}
+	return c, q
+}
+
+// checkAgainstReference runs one differential case through Enumerate
+// (all plans and a TopK cut) and Best.
+func checkAgainstReference(t testing.TB, c *query.Catalog, q query.Query) {
+	t.Helper()
+	for _, topK := range []int{0, 2} {
+		e := NewEnumerator(c)
+		e.TopK = topK
+		got, err := e.Enumerate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := referenceEnumerate(e, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePlans(t, got, want)
+		best, err := e.Best(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePlans(t, []*query.PlanNode{best}, want[:1])
+	}
+}
+
+// TestEnumerateMatchesReference holds the sub-plan table to the
+// reference on both sides of MaxExhaustive (widths 1–6 enumerate
+// exhaustively, 7 runs the beam), with and without filters and the
+// aggregate, on generic and on tie-heavy statistics.
+func TestEnumerateMatchesReference(t *testing.T) {
+	for width := 1; width <= 7; width++ {
+		for _, filterMask := range []uint{0, 0b0101011} {
+			for _, agg := range []float64{0, 0.25} {
+				for _, coarse := range []bool{false, true} {
+					c, q := referenceCase(t, width, filterMask&(1<<width-1), agg, int64(31*width)+7, coarse)
+					checkAgainstReference(t, c, q)
+				}
+			}
+		}
+	}
+}
+
+// FuzzEnumerateMatchesReference drives the same comparison from fuzzed
+// shapes and statistics.
+func FuzzEnumerateMatchesReference(f *testing.F) {
+	f.Add(uint8(3), uint8(0), uint8(0), int64(1), false)
+	f.Add(uint8(5), uint8(0b10110), uint8(64), int64(29), false)
+	f.Add(uint8(6), uint8(0b000001), uint8(255), int64(1031), true)
+	f.Add(uint8(7), uint8(0b1111111), uint8(0), int64(-5), true)
+	f.Fuzz(func(t *testing.T, width, filterMask, agg uint8, seed int64, coarse bool) {
+		w := 1 + int(width)%7
+		c, q := referenceCase(t, w, uint(filterMask)&(1<<w-1), float64(agg)/255, seed, coarse)
+		checkAgainstReference(t, c, q)
+	})
+}
+
+// TestBestAndEnumerateShareAnEnumerator is the re-entrancy guard for
+// Best, which used to flip e.TopK around a call to Enumerate: concurrent
+// callers on one enumerator must each get the full, correct answer (run
+// under -race).
+func TestBestAndEnumerateShareAnEnumerator(t *testing.T) {
+	c, q := referenceCase(t, 5, 0b00110, 0.5, 3, false)
+	e := NewEnumerator(c)
+	want, err := referenceEnumerate(e, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if g%2 == 0 {
+					best, err := e.Best(q)
+					if err != nil || best.Signature() != want[0].Signature() {
+						t.Errorf("Best = %v, %v; want %s", best, err, want[0])
+						return
+					}
+					continue
+				}
+				plans, err := e.Enumerate(q)
+				if err != nil || len(plans) != len(want) {
+					t.Errorf("Enumerate returned %d plans, %v; want %d", len(plans), err, len(want))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestEnumerateBitIdenticalToReference pins the satellite requirement:
@@ -528,10 +873,11 @@ func TestBeamDPBitIdenticalUnderArena(t *testing.T) {
 	}
 }
 
-// TestEnumerateAllocScaling guards the satellite's allocation win: with
-// arena slabs and interned signatures, enumerating the 105-tree 5-way
-// forest (≈1000 nodes per call) must cost well under one allocation per
-// node.
+// TestEnumerateAllocScaling pins what enumeration costs the allocator:
+// one string per distinct sub-plan signature (225 for a 5-way join) and
+// nothing per candidate tree — some thirty allocations for a fresh table's
+// storage on top, none when the table is reused. The clone-per-use
+// enumerator took ≈9,100 for the same query.
 func TestEnumerateAllocScaling(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	cat, err := query.NewCatalog(0.9)
@@ -545,17 +891,19 @@ func TestEnumerateAllocScaling(t *testing.T) {
 	}
 	q := query.Query{ID: 1, Consumer: 0, Streams: streams(5)}
 	e := NewEnumerator(cat)
-	allocs := testing.AllocsPerRun(20, func() {
+	fresh := testing.AllocsPerRun(20, func() {
 		if _, err := e.Enumerate(q); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Per-node cloning and per-call signature building cost ≈13.9k
-	// allocs for this query; arena slabs + interning land at ≈9.1k (the
-	// remainder is ComputeRates/Leaves and subset bookkeeping). Guard
-	// against regressing back toward per-node costs, with headroom for
-	// toolchain drift.
-	if allocs > 11000 {
-		t.Fatalf("Enumerate(5-way) = %.0f allocs/op, want <= 11000 (arena/interning regression)", allocs)
+	var table Table
+	reused := testing.AllocsPerRun(20, func() {
+		if _, err := e.EnumerateInto(&table, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Enumerate(5-way): %.0f allocs into a fresh table, %.0f into a reused one", fresh, reused)
+	if fresh > 270 || reused != 225 {
+		t.Fatalf("Enumerate(5-way) = %.0f allocs fresh (want <= 270), %.0f reused (want 225, one per sub-plan)", fresh, reused)
 	}
 }

@@ -76,20 +76,20 @@ type Query struct {
 	AggregateFraction float64
 }
 
-// Validate reports whether the query is well formed.
+// Validate reports whether the query is well formed. It does not
+// allocate on success: stream sets are a handful of entries, so
+// duplicates and filter membership are checked by scanning.
 func (q Query) Validate() error {
 	if len(q.Streams) == 0 {
 		return fmt.Errorf("query %d: no source streams", q.ID)
 	}
-	seen := make(map[StreamID]bool, len(q.Streams))
-	for _, s := range q.Streams {
-		if seen[s] {
+	for i, s := range q.Streams {
+		if q.has(s, i) {
 			return fmt.Errorf("query %d: duplicate stream %d", q.ID, s)
 		}
-		seen[s] = true
 	}
 	for s, sel := range q.FilterSel {
-		if !seen[s] {
+		if !q.has(s, len(q.Streams)) {
 			return fmt.Errorf("query %d: filter on stream %d not in query", q.ID, s)
 		}
 		if sel <= 0 || sel > 1 {
@@ -100,6 +100,16 @@ func (q Query) Validate() error {
 		return fmt.Errorf("query %d: aggregate fraction %v out of [0,1]", q.ID, q.AggregateFraction)
 	}
 	return nil
+}
+
+// has reports whether s is among the query's first n streams.
+func (q Query) has(s StreamID, n int) bool {
+	for _, t := range q.Streams[:n] {
+		if t == s {
+			return true
+		}
+	}
+	return false
 }
 
 // Catalog holds the statistics plan generation uses: per-stream data
@@ -189,16 +199,38 @@ func (c *Catalog) Streams() []StreamID {
 	return out
 }
 
-// JoinSelectivity returns the selectivity of joining two disjoint stream
-// sets: the product of pairwise selectivities across the cut.
-func (c *Catalog) JoinSelectivity(left, right []StreamID) float64 {
-	sel := 1.0
-	for _, a := range left {
-		for _, b := range right {
-			sel *= c.PairSelectivity(a, b)
-		}
+// JoinSelectivity returns the selectivity of joining two disjoint
+// sub-plans: the product of pairwise selectivities across the cut, over
+// the leaves of both sides in left-to-right order. The order is part of
+// the contract — it fixes the rounding of the float product, and plan
+// costs are compared bit for bit. The trees are walked in place; nothing
+// is allocated.
+func (c *Catalog) JoinSelectivity(left, right *PlanNode) float64 {
+	return c.selAcross(left, right, 1)
+}
+
+// selAcross multiplies sel by the pairwise selectivities between every
+// leaf under l and every leaf under r.
+func (c *Catalog) selAcross(l, r *PlanNode, sel float64) float64 {
+	switch {
+	case l == nil:
+		return sel
+	case l.Kind == KindSource:
+		return c.selAgainst(l.Stream, r, sel)
 	}
-	return sel
+	return c.selAcross(l.Right, r, c.selAcross(l.Left, r, sel))
+}
+
+// selAgainst multiplies sel by the selectivities between stream a and
+// every leaf under r.
+func (c *Catalog) selAgainst(a StreamID, r *PlanNode, sel float64) float64 {
+	switch {
+	case r == nil:
+		return sel
+	case r.Kind == KindSource:
+		return sel * c.PairSelectivity(a, r.Stream)
+	}
+	return c.selAgainst(a, r.Right, c.selAgainst(a, r.Left, sel))
 }
 
 // PlanNode is one node of a logical plan tree. Leaves are sources;
@@ -221,10 +253,9 @@ type PlanNode struct {
 	// sig caches the canonical signature. Plan trees are structurally
 	// immutable after construction (ComputeRates fills rates and join
 	// selectivities, neither of which enters the signature), so the
-	// cache never goes stale; Clone copies it, which is what lets every
-	// clone of a subtree share one interned signature string. Code that
-	// re-parents a copied node must go through ShallowClone, which
-	// drops the cache.
+	// cache never goes stale; Clone copies it, so a clone shares its
+	// original's signature strings. Code that re-parents a copied node
+	// must go through ShallowClone, which drops the cache.
 	sig string
 }
 
@@ -292,8 +323,24 @@ func (n *PlanNode) Services() []*PlanNode {
 }
 
 // ComputeRates fills OutRate (and join selectivities) bottom-up from the
-// catalog. It returns an error for unknown streams or malformed shapes.
+// catalog. It returns an error for unknown streams or malformed shapes,
+// and does not allocate otherwise.
 func (n *PlanNode) ComputeRates(c *Catalog) error {
+	for _, child := range [2]*PlanNode{n.Left, n.Right} {
+		if child != nil {
+			if err := child.ComputeRates(c); err != nil {
+				return err
+			}
+		}
+	}
+	return n.Rate(c)
+}
+
+// Rate fills n's own OutRate (and selectivity, for a join) from the
+// catalog and its children's rates, which must be current. ComputeRates
+// is Rate applied bottom-up; plan enumeration calls it once for every
+// sub-plan it constructs.
+func (n *PlanNode) Rate(c *Catalog) error {
 	switch n.Kind {
 	case KindSource:
 		r := c.Rate(n.Stream)
@@ -301,48 +348,27 @@ func (n *PlanNode) ComputeRates(c *Catalog) error {
 			return fmt.Errorf("query: unknown stream %d in plan", n.Stream)
 		}
 		n.OutRate = r
-		return nil
 	case KindFilter, KindAggregate:
 		if n.Left == nil || n.Right != nil {
 			return fmt.Errorf("query: %s must have exactly one child", n.Kind)
-		}
-		if err := n.Left.ComputeRates(c); err != nil {
-			return err
 		}
 		if n.Sel <= 0 || n.Sel > 1 {
 			return fmt.Errorf("query: %s selectivity %v out of (0,1]", n.Kind, n.Sel)
 		}
 		n.OutRate = n.Sel * n.Left.OutRate
-		return nil
-	case KindJoin:
+	case KindJoin, KindUnion:
 		if n.Left == nil || n.Right == nil {
-			return fmt.Errorf("query: join must have two children")
-		}
-		if err := n.Left.ComputeRates(c); err != nil {
-			return err
-		}
-		if err := n.Right.ComputeRates(c); err != nil {
-			return err
-		}
-		n.Sel = c.JoinSelectivity(n.Left.Leaves(), n.Right.Leaves())
-		n.OutRate = n.Sel * (n.Left.OutRate + n.Right.OutRate)
-		return nil
-	case KindUnion:
-		if n.Left == nil || n.Right == nil {
-			return fmt.Errorf("query: union must have two children")
-		}
-		if err := n.Left.ComputeRates(c); err != nil {
-			return err
-		}
-		if err := n.Right.ComputeRates(c); err != nil {
-			return err
+			return fmt.Errorf("query: %s must have two children", n.Kind)
 		}
 		n.Sel = 1
-		n.OutRate = n.Left.OutRate + n.Right.OutRate
-		return nil
+		if n.Kind == KindJoin {
+			n.Sel = c.JoinSelectivity(n.Left, n.Right)
+		}
+		n.OutRate = n.Sel * (n.Left.OutRate + n.Right.OutRate)
 	default:
 		return fmt.Errorf("query: unknown kind %v", n.Kind)
 	}
+	return nil
 }
 
 // Signature returns a canonical string identifying the service and its
@@ -352,14 +378,25 @@ func (n *PlanNode) ComputeRates(c *Catalog) error {
 // trees share a signature.
 //
 // The result is computed once per node and cached: repeated calls — and
-// calls on clones of the node — return the same interned string with no
-// allocation, which is what keeps plan enumeration and circuit skeleton
-// construction off the allocator.
+// calls on clones of the node — return the same string with no
+// allocation, which is what keeps circuit skeleton construction off the
+// allocator.
 func (n *PlanNode) Signature() string {
-	if n.sig == "" {
-		n.sig = string(n.AppendSignature(nil))
-	}
+	n.CacheSignature(nil)
 	return n.sig
+}
+
+// CacheSignature fills n's signature cache, if it is empty, building the
+// string in buf (one allocation: children's cached signatures are copied,
+// not rebuilt), and returns the buffer for the next call. Plan
+// enumeration calls it on each sub-plan as it is constructed, bottom-up,
+// so Signature is a pure read on every plan it returns.
+func (n *PlanNode) CacheSignature(buf []byte) []byte {
+	if n.sig == "" {
+		buf = n.AppendSignature(buf[:0])
+		n.sig = string(buf)
+	}
+	return buf
 }
 
 // AppendSignature appends n's canonical signature to dst and returns the
@@ -411,42 +448,6 @@ func appendSel(dst []byte, sel float64) []byte {
 	return strconv.AppendFloat(dst, sel, 'g', 4, 64)
 }
 
-// SigInterner deduplicates signature strings by content: plan
-// enumeration constructs the same logical subtrees over and over across
-// candidate trees, and interning collapses all their signature caches
-// onto one allocation per distinct signature.
-type SigInterner struct {
-	tab map[string]string
-	buf []byte
-}
-
-// Intern fills n's (and its descendants') signature caches, reusing an
-// existing allocation when an equal signature was interned before, and
-// returns the signature.
-func (si *SigInterner) Intern(n *PlanNode) string {
-	if n.sig != "" {
-		return n.sig
-	}
-	if n.Left != nil {
-		si.Intern(n.Left)
-	}
-	if n.Right != nil {
-		si.Intern(n.Right)
-	}
-	si.buf = n.AppendSignature(si.buf[:0])
-	if si.tab == nil {
-		si.tab = make(map[string]string)
-	}
-	if s, ok := si.tab[string(si.buf)]; ok {
-		n.sig = s
-	} else {
-		s := string(si.buf)
-		si.tab[s] = s
-		n.sig = s
-	}
-	return n.sig
-}
-
 // String renders the plan tree in infix form for logs.
 func (n *PlanNode) String() string {
 	var b strings.Builder
@@ -483,7 +484,8 @@ func (n *PlanNode) String() string {
 
 // Clone returns a deep copy of the plan tree. The copy shares the
 // original's cached signature strings (structure is identical, so they
-// stay correct — interning for free).
+// stay correct) and none of its nodes: it is how a plan leaves the shared
+// sub-plans of an enumeration.
 func (n *PlanNode) Clone() *PlanNode {
 	if n == nil {
 		return nil
@@ -506,12 +508,13 @@ func (n *PlanNode) ShallowClone() *PlanNode {
 
 // IntermediateRate returns the total estimated data rate of all service
 // outputs (the network-oblivious plan cost traditional optimizers
-// minimize). Source leaf rates are excluded: they are identical across
-// all plans for the same query.
-func (n *PlanNode) IntermediateRate() float64 {
-	var sum float64
-	for _, s := range n.Services() {
-		sum += s.OutRate
+// minimize), summed in post-order. Source leaf rates are excluded: they
+// are identical across all plans for the same query.
+func (n *PlanNode) IntermediateRate() float64 { return n.addServiceRates(0) }
+
+func (n *PlanNode) addServiceRates(sum float64) float64 {
+	if n == nil || n.Kind == KindSource {
+		return sum
 	}
-	return sum
+	return n.Right.addServiceRates(n.Left.addServiceRates(sum)) + n.OutRate
 }

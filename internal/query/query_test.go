@@ -114,7 +114,7 @@ func TestPairSelectivitySymmetricWithDefault(t *testing.T) {
 func TestJoinSelectivityCrossProduct(t *testing.T) {
 	c := testCatalog(t)
 	// sel({0},{1,2}) = sel(0,1)*sel(0,2) = 0.5*0.8
-	got := c.JoinSelectivity([]StreamID{0}, []StreamID{1, 2})
+	got := c.JoinSelectivity(NewSource(0), NewJoin(NewSource(1), NewFilter(NewSource(2), 0.5)))
 	if math.Abs(got-0.4) > 1e-12 {
 		t.Fatalf("JoinSelectivity = %v, want 0.4", got)
 	}
@@ -356,19 +356,6 @@ func TestSignatureMatchesSlowReference(t *testing.T) {
 		if got := n.Clone().Signature(); got != want {
 			t.Fatalf("clone Signature = %q, want %q", got, want)
 		}
-	}
-}
-
-func TestSigInternerSharesAllocations(t *testing.T) {
-	a := NewJoin(NewSource(0), NewSource(1))
-	b := NewJoin(NewSource(1), NewSource(0)) // mirrored: same canonical sig
-	var si SigInterner
-	sa, sb := si.Intern(a), si.Intern(b)
-	if sa != sb {
-		t.Fatalf("interner returned different contents: %q vs %q", sa, sb)
-	}
-	if signatureSlow(a) != sa {
-		t.Fatalf("interned signature %q diverges from reference %q", sa, signatureSlow(a))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -906,18 +907,36 @@ func (e *Engine) SharedStats() SharedStats {
 }
 
 // Close stops every running circuit, including zombies (the overlay
-// network itself is owned by the caller).
+// network itself is owned by the caller). Teardown ends the spans of the
+// handoffs still in flight, so its order is part of the trace: circuits
+// go by query id, a live circuit before a zombie of the same id, and
+// each circuit's handoffs by service index — never in map order.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for id, r := range e.running {
-		e.teardownLocked(r)
-		delete(e.running, id)
+	all := make([]*Running, 0, len(e.running)+len(e.zombies))
+	for _, r := range e.running {
+		all = append(all, r)
 	}
 	for z := range e.zombies {
-		e.teardownLocked(z)
-		delete(e.zombies, z)
+		all = append(all, z)
 	}
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		if a.Circuit.Query.ID != b.Circuit.Query.ID {
+			return a.Circuit.Query.ID < b.Circuit.Query.ID
+		}
+		if a.zombie != b.zombie {
+			return b.zombie
+		}
+		return a.started.Before(b.started)
+	})
+	for _, r := range all {
+		sort.SliceStable(r.migs, func(i, j int) bool { return r.migs[i].Service < r.migs[j].Service })
+		e.teardownLocked(r)
+	}
+	clear(e.running)
+	clear(e.zombies)
 	e.shared = make(map[*optimizer.ServiceInstance]*sharedExec)
 }
 

@@ -1,12 +1,15 @@
 package stream
 
 import (
+	"bytes"
+	"sort"
 	"testing"
 	"time"
 
 	"github.com/hourglass/sbon/internal/optimizer"
 	"github.com/hourglass/sbon/internal/query"
 	"github.com/hourglass/sbon/internal/topology"
+	"github.com/hourglass/sbon/internal/trace"
 )
 
 // conservingCircuit hand-builds a circuit whose delivered tuple count
@@ -269,5 +272,94 @@ func TestMigrationJoinStateTravels(t *testing.T) {
 	}
 	if v := s.net.Metrics.Counter("msgs.unrouted").Value(); v != 0 {
 		t.Fatalf("msgs.unrouted = %v", v)
+	}
+}
+
+// closeWithHandoffsInFlight deploys eight circuits with two migratable
+// services each, starts a handoff on every one of the sixteen in a
+// scrambled order, closes the engine while all are in flight, and
+// returns the JSONL trace plus the (query, service) of each cancelled
+// handoff in the order its span ended.
+func closeWithHandoffsInFlight(t *testing.T) ([]byte, [][2]int) {
+	t.Helper()
+	s := newEngineSetup(t, 35)
+	tr := trace.New(s.clk)
+	cfg := DefaultEngineConfig()
+	cfg.Tracer = tr
+	eng := NewEngine(s.net, s.env.Topo, cfg)
+	stubs := s.env.Topo.StubNodeIDs()
+	b := &optimizer.Builder{Env: s.env}
+	type handoff struct {
+		id  query.QueryID
+		svc int
+	}
+	var todo []handoff
+	for _, id := range []query.QueryID{12, 3, 9, 5, 16, 2, 7, 11} {
+		plan := query.NewFilter(query.NewFilter(query.NewFilter(query.NewSource(0), 1.0), 1.0), 1.0)
+		if err := plan.ComputeRates(s.env.Stats); err != nil {
+			t.Fatal(err)
+		}
+		c, err := b.Skeleton(query.Query{ID: id, Consumer: stubs[9], Streams: []query.StreamID{0}}, plan, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, svc := range c.Services {
+			if !svc.Pinned && svc.Plan != nil {
+				svc.Node = stubs[2]
+				// Higher service index first: teardown must not simply
+				// replay the order the handoffs started in.
+				todo = append([]handoff{{id, i}}, todo...)
+			}
+		}
+		if _, err := eng.Deploy(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.clk.Sleep(time.Second)
+	began := map[uint64][2]int{}
+	for _, h := range todo {
+		if _, err := eng.Migrate(h.id, h.svc, stubs[6]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Close()
+	var order [][2]int
+	for _, ev := range tr.Events() {
+		if ev.Cat != "engine" || ev.Name != "migration" {
+			continue
+		}
+		switch ev.Ph {
+		case trace.Begin:
+			began[ev.Span] = [2]int{int(ev.Args[0].Num), int(ev.Args[1].Num)}
+		case trace.End:
+			order = append(order, began[ev.Span])
+		}
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), order
+}
+
+// TestCloseCancelsHandoffsInOrder pins the end of a trace: Engine.Close
+// used to tear circuits down in map-iteration order, so the span-ends of
+// the handoffs it cancelled differed from run to run. They now come in
+// (query id, service index) order, and two runs are byte-identical to
+// the last line.
+func TestCloseCancelsHandoffsInOrder(t *testing.T) {
+	first, order := closeWithHandoffsInFlight(t)
+	if len(order) != 16 {
+		t.Fatalf("%d handoffs cancelled at Close, want 16", len(order))
+	}
+	if !sort.SliceIsSorted(order, func(i, j int) bool {
+		return order[i][0] < order[j][0] || order[i][0] == order[j][0] && order[i][1] < order[j][1]
+	}) {
+		t.Fatalf("handoffs cancelled out of (query, service) order: %v", order)
+	}
+	for run := 0; run < 4; run++ {
+		if again, _ := closeWithHandoffsInFlight(t); !bytes.Equal(first, again) {
+			t.Fatalf("run %d: trace differs from the first run's", run+2)
+		}
 	}
 }
