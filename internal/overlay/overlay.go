@@ -3,11 +3,25 @@
 // delivery between nodes is delayed by the topology's shortest-path
 // latency scaled to wall-clock time. Under a virtual clock (package
 // simtime) the runtime switches to discrete-event dispatch: deliveries
-// are events on the clock's heap, handlers run serially on the
+// are events on the clock's timer wheel, handlers run serially on the
 // scheduler goroutine at exact simulated timestamps, and a fixed seed
 // reproduces the run bit for bit. The stream engine (package stream)
 // deploys circuits onto it; examples and integration tests run real
 // dataflows through it.
+//
+// The virtual data path allocates nothing per message. A message in
+// flight is one pooled record — the clock event, the network and the
+// Message together — that Send takes from a sync.Pool and the event's
+// own callback puts back once the handler has returned; a node's
+// heartbeat is one event that the beat itself re-arms every period.
+// Both rest on simtime's caller-owned event contract: an Event may be
+// scheduled again only after it fired or was stopped, and has one owner
+// (a goroutine, or under sharded execution a node domain) at a time.
+// Handlers receive the Message by value and Send returns no handle, so
+// nothing can reach a record after it was recycled. What a message
+// still allocates is its payload: Send boxes whatever it is given into
+// Message.Payload, and a payload must stay immutable because migration
+// forwards it as is.
 //
 // Concurrency model (real clock): each node processes its inbox
 // serially on its own goroutine, so handlers on one node never race
@@ -443,14 +457,9 @@ func (nd *Node) Send(to topology.NodeID, port string, sizeKB float64, payload an
 		// Discrete-event path: the delivery is a clock event that
 		// dispatches the handler directly at the arrival instant, in
 		// the destination's shard.
-		n.dclock.ScheduleDomain(origin, simtime.Domain(to), delay, func() {
-			select {
-			case <-n.quit:
-				n.cMsgsDropped.Inc()
-			default:
-				n.nodes[msg.To].dispatch(msg)
-			}
-		})
+		d := newDelivery()
+		d.net, d.msg = n, msg
+		n.dclock.ScheduleEvent(&d.ev, origin, simtime.Domain(to), delay)
 		return nil
 	}
 
@@ -461,6 +470,46 @@ func (nd *Node) Send(to topology.NodeID, port string, sizeKB float64, payload an
 	}
 	time.AfterFunc(delay, func() { n.deliver(msg) })
 	return nil
+}
+
+// delivery is one message in flight under a virtual clock: the clock
+// event and what it delivers, in one recycled record. Send takes it
+// from the pool and fire returns it once the handler is back; nothing
+// else ever holds it — Send hands out no Timer, and handlers get the
+// Message by value — so a recycled record cannot be stopped, re-armed
+// or read through a stale reference. The pool, not a per-shard free
+// list: migration handoffs Send from control goroutines concurrently
+// with nothing to order them, and a shard that mostly receives would
+// grow a private list without bound.
+type delivery struct {
+	ev  simtime.Event
+	net *Network
+	msg Message
+}
+
+var deliveries sync.Pool // of *delivery
+
+func newDelivery() *delivery {
+	if d, ok := deliveries.Get().(*delivery); ok {
+		return d
+	}
+	d := new(delivery)
+	d.ev.Fn = d.fire // bound once, for every flight the record makes
+	return d
+}
+
+// fire is the delivery event: dispatch at the arrival instant, in the
+// destination's shard, unless the runtime stopped meanwhile.
+func (d *delivery) fire() {
+	n := d.net
+	select {
+	case <-n.quit:
+		n.cMsgsDropped.Inc()
+	default:
+		n.nodes[d.msg.To].dispatch(d.msg)
+	}
+	d.net, d.msg = nil, Message{} // the pool must not pin the payload
+	deliveries.Put(d)
 }
 
 // deliver enqueues the message unless the runtime is stopping (real
@@ -542,7 +591,9 @@ type Heartbeats struct {
 
 	mu      sync.Mutex
 	stopped bool
-	timers  []simtime.Timer
+	// beats holds each node's one event, re-armed every period by its
+	// own callback.
+	beats []simtime.Event
 	// inflight counts beat callbacks past their stopped-check; Add only
 	// happens under mu with stopped == false, so Stop's Wait can never
 	// race an Add (the WaitGroup misuse Send-vs-Network.Stop would
@@ -585,13 +636,13 @@ func (n *Network) StartHeartbeatsOpts(every time.Duration, sizeKB float64, opts 
 			}
 		})
 	}
-	hb.timers = make([]simtime.Timer, len(n.nodes))
+	hb.beats = make([]simtime.Event, len(n.nodes))
 	hb.mu.Lock()
 	defer hb.mu.Unlock() // early real-clock fires block until setup completes
 	for i, nd := range n.nodes {
 		i, nd := i, nd
-		var beat func()
-		beat = func() {
+		ev, dom := &hb.beats[i], simtime.Domain(i)
+		ev.Fn = func() {
 			hb.mu.Lock()
 			if hb.stopped {
 				hb.mu.Unlock()
@@ -626,11 +677,11 @@ func (n *Network) StartHeartbeatsOpts(every time.Duration, sizeKB float64, opts 
 			if !hb.stopped {
 				// Each node's schedule is its own domain, so beats execute
 				// shard-locally and reschedule without a barrier crossing.
-				hb.timers[i] = n.dclock.ScheduleDomain(simtime.Domain(i), simtime.Domain(i), every, beat)
+				n.dclock.ScheduleEvent(ev, dom, dom, every)
 			}
 			hb.mu.Unlock()
 		}
-		hb.timers[i] = n.dclock.ScheduleDomain(simtime.Domain(i), simtime.Domain(i), every, beat)
+		n.dclock.ScheduleEvent(ev, dom, dom, every)
 	}
 	return hb
 }
@@ -646,10 +697,8 @@ func (hb *Heartbeats) Stop() {
 		return
 	}
 	hb.stopped = true
-	for _, t := range hb.timers {
-		if t != nil {
-			t.Stop()
-		}
+	for i := range hb.beats {
+		hb.beats[i].Stop()
 	}
 	hb.mu.Unlock()
 	hb.inflight.Wait()

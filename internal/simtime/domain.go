@@ -1,6 +1,10 @@
 package simtime
 
-import "time"
+import (
+	"fmt"
+	"math"
+	"time"
+)
 
 // Domain identifies a deterministic event source. The sharded data
 // plane partitions the simulation into per-node domains (Domain(nodeID))
@@ -33,12 +37,17 @@ const domainSeqBits = 44
 type DomainClock interface {
 	Clock
 
-	// ScheduleDomain schedules fn to run after d, keyed as the next
-	// event of origin and executed in exec's shard. During a parallel
-	// window the caller must be running in origin's shard (every
-	// converted call site acts as the origin node); outside windows any
-	// context may call it. Control exec means the scheduler/coordinator
-	// context.
+	// ScheduleEvent schedules the caller-owned ev to fire after d,
+	// keyed as the next event of origin and executed in exec's shard;
+	// the Event documents when it may be scheduled again. During a
+	// parallel window the caller must be running in origin's shard
+	// (every converted call site acts as the origin node); outside
+	// windows any context may call it. Control exec means the
+	// scheduler/coordinator context.
+	ScheduleEvent(ev *Event, origin, exec Domain, d time.Duration)
+
+	// ScheduleDomain is ScheduleEvent on a fresh Event that runs fn,
+	// returned as the Timer that cancels it.
 	ScheduleDomain(origin, exec Domain, d time.Duration, fn func()) Timer
 
 	// DomainNow returns the current time as seen from origin's
@@ -57,32 +66,35 @@ type DomainClock interface {
 }
 
 // realClock's DomainClock implementation: wall time has no shards, so
-// everything degenerates to the plain calls.
+// domains are ignored and an Event is a time.Timer that is made once
+// and Reset on every later schedule.
 
-func (realClock) ScheduleDomain(origin, exec Domain, d time.Duration, fn func()) Timer {
-	return realClock{}.AfterFunc(d, fn)
+func (realClock) ScheduleEvent(ev *Event, _, _ Domain, d time.Duration) {
+	if ev.timer == nil {
+		// Made unarmed: ev.timer is then written before Fn can run and
+		// re-arm ev from the timer goroutine.
+		ev.timer = time.AfterFunc(math.MaxInt64, ev.Fn)
+	}
+	ev.timer.Reset(d)
+}
+
+func (rc realClock) ScheduleDomain(origin, exec Domain, d time.Duration, fn func()) Timer {
+	ev := &Event{Fn: fn}
+	rc.ScheduleEvent(ev, origin, exec, d)
+	return ev
 }
 
 func (realClock) DomainNow(Domain) time.Time { return time.Now() }
 
 func (realClock) Observe(_ Domain, fn func(at time.Time)) { fn(time.Now()) }
 
-// AsDomainClock returns c as a DomainClock. Every Clock in this package
-// implements the extension; external Clock implementations fall back to
-// a wrapper that ignores domains (origin-blind, always inline).
+// AsDomainClock returns c as a DomainClock. Both clocks of this package
+// are one; a Clock implemented elsewhere is not, and panics here rather
+// than run origin-blind.
 func AsDomainClock(c Clock) DomainClock {
-	if dc, ok := c.(DomainClock); ok {
-		return dc
+	dc, ok := c.(DomainClock)
+	if !ok {
+		panic(fmt.Sprintf("simtime: %T is not a DomainClock; use Real() or a *VirtualClock", c))
 	}
-	return blindDomainClock{c}
+	return dc
 }
-
-type blindDomainClock struct{ Clock }
-
-func (b blindDomainClock) ScheduleDomain(_, _ Domain, d time.Duration, fn func()) Timer {
-	return b.AfterFunc(d, fn)
-}
-
-func (b blindDomainClock) DomainNow(Domain) time.Time { return b.Now() }
-
-func (b blindDomainClock) Observe(_ Domain, fn func(at time.Time)) { fn(b.Now()) }

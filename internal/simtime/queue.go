@@ -5,8 +5,31 @@ import (
 	"time"
 )
 
-// event is one scheduled callback on the virtual timeline.
-type event struct {
+// Event is one callback on a clock's timeline and the Timer that
+// cancels it. The zero value with Fn set is ready to schedule.
+//
+// Events are caller-ownable: a component that fires periodically (a
+// producer, a heartbeat) or recycles its messages (the overlay's
+// pooled deliveries) embeds an Event in its own record and hands it to
+// DomainClock.ScheduleEvent each time, so a steady-state schedule
+// allocates nothing. The contract that makes this safe:
+//
+//   - An Event may be scheduled again only after it fired (its Fn is
+//     running or has returned) or after Stop returned; scheduling one
+//     that is still pending on a virtual clock panics.
+//   - One owner at a time: the goroutine — under sharded execution, the
+//     node domain — that schedules an Event is the only one that may
+//     re-arm it, and the kernel never touches an Event after calling
+//     its Fn, so Fn may re-arm or recycle its own Event.
+//   - Fn is set before the first schedule and not changed while the
+//     Event is pending; an Event stays with the clock it was first
+//     scheduled on.
+type Event struct {
+	// Fn runs when the event fires: on the scheduler goroutine or a
+	// lane worker under a virtual clock (it must not block), on a timer
+	// goroutine under the real clock.
+	Fn func()
+
 	at time.Duration // virtual offset from the epoch
 	// seq is the packed event key: (origin domain + 1) in the high
 	// bits, the origin's schedule counter in the low domainSeqBits.
@@ -14,52 +37,78 @@ type event struct {
 	// node domains in id order, FIFO within a domain — identically in
 	// single-queue and sharded execution.
 	seq uint64
-	fn  func()
 
-	// lane is the shard queue the event lives in, or -1 for the
+	clk   *VirtualClock // virtual clock the event was last scheduled on: Stop's way back
+	timer *time.Timer   // real clock only: made on the first schedule, Reset after
+
+	// prev/next chain a bucketed event into its wheel slot's list.
+	prev, next *Event
+
+	// idx is the event's position in the ready (or reference) heap.
+	idx int32
+	// lane is the shard queue a pending event lives in, or -1 for the
 	// control queue (and for every event in single-queue mode).
 	lane int32
 
-	// idx is the event's position inside its current container (the
-	// reference heap, the wheel's ready heap, or a wheel bucket slice);
-	// -1 once fired or stopped. The queue implementations keep it
-	// current so removal is O(log n) / O(1) instead of a scan.
-	idx int
+	// where names the container holding the event (zero: none — never
+	// scheduled, fired, or stopped); level/slot locate a bucketed one.
+	where       uint8
+	level, slot uint8
+}
 
-	// level/slot locate a wheel-resident event: level == readyLevel
-	// means the event sits in the wheel's exact ready heap, otherwise
-	// buckets[level][slot]. The reference heapQueue ignores both.
-	level int8
-	slot  uint8
+const (
+	evIdle   uint8 = iota // not pending
+	evStaged              // in a lane outbox until the barrier
+	evReady               // in a ready heap at idx
+	evBucket              // in wheel slot buckets[level][slot]
+)
+
+// Stop cancels the event, reporting whether it was still pending. On a
+// virtual clock Stop is a control-context operation: calling it from
+// inside a parallel window panics (shard workers own their queues
+// then).
+func (ev *Event) Stop() bool {
+	if ev.timer != nil {
+		return ev.timer.Stop()
+	}
+	c := ev.clk
+	if c == nil {
+		return false // never scheduled
+	}
+	if c.inWindow.Load() {
+		panic("simtime: Timer.Stop inside a parallel window")
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.removeLocked(ev)
 }
 
 // eventQueue is the scheduler's priority-queue contract: push pending
 // events, pop the exact global (at, seq) minimum, remove a pending
-// event by handle. Two implementations exist — heapQueue, the original
-// binary heap kept as the semantics reference, and wheelQueue, the
-// hierarchical timer wheel used by default. The VirtualClock holds its
-// mutex around every call, so implementations need no locking of their
-// own.
+// event by handle. wheelQueue, the hierarchical timer wheel, is the
+// implementation every clock runs on; the binary heap it replaced
+// lives on in the tests as the order it is checked against. The
+// VirtualClock holds its mutex around every call, so implementations
+// need no locking of their own.
 type eventQueue interface {
 	// push enqueues a pending event (at and seq already assigned).
-	push(ev *event)
-	// popMin removes and returns the event with the smallest (at, seq).
-	// Callers guarantee len() > 0.
-	popMin() *event
+	push(ev *Event)
+	// popMin removes and returns the event with the smallest (at, seq),
+	// marked idle. Callers guarantee len() > 0.
+	popMin() *Event
 	// peekMin returns the event popMin would return without removing
 	// it. Callers guarantee len() > 0.
-	peekMin() *event
+	peekMin() *Event
 	// remove cancels a pending event, reporting whether it was still
 	// queued (false if already fired or removed).
-	remove(ev *event) bool
+	remove(ev *Event) bool
 	// len returns the number of pending events.
 	len() int
 }
 
 // eventHeap orders events by (at, seq): earliest first, FIFO within one
-// virtual instant. It backs both the reference queue and the wheel's
-// ready set.
-type eventHeap []*event
+// virtual instant. It is the wheel's exact ready set.
+type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
 
@@ -72,13 +121,14 @@ func (h eventHeap) Less(i, j int) bool {
 
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+	h[i].idx = int32(i)
+	h[j].idx = int32(j)
 }
 
 func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*h)
+	ev := x.(*Event)
+	ev.where = evReady
+	ev.idx = int32(len(*h))
 	*h = append(*h, ev)
 }
 
@@ -87,37 +137,12 @@ func (h *eventHeap) Pop() any {
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
-	ev.idx = -1
+	ev.where = evIdle
 	*h = old[:n-1]
 	return ev
 }
 
-// heapQueue is the original binary-heap scheduler queue. It survives as
-// the reference implementation: the wheel's differential test replays
-// identical schedules against both and demands identical fire orders,
-// and NewVirtualReference exposes it for benchmarks.
-type heapQueue struct {
-	h eventHeap
-}
-
-func (q *heapQueue) push(ev *event) { heap.Push(&q.h, ev) }
-
-func (q *heapQueue) popMin() *event { return heap.Pop(&q.h).(*event) }
-
-func (q *heapQueue) peekMin() *event { return q.h[0] }
-
-func (q *heapQueue) remove(ev *event) bool {
-	if ev.idx < 0 {
-		return false
-	}
-	heap.Remove(&q.h, ev.idx)
-	ev.idx = -1
-	return true
-}
-
-func (q *heapQueue) len() int { return len(q.h) }
-
 // Thin container/heap wrappers used by the wheel's ready set.
-func readyPush(h *eventHeap, ev *event) { heap.Push(h, ev) }
-func readyPop(h *eventHeap) *event      { return heap.Pop(h).(*event) }
+func readyPush(h *eventHeap, ev *Event) { heap.Push(h, ev) }
+func readyPop(h *eventHeap) *Event      { return heap.Pop(h).(*Event) }
 func readyRemove(h *eventHeap, i int)   { heap.Remove(h, i) }

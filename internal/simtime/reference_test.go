@@ -1,0 +1,33 @@
+package simtime
+
+import "container/heap"
+
+// heapQueue is the original binary-heap scheduler queue, kept as the
+// semantics reference: the differential tests and FuzzWheelMatchesHeap
+// replay identical schedules against it and the wheel and demand
+// identical fire orders, and the queue benchmarks use it as baseline.
+type heapQueue struct {
+	h eventHeap
+}
+
+func (q *heapQueue) push(ev *Event) { heap.Push(&q.h, ev) }
+
+func (q *heapQueue) popMin() *Event { return heap.Pop(&q.h).(*Event) }
+
+func (q *heapQueue) peekMin() *Event { return q.h[0] }
+
+func (q *heapQueue) remove(ev *Event) bool {
+	if ev.where != evReady {
+		return false
+	}
+	heap.Remove(&q.h, int(ev.idx))
+	return true
+}
+
+func (q *heapQueue) len() int { return len(q.h) }
+
+// NewVirtualReference creates a virtual clock backed by heapQueue. Fire
+// order is defined to be identical to NewVirtual's.
+func NewVirtualReference() *VirtualClock {
+	return newVirtualClock(&heapQueue{})
+}

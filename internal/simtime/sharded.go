@@ -37,13 +37,13 @@ type clockLane struct {
 	q   eventQueue
 
 	// now/curKey describe the event the lane worker is currently
-	// executing; read by ScheduleDomain/DomainNow/Observe from that
+	// executing; read by ScheduleEvent/DomainNow/Observe from that
 	// same worker, so no synchronization is needed.
 	now    time.Duration
 	curKey uint64
 	curEnd time.Duration // current window end, for the causality check
 
-	outbox []*event   // cross-lane events staged until the barrier
+	outbox []*Event   // cross-lane events staged until the barrier
 	obs    []obsEntry // deferred observations staged until the barrier
 	obsIdx uint64
 
@@ -147,7 +147,7 @@ func (c *VirtualClock) stepShardedLocked() {
 			c.now = ev.at
 		}
 		c.mu.Unlock()
-		ev.fn()
+		ev.Fn()
 		c.mu.Lock()
 		return
 	}
@@ -222,7 +222,8 @@ func (ln *clockLane) loop() {
 // runWindow executes every lane event strictly before end, in exact key
 // order. Events scheduled into the same lane during the window join it
 // (the loop re-peeks each iteration), so a lane never leaves work
-// behind that the single-queue scheduler would have run.
+// behind that the single-queue scheduler would have run. An event's Fn
+// may re-arm or recycle it, so nothing reads ev after the call.
 func (ln *clockLane) runWindow(end time.Duration) {
 	for ln.q.len() > 0 {
 		ev := ln.q.peekMin()
@@ -232,46 +233,52 @@ func (ln *clockLane) runWindow(end time.Duration) {
 		ln.q.popMin()
 		ln.now = ev.at
 		ln.curKey = ev.seq
-		ev.fn()
+		ev.Fn()
 	}
 }
 
-// ScheduleDomain schedules fn at now+d, keyed as origin's next event
-// and executed in exec's shard. Inside a parallel window the caller
-// must be origin's lane worker (every converted call site acts as the
-// origin node), and the insert is lock-free: same-lane events go
-// straight into the lane's queue, cross-lane events are staged in the
-// outbox for barrier delivery. Outside windows (single-queue mode,
-// control callbacks, harness actors) the insert takes the clock mutex.
-func (c *VirtualClock) ScheduleDomain(origin, exec Domain, d time.Duration, fn func()) Timer {
-	if c.inWindow.Load() {
-		if origin < 0 || int(origin) >= len(c.laneOf) {
-			panic(fmt.Sprintf("simtime: ScheduleDomain(origin=%d) inside a window: origin must be an owned node domain", origin))
-		}
-		ln := c.lanes[c.laneOf[origin]]
-		if d < 0 {
-			d = 0
-		}
-		i := int(origin) + 1
-		key := uint64(i)<<domainSeqBits | c.domSeq[i]
-		c.domSeq[i]++
-		ev := &event{at: ln.now + d, seq: key, fn: fn, lane: -1}
-		if exec >= 0 {
-			ev.lane = c.laneOf[exec]
-		}
-		if ev.lane == ln.idx {
-			ln.q.push(ev)
-		} else {
-			if ev.at < ln.curEnd {
-				panic(fmt.Sprintf("simtime: cross-shard event at %v violates the lookahead window ending %v", ev.at, ln.curEnd))
-			}
-			ln.outbox = append(ln.outbox, ev)
-		}
-		return &virtualTimer{c: c, ev: ev}
+// ScheduleEvent schedules the caller-owned ev at now+d, keyed as
+// origin's next event and executed in exec's shard; see Event for the
+// ownership contract. Inside a parallel window the caller must be
+// origin's lane worker (every converted call site acts as the origin
+// node), and the insert is lock-free: same-lane events go straight into
+// the lane's queue, cross-lane events are staged in the outbox for
+// barrier delivery. Outside windows (single-queue mode, control
+// callbacks, harness actors) the insert takes the clock mutex.
+func (c *VirtualClock) ScheduleEvent(ev *Event, origin, exec Domain, d time.Duration) {
+	if ev.where != evIdle {
+		panic("simtime: Event scheduled while still pending; re-arm it only after it fired or was stopped")
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return &virtualTimer{c: c, ev: c.scheduleDomainLocked(origin, exec, d, fn)}
+	if !c.inWindow.Load() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.scheduleEventLocked(ev, origin, exec, d)
+		return
+	}
+	if origin < 0 || int(origin) >= len(c.laneOf) {
+		panic(fmt.Sprintf("simtime: ScheduleEvent(origin=%d) inside a window: origin must be an owned node domain", origin))
+	}
+	ln := c.lanes[c.laneOf[origin]]
+	if d < 0 {
+		d = 0
+	}
+	i := int(origin) + 1
+	key := uint64(i)<<domainSeqBits | c.domSeq[i]
+	c.domSeq[i]++
+	lane := int32(-1)
+	if exec >= 0 {
+		lane = c.laneOf[exec]
+	}
+	ev.clk, ev.at, ev.seq, ev.lane = c, ln.now+d, key, lane
+	if lane == ln.idx {
+		ln.q.push(ev)
+		return
+	}
+	if ev.at < ln.curEnd {
+		panic(fmt.Sprintf("simtime: cross-shard event at %v violates the lookahead window ending %v", ev.at, ln.curEnd))
+	}
+	ev.where = evStaged
+	ln.outbox = append(ln.outbox, ev)
 }
 
 // DomainNow returns the current time as seen from origin's execution

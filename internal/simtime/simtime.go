@@ -1,17 +1,19 @@
 // Package simtime is the discrete-event simulation kernel behind the
 // overlay runtime: a Clock abstraction with two implementations — the
-// real (wall) clock, and a deterministic virtual clock backed by an
-// event-heap scheduler.
+// real (wall) clock, and a deterministic virtual clock whose scheduler
+// runs on a hierarchical timer wheel.
 //
 // Under the virtual clock, time is a number, not a resource. Timers and
-// delayed callbacks become events on a heap ordered by (timestamp,
-// schedule sequence); the scheduler pops and runs them one at a time,
+// delayed callbacks become Events queued in exact (timestamp, schedule
+// sequence) order; the scheduler pops and runs them one at a time,
 // jumping the clock forward instantly. Events scheduled for the same
 // virtual instant fire in FIFO schedule order, so a fixed seed yields a
 // bit-identical event sequence on every run — the reproducibility the
 // large-scale SBON evaluation scenarios rely on. A ten-second simulated
 // measurement window completes in however long its events take to
-// process, typically milliseconds.
+// process, typically milliseconds. An Event is also the Timer that
+// cancels it, and code that fires over and over may own one and re-arm
+// it (see Event), so a periodic or pooled schedule allocates nothing.
 //
 // # Quiescence and registered goroutines
 //
@@ -74,7 +76,8 @@ type Clock interface {
 	SleepOrDone(d time.Duration, done <-chan struct{}) bool
 }
 
-// Timer is a cancellable pending callback or expiry.
+// Timer is a cancellable pending callback or expiry; *Event is the one
+// implementation, on both clocks.
 type Timer interface {
 	// Stop cancels the timer, reporting whether it was still pending.
 	Stop() bool
@@ -91,8 +94,8 @@ func (realClock) Since(t time.Time) time.Duration        { return time.Since(t) 
 func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-func (realClock) AfterFunc(d time.Duration, fn func()) Timer {
-	return realTimer{t: time.AfterFunc(d, fn)}
+func (rc realClock) AfterFunc(d time.Duration, fn func()) Timer {
+	return rc.ScheduleDomain(Control, Control, d, fn)
 }
 
 func (realClock) SleepOrDone(d time.Duration, done <-chan struct{}) bool {
@@ -115,10 +118,6 @@ func (realClock) SleepOrDone(d time.Duration, done <-chan struct{}) bool {
 		return true
 	}
 }
-
-type realTimer struct{ t *time.Timer }
-
-func (rt realTimer) Stop() bool { return rt.t.Stop() }
 
 // IsVirtual reports whether c is a virtual clock.
 func IsVirtual(c Clock) bool {

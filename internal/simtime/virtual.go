@@ -35,9 +35,9 @@ type VirtualClock struct {
 	domSeq []uint64
 
 	// q holds the pending control-domain events (and, in single-queue
-	// mode, every event). The default is the hierarchical timer wheel
-	// (wheelQueue); NewVirtualReference selects the original binary
-	// heap, kept as the differential-test and benchmark reference.
+	// mode, every event): the hierarchical timer wheel (wheelQueue),
+	// or in the differential tests the binary heap it is checked
+	// against.
 	q eventQueue
 
 	// Sharded-mode state (empty lanes == single-queue mode); see
@@ -66,15 +66,6 @@ type VirtualClock struct {
 // (wheel.go): O(1) amortized schedule/fire, exact key order.
 func NewVirtual() *VirtualClock {
 	return newVirtualClock(newWheelQueue())
-}
-
-// NewVirtualReference creates a virtual clock backed by the original
-// binary-heap event queue. Fire order is defined to be identical to
-// NewVirtual's — the wheel is validated against this implementation by
-// a differential test — so it exists only as that reference and as the
-// baseline for scheduling benchmarks.
-func NewVirtualReference() *VirtualClock {
-	return newVirtualClock(&heapQueue{})
 }
 
 func newVirtualClock(q eventQueue) *VirtualClock {
@@ -106,7 +97,7 @@ func (c *VirtualClock) run() {
 				c.now = ev.at
 			}
 			c.mu.Unlock()
-			ev.fn()
+			ev.Fn()
 			c.mu.Lock()
 			continue
 		}
@@ -214,30 +205,32 @@ func (c *VirtualClock) nextKeyLocked(origin Domain) uint64 {
 	return k
 }
 
-// scheduleLocked enqueues fn at now+d as a control-domain event.
-// Callers must hold mu.
-func (c *VirtualClock) scheduleLocked(d time.Duration, fn func()) *event {
-	return c.scheduleDomainLocked(Control, Control, d, fn)
-}
-
-// scheduleDomainLocked enqueues fn at now+d keyed as origin's next
-// event, routed to exec's queue. Callers must hold mu and must not be
-// inside a parallel window (window-context scheduling goes through the
-// lock-free path in ScheduleDomain).
-func (c *VirtualClock) scheduleDomainLocked(origin, exec Domain, d time.Duration, fn func()) *event {
-	if d < 0 {
-		d = 0
-	}
-	ev := &event{at: c.now + d, seq: c.nextKeyLocked(origin), fn: fn, lane: -1}
-	if exec >= 0 && len(c.lanes) > 0 {
-		ev.lane = c.laneOf[exec]
-	}
-	c.pushLocked(ev)
+// scheduleLocked enqueues fn at now+d as a control-domain event of its
+// own. Callers must hold mu.
+func (c *VirtualClock) scheduleLocked(d time.Duration, fn func()) *Event {
+	ev := &Event{Fn: fn}
+	c.scheduleEventLocked(ev, Control, Control, d)
 	return ev
 }
 
+// scheduleEventLocked enqueues ev at now+d keyed as origin's next
+// event, routed to exec's queue. Callers must hold mu and must not be
+// inside a parallel window (window-context scheduling goes through the
+// lock-free path in ScheduleEvent).
+func (c *VirtualClock) scheduleEventLocked(ev *Event, origin, exec Domain, d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	lane := int32(-1)
+	if exec >= 0 && len(c.lanes) > 0 {
+		lane = c.laneOf[exec]
+	}
+	ev.clk, ev.at, ev.seq, ev.lane = c, c.now+d, c.nextKeyLocked(origin), lane
+	c.pushLocked(ev)
+}
+
 // pushLocked routes ev to its queue and wakes the scheduler.
-func (c *VirtualClock) pushLocked(ev *event) {
+func (c *VirtualClock) pushLocked(ev *Event) {
 	if ev.lane >= 0 {
 		c.lanes[ev.lane].q.push(ev)
 	} else {
@@ -247,7 +240,7 @@ func (c *VirtualClock) pushLocked(ev *event) {
 }
 
 // removeLocked cancels ev wherever it lives.
-func (c *VirtualClock) removeLocked(ev *event) bool {
+func (c *VirtualClock) removeLocked(ev *Event) bool {
 	if ev.lane >= 0 {
 		return c.lanes[ev.lane].q.remove(ev)
 	}
@@ -293,7 +286,7 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 // the sleeper's own done-receive — flips woken under the clock mutex and
 // closes wake.
 type sodWaiter struct {
-	ev    *event
+	ev    *Event
 	wake  chan struct{}
 	woken bool
 	fired bool // the timer path woke it (done did not fire first)
@@ -437,26 +430,16 @@ func (c *VirtualClock) AfterFunc(d time.Duration, fn func()) Timer {
 	if c.inWindow.Load() {
 		panic("simtime: AfterFunc inside a parallel window; use ScheduleDomain with the acting node's domain")
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return &virtualTimer{c: c, ev: c.scheduleLocked(d, fn)}
+	return c.ScheduleDomain(Control, Control, d, fn)
 }
 
-type virtualTimer struct {
-	c  *VirtualClock
-	ev *event
-}
-
-// Stop cancels the pending event, reporting whether it had not yet
-// fired. Stop is a control-context operation: calling it from inside a
-// parallel window panics (shard workers own their queues then).
-func (t *virtualTimer) Stop() bool {
-	if t.c.inWindow.Load() {
-		panic("simtime: Timer.Stop inside a parallel window")
-	}
-	t.c.mu.Lock()
-	defer t.c.mu.Unlock()
-	return t.c.removeLocked(t.ev)
+// ScheduleDomain is ScheduleEvent on a fresh Event that runs fn — the
+// one allocation a fire-and-forget schedule costs — returned as the
+// Timer that cancels it.
+func (c *VirtualClock) ScheduleDomain(origin, exec Domain, d time.Duration, fn func()) Timer {
+	ev := &Event{Fn: fn}
+	c.ScheduleEvent(ev, origin, exec, d)
+	return ev
 }
 
 // PendingEvents returns the number of scheduled, unfired events —

@@ -42,7 +42,12 @@ type wheelQueue struct {
 	// ready holds the imminent events in exact (at, seq) order.
 	ready eventHeap
 
-	buckets [wheelLevels][wheelSlots][]*event
+	// buckets holds each slot's events as an intrusive doubly-linked
+	// list through Event.prev/next, newest first: a slot owns no
+	// storage, so filling an empty one allocates nothing and a drained
+	// one retains nothing. Order within a slot is immaterial — events
+	// leave a slot only into the ready heap or a lower level.
+	buckets [wheelLevels][wheelSlots]*Event
 	occ     [wheelLevels]uint64 // occ[l] bit s set iff buckets[l][s] is non-empty
 
 	n int // total pending events (ready + buckets)
@@ -82,10 +87,6 @@ const (
 	// by full-resolution timestamps — so the tick only bounds how much
 	// time one level-0 slot spans, not scheduling precision.
 	wheelTick = time.Microsecond
-
-	// readyLevel marks an event as resident in the ready heap rather
-	// than a bucket.
-	readyLevel int8 = -1
 )
 
 func newWheelQueue() *wheelQueue { return &wheelQueue{tick: wheelTick, minGap: noGap} }
@@ -108,32 +109,60 @@ func wheelLevelFor(pos, t int64) int {
 	return l
 }
 
-func (q *wheelQueue) push(ev *event) {
+func (q *wheelQueue) push(ev *Event) {
 	q.n++
+	q.insert(ev)
+}
+
+// insert routes an already-counted event to the ready heap or a bucket.
+func (q *wheelQueue) insert(ev *Event) {
 	t := q.tickOf(ev.at)
 	if t < q.horizon {
 		// Already inside the ready window (a zero-delay schedule, or a
 		// schedule from an actor whose `now` trails the horizon): the
 		// exact heap absorbs it and ordering stays global.
-		ev.level = readyLevel
 		readyPush(&q.ready, ev)
 		return
 	}
 	q.place(ev, t)
 }
 
-// place buckets a pending event with tick t >= q.horizon.
-func (q *wheelQueue) place(ev *event, t int64) {
+// place buckets a pending event with tick t >= q.horizon at the head
+// of its slot's list.
+func (q *wheelQueue) place(ev *Event, t int64) {
 	l := wheelLevelFor(q.horizon, t)
 	s := int((t >> (wheelSlotBits * l)) & wheelSlotMask)
-	ev.level = int8(l)
-	ev.slot = uint8(s)
-	ev.idx = len(q.buckets[l][s])
-	q.buckets[l][s] = append(q.buckets[l][s], ev)
+	ev.where, ev.level, ev.slot = evBucket, uint8(l), uint8(s)
+	head := q.buckets[l][s]
+	ev.prev, ev.next = nil, head
+	if head != nil {
+		head.prev = ev
+	}
+	q.buckets[l][s] = ev
 	q.occ[l] |= 1 << s
 }
 
-func (q *wheelQueue) popMin() *event {
+// take empties slot s of level l and returns its list. Walkers read
+// ev.next before re-inserting ev, which overwrites the links.
+func (q *wheelQueue) take(l, s int) *Event {
+	head := q.buckets[l][s]
+	q.buckets[l][s] = nil
+	q.occ[l] &^= 1 << s
+	return head
+}
+
+// reinsert routes every event of a detached slot list back through
+// insert.
+func (q *wheelQueue) reinsert(list *Event) {
+	for ev := list; ev != nil; {
+		next := ev.next
+		ev.prev, ev.next = nil, nil
+		q.insert(ev)
+		ev = next
+	}
+}
+
+func (q *wheelQueue) popMin() *Event {
 	for len(q.ready) == 0 {
 		q.advance()
 	}
@@ -143,7 +172,7 @@ func (q *wheelQueue) popMin() *event {
 	return ev
 }
 
-func (q *wheelQueue) peekMin() *event {
+func (q *wheelQueue) peekMin() *Event {
 	for len(q.ready) == 0 {
 		q.advance()
 	}
@@ -182,27 +211,21 @@ func (q *wheelQueue) observePop(at time.Duration) {
 // heap — the exactness tier — is untouched, so fire order is exactly
 // preserved.
 func (q *wheelQueue) retick(newTick time.Duration) {
-	var pend []*event
+	var pend *Event // every bucketed event, chained through next
 	for l := 0; l < wheelLevels; l++ {
 		for q.occ[l] != 0 {
-			s := bits.TrailingZeros64(q.occ[l])
-			pend = append(pend, q.buckets[l][s]...)
-			q.buckets[l][s] = nil
-			q.occ[l] &^= 1 << s
+			for ev := q.take(l, bits.TrailingZeros64(q.occ[l])); ev != nil; {
+				next := ev.next
+				ev.next = pend
+				pend = ev
+				ev = next
+			}
 		}
 	}
 	horizonTime := time.Duration(q.horizon) * q.tick
 	q.tick = newTick
 	q.horizon = int64(horizonTime / newTick)
-	for _, ev := range pend {
-		t := q.tickOf(ev.at)
-		if t < q.horizon {
-			ev.level = readyLevel
-			readyPush(&q.ready, ev)
-			continue
-		}
-		q.place(ev, t)
-	}
+	q.reinsert(pend)
 }
 
 // advance moves the horizon to the next occupied slot. The scan runs
@@ -233,12 +256,7 @@ func (q *wheelQueue) advance() {
 		if q.occ[l]&(1<<c) == 0 {
 			continue
 		}
-		evs := q.buckets[l][c]
-		q.buckets[l][c] = nil
-		q.occ[l] &^= 1 << c
-		for _, ev := range evs {
-			q.place(ev, q.tickOf(ev.at))
-		}
+		q.reinsert(q.take(l, int(c)))
 	}
 	for l := 0; l < wheelLevels; l++ {
 		c := uint((q.horizon >> (wheelSlotBits * l)) & wheelSlotMask)
@@ -249,50 +267,41 @@ func (q *wheelQueue) advance() {
 		s := bits.TrailingZeros64(w)
 		span := int64(1) << (wheelSlotBits * (l + 1))
 		slotStart := q.horizon&^(span-1) | int64(s)<<(wheelSlotBits*l)
-		evs := q.buckets[l][s]
-		q.buckets[l][s] = nil
-		q.occ[l] &^= 1 << s
-		if l == 0 {
-			// A level-0 slot is one tick: everything in it is due next.
-			q.horizon = slotStart + 1
-			for _, ev := range evs {
-				ev.level = readyLevel
-				readyPush(&q.ready, ev)
-			}
-			return
-		}
-		// Cascade: enter the slot and redistribute.
+		// A level-0 slot is one tick: everything in it is due next, and
+		// with the horizon past it insert sends it all to the ready
+		// heap. Above level 0 this is the cascade: enter the slot and
+		// redistribute.
 		q.horizon = slotStart
-		for _, ev := range evs {
-			q.place(ev, q.tickOf(ev.at))
+		if l == 0 {
+			q.horizon++
 		}
+		q.reinsert(q.take(l, s))
 		return
 	}
 	panic(fmt.Sprintf("simtime: wheel advance found no occupied slot with %d events pending", q.n))
 }
 
-func (q *wheelQueue) remove(ev *event) bool {
-	if ev.idx < 0 {
+func (q *wheelQueue) remove(ev *Event) bool {
+	switch ev.where {
+	case evReady:
+		readyRemove(&q.ready, int(ev.idx))
+	case evBucket:
+		if ev.next != nil {
+			ev.next.prev = ev.prev
+		}
+		if ev.prev != nil {
+			ev.prev.next = ev.next
+		} else {
+			q.buckets[ev.level][ev.slot] = ev.next
+			if ev.next == nil {
+				q.occ[ev.level] &^= 1 << ev.slot
+			}
+		}
+		ev.prev, ev.next = nil, nil
+		ev.where = evIdle
+	default:
 		return false
 	}
-	if ev.level == readyLevel {
-		readyRemove(&q.ready, ev.idx)
-		ev.idx = -1
-		q.n--
-		return true
-	}
-	b := q.buckets[ev.level][ev.slot]
-	last := len(b) - 1
-	if ev.idx != last {
-		b[ev.idx] = b[last]
-		b[ev.idx].idx = ev.idx
-	}
-	b[last] = nil
-	q.buckets[ev.level][ev.slot] = b[:last]
-	if last == 0 {
-		q.occ[ev.level] &^= 1 << ev.slot
-	}
-	ev.idx = -1
 	q.n--
 	return true
 }

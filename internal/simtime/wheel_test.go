@@ -21,14 +21,14 @@ func TestWheelQueueDifferential(t *testing.T) {
 			heapQ := &heapQueue{}
 			wheelQ := newWheelQueue()
 
-			type pair struct{ h, w *event }
+			type pair struct{ h, w *Event }
 			var pending []pair
 			var now time.Duration
 			var seq uint64
 
 			push := func(at time.Duration) {
-				h := &event{at: at, seq: seq}
-				w := &event{at: at, seq: seq}
+				h := &Event{at: at, seq: seq}
+				w := &Event{at: at, seq: seq}
 				seq++
 				heapQ.push(h)
 				wheelQ.push(w)
@@ -192,8 +192,8 @@ func TestWheelFarFuture(t *testing.T) {
 	for _, rep := range []time.Duration{1, 3} {
 		for _, d := range delays {
 			at := d * rep
-			q.push(&event{at: at, seq: seq})
-			ref.push(&event{at: at, seq: seq})
+			q.push(&Event{at: at, seq: seq})
+			ref.push(&Event{at: at, seq: seq})
 			seq++
 		}
 	}
@@ -215,7 +215,7 @@ func benchQueue(b *testing.B, q eventQueue, pending int) {
 	var now time.Duration
 	var seq uint64
 	push := func() {
-		q.push(&event{at: now + time.Duration(rng.Intn(10_000_000))*time.Microsecond, seq: seq})
+		q.push(&Event{at: now + time.Duration(rng.Intn(10_000_000))*time.Microsecond, seq: seq})
 		seq++
 	}
 	for i := 0; i < pending; i++ {

@@ -1,0 +1,129 @@
+package stream
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"github.com/hourglass/sbon/internal/query"
+)
+
+// TestJoinWindowMatchesNaiveScan replays random adds and probes against
+// a plain slice of the last `cap` tuples: the chained window must
+// return the same matches in the same (oldest first) order, whatever
+// mix of evictions, repeated keys and sole-slot chains the keys produce.
+func TestJoinWindowMatchesNaiveScan(t *testing.T) {
+	for _, capacity := range []int{1, 2, 7, 64} {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		w := newJoinWindow(capacity)
+		var last []Tuple // arrival order, at most capacity long
+		for i := 0; i < 5000; i++ {
+			key := int64(rng.Intn(capacity/2 + 2)) // few keys: long chains
+			w.add(Tuple{Key: key, Value: float64(i)})
+			if last = append(last, Tuple{Key: key, Value: float64(i)}); len(last) > capacity {
+				last = last[1:]
+			}
+			probe := int64(rng.Intn(capacity/2 + 3))
+			var got, want []float64
+			for s := w.oldest(probe); s >= 0; s = w.newer[s] {
+				got = append(got, w.fifo[s].Value)
+			}
+			for _, tu := range last {
+				if tu.Key == probe {
+					want = append(want, tu.Value)
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("cap %d step %d key %d: matches %v, want %v", capacity, i, probe, got, want)
+			}
+		}
+	}
+}
+
+// TestJoinWindowSteadyStateDoesNotAllocate: once both windows are full
+// and the key index has seen its keys, a tuple through the join —
+// evict, insert, probe, emit — touches no allocator, at the benchmark's
+// window/keyspace shape and with every key in the window at once.
+func TestJoinWindowSteadyStateDoesNotAllocate(t *testing.T) {
+	for _, shape := range []struct{ window, keyspace int }{{12, 250}, {64, 1000}, {64, 16}} {
+		rng := rand.New(rand.NewSource(7))
+		j := NewJoin(shape.window)
+		emitted := 0
+		emit := func(Tuple) { emitted++ }
+		step := func() {
+			j.Process(rng.Intn(2), Tuple{Key: int64(rng.Intn(shape.keyspace)), SizeKB: 1}, emit)
+		}
+		for i := 0; i < 50*shape.keyspace; i++ {
+			step()
+		}
+		if got := testing.AllocsPerRun(20_000, step); got != 0 {
+			t.Fatalf("window %d keyspace %d: %v allocations per tuple in steady state, want 0", shape.window, shape.keyspace, got)
+		}
+		if emitted == 0 {
+			t.Fatalf("window %d keyspace %d: join never matched", shape.window, shape.keyspace)
+		}
+	}
+}
+
+// TestProducerStepDoesNotAllocateEvents: a virtual producer is one
+// event re-armed every interval, so 10k steps cost nothing beyond what
+// the emitted tuples' consumers do (here: nothing).
+func TestProducerStepDoesNotAllocateEvents(t *testing.T) {
+	s := newEngineSetup(t, 3)
+	host := s.env.Topo.StubNodeIDs()[0]
+	tuples := 0
+	p := s.engine.startVirtualProducer(nil, host, 0, 50, 1, func(Tuple) { tuples++ })
+	defer p.halt()
+	interval := s.engine.produceInterval(50)
+	s.clk.Sleep(100 * interval)
+	before := tuples
+	const runs = 3
+	perRun := testing.AllocsPerRun(runs, func() { s.clk.Sleep(10_000 * interval) })
+	if steps := (tuples - before) / (runs + 1); steps != 10_000 {
+		t.Fatalf("%d producer steps per window, want 10000", steps)
+	}
+	if perRun > 10 { // the Sleep's channel, closure and event
+		t.Fatalf("%v allocations over 10k producer steps, want only the Sleep's own", perRun)
+	}
+}
+
+// TestPendingEventsAfterHaltIsZero: halting producers and stopping
+// heartbeats removes their armed events from the queue — it does not
+// merely flag them — so once the messages in flight have landed the
+// clock is empty, which is the quiescence check scenario drivers and
+// the benchmark make.
+func TestPendingEventsAfterHaltIsZero(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("lanes=%d", shards), func(t *testing.T) {
+			s := newEngineSetupLanes(t, 6, shards)
+			q := query.Query{ID: 70, Consumer: s.env.Topo.StubNodeIDs()[5], Streams: []query.StreamID{0, 1, 2}}
+			run, err := s.engine.Deploy(s.optimize(t, q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Beats an hour apart: one still armed after the drain below
+			// can only be an event Stop failed to remove.
+			hb := s.net.StartHeartbeats(time.Hour, 0.05)
+			s.runSim(3)
+
+			armed := s.clk.PendingEvents()
+			run.HaltProducers()
+			if got := armed - s.clk.PendingEvents(); got != len(q.Streams) {
+				t.Fatalf("HaltProducers removed %d pending events, want %d (one per source)", got, len(q.Streams))
+			}
+			armed = s.clk.PendingEvents()
+			hb.Stop()
+			if got := armed - s.clk.PendingEvents(); got != s.net.NumNodes() {
+				t.Fatalf("Heartbeats.Stop removed %d pending events, want %d (one per node)", got, s.net.NumNodes())
+			}
+			s.runSim(2) // longer than any path: everything in flight lands
+			if n := s.clk.PendingEvents(); n != 0 {
+				t.Fatalf("%d events pending after halt, stop and drain, want 0", n)
+			}
+			if run.Measure().TuplesOut == 0 {
+				t.Fatal("the circuit delivered nothing before the halt")
+			}
+		})
+	}
+}

@@ -41,7 +41,7 @@ func DefaultEngineConfig() EngineConfig {
 
 // Engine deploys circuits onto the overlay runtime and measures the
 // resulting dataflow. It inherits the network's clock: on a virtual
-// clock, producers are events on the simulation heap instead of
+// clock, producers are events on the simulation clock instead of
 // goroutines, and a fixed seed reproduces the measured dataflow bit
 // for bit.
 //
@@ -563,22 +563,20 @@ func (e *Engine) produce(r *Running, stop <-chan struct{}, stream query.StreamID
 	}
 }
 
-// vProducer is a virtual-clock producer: a self-rescheduling event on
-// the simulation heap. The mutex covers the stop/reschedule handshake;
+// vProducer is a virtual-clock producer: one event that re-arms itself
+// every interval. The mutex covers the stop/reschedule handshake;
 // under the registered-actor discipline the scheduler is parked while
 // the driver tears down, so contention is nil.
 type vProducer struct {
 	mu      sync.Mutex
-	timer   simtime.Timer
+	ev      simtime.Event
 	stopped bool
 }
 
 func (p *vProducer) halt() {
 	p.mu.Lock()
 	p.stopped = true
-	if p.timer != nil {
-		p.timer.Stop()
-	}
+	p.ev.Stop()
 	p.mu.Unlock()
 }
 
@@ -596,8 +594,7 @@ func (e *Engine) startVirtualProducer(r *Running, host topology.NodeID, stream q
 	dc := e.net.DomainClock()
 	dom := simtime.Domain(host)
 	p := &vProducer{}
-	var step func()
-	step = func() {
+	p.ev.Fn = func() {
 		p.mu.Lock()
 		if p.stopped {
 			p.mu.Unlock()
@@ -613,13 +610,11 @@ func (e *Engine) startVirtualProducer(r *Running, host topology.NodeID, stream q
 		})
 		p.mu.Lock()
 		if !p.stopped {
-			p.timer = dc.ScheduleDomain(dom, dom, interval, step)
+			dc.ScheduleEvent(&p.ev, dom, dom, interval)
 		}
 		p.mu.Unlock()
 	}
-	p.mu.Lock()
-	p.timer = dc.ScheduleDomain(dom, dom, interval, step)
-	p.mu.Unlock()
+	dc.ScheduleEvent(&p.ev, dom, dom, interval)
 	return p
 }
 

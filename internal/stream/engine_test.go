@@ -25,6 +25,12 @@ type engineSetup struct {
 }
 
 func newEngineSetup(t *testing.T, seed int64) *engineSetup {
+	return newEngineSetupLanes(t, seed, 1)
+}
+
+// newEngineSetupLanes is newEngineSetup on `shards` data-plane lanes
+// (1: the single queue), nodes dealt to lanes round-robin.
+func newEngineSetupLanes(t *testing.T, seed int64, shards int) *engineSetup {
 	t.Helper()
 	cfg := topology.Config{
 		TransitDomains:      2,
@@ -57,6 +63,14 @@ func newEngineSetup(t *testing.T, seed int64) *engineSetup {
 	}
 	ncfg := overlay.VirtualConfig()
 	clk := ncfg.Clock.(*simtime.VirtualClock)
+	if shards > 1 {
+		laneOf := make([]int32, topo.NumNodes())
+		for i := range laneOf {
+			laneOf[i] = int32(i % shards)
+		}
+		clk.ShardLanes(laneOf, shards, time.Duration(topo.MinEdgeLatency()*float64(ncfg.TimeScale)))
+		ncfg.DataShards, ncfg.ShardOf = shards, laneOf
+	}
 	clk.Register()
 	net := overlay.NewNetwork(topo, ncfg)
 	net.Start()

@@ -112,7 +112,8 @@ func (j *Join) Process(side int, t Tuple, emit Emit) {
 		mine, other = j.right, j.left
 	}
 	mine.add(t)
-	for _, m := range other.match(t.Key) {
+	for s := other.oldest(t.Key); s >= 0; s = other.newer[s] {
+		m := &other.fifo[s]
 		out := Tuple{
 			Stream: t.Stream,
 			Key:    t.Key,
@@ -132,47 +133,58 @@ func (j *Join) StateSizeKB() float64 {
 	return j.left.sizeKB() + j.right.sizeKB()
 }
 
-// joinWindow is a fixed-capacity FIFO with a key index.
+// joinWindow is a fixed-capacity FIFO with a key index threaded
+// through it: the slots holding one key form a chain, oldest first,
+// so a steady-state window allocates nothing per tuple.
 type joinWindow struct {
 	cap   int
 	fifo  []Tuple
 	next  int
 	count int
-	byKey map[int64][]int // key -> slot indices
+	// newer[s] is the next slot, in arrival order, holding the same key
+	// as slot s; -1 ends the chain.
+	newer []int32
+	byKey map[int64]keyChain
 }
+
+// keyChain is the oldest and the newest slot holding one key.
+type keyChain struct{ head, tail int32 }
 
 func newJoinWindow(capacity int) *joinWindow {
 	return &joinWindow{
 		cap:   capacity,
 		fifo:  make([]Tuple, capacity),
-		byKey: make(map[int64][]int),
+		newer: make([]int32, capacity),
+		byKey: make(map[int64]keyChain),
 	}
 }
 
 func (w *joinWindow) add(t Tuple) {
-	slot := w.next
+	slot := int32(w.next)
 	if w.count == w.cap {
-		old := w.fifo[slot]
-		w.dropIndex(old.Key, slot)
+		// The slot being overwritten holds the oldest tuple of all, so
+		// it heads its key's chain.
+		old := w.fifo[slot].Key
+		if ch := w.byKey[old]; ch.head == ch.tail {
+			delete(w.byKey, old)
+		} else {
+			ch.head = w.newer[slot]
+			w.byKey[old] = ch
+		}
 	} else {
 		w.count++
 	}
 	w.fifo[slot] = t
-	w.byKey[t.Key] = append(w.byKey[t.Key], slot)
+	w.newer[slot] = -1
+	ch, ok := w.byKey[t.Key]
+	if ok {
+		w.newer[ch.tail] = slot
+	} else {
+		ch.head = slot
+	}
+	ch.tail = slot
+	w.byKey[t.Key] = ch
 	w.next = (w.next + 1) % w.cap
-}
-
-func (w *joinWindow) dropIndex(key int64, slot int) {
-	idx := w.byKey[key]
-	for i, s := range idx {
-		if s == slot {
-			w.byKey[key] = append(idx[:i], idx[i+1:]...)
-			break
-		}
-	}
-	if len(w.byKey[key]) == 0 {
-		delete(w.byKey, key)
-	}
 }
 
 func (w *joinWindow) sizeKB() float64 {
@@ -183,16 +195,13 @@ func (w *joinWindow) sizeKB() float64 {
 	return sum
 }
 
-func (w *joinWindow) match(key int64) []Tuple {
-	idx := w.byKey[key]
-	if len(idx) == 0 {
-		return nil
+// oldest returns the slot of the oldest retained tuple with the key, or
+// -1; following newer from it visits every match in arrival order.
+func (w *joinWindow) oldest(key int64) int32 {
+	if ch, ok := w.byKey[key]; ok {
+		return ch.head
 	}
-	out := make([]Tuple, len(idx))
-	for i, s := range idx {
-		out[i] = w.fifo[s]
-	}
-	return out
+	return -1
 }
 
 // Aggregate reduces count-N tumbling windows: after every N inputs it
