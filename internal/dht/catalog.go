@@ -2,6 +2,7 @@ package dht
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -86,23 +87,16 @@ func (c *Catalog) Ring() *Ring { return c.ring }
 // Space returns the cost space the catalog indexes.
 func (c *Catalog) Space() *costspace.Space { return c.space }
 
-// cellsPool recycles quantization buffers: KeyOf runs per publish, per
-// query, and per plan-cache key derivation, and must not allocate.
-var cellsPool = sync.Pool{New: func() any {
-	s := make([]uint32, 0, 8)
-	return &s
-}}
-
 // KeyOf returns the scaled Hilbert key for a cost-space point. Hilbert
 // keys occupy the top curve.KeyBits() bits of the 64-bit identifier
-// circle so that Hilbert ordering is preserved under ring ordering.
+// circle so that Hilbert ordering is preserved under ring ordering. It
+// runs per publish, per query and per plan-cache key derivation, and
+// quantizes on its own stack (spaces beyond eight dimensions grow the
+// buffer on the heap).
 func (c *Catalog) KeyOf(p costspace.Point) ID {
-	cb := cellsPool.Get().(*[]uint32)
-	cells := c.bounds.QuantizeInto(*cb, p, c.curve.Bits())
-	k := c.curve.MustEncodeInPlace(cells)
-	*cb = cells
-	cellsPool.Put(cb)
-	return ID(k << (64 - c.curve.KeyBits()))
+	var buf [8]uint32
+	cells := c.bounds.QuantizeInto(buf[:0], p, c.curve.Bits())
+	return ID(c.curve.MustEncodeInPlace(cells) << (64 - c.curve.KeyBits()))
 }
 
 // CellCenter returns the cost-space point at the center of the Hilbert
@@ -267,6 +261,13 @@ func (c *Catalog) rankByDistance(sc *queryScratch, target costspace.Point, entri
 	return ranked
 }
 
+// oversample is how many entries a nearest-n walk visits before it
+// stops: Hilbert order only approximates cost-space order, so the walk
+// looks at 4n entries, at least 16, and ranks by true distance.
+func oversample(n int) int {
+	return max(4*n, 16)
+}
+
 // NearestNodes returns up to n published entries nearest to target in
 // full cost-space distance. The search starts with a DHT lookup of the
 // target's Hilbert key from startNode and then walks ring arcs outward in
@@ -279,7 +280,7 @@ func (c *Catalog) NearestNodes(startNode topology.NodeID, target costspace.Point
 
 // NearestNodesAppend is NearestNodes writing the result entries into
 // dst's backing array (dst's length is ignored) — the allocation-free
-// variant for mapping hot paths that reuse a candidate buffer.
+// variant for callers that reuse a candidate buffer.
 //
 // Ranking is a bounded insertion over precomputed (distance, node) keys
 // — the n best of the oversample maintained in order as the walk visits
@@ -289,10 +290,7 @@ func (c *Catalog) NearestNodesAppend(startNode topology.NodeID, target costspace
 	if n < 1 {
 		return QueryResult{}, fmt.Errorf("dht: NearestNodes n = %d, need >= 1", n)
 	}
-	want := n * 4
-	if want < 16 {
-		want = 16
-	}
+	want := oversample(n)
 	sc := scratchPool.Get().(*queryScratch)
 	defer scratchPool.Put(sc)
 	top := sc.cands[:0]
@@ -331,6 +329,79 @@ func (c *Catalog) NearestNodesAppend(startNode topology.NodeID, target costspace
 		out = append(out, *cand.e)
 	}
 	return QueryResult{Entries: out, LookupHops: hops, PeersWalked: walked}, nil
+}
+
+// Nearest is the outcome of NearestAdmissible.
+type Nearest struct {
+	// Found is false when the walk met no admissible entry; Node and
+	// Distance are then zero.
+	Found    bool
+	Node     topology.NodeID
+	Distance float64 // full-space distance from the target to Node's entry
+	// Candidates is min(n, entries the walk visited): the length of the
+	// list NearestNodes would have ranked.
+	Candidates  int
+	LookupHops  int // hops for the initial key lookup
+	PeersWalked int // ring peers visited while scanning entries
+}
+
+// cutSlack widens the squared-distance cut of NearestAdmissible. An
+// entry is skipped unseen only when its squared distance exceeds the
+// best one by this relative margin, four orders of magnitude above
+// float64 resolution: its rounded square root is then strictly greater
+// than the best distance, so it could neither win nor tie. Everything
+// closer takes the exact (distance, node) comparison.
+const cutSlack = 1 + 1e-12
+
+// NearestAdmissible returns the entry nearest to target, under the
+// (distance, node) order of NearestNodes, among the entries the same
+// walk visits — same key lookup from startNode, same oversample of
+// max(4n, 16) entries, same maxScan — whose node exclude does not map to
+// true. For n > len(exclude) that is the first admissible entry of
+// NearestNodes(startNode, target, n, maxScan): fewer than n entries can
+// rank ahead of the nearest admissible one, so it is always on that
+// list. This is the mapping primitive: it keeps one running minimum
+// where the ranked query maintains n, and compares squared distances
+// (summed in Space.Distance's order) before it takes a square root.
+func (c *Catalog) NearestAdmissible(startNode topology.NodeID, target costspace.Point, n, maxScan int, exclude map[topology.NodeID]bool) (Nearest, error) {
+	if n < 1 {
+		return Nearest{}, fmt.Errorf("dht: NearestAdmissible n = %d, need >= 1", n)
+	}
+	want := oversample(n)
+	var best Nearest
+	cut := math.Inf(1)
+	seen := 0
+	hops, walked, err := c.walkArcs(startNode, target, maxScan, func(p *Peer) bool {
+		for i := range p.flat {
+			e := &p.flat[i]
+			pt := e.Point[:len(target)]
+			var ss float64
+			for k, t := range target {
+				d := t - pt[k]
+				ss += d * d
+			}
+			if ss > cut {
+				continue
+			}
+			d := math.Sqrt(ss)
+			if best.Found && (d > best.Distance || (d == best.Distance && e.Node >= best.Node)) {
+				continue
+			}
+			if exclude[e.Node] {
+				continue
+			}
+			best.Found, best.Node, best.Distance = true, e.Node, d
+			cut = ss * cutSlack
+		}
+		seen += len(p.flat)
+		return seen >= want
+	})
+	if err != nil {
+		return Nearest{}, err
+	}
+	best.Candidates = min(n, seen)
+	best.LookupHops, best.PeersWalked = hops, walked
+	return best, nil
 }
 
 // WithinRadius returns all published entries within cost-space distance r

@@ -474,6 +474,19 @@ func TestKeyOfPreservesHilbertOrder(t *testing.T) {
 	}
 }
 
+// TestKeyOfDoesNotAllocate pins the stack quantization buffer: KeyOf
+// runs once per mapping and per publish, and an escape of the buffer
+// through the quantizer or the encoder would cost one allocation each.
+func TestKeyOfDoesNotAllocate(t *testing.T) {
+	env := newTestEnv(t, 8, 17)
+	p := env.points[3]
+	var sink ID
+	if allocs := testing.AllocsPerRun(100, func() { sink ^= env.catalog.KeyOf(p) }); allocs != 0 {
+		t.Fatalf("%v allocs per KeyOf, want 0", allocs)
+	}
+	_ = sink
+}
+
 func TestCellCenterRoundtrip(t *testing.T) {
 	env := newTestEnv(t, 4, 13)
 	p := env.space.IdealPoint(vivaldi.Coord{42, 77})

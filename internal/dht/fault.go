@@ -12,6 +12,7 @@ package dht
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -120,9 +121,19 @@ func (r *Ring) rpc(from, to *Peer) bool {
 // share a target, so a peer that just failed is not re-dialed back to
 // back. Returns nil when nothing answers. Without a drop oracle the
 // first qualifying finger always wins — the classic fault-free route.
+//
+// Finger i sits at least 2^i past cur, so it can precede k only if
+// 2^i < k - cur.id on the circle: the scan starts at the highest such i
+// and skips only fingers that would fail the interval test before any
+// RPC. With k == cur.id the interval is the whole circle and the scan
+// starts at the top.
 func (r *Ring) nextHop(cur *Peer, k ID, succ *Peer) *Peer {
 	var lastFailed *Peer
-	for i := len(cur.fingers) - 1; i >= 0; i-- {
+	top := len(cur.fingers) - 1
+	if k != cur.id {
+		top = min(top, bits.Len64(uint64(k-cur.id))-1)
+	}
+	for i := top; i >= 0; i-- {
 		f := cur.fingers[i]
 		if f == nil || f == cur || f == lastFailed || !inOpenInterval(cur.id, k, f.id) {
 			continue

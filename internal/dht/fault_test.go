@@ -316,3 +316,126 @@ func TestChurnUnderLoss(t *testing.T) {
 		t.Fatalf("churn under 5%% loss produced no retries: %+v", st)
 	}
 }
+
+// nextHopFullScan is nextHop as it was before the scan learned where to
+// start: every finger from the top, on every hop.
+func nextHopFullScan(r *Ring, cur *Peer, k ID, succ *Peer) *Peer {
+	var lastFailed *Peer
+	for i := len(cur.fingers) - 1; i >= 0; i-- {
+		f := cur.fingers[i]
+		if f == nil || f == cur || f == lastFailed || !inOpenInterval(cur.id, k, f.id) {
+			continue
+		}
+		if r.rpc(cur, f) {
+			return f
+		}
+		lastFailed = f
+	}
+	if r.rpc(cur, succ) {
+		return succ
+	}
+	return nil
+}
+
+// lookupFullScan is Lookup's routing loop over nextHopFullScan.
+func lookupFullScan(r *Ring, start topology.NodeID, k ID) (owner *Peer, hops int, ok bool) {
+	cur := r.byNode[start]
+	for limit := 2 * len(r.peers); limit > 0; limit-- {
+		succ := r.successorAfter(cur)
+		if inHalfOpenInterval(cur.id, succ.id, k) {
+			if !r.rpc(cur, succ) {
+				return nil, hops, false
+			}
+			return succ, hops + 1, true
+		}
+		next := nextHopFullScan(r, cur, k, succ)
+		if next == nil {
+			return nil, hops, false
+		}
+		cur = next
+		hops++
+	}
+	return nil, hops, false
+}
+
+// TestNextHopMatchesFullScan pins the shortened finger scan to the full
+// one under loss: the fingers it skips must be exactly fingers the full
+// scan rejects before dialling, so owner, hop count and the sequence of
+// RPCs put to the drop oracle — whose seeded stream every later draw
+// depends on — are the same. Each lookup runs twice on one ring with the
+// oracle rewound in between; joins and crashes reshape the fingers as
+// the run goes, and a third of the keys are peer ids, the start's own
+// among them (the whole-circle interval).
+func TestNextHopMatchesFullScan(t *testing.T) {
+	type call struct{ from, to topology.NodeID }
+	var calls []call
+	draws := rand.New(rand.NewSource(0))
+	r := NewRing()
+	for n := topology.NodeID(0); n < 512; n++ {
+		if _, err := r.AddPeer(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 30% loss: one RPC in 120 exhausts its retries and the hop degrades
+	// to a lower finger.
+	r.InstallFaults(RingFaults{Drop: func(from, to topology.NodeID) bool {
+		calls = append(calls, call{from, to})
+		return draws.Float64() < 0.3
+	}})
+
+	rng := rand.New(rand.NewSource(41))
+	nextNode := topology.NodeID(512)
+	failed, degraded := 0, 0
+	for i := 0; i < 10000; i++ {
+		if i%50 == 49 {
+			if rng.Intn(2) == 0 {
+				if _, err := r.AddPeer(nextNode); err != nil {
+					t.Fatal(err)
+				}
+				nextNode++
+			} else if _, err := r.CrashPeer(r.peers[rng.Intn(len(r.peers))].node); err != nil {
+				t.Fatal(err)
+			}
+		}
+		start := r.peers[rng.Intn(len(r.peers))]
+		k := ID(rng.Uint64())
+		switch i % 6 {
+		case 0:
+			k = r.peers[rng.Intn(len(r.peers))].id
+		case 1:
+			k = start.id
+		}
+
+		draws.Seed(int64(i))
+		calls = calls[:0]
+		before := r.FaultStats().Failed
+		owner, hops, err := r.Lookup(start.node, k)
+		got := append([]call(nil), calls...)
+		if err != nil {
+			failed++
+		}
+		if r.FaultStats().Failed > before {
+			degraded++
+		}
+
+		draws.Seed(int64(i))
+		calls = calls[:0]
+		wantOwner, wantHops, ok := lookupFullScan(r, start.node, k)
+		if (err == nil) != ok || owner != wantOwner || hops != wantHops {
+			t.Fatalf("lookup %d (key %#x from node %d): %d hops, err %v; full scan %d hops, ok %v; same owner %v",
+				i, uint64(k), start.node, hops, err, wantHops, ok, owner == wantOwner)
+		}
+		if len(got) != len(calls) {
+			t.Fatalf("lookup %d: %d oracle calls, full scan made %d", i, len(got), len(calls))
+		}
+		for j := range got {
+			if got[j] != calls[j] {
+				t.Fatalf("lookup %d: oracle call %d is %v, full scan's is %v", i, j, got[j], calls[j])
+			}
+		}
+	}
+	if degraded < 100 {
+		t.Fatalf("only %d lookups lost an RPC for good: the degraded path is not exercised", degraded)
+	}
+	t.Logf("%d lookups degraded to a lower finger, %d failed outright", degraded, failed)
+}

@@ -1,0 +1,214 @@
+package dht
+
+import (
+	"math"
+	"testing"
+
+	"github.com/hourglass/sbon/internal/costspace"
+	"github.com/hourglass/sbon/internal/hilbert"
+	"github.com/hourglass/sbon/internal/topology"
+	"github.com/hourglass/sbon/internal/vivaldi"
+)
+
+// fuzzNodes bounds the node ids a fuzz input can name, so that publishes,
+// joins, crashes and exclusions keep hitting the same few nodes.
+const fuzzNodes = 48
+
+// fuzzBytes hands out an input byte by byte; an exhausted input reads as
+// zeroes, so every prefix of an input is an input.
+type fuzzBytes struct{ data []byte }
+
+func (b *fuzzBytes) more() bool { return len(b.data) > 0 }
+
+func (b *fuzzBytes) next() int {
+	if len(b.data) == 0 {
+		return 0
+	}
+	v := b.data[0]
+	b.data = b.data[1:]
+	return int(v)
+}
+
+func (b *fuzzBytes) node() topology.NodeID { return topology.NodeID(b.next() % fuzzNodes) }
+
+// admissibleWorld is the catalog under fuzz plus the one comparison the
+// target makes.
+type admissibleWorld struct {
+	t     *testing.T
+	space *costspace.Space
+	ring  *Ring
+	cat   *Catalog
+}
+
+func newAdmissibleWorld(t *testing.T) *admissibleWorld {
+	space := costspace.NewLatencyLoadSpace(100)
+	bounds, err := costspace.ComputeBounds([]costspace.Point{
+		space.NewPoint(vivaldi.Coord{0, 0}, []float64{0}),
+		space.NewPoint(vivaldi.Coord{255, 255}, []float64{1}),
+	}, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := NewRing()
+	// Eight bits per axis: coarse enough that distinct points share keys.
+	cat, err := NewCatalog(ring, space, hilbert.MustNew(uint(space.Dims()), 8), bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &admissibleWorld{t: t, space: space, ring: ring, cat: cat}
+	for n := topology.NodeID(0); n < 12; n++ {
+		if _, err := ring.AddPeer(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := 0; n < 24; n++ {
+		w.publish(topology.NodeID(n), float64(n*37%256), float64(n*91%256), float64(n%5)/4)
+	}
+	return w
+}
+
+// publish ignores the error: an emptied ring refuses publishes, and the
+// queries that follow must then fail on both sides alike.
+func (w *admissibleWorld) publish(n topology.NodeID, x, y, load float64) {
+	_, _ = w.cat.Publish(n, w.space.NewPoint(vivaldi.Coord{x, y}, []float64{load}))
+}
+
+// check holds NearestAdmissible to the first admissible entry of the
+// ranked list, for k candidates beyond the exclusions — the n the
+// mapper asks for.
+func (w *admissibleWorld) check(start topology.NodeID, target costspace.Point, k, maxScan int, exclude map[topology.NodeID]bool) {
+	t := w.t
+	t.Helper()
+	n := k + len(exclude)
+	ref, refErr := w.cat.NearestNodes(start, target, n, maxScan)
+	got, gotErr := w.cat.NearestAdmissible(start, target, n, maxScan, exclude)
+	if (refErr != nil) != (gotErr != nil) {
+		t.Fatalf("errors differ: ranked %v, one-pass %v", refErr, gotErr)
+	}
+	if refErr != nil {
+		return
+	}
+	if got.LookupHops != ref.LookupHops || got.PeersWalked != ref.PeersWalked || got.Candidates != len(ref.Entries) {
+		t.Fatalf("walk (hops %d, peers %d, candidates %d), ranked (%d, %d, %d)",
+			got.LookupHops, got.PeersWalked, got.Candidates, ref.LookupHops, ref.PeersWalked, len(ref.Entries))
+	}
+	for _, e := range ref.Entries {
+		if exclude[e.Node] {
+			continue
+		}
+		d := w.space.Distance(target, e.Point)
+		if !got.Found || got.Node != e.Node || math.Float64bits(got.Distance) != math.Float64bits(d) {
+			t.Fatalf("one-pass (found %v, node %d, distance %v), first admissible of the ranked %d is node %d at %v (n %d, maxScan %d, exclude %v)",
+				got.Found, got.Node, got.Distance, len(ref.Entries), e.Node, d, n, maxScan, exclude)
+		}
+		return
+	}
+	if got.Found {
+		t.Fatalf("one-pass found node %d, none of the ranked %d is admissible (n %d, maxScan %d, exclude %v)",
+			got.Node, len(ref.Entries), n, maxScan, exclude)
+	}
+}
+
+// excludeSet builds one of the exclusion shapes the mapper meets: none,
+// a few named nodes some of which map to false, the nearest few of the
+// ranked answer (so the running minimum has to pass over them), every
+// node, and every node mapped to false.
+func (w *admissibleWorld) excludeSet(mode, arg int, start topology.NodeID, target costspace.Point, k, maxScan int, b *fuzzBytes) map[topology.NodeID]bool {
+	switch mode % 5 {
+	case 1:
+		ex := map[topology.NodeID]bool{}
+		for i := arg % 6; i > 0; i-- {
+			v := b.next()
+			ex[topology.NodeID(v%fuzzNodes)] = v < 192
+		}
+		return ex
+	case 2:
+		ex := map[topology.NodeID]bool{}
+		if res, err := w.cat.NearestNodes(start, target, k, maxScan); err == nil {
+			for _, e := range res.Entries[:min(len(res.Entries), 1+arg%4)] {
+				ex[e.Node] = true
+			}
+		}
+		return ex
+	case 3, 4:
+		ex := make(map[topology.NodeID]bool, fuzzNodes)
+		for n := topology.NodeID(0); n < fuzzNodes; n++ {
+			ex[n] = mode%5 == 3
+		}
+		return ex
+	}
+	return nil
+}
+
+// scanWidths are the walk bounds under test; 0 stands for the ring size.
+var scanWidths = [...]int{1, 2, 5, 32, 0}
+
+func (w *admissibleWorld) scanWidth(sel int) int {
+	if s := scanWidths[sel%len(scanWidths)]; s > 0 {
+		return s
+	}
+	return w.ring.NumPeers()
+}
+
+// start picks a ring member, or now and then any node id at all: a
+// start outside the ring must fail both queries.
+func (w *admissibleWorld) start(sel int) topology.NodeID {
+	if sel >= 240 || w.ring.NumPeers() == 0 {
+		return topology.NodeID(sel % fuzzNodes)
+	}
+	return w.ring.peers[sel%w.ring.NumPeers()].node
+}
+
+// FuzzNearestAdmissibleMatchesRanked: bytes → a sequence of catalog and
+// ring mutations interleaved with queries, then a fixed sweep of queries
+// over whatever state the sequence left. Clumped publishes put many
+// nodes on one point of a 64-unit grid and half the targets sit on the
+// 32-unit grid between them, so exact distance ties — decided by node id
+// — are the common case, not the rare one.
+func FuzzNearestAdmissibleMatchesRanked(f *testing.F) {
+	f.Add([]byte{7, 3, 64, 96, 4, 3, 2, 1, 7, 0, 33, 200, 11, 4, 1, 3, 9, 200, 30})
+	f.Add([]byte{1, 5, 0, 1, 6, 0, 1, 7, 5, 1, 8, 5, 1, 9, 10, 7, 1, 32, 32, 0, 2, 2, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w := newAdmissibleWorld(t)
+		b := &fuzzBytes{data: data}
+		for b.more() {
+			switch b.next() % 8 {
+			case 0: // publish anywhere
+				w.publish(b.node(), float64(b.next()), float64(b.next()), float64(b.next())/255)
+			case 1: // republish onto the clumped grid
+				n, cell := b.node(), b.next()
+				w.publish(n, float64(cell&3*64), float64(cell>>2&3*64), 0)
+			case 2:
+				w.cat.Unpublish(b.node())
+			case 3:
+				_, _ = w.ring.AddPeer(b.node()) // already joined: refused
+			case 4:
+				_ = w.ring.RemovePeer(b.node()) // not joined: refused
+			case 5: // crash, detected and repaired
+				w.cat.RepairAfterCrash([]topology.NodeID{b.node()})
+			case 6: // crash not yet repaired: stored entries lost
+				_, _ = w.ring.CrashPeer(b.node())
+			case 7:
+				start := w.start(b.next())
+				x, y := b.next(), b.next()
+				if x&1 == 0 {
+					x, y = x&^31, y&^31
+				}
+				target := w.space.IdealPoint(vivaldi.Coord{float64(x), float64(y)})
+				k, maxScan := 1+b.next()%12, w.scanWidth(b.next())
+				mode, arg := b.next(), b.next()
+				w.check(start, target, k, maxScan, w.excludeSet(mode, arg, start, target, k, maxScan, b))
+			}
+		}
+		for i, xy := range [][2]float64{{32, 32}, {96, 160}, {128, 128}, {250, 3}} {
+			target := w.space.IdealPoint(vivaldi.Coord{xy[0], xy[1]})
+			for sel := range scanWidths {
+				start, maxScan := w.start(i*5+sel), w.scanWidth(sel)
+				for mode := 0; mode < 5; mode++ {
+					k := 1 + (i+sel+mode)%12
+					w.check(start, target, k, maxScan, w.excludeSet(mode, 3, start, target, k, maxScan, b))
+				}
+			}
+		}
+	})
+}

@@ -291,8 +291,9 @@ func TestNearestNodesMatchesCollectAndSort(t *testing.T) {
 
 // TestConcurrentCatalogQueries exercises the catalog's documented
 // concurrency contract under the race detector: many goroutines run
-// NearestNodesAppend, WithinRadius, and the exact-index queries (racing
-// its first lazy build) against a static catalog, and every result must
+// NearestNodesAppend, NearestAdmissible (with and without the nearest
+// node excluded), WithinRadius, and the exact-index queries (racing its
+// first lazy build) against a static catalog, and every result must
 // equal the sequential answer. Publishes must not run concurrently with
 // queries — that side of the contract is unchanged.
 func TestConcurrentCatalogQueries(t *testing.T) {
@@ -315,6 +316,7 @@ func TestConcurrentCatalogQueries(t *testing.T) {
 		}
 	}
 	wantNear := make([][]Entry, len(qs))
+	wantNear2 := make([][]Entry, len(qs)) // NearestNodes(n+1)
 	wantExact := make([][]Entry, len(qs))
 	for i, qq := range qs {
 		res, err := c.NearestNodes(qq.start, qq.target, qq.n, 16)
@@ -322,6 +324,10 @@ func TestConcurrentCatalogQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantNear[i] = res.Entries
+		if res, err = c.NearestNodes(qq.start, qq.target, qq.n+1, 16); err != nil {
+			t.Fatal(err)
+		}
+		wantNear2[i] = res.Entries
 		wantExact[i] = bruteExactNearest(c, qq.target, qq.n)
 	}
 	// Drop the exact index so goroutines race its lazy rebuild.
@@ -347,6 +353,26 @@ func TestConcurrentCatalogQueries(t *testing.T) {
 					}
 				}
 				buf = res.Entries
+				// The ranked list's first; then, with that node excluded
+				// and one more candidate, as the mapper asks, the second
+				// of the list that is one longer.
+				for _, ex := range []struct {
+					exclude map[topology.NodeID]bool
+					want    topology.NodeID
+				}{
+					{nil, wantNear[i][0].Node},
+					{map[topology.NodeID]bool{wantNear2[i][0].Node: true}, wantNear2[i][1].Node},
+				} {
+					near, err := c.NearestAdmissible(qq.start, qq.target, qq.n+len(ex.exclude), 16, ex.exclude)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !near.Found || near.Node != ex.want {
+						t.Errorf("query %d: concurrent NearestAdmissible diverged", i)
+						return
+					}
+				}
 				exact := c.ExactNearest(qq.target, qq.n)
 				for j := range exact {
 					if exact[j].Node != wantExact[i][j].Node {

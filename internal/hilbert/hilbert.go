@@ -17,7 +17,7 @@ import "fmt"
 
 // Curve describes a Hilbert curve over a Dims-dimensional grid with
 // 2^Bits cells per dimension. Dims*Bits must be at most 64 so that keys
-// fit in a uint64.
+// fit in a uint64, and Bits at most 32 so that cells fit in a uint32.
 type Curve struct {
 	dims uint
 	bits uint
@@ -31,6 +31,8 @@ func New(dims, bits uint) (Curve, error) {
 		return Curve{}, fmt.Errorf("hilbert: dims = %d, need >= 1", dims)
 	case bits < 1:
 		return Curve{}, fmt.Errorf("hilbert: bits = %d, need >= 1", bits)
+	case bits > 32:
+		return Curve{}, fmt.Errorf("hilbert: bits = %d exceeds 32-bit cell coordinates", bits)
 	case dims*bits > 64:
 		return Curve{}, fmt.Errorf("hilbert: dims*bits = %d exceeds 64-bit keys", dims*bits)
 	}
@@ -115,35 +117,38 @@ func (c Curve) Decode(key uint64) ([]uint32, error) {
 }
 
 // axesToTranspose converts coordinates in place to the transposed Hilbert
-// index form (Skilling's AxestoTranspose).
+// index form (Skilling's AxestoTranspose). Skilling's per-(level, axis)
+// choice — invert the low bits of x[0] when the axis bit is set, swap
+// them with x[i]'s otherwise — depends on coordinate bits a predictor
+// cannot guess, so it is taken by mask instead of by branch.
 func (c Curve) axesToTranspose(x []uint32) {
 	n := int(c.dims)
-	m := uint32(1) << (c.bits - 1)
 
 	// Inverse undo excess work.
-	for q := m; q > 1; q >>= 1 {
-		p := q - 1
-		for i := 0; i < n; i++ {
-			if x[i]&q != 0 {
-				x[0] ^= p // invert low bits of x[0]
-			} else {
-				t := (x[0] ^ x[i]) & p
-				x[0] ^= t
-				x[i] ^= t
-			}
+	x0 := x[0]
+	for sh := c.bits - 1; sh > 0; sh-- {
+		p := uint32(1)<<sh - 1
+		x0 ^= p & -(x0 >> sh & 1) // axis 0 has nothing to swap with itself
+		for i := 1; i < n; i++ {
+			mask := -(x[i] >> sh & 1)
+			t := (x0 ^ x[i]) & p &^ mask
+			x0 ^= t ^ p&mask
+			x[i] ^= t
 		}
 	}
+	x[0] = x0
 
-	// Gray encode.
+	// Gray encode. Bit j of t is the parity of the bits of x[n-1] above
+	// j: a suffix XOR, folded in five doubling steps.
 	for i := 1; i < n; i++ {
 		x[i] ^= x[i-1]
 	}
-	var t uint32
-	for q := m; q > 1; q >>= 1 {
-		if x[n-1]&q != 0 {
-			t ^= q - 1
-		}
-	}
+	t := x[n-1] >> 1
+	t ^= t >> 1
+	t ^= t >> 2
+	t ^= t >> 4
+	t ^= t >> 8
+	t ^= t >> 16
 	for i := 0; i < n; i++ {
 		x[i] ^= t
 	}
@@ -177,13 +182,43 @@ func (c Curve) transposeToAxes(x []uint32) {
 	}
 }
 
+// spreadMaxDims is the widest curve the byte-spread table covers; wider
+// curves (at most 64/dims <= 7 bits per axis) pack bit by bit.
+const spreadMaxDims = 8
+
+// spread[n][b] places bit k of byte b at bit k*n: one axis byte laid
+// out at the stride of an n-dimensional interleave.
+var spread = func() (tab [spreadMaxDims + 1][256]uint64) {
+	for n := 1; n <= spreadMaxDims; n++ {
+		for b := 0; b < 256; b++ {
+			for k := 0; k < 8; k++ {
+				tab[n][b] |= uint64(b>>k&1) << (k * n)
+			}
+		}
+	}
+	return tab
+}()
+
 // packTranspose interleaves the transpose form into a single key. Bit b
 // (counting from the most significant bit, b = bits-1 .. 0) of x[i]
 // becomes bit (b*dims + (dims-1-i)) of the key.
 func (c Curve) packTranspose(x []uint32) uint64 {
+	n := int(c.dims)
 	var key uint64
+	if n <= spreadMaxDims {
+		tab := &spread[n]
+		for i, v := range x {
+			var w uint64
+			for sh := 0; v != 0; sh += 8 * n {
+				w |= tab[v&0xff] << sh
+				v >>= 8
+			}
+			key |= w << (n - 1 - i)
+		}
+		return key
+	}
 	for b := int(c.bits) - 1; b >= 0; b-- {
-		for i := 0; i < int(c.dims); i++ {
+		for i := 0; i < n; i++ {
 			bit := uint64(x[i]>>uint(b)) & 1
 			key = key<<1 | bit
 		}

@@ -19,6 +19,13 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(4, 16); err != nil {
 		t.Fatal("dims*bits=64 rejected")
 	}
+	// Cells are uint32: 40 bits fit a 64-bit key but not a coordinate.
+	if _, err := New(1, 40); err == nil {
+		t.Fatal("bits=40 accepted")
+	}
+	if _, err := New(2, 32); err != nil {
+		t.Fatal("bits=32 rejected")
+	}
 }
 
 func TestMustNewPanics(t *testing.T) {
@@ -240,15 +247,24 @@ func distSq(a, b []uint32) float64 {
 	return s
 }
 
+// BenchmarkEncode3D16 encodes random cells: a constant input would let
+// the branch predictor learn a branchy transform and hide its cost.
 func BenchmarkEncode3D16(b *testing.B) {
 	c := MustNew(3, 16)
-	coords := []uint32{12345, 54321, 33333}
+	rng := rand.New(rand.NewSource(1))
+	var inputs [1024][3]uint32
+	for i := range inputs {
+		for j := range inputs[i] {
+			inputs[i][j] = rng.Uint32() & c.MaxCoord()
+		}
+	}
+	var sink uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf := []uint32{coords[0], coords[1], coords[2]}
-		c.axesToTranspose(buf)
-		_ = c.packTranspose(buf)
+		buf := inputs[i%len(inputs)]
+		sink += c.MustEncodeInPlace(buf[:])
 	}
+	_ = sink
 }
 
 func BenchmarkDecode3D16(b *testing.B) {

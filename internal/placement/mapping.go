@@ -2,7 +2,6 @@ package placement
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/hourglass/sbon/internal/costindex"
 	"github.com/hourglass/sbon/internal/costspace"
@@ -56,29 +55,11 @@ type Mapper interface {
 	Name() string
 }
 
-// pointPool recycles scratch cost-space points for ideal-coordinate
-// targets, so the mapping hot path does not allocate per call. Mappers
-// are stateless by the package re-entrancy contract, hence a pool rather
-// than per-mapper scratch.
-var pointPool = sync.Pool{New: func() any {
-	p := make(costspace.Point, 0, 8)
-	return &p
-}}
-
-// idealTarget assembles the ideal point for vec in a pooled buffer,
-// returning the point and its pool handle. Callers must putIdeal the
-// handle when done and not use the point afterwards. (A plain handle
-// rather than a release closure: a closure would heap-allocate per
-// call, defeating the pool.)
-func idealTarget(space *costspace.Space, vec vivaldi.Coord) (costspace.Point, *costspace.Point) {
-	pb := pointPool.Get().(*costspace.Point)
-	target := space.AppendIdealPoint(*pb, vec)
-	*pb = target
-	return target, pb
-}
-
-// putIdeal returns an idealTarget buffer to the pool.
-func putIdeal(pb *costspace.Point) { pointPool.Put(pb) }
+// idealDims is the dimensionality up to which a mapper assembles its
+// ideal target point on its own stack; wider spaces grow the buffer on
+// the heap. Mappers are stateless values shared between goroutines, so
+// the scratch is per call.
+const idealDims = 8
 
 // excludeFunc adapts a node exclusion set to the index callback form.
 // A nil/empty set maps to a nil callback (the index's fast path).
@@ -116,8 +97,8 @@ func (OracleMapper) Name() string { return "oracle" }
 // MapCoord implements Mapper.
 func (m OracleMapper) MapCoord(_ topology.NodeID, vec vivaldi.Coord, exclude map[topology.NodeID]bool) (topology.NodeID, MapStats, error) {
 	space := m.Source.Space()
-	target, pb := idealTarget(space, vec)
-	defer putIdeal(pb)
+	var buf [idealDims]float64
+	target := space.AppendIdealPoint(buf[:0], vec)
 
 	if src, ok := m.Source.(IndexedSource); ok {
 		ix := src.CostIndex()
@@ -150,11 +131,11 @@ func (m OracleMapper) MapCoord(_ topology.NodeID, vec vivaldi.Coord, exclude map
 
 // DHTMapper is the paper's decentralized mapping: look up the ideal
 // coordinate's Hilbert key in the DHT and take the nearest published
-// node coordinate (§3.2), considering Candidates nearby entries ranked by
-// full-space distance.
+// node coordinate (§3.2) among the Candidates nearest entries, ranked by
+// full-space distance, that a bounded ring walk around the key finds.
 type DHTMapper struct {
 	Catalog *dht.Catalog
-	// Candidates is how many nearby entries to rank (default 8).
+	// Candidates is how many nearby entries to consider (default 8).
 	Candidates int
 	// MaxScan bounds the ring walk (default 32 peers).
 	MaxScan int
@@ -163,15 +144,8 @@ type DHTMapper struct {
 // Name implements Mapper.
 func (DHTMapper) Name() string { return "hilbert-dht" }
 
-// entryPool recycles candidate-entry buffers across MapCoord calls: the
-// ranked entries never escape the mapper, so the backing array is
-// reusable.
-var entryPool = sync.Pool{New: func() any {
-	s := make([]dht.Entry, 0, 32)
-	return &s
-}}
-
-// MapCoord implements Mapper.
+// MapCoord implements Mapper: one key, one lookup, one pass over the
+// walked entries.
 func (m DHTMapper) MapCoord(start topology.NodeID, vec vivaldi.Coord, exclude map[topology.NodeID]bool) (topology.NodeID, MapStats, error) {
 	if m.Catalog == nil {
 		return 0, MapStats{}, fmt.Errorf("placement: DHTMapper has no catalog")
@@ -184,34 +158,26 @@ func (m DHTMapper) MapCoord(start topology.NodeID, vec vivaldi.Coord, exclude ma
 	if scan <= 0 {
 		scan = 32
 	}
-	space := m.Catalog.Space()
-	target, pb := idealTarget(space, vec)
-	defer putIdeal(pb)
-	// Ask for extra candidates to survive exclusions.
+	var buf [idealDims]float64
+	target := m.Catalog.Space().AppendIdealPoint(buf[:0], vec)
+	// Consider extra candidates to survive exclusions: with more
+	// candidates than exclusions the nearest admissible entry is always
+	// among them, so the catalog need not rank them to find it.
 	want := cands + len(exclude)
-
-	eb := entryPool.Get().(*[]dht.Entry)
-	defer entryPool.Put(eb)
-	res, err := m.Catalog.NearestNodesAppend(start, target, want, scan, (*eb)[:0])
+	res, err := m.Catalog.NearestAdmissible(start, target, want, scan, exclude)
 	if err != nil {
 		return 0, MapStats{}, err
-	}
-	if cap(res.Entries) > cap(*eb) {
-		*eb = res.Entries[:0] // keep the grown backing array
 	}
 	stats := MapStats{
 		LookupHops:  res.LookupHops,
 		PeersWalked: res.PeersWalked,
-		Candidates:  len(res.Entries),
+		Candidates:  res.Candidates,
+		Error:       res.Distance,
 	}
-	for _, e := range res.Entries {
-		if exclude[e.Node] {
-			continue
-		}
-		stats.Error = space.Distance(target, e.Point)
-		return e.Node, stats, nil
+	if !res.Found {
+		return 0, stats, fmt.Errorf("placement: DHT walk found no admissible node (got %d entries)", res.Candidates)
 	}
-	return 0, stats, fmt.Errorf("placement: DHT walk found no admissible node (got %d entries)", len(res.Entries))
+	return res.Node, stats, nil
 }
 
 // VectorOnlyMapper ranks candidates by vector-subspace distance only,
@@ -227,8 +193,8 @@ func (VectorOnlyMapper) Name() string { return "vector-only" }
 // MapCoord implements Mapper.
 func (m VectorOnlyMapper) MapCoord(_ topology.NodeID, vec vivaldi.Coord, exclude map[topology.NodeID]bool) (topology.NodeID, MapStats, error) {
 	space := m.Source.Space()
-	target, pb := idealTarget(space, vec)
-	defer putIdeal(pb)
+	var buf [idealDims]float64
+	target := space.AppendIdealPoint(buf[:0], vec)
 
 	if src, ok := m.Source.(IndexedSource); ok {
 		ix := src.CostIndex()

@@ -92,3 +92,49 @@ func TestIndexedMapperAllExcluded(t *testing.T) {
 		t.Fatal("indexed vector-only mapping with all nodes excluded succeeded")
 	}
 }
+
+// TestMapCoordDoesNotAllocate pins the mapping hot path: every mapper
+// assembles its ideal target on its own stack — no pool, no heap — and
+// the DHT mapper's whole query (key, lookup, ring scan) allocates
+// nothing, whatever the exclusion set looks like. A stack buffer that
+// escaped through some call would show up here as one allocation per
+// call.
+func TestMapCoordDoesNotAllocate(t *testing.T) {
+	src := newFakeSource(64, 41)
+	indexed := newIndexedFake(src)
+	allFalse := make(map[topology.NodeID]bool)
+	for _, id := range src.ids {
+		allFalse[id] = false
+	}
+	excludes := []struct {
+		name string
+		set  map[topology.NodeID]bool
+	}{
+		{"nil", nil},
+		{"three nodes", map[topology.NodeID]bool{3: true, 17: true, 40: false}},
+		{"all false", allFalse},
+	}
+	mappers := []struct {
+		name string
+		m    Mapper
+	}{
+		{"dht", DHTMapper{Catalog: buildDHT(t, src)}},
+		{"oracle/scan", OracleMapper{Source: src}},
+		{"oracle/indexed", OracleMapper{Source: indexed}},
+		{"vector-only/scan", VectorOnlyMapper{Source: src}},
+		{"vector-only/indexed", VectorOnlyMapper{Source: indexed}},
+	}
+	vec := vivaldi.Coord{90, 120}
+	for _, mp := range mappers {
+		for _, ex := range excludes {
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, _, err := mp.m.MapCoord(5, vec, ex.set); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s, exclude %s: %v allocs per MapCoord, want 0", mp.name, ex.name, allocs)
+			}
+		}
+	}
+}

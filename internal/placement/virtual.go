@@ -11,9 +11,12 @@
 //     gradient-descent placers are provided as alternatives/ablations.
 //
 //   - Physical mapping finds a real node near the ideal coordinate. The
-//     paper's mechanism is a Hilbert-keyed DHT lookup (DHTMapper); an
+//     paper's mechanism is a Hilbert-keyed DHT lookup (DHTMapper): one
+//     key, one lookup and one pass over the entries a bounded ring walk
+//     reaches, keeping the nearest whose node is not excluded. An
 //     exhaustive OracleMapper provides ground truth for measuring mapping
-//     error.
+//     error. A mapper builds its ideal target point on its own stack and
+//     allocates nothing per call.
 //
 // All placers and mappers are re-entrant: they keep no state between
 // calls and mutate only the Problem (or return values) they are given, so
