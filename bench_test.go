@@ -16,10 +16,10 @@ import (
 	"github.com/hourglass/sbon/internal/workload"
 )
 
-// Benchmarks regenerating every paper artifact (see DESIGN.md §5). Each
-// benchmark runs the corresponding experiment end to end at reduced
-// scale so `go test -bench=.` stays tractable; `cmd/sbon-exp` runs the
-// full-scale versions. Reported custom metrics surface the experiment's
+// Benchmarks regenerating every paper artifact (listed in the package
+// comment of internal/exp). Each benchmark runs the corresponding
+// experiment end to end at reduced scale so `go test -bench=.` stays
+// tractable; `cmd/sbon-exp` runs the full-scale versions. Reported custom metrics surface the experiment's
 // headline number so regressions in *results*, not just runtime, are
 // visible.
 
@@ -167,20 +167,9 @@ func BenchmarkX10_PlanBank(b *testing.B) {
 	}
 }
 
-// BenchmarkX8_EngineValidation regenerates the data-plane validation on
-// the virtual-time engine: the same 40-simulated-second window per
-// circuit that the wall-clock variant spends 1.2s of real time on.
+// BenchmarkX8_EngineValidation regenerates the data-plane validation: a
+// 40-simulated-second window per circuit.
 func BenchmarkX8_EngineValidation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.X8(exp.X8Params{Seed: 18, RunFor: 400 * time.Millisecond, Virtual: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkX8_EngineValidationWallClock keeps the wall-clock engine's
-// cost on record as the baseline the virtual kernel is measured against.
-func BenchmarkX8_EngineValidationWallClock(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := exp.X8(exp.X8Params{Seed: 18, RunFor: 400 * time.Millisecond}); err != nil {
 			b.Fatal(err)
@@ -189,8 +178,7 @@ func BenchmarkX8_EngineValidationWallClock(b *testing.B) {
 }
 
 // BenchmarkX11_ThousandNodeVirtual runs the 1024-node, 200-circuit
-// scenario — infeasible on the wall clock (≈27 minutes of real time at
-// the X8 time scale) and a sub-second regeneration under virtual time.
+// scenario, a sub-second regeneration.
 func BenchmarkX11_ThousandNodeVirtual(b *testing.B) {
 	var last *exp.Table
 	for i := 0; i < b.N; i++ {

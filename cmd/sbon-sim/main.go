@@ -17,11 +17,11 @@
 //	sbon-sim -batch 10000 -batch-distinct 250 -workers 8 -batch-compare
 //
 // With -execute the optimized circuits are additionally deployed on the
-// stream engine and run for -sim-seconds of simulated time; -virtual-time
-// runs them on the deterministic discrete-event clock, so even large
-// overlays and long windows complete in (reproducible) milliseconds:
+// stream engine and run for -sim-seconds of simulated time on the
+// deterministic discrete-event clock, so even large overlays and long
+// windows complete in (reproducible) milliseconds:
 //
-//	sbon-sim -queries 100 -execute -virtual-time -sim-seconds 30
+//	sbon-sim -queries 100 -execute -sim-seconds 30
 //
 // With -adapt N the deployment additionally runs N live adaptation
 // sweeps under drifting background load: each sweep plans service
@@ -29,26 +29,25 @@
 // them through the engine's buffered zero-loss handoff while the
 // circuits keep processing tuples:
 //
-//	sbon-sim -queries 40 -execute -virtual-time -adapt 4 -adapt-budget 16
+//	sbon-sim -queries 40 -execute -adapt 4 -adapt-budget 16
 //
 // With -adapt-continuous the sweeps instead run as a clock-driven
 // continuous loop of incremental re-optimizations: background load
 // drifts between rounds via scheduled events, and each round consumes
 // the environment's delta log, re-planning only the circuits the drift
-// can affect. Requires -virtual-time (the loop and its drift schedule
-// are discrete events):
+// can affect (the loop and its drift schedule are discrete events):
 //
-//	sbon-sim -queries 40 -virtual-time -adapt 8 -adapt-continuous
+//	sbon-sim -queries 40 -adapt 8 -adapt-continuous
 //
 // With -crash-frac (and optionally -drop-prob) the run becomes the
 // unplanned-failure scenario: that fraction of nodes crashes without
 // warning, staggered across the window, while every message rides
 // through the seeded drop probability. Heartbeats feed the failure
 // detector and the coordinator repairs affected circuits onto live
-// nodes automatically — no Evacuate calls. Requires -execute
-// -virtual-time; same seed reproduces the identical run:
+// nodes automatically — no Evacuate calls. Requires -execute; same
+// seed reproduces the identical run:
 //
-//	sbon-sim -queries 40 -execute -virtual-time -crash-frac 0.05 -drop-prob 0.01
+//	sbon-sim -queries 40 -execute -crash-frac 0.05 -drop-prob 0.01
 //
 // Observability: -trace FILE writes the run's structured events as a
 // Chrome trace-event file (load it in Perfetto or chrome://tracing),
@@ -59,10 +58,10 @@
 // prints one JSON report merging the overlay's metric registry with
 // the trace to stdout. Traces cover optimizer decisions,
 // migration phases, repair rounds, fault injections, and failure
-// verdicts; under -virtual-time the serialized bytes are bit-identical
-// for a fixed seed:
+// verdicts; with -execute or -adapt they are stamped in simulated time
+// and the serialized bytes are bit-identical for a fixed seed:
 //
-//	sbon-sim -queries 40 -execute -virtual-time -adapt 4 -trace out.json -metrics-dump
+//	sbon-sim -queries 40 -execute -adapt 4 -trace out.json -metrics-dump
 package main
 
 import (
@@ -87,9 +86,9 @@ import (
 )
 
 // traceSink gathers the observability flags and the tracer they imply.
-// open creates the tracer (the scenario re-bases it onto the run's
-// clock, so virtual-time runs stamp events deterministically); finish
-// writes the requested exports once the run completes.
+// open creates the tracer, stamping wall time until a scenario re-bases
+// it onto the run's clock; finish writes the requested exports once the
+// run completes.
 type traceSink struct {
 	chrome string
 	jsonl  string
@@ -182,18 +181,17 @@ func main() {
 		batchNoCache  = flag.Bool("batch-no-cache", false, "disable the plan cache in the batch scenario")
 
 		execute     = flag.Bool("execute", false, "deploy the optimized circuits on the stream engine and measure the dataflow")
-		virtualTime = flag.Bool("virtual-time", false, "run the engine on the deterministic virtual clock (instant, reproducible)")
-		dataShards  = flag.Int("data-shards", 1, "execute the data plane on this many parallel event-queue shards, keyed to the optimizer's cost-space regions (requires -execute -virtual-time; results are bit-identical to 1)")
+		dataShards  = flag.Int("data-shards", 1, "execute the data plane on this many parallel event-queue shards, keyed to the optimizer's cost-space regions (requires -execute; results are bit-identical to 1)")
 		simSeconds  = flag.Float64("sim-seconds", 10, "simulated measurement window for -execute")
 		heartbeatMs = flag.Float64("heartbeat-ms", 500, "per-node heartbeat period in simulated ms for -execute (0 = off)")
 
 		adaptSweeps = flag.Int("adapt", 0, "run this many live adaptation sweeps (with -execute: circuits migrate under traffic)")
 		adaptBudget = flag.Int("adapt-budget", 16, "max migrations per adaptation sweep")
 		adaptDrift  = flag.Float64("adapt-drift", 0.1, "fraction of nodes whose background load drifts before each sweep")
-		adaptCont   = flag.Bool("adapt-continuous", false, "run adaptation as a continuous clock-driven loop of incremental sweeps (requires -virtual-time); -adapt N sets the rounds")
+		adaptCont   = flag.Bool("adapt-continuous", false, "run adaptation as a continuous clock-driven loop of incremental sweeps; -adapt N sets the rounds")
 		adaptIntMs  = flag.Int("adapt-interval-ms", 500, "continuous adaptation interval (simulated milliseconds)")
 
-		crashFrac = flag.Float64("crash-frac", 0, "fraction of nodes crashing unannounced mid-run; circuits repair automatically (requires -execute -virtual-time)")
+		crashFrac = flag.Float64("crash-frac", 0, "fraction of nodes crashing unannounced mid-run; circuits repair automatically (requires -execute)")
 		dropProb  = flag.Float64("drop-prob", 0, "ambient per-message drop probability for the failure scenario")
 
 		traceFile   = flag.String("trace", "", "write the run's structured events to this file in Chrome trace-event format (Perfetto-loadable)")
@@ -209,8 +207,8 @@ func main() {
 	}
 	sink := &traceSink{chrome: *traceFile, jsonl: *traceJSONL, stream: *traceStream, dump: *metricsDump}
 
-	if *dataShards > 1 && (!*execute || !*virtualTime) {
-		fail(fmt.Errorf("-data-shards requires -execute -virtual-time: only the discrete-event data plane shards"))
+	if *dataShards > 1 && !*execute {
+		fail(fmt.Errorf("-data-shards requires -execute: it is the data plane that shards"))
 	}
 
 	spec := scenario.Spec{
@@ -220,16 +218,19 @@ func main() {
 		Queries:    workload.DefaultQueryConfig(),
 		UseDHT:     *useDHT,
 		DataShards: *dataShards,
-		Tracer:     sink.open(),
+	}
+	// The scenario re-bases its tracer onto the simulated clock, which
+	// only a data plane or an adaptation loop advances: an optimize-only
+	// run keeps the sink's tracer on wall time, so its spans have
+	// durations, and hands it to the re-optimizer below.
+	if tr := sink.open(); *execute || *adaptSweeps > 0 {
+		spec.Tracer = tr
 	}
 	spec.Topology.StubNodes = *stubNodes
 	spec.Streams.NumStreams = *streams
 	spec.Queries.NumQueries = *queries
 	if *batchN > 0 {
 		spec.Queries.NumQueries = *batchDistinct
-	}
-	if *virtualTime {
-		spec.Clock = scenario.Virtual
 	}
 	w, err := scenario.Build(spec)
 	if err != nil {
@@ -289,17 +290,14 @@ func main() {
 		totalPlans, totalReuse, totalExamined, reg.Len())
 
 	if *crashFrac > 0 || *dropProb > 0 {
-		if !*execute || !*virtualTime {
-			fail(fmt.Errorf("-crash-frac/-drop-prob require -execute -virtual-time: crashes, detection, and repair are discrete events"))
+		if !*execute {
+			fail(fmt.Errorf("-crash-frac/-drop-prob require -execute: crashes, detection, and repair happen on the data plane"))
 		}
 		sink.finish(runFailureScenario(w, circuits, *crashFrac, *dropProb, *simSeconds))
 		return
 	}
 
 	if *adaptSweeps > 0 {
-		if *adaptCont && !*virtualTime {
-			fail(fmt.Errorf("-adapt-continuous requires -virtual-time: the loop and its drift schedule are discrete events"))
-		}
 		sink.finish(runAdaptation(w, circuits, *adaptSweeps, *adaptBudget, *adaptDrift, *execute, *simSeconds,
 			*adaptCont, *adaptIntMs))
 		return
@@ -342,9 +340,9 @@ func execute(w *scenario.World, circuits []*optimizer.Circuit) {
 }
 
 // runDataPlane deploys the circuits on the stream engine and measures
-// the executing dataflow against the analytic model. With virtual time
-// the whole window is a deterministic discrete-event run that finishes
-// in milliseconds regardless of the simulated duration.
+// the executing dataflow against the analytic model. The whole window
+// is a deterministic discrete-event run that finishes in milliseconds
+// regardless of the simulated duration.
 func runDataPlane(w *scenario.World, circuits []*optimizer.Circuit, simSeconds, heartbeatMs float64) *metrics.Registry {
 	defer w.Close()
 	execute(w, circuits)
@@ -352,12 +350,8 @@ func runDataPlane(w *scenario.World, circuits []*optimizer.Circuit, simSeconds, 
 	if net.DataShards() > 1 {
 		fmt.Printf("\ndata plane sharded across %d parallel event queues (lookahead %v)\n", net.DataShards(), w.Lookahead)
 	}
-	mode := "wall-clock"
-	if w.VClock != nil {
-		mode = "virtual-time"
-	}
-	fmt.Printf("\nexecuting %d circuits on the %s engine for %.1f simulated seconds...\n",
-		len(circuits), mode, simSeconds)
+	fmt.Printf("\nexecuting %d circuits on the virtual-time engine for %.1f simulated seconds...\n",
+		len(circuits), simSeconds)
 
 	truth := optimizer.TrueLatency{Topo: w.Topo}
 	var analyticUsage, analyticRate float64
@@ -370,7 +364,7 @@ func runDataPlane(w *scenario.World, circuits []*optimizer.Circuit, simSeconds, 
 			st.Instances, st.Subscribers)
 	}
 	if heartbeatMs > 0 {
-		w.StartHeartbeats(time.Duration(heartbeatMs * float64(w.TimeScale())))
+		w.StartHeartbeats(time.Duration(heartbeatMs * float64(scenario.TimeScale)))
 	}
 	wallStart := time.Now()
 	w.SimSleep(simSeconds)
@@ -430,7 +424,7 @@ func runAdaptation(w *scenario.World, circuits []*optimizer.Circuit,
 			clk.AfterFunc(time.Duration(i)*interval+interval/2, func() { w.Drift(churn) })
 		}
 		stop := make(chan struct{})
-		clk.AfterFunc(time.Duration(sweeps)*interval+interval/4, func() { w.VClock.Signal(stop) })
+		clk.AfterFunc(time.Duration(sweeps)*interval+interval/4, func() { clk.Signal(stop) })
 		rs, err := co.Run(interval, stop)
 		if err != nil {
 			fail(err)
@@ -481,7 +475,7 @@ func lossCounters(net *overlay.Network) *metrics.Registry {
 func runFailureScenario(w *scenario.World, circuits []*optimizer.Circuit, crashFrac, dropProb, simSeconds float64) *metrics.Registry {
 	defer w.Close()
 	execute(w, circuits)
-	topo, dep, net, vclk := w.Topo, w.Deployment, w.Net, w.VClock
+	topo, dep, net, vclk := w.Topo, w.Deployment, w.Net, w.Clock
 	truth := optimizer.TrueLatency{Topo: topo}
 
 	// Victims: non-endpoint nodes only — a dead pinned producer or

@@ -18,8 +18,7 @@ import (
 
 func main() {
 	sys, err := sbon.New(sbon.Options{
-		Seed:        5,
-		VirtualTime: true,
+		Seed: 5,
 		Topology: sbon.TopologyConfig{
 			TransitDomains:      2,
 			TransitNodes:        2,
@@ -64,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nstreaming for 40 simulated seconds (instant under virtual time)...")
+	fmt.Println("\nstreaming for 40 simulated seconds (instant: time is simulated)...")
 	if err := sys.RunFor(40); err != nil {
 		log.Fatal(err)
 	}

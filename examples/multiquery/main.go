@@ -17,8 +17,7 @@ import (
 
 func main() {
 	sys, err := sbon.New(sbon.Options{
-		Seed:        11,
-		VirtualTime: true,
+		Seed: 11,
 		Topology: sbon.TopologyConfig{
 			TransitDomains:      4,
 			TransitNodes:        4,

@@ -33,8 +33,8 @@
 // loop — the paper's continuous optimization running at the cost of
 // what changed, not of what is deployed.
 //
-// Under simtime.VirtualClock the whole loop is deterministic: same seed,
-// same plan, same handoff timings, same settled state.
+// On the engine's clock the whole loop is deterministic: same seed, same
+// plan, same handoff timings, same settled state.
 package adapt
 
 import (
@@ -57,8 +57,9 @@ type Coordinator struct {
 	// Engine executes the deployment's circuits; nil means control-plane
 	// only (moves commit instantly, nothing buffers or drains).
 	Engine *stream.Engine
-	// Clock paces settle waits (default: real clock; pass the engine's
-	// virtual clock for deterministic runs).
+	// Clock paces settle waits: the engine's clock when there is an
+	// engine. Nil means the real clock, for a control-plane-only
+	// coordinator outside any overlay.
 	Clock simtime.Clock
 
 	// Threshold is the re-optimizer's hysteresis (default 0.05).
@@ -161,10 +162,6 @@ type SweepStats struct {
 	FullSweep        bool
 }
 
-// settleGrace bounds the extra per-migration wait granted to straggling
-// teardown timers under the real clock.
-const settleGrace = 100 * time.Millisecond
-
 // reopt returns the coordinator's re-optimizer, refreshed with the
 // current configuration. The instance persists across sweeps: it holds
 // the incremental bookkeeping (delta-log watermark, pending moves).
@@ -246,9 +243,9 @@ type RunStats struct {
 // settle). This is the paper's "continuous optimization" made
 // operational at delta cost: a quiet overlay re-plans nothing.
 //
-// The wait is a tracked SleepOrDone, so under a virtual clock the
-// caller must be a registered actor and the loop is deterministic:
-// same seed, same delta schedule, same rounds, same moves.
+// The wait is a tracked SleepOrDone, so the caller must be a registered
+// actor of the clock, and the loop is deterministic: same seed, same
+// delta schedule, same rounds, same moves.
 func (co *Coordinator) Run(interval time.Duration, stop <-chan struct{}) (RunStats, error) {
 	if interval <= 0 {
 		interval = time.Second
@@ -398,29 +395,15 @@ func (co *Coordinator) execute(plan optimizer.MigrationPlan, cancel <-chan struc
 		}
 	}
 
-	// Under the real clock, teardown timers can lag the settle sleep;
-	// grant each still-pending handoff a bounded grace wait so the
-	// migration records (Buffered/Forwarded/Aborted) are final before
-	// they are read. Under the virtual clock the channels are already
-	// closed and these return instantly.
-	if !stats.Cancelled {
-		for _, fl := range flights {
-			if fl.mig != nil {
-				// Fast-path returns immediately when Done is closed.
-				clk.SleepOrDone(settleGrace, fl.mig.Done())
-			}
-		}
-	}
-
 	for _, fl := range flights {
 		if fl.mig != nil {
 			// Counters are written by the handoff's timer callbacks and
 			// published by closing Done; read them only after observing
 			// the close (the happens-before edge). A handoff still
-			// pending here — cancelled settle, or a real-clock teardown
-			// outlasting the grace — completes on its own: commit the
-			// ticket so the control plane matches where the data plane
-			// is headed, without touching its in-flight counters.
+			// pending here — the settle was cancelled — completes on its
+			// own: commit the ticket so the control plane matches where
+			// the data plane is headed, without touching its in-flight
+			// counters.
 			select {
 			case <-fl.mig.Done():
 				stats.Buffered += fl.mig.Buffered

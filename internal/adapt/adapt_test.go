@@ -57,11 +57,10 @@ func newFixture(t *testing.T, seed int64, queries int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ncfg := overlay.VirtualConfig()
-	clk := ncfg.Clock.(*simtime.VirtualClock)
+	ncfg := overlay.DefaultConfig()
+	clk := ncfg.Clock
 	clk.Register()
 	net := overlay.NewNetwork(topo, ncfg)
-	net.Start()
 	eng := stream.NewEngine(net, topo, stream.DefaultEngineConfig())
 	dep := optimizer.NewDeployment(env, nil)
 	t.Cleanup(func() {

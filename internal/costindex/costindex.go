@@ -25,13 +25,12 @@
 // # Exactness contract
 //
 // Queries return results identical to the brute-force linear scans they
-// replace (placement.OracleMapper, dht.Catalog.ExactNearest): distances
-// are accumulated over coordinates in the same order with the same
-// float64 operations as costspace.Space.Distance/VectorDistance, ties
-// are broken by lowest id, and subtree pruning is strict (a plane is
-// pruned only when it is strictly farther than the current worst
-// candidate), so equal-distance candidates on the far side of a split
-// are still found and tie-broken.
+// replace (placement.OracleMapper): distances are accumulated over
+// coordinates in the same order with the same float64 operations as
+// costspace.Space.Distance/VectorDistance, ties are broken by lowest
+// id, and subtree pruning is strict (a plane is pruned only when it is
+// strictly farther than the current worst candidate), so equal-distance
+// candidates on the far side of a split are still found and tie-broken.
 //
 // # Immutability, versioning, and point churn
 //

@@ -3,7 +3,6 @@ package dht
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -280,9 +279,8 @@ func TestRepublishReplacesEntry(t *testing.T) {
 	if got := env.catalog.NumPublished(); got != 16 {
 		t.Fatalf("NumPublished = %d, want 16 after republish", got)
 	}
-	res := env.catalog.ExactNearest(newPt, 1)
-	if len(res) != 1 || res[0].Node != 3 {
-		t.Fatalf("ExactNearest after republish = %v", res)
+	if e, ok := env.catalog.PublishedEntry(3); !ok || env.space.Distance(e.Point, newPt) != 0 {
+		t.Fatalf("entry after republish = %v, want node 3 at %v", e, newPt)
 	}
 	// Exactly one stored copy must exist across all peers.
 	count := 0
@@ -300,75 +298,6 @@ func TestRepublishReplacesEntry(t *testing.T) {
 	}
 }
 
-func TestWithinRadiusFullScanMatchesOracle(t *testing.T) {
-	env := newTestEnv(t, 80, 3)
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 25; trial++ {
-		target := env.space.NewPoint(
-			vivaldi.Coord{rng.Float64() * 200, rng.Float64() * 200}, []float64{0})
-		r := 20 + rng.Float64()*60
-		res, err := env.catalog.WithinRadius(0, target, r, env.ring.NumPeers())
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle := env.catalog.ExactWithinRadius(target, r)
-		if len(res.Entries) != len(oracle) {
-			t.Fatalf("WithinRadius found %d entries, oracle %d (r=%v)", len(res.Entries), len(oracle), r)
-		}
-		gotSet := map[topology.NodeID]bool{}
-		for _, e := range res.Entries {
-			gotSet[e.Node] = true
-		}
-		for _, e := range oracle {
-			if !gotSet[e.Node] {
-				t.Fatalf("oracle entry %d missing from WithinRadius", e.Node)
-			}
-		}
-	}
-}
-
-func TestWithinRadiusSortedByDistance(t *testing.T) {
-	env := newTestEnv(t, 60, 5)
-	target := env.space.IdealPoint(vivaldi.Coord{100, 100})
-	res, err := env.catalog.WithinRadius(0, target, 150, env.ring.NumPeers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(res.Entries); i++ {
-		if env.space.Distance(target, res.Entries[i-1].Point) > env.space.Distance(target, res.Entries[i].Point) {
-			t.Fatal("WithinRadius results not sorted by distance")
-		}
-	}
-}
-
-func TestWithinRadiusSmallScanIsSubset(t *testing.T) {
-	env := newTestEnv(t, 100, 6)
-	target := env.space.IdealPoint(vivaldi.Coord{50, 50})
-	full, err := env.catalog.WithinRadius(0, target, 100, env.ring.NumPeers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, err := env.catalog.WithinRadius(0, target, 100, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.PeersWalked > 5 {
-		t.Fatalf("walked %d peers with maxScan=5", small.PeersWalked)
-	}
-	if len(small.Entries) > len(full.Entries) {
-		t.Fatal("pruned scan returned more than full scan")
-	}
-	fullSet := map[topology.NodeID]bool{}
-	for _, e := range full.Entries {
-		fullSet[e.Node] = true
-	}
-	for _, e := range small.Entries {
-		if !fullSet[e.Node] {
-			t.Fatalf("pruned result %d not in full result", e.Node)
-		}
-	}
-}
-
 func TestNearestNodesSmallRingExact(t *testing.T) {
 	// With a small ring, the oversampling walk covers every entry, so the
 	// DHT answer must equal the oracle exactly.
@@ -380,7 +309,7 @@ func TestNearestNodesSmallRingExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle := env.catalog.ExactNearest(target, 3)
+		oracle := scanNearest(env.catalog, target, 3)
 		if len(res.Entries) != len(oracle) {
 			t.Fatalf("got %d entries, oracle %d", len(res.Entries), len(oracle))
 		}
@@ -409,7 +338,7 @@ func TestNearestNodesMappingErrorSmall(t *testing.T) {
 		if len(res.Entries) == 0 {
 			t.Fatal("no entries returned")
 		}
-		oracle := env.catalog.ExactNearest(target, 1)
+		oracle := scanNearest(env.catalog, target, 1)
 		do := env.space.Distance(target, oracle[0].Point)
 		dg := env.space.Distance(target, res.Entries[0].Point)
 		if do == 0 {
@@ -431,9 +360,6 @@ func TestNearestNodesValidation(t *testing.T) {
 	}
 	if _, err := env.catalog.NearestNodes(0, costspace.Point{1}, 1, 10); err == nil {
 		t.Fatal("dim mismatch accepted")
-	}
-	if _, err := env.catalog.WithinRadius(0, target, -1, 10); err == nil {
-		t.Fatal("negative radius accepted")
 	}
 }
 
@@ -487,20 +413,6 @@ func TestKeyOfDoesNotAllocate(t *testing.T) {
 	_ = sink
 }
 
-func TestCellCenterRoundtrip(t *testing.T) {
-	env := newTestEnv(t, 4, 13)
-	p := env.space.IdealPoint(vivaldi.Coord{42, 77})
-	k := env.catalog.KeyOf(p)
-	center, err := env.catalog.CellCenter(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The cell center must quantize back to the same key.
-	if got := env.catalog.KeyOf(center); got != k {
-		t.Fatalf("CellCenter does not roundtrip: %#x vs %#x", uint64(got), uint64(k))
-	}
-}
-
 func TestChurnKeepsEntriesReachable(t *testing.T) {
 	env := newTestEnv(t, 40, 14)
 	rng := rand.New(rand.NewSource(15))
@@ -524,7 +436,7 @@ func TestChurnKeepsEntriesReachable(t *testing.T) {
 		}
 	}
 	target := env.space.IdealPoint(vivaldi.Coord{100, 100})
-	res, err := env.catalog.WithinRadius(start, target, 1e9, env.ring.NumPeers())
+	res, err := walkEntries(env.catalog, start, target, env.ring.NumPeers(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,17 +466,6 @@ func TestIntervalHelpers(t *testing.T) {
 		if got := inHalfOpenInterval(tc.a, tc.b, tc.x); got != tc.ho {
 			t.Fatalf("case %d: inHalfOpenInterval(%d,%d,%d) = %v, want %v", i, tc.a, tc.b, tc.x, got, tc.ho)
 		}
-	}
-}
-
-func TestExactNearestOrdering(t *testing.T) {
-	env := newTestEnv(t, 30, 16)
-	target := env.space.IdealPoint(vivaldi.Coord{0, 0})
-	res := env.catalog.ExactNearest(target, 30)
-	if !sort.SliceIsSorted(res, func(i, j int) bool {
-		return env.space.Distance(target, res[i].Point) <= env.space.Distance(target, res[j].Point)
-	}) {
-		t.Fatal("ExactNearest not sorted by distance")
 	}
 }
 

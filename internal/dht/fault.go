@@ -73,9 +73,6 @@ func (r *Ring) InstallFaults(f RingFaults) {
 // FaultStats returns the accumulated RPC fault counters.
 func (r *Ring) FaultStats() RingFaultStats { return r.fstats }
 
-// ResetFaultStats zeroes the RPC fault counters.
-func (r *Ring) ResetFaultStats() { r.fstats = RingFaultStats{} }
-
 // rpc performs one hop RPC from -> to under the installed drop oracle,
 // retrying with capped exponential backoff. Reports whether the RPC
 // eventually got through. Without an oracle every RPC succeeds.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/hourglass/sbon/internal/overlay"
-	"github.com/hourglass/sbon/internal/simtime"
 	"github.com/hourglass/sbon/internal/topology"
 	"github.com/hourglass/sbon/internal/vivaldi"
 )
@@ -111,11 +110,10 @@ func TestLookupRetryWiredFromFaultInjector(t *testing.T) {
 		IntraTransitLatency: [2]float64{5, 10},
 	}
 	topo := topology.MustGenerate(tcfg, rand.New(rand.NewSource(1)))
-	cfg := overlay.VirtualConfig()
-	clk := cfg.Clock.(*simtime.VirtualClock)
+	cfg := overlay.DefaultConfig()
+	clk := cfg.Clock
 	clk.Register()
 	net := overlay.NewNetwork(topo, cfg)
-	net.Start()
 	defer func() {
 		net.Stop()
 		clk.Unregister()
@@ -237,7 +235,7 @@ func TestCatalogRepairAfterCrash(t *testing.T) {
 		}
 	}
 	target := env.space.IdealPoint(vivaldi.Coord{100, 100})
-	res, err := env.catalog.WithinRadius(start, target, 1e9, env.ring.NumPeers())
+	res, err := walkEntries(env.catalog, start, target, env.ring.NumPeers(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,9 +247,9 @@ func TestCatalogRepairAfterCrash(t *testing.T) {
 			t.Fatalf("dead node %d still answers catalog queries", e.Node)
 		}
 	}
-	for _, e := range env.catalog.ExactNearest(target, 48) {
+	for _, e := range scanNearest(env.catalog, target, 48) {
 		if seen[e.Node] {
-			t.Fatalf("dead node %d still in exact index", e.Node)
+			t.Fatalf("dead node %d still published", e.Node)
 		}
 	}
 

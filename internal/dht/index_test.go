@@ -146,45 +146,6 @@ func TestFlatStoreMirrorUnderChurn(t *testing.T) {
 	}
 }
 
-// bruteExactNearest is the scan ExactNearest replaced, kept as the
-// reference for the identity check.
-func bruteExactNearest(c *Catalog, target costspace.Point, n int) []Entry {
-	all := make([]Entry, 0, len(c.published))
-	for _, e := range c.published {
-		all = append(all, e)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		di := c.space.Distance(target, all[i].Point)
-		dj := c.space.Distance(target, all[j].Point)
-		if di != dj {
-			return di < dj
-		}
-		return all[i].Node < all[j].Node
-	})
-	if len(all) > n {
-		all = all[:n]
-	}
-	return all
-}
-
-func bruteExactWithin(c *Catalog, target costspace.Point, r float64) []Entry {
-	var out []Entry
-	for _, e := range c.published {
-		if c.space.Distance(target, e.Point) <= r {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		di := c.space.Distance(target, out[i].Point)
-		dj := c.space.Distance(target, out[j].Point)
-		if di != dj {
-			return di < dj
-		}
-		return out[i].Node < out[j].Node
-	})
-	return out
-}
-
 func entriesEqual(t *testing.T, what string, got, want []Entry) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -195,46 +156,6 @@ func entriesEqual(t *testing.T, what string, got, want []Entry) {
 			t.Fatalf("%s: entry %d = node %d key %#x, want node %d key %#x",
 				what, i, got[i].Node, uint64(got[i].Key), want[i].Node, uint64(want[i].Key))
 		}
-	}
-}
-
-// TestExactQueriesMatchBruteForceUnderChurn checks that the catalog's
-// index-backed exact queries stay identical to full scans across
-// version churn: republish moves (which patch the index), unpublishes
-// and fresh publishes (which invalidate it).
-func TestExactQueriesMatchBruteForceUnderChurn(t *testing.T) {
-	env := newTestEnv(t, 32, 8)
-	rng := rand.New(rand.NewSource(9))
-	c := env.catalog
-	for step := 0; step < 120; step++ {
-		switch rng.Intn(4) {
-		case 0, 1: // republish move — the patch path
-			id := topology.NodeID(rng.Intn(32))
-			p := env.space.NewPoint(
-				vivaldi.Coord{rng.Float64() * 200, rng.Float64() * 200},
-				[]float64{rng.Float64()},
-			)
-			if _, err := c.Publish(id, p); err != nil {
-				t.Fatal(err)
-			}
-		case 2: // unpublish — node-set change, full invalidation
-			c.Unpublish(topology.NodeID(rng.Intn(32)))
-		case 3: // publish back anything missing
-			for i := 0; i < 32; i++ {
-				id := topology.NodeID(i)
-				if _, ok := c.PublishedEntry(id); !ok {
-					if _, err := c.Publish(id, env.points[id]); err != nil {
-						t.Fatal(err)
-					}
-					break
-				}
-			}
-		}
-		target := env.space.IdealPoint(vivaldi.Coord{rng.Float64() * 220, rng.Float64() * 220})
-		n := 1 + rng.Intn(6)
-		entriesEqual(t, "ExactNearest", c.ExactNearest(target, n), bruteExactNearest(c, target, n))
-		r := rng.Float64() * 120
-		entriesEqual(t, "ExactWithinRadius", c.ExactWithinRadius(target, r), bruteExactWithin(c, target, r))
 	}
 }
 
@@ -254,13 +175,7 @@ func TestNearestNodesMatchesCollectAndSort(t *testing.T) {
 		n := 1 + rng.Intn(10)
 		scan := 1 + rng.Intn(20)
 
-		want := n * 4
-		if want < 16 {
-			want = 16
-		}
-		ref, err := c.collect(start, target, scan, nil, func(collected []Entry) bool {
-			return len(collected) >= want
-		})
+		ref, err := walkEntries(c, start, target, scan, oversample(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,10 +206,9 @@ func TestNearestNodesMatchesCollectAndSort(t *testing.T) {
 
 // TestConcurrentCatalogQueries exercises the catalog's documented
 // concurrency contract under the race detector: many goroutines run
-// NearestNodesAppend, NearestAdmissible (with and without the nearest
-// node excluded), WithinRadius, and the exact-index queries (racing its
-// first lazy build) against a static catalog, and every result must
-// equal the sequential answer. Publishes must not run concurrently with
+// NearestNodesAppend and NearestAdmissible (with and without the
+// nearest node excluded) against a static catalog, and every result
+// must equal the sequential answer. Publishes must not run concurrently with
 // queries — that side of the contract is unchanged.
 func TestConcurrentCatalogQueries(t *testing.T) {
 	env := newTestEnv(t, 40, 15)
@@ -304,7 +218,6 @@ func TestConcurrentCatalogQueries(t *testing.T) {
 		target costspace.Point
 		start  topology.NodeID
 		n      int
-		radius float64
 	}
 	qs := make([]q, 32)
 	for i := range qs {
@@ -312,12 +225,10 @@ func TestConcurrentCatalogQueries(t *testing.T) {
 			target: env.space.IdealPoint(vivaldi.Coord{rng.Float64() * 220, rng.Float64() * 220}),
 			start:  topology.NodeID(rng.Intn(40)),
 			n:      1 + rng.Intn(8),
-			radius: rng.Float64() * 120,
 		}
 	}
 	wantNear := make([][]Entry, len(qs))
 	wantNear2 := make([][]Entry, len(qs)) // NearestNodes(n+1)
-	wantExact := make([][]Entry, len(qs))
 	for i, qq := range qs {
 		res, err := c.NearestNodes(qq.start, qq.target, qq.n, 16)
 		if err != nil {
@@ -328,10 +239,7 @@ func TestConcurrentCatalogQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantNear2[i] = res.Entries
-		wantExact[i] = bruteExactNearest(c, qq.target, qq.n)
 	}
-	// Drop the exact index so goroutines race its lazy rebuild.
-	c.InvalidateExactIndex()
 
 	const goroutines = 12
 	var wg sync.WaitGroup
@@ -372,17 +280,6 @@ func TestConcurrentCatalogQueries(t *testing.T) {
 						t.Errorf("query %d: concurrent NearestAdmissible diverged", i)
 						return
 					}
-				}
-				exact := c.ExactNearest(qq.target, qq.n)
-				for j := range exact {
-					if exact[j].Node != wantExact[i][j].Node {
-						t.Errorf("query %d: concurrent ExactNearest diverged", i)
-						return
-					}
-				}
-				if _, err := c.WithinRadius(qq.start, qq.target, qq.radius, 16); err != nil {
-					t.Error(err)
-					return
 				}
 			}
 		}()

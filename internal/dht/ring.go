@@ -9,20 +9,20 @@
 // keys, finger tables giving O(log N) lookup hops, and key locality — the
 // Hilbert keys of nearby cost-space points land on nearby ring arcs, so a
 // short ring walk around a lookup target enumerates a compact cost-space
-// region (used for both nearest-node mapping and radius-pruned multi-query
-// optimization).
+// region (used for nearest-node mapping).
 //
 // Every catalog query is one Hilbert key, one Ring.Lookup and one
 // bidirectional walk (Catalog.walkArcs) with a visitor over the entries
-// of each peer it reaches. NearestNodes ranks the n nearest of them — the
-// paper's "closest n nodes" primitive. NearestAdmissible is what physical
-// mapping runs once per unpinned operator of every candidate plan: the
-// mapper only ever takes the first non-excluded entry of that ranking,
-// which is the nearest admissible entry the walk saw, so the visitor
-// keeps one running minimum instead of a ranked list, compares squared
-// distances and takes a square root only for an entry that may replace
-// it. Same walk, same stop, same (distance, node) order: the two agree
-// to the bit, and the tests and the fuzz target hold them to it.
+// of each peer it reaches. The paper's "closest n nodes" primitive ranks
+// the n nearest of them; it lives on in the tests as NearestNodes
+// (reference_test.go). NearestAdmissible is what physical mapping runs
+// once per unpinned operator of every candidate plan: the mapper only
+// ever takes the first non-excluded entry of that ranking, which is the
+// nearest admissible entry the walk saw, so the visitor keeps one
+// running minimum instead of a ranked list, compares squared distances
+// and takes a square root only for an entry that may replace it. Same
+// walk, same stop, same (distance, node) order: the two agree to the
+// bit, and the tests and the fuzz target hold them to it.
 // Queries are pure reads on their own stacks and may run concurrently;
 // nothing mutable hangs off the Catalog for them.
 package dht

@@ -1,7 +1,33 @@
 // Package exp contains the experiment harness that regenerates every
-// figure of the paper (F1–F4) plus the ablations listed in DESIGN.md
-// (X1–X8). Each experiment is a pure function from parameters to a
+// figure of the paper and the ablations and scenarios this repository
+// adds to them. Each experiment is a pure function from parameters to a
 // Table; cmd/sbon-exp prints them and the root benchmarks time them.
+//
+// The artifacts (RunAll's list; golden_test.go pins the small-scale
+// bytes of each):
+//
+//	fig1  two-step vs integrated optimization (network usage)
+//	fig2  the ~600-node transit-stub network embedded in a cost space
+//	fig3  virtual placement, then physical mapping: the mapping error
+//	fig4  multi-query reuse pruned to a cost-space radius
+//	x1    placement strategies on the same plans
+//	x2    Vivaldi embedding error against update rounds
+//	x3    Hilbert-DHT mapping error against the exact nearest node
+//	x4    local re-optimization under load churn
+//	x5    Chord lookup hops against ring size
+//	x6    optimization time against network size
+//	x7    spring relaxation against direct geometric-median placement
+//	x8    the analytic cost model against the executing data plane
+//	x9    online plan rewriting of running circuits
+//	x10   precomputed plan banks against re-optimization
+//	x11   a thousand-node overlay executing 200 circuits
+//	x12   node churn: drain, kill and rejoin under live traffic
+//	x13   continuous incremental adaptation at 1024 nodes
+//	x14   shared execution of overlapping queries
+//	x15   incremental against full re-planning
+//	x16   unplanned failures: detection and repair end to end
+//	x17   the 16k-node scale scenario (sharded batch, gossip coordinates)
+//	x18   the 100k-node sharded data plane
 package exp
 
 import (

@@ -32,9 +32,7 @@ type X11Params struct {
 }
 
 // DefaultX11Params returns the full-scale configuration: 1024 overlay
-// nodes and 200 concurrent queries — a scenario only feasible under
-// virtual time (the wall-clock engine would need minutes of real time
-// and give non-reproducible measurements).
+// nodes and 200 concurrent queries.
 func DefaultX11Params() X11Params {
 	return X11Params{
 		Seed:             19,
@@ -74,7 +72,6 @@ func X11(p X11Params) (*Table, error) {
 		// window-fill transient over short windows).
 		Queries: queriesOf(p.Queries, 1, 2),
 		UseDHT:  true,
-		Clock:   scenario.Virtual,
 		Engine:  expEngine(p.TupleSizeKB),
 	})
 	if err != nil {

@@ -76,7 +76,6 @@ func X12(p X12Params) (*Table, error) {
 		Topology: stubTopology(p.StubNodes),
 		Streams:  streamsOf(p.Streams),
 		Queries:  queriesOf(p.Queries, 1, 2),
-		Clock:    scenario.Virtual,
 		Engine:   expEngine(p.TupleSizeKB),
 		Tracer:   p.Trace,
 	})

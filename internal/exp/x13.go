@@ -77,7 +77,6 @@ func X13(p X13Params) (*Table, error) {
 		Topology: stubTopology(p.StubNodes),
 		Streams:  streamsOf(p.Streams),
 		Queries:  queriesOf(p.Queries, 1, 2),
-		Clock:    scenario.Virtual,
 		Engine:   expEngine(p.TupleSizeKB),
 	})
 	if err != nil {

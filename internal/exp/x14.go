@@ -107,7 +107,6 @@ func x14RunPass(p X14Params, radius float64) (x14Pass, error) {
 		Seed:     p.Seed,
 		Topology: stubTopology(p.StubNodes),
 		Streams:  streamsOf(p.Streams),
-		Clock:    scenario.Virtual,
 		Engine:   expEngine(p.TupleSizeKB),
 	})
 	if err != nil {

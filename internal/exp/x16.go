@@ -111,7 +111,6 @@ func X16(p X16Params) (*Table, error) {
 		Topology:   stubTopology(p.StubNodes),
 		Streams:    streamsOf(p.Streams),
 		Queries:    queriesOf(p.Queries, 1, 2),
-		Clock:      scenario.Virtual,
 		DataShards: p.DataShards,
 		Engine:     expEngine(p.TupleSizeKB),
 		Tracer:     p.Trace,

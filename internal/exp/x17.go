@@ -152,7 +152,6 @@ func X17(p X17Params) (*Table, error) {
 		Streams:       streamsOf(p.Streams),
 		Queries:       queriesOf(p.Queries, 1, 2),
 		Ticker:        &scenario.Ticker{Samples: p.TickerSamples, Interval: p.TickerInterval, WarmRounds: p.TickerWarmRounds},
-		Clock:         scenario.Virtual,
 		DataShards:    p.DataShards,
 		Engine:        expEngine(p.TupleSizeKB),
 		Tracer:        p.Trace,
@@ -161,7 +160,7 @@ func X17(p X17Params) (*Table, error) {
 		return nil, err
 	}
 	defer w.Close()
-	topo, env, dep, clk, ticker, qs := w.Topo, w.Env, w.Deployment, w.VClock, w.Ticker, w.Queries
+	topo, env, dep, clk, ticker, qs := w.Topo, w.Env, w.Deployment, w.Clock, w.Ticker, w.Queries
 	n := topo.NumNodes()
 
 	// The sharded batch: the scenario's optimization throughput claim.

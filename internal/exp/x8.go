@@ -11,41 +11,37 @@ import (
 	"github.com/hourglass/sbon/internal/workload"
 )
 
-// x8WallTimeScale is the wall-clock engine's time scale; RunFor windows
-// are expressed at this scale so the virtual engine can reproduce the
-// same simulated window exactly.
-const x8WallTimeScale = 10 * time.Microsecond
+// x8RunForScale is the unit X8Params.RunFor is expressed in: 10µs per
+// simulated millisecond, the scale of the wall-clock engine the
+// experiment first ran on. The golden table's window note is pinned in
+// these units.
+const x8RunForScale = 10 * time.Microsecond
 
 // X8Params configures the data-plane validation run.
 type X8Params struct {
 	Seed int64
-	// RunFor is the measurement window per circuit, expressed as wall
-	// time at the wall-clock engine's 10µs/sim-ms scale (so 2s ≡ 200
-	// simulated seconds). The virtual engine runs the same simulated
-	// window instantly.
+	// RunFor is the measurement window per circuit at 10µs per
+	// simulated millisecond (so 2s ≡ 200 simulated seconds); the window
+	// itself takes no wall time.
 	RunFor time.Duration
-	// Virtual executes the circuits on the deterministic virtual-time
-	// engine instead of the wall-clock goroutine runtime.
-	Virtual bool
 }
 
-// DefaultX8Params returns the full configuration: virtual time, so the
-// artifact regenerates in milliseconds and is bit-reproducible.
-func DefaultX8Params() X8Params { return X8Params{Seed: 18, RunFor: 2 * time.Second, Virtual: true} }
+// DefaultX8Params returns the full configuration.
+func DefaultX8Params() X8Params { return X8Params{Seed: 18, RunFor: 2 * time.Second} }
 
 // X8 validates the analytic cost model against the executing data plane:
 // circuits are optimized, deployed on the overlay runtime, and run with
 // real tuples; measured delivery rate and network usage are compared to
 // the model's predictions. This closes the loop between the optimizer's
-// arithmetic and an actual dataflow. With Virtual set the dataflow runs
-// on the discrete-event clock — same simulated window, milliseconds of
-// wall time, bit-identical tables for a fixed seed.
+// arithmetic and an actual dataflow. The dataflow runs on the
+// discrete-event clock: milliseconds of wall time, bit-identical tables
+// for a fixed seed.
 func X8(p X8Params) (*Table, error) {
 	orDefault(&p.RunFor, DefaultX8Params().RunFor)
 	spec := scenario.Spec{
 		Seed: p.Seed,
-		// The wall-clock engine runs in real time, so use a small topology
-		// regardless of scale.
+		// Three hand-written circuits: a small topology regardless of
+		// scale.
 		Topology: topology.Config{
 			TransitDomains:      2,
 			TransitNodes:        2,
@@ -59,11 +55,6 @@ func X8(p X8Params) (*Table, error) {
 		},
 		Streams: workload.StreamConfig{DefaultSel: 0.8},
 		Engine:  stream.EngineConfig{Seed: 1},
-	}
-	if p.Virtual {
-		spec.Clock = scenario.Virtual
-	} else {
-		spec.TimeScale = x8WallTimeScale
 	}
 	w, err := scenario.Build(spec)
 	if err != nil {
@@ -80,9 +71,8 @@ func X8(p X8Params) (*Table, error) {
 	if err := w.StartDataPlane(); err != nil {
 		return nil, err
 	}
-	// The same simulated window on either clock.
-	simMs := float64(p.RunFor) / float64(x8WallTimeScale)
-	window := time.Duration(simMs * float64(w.TimeScale()))
+	simMs := float64(p.RunFor) / float64(x8RunForScale)
+	window := time.Duration(simMs * float64(scenario.TimeScale))
 
 	cases := []struct {
 		name string
@@ -116,10 +106,6 @@ func X8(p X8Params) (*Table, error) {
 			analyticRate, m.OutRateKBs, m.OutRateKBs/analyticRate)
 	}
 	t.AddNote("expected shape: ratios ≈ 1 for relay/filter; join rate noisier (window fill-up, key collisions) but same order of magnitude")
-	if p.Virtual {
-		t.AddNote("engine: virtual time (deterministic; %v simulated per circuit)", time.Duration(simMs)*time.Millisecond)
-	} else {
-		t.AddNote("engine: wall clock (%v per circuit at %v/sim-ms)", p.RunFor, x8WallTimeScale)
-	}
+	t.AddNote("engine: virtual time (deterministic; %v simulated per circuit)", time.Duration(simMs)*time.Millisecond)
 	return t, nil
 }

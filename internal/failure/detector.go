@@ -3,10 +3,9 @@
 // through Network.ObserveHeartbeats (closing the "heartbeats are
 // consumed by no one" gap), keeps per-node last-heard state, and runs
 // a clock-paced check that walks the overlay in node-id order emitting
-// Suspect, Dead, and Recovered events. Under a virtual clock both the
-// beats and the checks are scheduler events, so for a fixed seed and
-// FaultPlan the event stream — node, kind, and timestamp — replays
-// bit-identically.
+// Suspect, Dead, and Recovered events. Both the beats and the checks
+// are scheduler events, so for a fixed seed and FaultPlan the event
+// stream — node, kind, and timestamp — replays bit-identically.
 //
 // The detector is a timeout/φ-threshold hybrid in its simplest form:
 // a node that misses SuspectMissed consecutive intervals becomes

@@ -27,11 +27,10 @@ func testTopo(t *testing.T) *topology.Topology {
 
 func virtualNet(t *testing.T) (*overlay.Network, *simtime.VirtualClock) {
 	t.Helper()
-	cfg := overlay.VirtualConfig()
-	clk := cfg.Clock.(*simtime.VirtualClock)
+	cfg := overlay.DefaultConfig()
+	clk := cfg.Clock
 	clk.Register()
 	net := overlay.NewNetwork(testTopo(t), cfg)
-	net.Start()
 	t.Cleanup(func() {
 		net.Stop()
 		clk.Unregister()

@@ -1,7 +1,7 @@
 // Package metrics provides lightweight, concurrency-safe measurement
 // primitives used by the SBON simulator and stream engine: counters,
-// gauges, sample histograms with quantile estimation, time series, and a
-// named registry.
+// sample histograms with exact quantiles, time series, and a named
+// registry.
 //
 // The package is deliberately dependency-free (stdlib only) and designed
 // for deterministic tests: histograms store raw samples, so quantiles are
@@ -9,9 +9,7 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,72 +43,16 @@ func (c *Counter) Inc() { c.Add(1) }
 // Value returns the current counter value.
 func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
 
-// Gauge is a settable float64 value safe for concurrent use.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta (which may be negative).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		cur := math.Float64frombits(old)
-		nxt := math.Float64bits(cur + delta)
-		if g.bits.CompareAndSwap(old, nxt) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Histogram collects float64 samples and computes order statistics
-// over them. It is safe for concurrent use.
-//
-// In the default (exact) mode every sample is retained and quantiles
-// are exact — the regime deterministic tests rely on. SetReservoir
-// switches to a bounded reservoir (Vitter's algorithm R with a seeded
-// generator): memory stays capped on long continuous-adaptation runs,
-// quantiles become estimates over the reservoir, while Count, Sum,
-// Mean, Min, Max, and Stddev stay exact via running aggregates.
+// over them. It is safe for concurrent use. Every sample is retained,
+// so quantiles are exact — the regime deterministic tests rely on.
 type Histogram struct {
 	mu      sync.Mutex
 	samples []float64
 	sorted  bool
 
-	// maxSamples > 0 caps the sample buffer (reservoir mode); 0 keeps
-	// every sample (exact mode, the default).
-	maxSamples int
-	rng        *rand.Rand
-
-	// Running aggregates, exact in both modes.
-	n          uint64
-	sum, sumsq float64
-	min, max   float64
-}
-
-// SetReservoir bounds the sample buffer to cap samples using seeded
-// reservoir sampling; quantile queries become estimates over the
-// reservoir while counts and moments remain exact. Call it before
-// observing (samples already held beyond cap are truncated). cap <= 0
-// restores exact mode.
-func (h *Histogram) SetReservoir(cap int, seed int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if cap <= 0 {
-		h.maxSamples = 0
-		h.rng = nil
-		return
-	}
-	h.maxSamples = cap
-	h.rng = rand.New(rand.NewSource(seed))
-	if len(h.samples) > cap {
-		h.samples = h.samples[:cap]
-	}
+	// Running aggregates, so Mean and Max need no pass over the samples.
+	sum, max float64
 }
 
 // Observe records one sample.
@@ -119,60 +61,30 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	h.mu.Lock()
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
-	if h.n == 0 || v > h.max {
+	if len(h.samples) == 0 || v > h.max {
 		h.max = v
 	}
-	h.n++
 	h.sum += v
-	h.sumsq += v * v
-	if h.maxSamples > 0 && len(h.samples) >= h.maxSamples {
-		// Reservoir replacement: keep each of the n samples seen so far
-		// with equal probability cap/n.
-		if j := h.rng.Int63n(int64(h.n)); int(j) < h.maxSamples {
-			h.samples[j] = v
-			h.sorted = false
-		}
-	} else {
-		h.samples = append(h.samples, v)
-		h.sorted = false
-	}
+	h.samples = append(h.samples, v)
+	h.sorted = false
 	h.mu.Unlock()
 }
 
-// Count returns the number of observed samples (all of them, not just
-// the retained reservoir).
+// Count returns the number of observed samples.
 func (h *Histogram) Count() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return int(h.n)
-}
-
-// Retained returns how many samples the buffer currently holds (equal
-// to Count in exact mode, at most the reservoir cap otherwise).
-func (h *Histogram) Retained() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return len(h.samples)
-}
-
-// Sum returns the sum of all observed samples.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // Mean returns the arithmetic mean, or 0 for an empty histogram.
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.n == 0 {
+	if len(h.samples) == 0 {
 		return 0
 	}
-	return h.sum / float64(h.n)
+	return h.sum / float64(len(h.samples))
 }
 
 // ensureSortedLocked sorts the sample buffer if needed. Callers must hold mu.
@@ -209,82 +121,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.samples[lo]*(1-frac) + h.samples[hi]*frac
 }
 
-// Min returns the smallest observed sample, or 0 if empty. Exact in
-// both modes (tracked as a running aggregate).
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest observed sample, or 0 if empty. Exact in
-// both modes.
+// Max returns the largest observed sample, or 0 if empty.
 func (h *Histogram) Max() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0
-	}
 	return h.max
-}
-
-// Stddev returns the population standard deviation over all observed
-// samples: two-pass over the buffer in exact mode, from the running
-// moments in reservoir mode.
-func (h *Histogram) Stddev() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0
-	}
-	if h.maxSamples > 0 {
-		mean := h.sum / float64(h.n)
-		ss := h.sumsq/float64(h.n) - mean*mean
-		if ss < 0 {
-			ss = 0
-		}
-		return math.Sqrt(ss)
-	}
-	n := len(h.samples)
-	var sum float64
-	for _, v := range h.samples {
-		sum += v
-	}
-	mean := sum / float64(n)
-	var ss float64
-	for _, v := range h.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Snapshot returns a copy of all samples in insertion-independent
-// (sorted) order.
-func (h *Histogram) Snapshot() []float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.ensureSortedLocked()
-	out := make([]float64, len(h.samples))
-	copy(out, h.samples)
-	return out
-}
-
-// Reset discards all samples and running aggregates (the reservoir
-// configuration is kept).
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	h.samples = h.samples[:0]
-	h.sorted = true
-	h.n = 0
-	h.sum = 0
-	h.sumsq = 0
-	h.min = 0
-	h.max = 0
-	h.mu.Unlock()
 }
 
 // Point is one (time, value) observation in a TimeSeries. Time is in
@@ -337,26 +178,18 @@ func (ts *TimeSeries) Last() (Point, bool) {
 // Registry is a named collection of metrics. The zero value is not
 // usable; construct with NewRegistry.
 type Registry struct {
-	mu          sync.Mutex
-	counters    map[string]*Counter
-	gauges      map[string]*Gauge
-	histograms  map[string]*Histogram
-	series      map[string]*TimeSeries
-	counterFams map[string]*CounterFamily
-	gaugeFams   map[string]*GaugeFamily
-	seriesFams  map[string]*SeriesFamily
+	mu         sync.Mutex
+	counters   map[string]*Counter
+	histograms map[string]*Histogram
+	series     map[string]*TimeSeries
 }
 
 // NewRegistry returns an empty metric registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:    make(map[string]*Counter),
-		gauges:      make(map[string]*Gauge),
-		histograms:  make(map[string]*Histogram),
-		series:      make(map[string]*TimeSeries),
-		counterFams: make(map[string]*CounterFamily),
-		gaugeFams:   make(map[string]*GaugeFamily),
-		seriesFams:  make(map[string]*SeriesFamily),
+		counters:   make(map[string]*Counter),
+		histograms: make(map[string]*Histogram),
+		series:     make(map[string]*TimeSeries),
 	}
 }
 
@@ -370,18 +203,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the gauge with the given name, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the histogram with the given name, creating it if
@@ -408,129 +229,4 @@ func (r *Registry) Series(name string) *TimeSeries {
 		r.series[name] = s
 	}
 	return s
-}
-
-// Names returns the sorted names of all registered metrics, prefixed by
-// kind ("counter/", "gauge/", "histogram/", "series/").
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for n := range r.counters {
-		out = append(out, "counter/"+n)
-	}
-	for n := range r.gauges {
-		out = append(out, "gauge/"+n)
-	}
-	for n := range r.histograms {
-		out = append(out, "histogram/"+n)
-	}
-	for n := range r.series {
-		out = append(out, "series/"+n)
-	}
-	for n := range r.counterFams {
-		out = append(out, "counterfamily/"+n)
-	}
-	for n := range r.gaugeFams {
-		out = append(out, "gaugefamily/"+n)
-	}
-	for n := range r.seriesFams {
-		out = append(out, "seriesfamily/"+n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Summary renders a human-readable one-line-per-metric summary, sorted by
-// name, suitable for experiment logs. Every registered kind appears:
-// counters and gauges as `name = value`, histograms with their order
-// statistics, time series as `name: n=<points> last=<value>`, and
-// labeled families with one line per child, label sets sorted.
-func (r *Registry) Summary() string {
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.histograms))
-	for k, v := range r.histograms {
-		hists[k] = v
-	}
-	series := make(map[string]*TimeSeries, len(r.series))
-	for k, v := range r.series {
-		series[k] = v
-	}
-	counterFams := make(map[string]*CounterFamily, len(r.counterFams))
-	for k, v := range r.counterFams {
-		counterFams[k] = v
-	}
-	gaugeFams := make(map[string]*GaugeFamily, len(r.gaugeFams))
-	for k, v := range r.gaugeFams {
-		gaugeFams[k] = v
-	}
-	seriesFams := make(map[string]*SeriesFamily, len(r.seriesFams))
-	for k, v := range r.seriesFams {
-		seriesFams[k] = v
-	}
-	r.mu.Unlock()
-
-	var names []string
-	for n := range counters {
-		names = append(names, "c:"+n)
-	}
-	for n := range gauges {
-		names = append(names, "g:"+n)
-	}
-	for n := range hists {
-		names = append(names, "h:"+n)
-	}
-	for n := range series {
-		names = append(names, "s:"+n)
-	}
-	for n := range counterFams {
-		names = append(names, "C:"+n)
-	}
-	for n := range gaugeFams {
-		names = append(names, "G:"+n)
-	}
-	for n := range seriesFams {
-		names = append(names, "S:"+n)
-	}
-	sort.Strings(names)
-	out := ""
-	for _, tagged := range names {
-		kind, name := tagged[:1], tagged[2:]
-		switch kind {
-		case "c":
-			out += fmt.Sprintf("%s = %.6g\n", name, counters[name].Value())
-		case "g":
-			out += fmt.Sprintf("%s = %.6g\n", name, gauges[name].Value())
-		case "h":
-			h := hists[name]
-			out += fmt.Sprintf("%s: n=%d mean=%.6g p50=%.6g p95=%.6g max=%.6g\n",
-				name, h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.95), h.Max())
-		case "s":
-			ts := series[name]
-			last, _ := ts.Last()
-			out += fmt.Sprintf("%s: n=%d last=%.6g\n", name, ts.Len(), last.V)
-		case "C":
-			for _, kid := range counterFams[name].Children() {
-				out += fmt.Sprintf("%s%s = %.6g\n", name, kid.Labels, kid.Metric.Value())
-			}
-		case "G":
-			for _, kid := range gaugeFams[name].Children() {
-				out += fmt.Sprintf("%s%s = %.6g\n", name, kid.Labels, kid.Metric.Value())
-			}
-		case "S":
-			for _, kid := range seriesFams[name].Children() {
-				last, _ := kid.Metric.Last()
-				out += fmt.Sprintf("%s%s: n=%d last=%.6g\n", name, kid.Labels, kid.Metric.Len(), last.V)
-			}
-		}
-	}
-	return out
 }

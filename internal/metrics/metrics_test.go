@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"math"
 	"sync"
 	"testing"
@@ -55,34 +58,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestGaugeSetAdd(t *testing.T) {
-	var g Gauge
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("Value() = %v, want 7", got)
-	}
-}
-
-func TestGaugeConcurrentAdd(t *testing.T) {
-	var g Gauge
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 500; j++ {
-				g.Add(1)
-				g.Add(-1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := g.Value(); got != 0 {
-		t.Fatalf("Value() = %v, want 0", got)
-	}
-}
-
 func TestHistogramBasicStats(t *testing.T) {
 	var h Histogram
 	for _, v := range []float64{4, 1, 3, 2, 5} {
@@ -91,14 +66,8 @@ func TestHistogramBasicStats(t *testing.T) {
 	if got := h.Count(); got != 5 {
 		t.Fatalf("Count() = %d, want 5", got)
 	}
-	if got := h.Sum(); got != 15 {
-		t.Fatalf("Sum() = %v, want 15", got)
-	}
 	if got := h.Mean(); got != 3 {
 		t.Fatalf("Mean() = %v, want 3", got)
-	}
-	if got := h.Min(); got != 1 {
-		t.Fatalf("Min() = %v, want 1", got)
 	}
 	if got := h.Max(); got != 5 {
 		t.Fatalf("Max() = %v, want 5", got)
@@ -122,7 +91,7 @@ func TestHistogramQuantileInterpolation(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Stddev() != 0 {
+	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Max() != 0 || h.Count() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 }
@@ -133,39 +102,6 @@ func TestHistogramIgnoresNaN(t *testing.T) {
 	h.Observe(1)
 	if got := h.Count(); got != 1 {
 		t.Fatalf("Count() = %d, want 1 (NaN ignored)", got)
-	}
-}
-
-func TestHistogramStddev(t *testing.T) {
-	var h Histogram
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		h.Observe(v)
-	}
-	if got := h.Stddev(); math.Abs(got-2.0) > 1e-12 {
-		t.Fatalf("Stddev() = %v, want 2.0", got)
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	var h Histogram
-	h.Observe(1)
-	h.Reset()
-	if got := h.Count(); got != 0 {
-		t.Fatalf("Count() after Reset = %d, want 0", got)
-	}
-}
-
-func TestHistogramSnapshotSorted(t *testing.T) {
-	var h Histogram
-	for _, v := range []float64{3, 1, 2} {
-		h.Observe(v)
-	}
-	snap := h.Snapshot()
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if snap[i] != want[i] {
-			t.Fatalf("Snapshot()[%d] = %v, want %v", i, snap[i], want[i])
-		}
 	}
 }
 
@@ -187,7 +123,7 @@ func TestHistogramQuantileMonotoneProperty(t *testing.T) {
 		qb = math.Abs(math.Mod(qb, 1))
 		lo, hi := math.Min(qa, qb), math.Max(qa, qb)
 		vlo, vhi := h.Quantile(lo), h.Quantile(hi)
-		return vlo <= vhi && vlo >= h.Min() && vhi <= h.Max()
+		return vlo <= vhi && vlo >= h.Quantile(0) && vhi <= h.Max()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -240,11 +176,6 @@ func TestRegistryReturnsSameInstance(t *testing.T) {
 	if c2.Value() != 5 {
 		t.Fatal("Registry.Counter must return the same instance per name")
 	}
-	g1 := r.Gauge("y")
-	g1.Set(3)
-	if r.Gauge("y").Value() != 3 {
-		t.Fatal("Registry.Gauge must return the same instance per name")
-	}
 	h1 := r.Histogram("z")
 	h1.Observe(1)
 	if r.Histogram("z").Count() != 1 {
@@ -257,45 +188,49 @@ func TestRegistryReturnsSameInstance(t *testing.T) {
 	}
 }
 
-func TestRegistryNames(t *testing.T) {
+func TestReportWriteJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a")
-	r.Gauge("b")
-	r.Histogram("c")
-	r.Series("d")
-	names := r.Names()
-	want := []string{"counter/a", "gauge/b", "histogram/c", "series/d"}
-	if len(names) != len(want) {
-		t.Fatalf("Names() = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Names()[%d] = %q, want %q", i, names[i], want[i])
-		}
-	}
-}
+	r.Counter("msgs.sent").Add(10)
+	r.Histogram("lat").Observe(1)
+	r.Series("usage").Record(1, 7)
 
-func TestRegistrySummaryContainsMetrics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("msgs").Add(7)
-	r.Gauge("load").Set(0.5)
-	r.Histogram("lat").Observe(12)
-	s := r.Summary()
-	if s == "" {
-		t.Fatal("Summary() should not be empty")
+	var buf bytes.Buffer
+	rep := Report{Label: "test-run", Registry: r}
+	rep.Trace = func(w io.Writer) error {
+		_, err := w.Write([]byte(`[{"seq":1}]`))
+		return err
 	}
-	for _, substr := range []string{"msgs", "load", "lat"} {
-		if !containsStr(s, substr) {
-			t.Fatalf("Summary() missing %q:\n%s", substr, s)
-		}
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
+	var doc map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("report is not valid JSON: %v\n%s", err, buf.String())
 	}
-	return false
+	if doc["label"] != "test-run" {
+		t.Fatalf("label = %v", doc["label"])
+	}
+	m := doc["metrics"].(map[string]any)
+	if c := m["counters"].([]any); len(c) != 1 || c[0].(map[string]any)["value"].(float64) != 10 {
+		t.Fatalf("counters = %v", c)
+	}
+	if h := m["histograms"].([]any); len(h) != 1 || h[0].(map[string]any)["max"].(float64) != 1 {
+		t.Fatalf("histograms = %v", h)
+	}
+	// Series entries carry their full point data, not just a summary.
+	series := m["series"].([]any)
+	if len(series) != 1 {
+		t.Fatalf("series = %v", series)
+	}
+	data := series[0].(map[string]any)["data"].([]any)
+	if len(data) != 1 {
+		t.Fatalf("series data = %v", data)
+	}
+	if pt := data[0].([]any); pt[0].(float64) != 1 || pt[1].(float64) != 7 {
+		t.Fatalf("series point = %v", pt)
+	}
+	tr := doc["trace"].([]any)
+	if len(tr) != 1 {
+		t.Fatalf("trace = %v", tr)
+	}
 }

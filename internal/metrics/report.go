@@ -36,10 +36,8 @@ func appendNum(b []byte, v float64) []byte {
 //
 //	{"label":...,
 //	 "metrics":{"counters":[{"name":...,"value":...},...],
-//	            "gauges":[...],
 //	            "histograms":[{"name":...,"count":...,"mean":...,"p50":...,"p95":...,"max":...},...],
-//	            "series":[{"name":...,"points":...,"last":...,"data":[[t,v],...]},...],
-//	            "families":[{"name":...,"labels":...,"value":...},...]},
+//	            "series":[{"name":...,"points":...,"last":...,"data":[[t,v],...]},...]},
 //	 "trace":[...]}
 func (r Report) WriteJSON(w io.Writer) error {
 	if r.Registry == nil {
@@ -54,12 +52,8 @@ func (r Report) WriteJSON(w io.Writer) error {
 	reg := r.Registry
 	reg.mu.Lock()
 	counters := sortedKeys(reg.counters)
-	gauges := sortedKeys(reg.gauges)
 	hists := sortedKeys(reg.histograms)
 	series := sortedKeys(reg.series)
-	counterFams := sortedKeys(reg.counterFams)
-	gaugeFams := sortedKeys(reg.gaugeFams)
-	seriesFams := sortedKeys(reg.seriesFams)
 	reg.mu.Unlock()
 
 	b = append(b, `"counters":[`...)
@@ -71,17 +65,6 @@ func (r Report) WriteJSON(w io.Writer) error {
 		b = appendQuoted(b, n)
 		b = append(b, `,"value":`...)
 		b = appendNum(b, reg.Counter(n).Value())
-		b = append(b, '}')
-	}
-	b = append(b, `],"gauges":[`...)
-	for i, n := range gauges {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, `{"name":`...)
-		b = appendQuoted(b, n)
-		b = append(b, `,"value":`...)
-		b = appendNum(b, reg.Gauge(n).Value())
 		b = append(b, '}')
 	}
 	b = append(b, `],"histograms":[`...)
@@ -129,37 +112,6 @@ func (r Report) WriteJSON(w io.Writer) error {
 			b = append(b, ']')
 		}
 		b = append(b, `]}`...)
-	}
-	b = append(b, `],"families":[`...)
-	first := true
-	writeFam := func(name, labels string, value float64) {
-		if !first {
-			b = append(b, ',')
-		}
-		first = false
-		b = append(b, `{"name":`...)
-		b = appendQuoted(b, name)
-		b = append(b, `,"labels":`...)
-		b = appendQuoted(b, labels)
-		b = append(b, `,"value":`...)
-		b = appendNum(b, value)
-		b = append(b, '}')
-	}
-	for _, n := range counterFams {
-		for _, kid := range reg.CounterFamily(n).Children() {
-			writeFam(n, kid.Labels, kid.Metric.Value())
-		}
-	}
-	for _, n := range gaugeFams {
-		for _, kid := range reg.GaugeFamily(n).Children() {
-			writeFam(n, kid.Labels, kid.Metric.Value())
-		}
-	}
-	for _, n := range seriesFams {
-		for _, kid := range reg.SeriesFamily(n).Children() {
-			last, _ := kid.Metric.Last()
-			writeFam(n, kid.Labels, last.V)
-		}
 	}
 	b = append(b, `]}`...)
 	if _, err := bw.Write(b); err != nil {

@@ -12,7 +12,7 @@ import (
 // skeleton, runs virtual placement over the cost space's vector subspace,
 // and maps unpinned services to physical nodes.
 //
-// Placement conventions (documented in DESIGN.md):
+// Placement conventions:
 //   - Source leaves are pinned at their producers ("one cannot move
 //     mountains").
 //   - A filter directly above a source is pushed down and pinned on the

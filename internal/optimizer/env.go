@@ -40,8 +40,13 @@ type EnvConfig struct {
 	// (defaults 40 and 4).
 	VivaldiRounds  int
 	VivaldiSamples int
-	// LoadScale is the squared-load weighting scale β (default 100: a
-	// fully loaded node appears 100 ms away; see DESIGN.md §4).
+	// LoadScale is the squared-load weighting scale β (default 100). A
+	// node's load coordinate is β·load², in the milliseconds of the
+	// latency plane, so the two trade off in one distance: at 100 a
+	// fully loaded node reads 100 ms away from an idle one at the same
+	// place, and one at the default background ceiling of 0.4 reads
+	// 16 ms away. Squared, so light load is nearly free and load near
+	// saturation outweighs any latency saving.
 	LoadScale float64
 	// LoadPerRate is the node load added per KB/s of input processed by a
 	// hosted service (default 1/2000: a 200 KB/s service adds 0.1 load).
@@ -619,13 +624,10 @@ func (e *Env) ReembedCoordinates() error {
 	}
 	e.vec = emb.Coords
 	e.EmbeddingQuality = emb.Evaluate(func(i, j int) float64 { return m[i][j] }, 2000, e.rng)
-	// Every point moves: drop the indexes up front rather than letting
-	// the per-point refresh loop churn their patch overlays to the
-	// budget limit before they are discarded anyway.
+	// Every point moves: drop the index up front rather than letting
+	// the per-point refresh loop churn its patch overlay to the budget
+	// limit before it is discarded anyway.
 	e.idx.Store(nil)
-	if e.catalog != nil {
-		e.catalog.InvalidateExactIndex()
-	}
 	for i := range e.pts {
 		e.refreshPoint(topology.NodeID(i), false)
 	}
@@ -656,9 +658,6 @@ func (e *Env) SetCoordinates(coords []vivaldi.Coord) (int, error) {
 	e.epoch++
 	if len(changed)*4 >= len(e.vec) {
 		e.idx.Store(nil)
-		if e.catalog != nil {
-			e.catalog.InvalidateExactIndex()
-		}
 	}
 	for _, n := range changed {
 		e.vec[n] = coords[n]

@@ -126,10 +126,6 @@ func (sh *ShadowEnv) CostIndex() *costindex.Index {
 	return sh.idx
 }
 
-// Touched returns how many nodes' simulated state diverges from the
-// live environment.
-func (sh *ShadowEnv) Touched() int { return len(sh.pts) }
-
 // shadowIncidentUsage is incidentUsage with every endpoint resolved
 // through the shadow's simulated bindings.
 func shadowIncidentUsage(sh *ShadowEnv, c *Circuit, i int, m LatencyModel) float64 {

@@ -38,7 +38,6 @@ func laneNet(t *testing.T, shards int) (*Network, *simtime.VirtualClock) {
 	}
 	release := clk.Drive()
 	net := NewNetwork(topo, cfg)
-	net.Start()
 	t.Cleanup(func() {
 		net.Stop()
 		release()

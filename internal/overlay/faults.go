@@ -216,13 +216,6 @@ func (n *Network) InstallFaults(plan FaultPlan) *FaultInjector {
 	return fi
 }
 
-// ClearFaults disarms the active injector, if any.
-func (n *Network) ClearFaults() {
-	if prev := n.faults.Swap(nil); prev != nil {
-		prev.Stop()
-	}
-}
-
 // Stop cancels the injector's pending crash/recovery timers. Already
 // applied faults stay applied.
 func (fi *FaultInjector) Stop() {

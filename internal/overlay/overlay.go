@@ -1,15 +1,12 @@
-// Package overlay is the SBON runtime. Under the real clock every
-// overlay node is a goroutine with an inbox channel, and message
-// delivery between nodes is delayed by the topology's shortest-path
-// latency scaled to wall-clock time. Under a virtual clock (package
-// simtime) the runtime switches to discrete-event dispatch: deliveries
-// are events on the clock's timer wheel, handlers run serially on the
-// scheduler goroutine at exact simulated timestamps, and a fixed seed
-// reproduces the run bit for bit. The stream engine (package stream)
-// deploys circuits onto it; examples and integration tests run real
-// dataflows through it.
+// Package overlay is the SBON runtime, a discrete-event simulation on
+// a virtual clock (package simtime): a message between nodes is an
+// event on the clock's timer wheel, delayed by the topology's
+// shortest-path latency; handlers run at exact simulated timestamps,
+// and a fixed seed reproduces the run bit for bit. The stream engine
+// (package stream) deploys circuits onto it; examples and integration
+// tests run real dataflows through it.
 //
-// The virtual data path allocates nothing per message. A message in
+// The data path allocates nothing per message. A message in
 // flight is one pooled record — the clock event, the network and the
 // Message together — that Send takes from a sync.Pool and the event's
 // own callback puts back once the handler has returned; a node's
@@ -23,16 +20,12 @@
 // Message.Payload, and a payload must stay immutable because migration
 // forwards it as is.
 //
-// Concurrency model (real clock): each node processes its inbox
-// serially on its own goroutine, so handlers on one node never race
-// with each other (share memory by communicating). Senders never block:
-// delivery is scheduled on timer goroutines that either enqueue into
-// the destination inbox or drop when the network is shut down.
-//
-// Concurrency model (virtual clock): all handlers run on the clock's
-// single scheduler goroutine — a global serialization that subsumes the
-// per-node guarantee. Messages between the same pair of instants are
-// delivered in send order (FIFO event tie-breaking).
+// Concurrency model: the runtime starts no goroutine of its own. On a
+// single event queue all handlers run on the clock's scheduler
+// goroutine; on a sharded clock a node's handlers run serially on its
+// shard's lane worker. Either way handlers on one node never race with
+// each other, Send never blocks, and messages between the same pair of
+// instants are delivered in send order (FIFO event tie-breaking).
 package overlay
 
 import (
@@ -56,32 +49,28 @@ type Message struct {
 	SizeKB float64
 	// Payload is the application data (e.g. a stream tuple).
 	Payload any
-	// SentAt is the clock's send time (wall or virtual).
+	// SentAt is the clock's send time.
 	SentAt time.Time
 }
 
-// Handler processes messages delivered to a port. Handlers run on the
-// owning node's goroutine (real clock) or the scheduler goroutine
-// (virtual clock).
+// Handler processes messages delivered to a port, in the event that
+// delivers them: it must not block.
 type Handler func(Message)
 
 // Config tunes the runtime.
 type Config struct {
-	// TimeScale is the wall duration representing one simulated
-	// millisecond of network latency (default 50µs: simulation runs 20×
-	// faster than real time). Under a virtual clock the conventional
-	// choice is time.Millisecond — one virtual millisecond per simulated
-	// millisecond — since virtual time is free.
+	// TimeScale is the clock time of one simulated millisecond of
+	// network latency (default time.Millisecond: virtual time is free,
+	// so one clock millisecond per simulated one).
 	TimeScale time.Duration
-	// InboxSize is the per-node inbox buffer (default 4096). Unused
-	// under a virtual clock.
+	// InboxSize is read by nothing: bench/dataplane.go, frozen until
+	// ROADMAP item 6, sets it in a composite literal.
 	InboxSize int
-	// Clock drives message delivery and timestamps. Nil means the real
-	// (wall) clock. Passing a *simtime.VirtualClock switches the
-	// runtime to deterministic discrete-event dispatch; one built with
-	// simtime.NewVirtualSharded executes the data plane on parallel
-	// per-shard event queues (see DataShards/ShardOf).
-	Clock simtime.Clock
+	// Clock drives message delivery and timestamps. Nil means a fresh
+	// single-queue clock, reachable through Network.Clock; one built
+	// with simtime.NewVirtualSharded executes the data plane on
+	// parallel per-shard event queues (see DataShards/ShardOf).
+	Clock *simtime.VirtualClock
 
 	// DataShards is the number of parallel data-plane shards the
 	// runtime is keyed for (<= 1 means the single event queue). It must
@@ -96,29 +85,21 @@ type Config struct {
 	ShardOf []int32
 }
 
-// DefaultConfig returns the runtime defaults (real clock).
+// DefaultConfig returns a runtime configuration on a fresh virtual
+// clock at the 1 clock ms = 1 simulated ms scale.
 func DefaultConfig() Config {
-	return Config{TimeScale: 50 * time.Microsecond, InboxSize: 4096}
-}
-
-// VirtualConfig returns a runtime configuration on a fresh virtual
-// clock at the 1 virtual ms = 1 simulated ms scale.
-func VirtualConfig() Config {
-	return Config{TimeScale: time.Millisecond, InboxSize: 4096, Clock: simtime.NewVirtual()}
+	return Config{TimeScale: time.Millisecond, Clock: simtime.NewVirtual()}
 }
 
 // Network hosts the overlay nodes and routes messages between them with
 // latency.
 type Network struct {
-	topo    *topology.Topology
-	cfg     Config
-	clock   simtime.Clock
-	dclock  simtime.DomainClock // clock's domain extension (never nil)
-	virtual bool
+	topo  *topology.Topology
+	cfg   Config
+	clock *simtime.VirtualClock
 
 	nodes []*Node
 	quit  chan struct{}
-	wg    sync.WaitGroup // node loops + in-flight deliveries (real clock)
 
 	stopOnce sync.Once
 
@@ -147,8 +128,8 @@ type Network struct {
 	// installed (see faults.go).
 	faults atomic.Pointer[FaultInjector]
 	// tracer, when set, receives sampled fault-drop events and the
-	// injected crash/recovery instants. Install before Start; nil (the
-	// default) costs one atomic load on the fault path only.
+	// injected crash/recovery instants. Nil (the default) costs one
+	// atomic load on the fault path only.
 	tracer atomic.Pointer[trace.Tracer]
 	// hbObserver, when set, sees every delivered heartbeat — the hook
 	// failure detectors consume liveness traffic through. Calls are
@@ -167,16 +148,13 @@ type Network struct {
 	Metrics *metrics.Registry
 }
 
-// NewNetwork builds (but does not start) a runtime over the topology.
+// NewNetwork builds a runtime over the topology, live at once.
 func NewNetwork(topo *topology.Topology, cfg Config) *Network {
 	if cfg.TimeScale <= 0 {
-		cfg.TimeScale = 50 * time.Microsecond
-	}
-	if cfg.InboxSize <= 0 {
-		cfg.InboxSize = 4096
+		cfg.TimeScale = time.Millisecond
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = simtime.Real()
+		cfg.Clock = simtime.NewVirtual()
 	}
 	// Force the all-pairs latency cache now: Topology computes it lazily
 	// and concurrent Sends must only read it. In sparse mode lookups are
@@ -191,8 +169,6 @@ func NewNetwork(topo *topology.Topology, cfg Config) *Network {
 		topo:    topo,
 		cfg:     cfg,
 		clock:   cfg.Clock,
-		dclock:  simtime.AsDomainClock(cfg.Clock),
-		virtual: simtime.IsVirtual(cfg.Clock),
 		quit:    make(chan struct{}),
 		Metrics: metrics.NewRegistry(),
 	}
@@ -223,35 +199,20 @@ func NewNetwork(topo *topology.Topology, cfg Config) *Network {
 			net:      n,
 			handlers: make(map[string]Handler),
 		}
-		if !n.virtual {
-			n.nodes[i].inbox = make(chan Message, cfg.InboxSize)
-		}
 	}
 	return n
 }
 
-// Start launches the node goroutines (real clock). Under a virtual
-// clock there are no node goroutines — dispatch rides the event
-// scheduler — so Start only marks the runtime live. It must be called
-// once before any Send.
-func (n *Network) Start() {
-	if n.virtual {
-		return
-	}
-	for _, nd := range n.nodes {
-		n.wg.Add(1)
-		go nd.loop()
-	}
-}
+// Start does nothing — there are no node goroutines to launch, dispatch
+// rides the event scheduler — and stays for bench/dataplane.go, frozen
+// until ROADMAP item 6.
+func (n *Network) Start() {}
 
-// Stop shuts the runtime down: future sends are dropped and, under the
-// real clock, Stop blocks until node loops and in-flight deliveries
-// finish. Under a virtual clock pending delivery events are abandoned
+// Stop shuts the runtime down: pending delivery events are abandoned
 // (they count msgs.dropped if the clock ever fires them). Safe to call
 // more than once.
 func (n *Network) Stop() {
 	n.stopOnce.Do(func() { close(n.quit) })
-	n.wg.Wait()
 }
 
 // Node returns the runtime node for the overlay node id.
@@ -263,15 +224,9 @@ func (n *Network) NumNodes() int { return len(n.nodes) }
 // Config returns the runtime configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// Clock returns the clock driving the runtime.
-func (n *Network) Clock() simtime.Clock { return n.clock }
-
-// Virtual reports whether the runtime dispatches on a virtual clock.
-func (n *Network) Virtual() bool { return n.virtual }
-
-// DomainClock returns the clock's domain extension (never nil) — the
-// interface shard-context code schedules and observes through.
-func (n *Network) DomainClock() simtime.DomainClock { return n.dclock }
+// Clock returns the clock driving the runtime — what shard-context
+// code schedules and observes through.
+func (n *Network) Clock() *simtime.VirtualClock { return n.clock }
 
 // NowAt returns the current time as seen from the node's execution
 // context: inside a parallel window, the node's shard-local event time;
@@ -279,7 +234,7 @@ func (n *Network) DomainClock() simtime.DomainClock { return n.dclock }
 // Message.SentAt) instead of Clock().Now(), which is only coherent at
 // barriers.
 func (n *Network) NowAt(id topology.NodeID) time.Time {
-	return n.dclock.DomainNow(simtime.Domain(id))
+	return n.clock.DomainNow(simtime.Domain(id))
 }
 
 // ObserveAt defers fn to the clock's next synchronization point, where
@@ -287,7 +242,7 @@ func (n *Network) NowAt(id topology.NodeID) time.Time {
 // receives the virtual time of the observing event. Outside a parallel
 // window fn runs inline.
 func (n *Network) ObserveAt(id topology.NodeID, fn func(at time.Time)) {
-	n.dclock.Observe(simtime.Domain(id), fn)
+	n.clock.Observe(simtime.Domain(id), fn)
 }
 
 // TraceSampleCtr returns the node's private trace-sampling counter, for
@@ -340,12 +295,10 @@ func (n *Network) SimMillis(wall time.Duration) float64 {
 	return float64(wall) / float64(n.cfg.TimeScale)
 }
 
-// Node is one overlay participant: a handler table, counters, and —
-// under the real clock — an inbox goroutine.
+// Node is one overlay participant: a handler table and a liveness flag.
 type Node struct {
-	id    topology.NodeID
-	net   *Network
-	inbox chan Message
+	id  topology.NodeID
+	net *Network
 
 	// down marks a departed/failed node: its deliveries are dropped and
 	// counted, and it originates no traffic. The flag is what node-churn
@@ -422,7 +375,7 @@ func (nd *Node) Send(to topology.NodeID, port string, sizeKB float64, payload an
 		Port:    port,
 		SizeKB:  sizeKB,
 		Payload: payload,
-		SentAt:  n.dclock.DomainNow(origin),
+		SentAt:  n.clock.DomainNow(origin),
 	}
 	latMs := n.topo.Latency(nd.id, to)
 
@@ -441,7 +394,7 @@ func (nd *Node) Send(to topology.NodeID, port string, sizeKB float64, payload an
 			}
 			n.shardStats[n.shardOf[nd.id]].faultsDropped.Add(1)
 			if tr := n.tracer.Load(); tr.Enabled() && tr.SampleAt(&n.sampleCtr[int(nd.id)+1]) {
-				n.dclock.Observe(origin, func(at time.Time) {
+				n.clock.Observe(origin, func(at time.Time) {
 					tr.EmitAtTime(at, "overlay", "fault_drop",
 						trace.Int("from", int(nd.id)), trace.Int("to", int(to)),
 						trace.Str("port", port))
@@ -453,27 +406,16 @@ func (nd *Node) Send(to topology.NodeID, port string, sizeKB float64, payload an
 	}
 	delay := time.Duration(latMs * float64(n.cfg.TimeScale))
 
-	if n.virtual {
-		// Discrete-event path: the delivery is a clock event that
-		// dispatches the handler directly at the arrival instant, in
-		// the destination's shard.
-		d := newDelivery()
-		d.net, d.msg = n, msg
-		n.dclock.ScheduleEvent(&d.ev, origin, simtime.Domain(to), delay)
-		return nil
-	}
-
-	n.wg.Add(1)
-	if delay <= 0 {
-		go n.deliver(msg)
-		return nil
-	}
-	time.AfterFunc(delay, func() { n.deliver(msg) })
+	// The delivery is a clock event that dispatches the handler directly
+	// at the arrival instant, in the destination's shard.
+	d := newDelivery()
+	d.net, d.msg = n, msg
+	n.clock.ScheduleEvent(&d.ev, origin, simtime.Domain(to), delay)
 	return nil
 }
 
-// delivery is one message in flight under a virtual clock: the clock
-// event and what it delivers, in one recycled record. Send takes it
+// delivery is one message in flight: the clock event and what it
+// delivers, in one recycled record. Send takes it
 // from the pool and fire returns it once the handler is back; nothing
 // else ever holds it — Send hands out no Timer, and handlers get the
 // Message by value — so a recycled record cannot be stopped, re-armed
@@ -510,32 +452,6 @@ func (d *delivery) fire() {
 	}
 	d.net, d.msg = nil, Message{} // the pool must not pin the payload
 	deliveries.Put(d)
-}
-
-// deliver enqueues the message unless the runtime is stopping (real
-// clock only).
-func (n *Network) deliver(msg Message) {
-	defer n.wg.Done()
-	dst := n.nodes[msg.To]
-	select {
-	case <-n.quit:
-		n.cMsgsDropped.Inc()
-	case dst.inbox <- msg:
-	}
-}
-
-// loop is the node goroutine: dispatch until shutdown (real clock
-// only).
-func (nd *Node) loop() {
-	defer nd.net.wg.Done()
-	for {
-		select {
-		case <-nd.net.quit:
-			return
-		case msg := <-nd.inbox:
-			nd.dispatch(msg)
-		}
-	}
 }
 
 func (nd *Node) dispatch(msg Message) {
@@ -594,11 +510,6 @@ type Heartbeats struct {
 	// beats holds each node's one event, re-armed every period by its
 	// own callback.
 	beats []simtime.Event
-	// inflight counts beat callbacks past their stopped-check; Add only
-	// happens under mu with stopped == false, so Stop's Wait can never
-	// race an Add (the WaitGroup misuse Send-vs-Network.Stop would
-	// otherwise hit).
-	inflight sync.WaitGroup
 }
 
 // HeartbeatOpts tunes StartHeartbeatsOpts.
@@ -614,8 +525,7 @@ type HeartbeatOpts struct {
 
 // StartHeartbeats begins periodic liveness traffic: every `every` of
 // clock time, each node sends a sizeKB ping to the node after it in id
-// order (wrapping), clock-driven so heartbeats are free under virtual
-// time. Beats are counted in the hb.sent and hb.recv counters and
+// order (wrapping). Beats are counted in the hb.sent and hb.recv counters and
 // charged to the usual traffic metrics. The first round fires after one
 // full interval.
 func (n *Network) StartHeartbeats(every time.Duration, sizeKB float64) *Heartbeats {
@@ -632,30 +542,26 @@ func (n *Network) StartHeartbeatsOpts(every time.Duration, sizeKB float64, opts 
 			recv.Inc()
 			n.shardStats[n.shardOf[m.To]].hbRecv.Add(1)
 			if ob := n.hbObserver.Load(); ob != nil {
-				n.dclock.Observe(simtime.Domain(m.To), func(at time.Time) { (*ob)(m, at) })
+				n.clock.Observe(simtime.Domain(m.To), func(at time.Time) { (*ob)(m, at) })
 			}
 		})
 	}
 	hb.beats = make([]simtime.Event, len(n.nodes))
-	hb.mu.Lock()
-	defer hb.mu.Unlock() // early real-clock fires block until setup completes
 	for i, nd := range n.nodes {
 		i, nd := i, nd
 		ev, dom := &hb.beats[i], simtime.Domain(i)
 		ev.Fn = func() {
 			hb.mu.Lock()
-			if hb.stopped {
-				hb.mu.Unlock()
+			stopped := hb.stopped
+			hb.mu.Unlock()
+			if stopped {
 				return
 			}
 			select {
 			case <-n.quit:
-				hb.mu.Unlock()
 				return
 			default:
 			}
-			hb.inflight.Add(1)
-			hb.mu.Unlock()
 			to := topology.NodeID((i + 1) % len(n.nodes))
 			if opts.SkipDownTargets {
 				for k := 1; k < len(n.nodes); k++ {
@@ -672,34 +578,30 @@ func (n *Network) StartHeartbeatsOpts(every time.Duration, sizeKB float64, opts 
 				sent.Inc()
 				n.shardStats[n.shardOf[i]].hbSent.Add(1)
 			}
-			hb.inflight.Done()
 			hb.mu.Lock()
 			if !hb.stopped {
 				// Each node's schedule is its own domain, so beats execute
 				// shard-locally and reschedule without a barrier crossing.
-				n.dclock.ScheduleEvent(ev, dom, dom, every)
+				n.clock.ScheduleEvent(ev, dom, dom, every)
 			}
 			hb.mu.Unlock()
 		}
-		n.dclock.ScheduleEvent(ev, dom, dom, every)
+		n.clock.ScheduleEvent(ev, dom, dom, every)
 	}
 	return hb
 }
 
-// Stop halts the heartbeat schedule and waits out any beat already past
-// its stopped-check, so `hb.Stop(); net.Stop()` is always safe — no
-// beat can call Send (and bump the network's delivery WaitGroup) after
-// Stop returns.
+// Stop halts the heartbeat schedule: every pending beat is cancelled
+// and none re-arms. Like Event.Stop it is a control-context call. Safe
+// to call more than once.
 func (hb *Heartbeats) Stop() {
 	hb.mu.Lock()
+	defer hb.mu.Unlock()
 	if hb.stopped {
-		hb.mu.Unlock()
 		return
 	}
 	hb.stopped = true
 	for i := range hb.beats {
 		hb.beats[i].Stop()
 	}
-	hb.mu.Unlock()
-	hb.inflight.Wait()
 }

@@ -72,7 +72,6 @@ func runRandomTraffic(t *testing.T, seed int64, shards int) diffRun {
 	}
 	defer clk.Drive()()
 	net := NewNetwork(topo, cfg)
-	net.Start()
 	defer net.Stop()
 
 	// Every node logs every delivery; a node's handlers execute
@@ -117,7 +116,7 @@ func runRandomTraffic(t *testing.T, seed int64, shards int) diffRun {
 	// Per-node producers: each node streams messages to seeded-random
 	// targets on seeded-random schedules, exactly the way the engine's
 	// virtual producers do — node-domain events on the node's own shard.
-	dc := net.DomainClock()
+	dc := net.Clock()
 	for i := 0; i < n; i++ {
 		i := i
 		dom := simtime.Domain(i)

@@ -8,6 +8,21 @@
 // (selectivity) and identity (signature), which is all that plan
 // generation, placement, and multi-query reuse need. The stream engine
 // (package stream) gives the same operators executable semantics.
+//
+// # Rate model
+//
+// Every plan node carries an estimated output rate in KB/s
+// (PlanNode.Rate): a source emits its catalog rate; a filter or an
+// aggregate emits sel·in, with sel in (0, 1] (for an aggregate, the
+// fraction of each window's bytes it emits); a join emits
+// sel·(rateL + rateR), where sel is the product of the pairwise
+// selectivities across its two sides; a union emits rateL + rateR.
+// Rates stay in linear KB/s, which is what link-level network usage
+// Σ rate·latency needs; the relational cross-product model has no
+// stable rate unit for unbounded streams. A consequence the placement
+// results inherit: a join with sel >= 1 emits at least what it takes
+// in, so no host between its inputs and its consumer can beat hosting
+// it at the consumer.
 package query
 
 import (
@@ -115,12 +130,7 @@ func (q Query) has(s StreamID, n int) bool {
 // Catalog holds the statistics plan generation uses: per-stream data
 // rates and producers, and pairwise join selectivities.
 //
-// Rate model (see DESIGN.md §4): a join's output rate is
-// sel(left,right)·(rateL + rateR), where sel is the product of the
-// pairwise selectivities across the two sides. This keeps rates in linear
-// KB/s units, which is what link-level network usage needs; the
-// relational cross-product model has no stable rate unit for unbounded
-// streams.
+// The package comment states the rate model they feed.
 type Catalog struct {
 	rates      map[StreamID]float64
 	producers  map[StreamID]topology.NodeID

@@ -9,7 +9,7 @@
 //
 // Stages, each optional after the first:
 //
-//	w, err := scenario.Build(spec) // control plane: topology → latency backend → catalog → queries → clock → coordinates → environment
+//	w, err := scenario.Build(spec) // control plane: clock → topology → latency backend → catalog → queries → coordinates → environment
 //	err = w.StartDataPlane()       // lane map → sharded clock → network → engine
 //	w.StartHeartbeats(every)       // liveness traffic only, or:
 //	w.InjectFaults(plan)           // failure machinery: fault injector,
@@ -42,31 +42,29 @@ import (
 
 // What every caller sets alike.
 const (
-	inboxSize        = 8192 // per-node inbox of the wall-clock runtime; unused on the virtual clock
-	wallTimeScale    = 50 * time.Microsecond
-	virtualTimeScale = time.Millisecond
-	heartbeatKB      = 0.05
+	// TimeScale is the clock time of one simulated millisecond: virtual
+	// time is free, so the two are the same.
+	TimeScale   = time.Millisecond
+	heartbeatKB = 0.05
 )
 
-// ClockMode selects what the runtime's time is.
+// ClockMode selects who drives the World's deterministic discrete-event
+// clock.
 type ClockMode int
 
 const (
-	// Wall runs the goroutine-per-node runtime in scaled wall time.
-	Wall ClockMode = iota
-	// Virtual runs on the deterministic discrete-event clock. The
-	// goroutine that calls Build drives it: it is the clock's one
-	// registered actor until Close, so every wait on World.Clock must
-	// come from that goroutine.
-	Virtual
-	// SharedVirtual is Virtual with no actor registered: each caller
-	// registers itself on World.VClock around the calls that wait on the
-	// clock, so several goroutines may use one World.
+	// Virtual has the goroutine that calls Build drive the clock: it is
+	// the clock's one registered actor until Close, so every wait on
+	// World.Clock must come from that goroutine.
+	Virtual ClockMode = iota
+	// SharedVirtual registers no actor: each caller registers itself on
+	// World.Clock around the calls that wait on the clock, so several
+	// goroutines may use one World.
 	SharedVirtual
 )
 
 // Ticker asks for coordinates maintained by background Vivaldi gossip
-// on the virtual clock in place of one batch embedding of the latency
+// on the clock in place of one batch embedding of the latency
 // matrix.
 type Ticker struct {
 	// Samples is the peers each node measures per round, Interval the
@@ -78,8 +76,8 @@ type Ticker struct {
 }
 
 // Spec describes an overlay. The zero value of a field is its plainest
-// setting: dense latency, batch embedding, oracle mapping, wall clock,
-// one event queue, no tracing.
+// setting: dense latency, batch embedding, oracle mapping, a clock the
+// builder drives, one event queue, no tracing.
 type Spec struct {
 	Seed     int64
 	Topology topology.Config
@@ -95,17 +93,14 @@ type Spec struct {
 	// UseDHT maps virtual coordinates through the Hilbert-keyed DHT
 	// catalog instead of the exact oracle.
 	UseDHT bool
-	// Ticker, when set, feeds coordinates from gossip; it needs a
-	// virtual clock.
+	// Ticker, when set, feeds coordinates from gossip; it needs the
+	// driven clock (Virtual).
 	Ticker *Ticker
 
 	Clock ClockMode
-	// TimeScale is the clock time of one simulated millisecond; zero
-	// means 50µs on the wall clock and 1ms on the virtual one.
-	TimeScale time.Duration
 	// DataShards > 1 executes the data plane on that many parallel event
 	// queues (rounded down to a power of two), keyed to the optimizer's
-	// Hilbert-prefix regions. It needs a virtual clock.
+	// Hilbert-prefix regions.
 	DataShards int
 	// Engine carries the producers' keyspace and tuple size (zero: the
 	// engine's defaults). Seed zero means Spec.Seed; the tracer is
@@ -127,10 +122,8 @@ type World struct {
 	Env        *optimizer.Env
 	Deployment *optimizer.Deployment
 	Ticker     *vivaldi.Ticker
-	// Clock is what the runtime reads time from: VClock on the virtual
-	// modes, the real clock otherwise.
-	Clock  simtime.Clock
-	VClock *simtime.VirtualClock
+	// Clock is what the runtime reads time from and every wait sleeps on.
+	Clock *simtime.VirtualClock
 
 	Net    *overlay.Network
 	Engine *stream.Engine
@@ -150,7 +143,12 @@ type World struct {
 
 // Build runs the control-plane stage. On error nothing is left running.
 func Build(spec Spec) (*World, error) {
-	w := &World{Spec: spec, Clock: simtime.Real()}
+	// The clock first, and its driving actor with it, so that Close has
+	// the same to undo wherever build fails.
+	w := &World{Spec: spec, Clock: simtime.NewVirtual()}
+	if spec.Clock == Virtual {
+		w.Clock.Register()
+	}
 	if err := w.build(); err != nil {
 		w.Close()
 		return nil, err
@@ -184,13 +182,6 @@ func (w *World) build() (err error) {
 			return err
 		}
 	}
-	if spec.Clock != Wall {
-		w.VClock = simtime.NewVirtual()
-		w.Clock = w.VClock
-		if spec.Clock == Virtual {
-			w.VClock.Register()
-		}
-	}
 
 	envCfg := optimizer.DefaultEnvConfig(spec.Seed)
 	envCfg.UseDHT = spec.UseDHT
@@ -202,12 +193,12 @@ func (w *World) build() (err error) {
 		}
 		lat := func(i, j int) float64 { return w.Topo.Latency(topology.NodeID(i), topology.NodeID(j)) }
 		w.Ticker, err = vivaldi.NewTicker(w.Topo.NumNodes(), lat, vivaldi.DefaultConfig(),
-			spec.Ticker.Samples, spec.Ticker.Interval, w.VClock, rand.New(rand.NewSource(spec.Seed*5)))
+			spec.Ticker.Samples, spec.Ticker.Interval, w.Clock, rand.New(rand.NewSource(spec.Seed*5)))
 		if err != nil {
 			return err
 		}
 		w.Ticker.Start()
-		w.VClock.Sleep(time.Duration(spec.Ticker.WarmRounds) * spec.Ticker.Interval)
+		w.Clock.Sleep(time.Duration(spec.Ticker.WarmRounds) * spec.Ticker.Interval)
 		w.Env, err = optimizer.NewEnvFromCoords(w.Topo, w.Stats, envCfg, w.Ticker.Embedding().Coords)
 	}
 	if err != nil {
@@ -220,17 +211,6 @@ func (w *World) build() (err error) {
 	return nil
 }
 
-// TimeScale returns the clock time of one simulated millisecond.
-func (w *World) TimeScale() time.Duration {
-	switch {
-	case w.Spec.TimeScale > 0:
-		return w.Spec.TimeScale
-	case w.VClock != nil:
-		return virtualTimeScale
-	}
-	return wallTimeScale
-}
-
 // StartDataPlane runs the data-plane stage: the overlay network and the
 // stream engine on the World's clock. With DataShards the clock is
 // split into lanes first — the lane map needs the environment, and the
@@ -239,14 +219,8 @@ func (w *World) StartDataPlane() error {
 	if w.Net != nil || w.closed {
 		return fmt.Errorf("scenario: data plane already started or closed")
 	}
-	cfg := overlay.Config{TimeScale: w.TimeScale(), InboxSize: inboxSize}
-	if w.VClock != nil {
-		cfg.Clock = w.VClock
-	}
+	cfg := overlay.Config{TimeScale: TimeScale, Clock: w.Clock}
 	if w.Spec.DataShards > 1 {
-		if w.VClock == nil {
-			return fmt.Errorf("scenario: data shards need the virtual clock — only the discrete-event data plane shards")
-		}
 		// The optimizer's Hilbert-prefix regions as lanes, so the traffic
 		// of a region-local placement stays lane-local; the smallest
 		// edge latency as the lookahead no message can undercut.
@@ -259,12 +233,11 @@ func (w *World) StartDataPlane() error {
 		if w.Lookahead <= 0 {
 			return fmt.Errorf("scenario: topology has no positive edge latency — no conservative lookahead exists")
 		}
-		w.VClock.ShardLanes(laneOf, k, w.Lookahead)
+		w.Clock.ShardLanes(laneOf, k, w.Lookahead)
 		cfg.DataShards, cfg.ShardOf = k, laneOf
 	}
 	w.Net = overlay.NewNetwork(w.Topo, cfg)
 	w.Net.SetTracer(w.Spec.Tracer)
-	w.Net.Start()
 	ecfg := w.Spec.Engine
 	if ecfg.Seed == 0 {
 		ecfg.Seed = w.Spec.Seed
@@ -303,7 +276,7 @@ func (w *World) Deploy(circuits ...*optimizer.Circuit) error {
 
 // SimSleep advances the run by simSeconds of simulated time.
 func (w *World) SimSleep(simSeconds float64) {
-	w.Clock.Sleep(time.Duration(simSeconds * 1000 * float64(w.TimeScale())))
+	w.Clock.Sleep(time.Duration(simSeconds * 1000 * float64(TimeScale)))
 }
 
 // Quiesce halts every producer, lets one simulated second of in-flight
@@ -437,10 +410,8 @@ func (w *World) Close() {
 	if w.Ticker != nil {
 		w.Ticker.Stop()
 	}
-	if w.VClock != nil {
-		if w.Spec.Clock == Virtual {
-			w.VClock.Unregister()
-		}
-		w.VClock.Stop()
+	if w.Spec.Clock == Virtual {
+		w.Clock.Unregister()
 	}
+	w.Clock.Stop()
 }

@@ -116,46 +116,3 @@ func TestOwnedEventRearmsItself(t *testing.T) {
 		release()
 	}
 }
-
-// TestRealClockEventRearm re-arms one Event from its own callback on
-// the wall clock, where Fn runs on a timer goroutine: under -race this
-// is the check that the Event's timer is published before Fn can use it.
-func TestRealClockEventRearm(t *testing.T) {
-	rc := AsDomainClock(Real())
-	done := make(chan struct{})
-	fires := 0
-	ev := &Event{}
-	ev.Fn = func() {
-		if fires++; fires == 3 {
-			close(done)
-			return
-		}
-		rc.ScheduleEvent(ev, Control, Control, time.Microsecond)
-	}
-	rc.ScheduleEvent(ev, Control, Control, 0)
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("re-armed real-clock Event never reached its third firing")
-	}
-	if ev.Stop() {
-		t.Fatal("Stop after the last firing reported pending")
-	}
-	rc.ScheduleEvent(ev, Control, Control, time.Hour)
-	if !ev.Stop() {
-		t.Fatal("Stop of a pending real-clock Event reported not pending")
-	}
-}
-
-// foreignClock is a Clock from outside the package: it has no domain
-// extension.
-type foreignClock struct{ Clock }
-
-func TestAsDomainClockForeignClockPanics(t *testing.T) {
-	mustPanic(t, "AsDomainClock(foreign clock)", func() { AsDomainClock(foreignClock{Real()}) })
-	c := NewVirtual()
-	defer c.Stop()
-	if AsDomainClock(c) != DomainClock(c) || AsDomainClock(Real()) == nil {
-		t.Fatal("AsDomainClock did not return the package's own clocks")
-	}
-}

@@ -5,18 +5,18 @@ import (
 	"time"
 )
 
-// Event is one callback on a clock's timeline and the Timer that
-// cancels it. The zero value with Fn set is ready to schedule.
+// Event is one callback on a virtual clock's timeline and the Timer
+// that cancels it. The zero value with Fn set is ready to schedule.
 //
 // Events are caller-ownable: a component that fires periodically (a
 // producer, a heartbeat) or recycles its messages (the overlay's
 // pooled deliveries) embeds an Event in its own record and hands it to
-// DomainClock.ScheduleEvent each time, so a steady-state schedule
+// VirtualClock.ScheduleEvent each time, so a steady-state schedule
 // allocates nothing. The contract that makes this safe:
 //
 //   - An Event may be scheduled again only after it fired (its Fn is
 //     running or has returned) or after Stop returned; scheduling one
-//     that is still pending on a virtual clock panics.
+//     that is still pending panics.
 //   - One owner at a time: the goroutine — under sharded execution, the
 //     node domain — that schedules an Event is the only one that may
 //     re-arm it, and the kernel never touches an Event after calling
@@ -25,9 +25,8 @@ import (
 //     Event is pending; an Event stays with the clock it was first
 //     scheduled on.
 type Event struct {
-	// Fn runs when the event fires: on the scheduler goroutine or a
-	// lane worker under a virtual clock (it must not block), on a timer
-	// goroutine under the real clock.
+	// Fn runs when the event fires, on the scheduler goroutine or a
+	// lane worker; it must not block.
 	Fn func()
 
 	at time.Duration // virtual offset from the epoch
@@ -38,8 +37,7 @@ type Event struct {
 	// single-queue and sharded execution.
 	seq uint64
 
-	clk   *VirtualClock // virtual clock the event was last scheduled on: Stop's way back
-	timer *time.Timer   // real clock only: made on the first schedule, Reset after
+	clk *VirtualClock // the clock the event was last scheduled on: Stop's way back
 
 	// prev/next chain a bucketed event into its wheel slot's list.
 	prev, next *Event
@@ -63,14 +61,10 @@ const (
 	evBucket              // in wheel slot buckets[level][slot]
 )
 
-// Stop cancels the event, reporting whether it was still pending. On a
-// virtual clock Stop is a control-context operation: calling it from
-// inside a parallel window panics (shard workers own their queues
-// then).
+// Stop cancels the event, reporting whether it was still pending. Stop
+// is a control-context operation: calling it from inside a parallel
+// window panics (shard workers own their queues then).
 func (ev *Event) Stop() bool {
-	if ev.timer != nil {
-		return ev.timer.Stop()
-	}
 	c := ev.clk
 	if c == nil {
 		return false // never scheduled

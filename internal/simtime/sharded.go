@@ -294,7 +294,10 @@ func (c *VirtualClock) DomainNow(origin Domain) time.Time {
 // Observe defers fn to the end of the current window, where all
 // observations run serially sorted by (event time, event key, emission
 // index) — the exact order a single-queue run would have produced them
-// in. Outside a window fn runs inline at the current clock time.
+// in. Outside a window fn runs inline at the current clock time. This
+// is how shard-context code feeds order-sensitive shared state (the
+// tracer, detector timestamps) without races and without perturbing the
+// bit-identical contract.
 func (c *VirtualClock) Observe(origin Domain, fn func(at time.Time)) {
 	if c.inWindow.Load() && origin >= 0 && int(origin) < len(c.laneOf) {
 		ln := c.lanes[c.laneOf[origin]]

@@ -1,7 +1,9 @@
 // Package simtime is the discrete-event simulation kernel behind the
-// overlay runtime: a Clock abstraction with two implementations — the
-// real (wall) clock, and a deterministic virtual clock whose scheduler
-// runs on a hierarchical timer wheel.
+// overlay runtime: VirtualClock, a deterministic clock whose scheduler
+// runs on a hierarchical timer wheel. It is the only clock an overlay
+// runs on. The Clock interface and Real, the wall clock behind it, are
+// for what waits or stamps outside an overlay: a tracer with no run to
+// follow, a gossip ticker or an adaptation coordinator handed no clock.
 //
 // Under the virtual clock, time is a number, not a resource. Timers and
 // delayed callbacks become Events queued in exact (timestamp, schedule
@@ -44,8 +46,8 @@ package simtime
 
 import "time"
 
-// Clock abstracts the passage of time for the simulation runtime. The
-// real clock delegates to package time; the virtual clock advances a
+// Clock is what code that only waits and reads time needs of a clock.
+// The real clock delegates to package time; the virtual clock advances a
 // simulated timeline deterministically.
 type Clock interface {
 	// Now returns the current (wall or virtual) time.
@@ -76,8 +78,8 @@ type Clock interface {
 	SleepOrDone(d time.Duration, done <-chan struct{}) bool
 }
 
-// Timer is a cancellable pending callback or expiry; *Event is the one
-// implementation, on both clocks.
+// Timer is a cancellable pending callback or expiry: an *Event on the
+// virtual clock, a *time.Timer on the real one.
 type Timer interface {
 	// Stop cancels the timer, reporting whether it was still pending.
 	Stop() bool
@@ -94,9 +96,7 @@ func (realClock) Since(t time.Time) time.Duration        { return time.Since(t) 
 func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-func (rc realClock) AfterFunc(d time.Duration, fn func()) Timer {
-	return rc.ScheduleDomain(Control, Control, d, fn)
-}
+func (realClock) AfterFunc(d time.Duration, fn func()) Timer { return time.AfterFunc(d, fn) }
 
 func (realClock) SleepOrDone(d time.Duration, done <-chan struct{}) bool {
 	if done != nil {
@@ -117,10 +117,4 @@ func (realClock) SleepOrDone(d time.Duration, done <-chan struct{}) bool {
 	case <-done:
 		return true
 	}
-}
-
-// IsVirtual reports whether c is a virtual clock.
-func IsVirtual(c Clock) bool {
-	_, ok := c.(*VirtualClock)
-	return ok
 }

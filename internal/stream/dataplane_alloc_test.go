@@ -66,14 +66,14 @@ func TestJoinWindowSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestProducerStepDoesNotAllocateEvents: a virtual producer is one
+// TestProducerStepDoesNotAllocateEvents: a producer is one
 // event re-armed every interval, so 10k steps cost nothing beyond what
 // the emitted tuples' consumers do (here: nothing).
 func TestProducerStepDoesNotAllocateEvents(t *testing.T) {
 	s := newEngineSetup(t, 3)
 	host := s.env.Topo.StubNodeIDs()[0]
 	tuples := 0
-	p := s.engine.startVirtualProducer(nil, host, 0, 50, 1, func(Tuple) { tuples++ })
+	p := s.engine.startProducer(0, host, 0, 50, 1, func(Tuple) { tuples++ })
 	defer p.halt()
 	interval := s.engine.produceInterval(50)
 	s.clk.Sleep(100 * interval)

@@ -40,9 +40,8 @@ func DefaultEngineConfig() EngineConfig {
 }
 
 // Engine deploys circuits onto the overlay runtime and measures the
-// resulting dataflow. It inherits the network's clock: on a virtual
-// clock, producers are events on the simulation clock instead of
-// goroutines, and a fixed seed reproduces the measured dataflow bit
+// resulting dataflow. It inherits the network's clock: producers are
+// events on it, and a fixed seed reproduces the measured dataflow bit
 // for bit.
 //
 // Shared service instances (§3.4 multi-query optimization) are
@@ -56,7 +55,7 @@ type Engine struct {
 	net   *overlay.Network
 	topo  *topology.Topology
 	cfg   EngineConfig
-	clock simtime.Clock
+	clock *simtime.VirtualClock
 
 	mu      sync.Mutex
 	running map[query.QueryID]*Running
@@ -67,7 +66,7 @@ type Engine struct {
 	zombies map[*Running]struct{}
 }
 
-// NewEngine builds an engine over a started overlay network.
+// NewEngine builds an engine over an overlay network.
 func NewEngine(net *overlay.Network, topo *topology.Topology, cfg EngineConfig) *Engine {
 	if cfg.Keyspace <= 0 {
 		cfg.Keyspace = 1000
@@ -90,13 +89,10 @@ func NewEngine(net *overlay.Network, topo *topology.Topology, cfg EngineConfig) 
 type Running struct {
 	Circuit *optimizer.Circuit
 
-	engine    *Engine
-	stop      chan struct{}
-	prodStop  chan struct{} // closes producers only (HaltProducers)
-	haltOnce  sync.Once
-	producers sync.WaitGroup   // goroutine producers (real clock)
-	prods     []producerHandle // per-source halt handles (both clocks)
-	started   time.Time
+	engine  *Engine
+	stop    chan struct{}
+	prods   []*producer // one per source, halted independently
+	started time.Time
 
 	// route[i] is the node tuples destined for service i are sent to;
 	// host[i] is the node service i currently executes on. They diverge
@@ -133,15 +129,6 @@ type Running struct {
 	usageKBms *metrics.Counter
 }
 
-// producerHandle lets the engine halt one source's tuple generation
-// independently — the zombie trim stops producers that only feed a
-// cancelled circuit's private services while shared subtrees keep
-// flowing.
-type producerHandle struct {
-	svc  int
-	halt func()
-}
-
 // svcRuntime is the per-service executable state the migration protocol
 // hands between nodes.
 type svcRuntime struct {
@@ -152,10 +139,9 @@ type svcRuntime struct {
 	// process runs the operator without taking the gate — the replay
 	// path, called with the gate already held.
 	process func(side int, t Tuple)
-	// gate serializes operator access between the old host's stragglers
-	// and the new host's replay under the real clock (a no-op
-	// uncontended lock in virtual runs, where the scheduler serializes
-	// everything).
+	// gate serializes operator access between a handler and the cutover
+	// replay; the scheduler already runs cutover between windows, so
+	// the lock is uncontended.
 	gate sync.Mutex
 	// migrating marks an in-flight handoff (under engine.mu).
 	migrating bool
@@ -267,7 +253,6 @@ func (e *Engine) Deploy(c *optimizer.Circuit) (*Running, error) {
 		Circuit:   c,
 		engine:    e,
 		stop:      make(chan struct{}),
-		prodStop:  make(chan struct{}),
 		route:     make([]atomic.Int32, len(c.Services)),
 		host:      make([]atomic.Int32, len(c.Services)),
 		svcs:      make([]svcRuntime, len(c.Services)),
@@ -366,8 +351,7 @@ func (e *Engine) Deploy(c *optimizer.Circuit) (*Running, error) {
 		r.host[pt.svc].Store(h)
 	}
 
-	// Start producers: goroutines paced by a wall-clock ticker on the
-	// real clock, recurring events on the virtual clock.
+	// Start producers: one recurring clock event each.
 	r.started = e.clock.Now()
 	for i, s := range c.Services {
 		if s.Reused || s.Plan == nil || s.Plan.Kind != query.KindSource {
@@ -381,16 +365,7 @@ func (e *Engine) Deploy(c *optimizer.Circuit) (*Running, error) {
 		}
 		stream := s.Plan.Stream
 		seed := e.cfg.Seed + int64(stream)*7919 + int64(c.Query.ID)*104729
-		if e.net.Virtual() {
-			p := e.startVirtualProducer(r, s.Node, stream, rate, seed, counted)
-			r.prods = append(r.prods, producerHandle{svc: i, halt: p.halt})
-			continue
-		}
-		stop := make(chan struct{})
-		var once sync.Once
-		r.prods = append(r.prods, producerHandle{svc: i, halt: func() { once.Do(func() { close(stop) }) }})
-		r.producers.Add(1)
-		go e.produce(r, stop, stream, rate, seed, counted)
+		r.prods = append(r.prods, e.startProducer(i, s.Node, stream, rate, seed, counted))
 	}
 
 	e.running[c.Query.ID] = r
@@ -520,80 +495,41 @@ func (e *Engine) produceInterval(rateKBs float64) time.Duration {
 	return interval
 }
 
-// produce generates tuples at the stream's simulated rate until stopped
-// (real clock). Emission is paced by elapsed wall time rather than
-// one-per-tick: Go tickers coalesce missed ticks, which would silently
-// under-produce at sub-millisecond intervals.
-func (e *Engine) produce(r *Running, stop <-chan struct{}, stream query.StreamID, rateKBs float64, seed int64, emit Emit) {
-	defer r.producers.Done()
-	rng := rand.New(rand.NewSource(seed))
-	interval := e.produceInterval(rateKBs)
-	tick := interval
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	const maxBurst = 1000 // bound catch-up after a scheduling stall
-	start := time.Now()
-	emitted := int64(0)
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-r.prodStop:
-			return
-		case <-stop:
-			return
-		case <-ticker.C:
-			due := int64(time.Since(start) / interval)
-			if due-emitted > maxBurst {
-				emitted = due - maxBurst // slip instead of flooding
-			}
-			for ; emitted < due; emitted++ {
-				emit(Tuple{
-					Stream:  stream,
-					Key:     rng.Int63n(e.cfg.Keyspace),
-					Value:   rng.NormFloat64(),
-					SizeKB:  e.cfg.TupleSizeKB,
-					Created: time.Now(),
-				})
-			}
-		}
-	}
-}
-
-// vProducer is a virtual-clock producer: one event that re-arms itself
-// every interval. The mutex covers the stop/reschedule handshake;
-// under the registered-actor discipline the scheduler is parked while
-// the driver tears down, so contention is nil.
-type vProducer struct {
+// producer is one source's tuple generation: one event that re-arms
+// itself every interval. Each halts on its own — the zombie trim stops
+// the producers that only feed a cancelled circuit's private services
+// (by svc, the source's service index) while shared subtrees keep
+// flowing. The mutex covers the stop/reschedule handshake; under the
+// registered-actor discipline the scheduler is parked while the driver
+// tears down, so contention is nil.
+type producer struct {
+	svc     int
 	mu      sync.Mutex
 	ev      simtime.Event
 	stopped bool
 }
 
-func (p *vProducer) halt() {
+func (p *producer) halt() {
 	p.mu.Lock()
 	p.stopped = true
 	p.ev.Stop()
 	p.mu.Unlock()
 }
 
-// startVirtualProducer schedules tuple emission as recurring clock
-// events in the host node's domain: exactly one tuple per interval, no
-// catch-up needed because virtual time never stalls. Producers are
+// startProducer schedules tuple emission as recurring clock events in
+// the host node's domain: exactly one tuple per interval, no catch-up
+// needed because virtual time never stalls. Producers are
 // pinned (only operators migrate), so the host's shard executes every
 // step — shard-locally, with no barrier crossings. Event keys are
 // (instant, host, per-host sequence) in both execution modes: at one
 // instant, producers fire in host-id order, ties within a host in
 // deploy order, which is what makes same-seed runs bit-identical.
-func (e *Engine) startVirtualProducer(r *Running, host topology.NodeID, stream query.StreamID, rateKBs float64, seed int64, emit Emit) *vProducer {
+func (e *Engine) startProducer(svc int, host topology.NodeID, stream query.StreamID, rateKBs float64, seed int64, emit Emit) *producer {
 	rng := rand.New(rand.NewSource(seed))
 	interval := e.produceInterval(rateKBs)
-	dc := e.net.DomainClock()
+	clk := e.clock
 	dom := simtime.Domain(host)
-	p := &vProducer{}
+	p := &producer{svc: svc}
 	p.ev.Fn = func() {
 		p.mu.Lock()
 		if p.stopped {
@@ -606,15 +542,15 @@ func (e *Engine) startVirtualProducer(r *Running, host topology.NodeID, stream q
 			Key:     rng.Int63n(e.cfg.Keyspace),
 			Value:   rng.NormFloat64(),
 			SizeKB:  e.cfg.TupleSizeKB,
-			Created: dc.DomainNow(dom),
+			Created: clk.DomainNow(dom),
 		})
 		p.mu.Lock()
 		if !p.stopped {
-			dc.ScheduleEvent(&p.ev, dom, dom, interval)
+			clk.ScheduleEvent(&p.ev, dom, dom, interval)
 		}
 		p.mu.Unlock()
 	}
-	dc.ScheduleEvent(&p.ev, dom, dom, interval)
+	clk.ScheduleEvent(&p.ev, dom, dom, interval)
 	return p
 }
 
@@ -806,7 +742,6 @@ func (e *Engine) teardownLocked(r *Running) {
 	for _, p := range r.prods {
 		p.halt()
 	}
-	r.producers.Wait()
 	// Cancel in-flight migrations: pending phase timers are stopped and
 	// waiters released before ports disappear. The explicit state-port
 	// unregister also retires any drain the zombie trim left for an
@@ -837,13 +772,9 @@ func (e *Engine) teardownLocked(r *Running) {
 // loss-accounting tests use to let in-flight tuples drain before
 // comparing produced and delivered counts.
 func (r *Running) HaltProducers() {
-	r.haltOnce.Do(func() {
-		close(r.prodStop)
-		for _, p := range r.prods {
-			p.halt()
-		}
-		r.producers.Wait()
-	})
+	for _, p := range r.prods {
+		p.halt()
+	}
 }
 
 // TuplesProduced returns the number of tuples producers have injected.
@@ -956,7 +887,7 @@ type Measurement struct {
 }
 
 // Measure snapshots the circuit's counters since deployment. Wall is
-// elapsed clock time — virtual elapsed under a virtual clock.
+// elapsed clock time.
 func (r *Running) Measure() Measurement {
 	wall := r.engine.clock.Since(r.started)
 	simMs := r.engine.net.SimMillis(wall)

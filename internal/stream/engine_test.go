@@ -61,8 +61,8 @@ func newEngineSetupLanes(t *testing.T, seed int64, shards int) *engineSetup {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ncfg := overlay.VirtualConfig()
-	clk := ncfg.Clock.(*simtime.VirtualClock)
+	ncfg := overlay.DefaultConfig()
+	clk := ncfg.Clock
 	if shards > 1 {
 		laneOf := make([]int32, topo.NumNodes())
 		for i := range laneOf {
@@ -73,7 +73,6 @@ func newEngineSetupLanes(t *testing.T, seed int64, shards int) *engineSetup {
 	}
 	clk.Register()
 	net := overlay.NewNetwork(topo, ncfg)
-	net.Start()
 	eng := NewEngine(net, topo, DefaultEngineConfig())
 	t.Cleanup(func() {
 		eng.Close()
@@ -359,61 +358,5 @@ func TestEngineDeterministicSameSeed(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("same-seed runs diverged on circuit %d:\n%+v\n%+v", i, a[i], b[i])
 		}
-	}
-}
-
-// TestEngineRealClockSmoke keeps the goroutine-producer path exercised:
-// a short wall-clock run on the default ticker pacing must deliver.
-func TestEngineRealClockSmoke(t *testing.T) {
-	cfg := topology.Config{
-		TransitDomains:      2,
-		TransitNodes:        2,
-		StubsPerTransit:     1,
-		StubNodes:           4,
-		IntraStubLatency:    [2]float64{1, 4},
-		StubUplinkLatency:   [2]float64{2, 8},
-		IntraTransitLatency: [2]float64{5, 15},
-		InterTransitLatency: [2]float64{20, 50},
-		ExtraStubEdgeProb:   0.2,
-	}
-	topo := topology.MustGenerate(cfg, rand.New(rand.NewSource(1)))
-	stats, err := query.NewCatalog(0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stubs := topo.StubNodeIDs()
-	if err := stats.AddStream(0, stubs[0], 50); err != nil {
-		t.Fatal(err)
-	}
-	ecfg := optimizer.DefaultEnvConfig(1)
-	ecfg.UseDHT = false
-	ecfg.VivaldiRounds = 20
-	env, err := optimizer.NewEnv(topo, stats, ecfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := overlay.NewNetwork(topo, overlay.Config{TimeScale: 10 * time.Microsecond, InboxSize: 8192})
-	net.Start()
-	eng := NewEngine(net, topo, DefaultEngineConfig())
-	t.Cleanup(func() {
-		eng.Close()
-		net.Stop()
-	})
-	res, err := optimizer.NewIntegrated(env).Optimize(
-		query.Query{ID: 1, Consumer: stubs[11], Streams: []query.StreamID{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := eng.Deploy(res.Circuit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(300 * time.Millisecond)
-	m := run.Measure()
-	if m.TuplesOut == 0 {
-		t.Fatal("real-clock engine delivered nothing")
-	}
-	if err := eng.Stop(1); err != nil {
-		t.Fatal(err)
 	}
 }

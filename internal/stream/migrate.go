@@ -16,16 +16,16 @@
 //	                old host; the forwarder unregisters and the
 //	                migration completes.
 //
-// Every phase boundary is a clock event, so under simtime.VirtualClock
-// an entire churn scenario — including its migrations — is
-// deterministic and bit-reproducible for a fixed seed.
+// Every phase boundary is a clock event, so an entire churn scenario —
+// including its migrations — is deterministic and bit-reproducible for
+// a fixed seed.
 //
 // Loss argument: a tuple sent before T0 reaches the old host no later
 // than T0+maxUpstreamLatency ≤ T1 and is processed there; a tuple sent
 // after T0 reaches the target and is either buffered (before T1) or
 // processed live (after). A straggler that still lands on the old host
-// after cutover (possible only under real-clock jitter) is forwarded.
-// Message reordering across the cutover boundary is limited to
+// after cutover (possible only under injected latency jitter) is
+// forwarded. Message reordering across the cutover boundary is limited to
 // buffered-vs-forwarded interleaving; no path drops a tuple.
 package stream
 
@@ -43,8 +43,7 @@ import (
 )
 
 // migrationMargin is the extra drain slack added to each phase, in
-// simulated milliseconds, covering same-instant event ties (virtual
-// clock) and timer jitter (real clock).
+// simulated milliseconds, covering same-instant event ties.
 const migrationMargin = 1.0
 
 // Migration is one in-flight (or completed) service handoff.
@@ -57,8 +56,8 @@ type Migration struct {
 	// the overlay like any other traffic.
 	StateKB float64
 	// StartedAt is the clock time routes flipped; ScheduledEnd is the
-	// precomputed completion instant (exact under the virtual clock),
-	// letting a coordinator sleep deterministically through a settle.
+	// precomputed completion instant, letting a coordinator sleep
+	// deterministically through a settle.
 	StartedAt    time.Time
 	ScheduledEnd time.Time
 
@@ -214,8 +213,8 @@ func (e *Engine) MigrateUnder(parent trace.Span, id query.QueryID, svc int, to t
 		dm := msg.Payload.(dataMsg)
 		buf.mu.Lock()
 		if buf.closed {
-			// Cutover already happened (real-clock interleave): process
-			// live instead of queueing into a drained buffer.
+			// Cutover already happened: process live instead of queueing
+			// into a drained buffer.
 			buf.mu.Unlock()
 			rt.handler(msg)
 			return
@@ -237,10 +236,10 @@ func (e *Engine) MigrateUnder(parent trace.Span, id query.QueryID, svc int, to t
 // cutover is the T1 phase event: move the operator to the target, replay
 // the buffer, and leave a straggler forwarder on the old host. The whole
 // phase runs under the engine mutex: a concurrent Engine.Stop/Close
-// (real clock) holds that mutex through teardownLocked, so cutover
-// either completes before the circuit's ports disappear or observes the
-// closed stop channel and does nothing — it can never re-register
-// handlers behind a teardown.
+// holds that mutex through teardownLocked, so cutover either completes
+// before the circuit's ports disappear or observes the closed stop
+// channel and does nothing — it can never re-register handlers behind a
+// teardown.
 func (m *Migration) cutover() {
 	e, r, rt := m.engine, m.running, m.rt
 	e.mu.Lock()
@@ -275,8 +274,8 @@ func (m *Migration) cutover() {
 	}
 
 	// Install the live handler, then replay the queue while holding the
-	// gate: tuples that arrive concurrently (real clock) serialize
-	// behind the replay, preserving buffer order.
+	// gate: tuples that arrive concurrently serialize behind the replay,
+	// preserving buffer order.
 	rt.gate.Lock()
 	e.net.Node(m.To).Register(rt.port, rt.handler)
 	m.buf.mu.Lock()

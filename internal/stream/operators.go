@@ -3,7 +3,7 @@
 // and an engine that deploys optimizer circuits onto the overlay runtime
 // and measures what actually flows.
 //
-// Rate semantics mirror the catalog's model (DESIGN.md §4): a filter with
+// Rate semantics mirror the catalog's model (package query): a filter with
 // selectivity s passes ≈ s of its input; a windowed equi-join over keys
 // drawn uniformly from [0,K) with W tuples of window per side matches each
 // probe with probability ≈ W/K, so its output rate is ≈ (W/K)·(rA+rB) —
@@ -26,7 +26,7 @@ type Tuple struct {
 	Key    int64
 	Value  float64
 	SizeKB float64
-	// Created is the wall-clock time the tuple entered the system at its
+	// Created is the clock time the tuple entered the system at its
 	// producer; consumer latency is measured against it.
 	Created time.Time
 }
@@ -34,8 +34,8 @@ type Tuple struct {
 // Emit forwards an operator output downstream.
 type Emit func(Tuple)
 
-// Operator is an executable service. Process is called on the hosting
-// node's goroutine (serialized), with side identifying which input feeds
+// Operator is an executable service. Process is called in the hosting
+// node's delivery events (serialized), with side identifying which input feeds
 // the tuple (0 = left/only, 1 = right).
 type Operator interface {
 	Process(side int, t Tuple, emit Emit)

@@ -70,7 +70,7 @@ func Num(key string, val float64) Arg { return Arg{Key: key, Num: val, IsNum: tr
 func Int(key string, val int) Arg { return Arg{Key: key, Num: float64(val), IsNum: true} }
 
 // Dur builds a duration argument in simulated milliseconds (the
-// convention is 1 virtual ms per simulated ms, see overlay.VirtualConfig).
+// convention is 1 virtual ms per simulated ms, see overlay.DefaultConfig).
 func Dur(key string, d time.Duration) Arg {
 	return Arg{Key: key, Num: float64(d) / float64(time.Millisecond), IsNum: true}
 }

@@ -8,8 +8,12 @@
 // the relative confidence of the two nodes. Over many samples the pairwise
 // coordinate distances approximate pairwise latencies.
 //
-// The Embed driver runs the algorithm over a simulated latency matrix,
-// standing in for live measurements (see DESIGN.md, substitutions table).
+// The one substitution for the paper's setting: deployed nodes would
+// measure round-trip times to their peers on a live network, and here
+// every sample is read from the simulated topology's shortest-path
+// latencies — by the Embed and EmbedMatrix drivers in one batch, by
+// Ticker round after round on a clock. Where a sample comes from
+// changes; what the algorithm does with it does not.
 package vivaldi
 
 import (

@@ -10,9 +10,8 @@
 // DHT physical mapping, the integrated and two-step optimizers,
 // radius-pruned multi-query optimization, a re-optimization/migration
 // controller, and a stream engine that executes circuits with real
-// tuples — on a goroutine-per-node wall-clock runtime, or (with
-// Options.VirtualTime) on a deterministic discrete-event clock where
-// measurement windows complete instantly and same-seed runs reproduce
+// tuples on a deterministic discrete-event clock, where measurement
+// windows complete instantly and same-seed runs reproduce
 // bit-identically (internal/simtime).
 //
 // Multi-query reuse (§3.4) executes for real: a circuit that reuses
@@ -141,29 +140,21 @@ type Options struct {
 	// DisableDHT skips the Chord/Hilbert catalog and maps coordinates
 	// with a centralized oracle instead (faster, less faithful).
 	DisableDHT bool
-	// TimeScale is the engine's wall time per simulated millisecond
-	// (default 50µs; under VirtualTime, one virtual millisecond). Only
-	// used once StartEngine is called.
-	TimeScale time.Duration
-	// VirtualTime runs the engine on the deterministic discrete-event
-	// clock (internal/simtime): RunFor windows complete instantly, and
-	// same-seed runs deliver bit-identical measurements.
-	VirtualTime bool
 	// Trace enables the structured event tracer: optimizer decisions,
 	// migration phases, repair rounds, DHT lookup hops, fault and
 	// failure-detector events, and sampled tuple hops, all stamped by
-	// the engine clock. Under VirtualTime the serialized trace is
-	// bit-identical for a fixed seed. The tracer starts with the engine
-	// (StartEngine); access it with Tracer, export with WriteReport or
-	// the tracer's own writers.
+	// the engine clock, so the serialized trace is bit-identical for a
+	// fixed seed. The tracer starts with the engine (StartEngine);
+	// access it with Tracer, export with WriteReport or the tracer's own
+	// writers.
 	Trace bool
 	// DataShards executes the data plane on that many parallel
 	// per-shard event queues (rounded down to a power of two), with
 	// nodes assigned to shards by the same Hilbert-prefix cost-space
-	// regions OptimizeBatchSharded routes by. Requires VirtualTime.
-	// Every artifact — measurements, traces, placements — is defined to
-	// be bit-identical to the single-queue run; only wall time changes.
-	// <= 1 (the default) keeps the single event queue.
+	// regions OptimizeBatchSharded routes by. Every artifact —
+	// measurements, traces, placements — is defined to be bit-identical
+	// to the single-queue run; only wall time changes. <= 1 (the
+	// default) keeps the single event queue.
 	DataShards int
 }
 
@@ -201,19 +192,16 @@ func New(opts Options) (*System, error) {
 		Topology:   opts.Topology,
 		Streams:    workload.StreamConfig{DefaultSel: opts.DefaultJoinSelectivity},
 		UseDHT:     !opts.DisableDHT,
-		TimeScale:  opts.TimeScale,
 		DataShards: opts.DataShards,
+		// The facade's methods may be called from several goroutines, so
+		// each registers itself around its waits on the clock.
+		Clock: scenario.SharedVirtual,
 	}
 	if spec.Topology.TotalNodes() == 0 {
 		spec.Topology = topology.DefaultConfig()
 	}
 	if spec.Streams.DefaultSel <= 0 {
 		spec.Streams.DefaultSel = 0.8
-	}
-	if opts.VirtualTime {
-		// The facade's methods may be called from several goroutines, so
-		// each registers itself around its waits on the clock.
-		spec.Clock = scenario.SharedVirtual
 	}
 	if opts.Trace {
 		spec.Tracer = trace.New(nil)
@@ -421,10 +409,9 @@ func (s *System) Adapt(opts AdaptOptions) ([]AdaptStats, error) {
 // sweep; later rounds cost O(delta), so a quiet overlay re-plans
 // nothing.
 //
-// The call blocks until stop fires. Under Options.VirtualTime it is
-// deterministic: fire stop through the virtual clock (e.g. a timer
-// scheduled with AfterFunc) and same-seed runs reproduce bit-identical
-// round statistics. The coordinator's incremental watermark persists
+// The call blocks until stop fires. It is deterministic: fire stop
+// through the clock (StopAfter) and same-seed runs reproduce
+// bit-identical round statistics. The coordinator's incremental watermark persists
 // across Adapt and AdaptContinuously calls on the same System.
 func (s *System) AdaptContinuously(interval time.Duration, stop <-chan struct{}, opts AdaptOptions) (AdaptRunStats, error) {
 	co := s.coordinator(opts)
@@ -449,7 +436,7 @@ func (s *System) Evacuate(nodes []NodeID) (AdaptStats, error) {
 // overlay runtime: seeded per-message loss, latency jitter, link and
 // partition cuts, and scheduled unannounced node crashes. Crash times
 // are relative to the call. Same plan, same seed → bit-identical fault
-// sequences under VirtualTime. Returns the injector for live control
+// sequences. Returns the injector for live control
 // (CrashNode, Partition, CrashTime) — it stops with the System.
 func (s *System) InstallFaults(plan FaultPlan) (*overlay.FaultInjector, error) {
 	if s.w.Net == nil {
@@ -486,8 +473,8 @@ func (s *System) StartFailureDetection(beat time.Duration) (*failure.Detector, e
 // over live nodes, re-instantiating the lost operators fresh with
 // state and in-flight tuples counted lost — and then runs one
 // incremental sweep→migrate→settle round, until stop fires. No manual
-// Evacuate calls are needed for crashes. Deterministic under
-// VirtualTime, like AdaptContinuously.
+// Evacuate calls are needed for crashes. Deterministic, like
+// AdaptContinuously.
 func (s *System) AdaptWithRepair(interval time.Duration, stop <-chan struct{}, opts AdaptOptions) (AdaptRunStats, RepairStats, error) {
 	if s.w.Detector == nil {
 		return AdaptRunStats{}, RepairStats{}, fmt.Errorf("sbon: failure detection not started; call StartFailureDetection first")
@@ -502,19 +489,14 @@ func (s *System) AdaptWithRepair(interval time.Duration, stop <-chan struct{}, o
 
 // StopAfter returns a channel signalled after simSeconds of simulated
 // time — a deterministic stop trigger for AdaptContinuously and
-// AdaptWithRepair. Under VirtualTime the signal is a discrete event of
-// the virtual clock; otherwise a wall-clock timer fires it.
+// AdaptWithRepair: the signal is a discrete event of the clock.
 func (s *System) StopAfter(simSeconds float64) (<-chan struct{}, error) {
 	if s.w.Net == nil {
 		return nil, fmt.Errorf("sbon: engine not started; call StartEngine first")
 	}
 	stop := make(chan struct{})
-	d := time.Duration(simSeconds * 1000 * float64(s.w.TimeScale()))
-	if vclk := s.w.VClock; vclk != nil {
-		vclk.AfterFunc(d, func() { vclk.Signal(stop) })
-	} else {
-		time.AfterFunc(d, func() { close(stop) })
-	}
+	clk := s.w.Clock
+	clk.AfterFunc(time.Duration(simSeconds*1000*float64(scenario.TimeScale)), func() { clk.Signal(stop) })
 	return stop, nil
 }
 
@@ -544,9 +526,7 @@ func (s *System) Rewrite() (optimizer.RewriteStats, error) {
 }
 
 // StartEngine launches the overlay runtime and the stream engine so
-// circuits can be executed with real tuples: goroutine-per-node in wall
-// time by default, or the deterministic discrete-event runtime when
-// Options.VirtualTime is set.
+// circuits can be executed with real tuples.
 func (s *System) StartEngine() error {
 	if s.w.Net != nil {
 		return fmt.Errorf("sbon: engine already started")
@@ -623,9 +603,8 @@ func (s *System) StopRun(id QueryID) error {
 	return s.w.Engine.Stop(id)
 }
 
-// RunFor advances the data plane by simSeconds simulated seconds: a
-// scaled wall-clock sleep on the real engine, an instant deterministic
-// jump of the event scheduler under VirtualTime.
+// RunFor advances the data plane by simSeconds simulated seconds — an
+// instant, deterministic jump of the event scheduler.
 func (s *System) RunFor(simSeconds float64) error {
 	if s.w.Net == nil {
 		return fmt.Errorf("sbon: engine not started; call StartEngine first")
@@ -635,18 +614,16 @@ func (s *System) RunFor(simSeconds float64) error {
 	return nil
 }
 
-// drive registers the calling goroutine as an actor of the virtual
-// clock for the duration of a call that waits on it — settle waits and
-// RunFor windows are tracked sleeps — and returns the release. A no-op
-// on the wall clock.
+// drive registers the calling goroutine as an actor of the clock for the
+// duration of a call that waits on it — settle waits and RunFor windows
+// are tracked sleeps — and returns the release.
 func (s *System) drive() (release func()) {
-	vclk := s.w.VClock
-	if vclk == nil {
-		return func() {}
-	}
-	vclk.Register()
-	return vclk.Unregister
+	s.w.Clock.Register()
+	return s.w.Clock.Unregister
 }
 
-// Close shuts down the engine and overlay runtime if they were started.
+// Close shuts down the engine and overlay runtime if they were started,
+// and the clock. It is terminal: a closed System does not restart —
+// StartEngine, RunFor and StopAfter return errors from then on — while
+// what needs no clock (Optimize, Deploy, Usage) keeps working.
 func (s *System) Close() { s.w.Close() }

@@ -163,9 +163,7 @@ func TestSetBackgroundLoadAndReoptimize(t *testing.T) {
 }
 
 func TestEngineEndToEnd(t *testing.T) {
-	opts := smallOpts(6)
-	opts.TimeScale = 10 * time.Microsecond
-	sys, err := New(opts)
+	sys, err := New(smallOpts(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +189,9 @@ func TestEngineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(800 * time.Millisecond)
+	if err := sys.RunFor(8); err != nil {
+		t.Fatal(err)
+	}
 	m := run.Measure()
 	if m.TuplesOut == 0 {
 		t.Fatal("no tuples delivered through facade")
@@ -201,6 +201,16 @@ func TestEngineEndToEnd(t *testing.T) {
 	}
 	sys.Close()
 	sys.Close() // idempotent
+	// Close is terminal: nothing that needs the clock restarts.
+	if err := sys.StartEngine(); err == nil {
+		t.Fatal("StartEngine after Close accepted")
+	}
+	if err := sys.RunFor(1); err == nil {
+		t.Fatal("RunFor after Close accepted")
+	}
+	if _, err := sys.StopAfter(1); err == nil {
+		t.Fatal("StopAfter after Close accepted")
+	}
 }
 
 func TestStopRunWithoutEngine(t *testing.T) {
@@ -382,11 +392,12 @@ func TestFacadeRewrite(t *testing.T) {
 	}
 }
 
-func TestEngineVirtualTimeEndToEnd(t *testing.T) {
-	opts := smallOpts(9)
-	opts.VirtualTime = true
+// TestFacadeDefaultIsDeterministic: a System built with default Options
+// runs on the discrete-event clock — 30 simulated seconds take no wall
+// time to speak of, and two same-seed runs measure the same to the bit.
+func TestFacadeDefaultIsDeterministic(t *testing.T) {
 	measure := func() Measurement {
-		sys, err := New(opts)
+		sys, err := New(smallOpts(9))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,17 +420,16 @@ func TestEngineVirtualTimeEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// 30 simulated seconds, instant under virtual time.
 		start := time.Now()
 		if err := sys.RunFor(30); err != nil {
 			t.Fatal(err)
 		}
-		if wall := time.Since(start); wall > 2*time.Second {
-			t.Fatalf("virtual RunFor(30) took %v of wall time", wall)
+		if wall := time.Since(start); wall > time.Second {
+			t.Fatalf("RunFor(30) took %v of wall time", wall)
 		}
 		m := run.Measure()
 		if m.TuplesOut == 0 {
-			t.Fatal("no tuples delivered under virtual time")
+			t.Fatal("no tuples delivered")
 		}
 		if m.SimSeconds < 29.999 || m.SimSeconds > 30.001 {
 			t.Fatalf("SimSeconds = %v, want 30", m.SimSeconds)
@@ -430,7 +440,7 @@ func TestEngineVirtualTimeEndToEnd(t *testing.T) {
 		return m
 	}
 	if a, b := measure(), measure(); a != b {
-		t.Fatalf("same-seed virtual facade runs diverged:\n%+v\n%+v", a, b)
+		t.Fatalf("same-seed default-Options runs diverged:\n%+v\n%+v", a, b)
 	}
 }
 
@@ -441,7 +451,6 @@ func TestEngineVirtualTimeEndToEnd(t *testing.T) {
 func TestFacadeDataShardsBitIdentical(t *testing.T) {
 	measure := func(shards int) Measurement {
 		opts := smallOpts(9)
-		opts.VirtualTime = true
 		opts.DataShards = shards
 		sys, err := New(opts)
 		if err != nil {
@@ -479,25 +488,11 @@ func TestFacadeDataShardsBitIdentical(t *testing.T) {
 	}
 }
 
-func TestFacadeDataShardsRequiresVirtualTime(t *testing.T) {
-	opts := smallOpts(9)
-	opts.DataShards = 4
-	sys, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	if err := sys.StartEngine(); err == nil {
-		t.Fatal("StartEngine accepted DataShards without VirtualTime")
-	}
-}
-
 // adaptSystem deploys a few circuits on the virtual-time engine and
 // overloads a host so adaptation has work.
 func adaptSystem(t *testing.T, seed int64) (*System, []QueryID) {
 	t.Helper()
 	opts := smallOpts(seed)
-	opts.VirtualTime = true
 	sys, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
