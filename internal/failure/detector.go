@@ -156,10 +156,10 @@ func New(net *overlay.Network, cfg Config) *Detector {
 	// network (under sharded execution it runs at window barriers, in
 	// deterministic order) — never read the global clock here, which
 	// would be stale relative to the delivering shard.
-	net.ObserveHeartbeats(func(m overlay.Message, at time.Time) {
+	net.ObserveHeartbeats(func(from, _ topology.NodeID, at time.Time) {
 		d.mu.Lock()
-		if int(m.From) < len(d.lastHeard) {
-			d.lastHeard[m.From] = at
+		if int(from) < len(d.lastHeard) {
+			d.lastHeard[from] = at
 		}
 		d.mu.Unlock()
 	})

@@ -190,3 +190,62 @@ func TestEventStreamDeterministic(t *testing.T) {
 		t.Fatal("scenario produced no events")
 	}
 }
+
+// TestObservedHeartbeatAllocCeiling: with a Detector installed every
+// delivered heartbeat is observed — staged as a record of the observer
+// and the two node ids, not as a closure — so full-population liveness
+// traffic allocates nothing per beat, on the single queue and on 4
+// lanes. What is left is the detector's check event, one per interval
+// (240 beats), and the Sleep's own channel, closure and event.
+func TestObservedHeartbeatAllocCeiling(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("lanes=%d", shards), func(t *testing.T) {
+			topoCfg := topology.DefaultConfig()
+			topoCfg.StubsPerTransit = 2
+			topoCfg.StubNodes = 7
+			topo, err := topology.Generate(topoCfg, rand.New(rand.NewSource(5)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := overlay.DefaultConfig()
+			clk := cfg.Clock
+			if shards > 1 {
+				laneOf := make([]int32, topo.NumNodes())
+				for i := range laneOf {
+					laneOf[i] = int32(i % shards) // no locality: a beat to the next id crosses lanes
+				}
+				clk.ShardLanes(laneOf, shards, time.Duration(topo.MinEdgeLatency()*float64(cfg.TimeScale)))
+				cfg.DataShards, cfg.ShardOf = shards, laneOf
+			}
+			defer clk.Drive()()
+			net := overlay.NewNetwork(topo, cfg)
+			defer net.Stop()
+			hb := net.StartHeartbeatsOpts(beat, 0.05, overlay.HeartbeatOpts{SkipDownTargets: true})
+			defer hb.Stop()
+			d := New(net, DefaultConfig(beat))
+			defer d.Stop()
+
+			recv := net.Metrics.Counter("hb.recv")
+			const window = 50 * beat
+			clk.Sleep(window) // warm up: pool, ready heaps, outboxes, staging slices at working size
+			d.TakeEvents()    // beats slower than two intervals are suspected once, at start-up
+			before := recv.Value()
+			const runs = 4
+			perRun := testing.AllocsPerRun(runs, func() { clk.Sleep(window) })
+			beats := (recv.Value() - before) / (runs + 1) // AllocsPerRun adds a warm-up call
+			if beats < 10_000 {
+				t.Fatalf("a window carried %v heartbeats, want at least 10k", beats)
+			}
+			t.Logf("%.0f allocations over %.0f heartbeats per window", perRun, beats)
+			if ev := d.TakeEvents(); len(ev) != 0 {
+				t.Fatalf("the detector heard a healthy overlay and still emitted %d events, first %+v", len(ev), ev[0])
+			}
+			if raceEnabled {
+				return // the delivery pool sheds records at random; the traffic was the test
+			}
+			if got := perRun / beats; got > 0.01 {
+				t.Fatalf("%.3f allocations per observed heartbeat, want <= 0.01", got)
+			}
+		})
+	}
+}

@@ -149,7 +149,7 @@ func TestScheduledCrashAndRecovery(t *testing.T) {
 func TestHeartbeatObserverSeesBeats(t *testing.T) {
 	net, clk := virtualNet(t)
 	var seen []topology.NodeID
-	net.ObserveHeartbeats(func(m Message, _ time.Time) { seen = append(seen, m.From) })
+	net.ObserveHeartbeats(func(from, _ topology.NodeID, _ time.Time) { seen = append(seen, from) })
 	hb := net.StartHeartbeats(100*time.Millisecond, 0.1)
 	defer hb.Stop()
 	clk.Sleep(150 * time.Millisecond) // one full round
@@ -171,8 +171,8 @@ func TestHeartbeatObserverSeesBeats(t *testing.T) {
 func TestNoPostMortemHeartbeat(t *testing.T) {
 	net, clk := virtualNet(t)
 	var fromDead int
-	net.ObserveHeartbeats(func(m Message, _ time.Time) {
-		if m.From == 0 {
+	net.ObserveHeartbeats(func(from, _ topology.NodeID, _ time.Time) {
+		if from == 0 {
 			fromDead++
 		}
 	})

@@ -15,10 +15,12 @@
 // scheduled again only after it fired or was stopped, and has one owner
 // (a goroutine, or under sharded execution a node domain) at a time.
 // Handlers receive the Message by value and Send returns no handle, so
-// nothing can reach a record after it was recycled. What a message
-// still allocates is its payload: Send boxes whatever it is given into
-// Message.Payload, and a payload must stay immutable because migration
-// forwards it as is.
+// nothing can reach a record after it was recycled. A stream tuple
+// travels inside the Message too, by value, as its Datum: SendData
+// copies it into the record and the handler reads it out, so a data
+// message allocates nothing from producer to sink. Only a control
+// message that has something to say pays for it: Send boxes a non-nil
+// payload into Message.Payload.
 //
 // Concurrency model: the runtime starts no goroutine of its own. On a
 // single event queue all handlers run on the clock's scheduler
@@ -26,6 +28,9 @@
 // shard's lane worker. Either way handlers on one node never race with
 // each other, Send never blocks, and messages between the same pair of
 // instants are delivered in send order (FIFO event tie-breaking).
+// Dispatch takes no lock: a node's port table is an immutable slice
+// behind an atomic pointer, replaced whole by Register and Unregister,
+// which any goroutine may call while deliveries are running.
 package overlay
 
 import (
@@ -40,17 +45,36 @@ import (
 	"github.com/hourglass/sbon/internal/trace"
 )
 
-// Message is one unit of overlay traffic.
+// Message is one unit of overlay traffic. It is copied into the
+// delivery record, into the handler and into whatever closure a handler
+// captures it in; Go captures a variable by value only up to 128 bytes,
+// so a larger Message would move to the heap in every such handler.
 type Message struct {
 	From, To topology.NodeID
 	// Port selects the handler on the destination node.
 	Port string
 	// SizeKB is the payload size used for network accounting.
 	SizeKB float64
-	// Payload is the application data (e.g. a stream tuple).
+	// Payload is what a control message sent with Send carries; nil on a
+	// data message.
 	Payload any
+	// Data is the tuple a data message sent with SendData carries; zero
+	// on a control message.
+	Data Datum
 	// SentAt is the clock's send time.
 	SentAt time.Time
+}
+
+// Datum is a stream tuple on the wire, by value: which input of the
+// receiving operator it feeds, and the tuple's fields. Its size travels
+// as Message.SizeKB.
+type Datum struct {
+	Side, Stream int32
+	Key          int64
+	Value        float64
+	// Created is the clock time the tuple entered the system at its
+	// producer.
+	Created time.Time
 }
 
 // Handler processes messages delivered to a port, in the event that
@@ -135,7 +159,7 @@ type Network struct {
 	// failure detectors consume liveness traffic through. Calls are
 	// deferred through the clock's observation barrier, so under sharded
 	// execution the observer runs serialized in deterministic order.
-	hbObserver atomic.Pointer[func(Message, time.Time)]
+	hbObserver atomic.Pointer[func(from, to int, at time.Time)]
 
 	// Metrics is the runtime's registry: counters msgs.sent, msgs.dropped,
 	// kb.sent, usage.kbms (Σ sizeKB × latencyMs, the integral of
@@ -194,11 +218,7 @@ func NewNetwork(topo *topology.Topology, cfg Config) *Network {
 	n.cFaultsHBDropped = n.Metrics.Counter("faults.hb_dropped")
 	n.nodes = make([]*Node, topo.NumNodes())
 	for i := range n.nodes {
-		n.nodes[i] = &Node{
-			id:       topology.NodeID(i),
-			net:      n,
-			handlers: make(map[string]Handler),
-		}
+		n.nodes[i] = &Node{id: topology.NodeID(i), net: n}
 	}
 	return n
 }
@@ -295,7 +315,7 @@ func (n *Network) SimMillis(wall time.Duration) float64 {
 	return float64(wall) / float64(n.cfg.TimeScale)
 }
 
-// Node is one overlay participant: a handler table and a liveness flag.
+// Node is one overlay participant: a port table and a liveness flag.
 type Node struct {
 	id  topology.NodeID
 	net *Network
@@ -305,25 +325,67 @@ type Node struct {
 	// scenarios flip to kill and re-join overlay participants mid-run.
 	down atomic.Bool
 
-	mu       sync.RWMutex
-	handlers map[string]Handler
+	// ports is the node's handler table, nil while it has none: a node
+	// holds a handful of ports, so dispatch scans the slice by name
+	// rather than hash a string, and the slice is never written after it
+	// is published, so dispatch takes no lock.
+	ports atomic.Pointer[[]portHandler]
+}
+
+type portHandler struct {
+	port string
+	h    Handler
 }
 
 // ID returns the overlay node id.
 func (nd *Node) ID() topology.NodeID { return nd.id }
 
 // Register installs the handler for a port, replacing any previous one.
-func (nd *Node) Register(port string, h Handler) {
-	nd.mu.Lock()
-	nd.handlers[port] = h
-	nd.mu.Unlock()
+func (nd *Node) Register(port string, h Handler) { nd.setPort(port, h) }
+
+// Unregister removes the handler for a port; an unknown port is a no-op.
+func (nd *Node) Unregister(port string) { nd.setPort(port, nil) }
+
+// setPort publishes a copy of the port table with port bound to h, or
+// absent when h is nil. Writers race only with each other, and rarely:
+// the loser of the compare-and-swap starts over from the winner's table.
+func (nd *Node) setPort(port string, h Handler) {
+	for {
+		old := nd.ports.Load()
+		var next []portHandler
+		if old != nil {
+			next = make([]portHandler, 0, len(*old)+1)
+			for _, p := range *old {
+				if p.port != port {
+					next = append(next, p)
+				}
+			}
+		}
+		if h != nil {
+			next = append(next, portHandler{port, h})
+		} else if old == nil || len(next) == len(*old) {
+			return // the port was not bound
+		}
+		var nextp *[]portHandler
+		if len(next) > 0 {
+			nextp = &next
+		}
+		if nd.ports.CompareAndSwap(old, nextp) {
+			return
+		}
+	}
 }
 
-// Unregister removes the handler for a port.
-func (nd *Node) Unregister(port string) {
-	nd.mu.Lock()
-	delete(nd.handlers, port)
-	nd.mu.Unlock()
+// handler returns the handler bound to port, nil when there is none.
+func (nd *Node) handler(port string) Handler {
+	if tab := nd.ports.Load(); tab != nil {
+		for i := range *tab {
+			if p := &(*tab)[i]; p.port == port {
+				return p.h
+			}
+		}
+	}
+	return nil
 }
 
 // SetNodeDown marks the node dead (down=true) or rejoined (down=false).
@@ -360,6 +422,18 @@ func (n *Network) Tracer() *trace.Tracer { return n.tracer.Load() }
 // mailbox. Either way the key — and so the global delivery order — is
 // independent of which shard executes what when.
 func (nd *Node) Send(to topology.NodeID, port string, sizeKB float64, payload any) error {
+	return nd.send(Message{To: to, Port: port, SizeKB: sizeKB, Payload: payload})
+}
+
+// SendData is Send for a stream tuple: the tuple rides in the Message
+// as Data, by value, so nothing is boxed and nothing is allocated.
+func (nd *Node) SendData(to topology.NodeID, port string, sizeKB float64, d Datum) error {
+	return nd.send(Message{To: to, Port: port, SizeKB: sizeKB, Data: d})
+}
+
+// send stamps msg with its sender and send time and puts it in flight.
+func (nd *Node) send(msg Message) error {
+	to, port, sizeKB := msg.To, msg.Port, msg.SizeKB
 	if int(to) < 0 || int(to) >= len(nd.net.nodes) {
 		return fmt.Errorf("overlay: destination %d out of range", to)
 	}
@@ -369,14 +443,7 @@ func (nd *Node) Send(to topology.NodeID, port string, sizeKB float64, payload an
 		n.cMsgsDownRefused.Inc()
 		return fmt.Errorf("overlay: node %d is down", nd.id)
 	}
-	msg := Message{
-		From:    nd.id,
-		To:      to,
-		Port:    port,
-		SizeKB:  sizeKB,
-		Payload: payload,
-		SentAt:  n.clock.DomainNow(origin),
-	}
+	msg.From, msg.SentAt = nd.id, n.clock.DomainNow(origin)
 	latMs := n.topo.Latency(nd.id, to)
 
 	n.cMsgsSent.Inc()
@@ -472,9 +539,7 @@ func (nd *Node) dispatch(msg Message) {
 		nd.net.cHBPostmortemDropped.Inc()
 		return
 	}
-	nd.mu.RLock()
-	h := nd.handlers[msg.Port]
-	nd.mu.RUnlock()
+	h := nd.handler(msg.Port)
 	if h == nil {
 		nd.net.cMsgsUnrouted.Inc()
 		return
@@ -486,27 +551,30 @@ func (nd *Node) dispatch(msg Message) {
 const HeartbeatPort = "overlay.hb"
 
 // ObserveHeartbeats installs fn as the heartbeat observer: it is
-// called for every delivered heartbeat with the virtual time of the
-// delivery. Calls are routed through the clock's observation barrier —
-// under sharded execution they run serialized at window ends in
-// deterministic order, under single-queue execution inline on the
-// scheduler — so the observer may touch shared state freely. Pass nil
-// to remove. Failure detectors (package failure) consume liveness
-// traffic through this hook.
-func (n *Network) ObserveHeartbeats(fn func(Message, time.Time)) {
+// called for every delivered heartbeat with the beat's sender and
+// receiver and the virtual time of the delivery. Calls are routed
+// through the clock's observation barrier — under sharded execution
+// they run serialized at window ends in deterministic order, under
+// single-queue execution inline on the scheduler — so the observer may
+// touch shared state freely. A beat is staged as a record (the observer
+// and the two node ids), so observing allocates nothing per heartbeat.
+// Pass nil to remove. Failure detectors (package failure) consume
+// liveness traffic through this hook.
+func (n *Network) ObserveHeartbeats(fn func(from, to topology.NodeID, at time.Time)) {
 	if fn == nil {
 		n.hbObserver.Store(nil)
 		return
 	}
-	n.hbObserver.Store(&fn)
+	rec := func(from, to int, at time.Time) { fn(topology.NodeID(from), topology.NodeID(to), at) }
+	n.hbObserver.Store(&rec)
 }
 
 // Heartbeats is a running liveness-ping schedule; Stop cancels it.
 type Heartbeats struct {
 	net *Network
-
-	mu      sync.Mutex
-	stopped bool
+	// stopped keeps a beat that is firing from re-arming; Stop, a
+	// control-context call, sets it before it cancels the pending beats.
+	stopped atomic.Bool
 	// beats holds each node's one event, re-armed every period by its
 	// own callback.
 	beats []simtime.Event
@@ -537,24 +605,22 @@ func (n *Network) StartHeartbeatsOpts(every time.Duration, sizeKB float64, opts 
 	hb := &Heartbeats{net: n}
 	recv := n.Metrics.Counter("hb.recv")
 	sent := n.Metrics.Counter("hb.sent")
+	onBeat := func(m Message) {
+		recv.Inc()
+		n.shardStats[n.shardOf[m.To]].hbRecv.Add(1)
+		if ob := n.hbObserver.Load(); ob != nil {
+			n.clock.ObserveRecord(simtime.Domain(m.To), *ob, int(m.From), int(m.To))
+		}
+	}
 	for _, nd := range n.nodes {
-		nd.Register(HeartbeatPort, func(m Message) {
-			recv.Inc()
-			n.shardStats[n.shardOf[m.To]].hbRecv.Add(1)
-			if ob := n.hbObserver.Load(); ob != nil {
-				n.clock.Observe(simtime.Domain(m.To), func(at time.Time) { (*ob)(m, at) })
-			}
-		})
+		nd.Register(HeartbeatPort, onBeat)
 	}
 	hb.beats = make([]simtime.Event, len(n.nodes))
 	for i, nd := range n.nodes {
 		i, nd := i, nd
 		ev, dom := &hb.beats[i], simtime.Domain(i)
 		ev.Fn = func() {
-			hb.mu.Lock()
-			stopped := hb.stopped
-			hb.mu.Unlock()
-			if stopped {
+			if hb.stopped.Load() {
 				return
 			}
 			select {
@@ -578,13 +644,11 @@ func (n *Network) StartHeartbeatsOpts(every time.Duration, sizeKB float64, opts 
 				sent.Inc()
 				n.shardStats[n.shardOf[i]].hbSent.Add(1)
 			}
-			hb.mu.Lock()
-			if !hb.stopped {
-				// Each node's schedule is its own domain, so beats execute
-				// shard-locally and reschedule without a barrier crossing.
+			// Each node's schedule is its own domain, so beats execute
+			// shard-locally and reschedule without a barrier crossing.
+			if !hb.stopped.Load() {
 				n.clock.ScheduleEvent(ev, dom, dom, every)
 			}
-			hb.mu.Unlock()
 		}
 		n.clock.ScheduleEvent(ev, dom, dom, every)
 	}
@@ -592,15 +656,12 @@ func (n *Network) StartHeartbeatsOpts(every time.Duration, sizeKB float64, opts 
 }
 
 // Stop halts the heartbeat schedule: every pending beat is cancelled
-// and none re-arms. Like Event.Stop it is a control-context call. Safe
-// to call more than once.
+// and none re-arms. Like Event.Stop it is a control-context call — no
+// beat is firing while it runs. Safe to call more than once.
 func (hb *Heartbeats) Stop() {
-	hb.mu.Lock()
-	defer hb.mu.Unlock()
-	if hb.stopped {
+	if hb.stopped.Swap(true) {
 		return
 	}
-	hb.stopped = true
 	for i := range hb.beats {
 		hb.beats[i].Stop()
 	}

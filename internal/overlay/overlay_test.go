@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/hourglass/sbon/internal/simtime"
 	"github.com/hourglass/sbon/internal/topology"
@@ -212,6 +213,124 @@ func TestRegisterUnregister(t *testing.T) {
 	}
 	if got := net.Metrics.Counter("msgs.unrouted").Value(); got != 1 {
 		t.Fatalf("msgs.unrouted = %v, want 1", got)
+	}
+}
+
+// TestPortTable: the copy-on-write table keeps one entry per port — a
+// second Register replaces the first — Unregister of a port the node
+// never had changes nothing, the last Unregister leaves no table, and a
+// message for an unknown port on a node that has others still counts
+// msgs.unrouted.
+func TestPortTable(t *testing.T) {
+	net, clk := virtualNet(t)
+	nd := net.Node(1)
+	entries := func() int {
+		if tab := nd.ports.Load(); tab != nil {
+			return len(*tab)
+		}
+		return 0
+	}
+	var first, second, other int
+	nd.Register("p", func(Message) { first++ })
+	nd.Register("q", func(Message) { other++ })
+	nd.Register("p", func(Message) { second++ })
+	if got := entries(); got != 2 {
+		t.Fatalf("%d table entries after registering p, q, p; want 2", got)
+	}
+	before := nd.ports.Load()
+	nd.Unregister("never-registered")
+	if nd.ports.Load() != before {
+		t.Fatal("Unregister of an unknown port published a new table")
+	}
+	for _, port := range []string{"p", "q", "nobody-home"} {
+		if err := net.Node(0).Send(1, port, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle(clk)
+	if first != 0 || second != 1 || other != 1 {
+		t.Fatalf("deliveries: replaced handler %d, replacing handler %d, q %d; want 0, 1, 1", first, second, other)
+	}
+	if got := net.Metrics.Counter("msgs.unrouted").Value(); got != 1 {
+		t.Fatalf("msgs.unrouted = %v, want 1", got)
+	}
+	if len(*before) != 2 {
+		t.Fatalf("a published table was written to: %d entries", len(*before))
+	}
+	nd.Unregister("p")
+	nd.Unregister("q")
+	if nd.ports.Load() != nil {
+		t.Fatal("a node without ports still holds a table")
+	}
+}
+
+// TestRegisterDuringDelivery: a control goroutine binds and unbinds
+// side ports on every node while the nodes' handlers are delivering —
+// on lane workers too — and no message goes astray. Run under -race:
+// dispatch reads the table without a lock.
+func TestRegisterDuringDelivery(t *testing.T) {
+	forEachLaneCount(t, func(t *testing.T, shards int) {
+		net, clk := laneNet(t, shards)
+		n := net.NumNodes()
+		for i := 0; i < n; i++ {
+			nd := net.Node(topology.NodeID(i))
+			next := topology.NodeID((i*7 + 3) % n)
+			nd.Register("fwd", func(Message) { _ = nd.Send(next, "fwd", 1, nil) })
+		}
+		for i := 0; i < 64; i++ {
+			if err := net.Node(topology.NodeID(i)).Send(topology.NodeID((i+1)%n), "fwd", 1, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		started, stop, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		go func() { // unregistered: it only touches port tables, never the clock
+			defer close(done)
+			for k := 0; ; k++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if k == n {
+					close(started)
+				}
+				nd := net.Node(topology.NodeID(k % n))
+				nd.Register("side", func(Message) {})
+				nd.Register("fwd2", func(Message) {})
+				nd.Unregister("side")
+				nd.Unregister("fwd2")
+			}
+		}()
+		sent := net.Metrics.Counter("msgs.sent")
+		before := sent.Value()
+		<-started
+		clk.Sleep(20 * time.Second)
+		close(stop)
+		<-done
+		if got := sent.Value() - before; got < 10_000 {
+			t.Fatalf("only %v messages forwarded while ports churned", got)
+		}
+		if got := net.Metrics.Counter("msgs.unrouted").Value(); got != 0 {
+			t.Fatalf("%v messages found no handler while unrelated ports churned", got)
+		}
+		for i := 0; i < n; i++ {
+			if tab := net.Node(topology.NodeID(i)).ports.Load(); tab == nil || len(*tab) != 1 {
+				t.Fatalf("node %d does not end with exactly its fwd port", i)
+			}
+		}
+	})
+}
+
+// TestMessageFitsAClosureCapture pins the size of Message. Go captures a
+// closure variable by value only when it is never reassigned and at most
+// 128 bytes; a handler that captures its Message in a closure — a
+// deferred observation, a forwarder — would otherwise move every message
+// it receives to the heap at handler entry, whether or not the closure
+// is ever built. Datum's Side and Stream are int32 for this reason: as
+// ints the Message is 136 bytes.
+func TestMessageFitsAClosureCapture(t *testing.T) {
+	if got := unsafe.Sizeof(Message{}); got > 128 {
+		t.Fatalf("Message is %d bytes, want <= 128", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package simtime
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -51,12 +50,61 @@ type clockLane struct {
 }
 
 // obsEntry is one deferred observation, ordered at the barrier by
-// (event time, event key, emission index within the event).
+// (event time, event key, emission index within the lane). It is either
+// a closure (fn) or a record: rec, a callback that outlives the
+// observation, with the two integers it is called on. Both kinds share
+// the lane's one staging slice, so an event that emits one of each keeps
+// their emission order.
 type obsEntry struct {
-	at  time.Duration
-	key uint64
-	idx uint64
-	fn  func(at time.Time)
+	at   time.Duration
+	key  uint64
+	idx  uint64
+	fn   func(at time.Time)
+	rec  func(a, b int, at time.Time)
+	a, b int
+}
+
+func (o *obsEntry) before(p *obsEntry) bool {
+	if o.at != p.at {
+		return o.at < p.at
+	}
+	if o.key != p.key {
+		return o.key < p.key
+	}
+	return o.idx < p.idx
+}
+
+func (o *obsEntry) run() {
+	at := virtualEpoch.Add(o.at)
+	if o.rec != nil {
+		o.rec(o.a, o.b, at)
+		return
+	}
+	o.fn(at)
+}
+
+// mergeObs appends the runs' entries to dst in (at, key, idx) order,
+// consuming the runs. Each run is already in that order — a lane executes
+// its events in key order and numbers its observations as it goes — so
+// this is a merge, and with at most one run per lane a linear scan for
+// the smallest head beats a heap. A drained slot is cleared, so that the
+// lane's recycled staging slice pins no closure.
+func mergeObs(dst []obsEntry, runs [][]obsEntry) []obsEntry {
+	for {
+		first := -1
+		for i, r := range runs {
+			if len(r) > 0 && (first < 0 || r[0].before(&runs[first][0])) {
+				first = i
+			}
+		}
+		if first < 0 {
+			return dst
+		}
+		r := runs[first]
+		dst = append(dst, r[0])
+		r[0] = obsEntry{}
+		runs[first] = r[1:]
+	}
 }
 
 // NewVirtualSharded creates a virtual clock whose node domains execute
@@ -143,9 +191,7 @@ func (c *VirtualClock) stepShardedLocked() {
 	}
 	if tCtl <= tLane {
 		ev := c.q.popMin()
-		if ev.at > c.now {
-			c.now = ev.at
-		}
+		c.advanceLocked(ev.at)
 		c.mu.Unlock()
 		ev.Fn()
 		c.mu.Lock()
@@ -176,38 +222,30 @@ func (c *VirtualClock) stepShardedLocked() {
 
 	// Barrier: commit the window. Advance the clock to the latest
 	// executed instant, deliver staged cross-lane events, then run the
-	// deferred observations in deterministic key order (with mu
-	// released — observation callbacks may use the clock).
-	maxAt := c.now
-	c.obsBuf = c.obsBuf[:0]
+	// deferred observations, the lanes' runs merged into key order (with
+	// mu released — observation callbacks may use the clock).
+	c.obsRuns = c.obsRuns[:0]
 	for _, ln := range c.winLanes {
-		if ln.now > maxAt {
-			maxAt = ln.now
-		}
+		c.advanceLocked(ln.now)
 		for _, ev := range ln.outbox {
 			c.pushLocked(ev)
 		}
 		ln.outbox = ln.outbox[:0]
-		c.obsBuf = append(c.obsBuf, ln.obs...)
-		ln.obs = ln.obs[:0]
+		if len(ln.obs) > 0 {
+			c.obsRuns = append(c.obsRuns, ln.obs)
+			ln.obs = ln.obs[:0]
+		}
 	}
-	c.now = maxAt
-	if len(c.obsBuf) > 0 {
-		obs := c.obsBuf
-		sort.Slice(obs, func(i, j int) bool {
-			if obs[i].at != obs[j].at {
-				return obs[i].at < obs[j].at
-			}
-			if obs[i].key != obs[j].key {
-				return obs[i].key < obs[j].key
-			}
-			return obs[i].idx < obs[j].idx
-		})
+	if len(c.obsRuns) > 0 {
+		obs := mergeObs(c.obsBuf[:0], c.obsRuns)
+		clear(c.obsRuns)
 		c.mu.Unlock()
-		for _, o := range obs {
-			o.fn(virtualEpoch.Add(o.at))
+		for i := range obs {
+			obs[i].run()
 		}
 		c.mu.Lock()
+		clear(obs)
+		c.obsBuf = obs[:0]
 	}
 }
 
@@ -285,25 +323,52 @@ func (c *VirtualClock) ScheduleEvent(ev *Event, origin, exec Domain, d time.Dura
 // context: the lane-local event time inside a window, the global clock
 // otherwise.
 func (c *VirtualClock) DomainNow(origin Domain) time.Time {
-	if c.inWindow.Load() && origin >= 0 && int(origin) < len(c.laneOf) {
-		return virtualEpoch.Add(c.lanes[c.laneOf[origin]].now)
+	if ln := c.windowLane(origin); ln != nil {
+		return virtualEpoch.Add(ln.now)
 	}
 	return c.Now()
 }
 
 // Observe defers fn to the end of the current window, where all
-// observations run serially sorted by (event time, event key, emission
-// index) — the exact order a single-queue run would have produced them
-// in. Outside a window fn runs inline at the current clock time. This
-// is how shard-context code feeds order-sensitive shared state (the
-// tracer, detector timestamps) without races and without perturbing the
-// bit-identical contract.
+// observations run serially in (event time, event key, emission index)
+// order — the exact order a single-queue run would have produced them
+// in: each lane stages its observations in that order already, and the
+// barrier merges the lanes' runs. Outside a window fn runs inline at the
+// current clock time. This is how shard-context code feeds
+// order-sensitive shared state (the tracer, detector timestamps) without
+// races and without perturbing the bit-identical contract.
 func (c *VirtualClock) Observe(origin Domain, fn func(at time.Time)) {
-	if c.inWindow.Load() && origin >= 0 && int(origin) < len(c.laneOf) {
-		ln := c.lanes[c.laneOf[origin]]
-		ln.obs = append(ln.obs, obsEntry{at: ln.now, key: ln.curKey, idx: ln.obsIdx, fn: fn})
-		ln.obsIdx++
+	if ln := c.windowLane(origin); ln != nil {
+		ln.stage(obsEntry{fn: fn})
 		return
 	}
 	fn(c.Now())
+}
+
+// ObserveRecord is Observe for a hot path: instead of a closure made
+// per observation it stages a record — rec, a callback that outlives
+// the observation, and the two integers to call it on — so observing
+// allocates nothing. Records and closures share one queue and one order.
+func (c *VirtualClock) ObserveRecord(origin Domain, rec func(a, b int, at time.Time), a, b int) {
+	if ln := c.windowLane(origin); ln != nil {
+		ln.stage(obsEntry{rec: rec, a: a, b: b})
+		return
+	}
+	rec(a, b, c.Now())
+}
+
+// windowLane returns the lane executing origin when the caller is inside
+// a parallel window, nil when observations run inline.
+func (c *VirtualClock) windowLane(origin Domain) *clockLane {
+	if c.inWindow.Load() && origin >= 0 && int(origin) < len(c.laneOf) {
+		return c.lanes[c.laneOf[origin]]
+	}
+	return nil
+}
+
+// stage queues o, stamped with the executing event, until the barrier.
+func (ln *clockLane) stage(o obsEntry) {
+	o.at, o.key, o.idx = ln.now, ln.curKey, ln.obsIdx
+	ln.obsIdx++
+	ln.obs = append(ln.obs, o)
 }

@@ -206,6 +206,9 @@ func TestManyActorsUnderRace(t *testing.T) {
 	defer c.Stop()
 	var total sync.Map
 	var wg sync.WaitGroup
+	// The spawner holds a registration until all eight are counted, or
+	// the first actors would sleep the clock forward under the later ones.
+	c.Register()
 	for a := 0; a < 8; a++ {
 		a := a
 		wg.Add(1)
@@ -217,6 +220,7 @@ func TestManyActorsUnderRace(t *testing.T) {
 			total.Store(a, c.Now())
 		})
 	}
+	c.Unregister()
 	wg.Wait()
 	// The clock must sit at the latest actor's finish line: 8*50ms.
 	if got := c.Since(virtualEpoch); got != 400*time.Millisecond {

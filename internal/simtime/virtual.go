@@ -26,7 +26,12 @@ type VirtualClock struct {
 	mu   sync.Mutex
 	cond *sync.Cond // wakes the scheduler on any state change
 
-	now time.Duration // virtual offset from virtualEpoch
+	// now is the virtual offset from virtualEpoch in nanoseconds. It is
+	// written under mu, at the three places the clock advances (the
+	// single-queue pop, the sharded control pop, the barrier commit), and
+	// atomic so Now — called on every Send, produced tuple and sink
+	// delivery — reads it without the lock.
+	now atomic.Int64
 
 	// domSeq holds the per-domain schedule counters, indexed by
 	// origin+1 (index 0 is the Control domain). During a parallel
@@ -48,7 +53,8 @@ type VirtualClock struct {
 	inWindow  atomic.Bool
 	laneDone  chan struct{}
 	winLanes  []*clockLane // scratch: lanes active in the current window
-	obsBuf    []obsEntry   // scratch: merged deferred observations
+	obsRuns   [][]obsEntry // scratch: the window's per-lane observation runs
+	obsBuf    []obsEntry   // scratch: those runs merged
 
 	actors   int // registered goroutines
 	runnable int // registered goroutines not blocked in a clock wait
@@ -93,9 +99,7 @@ func (c *VirtualClock) run() {
 		}
 		if len(c.lanes) == 0 {
 			ev := c.q.popMin()
-			if ev.at > c.now {
-				c.now = ev.at
-			}
+			c.advanceLocked(ev.at)
 			c.mu.Unlock()
 			ev.Fn()
 			c.mu.Lock()
@@ -179,11 +183,19 @@ func (c *VirtualClock) Go(fn func()) {
 	}()
 }
 
-// Now returns the current virtual time.
+// advanceLocked moves the clock forward to at; it never moves back.
+// Callers hold mu.
+func (c *VirtualClock) advanceLocked(at time.Duration) {
+	if int64(at) > c.now.Load() {
+		c.now.Store(int64(at))
+	}
+}
+
+// Now returns the current virtual time. It takes no lock, so any
+// goroutine may call it while the scheduler advances; successive calls
+// never go backwards.
 func (c *VirtualClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return virtualEpoch.Add(c.now)
+	return virtualEpoch.Add(time.Duration(c.now.Load()))
 }
 
 // Since returns the virtual time elapsed since t.
@@ -225,7 +237,7 @@ func (c *VirtualClock) scheduleEventLocked(ev *Event, origin, exec Domain, d tim
 	if exec >= 0 && len(c.lanes) > 0 {
 		lane = c.laneOf[exec]
 	}
-	ev.clk, ev.at, ev.seq, ev.lane = c, c.now+d, c.nextKeyLocked(origin), lane
+	ev.clk, ev.at, ev.seq, ev.lane = c, time.Duration(c.now.Load())+d, c.nextKeyLocked(origin), lane
 	c.pushLocked(ev)
 }
 

@@ -66,6 +66,40 @@ func TestJoinWindowSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestJoinCircuitAllocCeiling: a tuple travels from producer through
+// the join to the sink inside its overlay message, by value, so a
+// running 2-way join circuit costs (next to) nothing per message — on
+// the single queue and on 4 lanes, where most sends cross lanes. What is
+// left is the sink histogram's sample slice doubling and the Sleep's own
+// channel, closure and event.
+func TestJoinCircuitAllocCeiling(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("lanes=%d", shards), func(t *testing.T) {
+			s := newEngineSetupLanes(t, 6, shards)
+			q := query.Query{ID: 71, Consumer: s.env.Topo.StubNodeIDs()[5], Streams: []query.StreamID{0, 1}}
+			if _, err := s.engine.Deploy(s.optimize(t, q)); err != nil {
+				t.Fatal(err)
+			}
+			sent := s.net.Metrics.Counter("msgs.sent")
+			s.runSim(120) // warm up: both windows full, pool and queues at working size
+			before := sent.Value()
+			const runs = 3
+			perRun := testing.AllocsPerRun(runs, func() { s.runSim(120) })
+			msgs := (sent.Value() - before) / (runs + 1) // AllocsPerRun adds a warm-up call
+			if msgs < 10_000 {
+				t.Fatalf("a window carried %v messages, want at least 10k", msgs)
+			}
+			t.Logf("%.0f allocations over %.0f messages per window", perRun, msgs)
+			if raceEnabled {
+				return // the delivery pool sheds records at random; the traffic was the test
+			}
+			if got := perRun / msgs; got > 0.01 {
+				t.Fatalf("%.3f allocations per overlay message, want <= 0.01", got)
+			}
+		})
+	}
+}
+
 // TestProducerStepDoesNotAllocateEvents: a producer is one
 // event re-armed every interval, so 10k steps cost nothing beyond what
 // the emitted tuples' consumers do (here: nothing).

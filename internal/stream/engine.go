@@ -196,10 +196,23 @@ type tap struct {
 	edges    []subEdge
 }
 
-// dataMsg is the on-wire tuple payload.
-type dataMsg struct {
-	Side int
-	T    Tuple
+// sendTuple puts t on the wire from node to `to`, feeding input side of
+// the service behind port: the tuple travels by value as the message's
+// Datum, its size as the message's SizeKB. Send never blocks;
+// post-shutdown sends are dropped.
+func sendTuple(node *overlay.Node, to topology.NodeID, port string, side int, t Tuple) {
+	_ = node.SendData(to, port, t.SizeKB, overlay.Datum{
+		Side: int32(side), Stream: int32(t.Stream), Key: t.Key, Value: t.Value, Created: t.Created,
+	})
+}
+
+// tupleOf reads a data message back into the input side and the tuple
+// sendTuple was given.
+func tupleOf(m overlay.Message) (side int, t Tuple) {
+	d := &m.Data
+	return int(d.Side), Tuple{
+		Stream: query.StreamID(d.Stream), Key: d.Key, Value: d.Value, SizeKB: m.SizeKB, Created: d.Created,
+	}
 }
 
 // ErrProviderNotRunning marks consumer circuits that cannot execute
@@ -303,13 +316,12 @@ func (e *Engine) Deploy(c *optimizer.Circuit) (*Running, error) {
 			p := port(i)
 			r.svcs[i].port = p
 			nd.Register(p, func(m overlay.Message) {
-				dm := m.Payload.(dataMsg)
 				r.tuplesOut.Inc()
-				r.kbOut.Add(dm.T.SizeKB)
+				r.kbOut.Add(m.SizeKB)
 				// NowAt, not clock.Since: under sharded execution the
 				// handler runs at the delivery instant of the consumer's
 				// shard, where the global clock is only barrier-fresh.
-				r.latencyMs.Observe(e.net.SimMillis(e.net.NowAt(m.To).Sub(dm.T.Created)))
+				r.latencyMs.Observe(e.net.SimMillis(e.net.NowAt(m.To).Sub(m.Data.Created)))
 			})
 		case s.Plan.Kind == query.KindSource:
 			// Producers are started below.
@@ -321,15 +333,7 @@ func (e *Engine) Deploy(c *optimizer.Circuit) (*Running, error) {
 			}
 			rt := &r.svcs[i]
 			rt.port = port(i)
-			rt.operator = op
-			emit := r.emitFor(i)
-			rt.process = func(side int, t Tuple) { op.Process(side, t, emit) }
-			rt.handler = func(m overlay.Message) {
-				dm := m.Payload.(dataMsg)
-				rt.gate.Lock()
-				rt.process(dm.Side, dm.T)
-				rt.gate.Unlock()
-			}
+			r.install(i, op)
 			e.net.Node(s.Node).Register(rt.port, rt.handler)
 		}
 	}
@@ -429,6 +433,21 @@ func (e *Engine) rebuildSubsLocked(r *Running, svc int) {
 	rt.subs.Store(&edges)
 }
 
+// install makes op the operator of service idx and builds the
+// processing chain around it: process feeds it and emits downstream,
+// handler is process behind the gate, as the port's overlay handler.
+func (r *Running) install(idx int, op Operator) {
+	rt := &r.svcs[idx]
+	rt.operator = op
+	emit := r.emitFor(idx)
+	rt.process = func(side int, t Tuple) { op.Process(side, t, emit) }
+	rt.handler = func(m overlay.Message) {
+		rt.gate.Lock()
+		rt.process(tupleOf(m))
+		rt.gate.Unlock()
+	}
+}
+
 // emitFor builds the emission closure for service idx: each output tuple
 // is sent from the service's current host to every downstream target's
 // current route — own-circuit edges first, then cross-circuit
@@ -459,8 +478,7 @@ func (r *Running) emitFor(idx int) Emit {
 							trace.Num("size_kb", sizeKB))
 					})
 				}
-				// Send never blocks; post-shutdown sends are dropped.
-				_ = node.Send(to, tgt.port, t.SizeKB, dataMsg{Side: tgt.side, T: t})
+				sendTuple(node, to, tgt.port, tgt.side, t)
 			}
 		}
 		if subs := rt.subs.Load(); subs != nil {
@@ -477,7 +495,7 @@ func (r *Running) emitFor(idx int) Emit {
 							trace.Num("size_kb", sizeKB))
 					})
 				}
-				_ = node.Send(to, sb.port, t.SizeKB, dataMsg{Side: sb.side, T: t})
+				sendTuple(node, to, sb.port, sb.side, t)
 			}
 		}
 	}

@@ -94,7 +94,7 @@ func (m *Migration) CutoverAt() time.Time { return m.cutoverAt }
 // migBuffer queues tuples arriving at the target before cutover.
 type migBuffer struct {
 	mu     sync.Mutex
-	msgs   []dataMsg
+	msgs   []overlay.Message
 	closed bool
 }
 
@@ -210,7 +210,6 @@ func (e *Engine) MigrateUnder(parent trace.Span, id query.QueryID, svc int, to t
 	// T0: open the buffer on the target, flip the route, ship state.
 	buf := m.buf
 	e.net.Node(to).Register(rt.port, func(msg overlay.Message) {
-		dm := msg.Payload.(dataMsg)
 		buf.mu.Lock()
 		if buf.closed {
 			// Cutover already happened: process live instead of queueing
@@ -219,7 +218,7 @@ func (e *Engine) MigrateUnder(parent trace.Span, id query.QueryID, svc int, to t
 			rt.handler(msg)
 			return
 		}
-		buf.msgs = append(buf.msgs, dm)
+		buf.msgs = append(buf.msgs, msg)
 		buf.mu.Unlock()
 	})
 	r.route[svc].Store(int32(to))
@@ -259,7 +258,7 @@ func (m *Migration) cutover() {
 		dst := topology.NodeID(r.route[svc].Load())
 		m.fwd.Add(1)
 		r.usageKBms.Add(msg.SizeKB * e.topo.Latency(from, dst))
-		_ = e.net.Node(from).Send(dst, rt.port, msg.SizeKB, msg.Payload)
+		_ = e.net.Node(from).SendData(dst, rt.port, msg.SizeKB, msg.Data)
 	})
 
 	// Execution moves: emissions now originate from the target.
@@ -284,8 +283,8 @@ func (m *Migration) cutover() {
 	m.buf.closed = true
 	m.buf.mu.Unlock()
 	m.Buffered = len(queued)
-	for _, dm := range queued {
-		rt.process(dm.Side, dm.T)
+	for _, msg := range queued {
+		rt.process(tupleOf(msg))
 	}
 	rt.gate.Unlock()
 	e.net.Node(m.To).Unregister(rt.port + statePortSuffix)

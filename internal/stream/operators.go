@@ -134,8 +134,11 @@ func (j *Join) StateSizeKB() float64 {
 }
 
 // joinWindow is a fixed-capacity FIFO with a key index threaded
-// through it: the slots holding one key form a chain, oldest first,
-// so a steady-state window allocates nothing per tuple.
+// through it: the slots holding one key form a chain, oldest first.
+// The index is an open-addressing table sized once for the window — at
+// most cap keys are live, in a power-of-two table of at least 2·cap
+// entries — so a window allocates nothing per tuple and probes a few
+// adjacent entries instead of hashing into a map.
 type joinWindow struct {
 	cap   int
 	fifo  []Tuple
@@ -144,19 +147,68 @@ type joinWindow struct {
 	// newer[s] is the next slot, in arrival order, holding the same key
 	// as slot s; -1 ends the chain.
 	newer []int32
-	byKey map[int64]keyChain
+	// index maps a live key to its chain by linear probing from the
+	// key's home entry; shift turns a hash into a home.
+	index []keyChain
+	shift uint
 }
 
-// keyChain is the oldest and the newest slot holding one key.
-type keyChain struct{ head, tail int32 }
+// keyChain is one index entry: the oldest and the newest slot holding
+// key; head < 0 marks the entry empty.
+type keyChain struct {
+	key        int64
+	head, tail int32
+}
 
 func newJoinWindow(capacity int) *joinWindow {
-	return &joinWindow{
+	bits := uint(1)
+	for 1<<bits < 2*capacity {
+		bits++
+	}
+	w := &joinWindow{
 		cap:   capacity,
 		fifo:  make([]Tuple, capacity),
 		newer: make([]int32, capacity),
-		byKey: make(map[int64]keyChain),
+		index: make([]keyChain, 1<<bits),
+		shift: 64 - bits,
 	}
+	for i := range w.index {
+		w.index[i].head = -1
+	}
+	return w
+}
+
+// home is the entry a key's probe sequence starts at: the top bits of a
+// multiplicative (Fibonacci) hash.
+func (w *joinWindow) home(key int64) int {
+	return int(uint64(key) * 0x9E3779B97F4A7C15 >> w.shift)
+}
+
+// find returns the index of the key's entry, or of the empty entry that
+// ends its probe sequence. The table is never more than half full (add
+// evicts before it inserts), so the scan ends.
+func (w *joinWindow) find(key int64) int {
+	mask := len(w.index) - 1
+	for i := w.home(key); ; i = (i + 1) & mask {
+		if e := &w.index[i]; e.head < 0 || e.key == key {
+			return i
+		}
+	}
+}
+
+// removeAt empties entry hole and closes the gap it leaves: every entry
+// after it, up to the next empty one, moves back into the hole if the
+// hole lies on its probe path — cyclically between its home and where
+// it sits.
+func (w *joinWindow) removeAt(hole int) {
+	mask := len(w.index) - 1
+	for i := (hole + 1) & mask; w.index[i].head >= 0; i = (i + 1) & mask {
+		if (i-w.home(w.index[i].key))&mask >= (i-hole)&mask {
+			w.index[hole] = w.index[i]
+			hole = i
+		}
+	}
+	w.index[hole].head = -1
 }
 
 func (w *joinWindow) add(t Tuple) {
@@ -164,26 +216,24 @@ func (w *joinWindow) add(t Tuple) {
 	if w.count == w.cap {
 		// The slot being overwritten holds the oldest tuple of all, so
 		// it heads its key's chain.
-		old := w.fifo[slot].Key
-		if ch := w.byKey[old]; ch.head == ch.tail {
-			delete(w.byKey, old)
+		i := w.find(w.fifo[slot].Key)
+		if ch := &w.index[i]; ch.head == ch.tail {
+			w.removeAt(i)
 		} else {
 			ch.head = w.newer[slot]
-			w.byKey[old] = ch
 		}
 	} else {
 		w.count++
 	}
 	w.fifo[slot] = t
 	w.newer[slot] = -1
-	ch, ok := w.byKey[t.Key]
-	if ok {
+	ch := &w.index[w.find(t.Key)]
+	if ch.head >= 0 {
 		w.newer[ch.tail] = slot
 	} else {
-		ch.head = slot
+		ch.key, ch.head = t.Key, slot
 	}
 	ch.tail = slot
-	w.byKey[t.Key] = ch
 	w.next = (w.next + 1) % w.cap
 }
 
@@ -198,10 +248,7 @@ func (w *joinWindow) sizeKB() float64 {
 // oldest returns the slot of the oldest retained tuple with the key, or
 // -1; following newer from it visits every match in arrival order.
 func (w *joinWindow) oldest(key int64) int32 {
-	if ch, ok := w.byKey[key]; ok {
-		return ch.head
-	}
-	return -1
+	return w.index[w.find(key)].head
 }
 
 // Aggregate reduces count-N tumbling windows: after every N inputs it

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/hourglass/sbon/internal/optimizer"
-	"github.com/hourglass/sbon/internal/overlay"
 	"github.com/hourglass/sbon/internal/query"
 	"github.com/hourglass/sbon/internal/topology"
 )
@@ -134,15 +133,7 @@ func (e *Engine) repairLocked(r *Running, svc int, to topology.NodeID) (*RepairR
 	if err != nil {
 		return nil, err
 	}
-	rt.operator = op
-	emit := r.emitFor(svc)
-	rt.process = func(side int, t Tuple) { op.Process(side, t, emit) }
-	rt.handler = func(m overlay.Message) {
-		dm := m.Payload.(dataMsg)
-		rt.gate.Lock()
-		rt.process(dm.Side, dm.T)
-		rt.gate.Unlock()
-	}
+	r.install(svc, op)
 	e.net.Node(to).Register(rt.port, rt.handler)
 
 	// Flip the circuit — and every subscriber of the service — to the

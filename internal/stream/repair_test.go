@@ -105,29 +105,38 @@ func TestRepairValidation(t *testing.T) {
 func TestAbortForFailurePreCutover(t *testing.T) {
 	s := newEngineSetup(t, 63)
 	stubs := s.env.Topo.StubNodeIDs()
-	c, svc := conservingCircuit(t, s, stubs[1])
+	// The operator runs far from its source and moves next to it: the
+	// handoff must wait out the long old link while, from T0 on, tuples
+	// reach the target over the short new one — so the target buffers for
+	// several tuple intervals before cutover.
+	source := stubs[0]
+	farthest, nearest := source, source
+	for _, n := range stubs {
+		if d := s.env.Topo.Latency(source, n); d > s.env.Topo.Latency(source, farthest) {
+			farthest = n
+		} else if n != source && (nearest == source || d < s.env.Topo.Latency(source, nearest)) {
+			nearest = n
+		}
+	}
+	c, svc := conservingCircuit(t, s, farthest)
 	run, err := s.engine.Deploy(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.clk.Sleep(time.Second)
 
-	// Farthest target → drain window spans several tuple intervals, so
-	// the buffer demonstrably fills before we abort.
 	from := run.Host(svc)
-	target, far := from, 0.0
-	for _, n := range stubs {
-		if d := s.env.Topo.Latency(from, n); n != from && d > far {
-			far, target = d, n
-		}
-	}
-	m, err := s.engine.Migrate(c.Query.ID, svc, target)
+	m, err := s.engine.Migrate(c.Query.ID, svc, nearest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.clk.Sleep(15 * simStep(s)) // part-way into the drain window
+	// The migration's own schedule says when to abort: the drain before
+	// cutover is never shorter than the one after it, so cutover cannot
+	// come before the midpoint of [StartedAt, ScheduledEnd].
+	s.clk.Sleep(m.ScheduledEnd.Sub(m.StartedAt)/2 - simStep(s))
 	if !m.CutoverAt().IsZero() {
-		t.Skip("cutover window too short on this seed")
+		t.Fatalf("cutover at %v, before the midpoint of a handoff scheduled %v to %v",
+			m.CutoverAt(), m.StartedAt, m.ScheduledEnd)
 	}
 	if onTarget := m.AbortForFailure(); onTarget {
 		t.Fatal("pre-cutover abort reported the operator on the target")
@@ -159,10 +168,11 @@ func TestAbortForFailurePreCutover(t *testing.T) {
 		t.Fatalf("loss fixed point broken: produced %d, delivered %d, buffered-lost %d, in-flight %d",
 			produced, delivered, m.Buffered, inflight)
 	}
-	if m.Buffered > 0 {
-		if got := s.net.Metrics.Counter("repair.buffered_lost").Value(); int(got) != m.Buffered {
-			t.Fatalf("repair.buffered_lost = %v, want %d", got, m.Buffered)
-		}
+	if m.Buffered == 0 {
+		t.Fatal("the target buffered nothing before the abort")
+	}
+	if got := s.net.Metrics.Counter("repair.buffered_lost").Value(); int(got) != m.Buffered {
+		t.Fatalf("repair.buffered_lost = %v, want %d", got, m.Buffered)
 	}
 	// The service migrates again cleanly after the abort.
 	if _, err := s.engine.Migrate(c.Query.ID, svc, stubs[5]); err != nil {
