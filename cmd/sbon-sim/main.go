@@ -364,7 +364,7 @@ func runDataPlane(w *scenario.World, circuits []*optimizer.Circuit, simSeconds, 
 			st.Instances, st.Subscribers)
 	}
 	if heartbeatMs > 0 {
-		w.StartHeartbeats(time.Duration(heartbeatMs * float64(scenario.TimeScale)))
+		w.StartHeartbeats(time.Duration(heartbeatMs * float64(time.Millisecond)))
 	}
 	wallStart := time.Now()
 	w.SimSleep(simSeconds)
@@ -417,14 +417,13 @@ func runAdaptation(w *scenario.World, circuits []*optimizer.Circuit,
 		fmt.Printf("\ncontinuous adaptation: %d rounds every %v, budget %d, drift %.0f%% (%s)\n",
 			sweeps, interval, budget, drift*100, mode)
 		// Drift lands mid-interval as scheduled events; each round's
-		// incremental sweep then consumes exactly that delta. Stop fires
-		// (deterministically, through the virtual clock) after the last
-		// round.
+		// incremental sweep then consumes exactly that delta. Stop closes
+		// (deterministically, in a clock event) after the last round.
 		for i := 0; i < sweeps; i++ {
 			clk.AfterFunc(time.Duration(i)*interval+interval/2, func() { w.Drift(churn) })
 		}
 		stop := make(chan struct{})
-		clk.AfterFunc(time.Duration(sweeps)*interval+interval/4, func() { clk.Signal(stop) })
+		clk.AfterFunc(time.Duration(sweeps)*interval+interval/4, func() { close(stop) })
 		rs, err := co.Run(interval, stop)
 		if err != nil {
 			fail(err)
@@ -495,7 +494,7 @@ func runFailureScenario(w *scenario.World, circuits []*optimizer.Circuit, crashF
 	fmt.Printf("\nfailure scenario: crashing %d/%d nodes (%.1f%%) under %.1f%% message loss over %.1f simulated seconds\n",
 		len(victims), topo.NumNodes(), 100*float64(len(victims))/float64(topo.NumNodes()), 100*dropProb, simSeconds)
 	stop := make(chan struct{})
-	vclk.AfterFunc(time.Duration(simSeconds*1000)*time.Millisecond, func() { vclk.Signal(stop) })
+	vclk.AfterFunc(time.Duration(simSeconds*1000)*time.Millisecond, func() { close(stop) })
 	wallStart := time.Now()
 	rs, rep, err := co.RunWithRepair(det, 500*time.Millisecond, stop)
 	if err != nil {

@@ -16,9 +16,9 @@
 //	          starts the engine's buffered handoff for circuits that
 //	          are executing.
 //	settle  — the coordinator sleeps the clock past every migration's
-//	          scheduled completion (a tracked, cancellable
-//	          SleepOrDone), then commits the tickets, returning load
-//	          accounting to its single-host fixed point.
+//	          scheduled completion (a cancellable SleepOrDone), then
+//	          commits the tickets, returning load accounting to its
+//	          single-host fixed point.
 //
 // Shared service instances (multi-query reuse) migrate through their
 // owning circuit only: the re-optimizer never proposes a move of a
@@ -58,9 +58,9 @@ type Coordinator struct {
 	// only (moves commit instantly, nothing buffers or drains).
 	Engine *stream.Engine
 	// Clock paces settle waits: the engine's clock when there is an
-	// engine. Nil means the real clock, for a control-plane-only
-	// coordinator outside any overlay.
-	Clock simtime.Clock
+	// engine. A control-plane-only coordinator may leave it nil and gets
+	// a private clock, which only its own waits advance.
+	Clock *simtime.VirtualClock
 
 	// Threshold is the re-optimizer's hysteresis (default 0.05).
 	Threshold float64
@@ -112,8 +112,8 @@ type Coordinator struct {
 
 	// roundSpan is the open "round" span while Run/RunWithRepair drives
 	// a sweep, so the migrate/settle/repair spans it triggers nest under
-	// it in the trace. Single-actor access only (the loop's own
-	// goroutine), no synchronization.
+	// it in the trace. Only the loop's own goroutine touches it, so it
+	// needs no synchronization.
 	roundSpan trace.Span
 }
 
@@ -188,11 +188,11 @@ func (co *Coordinator) reopt() *optimizer.Reoptimizer {
 	return co.ro
 }
 
-func (co *Coordinator) clock() simtime.Clock {
-	if co.Clock != nil {
-		return co.Clock
+func (co *Coordinator) clock() *simtime.VirtualClock {
+	if co.Clock == nil {
+		co.Clock = simtime.NewVirtual()
 	}
-	return simtime.Real()
+	return co.Clock
 }
 
 // Sweep runs one sweep→migrate→settle round and returns its statistics.
@@ -243,9 +243,9 @@ type RunStats struct {
 // settle). This is the paper's "continuous optimization" made
 // operational at delta cost: a quiet overlay re-plans nothing.
 //
-// The wait is a tracked SleepOrDone, so the caller must be a registered
-// actor of the clock, and the loop is deterministic: same seed, same
-// delta schedule, same rounds, same moves.
+// The wait is a SleepOrDone on the clock, so stop is seen at once when an
+// event closes it, and the loop is deterministic: same seed, same delta
+// schedule, same rounds, same moves.
 func (co *Coordinator) Run(interval time.Duration, stop <-chan struct{}) (RunStats, error) {
 	if interval <= 0 {
 		interval = time.Second
@@ -380,8 +380,7 @@ func (co *Coordinator) execute(plan optimizer.MigrationPlan, cancel <-chan struc
 	// equal-timestamp ties FIFO, and the settle wake (scheduled now) has
 	// a lower sequence number than teardown timers scheduled at cutover,
 	// so a wake at exactly ScheduledEnd would fire before them. The wait
-	// is tracked (SleepOrDone), so virtual-time quiescence holds, and
-	// cancellable for shutdown paths.
+	// is cancellable (SleepOrDone) for shutdown paths.
 	if !settleUntil.IsZero() {
 		wait := settleUntil.Sub(clk.Now()) + co.SettleMargin + time.Nanosecond
 		if wait > 0 {

@@ -59,14 +59,12 @@ func newFixture(t *testing.T, seed int64, queries int) *fixture {
 	}
 	ncfg := overlay.DefaultConfig()
 	clk := ncfg.Clock
-	clk.Register()
 	net := overlay.NewNetwork(topo, ncfg)
 	eng := stream.NewEngine(net, topo, stream.DefaultEngineConfig())
 	dep := optimizer.NewDeployment(env, nil)
 	t.Cleanup(func() {
 		eng.Close()
 		net.Stop()
-		clk.Unregister()
 		clk.Stop()
 	})
 
@@ -181,6 +179,43 @@ func TestSweepMigratesRunningCircuits(t *testing.T) {
 	requireNoLossCounters(t, f)
 }
 
+// TestControlPlaneOnlyCoordinatorHasItsOwnClock: a coordinator with
+// neither engine nor clock commits moves instantly on a private clock
+// that only its own waits advance, so a sweep and a repair round both
+// take exactly zero time.
+func TestControlPlaneOnlyCoordinatorHasItsOwnClock(t *testing.T) {
+	f := newFixture(t, 41, 4)
+	co := &Coordinator{Dep: f.dep, Mapper: placement.OracleMapper{Source: f.env}}
+	victim := f.runs[0].Circuit.UnpinnedServices()[0].Node
+	f.env.SetBackgroundLoad(victim, 5.0)
+	st, err := co.Sweep(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Migrated == 0 || st.DataPlane != 0 {
+		t.Fatalf("migrated %d, %d on a data plane; want moves, none on a data plane", st.Migrated, st.DataPlane)
+	}
+	if st.SettleDuration != 0 {
+		t.Fatalf("control-plane sweep took %v, want exactly 0", st.SettleDuration)
+	}
+	host := topology.NodeID(-1)
+	for _, c := range f.dep.Circuits() {
+		for _, s := range c.UnpinnedServices() {
+			host = s.Node
+		}
+	}
+	rep, err := co.Repair([]topology.NodeID{host}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Repaired == 0 || rep.Duration != 0 {
+		t.Fatalf("repair re-placed %d services in %v, want some in exactly 0", rep.Repaired, rep.Duration)
+	}
+	if co.Clock == nil || co.Clock == f.clk {
+		t.Fatal("coordinator without a clock did not get a private one")
+	}
+}
+
 func TestSweepBudgetCapsMigrations(t *testing.T) {
 	f := newFixture(t, 42, 5)
 	f.clk.Sleep(time.Second)
@@ -226,7 +261,7 @@ func TestEvacuateDrainsNodeBeforeKill(t *testing.T) {
 		}
 	}
 	if victim < 0 {
-		t.Skip("no drainable victim in this fixture")
+		t.Fatal("no drainable victim: the fixture must place an operator on a node that pins no endpoint")
 	}
 
 	f.co.Exclude = map[topology.NodeID]bool{victim: true}
@@ -350,7 +385,7 @@ func TestSweepCancellable(t *testing.T) {
 	f.env.SetBackgroundLoad(victim, 5.0)
 	cancel := make(chan struct{})
 	// Fire the cancellation deterministically mid-settle via the clock.
-	f.clk.AfterFunc(time.Millisecond, func() { f.clk.Signal(cancel) })
+	f.clk.AfterFunc(time.Millisecond, func() { close(cancel) })
 	st, err := f.co.Sweep(cancel)
 	if err != nil {
 		t.Fatal(err)

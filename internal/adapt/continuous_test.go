@@ -36,7 +36,7 @@ func runContinuous(t *testing.T, seed int64) (RunStats, map[query.QueryID][]topo
 		})
 	}
 	stop := make(chan struct{})
-	f.clk.AfterFunc(4*time.Second, func() { f.clk.Signal(stop) })
+	f.clk.AfterFunc(4*time.Second, func() { close(stop) })
 
 	rs, err := f.co.Run(interval, stop)
 	if err != nil {
@@ -93,7 +93,7 @@ func TestRunQuiescesWhenClean(t *testing.T) {
 	f.clk.Sleep(time.Second)
 
 	stop := make(chan struct{})
-	f.clk.AfterFunc(4*time.Second, func() { f.clk.Signal(stop) })
+	f.clk.AfterFunc(4*time.Second, func() { close(stop) })
 	rs, err := f.co.Run(500*time.Millisecond, stop)
 	if err != nil {
 		t.Fatal(err)

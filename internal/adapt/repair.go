@@ -319,10 +319,8 @@ func (co *Coordinator) HandleFailures(events []failure.Event, cancel <-chan stru
 // RunWithRepair drives continuous adaptation with failure recovery:
 // every interval the coordinator first consumes the detector's events —
 // repairing circuits off confirmed-dead nodes — and then runs one
-// incremental sweep→migrate→settle round, until stop fires. The caller
-// must be a registered virtual-clock actor (same contract as Run);
-// under the virtual clock the whole loop, crashes included, is
-// deterministic.
+// incremental sweep→migrate→settle round, until stop fires. As in Run,
+// the whole loop, crashes included, is deterministic.
 func (co *Coordinator) RunWithRepair(det *failure.Detector, interval time.Duration, stop <-chan struct{}) (RunStats, RepairStats, error) {
 	if interval <= 0 {
 		interval = time.Second

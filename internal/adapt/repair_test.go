@@ -250,7 +250,7 @@ func TestTicketTTLFailsOverInterruptedSweep(t *testing.T) {
 
 	f.co.TicketTTL = 500 * time.Microsecond
 	cancel := make(chan struct{})
-	f.clk.AfterFunc(time.Millisecond, func() { f.clk.Signal(cancel) })
+	f.clk.AfterFunc(time.Millisecond, func() { close(cancel) })
 	st, err := f.co.Sweep(cancel)
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +293,7 @@ func TestRepairEndToEndWithDetector(t *testing.T) {
 		f.co.TicketTTL = 5 * time.Second
 
 		stop := make(chan struct{})
-		f.clk.AfterFunc(8*time.Second, func() { f.clk.Signal(stop) })
+		f.clk.AfterFunc(8*time.Second, func() { close(stop) })
 		rs, rep, err := f.co.RunWithRepair(det, 500*time.Millisecond, stop)
 		if err != nil {
 			t.Fatal(err)

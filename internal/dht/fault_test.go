@@ -112,11 +112,9 @@ func TestLookupRetryWiredFromFaultInjector(t *testing.T) {
 	topo := topology.MustGenerate(tcfg, rand.New(rand.NewSource(1)))
 	cfg := overlay.DefaultConfig()
 	clk := cfg.Clock
-	clk.Register()
 	net := overlay.NewNetwork(topo, cfg)
 	defer func() {
 		net.Stop()
-		clk.Unregister()
 		clk.Stop()
 	}()
 	fi := net.InstallFaults(overlay.FaultPlan{Seed: 7, DropProb: 0.1})

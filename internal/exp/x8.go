@@ -72,7 +72,7 @@ func X8(p X8Params) (*Table, error) {
 		return nil, err
 	}
 	simMs := float64(p.RunFor) / float64(x8RunForScale)
-	window := time.Duration(simMs * float64(scenario.TimeScale))
+	window := time.Duration(simMs * float64(time.Millisecond))
 
 	cases := []struct {
 		name string

@@ -120,7 +120,7 @@ type Detector struct {
 	state     []State
 	events    []Event
 	stats     Stats
-	timer     simtime.Timer
+	timer     *simtime.Event
 	stopped   bool
 }
 
@@ -244,8 +244,8 @@ func (d *Detector) Stop() {
 
 // TakeEvents drains and returns the pending event queue in emission
 // order. Clock event callbacks must not block, so consumers (the
-// repair loop) poll this from a driving actor instead of receiving on
-// a channel.
+// repair loop) poll this between sleeps instead of receiving on a
+// channel.
 func (d *Detector) TakeEvents() []Event {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -29,11 +29,9 @@ func virtualNet(t *testing.T) (*overlay.Network, *simtime.VirtualClock) {
 	t.Helper()
 	cfg := overlay.DefaultConfig()
 	clk := cfg.Clock
-	clk.Register()
 	net := overlay.NewNetwork(testTopo(t), cfg)
 	t.Cleanup(func() {
 		net.Stop()
-		clk.Unregister()
 		clk.Stop()
 	})
 	return net, clk
@@ -196,7 +194,7 @@ func TestEventStreamDeterministic(t *testing.T) {
 // and the two node ids, not as a closure — so full-population liveness
 // traffic allocates nothing per beat, on the single queue and on 4
 // lanes. What is left is the detector's check event, one per interval
-// (240 beats), and the Sleep's own channel, closure and event.
+// (240 beats).
 func TestObservedHeartbeatAllocCeiling(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("lanes=%d", shards), func(t *testing.T) {
@@ -214,10 +212,10 @@ func TestObservedHeartbeatAllocCeiling(t *testing.T) {
 				for i := range laneOf {
 					laneOf[i] = int32(i % shards) // no locality: a beat to the next id crosses lanes
 				}
-				clk.ShardLanes(laneOf, shards, time.Duration(topo.MinEdgeLatency()*float64(cfg.TimeScale)))
+				clk.ShardLanes(laneOf, shards, time.Duration(topo.MinEdgeLatency()*float64(time.Millisecond)))
 				cfg.DataShards, cfg.ShardOf = shards, laneOf
 			}
-			defer clk.Drive()()
+			defer clk.Stop()
 			net := overlay.NewNetwork(topo, cfg)
 			defer net.Stop()
 			hb := net.StartHeartbeatsOpts(beat, 0.05, overlay.HeartbeatOpts{SkipDownTargets: true})

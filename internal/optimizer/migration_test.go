@@ -152,7 +152,7 @@ func TestTwoPhaseChargesBothHostsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(plan.Moves) == 0 {
-		t.Skip("no moves planned")
+		t.Fatal("no moves planned: the seed-23 fixture must overload a host that a move relieves")
 	}
 	m := plan.Moves[0]
 	perRate := env.Config().LoadPerRate

@@ -148,7 +148,7 @@ func TestConsumerLatencyReusedPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r2.ReusedServices == 0 {
-		t.Skip("no reuse; path not exercisable on this seed")
+		t.Fatal("no reuse: the seed-88 fixture's second query must reuse a service of the first")
 	}
 	truth := TrueLatency{Topo: env.Topo}
 	lat := r2.Circuit.ConsumerLatency(truth)

@@ -102,7 +102,7 @@ func TestRewriteStepSkipsReusedCircuits(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r2.ReusedServices == 0 {
-		t.Skip("no reuse happened; cannot exercise the skip path")
+		t.Fatal("no reuse: the seed-41 fixture's second query must reuse a service of the first")
 	}
 	if err := dep.Deploy(r2.Circuit); err != nil {
 		t.Fatal(err)

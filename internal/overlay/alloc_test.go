@@ -27,29 +27,27 @@ func laneNet(t *testing.T, shards int) (*Network, *simtime.VirtualClock) {
 		t.Fatal(err)
 	}
 	clk := simtime.NewVirtual()
-	cfg := Config{TimeScale: time.Millisecond, Clock: clk}
+	cfg := Config{Clock: clk}
 	if shards > 1 {
 		laneOf := make([]int32, topo.NumNodes())
 		for i := range laneOf {
 			laneOf[i] = int32(i % shards) // no locality: most sends cross lanes
 		}
-		clk.ShardLanes(laneOf, shards, time.Duration(topo.MinEdgeLatency()*float64(cfg.TimeScale)))
+		clk.ShardLanes(laneOf, shards, time.Duration(topo.MinEdgeLatency()*float64(time.Millisecond)))
 		cfg.DataShards, cfg.ShardOf = shards, laneOf
 	}
-	release := clk.Drive()
 	net := NewNetwork(topo, cfg)
 	t.Cleanup(func() {
 		net.Stop()
-		release()
+		clk.Stop()
 	})
 	return net, clk
 }
 
 // allocsPerMessage sleeps through `window` of virtual time a few times
 // and returns the heap allocations per message counted by `counter`,
-// with the messages one window carries. The Sleep's own allocations
-// (channel, closure, event) are in the numerator and vanish against
-// 10k+ messages.
+// with the messages one window carries. The Sleep itself allocates
+// nothing.
 func allocsPerMessage(t *testing.T, net *Network, clk *simtime.VirtualClock, counter string, window time.Duration) float64 {
 	t.Helper()
 	c := net.Metrics.Counter(counter)

@@ -107,7 +107,7 @@ type FaultInjector struct {
 	mu     sync.Mutex
 	rpcRng *rand.Rand // DHT oracle draws — a separate stream so DHT
 	// lookups during planning don't perturb the data-plane sequence
-	timers    []simtime.Timer
+	timers    []*simtime.Event
 	stopped   bool
 	crashAt   map[topology.NodeID]time.Time
 	recoverAt map[topology.NodeID]time.Time

@@ -96,7 +96,7 @@ func TestPartitionCutsCrossTraffic(t *testing.T) {
 
 func TestJitterDelaysButDelivers(t *testing.T) {
 	net, clk := virtualNet(t)
-	base := time.Duration(net.topo.Latency(0, 1) * float64(net.Config().TimeScale))
+	base := time.Duration(net.topo.Latency(0, 1) * float64(time.Millisecond))
 	net.InstallFaults(FaultPlan{Seed: 3, JitterMs: 40})
 	var arrived time.Time
 	var sent time.Time
@@ -179,7 +179,7 @@ func TestNoPostMortemHeartbeat(t *testing.T) {
 	hb := net.StartHeartbeats(100*time.Millisecond, 0.1)
 	defer hb.Stop()
 
-	lat := time.Duration(net.topo.Latency(0, 1) * float64(net.Config().TimeScale))
+	lat := time.Duration(net.topo.Latency(0, 1) * float64(time.Millisecond))
 	if lat <= 0 {
 		t.Fatal("test topology needs nonzero 0->1 latency")
 	}

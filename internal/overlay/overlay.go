@@ -83,12 +83,10 @@ type Handler func(Message)
 
 // Config tunes the runtime.
 type Config struct {
-	// TimeScale is the clock time of one simulated millisecond of
-	// network latency (default time.Millisecond: virtual time is free,
-	// so one clock millisecond per simulated one).
+	// TimeScale and InboxSize are read by nothing: bench/, frozen until
+	// ROADMAP item 9, sets them in composite literals. One simulated
+	// millisecond of latency is one clock millisecond.
 	TimeScale time.Duration
-	// InboxSize is read by nothing: bench/dataplane.go, frozen until
-	// ROADMAP item 6, sets it in a composite literal.
 	InboxSize int
 	// Clock drives message delivery and timestamps. Nil means a fresh
 	// single-queue clock, reachable through Network.Clock; one built
@@ -110,9 +108,9 @@ type Config struct {
 }
 
 // DefaultConfig returns a runtime configuration on a fresh virtual
-// clock at the 1 clock ms = 1 simulated ms scale.
+// clock.
 func DefaultConfig() Config {
-	return Config{TimeScale: time.Millisecond, Clock: simtime.NewVirtual()}
+	return Config{Clock: simtime.NewVirtual()}
 }
 
 // Network hosts the overlay nodes and routes messages between them with
@@ -174,9 +172,6 @@ type Network struct {
 
 // NewNetwork builds a runtime over the topology, live at once.
 func NewNetwork(topo *topology.Topology, cfg Config) *Network {
-	if cfg.TimeScale <= 0 {
-		cfg.TimeScale = time.Millisecond
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = simtime.NewVirtual()
 	}
@@ -310,9 +305,9 @@ func (n *Network) ShardCounters() []ShardCounters {
 }
 
 // SimMillis converts an elapsed clock duration into simulated
-// milliseconds under the runtime's time scale.
+// milliseconds.
 func (n *Network) SimMillis(wall time.Duration) float64 {
-	return float64(wall) / float64(n.cfg.TimeScale)
+	return float64(wall) / float64(time.Millisecond)
 }
 
 // Node is one overlay participant: a port table and a liveness flag.
@@ -471,7 +466,7 @@ func (nd *Node) send(msg Message) error {
 		}
 		latMs += extraMs
 	}
-	delay := time.Duration(latMs * float64(n.cfg.TimeScale))
+	delay := time.Duration(latMs * float64(time.Millisecond))
 
 	// The delivery is a clock event that dispatches the handler directly
 	// at the arrival instant, in the destination's shard.
@@ -484,7 +479,7 @@ func (nd *Node) send(msg Message) error {
 // delivery is one message in flight: the clock event and what it
 // delivers, in one recycled record. Send takes it
 // from the pool and fire returns it once the handler is back; nothing
-// else ever holds it — Send hands out no Timer, and handlers get the
+// else ever holds it — Send hands out no handle, and handlers get the
 // Message by value — so a recycled record cannot be stopped, re-armed
 // or read through a stale reference. The pool, not a per-shard free
 // list: migration handoffs Send from control goroutines concurrently

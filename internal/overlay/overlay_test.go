@@ -24,18 +24,16 @@ func lineTopo(t *testing.T) *topology.Topology {
 	return topology.MustGenerate(cfg, rand.New(rand.NewSource(1)))
 }
 
-// virtualNet builds a network on a fresh clock with the test
-// goroutine registered as the driving actor: sleeping on the returned
-// clock advances simulated time instantly and deterministically.
+// virtualNet builds a network on a fresh clock: sleeping on the
+// returned clock advances simulated time instantly and
+// deterministically.
 func virtualNet(t *testing.T) (*Network, *simtime.VirtualClock) {
 	t.Helper()
 	cfg := DefaultConfig()
 	clk := cfg.Clock
-	clk.Register()
 	net := NewNetwork(lineTopo(t), cfg)
 	t.Cleanup(func() {
 		net.Stop()
-		clk.Unregister()
 		clk.Stop()
 	})
 	return net, clk
@@ -90,7 +88,7 @@ func TestVirtualDeliveryAtExactLatency(t *testing.T) {
 	if arrived.IsZero() {
 		t.Fatal("message not delivered")
 	}
-	want := time.Duration(worst * float64(net.Config().TimeScale))
+	want := time.Duration(worst * float64(time.Millisecond))
 	if got := arrived.Sub(sent); got != want {
 		t.Fatalf("virtual delivery took %v, want exactly %v (latency %.1f ms)", got, want, worst)
 	}
@@ -283,7 +281,7 @@ func TestRegisterDuringDelivery(t *testing.T) {
 			}
 		}
 		started, stop, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
-		go func() { // unregistered: it only touches port tables, never the clock
+		go func() { // never sleeps on the clock: it only touches port tables
 			defer close(done)
 			for k := 0; ; k++ {
 				select {
@@ -359,12 +357,22 @@ func TestHeartbeats(t *testing.T) {
 
 // TestSimMillis also pins what NewNetwork does with the fields a caller
 // may leave out or set in vain: a nil Clock means a fresh virtual clock,
-// and InboxSize (kept for the frozen bench) changes nothing.
+// and TimeScale and InboxSize (kept for the frozen bench) change
+// nothing — a clock millisecond is a simulated one.
 func TestSimMillis(t *testing.T) {
 	net := NewNetwork(lineTopo(t), Config{TimeScale: 100 * time.Microsecond, InboxSize: 1})
-	defer net.Clock().Drive()()
-	if got := net.SimMillis(time.Millisecond); got != 10 {
-		t.Fatalf("SimMillis(1ms) = %v, want 10", got)
+	defer net.Clock().Stop()
+	if got := net.SimMillis(time.Millisecond); got != 1 {
+		t.Fatalf("SimMillis(1ms) = %v, want 1", got)
+	}
+	sent, arrived := time.Time{}, time.Time{}
+	net.Node(1).Register("lat", func(m Message) { sent, arrived = m.SentAt, net.Clock().Now() })
+	if err := net.Node(0).Send(1, "lat", 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	settle(net.Clock())
+	if want := time.Duration(net.topo.Latency(0, 1) * float64(time.Millisecond)); arrived.Sub(sent) != want {
+		t.Fatalf("delivery took %v, want the latency at 1 clock ms per ms, %v", arrived.Sub(sent), want)
 	}
 	delivered := 0
 	net.Node(1).Register("x", func(Message) { delivered++ })

@@ -70,7 +70,7 @@ func runRandomTraffic(t *testing.T, seed int64, shards int) diffRun {
 		cfg.DataShards = shards
 		cfg.ShardOf = laneOf
 	}
-	defer clk.Drive()()
+	defer clk.Stop()
 	net := NewNetwork(topo, cfg)
 	defer net.Stop()
 

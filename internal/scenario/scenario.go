@@ -40,28 +40,8 @@ import (
 	"github.com/hourglass/sbon/internal/workload"
 )
 
-// What every caller sets alike.
-const (
-	// TimeScale is the clock time of one simulated millisecond: virtual
-	// time is free, so the two are the same.
-	TimeScale   = time.Millisecond
-	heartbeatKB = 0.05
-)
-
-// ClockMode selects who drives the World's deterministic discrete-event
-// clock.
-type ClockMode int
-
-const (
-	// Virtual has the goroutine that calls Build drive the clock: it is
-	// the clock's one registered actor until Close, so every wait on
-	// World.Clock must come from that goroutine.
-	Virtual ClockMode = iota
-	// SharedVirtual registers no actor: each caller registers itself on
-	// World.Clock around the calls that wait on the clock, so several
-	// goroutines may use one World.
-	SharedVirtual
-)
+// heartbeatKB is the size every caller gives a heartbeat.
+const heartbeatKB = 0.05
 
 // Ticker asks for coordinates maintained by background Vivaldi gossip
 // on the clock in place of one batch embedding of the latency
@@ -76,8 +56,8 @@ type Ticker struct {
 }
 
 // Spec describes an overlay. The zero value of a field is its plainest
-// setting: dense latency, batch embedding, oracle mapping, a clock the
-// builder drives, one event queue, no tracing.
+// setting: dense latency, batch embedding, oracle mapping, one event
+// queue, no tracing.
 type Spec struct {
 	Seed     int64
 	Topology topology.Config
@@ -93,11 +73,9 @@ type Spec struct {
 	// UseDHT maps virtual coordinates through the Hilbert-keyed DHT
 	// catalog instead of the exact oracle.
 	UseDHT bool
-	// Ticker, when set, feeds coordinates from gossip; it needs the
-	// driven clock (Virtual).
+	// Ticker, when set, feeds coordinates from gossip on the clock.
 	Ticker *Ticker
 
-	Clock ClockMode
 	// DataShards > 1 executes the data plane on that many parallel event
 	// queues (rounded down to a power of two), keyed to the optimizer's
 	// Hilbert-prefix regions.
@@ -122,7 +100,9 @@ type World struct {
 	Env        *optimizer.Env
 	Deployment *optimizer.Deployment
 	Ticker     *vivaldi.Ticker
-	// Clock is what the runtime reads time from and every wait sleeps on.
+	// Clock is what the runtime reads time from and every wait sleeps on:
+	// a sleep runs the events due on the sleeping goroutine, and
+	// goroutines that sleep at once take turns.
 	Clock *simtime.VirtualClock
 
 	Net    *overlay.Network
@@ -143,12 +123,9 @@ type World struct {
 
 // Build runs the control-plane stage. On error nothing is left running.
 func Build(spec Spec) (*World, error) {
-	// The clock first, and its driving actor with it, so that Close has
-	// the same to undo wherever build fails.
+	// The clock first, so that Close has the same to undo wherever
+	// build fails.
 	w := &World{Spec: spec, Clock: simtime.NewVirtual()}
-	if spec.Clock == Virtual {
-		w.Clock.Register()
-	}
 	if err := w.build(); err != nil {
 		w.Close()
 		return nil, err
@@ -188,9 +165,6 @@ func (w *World) build() (err error) {
 	if spec.Ticker == nil {
 		w.Env, err = optimizer.NewEnv(w.Topo, w.Stats, envCfg)
 	} else {
-		if spec.Clock != Virtual {
-			return fmt.Errorf("scenario: ticker coordinates need the driven virtual clock")
-		}
 		lat := func(i, j int) float64 { return w.Topo.Latency(topology.NodeID(i), topology.NodeID(j)) }
 		w.Ticker, err = vivaldi.NewTicker(w.Topo.NumNodes(), lat, vivaldi.DefaultConfig(),
 			spec.Ticker.Samples, spec.Ticker.Interval, w.Clock, rand.New(rand.NewSource(spec.Seed*5)))
@@ -219,7 +193,7 @@ func (w *World) StartDataPlane() error {
 	if w.Net != nil || w.closed {
 		return fmt.Errorf("scenario: data plane already started or closed")
 	}
-	cfg := overlay.Config{TimeScale: TimeScale, Clock: w.Clock}
+	cfg := overlay.Config{Clock: w.Clock}
 	if w.Spec.DataShards > 1 {
 		// The optimizer's Hilbert-prefix regions as lanes, so the traffic
 		// of a region-local placement stays lane-local; the smallest
@@ -229,7 +203,7 @@ func (w *World) StartDataPlane() error {
 		if err != nil {
 			return err
 		}
-		w.Lookahead = time.Duration(w.Topo.MinEdgeLatency() * float64(cfg.TimeScale))
+		w.Lookahead = time.Duration(w.Topo.MinEdgeLatency() * float64(time.Millisecond))
 		if w.Lookahead <= 0 {
 			return fmt.Errorf("scenario: topology has no positive edge latency — no conservative lookahead exists")
 		}
@@ -276,7 +250,7 @@ func (w *World) Deploy(circuits ...*optimizer.Circuit) error {
 
 // SimSleep advances the run by simSeconds of simulated time.
 func (w *World) SimSleep(simSeconds float64) {
-	w.Clock.Sleep(time.Duration(simSeconds * 1000 * float64(TimeScale)))
+	w.Clock.Sleep(time.Duration(simSeconds * 1000 * float64(time.Millisecond)))
 }
 
 // Quiesce halts every producer, lets one simulated second of in-flight
@@ -386,8 +360,8 @@ func (w *World) StartFailureDetection(beat time.Duration) *failure.Detector {
 // Close tears the World down, consumers before what they consume: the
 // detector before the heartbeats it observes, both and the injector
 // before the engine and network whose timers they hold, the ticker
-// before its clock, and the driving actor unregistered before the
-// clock stops. Safe on a partly built World and safe to repeat.
+// before its clock, the clock last. Safe on a partly built World and
+// safe to repeat.
 func (w *World) Close() {
 	if w.closed {
 		return
@@ -409,9 +383,6 @@ func (w *World) Close() {
 	}
 	if w.Ticker != nil {
 		w.Ticker.Stop()
-	}
-	if w.Spec.Clock == Virtual {
-		w.Clock.Unregister()
 	}
 	w.Clock.Stop()
 }

@@ -10,15 +10,13 @@ import (
 	"github.com/hourglass/sbon/internal/workload"
 )
 
-// smallSpec is a 256-node overlay with a dozen 1-2-stream queries on
-// the driven virtual clock.
+// smallSpec is a 256-node overlay with a dozen 1-2-stream queries.
 func smallSpec() Spec {
 	spec := Spec{
 		Seed:     7,
 		Topology: topology.DefaultConfig(),
 		Streams:  workload.DefaultStreamConfig(),
 		Queries:  workload.DefaultQueryConfig(),
-		Clock:    Virtual,
 	}
 	spec.Topology.StubNodes = 5
 	spec.Queries.NumQueries = 12
@@ -79,12 +77,17 @@ func TestStagesRunAndCloseRepeats(t *testing.T) {
 	}
 }
 
+// TestSpecErrors: Build reports a spec it cannot build as an error.
 func TestSpecErrors(t *testing.T) {
 	spec := smallSpec()
-	spec.Clock = SharedVirtual
-	spec.Ticker = &Ticker{Samples: 4, Interval: 200 * time.Millisecond, WarmRounds: 2}
+	spec.Ticker = &Ticker{Samples: 0, Interval: 200 * time.Millisecond, WarmRounds: 2}
 	if _, err := Build(spec); err == nil {
-		t.Fatal("ticker coordinates on a clock nobody drives accepted")
+		t.Fatal("a ticker sampling no peers accepted")
+	}
+	spec = smallSpec()
+	spec.Topology.StubNodes = 0
+	if _, err := Build(spec); err == nil {
+		t.Fatal("a topology without stub nodes accepted")
 	}
 }
 

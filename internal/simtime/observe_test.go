@@ -113,7 +113,7 @@ func TestRecordsAndClosuresShareOneOrder(t *testing.T) {
 			laneOf[i] = int32(i % shards)
 		}
 		clk := NewVirtualSharded(laneOf, shards, 5*time.Millisecond)
-		defer clk.Drive()()
+		defer clk.Stop()
 		var log []string // written by observations only: they run serially
 		rec := func(n, k int, at time.Time) {
 			log = append(log, fmt.Sprintf("%v node %d beat %d record", at.Sub(virtualEpoch), n, k))
@@ -156,8 +156,8 @@ func TestRecordsAndClosuresShareOneOrder(t *testing.T) {
 	}
 }
 
-// TestNowFromOutsideIsMonotone: Now takes no lock, so a goroutine the
-// clock knows nothing about may read it while the scheduler — and on 4
+// TestNowFromOutsideIsMonotone: Now takes no lock, so a goroutine that
+// does not sleep on the clock may read it while a sleeper — and on 4
 // lanes the barrier — advances it; the readings never go back. Run
 // under -race.
 func TestNowFromOutsideIsMonotone(t *testing.T) {
@@ -169,7 +169,7 @@ func TestNowFromOutsideIsMonotone(t *testing.T) {
 				laneOf[i] = int32(i % shards)
 			}
 			clk := NewVirtualSharded(laneOf, shards, time.Millisecond)
-			defer clk.Drive()()
+			defer clk.Stop()
 			for n := 0; n < nodes; n++ {
 				dom, ev := Domain(n), &Event{}
 				ev.Fn = func() { clk.ScheduleEvent(ev, dom, dom, 100*time.Microsecond) }

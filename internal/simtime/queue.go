@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Event is one callback on a virtual clock's timeline and the Timer
+// Event is one callback on a virtual clock's timeline and the handle
 // that cancels it. The zero value with Fn set is ready to schedule.
 //
 // Events are caller-ownable: a component that fires periodically (a
@@ -25,7 +25,7 @@ import (
 //     Event is pending; an Event stays with the clock it was first
 //     scheduled on.
 type Event struct {
-	// Fn runs when the event fires, on the scheduler goroutine or a
+	// Fn runs when the event fires, on the sleeping goroutine or a
 	// lane worker; it must not block.
 	Fn func()
 
@@ -70,7 +70,7 @@ func (ev *Event) Stop() bool {
 		return false // never scheduled
 	}
 	if c.inWindow.Load() {
-		panic("simtime: Timer.Stop inside a parallel window")
+		panic("simtime: Event.Stop inside a parallel window")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

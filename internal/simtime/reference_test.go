@@ -29,5 +29,5 @@ func (q *heapQueue) len() int { return len(q.h) }
 // NewVirtualReference creates a virtual clock backed by heapQueue. Fire
 // order is defined to be identical to NewVirtual's.
 func NewVirtualReference() *VirtualClock {
-	return newVirtualClock(&heapQueue{})
+	return &VirtualClock{q: &heapQueue{}}
 }

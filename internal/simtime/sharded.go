@@ -8,13 +8,14 @@ import (
 // Sharded data-plane execution.
 //
 // NewVirtualSharded splits the node domains across K lanes, each backed
-// by its own timer wheel and executed by its own worker goroutine. The
-// scheduler alternates between two phases:
+// by its own timer wheel and executed by its own worker goroutine. A
+// sleeper's steps alternate between two phases:
 //
-//   - Barrier: control-domain events fire one at a time on the
-//     scheduler goroutine, exactly as in single-queue mode, whenever
-//     the earliest pending control event is no later than the earliest
-//     pending lane event. Harness actors also only ever run here.
+//   - Barrier: control-domain events fire one at a time on the sleeping
+//     goroutine, exactly as in single-queue mode, whenever the earliest
+//     pending control event is no later than the earliest pending lane
+//     event. The sleeper's own wake-up, and so its code between sleeps,
+//     only ever comes up here.
 //   - Window: otherwise the clock opens the conservative lookahead
 //     window [tLane, min(tCtl, tLane+L)) — L is the minimum cross-lane
 //     message latency — and every lane with work below the window end
@@ -168,15 +169,12 @@ func (c *VirtualClock) Shards() int {
 	return len(c.lanes)
 }
 
-// Lookahead reports the conservative window bound (0 in single-queue
-// mode).
-func (c *VirtualClock) Lookahead() time.Duration { return c.lookahead }
-
-// stepShardedLocked advances the sharded clock by one step: either one
-// control event (barrier semantics identical to single-queue mode) or
-// one parallel window. Called from run with mu held; returns with mu
-// held.
-func (c *VirtualClock) stepShardedLocked() {
+// runWindowLocked runs one parallel window and reports true, unless the
+// next control event is due no later than every lane event: then it
+// reports false and leaves that event to the caller's control step
+// (barrier semantics identical to single-queue mode). Called from
+// stepLocked with mu held; returns with mu held.
+func (c *VirtualClock) runWindowLocked() bool {
 	const inf = time.Duration(1<<63 - 1)
 	tCtl, tLane := inf, inf
 	if c.q.len() > 0 {
@@ -190,12 +188,7 @@ func (c *VirtualClock) stepShardedLocked() {
 		}
 	}
 	if tCtl <= tLane {
-		ev := c.q.popMin()
-		c.advanceLocked(ev.at)
-		c.mu.Unlock()
-		ev.Fn()
-		c.mu.Lock()
-		return
+		return false
 	}
 
 	end := tLane + c.lookahead
@@ -247,6 +240,7 @@ func (c *VirtualClock) stepShardedLocked() {
 		clear(obs)
 		c.obsBuf = obs[:0]
 	}
+	return true
 }
 
 // loop is a lane worker: drain one window per coordinator signal.
@@ -282,7 +276,7 @@ func (ln *clockLane) runWindow(end time.Duration) {
 // node), and the insert is lock-free: same-lane events go straight into
 // the lane's queue, cross-lane events are staged in the outbox for
 // barrier delivery. Outside windows (single-queue mode, control
-// callbacks, harness actors) the insert takes the clock mutex.
+// callbacks, code between sleeps) the insert takes the clock mutex.
 func (c *VirtualClock) ScheduleEvent(ev *Event, origin, exec Domain, d time.Duration) {
 	if ev.where != evIdle {
 		panic("simtime: Event scheduled while still pending; re-arm it only after it fired or was stopped")

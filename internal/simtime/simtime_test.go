@@ -8,29 +8,40 @@ import (
 	"time"
 )
 
-// newTestClock returns a virtual clock with the test goroutine
-// registered as the driving actor.
+// newTestClock returns a virtual clock stopped when the test ends.
 func newTestClock(t *testing.T) *VirtualClock {
 	t.Helper()
 	c := NewVirtual()
-	c.Register()
-	t.Cleanup(func() {
-		c.Unregister()
-		c.Stop()
-	})
+	t.Cleanup(c.Stop)
 	return c
 }
 
+// TestVirtualSleepAdvancesInstantly: a 10 s sleep jumps the clock by
+// exactly 10 s, firing on the way every event due by then — the one at
+// the wake-up instant included, since it was scheduled first — and
+// nothing later.
 func TestVirtualSleepAdvancesInstantly(t *testing.T) {
 	c := newTestClock(t)
 	start := c.Now()
-	wall := time.Now()
-	c.Sleep(10 * time.Second)
-	if elapsed := time.Since(wall); elapsed > 2*time.Second {
-		t.Fatalf("virtual 10s sleep took %v of wall time", elapsed)
+	var fired []time.Duration
+	for i := 1; i <= 10; i++ {
+		c.AfterFunc(time.Duration(i)*time.Second, func() { fired = append(fired, c.Since(start)) })
 	}
+	c.AfterFunc(10*time.Second+time.Nanosecond, func() { t.Error("event after the wake-up fired") })
+	c.Sleep(10 * time.Second)
 	if got := c.Since(start); got != 10*time.Second {
 		t.Fatalf("virtual elapsed = %v, want exactly 10s", got)
+	}
+	if len(fired) != 10 {
+		t.Fatalf("fired %d of the 10 events due, want all", len(fired))
+	}
+	for i, at := range fired {
+		if want := time.Duration(i+1) * time.Second; at != want {
+			t.Fatalf("event %d fired at %v, want %v", i, at, want)
+		}
+	}
+	if n := c.PendingEvents(); n != 1 {
+		t.Fatalf("%d events pending, want the one after the wake-up", n)
 	}
 }
 
@@ -113,52 +124,6 @@ func TestEventCascadeRunsBeforeTimeAdvances(t *testing.T) {
 	}
 }
 
-func TestAfterDeliversTimestamp(t *testing.T) {
-	c := NewVirtual()
-	defer c.Stop()
-	ch := c.After(3 * time.Second)
-	// The receive is untracked, so drive time from a registered actor.
-	done := make(chan time.Time)
-	go func() { done <- <-ch }()
-	c.Register()
-	c.Sleep(4 * time.Second)
-	c.Unregister()
-	got := <-done
-	if want := virtualEpoch.Add(3 * time.Second); !got.Equal(want) {
-		t.Fatalf("After delivered %v, want %v", got, want)
-	}
-}
-
-func TestTwoActorsWakeInTimestampOrder(t *testing.T) {
-	c := NewVirtual()
-	defer c.Stop()
-	var mu sync.Mutex
-	var order []string
-	var wg sync.WaitGroup
-	wg.Add(2)
-	c.Go(func() {
-		defer wg.Done()
-		c.Sleep(2 * time.Second)
-		mu.Lock()
-		order = append(order, "late")
-		mu.Unlock()
-	})
-	c.Go(func() {
-		defer wg.Done()
-		c.Sleep(1 * time.Second)
-		mu.Lock()
-		order = append(order, "early")
-		mu.Unlock()
-	})
-	wg.Wait()
-	if len(order) != 2 || order[0] != "early" || order[1] != "late" {
-		t.Fatalf("wake order = %v, want [early late]", order)
-	}
-	if got := c.Since(virtualEpoch); got != 2*time.Second {
-		t.Fatalf("clock at +%v, want +2s", got)
-	}
-}
-
 // TestDeterministicEventOrder schedules a pseudo-random workload twice
 // and demands bit-identical firing order — the property the simulation
 // scenarios rely on for same-seed reproducibility.
@@ -166,8 +131,6 @@ func TestDeterministicEventOrder(t *testing.T) {
 	run := func() []int {
 		c := NewVirtual()
 		defer c.Stop()
-		c.Register()
-		defer c.Unregister()
 		rng := rand.New(rand.NewSource(42))
 		var order []int
 		for i := 0; i < 200; i++ {
@@ -198,33 +161,39 @@ func TestDeterministicEventOrder(t *testing.T) {
 	}
 }
 
-// TestManyActorsUnderRace exercises concurrent registration, sleeping,
-// and event scheduling; run with -race it validates the scheduler's
-// synchronization.
-func TestManyActorsUnderRace(t *testing.T) {
-	c := NewVirtual()
-	defer c.Stop()
-	var total sync.Map
+// TestConcurrentSleepersTakeTurns: eight goroutines sleep on one clock
+// at once, each scheduling an event before every sleep. The sleeps take
+// turns, so the clock ends at the sum of them all, and every event fires,
+// none before its instant. Run with -race it checks the driving mutex
+// covers the events and the queue.
+func TestConcurrentSleepersTakeTurns(t *testing.T) {
+	c := newTestClock(t)
+	var fires atomic.Int64
 	var wg sync.WaitGroup
-	// The spawner holds a registration until all eight are counted, or
-	// the first actors would sleep the clock forward under the later ones.
-	c.Register()
 	for a := 0; a < 8; a++ {
-		a := a
+		d := time.Duration(1+a) * time.Millisecond
 		wg.Add(1)
-		c.Go(func() {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				c.Sleep(time.Duration(1+a) * time.Millisecond)
+				due := c.Now().Add(d / 2)
+				c.AfterFunc(d/2, func() {
+					if c.Now().Before(due) {
+						t.Errorf("event due at %v fired at %v", due, c.Now())
+					}
+					fires.Add(1)
+				})
+				c.Sleep(d)
 			}
-			total.Store(a, c.Now())
-		})
+		}()
 	}
-	c.Unregister()
 	wg.Wait()
-	// The clock must sit at the latest actor's finish line: 8*50ms.
-	if got := c.Since(virtualEpoch); got != 400*time.Millisecond {
-		t.Fatalf("clock at +%v, want +400ms", got)
+	// 50 sleeps each of 1ms..8ms, one after another: 50*36ms.
+	if got := c.Since(virtualEpoch); got != 1800*time.Millisecond {
+		t.Fatalf("clock at +%v, want +1.8s", got)
+	}
+	if n := fires.Load(); n != 400 {
+		t.Fatalf("%d of 400 events fired", n)
 	}
 }
 
@@ -235,17 +204,6 @@ func TestSleepZeroOrNegativeReturns(t *testing.T) {
 	if got := c.Since(virtualEpoch); got != 0 {
 		t.Fatalf("clock moved to +%v on non-positive sleeps", got)
 	}
-}
-
-func TestSleepUnregisteredPanics(t *testing.T) {
-	c := NewVirtual()
-	defer c.Stop()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Sleep from unregistered goroutine did not panic")
-		}
-	}()
-	c.Sleep(time.Second)
 }
 
 func TestSleepOrDoneTimerPath(t *testing.T) {
@@ -262,29 +220,72 @@ func TestSleepOrDoneTimerPath(t *testing.T) {
 	}
 }
 
+// TestSleepOrDoneSignalWakesDeterministically: an event at 1s closes
+// done, and the sleeper resumes at that instant, before a later control
+// event and before a node event at the same instant — on a single queue
+// and on lanes, where that node event is a window's.
 func TestSleepOrDoneSignalWakesDeterministically(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		c := NewVirtualSharded([]int32{0, 1}, shards, time.Millisecond)
+		done := make(chan struct{})
+		var laneAt time.Duration
+		lateFired := false
+		c.ScheduleDomain(1, 1, time.Second, func() { laneAt = c.DomainNow(1).Sub(virtualEpoch) })
+		c.AfterFunc(time.Second, func() { close(done) })
+		c.AfterFunc(2*time.Second, func() { lateFired = true })
+		if !c.SleepOrDone(10*time.Second, done) {
+			t.Fatalf("shards=%d: SleepOrDone missed the close", shards)
+		}
+		if got := c.Since(virtualEpoch); got != time.Second {
+			t.Fatalf("shards=%d: woke at +%v, want exactly +1s (the close instant)", shards, got)
+		}
+		if lateFired || laneAt != 0 {
+			t.Fatalf("shards=%d: an event behind the close fired before the sleeper resumed", shards)
+		}
+		if n := c.PendingEvents(); n != 2 {
+			t.Fatalf("shards=%d: %d events pending, want 2 (the node event and the 2s decoy)", shards, n)
+		}
+		c.Sleep(2 * time.Second) // drain both
+		if laneAt != time.Second || !lateFired {
+			t.Fatalf("shards=%d: node event at %v, decoy fired %v; want 1s and true", shards, laneAt, lateFired)
+		}
+		c.Stop()
+	}
+}
+
+// TestEventPanicReachesSleeper: an event's panic unwinds through the
+// sleep that ran it with its own value, and leaves the clock usable.
+func TestEventPanicReachesSleeper(t *testing.T) {
 	c := newTestClock(t)
-	done := make(chan struct{})
-	// An event at t=1s signals the waiter; decoy events at the same and a
-	// later instant must not run before the sleeper observes the wake
-	// time (Signal makes the waiter runnable under the clock mutex, so
-	// the scheduler parks before firing anything later).
-	var lateFired bool
-	c.AfterFunc(time.Second, func() { c.Signal(done) })
-	c.AfterFunc(2*time.Second, func() { lateFired = true })
-	if !c.SleepOrDone(10*time.Second, done) {
-		t.Fatal("SleepOrDone missed the signal")
-	}
+	c.AfterFunc(time.Second, func() { panic("event failed") })
+	func() {
+		defer func() {
+			if r := recover(); r != "event failed" {
+				t.Fatalf("sleeper recovered %v, want the event's panic value", r)
+			}
+		}()
+		c.Sleep(5 * time.Second)
+		t.Fatal("Sleep returned past a panicking event")
+	}()
 	if got := c.Since(virtualEpoch); got != time.Second {
-		t.Fatalf("woke at +%v, want exactly +1s (the Signal instant)", got)
+		t.Fatalf("clock at +%v after the panic, want +1s", got)
 	}
-	if lateFired {
-		t.Fatal("event after the signal instant fired before the sleeper resumed")
+	c.Sleep(time.Second)
+	if got, n := c.Since(virtualEpoch), c.PendingEvents(); got != 2*time.Second || n != 0 {
+		t.Fatalf("next sleep ended at +%v with %d events pending, want +2s and 0", got, n)
 	}
-	if c.PendingEvents() != 1 {
-		t.Fatalf("%d events pending, want 1 (the 2s decoy)", c.PendingEvents())
+}
+
+// TestSleepAfterStopReturns: a stopped clock neither advances nor fires.
+func TestSleepAfterStopReturns(t *testing.T) {
+	c := NewVirtualSharded([]int32{0, 1}, 2, time.Millisecond)
+	fired := false
+	c.AfterFunc(time.Second, func() { fired = true })
+	c.Stop()
+	c.Sleep(2 * time.Second)
+	if fired || c.Since(virtualEpoch) != 0 {
+		t.Fatalf("stopped clock at +%v, event fired %v", c.Since(virtualEpoch), fired)
 	}
-	c.Sleep(2 * time.Second) // drain the decoy
 }
 
 func TestSleepOrDoneAlreadyFired(t *testing.T) {
@@ -309,116 +310,15 @@ func TestSleepOrDoneNilChannelBehavesLikeSleep(t *testing.T) {
 	}
 }
 
-func TestSleepOrDoneDirectCloseWakes(t *testing.T) {
-	c := NewVirtual()
-	defer c.Stop()
-	done := make(chan struct{})
-	var woke bool
-	var claimed atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	c.Go(func() {
-		defer wg.Done()
-		woke = c.SleepOrDone(time.Hour, done)
-		claimed.Store(true)
-	})
-	// A second actor closes done directly mid-sleep; the waiter must
-	// resume (possibly a few queued events later) without the hour
-	// passing. The closer keeps driving small sleeps until the waiter
-	// has resumed so the fallback timer stays far out of reach.
-	c.Go(func() {
-		c.Sleep(time.Second)
-		close(done)
-		for !claimed.Load() {
-			c.Sleep(time.Millisecond)
-		}
-	})
-	wg.Wait()
-	if !woke {
-		t.Fatal("direct close did not report done")
-	}
-	if got := c.Since(virtualEpoch); got >= time.Hour {
-		t.Fatalf("clock ran to +%v; cancellation did not cut the sleep", got)
-	}
-}
-
-// TestSleepOrDoneQuiescenceWithBlockedWaiter is the contract test for
-// the ROADMAP item: a registered actor parked in SleepOrDone must count
-// as blocked, so other actors' time keeps moving (no scheduler
-// deadlock), and the waiter's timer keeps quiescence exact.
-func TestSleepOrDoneQuiescenceWithBlockedWaiter(t *testing.T) {
-	c := NewVirtual()
-	defer c.Stop()
-	done := make(chan struct{})
-	var waiterWoke time.Duration
-	var wg sync.WaitGroup
-	wg.Add(2)
-	c.Go(func() {
-		defer wg.Done()
-		c.SleepOrDone(30*time.Second, done)
-		waiterWoke = c.Since(virtualEpoch)
-	})
-	c.Go(func() {
-		defer wg.Done()
-		// Time must advance through many small sleeps while the other
-		// actor is parked in SleepOrDone — quiescence detection sees it
-		// as blocked, not runnable.
-		for i := 0; i < 10; i++ {
-			c.Sleep(time.Second)
-		}
-		c.Signal(done)
-	})
-	wg.Wait()
-	if waiterWoke != 10*time.Second {
-		t.Fatalf("waiter woke at +%v, want +10s (the Signal instant)", waiterWoke)
-	}
-}
-
 func TestSleepOrDoneTimerBeatsLaterSignal(t *testing.T) {
 	c := newTestClock(t)
 	done := make(chan struct{})
 	if c.SleepOrDone(time.Second, done) {
 		t.Fatal("done reported fired before anything signalled")
 	}
-	// Signalling after the timer won must not panic or wake anyone.
-	c.Signal(done)
+	// Closing after the timer won must not wake anyone.
+	close(done)
 	if got := c.Since(virtualEpoch); got != time.Second {
 		t.Fatalf("clock at +%v, want +1s", got)
-	}
-}
-
-func TestRealClockSleepOrDone(t *testing.T) {
-	c := Real()
-	done := make(chan struct{})
-	close(done)
-	if !c.SleepOrDone(time.Minute, done) {
-		t.Fatal("real SleepOrDone ignored fired done")
-	}
-	if c.SleepOrDone(time.Millisecond, make(chan struct{})) {
-		t.Fatal("real SleepOrDone reported done on timer expiry")
-	}
-}
-
-func TestRealClockBasics(t *testing.T) {
-	c := Real()
-	t0 := c.Now()
-	c.Sleep(time.Millisecond)
-	if c.Since(t0) <= 0 {
-		t.Fatal("real clock did not advance")
-	}
-	fired := make(chan struct{})
-	tm := c.AfterFunc(time.Millisecond, func() { close(fired) })
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("real AfterFunc never fired")
-	}
-	if tm.Stop() {
-		t.Fatal("Stop after fire reported pending")
-	}
-	select {
-	case <-c.After(time.Millisecond):
-	case <-time.After(5 * time.Second):
-		t.Fatal("real After never fired")
 	}
 }

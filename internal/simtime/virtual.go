@@ -1,7 +1,6 @@
 package simtime
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,8 +11,8 @@ import (
 // on when the process started.
 var virtualEpoch = time.Date(2000, time.January, 1, 0, 0, 0, 0, time.UTC)
 
-// VirtualClock is the deterministic discrete-event implementation of
-// Clock. See the package documentation for the actor contract.
+// VirtualClock is the deterministic discrete-event clock. See the
+// package documentation for who runs its events.
 //
 // Events are keyed by (timestamp, origin domain, per-domain sequence):
 // the key is a pure function of the event history of the scheduling
@@ -23,8 +22,10 @@ var virtualEpoch = time.Date(2000, time.January, 1, 0, 0, 0, 0, time.UTC)
 // (NewVirtualSharded). Control-domain events order before node-domain
 // events at the same instant, matching the sharded clock's barriers.
 type VirtualClock struct {
-	mu   sync.Mutex
-	cond *sync.Cond // wakes the scheduler on any state change
+	// drive is held by the goroutine sleeping on the clock, from its
+	// call to its wake-up: concurrent sleepers take turns.
+	drive sync.Mutex
+	mu    sync.Mutex
 
 	// now is the virtual offset from virtualEpoch in nanoseconds. It is
 	// written under mu, at the three places the clock advances (the
@@ -45,6 +46,10 @@ type VirtualClock struct {
 	// against.
 	q eventQueue
 
+	// wake is the sleeper's wake-up event. One per clock is enough:
+	// only the holder of drive sleeps.
+	wake Event
+
 	// Sharded-mode state (empty lanes == single-queue mode); see
 	// sharded.go.
 	lanes     []*clockLane
@@ -56,57 +61,35 @@ type VirtualClock struct {
 	obsRuns   [][]obsEntry // scratch: the window's per-lane observation runs
 	obsBuf    []obsEntry   // scratch: those runs merged
 
-	actors   int // registered goroutines
-	runnable int // registered goroutines not blocked in a clock wait
-	stopped  bool
-
-	// waiters tracks SleepOrDone sleepers by their done channel so
-	// Signal can wake them synchronously with the close — the
-	// deterministic cancellation path.
-	waiters map[<-chan struct{}][]*sodWaiter
+	stopped bool
 }
 
-// NewVirtual creates a virtual clock at the epoch and starts its
-// scheduler goroutine. Call Stop when done with the clock to release
-// the scheduler. The event queue is the hierarchical timer wheel
-// (wheel.go): O(1) amortized schedule/fire, exact key order.
+// NewVirtual creates a virtual clock at the epoch. Its event queue is
+// the hierarchical timer wheel (wheel.go): O(1) amortized
+// schedule/fire, exact key order.
 func NewVirtual() *VirtualClock {
-	return newVirtualClock(newWheelQueue())
+	return &VirtualClock{q: newWheelQueue()}
 }
 
-func newVirtualClock(q eventQueue) *VirtualClock {
-	c := &VirtualClock{q: q}
-	c.cond = sync.NewCond(&c.mu)
-	go c.run()
-	return c
-}
-
-// run is the scheduler loop: whenever at least one actor is registered,
-// all actors are blocked, and an event is pending, advance. In
-// single-queue mode that means popping the earliest event, jumping the
-// clock to its timestamp, and firing it; in sharded mode control events
-// still fire one at a time but node-domain events execute in parallel
-// lookahead windows (runWindowLocked, sharded.go).
-func (c *VirtualClock) run() {
-	c.mu.Lock()
-	for {
-		for !c.stopped && !(c.actors > 0 && c.runnable == 0 && c.pendingLocked() > 0) {
-			c.cond.Wait()
-		}
-		if c.stopped {
-			c.mu.Unlock()
-			return
-		}
-		if len(c.lanes) == 0 {
-			ev := c.q.popMin()
-			c.advanceLocked(ev.at)
-			c.mu.Unlock()
-			ev.Fn()
-			c.mu.Lock()
-			continue
-		}
-		c.stepShardedLocked()
+// stepLocked advances the clock by one step: on a sharded clock whose
+// lanes hold work due before the next control event, one parallel
+// window (sharded.go); otherwise it pops the earliest control event —
+// in single-queue mode, the earliest event — and runs it with mu
+// released, unless it is wake, which it only reports. Called with mu
+// held; returns with mu held.
+func (c *VirtualClock) stepLocked(wake *Event) bool {
+	if len(c.lanes) > 0 && c.runWindowLocked() {
+		return false
 	}
+	ev := c.q.popMin()
+	c.advanceLocked(ev.at)
+	if ev == wake {
+		return true
+	}
+	c.mu.Unlock()
+	ev.Fn()
+	c.mu.Lock()
+	return false
 }
 
 // pendingLocked counts scheduled, unfired events across every queue.
@@ -118,9 +101,9 @@ func (c *VirtualClock) pendingLocked() int {
 	return n
 }
 
-// Stop shuts the scheduler down. Pending events never fire and blocked
-// sleepers are never woken, so stop only once every registered actor
-// has unregistered (tests typically defer Stop alongside Unregister).
+// Stop shuts the clock down: pending events never fire, a sleep in
+// progress returns after its current step, later sleeps return at once,
+// and a sharded clock's lane workers exit.
 func (c *VirtualClock) Stop() {
 	c.mu.Lock()
 	if !c.stopped {
@@ -129,59 +112,19 @@ func (c *VirtualClock) Stop() {
 			close(ln.work)
 		}
 	}
-	c.cond.Broadcast()
 	c.mu.Unlock()
 }
 
-// Register adds the calling goroutine to the actor set. Time cannot
-// advance while any registered actor is runnable.
-func (c *VirtualClock) Register() {
-	c.mu.Lock()
-	c.actors++
-	c.runnable++
-	c.mu.Unlock()
-}
+// Register does nothing. It, Unregister and Drive are kept only because
+// the frozen benchmark harness still calls them; the clock has no actors
+// to register.
+func (c *VirtualClock) Register() {}
 
-// Unregister removes the calling goroutine from the actor set.
-func (c *VirtualClock) Unregister() {
-	c.mu.Lock()
-	c.actors--
-	c.runnable--
-	if c.actors < 0 {
-		c.mu.Unlock()
-		panic("simtime: Unregister without matching Register")
-	}
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
+// Unregister does nothing; see Register.
+func (c *VirtualClock) Unregister() {}
 
-// Drive registers the calling goroutine as a driving actor and returns
-// the release function that unregisters it and stops the clock — the
-// one-liner for scenario harnesses that own the clock:
-//
-//	clk := simtime.NewVirtual()
-//	defer clk.Drive()()
-//
-// The ordering matters (unregister before stop) and is encapsulated
-// here so call sites cannot get it wrong.
-func (c *VirtualClock) Drive() (release func()) {
-	c.Register()
-	return func() {
-		c.Unregister()
-		c.Stop()
-	}
-}
-
-// Go runs fn on a new registered goroutine, unregistering when it
-// returns. The actor is counted before Go returns, so time cannot slip
-// past the spawn.
-func (c *VirtualClock) Go(fn func()) {
-	c.Register()
-	go func() {
-		defer c.Unregister()
-		fn()
-	}()
-}
+// Drive returns Stop; see Register.
+func (c *VirtualClock) Drive() (release func()) { return c.Stop }
 
 // advanceLocked moves the clock forward to at; it never moves back.
 // Callers hold mu.
@@ -192,8 +135,8 @@ func (c *VirtualClock) advanceLocked(at time.Duration) {
 }
 
 // Now returns the current virtual time. It takes no lock, so any
-// goroutine may call it while the scheduler advances; successive calls
-// never go backwards.
+// goroutine may call it while a sleeper advances the clock; successive
+// calls never go backwards.
 func (c *VirtualClock) Now() time.Time {
 	return virtualEpoch.Add(time.Duration(c.now.Load()))
 }
@@ -217,14 +160,6 @@ func (c *VirtualClock) nextKeyLocked(origin Domain) uint64 {
 	return k
 }
 
-// scheduleLocked enqueues fn at now+d as a control-domain event of its
-// own. Callers must hold mu.
-func (c *VirtualClock) scheduleLocked(d time.Duration, fn func()) *Event {
-	ev := &Event{Fn: fn}
-	c.scheduleEventLocked(ev, Control, Control, d)
-	return ev
-}
-
 // scheduleEventLocked enqueues ev at now+d keyed as origin's next
 // event, routed to exec's queue. Callers must hold mu and must not be
 // inside a parallel window (window-context scheduling goes through the
@@ -241,14 +176,13 @@ func (c *VirtualClock) scheduleEventLocked(ev *Event, origin, exec Domain, d tim
 	c.pushLocked(ev)
 }
 
-// pushLocked routes ev to its queue and wakes the scheduler.
+// pushLocked routes ev to its queue.
 func (c *VirtualClock) pushLocked(ev *Event) {
 	if ev.lane >= 0 {
 		c.lanes[ev.lane].q.push(ev)
 	} else {
 		c.q.push(ev)
 	}
-	c.cond.Broadcast()
 }
 
 // removeLocked cancels ev wherever it lives.
@@ -259,186 +193,64 @@ func (c *VirtualClock) removeLocked(ev *Event) bool {
 	return c.q.remove(ev)
 }
 
-// Sleep blocks the calling actor for d of virtual time. The wake-up is
-// an ordinary control event: sleeps expiring at the same instant as
-// other work interleave in deterministic key order.
-//
-// The caller must be a registered actor. The panic below is a
-// best-effort guard: it fires only when every registered actor is
-// already blocked, because the clock tracks counts, not goroutine
-// identities — a Sleep from an unregistered goroutine while some actor
-// is still runnable is undetectable here and corrupts quiescence
-// accounting. Keep the registration discipline.
-func (c *VirtualClock) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	ch := make(chan struct{})
-	c.mu.Lock()
-	if c.runnable < 1 {
-		c.mu.Unlock()
-		panic(fmt.Sprintf("simtime: Sleep(%v) on virtual clock from unregistered goroutine", d))
-	}
-	// The wake-up increments runnable before the sleeper can resume, so
-	// the scheduler never advances past a wake it just delivered.
-	c.scheduleLocked(d, func() {
-		c.mu.Lock()
-		c.runnable++
-		c.mu.Unlock()
-		close(ch)
-	})
-	c.runnable--
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	<-ch
-}
+// Sleep advances the clock by d, running every event due before the
+// caller's wake-up on the calling goroutine. The wake-up is an ordinary
+// control event: events at the same instant as it but behind it in key
+// order fire only when someone sleeps again.
+func (c *VirtualClock) Sleep(d time.Duration) { c.SleepOrDone(d, nil) }
 
-// sodWaiter is one SleepOrDone sleeper: a pending timer event plus a
-// private wake channel. Exactly one waker — the timer event, Signal, or
-// the sleeper's own done-receive — flips woken under the clock mutex and
-// closes wake.
-type sodWaiter struct {
-	ev    *Event
-	wake  chan struct{}
-	woken bool
-	fired bool // the timer path woke it (done did not fire first)
-}
-
-// SleepOrDone blocks the calling actor until d of virtual time passes or
-// done fires, whichever comes first, reporting whether done won. Like
-// Sleep it is a tracked wait: the scheduler sees the sleeper as blocked,
-// so quiescence detection keeps working while migration handoffs (or any
-// cancellable waits) are parked here.
-//
-// Two wake paths exist for done. Signal(done) wakes the sleeper under
-// the clock mutex in the same instant as the close — fully deterministic.
-// A direct close(done) also wakes it (via an ordinary select), but the
-// scheduler may fire already-queued events before the sleeper resumes,
-// so the virtual instant it observes on wake-up can trail the close.
-// Prefer Signal when determinism matters.
+// SleepOrDone is Sleep that also ends, reporting true, right after the
+// step whose event closed done, at that event's instant; a done closed
+// before the call ends it at once. Close done from an event or before
+// the call: a close from another goroutine is seen only between events.
 func (c *VirtualClock) SleepOrDone(d time.Duration, done <-chan struct{}) bool {
-	if done != nil {
-		select {
-		case <-done:
-			return true
-		default:
-		}
+	if isClosed(done) {
+		return true
 	}
 	if d <= 0 {
 		return false
 	}
-	w := &sodWaiter{wake: make(chan struct{})}
+	c.drive.Lock()
+	defer c.drive.Unlock()
+	// mu is not deferred: the step releases it while an event runs, and an
+	// event's panic must reach the caller, not an unlock of an unlocked
+	// mutex.
 	c.mu.Lock()
-	if c.runnable < 1 {
-		c.mu.Unlock()
-		panic(fmt.Sprintf("simtime: SleepOrDone(%v) on virtual clock from unregistered goroutine", d))
+	wake := &c.wake
+	if wake.where != evIdle {
+		// Still queued: an event's panic cut the last sleep short.
+		c.removeLocked(wake)
 	}
-	w.ev = c.scheduleLocked(d, func() {
-		c.mu.Lock()
-		if w.woken {
+	c.scheduleEventLocked(wake, Control, Control, d)
+	doneFired := false
+	for !c.stopped && !doneFired {
+		if c.stepLocked(wake) {
 			c.mu.Unlock()
-			return
+			return false
 		}
-		w.woken = true
-		w.fired = true
-		c.dropWaiterLocked(done, w)
-		c.runnable++
-		c.mu.Unlock()
-		close(w.wake)
-	})
-	if done != nil {
-		if c.waiters == nil {
-			c.waiters = make(map[<-chan struct{}][]*sodWaiter)
-		}
-		c.waiters[done] = append(c.waiters[done], w)
+		doneFired = isClosed(done)
 	}
-	c.runnable--
-	c.cond.Broadcast()
+	c.removeLocked(wake)
 	c.mu.Unlock()
+	return doneFired
+}
 
+// isClosed reports whether done has fired; a nil done never has.
+func isClosed(done <-chan struct{}) bool {
 	select {
-	case <-w.wake:
-		return !w.fired
 	case <-done:
-		// Direct close (not via Signal): claim the wake ourselves unless
-		// the timer or Signal already did.
-		c.mu.Lock()
-		if w.woken {
-			c.mu.Unlock()
-			<-w.wake
-			return !w.fired
-		}
-		w.woken = true
-		c.removeLocked(w.ev)
-		c.dropWaiterLocked(done, w)
-		c.runnable++
-		c.cond.Broadcast()
-		c.mu.Unlock()
-		close(w.wake)
 		return true
+	default:
+		return false
 	}
 }
 
-// dropWaiterLocked removes w from the done channel's waiter list. Callers
-// hold mu.
-func (c *VirtualClock) dropWaiterLocked(done <-chan struct{}, w *sodWaiter) {
-	if done == nil {
-		return
-	}
-	ws := c.waiters[done]
-	for i, o := range ws {
-		if o == w {
-			c.waiters[done] = append(ws[:i], ws[i+1:]...)
-			break
-		}
-	}
-	if len(c.waiters[done]) == 0 {
-		delete(c.waiters, done)
-	}
-}
-
-// Signal closes ch after synchronously waking every SleepOrDone sleeper
-// parked on it: cancelled timers are removed and the sleepers become
-// runnable under the clock mutex, so the scheduler cannot advance virtual
-// time between the signal and the wake-ups. This is the deterministic way
-// to cancel a tracked wait; ch must not be closed by anyone else.
-func (c *VirtualClock) Signal(ch chan struct{}) {
-	var recv <-chan struct{} = ch
-	c.mu.Lock()
-	ws := c.waiters[recv]
-	delete(c.waiters, recv)
-	claimed := ws[:0]
-	for _, w := range ws {
-		if w.woken {
-			continue
-		}
-		w.woken = true
-		c.removeLocked(w.ev)
-		c.runnable++
-		claimed = append(claimed, w)
-	}
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	close(ch)
-	for _, w := range claimed {
-		close(w.wake)
-	}
-}
-
-// After returns a channel receiving the virtual timestamp once d has
-// passed. See the Clock interface note: the receive is untracked.
-func (c *VirtualClock) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	c.AfterFunc(d, func() { ch <- c.Now() })
-	return ch
-}
-
-// AfterFunc schedules fn to run on the scheduler goroutine after d of
-// virtual time, keyed to the Control domain. Shard-context code (event
-// handlers acting as a node) must use ScheduleDomain instead; calling
-// AfterFunc from inside a parallel window panics, because the control
-// queue is coordinator-owned during windows.
-func (c *VirtualClock) AfterFunc(d time.Duration, fn func()) Timer {
+// AfterFunc schedules fn to run after d of virtual time, keyed to the
+// Control domain, and returns the Event that cancels it. Shard-context
+// code (event handlers acting as a node) must use ScheduleDomain
+// instead; calling AfterFunc from inside a parallel window panics,
+// because the control queue is coordinator-owned during windows.
+func (c *VirtualClock) AfterFunc(d time.Duration, fn func()) *Event {
 	if c.inWindow.Load() {
 		panic("simtime: AfterFunc inside a parallel window; use ScheduleDomain with the acting node's domain")
 	}
@@ -447,8 +259,8 @@ func (c *VirtualClock) AfterFunc(d time.Duration, fn func()) Timer {
 
 // ScheduleDomain is ScheduleEvent on a fresh Event that runs fn — the
 // one allocation a fire-and-forget schedule costs — returned as the
-// Timer that cancels it.
-func (c *VirtualClock) ScheduleDomain(origin, exec Domain, d time.Duration, fn func()) Timer {
+// handle that cancels it.
+func (c *VirtualClock) ScheduleDomain(origin, exec Domain, d time.Duration, fn func()) *Event {
 	ev := &Event{Fn: fn}
 	c.ScheduleEvent(ev, origin, exec, d)
 	return ev

@@ -119,7 +119,7 @@ func (q *wheelQueue) insert(ev *Event) {
 	t := q.tickOf(ev.at)
 	if t < q.horizon {
 		// Already inside the ready window (a zero-delay schedule, or a
-		// schedule from an actor whose `now` trails the horizon): the
+		// schedule from code whose `now` trails the horizon): the
 		// exact heap absorbs it and ordering stays global.
 		readyPush(&q.ready, ev)
 		return

@@ -102,7 +102,8 @@ func TestWheelQueueDifferential(t *testing.T) {
 // clockScript drives one VirtualClock through a deterministic
 // pseudo-random workload covering the full scheduling surface —
 // AfterFunc fires, timer Stop (both successful and too-late), Sleep,
-// SleepOrDone won by the timer, and SleepOrDone cancelled via Signal —
+// SleepOrDone won by the timer, and SleepOrDone cut short by an event
+// closing its channel —
 // and returns the observed event log. Every log line embeds the virtual
 // timestamp, so two clocks agree only if their fire orders are
 // identical down to (timestamp, seq) ties.
@@ -116,10 +117,8 @@ func clockScript(clk *VirtualClock, seed int64) []string {
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	release := clk.Drive()
-	defer release()
 
-	var timers []Timer
+	var timers []*Event
 	for i := 0; i < 400; i++ {
 		id := i
 		switch rng.Intn(6) {
@@ -136,12 +135,12 @@ func clockScript(clk *VirtualClock, seed int64) []string {
 			logf("slept %d", id)
 		case 4: // SleepOrDone won by the timer (signal arrives later)
 			ch := make(chan struct{})
-			clk.AfterFunc(time.Duration(1500+rng.Intn(500))*time.Microsecond, func() { clk.Signal(ch) })
+			clk.AfterFunc(time.Duration(1500+rng.Intn(500))*time.Microsecond, func() { close(ch) })
 			got := clk.SleepOrDone(time.Duration(rng.Intn(1000))*time.Microsecond, ch)
 			logf("sod-timer %d = %v", id, got)
-		default: // SleepOrDone cancelled by Signal
+		default: // SleepOrDone cut short by the close
 			ch := make(chan struct{})
-			clk.AfterFunc(time.Duration(rng.Intn(500))*time.Microsecond, func() { clk.Signal(ch) })
+			clk.AfterFunc(time.Duration(rng.Intn(500))*time.Microsecond, func() { close(ch) })
 			got := clk.SleepOrDone(time.Duration(1000+rng.Intn(1000))*time.Microsecond, ch)
 			logf("sod-signal %d = %v", id, got)
 		}

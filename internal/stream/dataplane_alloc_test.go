@@ -70,8 +70,7 @@ func TestJoinWindowSteadyStateDoesNotAllocate(t *testing.T) {
 // the join to the sink inside its overlay message, by value, so a
 // running 2-way join circuit costs (next to) nothing per message — on
 // the single queue and on 4 lanes, where most sends cross lanes. What is
-// left is the sink histogram's sample slice doubling and the Sleep's own
-// channel, closure and event.
+// left is the sink histogram's sample slice doubling.
 func TestJoinCircuitAllocCeiling(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("lanes=%d", shards), func(t *testing.T) {
@@ -117,8 +116,8 @@ func TestProducerStepDoesNotAllocateEvents(t *testing.T) {
 	if steps := (tuples - before) / (runs + 1); steps != 10_000 {
 		t.Fatalf("%d producer steps per window, want 10000", steps)
 	}
-	if perRun > 10 { // the Sleep's channel, closure and event
-		t.Fatalf("%v allocations over 10k producer steps, want only the Sleep's own", perRun)
+	if perRun != 0 {
+		t.Fatalf("%v allocations over 10k producer steps, want 0", perRun)
 	}
 }
 

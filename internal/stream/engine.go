@@ -502,11 +502,10 @@ func (r *Running) emitFor(idx int) Emit {
 }
 
 // produceInterval returns the clock duration between tuples for a
-// simulated rate: one tuple every TupleSizeKB/rate simulated seconds,
-// scaled by the runtime's time scale.
+// simulated rate: one tuple every TupleSizeKB/rate simulated seconds.
 func (e *Engine) produceInterval(rateKBs float64) time.Duration {
 	simSec := e.cfg.TupleSizeKB / rateKBs
-	interval := time.Duration(simSec * 1000 * float64(e.net.Config().TimeScale))
+	interval := time.Duration(simSec * 1000 * float64(time.Millisecond))
 	if interval <= 0 {
 		interval = time.Microsecond
 	}
@@ -517,9 +516,8 @@ func (e *Engine) produceInterval(rateKBs float64) time.Duration {
 // itself every interval. Each halts on its own — the zombie trim stops
 // the producers that only feed a cancelled circuit's private services
 // (by svc, the source's service index) while shared subtrees keep
-// flowing. The mutex covers the stop/reschedule handshake; under the
-// registered-actor discipline the scheduler is parked while the driver
-// tears down, so contention is nil.
+// flowing. The mutex covers the stop/reschedule handshake; no event
+// runs while code between sleeps tears down, so contention is nil.
 type producer struct {
 	svc     int
 	mu      sync.Mutex

@@ -68,16 +68,14 @@ func newEngineSetupLanes(t *testing.T, seed int64, shards int) *engineSetup {
 		for i := range laneOf {
 			laneOf[i] = int32(i % shards)
 		}
-		clk.ShardLanes(laneOf, shards, time.Duration(topo.MinEdgeLatency()*float64(ncfg.TimeScale)))
+		clk.ShardLanes(laneOf, shards, time.Duration(topo.MinEdgeLatency()*float64(time.Millisecond)))
 		ncfg.DataShards, ncfg.ShardOf = shards, laneOf
 	}
-	clk.Register()
 	net := overlay.NewNetwork(topo, ncfg)
 	eng := NewEngine(net, topo, DefaultEngineConfig())
 	t.Cleanup(func() {
 		eng.Close()
 		net.Stop()
-		clk.Unregister()
 		clk.Stop()
 	})
 	return &engineSetup{env: env, net: net, engine: eng, clk: clk}
@@ -95,7 +93,7 @@ func (s *engineSetup) optimize(t *testing.T, q query.Query) *optimizer.Circuit {
 // runSim advances the simulation by the given number of simulated
 // seconds (instant under the virtual clock).
 func (s *engineSetup) runSim(simSeconds float64) {
-	s.clk.Sleep(time.Duration(simSeconds * 1000 * float64(s.net.Config().TimeScale)))
+	s.clk.Sleep(time.Duration(simSeconds * 1000 * float64(time.Millisecond)))
 }
 
 func TestEngineDeliversFilteredStream(t *testing.T) {

@@ -76,8 +76,8 @@ type Migration struct {
 	buf       *migBuffer
 	fwd       atomic.Int64
 	cutoverAt time.Time
-	cutTimer  simtime.Timer
-	tearTimer simtime.Timer
+	cutTimer  *simtime.Event
+	tearTimer *simtime.Event
 	done      chan struct{}
 	doneOnce  sync.Once
 	sp        trace.Span
@@ -173,9 +173,8 @@ func (e *Engine) MigrateUnder(parent trace.Span, id query.QueryID, svc int, to t
 		cutMs = stateLat + migrationMargin
 	}
 	tearMs := maxUp + migrationMargin
-	scale := float64(e.net.Config().TimeScale)
-	cutDelay := time.Duration(cutMs * scale)
-	tearDelay := time.Duration(tearMs * scale)
+	cutDelay := time.Duration(cutMs * float64(time.Millisecond))
+	tearDelay := time.Duration(tearMs * float64(time.Millisecond))
 
 	now := e.clock.Now()
 	m := &Migration{

@@ -2,8 +2,8 @@
 // layer of the system (optimizer sweeps, the stream engine's tuple
 // path, migrations, the adaptation loop, DHT lookups, fault injection,
 // the failure detector) emits events and spans into one Tracer, stamped
-// by the layer's clock. Under a virtual clock (package simtime) the
-// whole run is serialized on the scheduler goroutine, so same-seed runs
+// by the layer's clock. Under the virtual clock (package simtime) the
+// whole run is serialized in event-key order, so same-seed runs
 // produce bit-identical trace output — the exporters (export.go) are
 // careful to keep serialization deterministic too (ordered args, fixed
 // float formatting, no map iteration).
@@ -102,7 +102,7 @@ type Event struct {
 // New. A nil *Tracer is the disabled tracer: every method on it is a
 // no-op (Sample reports false), so callers never need to branch.
 type Tracer struct {
-	clock simtime.Clock
+	clock *simtime.VirtualClock
 	start time.Time
 
 	// sampleEvery gates high-frequency event classes (tuple hops, fault
@@ -135,13 +135,13 @@ const DefaultSampleEvery = 64
 // DefaultLimit is the default event-buffer cap.
 const DefaultLimit = 1 << 20
 
-// New builds a tracer stamping events with the given clock (nil means
-// the real clock). Pass the same clock that drives the runtime being
-// traced: under a virtual clock, timestamps are exact simulated time
-// and same-seed runs trace bit-identically.
-func New(clock simtime.Clock) *Tracer {
+// New builds a tracer stamping events with the given clock. Pass the
+// clock the traced runtime runs on, so timestamps are exact simulated
+// time and same-seed runs trace bit-identically. A nil clock is one
+// that never advances: every event is stamped 0 until Rebase.
+func New(clock *simtime.VirtualClock) *Tracer {
 	if clock == nil {
-		clock = simtime.Real()
+		clock = simtime.NewVirtual()
 	}
 	return &Tracer{
 		clock:       clock,
@@ -421,7 +421,7 @@ func (t *Tracer) Events() []Event {
 // build their own virtual clock call this on caller-provided tracers
 // so events stamp simulated time instead of a clock that never
 // advances. Call before any events are recorded.
-func (t *Tracer) Rebase(clock simtime.Clock) {
+func (t *Tracer) Rebase(clock *simtime.VirtualClock) {
 	if t == nil || clock == nil {
 		return
 	}

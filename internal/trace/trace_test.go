@@ -253,11 +253,32 @@ func TestResetClearsBuffer(t *testing.T) {
 	}
 }
 
+// TestNilClockStampsZeroUntilRebase: a tracer built without a clock
+// stamps every event 0, however much wall time passes, until Rebase
+// points it at a clock that moves.
+func TestNilClockStampsZeroUntilRebase(t *testing.T) {
+	tr := New(nil)
+	tr.Emit("c", "first")
+	time.Sleep(2 * time.Millisecond)
+	tr.Emit("c", "later")
+	clk := simtime.NewVirtual()
+	defer clk.Stop()
+	clk.Sleep(time.Second)
+	tr.Rebase(clk)
+	clk.Sleep(5 * time.Millisecond)
+	tr.Emit("c", "rebased")
+	evs := tr.Events()
+	for i, want := range []time.Duration{0, 0, 5 * time.Millisecond} {
+		if evs[i].T != want {
+			t.Fatalf("event %q stamped %v, want %v", evs[i].Name, evs[i].T, want)
+		}
+	}
+}
+
 // emitFixture drives an identical deterministic event sequence into tr:
 // the streaming-vs-buffered byte-equality test runs it twice.
 func emitFixture(tr *Tracer, clk *simtime.VirtualClock) {
-	stop := clk.Drive()
-	defer stop()
+	defer clk.Stop()
 	for i := 0; i < 200; i++ {
 		tr.Emit("engine", "tuple", Int("hop", i), Str("q", "π-\"quoted\"\n"))
 		sp := tr.Begin("adapt", "sweep", Num("thr", 1.05))

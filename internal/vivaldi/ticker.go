@@ -12,8 +12,8 @@ import (
 // Ticker maintains a Vivaldi embedding as a background process on a
 // clock: every interval it runs one gossip round (each node samples
 // random peers), the way a deployed overlay continuously refreshes its
-// coordinates rather than batch-embedding them. On a virtual clock
-// (package simtime) rounds are events on the simulation heap — a
+// coordinates rather than batch-embedding them. Rounds are events on
+// the virtual clock (package simtime) — a
 // thousand simulated update rounds cost only their compute time, and a
 // fixed seed reproduces the coordinate trajectory exactly.
 type Ticker struct {
@@ -23,16 +23,17 @@ type Ticker struct {
 	samples int
 	rng     *rand.Rand
 
-	clock    simtime.Clock
+	clock    *simtime.VirtualClock
 	interval time.Duration
-	timer    simtime.Timer
+	timer    *simtime.Event
 	running  bool
 	rounds   int
 }
 
 // NewTicker builds a stopped ticker over n nodes whose pairwise
-// latencies come from lat. Call Start to begin rounds on the clock.
-func NewTicker(n int, lat LatencyFunc, cfg Config, samplesPerRound int, interval time.Duration, clock simtime.Clock, rng *rand.Rand) (*Ticker, error) {
+// latencies come from lat. Call Start to begin rounds on the clock,
+// which must not be nil.
+func NewTicker(n int, lat LatencyFunc, cfg Config, samplesPerRound int, interval time.Duration, clock *simtime.VirtualClock, rng *rand.Rand) (*Ticker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -46,7 +47,7 @@ func NewTicker(n int, lat LatencyFunc, cfg Config, samplesPerRound int, interval
 		return nil, fmt.Errorf("vivaldi: interval %v, need > 0", interval)
 	}
 	if clock == nil {
-		clock = simtime.Real()
+		return nil, fmt.Errorf("vivaldi: ticker needs a clock")
 	}
 	nodes, err := newNodes(n, cfg, rng)
 	if err != nil {

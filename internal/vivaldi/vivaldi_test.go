@@ -314,8 +314,6 @@ func TestTickerMatchesEmbedRoundForRound(t *testing.T) {
 
 	clk := simtime.NewVirtual()
 	defer clk.Stop()
-	clk.Register()
-	defer clk.Unregister()
 	tk, err := NewTicker(n, lat, DefaultConfig(), samples, time.Second, clk, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
@@ -347,16 +345,24 @@ func TestTickerMatchesEmbedRoundForRound(t *testing.T) {
 func TestTickerValidation(t *testing.T) {
 	lat := func(i, j int) float64 { return 1 }
 	rng := rand.New(rand.NewSource(1))
-	if _, err := NewTicker(1, lat, DefaultConfig(), 4, time.Second, nil, rng); err == nil {
+	clk := simtime.NewVirtual()
+	defer clk.Stop()
+	if _, err := NewTicker(4, lat, DefaultConfig(), 4, time.Second, clk, rng); err != nil {
+		t.Fatalf("valid ticker rejected: %v", err)
+	}
+	if _, err := NewTicker(1, lat, DefaultConfig(), 4, time.Second, clk, rng); err == nil {
 		t.Fatal("1-node ticker accepted")
 	}
-	if _, err := NewTicker(4, lat, DefaultConfig(), 0, time.Second, nil, rng); err == nil {
+	if _, err := NewTicker(4, lat, DefaultConfig(), 0, time.Second, clk, rng); err == nil {
 		t.Fatal("0 samples accepted")
 	}
-	if _, err := NewTicker(4, lat, DefaultConfig(), 4, 0, nil, rng); err == nil {
+	if _, err := NewTicker(4, lat, DefaultConfig(), 4, 0, clk, rng); err == nil {
 		t.Fatal("0 interval accepted")
 	}
-	if _, err := NewTicker(4, lat, Config{}, 4, time.Second, nil, rng); err == nil {
+	if _, err := NewTicker(4, lat, Config{}, 4, time.Second, clk, rng); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+	if _, err := NewTicker(4, lat, DefaultConfig(), 4, time.Second, nil, rng); err == nil {
+		t.Fatal("ticker without a clock accepted")
 	}
 }

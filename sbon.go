@@ -127,7 +127,11 @@ type (
 	RepairStats = adapt.RepairStats
 )
 
-// Options configures a System.
+// Options configures a System. The System's calls that advance the
+// clock (RunFor, Adapt, AdaptContinuously, AdaptWithRepair, Evacuate)
+// run the simulation's events on the calling goroutine. Callers on
+// several goroutines take turns: one sleeps through the clock while the
+// others wait for it.
 type Options struct {
 	// Seed drives all randomness (topology, coordinates, loads).
 	Seed int64
@@ -193,9 +197,6 @@ func New(opts Options) (*System, error) {
 		Streams:    workload.StreamConfig{DefaultSel: opts.DefaultJoinSelectivity},
 		UseDHT:     !opts.DisableDHT,
 		DataShards: opts.DataShards,
-		// The facade's methods may be called from several goroutines, so
-		// each registers itself around its waits on the clock.
-		Clock: scenario.SharedVirtual,
 	}
 	if spec.Topology.TotalNodes() == 0 {
 		spec.Topology = topology.DefaultConfig()
@@ -388,7 +389,6 @@ func (s *System) Adapt(opts AdaptOptions) ([]AdaptStats, error) {
 		sweeps = 1
 	}
 	co := s.coordinator(opts)
-	defer s.drive()()
 	out := make([]AdaptStats, 0, sweeps)
 	for i := 0; i < sweeps; i++ {
 		st, err := co.Sweep(nil)
@@ -409,14 +409,13 @@ func (s *System) Adapt(opts AdaptOptions) ([]AdaptStats, error) {
 // sweep; later rounds cost O(delta), so a quiet overlay re-plans
 // nothing.
 //
-// The call blocks until stop fires. It is deterministic: fire stop
-// through the clock (StopAfter) and same-seed runs reproduce
-// bit-identical round statistics. The coordinator's incremental watermark persists
+// The call runs the clock until stop fires. It is deterministic: close
+// stop from a clock event (StopAfter) and same-seed runs reproduce
+// bit-identical round statistics; a close from another goroutine is seen
+// only between events. The coordinator's incremental watermark persists
 // across Adapt and AdaptContinuously calls on the same System.
 func (s *System) AdaptContinuously(interval time.Duration, stop <-chan struct{}, opts AdaptOptions) (AdaptRunStats, error) {
-	co := s.coordinator(opts)
-	defer s.drive()()
-	return co.Run(interval, stop)
+	return s.coordinator(opts).Run(interval, stop)
 }
 
 // Evacuate force-migrates every service off the given nodes (graceful
@@ -428,7 +427,6 @@ func (s *System) Evacuate(nodes []NodeID) (AdaptStats, error) {
 	for _, n := range nodes {
 		opts.Exclude[n] = true
 	}
-	defer s.drive()()
 	return s.coordinator(opts).Evacuate(nodes, nil)
 }
 
@@ -483,20 +481,19 @@ func (s *System) AdaptWithRepair(interval time.Duration, stop <-chan struct{}, o
 	if co.TicketTTL <= 0 {
 		co.TicketTTL = 5 * time.Second
 	}
-	defer s.drive()()
 	return co.RunWithRepair(s.w.Detector, interval, stop)
 }
 
-// StopAfter returns a channel signalled after simSeconds of simulated
-// time — a deterministic stop trigger for AdaptContinuously and
-// AdaptWithRepair: the signal is a discrete event of the clock.
+// StopAfter returns a channel closed after simSeconds of simulated time
+// — a deterministic stop trigger for AdaptContinuously and
+// AdaptWithRepair: the close is an event of the clock, so the loop
+// sleeping on it stops at that instant.
 func (s *System) StopAfter(simSeconds float64) (<-chan struct{}, error) {
 	if s.w.Net == nil {
 		return nil, fmt.Errorf("sbon: engine not started; call StartEngine first")
 	}
 	stop := make(chan struct{})
-	clk := s.w.Clock
-	clk.AfterFunc(time.Duration(simSeconds*1000*float64(scenario.TimeScale)), func() { clk.Signal(stop) })
+	s.w.Clock.AfterFunc(time.Duration(simSeconds*1000*float64(time.Millisecond)), func() { close(stop) })
 	return stop, nil
 }
 
@@ -609,17 +606,8 @@ func (s *System) RunFor(simSeconds float64) error {
 	if s.w.Net == nil {
 		return fmt.Errorf("sbon: engine not started; call StartEngine first")
 	}
-	defer s.drive()()
 	s.w.SimSleep(simSeconds)
 	return nil
-}
-
-// drive registers the calling goroutine as an actor of the clock for the
-// duration of a call that waits on it — settle waits and RunFor windows
-// are tracked sleeps — and returns the release.
-func (s *System) drive() (release func()) {
-	s.w.Clock.Register()
-	return s.w.Clock.Unregister
 }
 
 // Close shuts down the engine and overlay runtime if they were started,
