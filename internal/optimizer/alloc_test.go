@@ -119,6 +119,72 @@ func TestPlaceCachedPlanAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestPlanCacheHitAllocCeiling pins what a batch query answered from the
+// plan cache costs: the key is encoded into the worker's scratch and
+// looked up without materialising a string, so a hit pays only for the
+// cloned plan and the placed circuit. It took 15 allocations while the
+// key was formatted with fmt into a fresh string; it takes 9.
+func TestPlanCacheHitAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	env, queries := joinFixture(t, 2, 12)
+	snap := env.Freeze()
+	opt := NewIntegrated(snap)
+	cache := NewPlanCache()
+	for _, q := range queries {
+		if _, err := optimizeOne(snap, opt, cache, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(48, func() {
+		res, err := optimizeOne(snap, opt, cache, queries[i%len(queries)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.FromCache {
+			t.Fatalf("query %d missed the warm cache", queries[i%len(queries)].ID)
+		}
+		i++
+	})
+	t.Logf("cache hit: %.1f allocs", allocs)
+	if allocs > 10 {
+		t.Errorf("cache hit = %.1f allocs on a 2-stream query, ceiling 10 (15 with the fmt-built key)", allocs)
+	}
+
+	// The lookup costs exactly the plan clone it returns: encoding the
+	// key into the worker's scratch and probing the map with
+	// string(key.streams) allocate nothing, even for a key too long for
+	// the 32-byte stack buffer a non-escaping conversion may use.
+	key := &opt.state().key
+	cache.keyInto(key, snap.Snapshot, queries[0])
+	stored := cache.get(key)
+	if stored == nil {
+		t.Fatalf("query %d missed the warm cache", queries[0].ID)
+	}
+	q := queries[0]
+	q.Streams = []query.StreamID{6, 5, 4, 3, 2, 1}
+	q.FilterSel = map[query.StreamID]float64{}
+	for _, s := range q.Streams {
+		q.FilterSel[s] = 1 / (3 + float64(s))
+	}
+	cache.keyInto(key, snap.Snapshot, q)
+	if len(key.streams) <= 32 {
+		t.Fatalf("fixture: key %q fits the conversion's stack buffer", key.streams)
+	}
+	cache.Put(key.key(), stored)
+	var sink *query.PlanNode
+	clone := testing.AllocsPerRun(48, func() { sink = stored.Clone() })
+	lookup := testing.AllocsPerRun(48, func() {
+		cache.keyInto(key, snap.Snapshot, q)
+		sink = cache.get(key)
+	})
+	if sink == nil || lookup != clone {
+		t.Errorf("warm lookup = %.1f allocs, the plan clone alone %.1f: the key encoding or map probe allocates", lookup, clone)
+	}
+}
+
 // circuitBits flattens everything a Result's circuit holds into a
 // comparable form, floats by bit pattern.
 func circuitBits(r *Result) []uint64 {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/query"
 )
 
@@ -68,7 +69,7 @@ func OptimizeBatch(env *Env, queries []query.Query, opts BatchOptions) ([]Result
 		cache = nil
 	}
 
-	b := &batchPools{env: env, queries: queries, results: results, label: "batch"}
+	b := &batchPools{snap: freezeForBatch(env), queries: queries, results: results, label: "batch"}
 	b.run(nil, len(queries), workers, cache)
 	if b.firstErr != nil {
 		return nil, b.firstErr
@@ -76,10 +77,23 @@ func OptimizeBatch(env *Env, queries []query.Query, opts BatchOptions) ([]Result
 	return results, nil
 }
 
-// batchPools is what the worker pools of one batch share: the queries,
-// the result slots, and the first error, which stops every pool.
+// freezeForBatch returns the one snapshot every pool of a batch reads,
+// with its k-NN index built up front only if the batch's mapper reads
+// it, so the workers share one immutable index lock-free. The live env
+// is left as it was.
+func freezeForBatch(env *Env) *Env {
+	snap := env.Freeze()
+	if _, oracle := defaultMapper(env).(placement.OracleMapper); oracle {
+		snap.CostIndex()
+	}
+	return snap
+}
+
+// batchPools is what the worker pools of one batch share: the frozen
+// snapshot, the queries, the result slots, and the first error, which
+// stops every pool.
 type batchPools struct {
-	env     *Env
+	snap    *Env
 	queries []query.Query
 	results []Result
 	label   string // names the entry point in error text
@@ -90,22 +104,16 @@ type batchPools struct {
 }
 
 // run optimizes n queries — those at idxs, or all of them in order when
-// idxs is nil — with up to workers goroutines and returns when they are
-// done. The pool
-// freezes its own snapshot — private coordinate and load arrays — and
-// builds the snapshot's k-NN index up front, so its workers share one
-// immutable index lock-free instead of racing to build duplicates on
-// first use.
+// idxs is nil — on the batch's snapshot with up to workers goroutines
+// and returns when they are done.
 func (b *batchPools) run(idxs []int, n, workers int, cache *PlanCache) {
-	snap := b.env.Freeze()
-	snap.CostIndex()
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := min(workers, n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			opt := NewIntegrated(snap)
+			opt := NewIntegrated(b.snap)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n || b.stop.Load() {
@@ -114,7 +122,7 @@ func (b *batchPools) run(idxs []int, n, workers int, cache *PlanCache) {
 				if idxs != nil {
 					i = idxs[i]
 				}
-				res, err := optimizeOne(snap, opt, cache, b.queries[i])
+				res, err := optimizeOne(b.snap, opt, cache, b.queries[i])
 				if err != nil {
 					err = fmt.Errorf("optimizer: %s query %d (index %d): %w", b.label, b.queries[i].ID, i, err)
 					b.errOnce.Do(func() { b.firstErr = err })
@@ -130,20 +138,21 @@ func (b *batchPools) run(idxs []int, n, workers int, cache *PlanCache) {
 
 // optimizeOne answers one batch query: from the plan cache when the key
 // hits, with the full integrated optimization otherwise (feeding the
-// cache with the winner).
+// cache with the winner). The key is built in the worker's scratch.
 func optimizeOne(snap *Env, opt *Integrated, cache *PlanCache, q query.Query) (*Result, error) {
 	if cache == nil {
 		return opt.Optimize(q)
 	}
-	key := cache.KeyFor(snap.Snapshot, q)
-	if p := cache.Get(key); p != nil {
+	key := &opt.state().key
+	cache.keyInto(key, snap.Snapshot, q)
+	if p := cache.get(key); p != nil {
 		return placeCachedPlan(opt, q, p)
 	}
 	res, err := opt.Optimize(q)
 	if err != nil {
 		return nil, err
 	}
-	cache.Put(key, res.Circuit.Plan)
+	cache.Put(key.key(), res.Circuit.Plan)
 	return res, nil
 }
 

@@ -66,11 +66,21 @@ type integratedState struct {
 	model  LatencyModel
 	b      Builder
 	table  plan.Table
+	key    planKey // the batch worker's plan-cache key scratch
 }
 
 // NewIntegrated returns an integrated optimizer with default components.
 func NewIntegrated(env *Env) *Integrated {
 	return &Integrated{Env: env}
+}
+
+// defaultMapper is the mapper an Integrated over env uses when none is
+// set: the DHT mapper when env has a catalog, else the oracle.
+func defaultMapper(env *Env) placement.Mapper {
+	if cat := env.Catalog(); cat != nil {
+		return placement.DHTMapper{Catalog: cat}
+	}
+	return placement.OracleMapper{Source: env}
 }
 
 // state returns the optimizer's defaults and scratch, resolving them on
@@ -80,12 +90,9 @@ func (o *Integrated) state() *integratedState {
 		o.st = &integratedState{
 			enum:   plan.NewEnumerator(o.Env.Stats),
 			placer: placement.Relaxation{},
-			mapper: placement.OracleMapper{Source: o.Env},
+			mapper: defaultMapper(o.Env),
 			model:  CoordLatency{Env: o.Env},
 			b:      Builder{Env: o.Env},
-		}
-		if cat := o.Env.Catalog(); cat != nil {
-			o.st.mapper = placement.DHTMapper{Catalog: cat}
 		}
 	}
 	return o.st

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -184,27 +184,45 @@ type PlanCacheKey struct {
 	Cell     uint64
 }
 
-// CanonicalStreams encodes the parts of a query that determine its plan
-// space — sorted stream IDs with filter selectivities, plus the aggregate
-// fraction — so queries listing the same streams in different orders share
-// a cache key.
-func CanonicalStreams(q query.Query) string {
-	ids := append([]query.StreamID(nil), q.Streams...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var b strings.Builder
+// appendCanonicalStreams appends to dst the parts of a query that
+// determine its plan space — sorted stream IDs with filter selectivities
+// (6 significant digits), plus the aggregate fraction — so queries listing
+// the same streams in different orders share a cache key. Up to eight
+// streams are sorted on the stack.
+func appendCanonicalStreams(dst []byte, q query.Query) []byte {
+	var stack [8]query.StreamID
+	ids := append(stack[:0], q.Streams...)
+	slices.Sort(ids)
 	for i, s := range ids {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		fmt.Fprintf(&b, "%d", s)
+		dst = strconv.AppendInt(dst, int64(s), 10)
 		if sel, ok := q.FilterSel[s]; ok {
-			fmt.Fprintf(&b, "[%.6g]", sel)
+			dst = append(dst, '[')
+			dst = strconv.AppendFloat(dst, sel, 'g', 6, 64)
+			dst = append(dst, ']')
 		}
 	}
 	if q.AggregateFraction > 0 {
-		fmt.Fprintf(&b, "|agg=%.6g", q.AggregateFraction)
+		dst = append(dst, "|agg="...)
+		dst = strconv.AppendFloat(dst, q.AggregateFraction, 'g', 6, 64)
 	}
-	return b.String()
+	return dst
+}
+
+// planKey is a PlanCacheKey being probed: its stream encoding lives in a
+// buffer the batch worker reuses, so a lookup allocates nothing and only
+// storing a new entry turns it into a string.
+type planKey struct {
+	consumer topology.NodeID
+	streams  []byte
+	cell     uint64
+}
+
+// key materialises the probe as a map key.
+func (k *planKey) key() PlanCacheKey {
+	return PlanCacheKey{Consumer: k.consumer, Streams: string(k.streams), Cell: k.cell}
 }
 
 // gridCellKey hashes a cost-space point quantized onto a fixed grid —
@@ -234,7 +252,7 @@ func gridCellKey(p costspace.Point) uint64 {
 // lookups for the same (consumer, stream set, network-conditions cell)
 // with that plan so only placement has to be re-run.
 //
-// The cache is pinned to one environment's mutation epoch: KeyFor
+// The cache is pinned to one environment's mutation epoch: a lookup
 // flushes every entry when the snapshot's Epoch differs from the one the
 // entries were populated under. A plan enumerated under superseded
 // conditions (any load change, deploy, or re-embedding bumps the epoch)
@@ -259,16 +277,13 @@ func NewPlanCache() *PlanCache {
 	return &PlanCache{plans: make(map[PlanCacheKey]*query.PlanNode)}
 }
 
-// KeyFor builds the cache key for the query under the snapshot's current
-// conditions, flushing the cache first if the environment was mutated
-// since the entries were stored.
-func (pc *PlanCache) KeyFor(s *Snapshot, q query.Query) PlanCacheKey {
+// keyInto builds the query's key under the snapshot's current conditions
+// into k, flushing the cache first if the environment was mutated since
+// the entries were stored.
+func (pc *PlanCache) keyInto(k *planKey, s *Snapshot, q query.Query) {
 	pc.syncEpoch(s.epoch)
-	return PlanCacheKey{
-		Consumer: q.Consumer,
-		Streams:  CanonicalStreams(q),
-		Cell:     s.CellKey(q.Consumer),
-	}
+	k.consumer, k.cell = q.Consumer, s.CellKey(q.Consumer)
+	k.streams = appendCanonicalStreams(k.streams[:0], q)
 }
 
 // syncEpoch discards all entries when the environment's mutation epoch
@@ -288,13 +303,14 @@ func (pc *PlanCache) syncEpoch(epoch uint64) {
 	pc.mu.Unlock()
 }
 
-// Get returns a private clone of the cached plan for the key, or nil on a
+// get returns a private clone of the cached plan for the key, or nil on a
 // miss. Lookups take only the read lock (counters are atomic) and the
 // clone is taken outside it (stored plans are immutable once Put), so
-// concurrent hits neither serialize on the map nor on tree copying.
-func (pc *PlanCache) Get(k PlanCacheKey) *query.PlanNode {
+// concurrent hits neither serialize on the map nor on tree copying. The
+// key's string conversion inside the index expression does not allocate.
+func (pc *PlanCache) get(k *planKey) *query.PlanNode {
 	pc.mu.RLock()
-	p, ok := pc.plans[k]
+	p, ok := pc.plans[PlanCacheKey{Consumer: k.consumer, Streams: string(k.streams), Cell: k.cell}]
 	pc.mu.RUnlock()
 	if !ok {
 		pc.miss.Add(1)

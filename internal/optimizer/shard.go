@@ -15,8 +15,8 @@ import (
 // ShardedBatchOptions configures OptimizeBatchSharded.
 type ShardedBatchOptions struct {
 	// Shards is the number of cost-space regions (rounded down to a
-	// power of two; default 8). Each region gets its own frozen
-	// snapshot, plan cache, cost index, and worker pool.
+	// power of two; default 8). Each region gets its own plan cache and
+	// worker pool; every pool reads the batch's one frozen snapshot.
 	Shards int
 	// WorkersPerShard is the worker-pool size per active shard (default:
 	// GOMAXPROCS divided across the pools that have work, min 1).
@@ -123,16 +123,15 @@ func nodeRegions(env *Env, k int) ([]int32, error) {
 // regions. The space is split into K Hilbert-prefix regions; each query
 // whose footprint — consumer and every source-stream producer — falls in
 // one region is routed to that region's shard, which owns a private
-// frozen snapshot, plan cache, k-NN cost index, and worker pool.
-// Cross-region queries fall back to a global pool with the same
-// structure. Shards share nothing mutable, so the pools scale without
-// cache-lock or allocator contention on multi-core hosts.
+// plan cache and worker pool; cross-region queries fall back to a global
+// pool with the same structure.
 //
-// Every shard's snapshot is a full Freeze of the same environment, so a
-// query optimizes to the bit-identical Result it would get from
-// OptimizeBatch — regionality affects only which pool and cache serve
-// it, never the answer (TestOptimizeBatchShardedMatchesGlobal). Results
-// are returned in query order; the first error aborts all pools.
+// The batch freezes the environment once and every pool reads that
+// immutable snapshot, so a query optimizes to the bit-identical Result
+// it would get from OptimizeBatch — regionality affects only which pool
+// and cache serve it, never the answer
+// (TestOptimizeBatchShardedMatchesGlobal). Results are returned in query
+// order; the first error aborts all pools.
 //
 // The live Env must not be mutated while the batch runs, exactly as for
 // OptimizeBatch.
@@ -211,9 +210,7 @@ func OptimizeBatchSharded(env *Env, queries []query.Query, opts ShardedBatchOpti
 		}
 	}
 
-	// Each pool freezes its own snapshot and builds its own cost index,
-	// in parallel with the other pools' freezes.
-	b := &batchPools{env: env, queries: queries, results: results, label: "sharded batch"}
+	b := &batchPools{snap: freezeForBatch(env), queries: queries, results: results, label: "sharded batch"}
 	var wg sync.WaitGroup
 	runPool := func(idxs []int, cache *PlanCache) {
 		defer wg.Done()

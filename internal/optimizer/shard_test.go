@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/hourglass/sbon/internal/query"
@@ -9,9 +10,9 @@ import (
 // TestOptimizeBatchShardedMatchesGlobal is the shard-vs-global
 // equivalence guarantee: every query — region-local or fallback — must
 // produce the bit-identical placement and estimated usage it gets from
-// the single-pool OptimizeBatch, because every shard's snapshot is a
-// full freeze of the same environment. Runs with and without a DHT
-// catalog, with and without caches.
+// the single-pool OptimizeBatch, because every pool reads one full
+// freeze of the same environment. Runs with and without a DHT catalog,
+// with and without caches.
 func TestOptimizeBatchShardedMatchesGlobal(t *testing.T) {
 	for _, useDHT := range []bool{true, false} {
 		for _, noCache := range []bool{false, true} {
@@ -98,6 +99,107 @@ func TestShardedPlanCachePersists(t *testing.T) {
 	}
 	if hits != len(qs) {
 		t.Fatalf("second batch hit cache on %d/%d queries", hits, len(qs))
+	}
+}
+
+// TestBatchBuildsTheIndexOnlyForTheOracle is the one-view contract for
+// the k-NN index: under DHT mapping nothing reads it, so neither the
+// batch's snapshot nor the live env builds one; under the oracle the
+// snapshot builds it, or shares the live env's when that one is
+// epoch-current, and the live env is left as it was.
+func TestBatchBuildsTheIndexOnlyForTheOracle(t *testing.T) {
+	env, _ := testSetup(t, 7, true)
+	qs := batchQueries(env, 40)
+	b := &batchPools{snap: freezeForBatch(env), queries: qs, results: make([]Result, len(qs)), label: "test"}
+	b.run(nil, len(qs), 4, NewPlanCache())
+	if b.firstErr != nil {
+		t.Fatal(b.firstErr)
+	}
+	if _, _, err := OptimizeBatchSharded(env, qs, ShardedBatchOptions{Shards: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if b.snap.idx.Load() != nil || env.idx.Load() != nil {
+		t.Fatal("a DHT-mapped batch built a k-NN index nothing reads")
+	}
+
+	env, _ = testSetup(t, 7, false)
+	if _, _, err := OptimizeBatchSharded(env, qs, ShardedBatchOptions{Shards: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if env.idx.Load() != nil {
+		t.Fatal("an oracle-mapped batch built an index on the live env")
+	}
+	if freezeForBatch(env).idx.Load() == nil {
+		t.Fatal("an oracle-mapped batch snapshot has no index for its workers")
+	}
+	live := env.CostIndex()
+	if freezeForBatch(env).idx.Load() != live {
+		t.Fatal("the batch snapshot rebuilt the live env's epoch-current index")
+	}
+}
+
+// TestBatchAfterMutationMatchesFreshFreeze: load changes patch the live
+// env's index; the next batch must not read the patches and must answer
+// exactly what a sequential optimizer on a fresh Freeze does.
+func TestBatchAfterMutationMatchesFreshFreeze(t *testing.T) {
+	for _, useDHT := range []bool{false, true} {
+		env, _ := testSetup(t, 9, useDHT)
+		qs := batchQueries(env, 40)
+		caches := NewShardedPlanCache(4)
+		if _, _, err := OptimizeBatchSharded(env, qs, ShardedBatchOptions{Shards: 4, Caches: caches}); err != nil {
+			t.Fatal(err)
+		}
+		env.CostIndex() // as a sequential Optimize on the live env does
+		for i, n := range env.Topo.StubNodeIDs()[:5] {
+			env.SetBackgroundLoad(n, 0.2*float64(i))
+		}
+		if ix := env.idx.Load(); ix == nil || ix.NumPatched() == 0 {
+			t.Fatal("fixture: the load changes did not patch the live index")
+		}
+		if snap := freezeForBatch(env); !useDHT && snap.idx.Load().NumPatched() != 0 {
+			t.Fatal("the batch snapshot carries the live index's patches")
+		}
+		got, _, err := OptimizeBatchSharded(env, qs, ShardedBatchOptions{Shards: 4, Caches: caches})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewIntegrated(env.Freeze())
+		for i, q := range qs {
+			want, err := fresh.Optimize(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			circuitsEqual(t, i, &got[i], want)
+		}
+	}
+}
+
+// TestNodeRegionsReturnsACopy: what the exported NodeRegions returns is
+// the caller's; overwriting it must not move any query's routing.
+func TestNodeRegionsReturnsACopy(t *testing.T) {
+	env, _ := testSetup(t, 7, true)
+	qs := batchQueries(env, 60)
+	opts := ShardedBatchOptions{Shards: 4, NoCache: true}
+	_, before, err := OptimizeBatchSharded(env, qs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Routed[0] == len(qs) {
+		t.Fatal("fixture: every query routed to region 0, so overwriting with 0 proves nothing")
+	}
+	out, err := NodeRegions(env, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range out {
+		out[i] = 0
+	}
+	_, after, err := OptimizeBatchSharded(env, qs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Fallback != before.Fallback || !slices.Equal(after.Routed, before.Routed) {
+		t.Fatalf("routing moved after the caller overwrote NodeRegions' slice: %+v, was %+v", after, before)
 	}
 }
 

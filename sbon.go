@@ -280,7 +280,7 @@ func (s *System) OptimizeBatch(queries []Query, opts BatchOptions) ([]Result, er
 
 // OptimizeBatchSharded optimizes many queries over per-region shards:
 // the cost space is split into Hilbert-prefix regions, each with its own
-// frozen snapshot, plan cache, cost index, and worker pool; queries
+// plan cache and worker pool, all reading one frozen snapshot; queries
 // whose footprint spans regions run on a global fallback pool. Results
 // are bit-identical to OptimizeBatch. Unless opts.Caches (or NoCache)
 // is set, the System keeps one persistent sharded cache set per shard
