@@ -58,11 +58,13 @@ func joinFixture(t *testing.T, width, n int) (*Env, []query.Query) {
 }
 
 // TestOptimizeAllocCeilings pins what a cold query costs the allocator
-// once the optimizer is warm: one string per distinct sub-plan signature
-// and the one circuit that is returned — nothing per candidate plan.
-// Before the sub-plan table and the scratch circuits these fixtures took
-// 202, 1,505 and 14,947 allocations; they take 21, 54 and 267. Ceilings
-// are ~10 % above that; they are exact counts, not timings.
+// once the optimizer is warm: the one circuit that is returned, its plan
+// and the one signature string that plan is signed with — nothing per
+// candidate plan or sub-plan. Before the sub-plan table and the scratch
+// circuits these fixtures took 202, 1,505 and 14,947 allocations; with
+// one signature string per distinct sub-plan, 21, 54 and 267; now 12, 14
+// and 16. Ceilings are one above that; they are exact counts, not
+// timings.
 func TestOptimizeAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -70,7 +72,7 @@ func TestOptimizeAllocCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		width   int
 		ceiling float64
-	}{{3, 24}, {4, 60}, {5, 295}} {
+	}{{3, 13}, {4, 15}, {5, 17}} {
 		env, queries := joinFixture(t, tc.width, 12)
 		opt := NewIntegrated(env.Freeze())
 		opt.Mapper = placement.DHTMapper{Catalog: env.Catalog()}

@@ -72,18 +72,19 @@ type reuseFn func(n *query.PlanNode) *ServiceInstance
 // Reused subtrees become single pinned services with shared upstream
 // cost. The returned circuit has no virtual coordinates or physical
 // nodes for unpinned services yet. It is the caller's: nothing in it is
-// Builder scratch.
+// Builder scratch, and its plan and services are signed.
 func (b *Builder) Skeleton(q query.Query, root *query.PlanNode, reuse reuseFn) (*Circuit, error) {
 	c := new(Circuit)
 	if err := b.skeletonInto(c, q, root, reuse); err != nil {
 		return nil, err
 	}
+	c.sign()
 	return c, nil
 }
 
 // skeletonInto is Skeleton into c's own storage: whatever c held is
 // overwritten, and nothing is allocated when c has held a circuit this
-// large before.
+// large before. It signs nothing (see Circuit.sign).
 func (b *Builder) skeletonInto(c *Circuit, q query.Query, root *query.PlanNode, reuse reuseFn) error {
 	if root == nil {
 		return fmt.Errorf("optimizer: nil plan")
@@ -115,7 +116,7 @@ func planSize(n *query.PlanNode) int {
 // build appends the services and links of the sub-plan under n, children
 // first, and returns the index of n's own service.
 func (b *Builder) build(c *Circuit, n *query.PlanNode, reuse reuseFn) (int, error) {
-	svc := PlacedService{Plan: n, Signature: n.Signature(), OutRate: n.OutRate}
+	svc := PlacedService{Plan: n, OutRate: n.OutRate}
 	// Multi-query reuse: an existing instance serves this whole subtree.
 	if reuse != nil && n.Kind != query.KindSource {
 		if inst := reuse(n); inst != nil {
@@ -239,7 +240,7 @@ func (b *Builder) MapPhysical(c *Circuit, mapper placement.Mapper) (placement.Ma
 			continue
 		}
 		if len(s.Virtual) == 0 {
-			return agg, fmt.Errorf("optimizer: service %s has no virtual coordinate", s.Signature)
+			return agg, fmt.Errorf("optimizer: service %s has no virtual coordinate", s.Plan.Signature())
 		}
 		node, st, err := mapper.MapCoord(c.Query.Consumer, s.Virtual, nil)
 		if err != nil {

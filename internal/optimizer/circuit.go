@@ -75,7 +75,7 @@ func (c *Circuit) add(s PlacedService) int {
 // owned returns a copy of c that shares no storage with it, nor its plan
 // with any other plan: a circuit evaluated on scratch, or planned over
 // the shared sub-plans of an enumeration, becomes a result that can be
-// kept while the scratch is reused.
+// kept while the scratch is reused. It is signed, on its private plan.
 func (c *Circuit) owned() *Circuit {
 	out := &Circuit{
 		Query: c.Query, Links: append([]Link(nil), c.Links...),
@@ -94,7 +94,19 @@ func (c *Circuit) owned() *Circuit {
 	}
 	out.Plan = c.Plan.Clone()
 	out.replan(c.Plan, out.Plan, 0)
+	out.sign()
 	return out
+}
+
+// sign signs the plan, one string for the whole tree, and gives each
+// service its node's. Circuits are signed as they leave the Builder.
+func (c *Circuit) sign() {
+	c.Plan.Signature()
+	for _, s := range c.Services {
+		if s.Plan != nil {
+			s.Signature = s.Plan.Signature()
+		}
+	}
 }
 
 // replan re-points the services at the nodes of to, a clone of the plan

@@ -138,17 +138,18 @@ func (o *Integrated) Optimize(q query.Query) (*Result, error) {
 }
 
 // buildPlaceMap runs the skeleton → virtual placement → physical mapping
-// pipeline for one plan and returns the circuit, which is the caller's.
+// pipeline for one plan and returns the circuit, signed and the caller's.
 func buildPlaceMap(b *Builder, q query.Query, p *query.PlanNode, placer placement.VirtualPlacer, mapper placement.Mapper) (*Circuit, placement.MapStats, error) {
 	c := new(Circuit)
 	stats, err := b.buildPlaceMapInto(c, q, p, placer, mapper)
 	if err != nil {
 		return nil, placement.MapStats{}, err
 	}
+	c.sign()
 	return c, stats, nil
 }
 
-// buildPlaceMapInto is the pipeline into c's own storage (see
+// buildPlaceMapInto is the pipeline into c's own storage, unsigned (see
 // skeletonInto).
 func (b *Builder) buildPlaceMapInto(c *Circuit, q query.Query, p *query.PlanNode, placer placement.VirtualPlacer, mapper placement.Mapper) (placement.MapStats, error) {
 	if err := b.skeletonInto(c, q, p, nil); err != nil {

@@ -291,13 +291,17 @@ func (r Relaxation) PlaceVirtual(p *Problem) error {
 
 // relax sweeps a prepared problem, moving each unpinned vertex to the
 // weighted centroid of its neighbors, until no vertex moves farther than
-// tol or maxIter sweeps are done. With eps == 0 a link weighs its rate
-// (the spring model); with eps > 0 it weighs rate/√(dist²+eps²), the
-// reweighting that makes the same sweep minimize Σ rate·dist instead.
-func (p *Problem) relax(maxIter int, tol, eps float64) {
+// tol or maxIter sweeps are done, and returns the sweeps it made. With
+// eps == 0 a link weighs its rate (the spring model); with eps > 0 it
+// weighs rate/√(dist²+eps²), the reweighting that makes the same sweep
+// minimize Σ rate·dist instead.
+//
+// A sweep keeps the largest squared move and takes one root at its end:
+// √ is monotone, so √(max ss) is bit for bit the largest move.
+func (p *Problem) relax(maxIter int, tol, eps float64) int {
 	num := p.acc
 	for iter := 0; iter < maxIter; iter++ {
-		maxMove := 0.0
+		maxSS := 0.0
 		for vi := range p.Vertices {
 			v, adj := &p.Vertices[vi], p.neighbors(vi)
 			if v.Pinned || len(adj) == 0 {
@@ -317,18 +321,22 @@ func (p *Problem) relax(maxIter int, tol, eps float64) {
 				den += wgt
 			}
 			inv := 1 / den
-			for k := range num {
-				num[k] *= inv
+			var ss float64
+			for k, c := range v.Coord[:len(num)] {
+				x := float64(num[k] * inv) // rounded, never fused into d
+				d := x - c
+				ss += d * d
+				v.Coord[k] = x
 			}
-			if move := num.Distance(v.Coord); move > maxMove {
-				maxMove = move
+			if ss > maxSS {
+				maxSS = ss
 			}
-			copy(v.Coord, num)
 		}
-		if maxMove < tol {
-			return
+		if math.Sqrt(maxSS) < tol {
+			return iter + 1
 		}
 	}
+	return maxIter
 }
 
 // Weiszfeld minimizes the linear network-usage objective Σ rate·dist

@@ -17,8 +17,9 @@
 // Plans returned are distinct by canonical signature and sorted by the
 // traditional cost metric, total intermediate data rate. The unit of
 // work is the sub-plan, not the tree: a 5-way join has 105 trees of 9
-// nodes each but only 225 distinct sub-plans, and each is built, rated
-// and signed once and shared by every tree that contains it.
+// nodes each but only 225 distinct sub-plans, each built and rated once,
+// shared by every tree that contains it, and signed only as part of a
+// plan that leaves the enumerator (Enumerate) or an optimizer.
 package plan
 
 import (
@@ -57,13 +58,17 @@ func NewEnumerator(c *query.Catalog) *Enumerator {
 // Treat them as read-only — Clone a plan before mutating it, ShallowClone
 // a node before re-parenting it.
 func (e *Enumerator) Enumerate(q query.Query) ([]*query.PlanNode, error) {
-	return e.EnumerateInto(new(Table), q)
+	plans, err := e.EnumerateInto(new(Table), q)
+	for _, p := range plans {
+		p.Signature()
+	}
+	return plans, err
 }
 
-// EnumerateInto is Enumerate with caller-owned storage: the returned
+// EnumerateInto is Enumerate with caller-owned storage, unsigned: the
 // plans live in t and are valid until t is used again. An optimizer that
-// keeps one Table per goroutine enumerates without allocating plan
-// nodes; Clone the plan that is to outlive the table.
+// keeps one Table per goroutine enumerates without allocating; Clone the
+// plan that is to outlive the table, and sign the clone.
 func (e *Enumerator) EnumerateInto(t *Table, q query.Query) ([]*query.PlanNode, error) {
 	if err := e.candidates(t, q); err != nil {
 		return nil, err
@@ -113,7 +118,7 @@ func subPlans(k, beam int) int {
 }
 
 // Table holds one query's enumeration: every distinct sub-plan, built
-// once — rated, signed, and shared by all candidate trees that contain
+// once — rated, unsigned, and shared by all candidate trees that contain
 // it — and indexed by the bitmask of the leaves it covers. A zero Table
 // is ready to use; reusing one recycles its storage, so a Table serves
 // one goroutine at a time.
@@ -128,7 +133,6 @@ type Table struct {
 	// in enumeration order.
 	span   [][2]int
 	cands  []candidate
-	sig    []byte
 	ranked ranked
 }
 
@@ -153,16 +157,14 @@ func (r *ranked) Swap(i, j int) {
 	r.keys[i], r.keys[j] = r.keys[j], r.keys[i]
 }
 
-// add moves a rated node into the slab and signs it.
+// add moves a rated node into the slab.
 func (t *Table) add(n query.PlanNode, cost float64) *query.PlanNode {
 	if len(t.nodes) == cap(t.nodes) {
 		panic("plan: sub-plan table outgrew its slab")
 	}
 	t.nodes = append(t.nodes, n)
 	t.cost = append(t.cost, cost)
-	out := &t.nodes[len(t.nodes)-1]
-	t.sig = out.CacheSignature(t.sig)
-	return out
+	return &t.nodes[len(t.nodes)-1]
 }
 
 // candidates fills t.ranked with q's candidate plans, in enumeration

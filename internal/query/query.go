@@ -26,7 +26,9 @@
 package query
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -260,12 +262,14 @@ type PlanNode struct {
 	// OutRate is the estimated output rate in KB/s.
 	OutRate float64
 
-	// sig caches the canonical signature. Plan trees are structurally
-	// immutable after construction (ComputeRates fills rates and join
-	// selectivities, neither of which enters the signature), so the
-	// cache never goes stale; Clone copies it, so a clone shares its
-	// original's signature strings. Code that re-parents a copied node
-	// must go through ShallowClone, which drops the cache.
+	// sig caches the canonical signature; empty until the node is
+	// signed. Signing a node signs every unsigned node under it, each
+	// caching a substring of the one string built for the node. Plan
+	// trees are structurally immutable after construction (ComputeRates
+	// fills rates and join selectivities, neither of which enters the
+	// signature), so the cache never goes stale; Clone copies it, so a
+	// clone of a signed plan shares its strings. Code that re-parents a
+	// copied node must go through ShallowClone, which drops the cache.
 	sig string
 }
 
@@ -387,32 +391,58 @@ func (n *PlanNode) Rate(c *Catalog) error {
 // (§3.4). Join and union children are ordered canonically so mirrored
 // trees share a signature.
 //
-// The result is computed once per node and cached: repeated calls — and
-// calls on clones of the node — return the same string with no
-// allocation, which is what keeps circuit skeleton construction off the
-// allocator.
+// The first call signs the node: one string, cached, of which every
+// unsigned node under it caches its own signature as a substring. Later
+// calls, and calls on clones, return it without allocating; as the
+// first call writes, a plan must be signed before goroutines share it.
 func (n *PlanNode) Signature() string {
-	n.CacheSignature(nil)
+	if n.sig == "" {
+		n.sign()
+	}
 	return n.sig
 }
 
-// CacheSignature fills n's signature cache, if it is empty, building the
-// string in buf (one allocation: children's cached signatures are copied,
-// not rebuilt), and returns the buffer for the next call. Plan
-// enumeration calls it on each sub-plan as it is constructed, bottom-up,
-// so Signature is a pure read on every plan it returns.
-func (n *PlanNode) CacheSignature(buf []byte) []byte {
-	if n.sig == "" {
-		buf = n.AppendSignature(buf[:0])
-		n.sig = string(buf)
+// signStack bounds the signatures sign builds without a heap buffer.
+const signStack = 512
+
+// sign builds n's signature and caches it on n and the nodes under it.
+func (n *PlanNode) sign() {
+	var stack [signStack]byte
+	buf := n.AppendSignature(stack[:0])
+	n.cacheSignature(string(buf), buf)
+}
+
+// cacheSignature caches s, n's signature, on n and, as substrings of s,
+// on every unsigned node under it. buf is scratch for telling which
+// child a join or union put first in s; it is returned for reuse.
+func (n *PlanNode) cacheSignature(s string, buf []byte) []byte {
+	if n.sig != "" {
+		return buf
+	}
+	n.sig = s
+	switch n.Kind {
+	case KindFilter, KindAggregate:
+		return n.Left.cacheSignature(s[strings.Index(s, "](")+2:len(s)-1], buf)
+	case KindJoin, KindUnion:
+		in := s[strings.IndexByte(s, '(')+1 : len(s)-1]
+		buf = n.Left.AppendSignature(buf[:0])
+		k := len(buf)
+		// s is "op(a,b)", a the lesser: the left child's if it reads so.
+		left, right := in[len(in)-k:], in[:len(in)-k-1]
+		if in[k] == ',' && in[:k] == string(buf) {
+			left, right = in[:k], in[k+1:]
+		}
+		buf = n.Left.cacheSignature(left, buf)
+		return n.Right.cacheSignature(right, buf)
 	}
 	return buf
 }
 
 // AppendSignature appends n's canonical signature to dst and returns the
-// extended slice, filling (and reusing) per-node caches along the way.
-// It is the allocation-conscious form of Signature for callers that
-// build composite keys.
+// extended slice. It writes nothing to the tree: the signatures of signed
+// nodes are copied, the rest is built in dst. It is the
+// allocation-conscious form of Signature for callers that build
+// composite keys.
 func (n *PlanNode) AppendSignature(dst []byte) []byte {
 	if n.sig != "" {
 		return append(dst, n.sig...)
@@ -421,31 +451,27 @@ func (n *PlanNode) AppendSignature(dst []byte) []byte {
 	case KindSource:
 		dst = append(dst, 's')
 		return strconv.AppendInt(dst, int64(n.Stream), 10)
-	case KindFilter:
-		dst = append(dst, "filter["...)
-		dst = appendSel(dst, n.Sel)
-		dst = append(dst, "]("...)
-		dst = n.Left.AppendSignature(dst)
-		return append(dst, ')')
-	case KindAggregate:
-		dst = append(dst, "agg["...)
-		dst = appendSel(dst, n.Sel)
-		dst = append(dst, "]("...)
-		dst = n.Left.AppendSignature(dst)
-		return append(dst, ')')
-	case KindJoin, KindUnion:
-		a, b := n.Left.Signature(), n.Right.Signature()
-		if a > b {
-			a, b = b, a
-		}
-		if n.Kind == KindUnion {
-			dst = append(dst, "union("...)
+	case KindFilter, KindAggregate:
+		if n.Kind == KindFilter {
+			dst = append(dst, "filter["...)
 		} else {
-			dst = append(dst, "join("...)
+			dst = append(dst, "agg["...)
 		}
-		dst = append(dst, a...)
-		dst = append(dst, ',')
-		dst = append(dst, b...)
+		dst = append(appendSel(dst, n.Sel), "]("...)
+		return append(n.Left.AppendSignature(dst), ')')
+	case KindJoin, KindUnion:
+		dst = append(append(dst, n.Kind.String()...), '(')
+		// Both children in place, then the lesser first: "a,b" becomes
+		// "b,a" by reversing the whole and then each part.
+		a := len(dst)
+		dst = append(n.Left.AppendSignature(dst), ',')
+		b := len(dst)
+		dst = n.Right.AppendSignature(dst)
+		if bytes.Compare(dst[a:b-1], dst[b:]) > 0 {
+			slices.Reverse(dst[a:])
+			slices.Reverse(dst[a : len(dst)-(b-a)])
+			slices.Reverse(dst[len(dst)-(b-a)+1:])
+		}
 		return append(dst, ')')
 	default:
 		return fmt.Appendf(dst, "?%d", n.Kind)
