@@ -145,16 +145,6 @@ type Space struct {
 	Scalars []ScalarDim
 }
 
-// NewLatencySpace returns a pure latency cost space with dims vector
-// dimensions and no scalar dimensions.
-func NewLatencySpace(dims int) (*Space, error) {
-	s := &Space{VectorDims: dims}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // NewLatencyLoadSpace returns the cost space of the paper's Figure 2:
 // two latency dimensions plus one squared CPU-load dimension.
 func NewLatencyLoadSpace(loadScale float64) *Space {
@@ -185,22 +175,29 @@ func (s *Space) Dims() int { return s.VectorDims + len(s.Scalars) }
 // panics if the slice lengths do not match the space definition, since
 // that is always a programming error.
 func (s *Space) NewPoint(vec vivaldi.Coord, rawScalars []float64) Point {
+	return s.AppendPoint(make(Point, 0, s.Dims()), vec, rawScalars)
+}
+
+// AppendPoint appends the point NewPoint would build after dst's
+// elements and returns the extended slice (unlike AppendIdealPoint, it
+// keeps what dst holds), so a caller refreshing many points can carve
+// them all from one slab.
+func (s *Space) AppendPoint(dst Point, vec vivaldi.Coord, rawScalars []float64) Point {
 	if len(vec) != s.VectorDims {
 		panic(fmt.Sprintf("costspace: vector has %d dims, space has %d", len(vec), s.VectorDims))
 	}
 	if len(rawScalars) != len(s.Scalars) {
 		panic(fmt.Sprintf("costspace: %d raw scalars for %d scalar dims", len(rawScalars), len(s.Scalars)))
 	}
-	p := make(Point, 0, s.Dims())
-	p = append(p, vec...)
+	dst = append(dst, vec...)
 	for i, raw := range rawScalars {
 		w := s.Scalars[i].Weight.Weight(raw)
 		if w < 0 {
 			w = 0 // weighting functions are non-negative by contract
 		}
-		p = append(p, w)
+		dst = append(dst, w)
 	}
-	return p
+	return dst
 }
 
 // IdealPoint returns the point at the given vector coordinate with all

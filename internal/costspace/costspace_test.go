@@ -103,7 +103,7 @@ func TestSpaceValidate(t *testing.T) {
 	if err := figure2Space().Validate(); err != nil {
 		t.Fatalf("figure-2 space invalid: %v", err)
 	}
-	if _, err := NewLatencySpace(0); err == nil {
+	if err := (&Space{VectorDims: 0}).Validate(); err == nil {
 		t.Fatal("0-dim latency space accepted")
 	}
 	s := &Space{VectorDims: 2, Scalars: []ScalarDim{{Name: "x", Weight: nil}}}
@@ -117,11 +117,7 @@ func TestSpaceDims(t *testing.T) {
 	if got := s.Dims(); got != 3 {
 		t.Fatalf("Dims() = %d, want 3", got)
 	}
-	ls, err := NewLatencySpace(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ls.Dims(); got != 4 {
+	if got := (&Space{VectorDims: 4}).Dims(); got != 4 {
 		t.Fatalf("Dims() = %d, want 4", got)
 	}
 }

@@ -32,11 +32,11 @@ type Catalog struct {
 	bounds costspace.Bounds
 
 	published map[topology.NodeID]Entry
-	// storedAt remembers which peer holds each node's entry, making the
-	// republish removal O(1) instead of a scan over all peers. Ring
-	// churn can migrate entries without the catalog seeing it, so
-	// removal falls back to the key's current owner (where migrations
-	// deposit entries) and finally a full scan.
+	// storedAt remembers which peer holds each node's entry, so the
+	// republish removal scans that one peer's entries instead of every
+	// peer's. Ring churn can migrate entries without the catalog seeing
+	// it, so removal falls back to the key's current owner (where
+	// migrations deposit entries) and finally a full scan.
 	storedAt map[topology.NodeID]*Peer
 
 	// version counts published-set mutations (see Mutations).
@@ -114,7 +114,7 @@ func (c *Catalog) Unpublish(node topology.NodeID) {
 }
 
 // removeStored deletes the stored copy of e from the peer holding it:
-// the recorded storing peer in O(1), or — when ring churn migrated the
+// the recorded storing peer first, or — when ring churn migrated the
 // entry behind the catalog's back — the key's current owner (join/leave
 // migrations always deposit entries on the new owner). The full scan
 // remains as a defensive last resort.

@@ -285,11 +285,9 @@ func TestRepublishReplacesEntry(t *testing.T) {
 	// Exactly one stored copy must exist across all peers.
 	count := 0
 	for _, p := range env.ring.peers {
-		for _, entries := range p.store {
-			for _, e := range entries {
-				if e.Node == 3 {
-					count++
-				}
+		for _, e := range p.flat {
+			if e.Node == 3 {
+				count++
 			}
 		}
 	}
@@ -489,18 +487,16 @@ func BenchmarkLookup512(b *testing.B) {
 func storedCopies(r *Ring, node topology.NodeID) int {
 	count := 0
 	for _, p := range r.peers {
-		for _, entries := range p.store {
-			for _, e := range entries {
-				if e.Node == node {
-					count++
-				}
+		for _, e := range p.flat {
+			if e.Node == node {
+				count++
 			}
 		}
 	}
 	return count
 }
 
-// TestRepublishAfterChurnLeavesOneCopy drives the O(1)-republish
+// TestRepublishAfterChurnLeavesOneCopy drives the storing-peer republish
 // bookkeeping through ring churn: joins and leaves migrate entries
 // behind the catalog's back, and republishes must still remove exactly
 // the stale copy.
@@ -542,7 +538,7 @@ func TestRepublishAfterChurnLeavesOneCopy(t *testing.T) {
 	}
 }
 
-// TestRepublishUsesStoredPeerDirectly verifies the O(1) fast path: with
+// TestRepublishUsesStoredPeerDirectly verifies the fast path: with
 // no churn, the removal must succeed on the recorded storing peer (the
 // catalog cache must stay in sync across repeated republishes).
 func TestRepublishUsesStoredPeerDirectly(t *testing.T) {

@@ -169,9 +169,8 @@ func (r *Ring) CrashPeer(n topology.NodeID) (int, error) {
 	if len(r.peers) > 0 {
 		r.updateFingersOnLeave(p, pred, r.successor(p.id))
 	}
-	// Clear the dead store so stale references (the catalog's
+	// Drop the dead entries so stale references (the catalog's
 	// storing-peer cache) cannot find the lost copies.
-	p.store = make(map[ID][]Entry)
 	p.flat = nil
 	return lost, nil
 }
@@ -212,7 +211,7 @@ func (c *Catalog) RepairAfterCrash(dead []topology.NodeID) CrashRepairReport {
 	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 
 	// Retire dead publishers first, while the ring is still intact
-	// enough for the O(1) storing-peer removal to route.
+	// enough for the storing-peer removal to route.
 	for _, n := range ds {
 		if _, ok := c.published[n]; ok {
 			c.Unpublish(n)

@@ -71,32 +71,39 @@ func TestIncrementalFingersMatchFullStabilization(t *testing.T) {
 	}
 }
 
-// flatMatchesStore asserts a peer's flat mirror holds exactly the
-// entries of its keyed store.
-func flatMatchesStore(t *testing.T, p *Peer, when string) {
+// checkOwnership asserts the catalog's stored state: every stored entry
+// sits at the owner of its key and is the published entry of its node,
+// and each published node is stored exactly once.
+func checkOwnership(t *testing.T, r *Ring, c *Catalog, when string) {
 	t.Helper()
-	var fromStore, fromFlat []Entry
-	for _, entries := range p.store {
-		fromStore = append(fromStore, entries...)
-	}
-	fromFlat = append(fromFlat, p.flat...)
-	key := func(e Entry) uint64 { return uint64(e.Key) ^ uint64(e.Node)<<1 }
-	sort.Slice(fromStore, func(i, j int) bool { return key(fromStore[i]) < key(fromStore[j]) })
-	sort.Slice(fromFlat, func(i, j int) bool { return key(fromFlat[i]) < key(fromFlat[j]) })
-	if len(fromStore) != len(fromFlat) {
-		t.Fatalf("%s: peer %d flat has %d entries, store has %d", when, p.node, len(fromFlat), len(fromStore))
-	}
-	for i := range fromStore {
-		if fromStore[i].Key != fromFlat[i].Key || fromStore[i].Node != fromFlat[i].Node {
-			t.Fatalf("%s: peer %d flat/store mismatch at %d", when, p.node, i)
+	stored := 0
+	copies := map[topology.NodeID]int{}
+	for _, p := range r.peers {
+		for _, e := range p.flat {
+			if owner := r.Owner(e.Key); owner != p {
+				t.Fatalf("%s: node %d's entry sits at peer %d, key owner is %d", when, e.Node, p.node, owner.node)
+			}
+			if pub, ok := c.PublishedEntry(e.Node); !ok || pub.Key != e.Key {
+				t.Fatalf("%s: peer %d stores node %d under %#x, not its published entry", when, p.node, e.Node, uint64(e.Key))
+			}
+			copies[e.Node]++
+			stored++
 		}
+	}
+	for n, k := range copies {
+		if k != 1 {
+			t.Fatalf("%s: node %d stored %d times", when, n, k)
+		}
+	}
+	if stored != c.NumPublished() {
+		t.Fatalf("%s: stores hold %d entries, %d published", when, stored, c.NumPublished())
 	}
 }
 
-// TestFlatStoreMirrorUnderChurn interleaves publishes, republish moves,
-// unpublishes, and peer joins/leaves, checking the flat mirrors stay
-// consistent with the keyed stores throughout.
-func TestFlatStoreMirrorUnderChurn(t *testing.T) {
+// TestFlatStoreOwnershipUnderChurn interleaves publishes, republish
+// moves, unpublishes, and peer joins/leaves, checking after every step
+// that each published node is stored once, at the owner of its key.
+func TestFlatStoreOwnershipUnderChurn(t *testing.T) {
 	env := newTestEnv(t, 24, 5)
 	rng := rand.New(rand.NewSource(6))
 	nextPeer := topology.NodeID(24)
@@ -132,17 +139,7 @@ func TestFlatStoreMirrorUnderChurn(t *testing.T) {
 				}
 			}
 		}
-		for _, p := range env.ring.peers {
-			flatMatchesStore(t, p, "after churn step")
-		}
-	}
-	// Every published entry must still be reachable by a walk.
-	total := 0
-	for _, p := range env.ring.peers {
-		total += len(p.flat)
-	}
-	if total != env.catalog.NumPublished() {
-		t.Fatalf("stores hold %d entries, %d published", total, env.catalog.NumPublished())
+		checkOwnership(t, env.ring, env.catalog, "after churn step")
 	}
 }
 

@@ -30,6 +30,7 @@ package dht
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"github.com/hourglass/sbon/internal/topology"
@@ -50,69 +51,41 @@ type Peer struct {
 	// fingers[i] points at the peer owning id + 2^i (fully stabilized
 	// Chord finger table).
 	fingers []*Peer
-	// store holds the catalog entries this peer owns, keyed by scaled
-	// Hilbert key.
-	store map[ID][]Entry
-	// flat mirrors store as one slice, kept in sync by the store*
-	// mutators: ring walks enumerate a peer's entries far more often
-	// than publishes change them, and appending a slice beats iterating
-	// a map on that hot path.
+	// flat holds the catalog entries this peer owns, in no particular
+	// order: ring walks scan them far more often than publishes change
+	// them, and every query ranks what it scans by (distance, node).
 	flat []Entry
 }
 
-// storeAdd records e in the peer's store and flat mirror.
+// storeAdd records e in the peer's entries.
 func (p *Peer) storeAdd(e Entry) {
-	p.store[e.Key] = append(p.store[e.Key], e)
 	p.flat = append(p.flat, e)
-}
-
-// storeAddAll records a batch of entries under one key (migration).
-func (p *Peer) storeAddAll(k ID, entries []Entry) {
-	p.store[k] = append(p.store[k], entries...)
-	p.flat = append(p.flat, entries...)
 }
 
 // storeHas reports whether the peer stores the entry for (key, node).
 func (p *Peer) storeHas(key ID, node topology.NodeID) bool {
-	for _, se := range p.store[key] {
-		if se.Node == node {
-			return true
-		}
-	}
-	return false
+	return p.find(key, node) >= 0
 }
 
 // storeRemove deletes the entry for (key, node), reporting whether it
 // was present.
 func (p *Peer) storeRemove(key ID, node topology.NodeID) bool {
-	entries, ok := p.store[key]
-	if !ok {
+	i := p.find(key, node)
+	if i < 0 {
 		return false
 	}
-	for i, se := range entries {
-		if se.Node == node {
-			p.store[key] = append(entries[:i], entries[i+1:]...)
-			if len(p.store[key]) == 0 {
-				delete(p.store, key)
-			}
-			for j := range p.flat {
-				if p.flat[j].Node == node && p.flat[j].Key == key {
-					p.flat = append(p.flat[:j], p.flat[j+1:]...)
-					break
-				}
-			}
-			return true
-		}
-	}
-	return false
+	p.flat = slices.Delete(p.flat, i, i+1)
+	return true
 }
 
-// rebuildFlat reconstitutes the flat mirror from the store.
-func (p *Peer) rebuildFlat() {
-	p.flat = p.flat[:0]
-	for _, entries := range p.store {
-		p.flat = append(p.flat, entries...)
+// find returns the index of the entry for (key, node), or -1.
+func (p *Peer) find(key ID, node topology.NodeID) int {
+	for i := range p.flat {
+		if p.flat[i].Node == node && p.flat[i].Key == key {
+			return i
+		}
 	}
+	return -1
 }
 
 // Entries returns the peer's stored entries as one slice. The caller
@@ -179,7 +152,7 @@ func (r *Ring) AddPeer(n topology.NodeID) (*Peer, error) {
 	if i := r.search(id); i < len(r.peers) && r.peers[i].id == id {
 		return nil, fmt.Errorf("dht: identifier collision for node %d", n)
 	}
-	p := &Peer{id: id, node: n, store: make(map[ID][]Entry)}
+	p := &Peer{id: id, node: n}
 	i := r.search(id)
 	r.peers = append(r.peers, nil)
 	copy(r.peers[i+1:], r.peers[i:])
@@ -210,14 +183,11 @@ func (r *Ring) RemovePeer(n topology.NodeID) error {
 	if len(r.peers) > 0 {
 		// The departing peer's keys now belong to its successor.
 		succ := r.successor(p.id)
-		for k, entries := range p.store {
-			succ.storeAddAll(k, entries)
-		}
+		succ.flat = append(succ.flat, p.flat...)
 		r.updateFingersOnLeave(p, pred, succ)
 	}
-	// Clear the departed peer's store so stale references to it (the
+	// Clear the departed peer's entries so stale references to it (the
 	// catalog's storing-peer cache) cannot find the dead copies.
-	p.store = make(map[ID][]Entry)
 	p.flat = nil
 	return nil
 }
@@ -235,17 +205,17 @@ func (r *Ring) migrateOnJoin(p *Peer) {
 		return
 	}
 	next := r.successorAfter(p)
-	moved := false
-	for k, entries := range next.store {
-		if r.successor(k) == p {
-			p.storeAddAll(k, entries)
-			delete(next.store, k)
-			moved = true
+	kept := next.flat[:0]
+	for _, e := range next.flat {
+		if r.successor(e.Key) == p {
+			p.flat = append(p.flat, e)
+		} else {
+			kept = append(kept, e)
 		}
 	}
-	if moved {
-		next.rebuildFlat()
-	}
+	// Zero the vacated tail so it stops holding the moved entries' points.
+	clear(next.flat[len(kept):])
+	next.flat = kept
 }
 
 // updateFingersOnJoin gives the new peer its finger table and redirects

@@ -135,3 +135,40 @@ func TestSetCoordinates(t *testing.T) {
 	}()
 	_, _ = env.Freeze().SetCoordinates(moved)
 }
+
+// TestSetCoordinatesAllocCeiling pins the coordinate sync's write path:
+// a sync that moves every node allocates about once per node (the
+// catalog's copy of the published point) plus the one slab its points
+// are carved from, not once each for the point, the copy and the
+// stored entry.
+func TestSetCoordinatesAllocCeiling(t *testing.T) {
+	topo, coords := coordsFixture(t)
+	stats, err := query.NewCatalog(0.8)
+	if err != nil {
+		t.Fatalf("NewCatalog: %v", err)
+	}
+	env, err := NewEnvFromCoords(topo, stats, DefaultEnvConfig(13), coords)
+	if err != nil {
+		t.Fatalf("NewEnvFromCoords: %v", err)
+	}
+	// AllocsPerRun makes one warm-up sync before the one it counts; each
+	// sync moves every node off where the one before left it.
+	n := len(coords)
+	syncs := make([][]vivaldi.Coord, 2)
+	for k := range syncs {
+		syncs[k] = make([]vivaldi.Coord, n)
+		for i, c := range coords {
+			syncs[k][i] = c.Add(vivaldi.Coord{float64(k+1) * 0.5, -float64(k+1) * 0.25})
+		}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		if moved, err := env.SetCoordinates(syncs[next]); err != nil || moved != n {
+			t.Fatalf("sync %d moved %d of %d nodes: %v", next, moved, n, err)
+		}
+		next++
+	})
+	if ceiling := 1.05*float64(n) + 32; allocs > ceiling {
+		t.Fatalf("a sync over %d nodes allocates %v, want <= %v", n, allocs, ceiling)
+	}
+}

@@ -246,8 +246,9 @@ func NewEnvFromCoords(topo *topology.Topology, stats *query.Catalog, cfg EnvConf
 			Stats: stats,
 			space: space,
 			// The outer slice is copied so later SetCoordinates syncs
-			// never alias the caller's snapshot; the Coord vectors are
-			// fresh per Embedding() call and safe to share.
+			// never alias the caller's snapshot. The Coord vectors are
+			// shared: nothing writes a coordinate after it is handed
+			// over (a Ticker snapshot copies into an array of its own).
 			vec:     append([]vivaldi.Coord(nil), coords...),
 			load:    make([]float64, n),
 			pts:     make([]costspace.Point, n),
@@ -513,8 +514,15 @@ func (e *Env) RemoveServiceLoad(n topology.NodeID, inputRate float64) {
 // the delta-log tag incremental re-planning uses to skip circuits whose
 // incidence on the node is latency-only.
 func (e *Env) refreshPoint(n topology.NodeID, loadOnly bool) {
+	e.setPoint(n, e.space.NewPoint(e.vec[n], []float64{e.load[n]}), loadOnly)
+}
+
+// setPoint installs p as the node's cost-space point: it logs the
+// mutation, patches the k-NN index and republishes. p belongs to the Env
+// from then on and is never written again.
+func (e *Env) setPoint(n topology.NodeID, p costspace.Point, loadOnly bool) {
 	e.markDirty(n, loadOnly)
-	e.pts[n] = e.space.NewPoint(e.vec[n], []float64{e.load[n]})
+	e.pts[n] = p
 	e.patchIndex(n)
 	if e.catalog != nil {
 		// Republish; the catalog replaces the old entry.
@@ -538,9 +546,8 @@ type dirtyRec struct {
 // markDirty records the node in the delta log before its point is
 // replaced. The pre-mutation point is captured only on the node's first
 // dirtying after a compaction, so an entry's Prev is always the point
-// the log's consumer last saw. No clone is needed: refreshPoint
-// replaces pts[n] with a freshly built point, never mutates it in
-// place.
+// the log's consumer last saw. No clone is needed: setPoint replaces
+// pts[n] with another point and no stored point is ever written.
 func (e *Env) markDirty(n topology.NodeID, loadOnly bool) {
 	if rec, ok := e.dirty[n]; ok {
 		rec.epoch = e.epoch
@@ -599,9 +606,6 @@ func (e *Env) CompactDirty(upTo uint64) {
 // highest epoch a consumer has declared consumed.
 func (e *Env) DirtyCompactedThrough() uint64 { return e.dirtyFloor }
 
-// NumDirty returns the delta log's current size.
-func (e *Env) NumDirty() int { return len(e.dirty) }
-
 // BackgroundLoad returns the node's background load component — the
 // floor service-load release clamps to. Frozen snapshots do not carry
 // it and report zero.
@@ -641,6 +645,12 @@ func (e *Env) ReembedCoordinates() error {
 // costs O(moved); when most of the overlay moved the cached k-NN index
 // is dropped up front instead of churning its patch budget. Returns the
 // number of nodes whose coordinate changed.
+//
+// The Env keeps each moved node's Coord as given, without copying, and
+// carves the moved nodes' points from one slab, so a sync allocates once
+// on top of what the DHT republish costs. What a sync retains: a node
+// that does not move keeps its point's slab and its coordinate's backing
+// array (a whole Ticker snapshot) alive until it next moves.
 func (e *Env) SetCoordinates(coords []vivaldi.Coord) (int, error) {
 	e.mutable("SetCoordinates")
 	if len(coords) != len(e.vec) {
@@ -659,9 +669,12 @@ func (e *Env) SetCoordinates(coords []vivaldi.Coord) (int, error) {
 	if len(changed)*4 >= len(e.vec) {
 		e.idx.Store(nil)
 	}
+	slab := make(costspace.Point, 0, len(changed)*e.space.Dims())
 	for _, n := range changed {
 		e.vec[n] = coords[n]
-		e.refreshPoint(n, false)
+		at := len(slab)
+		slab = e.space.AppendPoint(slab, e.vec[n], []float64{e.load[n]})
+		e.setPoint(n, slab[at:len(slab):len(slab)], false)
 	}
 	return len(changed), nil
 }

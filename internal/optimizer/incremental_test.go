@@ -85,7 +85,7 @@ func TestPlanMakesNoLiveMutations(t *testing.T) {
 	muts := cat.Mutations()
 	pubs := cat.NumPublished()
 	epoch := env.Epoch()
-	dirty := env.NumDirty()
+	dirty := len(env.dirty)
 	before := captureState(env, dep)
 
 	plan, err := ro.Plan()
@@ -125,7 +125,7 @@ func TestPlanMakesNoLiveMutations(t *testing.T) {
 	if got := env.Epoch(); got != epoch {
 		t.Fatalf("planning bumped the env epoch: %d, want %d", got, epoch)
 	}
-	if got := env.NumDirty(); got != dirty {
+	if got := len(env.dirty); got != dirty {
 		t.Fatalf("planning grew the delta log: %d entries, want %d", got, dirty)
 	}
 

@@ -107,7 +107,9 @@ func (t *Ticker) Rounds() int {
 	return t.rounds
 }
 
-// Embedding snapshots the current coordinates and error estimates.
+// Embedding snapshots the current coordinates and error estimates into
+// storage of the caller's own: one array holds every coordinate, so a
+// snapshot costs the same handful of allocations at any network size.
 func (t *Ticker) Embedding() *Embedding {
 	t.mu.Lock()
 	defer t.mu.Unlock()

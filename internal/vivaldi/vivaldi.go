@@ -46,15 +46,6 @@ func (c Coord) Distance(o Coord) float64 {
 	return math.Sqrt(ss)
 }
 
-// Sub returns c - o as a new Coord.
-func (c Coord) Sub(o Coord) Coord {
-	out := make(Coord, len(c))
-	for i := range c {
-		out[i] = c[i] - o[i]
-	}
-	return out
-}
-
 // Add returns c + o as a new Coord.
 func (c Coord) Add(o Coord) Coord {
 	out := make(Coord, len(c))
@@ -172,27 +163,37 @@ func (n *Node) Update(peer Coord, peerErr, rtt float64) {
 		n.err = n.cfg.MinError
 	}
 
-	// Move along the unit vector away from (or toward) the peer.
-	delta := n.cfg.CC * w
-	dir := n.unitVectorFrom(peer, dist)
-	n.coord = n.coord.Add(dir.Scale(delta * (rtt - dist)))
-}
-
-// unitVectorFrom returns the unit vector pointing from peer toward this
-// node, choosing a random direction when the two coincide.
-func (n *Node) unitVectorFrom(peer Coord, dist float64) Coord {
+	// Move along the unit vector away from (or toward) the peer, in
+	// place. Each product is converted explicitly so that no compiler
+	// fuses it into the add: every component rounds as it would with the
+	// direction, its scaled step and the sum built one after another.
+	step := n.cfg.CC * w * (rtt - dist)
 	if dist > 1e-9 {
-		return n.coord.Sub(peer).Scale(1 / dist)
+		inv := 1 / dist
+		for i := range n.coord {
+			n.coord[i] += float64(float64((n.coord[i]-peer[i])*inv) * step)
+		}
+		return
 	}
-	dir := make(Coord, n.cfg.Dims)
+	// The two coincide: push off in a random direction, drawn on the
+	// stack unless the space has more than eight dimensions.
+	var buf [8]float64
+	dir := buf[:]
+	if n.cfg.Dims > len(buf) {
+		dir = make([]float64, n.cfg.Dims)
+	}
+	dir = dir[:n.cfg.Dims]
 	var norm float64
 	for norm < 1e-9 {
 		for i := range dir {
 			dir[i] = n.rng.NormFloat64()
 		}
-		norm = dir.Norm()
+		norm = Coord(dir).Norm()
 	}
-	return dir.Scale(1 / norm)
+	inv := 1 / norm
+	for i := range n.coord {
+		n.coord[i] += float64(float64(dir[i]*inv) * step)
+	}
 }
 
 // LatencyFunc supplies the true RTT in milliseconds between two node
@@ -257,15 +258,21 @@ func runRound(nodes []*Node, lat LatencyFunc, samplesPerRound int, rng *rand.Ran
 	}
 }
 
-// snapshot copies the nodes' current coordinates and errors.
+// snapshot copies the nodes' current coordinates and errors. All the
+// coordinates share one backing array; each is capped at its own
+// length, so appending to one can never overwrite the next.
 func snapshot(nodes []*Node) *Embedding {
+	d := nodes[0].cfg.Dims
+	flat := make([]float64, len(nodes)*d)
 	emb := &Embedding{
 		Coords: make([]Coord, len(nodes)),
 		Errors: make([]float64, len(nodes)),
 	}
 	for i, nd := range nodes {
-		emb.Coords[i] = nd.Coord()
-		emb.Errors[i] = nd.Error()
+		c := Coord(flat[i*d : (i+1)*d : (i+1)*d])
+		copy(c, nd.coord)
+		emb.Coords[i] = c
+		emb.Errors[i] = nd.err
 	}
 	return emb
 }
