@@ -79,11 +79,11 @@ func OptimizeBatch(env *Env, queries []query.Query, opts BatchOptions) ([]Result
 
 // freezeForBatch returns the one snapshot every pool of a batch reads,
 // with its k-NN index built up front only if the batch's mapper reads
-// it, so the workers share one immutable index lock-free. The live env
-// is left as it was.
+// points from the snapshot, so the workers share one immutable index
+// lock-free. The live env is left as it was.
 func freezeForBatch(env *Env) *Env {
 	snap := env.Freeze()
-	if _, oracle := defaultMapper(env).(placement.OracleMapper); oracle {
+	if _, ok := mapperOn(nil, snap.Catalog(), snap).(placement.SourceMapper); ok {
 		snap.CostIndex()
 	}
 	return snap

@@ -3,6 +3,7 @@ package optimizer
 import (
 	"cmp"
 
+	"github.com/hourglass/sbon/internal/dht"
 	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/plan"
 	"github.com/hourglass/sbon/internal/query"
@@ -74,13 +75,22 @@ func NewIntegrated(env *Env) *Integrated {
 	return &Integrated{Env: env}
 }
 
-// defaultMapper is the mapper an Integrated over env uses when none is
-// set: the DHT mapper when env has a catalog, else the oracle.
-func defaultMapper(env *Env) placement.Mapper {
-	if cat := env.Catalog(); cat != nil {
-		return placement.DHTMapper{Catalog: cat}
+// mapperOn is the one place a mapper is chosen. A nil m becomes the
+// deployment's own mechanism: the DHT mapper over cat when there is a
+// catalog, else the oracle. A SourceMapper is re-pointed at src, the
+// view the entry point reads (the env, a sweep's shadow, a batch's
+// snapshot); any other mapper is used as given.
+func mapperOn(m placement.Mapper, cat *dht.Catalog, src placement.NodeSource) placement.Mapper {
+	if m == nil {
+		if cat != nil {
+			return placement.DHTMapper{Catalog: cat}
+		}
+		return placement.OracleMapper{Source: src}
 	}
-	return placement.OracleMapper{Source: env}
+	if sm, ok := m.(placement.SourceMapper); ok {
+		return sm.On(src)
+	}
+	return m
 }
 
 // state returns the optimizer's defaults and scratch, resolving them on
@@ -90,7 +100,7 @@ func (o *Integrated) state() *integratedState {
 		o.st = &integratedState{
 			enum:   plan.NewEnumerator(o.Env.Stats),
 			placer: placement.Relaxation{},
-			mapper: defaultMapper(o.Env),
+			mapper: mapperOn(nil, o.Env.Catalog(), o.Env),
 			model:  CoordLatency{Env: o.Env},
 			b:      Builder{Env: o.Env},
 		}

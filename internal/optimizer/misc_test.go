@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/query"
 )
 
@@ -46,52 +45,6 @@ func TestCircuitNewServicesExcludesSourcesAndConsumer(t *testing.T) {
 		if s.Plan == nil || s.Plan.Kind == query.KindSource {
 			t.Fatal("NewServices leaked a source or the consumer")
 		}
-	}
-}
-
-func TestFullReoptimizeSwapPath(t *testing.T) {
-	env, q := testSetup(t, 83, false)
-	truth := TrueLatency{Topo: env.Topo}
-	mapper := placement.OracleMapper{Source: env}
-	opt := &Integrated{Env: env, Model: truth, Mapper: mapper}
-
-	// Deploy a deliberately bad circuit: every unpinned service at the
-	// consumer of the farthest producer.
-	enum := opt.components
-	_ = enum
-	res, err := (&TwoStep{Env: env, Model: truth, Mapper: mapper}).Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := res.Circuit
-	// Sabotage the placement so FullReoptimize has something to win.
-	far := env.Topo.StubNodeIDs()[0]
-	for _, s := range bad.UnpinnedServices() {
-		s.Node = far
-	}
-	dep := NewDeployment(env, nil)
-	if err := dep.Deploy(bad); err != nil {
-		t.Fatal(err)
-	}
-	ro := NewReoptimizer(dep)
-	ro.Model = truth
-	ro.Mapper = mapper
-	swapped, err := ro.FullReoptimize(q.ID, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !swapped {
-		t.Fatal("sabotaged circuit not swapped")
-	}
-	c, ok := dep.Circuit(q.ID)
-	if !ok {
-		t.Fatal("query lost after swap")
-	}
-	if c == bad {
-		t.Fatal("old circuit still deployed")
-	}
-	if c.NetworkUsage(truth) > bad.NetworkUsage(truth) {
-		t.Fatal("swap did not improve usage")
 	}
 }
 

@@ -604,36 +604,6 @@ func TestReoptimizerMigratesAwayFromLoadedNode(t *testing.T) {
 	}
 }
 
-func TestFullReoptimizeSwapsWhenBetter(t *testing.T) {
-	env, q := testSetup(t, 16, false)
-	truth := TrueLatency{Topo: env.Topo}
-	mapper := placement.OracleMapper{Source: env}
-	opt := &Integrated{Env: env, Model: truth, Mapper: mapper}
-	res, err := opt.Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep := NewDeployment(env, nil)
-	if err := dep.Deploy(res.Circuit); err != nil {
-		t.Fatal(err)
-	}
-	reopt := NewReoptimizer(dep)
-	reopt.Model = truth
-	// Nothing changed: no swap expected.
-	swapped, err := reopt.FullReoptimize(q.ID, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if swapped {
-		t.Fatal("swap without environment change")
-	}
-	// Unknown query: no-op.
-	swapped, err = reopt.FullReoptimize(999, opt)
-	if err != nil || swapped {
-		t.Fatalf("unknown query: %v %v", swapped, err)
-	}
-}
-
 func TestCircuitValidateErrors(t *testing.T) {
 	c := &Circuit{}
 	if err := c.Validate(); err == nil {

@@ -130,9 +130,6 @@ func (pb *PlanBank) Compile(q query.Query, states int, amount float64) (int, err
 	return len(banked), nil
 }
 
-// BankedPlans returns the number of distinct plans stored for a query.
-func (pb *PlanBank) BankedPlans(id query.QueryID) int { return len(pb.banks[id]) }
-
 // Optimize answers the query using only its banked plans: each is placed
 // under current conditions and the cheapest circuit wins. Returns an
 // error if the query was never compiled.

@@ -25,8 +25,8 @@ func TestPlanBankCompileAndOptimize(t *testing.T) {
 	if n < 1 {
 		t.Fatalf("banked %d plans", n)
 	}
-	if got := pb.BankedPlans(q.ID); got != n {
-		t.Fatalf("BankedPlans = %d, want %d", got, n)
+	if got := len(pb.banks[q.ID]); got != n {
+		t.Fatalf("banked plans = %d, want %d", got, n)
 	}
 	res, err := pb.Optimize(q)
 	if err != nil {

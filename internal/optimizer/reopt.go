@@ -28,12 +28,18 @@ type Reoptimizer struct {
 	Dep *Deployment
 	// Placer recomputes local virtual coordinates (default Relaxation).
 	Placer placement.VirtualPlacer
-	// Mapper remaps coordinates to nodes. Default: an exact oracle over
-	// the sweep's shadow. Source-backed mappers (OracleMapper,
-	// VectorOnlyMapper) are retargeted at the shadow so candidate
-	// lookups see simulated loads; other mappers (e.g. DHTMapper) are
-	// used as configured — their lookups are pure reads, but they see
-	// the pre-sweep catalog view.
+	// Mapper remaps coordinates to nodes. A SourceMapper (OracleMapper,
+	// VectorOnlyMapper) reads the view each entry point reads: a sweep's
+	// shadow, so candidate lookups see simulated loads, or the live env
+	// for RewriteStep. Other mappers (DHTMapper) are used as configured:
+	// their lookups are pure reads of the live catalog.
+	//
+	// With a nil Mapper, Plan, PlanIncremental and PlanEvacuation sweep
+	// with the exact oracle over the shadow even when the env has a DHT
+	// catalog, while RewriteStep, like Integrated, maps through the DHT.
+	// The sweeps stay on the oracle until the DHT mapper can read the
+	// shadow's shifted loads: over the live catalog it plans worse moves,
+	// and incremental re-planning is exact only under the oracle.
 	Mapper placement.Mapper
 	// Model estimates link latencies (default CoordLatency).
 	Model LatencyModel
@@ -85,14 +91,7 @@ func (r *Reoptimizer) components() (placement.VirtualPlacer, placement.Mapper, L
 	if placer == nil {
 		placer = placement.Relaxation{}
 	}
-	mapper := r.Mapper
-	if mapper == nil {
-		if cat := r.Dep.Env.Catalog(); cat != nil {
-			mapper = placement.DHTMapper{Catalog: cat}
-		} else {
-			mapper = placement.OracleMapper{Source: r.Dep.Env}
-		}
-	}
+	mapper := mapperOn(r.Mapper, r.Dep.Env.Catalog(), r.Dep.Env)
 	model := r.Model
 	if model == nil {
 		model = CoordLatency{Env: r.Dep.Env}
@@ -104,20 +103,11 @@ func (r *Reoptimizer) components() (placement.VirtualPlacer, placement.Mapper, L
 	return placer, mapper, model, thresh
 }
 
-// sweepMapper resolves the mapper a shadow sweep costs candidates with.
-// Source-backed mappers are retargeted at the shadow; a custom mapper
-// (DHTMapper, experiment instrumentation) is used as given.
+// sweepMapper is the mapper a sweep over sh maps with. It passes no
+// catalog, so a nil Mapper becomes the oracle over the shadow: the policy
+// Mapper's doc states.
 func (r *Reoptimizer) sweepMapper(sh *ShadowEnv) placement.Mapper {
-	switch m := r.Mapper.(type) {
-	case nil:
-		return placement.OracleMapper{Source: sh}
-	case placement.OracleMapper:
-		return placement.OracleMapper{Source: sh}
-	case placement.VectorOnlyMapper:
-		return placement.VectorOnlyMapper{Source: sh}
-	default:
-		return m
-	}
+	return mapperOn(r.Mapper, nil, sh)
 }
 
 // StepStats reports one re-optimization sweep.
@@ -201,7 +191,7 @@ func (r *Reoptimizer) Plan() (MigrationPlan, error) {
 	sh := NewShadow(r.Dep.Env)
 	circuits := r.Dep.circuitsInOrder()
 	sp := r.Tracer.Begin("optimizer", "plan", trace.Int("circuits", len(circuits)))
-	plan, err := r.sweepShadow(sh, circuits, nil, sp)
+	plan, err := r.sweepShadow(sh, r.sweepMapper(sh), circuits, nil, sp)
 	sp.End(trace.Int("evaluated", plan.ServicesEvaluated), trace.Int("moves", len(plan.Moves)))
 	return plan, err
 }
@@ -210,8 +200,8 @@ func (r *Reoptimizer) Plan() (MigrationPlan, error) {
 // delta log can affect. It consumes the log (single-consumer: the log
 // is compacted to the current epoch on success) and maintains an epoch
 // watermark; the first call, a watermark invalidation (another consumer
-// compacted past it), a change of the Exclude set, a non-source-backed
-// custom Mapper, or a delta touching more than FullSweepFraction of all
+// compacted past it), a change of the Exclude set, any sweep mapper but
+// the oracle, or a delta touching more than FullSweepFraction of all
 // nodes each degenerate to a full sweep.
 //
 // The affected set is exact, not heuristic: a circuit is re-planned if
@@ -233,13 +223,16 @@ func (r *Reoptimizer) PlanIncremental() (MigrationPlan, IncrementalStats, error)
 	st := IncrementalStats{TotalCircuits: len(circuits)}
 	epochNow := env.Epoch()
 
+	sh := NewShadow(env)
+	mapper := r.sweepMapper(sh)
+	_, exact := mapper.(placement.OracleMapper)
 	full, reason := false, ""
 	switch {
 	case !r.primed:
 		full, reason = true, "first sweep"
 	case env.DirtyCompactedThrough() > r.lastEpoch:
 		full, reason = true, "delta log compacted past watermark"
-	case !r.supportedMapper():
+	case !exact:
 		full, reason = true, "custom mapper"
 	case !sameExclude(r.Exclude, r.lastExclude):
 		full, reason = true, "exclude set changed"
@@ -257,7 +250,6 @@ func (r *Reoptimizer) PlanIncremental() (MigrationPlan, IncrementalStats, error)
 		}
 	}
 
-	sh := NewShadow(env)
 	sp := r.Tracer.Begin("optimizer", "plan_incremental",
 		trace.Int("circuits", len(circuits)), trace.Int("dirty_nodes", st.DirtyNodes))
 	var plan MigrationPlan
@@ -266,13 +258,13 @@ func (r *Reoptimizer) PlanIncremental() (MigrationPlan, IncrementalStats, error)
 		st.FullSweep, st.Reason = true, reason
 		st.AffectedCircuits = len(circuits)
 		sp.Emit("full_sweep", trace.Str("reason", reason))
-		plan, err = r.sweepShadow(sh, circuits, nil, sp)
+		plan, err = r.sweepShadow(sh, mapper, circuits, nil, sp)
 	} else {
 		aff := r.affectedByDelta(delta, circuits)
 		for _, id := range r.pending {
 			aff[id] = true
 		}
-		plan, err = r.sweepShadow(sh, circuits, aff, sp)
+		plan, err = r.sweepShadow(sh, mapper, circuits, aff, sp)
 		for _, c := range circuits {
 			if aff[c.Query.ID] {
 				st.AffectedCircuits++
@@ -297,20 +289,6 @@ func (r *Reoptimizer) PlanIncremental() (MigrationPlan, IncrementalStats, error)
 		}
 	}
 	return plan, st, nil
-}
-
-// supportedMapper reports whether the configured mapper admits the
-// exact affected-set computation: the default (nil → shadow oracle) and
-// explicit oracle mappers do; approximate mappers (DHT walks, vector-
-// only ranking) do not, so incremental sweeps would not be equivalence-
-// preserving under them.
-func (r *Reoptimizer) supportedMapper() bool {
-	switch r.Mapper.(type) {
-	case nil, placement.OracleMapper:
-		return true
-	default:
-		return false
-	}
 }
 
 func sameExclude(a, b map[topology.NodeID]bool) bool {
@@ -488,15 +466,15 @@ func (r *Reoptimizer) expandAffected(sh *ShadowEnv, circuits []*Circuit, cursor 
 }
 
 // sweepShadow is the shared sweep body: evaluate every unpinned
-// deployed service of the listed circuits against the shadow, accepting
-// moves that clear the hysteresis threshold. aff == nil sweeps every
+// deployed service of the listed circuits against the shadow, mapping
+// with the sweep's mapper and accepting moves that clear the hysteresis
+// threshold. aff == nil sweeps every
 // circuit; otherwise only circuits marked in aff are evaluated and the
 // set is expanded as accepted moves perturb the shadow. sp is the
 // enclosing plan span; each move candidate that changes host emits one
 // accept/reject decision event into it.
-func (r *Reoptimizer) sweepShadow(sh *ShadowEnv, circuits []*Circuit, aff map[query.QueryID]bool, sp trace.Span) (MigrationPlan, error) {
+func (r *Reoptimizer) sweepShadow(sh *ShadowEnv, mapper placement.Mapper, circuits []*Circuit, aff map[query.QueryID]bool, sp trace.Span) (MigrationPlan, error) {
 	placer, _, model, thresh := r.components()
-	mapper := r.sweepMapper(sh)
 	b := &Builder{Env: r.Dep.Env}
 	if aff == nil {
 		// Full sweep: rebuild the winner-distance cache from scratch so
@@ -774,37 +752,4 @@ func serviceCost(e *Env, c *Circuit, i int, m LatencyModel) float64 {
 		scalar += comp
 	}
 	return cost + s.InRate*scalar
-}
-
-// FullReoptimize implements the paper's stronger re-optimization: re-run
-// the complete circuit optimization for a deployed query "while the
-// original circuit is still running", and if the fresh circuit is at
-// least ImprovementThreshold cheaper under the model, atomically swap it
-// in (deploy parallel circuit, cancel the original). Returns whether a
-// swap happened.
-func (r *Reoptimizer) FullReoptimize(id query.QueryID, opt *Integrated) (bool, error) {
-	c, ok := r.Dep.Circuit(id)
-	if !ok {
-		return false, nil
-	}
-	_, _, _, thresh := r.components()
-	model := r.Model
-	if model == nil {
-		model = CoordLatency{Env: r.Dep.Env}
-	}
-	res, err := opt.Optimize(c.Query)
-	if err != nil {
-		return false, err
-	}
-	oldUsage := c.NetworkUsage(model)
-	if res.Circuit.NetworkUsage(model) >= oldUsage*(1-thresh) {
-		return false, nil
-	}
-	if err := r.Dep.Cancel(id); err != nil {
-		return false, err
-	}
-	if err := r.Dep.Deploy(res.Circuit); err != nil {
-		return false, err
-	}
-	return true, nil
 }

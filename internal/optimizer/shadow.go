@@ -14,11 +14,13 @@ import (
 // maps that die with the shadow — there is nothing to roll back.
 //
 // The shadow implements placement.NodeSource and placement.IndexedSource,
-// so mappers cost candidates against the simulated state. Its index
-// starts as the live env's (shared, immutable) and is patched
-// persistently per simulated load shift; when the patch overlay's
-// budget is exhausted the shadow materializes its full point set and
-// rebuilds privately.
+// so mappers cost candidates against the simulated state. It takes a
+// k-NN index only when a mapper first asks for one: the live env's
+// (shared, immutable) if no load has been shifted yet, and from then on
+// it patches that copy persistently per simulated load shift. After
+// shifts, or when the patch overlay's budget is exhausted, the shadow
+// materializes its full point set and rebuilds privately. A sweep that
+// maps through the DHT never reads an index and builds none.
 //
 // A ShadowEnv is single-goroutine scratch for one sweep. The live Env
 // must not be mutated while a shadow over it is in use.
@@ -27,7 +29,7 @@ type ShadowEnv struct {
 	loads map[topology.NodeID]float64
 	pts   map[topology.NodeID]costspace.Point
 	binds map[*PlacedService]topology.NodeID
-	idx   *costindex.Index  // nil after a patch-budget overflow
+	idx   *costindex.Index  // nil until first read, and after a patch-budget overflow
 	full  []costspace.Point // materialized points for private rebuilds
 }
 
@@ -38,7 +40,6 @@ func NewShadow(env *Env) *ShadowEnv {
 		loads: make(map[topology.NodeID]float64),
 		pts:   make(map[topology.NodeID]costspace.Point),
 		binds: make(map[*PlacedService]topology.NodeID),
-		idx:   env.CostIndex(),
 	}
 }
 
@@ -114,6 +115,9 @@ func (sh *ShadowEnv) setLoad(n topology.NodeID, l float64) {
 // points. The index is exact: patched overlays and private rebuilds
 // return identical nearest-neighbor answers by the costindex contract.
 func (sh *ShadowEnv) CostIndex() *costindex.Index {
+	if sh.idx == nil && len(sh.pts) == 0 {
+		sh.idx = sh.env.CostIndex()
+	}
 	if sh.idx == nil {
 		if sh.full == nil {
 			sh.full = append([]costspace.Point(nil), sh.env.pts...)

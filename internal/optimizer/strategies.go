@@ -33,16 +33,8 @@ func (s RelaxationStrategy) PlaceCircuit(env *Env, q query.Query, p *query.PlanN
 	if placer == nil {
 		placer = placement.Relaxation{}
 	}
-	mapper := s.Mapper
-	if mapper == nil {
-		if cat := env.Catalog(); cat != nil {
-			mapper = placement.DHTMapper{Catalog: cat}
-		} else {
-			mapper = placement.OracleMapper{Source: env}
-		}
-	}
 	b := &Builder{Env: env}
-	c, _, err := buildPlaceMap(b, q, p, placer, mapper)
+	c, _, err := buildPlaceMap(b, q, p, placer, mapperOn(s.Mapper, env.Catalog(), env))
 	return c, err
 }
 

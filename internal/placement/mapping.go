@@ -55,6 +55,14 @@ type Mapper interface {
 	Name() string
 }
 
+// SourceMapper is a Mapper that reads node points from a NodeSource and
+// can be re-pointed at another one: a planning shadow, a frozen
+// snapshot. On returns the same mapper reading from src.
+type SourceMapper interface {
+	Mapper
+	On(src NodeSource) Mapper
+}
+
 // idealDims is the dimensionality up to which a mapper assembles its
 // ideal target point on its own stack; wider spaces grow the buffer on
 // the heap. Mappers are stateless values shared between goroutines, so
@@ -93,6 +101,9 @@ type OracleMapper struct {
 
 // Name implements Mapper.
 func (OracleMapper) Name() string { return "oracle" }
+
+// On implements SourceMapper.
+func (OracleMapper) On(src NodeSource) Mapper { return OracleMapper{Source: src} }
 
 // MapCoord implements Mapper.
 func (m OracleMapper) MapCoord(_ topology.NodeID, vec vivaldi.Coord, exclude map[topology.NodeID]bool) (topology.NodeID, MapStats, error) {
@@ -189,6 +200,9 @@ type VectorOnlyMapper struct {
 
 // Name implements Mapper.
 func (VectorOnlyMapper) Name() string { return "vector-only" }
+
+// On implements SourceMapper.
+func (VectorOnlyMapper) On(src NodeSource) Mapper { return VectorOnlyMapper{Source: src} }
 
 // MapCoord implements Mapper.
 func (m VectorOnlyMapper) MapCoord(_ topology.NodeID, vec vivaldi.Coord, exclude map[topology.NodeID]bool) (topology.NodeID, MapStats, error) {

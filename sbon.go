@@ -142,7 +142,11 @@ type Options struct {
 	// without explicit statistics (default 0.8).
 	DefaultJoinSelectivity float64
 	// DisableDHT skips the Chord/Hilbert catalog and maps coordinates
-	// with a centralized oracle instead (faster, less faithful).
+	// with a centralized oracle instead (faster, less faithful). With the
+	// catalog, Optimize, the batch calls and Rewrite map through the DHT,
+	// while re-optimization sweeps (Reoptimize, PlanReoptimization,
+	// Adapt, Evacuate) map with the oracle either way: see
+	// optimizer.Reoptimizer.Mapper for why.
 	DisableDHT bool
 	// Trace enables the structured event tracer: optimizer decisions,
 	// migration phases, repair rounds, DHT lookup hops, fault and
@@ -351,7 +355,9 @@ func (s *System) SetBackgroundLoad(n NodeID, load float64) {
 // Reoptimize performs one local re-optimization sweep: deployed services
 // re-run placement and migrate when the cost improvement clears the
 // hysteresis threshold. The moves apply to the control plane only; use
-// Adapt to migrate circuits that are executing on the engine.
+// Adapt to migrate circuits that are executing on the engine. The sweep
+// maps with the exact oracle over its planning shadow, even when the
+// System has a DHT catalog (see optimizer.Reoptimizer.Mapper).
 func (s *System) Reoptimize() (optimizer.StepStats, error) {
 	return optimizer.NewReoptimizer(s.Deployment).Step()
 }
@@ -359,6 +365,7 @@ func (s *System) Reoptimize() (optimizer.StepStats, error) {
 // PlanReoptimization runs a re-optimization sweep and returns the typed
 // migration plan without applying anything — what Adapt executes
 // internally, exposed for callers that want to inspect or filter moves.
+// Like Reoptimize, it maps with the oracle, not the DHT.
 func (s *System) PlanReoptimization() (MigrationPlan, error) {
 	return optimizer.NewReoptimizer(s.Deployment).Plan()
 }
@@ -382,7 +389,8 @@ type AdaptOptions struct {
 // affected circuits — migrates the operators under traffic (buffered
 // handoff, zero tuple loss) before committing. Returns per-sweep
 // statistics. Without a started engine the moves commit instantly
-// (control-plane-only adaptation).
+// (control-plane-only adaptation). Sweeps map with the oracle, as
+// Reoptimize does.
 func (s *System) Adapt(opts AdaptOptions) ([]AdaptStats, error) {
 	sweeps := opts.Sweeps
 	if sweeps <= 0 {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/hourglass/sbon/internal/topology"
+	"github.com/hourglass/sbon/internal/trace"
 )
 
 // smallOpts keeps facade tests fast (~44 nodes).
@@ -349,12 +350,16 @@ func TestFacadeBatchStatsChangeFlushesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, missesBefore, _ := sys.PlanCacheStats()
 	batch, err := sys.OptimizeBatch(qs, BatchOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batch[0].FromCache {
-		t.Fatal("first query after a statistics change was served from the stale cache")
+	// A cache that kept its pre-change entry would answer all four
+	// queries from it. Which query misses is up to the workers: one may
+	// miss and store the fresh plan before another looks it up.
+	if _, misses, _ := sys.PlanCacheStats(); misses == missesBefore {
+		t.Fatal("every query after a statistics change was served from the stale cache")
 	}
 	for i := range batch {
 		if batch[i].Circuit.Plan.Signature() != seq.Circuit.Plan.Signature() {
@@ -365,6 +370,59 @@ func TestFacadeBatchStatsChangeFlushesCache(t *testing.T) {
 			t.Fatalf("query %d: batch usage %v != fresh sequential %v",
 				i, batch[i].EstimatedUsage, seq.EstimatedUsage)
 		}
+	}
+}
+
+// TestFacadeMappingPolicy pins the default System's written mapping
+// policy: Optimize and Rewrite map through the DHT, while
+// PlanReoptimization sweeps with the oracle over its shadow and walks no
+// ring.
+func TestFacadeMappingPolicy(t *testing.T) {
+	sys := newSystem(t, 9)
+	tr := trace.New(nil)
+	sys.Env.Catalog().Ring().SetTracer(tr)
+	lookups := func() int {
+		n := 0
+		for _, ev := range tr.Events() {
+			if ev.Cat == "dht" && ev.Name == "lookup" && ev.Ph == trace.Begin {
+				n++
+			}
+		}
+		return n
+	}
+	q := Query{ID: 1, Consumer: sys.StubNodes()[3], Streams: []StreamID{0, 1, 2, 3}}
+	res, err := sys.Optimize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lookups() == 0 || res.MapStats.PeersWalked == 0 {
+		t.Fatal("Optimize did not map through the DHT")
+	}
+	two, err := sys.OptimizeTwoStep(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Deploy(two.Circuit); err != nil {
+		t.Fatal(err)
+	}
+	before := lookups()
+	if st, err := sys.Rewrite(); err != nil || st.VariantsCosted == 0 {
+		t.Fatalf("rewrite costed no variant: %+v, %v", st, err)
+	}
+	if lookups() == before {
+		t.Fatal("Rewrite did not map through the DHT")
+	}
+	sys.SetBackgroundLoad(two.Circuit.UnpinnedServices()[0].Node, 5)
+	before = lookups()
+	plan, err := sys.PlanReoptimization()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.ServicesEvaluated == 0 {
+		t.Fatal("the sweep evaluated nothing")
+	}
+	if lookups() != before {
+		t.Fatal("PlanReoptimization walked the DHT; its sweeps map with the oracle")
 	}
 }
 
