@@ -322,20 +322,28 @@ func BenchmarkX15_IncrementalReplanning1024(b *testing.B) {
 
 func BenchmarkTraceEmitDisabled(b *testing.B) {
 	var tr *trace.Tracer
+	var ctr uint64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if tr.Enabled() && tr.Sample() {
+		if tr.Enabled() && tr.SampleAt(&ctr) {
 			tr.Emit("bench", "hop", trace.Int("i", i))
 		}
 	}
 }
 
 func BenchmarkTraceEmitEnabled(b *testing.B) {
-	tr := trace.New(simtime.NewVirtual())
-	tr.SetLimit(1 << 24)
+	clk := simtime.NewVirtual()
+	var tr *trace.Tracer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// A fresh tracer per full buffer: every emission records, none
+		// is counted and dropped past the cap.
+		if i%trace.BufferLimit == 0 {
+			b.StopTimer()
+			tr = trace.New(clk)
+			b.StartTimer()
+		}
 		tr.Emit("bench", "hop", trace.Int("i", i), trace.Num("v", 1.5))
 	}
 }

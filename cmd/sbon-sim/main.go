@@ -51,10 +51,10 @@
 //
 // Observability: -trace FILE writes the run's structured events as a
 // Chrome trace-event file (load it in Perfetto or chrome://tracing),
-// -trace-jsonl FILE writes the same events as JSON Lines,
-// -trace-stream FILE streams the JSON Lines incrementally in constant
-// memory (byte-identical to -trace-jsonl output; use it for very large
-// runs where buffering every event is infeasible), and -metrics-dump
+// -trace-jsonl FILE writes the same events as JSON Lines — streamed to
+// the file as they are emitted, in constant memory, unless -trace or
+// -metrics-dump needs the events buffered; the bytes are the same
+// either way — and -metrics-dump
 // prints one JSON report merging the overlay's metric registry with
 // the trace to stdout. Traces cover optimizer decisions,
 // migration phases, repair rounds, fault injections, and failure
@@ -92,61 +92,69 @@ import (
 type traceSink struct {
 	chrome string
 	jsonl  string
-	stream string
 	dump   bool
 	tr     *trace.Tracer
-	// streamFile is the open -trace-stream destination; events are
-	// written to it incrementally instead of buffered in memory.
-	streamFile *os.File
+	// jsonlFile is the -trace-jsonl destination, open from the start so
+	// that events can stream into it.
+	jsonlFile *os.File
 }
 
+// streamJSONL reports whether -trace-jsonl streams: no other export
+// reads the event buffer, so each line goes to the file when its event
+// is emitted and memory stays constant however long the run.
+func (s *traceSink) streamJSONL() bool { return s.chrome == "" && !s.dump }
+
 func (s *traceSink) open() *trace.Tracer {
-	if s.chrome == "" && s.jsonl == "" && s.stream == "" && !s.dump {
+	if s.chrome == "" && s.jsonl == "" && !s.dump {
 		return nil
 	}
 	s.tr = trace.New(nil)
-	if s.stream != "" {
-		f, err := os.Create(s.stream)
+	if s.jsonl != "" {
+		f, err := os.Create(s.jsonl)
 		if err != nil {
 			fail(err)
 		}
-		s.streamFile = f
-		s.tr.StreamJSONL(f)
+		s.jsonlFile = f
+		if s.streamJSONL() {
+			s.tr.StreamJSONL(f)
+		}
 	}
 	return s.tr
 }
 
 func (s *traceSink) finish(reg *metrics.Registry) {
-	writeFile := func(path string, write func(*os.File) error) {
-		f, err := os.Create(path)
+	if s.chrome != "" {
+		f, err := os.Create(s.chrome)
 		if err != nil {
 			fail(err)
 		}
-		if err := write(f); err != nil {
+		if err := s.tr.WriteChromeTrace(f); err != nil {
 			f.Close()
 			fail(err)
 		}
 		if err := f.Close(); err != nil {
 			fail(err)
 		}
-	}
-	if s.streamFile != nil {
-		if err := s.tr.Flush(); err != nil {
-			s.streamFile.Close()
-			fail(err)
-		}
-		if err := s.streamFile.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Printf("trace: streamed JSONL -> %s (constant-memory; %d events buffered)\n", s.stream, s.tr.Len())
-	}
-	if s.chrome != "" {
-		writeFile(s.chrome, func(f *os.File) error { return s.tr.WriteChromeTrace(f) })
 		fmt.Printf("trace: %d events -> %s (Chrome trace-event format; open in Perfetto)\n", s.tr.Len(), s.chrome)
 	}
-	if s.jsonl != "" {
-		writeFile(s.jsonl, func(f *os.File) error { return s.tr.WriteJSONL(f) })
-		fmt.Printf("trace: %d events -> %s (JSON Lines)\n", s.tr.Len(), s.jsonl)
+	if s.jsonlFile != nil {
+		// A streaming tracer holds only its write buffer's tail; a
+		// buffering one writes every event now.
+		err := s.tr.Flush()
+		if err == nil && !s.streamJSONL() {
+			err = s.tr.WriteJSONL(s.jsonlFile)
+		}
+		if cerr := s.jsonlFile.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fail(err)
+		}
+		if s.streamJSONL() {
+			fmt.Printf("trace: streamed JSON Lines -> %s (constant memory)\n", s.jsonl)
+		} else {
+			fmt.Printf("trace: %d events -> %s (JSON Lines)\n", s.tr.Len(), s.jsonl)
+		}
 	}
 	if s.dump {
 		if reg == nil {
@@ -195,17 +203,11 @@ func main() {
 		dropProb  = flag.Float64("drop-prob", 0, "ambient per-message drop probability for the failure scenario")
 
 		traceFile   = flag.String("trace", "", "write the run's structured events to this file in Chrome trace-event format (Perfetto-loadable)")
-		traceJSONL  = flag.String("trace-jsonl", "", "write the run's structured events to this file as JSON Lines")
-		traceStream = flag.String("trace-stream", "", "stream the run's structured events to this file as JSON Lines incrementally (constant memory; for very large runs)")
+		traceJSONL  = flag.String("trace-jsonl", "", "write the run's structured events to this file as JSON Lines (streamed in constant memory unless -trace or -metrics-dump is set)")
 		metricsDump = flag.Bool("metrics-dump", false, "print a JSON report merging the metric registry with the trace to stdout at exit")
 	)
 	flag.Parse()
-	if *traceStream != "" && (*traceFile != "" || *traceJSONL != "" || *metricsDump) {
-		// Streamed events are not retained in memory, so the buffered
-		// exporters would emit empty output — reject the combination.
-		fail(fmt.Errorf("-trace-stream cannot be combined with -trace, -trace-jsonl, or -metrics-dump"))
-	}
-	sink := &traceSink{chrome: *traceFile, jsonl: *traceJSONL, stream: *traceStream, dump: *metricsDump}
+	sink := &traceSink{chrome: *traceFile, jsonl: *traceJSONL, dump: *metricsDump}
 
 	if *dataShards > 1 && !*execute {
 		fail(fmt.Errorf("-data-shards requires -execute: it is the data plane that shards"))

@@ -139,7 +139,7 @@ type SweepStats struct {
 	// Unmovable counts pinned services stuck on victim nodes
 	// (evacuations only).
 	Unmovable int
-	// PredictedGain sums the model-estimated serviceCost improvement of
+	// PredictedGain sums the model-estimated service-cost improvement of
 	// committed moves; UsageGain sums their incident network-usage part.
 	PredictedGain float64
 	UsageGain     float64

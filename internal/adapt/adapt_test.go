@@ -57,7 +57,7 @@ func newFixture(t *testing.T, seed int64, queries int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ncfg := overlay.DefaultConfig()
+	ncfg := overlay.Config{Clock: simtime.NewVirtual()}
 	clk := ncfg.Clock
 	net := overlay.NewNetwork(topo, ncfg)
 	eng := stream.NewEngine(net, topo, stream.DefaultEngineConfig())

@@ -1,4 +1,4 @@
-// Package costindex provides an exact k-nearest-neighbor index over the
+// Package costindex provides an exact nearest-neighbor index over the
 // cost-space points of overlay nodes — the data structure behind the
 // physical-mapping hot path (project an ideal virtual coordinate onto
 // the nearest physical node in full cost-space distance) that every
@@ -59,7 +59,8 @@ import (
 	"github.com/hourglass/sbon/internal/costspace"
 )
 
-// Neighbor is one k-NN result: item id and its distance to the target.
+// Neighbor is one radius-query result: item id and its distance to the
+// target.
 type Neighbor struct {
 	ID   int32
 	Dist float64
@@ -125,21 +126,21 @@ func (x *Index) NumPatched() int { return len(x.patched) }
 // patch scans erode the tree's advantage and a rebuild is cheaper.
 //
 // The budget comes from the crossover measurements in
-// crossover_bench_test.go (Xeon 2.10GHz, go1.24, 4-dim latency+load
-// space, k=4 queries):
+// crossover_bench_test.go (2-core Intel Xeon, go1.24, 4-dim
+// latency+load space, Nearest queries):
 //
-//	clean KNearest   1.47µs (n=1k)   2.05µs (n=10k)   2.87µs (n=100k)
-//	per-patch cost   ~18–20ns/query, independent of n
-//	Build            127µs  (n=1k)   2.39ms (n=10k)   34.8ms (n=100k)
+//	clean Nearest    0.43µs (n=1k)   0.58µs (n=10k)   0.86µs (n=100k)
+//	per-patch cost   ~11ns/query, independent of n
+//	Build            106µs  (n=1k)   1.95ms (n=10k)   25.8ms (n=100k)
 //
 // Overlay scans cost the same per patch at every scale while the tree
 // query grows like log n, so the break-even overlay size — where patch
-// scanning doubles the query — is cleanQuery/18ns ≈ 80 at 1k, ~115 at
-// 10k, ~160 at 100k: logarithmic in n, not linear. The previous fixed
-// 8+n/8 budget admitted 12.5k patches at n=100k, a measured ~78x
-// per-query slowdown; 32+8·log2(n) tracks the measured doubling point
-// (112 at 1k, 138 at 10k, 165 at 100k) and keeps patched queries
-// within ~2x of a clean tree at every scale.
+// scanning doubles the query — is cleanQuery/11ns ≈ 40 at 1k, ~55 at
+// 10k, ~75 at 100k: logarithmic in n, not linear. A budget linear in n
+// (8+n/8 admits 12.5k patches at n=100k: ~140µs of patch scan on a
+// 0.86µs query) is ruinous; 32+8·log2(n) (112 at 1k, 138 at 10k, 165 at
+// 100k) follows the logarithmic doubling point and keeps patched
+// queries within ~4x of a clean tree at every scale.
 func (x *Index) patchBudget() int {
 	return 32 + 8*bits.Len(uint(x.n))
 }
@@ -209,29 +210,6 @@ func (x *Index) Nearest(target costspace.Point, exclude func(int32) bool) (id in
 // (latency) subspace, the metric of costspace.Space.VectorDistance.
 func (x *Index) NearestVector(target costspace.Point, exclude func(int32) bool) (id int32, dist float64, found bool) {
 	return x.nearest(target, x.vdims, exclude)
-}
-
-// KNearest appends to dst the k non-excluded ids nearest to target in
-// full-space distance, ordered by (distance, id) — identical to sorting
-// a linear scan by that key and keeping the first k. Passing a slice
-// with spare capacity avoids allocation; dst's length is ignored.
-func (x *Index) KNearest(target costspace.Point, k int, exclude func(int32) bool, dst []Neighbor) []Neighbor {
-	x.checkTarget(target)
-	if k <= 0 {
-		return dst[:0]
-	}
-	q := knnQuery{x: x, target: target, ed: x.dims, k: k, exclude: exclude, heap: dst[:0]}
-	if x.n > 0 {
-		q.visit(0, x.n, 0)
-	}
-	for id, p := range x.patched {
-		if exclude == nil || !exclude(id) {
-			q.offer(id, distPoint(target, p, x.dims))
-		}
-	}
-	out := q.heap
-	sort.Slice(out, func(i, j int) bool { return lexLess(out[i], out[j]) })
-	return out
 }
 
 // WithinRadius appends to dst every non-excluded id within full-space
@@ -432,92 +410,6 @@ func (q *nnQuery) visit(lo, hi, depth int) {
 			q.visit(mid+1, hi, depth+1)
 		}
 		if !q.found || diff <= q.bestD {
-			q.visit(lo, mid, depth+1)
-		}
-	}
-}
-
-// ---- k-nearest search ----
-
-// knnQuery maintains a bounded max-heap of the k best (distance, id)
-// pairs seen, worst at the root, ordered lexicographically so the final
-// contents equal "sort all candidates by (distance, id), keep first k".
-type knnQuery struct {
-	x       *Index
-	target  costspace.Point
-	ed      int
-	k       int
-	exclude func(int32) bool
-	heap    []Neighbor
-}
-
-func (q *knnQuery) offer(id int32, d float64) {
-	nb := Neighbor{ID: id, Dist: d}
-	if len(q.heap) < q.k {
-		q.heap = append(q.heap, nb)
-		// Sift up.
-		i := len(q.heap) - 1
-		for i > 0 {
-			parent := (i - 1) / 2
-			if !lexLess(q.heap[parent], q.heap[i]) {
-				break
-			}
-			q.heap[parent], q.heap[i] = q.heap[i], q.heap[parent]
-			i = parent
-		}
-		return
-	}
-	if !lexLess(nb, q.heap[0]) {
-		return
-	}
-	q.heap[0] = nb
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(q.heap) && lexLess(q.heap[big], q.heap[l]) {
-			big = l
-		}
-		if r < len(q.heap) && lexLess(q.heap[big], q.heap[r]) {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		q.heap[i], q.heap[big] = q.heap[big], q.heap[i]
-		i = big
-	}
-}
-
-func (q *knnQuery) visit(lo, hi, depth int) {
-	x := q.x
-	mid := (lo + hi) / 2
-	id := x.order[mid]
-	if _, moved := x.patched[id]; !moved && (q.exclude == nil || !q.exclude(id)) {
-		q.offer(id, x.dist(id, q.target, q.ed))
-	}
-	if hi-lo == 1 {
-		return
-	}
-	axis := depth % x.dims
-	var diff float64
-	if axis < q.ed {
-		diff = q.target[axis] - x.coord(id, axis)
-	}
-	inRange := func(d float64) bool {
-		return len(q.heap) < q.k || d <= q.heap[0].Dist
-	}
-	if diff < 0 {
-		q.visit(lo, mid, depth+1)
-		if inRange(-diff) && mid+1 < hi {
-			q.visit(mid+1, hi, depth+1)
-		}
-	} else {
-		if mid+1 < hi {
-			q.visit(mid+1, hi, depth+1)
-		}
-		if inRange(diff) {
 			q.visit(lo, mid, depth+1)
 		}
 	}

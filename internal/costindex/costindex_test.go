@@ -94,21 +94,6 @@ func (b brute) nearest(target costspace.Point, ed int, exclude func(int32) bool)
 	return bestID, bestD, found
 }
 
-func (b brute) knearest(target costspace.Point, k int, exclude func(int32) bool) []Neighbor {
-	var all []Neighbor
-	for i, p := range b.pts {
-		if exclude != nil && exclude(int32(i)) {
-			continue
-		}
-		all = append(all, Neighbor{ID: int32(i), Dist: b.space.Distance(target, p)})
-	}
-	sort.Slice(all, func(i, j int) bool { return lexLess(all[i], all[j]) })
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
-}
-
 func (b brute) within(target costspace.Point, r float64, exclude func(int32) bool) []Neighbor {
 	var all []Neighbor
 	for i, p := range b.pts {
@@ -209,10 +194,6 @@ func TestIndexMatchesLinearScanProperty(t *testing.T) {
 					trial, gid, gd, gok, wid, wd, wok)
 			}
 
-			k := []int{1, 2, 3, 8, n, n + 5}[rng.Intn(6)]
-			neighborsEqual(t, "KNearest",
-				x.KNearest(target, k, exclude, nil), ref.knearest(target, k, exclude))
-
 			r := rng.Float64() * 80
 			neighborsEqual(t, "WithinRadius",
 				x.WithinRadius(target, r, exclude, nil), ref.within(target, r, exclude))
@@ -235,8 +216,8 @@ func TestIndexEmptyAndAllExcluded(t *testing.T) {
 	if _, _, ok := x.Nearest(space.IdealPoint(vivaldi.Coord{0, 0}), all); ok {
 		t.Fatal("Nearest with everything excluded reported found")
 	}
-	if got := x.KNearest(space.IdealPoint(vivaldi.Coord{0, 0}), 5, all, nil); len(got) != 0 {
-		t.Fatalf("KNearest with everything excluded returned %v", got)
+	if got := x.WithinRadius(space.IdealPoint(vivaldi.Coord{0, 0}), math.Inf(1), all, nil); len(got) != 0 {
+		t.Fatalf("WithinRadius with everything excluded returned %v", got)
 	}
 }
 
@@ -312,12 +293,8 @@ func TestIndexReusesDst(t *testing.T) {
 	x := Build(space, pts, 0)
 	target := randTarget(rng, space, false)
 	buf := make([]Neighbor, 0, 64)
-	out := x.KNearest(target, 5, nil, buf)
-	if &out[0] != &buf[:1][0] {
-		t.Fatal("KNearest did not reuse dst's backing array")
-	}
-	out2 := x.WithinRadius(target, math.Inf(1), nil, buf)
-	if len(out2) != 30 || &out2[0] != &buf[:1][0] {
+	out := x.WithinRadius(target, math.Inf(1), nil, buf)
+	if len(out) != 30 || &out[0] != &buf[:1][0] {
 		t.Fatal("WithinRadius did not reuse dst's backing array")
 	}
 }

@@ -65,7 +65,7 @@ func BenchmarkCrossoverQuery(b *testing.B) {
 					for j := range q {
 						q[j] = rng.Float64() * 100
 					}
-					x.KNearest(q, 4, nil, nil)
+					x.Nearest(q, nil)
 				}
 			})
 		}

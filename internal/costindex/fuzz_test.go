@@ -1,6 +1,7 @@
 package costindex
 
 import (
+	"math"
 	"testing"
 
 	"github.com/hourglass/sbon/internal/costspace"
@@ -53,6 +54,12 @@ func gridPoint(space *costspace.Space, a, c int) costspace.Point {
 		raw[j] = float64((c>>(2*j))%3) / 2
 	}
 	return space.NewPoint(vec, raw)
+}
+
+// idealGridPoint is the vector part of gridPoint(space, a, 0) as an
+// ideal point: a query target.
+func idealGridPoint(space *costspace.Space, a int) costspace.Point {
+	return space.IdealPoint(vivaldi.Coord(gridPoint(space, a, 0)[:space.VectorDims]))
 }
 
 // patchedWorld is an index under a sequence of point moves, with the
@@ -110,7 +117,7 @@ func (w *patchedWorld) excludeSet(mode, arg int, target costspace.Point) func(in
 		return func(id int32) bool { return (int(id)*arg>>3)&1 == 1 }
 	case 2:
 		near := map[int32]bool{}
-		for _, nb := range (brute{space: w.space, pts: w.cur}).knearest(target, 1+arg%6, nil) {
+		for _, nb := range (brute{space: w.space, pts: w.cur}).within(target, math.Inf(1), nil)[:1+arg%6] {
 			near[nb.ID] = true
 		}
 		return func(id int32) bool { return near[id] }
@@ -120,8 +127,8 @@ func (w *patchedWorld) excludeSet(mode, arg int, target costspace.Point) func(in
 	return nil
 }
 
-// check holds all four queries to the linear scan over current points.
-func (w *patchedWorld) check(target costspace.Point, k int, r float64, exclude func(int32) bool) {
+// check holds all three queries to the linear scan over current points.
+func (w *patchedWorld) check(target costspace.Point, r float64, exclude func(int32) bool) {
 	t := w.t
 	t.Helper()
 	ref := brute{space: w.space, pts: w.cur}
@@ -135,7 +142,6 @@ func (w *patchedWorld) check(target costspace.Point, k int, r float64, exclude f
 	if gok != wok || (gok && (gid != wid || gd != wd)) {
 		t.Fatalf("NearestVector = (%d, %v, %v), linear scan (%d, %v, %v)", gid, gd, gok, wid, wd, wok)
 	}
-	neighborsEqual(t, "KNearest", w.x.KNearest(target, k, exclude, nil), ref.knearest(target, k, exclude))
 	neighborsEqual(t, "WithinRadius", w.x.WithinRadius(target, r, exclude, nil), ref.within(target, r, exclude))
 }
 
@@ -143,8 +149,8 @@ func (w *patchedWorld) check(target costspace.Point, k int, r float64, exclude f
 // moves, exact move-backs, and bursts that run the patch overlay up to
 // and past its budget, rebuilding on refusal as the optimizer does)
 // interleaved with queries, then a fixed sweep of queries over whatever
-// state the sequence left. Every answer of Nearest, NearestVector,
-// KNearest and WithinRadius, under every exclusion shape, must equal the
+// state the sequence left. Every answer of Nearest, NearestVector and
+// WithinRadius, under every exclusion shape, must equal the
 // linear scan over the current points bit for bit.
 func FuzzIndexPatchesMatchBrute(f *testing.F) {
 	f.Add([]byte{0, 0, 5, 17, 1, 5, 3, 9, 40, 2, 1, 7, 3, 200, 3, 4, 0, 2, 0, 90, 9, 3, 31, 6, 8, 1, 2})
@@ -173,16 +179,16 @@ func FuzzIndexPatchesMatchBrute(f *testing.F) {
 					w.move(int32((from+i)%fuzzIndexPoints), gridPoint(space, from*7+i*13, c+i))
 				}
 			case 3:
-				target := space.IdealPoint(space.Vector(gridPoint(space, b.next(), 0)))
-				k, r := b.next()%12, float64(b.next())/4
+				target := idealGridPoint(space, b.next())
+				r := float64(b.next()) / 4
 				mode, arg := b.next(), b.next()
-				w.check(target, k, r, w.excludeSet(mode, arg, target))
+				w.check(target, r, w.excludeSet(mode, arg, target))
 			}
 		}
 		for i := 0; i < 6; i++ {
-			target := space.IdealPoint(space.Vector(gridPoint(space, i*43+4, 0)))
+			target := idealGridPoint(space, i*43+4)
 			for mode := 0; mode < 4; mode++ {
-				w.check(target, 1+i+mode, float64(8*i), w.excludeSet(mode, 3*i+mode, target))
+				w.check(target, float64(8*i), w.excludeSet(mode, 3*i+mode, target))
 			}
 		}
 	})

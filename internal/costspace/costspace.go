@@ -226,11 +226,6 @@ func (s *Space) AppendIdealPoint(dst Point, vec vivaldi.Coord) Point {
 	return dst
 }
 
-// Vector returns the vector-subspace portion of p.
-func (s *Space) Vector(p Point) vivaldi.Coord {
-	return vivaldi.Coord(p[:s.VectorDims])
-}
-
 // ScalarComponents returns the weighted scalar portion of p.
 func (s *Space) ScalarComponents(p Point) []float64 {
 	return p[s.VectorDims:]
@@ -303,15 +298,10 @@ func ComputeBounds(pts []Point, margin float64) (Bounds, error) {
 	return b, nil
 }
 
-// Quantize maps p onto a grid with 2^bits cells per dimension inside the
-// bounds, clamping out-of-range values to the grid edge.
-func (b Bounds) Quantize(p Point, bits uint) []uint32 {
-	return b.QuantizeInto(nil, p, bits)
-}
-
-// QuantizeInto is Quantize writing into dst's backing array (dst's
-// length is ignored) — the allocation-free variant for hot lookup paths
-// that reuse a scratch cell buffer.
+// QuantizeInto maps p onto a grid with 2^bits cells per dimension
+// inside the bounds, clamping out-of-range values to the grid edge. It
+// writes into dst's backing array (dst's length is ignored), so hot
+// lookup paths reuse one scratch cell buffer.
 func (b Bounds) QuantizeInto(dst []uint32, p Point, bits uint) []uint32 {
 	cells := uint64(1) << bits
 	out := dst[:0]
@@ -329,17 +319,6 @@ func (b Bounds) QuantizeInto(dst []uint32, p Point, bits uint) []uint32 {
 			f = math.Nextafter(1, 0)
 		}
 		out = append(out, uint32(f*float64(cells)))
-	}
-	return out
-}
-
-// Dequantize maps grid cell coordinates back to the cell-center point.
-func (b Bounds) Dequantize(cells []uint32, bits uint) Point {
-	n := float64(uint64(1) << bits)
-	out := make(Point, len(cells))
-	for i, c := range cells {
-		span := b.Max[i] - b.Min[i]
-		out[i] = b.Min[i] + (float64(c)+0.5)/n*span
 	}
 	return out
 }

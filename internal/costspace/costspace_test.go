@@ -9,6 +9,18 @@ import (
 	"github.com/hourglass/sbon/internal/vivaldi"
 )
 
+// Dequantize maps grid cell coordinates back to the cell-center point:
+// the inverse the quantization tests hold QuantizeInto to.
+func (b Bounds) Dequantize(cells []uint32, bits uint) Point {
+	n := float64(uint64(1) << bits)
+	out := make(Point, len(cells))
+	for i, c := range cells {
+		span := b.Max[i] - b.Min[i]
+		out[i] = b.Min[i] + (float64(c)+0.5)/n*span
+	}
+	return out
+}
+
 func figure2Space() *Space {
 	return NewLatencyLoadSpace(100)
 }
@@ -150,9 +162,8 @@ func TestIdealPointZeroScalars(t *testing.T) {
 func TestVectorAndScalarAccessors(t *testing.T) {
 	s := figure2Space()
 	p := s.NewPoint(vivaldi.Coord{1, 2}, []float64{1})
-	v := s.Vector(p)
-	if len(v) != 2 || v[0] != 1 || v[1] != 2 {
-		t.Fatalf("Vector = %v", v)
+	if p[0] != 1 || p[1] != 2 {
+		t.Fatalf("vector part = %v", p[:s.VectorDims])
 	}
 	sc := s.ScalarComponents(p)
 	if len(sc) != 1 || sc[0] != 100 {
@@ -274,7 +285,7 @@ func TestQuantizeDequantizeRoundtrip(t *testing.T) {
 		}
 	}
 	for _, p := range pts {
-		cells := b.Quantize(p, bits)
+		cells := b.QuantizeInto(nil, p, bits)
 		back := b.Dequantize(cells, bits)
 		for i := range p {
 			if math.Abs(back[i]-p[i]) > cellSpan {
@@ -287,8 +298,8 @@ func TestQuantizeDequantizeRoundtrip(t *testing.T) {
 func TestQuantizeClampsOutOfRange(t *testing.T) {
 	b := Bounds{Min: Point{0, 0}, Max: Point{10, 10}}
 	const bits = 8
-	lo := b.Quantize(Point{-5, -5}, bits)
-	hi := b.Quantize(Point{50, 50}, bits)
+	lo := b.QuantizeInto(nil, Point{-5, -5}, bits)
+	hi := b.QuantizeInto(nil, Point{50, 50}, bits)
 	if lo[0] != 0 || lo[1] != 0 {
 		t.Fatalf("low clamp = %v", lo)
 	}
@@ -306,7 +317,7 @@ func TestQuantizeRangeProperty(t *testing.T) {
 		if math.IsNaN(x) || math.IsNaN(y) || math.IsNaN(z) {
 			return true
 		}
-		cells := b.Quantize(Point{x, y, z}, bits)
+		cells := b.QuantizeInto(nil, Point{x, y, z}, bits)
 		for _, c := range cells {
 			if uint64(c) >= uint64(1)<<bits {
 				return false

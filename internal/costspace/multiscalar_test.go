@@ -83,7 +83,7 @@ func TestMultiScalarQuantizeRoundtrip(t *testing.T) {
 	}
 	const bits = 10
 	for _, p := range pts {
-		cells := b.Quantize(p, bits)
+		cells := b.QuantizeInto(nil, p, bits)
 		if len(cells) != 5 {
 			t.Fatalf("quantized to %d cells", len(cells))
 		}

@@ -44,8 +44,7 @@ func newTestEnv(t *testing.T, n int, seed int64) *testEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	curve := hilbert.MustNew(uint(space.Dims()), 16)
-	cat, err := NewCatalog(ring, space, curve, bounds)
+	cat, err := NewCatalog(ring, space, mustCurve(t, uint(space.Dims()), 16), bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +54,16 @@ func newTestEnv(t *testing.T, n int, seed int64) *testEnv {
 		}
 	}
 	return &testEnv{ring: ring, catalog: cat, space: space, points: points}
+}
+
+// mustCurve is hilbert.New for a curve shape the test knows is valid.
+func mustCurve(t testing.TB, dims, bits uint) hilbert.Curve {
+	t.Helper()
+	c, err := hilbert.New(dims, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestPeerIDDeterministicAndSpread(t *testing.T) {
@@ -364,12 +373,12 @@ func TestNearestNodesValidation(t *testing.T) {
 func TestCatalogValidation(t *testing.T) {
 	space := costspace.NewLatencyLoadSpace(100)
 	ring := NewRing()
-	curve2 := hilbert.MustNew(2, 8) // wrong dims for 3-dim space
+	curve2 := mustCurve(t, 2, 8) // wrong dims for 3-dim space
 	bounds := costspace.Bounds{Min: costspace.Point{0, 0, 0}, Max: costspace.Point{1, 1, 1}}
 	if _, err := NewCatalog(ring, space, curve2, bounds); err == nil {
 		t.Fatal("dims mismatch accepted")
 	}
-	curve3 := hilbert.MustNew(3, 8)
+	curve3 := mustCurve(t, 3, 8)
 	badBounds := costspace.Bounds{Min: costspace.Point{0}, Max: costspace.Point{1}}
 	if _, err := NewCatalog(ring, space, curve3, badBounds); err == nil {
 		t.Fatal("bounds mismatch accepted")

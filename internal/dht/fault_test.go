@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/hourglass/sbon/internal/overlay"
+	"github.com/hourglass/sbon/internal/simtime"
 	"github.com/hourglass/sbon/internal/topology"
 	"github.com/hourglass/sbon/internal/vivaldi"
 )
@@ -110,7 +111,7 @@ func TestLookupRetryWiredFromFaultInjector(t *testing.T) {
 		IntraTransitLatency: [2]float64{5, 10},
 	}
 	topo := topology.MustGenerate(tcfg, rand.New(rand.NewSource(1)))
-	cfg := overlay.DefaultConfig()
+	cfg := overlay.Config{Clock: simtime.NewVirtual()}
 	clk := cfg.Clock
 	net := overlay.NewNetwork(topo, cfg)
 	defer func() {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/hourglass/sbon/internal/costspace"
-	"github.com/hourglass/sbon/internal/hilbert"
 	"github.com/hourglass/sbon/internal/topology"
 	"github.com/hourglass/sbon/internal/vivaldi"
 )
@@ -51,7 +50,7 @@ func newAdmissibleWorld(t *testing.T) *admissibleWorld {
 	}
 	ring := NewRing()
 	// Eight bits per axis: coarse enough that distinct points share keys.
-	cat, err := NewCatalog(ring, space, hilbert.MustNew(uint(space.Dims()), 8), bounds)
+	cat, err := NewCatalog(ring, space, mustCurve(t, uint(space.Dims()), 8), bounds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,9 +141,10 @@ func NewRing() *Ring {
 // AddPeer joins the overlay node to the ring and updates routing state.
 // Finger tables are maintained incrementally — only fingers the new
 // peer takes over are rewritten, O(log N) arcs instead of a full
-// O(N·log N) rebuild per join — and land in the same fully stabilized
-// state rebuildFingers computes. It returns an error if the node is
-// already present or its hashed ID collides with an existing peer.
+// O(N·log N) rebuild per join — and land in the fully stabilized state,
+// where finger i of every peer is the successor of its id + 2^i. It
+// returns an error if the node is already present or its hashed ID
+// collides with an existing peer.
 func (r *Ring) AddPeer(n topology.NodeID) (*Peer, error) {
 	if _, ok := r.byNode[n]; ok {
 		return nil, fmt.Errorf("dht: node %d already joined", n)
@@ -339,21 +340,6 @@ func (r *Ring) predecessorOf(p *Peer) *Peer {
 		i = len(r.peers) - 1
 	}
 	return r.peers[i]
-}
-
-// rebuildFingers recomputes every peer's finger table against the
-// current membership (the fully stabilized state Chord converges to).
-// Joins and leaves maintain fingers incrementally; this full rebuild is
-// the reference the incremental path is tested against.
-func (r *Ring) rebuildFingers() {
-	for _, p := range r.peers {
-		if p.fingers == nil {
-			p.fingers = make([]*Peer, 64)
-		}
-		for i := 0; i < 64; i++ {
-			p.fingers[i] = r.successor(p.id + 1<<uint(i))
-		}
-	}
 }
 
 // inOpenInterval reports whether x lies in the open circle interval

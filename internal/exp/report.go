@@ -130,10 +130,3 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// String renders the table as text.
-func (t *Table) String() string {
-	var b strings.Builder
-	t.Fprint(&b)
-	return b.String()
-}

@@ -27,7 +27,7 @@ func testTopo(t *testing.T) *topology.Topology {
 
 func virtualNet(t *testing.T) (*overlay.Network, *simtime.VirtualClock) {
 	t.Helper()
-	cfg := overlay.DefaultConfig()
+	cfg := overlay.Config{Clock: simtime.NewVirtual()}
 	clk := cfg.Clock
 	net := overlay.NewNetwork(testTopo(t), cfg)
 	t.Cleanup(func() {
@@ -205,7 +205,7 @@ func TestObservedHeartbeatAllocCeiling(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := overlay.DefaultConfig()
+			cfg := overlay.Config{Clock: simtime.NewVirtual()}
 			clk := cfg.Clock
 			if shards > 1 {
 				laneOf := make([]int32, topo.NumNodes())

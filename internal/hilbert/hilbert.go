@@ -8,9 +8,9 @@
 // compact region of the cost space.
 //
 // The implementation follows John Skilling, "Programming the Hilbert
-// curve", AIP Conf. Proc. 707 (2004): coordinates are converted to and
-// from the "transpose" form of the Hilbert index, which is then packed by
-// bit interleaving into a single uint64 key.
+// curve", AIP Conf. Proc. 707 (2004): coordinates are converted to the
+// "transpose" form of the Hilbert index, which is then packed by bit
+// interleaving into a single uint64 key.
 package hilbert
 
 import "fmt"
@@ -39,15 +39,6 @@ func New(dims, bits uint) (Curve, error) {
 	return Curve{dims: dims, bits: bits}, nil
 }
 
-// MustNew is New but panics on invalid parameters.
-func MustNew(dims, bits uint) Curve {
-	c, err := New(dims, bits)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Dims returns the dimensionality of the curve.
 func (c Curve) Dims() uint { return c.dims }
 
@@ -60,37 +51,11 @@ func (c Curve) KeyBits() uint { return c.dims * c.bits }
 // MaxCoord returns the largest valid coordinate value per dimension.
 func (c Curve) MaxCoord() uint32 { return uint32(1)<<c.bits - 1 }
 
-// Encode maps grid coordinates to the Hilbert index. It returns an error
-// if the coordinate count or range is invalid.
-func (c Curve) Encode(coords []uint32) (uint64, error) {
-	if uint(len(coords)) != c.dims {
-		return 0, fmt.Errorf("hilbert: got %d coords for %d-dim curve", len(coords), c.dims)
-	}
-	max := c.MaxCoord()
-	x := make([]uint32, c.dims)
-	for i, v := range coords {
-		if v > max {
-			return 0, fmt.Errorf("hilbert: coord %d = %d exceeds max %d", i, v, max)
-		}
-		x[i] = v
-	}
-	c.axesToTranspose(x)
-	return c.packTranspose(x), nil
-}
-
-// MustEncode is Encode but panics on invalid input; intended for callers
-// that have already validated coordinates (e.g. quantizers).
-func (c Curve) MustEncode(coords []uint32) uint64 {
-	k, err := c.Encode(coords)
-	if err != nil {
-		panic(err)
-	}
-	return k
-}
-
-// MustEncodeInPlace is MustEncode using coords itself as scratch — the
-// transpose transform overwrites it — for hot paths that reuse a cell
-// buffer and would otherwise pay Encode's defensive copy per call.
+// MustEncodeInPlace maps grid coordinates to the Hilbert index, using
+// coords itself as scratch: the transpose transform overwrites it, so
+// hot paths reuse one cell buffer. It panics if the coordinate count or
+// range is invalid, which only a caller that skipped quantizing to the
+// curve can cause.
 func (c Curve) MustEncodeInPlace(coords []uint32) uint64 {
 	if uint(len(coords)) != c.dims {
 		panic(fmt.Sprintf("hilbert: got %d coords for %d-dim curve", len(coords), c.dims))
@@ -103,17 +68,6 @@ func (c Curve) MustEncodeInPlace(coords []uint32) uint64 {
 	}
 	c.axesToTranspose(coords)
 	return c.packTranspose(coords)
-}
-
-// Decode maps a Hilbert index back to grid coordinates. Keys with bits
-// set above KeyBits are rejected.
-func (c Curve) Decode(key uint64) ([]uint32, error) {
-	if kb := c.KeyBits(); kb < 64 && key>>kb != 0 {
-		return nil, fmt.Errorf("hilbert: key %#x exceeds %d significant bits", key, kb)
-	}
-	x := c.unpackTranspose(key)
-	c.transposeToAxes(x)
-	return x, nil
 }
 
 // axesToTranspose converts coordinates in place to the transposed Hilbert
@@ -151,34 +105,6 @@ func (c Curve) axesToTranspose(x []uint32) {
 	t ^= t >> 16
 	for i := 0; i < n; i++ {
 		x[i] ^= t
-	}
-}
-
-// transposeToAxes converts the transposed index form back to coordinates
-// in place (Skilling's TransposetoAxes).
-func (c Curve) transposeToAxes(x []uint32) {
-	n := int(c.dims)
-	m := uint32(2) << (c.bits - 1)
-
-	// Gray decode by H ^ (H/2).
-	t := x[n-1] >> 1
-	for i := n - 1; i > 0; i-- {
-		x[i] ^= x[i-1]
-	}
-	x[0] ^= t
-
-	// Undo excess work.
-	for q := uint32(2); q != m; q <<= 1 {
-		p := q - 1
-		for i := n - 1; i >= 0; i-- {
-			if x[i]&q != 0 {
-				x[0] ^= p
-			} else {
-				t := (x[0] ^ x[i]) & p
-				x[0] ^= t
-				x[i] ^= t
-			}
-		}
 	}
 }
 
@@ -224,16 +150,4 @@ func (c Curve) packTranspose(x []uint32) uint64 {
 		}
 	}
 	return key
-}
-
-// unpackTranspose splits a key back into transpose form.
-func (c Curve) unpackTranspose(key uint64) []uint32 {
-	x := make([]uint32, c.dims)
-	for b := 0; b < int(c.bits); b++ {
-		for i := int(c.dims) - 1; i >= 0; i-- {
-			x[i] |= uint32(key&1) << uint(b)
-			key >>= 1
-		}
-	}
-	return x
 }

@@ -60,20 +60,14 @@ func refEncode(c Curve, coords []uint32) uint64 {
 	return refPackTranspose(c, x)
 }
 
-// checkAgainstReference encodes coords three ways — Encode, the in-place
-// variant, the reference — and decodes the key back.
+// checkAgainstReference encodes coords both ways — the encoder and the
+// reference — and decodes the key back.
 func checkAgainstReference(t *testing.T, c Curve, coords []uint32) {
 	t.Helper()
 	want := refEncode(c, coords)
-	got, err := c.Encode(coords)
-	if err != nil {
-		t.Fatalf("dims=%d bits=%d Encode(%v): %v", c.dims, c.bits, coords, err)
-	}
+	got := encode(c, coords)
 	if got != want {
-		t.Fatalf("dims=%d bits=%d Encode(%v) = %#x, reference %#x", c.dims, c.bits, coords, got, want)
-	}
-	if in := c.MustEncodeInPlace(append([]uint32(nil), coords...)); in != want {
-		t.Fatalf("dims=%d bits=%d MustEncodeInPlace(%v) = %#x, reference %#x", c.dims, c.bits, coords, in, want)
+		t.Fatalf("dims=%d bits=%d MustEncodeInPlace(%v) = %#x, reference %#x", c.dims, c.bits, coords, got, want)
 	}
 	back, err := c.Decode(got)
 	if err != nil {
@@ -94,7 +88,7 @@ func TestEncodeMatchesReference(t *testing.T) {
 	shapes := 0
 	for dims := uint(1); dims <= 64; dims++ {
 		for bits := uint(1); bits <= 32 && dims*bits <= 64; bits++ {
-			c := MustNew(dims, bits)
+			c := mustNew(dims, bits)
 			shapes++
 			max := c.MaxCoord()
 			coords := make([]uint32, dims)
@@ -143,7 +137,7 @@ func FuzzEncodeMatchesReference(f *testing.F) {
 			maxBits = 32
 		}
 		bits := uint(data[1])%maxBits + 1
-		c := MustNew(dims, bits)
+		c := mustNew(dims, bits)
 		data = data[2:]
 		coords := make([]uint32, dims)
 		for i := range coords {

@@ -160,10 +160,10 @@ func TestFreezeIsolatesSnapshot(t *testing.T) {
 	}
 
 	for name, f := range map[string]func(){
-		"SetBackgroundLoad":  func() { snap.SetBackgroundLoad(node, 0.1) },
-		"AddServiceLoad":     func() { snap.AddServiceLoad(node, 10) },
-		"RemoveServiceLoad":  func() { snap.RemoveServiceLoad(node, 10) },
-		"ReembedCoordinates": func() { _ = snap.ReembedCoordinates() },
+		"SetBackgroundLoad": func() { snap.SetBackgroundLoad(node, 0.1) },
+		"AddServiceLoad":    func() { snap.AddServiceLoad(node, 10) },
+		"RemoveServiceLoad": func() { snap.RemoveServiceLoad(node, 10) },
+		"SetCoordinates":    func() { _, _ = snap.SetCoordinates(nil) },
 	} {
 		func() {
 			defer func() {

@@ -72,9 +72,7 @@ func TestSnapshotIndexMatchesLinearScanAcrossMutations(t *testing.T) {
 	// Re-embedding moves every point: the index must still agree after
 	// the wholesale invalidation it causes.
 	env.Topo.PerturbLatencies(rng, 0.3)
-	if err := env.ReembedCoordinates(); err != nil {
-		t.Fatal(err)
-	}
+	reembed(t, env)
 	checkIdentity("after re-embedding")
 }
 

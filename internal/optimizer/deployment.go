@@ -342,9 +342,6 @@ type MigrationTicket struct {
 	Deadline time.Time
 }
 
-// Move returns the migration this ticket tracks.
-func (t *MigrationTicket) Move() Migration { return t.move }
-
 // BeginMigration opens a two-phase migration of the move's service: the
 // target node is charged the service's load immediately while the source
 // keeps its charge until Commit. The circuit still routes through the

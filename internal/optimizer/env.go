@@ -106,8 +106,8 @@ func (c EnvConfig) withDefaults() EnvConfig {
 // that concurrent optimizations share without locking.
 //
 // All methods are safe for concurrent use as long as no Env mutator
-// (SetBackgroundLoad, AddServiceLoad, RemoveServiceLoad,
-// ReembedCoordinates, Deploy/Cancel via Deployment) runs on the *owning
+// (SetBackgroundLoad, AddServiceLoad, RemoveServiceLoad, SetCoordinates,
+// Deploy/Cancel via Deployment) runs on the *owning
 // live* Env at the same time — a frozen snapshot's coordinate arrays are
 // private copies, but the DHT catalog is shared with the live Env because
 // copying the ring is prohibitive and lookups are pure reads.
@@ -614,28 +614,6 @@ func (e *Env) BackgroundLoad(n topology.NodeID) float64 {
 		return 0
 	}
 	return e.base[n]
-}
-
-// ReembedCoordinates reruns Vivaldi against the topology's current
-// latencies (after PerturbLatencies) and refreshes all points.
-func (e *Env) ReembedCoordinates() error {
-	e.mutable("ReembedCoordinates")
-	e.epoch++
-	m := e.Topo.LatencyMatrix()
-	emb, err := vivaldi.EmbedMatrix(m, vivaldi.DefaultConfig(), e.cfg.VivaldiRounds, e.cfg.VivaldiSamples, e.rng)
-	if err != nil {
-		return err
-	}
-	e.vec = emb.Coords
-	e.EmbeddingQuality = emb.Evaluate(func(i, j int) float64 { return m[i][j] }, 2000, e.rng)
-	// Every point moves: drop the index up front rather than letting
-	// the per-point refresh loop churn its patch overlay to the budget
-	// limit before it is discarded anyway.
-	e.idx.Store(nil)
-	for i := range e.pts {
-		e.refreshPoint(topology.NodeID(i), false)
-	}
-	return nil
 }
 
 // SetCoordinates refreshes node coordinates in bulk from an external

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"github.com/hourglass/sbon/internal/query"
+	"github.com/hourglass/sbon/internal/topology"
+	"github.com/hourglass/sbon/internal/vivaldi"
 )
 
 func TestCircuitStringMentionsAllServices(t *testing.T) {
@@ -116,19 +118,39 @@ func TestConsumerLatencyReusedPath(t *testing.T) {
 	}
 }
 
-func TestEnvReembedCoordinates(t *testing.T) {
-	env, _ := testSetup(t, 89, false)
-	before := env.VecCoord(3).Clone()
-	env.Topo.PerturbLatencies(env.Rand(), 0.5)
-	if err := env.ReembedCoordinates(); err != nil {
+// reembed reruns Vivaldi against the topology's current latencies and
+// syncs every node's coordinate into env, the way a coordinate
+// maintainer re-syncs the optimizer after latencies drift.
+func reembed(t *testing.T, env *Env) int {
+	t.Helper()
+	cfg := env.Config()
+	emb, err := vivaldi.EmbedMatrix(env.Topo.LatencyMatrix(), vivaldi.DefaultConfig(), cfg.VivaldiRounds, cfg.VivaldiSamples, env.Rand())
+	if err != nil {
 		t.Fatal(err)
 	}
-	after := env.VecCoord(3)
-	if before.Distance(after) == 0 {
-		t.Log("warning: coordinate unchanged after re-embedding (possible)")
+	moved, err := env.SetCoordinates(emb.Coords)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if env.EmbeddingQuality.Pairs == 0 {
-		t.Fatal("embedding quality not refreshed")
+	return moved
+}
+
+func TestEnvReembedCoordinates(t *testing.T) {
+	env, _ := testSetup(t, 89, false)
+	epoch := env.Epoch()
+	env.Topo.PerturbLatencies(env.Rand(), 0.5)
+	if moved := reembed(t, env); moved == 0 {
+		t.Fatal("re-embedding after perturbed latencies moved no coordinate")
+	}
+	if env.Epoch() == epoch {
+		t.Fatal("re-embedding did not advance the epoch")
+	}
+	for n := range env.Topo.Nodes() {
+		id := topology.NodeID(n)
+		want := env.Space().NewPoint(env.VecCoord(id), []float64{env.Load(id)})
+		if env.Space().Distance(want, env.Point(id)) != 0 {
+			t.Fatalf("node %d: point %v does not follow its new coordinate %v", id, env.Point(id), env.VecCoord(id))
+		}
 	}
 }
 

@@ -117,7 +117,7 @@ type StepStats struct {
 }
 
 // Migration is one planned service move: the typed unit a control plane
-// hands to the data plane. PredictedGain is the modelled serviceCost
+// hands to the data plane. PredictedGain is the modelled service cost
 // improvement (old − new, in KB·ms/s-equivalent units) under the
 // sweep's sequential evaluation order.
 type Migration struct {
@@ -128,7 +128,7 @@ type Migration struct {
 	Signature string
 	From, To  topology.NodeID
 	InRate    float64
-	// PredictedGain is the full serviceCost improvement (incident usage
+	// PredictedGain is the full service-cost improvement (incident usage
 	// + load term); UsageGain isolates the incident network-usage part,
 	// the paper's primary metric. Both are in KB·ms/s under the sweep's
 	// latency model and may disagree in sign: a move can relieve an
@@ -722,34 +722,4 @@ func (r *Reoptimizer) PlanEvacuation(victims map[topology.NodeID]bool) (Migratio
 	sp.End(trace.Int("evaluated", plan.ServicesEvaluated),
 		trace.Int("moves", len(plan.Moves)), trace.Int("unmovable", plan.Unmovable))
 	return plan, nil
-}
-
-// incidentUsage is the usage of the links touching service index i.
-func incidentUsage(c *Circuit, i int, m LatencyModel) float64 {
-	var sum float64
-	for _, l := range c.Links {
-		if l.Shared {
-			continue
-		}
-		if l.From == i || l.To == i {
-			sum += l.Rate * m.Latency(c.Services[l.From].Node, c.Services[l.To].Node)
-		}
-	}
-	return sum
-}
-
-// serviceCost is the migration criterion: incident link usage plus a
-// load term — the host's weighted scalar components (ms-equivalent, per
-// the cost space's weighting functions) scaled by the service's input
-// rate, making the two terms dimensionally commensurate (KB·ms/s). This
-// is how an overloaded host repels its services even when it is ideal in
-// latency terms.
-func serviceCost(e *Env, c *Circuit, i int, m LatencyModel) float64 {
-	cost := incidentUsage(c, i, m)
-	s := c.Services[i]
-	var scalar float64
-	for _, comp := range e.Space().ScalarComponents(e.Point(s.Node)) {
-		scalar += comp
-	}
-	return cost + s.InRate*scalar
 }

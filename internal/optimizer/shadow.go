@@ -130,8 +130,9 @@ func (sh *ShadowEnv) CostIndex() *costindex.Index {
 	return sh.idx
 }
 
-// shadowIncidentUsage is incidentUsage with every endpoint resolved
-// through the shadow's simulated bindings.
+// shadowIncidentUsage is the usage of the non-shared links touching
+// service index i, every endpoint resolved through the shadow's
+// simulated bindings.
 func shadowIncidentUsage(sh *ShadowEnv, c *Circuit, i int, m LatencyModel) float64 {
 	var sum float64
 	for _, l := range c.Links {
@@ -145,9 +146,13 @@ func shadowIncidentUsage(sh *ShadowEnv, c *Circuit, i int, m LatencyModel) float
 	return sum
 }
 
-// shadowServiceCost is serviceCost evaluated against the shadow:
-// incident link usage under simulated bindings plus the simulated
-// host's weighted scalar components scaled by the service's input rate.
+// shadowServiceCost is the migration criterion, evaluated against the
+// shadow: incident link usage under simulated bindings plus a load term
+// — the simulated host's weighted scalar components (ms-equivalent, per
+// the cost space's weighting functions) scaled by the service's input
+// rate, making the two terms dimensionally commensurate (KB·ms/s). This
+// is how an overloaded host repels its services even when it is ideal
+// in latency terms.
 func shadowServiceCost(sh *ShadowEnv, c *Circuit, i int, m LatencyModel) float64 {
 	cost := shadowIncidentUsage(sh, c, i, m)
 	s := c.Services[i]

@@ -107,12 +107,6 @@ type Config struct {
 	ShardOf []int32
 }
 
-// DefaultConfig returns a runtime configuration on a fresh virtual
-// clock.
-func DefaultConfig() Config {
-	return Config{Clock: simtime.NewVirtual()}
-}
-
 // Network hosts the overlay nodes and routes messages between them with
 // latency.
 type Network struct {
@@ -236,9 +230,6 @@ func (n *Network) Node(id topology.NodeID) *Node { return n.nodes[id] }
 // NumNodes returns the overlay size.
 func (n *Network) NumNodes() int { return len(n.nodes) }
 
-// Config returns the runtime configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // Clock returns the clock driving the runtime — what shard-context
 // code schedules and observes through.
 func (n *Network) Clock() *simtime.VirtualClock { return n.clock }
@@ -270,9 +261,6 @@ func (n *Network) TraceSampleCtr(id topology.NodeID) *uint64 {
 
 // DataShards returns the configured shard count (1 when unsharded).
 func (n *Network) DataShards() int { return len(n.shardStats) }
-
-// ShardOf returns the data-plane shard of a node.
-func (n *Network) ShardOf(id topology.NodeID) int { return int(n.shardOf[id]) }
 
 // ShardStats holds one data-plane shard's traffic counters. Fields are
 // atomics because sends from different lanes (and control context) may
@@ -331,9 +319,6 @@ type portHandler struct {
 	port string
 	h    Handler
 }
-
-// ID returns the overlay node id.
-func (nd *Node) ID() topology.NodeID { return nd.id }
 
 // Register installs the handler for a port, replacing any previous one.
 func (nd *Node) Register(port string, h Handler) { nd.setPort(port, h) }
@@ -401,10 +386,6 @@ func (n *Network) NodeDown(id topology.NodeID) bool { return n.nodes[id].down.Lo
 // events. Safe to call at any time; the fault path reloads it per
 // message.
 func (n *Network) SetTracer(t *trace.Tracer) { n.tracer.Store(t) }
-
-// Tracer returns the installed trace sink (nil when tracing is off) —
-// nil-receiver safe to use directly.
-func (n *Network) Tracer() *trace.Tracer { return n.tracer.Load() }
 
 // Send schedules delivery of a message to the port on the destination
 // node, after the topology latency (scaled). It never blocks; messages

@@ -29,7 +29,7 @@ func lineTopo(t *testing.T) *topology.Topology {
 // deterministically.
 func virtualNet(t *testing.T) (*Network, *simtime.VirtualClock) {
 	t.Helper()
-	cfg := DefaultConfig()
+	cfg := Config{Clock: simtime.NewVirtual()}
 	clk := cfg.Clock
 	net := NewNetwork(lineTopo(t), cfg)
 	t.Cleanup(func() {

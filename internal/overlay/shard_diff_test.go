@@ -39,18 +39,49 @@ type diffRun struct {
 	lost   float64
 }
 
-// runRandomTraffic executes one seeded scenario on shards randomized
-// lanes (1: single queue) and returns the per-node logs plus counters.
-func runRandomTraffic(t *testing.T, seed int64, shards int) diffRun {
+// diffNodes is the size of the differential topology: 16 transit
+// nodes, each with two stub domains of 7 nodes.
+const diffNodes = 240
+
+// trafficCase is one differential scenario: the seed draws the
+// topology, the traffic and the lane map; drop and crashes are its
+// fault plan.
+type trafficCase struct {
+	seed    int64
+	drop    float64
+	crashes []NodeCrash
+}
+
+// seededCase is the scenario a seed alone chooses: 5% loss and three
+// staggered crashes.
+func seededCase(seed int64) trafficCase {
+	tc := trafficCase{seed: seed, drop: 0.05}
+	crashRng := rand.New(rand.NewSource(seed * 7))
+	for i := 0; i < 3; i++ {
+		tc.crashes = append(tc.crashes, NodeCrash{
+			Node: topology.NodeID(crashRng.Intn(diffNodes)),
+			At:   time.Duration(200+crashRng.Intn(800)) * time.Millisecond,
+		})
+	}
+	return tc
+}
+
+// runRandomTraffic executes one scenario on shards randomized lanes
+// (1: single queue) and returns the per-node logs plus counters.
+func runRandomTraffic(t *testing.T, tc trafficCase, shards int) diffRun {
 	t.Helper()
+	seed := tc.seed
 	topoCfg := topology.DefaultConfig()
 	topoCfg.StubsPerTransit = 2
-	topoCfg.StubNodes = 7 // 16 transit + 4·2·7 stub = 72 nodes
+	topoCfg.StubNodes = 7
 	topo, err := topology.Generate(topoCfg, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := topo.NumNodes()
+	if n != diffNodes {
+		t.Fatalf("differential topology has %d nodes, want %d", n, diffNodes)
+	}
 
 	clk := simtime.NewVirtual()
 	cfg := Config{TimeScale: time.Millisecond, Clock: clk}
@@ -99,16 +130,7 @@ func runRandomTraffic(t *testing.T, seed int64, shards int) diffRun {
 		})
 	}
 
-	// Staggered crashes plus ambient loss: a third of the run's chaos.
-	var crashes []NodeCrash
-	crashRng := rand.New(rand.NewSource(seed * 7))
-	for i := 0; i < 3; i++ {
-		crashes = append(crashes, NodeCrash{
-			Node: topology.NodeID(crashRng.Intn(n)),
-			At:   time.Duration(200+crashRng.Intn(800)) * time.Millisecond,
-		})
-	}
-	fi := net.InstallFaults(FaultPlan{Seed: seed, DropProb: 0.05, JitterMs: 1.5, Crashes: crashes})
+	fi := net.InstallFaults(FaultPlan{Seed: seed, DropProb: tc.drop, JitterMs: 1.5, Crashes: tc.crashes})
 	defer fi.Stop()
 	hb := net.StartHeartbeats(150*time.Millisecond, 0.05)
 	defer hb.Stop()
@@ -162,7 +184,8 @@ func TestShardedNetworkMatchesSingleQueueRandomized(t *testing.T) {
 	for _, seed := range []int64{1, 42, 9001} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			base := runRandomTraffic(t, seed, 1)
+			tc := seededCase(seed)
+			base := runRandomTraffic(t, tc, 1)
 			total := 0
 			for _, l := range base.logs {
 				total += len(l)
@@ -174,11 +197,41 @@ func TestShardedNetworkMatchesSingleQueueRandomized(t *testing.T) {
 				t.Fatal("no injected drops — faults are not engaged")
 			}
 			for _, shards := range []int{2, 4, 8} {
-				got := runRandomTraffic(t, seed, shards)
+				got := runRandomTraffic(t, tc, shards)
 				compareRuns(t, shards, base, got)
 			}
 		})
 	}
+}
+
+// FuzzShardedDeliveryMatchesSingleQueue: bytes → a scenario (two bytes
+// of seed, the lane count 2–16, the drop probability 0–0.25, then up
+// to eight crashes of three bytes each: node, crash time in 10 ms
+// steps from 0, and a recovery delay when the third byte is odd), run
+// on the single queue and on the sharded clock. compareRuns is the
+// oracle: every delivery log and counter must match.
+func FuzzShardedDeliveryMatchesSingleQueue(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			v := data[0]
+			data = data[1:]
+			return int(v)
+		}
+		tc := trafficCase{seed: int64(next()<<8 | next())}
+		shards := 2 + next()%15
+		tc.drop = float64(next()%64) / 256
+		for len(data) > 0 && len(tc.crashes) < 8 {
+			c := NodeCrash{Node: topology.NodeID(next() % diffNodes), At: time.Duration(next()) * 10 * time.Millisecond}
+			if r := next(); r&1 == 1 {
+				c.RecoverAt = c.At + time.Duration(1+r>>1)*10*time.Millisecond
+			}
+			tc.crashes = append(tc.crashes, c)
+		}
+		compareRuns(t, shards, runRandomTraffic(t, tc, 1), runRandomTraffic(t, tc, shards))
+	})
 }
 
 func compareRuns(t *testing.T, shards int, base, got diffRun) {

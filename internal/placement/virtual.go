@@ -7,8 +7,8 @@
 //     work the paper builds on): circuit links are springs whose constant
 //     is the link data rate and whose extension is the latency-space
 //     distance, and unpinned services are massless bodies that settle at
-//     the energy minimum. Weiszfeld, weighted-centroid, and
-//     gradient-descent placers are provided as alternatives/ablations.
+//     the energy minimum. Weiszfeld, which minimizes the linear cost
+//     instead of the quadratic one, is the alternative for ablations.
 //
 //   - Physical mapping finds a real node near the ideal coordinate. The
 //     paper's mechanism is a Hilbert-keyed DHT lookup (DHTMapper): one
@@ -224,27 +224,6 @@ func (p *Problem) prepare() {
 	}
 }
 
-// QuadraticEnergy returns Σ rate·dist² over the links — the spring
-// potential Relaxation minimizes.
-func (p *Problem) QuadraticEnergy() float64 {
-	var e float64
-	for _, l := range p.Links {
-		d := p.Vertices[l.A].Coord.Distance(p.Vertices[l.B].Coord)
-		e += l.Rate * d * d
-	}
-	return e
-}
-
-// LinearCost returns Σ rate·dist over the links — the network-usage
-// objective (data in transit) that the quadratic spring model surrogates.
-func (p *Problem) LinearCost() float64 {
-	var c float64
-	for _, l := range p.Links {
-		c += l.Rate * p.Vertices[l.A].Coord.Distance(p.Vertices[l.B].Coord)
-	}
-	return c
-}
-
 // VirtualPlacer computes coordinates for the unpinned vertices of a
 // problem, mutating their Coord fields in place.
 type VirtualPlacer interface {
@@ -378,48 +357,5 @@ func (w Weiszfeld) PlaceVirtual(p *Problem) error {
 	// Seed from the quadratic optimum: a good convex start.
 	p.relax(maxIter, tol, 0)
 	p.relax(maxIter, tol, eps)
-	return nil
-}
-
-// Centroid is the one-shot baseline: each unpinned vertex is set to the
-// rate-weighted centroid of its *pinned* neighbors only (no iteration).
-// It matches Relaxation exactly on star circuits and degrades on deeper
-// trees.
-type Centroid struct{}
-
-// Name implements VirtualPlacer.
-func (Centroid) Name() string { return "centroid" }
-
-// PlaceVirtual implements VirtualPlacer.
-func (Centroid) PlaceVirtual(p *Problem) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	p.prepare()
-	num := p.acc
-	for vi := range p.Vertices {
-		v := &p.Vertices[vi]
-		if v.Pinned {
-			continue
-		}
-		clear(num)
-		var den float64
-		for _, e := range p.neighbors(vi) {
-			o := p.Vertices[e.other]
-			if !o.Pinned {
-				continue
-			}
-			for k := range num {
-				num[k] += e.rate * o.Coord[k]
-			}
-			den += e.rate
-		}
-		if den > 0 {
-			inv := 1 / den
-			for k := range num {
-				v.Coord[k] = num[k] * inv
-			}
-		}
-	}
 	return nil
 }

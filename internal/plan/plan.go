@@ -99,10 +99,6 @@ func (e *Enumerator) Best(q query.Query) (*query.PlanNode, error) {
 	return r.plans[best].Clone(), nil
 }
 
-// CountTrees returns the number of unordered binary join trees over k
-// leaves: (2k-3)!! for k >= 2, 1 for k <= 1.
-func CountTrees(k int) int { return subPlans(k, 0) }
-
 // subPlans returns how many sub-plans the table holds for a set of k
 // leaves: every join tree over them, or the beam best of them when
 // beam > 0 (the count saturates there, so it cannot overflow).
@@ -297,39 +293,4 @@ func (e *Enumerator) candidates(t *Table, q query.Query) error {
 		rk.keys = append(rk.keys, root.IntermediateRate())
 	}
 	return nil
-}
-
-// LeftDeepChain builds the left-deep join tree over the query's streams
-// ordered by ascending source rate — the classic greedy heuristic, used
-// as a baseline plan shape in the Figure 1 experiment.
-func LeftDeepChain(q query.Query, c *query.Catalog) (*query.PlanNode, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	streams := append([]query.StreamID(nil), q.Streams...)
-	sort.Slice(streams, func(i, j int) bool {
-		ri, rj := c.Rate(streams[i]), c.Rate(streams[j])
-		if ri != rj {
-			return ri < rj
-		}
-		return streams[i] < streams[j]
-	})
-	mk := func(s query.StreamID) *query.PlanNode {
-		leaf := query.NewSource(s)
-		if sel, ok := q.FilterSel[s]; ok {
-			leaf = query.NewFilter(leaf, sel)
-		}
-		return leaf
-	}
-	root := mk(streams[0])
-	for _, s := range streams[1:] {
-		root = query.NewJoin(root, mk(s))
-	}
-	if q.AggregateFraction > 0 {
-		root = query.NewAggregate(root, q.AggregateFraction)
-	}
-	if err := root.ComputeRates(c); err != nil {
-		return nil, err
-	}
-	return root, nil
 }

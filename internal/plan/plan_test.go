@@ -44,6 +44,10 @@ func streams(n int) []query.StreamID {
 	return out
 }
 
+// CountTrees returns the number of unordered binary join trees over k
+// leaves: (2k-3)!! for k >= 2, 1 for k <= 1.
+func CountTrees(k int) int { return subPlans(k, 0) }
+
 func TestCountTrees(t *testing.T) {
 	want := map[int]int{1: 1, 2: 1, 3: 3, 4: 15, 5: 105, 6: 945}
 	for k, n := range want {
@@ -122,7 +126,7 @@ func TestEnumerateAppliesFiltersAndAggregate(t *testing.T) {
 			t.Fatalf("plan root is %v, want aggregate", p.Kind)
 		}
 		foundFilter := false
-		for _, s := range p.Services() {
+		for _, s := range services(p) {
 			if s.Kind == query.KindFilter {
 				foundFilter = true
 			}
@@ -257,62 +261,22 @@ func TestBeamDPRejectsHugeQueries(t *testing.T) {
 	}
 }
 
-func TestLeftDeepChainShape(t *testing.T) {
-	c := testCatalog(t, 4, 13)
-	q := query.Query{ID: 1, Streams: streams(4)}
-	root, err := LeftDeepChain(q, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Left-deep: every right child is a leaf (or filtered leaf).
-	n := root
-	depth := 0
-	for n.Kind == query.KindJoin {
-		r := n.Right
-		for r.Kind == query.KindFilter {
-			r = r.Left
+// leftDeepChain builds the left-deep join tree over the streams ordered
+// by ascending source rate — the classic greedy heuristic.
+func leftDeepChain(q query.Query, c *query.Catalog) (*query.PlanNode, error) {
+	streams := append([]query.StreamID(nil), q.Streams...)
+	sort.Slice(streams, func(i, j int) bool {
+		ri, rj := c.Rate(streams[i]), c.Rate(streams[j])
+		if ri != rj {
+			return ri < rj
 		}
-		if r.Kind != query.KindSource {
-			t.Fatalf("right child at depth %d is %v, want source", depth, r.Kind)
-		}
-		n = n.Left
-		depth++
+		return streams[i] < streams[j]
+	})
+	root := src(streams[0])
+	for _, s := range streams[1:] {
+		root = join(root, src(s))
 	}
-	if depth != 3 {
-		t.Fatalf("chain depth = %d, want 3", depth)
-	}
-}
-
-func TestLeftDeepChainOrdersByRate(t *testing.T) {
-	c, err := query.NewCatalog(0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rates := map[query.StreamID]float64{0: 300, 1: 100, 2: 200}
-	for s, r := range rates {
-		if err := c.AddStream(s, topology.NodeID(s), r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	root, err := LeftDeepChain(query.Query{ID: 1, Streams: []query.StreamID{0, 1, 2}}, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaves := root.Leaves()
-	// Ascending rate: 1 (100), 2 (200), 0 (300).
-	want := []query.StreamID{1, 2, 0}
-	for i := range want {
-		if leaves[i] != want[i] {
-			t.Fatalf("Leaves() = %v, want %v", leaves, want)
-		}
-	}
-}
-
-func TestLeftDeepChainValidates(t *testing.T) {
-	c := testCatalog(t, 2, 14)
-	if _, err := LeftDeepChain(query.Query{ID: 1}, c); err == nil {
-		t.Fatal("invalid query accepted")
-	}
+	return root, root.ComputeRates(c)
 }
 
 // Property: for random small catalogs, the exhaustive minimum is no worse
@@ -326,7 +290,7 @@ func TestExhaustiveBeatsLeftDeepProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ld, err := LeftDeepChain(q, c)
+		ld, err := leftDeepChain(q, c)
 		if err != nil {
 			return false
 		}
@@ -407,9 +371,9 @@ func BenchmarkBeamDP10Way(b *testing.B) {
 func referenceEnumerate(e *Enumerator, q query.Query) ([]*query.PlanNode, error) {
 	leaves := make([]*query.PlanNode, len(q.Streams))
 	for i, s := range q.Streams {
-		leaf := query.NewSource(s)
+		leaf := src(s)
 		if sel, ok := q.FilterSel[s]; ok {
-			leaf = query.NewFilter(leaf, sel)
+			leaf = filter(leaf, sel)
 		}
 		leaf.Signature()
 		leaves[i] = leaf
@@ -435,7 +399,7 @@ func referenceEnumerate(e *Enumerator, q query.Query) ([]*query.PlanNode, error)
 	for _, tr := range trees {
 		root := tr
 		if q.AggregateFraction > 0 {
-			root = query.NewAggregate(root, q.AggregateFraction)
+			root = aggregate(root, q.AggregateFraction)
 		}
 		if err := referenceComputeRates(root, e.Catalog); err != nil {
 			return nil, err
@@ -494,7 +458,7 @@ func referenceComputeRates(n *query.PlanNode, c *query.Catalog) error {
 // materialised post-order list, as IntermediateRate used to.
 func referenceIntermediateRate(n *query.PlanNode) float64 {
 	var sum float64
-	for _, s := range n.Services() {
+	for _, s := range services(n) {
 		sum += s.OutRate
 	}
 	return sum

@@ -7,7 +7,32 @@ import (
 )
 
 func join(l, r *query.PlanNode) *query.PlanNode { return query.NewJoin(l, r) }
-func src(s query.StreamID) *query.PlanNode      { return query.NewSource(s) }
+func src(s query.StreamID) *query.PlanNode      { return &query.PlanNode{Kind: query.KindSource, Stream: s} }
+
+func filter(child *query.PlanNode, sel float64) *query.PlanNode {
+	return &query.PlanNode{Kind: query.KindFilter, Sel: sel, Left: child}
+}
+
+func aggregate(child *query.PlanNode, frac float64) *query.PlanNode {
+	return &query.PlanNode{Kind: query.KindAggregate, Sel: frac, Left: child}
+}
+
+// services returns the interior (non-source) nodes of the tree in
+// post-order.
+func services(n *query.PlanNode) []*query.PlanNode {
+	var out []*query.PlanNode
+	var walk func(p *query.PlanNode)
+	walk = func(p *query.PlanNode) {
+		if p == nil || p.Kind == query.KindSource {
+			return
+		}
+		walk(p.Left)
+		walk(p.Right)
+		out = append(out, p)
+	}
+	walk(n)
+	return out
+}
 
 func TestRotationsThreeLeaves(t *testing.T) {
 	// ((0⋈1)⋈2) has exactly the two alternative shapes over three leaves.
@@ -47,11 +72,11 @@ func TestRotationsRightChild(t *testing.T) {
 
 func TestRotationsLeavesNonJoinUnitsAtomic(t *testing.T) {
 	// Filters above sources travel with their source.
-	f0 := query.NewFilter(src(0), 0.5)
+	f0 := filter(src(0), 0.5)
 	root := join(join(f0, src(1)), src(2))
 	for _, r := range Rotations(root) {
 		filters := 0
-		for _, s := range r.Services() {
+		for _, s := range services(r) {
 			if s.Kind == query.KindFilter {
 				filters++
 				under := s.Left
@@ -67,7 +92,7 @@ func TestRotationsLeavesNonJoinUnitsAtomic(t *testing.T) {
 }
 
 func TestRotationsPreserveAggregateRoot(t *testing.T) {
-	root := query.NewAggregate(join(join(src(0), src(1)), src(2)), 0.1)
+	root := aggregate(join(join(src(0), src(1)), src(2)), 0.1)
 	rots := Rotations(root)
 	if len(rots) == 0 {
 		t.Fatal("no rotations under aggregate")

@@ -273,31 +273,10 @@ type PlanNode struct {
 	sig string
 }
 
-// NewSource returns a leaf node for stream s.
-func NewSource(s StreamID) *PlanNode {
-	return &PlanNode{Kind: KindSource, Stream: s}
-}
-
-// NewFilter returns a filter over child with the given selectivity.
-func NewFilter(child *PlanNode, sel float64) *PlanNode {
-	return &PlanNode{Kind: KindFilter, Sel: sel, Left: child}
-}
-
 // NewJoin returns a join of the two children; selectivity is filled by
 // ComputeRates from the catalog.
 func NewJoin(left, right *PlanNode) *PlanNode {
 	return &PlanNode{Kind: KindJoin, Left: left, Right: right}
-}
-
-// NewAggregate returns an aggregate over child emitting fraction frac of
-// its input rate.
-func NewAggregate(child *PlanNode, frac float64) *PlanNode {
-	return &PlanNode{Kind: KindAggregate, Sel: frac, Left: child}
-}
-
-// NewUnion returns a union of the two children.
-func NewUnion(left, right *PlanNode) *PlanNode {
-	return &PlanNode{Kind: KindUnion, Left: left, Right: right}
 }
 
 // Leaves returns the source streams under n in left-to-right order.
@@ -314,23 +293,6 @@ func (n *PlanNode) Leaves() []StreamID {
 		}
 		walk(p.Left)
 		walk(p.Right)
-	}
-	walk(n)
-	return out
-}
-
-// Services returns all interior (non-source) nodes of the tree in
-// post-order.
-func (n *PlanNode) Services() []*PlanNode {
-	var out []*PlanNode
-	var walk func(p *PlanNode)
-	walk = func(p *PlanNode) {
-		if p == nil || p.Kind == KindSource {
-			return
-		}
-		walk(p.Left)
-		walk(p.Right)
-		out = append(out, p)
 	}
 	walk(n)
 	return out

@@ -10,6 +10,44 @@ import (
 	"github.com/hourglass/sbon/internal/topology"
 )
 
+// NewSource returns a leaf node for stream s.
+func NewSource(s StreamID) *PlanNode {
+	return &PlanNode{Kind: KindSource, Stream: s}
+}
+
+// NewFilter returns a filter over child with the given selectivity.
+func NewFilter(child *PlanNode, sel float64) *PlanNode {
+	return &PlanNode{Kind: KindFilter, Sel: sel, Left: child}
+}
+
+// NewAggregate returns an aggregate over child emitting fraction frac of
+// its input rate.
+func NewAggregate(child *PlanNode, frac float64) *PlanNode {
+	return &PlanNode{Kind: KindAggregate, Sel: frac, Left: child}
+}
+
+// NewUnion returns a union of the two children.
+func NewUnion(left, right *PlanNode) *PlanNode {
+	return &PlanNode{Kind: KindUnion, Left: left, Right: right}
+}
+
+// Services returns all interior (non-source) nodes of the tree in
+// post-order.
+func (n *PlanNode) Services() []*PlanNode {
+	var out []*PlanNode
+	var walk func(p *PlanNode)
+	walk = func(p *PlanNode) {
+		if p == nil || p.Kind == KindSource {
+			return
+		}
+		walk(p.Left)
+		walk(p.Right)
+		out = append(out, p)
+	}
+	walk(n)
+	return out
+}
+
 func testCatalog(t *testing.T) *Catalog {
 	t.Helper()
 	c, err := NewCatalog(0.8)

@@ -456,7 +456,7 @@ func (r *Running) install(idx int, op Operator) {
 func (r *Running) emitFor(idx int) Emit {
 	e := r.engine
 	rt := &r.svcs[idx]
-	tr := e.cfg.Tracer // nil when tracing is off: Sample() is then one nil check
+	tr := e.cfg.Tracer // nil when tracing is off: SampleAt is then one nil check
 	q := int(r.Circuit.Query.ID)
 	return func(t Tuple) {
 		from := topology.NodeID(r.host[idx].Load())

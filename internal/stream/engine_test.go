@@ -61,7 +61,7 @@ func newEngineSetupLanes(t *testing.T, seed int64, shards int) *engineSetup {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ncfg := overlay.DefaultConfig()
+	ncfg := overlay.Config{Clock: simtime.NewVirtual()}
 	clk := ncfg.Clock
 	if shards > 1 {
 		laneOf := make([]int32, topo.NumNodes())

@@ -12,13 +12,23 @@ import (
 	"github.com/hourglass/sbon/internal/trace"
 )
 
+// passChain returns n pass-through filters (selectivity 1) over
+// stream 0.
+func passChain(n int) *query.PlanNode {
+	p := &query.PlanNode{Kind: query.KindSource}
+	for i := 0; i < n; i++ {
+		p = &query.PlanNode{Kind: query.KindFilter, Sel: 1, Left: p}
+	}
+	return p
+}
+
 // conservingCircuit hand-builds a circuit whose delivered tuple count
 // must exactly equal the produced count: source → pinned pass-through
 // filter → unpinned pass-through filter → consumer. The unpinned filter
 // is the migration subject.
 func conservingCircuit(t *testing.T, s *engineSetup, host topology.NodeID) (*optimizer.Circuit, int) {
 	t.Helper()
-	plan := query.NewFilter(query.NewFilter(query.NewSource(0), 1.0), 1.0)
+	plan := passChain(2)
 	if err := plan.ComputeRates(s.env.Stats); err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +305,7 @@ func closeWithHandoffsInFlight(t *testing.T) ([]byte, [][2]int) {
 	}
 	var todo []handoff
 	for _, id := range []query.QueryID{12, 3, 9, 5, 16, 2, 7, 11} {
-		plan := query.NewFilter(query.NewFilter(query.NewFilter(query.NewSource(0), 1.0), 1.0), 1.0)
+		plan := passChain(3)
 		if err := plan.ComputeRates(s.env.Stats); err != nil {
 			t.Fatal(err)
 		}

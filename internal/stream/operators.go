@@ -39,7 +39,6 @@ type Emit func(Tuple)
 // the tuple (0 = left/only, 1 = right).
 type Operator interface {
 	Process(side int, t Tuple, emit Emit)
-	Kind() query.ServiceKind
 	// StateSizeKB estimates the operator's current mutable state in KB —
 	// what a migration must ship to the new host. Stateless operators
 	// report 0.
@@ -66,9 +65,6 @@ type Filter struct {
 	Sel  float64
 	Salt uint64
 }
-
-// Kind implements Operator.
-func (Filter) Kind() query.ServiceKind { return query.KindFilter }
 
 // Process implements Operator.
 func (f Filter) Process(_ int, t Tuple, emit Emit) {
@@ -101,9 +97,6 @@ func NewJoin(window int) *Join {
 		right:  newJoinWindow(window),
 	}
 }
-
-// Kind implements Operator.
-func (*Join) Kind() query.ServiceKind { return query.KindJoin }
 
 // Process implements Operator.
 func (j *Join) Process(side int, t Tuple, emit Emit) {
@@ -273,9 +266,6 @@ func NewAggregate(n int, frac float64) *Aggregate {
 	return &Aggregate{N: n, Frac: frac}
 }
 
-// Kind implements Operator.
-func (*Aggregate) Kind() query.ServiceKind { return query.KindAggregate }
-
 // Process implements Operator.
 func (a *Aggregate) Process(_ int, t Tuple, emit Emit) {
 	a.count++
@@ -300,9 +290,6 @@ func (a *Aggregate) StateSizeKB() float64 { return a.sizeKB }
 
 // Union forwards both inputs unchanged.
 type Union struct{}
-
-// Kind implements Operator.
-func (Union) Kind() query.ServiceKind { return query.KindUnion }
 
 // Process implements Operator.
 func (Union) Process(_ int, t Tuple, emit Emit) { emit(t) }

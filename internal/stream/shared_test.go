@@ -29,7 +29,7 @@ func newSharedFixture(t *testing.T, seed int64) *sharedFixture {
 	stubs := s.env.Topo.StubNodeIDs()
 	b := &optimizer.Builder{Env: s.env}
 
-	ownerPlan := query.NewFilter(query.NewFilter(query.NewSource(0), 1.0), 1.0)
+	ownerPlan := passChain(2)
 	if err := ownerPlan.ComputeRates(s.env.Stats); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func newSharedFixture(t *testing.T, seed int64) *sharedFixture {
 		RefCount:  2,
 	}
 
-	consPlan := query.NewFilter(query.NewFilter(query.NewFilter(query.NewSource(0), 1.0), 1.0), 1.0)
+	consPlan := passChain(3)
 	if err := consPlan.ComputeRates(s.env.Stats); err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestZombieTrimMidMigrationNoLoss(t *testing.T) {
 	b := &optimizer.Builder{Env: s.env}
 
 	// Owner: source → pinned F1 → shared F2 → private F3 → sink.
-	ownerPlan := query.NewFilter(query.NewFilter(query.NewFilter(query.NewSource(0), 1.0), 1.0), 1.0)
+	ownerPlan := passChain(3)
 	if err := ownerPlan.ComputeRates(s.env.Stats); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestZombieTrimMidMigrationNoLoss(t *testing.T) {
 	}
 
 	// Consumer: reused F2 → own filter → sink.
-	consPlan := query.NewFilter(query.NewFilter(query.NewFilter(query.NewFilter(query.NewSource(0), 1.0), 1.0), 1.0), 1.0)
+	consPlan := passChain(4)
 	if err := consPlan.ComputeRates(s.env.Stats); err != nil {
 		t.Fatal(err)
 	}

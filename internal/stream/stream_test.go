@@ -3,6 +3,7 @@ package stream
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -192,25 +193,26 @@ func TestUnionPassthrough(t *testing.T) {
 }
 
 func TestOperatorForMapping(t *testing.T) {
+	source0 := &query.PlanNode{Kind: query.KindSource}
 	cases := []struct {
 		node *query.PlanNode
-		kind query.ServiceKind
+		want Operator
 	}{
-		{query.NewFilter(query.NewSource(0), 0.5), query.KindFilter},
-		{&query.PlanNode{Kind: query.KindJoin, Sel: 0.1}, query.KindJoin},
-		{query.NewAggregate(query.NewSource(0), 0.2), query.KindAggregate},
-		{&query.PlanNode{Kind: query.KindUnion}, query.KindUnion},
+		{&query.PlanNode{Kind: query.KindFilter, Sel: 0.5, Left: source0}, Filter{}},
+		{&query.PlanNode{Kind: query.KindJoin, Sel: 0.1}, &Join{}},
+		{&query.PlanNode{Kind: query.KindAggregate, Sel: 0.2, Left: source0}, &Aggregate{}},
+		{&query.PlanNode{Kind: query.KindUnion}, Union{}},
 	}
 	for _, tc := range cases {
 		op, err := OperatorFor(tc.node, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if op.Kind() != tc.kind {
-			t.Fatalf("OperatorFor(%v) kind = %v", tc.node.Kind, op.Kind())
+		if reflect.TypeOf(op) != reflect.TypeOf(tc.want) {
+			t.Fatalf("OperatorFor(%v) = %T, want %T", tc.node.Kind, op, tc.want)
 		}
 	}
-	if _, err := OperatorFor(query.NewSource(0), 1000); err == nil {
+	if _, err := OperatorFor(source0, 1000); err == nil {
 		t.Fatal("OperatorFor(source) accepted")
 	}
 }

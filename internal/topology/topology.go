@@ -294,15 +294,6 @@ func (t *Topology) Node(id NodeID) Node { return t.nodes[id] }
 // Edges returns all edges. The caller must not modify the returned slice.
 func (t *Topology) Edges() []Edge { return t.edges }
 
-// Neighbors returns the IDs adjacent to id, in insertion order.
-func (t *Topology) Neighbors(id NodeID) []NodeID {
-	out := make([]NodeID, len(t.adj[id]))
-	for i, nb := range t.adj[id] {
-		out[i] = nb.to
-	}
-	return out
-}
-
 // Degree returns the number of edges incident to id.
 func (t *Topology) Degree(id NodeID) int { return len(t.adj[id]) }
 
@@ -430,29 +421,6 @@ func (t *Topology) dijkstra(src NodeID) []float64 {
 		}
 	}
 	return dist
-}
-
-// IsConnected reports whether every node is reachable from node 0.
-func (t *Topology) IsConnected() bool {
-	if len(t.nodes) == 0 {
-		return true
-	}
-	seen := make([]bool, len(t.nodes))
-	stack := []NodeID{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, nb := range t.adj[v] {
-			if !seen[nb.to] {
-				seen[nb.to] = true
-				count++
-				stack = append(stack, nb.to)
-			}
-		}
-	}
-	return count == len(t.nodes)
 }
 
 // PerturbLatencies multiplies every edge latency by a random factor in

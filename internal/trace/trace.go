@@ -69,8 +69,8 @@ func Num(key string, val float64) Arg { return Arg{Key: key, Num: val, IsNum: tr
 // values up to 2^53 round-trip exactly).
 func Int(key string, val int) Arg { return Arg{Key: key, Num: float64(val), IsNum: true} }
 
-// Dur builds a duration argument in simulated milliseconds (the
-// convention is 1 virtual ms per simulated ms, see overlay.DefaultConfig).
+// Dur builds a duration argument in simulated milliseconds (one virtual
+// clock millisecond per simulated millisecond).
 func Dur(key string, d time.Duration) Arg {
 	return Arg{Key: key, Num: float64(d) / float64(time.Millisecond), IsNum: true}
 }
@@ -100,15 +100,10 @@ type Event struct {
 
 // Tracer collects events. The zero value is not usable — construct with
 // New. A nil *Tracer is the disabled tracer: every method on it is a
-// no-op (Sample reports false), so callers never need to branch.
+// no-op (SampleAt reports false), so callers never need to branch.
 type Tracer struct {
 	clock *simtime.VirtualClock
 	start time.Time
-
-	// sampleEvery gates high-frequency event classes (tuple hops, fault
-	// drops): Sample() reports true once per this many calls.
-	sampleEvery uint64
-	sampleCtr   atomic.Uint64
 
 	// limit bounds the event buffer; emissions past it are counted in
 	// dropped rather than stored, so a runaway run degrades instead of
@@ -129,11 +124,13 @@ type Tracer struct {
 	sinkErr error
 }
 
-// DefaultSampleEvery is the default tuple-hop sampling period.
-const DefaultSampleEvery = 64
+// sampleEvery is the sampling period of high-frequency event classes
+// (tuple hops, fault drops): SampleAt reports true once per this many
+// calls.
+const sampleEvery = 64
 
-// DefaultLimit is the default event-buffer cap.
-const DefaultLimit = 1 << 20
+// BufferLimit is the event-buffer cap (see Tracer.limit).
+const BufferLimit = 1 << 20
 
 // New builds a tracer stamping events with the given clock. Pass the
 // clock the traced runtime runs on, so timestamps are exact simulated
@@ -143,36 +140,7 @@ func New(clock *simtime.VirtualClock) *Tracer {
 	if clock == nil {
 		clock = simtime.NewVirtual()
 	}
-	return &Tracer{
-		clock:       clock,
-		start:       clock.Now(),
-		sampleEvery: DefaultSampleEvery,
-		limit:       DefaultLimit,
-	}
-}
-
-// SetSampleEvery sets the sampling period for Sample-gated event
-// classes (n <= 1 means every call samples). Call before tracing
-// starts; the period is read without synchronization on the hot path.
-func (t *Tracer) SetSampleEvery(n int) {
-	if t == nil {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	t.sampleEvery = uint64(n)
-}
-
-// SetLimit caps the event buffer (n <= 0 restores the default).
-func (t *Tracer) SetLimit(n int) {
-	if t == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultLimit
-	}
-	t.limit = n
+	return &Tracer{clock: clock, start: clock.Now(), limit: BufferLimit}
 }
 
 // Enabled reports whether the tracer records events. It is the
@@ -181,32 +149,20 @@ func (t *Tracer) SetLimit(n int) {
 //	if tr.Enabled() { tr.Emit(...) }
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Sample reports whether a high-frequency event (a tuple hop, a fault
-// drop) should be emitted this time: true once per SampleEvery calls.
-// Always false on a nil tracer. The counter is shared across all
-// sampled event classes and advances deterministically under a virtual
-// clock — but only in control context. Shard-context code (the sharded
-// data plane's per-node event handlers) must use SampleAt with a
-// per-origin counter instead, or the sampling decision would depend on
-// cross-shard interleaving.
-func (t *Tracer) Sample() bool {
-	if t == nil {
-		return false
-	}
-	return t.sampleCtr.Add(1)%t.sampleEvery == 1 || t.sampleEvery == 1
-}
-
-// SampleAt is Sample against a caller-owned counter: the caller keeps
-// one counter per deterministic execution domain (per node), so the
-// decision sequence is a pure function of that domain's history and is
-// identical under single-queue and sharded execution. The counter is
-// not synchronized — each domain's events execute serially.
+// SampleAt reports whether a high-frequency event (a tuple hop, a fault
+// drop) should be emitted this time: true on the first and then every
+// 64th call against the same counter, always false on a nil tracer. The
+// caller keeps one counter per deterministic execution domain (per
+// node), so the decision sequence is a pure function of that domain's
+// history and is identical under single-queue and sharded execution.
+// The counter is not synchronized — each domain's events execute
+// serially.
 func (t *Tracer) SampleAt(ctr *uint64) bool {
 	if t == nil {
 		return false
 	}
 	*ctr++
-	return *ctr%t.sampleEvery == 1 || t.sampleEvery == 1
+	return *ctr%sampleEvery == 1
 }
 
 // EmitAtTime records an instant event stamped with the given clock
@@ -256,9 +212,6 @@ type Span struct {
 // Active reports whether the span records anything (false for spans
 // from a nil tracer and for the zero Span).
 func (s Span) Active() bool { return s.t != nil }
-
-// ID returns the span id (0 for inert spans).
-func (s Span) ID() uint64 { return s.id }
 
 // ParentID returns the enclosing span's id, 0 for root spans.
 func (s Span) ParentID() uint64 { return s.parent }
@@ -339,8 +292,8 @@ func (t *Tracer) recordLockedAt(ev Event, at time.Duration) {
 // bytes WriteJSONL would produce for it) and written to w at emission
 // time, and is NOT retained in the in-memory buffer — memory use stays
 // constant no matter how long the run is, which is what 100k-node
-// scenarios need. Writes are buffered; call Flush (or Reset) to push
-// the tail through. The event-buffer limit does not apply to streamed
+// scenarios need. Writes are buffered; call Flush to push the tail
+// through. The event-buffer limit does not apply to streamed
 // events: nothing is ever dropped.
 //
 // Call before tracing starts. Events already buffered when the sink is
@@ -373,16 +326,6 @@ func (t *Tracer) Flush() error {
 		t.sinkErr = err
 	}
 	return t.sinkErr
-}
-
-// Streaming reports whether a StreamJSONL sink is installed.
-func (t *Tracer) Streaming() bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sink != nil
 }
 
 // Len returns the number of recorded events.
@@ -429,27 +372,4 @@ func (t *Tracer) Rebase(clock *simtime.VirtualClock) {
 	defer t.mu.Unlock()
 	t.clock = clock
 	t.start = clock.Now()
-}
-
-// Reset discards all recorded events and re-bases the time origin at
-// the clock's current reading.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.events = nil
-	t.seq = 0
-	t.spanID = 0
-	t.start = t.clock.Now()
-	t.sampleCtr.Store(0)
-	t.dropped.Store(0)
-	if t.sink != nil {
-		// Streaming continues across a reset; push what's pending so
-		// the pre-reset lines are on disk before the numbering restarts.
-		if err := t.sink.Flush(); err != nil && t.sinkErr == nil {
-			t.sinkErr = err
-		}
-	}
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -18,8 +19,9 @@ func TestNilTracerIsInert(t *testing.T) {
 	if tr.Enabled() {
 		t.Fatal("nil tracer reports Enabled")
 	}
-	if tr.Sample() {
-		t.Fatal("nil tracer reports Sample true")
+	var ctr uint64
+	if tr.SampleAt(&ctr) {
+		t.Fatal("nil tracer reports SampleAt true")
 	}
 	tr.Emit("cat", "ev", Int("x", 1))
 	sp := tr.Begin("cat", "span")
@@ -28,9 +30,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	}
 	sp.Emit("inner", Num("v", 2))
 	sp.End(Str("outcome", "done"))
-	tr.SetSampleEvery(8)
-	tr.SetLimit(10)
-	tr.Reset()
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer accumulated state")
 	}
@@ -88,21 +87,19 @@ func TestSpanLifecycle(t *testing.T) {
 
 func TestSampleEvery(t *testing.T) {
 	tr := New(simtime.NewVirtual())
-	tr.SetSampleEvery(4)
-	hits := 0
-	for i := 0; i < 16; i++ {
-		if tr.Sample() {
-			hits++
+	var a, b uint64
+	var hits []int
+	for i := 1; i <= 4*sampleEvery; i++ {
+		if tr.SampleAt(&a) {
+			hits = append(hits, i)
+		}
+		if i <= sampleEvery && tr.SampleAt(&b) != (i == 1) {
+			t.Fatalf("a second counter's call %d decided apart from its own history", i)
 		}
 	}
-	if hits != 4 {
-		t.Fatalf("sampled %d of 16 at rate 1/4", hits)
-	}
-	tr.SetSampleEvery(1)
-	for i := 0; i < 3; i++ {
-		if !tr.Sample() {
-			t.Fatal("rate 1/1 must always sample")
-		}
+	want := []int{1, 1 + sampleEvery, 1 + 2*sampleEvery, 1 + 3*sampleEvery}
+	if fmt.Sprint(hits) != fmt.Sprint(want) {
+		t.Fatalf("sampled calls %v, want %v", hits, want)
 	}
 }
 
@@ -110,7 +107,7 @@ func TestSampleEvery(t *testing.T) {
 // so every opened span still closes in the export.
 func TestLimitKeepsSpanEnds(t *testing.T) {
 	tr := New(simtime.NewVirtual())
-	tr.SetLimit(2)
+	tr.limit = 2
 	sp := tr.Begin("c", "outer")
 	tr.Emit("c", "fill")
 	tr.Emit("c", "over") // dropped
@@ -218,7 +215,6 @@ func TestConcurrentEmit(t *testing.T) {
 					sp.End(Int("i", i))
 				} else {
 					tr.Emit("load", "tick", Int("g", g))
-					tr.Sample()
 				}
 			}
 		}(g)
@@ -235,21 +231,6 @@ func TestConcurrentEmit(t *testing.T) {
 			t.Fatalf("duplicate seq %d", ev.Seq)
 		}
 		seen[ev.Seq] = true
-	}
-}
-
-func TestResetClearsBuffer(t *testing.T) {
-	tr := New(simtime.NewVirtual())
-	tr.SetLimit(1)
-	tr.Emit("c", "a")
-	tr.Emit("c", "b") // dropped
-	tr.Reset()
-	if tr.Len() != 0 || tr.Dropped() != 0 {
-		t.Fatalf("after Reset: len=%d dropped=%d", tr.Len(), tr.Dropped())
-	}
-	tr.Emit("c", "c")
-	if tr.Events()[0].Seq != 1 {
-		t.Fatal("seq did not restart after Reset")
 	}
 }
 
@@ -298,9 +279,6 @@ func TestStreamJSONLMatchesBuffered(t *testing.T) {
 		clk := simtime.NewVirtual()
 		tr := New(clk)
 		tr.StreamJSONL(&streamed)
-		if !tr.Streaming() {
-			t.Fatal("Streaming() false after StreamJSONL")
-		}
 		emitFixture(tr, clk)
 		if tr.Len() != 0 {
 			t.Fatalf("streaming tracer retained %d events in memory", tr.Len())
@@ -338,7 +316,7 @@ func TestStreamJSONLMatchesBuffered(t *testing.T) {
 func TestStreamJSONLIgnoresLimit(t *testing.T) {
 	var out bytes.Buffer
 	tr := New(simtime.NewVirtual())
-	tr.SetLimit(4)
+	tr.limit = 4
 	tr.StreamJSONL(&out)
 	for i := 0; i < 100; i++ {
 		tr.Emit("cat", "ev", Int("i", i))
