@@ -28,6 +28,11 @@ func main() {
 		list    = flag.Bool("list", false, "list experiment IDs and exit")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "sbon-exp: unexpected argument %q: experiments are chosen with -run\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, e := range exp.All() {

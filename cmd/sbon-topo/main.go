@@ -64,13 +64,12 @@ func main() {
 	if *embed {
 		vcfg := vivaldi.DefaultConfig()
 		vcfg.Dims = *embedDims
-		m := topo.LatencyMatrix()
 		rng := rand.New(rand.NewSource(*seed + 1))
-		emb, err := vivaldi.EmbedMatrix(m, vcfg, *rounds, 4, rng)
+		emb, err := vivaldi.Embed(topo.NumNodes(), topo.PairLatency, vcfg, *rounds, 4, rng)
 		if err != nil {
 			fail(err)
 		}
-		q := emb.Evaluate(func(i, j int) float64 { return m[i][j] }, 5000, rng)
+		q := emb.Evaluate(topo.PairLatency, 5000, rng)
 		fmt.Printf("vivaldi %d-D after %d rounds: %s\n", *embedDims, *rounds, q)
 	}
 }

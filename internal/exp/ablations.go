@@ -115,15 +115,14 @@ func DefaultX2Params() X2Params {
 func X2(p X2Params) (*Table, error) {
 	orDefaultList(&p.Rounds, DefaultX2Params().Rounds)
 	topo := genTopo(p.Scale, p.Seed)
-	m := topo.LatencyMatrix()
 	t := NewTable("X2 — Vivaldi convergence (2-D, transit-stub latency matrix)",
 		"rounds", "median rel err", "p90 rel err", "mean rel err")
 	for _, rounds := range p.Rounds {
-		emb, err := vivaldi.EmbedMatrix(m, vivaldi.DefaultConfig(), rounds, 4, rand.New(rand.NewSource(p.Seed)))
+		emb, err := vivaldi.Embed(topo.NumNodes(), topo.PairLatency, vivaldi.DefaultConfig(), rounds, 4, rand.New(rand.NewSource(p.Seed)))
 		if err != nil {
 			return nil, err
 		}
-		q := emb.Evaluate(func(i, j int) float64 { return m[i][j] }, 3000, rand.New(rand.NewSource(p.Seed+1)))
+		q := emb.Evaluate(topo.PairLatency, 3000, rand.New(rand.NewSource(p.Seed+1)))
 		t.AddRow(rounds, q.MedianRelErr, q.P90RelErr, q.MeanRelErr)
 	}
 	t.AddNote("expected shape: error falls steeply over the first tens of rounds and flattens — coordinates are usable long before full convergence")
@@ -151,11 +150,10 @@ func X3(p X3Params) (*Table, error) {
 	orDefaultList(&p.Dims, DefaultX3Params().Dims)
 	orDefault(&p.Targets, DefaultX3Params().Targets)
 	topo := genTopo(p.Scale, p.Seed)
-	m := topo.LatencyMatrix()
 	t := NewTable("X3 — Hilbert-DHT mapping error vs cost-space dimensionality",
 		"vector dims", "bits/dim", "mean err ratio (dht/oracle)", "p95 err ratio", "mean lookup hops")
 	for _, d := range p.Dims {
-		ratioHist, hopsHist, bits, err := x3ForDims(topo, m, d, p.Seed, p.Targets)
+		ratioHist, hopsHist, bits, err := x3ForDims(topo, d, p.Seed, p.Targets)
 		if err != nil {
 			return nil, err
 		}
@@ -165,11 +163,11 @@ func X3(p X3Params) (*Table, error) {
 	return t, nil
 }
 
-func x3ForDims(topo *topology.Topology, m [][]float64, dims int, seed int64, targets int) (*histWrap, *histWrap, uint, error) {
+func x3ForDims(topo *topology.Topology, dims int, seed int64, targets int) (*histWrap, *histWrap, uint, error) {
 	rng := rand.New(rand.NewSource(seed * int64(dims+1)))
 	vcfg := vivaldi.DefaultConfig()
 	vcfg.Dims = dims
-	emb, err := vivaldi.EmbedMatrix(m, vcfg, 30, 4, rng)
+	emb, err := vivaldi.Embed(topo.NumNodes(), topo.PairLatency, vcfg, 30, 4, rng)
 	if err != nil {
 		return nil, nil, 0, err
 	}

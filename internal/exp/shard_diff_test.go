@@ -127,13 +127,13 @@ func TestX17ShardedBitIdentical(t *testing.T) {
 }
 
 // TestX18Deterministic reruns the CI-scale X18 shape (the structure and
-// 64-way sharding of the 100k-node scale point, shrunk to test time)
+// 64-way sharding of the 102,464-node scale point, shrunk to test time)
 // and requires identical rows — the "deterministic reruns" criterion.
 func TestX18Deterministic(t *testing.T) {
 	small := func() X17Params {
 		p := DefaultX18Params()
 		p.StubsPerTransit = 8
-		p.StubNodes = 8 // 64 + 8·8·8 = 576 nodes
+		p.StubNodes = 8 // 64 + 64·8·8 = 4160 nodes
 		p.Streams = 32
 		p.Queries = 2000
 		p.EngineCircuits = 64

@@ -94,9 +94,19 @@ func DefaultX17Params() X17Params {
 	}
 }
 
+// topologyConfig is the transit-stub shape the parameters describe.
+func (p X17Params) topologyConfig() topology.Config {
+	cfg := topology.DefaultConfig()
+	cfg.TransitDomains = p.TransitDomains
+	cfg.TransitNodes = p.TransitNodes
+	cfg.StubsPerTransit = p.StubsPerTransit
+	cfg.StubNodes = p.StubNodes
+	return cfg
+}
+
 // X17 is the 100k-overlay-scale scenario this PR's two kernels exist
 // for: a ≥16k-node transit-stub overlay whose latencies are answered
-// from the factored sparse decomposition (the dense matrix would be
+// from the factored transit-stub tables (an all-pairs matrix would be
 // ~2 GB), whose Vivaldi coordinates are maintained by a background
 // gossip Ticker on the virtual clock (never a batch embedding), and
 // whose ≥100k-query population is optimized through the sharded batch
@@ -134,27 +144,20 @@ func X17(p X17Params) (*Table, error) {
 	orDefault(&p.TupleSizeKB, d.TupleSizeKB)
 	wallStart := time.Now()
 
-	topoCfg := topology.DefaultConfig()
-	topoCfg.TransitDomains = p.TransitDomains
-	topoCfg.TransitNodes = p.TransitNodes
-	topoCfg.StubsPerTransit = p.StubsPerTransit
-	topoCfg.StubNodes = p.StubNodes
 	// Everything runs on one virtual clock: Vivaldi gossip rounds, tuple
-	// deliveries, heartbeats, migration phases. Sparse latency is
-	// mandatory at this scale (O(1) lookups, no O(n²) matrix), a deployed
-	// overlay measures a few peers per round rather than batch-embedding
-	// a latency matrix, and building a 16k-peer ring adds nothing here,
-	// so mapping is the oracle's.
+	// deliveries, heartbeats, migration phases. A deployed overlay
+	// measures a few peers per round rather than batch-embedding all
+	// pairs, and building a 16k-peer ring adds nothing here, so mapping
+	// is the oracle's.
 	w, err := scenario.Build(scenario.Spec{
-		Seed:          p.Seed,
-		Topology:      topoCfg,
-		SparseLatency: true,
-		Streams:       streamsOf(p.Streams),
-		Queries:       queriesOf(p.Queries, 1, 2),
-		Ticker:        &scenario.Ticker{Samples: p.TickerSamples, Interval: p.TickerInterval, WarmRounds: p.TickerWarmRounds},
-		DataShards:    p.DataShards,
-		Engine:        expEngine(p.TupleSizeKB),
-		Tracer:        p.Trace,
+		Seed:       p.Seed,
+		Topology:   p.topologyConfig(),
+		Streams:    streamsOf(p.Streams),
+		Queries:    queriesOf(p.Queries, 1, 2),
+		Ticker:     &scenario.Ticker{Samples: p.TickerSamples, Interval: p.TickerInterval, WarmRounds: p.TickerWarmRounds},
+		DataShards: p.DataShards,
+		Engine:     expEngine(p.TupleSizeKB),
+		Tracer:     p.Trace,
 	})
 	if err != nil {
 		return nil, err
@@ -269,7 +272,7 @@ func X17(p X17Params) (*Table, error) {
 	unrouted := int(net.Metrics.Counter("msgs.unrouted").Value())
 	wall := time.Since(wallStart)
 
-	t.AddNote("%d nodes (%d stub domains, sparse latency — no dense matrix), %d streams, %d queries optimized",
+	t.AddNote("%d nodes (%d stub domains, factored latency — no all-pairs matrix), %d streams, %d queries optimized",
 		n, topo.NumStubDomains(), p.Streams, len(results))
 	t.AddNote("sharded batch: %d shards, %d home-routed (%.1f%%), %d fallback; %.0f queries/s on this host (%v; pools are independent — throughput scales with cores up to the shard count)",
 		shardStats.Shards, homeRouted, 100*float64(homeRouted)/float64(len(qs)), shardStats.Fallback,

@@ -1,6 +1,6 @@
 package exp
 
-// X18 is the sharded data plane's headline scale point: a ~100k-node
+// X18 is the sharded data plane's headline scale point: a 102,464-node
 // transit-stub overlay, a 500k-query batch through 64 optimizer
 // regions, and the data plane executing on 64 parallel per-shard event
 // queues keyed to those same regions. The scenario structure is X17's —
@@ -20,15 +20,15 @@ func X18(p X17Params) (*Table, error) {
 	return t, nil
 }
 
-// DefaultX18Params returns the full-scale configuration: ~100k overlay
-// nodes (64 transit + 8·125·100 stub), 500k queries, 64 regions, 64
-// data-plane shards.
+// DefaultX18Params returns the full-scale configuration: 102464 overlay
+// nodes (64 transit + 64·16·100 stub: 16 stub domains of 100 nodes per
+// transit node), 500k queries, 64 regions, 64 data-plane shards.
 func DefaultX18Params() X17Params {
 	p := DefaultX17Params()
 	p.Seed = 31
 	p.TransitDomains = 8
 	p.TransitNodes = 8
-	p.StubsPerTransit = 125
+	p.StubsPerTransit = 16
 	p.StubNodes = 100
 	p.Streams = 128
 	p.Queries = 500_000

@@ -5,19 +5,43 @@ import (
 	"testing"
 )
 
-// TestX18FullScale runs the headline configuration once: ~100k nodes,
-// 500k queries, 64 data-plane shards. Rerun determinism for the X18
-// structure is pinned at CI scale by TestX18Deterministic; this test
-// asserts the full scale point completes and actually loaded the
-// kernel. It takes ~7 minutes of single-core CPU, which would push the
-// exp package past the default go-test timeout alongside the X17 full
-// run, so it is opt-in: set SBON_FULLSCALE=1 to run it.
+// TestDefaultParamsNodeCounts pins the overlay size of every full-scale
+// Default*Params that carries a topology to the node count its doc
+// comment states.
+func TestDefaultParamsNodeCounts(t *testing.T) {
+	nodes := func(stubNodes int) int { return stubTopology(stubNodes).TotalNodes() }
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"X11", nodes(DefaultX11Params().StubNodes), 1024},
+		{"X12", nodes(DefaultX12Params().StubNodes), 592},
+		{"X13", nodes(DefaultX13Params().StubNodes), 1024},
+		{"X14", nodes(DefaultX14Params().StubNodes), 1024},
+		{"X15", nodes(DefaultX15Params().StubNodes), 1024},
+		{"X16", nodes(DefaultX16Params().StubNodes), 1024},
+		{"X17", DefaultX17Params().topologyConfig().TotalNodes(), 16400},
+		{"X18", DefaultX18Params().topologyConfig().TotalNodes(), 102464},
+	} {
+		if c.got != c.want {
+			t.Errorf("Default%sParams builds %d nodes, its doc comment states %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestX18FullScale runs the headline configuration once: 102,464
+// nodes, 500k queries, 64 data-plane shards. Rerun determinism for the
+// X18 structure is pinned at CI scale by TestX18Deterministic; this
+// test asserts the full scale point completes and actually loaded the
+// kernel. It takes minutes of CPU, which could push the exp package
+// past the default go-test timeout alongside the X17 full run, so it
+// is opt-in: set SBON_FULLSCALE=1 to run it.
 func TestX18FullScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-node scenario skipped in -short")
 	}
 	if os.Getenv("SBON_FULLSCALE") == "" {
-		t.Skip("~7 CPU-minutes; set SBON_FULLSCALE=1 to run")
+		t.Skip("minutes of CPU; set SBON_FULLSCALE=1 to run")
 	}
 	tb, err := X18(DefaultX18Params())
 	if err != nil {
@@ -26,7 +50,7 @@ func TestX18FullScale(t *testing.T) {
 	if len(tb.Rows) != 2 {
 		t.Fatalf("expected 2 adaptation rounds, got %d rows", len(tb.Rows))
 	}
-	// 100k nodes with heartbeats on: at least one pending timer per node.
+	// 102k nodes with heartbeats on: at least one pending timer per node.
 	if pending := cell(t, tb, 0, 8); pending < 100_000 {
 		t.Fatalf("pending events %v, want >= 100000 at full scale", pending)
 	}

@@ -244,12 +244,18 @@ func TestPlanCacheEpochFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := OptimizeBatch(env, qs, BatchOptions{Workers: 2, Cache: cache})
+	// The flush empties the cache, so the batch must miss at least once,
+	// and at most once per worker: each worker may look the key up
+	// before any other has refilled it. Which query index misses
+	// depends on scheduling.
+	const workers = 2
+	_, missesBefore := cache.Stats()
+	got, err := OptimizeBatch(env, qs, BatchOptions{Workers: workers, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].FromCache {
-		t.Fatal("first query after a mutation was served from the stale cache")
+	if _, misses := cache.Stats(); misses-missesBefore < 1 || misses-missesBefore > workers {
+		t.Fatalf("batch after a mutation missed the cache %d times, want 1..%d", misses-missesBefore, workers)
 	}
 	for i := range got {
 		circuitsEqual(t, i, &got[i], seq)

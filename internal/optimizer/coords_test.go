@@ -11,17 +11,11 @@ import (
 )
 
 // coordsFixture embeds coordinates the way X17 does: a ticker-style
-// gossip embedding over sparse-latency lookups, never touching the
-// dense matrix.
+// gossip embedding over O(1) latency lookups.
 func coordsFixture(t *testing.T) (*topology.Topology, []vivaldi.Coord) {
 	t.Helper()
 	topo := topology.MustGenerate(topology.DefaultConfig(), rand.New(rand.NewSource(11)))
-	if err := topo.EnableSparseLatency(); err != nil {
-		t.Fatalf("EnableSparseLatency: %v", err)
-	}
-	emb, err := vivaldi.Embed(topo.NumNodes(), func(i, j int) float64 {
-		return topo.Latency(topology.NodeID(i), topology.NodeID(j))
-	}, vivaldi.DefaultConfig(), 30, 4, rand.New(rand.NewSource(12)))
+	emb, err := vivaldi.Embed(topo.NumNodes(), topo.PairLatency, vivaldi.DefaultConfig(), 30, 4, rand.New(rand.NewSource(12)))
 	if err != nil {
 		t.Fatalf("Embed: %v", err)
 	}

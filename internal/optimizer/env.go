@@ -182,8 +182,7 @@ func NewEnv(topo *topology.Topology, stats *query.Catalog, cfg EnvConfig) (*Env,
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	space := costspace.NewLatencyLoadSpace(cfg.LoadScale)
 
-	m := topo.LatencyMatrix()
-	emb, err := vivaldi.EmbedMatrix(m, vivaldi.DefaultConfig(), cfg.VivaldiRounds, cfg.VivaldiSamples, rng)
+	emb, err := vivaldi.Embed(topo.NumNodes(), topo.PairLatency, vivaldi.DefaultConfig(), cfg.VivaldiRounds, cfg.VivaldiSamples, rng)
 	if err != nil {
 		return nil, fmt.Errorf("optimizer: vivaldi embedding: %w", err)
 	}
@@ -204,7 +203,7 @@ func NewEnv(topo *topology.Topology, stats *query.Catalog, cfg EnvConfig) (*Env,
 		rng:   rng,
 		dirty: make(map[topology.NodeID]dirtyRec),
 	}
-	e.EmbeddingQuality = emb.Evaluate(func(i, j int) float64 { return m[i][j] }, 2000, rng)
+	e.EmbeddingQuality = emb.Evaluate(topo.PairLatency, 2000, rng)
 	for i := 0; i < n; i++ {
 		e.base[i] = rng.Float64() * cfg.MaxBackgroundLoad
 		e.load[i] = e.base[i]
@@ -222,11 +221,8 @@ func NewEnv(topo *topology.Topology, stats *query.Catalog, cfg EnvConfig) (*Env,
 // NewEnvFromCoords builds an environment from externally maintained
 // Vivaldi coordinates (a vivaldi.Ticker's Embedding, the way a deployed
 // overlay continuously refreshes coordinates) instead of batch-embedding
-// the dense latency matrix. Nothing on this path touches
-// Topology.LatencyMatrix: with the topology's sparse latency mode
-// enabled, the O(n²) matrix is never materialized, which is what makes
-// 16k+-node environments feasible. Embedding quality is evaluated
-// against 2000 sampled true-latency pairs, as in NewEnv.
+// them. Embedding quality is evaluated against 2000 sampled
+// true-latency pairs, as in NewEnv.
 func NewEnvFromCoords(topo *topology.Topology, stats *query.Catalog, cfg EnvConfig, coords []vivaldi.Coord) (*Env, error) {
 	if topo == nil || topo.NumNodes() < 2 {
 		return nil, fmt.Errorf("optimizer: need a topology with >= 2 nodes")
@@ -260,9 +256,7 @@ func NewEnvFromCoords(topo *topology.Topology, stats *query.Catalog, cfg EnvConf
 		dirty: make(map[topology.NodeID]dirtyRec),
 	}
 	emb := &vivaldi.Embedding{Coords: e.vec}
-	e.EmbeddingQuality = emb.Evaluate(func(i, j int) float64 {
-		return topo.Latency(topology.NodeID(i), topology.NodeID(j))
-	}, 2000, rng)
+	e.EmbeddingQuality = emb.Evaluate(topo.PairLatency, 2000, rng)
 	for i := 0; i < n; i++ {
 		e.base[i] = rng.Float64() * cfg.MaxBackgroundLoad
 		e.load[i] = e.base[i]

@@ -124,7 +124,7 @@ func TestConsumerLatencyReusedPath(t *testing.T) {
 func reembed(t *testing.T, env *Env) int {
 	t.Helper()
 	cfg := env.Config()
-	emb, err := vivaldi.EmbedMatrix(env.Topo.LatencyMatrix(), vivaldi.DefaultConfig(), cfg.VivaldiRounds, cfg.VivaldiSamples, env.Rand())
+	emb, err := vivaldi.Embed(env.Topo.NumNodes(), env.Topo.PairLatency, vivaldi.DefaultConfig(), cfg.VivaldiRounds, cfg.VivaldiSamples, env.Rand())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,12 +169,6 @@ func NewNetwork(topo *topology.Topology, cfg Config) *Network {
 	if cfg.Clock == nil {
 		cfg.Clock = simtime.NewVirtual()
 	}
-	// Force the all-pairs latency cache now: Topology computes it lazily
-	// and concurrent Sends must only read it. In sparse mode lookups are
-	// already O(1) pure reads and the dense matrix would be O(n²) memory.
-	if !topo.SparseEnabled() {
-		topo.LatencyMatrix()
-	}
 	if cfg.DataShards <= 0 {
 		cfg.DataShards = 1
 	}

@@ -56,14 +56,11 @@ type Ticker struct {
 }
 
 // Spec describes an overlay. The zero value of a field is its plainest
-// setting: dense latency, batch embedding, oracle mapping, one event
-// queue, no tracing.
+// setting: batch embedding, oracle mapping, one event queue, no
+// tracing.
 type Spec struct {
 	Seed     int64
 	Topology topology.Config
-	// SparseLatency answers latencies from the factored transit-stub
-	// tables instead of the dense all-pairs matrix.
-	SparseLatency bool
 	// Streams sizes the generated catalog. With NumStreams zero the
 	// catalog starts empty, at Streams.DefaultSel, for callers that
 	// publish their own streams.
@@ -138,13 +135,6 @@ func (w *World) build() (err error) {
 	if w.Topo, err = topology.Generate(spec.Topology, rand.New(rand.NewSource(spec.Seed))); err != nil {
 		return err
 	}
-	// Before anything reads a latency: overlay.NewNetwork forces the
-	// dense matrix unless the sparse tables are already there.
-	if spec.SparseLatency {
-		if err = w.Topo.EnableSparseLatency(); err != nil {
-			return err
-		}
-	}
 	rng := rand.New(rand.NewSource(spec.Seed * 3))
 	if spec.Streams.NumStreams > 0 {
 		w.Stats, err = workload.GenerateStats(w.Topo, spec.Streams, rng)
@@ -165,8 +155,7 @@ func (w *World) build() (err error) {
 	if spec.Ticker == nil {
 		w.Env, err = optimizer.NewEnv(w.Topo, w.Stats, envCfg)
 	} else {
-		lat := func(i, j int) float64 { return w.Topo.Latency(topology.NodeID(i), topology.NodeID(j)) }
-		w.Ticker, err = vivaldi.NewTicker(w.Topo.NumNodes(), lat, vivaldi.DefaultConfig(),
+		w.Ticker, err = vivaldi.NewTicker(w.Topo.NumNodes(), w.Topo.PairLatency, vivaldi.DefaultConfig(),
 			spec.Ticker.Samples, spec.Ticker.Interval, w.Clock, rand.New(rand.NewSource(spec.Seed*5)))
 		if err != nil {
 			return err

@@ -62,7 +62,7 @@ type Stats struct {
 	MeanLatency  float64 // mean pairwise latency
 }
 
-// ComputeStats computes summary statistics, forcing the all-pairs matrix.
+// ComputeStats computes summary statistics over every node pair.
 func (t *Topology) ComputeStats() Stats {
 	s := Stats{
 		Nodes:       t.NumNodes(),
@@ -76,13 +76,12 @@ func (t *Topology) ComputeStats() Stats {
 			s.StubNodes++
 		}
 	}
-	m := t.LatencyMatrix()
 	first := true
 	var sum float64
 	var count int
-	for i := range m {
-		for j := i + 1; j < len(m); j++ {
-			d := m[i][j]
+	for i := range t.nodes {
+		for j := i + 1; j < len(t.nodes); j++ {
+			d := t.Latency(NodeID(i), NodeID(j))
 			sum += d
 			count++
 			if first || d < s.MinLatency {

@@ -8,8 +8,8 @@
 //
 // Latencies are attached to edges by class (intra-stub < stub uplink <
 // intra-transit < inter-transit) and end-to-end latency between any two
-// nodes is the shortest-path sum, computed by Dijkstra and cached as an
-// all-pairs matrix.
+// nodes is the shortest-path sum, answered in O(1) from factored
+// transit-stub tables (latency.go) that Generate builds.
 package topology
 
 import (
@@ -135,19 +135,16 @@ func (c Config) TotalNodes() int {
 	return core + core*c.StubsPerTransit*c.StubNodes
 }
 
-// Topology is an undirected latency-weighted graph plus cached shortest
-// paths. It is immutable after generation except through PerturbLatencies,
-// which invalidates the cache.
+// Topology is an undirected latency-weighted graph plus its shortest-path
+// tables. It is immutable after generation except through
+// PerturbLatencies, which rebuilds the tables.
 type Topology struct {
-	nodes []Node
-	adj   [][]neighbor // adjacency lists
-	edges []Edge
+	nodes   []Node
+	adj     [][]neighbor // adjacency lists
+	edges   []Edge
+	uplinks []int // per stub domain: index into edges of its uplink
 
-	latency [][]float64 // all-pairs shortest-path latency; nil until computed
-
-	// sparse, when non-nil, answers Latency from the factored transit-stub
-	// decomposition (see sparse.go) without materializing the dense matrix.
-	sparse *sparseLatency
+	lat *factored // shortest-path latency tables (latency.go)
 }
 
 type neighbor struct {
@@ -233,6 +230,7 @@ func Generate(cfg Config, rng *rand.Rand) (*Topology, error) {
 					ids = append(ids, id)
 				}
 				// Uplink from the gateway.
+				t.uplinks = append(t.uplinks, len(t.edges))
 				t.addEdge(ids[0], tid, sample(cfg.StubUplinkLatency))
 				// Ring inside the stub domain guarantees connectivity.
 				n := len(ids)
@@ -260,6 +258,7 @@ func Generate(cfg Config, rng *rand.Rand) (*Topology, error) {
 			}
 		}
 	}
+	t.lat = t.buildFactored()
 	return t, nil
 }
 
@@ -277,8 +276,6 @@ func (t *Topology) addEdge(a, b NodeID, lat float64) {
 	t.adj[a] = append(t.adj[a], neighbor{to: b, lat: lat})
 	t.adj[b] = append(t.adj[b], neighbor{to: a, lat: lat})
 	t.edges = append(t.edges, Edge{A: a, B: b, Latency: lat})
-	t.latency = nil
-	t.sparse = nil
 }
 
 // NumNodes returns the number of nodes.
@@ -357,75 +354,31 @@ func (t *Topology) NumStubDomains() int {
 }
 
 // Latency returns the shortest-path latency in milliseconds between a and
-// b. In sparse mode (EnableSparseLatency) it answers from the factored
-// decomposition in O(1) without a dense matrix; otherwise it computes and
-// caches the all-pairs matrix on first use. The lazy dense computation is
-// not goroutine-safe: callers that share a Topology across goroutines must
-// either enable sparse mode or force the cache once via LatencyMatrix
-// before concurrent reads.
-func (t *Topology) Latency(a, b NodeID) float64 {
-	if t.sparse != nil {
-		return t.sparse.dist(a, b)
-	}
-	if t.latency == nil {
-		t.computeAPSP()
-	}
-	return t.latency[a][b]
-}
+// b, in O(1) from the factored tables. It only reads, so any number of
+// goroutines may call it at once.
+func (t *Topology) Latency(a, b NodeID) float64 { return t.lat.dist(a, b) }
 
-// LatencyMatrix returns the full all-pairs shortest-path latency matrix.
-// The caller must not modify it.
+// PairLatency is Latency on plain node indices, the form a Vivaldi
+// embedding samples (vivaldi.LatencyFunc).
+func (t *Topology) PairLatency(i, j int) float64 { return t.lat.dist(NodeID(i), NodeID(j)) }
+
+// LatencyMatrix materializes the full all-pairs latency matrix from the
+// factored tables, afresh on every call: O(n²) memory. The benchmark
+// harness under bench/ calls it; nothing else needs the whole matrix.
 func (t *Topology) LatencyMatrix() [][]float64 {
-	if t.latency == nil {
-		t.computeAPSP()
-	}
-	return t.latency
-}
-
-// computeAPSP fills the latency cache via one Dijkstra run per source.
-// The matrix is symmetrized afterwards: the graph is undirected, but
-// floating-point summation order can differ per source by an ulp.
-func (t *Topology) computeAPSP() {
-	n := len(t.nodes)
-	t.latency = make([][]float64, n)
-	for s := 0; s < n; s++ {
-		t.latency[s] = t.dijkstra(NodeID(s))
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			t.latency[j][i] = t.latency[i][j]
+	m := make([][]float64, len(t.nodes))
+	for a := range m {
+		m[a] = make([]float64, len(t.nodes))
+		for b := range m[a] {
+			m[a][b] = t.Latency(NodeID(a), NodeID(b))
 		}
 	}
-}
-
-// dijkstra computes single-source shortest-path latencies from src.
-func (t *Topology) dijkstra(src NodeID) []float64 {
-	n := len(t.nodes)
-	const inf = 1e18
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = inf
-	}
-	dist[src] = 0
-	pq := &distHeap{items: []distItem{{node: src, dist: 0}}}
-	for pq.Len() > 0 {
-		it := pq.pop()
-		if it.dist > dist[it.node] {
-			continue
-		}
-		for _, nb := range t.adj[it.node] {
-			if d := it.dist + nb.lat; d < dist[nb.to] {
-				dist[nb.to] = d
-				pq.push(distItem{node: nb.to, dist: d})
-			}
-		}
-	}
-	return dist
+	return m
 }
 
 // PerturbLatencies multiplies every edge latency by a random factor in
-// [1-amount, 1+amount], modelling network dynamics, and invalidates the
-// cached shortest paths. Latencies are floored at 0.1 ms.
+// [1-amount, 1+amount], modelling network dynamics, and rebuilds the
+// shortest-path tables. Latencies are floored at 0.1 ms.
 func (t *Topology) PerturbLatencies(rng *rand.Rand, amount float64) {
 	if amount < 0 {
 		amount = -amount
@@ -446,21 +399,12 @@ func (t *Topology) PerturbLatencies(rng *rand.Rand, amount float64) {
 		t.adj[e.A] = append(t.adj[e.A], neighbor{to: e.B, lat: e.Latency})
 		t.adj[e.B] = append(t.adj[e.B], neighbor{to: e.A, lat: e.Latency})
 	}
-	t.latency = nil
-	if t.sparse != nil {
-		// Perturbation changes edge weights, never the graph shape, so the
-		// decomposition stays valid and rebuilds cheaply in place.
-		s, err := t.buildSparse()
-		if err != nil {
-			panic(err) // unreachable: shape was validated at enable time
-		}
-		t.sparse = s
-	}
+	t.lat = t.buildFactored()
 }
 
 // distHeap is a binary min-heap over tentative distances. A hand-rolled
-// heap avoids the interface indirection of container/heap in the hot APSP
-// loop.
+// heap avoids the interface indirection of container/heap in the hot
+// Dijkstra loop.
 type distHeap struct {
 	items []distItem
 }

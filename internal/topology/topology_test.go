@@ -284,12 +284,23 @@ func TestSmallConfigs(t *testing.T) {
 	cases := []Config{
 		{TransitDomains: 1, TransitNodes: 1, StubsPerTransit: 0, StubNodes: 0,
 			IntraTransitLatency: [2]float64{1, 2}},
+		{TransitDomains: 3, TransitNodes: 4, StubsPerTransit: 0, StubNodes: 5,
+			IntraTransitLatency: [2]float64{1, 2}, InterTransitLatency: [2]float64{5, 10}},
 		{TransitDomains: 1, TransitNodes: 2, StubsPerTransit: 1, StubNodes: 1,
 			IntraStubLatency: [2]float64{1, 2}, StubUplinkLatency: [2]float64{1, 2},
 			IntraTransitLatency: [2]float64{1, 2}},
 		{TransitDomains: 2, TransitNodes: 1, StubsPerTransit: 1, StubNodes: 2,
 			IntraStubLatency: [2]float64{1, 2}, StubUplinkLatency: [2]float64{1, 2},
 			IntraTransitLatency: [2]float64{1, 2}, InterTransitLatency: [2]float64{5, 10}},
+		// Equal-ended ranges make many paths tie on distance.
+		{TransitDomains: 4, TransitNodes: 4, StubsPerTransit: 2, StubNodes: 6,
+			IntraStubLatency: [2]float64{2, 2}, StubUplinkLatency: [2]float64{2, 2},
+			IntraTransitLatency: [2]float64{2, 2}, InterTransitLatency: [2]float64{2, 2},
+			ExtraStubEdgeProb: 0.5},
+		{TransitDomains: 2, TransitNodes: 3, StubsPerTransit: 2, StubNodes: 4,
+			IntraStubLatency: [2]float64{0, 0}, StubUplinkLatency: [2]float64{0, 0},
+			IntraTransitLatency: [2]float64{0, 0}, InterTransitLatency: [2]float64{0, 0},
+			ExtraStubEdgeProb: 0.5},
 	}
 	for i, cfg := range cases {
 		top, err := Generate(cfg, rand.New(rand.NewSource(int64(i))))
@@ -302,26 +313,36 @@ func TestSmallConfigs(t *testing.T) {
 		if !connected(top) {
 			t.Fatalf("case %d: not connected", i)
 		}
+		if err := matchesDijkstra(top); err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
 	}
 }
 
 // Property: for random small configs, generation succeeds, is connected,
-// and node counts match the closed form.
+// node counts match the closed form, and Latency matches the reference
+// Dijkstra over every pair — also when equal-ended latency ranges force
+// distance ties.
 func TestGeneratePropertyRandomConfigs(t *testing.T) {
-	f := func(td, tn, spt, sn uint8, seed int64) bool {
+	ranges := [][2]float64{{1, 3}, {2, 2}, {0, 0}, {5, 40}}
+	f := func(td, tn, spt, sn, lr uint8, seed int64) bool {
 		cfg := Config{
 			TransitDomains:      1 + int(td%3),
 			TransitNodes:        1 + int(tn%3),
 			StubsPerTransit:     int(spt % 3),
 			StubNodes:           1 + int(sn%4),
-			IntraStubLatency:    [2]float64{1, 3},
-			StubUplinkLatency:   [2]float64{1, 5},
-			IntraTransitLatency: [2]float64{5, 10},
-			InterTransitLatency: [2]float64{20, 40},
+			IntraStubLatency:    ranges[lr%4],
+			StubUplinkLatency:   ranges[lr/4%4],
+			IntraTransitLatency: ranges[lr/16%4],
+			InterTransitLatency: ranges[lr/64%4],
 			ExtraStubEdgeProb:   0.2,
 		}
 		top, err := Generate(cfg, rand.New(rand.NewSource(seed)))
 		if err != nil {
+			return false
+		}
+		if err := matchesDijkstra(top); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
 			return false
 		}
 		return top.NumNodes() == cfg.TotalNodes() && connected(top)
@@ -381,12 +402,11 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func BenchmarkAPSP592(b *testing.B) {
+// BenchmarkGenerate592 times generating the default topology, which
+// includes building its shortest-path tables.
+func BenchmarkGenerate592(b *testing.B) {
 	cfg := DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		top := MustGenerate(cfg, rand.New(rand.NewSource(int64(i))))
-		b.StartTimer()
-		_ = top.LatencyMatrix()
+		MustGenerate(cfg, rand.New(rand.NewSource(int64(i))))
 	}
 }

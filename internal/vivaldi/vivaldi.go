@@ -11,9 +11,9 @@
 // The one substitution for the paper's setting: deployed nodes would
 // measure round-trip times to their peers on a live network, and here
 // every sample is read from the simulated topology's shortest-path
-// latencies — by the Embed and EmbedMatrix drivers in one batch, by
-// Ticker round after round on a clock. Where a sample comes from
-// changes; what the algorithm does with it does not.
+// latencies — by Embed in one batch, by Ticker round after round on a
+// clock. Where a sample comes from changes; what the algorithm does
+// with it does not.
 package vivaldi
 
 import (
@@ -275,11 +275,6 @@ func snapshot(nodes []*Node) *Embedding {
 		emb.Errors[i] = nd.err
 	}
 	return emb
-}
-
-// EmbedMatrix is Embed with latencies supplied as a dense matrix.
-func EmbedMatrix(m [][]float64, cfg Config, rounds, samplesPerRound int, rng *rand.Rand) (*Embedding, error) {
-	return Embed(len(m), func(i, j int) float64 { return m[i][j] }, cfg, rounds, samplesPerRound, rng)
 }
 
 // Quality summarizes how faithfully an embedding reproduces a latency

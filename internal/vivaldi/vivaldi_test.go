@@ -169,12 +169,11 @@ func TestEmbedTransitStub(t *testing.T) {
 	cfg := topology.DefaultConfig()
 	cfg.StubNodes = 4 // keep the test fast: 16 + 192 = 208 nodes
 	top := topology.MustGenerate(cfg, rng)
-	m := top.LatencyMatrix()
-	emb, err := EmbedMatrix(m, DefaultConfig(), 40, 4, rng)
+	emb, err := Embed(top.NumNodes(), top.PairLatency, DefaultConfig(), 40, 4, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := emb.Evaluate(func(i, j int) float64 { return m[i][j] }, 3000, rng)
+	q := emb.Evaluate(top.PairLatency, 3000, rng)
 	if q.MedianRelErr > 0.30 {
 		t.Fatalf("median relative error %v too high for transit-stub input (%v)", q.MedianRelErr, q)
 	}
@@ -282,10 +281,9 @@ func BenchmarkEmbed200Nodes(b *testing.B) {
 	cfg := topology.DefaultConfig()
 	cfg.StubNodes = 4
 	top := topology.MustGenerate(cfg, rng)
-	m := top.LatencyMatrix()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := EmbedMatrix(m, DefaultConfig(), 20, 4, rand.New(rand.NewSource(int64(i))))
+		_, err := Embed(top.NumNodes(), top.PairLatency, DefaultConfig(), 20, 4, rand.New(rand.NewSource(int64(i))))
 		if err != nil {
 			b.Fatal(err)
 		}
