@@ -31,11 +31,11 @@
 //
 //	sbon-sim -queries 40 -execute -adapt 4 -adapt-budget 16
 //
-// With -adapt-continuous the sweeps instead run as a clock-driven
-// continuous loop of incremental re-optimizations: background load
-// drifts between rounds via scheduled events, and each round consumes
-// the environment's delta log, re-planning only the circuits the drift
-// can affect (the loop and its drift schedule are discrete events):
+// With -adapt-continuous the sweeps instead run as a clock-driven loop
+// of incremental re-optimizations for N intervals (a round's settle
+// delays the next, so fewer rounds may run): load drifts between rounds
+// via scheduled events, and each round re-plans only the circuits the
+// drift can affect, read from the environment's delta log:
 //
 //	sbon-sim -queries 40 -adapt 8 -adapt-continuous
 //
@@ -74,7 +74,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/hourglass/sbon/internal/adapt"
 	"github.com/hourglass/sbon/internal/metrics"
 	"github.com/hourglass/sbon/internal/optimizer"
 	"github.com/hourglass/sbon/internal/overlay"
@@ -193,10 +192,10 @@ func main() {
 		simSeconds  = flag.Float64("sim-seconds", 10, "simulated measurement window for -execute")
 		heartbeatMs = flag.Float64("heartbeat-ms", 500, "per-node heartbeat period in simulated ms for -execute (0 = off)")
 
-		adaptSweeps = flag.Int("adapt", 0, "run this many live adaptation sweeps (with -execute: circuits migrate under traffic)")
+		adaptSweeps = flag.Int("adapt", 0, "run this many live adaptation sweeps (with -execute: circuits migrate under traffic; with -adapt-continuous: adapt for this many intervals)")
 		adaptBudget = flag.Int("adapt-budget", 16, "max migrations per adaptation sweep")
 		adaptDrift  = flag.Float64("adapt-drift", 0.1, "fraction of nodes whose background load drifts before each sweep")
-		adaptCont   = flag.Bool("adapt-continuous", false, "run adaptation as a continuous clock-driven loop of incremental sweeps; -adapt N sets the rounds")
+		adaptCont   = flag.Bool("adapt-continuous", false, "run adaptation as a continuous clock-driven loop of incremental sweeps for -adapt intervals (a round that settles late delays the next, so fewer rounds may run)")
 		adaptIntMs  = flag.Int("adapt-interval-ms", 500, "continuous adaptation interval (simulated milliseconds)")
 
 		crashFrac = flag.Float64("crash-frac", 0, "fraction of nodes crashing unannounced mid-run; circuits repair automatically (requires -execute)")
@@ -408,7 +407,8 @@ func runAdaptation(w *scenario.World, circuits []*optimizer.Circuit,
 	}
 	net, runs := w.Net, w.Runs
 
-	co := &adapt.Coordinator{Dep: dep, Engine: w.Engine, Clock: clk, Budget: budget, Tracer: w.Spec.Tracer}
+	co := w.Coordinator()
+	co.Budget = budget
 	churn := workload.Churn{LoadFraction: drift, LoadMax: 0.9}
 	mode := "control-plane only"
 	if executing {
@@ -416,17 +416,17 @@ func runAdaptation(w *scenario.World, circuits []*optimizer.Circuit,
 	}
 	if continuous {
 		interval := time.Duration(intervalMs) * time.Millisecond
-		fmt.Printf("\ncontinuous adaptation: %d rounds every %v, budget %d, drift %.0f%% (%s)\n",
+		fmt.Printf("\ncontinuous adaptation for %d intervals of %v, budget %d, drift %.0f%% (%s)\n",
 			sweeps, interval, budget, drift*100, mode)
 		// Drift lands mid-interval as scheduled events; each round's
 		// incremental sweep then consumes exactly that delta. Stop closes
-		// (deterministically, in a clock event) after the last round.
+		// (in a clock event) a quarter into the last interval.
 		for i := 0; i < sweeps; i++ {
 			clk.AfterFunc(time.Duration(i)*interval+interval/2, func() { w.Drift(churn) })
 		}
 		stop := make(chan struct{})
 		clk.AfterFunc(time.Duration(sweeps)*interval+interval/4, func() { close(stop) })
-		rs, err := co.Run(interval, stop)
+		rs, err := co.Run(nil, interval, stop)
 		if err != nil {
 			fail(err)
 		}
@@ -486,11 +486,8 @@ func runFailureScenario(w *scenario.World, circuits []*optimizer.Circuit, crashF
 	warmup := time.Duration(simSeconds/4*1000) * time.Millisecond
 	w.InjectFaults(overlay.FaultPlan{Seed: w.Spec.Seed, DropProb: dropProb, Crashes: scenario.StaggerCrashes(victims, warmup, warmup)})
 	det := w.StartFailureDetection(200 * time.Millisecond)
-	co := &adapt.Coordinator{
-		Dep: dep, Engine: w.Engine, Clock: vclk,
-		Threshold: 0.3, TicketTTL: 5 * time.Second,
-		Tracer: w.Spec.Tracer,
-	}
+	co := w.Coordinator()
+	co.Threshold, co.TicketTTL = 0.3, 5*time.Second
 
 	usageBefore := dep.TotalUsage(truth)
 	fmt.Printf("\nfailure scenario: crashing %d/%d nodes (%.1f%%) under %.1f%% message loss over %.1f simulated seconds\n",
@@ -498,10 +495,11 @@ func runFailureScenario(w *scenario.World, circuits []*optimizer.Circuit, crashF
 	stop := make(chan struct{})
 	vclk.AfterFunc(time.Duration(simSeconds*1000)*time.Millisecond, func() { close(stop) })
 	wallStart := time.Now()
-	rs, rep, err := co.RunWithRepair(det, 500*time.Millisecond, stop)
+	rs, err := co.Run(det, 500*time.Millisecond, stop)
 	if err != nil {
 		fail(err)
 	}
+	rep := rs.Repair
 	produced, delivered := w.Quiesce()
 	wall := time.Since(wallStart)
 	fmt.Printf("detector: %d dead confirmed; repair: %d services re-placed (%d zombie, %d adopted), %d circuits cancelled, %d moves aborted\n",

@@ -8,8 +8,8 @@
 // operational:
 //
 //	sweep   — Reoptimizer.Plan produces a typed MigrationPlan without
-//	          touching anything; the coordinator selects the
-//	          highest-gain moves within its migration budget.
+//	          touching anything; the coordinator selects the moves to
+//	          run (Select, or the highest-gain moves within Budget).
 //	migrate — each selected move opens a two-phase Deployment ticket
 //	          (load charged on both hosts — the cost space repels
 //	          further placements from nodes absorbing a handoff) and
@@ -28,10 +28,11 @@
 // cutover.
 //
 // SweepIncremental is the delta-cost variant: the re-optimizer consumes
-// the environment's delta log and re-plans only affected circuits, and
-// Run strings such rounds into a clock-paced continuous adaptation
-// loop — the paper's continuous optimization running at the cost of
-// what changed, not of what is deployed.
+// the environment's delta log and re-plans only affected circuits.
+// Round is the one adaptation step every loop runs — repair off the
+// failure detector's confirmed deaths, then one incremental sweep — and
+// Run paces rounds on the clock: the paper's continuous optimization
+// running at the cost of what changed, not of what is deployed.
 //
 // On the engine's clock the whole loop is deterministic: same seed, same
 // plan, same handoff timings, same settled state.
@@ -42,6 +43,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/hourglass/sbon/internal/failure"
 	"github.com/hourglass/sbon/internal/optimizer"
 	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/simtime"
@@ -69,14 +71,12 @@ type Coordinator struct {
 	// large adaptation over several sweeps instead of thrashing the
 	// overlay in one.
 	Budget int
+	// Select, when set, replaces the Budget rule: it picks the moves a
+	// sweep executes from the re-optimizer's plan (never an evacuation's).
+	Select func(optimizer.MigrationPlan) optimizer.MigrationPlan
 	// Exclude bars nodes from being chosen as migration targets
 	// (departed or draining hosts).
 	Exclude map[topology.NodeID]bool
-	// SettleMargin is extra clock time slept past the last migration's
-	// scheduled end (default one simulated second worth of clock time
-	// is NOT assumed — default 0; callers add margin when their model
-	// needs it).
-	SettleMargin time.Duration
 	// TicketTTL, when positive, stamps every migration ticket with a
 	// deadline that far past Begin. A handoff still pending at commit
 	// time past its deadline — a host died mid-flight, or a teardown
@@ -85,16 +85,15 @@ type Coordinator struct {
 	// commits or aborts to match where the operator actually ended up.
 	TicketTTL time.Duration
 
-	// Placer, Mapper, Model override the re-optimizer's components
-	// (defaults as in optimizer.Reoptimizer).
-	Placer placement.VirtualPlacer
+	// Mapper and Model override the re-optimizer's components (defaults
+	// as in optimizer.Reoptimizer).
 	Mapper placement.Mapper
 	Model  optimizer.LatencyModel
 
 	// Tracer, when non-nil, records the adaptation loop's spans — one
-	// per plan→migrate→settle round, one per repair round with
-	// per-circuit outcomes — and is handed to the re-optimizer for its
-	// per-move decision records.
+	// per Round, with the repair (per-circuit outcomes), migrate and
+	// settle spans it triggers nested inside — and is handed to the
+	// re-optimizer for its per-move decision records.
 	Tracer *trace.Tracer
 
 	// ro is the coordinator's persistent re-optimizer: incremental
@@ -110,10 +109,11 @@ type Coordinator struct {
 	dead        map[topology.NodeID]bool
 	retryRepair bool
 
-	// roundSpan is the open "round" span while Run/RunWithRepair drives
-	// a sweep, so the migrate/settle/repair spans it triggers nest under
-	// it in the trace. Only the loop's own goroutine touches it, so it
-	// needs no synchronization.
+	// rounds counts the coordinator's rounds over its whole life;
+	// roundSpan is the open "round" span while Round runs, so the spans
+	// it triggers nest under it. Only the loop's own goroutine touches
+	// them, so they need no synchronization.
+	rounds    int
 	roundSpan trace.Span
 }
 
@@ -126,10 +126,11 @@ func (co *Coordinator) beginSpan(cat, name string, args ...trace.Arg) trace.Span
 	return co.Tracer.Begin(cat, name, args...)
 }
 
-// SweepStats reports one adaptation round.
+// SweepStats reports one sweep→migrate→settle pass (a sweep or an
+// evacuation).
 type SweepStats struct {
 	ServicesEvaluated int
-	// Planned is the number of moves the sweep selected (post-budget);
+	// Planned is the number of moves the sweep selected (post-selection);
 	// Migrated of those reached Commit. DataPlane counts moves that ran
 	// the engine's live handoff (the rest were control-plane only).
 	Planned   int
@@ -169,7 +170,6 @@ func (co *Coordinator) reopt() *optimizer.Reoptimizer {
 	if co.ro == nil {
 		co.ro = optimizer.NewReoptimizer(co.Dep)
 	}
-	co.ro.Placer = co.Placer
 	co.ro.Mapper = co.Mapper
 	co.ro.Model = co.Model
 	co.ro.ImprovementThreshold = co.Threshold
@@ -202,7 +202,7 @@ func (co *Coordinator) Sweep(cancel <-chan struct{}) (SweepStats, error) {
 	if err != nil {
 		return SweepStats{}, err
 	}
-	return co.execute(plan, cancel, co.Budget)
+	return co.execute(co.selected(plan), cancel)
 }
 
 // SweepIncremental runs one incremental sweep→migrate→settle round:
@@ -215,11 +215,48 @@ func (co *Coordinator) SweepIncremental(cancel <-chan struct{}) (SweepStats, err
 	if err != nil {
 		return SweepStats{}, err
 	}
-	stats, err := co.execute(plan, cancel, co.Budget)
+	stats, err := co.execute(co.selected(plan), cancel)
 	stats.DirtyNodes = ist.DirtyNodes
 	stats.AffectedCircuits = ist.AffectedCircuits
 	stats.FullSweep = ist.FullSweep
 	return stats, err
+}
+
+// RoundStats reports one adaptation round: the detector verdicts it
+// consumed (none without a detector), the repair they triggered and the
+// incremental sweep that followed. At is the clock time the round
+// started, which is also when repaired routes flipped (repair is
+// synchronous under the virtual clock).
+type RoundStats struct {
+	At     time.Time
+	Events []failure.Event
+	Repair RepairStats
+	Sweep  SweepStats
+}
+
+// Round runs one adaptation round, the body of every adaptation loop:
+// HandleFailures on the detector's verdicts (skipped when det is nil),
+// then one SweepIncremental, every span they open nested under one
+// "round" span. cancel (optional) aborts the settle wait.
+func (co *Coordinator) Round(det *failure.Detector, cancel <-chan struct{}) (RoundStats, error) {
+	co.rounds++
+	rs := RoundStats{At: co.clock().Now()}
+	co.roundSpan = co.Tracer.Begin("adapt", "round", trace.Int("n", co.rounds))
+	defer func() { co.roundSpan = trace.Span{} }()
+	var err error
+	if det != nil {
+		rs.Events = det.TakeEvents()
+		rs.Repair, err = co.HandleFailures(rs.Events, cancel)
+	}
+	if err == nil {
+		rs.Sweep, err = co.SweepIncremental(cancel)
+	}
+	if err != nil {
+		co.roundSpan.End(trace.Str("error", err.Error()))
+		return rs, err
+	}
+	co.roundSpan.End(trace.Int("migrated", rs.Sweep.Migrated), trace.Int("evaluated", rs.Sweep.ServicesEvaluated))
+	return rs, nil
 }
 
 // RunStats aggregates a continuous adaptation run.
@@ -235,36 +272,31 @@ type RunStats struct {
 	PredictedGain     float64
 	UsageGain         float64
 	Last              SweepStats
+	// Repair sums the rounds' failure repairs (zero without a detector).
+	Repair RepairStats
 }
 
-// Run drives continuous adaptation: every interval the coordinator
-// consumes the environment's delta log and runs one incremental
-// sweep→migrate→settle round, until stop fires (during a wait or a
-// settle). This is the paper's "continuous optimization" made
+// Run drives continuous adaptation: every interval the coordinator runs
+// one Round — repair off det's verdicts (det may be nil), then one
+// incremental sweep→migrate→settle — until stop fires (during a wait or
+// a settle). This is the paper's "continuous optimization" made
 // operational at delta cost: a quiet overlay re-plans nothing.
 //
 // The wait is a SleepOrDone on the clock, so stop is seen at once when an
 // event closes it, and the loop is deterministic: same seed, same delta
-// schedule, same rounds, same moves.
-func (co *Coordinator) Run(interval time.Duration, stop <-chan struct{}) (RunStats, error) {
+// and crash schedule, same rounds, same moves.
+func (co *Coordinator) Run(det *failure.Detector, interval time.Duration, stop <-chan struct{}) (RunStats, error) {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	clk := co.clock()
 	var rs RunStats
-	for {
-		if clk.SleepOrDone(interval, stop) {
-			return rs, nil
-		}
-		sp := co.Tracer.Begin("adapt", "round", trace.Int("n", rs.Sweeps+1))
-		co.roundSpan = sp
-		st, err := co.SweepIncremental(stop)
-		co.roundSpan = trace.Span{}
+	for !co.clock().SleepOrDone(interval, stop) {
+		r, err := co.Round(det, stop)
+		rs.Repair.Add(r.Repair)
 		if err != nil {
-			sp.End(trace.Str("error", err.Error()))
 			return rs, err
 		}
-		sp.End(trace.Int("migrated", st.Migrated), trace.Int("evaluated", st.ServicesEvaluated))
+		st := r.Sweep
 		rs.Sweeps++
 		if st.FullSweep {
 			rs.FullSweeps++
@@ -275,9 +307,10 @@ func (co *Coordinator) Run(interval time.Duration, stop <-chan struct{}) (RunSta
 		rs.UsageGain += st.UsageGain
 		rs.Last = st
 		if st.Cancelled {
-			return rs, nil
+			break
 		}
 	}
+	return rs, nil
 }
 
 // Evacuate force-migrates every unpinned service off the victim nodes —
@@ -293,41 +326,36 @@ func (co *Coordinator) Evacuate(victims []topology.NodeID, cancel <-chan struct{
 	if err != nil {
 		return SweepStats{}, err
 	}
-	// Never budget an evacuation: a truncated drain would leave services
-	// on a node the caller is about to kill.
-	return co.execute(plan, cancel, 0)
+	// Never select from an evacuation: a truncated drain would leave
+	// services on a node the caller is about to kill.
+	return co.execute(plan, cancel)
 }
 
-// Plan runs the configured re-optimizer's sweep and returns the typed
-// migration plan without executing it — the hook for callers with their
-// own selection policy (e.g. usage-gain-filtered adaptation), who then
-// hand the edited plan to Execute.
-func (co *Coordinator) Plan() (optimizer.MigrationPlan, error) {
-	return co.reopt().Plan()
-}
-
-// Execute walks an externally selected migration plan through the
-// two-phase protocol, bypassing the Coordinator's own budget selection.
-func (co *Coordinator) Execute(plan optimizer.MigrationPlan, cancel <-chan struct{}) (SweepStats, error) {
-	return co.execute(plan, cancel, 0)
+// selected picks the moves a sweep executes: Select's choice when set,
+// else the Budget highest-predicted-gain moves.
+func (co *Coordinator) selected(plan optimizer.MigrationPlan) optimizer.MigrationPlan {
+	if co.Select != nil {
+		return co.Select(plan)
+	}
+	if co.Budget > 0 && len(plan.Moves) > co.Budget {
+		moves := append([]optimizer.Migration(nil), plan.Moves...)
+		sort.SliceStable(moves, func(i, j int) bool {
+			return moves[i].PredictedGain > moves[j].PredictedGain
+		})
+		plan.Moves = moves[:co.Budget]
+	}
+	return plan
 }
 
 // execute walks a migration plan through the two-phase protocol: Begin
 // every ticket (double-charging in-flight load), start the data-plane
-// handoffs, settle, Commit. budget caps the moves taken (0 = all).
-func (co *Coordinator) execute(plan optimizer.MigrationPlan, cancel <-chan struct{}, budget int) (SweepStats, error) {
+// handoffs, settle, Commit.
+func (co *Coordinator) execute(plan optimizer.MigrationPlan, cancel <-chan struct{}) (SweepStats, error) {
 	stats := SweepStats{
 		ServicesEvaluated: plan.ServicesEvaluated,
 		Unmovable:         plan.Unmovable,
 	}
 	moves := plan.Moves
-	if budget > 0 && len(moves) > budget {
-		moves = append([]optimizer.Migration(nil), moves...)
-		sort.SliceStable(moves, func(i, j int) bool {
-			return moves[i].PredictedGain > moves[j].PredictedGain
-		})
-		moves = moves[:budget]
-	}
 	stats.Planned = len(moves)
 	if len(moves) == 0 {
 		return stats, nil
@@ -382,7 +410,7 @@ func (co *Coordinator) execute(plan optimizer.MigrationPlan, cancel <-chan struc
 	// so a wake at exactly ScheduledEnd would fire before them. The wait
 	// is cancellable (SleepOrDone) for shutdown paths.
 	if !settleUntil.IsZero() {
-		wait := settleUntil.Sub(clk.Now()) + co.SettleMargin + time.Nanosecond
+		wait := settleUntil.Sub(clk.Now()) + time.Nanosecond
 		if wait > 0 {
 			ssp := sp.Child("adapt", "settle", trace.Dur("wait_ms", wait))
 			stats.Cancelled = clk.SleepOrDone(wait, cancel)

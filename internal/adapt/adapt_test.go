@@ -231,8 +231,34 @@ func TestSweepBudgetCapsMigrations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Planned > 1 || st.Migrated > 1 {
+	if st.Planned != 1 || st.Migrated > 1 {
 		t.Fatalf("budget 1 but planned %d / migrated %d", st.Planned, st.Migrated)
+	}
+	requireConsistent(t, f)
+
+	// Select replaces the Budget rule, in Sweep and in Round alike.
+	for _, s := range f.runs[3].Circuit.UnpinnedServices() {
+		f.env.SetBackgroundLoad(s.Node, 4.0)
+	}
+	offered := 0
+	f.co.Select = func(plan optimizer.MigrationPlan) optimizer.MigrationPlan {
+		offered += len(plan.Moves)
+		plan.Moves = nil
+		return plan
+	}
+	if st, err = f.co.Sweep(nil); err != nil {
+		t.Fatal(err)
+	}
+	if offered == 0 || st.Planned != 0 || st.Migrated != 0 {
+		t.Fatalf("Select chose no move of %d offered, but the sweep planned %d / migrated %d", offered, st.Planned, st.Migrated)
+	}
+	f.co.Select = nil
+	rs, err := f.co.Round(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rs.Sweep; st.Planned != 1 || st.Migrated > 1 {
+		t.Fatalf("budget 1 but the round planned %d / migrated %d", st.Planned, st.Migrated)
 	}
 	requireConsistent(t, f)
 }
@@ -264,7 +290,10 @@ func TestEvacuateDrainsNodeBeforeKill(t *testing.T) {
 		t.Fatal("no drainable victim: the fixture must place an operator on a node that pins no endpoint")
 	}
 
+	// Neither selection rule may truncate a drain.
 	f.co.Exclude = map[topology.NodeID]bool{victim: true}
+	f.co.Budget = 1
+	f.co.Select = func(optimizer.MigrationPlan) optimizer.MigrationPlan { return optimizer.MigrationPlan{} }
 	st, err := f.co.Evacuate([]topology.NodeID{victim}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -512,12 +541,12 @@ func TestSharedInstanceMigrationInvariant(t *testing.T) {
 		Query: ownerC.Query.ID, Service: ownerSvc, Signature: rootSig,
 		From: inst.Node, To: target, InRate: ownerC.Services[ownerSvc].InRate,
 	}}}
-	st, err := f.co.Execute(plan, nil)
+	st, err := f.co.execute(plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Migrated != 1 || st.DataPlane != 1 {
-		t.Fatalf("Execute stats = %+v, want 1 committed data-plane move", st)
+		t.Fatalf("execute stats = %+v, want 1 committed data-plane move", st)
 	}
 
 	// The invariant: one truth about where the instance lives.

@@ -38,7 +38,7 @@ func runContinuous(t *testing.T, seed int64) (RunStats, map[query.QueryID][]topo
 	stop := make(chan struct{})
 	f.clk.AfterFunc(4*time.Second, func() { close(stop) })
 
-	rs, err := f.co.Run(interval, stop)
+	rs, err := f.co.Run(nil, interval, stop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestRunQuiescesWhenClean(t *testing.T) {
 
 	stop := make(chan struct{})
 	f.clk.AfterFunc(4*time.Second, func() { close(stop) })
-	rs, err := f.co.Run(500*time.Millisecond, stop)
+	rs, err := f.co.Run(nil, 500*time.Millisecond, stop)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -310,48 +310,5 @@ func (co *Coordinator) HandleFailures(events []failure.Event, cancel <-chan stru
 			}
 		}
 	}
-	if len(dead) == 0 && !co.retryRepair {
-		return RepairStats{}, nil
-	}
 	return co.Repair(dead, cancel)
-}
-
-// RunWithRepair drives continuous adaptation with failure recovery:
-// every interval the coordinator first consumes the detector's events —
-// repairing circuits off confirmed-dead nodes — and then runs one
-// incremental sweep→migrate→settle round, until stop fires. As in Run,
-// the whole loop, crashes included, is deterministic.
-func (co *Coordinator) RunWithRepair(det *failure.Detector, interval time.Duration, stop <-chan struct{}) (RunStats, RepairStats, error) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	clk := co.clock()
-	var rs RunStats
-	var rep RepairStats
-	for {
-		if clk.SleepOrDone(interval, stop) {
-			return rs, rep, nil
-		}
-		r, err := co.HandleFailures(det.TakeEvents(), stop)
-		rep.Add(r)
-		if err != nil {
-			return rs, rep, err
-		}
-		st, err := co.SweepIncremental(stop)
-		if err != nil {
-			return rs, rep, err
-		}
-		rs.Sweeps++
-		if st.FullSweep {
-			rs.FullSweeps++
-		}
-		rs.Migrated += st.Migrated
-		rs.ServicesEvaluated += st.ServicesEvaluated
-		rs.PredictedGain += st.PredictedGain
-		rs.UsageGain += st.UsageGain
-		rs.Last = st
-		if st.Cancelled {
-			return rs, rep, nil
-		}
-	}
 }

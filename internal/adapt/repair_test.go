@@ -294,10 +294,11 @@ func TestRepairEndToEndWithDetector(t *testing.T) {
 
 		stop := make(chan struct{})
 		f.clk.AfterFunc(8*time.Second, func() { close(stop) })
-		rs, rep, err := f.co.RunWithRepair(det, 500*time.Millisecond, stop)
+		rs, err := f.co.Run(det, 500*time.Millisecond, stop)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep := rs.Repair
 		if rep.DeadNodes != 1 || rep.Repaired == 0 {
 			t.Fatalf("repair stats %+v, want the crash detected and repaired", rep)
 		}

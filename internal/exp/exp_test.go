@@ -514,6 +514,29 @@ func TestX13SmallShape(t *testing.T) {
 	}
 }
 
+// TestX13NotesRepeat pins X13's headline claim and its bytes: ten
+// identical small runs print the same notes (the last, host wall time,
+// aside), and the usage trajectory holds. The usage totals the claim
+// compares must not depend on map order.
+func TestX13NotesRepeat(t *testing.T) {
+	var first []string
+	for i := 0; i < 10; i++ {
+		tb, err := X13(smallX13())
+		if err != nil {
+			t.Fatal(err)
+		}
+		notes := tb.Notes[:len(tb.Notes)-1]
+		if i == 0 {
+			first = notes
+			if !strings.HasSuffix(notes[0], "strictly lower on every sweep that migrated: true") {
+				t.Fatalf("headline note %q, want the usage trajectory to hold", notes[0])
+			}
+		} else if strings.Join(notes, "\n") != strings.Join(first, "\n") {
+			t.Fatalf("run %d notes differ:\n%q\nvs\n%q", i+1, notes, first)
+		}
+	}
+}
+
 // TestX13FullScaleTrajectory runs the acceptance-criterion configuration
 // (1024 nodes) and requires a strictly decreasing usage trajectory over
 // at least 3 sweeps with zero loss. The whole run is sub-second under

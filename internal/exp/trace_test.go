@@ -10,14 +10,12 @@ import (
 	"github.com/hourglass/sbon/internal/trace"
 )
 
-// tracedX16 runs the CI-scale crash/repair scenario with a tracer
-// attached and returns the serialized JSONL event stream.
-func tracedX16(t *testing.T) []byte {
+// traced runs an experiment with a tracer attached and returns the
+// serialized JSONL event stream.
+func traced(t *testing.T, run func(tr *trace.Tracer) (*Table, error)) []byte {
 	t.Helper()
 	tr := trace.New(simtime.NewVirtual())
-	p := smallX16()
-	p.Trace = tr
-	if _, err := X16(p); err != nil {
+	if _, err := run(tr); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -25,6 +23,11 @@ func tracedX16(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// tracedX16 runs the CI-scale crash/repair scenario traced.
+func tracedX16(t *testing.T) []byte {
+	return traced(t, func(tr *trace.Tracer) (*Table, error) { p := smallX16(); p.Trace = tr; return X16(p) })
 }
 
 // The tentpole determinism contract: two same-seed virtual-clock runs
@@ -115,5 +118,53 @@ func TestX12TraceHasMigrationSpans(t *testing.T) {
 	}
 	if cutovers == 0 {
 		t.Fatal("no cutover instants recorded")
+	}
+}
+
+// Every adaptation span — repair, migrate, settle — nests under the
+// "round" span of the Coordinator.Round that triggered it, in the crash
+// scenario (repair) and the drift scenario (migrate, settle) alike.
+func TestAdaptSpansSitUnderARound(t *testing.T) {
+	for name, raw := range map[string][]byte{
+		"x16": tracedX16(t),
+		"x17": traced(t, func(tr *trace.Tracer) (*Table, error) { p := smallX17(); p.Trace = tr; return X17(p) }),
+	} {
+		type span struct {
+			cat, name string
+			parent    uint64
+		}
+		spans := map[uint64]span{}
+		var adapt []uint64
+		for _, ln := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
+			var ev struct {
+				Cat    string `json:"cat"`
+				Name   string `json:"name"`
+				Ph     string `json:"ph"`
+				Span   uint64 `json:"span"`
+				Parent uint64 `json:"parent"`
+			}
+			if err := json.Unmarshal([]byte(ln), &ev); err != nil {
+				t.Fatalf("%s: trace line is not JSON: %v\n%s", name, err, ln)
+			}
+			if ev.Ph != "B" {
+				continue
+			}
+			spans[ev.Span] = span{ev.Cat, ev.Name, ev.Parent}
+			if ev.Cat == "adapt" && ev.Name != "round" {
+				adapt = append(adapt, ev.Span)
+			}
+		}
+		if len(adapt) == 0 {
+			t.Fatalf("%s: trace has no adapt spans besides rounds", name)
+		}
+		for _, id := range adapt {
+			s := spans[id]
+			for s.parent != 0 && !(s.cat == "adapt" && s.name == "round") {
+				s = spans[s.parent]
+			}
+			if s.cat != "adapt" || s.name != "round" {
+				t.Fatalf("%s: adapt span %d (%s) has no round ancestor", name, id, spans[id].name)
+			}
+		}
 	}
 }

@@ -5,9 +5,7 @@ import (
 	"sort"
 	"time"
 
-	"github.com/hourglass/sbon/internal/adapt"
 	"github.com/hourglass/sbon/internal/optimizer"
-	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/query"
 	"github.com/hourglass/sbon/internal/scenario"
 	"github.com/hourglass/sbon/internal/topology"
@@ -154,14 +152,8 @@ func X12(p X12Params) (*Table, error) {
 		victims = append(victims, n)
 	}
 
-	co := &adapt.Coordinator{
-		Dep:     dep,
-		Engine:  w.Engine,
-		Clock:   w.Clock,
-		Mapper:  placement.OracleMapper{Source: env},
-		Exclude: seen,
-		Tracer:  p.Trace,
-	}
+	co := w.Coordinator()
+	co.Exclude = seen
 	usageBefore := dep.TotalUsage(truth)
 
 	lossNow := func() int {

@@ -8,7 +8,6 @@ import (
 	"github.com/hourglass/sbon/internal/failure"
 	"github.com/hourglass/sbon/internal/optimizer"
 	"github.com/hourglass/sbon/internal/overlay"
-	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/scenario"
 	"github.com/hourglass/sbon/internal/topology"
 	"github.com/hourglass/sbon/internal/trace"
@@ -151,23 +150,14 @@ func X16(p X16Params) (*Table, error) {
 	})
 	det := w.StartFailureDetection(time.Duration(p.HeartbeatSimMillis * float64(time.Millisecond)))
 
-	co := &adapt.Coordinator{
-		Dep:       dep,
-		Engine:    w.Engine,
-		Clock:     clk,
-		Mapper:    placement.OracleMapper{Source: env},
-		Model:     truth,
-		Threshold: 0.3,
-		TicketTTL: 5 * time.Second,
-		Tracer:    p.Trace,
-	}
+	co := w.Coordinator()
+	co.Model, co.Threshold, co.TicketTTL = truth, 0.3, 5*time.Second
 
 	t0 := clk.Now()
 	clk.Sleep(warmup)
 	usageBefore := dep.TotalUsage(truth)
 
-	// The detect-repair-adapt loop (RunWithRepair's body, inlined for
-	// per-round metric visibility).
+	// The detect-repair-adapt loop: one Round per repair interval.
 	interval := time.Duration(p.RepairIntervalSimMillis * float64(time.Millisecond))
 	rounds := int(p.RunSimSeconds*1000/p.RepairIntervalSimMillis + 0.5)
 	t := NewTable("X16 — crash detection and automatic circuit repair under ambient loss",
@@ -177,34 +167,21 @@ func X16(p X16Params) (*Table, error) {
 	var sweepMigrated int
 	for round := 1; round <= rounds; round++ {
 		clk.Sleep(interval)
-		events := det.TakeEvents()
-		var diedNow []topology.NodeID
-		for _, ev := range events {
-			if ev.Kind == failure.Died {
-				if at, ok := fi.CrashTime(ev.Node); ok {
-					detections = append(detections, ev.At.Sub(at))
-				}
-				diedNow = append(diedNow, ev.Node)
-			}
-		}
-		rep, err := co.HandleFailures(events, nil)
+		r, err := co.Round(det, nil)
 		if err != nil {
 			return nil, err
 		}
-		now := clk.Now()
-		for _, n := range diedNow {
-			if at, ok := fi.CrashTime(n); ok {
-				outages = append(outages, now.Sub(at))
+		for _, ev := range r.Events {
+			if at, ok := fi.CrashTime(ev.Node); ok && ev.Kind == failure.Died {
+				detections = append(detections, ev.At.Sub(at))
+				outages = append(outages, r.At.Sub(at))
 			}
 		}
+		rep := r.Repair
 		totalRep.Add(rep)
-		st, err := co.SweepIncremental(nil)
-		if err != nil {
-			return nil, err
-		}
-		sweepMigrated += st.Migrated
-		if len(diedNow) > 0 || rep.Repaired > 0 || rep.Aborted > 0 {
-			t.AddRow(round, net.SimMillis(now.Sub(t0)), len(diedNow), rep.Planned,
+		sweepMigrated += r.Sweep.Migrated
+		if rep.DeadNodes > 0 || rep.Repaired > 0 || rep.Aborted > 0 {
+			t.AddRow(round, net.SimMillis(r.At.Sub(t0)), rep.DeadNodes, rep.Planned,
 				rep.Repaired, rep.ZombieRepaired, rep.Aborted, rep.BufferedLost, rep.StateLostKB)
 		}
 	}

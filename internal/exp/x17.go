@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/hourglass/sbon/internal/adapt"
 	"github.com/hourglass/sbon/internal/optimizer"
-	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/scenario"
 	"github.com/hourglass/sbon/internal/topology"
 	"github.com/hourglass/sbon/internal/trace"
@@ -194,14 +192,23 @@ func X17(p X17Params) (*Table, error) {
 	w.SimSleep(p.WarmupSimSeconds)
 	pendingPeak := clk.PendingEvents()
 
-	co := &adapt.Coordinator{
-		Dep:       dep,
-		Engine:    w.Engine,
-		Clock:     clk,
-		Mapper:    placement.OracleMapper{Source: env},
-		Model:     truth,
-		Threshold: 0.01,
-		Tracer:    p.Trace,
+	// lastFrom remembers where each (query, service) sat before its
+	// latest migration; a selected move back onto that node is an
+	// oscillation.
+	lastFrom := make(map[string]topology.NodeID)
+	osc := 0
+	co := w.Coordinator()
+	co.Model, co.Threshold = truth, 0.01
+	co.Select = func(plan optimizer.MigrationPlan) optimizer.MigrationPlan {
+		selected := bestMoves(plan, p.Budget)
+		for _, m := range selected.Moves {
+			key := fmt.Sprintf("%d/%d", m.Query, m.Service)
+			if prev, ok := lastFrom[key]; ok && prev == m.To {
+				osc++
+			}
+			lastFrom[key] = m.From
+		}
+		return selected
 	}
 	churn := workload.Churn{LoadFraction: p.DriftFraction, LoadMax: 0.9}
 
@@ -212,10 +219,7 @@ func X17(p X17Params) (*Table, error) {
 
 	t := NewTable("X17 — 16k-node overlay: sharded optimization, ticker coordinates, timer-wheel event kernel",
 		"round", "synced", "staleness ms", "planned", "migrated", "oscillations", "usage before", "usage after", "pending events")
-	// lastFrom remembers where each (query, service) sat before its
-	// latest migration; a move back onto that node is an oscillation.
-	lastFrom := make(map[string]topology.NodeID)
-	totalOsc, totalMigrations := 0, 0
+	totalMigrations := 0
 	for round := 1; round <= p.Rounds; round++ {
 		w.Drift(churn)
 
@@ -237,33 +241,19 @@ func X17(p X17Params) (*Table, error) {
 		staleSeries.Record(float64(clk.Now().UnixNano())/1e6, staleness)
 
 		before := dep.TotalUsage(truth)
-		plan, err := co.Plan()
+		osc = 0
+		r, err := co.Round(nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		selected := bestMoves(plan, p.Budget)
-		osc := 0
-		for _, m := range selected.Moves {
-			key := fmt.Sprintf("%d/%d", m.Query, m.Service)
-			if prev, ok := lastFrom[key]; ok && prev == m.To {
-				osc++
-			}
-			lastFrom[key] = m.From
-		}
-		totalOsc += osc
 		oscCounter.Add(float64(osc))
-
-		st, err := co.Execute(selected, nil)
-		if err != nil {
-			return nil, err
-		}
-		totalMigrations += st.Migrated
+		totalMigrations += r.Sweep.Migrated
 		w.SimSleep(p.IntervalSimSeconds)
 		if pe := clk.PendingEvents(); pe > pendingPeak {
 			pendingPeak = pe
 		}
 		after := dep.TotalUsage(truth)
-		t.AddRow(round, synced, staleness, st.Planned, st.Migrated, osc, before, after, clk.PendingEvents())
+		t.AddRow(round, synced, staleness, r.Sweep.Planned, r.Sweep.Migrated, osc, before, after, clk.PendingEvents())
 	}
 
 	// Quiesce and close the loss accounting.
@@ -278,7 +268,7 @@ func X17(p X17Params) (*Table, error) {
 		shardStats.Shards, homeRouted, 100*float64(homeRouted)/float64(len(qs)), shardStats.Fallback,
 		float64(len(qs))/optWall.Seconds(), optWall.Round(time.Millisecond))
 	t.AddNote("ticker coordinates: %d gossip rounds total, embedding median rel err %.3f; %d periodic syncs, %d oscillations out of %d migrations",
-		ticker.Rounds(), env.EmbeddingQuality.MedianRelErr, p.Rounds, totalOsc, totalMigrations)
+		ticker.Rounds(), env.EmbeddingQuality.MedianRelErr, p.Rounds, int(oscCounter.Value()), totalMigrations)
 	t.AddNote("event kernel: peak %d pending events; %d circuits executing, %.0f heartbeats delivered; produced %d tuples, delivered %d, unrouted %d",
 		pendingPeak, len(w.Runs), beats, produced, delivered, unrouted)
 	t.AddNote("placement fingerprint %016x; data plane on %d event queue(s)",

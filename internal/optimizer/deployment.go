@@ -470,10 +470,10 @@ func (d *Deployment) NumDeployed() int { return len(d.circuits) }
 
 // TotalUsage sums network usage across all deployed circuits under the
 // model. Shared links are charged only to their owning circuit, so each
-// physical stream is counted exactly once.
+// physical stream is counted exactly once. Both totals sum in query order.
 func (d *Deployment) TotalUsage(m LatencyModel) float64 {
 	var sum float64
-	for _, c := range d.circuits {
+	for _, c := range d.circuitsInOrder() {
 		sum += c.NetworkUsage(m)
 	}
 	return sum
@@ -482,7 +482,7 @@ func (d *Deployment) TotalUsage(m LatencyModel) float64 {
 // TotalLoadPenalty sums the load penalty of all deployed circuits.
 func (d *Deployment) TotalLoadPenalty() float64 {
 	var sum float64
-	for _, c := range d.circuits {
+	for _, c := range d.circuitsInOrder() {
 		sum += c.LoadPenalty(d.Env)
 	}
 	return sum

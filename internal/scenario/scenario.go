@@ -28,6 +28,7 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/hourglass/sbon/internal/adapt"
 	"github.com/hourglass/sbon/internal/failure"
 	"github.com/hourglass/sbon/internal/optimizer"
 	"github.com/hourglass/sbon/internal/overlay"
@@ -344,6 +345,12 @@ func (w *World) StartFailureDetection(beat time.Duration) *failure.Detector {
 	cfg.Tracer = w.Spec.Tracer
 	w.Detector = failure.New(w.Net, cfg)
 	return w.Detector
+}
+
+// Coordinator returns an adaptation coordinator over the World's
+// deployment, engine (nil before StartDataPlane), clock and tracer.
+func (w *World) Coordinator() *adapt.Coordinator {
+	return &adapt.Coordinator{Dep: w.Deployment, Engine: w.Engine, Clock: w.Clock, Tracer: w.Spec.Tracer}
 }
 
 // Close tears the World down, consumers before what they consume: the

@@ -423,7 +423,7 @@ func (s *System) Adapt(opts AdaptOptions) ([]AdaptStats, error) {
 // only between events. The coordinator's incremental watermark persists
 // across Adapt and AdaptContinuously calls on the same System.
 func (s *System) AdaptContinuously(interval time.Duration, stop <-chan struct{}, opts AdaptOptions) (AdaptRunStats, error) {
-	return s.coordinator(opts).Run(interval, stop)
+	return s.coordinator(opts).Run(nil, interval, stop)
 }
 
 // Evacuate force-migrates every service off the given nodes (graceful
@@ -489,7 +489,8 @@ func (s *System) AdaptWithRepair(interval time.Duration, stop <-chan struct{}, o
 	if co.TicketTTL <= 0 {
 		co.TicketTTL = 5 * time.Second
 	}
-	return co.RunWithRepair(s.w.Detector, interval, stop)
+	rs, err := co.Run(s.w.Detector, interval, stop)
+	return rs, rs.Repair, err
 }
 
 // StopAfter returns a channel closed after simSeconds of simulated time
