@@ -122,6 +122,9 @@ func (s *traceSink) open() *trace.Tracer {
 }
 
 func (s *traceSink) finish(reg *metrics.Registry) {
+	if n := s.tr.Dropped(); n > 0 {
+		fmt.Fprintf(os.Stderr, "trace: the event buffer was full; %d events were dropped from the buffered exports (-trace-jsonl alone keeps every event)\n", n)
+	}
 	if s.chrome != "" {
 		f, err := os.Create(s.chrome)
 		if err != nil {
@@ -137,12 +140,10 @@ func (s *traceSink) finish(reg *metrics.Registry) {
 		fmt.Printf("trace: %d events -> %s (Chrome trace-event format; open in Perfetto)\n", s.tr.Len(), s.chrome)
 	}
 	if s.jsonlFile != nil {
-		// A streaming tracer holds only its write buffer's tail; a
-		// buffering one writes every event now.
-		err := s.tr.Flush()
-		if err == nil && !s.streamJSONL() {
-			err = s.tr.WriteJSONL(s.jsonlFile)
+		if !s.streamJSONL() {
+			s.tr.StreamJSONL(s.jsonlFile) // writes the buffered run
 		}
+		err := s.tr.Flush()
 		if cerr := s.jsonlFile.Close(); err == nil {
 			err = cerr
 		}

@@ -98,7 +98,8 @@ func TestGoldenSmall(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := tr.WriteJSONL(&buf); err != nil {
+		tr.StreamJSONL(&buf)
+		if err := tr.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		if buf.Len() == 0 {

@@ -124,7 +124,7 @@ func All() []Experiment {
 				p.EngineCircuits = 64
 				p.TickerWarmRounds = 10
 			}
-			return X18(p)
+			return X17(p)
 		}},
 		{"x9", func(s Scale) (*Table, error) {
 			p := DefaultX9Params()

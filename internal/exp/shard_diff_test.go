@@ -31,7 +31,8 @@ func x16Artifacts(t *testing.T, shards int) ([][]string, string, []byte) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	tr.StreamJSONL(&buf)
+	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return tb.Rows, fingerprintNote(t, tb), buf.Bytes()
@@ -49,7 +50,8 @@ func x17Artifacts(t *testing.T, shards int) ([][]string, string, []byte) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	tr.StreamJSONL(&buf)
+	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return tb.Rows, fingerprintNote(t, tb), buf.Bytes()
@@ -141,7 +143,7 @@ func TestX18Deterministic(t *testing.T) {
 		return p
 	}
 	run := func() ([][]string, string) {
-		tb, err := X18(small())
+		tb, err := X17(small())
 		if err != nil {
 			t.Fatal(err)
 		}

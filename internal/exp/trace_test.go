@@ -19,7 +19,8 @@ func traced(t *testing.T, run func(tr *trace.Tracer) (*Table, error)) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	tr.StreamJSONL(&buf)
+	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

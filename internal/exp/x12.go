@@ -1,12 +1,9 @@
 package exp
 
 import (
-	"math/rand"
-	"sort"
 	"time"
 
 	"github.com/hourglass/sbon/internal/optimizer"
-	"github.com/hourglass/sbon/internal/query"
 	"github.com/hourglass/sbon/internal/scenario"
 	"github.com/hourglass/sbon/internal/topology"
 	"github.com/hourglass/sbon/internal/trace"
@@ -100,60 +97,19 @@ func X12(p X12Params) (*Table, error) {
 	}
 	w.SimSleep(p.WarmupSimSeconds)
 
-	// Victim selection: KillFraction of all nodes, skipping any that pin
-	// an endpoint (producers and consumers cannot leave losslessly —
-	// "one cannot move mountains").
-	pinned := map[topology.NodeID]bool{}
-	for _, c := range dep.Circuits() {
-		for _, s := range c.Services {
-			if s.Pinned || s.Plan == nil {
-				pinned[s.Node] = true
-			}
-		}
-	}
-	killRng := rand.New(rand.NewSource(p.Seed * 7))
-	wanted := int(p.KillFraction * float64(topo.NumNodes()))
-	victims := make([]topology.NodeID, 0, wanted)
-	seen := map[topology.NodeID]bool{}
-	// Half the churn budget hits operator-hosting nodes (a departure
-	// that never touches a running service would make the drain a
-	// no-op), the rest random idle nodes.
-	hostSet := map[topology.NodeID]bool{}
-	for _, c := range dep.Circuits() {
-		for _, s := range c.Services {
-			if s.Plan != nil && s.Plan.Kind != query.KindSource && !s.Pinned && !pinned[s.Node] {
-				hostSet[s.Node] = true
-			}
-		}
-	}
-	opHosts := make([]topology.NodeID, 0, len(hostSet))
-	for n := range hostSet {
-		opHosts = append(opHosts, n)
-	}
-	sort.Slice(opHosts, func(i, j int) bool { return opHosts[i] < opHosts[j] })
-	killRng.Shuffle(len(opHosts), func(i, j int) { opHosts[i], opHosts[j] = opHosts[j], opHosts[i] })
-	fromHosts := wanted / 2
-	if fromHosts < 1 {
-		fromHosts = 1
-	}
-	for _, n := range opHosts {
-		if len(victims) >= fromHosts {
-			break
-		}
-		seen[n] = true
-		victims = append(victims, n)
-	}
-	for len(victims) < wanted {
-		n := topology.NodeID(killRng.Intn(topo.NumNodes()))
-		if pinned[n] || seen[n] {
-			continue
-		}
-		seen[n] = true
-		victims = append(victims, n)
+	// Victim selection: KillFraction of all nodes, half of them hosting
+	// an operator (a departure that never touches a running service
+	// would make the drain a no-op), none pinning an endpoint
+	// (producers and consumers cannot leave losslessly — "one cannot
+	// move mountains").
+	victims := w.CrashVictims(int(p.KillFraction*float64(topo.NumNodes())), true)
+	departed := make(map[topology.NodeID]bool, len(victims))
+	for _, v := range victims {
+		departed[v] = true
 	}
 
 	co := w.Coordinator()
-	co.Exclude = seen
+	co.Exclude = departed
 	usageBefore := dep.TotalUsage(truth)
 
 	lossNow := func() int {

@@ -217,7 +217,8 @@ func X17(p X17Params) (*Table, error) {
 	movedCounter := net.Metrics.Counter("coord.synced_nodes")
 	oscCounter := net.Metrics.Counter("adapt.oscillations")
 
-	t := NewTable("X17 — 16k-node overlay: sharded optimization, ticker coordinates, timer-wheel event kernel",
+	t := NewTable(fmt.Sprintf("X17 — %d-node overlay: %d queries through %d regions, %d-lane data plane, ticker coordinates",
+		n, len(qs), shardStats.Shards, net.DataShards()),
 		"round", "synced", "staleness ms", "planned", "migrated", "oscillations", "usage before", "usage after", "pending events")
 	totalMigrations := 0
 	for round := 1; round <= p.Rounds; round++ {

@@ -43,7 +43,7 @@ func TestX18FullScale(t *testing.T) {
 	if os.Getenv("SBON_FULLSCALE") == "" {
 		t.Skip("minutes of CPU; set SBON_FULLSCALE=1 to run")
 	}
-	tb, err := X18(DefaultX18Params())
+	tb, err := X17(DefaultX18Params())
 	if err != nil {
 		t.Fatal(err)
 	}

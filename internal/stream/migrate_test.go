@@ -346,7 +346,8 @@ func closeWithHandoffsInFlight(t *testing.T) ([]byte, [][2]int) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	tr.StreamJSONL(&buf)
+	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), order

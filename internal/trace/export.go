@@ -58,9 +58,8 @@ func appendArgs(b []byte, args []Arg) []byte {
 	return b
 }
 
-// appendJSONLEvent appends one event in the JSONL object form shared by
-// WriteJSONL and the streaming sink (no trailing newline), so the two
-// paths produce byte-identical lines.
+// appendJSONLEvent appends one event as its JSON object (no trailing
+// newline): a StreamJSONL line and a WriteEventsJSON array element.
 func appendJSONLEvent(b []byte, ev Event) []byte {
 	b = append(b, `{"seq":`...)
 	b = strconv.AppendUint(b, ev.Seq, 10)
@@ -86,28 +85,6 @@ func appendJSONLEvent(b []byte, ev Event) []byte {
 		b = append(b, '}')
 	}
 	return append(b, '}')
-}
-
-// WriteJSONL writes one JSON object per event, one per line:
-//
-//	{"seq":3,"t_us":1500,"cat":"adapt","name":"sweep","ph":"B","span":1,"args":{...}}
-//
-// t_us is microseconds of clock time since the tracer started (under
-// the 1 virtual ms = 1 simulated ms convention, 1000 t_us = 1 sim-ms).
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
-	var b []byte
-	for _, ev := range t.Events() {
-		b = appendJSONLEvent(b[:0], ev)
-		b = append(b, '\n')
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // WriteChromeTrace writes the run in the Chrome trace-event format
@@ -228,8 +205,8 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteEventsJSON writes the events as one JSON array (the JSONL lines
-// joined) — the trace section a metrics.Report embeds.
+// WriteEventsJSON writes the events as one JSON array (the StreamJSONL
+// lines joined by commas) — the trace section a metrics.Report embeds.
 func (t *Tracer) WriteEventsJSON(w io.Writer) error {
 	if t == nil {
 		_, err := io.WriteString(w, "[]")
@@ -245,30 +222,7 @@ func (t *Tracer) WriteEventsJSON(w io.Writer) error {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, `{"seq":`...)
-		b = strconv.AppendUint(b, ev.Seq, 10)
-		b = append(b, `,"t_us":`...)
-		b = appendFloat(b, float64(ev.T.Nanoseconds())/1e3)
-		b = append(b, `,"cat":`...)
-		b = appendJSONString(b, ev.Cat)
-		b = append(b, `,"name":`...)
-		b = appendJSONString(b, ev.Name)
-		b = append(b, `,"ph":`...)
-		b = appendJSONString(b, ev.Ph.String())
-		if ev.Span != 0 {
-			b = append(b, `,"span":`...)
-			b = strconv.AppendUint(b, ev.Span, 10)
-		}
-		if ev.Parent != 0 {
-			b = append(b, `,"parent":`...)
-			b = strconv.AppendUint(b, ev.Parent, 10)
-		}
-		if len(ev.Args) > 0 {
-			b = append(b, `,"args":{`...)
-			b = appendArgs(b, ev.Args)
-			b = append(b, '}')
-		}
-		b = append(b, '}')
+		b = appendJSONLEvent(b, ev)
 		if _, err := bw.Write(b); err != nil {
 			return err
 		}

@@ -261,45 +261,48 @@ func (t *Tracer) recordLocked(ev Event) {
 }
 
 func (t *Tracer) recordLockedAt(ev Event, at time.Duration) {
-	if t.sink != nil {
-		// Streaming mode: serialize and write immediately, retain
-		// nothing. The buffer cap does not apply — bounded memory is
-		// exactly what the sink provides, so no event is ever dropped.
-		t.seq++
-		ev.Seq = t.seq
-		ev.T = at
-		t.sinkBuf = appendJSONLEvent(t.sinkBuf[:0], ev)
-		t.sinkBuf = append(t.sinkBuf, '\n')
-		if _, err := t.sink.Write(t.sinkBuf); err != nil && t.sinkErr == nil {
-			t.sinkErr = err
-		}
-		return
-	}
-	if len(t.events) >= t.limit && ev.Ph != End {
+	if t.sink == nil && len(t.events) >= t.limit && ev.Ph != End {
 		// Span ends still record past the limit so open spans close in
-		// the export; everything else is counted and dropped.
+		// the export; everything else is counted and dropped. A sink
+		// bounds memory itself, so a streaming tracer drops nothing.
 		t.dropped.Add(1)
 		return
 	}
 	t.seq++
 	ev.Seq = t.seq
 	ev.T = at
+	if t.sink != nil {
+		t.writeLineLocked(ev) // streaming: retain nothing
+		return
+	}
 	t.events = append(t.events, ev)
 }
 
-// StreamJSONL switches the tracer into streaming mode: from this call
-// on, every recorded event is serialized as one JSONL line (the exact
-// bytes WriteJSONL would produce for it) and written to w at emission
-// time, and is NOT retained in the in-memory buffer — memory use stays
-// constant no matter how long the run is, which is what 100k-node
-// scenarios need. Writes are buffered; call Flush to push the tail
-// through. The event-buffer limit does not apply to streamed
-// events: nothing is ever dropped.
+// writeLineLocked writes ev to the sink as one JSONL line, keeping the
+// first write error for Flush.
+func (t *Tracer) writeLineLocked(ev Event) {
+	t.sinkBuf = appendJSONLEvent(t.sinkBuf[:0], ev)
+	t.sinkBuf = append(t.sinkBuf, '\n')
+	if _, err := t.sink.Write(t.sinkBuf); err != nil && t.sinkErr == nil {
+		t.sinkErr = err
+	}
+}
+
+// StreamJSONL writes the trace to w as JSON Lines, one object per
+// event:
 //
-// Call before tracing starts. Events already buffered when the sink is
-// installed stay in the buffer (drain them with WriteJSONL first if a
-// single contiguous file is wanted); seq numbering continues across the
-// switch. No-op on a nil tracer.
+//	{"seq":3,"t_us":1500,"cat":"adapt","name":"sweep","ph":"B","span":1,"args":{...}}
+//
+// t_us is microseconds of clock time since the tracer started (under
+// the 1 virtual ms = 1 simulated ms convention, 1000 t_us = 1 sim-ms).
+//
+// It first writes the events already buffered; they stay buffered for
+// WriteChromeTrace and WriteEventsJSON. Every later event is written
+// as it is recorded and is not retained, and the buffer limit does not
+// apply to it. So installed before a run the stream takes constant
+// memory however long the run is, and installed after it, it is the
+// export of the whole run. Writes are buffered; call Flush to push the
+// tail through. No-op on a nil tracer.
 func (t *Tracer) StreamJSONL(w io.Writer) {
 	if t == nil {
 		return
@@ -308,6 +311,9 @@ func (t *Tracer) StreamJSONL(w io.Writer) {
 	defer t.mu.Unlock()
 	t.sink = bufio.NewWriter(w)
 	t.sinkErr = nil
+	for _, ev := range t.events {
+		t.writeLineLocked(ev)
+	}
 }
 
 // Flush pushes any buffered streamed bytes to the underlying writer and

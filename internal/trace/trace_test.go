@@ -38,7 +38,8 @@ func TestNilTracerIsInert(t *testing.T) {
 	zero.End()
 
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	tr.StreamJSONL(&buf)
+	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
@@ -124,14 +125,15 @@ func TestLimitKeepsSpanEnds(t *testing.T) {
 	}
 }
 
-func TestWriteJSONLShape(t *testing.T) {
+func TestStreamJSONLShape(t *testing.T) {
 	tr := New(simtime.NewVirtual())
 	sp := tr.Begin("dht", "lookup", Str("key", "0xbeef"), Int("start", 7))
 	sp.Emit("hop", Int("from", 7), Int("to", 12))
 	sp.End(Str("outcome", "owner"), Int("hops", 1))
 
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	tr.StreamJSONL(&buf)
+	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -269,10 +271,11 @@ func emitFixture(tr *Tracer, clk *simtime.VirtualClock) {
 	}
 }
 
-// A streamed trace must be byte-identical to a buffered WriteJSONL
-// export of the same run — that is the contract that lets callers flip
-// to constant-memory streaming without losing the same-seed
-// bit-identity guarantees.
+// A stream installed before the run must write the same bytes as one
+// installed after it, which writes the buffered run and keeps it
+// buffered — that is the contract that lets callers flip to
+// constant-memory streaming without losing the same-seed bit-identity
+// guarantees.
 func TestStreamJSONLMatchesBuffered(t *testing.T) {
 	var streamed bytes.Buffer
 	{
@@ -292,8 +295,13 @@ func TestStreamJSONLMatchesBuffered(t *testing.T) {
 		clk := simtime.NewVirtual()
 		tr := New(clk)
 		emitFixture(tr, clk)
-		if err := tr.WriteJSONL(&buffered); err != nil {
+		n := tr.Len()
+		tr.StreamJSONL(&buffered)
+		if err := tr.Flush(); err != nil {
 			t.Fatal(err)
+		}
+		if tr.Len() != n {
+			t.Fatalf("a late StreamJSONL changed the buffer from %d to %d events", n, tr.Len())
 		}
 	}
 	if buffered.Len() == 0 {

@@ -52,7 +52,6 @@ var reachKeep = map[string]string{
 	"topology.Topology.Edges":            "accessor the topology and workload tests read",
 	"topology.Topology.Nodes":            "accessor the topology and optimizer tests read",
 	"trace.Span.ParentID":                "the span nesting a planned trace query (critical-path explain) reads",
-	"trace.Tracer.Dropped":               "accessor the tracer's buffer-cap tests read",
 	"vivaldi.Coord.Clone":                "accessor the vivaldi tests read",
 	"vivaldi.Node.Coord":                 "accessor the vivaldi tests read",
 	"vivaldi.Node.Error":                 "accessor the vivaldi tests read",

@@ -1,6 +1,8 @@
 package sbon
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 	"time"
@@ -211,6 +213,64 @@ func TestEngineEndToEnd(t *testing.T) {
 	}
 	if _, err := sys.StopAfter(1); err == nil {
 		t.Fatal("StopAfter after Close accepted")
+	}
+}
+
+// TestFacadeReportEmbedsTrace: WriteReport's "trace" section of a
+// traced System holds, element by element, the exact lines the
+// tracer's JSONL stream writes for the same run.
+func TestFacadeReportEmbedsTrace(t *testing.T) {
+	opts := smallOpts(6)
+	opts.Trace = true
+	sys, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	for i, producer := range []int{2, 9} {
+		if err := sys.AddStream(StreamID(i), sys.StubNodes()[producer], 400); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := sys.Optimize(Query{ID: 1, Consumer: sys.StubNodes()[15], Streams: []StreamID{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.StartEngine(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(res.Circuit); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RunFor(1); err != nil {
+		t.Fatal(err)
+	}
+	var report bytes.Buffer
+	if err := sys.WriteReport(&report, "facade"); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Trace []json.RawMessage `json:"trace"`
+	}
+	if err := json.Unmarshal(report.Bytes(), &doc); err != nil {
+		t.Fatalf("report is not JSON: %v", err)
+	}
+	if len(doc.Trace) == 0 {
+		t.Fatal("traced run reported an empty trace")
+	}
+	var jsonl bytes.Buffer
+	sys.Tracer().StreamJSONL(&jsonl)
+	if err := sys.Tracer().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(jsonl.Bytes(), []byte{'\n'}), []byte{'\n'})
+	if len(lines) != len(doc.Trace) {
+		t.Fatalf("report holds %d trace events, the JSONL stream %d", len(doc.Trace), len(lines))
+	}
+	for i, ev := range doc.Trace {
+		if !bytes.Equal(ev, lines[i]) {
+			t.Fatalf("trace event %d: report %s, JSONL %s", i, ev, lines[i])
+		}
 	}
 }
 
