@@ -1,13 +1,13 @@
 // Command sbon-sim runs ad-hoc SBON simulations: it generates a
 // workload, optimizes and deploys every query with the chosen optimizer,
-// optionally applies load churn with re-optimization sweeps, and prints
+// optionally applies load churn with re-optimization rounds, and prints
 // deployment statistics.
 //
 // Usage:
 //
 //	sbon-sim -queries 20 -optimizer integrated
 //	sbon-sim -optimizer multiquery -radius 50
-//	sbon-sim -optimizer twostep -churn-steps 10
+//	sbon-sim -optimizer twostep -adapt 10 -adapt-budget 0
 //
 // With -batch N the command instead runs the concurrent batch-optimization
 // scenario: N queries (drawn from -batch-distinct distinct shapes, so the
@@ -23,11 +23,11 @@
 //
 //	sbon-sim -queries 100 -execute -sim-seconds 30
 //
-// With -adapt N the deployment additionally runs N live adaptation
-// sweeps under drifting background load: each sweep plans service
-// migrations over the cost space and, combined with -execute, walks
-// them through the engine's buffered zero-loss handoff while the
-// circuits keep processing tuples:
+// With -adapt N the deployment additionally runs N adaptation rounds
+// under drifting background load: each round plans service migrations
+// over the cost space and commits them on the control plane or,
+// combined with -execute, walks them through the engine's buffered
+// zero-loss handoff while the circuits keep processing tuples:
 //
 //	sbon-sim -queries 40 -execute -adapt 4 -adapt-budget 16
 //
@@ -68,7 +68,6 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 	"runtime"
 	"strings"
@@ -173,14 +172,13 @@ func (s *traceSink) finish(reg *metrics.Registry) {
 
 func main() {
 	var (
-		seed       = flag.Int64("seed", 1, "simulation seed")
-		stubNodes  = flag.Int("stub-nodes", 12, "nodes per stub domain (12 => 592 total)")
-		streams    = flag.Int("streams", 12, "published streams")
-		queries    = flag.Int("queries", 20, "queries to optimize and deploy")
-		optName    = flag.String("optimizer", "integrated", "integrated | twostep | multiquery")
-		radius     = flag.Float64("radius", 50, "multi-query pruning radius (multiquery only; -1 = unpruned)")
-		churnSteps = flag.Int("churn-steps", 0, "load-churn steps with re-optimization after deployment")
-		useDHT     = flag.Bool("dht", true, "use the Hilbert-DHT catalog for physical mapping")
+		seed      = flag.Int64("seed", 1, "simulation seed")
+		stubNodes = flag.Int("stub-nodes", 12, "nodes per stub domain (12 => 592 total)")
+		streams   = flag.Int("streams", 12, "published streams")
+		queries   = flag.Int("queries", 20, "queries to optimize and deploy")
+		optName   = flag.String("optimizer", "integrated", "integrated | twostep | multiquery")
+		radius    = flag.Float64("radius", 50, "multi-query pruning radius (multiquery only; -1 = unpruned)")
+		useDHT    = flag.Bool("dht", true, "use the Hilbert-DHT catalog for physical mapping")
 
 		batchN        = flag.Int("batch", 0, "run the batch scenario with this many queries (0 = classic deploy loop)")
 		batchDistinct = flag.Int("batch-distinct", 250, "distinct query shapes the batch cycles through")
@@ -221,13 +219,7 @@ func main() {
 		UseDHT:     *useDHT,
 		DataShards: *dataShards,
 	}
-	// The scenario re-bases its tracer onto the simulated clock, which
-	// only a data plane or an adaptation loop advances: an optimize-only
-	// run keeps the sink's tracer on wall time, so its spans have
-	// durations, and hands it to the re-optimizer below.
-	if tr := sink.open(); *execute || *adaptSweeps > 0 {
-		spec.Tracer = tr
-	}
+	spec.Tracer = sink.open()
 	spec.Topology.StubNodes = *stubNodes
 	spec.Streams.NumStreams = *streams
 	spec.Queries.NumQueries = *queries
@@ -308,23 +300,6 @@ func main() {
 	var runReg *metrics.Registry
 	if *execute {
 		runReg = runDataPlane(w, circuits, *simSeconds, *heartbeatMs)
-	}
-
-	if *churnSteps > 0 {
-		fmt.Printf("\nchurn + re-optimization (%d steps):\n", *churnSteps)
-		ro := optimizer.NewReoptimizer(dep)
-		ro.Tracer = sink.tr
-		churnRng := rand.New(rand.NewSource(*seed * 5))
-		churn := workload.Churn{LoadFraction: 0.25, LoadMax: 0.95}
-		for step := 1; step <= *churnSteps; step++ {
-			workload.ApplyChurn(topo, env, churn, churnRng)
-			st, err := ro.Step()
-			if err != nil {
-				fail(err)
-			}
-			fmt.Printf("step %2d: migrations=%2d usage=%9.1f load-penalty=%8.2f\n",
-				step, st.Migrations, dep.TotalUsage(truth), dep.TotalLoadPenalty())
-		}
 	}
 	sink.finish(runReg)
 }
@@ -442,17 +417,18 @@ func runAdaptation(w *scenario.World, circuits []*optimizer.Circuit,
 		sweeps, budget, drift*100, mode)
 	for i := 1; i <= sweeps; i++ {
 		w.Drift(churn)
-		st, err := co.Sweep(nil)
+		r, err := co.Round(nil, nil)
 		if err != nil {
 			fail(err)
 		}
+		st := r.Sweep
 		settle := st.SettleDuration
 		if net != nil {
 			settle = time.Duration(net.SimMillis(st.SettleDuration)) * time.Millisecond
 		}
-		fmt.Printf("sweep %2d: planned=%2d migrated=%2d data-plane=%2d buffered=%3d forwarded=%2d settle=%8v usage=%11.1f\n",
+		fmt.Printf("sweep %2d: planned=%2d migrated=%2d data-plane=%2d buffered=%3d forwarded=%2d settle=%8v usage=%11.1f load-penalty=%8.2f\n",
 			i, st.Planned, st.Migrated, st.DataPlane, st.Buffered, st.Forwarded,
-			settle, dep.TotalUsage(truth))
+			settle, dep.TotalUsage(truth), dep.TotalLoadPenalty())
 	}
 	return lossCounters(net)
 }

@@ -86,12 +86,12 @@ func main() {
 		victim, res.Circuit.UnpinnedServices()[0].Plan.Kind)
 	sys.SetBackgroundLoad(victim, 0.95)
 
-	stats, err := sys.Reoptimize()
+	stats, err := sys.Adapt(sbon.AdaptOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("re-optimization sweep: %d service(s) evaluated, %d migrated\n",
-		stats.ServicesEvaluated, stats.Migrations)
+		stats[0].ServicesEvaluated, stats[0].Migrated)
 	fmt.Printf("circuit now: %s\n", res.Circuit)
 	fmt.Printf("usage %.1f KB·ms/s, latency %.1f ms\n",
 		sys.Usage(res.Circuit), sys.Latency(res.Circuit))

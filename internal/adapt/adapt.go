@@ -4,17 +4,24 @@
 // the data plane (stream.Engine executing circuits and migrating
 // operators under live traffic).
 //
-// One Coordinator.Sweep is the paper's continuous-optimization unit made
-// operational:
+// One Coordinator.Round is the paper's continuous-optimization unit
+// made operational:
 //
-//	sweep   — Reoptimizer.Plan produces a typed MigrationPlan without
-//	          touching anything; the coordinator selects the moves to
-//	          run (Select, or the highest-gain moves within Budget).
+//	repair  — HandleFailures re-places every service stranded on a node
+//	          the failure detector confirmed dead (skipped without a
+//	          detector).
+//	sweep   — Reoptimizer.PlanIncremental consumes the environment's
+//	          delta log and re-plans only the circuits the delta can
+//	          affect (the first round re-plans everything), producing a
+//	          typed MigrationPlan without touching anything; the
+//	          coordinator selects the moves to run (Select, or the
+//	          highest-gain moves within Budget).
 //	migrate — each selected move opens a two-phase Deployment ticket
 //	          (load charged on both hosts — the cost space repels
 //	          further placements from nodes absorbing a handoff) and
 //	          starts the engine's buffered handoff for circuits that
-//	          are executing.
+//	          are executing; without an engine the moves commit
+//	          instantly.
 //	settle  — the coordinator sleeps the clock past every migration's
 //	          scheduled completion (a cancellable SleepOrDone), then
 //	          commits the tickets, returning load accounting to its
@@ -27,10 +34,6 @@
 // consumer circuit while the engine flips all subscribers' routes at
 // cutover.
 //
-// SweepIncremental is the delta-cost variant: the re-optimizer consumes
-// the environment's delta log and re-plans only affected circuits.
-// Round is the one adaptation step every loop runs — repair off the
-// failure detector's confirmed deaths, then one incremental sweep — and
 // Run paces rounds on the clock: the paper's continuous optimization
 // running at the cost of what changed, not of what is deployed.
 //
@@ -195,21 +198,12 @@ func (co *Coordinator) clock() *simtime.VirtualClock {
 	return co.Clock
 }
 
-// Sweep runs one sweep→migrate→settle round and returns its statistics.
-// cancel (optional) aborts the settle wait early.
-func (co *Coordinator) Sweep(cancel <-chan struct{}) (SweepStats, error) {
-	plan, err := co.reopt().Plan()
-	if err != nil {
-		return SweepStats{}, err
-	}
-	return co.execute(co.selected(plan), cancel)
-}
-
 // SweepIncremental runs one incremental sweep→migrate→settle round:
 // the re-optimizer consumes the environment's delta log and re-plans
 // only the circuits the delta can affect (optimizer.PlanIncremental),
-// producing the same moves a full Sweep would. The first round, and any
-// round whose delta is too large to track, degenerates to a full sweep.
+// producing the same moves a full re-plan would. The first round, and
+// any round whose delta is too large to track, degenerates to a full
+// sweep. cancel (optional) aborts the settle wait early.
 func (co *Coordinator) SweepIncremental(cancel <-chan struct{}) (SweepStats, error) {
 	plan, ist, err := co.reopt().PlanIncremental()
 	if err != nil {

@@ -146,7 +146,7 @@ func TestSweepMigratesRunningCircuits(t *testing.T) {
 	}
 	f.env.SetBackgroundLoad(victim, 5.0)
 
-	st, err := f.co.Sweep(nil)
+	st, err := f.co.SweepIncremental(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestControlPlaneOnlyCoordinatorHasItsOwnClock(t *testing.T) {
 	co := &Coordinator{Dep: f.dep, Mapper: placement.OracleMapper{Source: f.env}}
 	victim := f.runs[0].Circuit.UnpinnedServices()[0].Node
 	f.env.SetBackgroundLoad(victim, 5.0)
-	st, err := co.Sweep(nil)
+	st, err := co.SweepIncremental(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestControlPlaneOnlyCoordinatorHasItsOwnClock(t *testing.T) {
 			host = s.Node
 		}
 	}
-	rep, err := co.Repair([]topology.NodeID{host}, nil)
+	rep, err := co.repair([]topology.NodeID{host})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestSweepBudgetCapsMigrations(t *testing.T) {
 		}
 	}
 	f.co.Budget = 1
-	st, err := f.co.Sweep(nil)
+	st, err := f.co.SweepIncremental(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,8 @@ func TestSweepBudgetCapsMigrations(t *testing.T) {
 	}
 	requireConsistent(t, f)
 
-	// Select replaces the Budget rule, in Sweep and in Round alike.
+	// Select replaces the Budget rule, in SweepIncremental and in Round
+	// alike.
 	for _, s := range f.runs[3].Circuit.UnpinnedServices() {
 		f.env.SetBackgroundLoad(s.Node, 4.0)
 	}
@@ -246,7 +247,7 @@ func TestSweepBudgetCapsMigrations(t *testing.T) {
 		plan.Moves = nil
 		return plan
 	}
-	if st, err = f.co.Sweep(nil); err != nil {
+	if st, err = f.co.SweepIncremental(nil); err != nil {
 		t.Fatal(err)
 	}
 	if offered == 0 || st.Planned != 0 || st.Migrated != 0 {
@@ -333,7 +334,7 @@ func TestSweepDeterministic(t *testing.T) {
 			}
 		}
 		f.env.SetBackgroundLoad(victim, 5.0)
-		st, err := f.co.Sweep(nil)
+		st, err := f.co.SweepIncremental(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +361,7 @@ func TestSettleReturnsLoadFixedPoint(t *testing.T) {
 		}
 	}
 	f.env.SetBackgroundLoad(victim, 5.0)
-	if _, err := f.co.Sweep(nil); err != nil {
+	if _, err := f.co.SweepIncremental(nil); err != nil {
 		t.Fatal(err)
 	}
 	perRate := f.env.Config().LoadPerRate
@@ -415,7 +416,7 @@ func TestSweepCancellable(t *testing.T) {
 	cancel := make(chan struct{})
 	// Fire the cancellation deterministically mid-settle via the clock.
 	f.clk.AfterFunc(time.Millisecond, func() { close(cancel) })
-	st, err := f.co.Sweep(cancel)
+	st, err := f.co.SweepIncremental(cancel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +437,7 @@ func TestSweepCancellable(t *testing.T) {
 // tie-break: the settle wake and the last teardown timer land on the
 // same virtual instant, and FIFO sequence order would fire the wake
 // first if the sleep did not outlast ScheduledEnd. Every migration must
-// be fully complete (Done closed, counters final) when Sweep returns.
+// be fully complete (Done closed, counters final) when the sweep returns.
 func TestSweepWaitsForAllHandoffs(t *testing.T) {
 	for _, seed := range []int64{1, 2, 11, 41} {
 		f := newFixture(t, seed, 3)
@@ -449,7 +450,7 @@ func TestSweepWaitsForAllHandoffs(t *testing.T) {
 			}
 		}
 		f.env.SetBackgroundLoad(victim, 5.0)
-		st, err := f.co.Sweep(nil)
+		st, err := f.co.SweepIncremental(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +462,7 @@ func TestSweepWaitsForAllHandoffs(t *testing.T) {
 				select {
 				case <-m.Done():
 				default:
-					t.Fatalf("seed %d: Sweep returned with migration q%d/s%d still pending",
+					t.Fatalf("seed %d: the sweep returned with migration q%d/s%d still pending",
 						seed, m.Query, m.Service)
 				}
 				if m.Aborted {

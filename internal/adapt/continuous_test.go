@@ -1,11 +1,15 @@
 package adapt
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
+	"github.com/hourglass/sbon/internal/optimizer"
 	"github.com/hourglass/sbon/internal/query"
 	"github.com/hourglass/sbon/internal/topology"
+	"github.com/hourglass/sbon/internal/workload"
 )
 
 // runContinuous drives one full continuous-adaptation run on a virtual
@@ -107,4 +111,98 @@ func TestRunQuiescesWhenClean(t *testing.T) {
 	}
 	requireConsistent(t, f)
 	requireNoLossCounters(t, f)
+}
+
+// TestRoundEqualsBudgetedPlanThenTwoPhase pins the incremental round
+// under a budget that truncates its plan. Two identical control-plane
+// deployments drift alike: one runs Round, the other a full Plan, keeps
+// its Budget highest-gain moves and commits them. Every round must
+// select the same moves, gains to the bit, and leave the same
+// placements. A truncated round leaves planned moves unexecuted, and no
+// later delta need touch their circuits again, so the incremental side
+// keeps up only by carrying those circuits into its next round.
+func TestRoundEqualsBudgetedPlanThenTwoPhase(t *testing.T) {
+	const budget = 3
+	a, b := newFixture(t, 47, 12), newFixture(t, 47, 12)
+	// Control plane only: the coordinator has no engine, and neither
+	// fixture's clock advances, so the engines never run.
+	co := &Coordinator{Dep: a.dep, Budget: budget}
+	co.reopt().FullSweepFraction = 1 // stay on the delta path however large the drift
+	// Record the moves the Budget rule selects; the hook applies that rule.
+	var got []optimizer.Migration
+	co.Select = func(plan optimizer.MigrationPlan) optimizer.MigrationPlan {
+		plan = (&Coordinator{Budget: budget}).selected(plan)
+		got = plan.Moves
+		return plan
+	}
+	ro := optimizer.NewReoptimizer(b.dep)
+
+	rngA, rngB := rand.New(rand.NewSource(101)), rand.New(rand.NewSource(101))
+	// Overload every operator host: the first rounds plan more moves
+	// than the budget lets through, and light drift follows.
+	for _, f := range []*fixture{a, b} {
+		for _, run := range f.runs {
+			for _, s := range run.Circuit.UnpinnedServices() {
+				f.env.SetBackgroundLoad(s.Node, 4.0)
+			}
+		}
+	}
+	churn := workload.Churn{LoadFraction: 0.05, LoadMax: 0.8}
+	truncated := 0
+	for round := 0; round < 8; round++ {
+		workload.ApplyChurn(a.env.Topo, a.env, churn, rngA)
+		workload.ApplyChurn(b.env.Topo, b.env, churn, rngB)
+		rs, err := co.Round(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if round > 0 && rs.Sweep.FullSweep {
+			t.Fatalf("round %d fell back to a full sweep", round)
+		}
+
+		plan, err := ro.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := plan.Moves
+		if len(want) > budget {
+			want = append([]optimizer.Migration(nil), want...)
+			sort.SliceStable(want, func(i, j int) bool { return want[i].PredictedGain > want[j].PredictedGain })
+			want = want[:budget]
+			truncated++
+		}
+		for _, m := range want {
+			tk, err := b.dep.BeginMigration(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tk.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		if len(got) != len(want) || rs.Sweep.Migrated != len(want) {
+			t.Fatalf("round %d: Round selected %d moves and committed %d, the budgeted full plan %d",
+				round, len(got), rs.Sweep.Migrated, len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: move %d diverges:\n round %+v\n plan  %+v", round, i, got[i], want[i])
+			}
+		}
+		for id, ca := range a.dep.Circuits() {
+			cb, ok := b.dep.Circuit(id)
+			if !ok {
+				t.Fatalf("round %d: q%d deployed on one side only", round, id)
+			}
+			for i, s := range ca.Services {
+				if n := cb.Services[i].Node; s.Node != n {
+					t.Fatalf("round %d: q%d service %d on %d, want %d", round, id, i, s.Node, n)
+				}
+			}
+		}
+	}
+	if truncated < 3 {
+		t.Fatalf("the budget truncated %d of 8 rounds, want several: the test is vacuous", truncated)
+	}
 }

@@ -74,7 +74,7 @@ func (a *RepairStats) Add(b RepairStats) {
 	a.Duration += b.Duration
 }
 
-// Repair recovers every deployed circuit from the unannounced death of
+// repair recovers every deployed circuit from the unannounced death of
 // the given nodes:
 //
 //  1. The dead nodes are excluded as placement targets for this and
@@ -93,10 +93,9 @@ func (a *RepairStats) Add(b RepairStats) {
 //     of a live handoff: the source is dead, so state and in-flight
 //     tuples are lost and counted rather than shipped.
 //
-// Repair is deterministic under the virtual clock: circuits cancel in
+// It is deterministic under the virtual clock: circuits cancel in
 // query-id order and moves execute in sweep order.
-func (co *Coordinator) Repair(dead []topology.NodeID, cancel <-chan struct{}) (RepairStats, error) {
-	_ = cancel // repair is synchronous; kept for signature symmetry with Sweep
+func (co *Coordinator) repair(dead []topology.NodeID) (RepairStats, error) {
 	clk := co.clock()
 	start := clk.Now()
 	stats := RepairStats{}
@@ -292,6 +291,7 @@ func (co *Coordinator) nearestLive(dead topology.NodeID) (topology.NodeID, bool)
 // HandleFailures consumes a batch of failure-detector events: Died
 // nodes repair in one sweep, Recovered nodes become placement targets
 // again. Suspected events are ignored — repair waits for confirmation.
+// Repair is synchronous, so nothing waits on cancel.
 func (co *Coordinator) HandleFailures(events []failure.Event, cancel <-chan struct{}) (RepairStats, error) {
 	var dead []topology.NodeID
 	for _, ev := range events {
@@ -310,5 +310,5 @@ func (co *Coordinator) HandleFailures(events []failure.Event, cancel <-chan stru
 			}
 		}
 	}
-	return co.Repair(dead, cancel)
+	return co.repair(dead)
 }

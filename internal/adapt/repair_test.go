@@ -51,7 +51,7 @@ func TestRepairMovesServicesOffDeadNode(t *testing.T) {
 		before[i] = run.Measure().TuplesOut
 	}
 
-	st, err := f.co.Repair([]topology.NodeID{victim}, nil)
+	st, err := f.co.repair([]topology.NodeID{victim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestRepairCancelsCircuitWithDeadConsumer(t *testing.T) {
 	deployed := f.co.Dep.NumDeployed()
 
 	f.net.SetNodeDown(victim, true)
-	st, err := f.co.Repair([]topology.NodeID{victim}, nil)
+	st, err := f.co.repair([]topology.NodeID{victim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestRepairAdoptedInstance(t *testing.T) {
 
 	f.net.SetNodeDown(victim, true)
 	f.clk.Sleep(500 * time.Millisecond)
-	st, err := co.Repair([]topology.NodeID{victim}, nil)
+	st, err := co.repair([]topology.NodeID{victim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestTicketTTLFailsOverInterruptedSweep(t *testing.T) {
 	f.co.TicketTTL = 500 * time.Microsecond
 	cancel := make(chan struct{})
 	f.clk.AfterFunc(time.Millisecond, func() { close(cancel) })
-	st, err := f.co.Sweep(cancel)
+	st, err := f.co.SweepIncremental(cancel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -250,8 +250,7 @@ func X4(p X4Params) (*Table, error) {
 		}
 		defer w.Close()
 		topo, env, dep := w.Topo, w.Env, w.Deployment
-		mapper := placement.OracleMapper{Source: env}
-		integ := &optimizer.Integrated{Env: env, Mapper: mapper}
+		integ := optimizer.NewIntegrated(env)
 		for _, q := range w.Queries {
 			res, err := integ.Optimize(q)
 			if err != nil {
@@ -261,8 +260,7 @@ func X4(p X4Params) (*Table, error) {
 				return nil, nil, 0, err
 			}
 		}
-		ro := optimizer.NewReoptimizer(dep)
-		ro.Mapper = mapper
+		co := w.Coordinator()
 		truth := optimizer.TrueLatency{Topo: topo}
 		churnRng := rand.New(rand.NewSource(p.Seed * 5))
 		var penalties, usages []float64
@@ -270,11 +268,11 @@ func X4(p X4Params) (*Table, error) {
 		for step := 0; step < p.Steps; step++ {
 			workload.ApplyChurn(topo, env, p.Churn, churnRng)
 			if reopt {
-				st, err := ro.Step()
+				r, err := co.Round(nil, nil)
 				if err != nil {
 					return nil, nil, 0, err
 				}
-				migrations += st.Migrations
+				migrations += r.Sweep.Migrated
 			}
 			penalties = append(penalties, dep.TotalLoadPenalty())
 			usages = append(usages, dep.TotalUsage(truth))

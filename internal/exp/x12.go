@@ -135,10 +135,11 @@ func X12(p X12Params) (*Table, error) {
 	co.Exclude = nil
 	// The rejoined nodes return idle while survivors carry extra load —
 	// exactly the imbalance a sweep exploits.
-	rejoin, err := co.Sweep(nil)
+	r, err := co.Round(nil, nil)
 	if err != nil {
 		return nil, err
 	}
+	rejoin := r.Sweep
 	w.SimSleep(2)
 
 	// Quiesce and account for every tuple.

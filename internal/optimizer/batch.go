@@ -43,7 +43,7 @@ type BatchOptions struct {
 // aborts the batch and is returned; remaining work is skipped.
 //
 // The live Env must not be mutated (Deploy, Cancel, SetBackgroundLoad,
-// Reoptimize, SetCoordinates, statistics-catalog changes) while
+// committed migrations, SetCoordinates, statistics-catalog changes) while
 // OptimizeBatch runs: the snapshot copies the coordinate arrays but
 // shares the DHT catalog and statistics catalog with the live
 // environment.

@@ -67,6 +67,19 @@ func applyPlan(t *testing.T, dep *Deployment, plan MigrationPlan) {
 	}
 }
 
+// planAndCommit plans one full sweep and commits every move: the
+// control-plane re-optimization step an adaptation round takes when no
+// engine runs.
+func planAndCommit(t *testing.T, ro *Reoptimizer) MigrationPlan {
+	t.Helper()
+	plan, err := ro.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyPlan(t, ro.Dep, plan)
+	return plan
+}
+
 // TestPlanMakesNoLiveMutations is the satellite guard for the shadow
 // refactor: a planning sweep — full, incremental, or evacuation — must
 // leave the live environment byte-identical: no catalog republishes, no

@@ -92,9 +92,7 @@ func TestDeploymentInvariantsUnderRandomOps(t *testing.T) {
 				deployed = append(deployed[:i], deployed[i+1:]...)
 				checkInvariants("cancel")
 			case op == 2: // migration sweep
-				if _, err := ro.Step(); err != nil {
-					t.Fatal(err)
-				}
+				planAndCommit(t, ro)
 				checkInvariants("reopt")
 			default: // rewrite sweep
 				if _, err := ro.RewriteStep(); err != nil {

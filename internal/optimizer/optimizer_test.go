@@ -577,19 +577,12 @@ func TestReoptimizerMigratesAwayFromLoadedNode(t *testing.T) {
 	reopt.Mapper = placement.OracleMapper{Source: env}
 
 	// Without changes, a sweep should be stable (hysteresis).
-	st, err := reopt.Step()
-	if err != nil {
-		t.Fatal(err)
-	}
-	firstMigrations := st.Migrations
+	firstMigrations := len(planAndCommit(t, reopt).Moves)
 
 	// Massively load one hosting node: the mapper must route around it.
 	victim := res.Circuit.UnpinnedServices()[0].Node
 	env.SetBackgroundLoad(victim, 5.0)
-	st2, err := reopt.Step()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st2 := planAndCommit(t, reopt)
 	if st2.ServicesEvaluated == 0 {
 		t.Fatal("no services evaluated")
 	}
@@ -601,7 +594,7 @@ func TestReoptimizerMigratesAwayFromLoadedNode(t *testing.T) {
 			stillThere++
 		}
 	}
-	if stillThere > 0 && st2.Migrations == 0 && firstMigrations == 0 {
+	if stillThere > 0 && len(st2.Moves) == 0 && firstMigrations == 0 {
 		t.Fatal("overloaded node kept its services and nothing migrated")
 	}
 }

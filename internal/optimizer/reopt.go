@@ -21,13 +21,14 @@ import (
 // more than ImprovementThreshold (hysteresis against oscillation under
 // noisy coordinates).
 //
-// Plan re-plans everything; PlanIncremental consumes the environment's
-// delta log and re-plans only the circuits the delta can affect — the
-// incremental view maintenance that makes continuous adaptation cheap.
+// PlanIncremental consumes the environment's delta log and re-plans
+// only the circuits the delta can affect — the incremental view
+// maintenance that makes continuous adaptation cheap, and the planner
+// every adaptation round runs. Plan re-plans everything and is the
+// reference PlanIncremental is checked against. Sweeps re-place with
+// placement.Relaxation.
 type Reoptimizer struct {
 	Dep *Deployment
-	// Placer recomputes local virtual coordinates (default Relaxation).
-	Placer placement.VirtualPlacer
 	// Mapper remaps coordinates to nodes. A SourceMapper (OracleMapper,
 	// VectorOnlyMapper) reads the view each entry point reads: a sweep's
 	// shadow, so candidate lookups see simulated loads, or the live env
@@ -86,11 +87,7 @@ func NewReoptimizer(dep *Deployment) *Reoptimizer {
 	return &Reoptimizer{Dep: dep}
 }
 
-func (r *Reoptimizer) components() (placement.VirtualPlacer, placement.Mapper, LatencyModel, float64) {
-	placer := r.Placer
-	if placer == nil {
-		placer = placement.Relaxation{}
-	}
+func (r *Reoptimizer) components() (placement.Mapper, LatencyModel, float64) {
 	mapper := mapperOn(r.Mapper, r.Dep.Env.Catalog(), r.Dep.Env)
 	model := r.Model
 	if model == nil {
@@ -100,7 +97,7 @@ func (r *Reoptimizer) components() (placement.VirtualPlacer, placement.Mapper, L
 	if thresh <= 0 {
 		thresh = 0.05
 	}
-	return placer, mapper, model, thresh
+	return mapper, model, thresh
 }
 
 // sweepMapper is the mapper a sweep over sh maps with. It passes no
@@ -108,12 +105,6 @@ func (r *Reoptimizer) components() (placement.VirtualPlacer, placement.Mapper, L
 // Mapper's doc states.
 func (r *Reoptimizer) sweepMapper(sh *ShadowEnv) placement.Mapper {
 	return mapperOn(r.Mapper, nil, sh)
-}
-
-// StepStats reports one re-optimization sweep.
-type StepStats struct {
-	ServicesEvaluated int
-	Migrations        int
 }
 
 // Migration is one planned service move: the typed unit a control plane
@@ -474,7 +465,7 @@ func (r *Reoptimizer) expandAffected(sh *ShadowEnv, circuits []*Circuit, cursor 
 // enclosing plan span; each move candidate that changes host emits one
 // accept/reject decision event into it.
 func (r *Reoptimizer) sweepShadow(sh *ShadowEnv, mapper placement.Mapper, circuits []*Circuit, aff map[query.QueryID]bool, sp trace.Span) (MigrationPlan, error) {
-	placer, _, model, thresh := r.components()
+	_, model, thresh := r.components()
 	b := &Builder{Env: r.Dep.Env}
 	if aff == nil {
 		// Full sweep: rebuild the winner-distance cache from scratch so
@@ -491,7 +482,7 @@ func (r *Reoptimizer) sweepShadow(sh *ShadowEnv, mapper placement.Mapper, circui
 		// Recompute virtual coordinates for the whole circuit against
 		// current pinned/neighbor positions (a node with all affected
 		// services can do full local re-placement).
-		if err := b.placeVirtualAs(c, placer, sh.NodeOf); err != nil {
+		if err := b.placeVirtualAs(c, placement.Relaxation{}, sh.NodeOf); err != nil {
 			return plan, err
 		}
 		for i, s := range c.Services {
@@ -580,31 +571,6 @@ func (r *Reoptimizer) propagateRebind(sh *ShadowEnv, c *Circuit, s *PlacedServic
 	return ids
 }
 
-// Step performs one re-optimization sweep and immediately applies every
-// selected move to the deployment through the two-phase protocol — the
-// classic plan-then-freeze behaviour, kept for control-plane-only
-// callers. Live systems instead use Plan and hand the moves to the
-// adaptation layer, which walks each one through Begin/Commit while the
-// data plane migrates.
-func (r *Reoptimizer) Step() (StepStats, error) {
-	plan, err := r.Plan()
-	stats := StepStats{ServicesEvaluated: plan.ServicesEvaluated}
-	if err != nil {
-		return stats, err
-	}
-	for _, m := range plan.Moves {
-		ticket, err := r.Dep.BeginMigration(m)
-		if err != nil {
-			return stats, err
-		}
-		if err := ticket.Commit(); err != nil {
-			return stats, err
-		}
-		stats.Migrations++
-	}
-	return stats, nil
-}
-
 // PlanEvacuation plans the forced relocation of every unpinned service
 // hosted on a victim node — the graceful-decommission path node churn
 // takes before a host leaves the overlay. Unlike Plan, moves are not
@@ -617,7 +583,7 @@ func (r *Reoptimizer) Step() (StepStats, error) {
 // ShadowEnv (with shared-instance consumers re-bound in-sweep) and the
 // live environment is untouched.
 func (r *Reoptimizer) PlanEvacuation(victims map[topology.NodeID]bool) (MigrationPlan, error) {
-	placer, _, model, _ := r.components()
+	_, model, _ := r.components()
 	exclude := victims
 	if len(r.Exclude) > 0 {
 		exclude = make(map[topology.NodeID]bool, len(victims)+len(r.Exclude))
@@ -661,7 +627,7 @@ func (r *Reoptimizer) PlanEvacuation(victims map[topology.NodeID]bool) (Migratio
 		if !hit {
 			continue
 		}
-		if err := b.placeVirtualAs(c, placer, sh.NodeOf); err != nil {
+		if err := b.placeVirtualAs(c, placement.Relaxation{}, sh.NodeOf); err != nil {
 			sp.End(trace.Str("error", err.Error()))
 			return plan, err
 		}

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/plan"
 	"github.com/hourglass/sbon/internal/query"
 )
@@ -24,7 +25,7 @@ type RewriteStats struct {
 // "new parallel circuit is deployed, cancelling the original less ideal
 // circuit".
 func (r *Reoptimizer) RewriteStep() (RewriteStats, error) {
-	placer, mapper, model, thresh := r.components()
+	mapper, model, thresh := r.components()
 	var stats RewriteStats
 	env := r.Dep.Env
 	b := &Builder{Env: env}
@@ -51,7 +52,7 @@ func (r *Reoptimizer) RewriteStep() (RewriteStats, error) {
 			if err := variant.ComputeRates(env.Stats); err != nil {
 				return stats, err
 			}
-			cand, _, err := buildPlaceMap(b, c.Query, variant, placer, mapper)
+			cand, _, err := buildPlaceMap(b, c.Query, variant, placement.Relaxation{}, mapper)
 			if err != nil {
 				return stats, err
 			}

@@ -84,8 +84,9 @@ type Handler func(Message)
 // Config tunes the runtime.
 type Config struct {
 	// TimeScale and InboxSize are read by nothing: bench/, frozen until
-	// ROADMAP item 9, sets them in composite literals. One simulated
-	// millisecond of latency is one clock millisecond.
+	// the ROADMAP's "Benchmark v2" direction, sets them in composite
+	// literals. One simulated millisecond of latency is one clock
+	// millisecond.
 	TimeScale time.Duration
 	InboxSize int
 	// Clock drives message delivery and timestamps. Nil means a fresh
@@ -208,7 +209,7 @@ func NewNetwork(topo *topology.Topology, cfg Config) *Network {
 
 // Start does nothing — there are no node goroutines to launch, dispatch
 // rides the event scheduler — and stays for bench/dataplane.go, frozen
-// until ROADMAP item 6.
+// until the ROADMAP's "Benchmark v2" direction.
 func (n *Network) Start() {}
 
 // Stop shuts the runtime down: pending delivery events are abandoned

@@ -128,10 +128,10 @@ type (
 )
 
 // Options configures a System. The System's calls that advance the
-// clock (RunFor, Adapt, AdaptContinuously, AdaptWithRepair, Evacuate)
-// run the simulation's events on the calling goroutine. Callers on
-// several goroutines take turns: one sleeps through the clock while the
-// others wait for it.
+// clock (RunFor, Adapt, AdaptContinuously, Evacuate) run the
+// simulation's events on the calling goroutine. Callers on several
+// goroutines take turns: one sleeps through the clock while the others
+// wait for it.
 type Options struct {
 	// Seed drives all randomness (topology, coordinates, loads).
 	Seed int64
@@ -144,8 +144,8 @@ type Options struct {
 	// DisableDHT skips the Chord/Hilbert catalog and maps coordinates
 	// with a centralized oracle instead (faster, less faithful). With the
 	// catalog, Optimize, the batch calls and Rewrite map through the DHT,
-	// while re-optimization sweeps (Reoptimize, PlanReoptimization,
-	// Adapt, Evacuate) map with the oracle either way: see
+	// while re-optimization sweeps (PlanReoptimization, Adapt,
+	// AdaptContinuously, Evacuate) map with the oracle either way: see
 	// optimizer.Reoptimizer.Mapper for why.
 	DisableDHT bool
 	// Trace enables the structured event tracer: optimizer decisions,
@@ -272,7 +272,7 @@ func (s *System) Optimize(q Query) (*Result, error) {
 // Unless opts.Cache is set or opts.NoCache is true, the System's
 // persistent plan cache is used, so later batches benefit from earlier
 // ones; any mutation of the System (Deploy, Cancel, SetBackgroundLoad,
-// Reoptimize, AddStream, SetJoinSelectivity) bumps the environment's
+// Adapt, AddStream, SetJoinSelectivity) bumps the environment's
 // epoch and flushes the cache, so stale plans are never served. The
 // System must not be mutated while a batch is running.
 func (s *System) OptimizeBatch(queries []Query, opts BatchOptions) ([]Result, error) {
@@ -352,20 +352,10 @@ func (s *System) SetBackgroundLoad(n NodeID, load float64) {
 	s.Env.SetBackgroundLoad(n, load)
 }
 
-// Reoptimize performs one local re-optimization sweep: deployed services
-// re-run placement and migrate when the cost improvement clears the
-// hysteresis threshold. The moves apply to the control plane only; use
-// Adapt to migrate circuits that are executing on the engine. The sweep
-// maps with the exact oracle over its planning shadow, even when the
-// System has a DHT catalog (see optimizer.Reoptimizer.Mapper).
-func (s *System) Reoptimize() (optimizer.StepStats, error) {
-	return optimizer.NewReoptimizer(s.Deployment).Step()
-}
-
-// PlanReoptimization runs a re-optimization sweep and returns the typed
-// migration plan without applying anything — what Adapt executes
-// internally, exposed for callers that want to inspect or filter moves.
-// Like Reoptimize, it maps with the oracle, not the DHT.
+// PlanReoptimization runs a full re-optimization sweep and returns the
+// typed migration plan without applying anything — the moves Adapt's
+// next round would plan, exposed for callers that want to inspect or
+// filter them. Like Adapt, it maps with the oracle, not the DHT.
 func (s *System) PlanReoptimization() (MigrationPlan, error) {
 	return optimizer.NewReoptimizer(s.Deployment).Plan()
 }
@@ -383,14 +373,17 @@ type AdaptOptions struct {
 	Exclude map[NodeID]bool
 }
 
-// Adapt runs live re-optimization rounds: each sweep plans service
-// moves over the cost space, walks every selected move through the
-// two-phase deployment protocol, and — when the engine is running the
-// affected circuits — migrates the operators under traffic (buffered
-// handoff, zero tuple loss) before committing. Returns per-sweep
-// statistics. Without a started engine the moves commit instantly
-// (control-plane-only adaptation). Sweeps map with the oracle, as
-// Reoptimize does.
+// Adapt runs local re-optimization rounds (§3.3): deployed services
+// re-run placement and migrate when the cost improvement clears the
+// hysteresis threshold. Each round plans service moves over the cost
+// space, walks every selected move through the two-phase deployment
+// protocol, and — when the engine is running the affected circuits —
+// migrates the operators under traffic (buffered handoff, zero tuple
+// loss) before committing. Returns per-round sweep statistics. Without a
+// started engine the moves commit instantly (control-plane-only
+// adaptation). Sweeps map with the exact oracle over their planning
+// shadow, even when the System has a DHT catalog (see
+// optimizer.Reoptimizer.Mapper).
 func (s *System) Adapt(opts AdaptOptions) ([]AdaptStats, error) {
 	sweeps := opts.Sweeps
 	if sweeps <= 0 {
@@ -399,11 +392,11 @@ func (s *System) Adapt(opts AdaptOptions) ([]AdaptStats, error) {
 	co := s.coordinator(opts)
 	out := make([]AdaptStats, 0, sweeps)
 	for i := 0; i < sweeps; i++ {
-		st, err := co.Sweep(nil)
+		r, err := co.Round(nil, nil)
 		if err != nil {
 			return out, err
 		}
-		out = append(out, st)
+		out = append(out, r.Sweep)
 	}
 	return out, nil
 }
@@ -417,13 +410,20 @@ func (s *System) Adapt(opts AdaptOptions) ([]AdaptStats, error) {
 // sweep; later rounds cost O(delta), so a quiet overlay re-plans
 // nothing.
 //
+// Once StartFailureDetection has run, every round first consumes the
+// detector's verdicts: circuits that lost a pinned endpoint cancel,
+// every service stranded on a confirmed-dead node is re-placed onto a
+// live node by an evacuation sweep, and the lost operators restart
+// fresh, with state and in-flight tuples counted lost. No Evacuate calls
+// are needed for crashes; the returned Repair field sums the repairs.
+//
 // The call runs the clock until stop fires. It is deterministic: close
 // stop from a clock event (StopAfter) and same-seed runs reproduce
 // bit-identical round statistics; a close from another goroutine is seen
 // only between events. The coordinator's incremental watermark persists
 // across Adapt and AdaptContinuously calls on the same System.
 func (s *System) AdaptContinuously(interval time.Duration, stop <-chan struct{}, opts AdaptOptions) (AdaptRunStats, error) {
-	return s.coordinator(opts).Run(nil, interval, stop)
+	return s.coordinator(opts).Run(s.w.Detector, interval, stop)
 }
 
 // Evacuate force-migrates every service off the given nodes (graceful
@@ -457,7 +457,7 @@ func (s *System) InstallFaults(plan FaultPlan) (*overlay.FaultInjector, error) {
 // dead, and a dead node beating again is recovered. beat is the
 // heartbeat period (default 200 simulated ms); detection latency is
 // bounded by 5 beats plus one check period. The detector feeds
-// AdaptWithRepair; both stop with the System.
+// AdaptContinuously; both stop with the System.
 func (s *System) StartFailureDetection(beat time.Duration) (*failure.Detector, error) {
 	if s.w.Net == nil {
 		return nil, fmt.Errorf("sbon: engine not started; call StartEngine first")
@@ -471,32 +471,9 @@ func (s *System) StartFailureDetection(beat time.Duration) (*failure.Detector, e
 	return s.w.StartFailureDetection(beat), nil
 }
 
-// AdaptWithRepair runs the continuous adaptation loop with automatic
-// failure recovery (StartFailureDetection must have been called): every
-// interval the coordinator first consumes the detector's verdicts —
-// cancelling circuits that lost a pinned endpoint, re-placing every
-// service stranded on a confirmed-dead node via an evacuation sweep
-// over live nodes, re-instantiating the lost operators fresh with
-// state and in-flight tuples counted lost — and then runs one
-// incremental sweep→migrate→settle round, until stop fires. No manual
-// Evacuate calls are needed for crashes. Deterministic, like
-// AdaptContinuously.
-func (s *System) AdaptWithRepair(interval time.Duration, stop <-chan struct{}, opts AdaptOptions) (AdaptRunStats, RepairStats, error) {
-	if s.w.Detector == nil {
-		return AdaptRunStats{}, RepairStats{}, fmt.Errorf("sbon: failure detection not started; call StartFailureDetection first")
-	}
-	co := s.coordinator(opts)
-	if co.TicketTTL <= 0 {
-		co.TicketTTL = 5 * time.Second
-	}
-	rs, err := co.Run(s.w.Detector, interval, stop)
-	return rs, rs.Repair, err
-}
-
 // StopAfter returns a channel closed after simSeconds of simulated time
-// — a deterministic stop trigger for AdaptContinuously and
-// AdaptWithRepair: the close is an event of the clock, so the loop
-// sleeping on it stops at that instant.
+// — a deterministic stop trigger for AdaptContinuously: the close is an
+// event of the clock, so the loop sleeping on it stops at that instant.
 func (s *System) StopAfter(simSeconds float64) (<-chan struct{}, error) {
 	if s.w.Net == nil {
 		return nil, fmt.Errorf("sbon: engine not started; call StartEngine first")
@@ -509,7 +486,8 @@ func (s *System) StopAfter(simSeconds float64) (<-chan struct{}, error) {
 // coordinator returns the System's persistent adaptation coordinator,
 // refreshed with the current options, engine, and clock. One instance
 // serves every call so incremental sweep bookkeeping survives between
-// rounds.
+// rounds. Migration tickets expire 5 s after they begin, so a handoff a
+// crash interrupts fails over instead of committing blind.
 func (s *System) coordinator(opts AdaptOptions) *adapt.Coordinator {
 	if s.adaptCo == nil {
 		s.adaptCo = &adapt.Coordinator{Dep: s.Deployment}
@@ -521,6 +499,7 @@ func (s *System) coordinator(opts AdaptOptions) *adapt.Coordinator {
 	co.Exclude = opts.Exclude
 	co.Tracer = s.tracer
 	co.Clock = s.w.Clock
+	co.TicketTTL = 5 * time.Second
 	return co
 }
 

@@ -156,11 +156,11 @@ func TestSetBackgroundLoadAndReoptimize(t *testing.T) {
 	}
 	victim := res.Circuit.UnpinnedServices()[0].Node
 	sys.SetBackgroundLoad(victim, 0.99)
-	stats, err := sys.Reoptimize()
+	stats, err := sys.Adapt(AdaptOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.ServicesEvaluated == 0 {
+	if len(stats) != 1 || stats[0].ServicesEvaluated == 0 {
 		t.Fatal("no services evaluated")
 	}
 }
@@ -716,8 +716,9 @@ func TestFacadeEvacuate(t *testing.T) {
 
 // TestFacadeCrashRepairEndToEnd drives the whole unplanned-failure
 // pipeline through the facade: fault injection crashes an operator
-// host, heartbeats feed the detector, and AdaptWithRepair re-places
-// the stranded services onto live nodes — no Evacuate calls.
+// host, heartbeats feed the detector, and AdaptContinuously re-places
+// the stranded services onto live nodes — no Evacuate calls. Before
+// StartFailureDetection the same loop repairs nothing.
 func TestFacadeCrashRepairEndToEnd(t *testing.T) {
 	sys, _ := adaptSystem(t, 13)
 	pinned := map[NodeID]bool{}
@@ -739,8 +740,16 @@ func TestFacadeCrashRepairEndToEnd(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no crashable host: adaptSystem at seed 13 must place an operator on a node that pins no endpoint")
 	}
-	if _, _, err := sys.AdaptWithRepair(0, nil, AdaptOptions{}); err == nil {
-		t.Fatal("AdaptWithRepair before StartFailureDetection accepted")
+	onVictim := func() int {
+		n := 0
+		for _, c := range sys.Deployment.Circuits() {
+			for _, s := range c.Services {
+				if s.Node == victim {
+					n++
+				}
+			}
+		}
+		return n
 	}
 	if _, err := sys.InstallFaults(FaultPlan{
 		Seed:     13,
@@ -749,18 +758,36 @@ func TestFacadeCrashRepairEndToEnd(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+
+	// The victim dies a second into this run, and nothing detects it.
+	hosted := onVictim()
+	stop, err := sys.StopAfter(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := sys.AdaptContinuously(500*time.Millisecond, stop, AdaptOptions{Threshold: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Repair != (RepairStats{}) {
+		t.Fatalf("repair before StartFailureDetection: %+v", rs.Repair)
+	}
+	if got := onVictim(); got != hosted {
+		t.Fatalf("%d services on the victim before detection started, %d after", hosted, got)
+	}
+
 	det, err := sys.StartFailureDetection(100 * time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop, err := sys.StopAfter(6)
+	if stop, err = sys.StopAfter(6); err != nil {
+		t.Fatal(err)
+	}
+	rs, err = sys.AdaptContinuously(500*time.Millisecond, stop, AdaptOptions{Threshold: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rep, err := sys.AdaptWithRepair(500*time.Millisecond, stop, AdaptOptions{Threshold: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := rs.Repair
 	if rep.DeadNodes != 1 {
 		t.Fatalf("DeadNodes = %d, want 1", rep.DeadNodes)
 	}
