@@ -25,7 +25,8 @@ type X17Params struct {
 	Streams int
 	// Queries is the batch optimized through the sharded path.
 	Queries int
-	// Shards is the cost-space region count for OptimizeBatchSharded.
+	// Shards is the cost-space region count OptimizeBatchSharded counts
+	// the batch's routing over; the batch itself runs on one pool.
 	Shards int
 	// DataShards executes the data plane on that many parallel
 	// per-shard event queues keyed to the same Hilbert-prefix regions
@@ -265,7 +266,7 @@ func X17(p X17Params) (*Table, error) {
 
 	t.AddNote("%d nodes (%d stub domains, factored latency — no all-pairs matrix), %d streams, %d queries optimized",
 		n, topo.NumStubDomains(), p.Streams, len(results))
-	t.AddNote("sharded batch: %d shards, %d home-routed (%.1f%%), %d fallback; %.0f queries/s on this host (%v; pools are independent — throughput scales with cores up to the shard count)",
+	t.AddNote("sharded batch: %d shards, %d home-routed (%.1f%%), %d fallback; %.0f queries/s on this host (%v; one GOMAXPROCS worker pool and one plan cache serve every region)",
 		shardStats.Shards, homeRouted, 100*float64(homeRouted)/float64(len(qs)), shardStats.Fallback,
 		float64(len(qs))/optWall.Seconds(), optWall.Round(time.Millisecond))
 	t.AddNote("ticker coordinates: %d gossip rounds total, embedding median rel err %.3f; %d periodic syncs, %d oscillations out of %d migrations",

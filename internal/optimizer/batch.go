@@ -17,7 +17,10 @@ type BatchOptions struct {
 	Workers int
 	// Cache is the plan cache shared by the batch's workers. Nil means a
 	// private cache is created for the batch (so repeated queries within
-	// it still reuse plans) unless NoCache is set.
+	// it still reuse plans) unless NoCache is set. A result's
+	// Circuit.Plan may be the tree this cache stores, shared with every
+	// later hit: callers must not write it (copy first with Clone or
+	// ShallowClone).
 	Cache *PlanCache
 	// NoCache disables plan caching entirely: every query runs the full
 	// integrated optimization.
@@ -60,24 +63,51 @@ func OptimizeBatch(env *Env, queries []query.Query, opts BatchOptions) ([]Result
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
 	cache := opts.Cache
-	if cache == nil && !opts.NoCache {
-		cache = NewPlanCache()
-	}
 	if opts.NoCache {
 		cache = nil
+	} else if cache == nil {
+		cache = NewPlanCache()
 	}
 
-	b := &batchPools{snap: freezeForBatch(env), queries: queries, results: results, label: "batch"}
-	b.run(nil, len(queries), workers, cache)
-	if b.firstErr != nil {
-		return nil, b.firstErr
+	snap := freezeForBatch(env)
+	var (
+		next     atomic.Int64
+		stop     atomic.Bool
+		errOnce  sync.Once
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	for w := min(workers, len(queries)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			opt := NewIntegrated(snap)
+			for !stop.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(queries) {
+					return
+				}
+				res, err := optimizeOne(snap, opt, cache, queries[i])
+				if err != nil {
+					errOnce.Do(func() {
+						firstErr = fmt.Errorf("optimizer: batch query %d (index %d): %w", queries[i].ID, i, err)
+					})
+					stop.Store(true)
+					return
+				}
+				results[i] = *res
+			}
+		}()
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	return results, nil
 }
 
-// freezeForBatch returns the one snapshot every pool of a batch reads,
+// freezeForBatch returns the one snapshot every worker of a batch reads,
 // with its k-NN index built up front only if the batch's mapper reads
 // points from the snapshot, so the workers share one immutable index
 // lock-free. The live env is left as it was.
@@ -87,53 +117,6 @@ func freezeForBatch(env *Env) *Env {
 		snap.CostIndex()
 	}
 	return snap
-}
-
-// batchPools is what the worker pools of one batch share: the frozen
-// snapshot, the queries, the result slots, and the first error, which
-// stops every pool.
-type batchPools struct {
-	snap    *Env
-	queries []query.Query
-	results []Result
-	label   string // names the entry point in error text
-
-	stop     atomic.Bool
-	errOnce  sync.Once
-	firstErr error
-}
-
-// run optimizes n queries — those at idxs, or all of them in order when
-// idxs is nil — on the batch's snapshot with up to workers goroutines
-// and returns when they are done.
-func (b *batchPools) run(idxs []int, n, workers int, cache *PlanCache) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(workers, n); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			opt := NewIntegrated(b.snap)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || b.stop.Load() {
-					return
-				}
-				if idxs != nil {
-					i = idxs[i]
-				}
-				res, err := optimizeOne(b.snap, opt, cache, b.queries[i])
-				if err != nil {
-					err = fmt.Errorf("optimizer: %s query %d (index %d): %w", b.label, b.queries[i].ID, i, err)
-					b.errOnce.Do(func() { b.firstErr = err })
-					b.stop.Store(true)
-					return
-				}
-				b.results[i] = *res
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // optimizeOne answers one batch query: from the plan cache when the key
@@ -158,17 +141,15 @@ func optimizeOne(snap *Env, opt *Integrated, cache *PlanCache, q query.Query) (*
 
 // placeCachedPlan skips enumeration and runs only the placement pipeline
 // for a plan that previously won the full optimization of an equivalent
-// query under the same environment epoch. The plan is still re-rated
-// against current statistics and re-placed against the snapshot, so the
-// circuit always reflects the state the batch was frozen over. It runs
-// on the calling worker's optimizer so the builder's scratch problem
-// graph is reused across the whole batch.
+// query under the same environment epoch. The plan is the cache's,
+// rated and signed when it left the optimizer and read-only since, so
+// the circuit shares it and it is not re-rated: a statistics change
+// bumps the epoch, which flushes the cache. The circuit is placed
+// against the snapshot, so it always reflects the state the batch was
+// frozen over. It runs on the calling worker's optimizer so the
+// builder's scratch problem graph is reused across the whole batch.
 func placeCachedPlan(opt *Integrated, q query.Query, p *query.PlanNode) (*Result, error) {
-	env := opt.Env
 	_, placer, mapper, model := opt.components()
-	if err := p.ComputeRates(env.Stats); err != nil {
-		return nil, err
-	}
 	circuit, stats, err := buildPlaceMap(opt.builder(), q, p, placer, mapper)
 	if err != nil {
 		return nil, err

@@ -265,7 +265,11 @@ func TestPlanCacheEpochFlush(t *testing.T) {
 	}
 }
 
-func TestPlanCacheCloneSemantics(t *testing.T) {
+// TestPlanCacheSharingSemantics pins the cache's sharing contract: Put
+// stores the caller's plan without copying it, a lookup returns that
+// pointer, and a batch hit places its circuit over it, so every circuit
+// answered from one entry shares one tree that nobody writes.
+func TestPlanCacheSharingSemantics(t *testing.T) {
 	env, q := testSetup(t, 13, false)
 	res, err := NewIntegrated(env).Optimize(q)
 	if err != nil {
@@ -277,20 +281,26 @@ func TestPlanCacheCloneSemantics(t *testing.T) {
 		t.Fatal("empty cache returned a plan")
 	}
 	pc.Put(k, res.Circuit.Plan)
-	got := pc.Get(k)
-	if got == nil {
-		t.Fatal("cache miss after Put")
-	}
-	if got == res.Circuit.Plan {
-		t.Fatal("cache returned the caller's plan pointer, not a clone")
-	}
-	got.OutRate = -1 // mutating the returned clone must not poison the cache
-	if again := pc.Get(k); again.OutRate == -1 {
-		t.Fatal("mutation of a returned plan leaked into the cache")
+	if got := pc.Get(k); got != res.Circuit.Plan {
+		t.Fatalf("lookup returned %p, not the stored plan %p", got, res.Circuit.Plan)
 	}
 	hits, misses := pc.Stats()
-	if hits != 2 || misses != 1 {
-		t.Fatalf("stats = %d hits / %d misses, want 2/1", hits, misses)
+	if hits != 1 || misses != 1 {
+		t.Fatalf("stats = %d hits / %d misses, want 1/1", hits, misses)
+	}
+
+	snap := env.Freeze()
+	opt, cache := NewIntegrated(snap), NewPlanCache()
+	cold, err := optimizeOne(snap, opt, cache, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := optimizeOne(snap, opt, cache, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.FromCache || warm.Circuit.Plan != cold.Circuit.Plan {
+		t.Fatalf("a hit's circuit does not share the stored plan (from cache %v)", warm.FromCache)
 	}
 }
 

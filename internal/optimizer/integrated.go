@@ -11,6 +11,9 @@ import (
 
 // Result is the outcome of optimizing one query.
 type Result struct {
+	// Circuit is the placed query. From a batch with a plan cache, its
+	// Plan may be shared with the cache and other results, so it is
+	// read-only: copy it (Clone, ShallowClone) before changing it.
 	Circuit *Circuit
 	// PlansConsidered is the number of candidate logical plans examined.
 	PlansConsidered int

@@ -247,16 +247,19 @@ func gridCellKey(p costspace.Point) uint64 {
 // futures — the cache records the plan that actually won a full
 // integrated optimization, keyed by PlanCacheKey, and answers later
 // lookups for the same (consumer, stream set, network-conditions cell)
-// with that plan so only placement has to be re-run.
+// with that plan so only placement has to be re-run. Stored plans are
+// shared with the circuits placed over them and are never written:
+// a plan is rated and signed once, when it leaves the optimizer.
 //
 // The cache is pinned to one environment's mutation epoch: a lookup
 // flushes every entry when the snapshot's Epoch differs from the one the
 // entries were populated under. A plan enumerated under superseded
-// conditions (any load change, deploy, or re-embedding bumps the epoch)
-// is therefore never served — which keeps batch results identical to
-// what sequential Optimize would produce on the current state — and the
-// cache's size stays bounded by the distinct keys of the current epoch
-// instead of accumulating dead cells forever. Use one cache per Env.
+// conditions (any load change, deploy, re-embedding or statistics
+// change bumps the epoch) is therefore never served — which keeps batch
+// results identical to what sequential Optimize would produce on the
+// current state — and the cache's size stays bounded by the distinct
+// keys of the current epoch instead of accumulating dead cells forever.
+// Use one cache per Env.
 //
 // All methods are safe for concurrent use; OptimizeBatch workers share
 // one cache.
@@ -300,11 +303,11 @@ func (pc *PlanCache) syncEpoch(epoch uint64) {
 	pc.mu.Unlock()
 }
 
-// get returns a private clone of the cached plan for the key, or nil on a
-// miss. Lookups take only the read lock (counters are atomic) and the
-// clone is taken outside it (stored plans are immutable once Put), so
-// concurrent hits neither serialize on the map nor on tree copying. The
-// key's string conversion inside the index expression does not allocate.
+// get returns the cached plan for the key, or nil on a miss. The plan is
+// shared, not copied: it is read-only once it leaves the optimizer, so
+// concurrent hits place circuits over one tree. Lookups take only the
+// read lock (counters are atomic), and the key's string conversion
+// inside the index expression does not allocate.
 func (pc *PlanCache) get(k *planKey) *query.PlanNode {
 	pc.mu.RLock()
 	p, ok := pc.plans[PlanCacheKey{Consumer: k.consumer, Streams: string(k.streams), Cell: k.cell}]
@@ -314,19 +317,21 @@ func (pc *PlanCache) get(k *planKey) *query.PlanNode {
 		return nil
 	}
 	pc.hits.Add(1)
-	return p.Clone()
+	return p
 }
 
-// Put stores a clone of the winning plan under the key. Existing entries
-// are overwritten (last winner wins; entries for the same key are
-// equivalent by construction).
+// Put stores the winning plan under the key without copying it: the
+// caller's circuit and every later hit share the tree, which nobody may
+// write (writers copy first, with Clone or ShallowClone). Existing
+// entries are overwritten (last winner wins; entries for the same key
+// are equivalent by construction).
 func (pc *PlanCache) Put(k PlanCacheKey, p *query.PlanNode) {
 	if p == nil {
 		return
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	pc.plans[k] = p.Clone()
+	pc.plans[k] = p
 }
 
 // Len returns the number of cached plans.

@@ -3,8 +3,6 @@ package optimizer
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"github.com/hourglass/sbon/internal/costspace"
 	"github.com/hourglass/sbon/internal/hilbert"
@@ -14,53 +12,44 @@ import (
 
 // ShardedBatchOptions configures OptimizeBatchSharded.
 type ShardedBatchOptions struct {
-	// Shards is the number of cost-space regions (rounded down to a
-	// power of two; default 8). Each region gets its own plan cache and
-	// worker pool; every pool reads the batch's one frozen snapshot.
+	// Shards is the number of cost-space regions the batch's routing is
+	// counted over (rounded down to a power of two; default 8).
 	Shards int
-	// WorkersPerShard is the worker-pool size per active shard (default:
-	// GOMAXPROCS divided across the pools that have work, min 1).
+	// WorkersPerShard is read by nothing: the batch runs on
+	// OptimizeBatch's one GOMAXPROCS pool. bench/, frozen until the
+	// ROADMAP's "Benchmark v2" direction, sets it.
 	WorkersPerShard int
-	// Caches carries per-shard plan caches across batches (see
-	// NewShardedPlanCache). Nil means private caches for this batch; a
-	// value with the wrong shard count is replaced by a private set.
+	// Caches carries the plan cache across batches (see
+	// NewShardedPlanCache). Nil means a private cache for this batch.
 	Caches *ShardedPlanCache
 	// NoCache disables plan caching entirely.
 	NoCache bool
 }
 
-// ShardStats reports how a sharded batch was routed.
+// ShardStats reports how a sharded batch's queries fall into regions.
 type ShardStats struct {
 	// Shards is the effective region count (after power-of-two rounding).
 	Shards int
 	// Routed[r] counts queries whose whole footprint (consumer plus
-	// every source-stream producer) fell inside region r.
+	// every source-stream producer) lies inside region r.
 	Routed []int
-	// Fallback counts cross-region queries handled by the global pool.
+	// Fallback counts the queries whose footprint spans regions. They
+	// run on the same pool and cache as every other query.
 	Fallback int
 }
 
-// ShardedPlanCache is a set of per-region plan caches plus one for the
-// cross-region fallback pool, reusable across batches the way a single
-// PlanCache is for OptimizeBatch. Each cache is epoch-flushed
-// independently against the snapshot it serves.
-type ShardedPlanCache struct {
-	shards []*PlanCache
-	global *PlanCache
-}
+// ShardedPlanCache carries OptimizeBatchSharded's plan cache across
+// batches, the way a PlanCache does for OptimizeBatch. It wraps one
+// PlanCache: a key names its consumer and its stream set, so it also
+// names the query's region, and one cache is as exact as one per
+// region (TestOptimizeBatchShardedMatchesGlobal).
+type ShardedPlanCache struct{ cache *PlanCache }
 
-// NewShardedPlanCache builds caches for k regions (k as passed to
-// ShardedBatchOptions.Shards, after its power-of-two rounding).
-func NewShardedPlanCache(k int) *ShardedPlanCache {
-	c := &ShardedPlanCache{shards: make([]*PlanCache, k), global: NewPlanCache()}
-	for i := range c.shards {
-		c.shards[i] = NewPlanCache()
-	}
-	return c
+// NewShardedPlanCache returns an empty cache, usable with any region
+// count.
+func NewShardedPlanCache(int) *ShardedPlanCache {
+	return &ShardedPlanCache{cache: NewPlanCache()}
 }
-
-// Shards returns the region count the cache set was built for.
-func (c *ShardedPlanCache) Shards() int { return len(c.shards) }
 
 // RoundShards rounds k down to a power of two (default 8 for k <= 0) so
 // region extraction is a bit shift off the Hilbert key — the effective
@@ -119,19 +108,12 @@ func nodeRegions(env *Env, k int) ([]int32, error) {
 	return regions, nil
 }
 
-// OptimizeBatchSharded is OptimizeBatch decomposed over cost-space
-// regions. The space is split into K Hilbert-prefix regions; each query
-// whose footprint — consumer and every source-stream producer — falls in
-// one region is routed to that region's shard, which owns a private
-// plan cache and worker pool; cross-region queries fall back to a global
-// pool with the same structure.
-//
-// The batch freezes the environment once and every pool reads that
-// immutable snapshot, so a query optimizes to the bit-identical Result
-// it would get from OptimizeBatch — regionality affects only which pool
-// and cache serve it, never the answer
-// (TestOptimizeBatchShardedMatchesGlobal). Results are returned in query
-// order; the first error aborts all pools.
+// OptimizeBatchSharded is OptimizeBatch plus a routing count. The space
+// is split into K Hilbert-prefix regions, and ShardStats counts the
+// queries whose footprint — consumer and every source-stream producer —
+// falls in one region, and those that span regions. The answers are
+// OptimizeBatch's, over one pool and one cache: regionality never
+// changes a result (TestOptimizeBatchShardedMatchesGlobal).
 //
 // The live Env must not be mutated while the batch runs, exactly as for
 // OptimizeBatch.
@@ -141,104 +123,42 @@ func OptimizeBatchSharded(env *Env, queries []query.Query, opts ShardedBatchOpti
 	}
 	k := RoundShards(opts.Shards)
 	stats := &ShardStats{Shards: k, Routed: make([]int, k)}
-	results := make([]Result, len(queries))
-	if len(queries) == 0 {
-		return results, stats, nil
-	}
-
 	regions, err := nodeRegions(env, k)
 	if err != nil {
 		return nil, nil, err
 	}
-	regionOf := func(n topology.NodeID) (int32, bool) {
-		if int(n) < 0 || int(n) >= len(regions) {
-			return 0, false
-		}
-		return regions[n], true
-	}
-
-	// Partition the batch: home-shard index lists plus the fallback list.
-	home := make([][]int, k)
-	var fallback []int
 	for i := range queries {
-		q := &queries[i]
-		r, ok := regionOf(q.Consumer)
-		for _, sid := range q.Streams {
-			if !ok {
-				break
-			}
-			p, known := env.Stats.Producer(sid)
-			if !known {
-				ok = false
-				break
-			}
-			pr, prOK := regionOf(p)
-			if !prOK || pr != r {
-				ok = false
-			}
-		}
-		if ok {
-			home[r] = append(home[r], i)
+		if r, ok := regionOf(env, regions, &queries[i]); ok {
 			stats.Routed[r]++
 		} else {
-			fallback = append(fallback, i)
 			stats.Fallback++
 		}
 	}
-
-	caches := opts.Caches
-	if opts.NoCache {
-		caches = nil
-	} else if caches == nil || caches.Shards() != k {
-		caches = NewShardedPlanCache(k)
+	bopts := BatchOptions{NoCache: opts.NoCache}
+	if opts.Caches != nil {
+		bopts.Cache = opts.Caches.cache
 	}
-
-	pools := 0
-	for _, idxs := range home {
-		if len(idxs) > 0 {
-			pools++
-		}
-	}
-	if len(fallback) > 0 {
-		pools++
-	}
-	workers := opts.WorkersPerShard
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) / pools
-		if workers < 1 {
-			workers = 1
-		}
-	}
-
-	b := &batchPools{snap: freezeForBatch(env), queries: queries, results: results, label: "sharded batch"}
-	var wg sync.WaitGroup
-	runPool := func(idxs []int, cache *PlanCache) {
-		defer wg.Done()
-		b.run(idxs, len(idxs), workers, cache)
-	}
-
-	for r := 0; r < k; r++ {
-		if len(home[r]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		var cache *PlanCache
-		if caches != nil {
-			cache = caches.shards[r]
-		}
-		go runPool(home[r], cache)
-	}
-	if len(fallback) > 0 {
-		wg.Add(1)
-		var cache *PlanCache
-		if caches != nil {
-			cache = caches.global
-		}
-		go runPool(fallback, cache)
-	}
-	wg.Wait()
-	if b.firstErr != nil {
-		return nil, nil, b.firstErr
+	results, err := OptimizeBatch(env, queries, bopts)
+	if err != nil {
+		return nil, nil, err
 	}
 	return results, stats, nil
+}
+
+// regionOf returns the region that holds q's consumer and the producer
+// of every stream it reads, or false when they span regions or name a
+// node or stream the environment does not know.
+func regionOf(env *Env, regions []int32, q *query.Query) (int32, bool) {
+	in := func(n topology.NodeID) bool { return int(n) >= 0 && int(n) < len(regions) }
+	if !in(q.Consumer) {
+		return 0, false
+	}
+	r := regions[q.Consumer]
+	for _, sid := range q.Streams {
+		p, known := env.Stats.Producer(sid)
+		if !known || !in(p) || regions[p] != r {
+			return 0, false
+		}
+	}
+	return r, true
 }

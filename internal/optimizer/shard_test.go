@@ -10,9 +10,9 @@ import (
 // TestOptimizeBatchShardedMatchesGlobal is the shard-vs-global
 // equivalence guarantee: every query — region-local or fallback — must
 // produce the bit-identical placement and estimated usage it gets from
-// the single-pool OptimizeBatch, because every pool reads one full
-// freeze of the same environment. Runs with and without a DHT catalog,
-// with and without caches.
+// OptimizeBatch, because the sharded batch only counts routing and then
+// runs OptimizeBatch over one freeze of the same environment. Runs with
+// and without a DHT catalog, with and without caches.
 func TestOptimizeBatchShardedMatchesGlobal(t *testing.T) {
 	for _, useDHT := range []bool{true, false} {
 		for _, noCache := range []bool{false, true} {
@@ -48,8 +48,7 @@ func TestOptimizeBatchShardedMatchesGlobal(t *testing.T) {
 
 // TestOptimizeBatchShardedDeterministic re-runs the same sharded batch
 // (fresh caches each time) and demands identical results and routing —
-// the shard-merge determinism property, exercised under -race in CI
-// since the pools run concurrently.
+// exercised under -race in CI since the workers run concurrently.
 func TestOptimizeBatchShardedDeterministic(t *testing.T) {
 	env, _ := testSetup(t, 11, true)
 	qs := batchQueries(env, 80)
@@ -76,7 +75,7 @@ func TestOptimizeBatchShardedDeterministic(t *testing.T) {
 }
 
 // TestShardedPlanCachePersists checks that a carried ShardedPlanCache
-// turns the second identical batch into cache hits, per shard.
+// turns the second identical batch into cache hits.
 func TestShardedPlanCachePersists(t *testing.T) {
 	env, _ := testSetup(t, 7, true)
 	qs := batchQueries(env, 40)
@@ -110,15 +109,22 @@ func TestShardedPlanCachePersists(t *testing.T) {
 func TestBatchBuildsTheIndexOnlyForTheOracle(t *testing.T) {
 	env, _ := testSetup(t, 7, true)
 	qs := batchQueries(env, 40)
-	b := &batchPools{snap: freezeForBatch(env), queries: qs, results: make([]Result, len(qs)), label: "test"}
-	b.run(nil, len(qs), 4, NewPlanCache())
-	if b.firstErr != nil {
-		t.Fatal(b.firstErr)
+	// The workers' own snapshot, read the way OptimizeBatch's workers
+	// read it, so a worker that built the index lazily would show here.
+	snap := freezeForBatch(env)
+	opt, cache := NewIntegrated(snap), NewPlanCache()
+	for _, q := range qs {
+		if _, err := optimizeOne(snap, opt, cache, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := OptimizeBatch(env, qs, BatchOptions{Workers: 4}); err != nil {
+		t.Fatal(err)
 	}
 	if _, _, err := OptimizeBatchSharded(env, qs, ShardedBatchOptions{Shards: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if b.snap.idx.Load() != nil || env.idx.Load() != nil {
+	if snap.idx.Load() != nil || env.idx.Load() != nil {
 		t.Fatal("a DHT-mapped batch built a k-NN index nothing reads")
 	}
 

@@ -99,12 +99,11 @@ func TestPlansLeaveSigned(t *testing.T) {
 
 // regionFixture builds a 108-node DHT environment whose nodes, with
 // background load spread over the load axis, fill all 16 regions of a
-// 16-way split, and queries that keep every pool of a sharded batch
-// busy: in each region two 2-stream queries (one filtered, one
+// 16-way split, and queries whose routing covers every region of a
+// sharded batch: in each region two 2-stream queries (one filtered, one
 // aggregated) whose consumer and producers all lie in the region, plus
-// cross-region 3- and 4-stream queries for the fallback pool. Every
-// query appears three times, so workers of one pool hit a cache entry
-// together.
+// cross-region 3- and 4-stream queries that fall back. Every query
+// appears three times, so workers hit a cache entry together.
 func regionFixture(t *testing.T) (*Env, []query.Query) {
 	t.Helper()
 	topo := topology.MustGenerate(topology.Config{
@@ -164,34 +163,35 @@ func regionFixture(t *testing.T) (*Env, []query.Query) {
 	return env, qs
 }
 
-// TestShardedBatchSharesOnlySignedPlans runs a sharded batch twice over
-// one set of caches on 17 pools — 16 regions and the fallback — with two
-// workers each, the second batch answered entirely from the warm cache.
-// Under -race (CI runs it so) a signature written lazily into a plan
-// the cache or another worker can reach is a data race; without it, the
-// warm answers must equal the cold ones and every plan must be signed.
+// TestShardedBatchSharesOnlySignedPlans runs a sharded batch over a
+// carried cache, its queries spread over all 16 regions and the
+// fallback, then answers it again from the warm cache on eight workers
+// that place circuits over the same shared trees at once. Under -race
+// (CI runs it so) a signature or rate written lazily into a plan the
+// cache or another worker can reach is a data race; without it, the warm
+// answers must equal the cold ones and every plan must be signed.
 func TestShardedBatchSharesOnlySignedPlans(t *testing.T) {
 	env, qs := regionFixture(t)
-	opts := ShardedBatchOptions{Shards: 16, WorkersPerShard: 2, Caches: NewShardedPlanCache(16)}
+	opts := ShardedBatchOptions{Shards: 16, Caches: NewShardedPlanCache(16)}
 	cold, stats, err := OptimizeBatchSharded(env, qs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r, n := range stats.Routed {
 		if n == 0 {
-			t.Fatalf("fixture: no query routed to region %d, so fewer than 17 pools ran (%+v)", r, stats)
+			t.Fatalf("fixture: no query routed to region %d (%+v)", r, stats)
 		}
 	}
 	if stats.Fallback == 0 {
-		t.Fatalf("fixture: no query fell back, so the fallback pool did not run (%+v)", stats)
+		t.Fatalf("fixture: no query spans regions (%+v)", stats)
 	}
-	warm, _, err := OptimizeBatchSharded(env, qs, opts)
+	warm, err := OptimizeBatch(env, qs, BatchOptions{Workers: 8, Cache: opts.Caches.cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range qs {
 		requireSignedCircuit(t, "cold sharded batch", cold[i].Circuit)
-		requireSignedCircuit(t, "warm sharded batch", warm[i].Circuit)
+		requireSignedCircuit(t, "warm batch", warm[i].Circuit)
 		if !warm[i].FromCache {
 			t.Fatalf("query %d missed the warm cache", qs[i].ID)
 		}

@@ -90,10 +90,6 @@ type (
 	Measurement = stream.Measurement
 	// BatchOptions configures OptimizeBatch.
 	BatchOptions = optimizer.BatchOptions
-	// ShardedBatchOptions configures OptimizeBatchSharded.
-	ShardedBatchOptions = optimizer.ShardedBatchOptions
-	// ShardStats reports how a sharded batch was routed.
-	ShardStats = optimizer.ShardStats
 	// PlanCache memoizes winning logical plans across optimizations.
 	PlanCache = optimizer.PlanCache
 	// MigrationPlan is a typed re-optimization sweep output: the service
@@ -158,8 +154,8 @@ type Options struct {
 	Trace bool
 	// DataShards executes the data plane on that many parallel
 	// per-shard event queues (rounded down to a power of two), with
-	// nodes assigned to shards by the same Hilbert-prefix cost-space
-	// regions OptimizeBatchSharded routes by. Every artifact —
+	// nodes assigned to shards by their Hilbert-prefix cost-space
+	// region (optimizer.NodeRegions). Every artifact —
 	// measurements, traces, placements — is defined to be bit-identical
 	// to the single-queue run; only wall time changes. <= 1 (the
 	// default) keeps the single event queue.
@@ -178,10 +174,6 @@ type System struct {
 	// StartEngine.
 	w         *scenario.World
 	planCache *optimizer.PlanCache
-	// shardCaches is the persistent per-region cache set behind
-	// OptimizeBatchSharded, allocated on first use and re-allocated when
-	// the requested shard count changes.
-	shardCaches *optimizer.ShardedPlanCache
 	// tracer is Options.Trace's tracer once the engine has started.
 	tracer *trace.Tracer
 
@@ -275,29 +267,15 @@ func (s *System) Optimize(q Query) (*Result, error) {
 // Adapt, AddStream, SetJoinSelectivity) bumps the environment's
 // epoch and flushes the cache, so stale plans are never served. The
 // System must not be mutated while a batch is running.
+//
+// A result's Circuit.Plan may be the tree the plan cache stores, shared
+// with later hits and other results: it must not be written. A caller
+// that needs to change it copies it first (Plan.Clone or ShallowClone).
 func (s *System) OptimizeBatch(queries []Query, opts BatchOptions) ([]Result, error) {
 	if opts.Cache == nil && !opts.NoCache {
 		opts.Cache = s.planCache
 	}
 	return optimizer.OptimizeBatch(s.Env, queries, opts)
-}
-
-// OptimizeBatchSharded optimizes many queries over per-region shards:
-// the cost space is split into Hilbert-prefix regions, each with its own
-// plan cache and worker pool, all reading one frozen snapshot; queries
-// whose footprint spans regions run on a global fallback pool. Results
-// are bit-identical to OptimizeBatch. Unless opts.Caches (or NoCache)
-// is set, the System keeps one persistent sharded cache set per shard
-// count, so repeated batches hit warm caches like OptimizeBatch does.
-func (s *System) OptimizeBatchSharded(queries []Query, opts ShardedBatchOptions) ([]Result, *ShardStats, error) {
-	if opts.Caches == nil && !opts.NoCache {
-		k := optimizer.RoundShards(opts.Shards)
-		if s.shardCaches == nil || s.shardCaches.Shards() != k {
-			s.shardCaches = optimizer.NewShardedPlanCache(k)
-		}
-		opts.Caches = s.shardCaches
-	}
-	return optimizer.OptimizeBatchSharded(s.Env, queries, opts)
 }
 
 // PlanCacheStats returns the cumulative hit/miss counts and current size

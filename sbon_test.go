@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
+	"github.com/hourglass/sbon/internal/optimizer"
+	"github.com/hourglass/sbon/internal/query"
 	"github.com/hourglass/sbon/internal/topology"
 	"github.com/hourglass/sbon/internal/trace"
 )
@@ -392,6 +395,85 @@ func TestFacadeOptimizeBatch(t *testing.T) {
 	if hits == 0 || entries == 0 {
 		t.Fatalf("persistent plan cache unused: hits=%d entries=%d", hits, entries)
 	}
+}
+
+// TestBatchCachedPlansStayUnwritten pins what sharing cached plans
+// rests on: once a plan leaves the optimizer nothing writes it. A batch
+// fills the System's plan cache and a warm batch answers from it, so
+// its circuits share the stored trees; deploying those circuits, two
+// adaptation rounds, a rewrite sweep, a plan-bank compile and another
+// batch must leave every tree equal to the copy taken before them, and
+// re-rating any of them must change no bit.
+func TestBatchCachedPlansStayUnwritten(t *testing.T) {
+	sys := newSystem(t, 12)
+	sets := [][]StreamID{{0, 1}, {1, 0}, {1, 2}, {0, 1, 2}, {2, 3, 0}, {0, 1, 2, 3}}
+	var qs []Query
+	for i := 0; i < 24; i++ {
+		qs = append(qs, Query{
+			ID:       QueryID(i + 1),
+			Consumer: sys.StubNodes()[(i*3)%8],
+			Streams:  sets[i%len(sets)],
+		})
+	}
+	cold, err := sys.OptimizeBatch(qs, BatchOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	copies := make(map[*query.PlanNode]*query.PlanNode)
+	for _, r := range cold {
+		copies[r.Circuit.Plan] = r.Circuit.Plan.Clone()
+	}
+	requireUnwritten := func(stage string) {
+		t.Helper()
+		for p, c := range copies {
+			if !reflect.DeepEqual(p, c) {
+				t.Fatalf("%s wrote a shared plan: %s", stage, p.Signature())
+			}
+			rerated := p.Clone()
+			if err := rerated.ComputeRates(sys.Stats); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rerated, p) {
+				t.Fatalf("after %s re-rating plan %s changed it", stage, p.Signature())
+			}
+		}
+	}
+	requireUnwritten("the cold batch")
+
+	warm, err := sys.OptimizeBatch(qs, BatchOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range warm {
+		if _, shared := copies[r.Circuit.Plan]; !r.FromCache || !shared {
+			t.Fatalf("query %d: warm answer from cache %v, shares a stored plan %v", qs[i].ID, r.FromCache, shared)
+		}
+		if err := sys.Deploy(r.Circuit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireUnwritten("the warm batch and deploy")
+
+	for i, n := range sys.StubNodes()[:8] {
+		sys.SetBackgroundLoad(n, 0.1*float64(i))
+	}
+	rounds, err := sys.Adapt(AdaptOptions{Sweeps: 2, Threshold: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rounds[0].Migrated == 0 {
+		t.Fatalf("fixture: the first round migrated nothing (%+v)", rounds)
+	}
+	if st, err := sys.Rewrite(); err != nil || st.VariantsCosted == 0 {
+		t.Fatalf("fixture: the rewrite sweep costed no variant (%+v, %v)", st, err)
+	}
+	if _, err := optimizer.NewPlanBank(sys.Env).Compile(qs[5], 4, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.OptimizeBatch(qs, BatchOptions{Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	requireUnwritten("adaptation, rewriting, a plan bank and a second batch")
 }
 
 // Changing catalog statistics between batches must flush the plan
