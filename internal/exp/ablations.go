@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/hourglass/sbon/internal/costindex"
 	"github.com/hourglass/sbon/internal/costspace"
 	"github.com/hourglass/sbon/internal/dht"
 	"github.com/hourglass/sbon/internal/hilbert"
@@ -199,7 +200,7 @@ func x3ForDims(topo *topology.Topology, dims int, seed int64, targets int) (*his
 		}
 		_ = on
 		if ostats.Error > 1e-9 {
-			ratios.Observe(space.Distance(space.IdealPoint(target), env.Point(dn)) / ostats.Error)
+			ratios.Observe(space.Distance(space.IdealPoint(target), env.pts[dn]) / ostats.Error)
 		} else {
 			ratios.Observe(1)
 		}
@@ -518,21 +519,14 @@ func (h *histWrap) Quantile(q float64) float64 {
 type adhocSource struct {
 	space   *costspace.Space
 	pts     []costspace.Point
+	ix      *costindex.Index
 	catalog *dht.Catalog
 	bits    uint
 }
 
 func (a *adhocSource) Space() *costspace.Space { return a.space }
 
-func (a *adhocSource) NodeIDs() []topology.NodeID {
-	out := make([]topology.NodeID, len(a.pts))
-	for i := range out {
-		out[i] = topology.NodeID(i)
-	}
-	return out
-}
-
-func (a *adhocSource) Point(n topology.NodeID) costspace.Point { return a.pts[n] }
+func (a *adhocSource) CostIndex() *costindex.Index { return a.ix }
 
 // spaceBuilder constructs a d-vector + squared-load cost space.
 type spaceBuilder struct {
@@ -556,6 +550,7 @@ func newAdhocCatalog(topo *topology.Topology, space *costspace.Space, coords []v
 	for i := 0; i < n; i++ {
 		a.pts[i] = space.NewPoint(coords[i], []float64{rng.Float64() * 0.4})
 	}
+	a.ix = costindex.Build(space, a.pts, 0)
 	bits := uint(64 / space.Dims())
 	if bits > 16 {
 		bits = 16

@@ -34,13 +34,13 @@ type BatchOptions struct {
 // locking on the read path, and the live Env remains free to mutate
 // afterwards without invalidating anything the batch computed.
 //
-// Queries whose (consumer, canonical stream set, cost-space Hilbert cell)
-// key hits the plan cache skip plan enumeration: the previously winning
-// logical plan is re-placed under the snapshot's conditions, which yields
-// a circuit identical to the full optimization whenever the key matches
-// exactly (the full path is deterministic for a fixed snapshot). Cache
-// hits report PlansConsidered == 1 and FromCache == true; their Circuit
-// and EstimatedUsage match the sequential Optimize result.
+// Queries whose (consumer, canonical stream set) key hits the plan cache
+// skip plan enumeration: the previously winning logical plan is re-placed
+// under the snapshot's conditions, which yields a circuit identical to
+// the full optimization whenever the key matches exactly (the full path
+// is deterministic for a fixed snapshot). Cache hits report
+// PlansConsidered == 1 and FromCache == true; their Circuit and
+// EstimatedUsage match the sequential Optimize result.
 //
 // Results are returned in query order. The first optimization error
 // aborts the batch and is returned; remaining work is skipped.

@@ -201,14 +201,32 @@ func TestPlanCacheKeyCanonicalization(t *testing.T) {
 		t.Fatal("consumer did not change the cache key")
 	}
 
-	// Moving the consumer's point to another Hilbert cell must change
-	// the key: load is a cost-space dimension, so a large load delta
-	// relocates the cell.
-	before := pc.KeyFor(env.Snapshot, b)
-	env.SetBackgroundLoad(stubs[0], 0.95)
-	if after := pc.KeyFor(env.Snapshot, b); after == before {
-		t.Fatal("large consumer load change did not change the cache cell")
+	// Within one epoch the key is a pure function of the query: the live
+	// env and its frozen view agree, a batch filling the cache moves
+	// nothing, and the query's ID is not part of it.
+	frozen := env.Freeze()
+	renamed := b
+	renamed.ID = 99
+	want := pc.KeyFor(env.Snapshot, b)
+	check := func(when string) {
+		t.Helper()
+		for _, s := range []*Snapshot{env.Snapshot, frozen.Snapshot} {
+			for _, q := range []query.Query{b, renamed} {
+				if got := pc.KeyFor(s, q); got != want {
+					t.Fatalf("%s: key of query %d = %+v, want %+v", when, q.ID, got, want)
+				}
+			}
+		}
 	}
+	check("before a batch")
+	epoch := env.Epoch()
+	if _, err := OptimizeBatch(env, []query.Query{b, renamed}, BatchOptions{Workers: 2, Cache: pc}); err != nil {
+		t.Fatal(err)
+	}
+	if env.Epoch() != epoch || pc.Get(want) == nil {
+		t.Fatalf("batch moved the epoch %d -> %d or stored nothing under the key", epoch, env.Epoch())
+	}
+	check("after a batch")
 }
 
 // Mutating the environment between batches must flush the plan cache:

@@ -20,7 +20,7 @@ func (pc *PlanCache) KeyFor(s *Snapshot, q query.Query) PlanCacheKey {
 
 // Get looks a materialised key up through the batch's lookup path.
 func (pc *PlanCache) Get(k PlanCacheKey) *query.PlanNode {
-	return pc.get(&planKey{consumer: k.Consumer, streams: []byte(k.Streams), cell: k.Cell})
+	return pc.get(&planKey{consumer: k.Consumer, streams: []byte(k.Streams)})
 }
 
 // canonicalStreamsFmt is the fmt-based encoder appendCanonicalStreams

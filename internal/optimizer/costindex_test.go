@@ -5,26 +5,42 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/hourglass/sbon/internal/costindex"
 	"github.com/hourglass/sbon/internal/costspace"
 	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/topology"
 	"github.com/hourglass/sbon/internal/vivaldi"
 )
 
-// hideIndex exposes a Snapshot as a plain NodeSource (no CostIndex
-// method), forcing the mappers' linear-scan fallback — the reference
-// path for identity checks.
-type hideIndex struct{ s *Snapshot }
+// freshSource is a NodeSource over an index built from scratch: the
+// reference a versioned, patched or privately rebuilt index must agree
+// with (costindex's own fuzz target holds a fresh build to brute force).
+type freshSource struct {
+	space *costspace.Space
+	ix    *costindex.Index
+}
 
-func (h hideIndex) Space() *costspace.Space                 { return h.s.Space() }
-func (h hideIndex) NodeIDs() []topology.NodeID              { return h.s.NodeIDs() }
-func (h hideIndex) Point(n topology.NodeID) costspace.Point { return h.s.Point(n) }
+func (f freshSource) Space() *costspace.Space     { return f.space }
+func (f freshSource) CostIndex() *costindex.Index { return f.ix }
+
+// freshIndex builds a freshSource over the current points of src's n
+// nodes.
+func freshIndex(src interface {
+	Space() *costspace.Space
+	Point(topology.NodeID) costspace.Point
+}, n int) freshSource {
+	pts := make([]costspace.Point, n)
+	for i := range pts {
+		pts[i] = src.Point(topology.NodeID(i))
+	}
+	return freshSource{space: src.Space(), ix: costindex.Build(src.Space(), pts, 0)}
+}
 
 // TestSnapshotIndexMatchesLinearScanAcrossMutations drives load churn
 // against a live environment and checks after every mutation that
-// index-backed mapping equals the linear scan — i.e. the epoch
-// versioning (rebuilds and single-point patches) never serves stale
-// coordinates.
+// index-backed mapping equals mapping over a freshly built index — i.e.
+// the epoch versioning (rebuilds and single-point patches) never serves
+// stale coordinates.
 func TestSnapshotIndexMatchesLinearScanAcrossMutations(t *testing.T) {
 	env, _ := testSetup(t, 17, false)
 	rng := rand.New(rand.NewSource(23))
@@ -32,17 +48,17 @@ func TestSnapshotIndexMatchesLinearScanAcrossMutations(t *testing.T) {
 
 	checkIdentity := func(when string) {
 		t.Helper()
-		linear := placement.OracleMapper{Source: hideIndex{env.Snapshot}}
+		fresh := placement.OracleMapper{Source: freshIndex(env.Snapshot, n)}
 		indexed := placement.OracleMapper{Source: env.Snapshot}
 		for q := 0; q < 5; q++ {
 			vec := vivaldi.Coord{rng.NormFloat64() * 60, rng.NormFloat64() * 60}
-			wn, ws, werr := linear.MapCoord(0, vec, nil)
+			wn, ws, werr := fresh.MapCoord(0, vec, nil)
 			gn, gs, gerr := indexed.MapCoord(0, vec, nil)
 			if werr != nil || gerr != nil {
 				t.Fatalf("%s: map errors %v / %v", when, werr, gerr)
 			}
 			if gn != wn || gs != ws {
-				t.Fatalf("%s: indexed map = node %d stats %+v, linear = node %d stats %+v",
+				t.Fatalf("%s: indexed map = node %d stats %+v, fresh index = node %d stats %+v",
 					when, gn, gs, wn, ws)
 			}
 		}

@@ -378,7 +378,7 @@ func (e *Env) mutable(op string) {
 // Space implements placement.NodeSource.
 func (s *Snapshot) Space() *costspace.Space { return s.space }
 
-// NodeIDs implements placement.NodeSource. The returned slice is built
+// NodeIDs returns every node id in ascending order. The slice is built
 // once at construction and shared by every snapshot; callers must not
 // mutate it.
 func (s *Snapshot) NodeIDs() []topology.NodeID { return s.nodeIDs }
@@ -391,7 +391,7 @@ func makeNodeIDs(n int) []topology.NodeID {
 	return out
 }
 
-// CostIndex implements placement.IndexedSource: it returns the exact
+// CostIndex implements placement.NodeSource: it returns the exact
 // k-NN index over the snapshot's node cost-space points, rebuilding (or
 // patching) lazily when the environment was mutated since the index was
 // built. On a frozen snapshot the epoch never moves, so the index is
@@ -430,7 +430,7 @@ func (s *Snapshot) patchIndex(n topology.NodeID) {
 	}
 }
 
-// Point implements placement.NodeSource.
+// Point returns the node's current full cost-space point.
 func (s *Snapshot) Point(n topology.NodeID) costspace.Point { return s.pts[n] }
 
 // Coord returns the node's current Vivaldi coordinate. The caller must
@@ -453,18 +453,6 @@ func (s *Snapshot) Config() EnvConfig { return s.cfg }
 // had its state changed (load accounting, background loads,
 // re-embedding) when this snapshot's view was taken.
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
-
-// CellKey returns the Hilbert-cell identifier of the node's current
-// cost-space point — the discretized "network conditions" bucket used to
-// key the plan cache. With a DHT catalog the key is the node's scaled
-// Hilbert key (identical coordinates and loads land in identical cells);
-// without one the point is quantized onto a fixed grid and hashed.
-func (s *Snapshot) CellKey(n topology.NodeID) uint64 {
-	if s.catalog != nil {
-		return uint64(s.catalog.KeyOf(s.pts[n]))
-	}
-	return gridCellKey(s.pts[n])
-}
 
 // Rand returns the environment's RNG (deterministic per seed).
 func (e *Env) Rand() *rand.Rand { return e.rng }

@@ -111,12 +111,12 @@ func TestSweepBuildsTheIndexOnlyForTheOracle(t *testing.T) {
 	if ix := late.CostIndex(); ix == live || ix.NumPatched() != 0 {
 		t.Fatal("a shadow read after a load shift did not rebuild privately")
 	}
-	scan := placement.OracleMapper{Source: struct{ placement.NodeSource }{late}}
+	fresh := placement.OracleMapper{Source: freshIndex(late, env.Topo.NumNodes())}
 	for _, n := range stubs {
 		got, gs, err := ro.sweepMapper(late).MapCoord(n, env.VecCoord(n), nil)
-		want, ws, err2 := scan.MapCoord(n, env.VecCoord(n), nil)
+		want, ws, err2 := fresh.MapCoord(n, env.VecCoord(n), nil)
 		if err != nil || err2 != nil || got != want || gs != ws {
-			t.Fatalf("node %d: indexed shadow maps to %d (%+v, %v), linear scan to %d (%+v, %v)",
+			t.Fatalf("node %d: indexed shadow maps to %d (%+v, %v), a fresh index to %d (%+v, %v)",
 				n, got, gs, err, want, ws, err2)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/hourglass/sbon/internal/costspace"
 	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/query"
 	"github.com/hourglass/sbon/internal/topology"
@@ -166,19 +165,14 @@ func (pb *PlanBank) Optimize(q query.Query) (*Result, error) {
 }
 
 // PlanCacheKey identifies one cached optimization outcome: the query's
-// consumer node, the canonical encoding of its stream set (including
+// consumer node and the canonical encoding of its stream set (including
 // per-stream filters and the aggregate fraction, which change the plan
-// space), and the Hilbert cell of the consumer's cost-space point at
-// optimization time. The cell ties the entry to the network conditions
-// it was computed under: within one environment epoch it is implied by
-// the consumer, but it makes entries from a different environment (or a
-// cache mistakenly shared across Envs) unable to collide with live
-// lookups, since a different topology or load state puts the same
-// consumer in a different cell.
+// space). Network conditions are not part of the key: the cache flushes
+// whenever the environment's epoch moves, so within one cache generation
+// two queries with equal keys are the same query up to their IDs.
 type PlanCacheKey struct {
 	Consumer topology.NodeID
 	Streams  string
-	Cell     uint64
 }
 
 // appendCanonicalStreams appends to dst the parts of a query that
@@ -214,42 +208,21 @@ func appendCanonicalStreams(dst []byte, q query.Query) []byte {
 type planKey struct {
 	consumer topology.NodeID
 	streams  []byte
-	cell     uint64
 }
 
 // key materialises the probe as a map key.
 func (k *planKey) key() PlanCacheKey {
-	return PlanCacheKey{Consumer: k.consumer, Streams: string(k.streams), Cell: k.cell}
-}
-
-// gridCellKey hashes a cost-space point quantized onto a fixed grid —
-// the cell key fallback for environments built without a DHT catalog
-// (no Hilbert curve or bounds exist there). Ordering along the curve is
-// irrelevant for a hash key; only the cell partition matters.
-func gridCellKey(p costspace.Point) uint64 {
-	// 4 coordinate units (≈4 ms) per cell: comparable to the resolution
-	// of the default 16-bit Hilbert grid over a wide-area latency range.
-	const cellSize = 4.0
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, c := range p {
-		cell := int64(math.Floor(c / cellSize))
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(uint64(cell) >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return h.Sum64()
+	return PlanCacheKey{Consumer: k.consumer, Streams: string(k.streams)}
 }
 
 // PlanCache memoizes winning logical plans across optimizations. Unlike
 // PlanBank — which speculatively precompiles plans for hypothetical
 // futures — the cache records the plan that actually won a full
 // integrated optimization, keyed by PlanCacheKey, and answers later
-// lookups for the same (consumer, stream set, network-conditions cell)
-// with that plan so only placement has to be re-run. Stored plans are
-// shared with the circuits placed over them and are never written:
-// a plan is rated and signed once, when it leaves the optimizer.
+// lookups for the same (consumer, stream set) with that plan so only
+// placement has to be re-run. Stored plans are shared with the circuits
+// placed over them and are never written: a plan is rated and signed
+// once, when it leaves the optimizer.
 //
 // The cache is pinned to one environment's mutation epoch: a lookup
 // flushes every entry when the snapshot's Epoch differs from the one the
@@ -258,8 +231,8 @@ func gridCellKey(p costspace.Point) uint64 {
 // change bumps the epoch) is therefore never served — which keeps batch
 // results identical to what sequential Optimize would produce on the
 // current state — and the cache's size stays bounded by the distinct
-// keys of the current epoch instead of accumulating dead cells forever.
-// Use one cache per Env.
+// keys of the current epoch. Use one cache per Env: the key does not name
+// the environment.
 //
 // All methods are safe for concurrent use; OptimizeBatch workers share
 // one cache.
@@ -277,12 +250,11 @@ func NewPlanCache() *PlanCache {
 	return &PlanCache{plans: make(map[PlanCacheKey]*query.PlanNode)}
 }
 
-// keyInto builds the query's key under the snapshot's current conditions
-// into k, flushing the cache first if the environment was mutated since
-// the entries were stored.
+// keyInto builds the query's key into k, flushing the cache first if the
+// environment was mutated since the entries were stored.
 func (pc *PlanCache) keyInto(k *planKey, s *Snapshot, q query.Query) {
 	pc.syncEpoch(s.epoch)
-	k.consumer, k.cell = q.Consumer, s.CellKey(q.Consumer)
+	k.consumer = q.Consumer
 	k.streams = appendCanonicalStreams(k.streams[:0], q)
 }
 
@@ -310,7 +282,7 @@ func (pc *PlanCache) syncEpoch(epoch uint64) {
 // inside the index expression does not allocate.
 func (pc *PlanCache) get(k *planKey) *query.PlanNode {
 	pc.mu.RLock()
-	p, ok := pc.plans[PlanCacheKey{Consumer: k.consumer, Streams: string(k.streams), Cell: k.cell}]
+	p, ok := pc.plans[PlanCacheKey{Consumer: k.consumer, Streams: string(k.streams)}]
 	pc.mu.RUnlock()
 	if !ok {
 		pc.miss.Add(1)

@@ -13,14 +13,14 @@ import (
 // live snapshot for untouched state; writes land in private overlay
 // maps that die with the shadow — there is nothing to roll back.
 //
-// The shadow implements placement.NodeSource and placement.IndexedSource,
-// so mappers cost candidates against the simulated state. It takes a
-// k-NN index only when a mapper first asks for one: the live env's
-// (shared, immutable) if no load has been shifted yet, and from then on
-// it patches that copy persistently per simulated load shift. After
-// shifts, or when the patch overlay's budget is exhausted, the shadow
-// materializes its full point set and rebuilds privately. A sweep that
-// maps through the DHT never reads an index and builds none.
+// The shadow implements placement.NodeSource, so mappers cost candidates
+// against the simulated state. It takes a k-NN index only when a mapper
+// first asks for one: the live env's (shared, immutable) if no load has
+// been shifted yet, and from then on it patches that copy persistently
+// per simulated load shift. After shifts, or when the patch overlay's
+// budget is exhausted, the shadow materializes its full point set and
+// rebuilds privately. A sweep that maps through the DHT never reads an
+// index and builds none.
 //
 // A ShadowEnv is single-goroutine scratch for one sweep. The live Env
 // must not be mutated while a shadow over it is in use.
@@ -46,11 +46,8 @@ func NewShadow(env *Env) *ShadowEnv {
 // Space implements placement.NodeSource.
 func (sh *ShadowEnv) Space() *costspace.Space { return sh.env.Space() }
 
-// NodeIDs implements placement.NodeSource.
-func (sh *ShadowEnv) NodeIDs() []topology.NodeID { return sh.env.NodeIDs() }
-
-// Point implements placement.NodeSource: the simulated point when the
-// node's load was shifted, the live point otherwise.
+// Point returns the node's simulated point when its load was shifted,
+// the live point otherwise.
 func (sh *ShadowEnv) Point(n topology.NodeID) costspace.Point {
 	if p, ok := sh.pts[n]; ok {
 		return p
@@ -111,7 +108,7 @@ func (sh *ShadowEnv) setLoad(n topology.NodeID, l float64) {
 	}
 }
 
-// CostIndex implements placement.IndexedSource over the simulated
+// CostIndex implements placement.NodeSource over the simulated
 // points. The index is exact: patched overlays and private rebuilds
 // return identical nearest-neighbor answers by the costindex contract.
 func (sh *ShadowEnv) CostIndex() *costindex.Index {

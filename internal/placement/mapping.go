@@ -11,24 +11,13 @@ import (
 )
 
 // NodeSource exposes the current cost-space coordinates of overlay nodes
-// to physical mappers. The optimizer environment implements it.
+// to physical mappers through an exact k-NN index. The optimizer's
+// environment, snapshots and planning shadows implement it.
 type NodeSource interface {
 	// Space returns the cost space the coordinates live in.
 	Space() *costspace.Space
-	// NodeIDs returns all candidate host nodes. The slice is shared:
-	// callers must not mutate it.
-	NodeIDs() []topology.NodeID
-	// Point returns the node's current full cost-space coordinate.
-	Point(topology.NodeID) costspace.Point
-}
-
-// IndexedSource is implemented by NodeSources that maintain an exact
-// cost-space k-NN index over their nodes (optimizer.Snapshot). Mappers
-// use the index instead of a linear scan when available; results are
-// identical by the costindex exactness contract.
-type IndexedSource interface {
-	NodeSource
-	// CostIndex returns the current index; node ids are index ids.
+	// CostIndex returns the current index over every candidate host;
+	// node ids are index ids.
 	CostIndex() *costindex.Index
 }
 
@@ -78,8 +67,8 @@ func excludeFunc(exclude map[topology.NodeID]bool) func(int32) bool {
 	return func(id int32) bool { return exclude[topology.NodeID(id)] }
 }
 
-// admissible counts the non-excluded candidates among n nodes — the
-// Candidates statistic a linear scan would report.
+// admissible counts the non-excluded candidates among n nodes: the
+// Candidates statistic.
 func admissible(n int, exclude map[topology.NodeID]bool) int {
 	out := n
 	for id, ex := range exclude {
@@ -92,9 +81,8 @@ func admissible(n int, exclude map[topology.NodeID]bool) int {
 
 // OracleMapper returns the node whose coordinate is nearest in
 // full-space distance — exact, centralised, and therefore the ground
-// truth mapping-error baseline. Indexed sources answer through their
-// k-NN index in O(log N); plain sources fall back to scanning every
-// node. Both paths return identical results.
+// truth mapping-error baseline. It answers through the source's k-NN
+// index in O(log N); a tie goes to the lowest node id.
 type OracleMapper struct {
 	Source NodeSource
 }
@@ -111,33 +99,12 @@ func (m OracleMapper) MapCoord(_ topology.NodeID, vec vivaldi.Coord, exclude map
 	var buf [idealDims]float64
 	target := space.AppendIdealPoint(buf[:0], vec)
 
-	if src, ok := m.Source.(IndexedSource); ok {
-		ix := src.CostIndex()
-		id, dist, found := ix.Nearest(target, excludeFunc(exclude))
-		if !found {
-			return 0, MapStats{}, fmt.Errorf("placement: no candidate nodes (all excluded)")
-		}
-		return topology.NodeID(id), MapStats{Candidates: admissible(ix.Len(), exclude), Error: dist}, nil
-	}
-
-	var best topology.NodeID
-	bestDist := 0.0
-	found := false
-	n := 0
-	for _, id := range m.Source.NodeIDs() {
-		if exclude[id] {
-			continue
-		}
-		n++
-		d := space.Distance(target, m.Source.Point(id))
-		if !found || d < bestDist {
-			best, bestDist, found = id, d, true
-		}
-	}
+	ix := m.Source.CostIndex()
+	id, dist, found := ix.Nearest(target, excludeFunc(exclude))
 	if !found {
 		return 0, MapStats{}, fmt.Errorf("placement: no candidate nodes (all excluded)")
 	}
-	return best, MapStats{Candidates: n, Error: bestDist}, nil
+	return topology.NodeID(id), MapStats{Candidates: admissible(ix.Len(), exclude), Error: dist}, nil
 }
 
 // DHTMapper is the paper's decentralized mapping: look up the ideal
@@ -210,35 +177,13 @@ func (m VectorOnlyMapper) MapCoord(_ topology.NodeID, vec vivaldi.Coord, exclude
 	var buf [idealDims]float64
 	target := space.AppendIdealPoint(buf[:0], vec)
 
-	if src, ok := m.Source.(IndexedSource); ok {
-		ix := src.CostIndex()
-		id, _, found := ix.NearestVector(target, excludeFunc(exclude))
-		if !found {
-			return 0, MapStats{}, fmt.Errorf("placement: no candidate nodes (all excluded)")
-		}
-		return topology.NodeID(id), MapStats{
-			Candidates: admissible(ix.Len(), exclude),
-			Error:      ix.Distance(id, target),
-		}, nil
-	}
-
-	var best topology.NodeID
-	bestDist := 0.0
-	found := false
-	n := 0
-	for _, id := range m.Source.NodeIDs() {
-		if exclude[id] {
-			continue
-		}
-		n++
-		d := space.VectorDistance(target, m.Source.Point(id))
-		if !found || d < bestDist {
-			best, bestDist, found = id, d, true
-		}
-	}
+	ix := m.Source.CostIndex()
+	id, _, found := ix.NearestVector(target, excludeFunc(exclude))
 	if !found {
 		return 0, MapStats{}, fmt.Errorf("placement: no candidate nodes (all excluded)")
 	}
-	fullErr := space.Distance(target, m.Source.Point(best))
-	return best, MapStats{Candidates: n, Error: fullErr}, nil
+	return topology.NodeID(id), MapStats{
+		Candidates: admissible(ix.Len(), exclude),
+		Error:      ix.Distance(id, target),
+	}, nil
 }

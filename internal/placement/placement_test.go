@@ -1,12 +1,14 @@
 package placement
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"github.com/hourglass/sbon/internal/costindex"
 	"github.com/hourglass/sbon/internal/costspace"
 	"github.com/hourglass/sbon/internal/dht"
 	"github.com/hourglass/sbon/internal/hilbert"
@@ -241,28 +243,62 @@ func TestPlacersRejectInvalidProblem(t *testing.T) {
 type fakeSource struct {
 	space  *costspace.Space
 	ids    []topology.NodeID
-	points map[topology.NodeID]costspace.Point
+	points []costspace.Point
+	ix     *costindex.Index
 }
 
-func (f *fakeSource) Space() *costspace.Space                 { return f.space }
-func (f *fakeSource) NodeIDs() []topology.NodeID              { return f.ids }
-func (f *fakeSource) Point(n topology.NodeID) costspace.Point { return f.points[n] }
+func (f *fakeSource) Space() *costspace.Space     { return f.space }
+func (f *fakeSource) CostIndex() *costindex.Index { return f.ix }
+
+// newFake returns a source whose node i holds pts[i]: node ids are index
+// ids.
+func newFake(space *costspace.Space, pts ...costspace.Point) *fakeSource {
+	f := &fakeSource{space: space, points: pts, ix: costindex.Build(space, pts, 0)}
+	for i := range pts {
+		f.ids = append(f.ids, topology.NodeID(i))
+	}
+	return f
+}
 
 func newFakeSource(n int, seed int64) *fakeSource {
 	rng := rand.New(rand.NewSource(seed))
-	f := &fakeSource{
-		space:  costspace.NewLatencyLoadSpace(100),
-		points: make(map[topology.NodeID]costspace.Point),
-	}
-	for i := 0; i < n; i++ {
-		id := topology.NodeID(i)
-		f.ids = append(f.ids, id)
-		f.points[id] = f.space.NewPoint(
+	space := costspace.NewLatencyLoadSpace(100)
+	pts := make([]costspace.Point, n)
+	for i := range pts {
+		pts[i] = space.NewPoint(
 			vivaldi.Coord{rng.Float64() * 200, rng.Float64() * 200},
 			[]float64{rng.Float64() * 0.5},
 		)
 	}
-	return f
+	return newFake(space, pts...)
+}
+
+// scanMap is the linear-scan reference the index-backed mappers are held
+// to: it visits every admissible node in id order and keeps the first
+// strictly nearer one, so the lowest id wins a tie. vectorOnly ranks by
+// vector-subspace distance, as VectorOnlyMapper does; Error is the
+// full-space distance either way.
+func scanMap(src *fakeSource, vectorOnly bool, vec vivaldi.Coord, exclude map[topology.NodeID]bool) (topology.NodeID, MapStats, error) {
+	target := src.space.IdealPoint(vec)
+	var best topology.NodeID
+	bestDist, n := 0.0, 0
+	for _, id := range src.ids {
+		if exclude[id] {
+			continue
+		}
+		d := src.space.Distance(target, src.points[id])
+		if vectorOnly {
+			d = src.space.VectorDistance(target, src.points[id])
+		}
+		if n == 0 || d < bestDist {
+			best, bestDist = id, d
+		}
+		n++
+	}
+	if n == 0 {
+		return 0, MapStats{}, errors.New("no candidate nodes")
+	}
+	return best, MapStats{Candidates: n, Error: src.space.Distance(target, src.points[best])}, nil
 }
 
 func TestOracleMapperExact(t *testing.T) {
@@ -313,28 +349,25 @@ func TestOracleMapperExclude(t *testing.T) {
 // space mappers must pick N2, the vector-only mapper must pick N1.
 func TestFigure3MappingScenario(t *testing.T) {
 	space := costspace.NewLatencyLoadSpace(100)
-	src := &fakeSource{
-		space: space,
-		ids:   []topology.NodeID{1, 2},
-		points: map[topology.NodeID]costspace.Point{
-			1: space.NewPoint(vivaldi.Coord{5, 0}, []float64{0.9}),   // N1: near, loaded
-			2: space.NewPoint(vivaldi.Coord{20, 0}, []float64{0.05}), // N2: farther, idle
-		},
-	}
+	const n1, n2 = 0, 1
+	src := newFake(space,
+		space.NewPoint(vivaldi.Coord{5, 0}, []float64{0.9}),   // N1: near, loaded
+		space.NewPoint(vivaldi.Coord{20, 0}, []float64{0.05}), // N2: farther, idle
+	)
 	target := vivaldi.Coord{0, 0}
 	full, _, err := (OracleMapper{Source: src}).MapCoord(0, target, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full != 2 {
-		t.Fatalf("full-space mapping chose N%d, want N2", full)
+	if full != n2 {
+		t.Fatalf("full-space mapping chose node %d, want N2", full)
 	}
 	vec, _, err := (VectorOnlyMapper{Source: src}).MapCoord(0, target, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vec != 1 {
-		t.Fatalf("vector-only mapping chose N%d, want N1", vec)
+	if vec != n1 {
+		t.Fatalf("vector-only mapping chose node %d, want N1", vec)
 	}
 }
 

@@ -257,9 +257,9 @@ func (s *System) Optimize(q Query) (*Result, error) {
 // OptimizeBatch optimizes many queries concurrently over one frozen
 // snapshot of the environment: a worker pool shares the snapshot — and
 // its cost-space k-NN index, built once per snapshot — without locking,
-// and a plan cache keyed by (consumer, canonical stream set, cost-space
-// Hilbert cell) lets repeated queries skip plan enumeration and re-run
-// only placement. Results are in query order.
+// and a plan cache keyed by (consumer, canonical stream set) lets
+// repeated queries skip plan enumeration and re-run only placement.
+// Results are in query order.
 //
 // Unless opts.Cache is set or opts.NoCache is true, the System's
 // persistent plan cache is used, so later batches benefit from earlier
