@@ -20,7 +20,9 @@ type BatchOptions struct {
 	// it still reuse plans) unless NoCache is set. A result's
 	// Circuit.Plan may be the tree this cache stores, shared with every
 	// later hit: callers must not write it (copy first with Clone or
-	// ShallowClone).
+	// ShallowClone). Hits and misses alike are carved from their
+	// worker's blocks, each result in a disjoint, capacity-clipped
+	// region (see Result.Circuit).
 	Cache *PlanCache
 	// NoCache disables plan caching entirely: every query runs the full
 	// integrated optimization.
@@ -71,6 +73,9 @@ func OptimizeBatch(env *Env, queries []query.Query, opts BatchOptions) ([]Result
 	}
 
 	snap := freezeForBatch(env)
+	if cache != nil {
+		cache.syncEpoch(snap.epoch)
+	}
 	var (
 		next     atomic.Int64
 		stop     atomic.Bool
@@ -88,7 +93,7 @@ func OptimizeBatch(env *Env, queries []query.Query, opts BatchOptions) ([]Result
 				if i >= len(queries) {
 					return
 				}
-				res, err := optimizeOne(snap, opt, cache, queries[i])
+				res, err := optimizeOne(opt, cache, queries[i])
 				if err != nil {
 					errOnce.Do(func() {
 						firstErr = fmt.Errorf("optimizer: batch query %d (index %d): %w", queries[i].ID, i, err)
@@ -122,12 +127,12 @@ func freezeForBatch(env *Env) *Env {
 // optimizeOne answers one batch query: from the plan cache when the key
 // hits, with the full integrated optimization otherwise (feeding the
 // cache with the winner). The key is built in the worker's scratch.
-func optimizeOne(snap *Env, opt *Integrated, cache *PlanCache, q query.Query) (*Result, error) {
+func optimizeOne(opt *Integrated, cache *PlanCache, q query.Query) (*Result, error) {
 	if cache == nil {
 		return opt.Optimize(q)
 	}
 	key := &opt.state().key
-	cache.keyInto(key, snap.Snapshot, q)
+	key.set(q)
 	if p := cache.get(key); p != nil {
 		return placeCachedPlan(opt, q, p)
 	}
@@ -146,24 +151,26 @@ func optimizeOne(snap *Env, opt *Integrated, cache *PlanCache, q query.Query) (*
 // the circuit shares it and it is not re-rated: a statistics change
 // bumps the epoch, which flushes the cache. The circuit is placed
 // against the snapshot, so it always reflects the state the batch was
-// frozen over. It runs on the calling worker's optimizer so the
-// builder's scratch problem graph is reused across the whole batch.
+// frozen over. It runs on the calling worker's optimizer: the circuit
+// is placed on its Builder's scratch, and the result is a copy carved
+// from that Builder's blocks, over the cached plan itself.
 func placeCachedPlan(opt *Integrated, q query.Query, p *query.PlanNode) (*Result, error) {
 	_, placer, mapper, model := opt.components()
-	circuit, stats, err := buildPlaceMap(opt.builder(), q, p, placer, mapper)
+	b := opt.builder()
+	c := &b.cand[0]
+	stats, err := b.buildPlaceMapInto(c, q, p, placer, mapper)
 	if err != nil {
 		return nil, err
 	}
-	usage := circuit.NetworkUsage(model)
+	usage := c.NetworkUsage(model)
 	if IsUncosted(usage) {
 		return nil, fmt.Errorf("optimizer: cached plan for query %d produced an uncosted circuit", q.ID)
 	}
-	return &Result{
-		Circuit:            circuit,
+	return b.owned(Result{
 		PlansConsidered:    1,
 		CircuitsConsidered: 1,
 		EstimatedUsage:     usage,
 		MapStats:           stats,
 		FromCache:          true,
-	}, nil
+	}, c, false), nil
 }

@@ -309,11 +309,11 @@ func TestPlanCacheSharingSemantics(t *testing.T) {
 
 	snap := env.Freeze()
 	opt, cache := NewIntegrated(snap), NewPlanCache()
-	cold, err := optimizeOne(snap, opt, cache, q)
+	cold, err := optimizeOne(opt, cache, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := optimizeOne(snap, opt, cache, q)
+	warm, err := optimizeOne(opt, cache, q)
 	if err != nil {
 		t.Fatal(err)
 	}

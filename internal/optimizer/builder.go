@@ -35,6 +35,37 @@ type Builder struct {
 	// query (resolveProducers) instead of once per leaf of every
 	// candidate plan; a catalog never re-homes a stream.
 	prods []streamProducer
+
+	// The blocks the results of owned are carved from, one per type:
+	// each result takes disjoint, capacity-clipped pieces (see take).
+	results  []Result
+	circuits []Circuit
+	slab     []PlacedService
+	services []*PlacedService
+	links    []Link
+	coords   []float64
+	nodes    []query.PlanNode
+}
+
+// blockLen is the length of a block after a Builder's first result,
+// which takes exact pieces, so a one-shot Builder allocates only what it
+// returns. A block stays live while any circuit carved from it does.
+const blockLen = 256
+
+// take carves the next n elements of *buf, allocating a new block when
+// it has no room. The piece's capacity is clipped to n, so appending to
+// it moves it out of the block instead of writing over the next piece.
+func take[T any](buf *[]T, n int) []T {
+	if cap(*buf)-len(*buf) < n {
+		size := n
+		if cap(*buf) > 0 {
+			size = max(n, blockLen)
+		}
+		*buf = make([]T, 0, size)
+	}
+	l := len(*buf)
+	*buf = (*buf)[:l+n]
+	return (*buf)[l : l+n : l+n]
 }
 
 type streamProducer struct {

@@ -11,10 +11,12 @@ import (
 	"github.com/hourglass/sbon/internal/query"
 )
 
-// KeyFor is the key the batch's lookup builds for q under s, as a value.
+// KeyFor is the key a batch over s looks q up by, as a value; like the
+// batch, it first flushes the entries of another epoch.
 func (pc *PlanCache) KeyFor(s *Snapshot, q query.Query) PlanCacheKey {
+	pc.syncEpoch(s.epoch)
 	var k planKey
-	pc.keyInto(&k, s, q)
+	k.set(q)
 	return k.key()
 }
 

@@ -72,17 +72,23 @@ func (c *Circuit) add(s PlacedService) int {
 	return len(c.Services) - 1
 }
 
-// owned returns a copy of c that shares no storage with it, nor its plan
-// with any other plan: a circuit evaluated on scratch, or planned over
-// the shared sub-plans of an enumeration, becomes a result that can be
-// kept while the scratch is reused. It is signed, on its private plan.
-func (c *Circuit) owned() *Circuit {
-	out := &Circuit{
-		Query: c.Query, Links: append([]Link(nil), c.Links...),
-		rootIdx: c.rootIdx, consumerIdx: c.consumerIdx,
-		slab: append([]PlacedService(nil), c.slab...), coords: append([]float64(nil), c.coords...),
+// owned returns r with a copy of c as its Circuit, both carved from
+// b's blocks: the copy shares no storage with c, so a circuit evaluated
+// on scratch becomes a result that can be kept while the scratch is
+// reused. With clonePlan the copy gets a plan of its own, in the node
+// block, as a circuit planned over the shared sub-plans of an
+// enumeration must; without, it keeps c's plan, a cached one that is
+// signed and read-only. The copy is signed.
+func (b *Builder) owned(r Result, c *Circuit, clonePlan bool) *Result {
+	out := &take(&b.circuits, 1)[0]
+	*out = Circuit{
+		Query: c.Query, Plan: c.Plan, rootIdx: c.rootIdx, consumerIdx: c.consumerIdx,
+		Services: take(&b.services, len(c.slab)), Links: take(&b.links, len(c.Links)),
+		slab: take(&b.slab, len(c.slab)), coords: take(&b.coords, len(c.coords)),
 	}
-	out.Services = make([]*PlacedService, len(out.slab))
+	copy(out.Links, c.Links)
+	copy(out.slab, c.slab)
+	copy(out.coords, c.coords)
 	off := 0
 	for i := range out.slab {
 		s := &out.slab[i]
@@ -92,10 +98,15 @@ func (c *Circuit) owned() *Circuit {
 			off += d
 		}
 	}
-	out.Plan = c.Plan.Clone()
-	out.replan(c.Plan, out.Plan, 0)
+	if clonePlan {
+		nodes, i := take(&b.nodes, planSize(c.Plan)), 0
+		out.Plan = out.clonePlan(c.Plan, &nodes, &i)
+	}
 	out.sign()
-	return out
+	res := &take(&b.results, 1)[0]
+	*res = r
+	res.Circuit = out
+	return res
 }
 
 // sign signs the plan, one string for the whole tree, and gives each
@@ -109,21 +120,24 @@ func (c *Circuit) sign() {
 	}
 }
 
-// replan re-points the services at the nodes of to, a clone of the plan
-// from they were built over. Services are in the plan's post-order (a
-// reused sub-plan contributes only its root), so one walk over both
-// trees pairs them; i is the next service to pair.
-func (c *Circuit) replan(from, to *query.PlanNode, i int) int {
+// clonePlan copies the tree under from into *nodes, in pre-order, and
+// re-points the services at the copies, which keep from's cached
+// signatures (the structure is the same). Services are in the plan's
+// post-order (a reused sub-plan contributes only its root), so one walk
+// pairs them; *i is the next service to pair.
+func (c *Circuit) clonePlan(from *query.PlanNode, nodes *[]query.PlanNode, i *int) *query.PlanNode {
 	if from == nil {
-		return i
+		return nil
 	}
-	i = c.replan(from.Left, to.Left, i)
-	i = c.replan(from.Right, to.Right, i)
-	if c.Services[i].Plan == from {
-		c.Services[i].Plan = to
-		i++
+	to := &(*nodes)[0]
+	*to, *nodes = *from, (*nodes)[1:]
+	to.Left = c.clonePlan(from.Left, nodes, i)
+	to.Right = c.clonePlan(from.Right, nodes, i)
+	if c.Services[*i].Plan == from {
+		c.Services[*i].Plan = to
+		*i++
 	}
-	return i
+	return to
 }
 
 // Root returns the service running the plan root.

@@ -13,7 +13,11 @@ import (
 type Result struct {
 	// Circuit is the placed query. From a batch with a plan cache, its
 	// Plan may be shared with the cache and other results, so it is
-	// read-only: copy it (Clone, ShallowClone) before changing it.
+	// read-only: copy it (Clone, ShallowClone) before changing it. The
+	// results of one optimizer are carved from shared blocks, each circuit
+	// in a disjoint, capacity-clipped region of them: writing or
+	// appending to one never reaches another, and a block stays live
+	// while any of its circuits does.
 	Circuit *Circuit
 	// PlansConsidered is the number of candidate logical plans examined.
 	PlansConsidered int
@@ -43,7 +47,10 @@ type Result struct {
 // An Integrated serves one goroutine at a time (batch workers each own
 // one): it enumerates into its own sub-plan table and evaluates the
 // candidates on its Builder's scratch circuits. What Optimize returns is
-// a copy that shares nothing with that scratch.
+// a copy that shares nothing with that scratch: the Result, its circuit
+// and the circuit's plan are carved from the Builder's blocks, which all
+// of this optimizer's results share, each in a disjoint,
+// capacity-clipped region.
 type Integrated struct {
 	Env *Env
 	// Enum generates candidate plans. Defaults to a fresh enumerator over
@@ -128,7 +135,7 @@ func (o *Integrated) Optimize(q query.Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{PlansConsidered: len(plans)}
+	res := Result{PlansConsidered: len(plans)}
 	// Candidates are built on two scratch circuits, the one under
 	// evaluation and the best so far, which trade places on improvement.
 	b := &st.b
@@ -146,8 +153,7 @@ func (o *Integrated) Optimize(q query.Query) (*Result, error) {
 			res.MapStats = stats
 		}
 	}
-	res.Circuit = best.owned()
-	return res, nil
+	return b.owned(res, best, true), nil
 }
 
 // buildPlaceMap runs the skeleton → virtual placement → physical mapping

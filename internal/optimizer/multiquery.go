@@ -48,7 +48,7 @@ func (o *MultiQuery) Optimize(q query.Query) (*Result, error) {
 		return nil, fmt.Errorf("optimizer: no plans for query %d", q.ID)
 	}
 	b := inner.builder()
-	res := &Result{PlansConsidered: len(plans)}
+	res := Result{PlansConsidered: len(plans)}
 	for _, p := range plans {
 		// Candidate 1: fresh placement (no reuse).
 		fresh, stats, err := buildPlaceMap(b, q, p, placer, mapper)
@@ -56,7 +56,7 @@ func (o *MultiQuery) Optimize(q query.Query) (*Result, error) {
 			return nil, err
 		}
 		res.CircuitsConsidered++
-		o.consider(res, fresh, stats, 0, 0, model)
+		o.consider(&res, fresh, stats, 0, 0, model)
 
 		// Candidate 2: reuse within the radius. Requires the virtual
 		// coordinates just computed for the fresh candidate.
@@ -70,14 +70,13 @@ func (o *MultiQuery) Optimize(q query.Query) (*Result, error) {
 			res.InstancesExamined += examined
 			if reused != nil {
 				res.CircuitsConsidered++
-				o.consider(res, reused, rstats, nReused, examined, model)
+				o.consider(&res, reused, rstats, nReused, examined, model)
 			}
 		}
 	}
 	// The candidates were planned over the enumeration's shared
 	// sub-plans; the winner gets a plan of its own.
-	res.Circuit = res.Circuit.owned()
-	return res, nil
+	return b.owned(res, res.Circuit, true), nil
 }
 
 // consider keeps the candidate if it beats the incumbent on estimated

@@ -250,16 +250,15 @@ func NewPlanCache() *PlanCache {
 	return &PlanCache{plans: make(map[PlanCacheKey]*query.PlanNode)}
 }
 
-// keyInto builds the query's key into k, flushing the cache first if the
-// environment was mutated since the entries were stored.
-func (pc *PlanCache) keyInto(k *planKey, s *Snapshot, q query.Query) {
-	pc.syncEpoch(s.epoch)
+// set builds q's key into k's own buffer.
+func (k *planKey) set(q query.Query) {
 	k.consumer = q.Consumer
 	k.streams = appendCanonicalStreams(k.streams[:0], q)
 }
 
 // syncEpoch discards all entries when the environment's mutation epoch
-// has moved past the one they were populated under.
+// has moved past the one they were populated under. OptimizeBatch calls
+// it once, before its workers start, so a lookup takes no extra lock.
 func (pc *PlanCache) syncEpoch(epoch uint64) {
 	pc.mu.RLock()
 	same := pc.epoch == epoch

@@ -71,18 +71,28 @@ func RoundShards(k int) int {
 // optimizer's regions, so the traffic a region-local placement
 // generates stays shard-local in the simulation too.
 func NodeRegions(env *Env, k int) ([]int32, error) {
-	return nodeRegions(env, RoundShards(k))
+	regionAt, err := nodeRegions(env, RoundShards(k))
+	if err != nil {
+		return nil, err
+	}
+	regions := make([]int32, len(env.pts))
+	for i := range regions {
+		regions[i] = regionAt(topology.NodeID(i))
+	}
+	return regions, nil
 }
 
-// nodeRegions assigns every node its home region: the top log2(k) bits
-// of the Hilbert key of its cost-space point. Nearby points share long
-// key prefixes, so regions are contiguous blobs in cost space — the
-// locality that makes a region-local query's whole footprint land in
-// one shard. The curve and bounds are derived from the environment the
-// same way the DHT catalog's are (buildDHT), but locally, so routing
-// works identically with or without a catalog and depends only on the
-// snapshot's points — deterministic for a fixed environment.
-func nodeRegions(env *Env, k int) ([]int32, error) {
+// nodeRegions returns the function that gives a node its home region:
+// the top log2(k) bits of the Hilbert key of its cost-space point,
+// encoded the first time the node is asked for, so a batch encodes only
+// the nodes its queries name. Nearby points share long key prefixes, so
+// regions are contiguous blobs in cost space — the locality that makes
+// a region-local query's whole footprint land in one shard. The curve
+// and bounds are derived from the environment the same way the DHT
+// catalog's are (buildDHT), but locally, so routing works identically
+// with or without a catalog and depends only on the snapshot's points —
+// deterministic for a fixed environment.
+func nodeRegions(env *Env, k int) (func(topology.NodeID) int32, error) {
 	hbits := env.cfg.HilbertBits
 	for uint(env.space.Dims())*hbits > 64 {
 		hbits--
@@ -99,13 +109,15 @@ func nodeRegions(env *Env, k int) ([]int32, error) {
 		return nil, err
 	}
 	shift := curve.KeyBits() - uint(bits.TrailingZeros(uint(k)))
-	regions := make([]int32, len(env.pts))
+	memo := make([]int32, len(env.pts)) // a node's region plus one, 0 until asked
 	var cells []uint32
-	for i, p := range env.pts {
-		cells = bounds.QuantizeInto(cells, p, curve.Bits())
-		regions[i] = int32(curve.MustEncodeInPlace(cells) >> shift)
-	}
-	return regions, nil
+	return func(n topology.NodeID) int32 {
+		if memo[n] == 0 {
+			cells = bounds.QuantizeInto(cells, env.pts[n], curve.Bits())
+			memo[n] = int32(curve.MustEncodeInPlace(cells)>>shift) + 1
+		}
+		return memo[n] - 1
+	}, nil
 }
 
 // OptimizeBatchSharded is OptimizeBatch plus a routing count. The space
@@ -123,12 +135,12 @@ func OptimizeBatchSharded(env *Env, queries []query.Query, opts ShardedBatchOpti
 	}
 	k := RoundShards(opts.Shards)
 	stats := &ShardStats{Shards: k, Routed: make([]int, k)}
-	regions, err := nodeRegions(env, k)
+	regionAt, err := nodeRegions(env, k)
 	if err != nil {
 		return nil, nil, err
 	}
 	for i := range queries {
-		if r, ok := regionOf(env, regions, &queries[i]); ok {
+		if r, ok := regionOf(env, regionAt, &queries[i]); ok {
 			stats.Routed[r]++
 		} else {
 			stats.Fallback++
@@ -148,15 +160,15 @@ func OptimizeBatchSharded(env *Env, queries []query.Query, opts ShardedBatchOpti
 // regionOf returns the region that holds q's consumer and the producer
 // of every stream it reads, or false when they span regions or name a
 // node or stream the environment does not know.
-func regionOf(env *Env, regions []int32, q *query.Query) (int32, bool) {
-	in := func(n topology.NodeID) bool { return int(n) >= 0 && int(n) < len(regions) }
+func regionOf(env *Env, regionAt func(topology.NodeID) int32, q *query.Query) (int32, bool) {
+	in := func(n topology.NodeID) bool { return int(n) >= 0 && int(n) < len(env.pts) }
 	if !in(q.Consumer) {
 		return 0, false
 	}
-	r := regions[q.Consumer]
+	r := regionAt(q.Consumer)
 	for _, sid := range q.Streams {
 		p, known := env.Stats.Producer(sid)
-		if !known || !in(p) || regions[p] != r {
+		if !known || !in(p) || regionAt(p) != r {
 			return 0, false
 		}
 	}

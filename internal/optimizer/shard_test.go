@@ -39,6 +39,28 @@ func TestOptimizeBatchShardedMatchesGlobal(t *testing.T) {
 			if routed != len(qs) {
 				t.Fatalf("routing accounted for %d of %d queries (stats %+v)", routed, len(qs), stats)
 			}
+			// The batch encodes only the nodes its queries name; the
+			// counts are those of every node's region.
+			regions, err := NodeRegions(env, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRouted, wantFallback := make([]int, 4), 0
+			for _, q := range qs {
+				r, local := regions[q.Consumer], true
+				for _, sid := range q.Streams {
+					p, known := env.Stats.Producer(sid)
+					local = local && known && regions[p] == r
+				}
+				if local {
+					wantRouted[r]++
+				} else {
+					wantFallback++
+				}
+			}
+			if !slices.Equal(stats.Routed, wantRouted) || stats.Fallback != wantFallback {
+				t.Fatalf("routing %v + %d fallback, want %v + %d from NodeRegions", stats.Routed, stats.Fallback, wantRouted, wantFallback)
+			}
 			for i := range qs {
 				circuitsEqual(t, i, &got[i], &want[i])
 			}
@@ -114,7 +136,7 @@ func TestBatchBuildsTheIndexOnlyForTheOracle(t *testing.T) {
 	snap := freezeForBatch(env)
 	opt, cache := NewIntegrated(snap), NewPlanCache()
 	for _, q := range qs {
-		if _, err := optimizeOne(snap, opt, cache, q); err != nil {
+		if _, err := optimizeOne(opt, cache, q); err != nil {
 			t.Fatal(err)
 		}
 	}

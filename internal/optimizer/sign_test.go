@@ -66,7 +66,7 @@ func TestPlansLeaveSigned(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSignedCircuit(t, "MultiQuery.Optimize", res.Circuit)
-		if res, err = optimizeOne(snap, opt, cache, q); err != nil || res.FromCache {
+		if res, err = optimizeOne(opt, cache, q); err != nil || res.FromCache {
 			t.Fatalf("query %d: cold batch query %v, from cache %v", q.ID, err, res != nil && res.FromCache)
 		}
 		requireSignedCircuit(t, "a cache miss", res.Circuit)
@@ -83,13 +83,13 @@ func TestPlansLeaveSigned(t *testing.T) {
 	}
 	for _, q := range queries {
 		key := &opt.state().key
-		cache.keyInto(key, snap.Snapshot, q)
+		key.set(q)
 		p := cache.get(key)
 		if p == nil {
 			t.Fatalf("query %d missed the warm cache", q.ID)
 		}
 		requireSigned(t, "PlanCache.get", p)
-		res, err := optimizeOne(snap, opt, cache, q)
+		res, err := optimizeOne(opt, cache, q)
 		if err != nil || !res.FromCache {
 			t.Fatalf("query %d: warm batch query %v, from cache %v", q.ID, err, res != nil && res.FromCache)
 		}
