@@ -83,7 +83,9 @@ func (c *Catalog) KeyOf(p costspace.Point) ID {
 }
 
 // Publish records the coordinate of node in the DHT, replacing any prior
-// entry for the same node. It returns the entry's key.
+// entry for the same node. It returns the entry's key. The first publish
+// of a node clones p; a republish copies p into that clone, allocating
+// nothing, so an entry's Point must not be held across a republish.
 func (c *Catalog) Publish(node topology.NodeID, p costspace.Point) (ID, error) {
 	if len(p) != c.space.Dims() {
 		return 0, fmt.Errorf("dht: publish %d-dim point in %d-dim space", len(p), c.space.Dims())
@@ -91,10 +93,14 @@ func (c *Catalog) Publish(node topology.NodeID, p costspace.Point) (ID, error) {
 	if c.ring.NumPeers() == 0 {
 		return 0, fmt.Errorf("dht: publish on empty ring")
 	}
+	e := Entry{Key: c.KeyOf(p), Node: node}
 	if old, republish := c.published[node]; republish {
 		c.removeStored(old)
+		e.Point = old.Point
+		copy(e.Point, p)
+	} else {
+		e.Point = p.Clone()
 	}
-	e := Entry{Key: c.KeyOf(p), Node: node, Point: p.Clone()}
 	owner := c.ring.Owner(e.Key)
 	owner.storeAdd(e)
 	c.published[node] = e

@@ -420,6 +420,52 @@ func TestKeyOfDoesNotAllocate(t *testing.T) {
 	_ = sink
 }
 
+// TestRepublishDoesNotAllocate pins the in-place republish: moving an
+// already-published node copies its new point into the catalog's own
+// copy and swaps its stored entry between peers whose entry slices have
+// room, so it allocates nothing. The catalog's copy is never the
+// caller's point.
+func TestRepublishDoesNotAllocate(t *testing.T) {
+	env := newTestEnv(t, 40, 23)
+	ids := make([]topology.NodeID, 0, len(env.points))
+	for id := range env.points {
+		ids = append(ids, id)
+	}
+	// Every node alternates between its own point and its mirror image,
+	// so each republish moves the entry to another key.
+	moved := make(map[topology.NodeID]costspace.Point, len(ids))
+	for _, id := range ids {
+		p := env.points[id]
+		moved[id] = env.space.NewPoint(vivaldi.Coord{200 - p[0], 200 - p[1]}, []float64{0.5})
+	}
+	i := 0
+	step := func() {
+		id := ids[i%len(ids)]
+		p := env.points[id]
+		if (i/len(ids))%2 == 0 {
+			p = moved[id]
+		}
+		if _, err := env.catalog.Publish(id, p); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	// Two full rounds give every peer's entry slice the room the
+	// counted rounds need.
+	for range 4 * len(ids) {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(2*len(ids), step); allocs != 0 {
+		t.Fatalf("%v allocs per republish, want 0", allocs)
+	}
+	for _, id := range ids {
+		e, ok := env.catalog.PublishedEntry(id)
+		if !ok || &e.Point[0] == &env.points[id][0] || &e.Point[0] == &moved[id][0] {
+			t.Fatalf("node %d: entry %v shares the caller's point (published %v)", id, e.Point, ok)
+		}
+	}
+}
+
 func TestChurnKeepsEntriesReachable(t *testing.T) {
 	env := newTestEnv(t, 40, 14)
 	rng := rand.New(rand.NewSource(15))

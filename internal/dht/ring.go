@@ -30,7 +30,6 @@ package dht
 import (
 	"fmt"
 	"hash/fnv"
-	"slices"
 	"sort"
 
 	"github.com/hourglass/sbon/internal/topology"
@@ -51,9 +50,10 @@ type Peer struct {
 	// fingers[i] points at the peer owning id + 2^i (fully stabilized
 	// Chord finger table).
 	fingers []*Peer
-	// flat holds the catalog entries this peer owns, in no particular
-	// order: ring walks scan them far more often than publishes change
-	// them, and every query ranks what it scans by (distance, node).
+	// flat holds the catalog entries this peer owns, unordered: ring
+	// walks scan them far more often than publishes change them, every
+	// query ranks what it scans by (distance, node), and a removal moves
+	// the last entry into the gap.
 	flat []Entry
 }
 
@@ -68,13 +68,15 @@ func (p *Peer) storeHas(key ID, node topology.NodeID) bool {
 }
 
 // storeRemove deletes the entry for (key, node), reporting whether it
-// was present.
+// was present. The last entry takes its place.
 func (p *Peer) storeRemove(key ID, node topology.NodeID) bool {
 	i := p.find(key, node)
 	if i < 0 {
 		return false
 	}
-	p.flat = slices.Delete(p.flat, i, i+1)
+	last := len(p.flat) - 1
+	p.flat[i], p.flat[last] = p.flat[last], Entry{}
+	p.flat = p.flat[:last]
 	return true
 }
 

@@ -20,8 +20,8 @@ type BatchOptions struct {
 	// it still reuse plans) unless NoCache is set. A result's
 	// Circuit.Plan may be the tree this cache stores, shared with every
 	// later hit: callers must not write it (copy first with Clone or
-	// ShallowClone). Hits and misses alike are carved from their
-	// worker's blocks, each result in a disjoint, capacity-clipped
+	// ShallowClone). Hits and misses alike have their circuits carved
+	// from their worker's blocks, each in a disjoint, capacity-clipped
 	// region (see Result.Circuit).
 	Cache *PlanCache
 	// NoCache disables plan caching entirely: every query runs the full
@@ -44,8 +44,9 @@ type BatchOptions struct {
 // PlansConsidered == 1 and FromCache == true; their Circuit and
 // EstimatedUsage match the sequential Optimize result.
 //
-// Results are returned in query order. The first optimization error
-// aborts the batch and is returned; remaining work is skipped.
+// Results are returned in query order, each written once, by its
+// worker, into the returned slice. The first optimization error aborts
+// the batch and is returned; remaining work is skipped.
 //
 // The live Env must not be mutated (Deploy, Cancel, SetBackgroundLoad,
 // committed migrations, SetCoordinates, statistics-catalog changes) while
@@ -93,15 +94,13 @@ func OptimizeBatch(env *Env, queries []query.Query, opts BatchOptions) ([]Result
 				if i >= len(queries) {
 					return
 				}
-				res, err := optimizeOne(opt, cache, queries[i])
-				if err != nil {
+				if _, err := optimizeOne(opt, cache, queries[i], &results[i]); err != nil {
 					errOnce.Do(func() {
 						firstErr = fmt.Errorf("optimizer: batch query %d (index %d): %w", queries[i].ID, i, err)
 					})
 					stop.Store(true)
 					return
 				}
-				results[i] = *res
 			}
 		}()
 	}
@@ -124,23 +123,25 @@ func freezeForBatch(env *Env) *Env {
 	return snap
 }
 
-// optimizeOne answers one batch query: from the plan cache when the key
-// hits, with the full integrated optimization otherwise (feeding the
-// cache with the winner). The key is built in the worker's scratch.
-func optimizeOne(opt *Integrated, cache *PlanCache, q query.Query) (*Result, error) {
+// optimizeOne answers one batch query into dst (nil: carved from the
+// worker's blocks): from the plan cache when the key hits, with the full
+// integrated optimization otherwise (feeding the cache with the winner).
+// The key is built in the worker's scratch; the one a miss stores is a
+// copy carved from the worker's byte block, like the plan's signature.
+func optimizeOne(opt *Integrated, cache *PlanCache, q query.Query, dst *Result) (*Result, error) {
 	if cache == nil {
-		return opt.Optimize(q)
+		return opt.optimizeInto(dst, q)
 	}
 	key := &opt.state().key
 	key.set(q)
 	if p := cache.get(key); p != nil {
-		return placeCachedPlan(opt, q, p)
+		return placeCachedPlan(opt, q, p, dst)
 	}
-	res, err := opt.Optimize(q)
+	res, err := opt.optimizeInto(dst, q)
 	if err != nil {
 		return nil, err
 	}
-	cache.Put(key.key(), res.Circuit.Plan)
+	cache.Put(PlanCacheKey{key.consumer, query.Carve(&opt.builder().bytes, key.streams)}, res.Circuit.Plan)
 	return res, nil
 }
 
@@ -153,8 +154,9 @@ func optimizeOne(opt *Integrated, cache *PlanCache, q query.Query) (*Result, err
 // against the snapshot, so it always reflects the state the batch was
 // frozen over. It runs on the calling worker's optimizer: the circuit
 // is placed on its Builder's scratch, and the result is a copy carved
-// from that Builder's blocks, over the cached plan itself.
-func placeCachedPlan(opt *Integrated, q query.Query, p *query.PlanNode) (*Result, error) {
+// from that Builder's blocks, over the cached plan itself, written to
+// dst (nil: carved too).
+func placeCachedPlan(opt *Integrated, q query.Query, p *query.PlanNode, dst *Result) (*Result, error) {
 	_, placer, mapper, model := opt.components()
 	b := opt.builder()
 	c := &b.cand[0]
@@ -166,7 +168,7 @@ func placeCachedPlan(opt *Integrated, q query.Query, p *query.PlanNode) (*Result
 	if IsUncosted(usage) {
 		return nil, fmt.Errorf("optimizer: cached plan for query %d produced an uncosted circuit", q.ID)
 	}
-	return b.owned(Result{
+	return b.owned(dst, Result{
 		PlansConsidered:    1,
 		CircuitsConsidered: 1,
 		EstimatedUsage:     usage,

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/hourglass/sbon/internal/query"
@@ -309,11 +310,11 @@ func TestPlanCacheSharingSemantics(t *testing.T) {
 
 	snap := env.Freeze()
 	opt, cache := NewIntegrated(snap), NewPlanCache()
-	cold, err := optimizeOne(opt, cache, q)
+	cold, err := optimizeOne(opt, cache, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := optimizeOne(opt, cache, q)
+	warm, err := optimizeOne(opt, cache, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,4 +330,81 @@ func TestUncostedSentinel(t *testing.T) {
 	if IsUncosted(0) || IsUncosted(1e300) {
 		t.Fatal("IsUncosted true for a real estimate")
 	}
+}
+
+// TestBatchCarvedStringsStayPut guards the strings a batch carves from
+// its workers' byte blocks. The keys a miss stores and the signatures of
+// the plans it returns share blocks with every string carved after them,
+// so a carve that wrote over bytes it had handed out would change them
+// under the cache. Batch A fills the cache; batches B and C then miss on
+// fresh workers in the same epoch. Every key and signature from A must
+// still read as its copy, and every key must still hit.
+func TestBatchCarvedStringsStayPut(t *testing.T) {
+	env, queries := joinFixture(t, 3, 600)
+	third := len(queries) / 3
+	cache := NewPlanCache()
+	resA, err := OptimizeBatch(env, queries[:third], BatchOptions{Workers: 2, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type kept struct{ s, copy string }
+	var keys []PlanCacheKey
+	var strs []kept
+	keep := func(s string) { strs = append(strs, kept{s, strings.Clone(s)}) }
+	cache.mu.RLock()
+	for k, p := range cache.plans {
+		keys = append(keys, k)
+		keep(k.Streams)
+		if got, want := p.Signature(), resigned(p); got != want {
+			t.Fatalf("cached plan signed %q, its structure signs %q", got, want)
+		}
+		keep(p.Signature())
+	}
+	cache.mu.RUnlock()
+	for i := range resA {
+		for _, s := range resA[i].Circuit.Services {
+			if s.Plan != nil {
+				keep(s.Signature)
+				keep(s.Plan.Signature())
+			}
+		}
+	}
+	for _, qs := range [][]query.Query{queries[third : 2*third], queries[2*third:]} {
+		if _, err := OptimizeBatch(env, qs, BatchOptions{Workers: 2, Cache: cache}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cache.Len() <= len(keys) {
+		t.Fatalf("fixture: batches B and C stored no key of their own (%d keys after A, %d after C)", len(keys), cache.Len())
+	}
+	for _, k := range strs {
+		if k.s != k.copy {
+			t.Fatalf("carved string changed: %q, was %q", k.s, k.copy)
+		}
+	}
+	for _, k := range keys {
+		if cache.Get(k) == nil {
+			t.Fatalf("key %v from batch A no longer hits", k)
+		}
+	}
+	for _, q := range queries[:third] {
+		if cache.Get(cache.KeyFor(env.Snapshot, q)) == nil {
+			t.Fatalf("query %d of batch A no longer hits", q.ID)
+		}
+	}
+}
+
+// resigned signs a copy of the tree under n built with ShallowClone,
+// which drops every cached signature.
+func resigned(n *query.PlanNode) string {
+	var cp func(n *query.PlanNode) *query.PlanNode
+	cp = func(n *query.PlanNode) *query.PlanNode {
+		if n == nil {
+			return nil
+		}
+		out := n.ShallowClone()
+		out.Left, out.Right = cp(n.Left), cp(n.Right)
+		return out
+	}
+	return cp(n).Signature()
 }

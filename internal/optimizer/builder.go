@@ -38,6 +38,9 @@ type Builder struct {
 
 	// The blocks the results of owned are carved from, one per type:
 	// each result takes disjoint, capacity-clipped pieces (see take).
+	// bytes holds the signatures and plan-cache keys the results carry,
+	// carved by query.Carve, append-only.
+	bytes    []byte
 	results  []Result
 	circuits []Circuit
 	slab     []PlacedService
@@ -109,7 +112,7 @@ func (b *Builder) Skeleton(q query.Query, root *query.PlanNode, reuse reuseFn) (
 	if err := b.skeletonInto(c, q, root, reuse); err != nil {
 		return nil, err
 	}
-	c.sign()
+	c.sign(nil)
 	return c, nil
 }
 

@@ -20,6 +20,11 @@ func (pc *PlanCache) KeyFor(s *Snapshot, q query.Query) PlanCacheKey {
 	return k.key()
 }
 
+// key materialises the probe as a map key, a string of its own.
+func (k *planKey) key() PlanCacheKey {
+	return PlanCacheKey{Consumer: k.consumer, Streams: string(k.streams)}
+}
+
 // Get looks a materialised key up through the batch's lookup path.
 func (pc *PlanCache) Get(k PlanCacheKey) *query.PlanNode {
 	return pc.get(&planKey{consumer: k.Consumer, streams: []byte(k.Streams)})

@@ -72,14 +72,15 @@ func (c *Circuit) add(s PlacedService) int {
 	return len(c.Services) - 1
 }
 
-// owned returns r with a copy of c as its Circuit, both carved from
-// b's blocks: the copy shares no storage with c, so a circuit evaluated
-// on scratch becomes a result that can be kept while the scratch is
-// reused. With clonePlan the copy gets a plan of its own, in the node
-// block, as a circuit planned over the shared sub-plans of an
-// enumeration must; without, it keeps c's plan, a cached one that is
-// signed and read-only. The copy is signed.
-func (b *Builder) owned(r Result, c *Circuit, clonePlan bool) *Result {
+// owned writes r to dst with a copy of c as its Circuit, carved from
+// b's blocks, and returns dst; a nil dst is carved too. The copy shares
+// no storage with c, so a circuit evaluated on scratch becomes a result
+// that can be kept while the scratch is reused. With clonePlan the copy
+// gets a plan of its own, in the node block, as a circuit planned over
+// the shared sub-plans of an enumeration must; without, it keeps c's
+// plan, a cached one that is signed and read-only. The copy is signed,
+// its signature carved from the byte block.
+func (b *Builder) owned(dst *Result, r Result, c *Circuit, clonePlan bool) *Result {
 	out := &take(&b.circuits, 1)[0]
 	*out = Circuit{
 		Query: c.Query, Plan: c.Plan, rootIdx: c.rootIdx, consumerIdx: c.consumerIdx,
@@ -102,17 +103,20 @@ func (b *Builder) owned(r Result, c *Circuit, clonePlan bool) *Result {
 		nodes, i := take(&b.nodes, planSize(c.Plan)), 0
 		out.Plan = out.clonePlan(c.Plan, &nodes, &i)
 	}
-	out.sign()
-	res := &take(&b.results, 1)[0]
-	*res = r
-	res.Circuit = out
-	return res
+	out.sign(&b.bytes)
+	if dst == nil {
+		dst = &take(&b.results, 1)[0]
+	}
+	*dst = r
+	dst.Circuit = out
+	return dst
 }
 
-// sign signs the plan, one string for the whole tree, and gives each
-// service its node's. Circuits are signed as they leave the Builder.
-func (c *Circuit) sign() {
-	c.Plan.Signature()
+// sign signs the plan, one string for the whole tree, carved from
+// *arena unless it is nil (see query.Carve), and gives each service its
+// node's. Circuits are signed as they leave the Builder.
+func (c *Circuit) sign(arena *[]byte) {
+	c.Plan.SignIn(arena)
 	for _, s := range c.Services {
 		if s.Plan != nil {
 			s.Signature = s.Plan.Signature()

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -62,6 +63,62 @@ func TestNewEnvFromCoords(t *testing.T) {
 	for i, id := range env.NodeIDs() {
 		if !pointsEqual(env.Point(id), env2.Point(id)) {
 			t.Fatalf("node %d: points differ across identical constructions", i)
+		}
+	}
+}
+
+// TestCatalogWritesNoSharedPoint guards the in-place republish: the
+// catalog copies a moved node's point into its own copy of the node's
+// entry, so it must never hold a point the env or a snapshot reads. A
+// snapshot frozen before a coordinate sync and load changes keeps its
+// points to the bit, and no catalog entry shares its backing array with
+// the env's point or the snapshot's.
+func TestCatalogWritesNoSharedPoint(t *testing.T) {
+	topo, coords := coordsFixture(t)
+	stats, err := query.NewCatalog(0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := NewEnvFromCoords(topo, stats, DefaultEnvConfig(13), coords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := env.Freeze()
+	n := len(coords)
+	before := make([][]uint64, n)
+	for i := range before {
+		for _, v := range snap.Point(topology.NodeID(i)) {
+			before[i] = append(before[i], math.Float64bits(v))
+		}
+	}
+	moved := make([]vivaldi.Coord, n)
+	for i, c := range coords {
+		moved[i] = c.Add(vivaldi.Coord{1.5, -0.75})
+	}
+	if _, err := env.SetCoordinates(moved); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i += 3 {
+		env.SetBackgroundLoad(topology.NodeID(i), 0.3)
+	}
+	for i := range before {
+		node := topology.NodeID(i)
+		for k, v := range snap.Point(node) {
+			if math.Float64bits(v) != before[i][k] {
+				t.Fatalf("node %d: snapshot point changed to %v", i, snap.Point(node))
+			}
+		}
+		e, ok := env.Catalog().PublishedEntry(node)
+		if !ok {
+			t.Fatalf("node %d is not published", i)
+		}
+		if &e.Point[0] == &env.Point(node)[0] || &e.Point[0] == &snap.Point(node)[0] {
+			t.Fatalf("node %d: the catalog's entry shares its point with the env or the snapshot", i)
+		}
+		for k, v := range env.Point(node) {
+			if e.Point[k] != v {
+				t.Fatalf("node %d: published %v, env reads %v", i, e.Point, env.Point(node))
+			}
 		}
 	}
 }
@@ -131,10 +188,11 @@ func TestSetCoordinates(t *testing.T) {
 }
 
 // TestSetCoordinatesAllocCeiling pins the coordinate sync's write path:
-// a sync that moves every node allocates about once per node (the
-// catalog's copy of the published point) plus the one slab its points
-// are carved from, not once each for the point, the copy and the
-// stored entry.
+// a sync that moves every node allocates the one slab its points are
+// carved from and the growth of its moved-node list, nothing per node —
+// the catalog copies each point into its own copy of the entry. It took
+// one allocation per node more while a republish cloned the point
+// (9 over 592 nodes now, 601 then).
 func TestSetCoordinatesAllocCeiling(t *testing.T) {
 	topo, coords := coordsFixture(t)
 	stats, err := query.NewCatalog(0.8)
@@ -162,7 +220,7 @@ func TestSetCoordinatesAllocCeiling(t *testing.T) {
 		}
 		next++
 	})
-	if ceiling := 1.05*float64(n) + 32; allocs > ceiling {
+	if ceiling := 32.0; allocs > ceiling {
 		t.Fatalf("a sync over %d nodes allocates %v, want <= %v", n, allocs, ceiling)
 	}
 }

@@ -151,6 +151,8 @@ type Env struct {
 
 	base []float64 // background load component
 	rng  *rand.Rand
+	// points is the block load refreshes carve their points from.
+	points []float64
 
 	// dirty is the delta log incremental re-optimization consumes: for
 	// every node mutated since the last CompactDirty, the epoch of its
@@ -495,8 +497,12 @@ func (e *Env) RemoveServiceLoad(n topology.NodeID, inputRate float64) {
 // loadOnly declares that only the scalar (load) components changed —
 // the delta-log tag incremental re-planning uses to skip circuits whose
 // incidence on the node is latency-only.
+// The point is carved from the Env's point block (see take) and never
+// written again; a block stays live while any node's current or
+// delta-logged point is in it.
 func (e *Env) refreshPoint(n topology.NodeID, loadOnly bool) {
-	e.setPoint(n, e.space.NewPoint(e.vec[n], []float64{e.load[n]}), loadOnly)
+	p := take(&e.points, e.space.Dims())
+	e.setPoint(n, e.space.AppendPoint(p[:0], e.vec[n], []float64{e.load[n]}), loadOnly)
 }
 
 // setPoint installs p as the node's cost-space point: it logs the
@@ -607,8 +613,9 @@ func (e *Env) BackgroundLoad(n topology.NodeID) float64 {
 // number of nodes whose coordinate changed.
 //
 // The Env keeps each moved node's Coord as given, without copying, and
-// carves the moved nodes' points from one slab, so a sync allocates once
-// on top of what the DHT republish costs. What a sync retains: a node
+// carves the moved nodes' points from one slab; the DHT republish copies
+// each into the catalog's own entry, so a sync allocates the slab and
+// its moved-node list. What a sync retains: a node
 // that does not move keeps its point's slab and its coordinate's backing
 // array (a whole Ticker snapshot) alive until it next moves.
 func (e *Env) SetCoordinates(coords []vivaldi.Coord) (int, error) {

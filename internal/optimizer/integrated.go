@@ -129,6 +129,12 @@ func (o *Integrated) builder() *Builder { return &o.state().b }
 // Optimize performs full circuit optimization for the query and returns
 // the best circuit without deploying it.
 func (o *Integrated) Optimize(q query.Query) (*Result, error) {
+	return o.optimizeInto(nil, q)
+}
+
+// optimizeInto is Optimize writing its Result to dst (nil: carved from
+// the Builder's blocks).
+func (o *Integrated) optimizeInto(dst *Result, q query.Query) (*Result, error) {
 	enum, placer, mapper, model := o.components()
 	st := o.state()
 	plans, err := enum.EnumerateInto(&st.table, q)
@@ -153,7 +159,7 @@ func (o *Integrated) Optimize(q query.Query) (*Result, error) {
 			res.MapStats = stats
 		}
 	}
-	return b.owned(res, best, true), nil
+	return b.owned(dst, res, best, true), nil
 }
 
 // buildPlaceMap runs the skeleton → virtual placement → physical mapping
@@ -164,7 +170,7 @@ func buildPlaceMap(b *Builder, q query.Query, p *query.PlanNode, placer placemen
 	if err != nil {
 		return nil, placement.MapStats{}, err
 	}
-	c.sign()
+	c.sign(nil)
 	return c, stats, nil
 }
 

@@ -76,7 +76,7 @@ func (o *MultiQuery) Optimize(q query.Query) (*Result, error) {
 	}
 	// The candidates were planned over the enumeration's shared
 	// sub-plans; the winner gets a plan of its own.
-	return b.owned(res, res.Circuit, true), nil
+	return b.owned(nil, res, res.Circuit, true), nil
 }
 
 // consider keeps the candidate if it beats the incumbent on estimated

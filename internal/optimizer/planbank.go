@@ -210,11 +210,6 @@ type planKey struct {
 	streams  []byte
 }
 
-// key materialises the probe as a map key.
-func (k *planKey) key() PlanCacheKey {
-	return PlanCacheKey{Consumer: k.consumer, Streams: string(k.streams)}
-}
-
 // PlanCache memoizes winning logical plans across optimizations. Unlike
 // PlanBank — which speculatively precompiles plans for hypothetical
 // futures — the cache records the plan that actually won a full
@@ -269,7 +264,7 @@ func (pc *PlanCache) syncEpoch(epoch uint64) {
 	pc.mu.Lock()
 	if pc.epoch != epoch {
 		pc.epoch = epoch
-		pc.plans = make(map[PlanCacheKey]*query.PlanNode)
+		clear(pc.plans)
 	}
 	pc.mu.Unlock()
 }

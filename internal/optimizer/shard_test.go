@@ -136,7 +136,7 @@ func TestBatchBuildsTheIndexOnlyForTheOracle(t *testing.T) {
 	snap := freezeForBatch(env)
 	opt, cache := NewIntegrated(snap), NewPlanCache()
 	for _, q := range qs {
-		if _, err := optimizeOne(opt, cache, q); err != nil {
+		if _, err := optimizeOne(opt, cache, q, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

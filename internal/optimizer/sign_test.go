@@ -66,7 +66,7 @@ func TestPlansLeaveSigned(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSignedCircuit(t, "MultiQuery.Optimize", res.Circuit)
-		if res, err = optimizeOne(opt, cache, q); err != nil || res.FromCache {
+		if res, err = optimizeOne(opt, cache, q, nil); err != nil || res.FromCache {
 			t.Fatalf("query %d: cold batch query %v, from cache %v", q.ID, err, res != nil && res.FromCache)
 		}
 		requireSignedCircuit(t, "a cache miss", res.Circuit)
@@ -89,7 +89,7 @@ func TestPlansLeaveSigned(t *testing.T) {
 			t.Fatalf("query %d missed the warm cache", q.ID)
 		}
 		requireSigned(t, "PlanCache.get", p)
-		res, err := optimizeOne(opt, cache, q)
+		res, err := optimizeOne(opt, cache, q, nil)
 		if err != nil || !res.FromCache {
 			t.Fatalf("query %d: warm batch query %v, from cache %v", q.ID, err, res != nil && res.FromCache)
 		}

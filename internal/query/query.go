@@ -32,6 +32,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"github.com/hourglass/sbon/internal/topology"
 )
@@ -357,9 +358,14 @@ func (n *PlanNode) Rate(c *Catalog) error {
 // unsigned node under it caches its own signature as a substring. Later
 // calls, and calls on clones, return it without allocating; as the
 // first call writes, a plan must be signed before goroutines share it.
-func (n *PlanNode) Signature() string {
+func (n *PlanNode) Signature() string { return n.SignIn(nil) }
+
+// SignIn is Signature with the one string carved from *arena (see
+// Carve) instead of allocated, for callers that sign many plans; with a
+// nil arena it is Signature.
+func (n *PlanNode) SignIn(arena *[]byte) string {
 	if n.sig == "" {
-		n.sign()
+		n.sign(arena)
 	}
 	return n.sig
 }
@@ -367,11 +373,39 @@ func (n *PlanNode) Signature() string {
 // signStack bounds the signatures sign builds without a heap buffer.
 const signStack = 512
 
-// sign builds n's signature and caches it on n and the nodes under it.
-func (n *PlanNode) sign() {
+// sign builds n's signature and caches it on n and the nodes under it,
+// as a string of its own or, with an arena, one carved from it.
+func (n *PlanNode) sign(arena *[]byte) {
 	var stack [signStack]byte
 	buf := n.AppendSignature(stack[:0])
-	n.cacheSignature(string(buf), buf)
+	if arena == nil {
+		n.cacheSignature(string(buf), buf)
+	} else {
+		n.cacheSignature(Carve(arena, buf), buf)
+	}
+}
+
+// arenaLen is the length of an arena's blocks after its first string,
+// which takes an exact block.
+const arenaLen = 2048
+
+// Carve copies b into the free tail of *arena, an append-only block of
+// bytes (a fresh one when the tail is too short), and returns the copy
+// as a string over the block's memory. That is safe because bytes
+// handed out are never written again: only Carve appends to *arena, and
+// nothing reslices it back. A block stays live while any string carved
+// from it does; an arena serves one goroutine.
+func Carve(arena *[]byte, b []byte) string {
+	if cap(*arena)-len(*arena) < len(b) {
+		size := len(b)
+		if cap(*arena) > 0 {
+			size = max(len(b), arenaLen)
+		}
+		*arena = make([]byte, 0, size)
+	}
+	l := len(*arena)
+	*arena = append(*arena, b...)
+	return unsafe.String(unsafe.SliceData((*arena)[l:]), len(b))
 }
 
 // cacheSignature caches s, n's signature, on n and, as substrings of s,
