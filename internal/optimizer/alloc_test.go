@@ -94,13 +94,14 @@ func TestOptimizeAllocCeilings(t *testing.T) {
 }
 
 // TestMissedQueryAllocCeiling pins the churn path of a batch worker:
-// after an epoch flush every query misses the plan cache, is optimized
-// in full, and its plan is stored under a key carved from the worker's
-// byte block, next to the plan's signature, with its Result written
-// where the batch keeps it, and a flush clears the map instead of
-// replacing it. Past warm-up that costs only shares of blocks: 0.09 over
-// 561 misses, where it took 2.11 while the signature and the key were
-// strings of their own and a flush made a new map.
+// after a flush every query misses the plan cache, is optimized in
+// full, and its result is stored by value, as a copy of its circuit's
+// header, under a key carved from the worker's byte block, next to the
+// plan's signature, with its Result written where the batch keeps it,
+// and a flush clears the map instead of replacing it. Past warm-up that
+// costs only shares of blocks: 0.09 over 561 misses, where it took 2.11
+// while the signature and the key were strings of their own and a flush
+// made a new map.
 func TestMissedQueryAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -121,12 +122,10 @@ func TestMissedQueryAllocCeiling(t *testing.T) {
 	}
 	opt, cache := NewIntegrated(env.Freeze()), NewPlanCache()
 	results := make([]Result, len(queries))
-	epoch := uint64(0)
 	// AllocsPerRun runs one pass to warm the worker, then the counted
-	// one, each after a flush, as a churned batch starts.
+	// one, each after a flush, as a new generation starts.
 	total := testing.AllocsPerRun(1, func() {
-		epoch++
-		cache.syncEpoch(epoch)
+		clear(cache.entries)
 		for i, q := range queries {
 			res, err := optimizeOne(opt, cache, q, &results[i])
 			if err != nil || res.FromCache {
@@ -141,47 +140,15 @@ func TestMissedQueryAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestPlaceCachedPlanAllocCeiling keeps the cache-hit path of the batch
-// optimizer from paying for the cold path's machinery: re-placing a
-// cached 2-stream plan took 31 allocations before the sub-plan table
-// existed, 6 while the Result and the circuit it returns were heap
-// copies, and takes under one (AllocsPerRun reports 0) now that they
-// are carved from the Builder's blocks.
-func TestPlaceCachedPlanAllocCeiling(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
-	env, queries := joinFixture(t, 2, 12)
-	opt := NewIntegrated(env.Freeze())
-	plans := make([]*query.PlanNode, len(queries))
-	for i, q := range queries {
-		res, err := opt.Optimize(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans[i] = res.Circuit.Plan
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(48, func() {
-		if _, err := placeCachedPlan(opt, queries[i%len(queries)], plans[i%len(queries)], nil); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	t.Logf("placeCachedPlan: %.1f allocs", allocs)
-	if allocs > 1 {
-		t.Errorf("placeCachedPlan = %.1f allocs on a 2-stream query, ceiling 1 (6 with heap copies, 31 before the sub-plan table)", allocs)
-	}
-}
-
 // TestPlanCacheHitAllocCeiling pins what a batch query answered from the
 // plan cache costs: the key is encoded into the worker's scratch and
 // looked up without materialising a string, and the hit shares the
-// stored plan, so a hit pays only for its share of the blocks its
-// circuit is carved from. It took 15 allocations while the key was
-// formatted with fmt into a fresh string, 9 while a hit cloned the
-// stored plan, 6 while the circuit was a heap copy; it takes 0.07 over
-// 4,800 hits (AllocsPerRun reports 0).
+// stored circuit, so a hit pays only for its share of the block its
+// circuit header is carved from. It took 15 allocations while the key
+// was formatted with fmt into a fresh string, 9 while a hit cloned the
+// stored plan, 6 while the circuit was a heap copy, and 0.07 while a
+// hit placed its circuit again on blocks of its own; a hit may now cost
+// at most 0.01, its Result written where the batch keeps it.
 func TestPlanCacheHitAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -195,31 +162,35 @@ func TestPlanCacheHitAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	i := 0
-	allocs := testing.AllocsPerRun(48, func() {
-		res, err := optimizeOne(opt, cache, queries[i%len(queries)], nil)
-		if err != nil {
-			t.Fatal(err)
+	const hits = 4800
+	results := make([]Result, hits)
+	// One warm-up pass, then the counted one.
+	total := testing.AllocsPerRun(1, func() {
+		for i := range results {
+			res, err := optimizeOne(opt, cache, queries[i%len(queries)], &results[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.FromCache {
+				t.Fatalf("query %d missed the warm cache", queries[i%len(queries)].ID)
+			}
 		}
-		if !res.FromCache {
-			t.Fatalf("query %d missed the warm cache", queries[i%len(queries)].ID)
-		}
-		i++
 	})
-	t.Logf("cache hit: %.1f allocs", allocs)
-	if allocs > 1 {
-		t.Errorf("cache hit = %.1f allocs on a 2-stream query, ceiling 1 (6 with a heap-copied circuit, 9 with a cloned plan, 15 with the fmt-built key)", allocs)
+	per := total / hits
+	t.Logf("cache hit: %.4f allocs over %d hits", per, hits)
+	if per > 0.01 {
+		t.Errorf("cache hit = %.4f allocs on a 2-stream query, ceiling 0.01 (0.07 placing the circuit again, 6 with a heap-copied circuit, 9 with a cloned plan, 15 with the fmt-built key)", per)
 	}
 
 	// The lookup costs nothing: encoding the key into the worker's
 	// scratch and probing the map with string(key.streams) allocate
 	// nothing, even for a key too long for the 32-byte stack buffer a
 	// non-escaping conversion may use, and the hit returns the stored
-	// plan itself.
+	// circuit itself.
 	key := &opt.state().key
 	key.set(queries[0])
-	stored := cache.get(key)
-	if stored == nil {
+	stored, ok := cache.get(key)
+	if !ok {
 		t.Fatalf("query %d missed the warm cache", queries[0].ID)
 	}
 	q := queries[0]
@@ -232,14 +203,14 @@ func TestPlanCacheHitAllocCeiling(t *testing.T) {
 	if len(key.streams) <= 32 {
 		t.Fatalf("fixture: key %q fits the conversion's stack buffer", key.streams)
 	}
-	cache.Put(key.key(), stored)
-	var sink *query.PlanNode
+	cache.put(key.key(), &Result{Circuit: &Circuit{Plan: stored.plan, Services: stored.services}})
+	var sink memo
 	lookup := testing.AllocsPerRun(48, func() {
 		key.set(q)
-		sink = cache.get(key)
+		sink, ok = cache.get(key)
 	})
-	if sink != stored || lookup != 0 {
-		t.Errorf("warm lookup = %.1f allocs, returned the stored plan: %v; want 0 and true", lookup, sink == stored)
+	if !ok || sink.plan != stored.plan || &sink.services[0] != &stored.services[0] || lookup != 0 {
+		t.Errorf("warm lookup = %.1f allocs, returned the stored circuit: %v; want 0 and true", lookup, ok && sink.plan == stored.plan)
 	}
 }
 
@@ -333,10 +304,11 @@ func TestOptimizeResultsDoNotAliasScratch(t *testing.T) {
 }
 
 // keptHitsStayPut keeps a batch worker's cache hits, neighbours in its
-// blocks, across 200 more batch queries, then writes one of them as
-// callers do — a migration re-binds a service, a link is appended, the
-// circuit is rebuilt in place over a larger plan and re-placed — and
-// requires every other to be unchanged.
+// blocks, across 200 more batch queries, then writes one of them in
+// place — a service re-bound, a link appended, the circuit rebuilt over
+// a larger plan and re-placed — and requires every other to be
+// unchanged. (A hit shares its services with its key's entry, so
+// callers deploy it, which copies them, before writing.)
 func keptHitsStayPut(t *testing.T, width int, env *Env, queries []query.Query) {
 	t.Helper()
 	opt, cache := NewIntegrated(env.Freeze()), NewPlanCache()

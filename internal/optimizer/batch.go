@@ -15,17 +15,14 @@ type BatchOptions struct {
 	// Workers is the number of concurrent optimizer goroutines (default
 	// GOMAXPROCS, capped at the number of queries).
 	Workers int
-	// Cache is the plan cache shared by the batch's workers. Nil means a
-	// private cache is created for the batch (so repeated queries within
-	// it still reuse plans) unless NoCache is set. A result's
-	// Circuit.Plan may be the tree this cache stores, shared with every
-	// later hit: callers must not write it (copy first with Clone or
-	// ShallowClone). Hits and misses alike have their circuits carved
-	// from their worker's blocks, each in a disjoint, capacity-clipped
-	// region (see Result.Circuit).
+	// Cache is the plan cache the batch's workers share; nil means a
+	// private one for the batch. Batches of one cache generation reuse
+	// its snapshot and k-NN index, and a hit's circuit shares its plan,
+	// services and links with the entry and every other hit of its key:
+	// callers must not write them (see Result.Circuit).
 	Cache *PlanCache
-	// NoCache disables plan caching entirely: every query runs the full
-	// integrated optimization.
+	// NoCache disables plan lookups and stores: every query runs the
+	// full integrated optimization (on Cache's snapshot, if one is set).
 	NoCache bool
 }
 
@@ -34,15 +31,16 @@ type BatchOptions struct {
 // (Env.Freeze), so the whole batch is optimized against a single
 // consistent view of coordinates, loads, and the catalog with no
 // locking on the read path, and the live Env remains free to mutate
-// afterwards without invalidating anything the batch computed.
+// afterwards without invalidating anything the batch computed. The
+// snapshot is the plan cache's: later batches of the cache's generation
+// reuse it, and its k-NN index, instead of freezing again.
 //
-// Queries whose (consumer, canonical stream set) key hits the plan cache
-// skip plan enumeration: the previously winning logical plan is re-placed
-// under the snapshot's conditions, which yields a circuit identical to
-// the full optimization whenever the key matches exactly (the full path
-// is deterministic for a fixed snapshot). Cache hits report
-// PlansConsidered == 1 and FromCache == true; their Circuit and
-// EstimatedUsage match the sequential Optimize result.
+// A query whose (consumer, canonical stream set) key hits the plan cache
+// gets the circuit the key's miss placed, with no enumeration and no
+// placement: the full path is deterministic for a fixed snapshot, so
+// the hit's Circuit, EstimatedUsage and MapStats match the sequential
+// Optimize result. Hits report PlansConsidered and CircuitsConsidered
+// 1 and FromCache true.
 //
 // Results are returned in query order, each written once, by its
 // worker, into the returned slice. The first optimization error aborts
@@ -67,15 +65,12 @@ func OptimizeBatch(env *Env, queries []query.Query, opts BatchOptions) ([]Result
 		workers = runtime.GOMAXPROCS(0)
 	}
 	cache := opts.Cache
-	if opts.NoCache {
-		cache = nil
-	} else if cache == nil {
+	if cache == nil {
 		cache = NewPlanCache()
 	}
-
-	snap := freezeForBatch(env)
-	if cache != nil {
-		cache.syncEpoch(snap.epoch)
+	snap, _, _ := cache.current(env, 0)
+	if opts.NoCache {
+		cache = nil
 	}
 	var (
 		next     atomic.Int64
@@ -111,10 +106,10 @@ func OptimizeBatch(env *Env, queries []query.Query, opts BatchOptions) ([]Result
 	return results, nil
 }
 
-// freezeForBatch returns the one snapshot every worker of a batch reads,
-// with its k-NN index built up front only if the batch's mapper reads
-// points from the snapshot, so the workers share one immutable index
-// lock-free. The live env is left as it was.
+// freezeForBatch returns the one snapshot the batches of a cache
+// generation read, with its k-NN index built up front only if their
+// mapper reads points from the snapshot, so the workers share one
+// immutable index lock-free. The live env is left as it was.
 func freezeForBatch(env *Env) *Env {
 	snap := env.Freeze()
 	if _, ok := mapperOn(nil, snap.Catalog(), snap).(placement.SourceMapper); ok {
@@ -125,54 +120,31 @@ func freezeForBatch(env *Env) *Env {
 
 // optimizeOne answers one batch query into dst (nil: carved from the
 // worker's blocks): from the plan cache when the key hits, with the full
-// integrated optimization otherwise (feeding the cache with the winner).
-// The key is built in the worker's scratch; the one a miss stores is a
-// copy carved from the worker's byte block, like the plan's signature.
+// integrated optimization otherwise (feeding the cache with the result).
+// A hit costs one circuit header carved from the worker's block. The
+// key is built in the worker's scratch; the one a miss stores is a copy
+// carved from the worker's byte block, like the plan's signature.
 func optimizeOne(opt *Integrated, cache *PlanCache, q query.Query, dst *Result) (*Result, error) {
 	if cache == nil {
 		return opt.optimizeInto(dst, q)
 	}
-	key := &opt.state().key
+	key, b := &opt.state().key, opt.builder()
 	key.set(q)
-	if p := cache.get(key); p != nil {
-		return placeCachedPlan(opt, q, p, dst)
+	if m, ok := cache.get(key); ok {
+		c := &take(&b.circuits, 1)[0]
+		*c = Circuit{Query: q, Plan: m.plan, Services: m.services, Links: m.links,
+			rootIdx: int(m.root), consumerIdx: int(m.consumer)}
+		if dst == nil {
+			dst = &take(&b.results, 1)[0]
+		}
+		*dst = Result{Circuit: c, PlansConsidered: 1, CircuitsConsidered: 1,
+			EstimatedUsage: m.usage, MapStats: m.stats, FromCache: true}
+		return dst, nil
 	}
 	res, err := opt.optimizeInto(dst, q)
 	if err != nil {
 		return nil, err
 	}
-	cache.Put(PlanCacheKey{key.consumer, query.Carve(&opt.builder().bytes, key.streams)}, res.Circuit.Plan)
+	cache.put(PlanCacheKey{key.consumer, query.Carve(&b.bytes, key.streams)}, res)
 	return res, nil
-}
-
-// placeCachedPlan skips enumeration and runs only the placement pipeline
-// for a plan that previously won the full optimization of an equivalent
-// query under the same environment epoch. The plan is the cache's,
-// rated and signed when it left the optimizer and read-only since, so
-// the circuit shares it and it is not re-rated: a statistics change
-// bumps the epoch, which flushes the cache. The circuit is placed
-// against the snapshot, so it always reflects the state the batch was
-// frozen over. It runs on the calling worker's optimizer: the circuit
-// is placed on its Builder's scratch, and the result is a copy carved
-// from that Builder's blocks, over the cached plan itself, written to
-// dst (nil: carved too).
-func placeCachedPlan(opt *Integrated, q query.Query, p *query.PlanNode, dst *Result) (*Result, error) {
-	_, placer, mapper, model := opt.components()
-	b := opt.builder()
-	c := &b.cand[0]
-	stats, err := b.buildPlaceMapInto(c, q, p, placer, mapper)
-	if err != nil {
-		return nil, err
-	}
-	usage := c.NetworkUsage(model)
-	if IsUncosted(usage) {
-		return nil, fmt.Errorf("optimizer: cached plan for query %d produced an uncosted circuit", q.ID)
-	}
-	return b.owned(dst, Result{
-		PlansConsidered:    1,
-		CircuitsConsidered: 1,
-		EstimatedUsage:     usage,
-		MapStats:           stats,
-		FromCache:          true,
-	}, c, false), nil
 }

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -284,42 +285,48 @@ func TestPlanCacheEpochFlush(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSharingSemantics pins the cache's sharing contract: Put
-// stores the caller's plan without copying it, a lookup returns that
-// pointer, and a batch hit places its circuit over it, so every circuit
-// answered from one entry shares one tree that nobody writes.
+// TestPlanCacheSharingSemantics pins the cache's sharing contract: an
+// entry keeps a header of its own over the plan, services and links of
+// the circuit its miss placed, and a hit is a header of its own too,
+// carrying the hit's Query, over the same three, with the miss's usage
+// and mapping statistics. Every circuit answered from one entry shares
+// them, and nobody writes them.
 func TestPlanCacheSharingSemantics(t *testing.T) {
 	env, q := testSetup(t, 13, false)
-	res, err := NewIntegrated(env).Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := NewPlanCache()
-	k := pc.KeyFor(env.Snapshot, q)
-	if pc.Get(k) != nil {
-		t.Fatal("empty cache returned a plan")
-	}
-	pc.Put(k, res.Circuit.Plan)
-	if got := pc.Get(k); got != res.Circuit.Plan {
-		t.Fatalf("lookup returned %p, not the stored plan %p", got, res.Circuit.Plan)
-	}
-	hits, misses := pc.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d hits / %d misses, want 1/1", hits, misses)
-	}
-
 	snap := env.Freeze()
 	opt, cache := NewIntegrated(snap), NewPlanCache()
+	k := cache.KeyFor(snap.Snapshot, q)
+	if cache.Get(k) != nil {
+		t.Fatal("empty cache returned a plan")
+	}
 	cold, err := optimizeOne(opt, cache, q, nil)
+	if err != nil || cold.FromCache {
+		t.Fatalf("cold query: %v, from cache %v", err, cold != nil && cold.FromCache)
+	}
+	renamed := q
+	renamed.ID = q.ID + 100
+	warm, err := optimizeOne(opt, cache, renamed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := optimizeOne(opt, cache, q, nil)
-	if err != nil {
-		t.Fatal(err)
+	if hits, misses := cache.Stats(); hits != 1 || misses != 2 {
+		t.Fatalf("stats = %d hits / %d misses, want 1/2", hits, misses)
 	}
-	if !warm.FromCache || warm.Circuit.Plan != cold.Circuit.Plan {
-		t.Fatalf("a hit's circuit does not share the stored plan (from cache %v)", warm.FromCache)
+	wc, cc := warm.Circuit, cold.Circuit
+	if !warm.FromCache || wc == cc || wc.Plan != cc.Plan || &wc.Services[0] != &cc.Services[0] || &wc.Links[0] != &cc.Links[0] {
+		t.Fatalf("a hit is not a header of its own over the stored circuit (from cache %v)", warm.FromCache)
+	}
+	if wc.Query.ID != renamed.ID || warm.PlansConsidered != 1 || warm.CircuitsConsidered != 1 ||
+		warm.EstimatedUsage != cold.EstimatedUsage || warm.MapStats != cold.MapStats {
+		t.Fatalf("hit: query %d, %d plans, %d circuits, usage %v, %+v; want query %d, 1, 1, %v, %+v",
+			wc.Query.ID, warm.PlansConsidered, warm.CircuitsConsidered, warm.EstimatedUsage, warm.MapStats,
+			renamed.ID, cold.EstimatedUsage, cold.MapStats)
+	}
+	// The entry's header is its own: rewriting the miss's header, as
+	// Deploy does, leaves what later hits get alone.
+	cc.Services, cc.Links = nil, nil
+	if again, err := optimizeOne(opt, cache, q, nil); err != nil || &again.Circuit.Services[0] != &wc.Services[0] {
+		t.Fatalf("after the miss's header was rewritten the entry answers %v (err %v)", again, err)
 	}
 }
 
@@ -352,7 +359,8 @@ func TestBatchCarvedStringsStayPut(t *testing.T) {
 	var strs []kept
 	keep := func(s string) { strs = append(strs, kept{s, strings.Clone(s)}) }
 	cache.mu.RLock()
-	for k, p := range cache.plans {
+	for k, m := range cache.entries {
+		p := m.plan
 		keys = append(keys, k)
 		keep(k.Streams)
 		if got, want := p.Signature(), resigned(p); got != want {
@@ -407,4 +415,77 @@ func resigned(n *query.PlanNode) string {
 		return out
 	}
 	return cp(n).Signature()
+}
+
+// TestBatchMemoSurvivesDeployAndMigration: hits of one key share the
+// services and links of the circuit the key's miss placed. Deploying
+// two of them and committing a migration of one's unpinned service must
+// move that one alone: the deployment and the caller's *Circuit show
+// the new node, while the other result, the cache entry and a later
+// batch's hit keep the placement the cache made. The deployment runs
+// over an equal env of its own, so the cache's generation outlives it.
+func TestBatchMemoSurvivesDeployAndMigration(t *testing.T) {
+	env, q := testSetup(t, 3, true)
+	qs := make([]query.Query, 4)
+	for i := range qs {
+		qs[i] = q
+		qs[i].ID = query.QueryID(i + 1)
+	}
+	cache := NewPlanCache()
+	got, err := OptimizeBatch(env, qs, BatchOptions{Workers: 1, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].FromCache || !got[1].FromCache || !got[2].FromCache {
+		t.Fatal("fixture: want a miss, then hits")
+	}
+	moved, other := got[1].Circuit, got[2].Circuit
+	svc := slices.IndexFunc(moved.Services, func(s *PlacedService) bool { return !s.Pinned && s.Plan != nil })
+	if svc < 0 {
+		t.Fatal("fixture: the circuit has no unpinned service")
+	}
+	from := moved.Services[svc].Node
+	to := (from + 1) % topology.NodeID(env.Topo.NumNodes())
+	otherBefore := circuitBits(&got[2])
+	entryNode := func() topology.NodeID {
+		cache.mu.RLock()
+		defer cache.mu.RUnlock()
+		for _, m := range cache.entries {
+			return m.services[svc].Node
+		}
+		t.Fatal("the cache holds no entry")
+		return 0
+	}
+
+	depEnv, _ := testSetup(t, 3, true)
+	dep := NewDeployment(depEnv, nil)
+	for _, c := range []*Circuit{moved, other} {
+		if err := dep.Deploy(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tk, err := dep.BeginMigration(Migration{Query: moved.Query.ID, Service: svc, From: from, To: to})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	if deployed, _ := dep.Circuit(moved.Query.ID); deployed != moved || moved.Services[svc].Node != to {
+		t.Fatalf("the caller's circuit shows node %d after the migration to %d", moved.Services[svc].Node, to)
+	}
+	if !slices.Equal(circuitBits(&got[2]), otherBefore) {
+		t.Fatal("migrating one deployed hit changed another")
+	}
+	if n := entryNode(); n != from {
+		t.Fatalf("the cache entry's service moved to node %d, was %d", n, from)
+	}
+	later, err := OptimizeBatch(env, qs[:1], BatchOptions{Workers: 1, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !later[0].FromCache || !slices.Equal(circuitBits(&later[0]), otherBefore) {
+		t.Fatalf("a later hit (from cache %v) differs from the placement the cache made", later[0].FromCache)
+	}
 }

@@ -11,10 +11,9 @@ import (
 	"github.com/hourglass/sbon/internal/query"
 )
 
-// KeyFor is the key a batch over s looks q up by, as a value; like the
-// batch, it first flushes the entries of another epoch.
+// KeyFor is the key a batch over s looks q up by, as a value. The key
+// names no network state, so s changes nothing.
 func (pc *PlanCache) KeyFor(s *Snapshot, q query.Query) PlanCacheKey {
-	pc.syncEpoch(s.epoch)
 	var k planKey
 	k.set(q)
 	return k.key()
@@ -25,9 +24,14 @@ func (k *planKey) key() PlanCacheKey {
 	return PlanCacheKey{Consumer: k.consumer, Streams: string(k.streams)}
 }
 
-// Get looks a materialised key up through the batch's lookup path.
+// Get looks a materialised key up through the batch's lookup path and
+// returns the stored circuit's plan, or nil on a miss.
 func (pc *PlanCache) Get(k PlanCacheKey) *query.PlanNode {
-	return pc.get(&planKey{consumer: k.Consumer, streams: []byte(k.Streams)})
+	m, ok := pc.get(&planKey{consumer: k.Consumer, streams: []byte(k.Streams)})
+	if !ok {
+		return nil
+	}
+	return m.plan
 }
 
 // canonicalStreamsFmt is the fmt-based encoder appendCanonicalStreams

@@ -82,23 +82,8 @@ func (c *Circuit) add(s PlacedService) int {
 // its signature carved from the byte block.
 func (b *Builder) owned(dst *Result, r Result, c *Circuit, clonePlan bool) *Result {
 	out := &take(&b.circuits, 1)[0]
-	*out = Circuit{
-		Query: c.Query, Plan: c.Plan, rootIdx: c.rootIdx, consumerIdx: c.consumerIdx,
-		Services: take(&b.services, len(c.slab)), Links: take(&b.links, len(c.Links)),
-		slab: take(&b.slab, len(c.slab)), coords: take(&b.coords, len(c.coords)),
-	}
-	copy(out.Links, c.Links)
-	copy(out.slab, c.slab)
-	copy(out.coords, c.coords)
-	off := 0
-	for i := range out.slab {
-		s := &out.slab[i]
-		out.Services[i] = s
-		if d := len(s.Virtual); d > 0 {
-			s.Virtual = out.coords[off : off+d : off+d]
-			off += d
-		}
-	}
+	*out = *c
+	b.carveStorage(out)
 	if clonePlan {
 		nodes, i := take(&b.nodes, planSize(c.Plan)), 0
 		out.Plan = out.clonePlan(c.Plan, &nodes, &i)
@@ -110,6 +95,28 @@ func (b *Builder) owned(dst *Result, r Result, c *Circuit, clonePlan bool) *Resu
 	*dst = r
 	dst.Circuit = out
 	return dst
+}
+
+// carveStorage re-points c at copies of its services, links and virtual
+// coordinates, carved from b's blocks, so that writing them reaches no
+// other circuit.
+func (b *Builder) carveStorage(c *Circuit) {
+	d := 0
+	for _, s := range c.Services {
+		d += len(s.Virtual)
+	}
+	services, slab := take(&b.services, len(c.Services)), take(&b.slab, len(c.Services))
+	coords := take(&b.coords, d)[:0]
+	for i, s := range c.Services {
+		slab[i] = *s
+		if v := s.Virtual; len(v) > 0 {
+			coords = append(coords, v...)
+			slab[i].Virtual = coords[len(coords)-len(v) : len(coords) : len(coords)]
+		}
+		services[i] = &slab[i]
+	}
+	c.Services, c.slab, c.coords = services, slab, coords
+	c.Links = append(take(&b.links, len(c.Links))[:0], c.Links...)
 }
 
 // sign signs the plan, one string for the whole tree, carved from

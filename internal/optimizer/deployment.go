@@ -62,7 +62,12 @@ func NewDeployment(env *Env, reg *Registry) *Deployment {
 
 // Deploy installs the circuit: charges load for its new services,
 // registers them as shareable instances, and bumps refcounts on reused
-// instances.
+// instances. It first re-points c at copies of its services, links and
+// virtual coordinates, which migrations and re-optimization sweeps then
+// write: a circuit from a batch shares them with the plan cache and
+// every other answer of its key, and those stay as they were. The
+// deployment, the stream engine and the caller's *Circuit see the one
+// copy.
 func (d *Deployment) Deploy(c *Circuit) error {
 	if err := c.Validate(); err != nil {
 		return err
@@ -70,6 +75,8 @@ func (d *Deployment) Deploy(c *Circuit) error {
 	if _, ok := d.circuits[c.Query.ID]; ok {
 		return fmt.Errorf("optimizer: query %d already deployed", c.Query.ID)
 	}
+	var b Builder
+	b.carveStorage(c)
 	truth := TrueLatency{Topo: d.Env.Topo}
 	for _, s := range c.Services {
 		if s.Plan == nil || s.Plan.Kind == query.KindSource {

@@ -12,12 +12,15 @@ import (
 // Result is the outcome of optimizing one query.
 type Result struct {
 	// Circuit is the placed query. From a batch with a plan cache, its
-	// Plan may be shared with the cache and other results, so it is
-	// read-only: copy it (Clone, ShallowClone) before changing it. The
-	// results of one optimizer are carved from shared blocks, each circuit
-	// in a disjoint, capacity-clipped region of them: writing or
-	// appending to one never reaches another, and a block stays live
-	// while any of its circuits does.
+	// Plan, Services and Links may be shared with the cache and every
+	// other result of its key, so they are read-only: Deployment.Deploy
+	// copies the services and links it writes, and a plan is copied with
+	// Clone or ShallowClone before it is changed. The header itself, and
+	// its Query, are the result's own. The results of one optimizer are
+	// carved from shared blocks, each circuit in a disjoint,
+	// capacity-clipped region of them: writing or appending to one never
+	// reaches another, and a block stays live while any of its circuits
+	// does.
 	Circuit *Circuit
 	// PlansConsidered is the number of candidate logical plans examined.
 	PlansConsidered int
@@ -36,7 +39,8 @@ type Result struct {
 	// reuse search (the §3.4 pruning work metric).
 	InstancesExamined int
 	// FromCache marks results answered from a PlanCache hit (batch
-	// optimization): plan enumeration was skipped and only placement ran.
+	// optimization): plan enumeration and placement were both skipped,
+	// and MapStats are those of the placement the hit reuses.
 	FromCache bool
 }
 

@@ -168,8 +168,8 @@ func (pb *PlanBank) Optimize(q query.Query) (*Result, error) {
 // consumer node and the canonical encoding of its stream set (including
 // per-stream filters and the aggregate fraction, which change the plan
 // space). Network conditions are not part of the key: the cache flushes
-// whenever the environment's epoch moves, so within one cache generation
-// two queries with equal keys are the same query up to their IDs.
+// whenever its generation ends, so within one generation two queries
+// with equal keys are the same query up to their IDs.
 type PlanCacheKey struct {
 	Consumer topology.NodeID
 	Streams  string
@@ -210,39 +210,62 @@ type planKey struct {
 	streams  []byte
 }
 
-// PlanCache memoizes winning logical plans across optimizations. Unlike
+// PlanCache memoizes integrated optimizations across batches. Unlike
 // PlanBank — which speculatively precompiles plans for hypothetical
-// futures — the cache records the plan that actually won a full
-// integrated optimization, keyed by PlanCacheKey, and answers later
-// lookups for the same (consumer, stream set) with that plan so only
-// placement has to be re-run. Stored plans are shared with the circuits
-// placed over them and are never written: a plan is rated and signed
-// once, when it leaves the optimizer.
+// futures — the cache records what a full optimization chose, keyed by
+// PlanCacheKey: the placed circuit, its estimated usage and its mapping
+// statistics. A later query with the key is answered with a circuit
+// header of its own, carrying its own Query, over the stored plan,
+// services and links, with no enumeration and no placement. Those are
+// shared by every answer of the key and never written:
+// Deployment.Deploy copies the services and links it writes.
 //
-// The cache is pinned to one environment's mutation epoch: a lookup
-// flushes every entry when the snapshot's Epoch differs from the one the
-// entries were populated under. A plan enumerated under superseded
-// conditions (any load change, deploy, re-embedding or statistics
-// change bumps the epoch) is therefore never served — which keeps batch
-// results identical to what sequential Optimize would produce on the
-// current state — and the cache's size stays bounded by the distinct
-// keys of the current epoch. Use one cache per Env: the key does not name
-// the environment.
+// The entries belong to one generation: a live env, its mutation epoch
+// and its DHT catalog's mutation count. The generation owns the frozen
+// snapshot its batches place against, with the snapshot's k-NN index
+// and region map, so its batches freeze and index once. A batch over
+// another env, or after any load change, deploy, re-embedding,
+// statistics change or catalog repair, starts a new generation and
+// flushes every entry: a circuit placed under superseded conditions is
+// never served, which keeps batch results identical to sequential
+// Optimize on the current state, and the cache holds at most the
+// distinct keys of one generation.
 //
 // All methods are safe for concurrent use; OptimizeBatch workers share
 // one cache.
 type PlanCache struct {
-	mu    sync.RWMutex
-	epoch uint64
-	plans map[PlanCacheKey]*query.PlanNode
+	mu      sync.RWMutex
+	gen     generation
+	entries map[PlanCacheKey]memo
 
 	hits atomic.Int64
 	miss atomic.Int64
 }
 
+// generation is the state a cache's entries were placed against, and
+// the frozen view of it that the generation's batches share.
+type generation struct {
+	env              *Env
+	epoch, mutations uint64
+	snap             *Env
+	regions          *regionMap // for one region count, built on first use
+}
+
+// memo is one cache entry: what a circuit header needs of the circuit a
+// miss placed, with its usage and mapping statistics. It is small
+// enough for the map to hold it inline, so a miss stores no heap object.
+type memo struct {
+	plan           *query.PlanNode
+	services       []*PlacedService
+	links          []Link
+	root, consumer int32
+	usage          float64
+	stats          placement.MapStats
+}
+
 // NewPlanCache returns an empty concurrent plan cache.
 func NewPlanCache() *PlanCache {
-	return &PlanCache{plans: make(map[PlanCacheKey]*query.PlanNode)}
+	return &PlanCache{entries: make(map[PlanCacheKey]memo)}
 }
 
 // set builds q's key into k's own buffer.
@@ -251,60 +274,62 @@ func (k *planKey) set(q query.Query) {
 	k.streams = appendCanonicalStreams(k.streams[:0], q)
 }
 
-// syncEpoch discards all entries when the environment's mutation epoch
-// has moved past the one they were populated under. OptimizeBatch calls
-// it once, before its workers start, so a lookup takes no extra lock.
-func (pc *PlanCache) syncEpoch(epoch uint64) {
-	pc.mu.RLock()
-	same := pc.epoch == epoch
-	pc.mu.RUnlock()
-	if same {
-		return
-	}
-	pc.mu.Lock()
-	if pc.epoch != epoch {
-		pc.epoch = epoch
-		clear(pc.plans)
-	}
-	pc.mu.Unlock()
-}
-
-// get returns the cached plan for the key, or nil on a miss. The plan is
-// shared, not copied: it is read-only once it leaves the optimizer, so
-// concurrent hits place circuits over one tree. Lookups take only the
-// read lock (counters are atomic), and the key's string conversion
-// inside the index expression does not allocate.
-func (pc *PlanCache) get(k *planKey) *query.PlanNode {
-	pc.mu.RLock()
-	p, ok := pc.plans[PlanCacheKey{Consumer: k.consumer, Streams: string(k.streams)}]
-	pc.mu.RUnlock()
-	if !ok {
-		pc.miss.Add(1)
-		return nil
-	}
-	pc.hits.Add(1)
-	return p
-}
-
-// Put stores the winning plan under the key without copying it: the
-// caller's circuit and every later hit share the tree, which nobody may
-// write (writers copy first, with Clone or ShallowClone). Existing
-// entries are overwritten (last winner wins; entries for the same key
-// are equivalent by construction).
-func (pc *PlanCache) Put(k PlanCacheKey, p *query.PlanNode) {
-	if p == nil {
-		return
+// current returns the snapshot of env's generation and, for k > 0, its
+// region map for a k-way split (k = 0 cannot fail). A new generation,
+// with a new snapshot, no entries and no region map, starts first when
+// env, its epoch or its catalog moved on.
+func (pc *PlanCache) current(env *Env, k int) (*Env, *regionMap, error) {
+	var mutations uint64
+	if cat := env.Catalog(); cat != nil {
+		mutations = cat.Mutations()
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	pc.plans[k] = p
+	g := &pc.gen
+	if g.env != env || g.epoch != env.epoch || g.mutations != mutations {
+		*g = generation{env: env, epoch: env.epoch, mutations: mutations, snap: freezeForBatch(env)}
+		clear(pc.entries)
+	}
+	if k > 0 && (g.regions == nil || g.regions.k != k) {
+		m, err := newRegionMap(g.snap, k)
+		if err != nil {
+			return nil, nil, err
+		}
+		g.regions = m
+	}
+	return g.snap, g.regions, nil
 }
 
-// Len returns the number of cached plans.
+// get returns the entry for the key. Lookups take only the read lock
+// (counters are atomic), and the key's string conversion inside the
+// index expression does not allocate.
+func (pc *PlanCache) get(k *planKey) (memo, bool) {
+	pc.mu.RLock()
+	m, ok := pc.entries[PlanCacheKey{Consumer: k.consumer, Streams: string(k.streams)}]
+	pc.mu.RUnlock()
+	if !ok {
+		pc.miss.Add(1)
+		return m, false
+	}
+	pc.hits.Add(1)
+	return m, true
+}
+
+// put stores a miss's result under the key, sharing its circuit's plan,
+// services and links. Existing entries are overwritten: entries for one
+// key are equal by construction.
+func (pc *PlanCache) put(k PlanCacheKey, r *Result) {
+	c := r.Circuit
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	pc.entries[k] = memo{c.Plan, c.Services, c.Links, int32(c.rootIdx), int32(c.consumerIdx), r.EstimatedUsage, r.MapStats}
+}
+
+// Len returns the number of cached entries.
 func (pc *PlanCache) Len() int {
 	pc.mu.RLock()
 	defer pc.mu.RUnlock()
-	return len(pc.plans)
+	return len(pc.entries)
 }
 
 // Stats returns the cumulative hit and miss counts.

@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"github.com/hourglass/sbon/internal/costspace"
 	"github.com/hourglass/sbon/internal/hilbert"
@@ -71,28 +72,39 @@ func RoundShards(k int) int {
 // optimizer's regions, so the traffic a region-local placement
 // generates stays shard-local in the simulation too.
 func NodeRegions(env *Env, k int) ([]int32, error) {
-	regionAt, err := nodeRegions(env, RoundShards(k))
+	m, err := newRegionMap(env, RoundShards(k))
 	if err != nil {
 		return nil, err
 	}
 	regions := make([]int32, len(env.pts))
 	for i := range regions {
-		regions[i] = regionAt(topology.NodeID(i))
+		regions[i] = m.at(topology.NodeID(i))
 	}
 	return regions, nil
 }
 
-// nodeRegions returns the function that gives a node its home region:
-// the top log2(k) bits of the Hilbert key of its cost-space point,
-// encoded the first time the node is asked for, so a batch encodes only
-// the nodes its queries name. Nearby points share long key prefixes, so
-// regions are contiguous blobs in cost space — the locality that makes
-// a region-local query's whole footprint land in one shard. The curve
-// and bounds are derived from the environment the same way the DHT
-// catalog's are (buildDHT), but locally, so routing works identically
-// with or without a catalog and depends only on the snapshot's points —
-// deterministic for a fixed environment.
-func nodeRegions(env *Env, k int) (func(topology.NodeID) int32, error) {
+// regionMap gives a node its home region: the top log2(k) bits of the
+// Hilbert key of its cost-space point, encoded the first time the node
+// is asked for, so batches encode only the nodes their queries name.
+// Nearby points share long key prefixes, so regions are contiguous
+// blobs in cost space — the locality that makes a region-local query's
+// whole footprint land in one shard. The curve and bounds are derived
+// from the environment the same way the DHT catalog's are (buildDHT),
+// but locally, so routing works identically with or without a catalog
+// and depends only on the points — deterministic for a fixed
+// environment. A plan cache's generation keeps one for its snapshot,
+// which the sharded batches of the generation share: concurrent ones
+// that encode one node store the same value.
+type regionMap struct {
+	k      int
+	pts    []costspace.Point
+	curve  hilbert.Curve
+	bounds costspace.Bounds
+	shift  uint
+	memo   []atomic.Int32 // a node's region plus one, 0 until asked
+}
+
+func newRegionMap(env *Env, k int) (*regionMap, error) {
 	hbits := env.cfg.HilbertBits
 	for uint(env.space.Dims())*hbits > 64 {
 		hbits--
@@ -108,16 +120,19 @@ func nodeRegions(env *Env, k int) (func(topology.NodeID) int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	shift := curve.KeyBits() - uint(bits.TrailingZeros(uint(k)))
-	memo := make([]int32, len(env.pts)) // a node's region plus one, 0 until asked
-	var cells []uint32
-	return func(n topology.NodeID) int32 {
-		if memo[n] == 0 {
-			cells = bounds.QuantizeInto(cells, env.pts[n], curve.Bits())
-			memo[n] = int32(curve.MustEncodeInPlace(cells)>>shift) + 1
-		}
-		return memo[n] - 1
-	}, nil
+	return &regionMap{k: k, pts: env.pts, curve: curve, bounds: bounds,
+		shift: curve.KeyBits() - uint(bits.TrailingZeros(uint(k))), memo: make([]atomic.Int32, len(env.pts))}, nil
+}
+
+// at returns n's region, encoding it when it is not known yet.
+func (m *regionMap) at(n topology.NodeID) int32 {
+	r := m.memo[n].Load()
+	if r == 0 {
+		var cells [8]uint32
+		r = int32(m.curve.MustEncodeInPlace(m.bounds.QuantizeInto(cells[:0], m.pts[n], m.curve.Bits()))>>m.shift) + 1
+		m.memo[n].Store(r)
+	}
+	return r - 1
 }
 
 // OptimizeBatchSharded is OptimizeBatch plus a routing count. The space
@@ -125,7 +140,9 @@ func nodeRegions(env *Env, k int) (func(topology.NodeID) int32, error) {
 // queries whose footprint — consumer and every source-stream producer —
 // falls in one region, and those that span regions. The answers are
 // OptimizeBatch's, over one pool and one cache: regionality never
-// changes a result (TestOptimizeBatchShardedMatchesGlobal).
+// changes a result (TestOptimizeBatchShardedMatchesGlobal). The region
+// map is the cache's, like the snapshot: batches of one generation
+// share it.
 //
 // The live Env must not be mutated while the batch runs, exactly as for
 // OptimizeBatch.
@@ -134,23 +151,23 @@ func OptimizeBatchSharded(env *Env, queries []query.Query, opts ShardedBatchOpti
 		return nil, nil, fmt.Errorf("optimizer: OptimizeBatchSharded on nil env")
 	}
 	k := RoundShards(opts.Shards)
-	stats := &ShardStats{Shards: k, Routed: make([]int, k)}
-	regionAt, err := nodeRegions(env, k)
+	cache := NewPlanCache() // a generation of this batch's own
+	if opts.Caches != nil {
+		cache = opts.Caches.cache
+	}
+	_, regions, err := cache.current(env, k)
 	if err != nil {
 		return nil, nil, err
 	}
+	stats := &ShardStats{Shards: k, Routed: make([]int, k)}
 	for i := range queries {
-		if r, ok := regionOf(env, regionAt, &queries[i]); ok {
+		if r, ok := regionOf(env, regions, &queries[i]); ok {
 			stats.Routed[r]++
 		} else {
 			stats.Fallback++
 		}
 	}
-	bopts := BatchOptions{NoCache: opts.NoCache}
-	if opts.Caches != nil {
-		bopts.Cache = opts.Caches.cache
-	}
-	results, err := OptimizeBatch(env, queries, bopts)
+	results, err := OptimizeBatch(env, queries, BatchOptions{Cache: cache, NoCache: opts.NoCache})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -160,15 +177,15 @@ func OptimizeBatchSharded(env *Env, queries []query.Query, opts ShardedBatchOpti
 // regionOf returns the region that holds q's consumer and the producer
 // of every stream it reads, or false when they span regions or name a
 // node or stream the environment does not know.
-func regionOf(env *Env, regionAt func(topology.NodeID) int32, q *query.Query) (int32, bool) {
+func regionOf(env *Env, regions *regionMap, q *query.Query) (int32, bool) {
 	in := func(n topology.NodeID) bool { return int(n) >= 0 && int(n) < len(env.pts) }
 	if !in(q.Consumer) {
 		return 0, false
 	}
-	r := regionAt(q.Consumer)
+	r := regions.at(q.Consumer)
 	for _, sid := range q.Streams {
 		p, known := env.Stats.Producer(sid)
-		if !known || !in(p) || regionAt(p) != r {
+		if !known || !in(p) || regions.at(p) != r {
 			return 0, false
 		}
 	}

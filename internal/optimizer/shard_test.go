@@ -2,9 +2,11 @@ package optimizer
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/hourglass/sbon/internal/query"
+	"github.com/hourglass/sbon/internal/topology"
 )
 
 // TestOptimizeBatchShardedMatchesGlobal is the shard-vs-global
@@ -41,26 +43,7 @@ func TestOptimizeBatchShardedMatchesGlobal(t *testing.T) {
 			}
 			// The batch encodes only the nodes its queries name; the
 			// counts are those of every node's region.
-			regions, err := NodeRegions(env, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantRouted, wantFallback := make([]int, 4), 0
-			for _, q := range qs {
-				r, local := regions[q.Consumer], true
-				for _, sid := range q.Streams {
-					p, known := env.Stats.Producer(sid)
-					local = local && known && regions[p] == r
-				}
-				if local {
-					wantRouted[r]++
-				} else {
-					wantFallback++
-				}
-			}
-			if !slices.Equal(stats.Routed, wantRouted) || stats.Fallback != wantFallback {
-				t.Fatalf("routing %v + %d fallback, want %v + %d from NodeRegions", stats.Routed, stats.Fallback, wantRouted, wantFallback)
-			}
+			requireRouting(t, env, qs, stats)
 			for i := range qs {
 				circuitsEqual(t, i, &got[i], &want[i])
 			}
@@ -93,6 +76,32 @@ func TestOptimizeBatchShardedDeterministic(t *testing.T) {
 	}
 	for i := range qs {
 		circuitsEqual(t, i, &r2[i], &r1[i])
+	}
+}
+
+// requireRouting checks a sharded batch's routing counts against
+// NodeRegions, a fresh count over every node's region.
+func requireRouting(t *testing.T, env *Env, qs []query.Query, stats *ShardStats) {
+	t.Helper()
+	regions, err := NodeRegions(env, stats.Shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRouted, wantFallback := make([]int, stats.Shards), 0
+	for _, q := range qs {
+		r, local := regions[q.Consumer], true
+		for _, sid := range q.Streams {
+			p, known := env.Stats.Producer(sid)
+			local = local && known && regions[p] == r
+		}
+		if local {
+			wantRouted[r]++
+		} else {
+			wantFallback++
+		}
+	}
+	if !slices.Equal(stats.Routed, wantRouted) || stats.Fallback != wantFallback {
+		t.Fatalf("routing %v + %d fallback, want %v + %d from NodeRegions", stats.Routed, stats.Fallback, wantRouted, wantFallback)
 	}
 }
 
@@ -163,6 +172,121 @@ func TestBatchBuildsTheIndexOnlyForTheOracle(t *testing.T) {
 	live := env.CostIndex()
 	if freezeForBatch(env).idx.Load() != live {
 		t.Fatal("the batch snapshot rebuilt the live env's epoch-current index")
+	}
+
+	// One generation, one freeze: oracle batches on one cache at one
+	// epoch share its snapshot and the snapshot's index, and the live
+	// env still builds none; a load change starts a new generation.
+	env, _ = testSetup(t, 7, false)
+	caches := NewShardedPlanCache(4)
+	cache = caches.cache
+	var snaps [2]*Env
+	for i := range snaps {
+		if _, err := OptimizeBatch(env, qs, BatchOptions{Workers: 2, Cache: cache}); err != nil {
+			t.Fatal(err)
+		}
+		snaps[i] = cache.gen.snap
+	}
+	if ix := snaps[0].idx.Load(); snaps[0] != snaps[1] || ix == nil || snaps[1].idx.Load() != ix {
+		t.Fatal("two batches of one generation froze or indexed twice")
+	}
+	if env.idx.Load() != nil {
+		t.Fatal("an oracle-mapped batch built an index on the live env")
+	}
+	env.SetBackgroundLoad(env.Topo.StubNodeIDs()[0], 0.3)
+	if _, err := OptimizeBatch(env, qs, BatchOptions{Workers: 2, Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	if snap := cache.gen.snap; snap == snaps[0] || snap.Epoch() != env.Epoch() || snap.idx.Load() == nil {
+		t.Fatal("a load change did not refreeze and reindex the generation's snapshot")
+	}
+
+	// The sharded batches of a generation share its region map and
+	// count what a fresh NodeRegions does; two at once, on a generation
+	// whose map is still empty, fill it without a data race.
+	for range 2 {
+		_, stats, err := OptimizeBatchSharded(env, qs, ShardedBatchOptions{Shards: 4, Caches: caches})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireRouting(t, env, qs, stats)
+	}
+	env.SetBackgroundLoad(env.Topo.StubNodeIDs()[0], 0.1)
+	var stats [2]*ShardStats
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range stats {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, stats[i], errs[i] = OptimizeBatchSharded(env, qs, ShardedBatchOptions{Shards: 4, Caches: caches})
+		}()
+	}
+	wg.Wait()
+	for i := range stats {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		requireRouting(t, env, qs, stats[i])
+	}
+}
+
+// TestBatchAfterCatalogRepairMatchesFreshFreeze: a crash repair of the
+// DHT catalog retires the dead node's coordinate without moving the
+// env's epoch. The cache's generation must end with it: the next batch
+// must answer what a sequential optimizer on a fresh Freeze does, and
+// place nothing on the dead node, where the first batch placed a
+// service.
+func TestBatchAfterCatalogRepairMatchesFreshFreeze(t *testing.T) {
+	env, _ := testSetup(t, 9, true)
+	qs := batchQueries(env, 40)
+	cache := NewPlanCache()
+	first, err := OptimizeBatch(env, qs, BatchOptions{Workers: 2, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The dead node hosts a placed service and no query's endpoint, so
+	// a correct answer exists without it.
+	endpoints := map[topology.NodeID]bool{}
+	for _, q := range qs {
+		endpoints[q.Consumer] = true
+		for _, sid := range q.Streams {
+			p, _ := env.Stats.Producer(sid)
+			endpoints[p] = true
+		}
+	}
+	dead := topology.NodeID(-1)
+	for i := 0; i < len(first) && dead < 0; i++ {
+		for _, s := range first[i].Circuit.UnpinnedServices() {
+			if !endpoints[s.Node] {
+				dead = s.Node
+				break
+			}
+		}
+	}
+	if dead < 0 {
+		t.Fatal("fixture: every placed service sits on a query endpoint")
+	}
+	epoch := env.Epoch()
+	if rep := env.Catalog().RepairAfterCrash([]topology.NodeID{dead}); rep.Unpublished != 1 || env.Epoch() != epoch {
+		t.Fatalf("fixture: the repair unpublished %d nodes and moved the epoch %d -> %d", rep.Unpublished, epoch, env.Epoch())
+	}
+	got, err := OptimizeBatch(env, qs, BatchOptions{Workers: 2, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewIntegrated(env.Freeze())
+	for i, q := range qs {
+		want, err := fresh.Optimize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuitsEqual(t, i, &got[i], want)
+		for _, s := range got[i].Circuit.Services {
+			if s.Node == dead {
+				t.Fatalf("query %d: a service placed on dead node %d", q.ID, dead)
+			}
+		}
 	}
 }
 

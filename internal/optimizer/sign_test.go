@@ -78,17 +78,17 @@ func TestPlansLeaveSigned(t *testing.T) {
 			requireSigned(t, "Enumerate", p)
 		}
 	}
-	for k, p := range cache.plans {
-		requireSigned(t, "PlanCache.Put's stored plan for "+k.Streams, p)
+	for k, m := range cache.entries {
+		requireSignedCircuit(t, "the plan cache's stored circuit for "+k.Streams, &Circuit{Plan: m.plan, Services: m.services})
 	}
 	for _, q := range queries {
 		key := &opt.state().key
 		key.set(q)
-		p := cache.get(key)
-		if p == nil {
+		m, ok := cache.get(key)
+		if !ok {
 			t.Fatalf("query %d missed the warm cache", q.ID)
 		}
-		requireSigned(t, "PlanCache.get", p)
+		requireSigned(t, "PlanCache.get", m.plan)
 		res, err := optimizeOne(opt, cache, q, nil)
 		if err != nil || !res.FromCache {
 			t.Fatalf("query %d: warm batch query %v, from cache %v", q.ID, err, res != nil && res.FromCache)
@@ -166,7 +166,7 @@ func regionFixture(t *testing.T) (*Env, []query.Query) {
 // TestShardedBatchSharesOnlySignedPlans runs a sharded batch over a
 // carried cache, its queries spread over all 16 regions and the
 // fallback, then answers it again from the warm cache on eight workers
-// that place circuits over the same shared trees at once. Under -race
+// that hand out the same shared circuits at once. Under -race
 // (CI runs it so) a signature or rate written lazily into a plan the
 // cache or another worker can reach is a data race; without it, the warm
 // answers must equal the cold ones and every plan must be signed.

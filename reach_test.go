@@ -29,7 +29,6 @@ var reachKeep = map[string]string{
 	"costspace.LinearWeight.Weight":      "a §3.1 weighting function; the cost-space and index tests weigh load with it",
 	"costspace.Space.Validate":           "checks a hand-built cost space, input from outside the library",
 	"costspace.Space.VectorDistance":     "the brute-force reference costindex's tests hold NearestVector to",
-	"dht.Catalog.Mutations":              "accessor the re-planning tests read to prove a sweep publishes nothing",
 	"dht.Catalog.NumPublished":           "accessor the DHT and optimizer tests read",
 	"dht.Peer.Entries":                   "accessor the DHT fault tests read",
 	"dht.Peer.ID":                        "accessor the DHT tests read",

@@ -90,7 +90,7 @@ type (
 	Measurement = stream.Measurement
 	// BatchOptions configures OptimizeBatch.
 	BatchOptions = optimizer.BatchOptions
-	// PlanCache memoizes winning logical plans across optimizations.
+	// PlanCache memoizes placed circuits across batch optimizations.
 	PlanCache = optimizer.PlanCache
 	// MigrationPlan is a typed re-optimization sweep output: the service
 	// moves a control plane hands to the data plane.
@@ -257,20 +257,23 @@ func (s *System) Optimize(q Query) (*Result, error) {
 // OptimizeBatch optimizes many queries concurrently over one frozen
 // snapshot of the environment: a worker pool shares the snapshot — and
 // its cost-space k-NN index, built once per snapshot — without locking,
-// and a plan cache keyed by (consumer, canonical stream set) lets
-// repeated queries skip plan enumeration and re-run only placement.
-// Results are in query order.
+// and a plan cache keyed by (consumer, canonical stream set) answers
+// repeated queries with the circuit placed for the key, with no
+// enumeration and no placement. Results are in query order.
 //
 // Unless opts.Cache is set or opts.NoCache is true, the System's
 // persistent plan cache is used, so later batches benefit from earlier
-// ones; any mutation of the System (Deploy, Cancel, SetBackgroundLoad,
-// Adapt, AddStream, SetJoinSelectivity) bumps the environment's
-// epoch and flushes the cache, so stale plans are never served. The
-// System must not be mutated while a batch is running.
+// ones and, while nothing changes, reuse its snapshot and index too;
+// any mutation of the System (Deploy, Cancel, SetBackgroundLoad, Adapt,
+// AddStream, SetJoinSelectivity, a crash repair of the DHT catalog)
+// ends the cache's generation and flushes it, so stale circuits are
+// never served. The System must not be mutated while a batch is
+// running.
 //
-// A result's Circuit.Plan may be the tree the plan cache stores, shared
-// with later hits and other results: it must not be written. A caller
-// that needs to change it copies it first (Plan.Clone or ShallowClone).
+// A result's Circuit may share its plan, services and links with the
+// plan cache and other results: they must not be written. Deploy
+// copies the services and links it writes; a caller that needs to
+// change the plan copies it first (Plan.Clone or ShallowClone).
 func (s *System) OptimizeBatch(queries []Query, opts BatchOptions) ([]Result, error) {
 	if opts.Cache == nil && !opts.NoCache {
 		opts.Cache = s.planCache
@@ -299,7 +302,10 @@ func (s *System) OptimizeShared(q Query, radius float64) (*Result, error) {
 }
 
 // Deploy installs an optimized circuit: loads are charged to hosting
-// nodes and its services become reusable by later queries.
+// nodes and its services become reusable by later queries. c is first
+// re-pointed at copies of its services and links (see
+// optimizer.Deployment.Deploy), so a batch result's shared ones stay
+// unwritten.
 func (s *System) Deploy(c *Circuit) error { return s.Deployment.Deploy(c) }
 
 // Cancel removes a deployed circuit, releasing services whose last
