@@ -32,12 +32,6 @@ type Catalog struct {
 	bounds costspace.Bounds
 
 	published map[topology.NodeID]Entry
-	// storedAt remembers which peer holds each node's entry, so the
-	// republish removal scans that one peer's entries instead of every
-	// peer's. Ring churn can migrate entries without the catalog seeing
-	// it, so removal falls back to the key's current owner (where
-	// migrations deposit entries) and finally a full scan.
-	storedAt map[topology.NodeID]*Peer
 
 	// version counts published-set mutations (see Mutations).
 	version uint64
@@ -60,7 +54,6 @@ func NewCatalog(ring *Ring, space *costspace.Space, curve hilbert.Curve, bounds 
 		curve:     curve,
 		bounds:    bounds,
 		published: make(map[topology.NodeID]Entry),
-		storedAt:  make(map[topology.NodeID]*Peer),
 	}, nil
 }
 
@@ -104,7 +97,6 @@ func (c *Catalog) Publish(node topology.NodeID, p costspace.Point) (ID, error) {
 	owner := c.ring.Owner(e.Key)
 	owner.storeAdd(e)
 	c.published[node] = e
-	c.storedAt[node] = owner
 	c.version++
 	return e.Key, nil
 }
@@ -114,20 +106,63 @@ func (c *Catalog) Unpublish(node topology.NodeID) {
 	if old, ok := c.published[node]; ok {
 		c.removeStored(old)
 		delete(c.published, node)
-		delete(c.storedAt, node)
 		c.version++
 	}
 }
 
-// removeStored deletes the stored copy of e from the peer holding it:
-// the recorded storing peer first, or — when ring churn migrated the
-// entry behind the catalog's back — the key's current owner (join/leave
-// migrations always deposit entries on the new owner). The full scan
-// remains as a defensive last resort.
-func (c *Catalog) removeStored(e Entry) {
-	if p, ok := c.storedAt[e.Node]; ok && p.storeRemove(e.Key, e.Node) {
-		return
+// RepublishAll is Publish(n, pts[n]) for every n in nodes, in one pass
+// over the ring: it re-keys the entries, then moves each stored entry
+// whose owner changed. The catalog ends as per-node Publish leaves it,
+// peer lists aside, whose order no query reads. It publishes node by
+// node when a node is new or a published entry is stored nowhere (a
+// crash not yet repaired).
+func (c *Catalog) RepublishAll(nodes []topology.NodeID, pts []costspace.Point) error {
+	stored := 0
+	for _, p := range c.ring.peers {
+		stored += len(p.flat)
 	}
+	for _, n := range nodes {
+		if _, ok := c.published[n]; !ok || len(pts[n]) != c.space.Dims() {
+			stored = -1 // Publish stores or rejects it
+		}
+	}
+	if stored != len(c.published) {
+		for _, n := range nodes {
+			if _, err := c.Publish(n, pts[n]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, n := range nodes {
+		e := c.published[n]
+		copy(e.Point, pts[n])
+		e.Key = c.KeyOf(e.Point)
+		c.published[n] = e
+		c.version++
+	}
+	for _, p := range c.ring.peers {
+		kept := p.flat[:0]
+		for _, e := range p.flat {
+			cur := c.published[e.Node]
+			if cur.Key == e.Key {
+				kept = append(kept, cur)
+			} else if owner := c.ring.Owner(cur.Key); owner == p {
+				kept = append(kept, cur)
+			} else {
+				owner.storeAdd(cur)
+			}
+		}
+		clear(p.flat[len(kept):])
+		p.flat = kept
+	}
+	return nil
+}
+
+// removeStored deletes the stored copy of e from the peer holding it:
+// the key's current owner, since join and leave migrations deposit
+// entries there, or, as a defensive last resort, any peer.
+func (c *Catalog) removeStored(e Entry) {
 	if c.ring.NumPeers() > 0 && c.ring.Owner(e.Key).storeRemove(e.Key, e.Node) {
 		return
 	}
@@ -197,11 +232,30 @@ func (c *Catalog) NearestAdmissible(startNode topology.NodeID, target costspace.
 	if n < 1 {
 		return Nearest{}, fmt.Errorf("dht: NearestAdmissible n = %d, need >= 1", n)
 	}
+	if len(target) != c.space.Dims() {
+		return Nearest{}, fmt.Errorf("dht: query %d-dim point in %d-dim space", len(target), c.space.Dims())
+	}
+	if c.ring.NumPeers() == 0 {
+		return Nearest{}, fmt.Errorf("dht: query on empty ring")
+	}
+	owner, hops, err := c.ring.Lookup(startNode, c.KeyOf(target))
+	if err != nil {
+		return Nearest{}, err
+	}
+	best := c.NearestFrom(owner, target, n, maxScan, exclude)
+	best.LookupHops = hops
+	return best, nil
+}
+
+// NearestFrom is NearestAdmissible's walk from owner, the peer owning
+// target's key, without the lookup (no LookupHops), for n >= 1 and a
+// target of the catalog's dimensionality.
+func (c *Catalog) NearestFrom(owner *Peer, target costspace.Point, n, maxScan int, exclude map[topology.NodeID]bool) Nearest {
 	want := oversample(n)
 	var best Nearest
 	cut := math.Inf(1)
 	seen := 0
-	hops, walked, err := c.walkArcs(startNode, target, maxScan, func(p *Peer) bool {
+	best.PeersWalked = c.walkArcs(owner, maxScan, func(p *Peer) bool {
 		for i := range p.flat {
 			e := &p.flat[i]
 			pt := e.Point[:len(target)]
@@ -226,32 +280,17 @@ func (c *Catalog) NearestAdmissible(startNode topology.NodeID, target costspace.
 		seen += len(p.flat)
 		return seen >= want
 	})
-	if err != nil {
-		return Nearest{}, err
-	}
 	best.Candidates = min(n, seen)
-	best.LookupHops, best.PeersWalked = hops, walked
-	return best, nil
+	return best
 }
 
-// walkArcs performs the key lookup and bidirectional ring walk around
-// the target's Hilbert key, calling visit for each peer until visit
+// walkArcs walks the ring in both directions from owner, the peer
+// owning a query's Hilbert key, calling visit for each peer until visit
 // reports it has enough or maxScan peers were visited. It returns the
-// lookup hop count and the number of peers visited.
-func (c *Catalog) walkArcs(startNode topology.NodeID, target costspace.Point, maxScan int, visit func(*Peer) bool) (lookupHops, walked int, err error) {
-	if len(target) != c.space.Dims() {
-		return 0, 0, fmt.Errorf("dht: query %d-dim point in %d-dim space", len(target), c.space.Dims())
-	}
-	if c.ring.NumPeers() == 0 {
-		return 0, 0, fmt.Errorf("dht: query on empty ring")
-	}
+// number of peers visited.
+func (c *Catalog) walkArcs(owner *Peer, maxScan int, visit func(*Peer) bool) (walked int) {
 	if maxScan < 1 {
 		maxScan = 1
-	}
-	key := c.KeyOf(target)
-	owner, hops, err := c.ring.Lookup(startNode, key)
-	if err != nil {
-		return 0, 0, err
 	}
 	done := visit(owner)
 	walked = 1
@@ -273,5 +312,5 @@ func (c *Catalog) walkArcs(startNode topology.NodeID, target costspace.Point, ma
 		done = visit(back)
 		walked++
 	}
-	return hops, walked, nil
+	return walked
 }

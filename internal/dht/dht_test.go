@@ -1,8 +1,10 @@
 package dht
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -551,10 +553,9 @@ func storedCopies(r *Ring, node topology.NodeID) int {
 	return count
 }
 
-// TestRepublishAfterChurnLeavesOneCopy drives the storing-peer republish
-// bookkeeping through ring churn: joins and leaves migrate entries
-// behind the catalog's back, and republishes must still remove exactly
-// the stale copy.
+// TestRepublishAfterChurnLeavesOneCopy drives republishes through ring
+// churn: joins and leaves migrate entries behind the catalog's back,
+// and republishes must still remove exactly the stale copy.
 func TestRepublishAfterChurnLeavesOneCopy(t *testing.T) {
 	env := newTestEnv(t, 32, 21)
 	rng := rand.New(rand.NewSource(22))
@@ -593,38 +594,9 @@ func TestRepublishAfterChurnLeavesOneCopy(t *testing.T) {
 	}
 }
 
-// TestRepublishUsesStoredPeerDirectly verifies the fast path: with
-// no churn, the removal must succeed on the recorded storing peer (the
-// catalog cache must stay in sync across repeated republishes).
-func TestRepublishUsesStoredPeerDirectly(t *testing.T) {
-	env := newTestEnv(t, 16, 23)
-	rng := rand.New(rand.NewSource(24))
-	for i := 0; i < 50; i++ {
-		n := topology.NodeID(rng.Intn(16))
-		p := env.space.NewPoint(
-			vivaldi.Coord{rng.Float64() * 200, rng.Float64() * 200},
-			[]float64{rng.Float64()},
-		)
-		if _, err := env.catalog.Publish(n, p); err != nil {
-			t.Fatal(err)
-		}
-		e, _ := env.catalog.PublishedEntry(n)
-		sp, ok := env.catalog.storedAt[n]
-		if !ok {
-			t.Fatalf("no storing peer recorded for node %d", n)
-		}
-		if sp != env.ring.Owner(e.Key) {
-			t.Fatalf("storing peer %v is not the key owner", sp.Node())
-		}
-		if got := storedCopies(env.ring, n); got != 1 {
-			t.Fatalf("node %d has %d stored copies, want 1", n, got)
-		}
-	}
-}
-
-// TestUnpublishAfterPeerLeaveRemovesCopy covers the stale-pointer path:
-// the storing peer departs (entries migrate to its successor), then the
-// node unpublishes.
+// TestUnpublishAfterPeerLeaveRemovesCopy: the peer storing an entry
+// departs (its entries migrate to its successor), then the node
+// unpublishes.
 func TestUnpublishAfterPeerLeaveRemovesCopy(t *testing.T) {
 	env := newTestEnv(t, 16, 25)
 	e, _ := env.catalog.PublishedEntry(7)
@@ -643,6 +615,109 @@ func TestUnpublishAfterPeerLeaveRemovesCopy(t *testing.T) {
 		}
 		if got := storedCopies(env.ring, topology.NodeID(i)); got != 1 {
 			t.Fatalf("node %d has %d copies", i, got)
+		}
+	}
+}
+
+// TestRepublishAllMatchesPublish: a bulk sync leaves what Publish for
+// each node in turn leaves on an identical catalog — the same entries
+// on every peer, the same PublishedEntry, the same Mutations — on a
+// fresh ring, after churn and an unpublish, and after a crash not yet
+// repaired (the per-node fallback), with nodes published for the first
+// time among them. Two syncs run in a row, then one plain republish,
+// which must find each entry where the bulk sync stored it.
+func TestRepublishAllMatchesPublish(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prep func(*testEnv)
+	}{
+		{"fresh", func(*testEnv) {}},
+		{"churned", func(e *testEnv) {
+			_ = e.ring.RemovePeer(3)
+			_, _ = e.ring.AddPeer(70)
+			e.catalog.Unpublish(5)
+		}},
+		{"unrepaired crash", func(e *testEnv) { _, _ = e.ring.CrashPeer(7) }},
+	} {
+		bulk, each := newTestEnv(t, 60, 31), newTestEnv(t, 60, 31)
+		tc.prep(bulk)
+		tc.prep(each)
+		rng := rand.New(rand.NewSource(5))
+		for round := 0; round < 2; round++ {
+			pts := make([]costspace.Point, 64)
+			var nodes []topology.NodeID
+			for n := range pts {
+				if n%3 == round { // these stay put this round
+					continue
+				}
+				nodes = append(nodes, topology.NodeID(n))
+				pts[n] = bulk.space.NewPoint(vivaldi.Coord{rng.Float64() * 200, rng.Float64() * 200}, []float64{rng.Float64()})
+			}
+			if err := bulk.catalog.RepublishAll(nodes, pts); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range nodes {
+				if _, err := each.catalog.Publish(n, pts[n]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			requireSameCatalog(t, tc.name, bulk.catalog, each.catalog)
+			for _, n := range nodes {
+				if e, _ := bulk.catalog.PublishedEntry(n); &e.Point[0] == &pts[n][0] {
+					t.Fatalf("%s: node %d's entry shares the caller's point", tc.name, n)
+				}
+			}
+		}
+		p := bulk.space.NewPoint(vivaldi.Coord{1, 2}, []float64{0.5})
+		for _, e := range []*testEnv{bulk, each} {
+			if _, err := e.catalog.Publish(2, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		requireSameCatalog(t, tc.name+", then a republish", bulk.catalog, each.catalog)
+	}
+}
+
+// requireSameCatalog compares two catalogs over equal rings: the
+// mutation count, every node's published entry, and every peer's
+// entries as a multiset.
+func requireSameCatalog(t *testing.T, name string, got, want *Catalog) {
+	t.Helper()
+	if got.Mutations() != want.Mutations() || got.NumPublished() != want.NumPublished() {
+		t.Fatalf("%s: %d mutations, %d published; want %d, %d", name,
+			got.Mutations(), got.NumPublished(), want.Mutations(), want.NumPublished())
+	}
+	same := func(a, b Entry) bool {
+		if a.Key != b.Key || a.Node != b.Node || len(a.Point) != len(b.Point) {
+			return false
+		}
+		for i := range a.Point {
+			if math.Float64bits(a.Point[i]) != math.Float64bits(b.Point[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for n := topology.NodeID(0); n < 80; n++ {
+		g, gok := got.PublishedEntry(n)
+		w, wok := want.PublishedEntry(n)
+		if gok != wok || gok && !same(g, w) {
+			t.Fatalf("%s: node %d published %v %v, want %v %v", name, n, gok, g, wok, w)
+		}
+	}
+	sorted := func(p *Peer) []Entry {
+		out := append([]Entry(nil), p.Entries()...)
+		slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Node, b.Node) })
+		return out
+	}
+	gp, wp := got.Ring().Peers(), want.Ring().Peers()
+	if len(gp) != len(wp) {
+		t.Fatalf("%s: %d peers, want %d", name, len(gp), len(wp))
+	}
+	for i := range gp {
+		g, w := sorted(gp[i]), sorted(wp[i])
+		if !slices.EqualFunc(g, w, same) {
+			t.Fatalf("%s: peer %d holds %v, want %v", name, gp[i].Node(), g, w)
 		}
 	}
 }

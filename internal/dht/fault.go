@@ -70,6 +70,9 @@ func (r *Ring) InstallFaults(f RingFaults) {
 	r.fstats = RingFaultStats{}
 }
 
+// Faulty reports whether a drop oracle is installed (see Changes).
+func (r *Ring) Faulty() bool { return r.faults.Drop != nil }
+
 // FaultStats returns the accumulated RPC fault counters.
 func (r *Ring) FaultStats() RingFaultStats { return r.fstats }
 
@@ -165,12 +168,13 @@ func (r *Ring) CrashPeer(n topology.NodeID) (int, error) {
 	r.peers = append(r.peers[:i], r.peers[i+1:]...)
 	delete(r.byNode, n)
 	r.reindexFrom(i)
+	r.changes++
 	lost := len(p.flat)
 	if len(r.peers) > 0 {
 		r.updateFingersOnLeave(p, pred, r.successor(p.id))
 	}
-	// Drop the dead entries so stale references (the catalog's
-	// storing-peer cache) cannot find the lost copies.
+	// Drop the dead entries so stale references cannot find the lost
+	// copies.
 	p.flat = nil
 	return lost, nil
 }
@@ -210,8 +214,8 @@ func (c *Catalog) RepairAfterCrash(dead []topology.NodeID) CrashRepairReport {
 	}
 	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 
-	// Retire dead publishers first, while the ring is still intact
-	// enough for the storing-peer removal to route.
+	// Retire dead publishers first, while their entries are still
+	// stored at their keys' owners.
 	for _, n := range ds {
 		if _, ok := c.published[n]; ok {
 			c.Unpublish(n)
@@ -238,10 +242,8 @@ func (c *Catalog) RepairAfterCrash(dead []topology.NodeID) CrashRepairReport {
 
 	// Surviving publishers whose stored copy died republish onto the
 	// new owner. Join/leave migrations keep every stored entry at its
-	// key's current owner, so presence there is the ground truth — the
-	// storing-peer cache can go stale across churn and is refreshed
-	// here rather than trusted. The published set does not change, so
-	// the exact-query index stays valid and the version does not move.
+	// key's current owner, so presence there is the ground truth. The
+	// published set does not change, so the version does not move.
 	nodes := make([]topology.NodeID, 0, len(c.published))
 	for n := range c.published {
 		nodes = append(nodes, n)
@@ -257,7 +259,6 @@ func (c *Catalog) RepairAfterCrash(dead []topology.NodeID) CrashRepairReport {
 			owner.storeAdd(e)
 			rep.Republished++
 		}
-		c.storedAt[n] = owner
 	}
 	return rep
 }

@@ -159,7 +159,8 @@ func (w *admissibleWorld) start(sel int) topology.NodeID {
 }
 
 // FuzzNearestAdmissibleMatchesRanked: bytes → a sequence of catalog and
-// ring mutations interleaved with queries, then a fixed sweep of queries
+// ring mutations (bulk syncs through RepublishAll among them)
+// interleaved with queries, then a fixed sweep of queries
 // over whatever state the sequence left. Clumped publishes put many
 // nodes on one point of a 64-unit grid and half the targets sit on the
 // 32-unit grid between them, so exact distance ties — decided by node id
@@ -167,11 +168,12 @@ func (w *admissibleWorld) start(sel int) topology.NodeID {
 func FuzzNearestAdmissibleMatchesRanked(f *testing.F) {
 	f.Add([]byte{7, 3, 64, 96, 4, 3, 2, 1, 7, 0, 33, 200, 11, 4, 1, 3, 9, 200, 30})
 	f.Add([]byte{1, 5, 0, 1, 6, 0, 1, 7, 5, 1, 8, 5, 1, 9, 10, 7, 1, 32, 32, 0, 2, 2, 2})
+	f.Add([]byte{8, 0, 30, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 6, 9, 8, 40, 20, 1, 64, 64, 0, 7, 3, 32, 32, 2, 1, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w := newAdmissibleWorld(t)
 		b := &fuzzBytes{data: data}
 		for b.more() {
-			switch b.next() % 8 {
+			switch b.next() % 9 {
 			case 0: // publish anywhere
 				w.publish(b.node(), float64(b.next()), float64(b.next()), float64(b.next())/255)
 			case 1: // republish onto the clumped grid
@@ -197,6 +199,20 @@ func FuzzNearestAdmissibleMatchesRanked(f *testing.F) {
 				k, maxScan := 1+b.next()%12, w.scanWidth(b.next())
 				mode, arg := b.next(), b.next()
 				w.check(start, target, k, maxScan, w.excludeSet(mode, arg, start, target, k, maxScan, b))
+			case 8: // a bulk sync of a run of nodes, clumped or anywhere
+				first, count, clump := b.next(), 1+b.next()%fuzzNodes, b.next()&1 == 0
+				pts := make([]costspace.Point, fuzzNodes)
+				var nodes []topology.NodeID
+				for i := 0; i < count; i++ {
+					n := topology.NodeID((first + i) % fuzzNodes)
+					x, y := float64(b.next()), float64(b.next())
+					if clump {
+						x, y = float64(int(x)&3*64), float64(int(y)&3*64)
+					}
+					nodes = append(nodes, n)
+					pts[n] = w.space.NewPoint(vivaldi.Coord{x, y}, []float64{float64(b.next()) / 255})
+				}
+				_ = w.cat.RepublishAll(nodes, pts) // an emptied ring refuses it
 			}
 		}
 		for i, xy := range [][2]float64{{32, 32}, {96, 160}, {128, 128}, {250, 3}} {

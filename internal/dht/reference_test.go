@@ -65,7 +65,7 @@ func (c *Catalog) NearestNodesAppend(startNode topology.NodeID, target costspace
 	defer scratchPool.Put(sc)
 	top := sc.cands[:0]
 	seen := 0
-	hops, walked, err := c.walkArcs(startNode, target, maxScan, func(p *Peer) bool {
+	hops, walked, err := lookupWalk(c, startNode, target, maxScan, func(p *Peer) bool {
 		for i := range p.flat {
 			e := &p.flat[i]
 			d := c.space.Distance(target, e.Point)
@@ -101,12 +101,28 @@ func (c *Catalog) NearestNodesAppend(startNode topology.NodeID, target costspace
 	return QueryResult{Entries: out, LookupHops: hops, PeersWalked: walked}, nil
 }
 
+// lookupWalk is the walk every catalog query makes: the key lookup
+// from start, then the walk around the key's owner.
+func lookupWalk(c *Catalog, start topology.NodeID, target costspace.Point, maxScan int, visit func(*Peer) bool) (hops, walked int, err error) {
+	if len(target) != c.space.Dims() {
+		return 0, 0, fmt.Errorf("dht: query %d-dim point in %d-dim space", len(target), c.space.Dims())
+	}
+	if c.ring.NumPeers() == 0 {
+		return 0, 0, fmt.Errorf("dht: query on empty ring")
+	}
+	owner, hops, err := c.ring.Lookup(start, c.KeyOf(target))
+	if err != nil {
+		return 0, 0, err
+	}
+	return hops, c.walkArcs(owner, maxScan, visit), nil
+}
+
 // walkEntries gathers the entries of the peers a walk of at most maxScan
 // peers around target's key visits, stopping once it holds want of them
 // (never, for want <= 0), with the walk's hop and peer counts.
 func walkEntries(c *Catalog, start topology.NodeID, target costspace.Point, maxScan, want int) (QueryResult, error) {
 	var out []Entry
-	hops, walked, err := c.walkArcs(start, target, maxScan, func(p *Peer) bool {
+	hops, walked, err := lookupWalk(c, start, target, maxScan, func(p *Peer) bool {
 		out = append(out, p.flat...)
 		return want > 0 && len(out) >= want
 	})

@@ -117,8 +117,9 @@ func PeerID(n topology.NodeID) ID {
 // Ring is the set of DHT peers plus routing state. It is not safe for
 // concurrent mutation; the simulator drives it from one goroutine.
 type Ring struct {
-	peers  []*Peer // sorted by id
-	byNode map[topology.NodeID]*Peer
+	peers   []*Peer // sorted by id
+	byNode  map[topology.NodeID]*Peer
+	changes uint64 // see Changes
 
 	// faults is the installed RPC fault configuration (zero value: no
 	// injection); fstats accumulates RPC outcomes under it.
@@ -162,6 +163,7 @@ func (r *Ring) AddPeer(n topology.NodeID) (*Peer, error) {
 	r.peers[i] = p
 	r.byNode[n] = p
 	r.reindexFrom(i)
+	r.changes++
 	r.migrateOnJoin(p)
 	r.updateFingersOnJoin(p)
 	return p, nil
@@ -183,14 +185,15 @@ func (r *Ring) RemovePeer(n topology.NodeID) error {
 	r.peers = append(r.peers[:i], r.peers[i+1:]...)
 	delete(r.byNode, n)
 	r.reindexFrom(i)
+	r.changes++
 	if len(r.peers) > 0 {
 		// The departing peer's keys now belong to its successor.
 		succ := r.successor(p.id)
 		succ.flat = append(succ.flat, p.flat...)
 		r.updateFingersOnLeave(p, pred, succ)
 	}
-	// Clear the departed peer's entries so stale references to it (the
-	// catalog's storing-peer cache) cannot find the dead copies.
+	// Clear the departed peer's entries so stale references to it
+	// cannot find the dead copies.
 	p.flat = nil
 	return nil
 }
@@ -292,6 +295,11 @@ func (r *Ring) forEachInArc(a, b ID, fn func(*Peer)) {
 		}
 	}
 }
+
+// Changes counts the ring's joins, leaves and crashes: while it stands
+// still, every key keeps its owner and, unless the ring is Faulty,
+// every lookup its route.
+func (r *Ring) Changes() uint64 { return r.changes }
 
 // NumPeers returns the ring size.
 func (r *Ring) NumPeers() int { return len(r.peers) }

@@ -189,7 +189,7 @@ func TestPlanCacheHitAllocCeiling(t *testing.T) {
 	// circuit itself.
 	key := &opt.state().key
 	key.set(queries[0])
-	stored, ok := cache.get(key)
+	stored, _, ok := cache.get(key)
 	if !ok {
 		t.Fatalf("query %d missed the warm cache", queries[0].ID)
 	}
@@ -203,11 +203,11 @@ func TestPlanCacheHitAllocCeiling(t *testing.T) {
 	if len(key.streams) <= 32 {
 		t.Fatalf("fixture: key %q fits the conversion's stack buffer", key.streams)
 	}
-	cache.put(key.key(), &Result{Circuit: &Circuit{Plan: stored.plan, Services: stored.services}})
+	cache.put(key.key(), stored)
 	var sink memo
 	lookup := testing.AllocsPerRun(48, func() {
 		key.set(q)
-		sink, ok = cache.get(key)
+		sink, _, ok = cache.get(key)
 	})
 	if !ok || sink.plan != stored.plan || &sink.services[0] != &stored.services[0] || lookup != 0 {
 		t.Errorf("warm lookup = %.1f allocs, returned the stored circuit: %v; want 0 and true", lookup, ok && sink.plan == stored.plan)

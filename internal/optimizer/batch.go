@@ -8,6 +8,8 @@ import (
 
 	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/query"
+	"github.com/hourglass/sbon/internal/topology"
+	"github.com/hourglass/sbon/internal/vivaldi"
 )
 
 // BatchOptions configures OptimizeBatch.
@@ -16,8 +18,8 @@ type BatchOptions struct {
 	// GOMAXPROCS, capped at the number of queries).
 	Workers int
 	// Cache is the plan cache the batch's workers share; nil means a
-	// private one for the batch. Batches of one cache generation reuse
-	// its snapshot and k-NN index, and a hit's circuit shares its plan,
+	// private one for the batch. Entries outlive load changes, which
+	// revalidate them (see PlanCache). A hit's circuit shares its plan,
 	// services and links with the entry and every other hit of its key:
 	// callers must not write them (see Result.Circuit).
 	Cache *PlanCache
@@ -32,15 +34,16 @@ type BatchOptions struct {
 // consistent view of coordinates, loads, and the catalog with no
 // locking on the read path, and the live Env remains free to mutate
 // afterwards without invalidating anything the batch computed. The
-// snapshot is the plan cache's: later batches of the cache's generation
-// reuse it, and its k-NN index, instead of freezing again.
+// snapshot is the plan cache's: later batches that see the same loads
+// and catalog reuse it, and its k-NN index, instead of freezing again.
 //
 // A query whose (consumer, canonical stream set) key hits the plan cache
 // gets the circuit the key's miss placed, with no enumeration and no
 // placement: the full path is deterministic for a fixed snapshot, so
 // the hit's Circuit, EstimatedUsage and MapStats match the sequential
-// Optimize result. Hits report PlansConsidered and CircuitsConsidered
-// 1 and FromCache true.
+// Optimize result; an entry from before a load change is revalidated
+// first (see PlanCache). Hits report PlansConsidered and
+// CircuitsConsidered 1 and FromCache true.
 //
 // Results are returned in query order, each written once, by its
 // worker, into the returned slice. The first optimization error aborts
@@ -106,10 +109,10 @@ func OptimizeBatch(env *Env, queries []query.Query, opts BatchOptions) ([]Result
 	return results, nil
 }
 
-// freezeForBatch returns the one snapshot the batches of a cache
-// generation read, with its k-NN index built up front only if their
-// mapper reads points from the snapshot, so the workers share one
-// immutable index lock-free. The live env is left as it was.
+// freezeForBatch returns the snapshot a plan cache's batches share until
+// env's loads or catalog change, indexed up front only if their mapper
+// reads its points, so the workers share one immutable index lock-free.
+// The live env is left as it was.
 func freezeForBatch(env *Env) *Env {
 	snap := env.Freeze()
 	if _, ok := mapperOn(nil, snap.Catalog(), snap).(placement.SourceMapper); ok {
@@ -122,15 +125,23 @@ func freezeForBatch(env *Env) *Env {
 // worker's blocks): from the plan cache when the key hits, with the full
 // integrated optimization otherwise (feeding the cache with the result).
 // A hit costs one circuit header carved from the worker's block. The
-// key is built in the worker's scratch; the one a miss stores is a copy
-// carved from the worker's byte block, like the plan's signature.
+// key is built in the worker's scratch; the one the cache stores is a
+// copy carved from the worker's byte block, like the plan's signature.
 func optimizeOne(opt *Integrated, cache *PlanCache, q query.Query, dst *Result) (*Result, error) {
 	if cache == nil {
 		return opt.optimizeInto(dst, q)
 	}
 	key, b := &opt.state().key, opt.builder()
 	key.set(q)
-	if m, ok := cache.get(key); ok {
+	m, found, valid := cache.get(key)
+	if found && !valid && m.plans == 1 && opt.revalidate(&m, q.Consumer) {
+		cache.put(PlanCacheKey{key.consumer, query.Carve(&b.bytes, key.streams)}, m)
+		valid = true
+	}
+	if !valid {
+		cache.miss.Add(1)
+	} else {
+		cache.hits.Add(1)
 		c := &take(&b.circuits, 1)[0]
 		*c = Circuit{Query: q, Plan: m.plan, Services: m.services, Links: m.links,
 			rootIdx: int(m.root), consumerIdx: int(m.consumer)}
@@ -145,6 +156,37 @@ func optimizeOne(opt *Integrated, cache *PlanCache, q query.Query, dst *Result) 
 	if err != nil {
 		return nil, err
 	}
-	cache.put(PlanCacheKey{key.consumer, query.Carve(&b.bytes, key.streams)}, res)
+	c := res.Circuit
+	cache.put(PlanCacheKey{key.consumer, query.Carve(&b.bytes, key.streams)}, memo{c.Plan, c.Services, c.Links,
+		int32(c.rootIdx), int32(c.consumerIdx), int32(res.PlansConsidered), res.EstimatedUsage, res.MapStats, 0})
 	return res, nil
+}
+
+// revalidate reports whether m, stored for consumer in an earlier
+// snapshot from a single plan, is what a miss would place now (see
+// PlanCache); statistics sum in MapPhysical's order. Without a fault
+// oracle a DHT walk starts at its key's owner and keeps the stored hops.
+func (o *Integrated) revalidate(m *memo, consumer topology.NodeID) bool {
+	_, _, mapper, _ := o.components()
+	remap := func(v vivaldi.Coord) (topology.NodeID, placement.MapStats, error) {
+		return mapper.MapCoord(consumer, v, nil)
+	}
+	dm, fast := mapper.(placement.DHTMapper)
+	if fast = fast && !dm.Catalog.Ring().Faulty(); fast {
+		remap = dm.Remap
+	}
+	var agg placement.MapStats
+	for _, s := range m.services {
+		if !s.Pinned && s.Plan != nil {
+			node, st, err := remap(s.Virtual)
+			if err != nil || node != s.Node {
+				return false
+			}
+			agg.Add(st)
+		}
+	}
+	if fast {
+		agg.LookupHops = m.stats.LookupHops
+	}
+	return agg == m.stats
 }

@@ -281,10 +281,7 @@ func (b *Builder) MapPhysical(c *Circuit, mapper placement.Mapper) (placement.Ma
 			return agg, err
 		}
 		s.Node = node
-		agg.LookupHops += st.LookupHops
-		agg.PeersWalked += st.PeersWalked
-		agg.Candidates += st.Candidates
-		agg.Error += st.Error
+		agg.Add(st)
 	}
 	return agg, nil
 }

@@ -24,10 +24,17 @@ func (k *planKey) key() PlanCacheKey {
 	return PlanCacheKey{Consumer: k.consumer, Streams: string(k.streams)}
 }
 
-// Get looks a materialised key up through the batch's lookup path and
-// returns the stored circuit's plan, or nil on a miss.
+// Get looks a materialised key up through the batch's lookup path,
+// counting the lookup as a hit when the entry is valid in the current
+// snapshot, and returns the stored circuit's plan, or nil when the key
+// has no entry.
 func (pc *PlanCache) Get(k PlanCacheKey) *query.PlanNode {
-	m, ok := pc.get(&planKey{consumer: k.Consumer, streams: []byte(k.Streams)})
+	m, ok, valid := pc.get(&planKey{consumer: k.Consumer, streams: []byte(k.Streams)})
+	if valid {
+		pc.hits.Add(1)
+	} else {
+		pc.miss.Add(1)
+	}
 	if !ok {
 		return nil
 	}

@@ -123,8 +123,8 @@ type Snapshot struct {
 	catalog *dht.Catalog // nil unless UseDHT
 
 	// epoch counts mutations of the owning live Env (load changes,
-	// re-embeddings). A PlanCache flushes when it sees a new epoch, so
-	// plans enumerated under superseded conditions are never served.
+	// re-embeddings). A PlanCache revalidates its entries when it sees
+	// a new epoch, so stale circuits are never served.
 	epoch uint64
 
 	// nodeIDs is the identity slice 0..n-1, built once at construction
@@ -161,6 +161,10 @@ type Env struct {
 	// below it have been consumed and dropped.
 	dirty      map[topology.NodeID]dirtyRec
 	dirtyFloor uint64
+
+	// reshapes counts re-embeddings and statistics changes, which end a
+	// PlanCache's generation.
+	reshapes uint64
 
 	// frozen marks an Env produced by Freeze: a shared read-only view
 	// whose mutators panic instead of corrupting concurrent readers.
@@ -362,6 +366,7 @@ func (e *Env) Frozen() bool { return e.frozen }
 func (e *Env) NoteStatsChanged() {
 	e.mutable("NoteStatsChanged")
 	e.epoch++
+	e.reshapes++
 	// Statistics move no points: re-stamp the index instead of letting
 	// the epoch bump force a rebuild.
 	if ix := e.idx.Load(); ix != nil && ix.Version() == e.epoch-1 {
@@ -502,17 +507,17 @@ func (e *Env) RemoveServiceLoad(n topology.NodeID, inputRate float64) {
 // delta-logged point is in it.
 func (e *Env) refreshPoint(n topology.NodeID, loadOnly bool) {
 	p := take(&e.points, e.space.Dims())
-	e.setPoint(n, e.space.AppendPoint(p[:0], e.vec[n], []float64{e.load[n]}), loadOnly)
+	e.setPoint(n, e.space.AppendPoint(p[:0], e.vec[n], []float64{e.load[n]}), loadOnly, true)
 }
 
 // setPoint installs p as the node's cost-space point: it logs the
-// mutation, patches the k-NN index and republishes. p belongs to the Env
-// from then on and is never written again.
-func (e *Env) setPoint(n topology.NodeID, p costspace.Point, loadOnly bool) {
+// mutation, patches the k-NN index and, if asked, republishes. p
+// belongs to the Env from then on and is never written again.
+func (e *Env) setPoint(n topology.NodeID, p costspace.Point, loadOnly, publish bool) {
 	e.markDirty(n, loadOnly)
 	e.pts[n] = p
 	e.patchIndex(n)
-	if e.catalog != nil {
+	if publish && e.catalog != nil {
 		// Republish; the catalog replaces the old entry.
 		if _, err := e.catalog.Publish(n, e.pts[n]); err != nil {
 			// The ring always contains every node in this simulator; a
@@ -608,9 +613,11 @@ func (e *Env) BackgroundLoad(n topology.NodeID) float64 {
 // embedding maintainer (vivaldi.Ticker), the periodic coordinate sync of
 // a continuously running overlay. Only nodes whose coordinate actually
 // moved are refreshed and delta-logged, so a near-converged ticker sync
-// costs O(moved); when most of the overlay moved the cached k-NN index
-// is dropped up front instead of churning its patch budget. Returns the
-// number of nodes whose coordinate changed.
+// costs O(moved); when at least a quarter of the overlay moved, the
+// cached k-NN index is dropped up front instead of churning its patch
+// budget, and the catalog republishes in one pass (RepublishAll). A
+// sync ends every PlanCache generation over the Env. Returns the number
+// of nodes whose coordinate changed.
 //
 // The Env keeps each moved node's Coord as given, without copying, and
 // carves the moved nodes' points from one slab; the DHT republish copies
@@ -633,7 +640,9 @@ func (e *Env) SetCoordinates(coords []vivaldi.Coord) (int, error) {
 		return 0, nil
 	}
 	e.epoch++
-	if len(changed)*4 >= len(e.vec) {
+	e.reshapes++
+	bulk := len(changed)*4 >= len(e.vec)
+	if bulk {
 		e.idx.Store(nil)
 	}
 	slab := make(costspace.Point, 0, len(changed)*e.space.Dims())
@@ -641,7 +650,10 @@ func (e *Env) SetCoordinates(coords []vivaldi.Coord) (int, error) {
 		e.vec[n] = coords[n]
 		at := len(slab)
 		slab = e.space.AppendPoint(slab, e.vec[n], []float64{e.load[n]})
-		e.setPoint(n, slab[at:len(slab):len(slab)], false)
+		e.setPoint(n, slab[at:len(slab):len(slab)], false, !bulk)
+	}
+	if bulk && e.catalog != nil {
+		return len(changed), e.catalog.RepublishAll(changed, e.pts)
 	}
 	return len(changed), nil
 }

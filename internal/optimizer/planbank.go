@@ -167,9 +167,9 @@ func (pb *PlanBank) Optimize(q query.Query) (*Result, error) {
 // PlanCacheKey identifies one cached optimization outcome: the query's
 // consumer node and the canonical encoding of its stream set (including
 // per-stream filters and the aggregate fraction, which change the plan
-// space). Network conditions are not part of the key: the cache flushes
-// whenever its generation ends, so within one generation two queries
-// with equal keys are the same query up to their IDs.
+// space). Network conditions are not part of the key: an entry is
+// served only while a miss would place the same circuit (see
+// PlanCache).
 type PlanCacheKey struct {
 	Consumer topology.NodeID
 	Streams  string
@@ -220,16 +220,18 @@ type planKey struct {
 // shared by every answer of the key and never written:
 // Deployment.Deploy copies the services and links it writes.
 //
-// The entries belong to one generation: a live env, its mutation epoch
-// and its DHT catalog's mutation count. The generation owns the frozen
-// snapshot its batches place against, with the snapshot's k-NN index
-// and region map, so its batches freeze and index once. A batch over
-// another env, or after any load change, deploy, re-embedding,
-// statistics change or catalog repair, starts a new generation and
-// flushes every entry: a circuit placed under superseded conditions is
-// never served, which keeps batch results identical to sequential
-// Optimize on the current state, and the cache holds at most the
-// distinct keys of one generation.
+// Entries belong to one generation: an env, its DHT ring's membership
+// and its re-embeddings and statistics changes; when any moves, the
+// next batch flushes every entry. A load change or catalog republish
+// only starts a new snapshot (frozen view, k-NN index, region map). An
+// entry's first hit in a later snapshot maps each unpinned service
+// again from its stored virtual coordinate, and serves the entry only
+// if every host and the summed MapStats come back equal; otherwise the
+// query runs as a miss. That is exact, because mapping is the only step
+// of a miss that reads loads or the catalog: enumeration reads
+// statistics, and virtual placement and CoordLatency read coordinates.
+// An entry whose miss costed several plans is not revalidated: a
+// losing plan may have got cheaper.
 //
 // All methods are safe for concurrent use; OptimizeBatch workers share
 // one cache.
@@ -243,24 +245,27 @@ type PlanCache struct {
 }
 
 // generation is the state a cache's entries were placed against, and
-// the frozen view of it that the generation's batches share.
+// its current snapshot, numbered by seq across generations.
 type generation struct {
-	env              *Env
-	epoch, mutations uint64
-	snap             *Env
-	regions          *regionMap // for one region count, built on first use
+	env                   *Env
+	changes, reshapes     uint64 // ring membership changes, env.reshapes
+	epoch, mutations, seq uint64 // the snapshot's
+	snap                  *Env
+	regions               *regionMap // for one region count, built on first use
 }
 
 // memo is one cache entry: what a circuit header needs of the circuit a
-// miss placed, with its usage and mapping statistics. It is small
-// enough for the map to hold it inline, so a miss stores no heap object.
+// miss placed, its usage, mapping statistics and plan count, and the
+// snapshot it was last validated in. It is small enough for the map to
+// hold it inline (TestMemoStaysInline), so a store allocates nothing.
 type memo struct {
-	plan           *query.PlanNode
-	services       []*PlacedService
-	links          []Link
-	root, consumer int32
-	usage          float64
-	stats          placement.MapStats
+	plan                  *query.PlanNode
+	services              []*PlacedService
+	links                 []Link
+	root, consumer, plans int32
+	usage                 float64
+	stats                 placement.MapStats
+	seq                   uint64
 }
 
 // NewPlanCache returns an empty concurrent plan cache.
@@ -274,21 +279,24 @@ func (k *planKey) set(q query.Query) {
 	k.streams = appendCanonicalStreams(k.streams[:0], q)
 }
 
-// current returns the snapshot of env's generation and, for k > 0, its
-// region map for a k-way split (k = 0 cannot fail). A new generation,
-// with a new snapshot, no entries and no region map, starts first when
-// env, its epoch or its catalog moved on.
+// current returns the snapshot env's batches read now and, for k > 0,
+// its region map for a k-way split (k = 0 cannot fail). It starts a new
+// generation or snapshot first when env moved on (see PlanCache).
 func (pc *PlanCache) current(env *Env, k int) (*Env, *regionMap, error) {
-	var mutations uint64
+	var changes, mutations uint64
 	if cat := env.Catalog(); cat != nil {
-		mutations = cat.Mutations()
+		changes, mutations = cat.Ring().Changes(), cat.Mutations()
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	g := &pc.gen
-	if g.env != env || g.epoch != env.epoch || g.mutations != mutations {
-		*g = generation{env: env, epoch: env.epoch, mutations: mutations, snap: freezeForBatch(env)}
+	if g.env != env || g.changes != changes || g.reshapes != env.reshapes {
+		*g = generation{env: env, changes: changes, reshapes: env.reshapes, seq: g.seq}
 		clear(pc.entries)
+	}
+	if g.snap == nil || g.epoch != env.epoch || g.mutations != mutations {
+		g.epoch, g.mutations, g.seq = env.epoch, mutations, g.seq+1
+		g.snap, g.regions = freezeForBatch(env), nil
 	}
 	if k > 0 && (g.regions == nil || g.regions.k != k) {
 		m, err := newRegionMap(g.snap, k)
@@ -300,29 +308,23 @@ func (pc *PlanCache) current(env *Env, k int) (*Env, *regionMap, error) {
 	return g.snap, g.regions, nil
 }
 
-// get returns the entry for the key. Lookups take only the read lock
-// (counters are atomic), and the key's string conversion inside the
-// index expression does not allocate.
-func (pc *PlanCache) get(k *planKey) (memo, bool) {
+// get returns the key's entry and whether it is valid in the current
+// snapshot. The key's string conversion inside the index expression
+// does not allocate.
+func (pc *PlanCache) get(k *planKey) (m memo, found, valid bool) {
 	pc.mu.RLock()
-	m, ok := pc.entries[PlanCacheKey{Consumer: k.consumer, Streams: string(k.streams)}]
-	pc.mu.RUnlock()
-	if !ok {
-		pc.miss.Add(1)
-		return m, false
-	}
-	pc.hits.Add(1)
-	return m, true
+	defer pc.mu.RUnlock()
+	m, found = pc.entries[PlanCacheKey{Consumer: k.consumer, Streams: string(k.streams)}]
+	return m, found, found && m.seq == pc.gen.seq
 }
 
-// put stores a miss's result under the key, sharing its circuit's plan,
-// services and links. Existing entries are overwritten: entries for one
-// key are equal by construction.
-func (pc *PlanCache) put(k PlanCacheKey, r *Result) {
-	c := r.Circuit
+// put stores m, valid in the current snapshot, under the key. Valid
+// entries for one key are equal, so overwriting one changes nothing.
+func (pc *PlanCache) put(k PlanCacheKey, m memo) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	pc.entries[k] = memo{c.Plan, c.Services, c.Links, int32(c.rootIdx), int32(c.consumerIdx), r.EstimatedUsage, r.MapStats}
+	m.seq = pc.gen.seq
+	pc.entries[k] = m
 }
 
 // Len returns the number of cached entries.
@@ -332,7 +334,8 @@ func (pc *PlanCache) Len() int {
 	return len(pc.entries)
 }
 
-// Stats returns the cumulative hit and miss counts.
+// Stats returns the cumulative hit and miss counts; a failed
+// revalidation counts as a miss.
 func (pc *PlanCache) Stats() (hits, misses int) {
 	return int(pc.hits.Load()), int(pc.miss.Load())
 }

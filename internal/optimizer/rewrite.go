@@ -1,6 +1,8 @@
 package optimizer
 
 import (
+	"slices"
+
 	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/plan"
 	"github.com/hourglass/sbon/internal/query"
@@ -30,11 +32,13 @@ func (r *Reoptimizer) RewriteStep() (RewriteStats, error) {
 	env := r.Dep.Env
 	b := &Builder{Env: env}
 
-	// Snapshot IDs: the map mutates during swaps.
+	// Snapshot IDs (the map mutates during swaps) in ascending order:
+	// each swap changes the loads later rewrites map against.
 	ids := make([]query.QueryID, 0, len(r.Dep.circuits))
 	for id := range r.Dep.circuits {
 		ids = append(ids, id)
 	}
+	slices.Sort(ids)
 	for _, id := range ids {
 		c, ok := r.Dep.Circuit(id)
 		if !ok {

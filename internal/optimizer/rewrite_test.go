@@ -1,6 +1,8 @@
 package optimizer
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/hourglass/sbon/internal/placement"
@@ -141,5 +143,58 @@ func TestRewriteStepKeepsDeploymentConsistent(t *testing.T) {
 	if dep.Registry.Len() != len(c.NewServices()) {
 		t.Fatalf("registry %d instances, circuit has %d services",
 			dep.Registry.Len(), len(c.NewServices()))
+	}
+}
+
+// TestRewriteStepSweepsInIDOrder: every swap changes the loads later
+// rewrites map against, so the sweep order is part of the answer.
+// RewriteStep on identically built deployments must give the same stats
+// and leave the same circuits, every time, whatever order the
+// deployment's circuit map iterates in.
+func TestRewriteStepSweepsInIDOrder(t *testing.T) {
+	sweep := func() (RewriteStats, []string) {
+		env, _ := testSetup(t, 30, false)
+		dep := NewDeployment(env, nil)
+		stubs := env.Topo.StubNodeIDs()
+		sets := [][]query.StreamID{{0, 1, 2, 3}, {1, 2, 3}, {0, 2, 3}, {3, 1, 0, 2}}
+		for i := 0; i < 16; i++ {
+			q := query.Query{ID: query.QueryID(i + 1), Consumer: stubs[(i*5)%len(stubs)], Streams: sets[i%len(sets)]}
+			plans, err := plan.NewEnumerator(env.Stats).Enumerate(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := RelaxationStrategy{Mapper: placement.OracleMapper{Source: env}}.PlaceCircuit(env, q, plans[len(plans)-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dep.Deploy(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ro := NewReoptimizer(dep)
+		ro.Mapper = placement.OracleMapper{Source: env}
+		stats, err := ro.RewriteStep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var moves []string
+		for i := 1; i <= 16; i++ {
+			c, _ := dep.Circuit(query.QueryID(i))
+			move := c.Plan.Signature()
+			for _, s := range c.Services {
+				move += fmt.Sprintf(" %d", s.Node)
+			}
+			moves = append(moves, move)
+		}
+		return stats, moves
+	}
+	stats, moves := sweep()
+	if stats.Rewrites < 2 {
+		t.Fatalf("fixture: the sweep rewrote %d circuits, want at least 2 (%+v)", stats.Rewrites, stats)
+	}
+	for run := 1; run < 20; run++ {
+		if s, m := sweep(); s != stats || !slices.Equal(m, moves) {
+			t.Fatalf("run %d: stats %+v and circuits %q, first run %+v and %q", run, s, m, stats, moves)
+		}
 	}
 }

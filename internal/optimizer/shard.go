@@ -92,9 +92,9 @@ func NodeRegions(env *Env, k int) ([]int32, error) {
 // from the environment the same way the DHT catalog's are (buildDHT),
 // but locally, so routing works identically with or without a catalog
 // and depends only on the points — deterministic for a fixed
-// environment. A plan cache's generation keeps one for its snapshot,
-// which the sharded batches of the generation share: concurrent ones
-// that encode one node store the same value.
+// environment. A plan cache keeps one for its current snapshot, which
+// the sharded batches of that snapshot share: concurrent ones that
+// encode one node store the same value.
 type regionMap struct {
 	k      int
 	pts    []costspace.Point
@@ -141,8 +141,8 @@ func (m *regionMap) at(n topology.NodeID) int32 {
 // falls in one region, and those that span regions. The answers are
 // OptimizeBatch's, over one pool and one cache: regionality never
 // changes a result (TestOptimizeBatchShardedMatchesGlobal). The region
-// map is the cache's, like the snapshot: batches of one generation
-// share it.
+// map is the cache's, like the snapshot: batches of one snapshot share
+// it.
 //
 // The live Env must not be mutated while the batch runs, exactly as for
 // OptimizeBatch.

@@ -84,7 +84,7 @@ func TestPlansLeaveSigned(t *testing.T) {
 	for _, q := range queries {
 		key := &opt.state().key
 		key.set(q)
-		m, ok := cache.get(key)
+		m, _, ok := cache.get(key)
 		if !ok {
 			t.Fatalf("query %d missed the warm cache", q.ID)
 		}

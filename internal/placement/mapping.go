@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"cmp"
 	"fmt"
 
 	"github.com/hourglass/sbon/internal/costindex"
@@ -29,6 +30,14 @@ type MapStats struct {
 	// Error is the full-space distance from the ideal coordinate to the
 	// chosen node's coordinate — the paper's mapping error.
 	Error float64
+}
+
+// Add sums another mapping's statistics into s.
+func (s *MapStats) Add(o MapStats) {
+	s.LookupHops += o.LookupHops
+	s.PeersWalked += o.PeersWalked
+	s.Candidates += o.Candidates
+	s.Error += o.Error
 }
 
 // Mapper maps an ideal vector coordinate to a physical node. The target's
@@ -128,30 +137,36 @@ func (m DHTMapper) MapCoord(start topology.NodeID, vec vivaldi.Coord, exclude ma
 	if m.Catalog == nil {
 		return 0, MapStats{}, fmt.Errorf("placement: DHTMapper has no catalog")
 	}
-	cands := m.Candidates
-	if cands <= 0 {
-		cands = 8
-	}
-	scan := m.MaxScan
-	if scan <= 0 {
-		scan = 32
-	}
 	var buf [idealDims]float64
 	target := m.Catalog.Space().AppendIdealPoint(buf[:0], vec)
 	// Consider extra candidates to survive exclusions: with more
 	// candidates than exclusions the nearest admissible entry is always
 	// among them, so the catalog need not rank them to find it.
-	want := cands + len(exclude)
-	res, err := m.Catalog.NearestAdmissible(start, target, want, scan, exclude)
+	cands, scan := m.limits()
+	res, err := m.Catalog.NearestAdmissible(start, target, cands+len(exclude), scan, exclude)
 	if err != nil {
 		return 0, MapStats{}, err
 	}
-	stats := MapStats{
-		LookupHops:  res.LookupHops,
-		PeersWalked: res.PeersWalked,
-		Candidates:  res.Candidates,
-		Error:       res.Distance,
-	}
+	return nearestNode(res)
+}
+
+// Remap repeats a MapCoord of vec without exclusions on a ring that has
+// not changed since and is not Faulty: the walk starts at the owner of
+// the target's key, where the lookup ended, and reports no LookupHops.
+func (m DHTMapper) Remap(vec vivaldi.Coord) (topology.NodeID, MapStats, error) {
+	var buf [idealDims]float64
+	target := m.Catalog.Space().AppendIdealPoint(buf[:0], vec)
+	cands, scan := m.limits()
+	return nearestNode(m.Catalog.NearestFrom(m.Catalog.Ring().Owner(m.Catalog.KeyOf(target)), target, cands, scan, nil))
+}
+
+// limits returns the candidate count and the walk bound, defaulted.
+func (m DHTMapper) limits() (cands, scan int) {
+	return cmp.Or(max(m.Candidates, 0), 8), cmp.Or(max(m.MaxScan, 0), 32)
+}
+
+func nearestNode(res dht.Nearest) (topology.NodeID, MapStats, error) {
+	stats := MapStats{LookupHops: res.LookupHops, PeersWalked: res.PeersWalked, Candidates: res.Candidates, Error: res.Distance}
 	if !res.Found {
 		return 0, stats, fmt.Errorf("placement: DHT walk found no admissible node (got %d entries)", res.Candidates)
 	}

@@ -263,12 +263,11 @@ func (s *System) Optimize(q Query) (*Result, error) {
 //
 // Unless opts.Cache is set or opts.NoCache is true, the System's
 // persistent plan cache is used, so later batches benefit from earlier
-// ones and, while nothing changes, reuse its snapshot and index too;
-// any mutation of the System (Deploy, Cancel, SetBackgroundLoad, Adapt,
-// AddStream, SetJoinSelectivity, a crash repair of the DHT catalog)
-// ends the cache's generation and flushes it, so stale circuits are
-// never served. The System must not be mutated while a batch is
-// running.
+// ones. A statistics change (AddStream, SetJoinSelectivity) or a crash
+// repair of the DHT catalog flushes it; after a load change (Deploy,
+// Cancel, SetBackgroundLoad, Adapt) each entry is revalidated on its
+// first hit (see PlanCache), so stale circuits are never served. The
+// System must not be mutated while a batch is running.
 //
 // A result's Circuit may share its plan, services and links with the
 // plan cache and other results: they must not be written. Deploy
