@@ -57,38 +57,102 @@ func joinFixture(t *testing.T, width, n int) (*Env, []query.Query) {
 	return env, queries
 }
 
+// allocsPerCall returns the exact mean allocation count of f(0) …
+// f(n-1), counted after one warm-up pass over the same calls
+// (AllocsPerRun alone truncates its mean to a whole number).
+func allocsPerCall(n int, f func(i int)) float64 {
+	return testing.AllocsPerRun(1, func() {
+		for i := range n {
+			f(i)
+		}
+	}) / float64(n)
+}
+
 // TestOptimizeAllocCeilings pins what a cold query costs the allocator
-// once the optimizer is warm: a share of the blocks its Result, circuit,
-// plan and signature are carved from — nothing per candidate plan or
-// sub-plan. Before the sub-plan table and the scratch circuits these
-// fixtures took 202, 1,505 and 14,947 allocations; with one signature
-// string per distinct sub-plan, 21, 54 and 267; with a heap copy of the
-// winner, 12, 14 and 16; carved from the Builder's blocks but for the
-// signature string, 1.13, 1.17 and 1.20 over 480 queries; with the
-// signature carved from the byte block too, 0.14, 0.19 and 0.23
-// (AllocsPerRun truncates these to 0). The ceiling is one above that;
-// they are exact counts, not timings.
+// once an optimizer is warm, as an exact mean over 48 queries. For
+// Integrated it is a share of the blocks its Result, circuit, plan and
+// signature are carved from — nothing per candidate plan or sub-plan.
+// Before the sub-plan table and the scratch circuits these fixtures took
+// 202, 1,505 and 14,947 allocations; with one signature string per
+// distinct sub-plan, 21, 54 and 267; with a heap copy of the winner, 12,
+// 14 and 16; carved from the Builder's blocks but for the signature
+// string, 1.13, 1.17 and 1.20 over 480 queries; with the signature
+// carved from the byte block too, 0.14, 0.19 and 0.23 (0.125, 0.167 and
+// 0.229 over these 48). The ceiling is one above that.
+// The foils, each reused across calls, cost their candidates on the
+// same scratch and pay, besides, for what only they do: TwoStep's own
+// enumeration, PlanBank's re-rating and MultiQuery's reuse search
+// (radius 40 over the fixture's own deployed circuits, so reuse
+// variants are costed). They took 39.6, 34.2 and 82.7 while they placed
+// every candidate on a heap circuit of its own, and take 17.7, 0.104
+// and 18.7, under ceilings of 18, 1 and 19. These are exact counts,
+// not timings.
 func TestOptimizeAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	for _, tc := range []struct {
-		width   int
-		ceiling float64
-	}{{3, 1}, {4, 1}, {5, 1}} {
-		env, queries := joinFixture(t, tc.width, 12)
+	type optimize func(query.Query) (*Result, error)
+	integrated := func(env *Env, _ []query.Query) optimize {
 		opt := NewIntegrated(env.Freeze())
 		opt.Mapper = placement.DHTMapper{Catalog: env.Catalog()}
-		i := 0
-		allocs := testing.AllocsPerRun(48, func() {
-			if _, err := opt.Optimize(queries[i%len(queries)]); err != nil {
+		return opt.Optimize
+	}
+	for _, tc := range []struct {
+		name    string
+		width   int
+		ceiling float64
+		build   func(env *Env, queries []query.Query) optimize
+	}{
+		{"Integrated", 3, 1, integrated},
+		{"Integrated", 4, 1, integrated},
+		{"Integrated", 5, 1, integrated},
+		{"TwoStep", 3, 18, func(env *Env, _ []query.Query) optimize {
+			o := NewTwoStep(env.Freeze())
+			o.Mapper = placement.DHTMapper{Catalog: env.Catalog()}
+			return o.Optimize
+		}},
+		{"PlanBank", 3, 1, func(env *Env, queries []query.Query) optimize {
+			pb := NewPlanBank(env.Freeze())
+			pb.Mapper = placement.DHTMapper{Catalog: env.Catalog()}
+			for _, q := range queries {
+				if _, err := pb.Compile(q, 4, 0.5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return pb.Optimize
+		}},
+		{"MultiQuery", 3, 19, func(env *Env, queries []query.Query) optimize {
+			dep := NewDeployment(env, nil)
+			for _, q := range queries {
+				res, err := NewIntegrated(env).Optimize(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := dep.Deploy(res.Circuit); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mq := NewMultiQuery(env, dep.Registry, 40)
+			mq.Mapper = placement.DHTMapper{Catalog: env.Catalog()}
+			return mq.Optimize
+		}},
+	} {
+		env, queries := joinFixture(t, tc.width, 12)
+		optimize := tc.build(env, queries)
+		variants := 0
+		allocs := allocsPerCall(48, func(i int) {
+			res, err := optimize(queries[i%len(queries)])
+			if err != nil {
 				t.Fatal(err)
 			}
-			i++
+			variants += res.CircuitsConsidered - res.PlansConsidered
 		})
-		t.Logf("%d-way: %.1f allocs per cold Optimize", tc.width, allocs)
+		t.Logf("%s %d-way: %.3f allocs per cold Optimize", tc.name, tc.width, allocs)
 		if allocs > tc.ceiling {
-			t.Errorf("%d-way: %.1f allocs per cold Optimize, ceiling %v", tc.width, allocs, tc.ceiling)
+			t.Errorf("%s %d-way: %.3f allocs per cold Optimize, ceiling %v", tc.name, tc.width, allocs, tc.ceiling)
+		}
+		if tc.name == "MultiQuery" && variants == 0 {
+			t.Errorf("fixture: MultiQuery costed no reuse variant")
 		}
 	}
 }
@@ -125,7 +189,7 @@ func TestMissedQueryAllocCeiling(t *testing.T) {
 	// AllocsPerRun runs one pass to warm the worker, then the counted
 	// one, each after a flush, as a new generation starts.
 	total := testing.AllocsPerRun(1, func() {
-		clear(cache.entries)
+		cache.flush()
 		for i, q := range queries {
 			res, err := optimizeOne(opt, cache, q, &results[i])
 			if err != nil || res.FromCache {
@@ -203,7 +267,7 @@ func TestPlanCacheHitAllocCeiling(t *testing.T) {
 	if len(key.streams) <= 32 {
 		t.Fatalf("fixture: key %q fits the conversion's stack buffer", key.streams)
 	}
-	cache.put(key.key(), stored)
+	cache.put(key, &opt.builder().bytes, stored)
 	var sink memo
 	lookup := testing.AllocsPerRun(48, func() {
 		key.set(q)

@@ -124,18 +124,19 @@ func freezeForBatch(env *Env) *Env {
 // optimizeOne answers one batch query into dst (nil: carved from the
 // worker's blocks): from the plan cache when the key hits, with the full
 // integrated optimization otherwise (feeding the cache with the result).
-// A hit costs one circuit header carved from the worker's block. The
-// key is built in the worker's scratch; the one the cache stores is a
-// copy carved from the worker's byte block, like the plan's signature.
+// A hit costs one circuit header carved from the worker's block, and a
+// revalidated one stores nothing. The key is built in the worker's
+// scratch; a new entry's key is a copy carved from the worker's byte
+// block, like the plan's signature.
 func optimizeOne(opt *Integrated, cache *PlanCache, q query.Query, dst *Result) (*Result, error) {
 	if cache == nil {
-		return opt.optimizeInto(dst, q)
+		return opt.optimizeInto(dst, q, nil)
 	}
 	key, b := &opt.state().key, opt.builder()
 	key.set(q)
 	m, found, valid := cache.get(key)
 	if found && !valid && m.plans == 1 && opt.revalidate(&m, q.Consumer) {
-		cache.put(PlanCacheKey{key.consumer, query.Carve(&b.bytes, key.streams)}, m)
+		cache.put(key, &b.bytes, m)
 		valid = true
 	}
 	if !valid {
@@ -152,12 +153,12 @@ func optimizeOne(opt *Integrated, cache *PlanCache, q query.Query, dst *Result) 
 			EstimatedUsage: m.usage, MapStats: m.stats, FromCache: true}
 		return dst, nil
 	}
-	res, err := opt.optimizeInto(dst, q)
+	res, err := opt.optimizeInto(dst, q, nil)
 	if err != nil {
 		return nil, err
 	}
 	c := res.Circuit
-	cache.put(PlanCacheKey{key.consumer, query.Carve(&b.bytes, key.streams)}, memo{c.Plan, c.Services, c.Links,
+	cache.put(key, &b.bytes, memo{c.Plan, c.Services, c.Links,
 		int32(c.rootIdx), int32(c.consumerIdx), int32(res.PlansConsidered), res.EstimatedUsage, res.MapStats, 0})
 	return res, nil
 }

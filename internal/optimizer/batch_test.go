@@ -285,6 +285,56 @@ func TestPlanCacheEpochFlush(t *testing.T) {
 	}
 }
 
+// TestRevalidatedHitCarvesNothing: a load change starts a new
+// snapshot and keeps the cache's entries, and each entry's first hit in
+// it is revalidated. A revalidated entry is stamped where it lies: it
+// must carve nothing from the worker's byte block, as storing it again
+// under a fresh copy of its key did, once per key and load change.
+func TestRevalidatedHitCarvesNothing(t *testing.T) {
+	env, queries := joinFixture(t, 2, 12)
+	cache := NewPlanCache()
+	snap, _, _ := cache.current(env, 0)
+	opt := NewIntegrated(snap)
+	for _, q := range queries {
+		if res, err := optimizeOne(opt, cache, q, nil); err != nil || res.PlansConsidered != 1 {
+			t.Fatalf("query %d: err %v; want a single-plan miss", q.ID, err)
+		}
+	}
+	entries := cache.Len()
+	env.SetBackgroundLoad(topologyID(env.Topo.NumNodes()-1), 0.01)
+	snap, _, _ = cache.current(env, 0)
+	if cache.Len() != entries {
+		t.Fatalf("a load change left %d of %d entries", cache.Len(), entries)
+	}
+	opt = NewIntegrated(snap)
+	key, b := &opt.state().key, opt.builder()
+	revalidated := 0
+	for _, q := range queries {
+		key.set(q)
+		if _, found, valid := cache.get(key); !found || valid {
+			continue // a repeated key, valid since its first hit
+		}
+		before := len(b.bytes)
+		res, err := optimizeOne(opt, cache, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.FromCache {
+			continue
+		}
+		revalidated++
+		if len(b.bytes) != before {
+			t.Fatalf("query %d: a revalidated hit carved %d bytes", q.ID, len(b.bytes)-before)
+		}
+		if _, _, valid := cache.get(key); !valid {
+			t.Fatalf("query %d: the revalidated entry is not valid in the new snapshot", q.ID)
+		}
+	}
+	if revalidated == 0 {
+		t.Fatal("fixture: no entry survived revalidation")
+	}
+}
+
 // TestPlanCacheSharingSemantics pins the cache's sharing contract: an
 // entry keeps a header of its own over the plan, services and links of
 // the circuit its miss placed, and a hit is a header of its own too,
@@ -330,15 +380,6 @@ func TestPlanCacheSharingSemantics(t *testing.T) {
 	}
 }
 
-func TestUncostedSentinel(t *testing.T) {
-	if !IsUncosted(UncostedUsage) {
-		t.Fatal("IsUncosted(UncostedUsage) = false")
-	}
-	if IsUncosted(0) || IsUncosted(1e300) {
-		t.Fatal("IsUncosted true for a real estimate")
-	}
-}
-
 // TestBatchCarvedStringsStayPut guards the strings a batch carves from
 // its workers' byte blocks. The keys a miss stores and the signatures of
 // the plans it returns share blocks with every string carved after them,
@@ -359,8 +400,8 @@ func TestBatchCarvedStringsStayPut(t *testing.T) {
 	var strs []kept
 	keep := func(s string) { strs = append(strs, kept{s, strings.Clone(s)}) }
 	cache.mu.RLock()
-	for k, m := range cache.entries {
-		p := m.plan
+	for k, i := range cache.entries {
+		p := cache.memos[i].plan
 		keys = append(keys, k)
 		keep(k.Streams)
 		if got, want := p.Signature(), resigned(p); got != want {
@@ -450,8 +491,8 @@ func TestBatchMemoSurvivesDeployAndMigration(t *testing.T) {
 	entryNode := func() topology.NodeID {
 		cache.mu.RLock()
 		defer cache.mu.RUnlock()
-		for _, m := range cache.entries {
-			return m.services[svc].Node
+		for _, i := range cache.entries {
+			return cache.memos[i].services[svc].Node
 		}
 		t.Fatal("the cache holds no entry")
 		return 0

@@ -25,12 +25,12 @@ type Builder struct {
 	// prob is the placement problem every circuit is converted into. Its
 	// vertex and link slices, and the solver scratch a placement.Problem
 	// carries, are recycled from one candidate plan to the next, so a
-	// warm Builder places a circuit without allocating. cand are the two
-	// scratch circuits Integrated evaluates candidates on. All of it
-	// makes a Builder single-goroutine: concurrent optimizations each
-	// own one (one per batch worker).
+	// warm Builder places a circuit without allocating. cand are the
+	// scratch circuits every optimizer evaluates its candidates on
+	// (Integrated.cheapest). All of it makes a Builder single-goroutine:
+	// concurrent optimizations each own one (one per batch worker).
 	prob placement.Problem
-	cand [2]Circuit
+	cand [3]Circuit
 	// prods are the producers of one query's streams, looked up once per
 	// query (resolveProducers) instead of once per leaf of every
 	// candidate plan; a catalog never re-homes a stream.
@@ -284,15 +284,4 @@ func (b *Builder) MapPhysical(c *Circuit, mapper placement.Mapper) (placement.Ma
 		agg.Add(st)
 	}
 	return agg, nil
-}
-
-// AssignFixed binds every unpinned service to the node returned by
-// choose, bypassing virtual placement (used by baseline strategies).
-func (b *Builder) AssignFixed(c *Circuit, choose func(s *PlacedService) topology.NodeID) {
-	for _, s := range c.Services {
-		if s.Pinned || s.Plan == nil {
-			continue
-		}
-		s.Node = choose(s)
-	}
 }

@@ -75,19 +75,16 @@ func (c *Circuit) add(s PlacedService) int {
 // owned writes r to dst with a copy of c as its Circuit, carved from
 // b's blocks, and returns dst; a nil dst is carved too. The copy shares
 // no storage with c, so a circuit evaluated on scratch becomes a result
-// that can be kept while the scratch is reused. With clonePlan the copy
-// gets a plan of its own, in the node block, as a circuit planned over
-// the shared sub-plans of an enumeration must; without, it keeps c's
-// plan, a cached one that is signed and read-only. The copy is signed,
-// its signature carved from the byte block.
-func (b *Builder) owned(dst *Result, r Result, c *Circuit, clonePlan bool) *Result {
+// that can be kept while the scratch is reused. The copy gets a plan of
+// its own, in the node block, as a circuit planned over the shared
+// sub-plans of an enumeration must, and is signed, its signature carved
+// from the byte block.
+func (b *Builder) owned(dst *Result, r Result, c *Circuit) *Result {
 	out := &take(&b.circuits, 1)[0]
 	*out = *c
 	b.carveStorage(out)
-	if clonePlan {
-		nodes, i := take(&b.nodes, planSize(c.Plan)), 0
-		out.Plan = out.clonePlan(c.Plan, &nodes, &i)
-	}
+	nodes, i := take(&b.nodes, planSize(c.Plan)), 0
+	out.Plan = out.clonePlan(c.Plan, &nodes, &i)
 	out.sign(&b.bytes)
 	if dst == nil {
 		dst = &take(&b.results, 1)[0]

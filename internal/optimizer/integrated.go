@@ -133,61 +133,81 @@ func (o *Integrated) builder() *Builder { return &o.state().b }
 // Optimize performs full circuit optimization for the query and returns
 // the best circuit without deploying it.
 func (o *Integrated) Optimize(q query.Query) (*Result, error) {
-	return o.optimizeInto(nil, q)
+	return o.optimizeInto(nil, q, nil)
 }
 
 // optimizeInto is Optimize writing its Result to dst (nil: carved from
-// the Builder's blocks).
-func (o *Integrated) optimizeInto(dst *Result, q query.Query) (*Result, error) {
-	enum, placer, mapper, model := o.components()
-	st := o.state()
-	plans, err := enum.EnumerateInto(&st.table, q)
+// the Builder's blocks); a non-nil variant is passed to cheapest.
+func (o *Integrated) optimizeInto(dst *Result, q query.Query, variant variantFn) (*Result, error) {
+	enum, _, _, _ := o.components()
+	plans, err := enum.EnumerateInto(&o.state().table, q)
 	if err != nil {
 		return nil, err
 	}
-	res := Result{PlansConsidered: len(plans)}
-	// Candidates are built on two scratch circuits, the one under
-	// evaluation and the best so far, which trade places on improvement.
-	b := &st.b
+	return o.cheapest(dst, q, plans, nil, variant)
+}
+
+// variantFn builds into c the skeleton of a second candidate for the
+// plan of fresh, the plan's own candidate, which is placed and mapped,
+// and reports whether it built one.
+type variantFn func(c, fresh *Circuit) (bool, error)
+
+// cheapest is the candidate loop every optimizer runs. Each plan is
+// placed virtually and mapped physically, and, with a variant, so is
+// the variant built from it right after; the cheapest candidate under
+// the model wins, the first of equals. Without a bar the first
+// candidate is taken whatever it costs; with one, a candidate must cost
+// less than *bar, and when none does cheapest returns nil, as it does
+// for no plans (an enumeration has at least one). The winner is written
+// to dst (nil: carved from the Builder's blocks) with a plan of its
+// own, as Optimize returns it.
+func (o *Integrated) cheapest(dst *Result, q query.Query, plans []*query.PlanNode, bar *float64, variant variantFn) (*Result, error) {
+	_, placer, mapper, model := o.components()
+	b := o.builder()
 	b.resolveProducers(q)
-	cur, best := &b.cand[0], &b.cand[1]
-	for i, p := range plans {
-		stats, err := b.buildPlaceMapInto(cur, q, p, placer, mapper)
-		if err != nil {
+	res, won := Result{PlansConsidered: len(plans)}, false
+	if bar != nil {
+		res.EstimatedUsage = *bar
+	}
+	// Candidates are built on the Builder's scratch circuits: a plan's
+	// own and its variant in cand, and the best so far, which trades
+	// places with a candidate that beats it.
+	cand, best := [2]*Circuit{&b.cand[0], &b.cand[1]}, &b.cand[2]
+	for _, p := range plans {
+		if err := b.skeletonInto(cand[0], q, p, nil); err != nil {
 			return nil, err
 		}
-		res.CircuitsConsidered++
-		if usage := cur.NetworkUsage(model); i == 0 || usage < res.EstimatedUsage {
-			cur, best = best, cur
-			res.EstimatedUsage = usage
-			res.MapStats = stats
+		for i, n := 0, 1; i < n; i++ {
+			c := cand[i]
+			if err := b.PlaceVirtual(c, placer); err != nil {
+				return nil, err
+			}
+			stats, err := b.MapPhysical(c, mapper)
+			if err != nil {
+				return nil, err
+			}
+			res.CircuitsConsidered++
+			if usage := c.NetworkUsage(model); !won && bar == nil || usage < res.EstimatedUsage {
+				cand[i], best, won = best, c, true
+				res.EstimatedUsage, res.MapStats = usage, stats
+			}
+			if i == 0 && variant != nil {
+				// c still holds the plan's own candidate, wherever it
+				// now sits, and the variant is built beside it.
+				ok, err := variant(cand[1], c)
+				if err != nil {
+					return nil, err
+				}
+				if ok {
+					n = 2
+				}
+			}
 		}
 	}
-	return b.owned(dst, res, best, true), nil
-}
-
-// buildPlaceMap runs the skeleton → virtual placement → physical mapping
-// pipeline for one plan and returns the circuit, signed and the caller's.
-func buildPlaceMap(b *Builder, q query.Query, p *query.PlanNode, placer placement.VirtualPlacer, mapper placement.Mapper) (*Circuit, placement.MapStats, error) {
-	c := new(Circuit)
-	stats, err := b.buildPlaceMapInto(c, q, p, placer, mapper)
-	if err != nil {
-		return nil, placement.MapStats{}, err
+	if !won {
+		return nil, nil
 	}
-	c.sign(nil)
-	return c, stats, nil
-}
-
-// buildPlaceMapInto is the pipeline into c's own storage, unsigned (see
-// skeletonInto).
-func (b *Builder) buildPlaceMapInto(c *Circuit, q query.Query, p *query.PlanNode, placer placement.VirtualPlacer, mapper placement.Mapper) (placement.MapStats, error) {
-	if err := b.skeletonInto(c, q, p, nil); err != nil {
-		return placement.MapStats{}, err
-	}
-	if err := b.PlaceVirtual(c, placer); err != nil {
-		return placement.MapStats{}, err
-	}
-	return b.MapPhysical(c, mapper)
+	return b.owned(dst, res, best), nil
 }
 
 // TwoStep is the classical baseline (§2.3): plan generation ignores the
@@ -195,12 +215,17 @@ func (b *Builder) buildPlaceMapInto(c *Circuit, q query.Query, p *query.PlanNode
 // then is that single plan placed — using exactly the same placement
 // machinery as the integrated optimizer, so the comparison isolates the
 // integration itself.
+//
+// A TwoStep serves one goroutine at a time: it keeps one Integrated
+// across calls, whose Builder its results are carved from.
 type TwoStep struct {
 	Env    *Env
 	Enum   *plan.Enumerator
 	Placer placement.VirtualPlacer
 	Mapper placement.Mapper
 	Model  LatencyModel
+
+	inner *Integrated
 }
 
 // NewTwoStep returns a two-step optimizer with default components.
@@ -210,21 +235,23 @@ func NewTwoStep(env *Env) *TwoStep {
 
 // Optimize picks the statistics-optimal plan, then places it.
 func (o *TwoStep) Optimize(q query.Query) (*Result, error) {
-	inner := &Integrated{Env: o.Env, Enum: o.Enum, Placer: o.Placer, Mapper: o.Mapper, Model: o.Model}
-	enum, placer, mapper, model := inner.components()
+	inner := keep(&o.inner, Integrated{Env: o.Env, Enum: o.Enum, Placer: o.Placer, Mapper: o.Mapper, Model: o.Model})
+	enum, _, _, _ := inner.components()
 	best, err := enum.Best(q)
 	if err != nil {
 		return nil, err
 	}
-	circuit, stats, err := buildPlaceMap(inner.builder(), q, best, placer, mapper)
-	if err != nil {
-		return nil, err
+	return inner.cheapest(nil, q, []*query.PlanNode{best}, nil, nil)
+}
+
+// keep returns *o with c's components, so that an optimizer built on
+// Integrated keeps one scratch across calls: *o is made on first use,
+// and again when c's env is another.
+func keep(o **Integrated, c Integrated) *Integrated {
+	if *o == nil || (*o).Env != c.Env {
+		*o = new(Integrated)
 	}
-	return &Result{
-		Circuit:            circuit,
-		PlansConsidered:    1,
-		CircuitsConsidered: 1,
-		EstimatedUsage:     circuit.NetworkUsage(model),
-		MapStats:           stats,
-	}, nil
+	c.st = (*o).st
+	**o = c
+	return *o
 }

@@ -1,9 +1,9 @@
 package optimizer
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -13,17 +13,6 @@ import (
 	"github.com/hourglass/sbon/internal/query"
 	"github.com/hourglass/sbon/internal/topology"
 )
-
-// UncostedUsage is the sentinel EstimatedUsage of a Result that has not
-// costed any circuit yet. It is +Inf (declared as a variable because Go
-// has no untyped infinite constant); always test with IsUncosted rather
-// than comparing against a literal math.Inf(1), so a cache or bank hit
-// can never mistake an uncosted entry for a real estimate.
-var UncostedUsage = math.Inf(1)
-
-// IsUncosted reports whether an EstimatedUsage value is the UncostedUsage
-// sentinel rather than a real circuit estimate.
-func IsUncosted(usage float64) bool { return math.IsInf(usage, 1) }
 
 // PlanBank implements the dynamic-plans alternative the paper contrasts
 // integration with (§2.3, citing Graefe & Ward [13]): "pre-calculate and
@@ -41,6 +30,9 @@ func IsUncosted(usage float64) bool { return math.IsInf(usage, 1) }
 // and worth pre-calculation": if no banked plan matches reality, the
 // result is suboptimal. The integrated optimizer never does worse under
 // the same selection model, which is the paper's argument.
+//
+// A PlanBank serves one goroutine at a time: it keeps one Integrated
+// across calls, whose Builder its results are carved from.
 type PlanBank struct {
 	Env *Env
 	// Placer/Mapper/Model default like Integrated's.
@@ -49,6 +41,7 @@ type PlanBank struct {
 	Model  LatencyModel
 
 	banks map[query.QueryID][]*query.PlanNode
+	inner *Integrated
 }
 
 // NewPlanBank returns an empty bank over the environment.
@@ -92,10 +85,10 @@ func (j JitteredLatency) Name() string {
 	return fmt.Sprintf("jitter(%s,seed=%d,±%.0f%%)", j.Base.Name(), j.Seed, j.Amount*100)
 }
 
-func (pb *PlanBank) components() (placement.VirtualPlacer, placement.Mapper, LatencyModel) {
-	inner := &Integrated{Env: pb.Env, Placer: pb.Placer, Mapper: pb.Mapper, Model: pb.Model}
-	_, placer, mapper, model := inner.components()
-	return placer, mapper, model
+// integrated returns the bank's Integrated with its components, model
+// overriding Model when non-nil.
+func (pb *PlanBank) integrated(model LatencyModel) *Integrated {
+	return keep(&pb.inner, Integrated{Env: pb.Env, Placer: pb.Placer, Mapper: pb.Mapper, Model: cmp.Or(model, pb.Model)})
 }
 
 // Compile precomputes plans for the query under `states` hypothetical
@@ -108,20 +101,16 @@ func (pb *PlanBank) Compile(q query.Query, states int, amount float64) (int, err
 	if amount < 0 {
 		amount = -amount
 	}
-	placer, mapper, model := pb.components()
-	seen := make(map[string]bool)
+	_, _, _, model := pb.integrated(nil).components()
 	var banked []*query.PlanNode
 	for k := 0; k < states; k++ {
 		scenario := JitteredLatency{Base: model, Seed: uint64(k) + 1, Amount: amount}
-		res, err := (&Integrated{
-			Env: pb.Env, Placer: placer, Mapper: mapper, Model: scenario,
-		}).Optimize(q)
+		res, err := pb.integrated(scenario).Optimize(q)
 		if err != nil {
 			return 0, err
 		}
 		sig := res.Circuit.Plan.Signature()
-		if !seen[sig] {
-			seen[sig] = true
+		if !slices.ContainsFunc(banked, func(p *query.PlanNode) bool { return p.Signature() == sig }) {
 			banked = append(banked, res.Circuit.Plan.Clone())
 		}
 	}
@@ -129,39 +118,21 @@ func (pb *PlanBank) Compile(q query.Query, states int, amount float64) (int, err
 	return len(banked), nil
 }
 
-// Optimize answers the query using only its banked plans: each is placed
-// under current conditions and the cheapest circuit wins. Returns an
-// error if the query was never compiled.
+// Optimize answers the query using only its banked plans: each is
+// re-rated (statistics may have drifted since compile), placed under
+// current conditions, and the cheapest circuit wins. Returns an error
+// if the query was never compiled.
 func (pb *PlanBank) Optimize(q query.Query) (*Result, error) {
 	banked := pb.banks[q.ID]
 	if len(banked) == 0 {
 		return nil, fmt.Errorf("optimizer: query %d has no banked plans; call Compile first", q.ID)
 	}
-	placer, mapper, model := pb.components()
-	b := &Builder{Env: pb.Env}
-	res := &Result{PlansConsidered: len(banked)}
-	res.EstimatedUsage = UncostedUsage
 	for _, p := range banked {
-		// Re-derive rates: statistics may have drifted since compile.
-		cp := p.Clone()
-		if err := cp.ComputeRates(pb.Env.Stats); err != nil {
+		if err := p.ComputeRates(pb.Env.Stats); err != nil {
 			return nil, err
 		}
-		circuit, stats, err := buildPlaceMap(b, q, cp, placer, mapper)
-		if err != nil {
-			return nil, err
-		}
-		res.CircuitsConsidered++
-		if usage := circuit.NetworkUsage(model); usage < res.EstimatedUsage {
-			res.Circuit = circuit
-			res.EstimatedUsage = usage
-			res.MapStats = stats
-		}
 	}
-	if IsUncosted(res.EstimatedUsage) {
-		return nil, fmt.Errorf("optimizer: query %d produced no costed circuit from %d banked plans", q.ID, len(banked))
-	}
-	return res, nil
+	return pb.integrated(nil).cheapest(nil, q, banked, nil, nil)
 }
 
 // PlanCacheKey identifies one cached optimization outcome: the query's
@@ -231,14 +202,17 @@ type planKey struct {
 // of a miss that reads loads or the catalog: enumeration reads
 // statistics, and virtual placement and CoordLatency read coordinates.
 // An entry whose miss costed several plans is not revalidated: a
-// losing plan may have got cheaper.
+// losing plan may have got cheaper. A revalidated entry is stamped in
+// place: the map holds an index into memos, and is not written again
+// for a key it has.
 //
 // All methods are safe for concurrent use; OptimizeBatch workers share
 // one cache.
 type PlanCache struct {
 	mu      sync.RWMutex
 	gen     generation
-	entries map[PlanCacheKey]memo
+	entries map[PlanCacheKey]int32 // index into memos
+	memos   []memo
 
 	hits atomic.Int64
 	miss atomic.Int64
@@ -256,8 +230,7 @@ type generation struct {
 
 // memo is one cache entry: what a circuit header needs of the circuit a
 // miss placed, its usage, mapping statistics and plan count, and the
-// snapshot it was last validated in. It is small enough for the map to
-// hold it inline (TestMemoStaysInline), so a store allocates nothing.
+// snapshot it was last validated in.
 type memo struct {
 	plan                  *query.PlanNode
 	services              []*PlacedService
@@ -270,7 +243,7 @@ type memo struct {
 
 // NewPlanCache returns an empty concurrent plan cache.
 func NewPlanCache() *PlanCache {
-	return &PlanCache{entries: make(map[PlanCacheKey]memo)}
+	return &PlanCache{entries: make(map[PlanCacheKey]int32)}
 }
 
 // set builds q's key into k's own buffer.
@@ -292,7 +265,7 @@ func (pc *PlanCache) current(env *Env, k int) (*Env, *regionMap, error) {
 	g := &pc.gen
 	if g.env != env || g.changes != changes || g.reshapes != env.reshapes {
 		*g = generation{env: env, changes: changes, reshapes: env.reshapes, seq: g.seq}
-		clear(pc.entries)
+		pc.flush()
 	}
 	if g.snap == nil || g.epoch != env.epoch || g.mutations != mutations {
 		g.epoch, g.mutations, g.seq = env.epoch, mutations, g.seq+1
@@ -308,23 +281,41 @@ func (pc *PlanCache) current(env *Env, k int) (*Env, *regionMap, error) {
 	return g.snap, g.regions, nil
 }
 
+// flush drops every entry, and with them the plans, services and links
+// they hold; the map and the memo slice keep their storage.
+func (pc *PlanCache) flush() {
+	clear(pc.entries)
+	clear(pc.memos)
+	pc.memos = pc.memos[:0]
+}
+
 // get returns the key's entry and whether it is valid in the current
 // snapshot. The key's string conversion inside the index expression
 // does not allocate.
 func (pc *PlanCache) get(k *planKey) (m memo, found, valid bool) {
 	pc.mu.RLock()
 	defer pc.mu.RUnlock()
-	m, found = pc.entries[PlanCacheKey{Consumer: k.consumer, Streams: string(k.streams)}]
+	i, found := pc.entries[PlanCacheKey{Consumer: k.consumer, Streams: string(k.streams)}]
+	if found {
+		m = pc.memos[i]
+	}
 	return m, found, found && m.seq == pc.gen.seq
 }
 
-// put stores m, valid in the current snapshot, under the key. Valid
-// entries for one key are equal, so overwriting one changes nothing.
-func (pc *PlanCache) put(k PlanCacheKey, m memo) {
+// put stores m, valid in the current snapshot, under the key: over the
+// key's entry if it has one, writing no map entry, else under a copy of
+// the key carved from *arena. Valid entries for one key are equal, so
+// overwriting one changes nothing.
+func (pc *PlanCache) put(k *planKey, arena *[]byte, m memo) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	m.seq = pc.gen.seq
-	pc.entries[k] = m
+	if i, ok := pc.entries[PlanCacheKey{Consumer: k.consumer, Streams: string(k.streams)}]; ok {
+		pc.memos[i] = m
+		return
+	}
+	pc.entries[PlanCacheKey{k.consumer, query.Carve(arena, k.streams)}] = int32(len(pc.memos))
+	pc.memos = append(pc.memos, m)
 }
 
 // Len returns the number of cached entries.

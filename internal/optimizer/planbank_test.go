@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"testing"
-	"unsafe"
 
 	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/topology"
@@ -122,16 +121,5 @@ func TestJitteredLatencyProperties(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical jitter")
-	}
-}
-
-// TestMemoStaysInline: a Go map holds values of up to 128 bytes inline
-// and larger ones behind a pointer, one heap object per store. Every
-// miss and every revalidated hit stores a memo, so a memo past 128
-// bytes allocates per query: one of 136 bytes took opt_churn from
-// 0.107 to 0.75 allocations per query.
-func TestMemoStaysInline(t *testing.T) {
-	if size := unsafe.Sizeof(memo{}); size > 128 {
-		t.Fatalf("memo is %d bytes; a map stores values over 128 bytes behind a pointer", size)
 	}
 }

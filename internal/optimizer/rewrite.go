@@ -1,11 +1,7 @@
 package optimizer
 
 import (
-	"slices"
-
-	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/plan"
-	"github.com/hourglass/sbon/internal/query"
 )
 
 // RewriteStats reports one plan-rewriting sweep.
@@ -30,48 +26,34 @@ func (r *Reoptimizer) RewriteStep() (RewriteStats, error) {
 	mapper, model, thresh := r.components()
 	var stats RewriteStats
 	env := r.Dep.Env
-	b := &Builder{Env: env}
+	opt := &Integrated{Env: env, Mapper: mapper, Model: model}
 
-	// Snapshot IDs (the map mutates during swaps) in ascending order:
-	// each swap changes the loads later rewrites map against.
-	ids := make([]query.QueryID, 0, len(r.Dep.circuits))
-	for id := range r.Dep.circuits {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		c, ok := r.Dep.Circuit(id)
-		if !ok {
-			continue
-		}
+	// In ascending query order: each swap changes the loads later
+	// rewrites map against.
+	for _, c := range r.Dep.circuitsInOrder() {
 		if hasReuse(c) {
 			continue
 		}
 		stats.CircuitsEvaluated++
 		oldUsage := c.NetworkUsage(model)
-
-		var best *Circuit
-		bestUsage := oldUsage
-		for _, variant := range plan.Rotations(c.Plan) {
+		variants := plan.Rotations(c.Plan)
+		for _, variant := range variants {
 			if err := variant.ComputeRates(env.Stats); err != nil {
 				return stats, err
 			}
-			cand, _, err := buildPlaceMap(b, c.Query, variant, placement.Relaxation{}, mapper)
-			if err != nil {
-				return stats, err
-			}
-			stats.VariantsCosted++
-			if u := cand.NetworkUsage(model); u < bestUsage {
-				best, bestUsage = cand, u
-			}
 		}
-		if best == nil || bestUsage >= oldUsage*(1-thresh) {
-			continue
-		}
-		if err := r.Dep.Cancel(id); err != nil {
+		best, err := opt.cheapest(nil, c.Query, variants, &oldUsage, nil)
+		if err != nil {
 			return stats, err
 		}
-		if err := r.Dep.Deploy(best); err != nil {
+		stats.VariantsCosted += len(variants)
+		if best == nil || best.EstimatedUsage >= oldUsage*(1-thresh) {
+			continue
+		}
+		if err := r.Dep.Cancel(c.Query.ID); err != nil {
+			return stats, err
+		}
+		if err := r.Dep.Deploy(best.Circuit); err != nil {
 			return stats, err
 		}
 		stats.Rewrites++

@@ -236,55 +236,68 @@ func TestBatchBuildsTheIndexOnlyForTheOracle(t *testing.T) {
 // env's epoch. The cache's generation must end with it: the next batch
 // must answer what a sequential optimizer on a fresh Freeze does, and
 // place nothing on the dead node, where the first batch placed a
-// service.
+// service. On testSetup's 20 nodes every mapping walk covers the whole
+// ring, so a stale entry revalidates to the fresh answer anyway; the
+// 68-node batch world's walks cover part of it, and its fixed crash
+// leaves entries that a revalidation would serve with the hop counts of
+// the old ring.
 func TestBatchAfterCatalogRepairMatchesFreshFreeze(t *testing.T) {
-	env, _ := testSetup(t, 9, true)
-	qs := batchQueries(env, 40)
-	cache := NewPlanCache()
-	first, err := OptimizeBatch(env, qs, BatchOptions{Workers: 2, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The dead node hosts a placed service and no query's endpoint, so
-	// a correct answer exists without it.
-	endpoints := map[topology.NodeID]bool{}
-	for _, q := range qs {
-		endpoints[q.Consumer] = true
-		for _, sid := range q.Streams {
-			p, _ := env.Stats.Producer(sid)
-			endpoints[p] = true
-		}
-	}
-	dead := topology.NodeID(-1)
-	for i := 0; i < len(first) && dead < 0; i++ {
-		for _, s := range first[i].Circuit.UnpinnedServices() {
-			if !endpoints[s.Node] {
-				dead = s.Node
-				break
-			}
-		}
-	}
-	if dead < 0 {
-		t.Fatal("fixture: every placed service sits on a query endpoint")
-	}
-	epoch := env.Epoch()
-	if rep := env.Catalog().RepairAfterCrash([]topology.NodeID{dead}); rep.Unpublished != 1 || env.Epoch() != epoch {
-		t.Fatalf("fixture: the repair unpublished %d nodes and moved the epoch %d -> %d", rep.Unpublished, epoch, env.Epoch())
-	}
-	got, err := OptimizeBatch(env, qs, BatchOptions{Workers: 2, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewIntegrated(env.Freeze())
-	for i, q := range qs {
-		want, err := fresh.Optimize(q)
+	small, _ := testSetup(t, 9, true)
+	world := newBatchWorld(t, true)
+	for _, tc := range []struct {
+		env  *Env
+		qs   []query.Query
+		dead topology.NodeID // -1: the first host of a placed service that is no endpoint
+	}{
+		{small, batchQueries(small, 40), -1},
+		{world.env, world.pool, 59},
+	} {
+		env, qs := tc.env, tc.qs
+		cache := NewPlanCache()
+		first, err := OptimizeBatch(env, qs, BatchOptions{Workers: 2, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
-		circuitsEqual(t, i, &got[i], want)
-		for _, s := range got[i].Circuit.Services {
-			if s.Node == dead {
-				t.Fatalf("query %d: a service placed on dead node %d", q.ID, dead)
+		// The dead node hosts a placed service and no query's endpoint,
+		// so a correct answer exists without it.
+		endpoints := map[topology.NodeID]bool{}
+		for _, q := range qs {
+			endpoints[q.Consumer] = true
+			for _, sid := range q.Streams {
+				p, _ := env.Stats.Producer(sid)
+				endpoints[p] = true
+			}
+		}
+		dead, hosts := tc.dead, map[topology.NodeID]bool{}
+		for i := range first {
+			for _, s := range first[i].Circuit.UnpinnedServices() {
+				if hosts[s.Node] = true; dead < 0 && !endpoints[s.Node] {
+					dead = s.Node
+				}
+			}
+		}
+		if !hosts[dead] || endpoints[dead] {
+			t.Fatalf("fixture: dead node %d hosts no placed service or is a query endpoint", dead)
+		}
+		epoch := env.Epoch()
+		if rep := env.Catalog().RepairAfterCrash([]topology.NodeID{dead}); rep.Unpublished != 1 || env.Epoch() != epoch {
+			t.Fatalf("fixture: the repair unpublished %d nodes and moved the epoch %d -> %d", rep.Unpublished, epoch, env.Epoch())
+		}
+		got, err := OptimizeBatch(env, qs, BatchOptions{Workers: 2, Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewIntegrated(env.Freeze())
+		for i, q := range qs {
+			want, err := fresh.Optimize(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameAnswer(t, i, &got[i], want)
+			for _, s := range got[i].Circuit.Services {
+				if s.Node == dead {
+					t.Fatalf("query %d: a service placed on dead node %d", q.ID, dead)
+				}
 			}
 		}
 	}

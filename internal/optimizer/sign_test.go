@@ -78,7 +78,8 @@ func TestPlansLeaveSigned(t *testing.T) {
 			requireSigned(t, "Enumerate", p)
 		}
 	}
-	for k, m := range cache.entries {
+	for k, i := range cache.entries {
+		m := cache.memos[i]
 		requireSignedCircuit(t, "the plan cache's stored circuit for "+k.Streams, &Circuit{Plan: m.plan, Services: m.services})
 	}
 	for _, q := range queries {

@@ -29,13 +29,12 @@ func (RelaxationStrategy) Name() string { return "relaxation" }
 
 // PlaceCircuit implements PlacementStrategy.
 func (s RelaxationStrategy) PlaceCircuit(env *Env, q query.Query, p *query.PlanNode) (*Circuit, error) {
-	placer := s.Placer
-	if placer == nil {
-		placer = placement.Relaxation{}
+	opt := &Integrated{Env: env, Placer: s.Placer, Mapper: mapperOn(s.Mapper, env.Catalog(), env)}
+	res, err := opt.cheapest(nil, q, []*query.PlanNode{p}, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	b := &Builder{Env: env}
-	c, _, err := buildPlaceMap(b, q, p, placer, mapperOn(s.Mapper, env.Catalog(), env))
-	return c, err
+	return res.Circuit, nil
 }
 
 // RandomStrategy assigns every unpinned service to a uniformly random
@@ -53,15 +52,25 @@ func (s RandomStrategy) PlaceCircuit(env *Env, q query.Query, p *query.PlanNode)
 	if rng == nil {
 		rng = env.Rand()
 	}
-	b := &Builder{Env: env}
-	c, err := b.Skeleton(q, p, nil)
+	n := env.Topo.NumNodes()
+	return placeFixed(env, q, p, func(*PlacedService) topology.NodeID {
+		return topology.NodeID(rng.Intn(n))
+	})
+}
+
+// placeFixed builds p's circuit for q and binds every unpinned service
+// to the node choose returns, bypassing virtual placement (the baseline
+// strategies).
+func placeFixed(env *Env, q query.Query, p *query.PlanNode, choose func(*PlacedService) topology.NodeID) (*Circuit, error) {
+	c, err := (&Builder{Env: env}).Skeleton(q, p, nil)
 	if err != nil {
 		return nil, err
 	}
-	n := env.Topo.NumNodes()
-	b.AssignFixed(c, func(*PlacedService) topology.NodeID {
-		return topology.NodeID(rng.Intn(n))
-	})
+	for _, s := range c.Services {
+		if !s.Pinned && s.Plan != nil {
+			s.Node = choose(s)
+		}
+	}
 	return c, nil
 }
 
@@ -74,13 +83,7 @@ func (ConsumerStrategy) Name() string { return "consumer" }
 
 // PlaceCircuit implements PlacementStrategy.
 func (ConsumerStrategy) PlaceCircuit(env *Env, q query.Query, p *query.PlanNode) (*Circuit, error) {
-	b := &Builder{Env: env}
-	c, err := b.Skeleton(q, p, nil)
-	if err != nil {
-		return nil, err
-	}
-	b.AssignFixed(c, func(*PlacedService) topology.NodeID { return q.Consumer })
-	return c, nil
+	return placeFixed(env, q, p, func(*PlacedService) topology.NodeID { return q.Consumer })
 }
 
 // ProducerStrategy hosts each unpinned service at the producer of its
@@ -92,12 +95,7 @@ func (ProducerStrategy) Name() string { return "producer" }
 
 // PlaceCircuit implements PlacementStrategy.
 func (s ProducerStrategy) PlaceCircuit(env *Env, q query.Query, p *query.PlanNode) (*Circuit, error) {
-	b := &Builder{Env: env}
-	c, err := b.Skeleton(q, p, nil)
-	if err != nil {
-		return nil, err
-	}
-	b.AssignFixed(c, func(svc *PlacedService) topology.NodeID {
+	return placeFixed(env, q, p, func(svc *PlacedService) topology.NodeID {
 		leaves := svc.Plan.Leaves()
 		if len(leaves) == 0 {
 			return q.Consumer
@@ -108,7 +106,6 @@ func (s ProducerStrategy) PlaceCircuit(env *Env, q query.Query, p *query.PlanNod
 		}
 		return prod
 	})
-	return c, nil
 }
 
 // ExhaustiveStrategy tries every assignment of unpinned services to the
