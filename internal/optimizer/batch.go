@@ -130,7 +130,7 @@ func freezeForBatch(env *Env) *Env {
 // block, like the plan's signature.
 func optimizeOne(opt *Integrated, cache *PlanCache, q query.Query, dst *Result) (*Result, error) {
 	if cache == nil {
-		return opt.optimizeInto(dst, q, nil)
+		return opt.optimizeInto(dst, q, nil, nil)
 	}
 	key, b := &opt.state().key, opt.builder()
 	key.set(q)
@@ -153,7 +153,7 @@ func optimizeOne(opt *Integrated, cache *PlanCache, q query.Query, dst *Result) 
 			EstimatedUsage: m.usage, MapStats: m.stats, FromCache: true}
 		return dst, nil
 	}
-	res, err := opt.optimizeInto(dst, q, nil)
+	res, err := opt.optimizeInto(dst, q, nil, nil)
 	if err != nil {
 		return nil, err
 	}

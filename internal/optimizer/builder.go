@@ -27,14 +27,16 @@ type Builder struct {
 	// carries, are recycled from one candidate plan to the next, so a
 	// warm Builder places a circuit without allocating. cand are the
 	// scratch circuits every optimizer evaluates its candidates on
-	// (Integrated.cheapest). All of it makes a Builder single-goroutine:
+	// (Builder.cheapest). All of it makes a Builder single-goroutine:
 	// concurrent optimizations each own one (one per batch worker).
 	prob placement.Problem
 	cand [3]Circuit
-	// prods are the producers of one query's streams, looked up once per
-	// query (resolveProducers) instead of once per leaf of every
-	// candidate plan; a catalog never re-homes a stream.
-	prods []streamProducer
+	// prods[:nprods] are the producers of one query's first streams,
+	// looked up once per query (resolveProducers), not once per leaf of
+	// every candidate plan, and stored in place; a catalog never
+	// re-homes a stream.
+	prods  [8]streamProducer
+	nprods int
 
 	// The blocks the results of owned are carved from, one per type:
 	// each result takes disjoint, capacity-clipped pieces (see take).
@@ -79,10 +81,11 @@ type streamProducer struct {
 // resolveProducers looks up the producers of q's streams for the
 // skeletons that follow. Unknown streams are left for build to report.
 func (b *Builder) resolveProducers(q query.Query) {
-	b.prods = b.prods[:0]
-	for _, s := range q.Streams {
+	b.nprods = 0
+	for _, s := range q.Streams[:min(len(q.Streams), len(b.prods))] {
 		if node, ok := b.Env.Stats.Producer(s); ok {
-			b.prods = append(b.prods, streamProducer{s, node})
+			b.prods[b.nprods] = streamProducer{s, node}
+			b.nprods++
 		}
 	}
 }
@@ -90,7 +93,7 @@ func (b *Builder) resolveProducers(q query.Query) {
 // producer returns the node that publishes stream s: from prods, or
 // from the catalog for a stream no resolved query has.
 func (b *Builder) producer(s query.StreamID) (topology.NodeID, bool) {
-	for _, p := range b.prods {
+	for _, p := range b.prods[:b.nprods] {
 		if p.stream == s {
 			return p.node, true
 		}

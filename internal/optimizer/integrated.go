@@ -69,15 +69,15 @@ type Integrated struct {
 	// (default CoordLatency — what a decentralized node can know).
 	Model LatencyModel
 
-	// st holds the defaults for the components left nil above, resolved
-	// once, and the optimizer's scratch: its Builder and sub-plan table.
+	// st holds the optimizer's scratch, its Builder and sub-plan table,
+	// and the defaults for the components left nil above.
 	st *integratedState
 }
 
 type integratedState struct {
-	enum   *plan.Enumerator
+	enum   plan.Enumerator
 	placer placement.VirtualPlacer
-	mapper placement.Mapper
+	mapper placement.Mapper // made when first needed
 	model  LatencyModel
 	b      Builder
 	table  plan.Table
@@ -107,24 +107,23 @@ func mapperOn(m placement.Mapper, cat *dht.Catalog, src placement.NodeSource) pl
 	return m
 }
 
-// state returns the optimizer's defaults and scratch, resolving them on
+// state returns the optimizer's defaults and scratch, making them on
 // first use.
 func (o *Integrated) state() *integratedState {
 	if o.st == nil {
-		o.st = &integratedState{
-			enum:   plan.NewEnumerator(o.Env.Stats),
-			placer: placement.Relaxation{},
-			mapper: mapperOn(nil, o.Env.Catalog(), o.Env),
-			model:  CoordLatency{Env: o.Env},
-			b:      Builder{Env: o.Env},
-		}
+		o.st = &integratedState{enum: *plan.NewEnumerator(o.Env.Stats), placer: placement.Relaxation{}, model: CoordLatency{Env: o.Env}, b: Builder{Env: o.Env}}
 	}
 	return o.st
 }
 
+// components returns the optimizer's components, the defaults for those
+// left nil. The default mapper is made only when one is left nil.
 func (o *Integrated) components() (*plan.Enumerator, placement.VirtualPlacer, placement.Mapper, LatencyModel) {
 	def := o.state()
-	return cmp.Or(o.Enum, def.enum), cmp.Or(o.Placer, def.placer), cmp.Or(o.Mapper, def.mapper), cmp.Or(o.Model, def.model)
+	if o.Mapper == nil && def.mapper == nil {
+		def.mapper = mapperOn(nil, o.Env.Catalog(), o.Env)
+	}
+	return cmp.Or(o.Enum, &def.enum), cmp.Or(o.Placer, def.placer), cmp.Or(o.Mapper, def.mapper), cmp.Or(o.Model, def.model)
 }
 
 // builder returns the optimizer's reusable Builder.
@@ -133,18 +132,37 @@ func (o *Integrated) builder() *Builder { return &o.state().b }
 // Optimize performs full circuit optimization for the query and returns
 // the best circuit without deploying it.
 func (o *Integrated) Optimize(q query.Query) (*Result, error) {
-	return o.optimizeInto(nil, q, nil)
+	return o.optimizeInto(nil, q, nil, nil)
 }
 
-// optimizeInto is Optimize writing its Result to dst (nil: carved from
-// the Builder's blocks); a non-nil variant is passed to cheapest.
-func (o *Integrated) optimizeInto(dst *Result, q query.Query, variant variantFn) (*Result, error) {
-	enum, _, _, _ := o.components()
-	plans, err := enum.EnumerateInto(&o.state().table, q)
+// optimizeInto is Optimize over plans (nil: q's enumeration) with an
+// optional variant, writing its Result, whose plan is its own, to dst
+// (nil: carved from the Builder's blocks).
+func (o *Integrated) optimizeInto(dst *Result, q query.Query, plans []*query.PlanNode, variant variantFn) (*Result, error) {
+	enum, placer, mapper, model := o.components()
+	st := o.state()
+	if plans == nil {
+		var err error
+		if plans, err = enum.EnumerateInto(&st.table, q); err != nil {
+			return nil, err
+		}
+	}
+	res, best, err := st.b.cheapest(q, plans, placer, mapper, model, nil, variant)
 	if err != nil {
 		return nil, err
 	}
-	return o.cheapest(dst, q, plans, nil, variant)
+	return st.b.owned(dst, res, best), nil
+}
+
+// placeOne places the one plan p through the candidate loop and moves
+// the circuit off the scratch, for an Integrated used once.
+func (o *Integrated) placeOne(q query.Query, p *query.PlanNode) (Result, error) {
+	_, placer, mapper, model := o.components()
+	res, c, err := o.builder().cheapest(q, []*query.PlanNode{p}, placer, mapper, model, nil, nil)
+	if err == nil {
+		res.Circuit = c.moveOut()
+	}
+	return res, err
 }
 
 // variantFn builds into c the skeleton of a second candidate for the
@@ -157,13 +175,12 @@ type variantFn func(c, fresh *Circuit) (bool, error)
 // the variant built from it right after; the cheapest candidate under
 // the model wins, the first of equals. Without a bar the first
 // candidate is taken whatever it costs; with one, a candidate must cost
-// less than *bar, and when none does cheapest returns nil, as it does
-// for no plans (an enumeration has at least one). The winner is written
-// to dst (nil: carved from the Builder's blocks) with a plan of its
-// own, as Optimize returns it.
-func (o *Integrated) cheapest(dst *Result, q query.Query, plans []*query.PlanNode, bar *float64, variant variantFn) (*Result, error) {
-	_, placer, mapper, model := o.components()
-	b := o.builder()
+// less than *bar, and when none does cheapest returns a nil circuit, as
+// it does for no plans (an enumeration has at least one). The winner is
+// returned on the Builder's scratch, with the Result that goes with it:
+// the caller carves it (owned) or moves it off the scratch (moveOut)
+// before the Builder places anything else.
+func (b *Builder) cheapest(q query.Query, plans []*query.PlanNode, placer placement.VirtualPlacer, mapper placement.Mapper, model LatencyModel, bar *float64, variant variantFn) (Result, *Circuit, error) {
 	b.resolveProducers(q)
 	res, won := Result{PlansConsidered: len(plans)}, false
 	if bar != nil {
@@ -175,16 +192,16 @@ func (o *Integrated) cheapest(dst *Result, q query.Query, plans []*query.PlanNod
 	cand, best := [2]*Circuit{&b.cand[0], &b.cand[1]}, &b.cand[2]
 	for _, p := range plans {
 		if err := b.skeletonInto(cand[0], q, p, nil); err != nil {
-			return nil, err
+			return res, nil, err
 		}
 		for i, n := 0, 1; i < n; i++ {
 			c := cand[i]
 			if err := b.PlaceVirtual(c, placer); err != nil {
-				return nil, err
+				return res, nil, err
 			}
 			stats, err := b.MapPhysical(c, mapper)
 			if err != nil {
-				return nil, err
+				return res, nil, err
 			}
 			res.CircuitsConsidered++
 			if usage := c.NetworkUsage(model); !won && bar == nil || usage < res.EstimatedUsage {
@@ -196,7 +213,7 @@ func (o *Integrated) cheapest(dst *Result, q query.Query, plans []*query.PlanNod
 				// now sits, and the variant is built beside it.
 				ok, err := variant(cand[1], c)
 				if err != nil {
-					return nil, err
+					return res, nil, err
 				}
 				if ok {
 					n = 2
@@ -205,9 +222,9 @@ func (o *Integrated) cheapest(dst *Result, q query.Query, plans []*query.PlanNod
 		}
 	}
 	if !won {
-		return nil, nil
+		return res, nil, nil
 	}
-	return b.owned(dst, res, best), nil
+	return res, best, nil
 }
 
 // TwoStep is the classical baseline (§2.3): plan generation ignores the
@@ -215,17 +232,12 @@ func (o *Integrated) cheapest(dst *Result, q query.Query, plans []*query.PlanNod
 // then is that single plan placed — using exactly the same placement
 // machinery as the integrated optimizer, so the comparison isolates the
 // integration itself.
-//
-// A TwoStep serves one goroutine at a time: it keeps one Integrated
-// across calls, whose Builder its results are carved from.
 type TwoStep struct {
 	Env    *Env
 	Enum   *plan.Enumerator
 	Placer placement.VirtualPlacer
 	Mapper placement.Mapper
 	Model  LatencyModel
-
-	inner *Integrated
 }
 
 // NewTwoStep returns a two-step optimizer with default components.
@@ -235,13 +247,17 @@ func NewTwoStep(env *Env) *TwoStep {
 
 // Optimize picks the statistics-optimal plan, then places it.
 func (o *TwoStep) Optimize(q query.Query) (*Result, error) {
-	inner := keep(&o.inner, Integrated{Env: o.Env, Enum: o.Enum, Placer: o.Placer, Mapper: o.Mapper, Model: o.Model})
+	inner := &Integrated{Env: o.Env, Enum: o.Enum, Placer: o.Placer, Mapper: o.Mapper, Model: o.Model}
 	enum, _, _, _ := inner.components()
 	best, err := enum.Best(q)
 	if err != nil {
 		return nil, err
 	}
-	return inner.cheapest(nil, q, []*query.PlanNode{best}, nil, nil)
+	res, err := inner.placeOne(q, best)
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
 }
 
 // keep returns *o with c's components, so that an optimizer built on

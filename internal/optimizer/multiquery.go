@@ -2,8 +2,8 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 
-	"github.com/hourglass/sbon/internal/costspace"
 	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/plan"
 	"github.com/hourglass/sbon/internal/query"
@@ -49,10 +49,9 @@ func (o *MultiQuery) Optimize(q query.Query) (*Result, error) {
 	var variant variantFn
 	examined := 0
 	if o.Radius > 0 && o.Registry.Len() > 0 {
-		b := inner.builder()
-		variant = func(c, fresh *Circuit) (bool, error) { return o.reuseInto(b, c, fresh, &examined) }
+		variant = func(c, fresh *Circuit) (bool, error) { return o.reuseInto(inner.builder(), c, fresh, &examined) }
 	}
-	res, err := inner.optimizeInto(nil, q, variant)
+	res, err := inner.optimizeInto(nil, q, nil, variant)
 	if err != nil {
 		return nil, err
 	}
@@ -75,19 +74,13 @@ func (o *MultiQuery) Optimize(q query.Query) (*Result, error) {
 // *examined.
 func (o *MultiQuery) reuseInto(b *Builder, c, fresh *Circuit, examined *int) (bool, error) {
 	space := o.Env.Space()
-	virtual := make(map[*query.PlanNode]costspace.Point)
-	for _, s := range fresh.Services {
-		if s.Plan != nil && !s.Pinned && len(s.Virtual) > 0 {
-			virtual[s.Plan] = space.IdealPoint(s.Virtual)
-		}
-	}
 	reused := false
 	reuse := func(n *query.PlanNode) *ServiceInstance {
-		target, ok := virtual[n]
-		if !ok {
+		i := slices.IndexFunc(fresh.Services, func(s *PlacedService) bool { return s.Plan == n && !s.Pinned && len(s.Virtual) > 0 })
+		if i < 0 {
 			return nil
 		}
-		matches, ex := o.Registry.FindWithinRadius(space, target, o.Radius, n.Signature())
+		matches, ex := o.Registry.FindWithinRadius(space, space.IdealPoint(fresh.Services[i].Virtual), o.Radius, n.Signature())
 		*examined += ex
 		if len(matches) == 0 {
 			return nil

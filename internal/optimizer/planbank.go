@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -32,7 +33,8 @@ import (
 // the same selection model, which is the paper's argument.
 //
 // A PlanBank serves one goroutine at a time: it keeps one Integrated
-// across calls, whose Builder its results are carved from.
+// across calls, whose Builder its results are carved from, and
+// Optimize re-rates the banked plans in place.
 type PlanBank struct {
 	Env *Env
 	// Placer/Mapper/Model default like Integrated's.
@@ -65,14 +67,9 @@ func (j JitteredLatency) Latency(a, b topology.NodeID) float64 {
 	}
 	h := fnv.New64a()
 	var buf [24]byte
-	put := func(off int, v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[off+i] = byte(v >> (8 * i))
-		}
-	}
-	put(0, uint64(a))
-	put(8, uint64(b))
-	put(16, j.Seed)
+	binary.LittleEndian.PutUint64(buf[0:], uint64(a))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(b))
+	binary.LittleEndian.PutUint64(buf[16:], j.Seed)
 	h.Write(buf[:])
 	// Uniform in [1-Amount, 1+Amount).
 	u := float64(h.Sum64()>>11) / float64(1<<53)
@@ -119,9 +116,10 @@ func (pb *PlanBank) Compile(q query.Query, states int, amount float64) (int, err
 }
 
 // Optimize answers the query using only its banked plans: each is
-// re-rated (statistics may have drifted since compile), placed under
-// current conditions, and the cheapest circuit wins. Returns an error
-// if the query was never compiled.
+// re-rated in place (statistics may have drifted since compile; the
+// bank holds clones of its own), placed under current conditions, and
+// the cheapest circuit wins. Returns an error if the query was never
+// compiled.
 func (pb *PlanBank) Optimize(q query.Query) (*Result, error) {
 	banked := pb.banks[q.ID]
 	if len(banked) == 0 {
@@ -132,7 +130,7 @@ func (pb *PlanBank) Optimize(q query.Query) (*Result, error) {
 			return nil, err
 		}
 	}
-	return pb.integrated(nil).cheapest(nil, q, banked, nil, nil)
+	return pb.integrated(nil).optimizeInto(nil, q, banked, nil)
 }
 
 // PlanCacheKey identifies one cached optimization outcome: the query's

@@ -1,6 +1,9 @@
 package optimizer
 
 import (
+	"slices"
+
+	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/plan"
 )
 
@@ -26,47 +29,39 @@ func (r *Reoptimizer) RewriteStep() (RewriteStats, error) {
 	mapper, model, thresh := r.components()
 	var stats RewriteStats
 	env := r.Dep.Env
-	opt := &Integrated{Env: env, Mapper: mapper, Model: model}
+	b := &Builder{Env: env}
 
 	// In ascending query order: each swap changes the loads later
 	// rewrites map against.
 	for _, c := range r.Dep.circuitsInOrder() {
-		if hasReuse(c) {
+		if slices.ContainsFunc(c.Services, func(s *PlacedService) bool { return s.Reused }) {
 			continue
 		}
 		stats.CircuitsEvaluated++
-		oldUsage := c.NetworkUsage(model)
+		// A variant is kept only if it beats the deployed usage by more
+		// than the threshold.
+		limit := c.NetworkUsage(model) * (1 - thresh)
 		variants := plan.Rotations(c.Plan)
 		for _, variant := range variants {
 			if err := variant.ComputeRates(env.Stats); err != nil {
 				return stats, err
 			}
 		}
-		best, err := opt.cheapest(nil, c.Query, variants, &oldUsage, nil)
+		_, best, err := b.cheapest(c.Query, variants, placement.Relaxation{}, mapper, model, &limit, nil)
 		if err != nil {
 			return stats, err
 		}
 		stats.VariantsCosted += len(variants)
-		if best == nil || best.EstimatedUsage >= oldUsage*(1-thresh) {
+		if best == nil {
 			continue
 		}
 		if err := r.Dep.Cancel(c.Query.ID); err != nil {
 			return stats, err
 		}
-		if err := r.Dep.Deploy(best.Circuit); err != nil {
+		if err := r.Dep.Deploy(best.moveOut()); err != nil {
 			return stats, err
 		}
 		stats.Rewrites++
 	}
 	return stats, nil
-}
-
-// hasReuse reports whether the circuit depends on shared instances.
-func hasReuse(c *Circuit) bool {
-	for _, s := range c.Services {
-		if s.Reused {
-			return true
-		}
-	}
-	return false
 }

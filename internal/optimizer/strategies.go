@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 
@@ -30,11 +31,8 @@ func (RelaxationStrategy) Name() string { return "relaxation" }
 // PlaceCircuit implements PlacementStrategy.
 func (s RelaxationStrategy) PlaceCircuit(env *Env, q query.Query, p *query.PlanNode) (*Circuit, error) {
 	opt := &Integrated{Env: env, Placer: s.Placer, Mapper: mapperOn(s.Mapper, env.Catalog(), env)}
-	res, err := opt.cheapest(nil, q, []*query.PlanNode{p}, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return res.Circuit, nil
+	res, err := opt.placeOne(q, p)
+	return res.Circuit, err
 }
 
 // RandomStrategy assigns every unpinned service to a uniformly random
@@ -130,8 +128,7 @@ func (ExhaustiveStrategy) Name() string { return "exhaustive" }
 
 // PlaceCircuit implements PlacementStrategy.
 func (s ExhaustiveStrategy) PlaceCircuit(env *Env, q query.Query, p *query.PlanNode) (*Circuit, error) {
-	b := &Builder{Env: env}
-	c, err := b.Skeleton(q, p, nil)
+	c, err := (&Builder{Env: env}).Skeleton(q, p, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -142,10 +139,7 @@ func (s ExhaustiveStrategy) PlaceCircuit(env *Env, q query.Query, p *query.PlanN
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("optimizer: exhaustive strategy has no candidates")
 	}
-	model := s.Model
-	if model == nil {
-		model = TrueLatency{Topo: env.Topo}
-	}
+	model := cmp.Or(s.Model, LatencyModel(TrueLatency{Topo: env.Topo}))
 	unpinned := c.UnpinnedServices()
 	limit := s.MaxAssignments
 	if limit <= 0 {
@@ -158,10 +152,7 @@ func (s ExhaustiveStrategy) PlaceCircuit(env *Env, q query.Query, p *query.PlanN
 			return nil, fmt.Errorf("optimizer: exhaustive search space %g exceeds limit %g", total, limit)
 		}
 	}
-	if len(unpinned) == 0 {
-		return c, nil
-	}
-
+	// With nothing unpinned the odometer turns once, over no service.
 	assign := make([]int, len(unpinned))
 	best := make([]topology.NodeID, len(unpinned))
 	bestCost := -1.0
