@@ -364,7 +364,7 @@ func TestSettleReturnsLoadFixedPoint(t *testing.T) {
 	if _, err := f.co.SweepIncremental(nil); err != nil {
 		t.Fatal(err)
 	}
-	perRate := f.env.Config().LoadPerRate
+	perRate := optimizer.LoadPerRate
 	hosted := map[topology.NodeID]float64{}
 	for _, c := range f.dep.Circuits() {
 		for _, s := range c.NewServices() {

@@ -7,6 +7,7 @@ import (
 	"github.com/hourglass/sbon/internal/costspace"
 	"github.com/hourglass/sbon/internal/hilbert"
 	"github.com/hourglass/sbon/internal/topology"
+	"github.com/hourglass/sbon/internal/vivaldi"
 )
 
 // Entry is one published cost-space coordinate: overlay node `Node`
@@ -57,11 +58,68 @@ func NewCatalog(ring *Ring, space *costspace.Space, curve hilbert.Curve, bounds 
 	}, nil
 }
 
+// Frame returns the Hilbert curve and bounds that key the points of a
+// cost space: 16 bits per dimension, or fewer when dims × bits would
+// exceed 64, over the bounding box of pts and of pts[0] at full load
+// (every scalar at 1.5, so republished points stay in range), widened
+// by a 5 % margin. It is the one frame of the SBON: the node catalog and
+// the optimizer's shard regions both key by it.
+func Frame(space *costspace.Space, pts []costspace.Point) (hilbert.Curve, costspace.Bounds, error) {
+	if len(pts) == 0 {
+		return hilbert.Curve{}, costspace.Bounds{}, fmt.Errorf("dht: frame over no points")
+	}
+	dims, bits := uint(space.Dims()), uint(16)
+	for dims*bits > 64 {
+		bits--
+	}
+	curve, err := hilbert.New(dims, bits)
+	if err != nil {
+		return hilbert.Curve{}, costspace.Bounds{}, err
+	}
+	full := make([]float64, len(space.Scalars))
+	for i := range full {
+		full[i] = 1.5
+	}
+	all := make([]costspace.Point, 0, len(pts)+1)
+	all = append(all, pts...)
+	all = append(all, space.NewPoint(vivaldi.Coord(pts[0][:space.VectorDims]), full))
+	bounds, err := costspace.ComputeBounds(all, 0.05)
+	return curve, bounds, err
+}
+
+// NewNodeCatalog builds a ring of nodes 0..len(pts)-1 and a catalog over
+// it in Frame(space, pts), with pts[i] published for node i.
+func NewNodeCatalog(space *costspace.Space, pts []costspace.Point) (*Catalog, error) {
+	curve, bounds, err := Frame(space, pts)
+	if err != nil {
+		return nil, err
+	}
+	ring := NewRing()
+	for i := range pts {
+		if _, err := ring.AddPeer(topology.NodeID(i)); err != nil {
+			return nil, err
+		}
+	}
+	c, err := NewCatalog(ring, space, curve, bounds)
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range pts {
+		if _, err := c.Publish(topology.NodeID(i), p); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
 // Ring returns the underlying ring.
 func (c *Catalog) Ring() *Ring { return c.ring }
 
 // Space returns the cost space the catalog indexes.
 func (c *Catalog) Space() *costspace.Space { return c.space }
+
+// Curve returns the Hilbert curve the catalog keys points with.
+func (c *Catalog) Curve() hilbert.Curve { return c.curve }
 
 // KeyOf returns the scaled Hilbert key for a cost-space point. Hilbert
 // keys occupy the top curve.KeyBits() bits of the 64-bit identifier

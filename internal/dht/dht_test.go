@@ -58,6 +58,53 @@ func newTestEnv(t *testing.T, n int, seed int64) *testEnv {
 	return &testEnv{ring: ring, catalog: cat, space: space, points: points}
 }
 
+// TestFrameBits: the frame spends 16 bits per dimension, or fewer when
+// the key would exceed 64 bits.
+func TestFrameBits(t *testing.T) {
+	for dims := 2; dims <= 8; dims++ {
+		space := &costspace.Space{VectorDims: dims - 1, Scalars: []costspace.ScalarDim{
+			{Name: "cpu-load", Weight: costspace.SquaredWeight{Scale: 100}},
+		}}
+		p := space.NewPoint(make(vivaldi.Coord, dims-1), []float64{0.2})
+		curve, bounds, err := Frame(space, []costspace.Point{p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := min(16, 64/uint(dims)); curve.Bits() != want || curve.Dims() != uint(dims) {
+			t.Fatalf("dims %d: curve %d×%d bits, want %d×%d", dims, curve.Dims(), curve.Bits(), dims, want)
+		}
+		if top := bounds.Max[dims-1]; top <= 100*1.5*1.5 {
+			t.Fatalf("dims %d: load bound %v does not cover full load", dims, top)
+		}
+	}
+}
+
+// TestNewNodeCatalogPublishesEveryNode: node i is a ring member and
+// published at pts[i], under its key in the frame.
+func TestNewNodeCatalogPublishesEveryNode(t *testing.T) {
+	env := newTestEnv(t, 40, 3)
+	pts := make([]costspace.Point, len(env.points))
+	for id, p := range env.points {
+		pts[id] = p
+	}
+	cat, err := NewNodeCatalog(env.space, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cat.Ring().NumPeers() != len(pts) || cat.NumPublished() != len(pts) {
+		t.Fatalf("%d peers, %d published, want %d each", cat.Ring().NumPeers(), cat.NumPublished(), len(pts))
+	}
+	for i, p := range pts {
+		e, ok := cat.PublishedEntry(topology.NodeID(i))
+		if !ok || env.space.Distance(e.Point, p) != 0 || e.Key != cat.KeyOf(p) {
+			t.Fatalf("node %d: entry %+v, want point %v", i, e, p)
+		}
+	}
+	if _, err := NewNodeCatalog(env.space, nil); err == nil {
+		t.Fatal("catalog over no points accepted")
+	}
+}
+
 // mustCurve is hilbert.New for a curve shape the test knows is valid.
 func mustCurve(t testing.TB, dims, bits uint) hilbert.Curve {
 	t.Helper()

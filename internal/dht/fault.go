@@ -29,16 +29,19 @@ type RingFaults struct {
 	// Drop reports whether one RPC attempt from -> to is lost. Nil
 	// disables fault injection entirely.
 	Drop func(from, to topology.NodeID) bool
-	// MaxRetries bounds attempts beyond the first per RPC (default 3).
-	MaxRetries int
-	// BackoffBase is the simulated wait before the first retry
-	// (default 50ms); it doubles per retry up to BackoffCap (default
-	// 400ms). The ring is synchronous under the virtual clock, so the
-	// backoff is accounted in FaultStats rather than slept — it is the
-	// latency a real deployment would pay, and what experiments report.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 }
+
+// A dropped RPC is retried up to maxRetries times beyond the first
+// attempt. The simulated wait before the first retry is backoffBase; it
+// doubles per retry up to backoffCap. The ring is synchronous under the
+// virtual clock, so the backoff is accounted in FaultStats rather than
+// slept — it is the latency a real deployment would pay, and what
+// experiments report.
+const (
+	maxRetries  = 3
+	backoffBase = 50 * time.Millisecond
+	backoffCap  = 400 * time.Millisecond
+)
 
 // RingFaultStats counts RPC outcomes since the last reset. Only
 // populated while a drop oracle is installed.
@@ -55,17 +58,7 @@ type RingFaultStats struct {
 
 // InstallFaults arms fault-injected RPC behavior on the ring,
 // replacing any previous configuration and resetting the stats.
-// Defaults fill in for unset retry/backoff fields.
 func (r *Ring) InstallFaults(f RingFaults) {
-	if f.MaxRetries <= 0 {
-		f.MaxRetries = 3
-	}
-	if f.BackoffBase <= 0 {
-		f.BackoffBase = 50 * time.Millisecond
-	}
-	if f.BackoffCap <= 0 {
-		f.BackoffCap = 400 * time.Millisecond
-	}
 	r.faults = f
 	r.fstats = RingFaultStats{}
 }
@@ -84,7 +77,7 @@ func (r *Ring) rpc(from, to *Peer) bool {
 		return true
 	}
 	r.fstats.RPCs++
-	backoff := r.faults.BackoffBase
+	backoff := backoffBase
 	var waited time.Duration
 	for attempt := 0; ; attempt++ {
 		if !r.faults.Drop(from.node, to.node) {
@@ -95,7 +88,7 @@ func (r *Ring) rpc(from, to *Peer) bool {
 			}
 			return true
 		}
-		if attempt >= r.faults.MaxRetries {
+		if attempt >= maxRetries {
 			r.fstats.Failed++
 			if r.tracer.Enabled() {
 				r.tracer.Emit("dht", "rpc_failed",
@@ -107,10 +100,7 @@ func (r *Ring) rpc(from, to *Peer) bool {
 		r.fstats.Retries++
 		r.fstats.Backoff += backoff
 		waited += backoff
-		backoff *= 2
-		if backoff > r.faults.BackoffCap {
-			backoff = r.faults.BackoffCap
-		}
+		backoff = min(2*backoff, backoffCap)
 	}
 }
 

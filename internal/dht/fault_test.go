@@ -84,8 +84,7 @@ func TestLookupFaultFreeKeepsZeroStats(t *testing.T) {
 func TestLookupAllRPCsDroppedFails(t *testing.T) {
 	env := newTestEnv(t, 16, 25)
 	env.ring.InstallFaults(RingFaults{
-		Drop:       func(from, to topology.NodeID) bool { return true },
-		MaxRetries: 2,
+		Drop: func(from, to topology.NodeID) bool { return true },
 	})
 	k := env.ring.Peers()[8].ID() // force at least one hop from peer 0's node
 	start := env.ring.Peers()[0].Node()

@@ -3,12 +3,12 @@ package exp
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"time"
 
 	"github.com/hourglass/sbon/internal/costindex"
 	"github.com/hourglass/sbon/internal/costspace"
 	"github.com/hourglass/sbon/internal/dht"
-	"github.com/hourglass/sbon/internal/hilbert"
 	"github.com/hourglass/sbon/internal/optimizer"
 	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/plan"
@@ -154,17 +154,22 @@ func X3(p X3Params) (*Table, error) {
 	t := NewTable("X3 — Hilbert-DHT mapping error vs cost-space dimensionality",
 		"vector dims", "bits/dim", "mean err ratio (dht/oracle)", "p95 err ratio", "mean lookup hops")
 	for _, d := range p.Dims {
-		ratioHist, hopsHist, bits, err := x3ForDims(topo, d, p.Seed, p.Targets)
+		ratios, hops, bits, err := x3ForDims(topo, d, p.Seed, p.Targets)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(d, bits, ratioHist.Mean(), ratioHist.Quantile(0.95), hopsHist.Mean())
+		mean := meanOf(ratios) // summed in draw order, before the sort
+		sort.Float64s(ratios)
+		t.AddRow(d, bits, mean, pct(ratios, 0.95), meanOf(hops))
 	}
 	t.AddNote("expected shape: error ratio stays close to 1 in low dimensions and degrades gracefully as bits/dim shrink (paper: error magnitude depends on the dimensionality of the cost space)")
 	return t, nil
 }
 
-func x3ForDims(topo *topology.Topology, dims int, seed int64, targets int) (*histWrap, *histWrap, uint, error) {
+// x3ForDims returns the error ratios and lookup hops of targets mapped
+// in a dims-vector cost space, in draw order, and the frame's bits per
+// dimension.
+func x3ForDims(topo *topology.Topology, dims int, seed int64, targets int) ([]float64, []float64, uint, error) {
 	rng := rand.New(rand.NewSource(seed * int64(dims+1)))
 	vcfg := vivaldi.DefaultConfig()
 	vcfg.Dims = dims
@@ -181,8 +186,7 @@ func x3ForDims(topo *topology.Topology, dims int, seed int64, targets int) (*his
 	mapper := placement.DHTMapper{Catalog: env.catalog, Candidates: 8, MaxScan: 48}
 	oracle := placement.OracleMapper{Source: env}
 
-	ratios := &histWrap{}
-	hops := &histWrap{}
+	var ratios, hops []float64
 	n := topo.NumNodes()
 	for i := 0; i < targets; i++ {
 		anchor := emb.Coords[rng.Intn(n)]
@@ -194,19 +198,18 @@ func x3ForDims(topo *topology.Topology, dims int, seed int64, targets int) (*his
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		on, ostats, err := oracle.MapCoord(0, target, nil)
+		_, ostats, err := oracle.MapCoord(0, target, nil)
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		_ = on
 		if ostats.Error > 1e-9 {
-			ratios.Observe(space.Distance(space.IdealPoint(target), env.pts[dn]) / ostats.Error)
+			ratios = append(ratios, space.Distance(space.IdealPoint(target), env.pts[dn])/ostats.Error)
 		} else {
-			ratios.Observe(1)
+			ratios = append(ratios, 1)
 		}
-		hops.Observe(float64(stats.LookupHops))
+		hops = append(hops, float64(stats.LookupHops))
 	}
-	return ratios, hops, env.bits, nil
+	return ratios, hops, env.catalog.Curve().Bits(), nil
 }
 
 // X4Params configures the re-optimization-under-churn study.
@@ -489,30 +492,6 @@ func X7(p X7Params) (*Table, error) {
 	return t, nil
 }
 
-// histWrap is a tiny histogram used by ablations without importing
-// metrics everywhere.
-type histWrap struct {
-	vals []float64
-}
-
-func (h *histWrap) Observe(v float64) { h.vals = append(h.vals, v) }
-
-func (h *histWrap) Mean() float64 { return meanOf(h.vals) }
-
-func (h *histWrap) Quantile(q float64) float64 {
-	if len(h.vals) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), h.vals...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	i := int(q * float64(len(s)-1))
-	return s[i]
-}
-
 // adhocSource is a minimal placement.NodeSource + DHT catalog for
 // experiments that need cost spaces outside the standard Env (e.g. X3's
 // dimensionality sweep).
@@ -521,7 +500,6 @@ type adhocSource struct {
 	pts     []costspace.Point
 	ix      *costindex.Index
 	catalog *dht.Catalog
-	bits    uint
 }
 
 func (a *adhocSource) Space() *costspace.Space { return a.space }
@@ -551,36 +529,9 @@ func newAdhocCatalog(topo *topology.Topology, space *costspace.Space, coords []v
 		a.pts[i] = space.NewPoint(coords[i], []float64{rng.Float64() * 0.4})
 	}
 	a.ix = costindex.Build(space, a.pts, 0)
-	bits := uint(64 / space.Dims())
-	if bits > 16 {
-		bits = 16
-	}
-	a.bits = bits
-	curve, err := hilbert.New(uint(space.Dims()), bits)
+	cat, err := dht.NewNodeCatalog(space, a.pts)
 	if err != nil {
 		return nil, err
-	}
-	all := append([]costspace.Point{}, a.pts...)
-	ceiling := space.NewPoint(coords[0], []float64{1.5})
-	all = append(all, ceiling)
-	bounds, err := costspace.ComputeBounds(all, 0.05)
-	if err != nil {
-		return nil, err
-	}
-	ring := dht.NewRing()
-	for i := 0; i < n; i++ {
-		if _, err := ring.AddPeer(topology.NodeID(i)); err != nil {
-			return nil, err
-		}
-	}
-	cat, err := dht.NewCatalog(ring, space, curve, bounds)
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range a.pts {
-		if _, err := cat.Publish(topology.NodeID(i), p); err != nil {
-			return nil, err
-		}
 	}
 	a.catalog = cat
 	return a, nil

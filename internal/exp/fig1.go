@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"github.com/hourglass/sbon/internal/optimizer"
+	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/query"
 	"github.com/hourglass/sbon/internal/topology"
 )
@@ -126,4 +127,37 @@ func fig1Workload(topo *topology.Topology, rng *rand.Rand) (*query.Catalog, quer
 		Streams:  []query.StreamID{0, 1, 2, 3},
 	}
 	return stats, q, nil
+}
+
+// fig1Seed is one seed's Figure 1 setup for X9 and X10: the workload on
+// an env without a DHT, and the circuits two-step and the integrated
+// optimizer plan for it with oracle mapping on true latencies.
+type fig1Seed struct {
+	env        *optimizer.Env
+	q          query.Query
+	truth      optimizer.TrueLatency
+	mapper     placement.OracleMapper
+	two, integ *optimizer.Result
+}
+
+func newFig1Seed(scale Scale, seed int64) (*fig1Seed, error) {
+	topo := genTopo(scale, seed)
+	stats, q, err := fig1Workload(topo, rand.New(rand.NewSource(seed*77)))
+	if err != nil {
+		return nil, err
+	}
+	cfg := optimizer.DefaultEnvConfig(seed)
+	cfg.UseDHT = false
+	env, err := optimizer.NewEnv(topo, stats, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s := &fig1Seed{env: env, q: q, truth: optimizer.TrueLatency{Topo: topo}, mapper: placement.OracleMapper{Source: env}}
+	if s.two, err = (&optimizer.TwoStep{Env: env, Mapper: s.mapper, Model: s.truth}).Optimize(q); err != nil {
+		return nil, err
+	}
+	if s.integ, err = (&optimizer.Integrated{Env: env, Mapper: s.mapper, Model: s.truth}).Optimize(q); err != nil {
+		return nil, err
+	}
+	return s, nil
 }

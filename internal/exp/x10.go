@@ -1,11 +1,6 @@
 package exp
 
-import (
-	"math/rand"
-
-	"github.com/hourglass/sbon/internal/optimizer"
-	"github.com/hourglass/sbon/internal/placement"
-)
+import "github.com/hourglass/sbon/internal/optimizer"
 
 // X10Params configures the precomputed-plan-bank comparison.
 type X10Params struct {
@@ -38,45 +33,27 @@ func X10(p X10Params) (*Table, error) {
 	bankSums := make([]float64, len(p.States))
 
 	for seed := int64(1); seed <= int64(p.Seeds); seed++ {
-		topo := genTopo(p.Scale, seed)
-		rng := rand.New(rand.NewSource(seed * 77))
-		stats, q, err := fig1Workload(topo, rng)
+		fs, err := newFig1Seed(p.Scale, seed)
 		if err != nil {
 			return nil, err
 		}
-		envCfg := optimizer.DefaultEnvConfig(seed)
-		envCfg.UseDHT = false
-		env, err := optimizer.NewEnv(topo, stats, envCfg)
-		if err != nil {
-			return nil, err
-		}
-		truth := optimizer.TrueLatency{Topo: topo}
-		mapper := placement.OracleMapper{Source: env}
-
-		two, err := (&optimizer.TwoStep{Env: env, Mapper: mapper, Model: truth}).Optimize(q)
-		if err != nil {
-			return nil, err
-		}
-		integ, err := (&optimizer.Integrated{Env: env, Mapper: mapper, Model: truth}).Optimize(q)
-		if err != nil {
-			return nil, err
-		}
-		u2 := two.Circuit.NetworkUsage(truth)
-		ui := integ.Circuit.NetworkUsage(truth)
+		truth := fs.truth
+		u2 := fs.two.Circuit.NetworkUsage(truth)
+		ui := fs.integ.Circuit.NetworkUsage(truth)
 		sums.two += u2
 		sums.integ += ui
 
 		row := []any{seed, u2}
 		distinct := 0
 		for i, k := range p.States {
-			pb := optimizer.NewPlanBank(env)
-			pb.Mapper = mapper
+			pb := optimizer.NewPlanBank(fs.env)
+			pb.Mapper = fs.mapper
 			pb.Model = truth
-			n, err := pb.Compile(q, k, 0.6)
+			n, err := pb.Compile(fs.q, k, 0.6)
 			if err != nil {
 				return nil, err
 			}
-			res, err := pb.Optimize(q)
+			res, err := pb.Optimize(fs.q)
 			if err != nil {
 				return nil, err
 			}

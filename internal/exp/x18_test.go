@@ -33,15 +33,15 @@ func TestDefaultParamsNodeCounts(t *testing.T) {
 // nodes, 500k queries, 64 data-plane shards. Rerun determinism for the
 // X18 structure is pinned at CI scale by TestX18Deterministic; this
 // test asserts the full scale point completes and actually loaded the
-// kernel. It takes minutes of CPU, which could push the exp package
-// past the default go-test timeout alongside the X17 full run, so it
-// is opt-in: set SBON_FULLSCALE=1 to run it.
+// kernel. It takes ~15 s on a 2-core host, more than the rest of the
+// exp package together, so it is opt-in: set SBON_FULLSCALE=1 to run
+// it.
 func TestX18FullScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-node scenario skipped in -short")
 	}
 	if os.Getenv("SBON_FULLSCALE") == "" {
-		t.Skip("minutes of CPU; set SBON_FULLSCALE=1 to run")
+		t.Skip("~15 s at 102k nodes; set SBON_FULLSCALE=1 to run")
 	}
 	tb, err := X17(DefaultX18Params())
 	if err != nil {

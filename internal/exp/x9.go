@@ -1,11 +1,6 @@
 package exp
 
-import (
-	"math/rand"
-
-	"github.com/hourglass/sbon/internal/optimizer"
-	"github.com/hourglass/sbon/internal/placement"
-)
+import "github.com/hourglass/sbon/internal/optimizer"
 
 // X9Params configures the plan-rewriting study.
 type X9Params struct {
@@ -31,38 +26,20 @@ func X9(p X9Params) (*Table, error) {
 
 	var recovered []float64
 	for seed := int64(1); seed <= int64(p.Seeds); seed++ {
-		topo := genTopo(p.Scale, seed)
-		rng := rand.New(rand.NewSource(seed * 77))
-		stats, q, err := fig1Workload(topo, rng)
+		fs, err := newFig1Seed(p.Scale, seed)
 		if err != nil {
 			return nil, err
 		}
-		envCfg := optimizer.DefaultEnvConfig(seed)
-		envCfg.UseDHT = false
-		env, err := optimizer.NewEnv(topo, stats, envCfg)
-		if err != nil {
-			return nil, err
-		}
-		truth := optimizer.TrueLatency{Topo: topo}
-		mapper := placement.OracleMapper{Source: env}
+		truth := fs.truth
 
-		two, err := (&optimizer.TwoStep{Env: env, Mapper: mapper, Model: truth}).Optimize(q)
-		if err != nil {
-			return nil, err
-		}
-		integ, err := (&optimizer.Integrated{Env: env, Mapper: mapper, Model: truth}).Optimize(q)
-		if err != nil {
-			return nil, err
-		}
-
-		dep := optimizer.NewDeployment(env, nil)
-		if err := dep.Deploy(two.Circuit); err != nil {
+		dep := optimizer.NewDeployment(fs.env, nil)
+		if err := dep.Deploy(fs.two.Circuit); err != nil {
 			return nil, err
 		}
 		before := dep.TotalUsage(truth)
 
 		ro := optimizer.NewReoptimizer(dep)
-		ro.Mapper = mapper
+		ro.Mapper = fs.mapper
 		ro.Model = truth
 		rewrites := 0
 		for sweep := 0; sweep < 10; sweep++ {
@@ -76,7 +53,7 @@ func X9(p X9Params) (*Table, error) {
 			}
 		}
 		after := dep.TotalUsage(truth)
-		ui := integ.Circuit.NetworkUsage(truth)
+		ui := fs.integ.Circuit.NetworkUsage(truth)
 
 		rec := 100.0
 		if before-ui > 1e-9 {

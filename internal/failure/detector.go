@@ -90,8 +90,6 @@ type Config struct {
 	// (default 2), DeadMissed turn it Dead (default 4).
 	SuspectMissed int
 	DeadMissed    int
-	// CheckEvery is the verdict-sweep period (default Interval).
-	CheckEvery time.Duration
 	// Tracer, when set, receives one instant event per liveness
 	// transition (suspect/dead/recovered). Nil disables tracing.
 	Tracer *trace.Tracer
@@ -99,7 +97,7 @@ type Config struct {
 
 // DefaultConfig returns the standard tuning for a heartbeat interval.
 func DefaultConfig(interval time.Duration) Config {
-	return Config{Interval: interval, SuspectMissed: 2, DeadMissed: 4, CheckEvery: interval}
+	return Config{Interval: interval, SuspectMissed: 2, DeadMissed: 4}
 }
 
 // Stats counts detector activity.
@@ -137,9 +135,6 @@ func New(net *overlay.Network, cfg Config) *Detector {
 	if cfg.DeadMissed <= cfg.SuspectMissed {
 		cfg.DeadMissed = cfg.SuspectMissed + 2
 	}
-	if cfg.CheckEvery <= 0 {
-		cfg.CheckEvery = cfg.Interval
-	}
 	clk := net.Clock()
 	numNodes := net.NumNodes()
 	d := &Detector{
@@ -171,11 +166,11 @@ func New(net *overlay.Network, cfg Config) *Detector {
 			return
 		}
 		d.checkLocked(clk.Now())
-		d.timer = clk.AfterFunc(cfg.CheckEvery, check)
+		d.timer = clk.AfterFunc(cfg.Interval, check)
 		d.mu.Unlock()
 	}
 	d.mu.Lock()
-	d.timer = clk.AfterFunc(cfg.CheckEvery, check)
+	d.timer = clk.AfterFunc(cfg.Interval, check)
 	d.mu.Unlock()
 	return d
 }

@@ -221,6 +221,13 @@ func (c *Circuit) TotalLinkRate() float64 {
 // under the model. Paths through reused instances start from the
 // instance's recorded upstream latency.
 func (c *Circuit) ConsumerLatency(m LatencyModel) float64 {
+	return c.upstreamLatency(c.consumerIdx, m)
+}
+
+// upstreamLatency returns the maximum producer→service path latency
+// under the model for the service at index i, starting paths through
+// reused instances from the instance's recorded upstream latency.
+func (c *Circuit) upstreamLatency(i int, m LatencyModel) float64 {
 	// Build child lists from links (From feeds To).
 	children := make([][]int, len(c.Services))
 	for _, l := range c.Links {
@@ -241,7 +248,7 @@ func (c *Circuit) ConsumerLatency(m LatencyModel) float64 {
 		}
 		return max
 	}
-	return depth(c.consumerIdx)
+	return depth(i)
 }
 
 // LoadPenalty returns the summed scalar (load) cost-space components of

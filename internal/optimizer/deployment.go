@@ -78,7 +78,7 @@ func (d *Deployment) Deploy(c *Circuit) error {
 	var b Builder
 	b.carveStorage(c)
 	truth := TrueLatency{Topo: d.Env.Topo}
-	for _, s := range c.Services {
+	for i, s := range c.Services {
 		if s.Plan == nil || s.Plan.Kind == query.KindSource {
 			continue
 		}
@@ -93,7 +93,7 @@ func (d *Deployment) Deploy(c *Circuit) error {
 			Coord:           d.Env.Point(s.Node).Clone(),
 			OutRate:         s.OutRate,
 			InRate:          s.InRate,
-			UpstreamLatency: upstreamLatency(c, s, truth),
+			UpstreamLatency: c.upstreamLatency(i, truth),
 			Owner:           c.Query.ID,
 			RefCount:        1,
 		}
@@ -155,41 +155,6 @@ func (d *Deployment) ownedInstance(c *Circuit, s *PlacedService) *ServiceInstanc
 		}
 	}
 	return nil
-}
-
-// upstreamLatency computes the max producer→service path latency for a
-// service inside its circuit.
-func upstreamLatency(c *Circuit, target *PlacedService, m LatencyModel) float64 {
-	idx := -1
-	for i, s := range c.Services {
-		if s == target {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return 0
-	}
-	children := make([][]int, len(c.Services))
-	for _, l := range c.Links {
-		children[l.To] = append(children[l.To], l.From)
-	}
-	var depth func(i int) float64
-	depth = func(i int) float64 {
-		s := c.Services[i]
-		if s.Reused && s.ReusedFrom != nil {
-			return s.ReusedFrom.UpstreamLatency
-		}
-		var max float64
-		for _, ch := range children[i] {
-			d := depth(ch) + m.Latency(c.Services[ch].Node, c.Services[i].Node)
-			if d > max {
-				max = d
-			}
-		}
-		return max
-	}
-	return depth(idx)
 }
 
 // Cancel removes a deployed circuit, releasing its references. An
@@ -310,13 +275,13 @@ func (d *Deployment) refreshUpstreamLatencies(c *Circuit) {
 		return
 	}
 	truth := TrueLatency{Topo: d.Env.Topo}
-	for _, s := range c.Services {
+	for i, s := range c.Services {
 		if s.Plan == nil || s.Reused || s.Plan.Kind == query.KindSource {
 			continue
 		}
 		for _, inst := range insts {
 			if inst.Signature == s.Signature && inst.Node == s.Node {
-				inst.UpstreamLatency = upstreamLatency(c, s, truth)
+				inst.UpstreamLatency = c.upstreamLatency(i, truth)
 				break
 			}
 		}

@@ -26,39 +26,42 @@ import (
 	"github.com/hourglass/sbon/internal/costindex"
 	"github.com/hourglass/sbon/internal/costspace"
 	"github.com/hourglass/sbon/internal/dht"
-	"github.com/hourglass/sbon/internal/hilbert"
 	"github.com/hourglass/sbon/internal/query"
 	"github.com/hourglass/sbon/internal/topology"
 	"github.com/hourglass/sbon/internal/vivaldi"
+)
+
+// The environment's fixed construction constants. No configuration
+// varies them.
+const (
+	// vivaldiSamples is the number of peers each node samples per
+	// embedding round.
+	vivaldiSamples = 4
+	// loadScale is the squared-load weighting scale β. A node's load
+	// coordinate is β·load², in the milliseconds of the latency plane, so
+	// the two trade off in one distance: at 100 a fully loaded node reads
+	// 100 ms away from an idle one at the same place, and one at the
+	// default background ceiling of 0.4 reads 16 ms away. Squared, so
+	// light load is nearly free and load near saturation outweighs any
+	// latency saving.
+	loadScale = 100
+	// LoadPerRate is the node load added per KB/s of input processed by
+	// a hosted service: a 200 KB/s service adds 0.1 load.
+	LoadPerRate = 1.0 / 2000
 )
 
 // EnvConfig parameterizes environment construction.
 type EnvConfig struct {
 	// Seed drives Vivaldi embedding and load assignment.
 	Seed int64
-	// VivaldiRounds and VivaldiSamples control the coordinate embedding
-	// (defaults 40 and 4).
-	VivaldiRounds  int
-	VivaldiSamples int
-	// LoadScale is the squared-load weighting scale β (default 100). A
-	// node's load coordinate is β·load², in the milliseconds of the
-	// latency plane, so the two trade off in one distance: at 100 a
-	// fully loaded node reads 100 ms away from an idle one at the same
-	// place, and one at the default background ceiling of 0.4 reads
-	// 16 ms away. Squared, so light load is nearly free and load near
-	// saturation outweighs any latency saving.
-	LoadScale float64
-	// LoadPerRate is the node load added per KB/s of input processed by a
-	// hosted service (default 1/2000: a 200 KB/s service adds 0.1 load).
-	LoadPerRate float64
+	// VivaldiRounds is the number of coordinate embedding rounds
+	// (default 40).
+	VivaldiRounds int
 	// MaxBackgroundLoad bounds the uniform background load assigned to
 	// each node (default 0.4).
 	MaxBackgroundLoad float64
 	// UseDHT builds the Chord ring + Hilbert catalog over all nodes.
 	UseDHT bool
-	// HilbertBits is the per-dimension grid resolution (default 16,
-	// capped so dims*bits <= 64).
-	HilbertBits uint
 }
 
 // DefaultEnvConfig returns the configuration used by the experiments.
@@ -66,12 +69,8 @@ func DefaultEnvConfig(seed int64) EnvConfig {
 	return EnvConfig{
 		Seed:              seed,
 		VivaldiRounds:     40,
-		VivaldiSamples:    4,
-		LoadScale:         100,
-		LoadPerRate:       1.0 / 2000,
 		MaxBackgroundLoad: 0.4,
 		UseDHT:            true,
-		HilbertBits:       16,
 	}
 }
 
@@ -80,20 +79,8 @@ func (c EnvConfig) withDefaults() EnvConfig {
 	if c.VivaldiRounds <= 0 {
 		c.VivaldiRounds = 40
 	}
-	if c.VivaldiSamples <= 0 {
-		c.VivaldiSamples = 4
-	}
-	if c.LoadScale <= 0 {
-		c.LoadScale = 100
-	}
-	if c.LoadPerRate <= 0 {
-		c.LoadPerRate = 1.0 / 2000
-	}
 	if c.MaxBackgroundLoad < 0 || c.MaxBackgroundLoad >= 1 {
 		c.MaxBackgroundLoad = 0.4
-	}
-	if c.HilbertBits == 0 {
-		c.HilbertBits = 16
 	}
 	return c
 }
@@ -184,51 +171,18 @@ func NewEnv(topo *topology.Topology, stats *query.Catalog, cfg EnvConfig) (*Env,
 		return nil, fmt.Errorf("optimizer: need a topology with >= 2 nodes")
 	}
 	cfg = cfg.withDefaults()
-
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	space := costspace.NewLatencyLoadSpace(cfg.LoadScale)
-
-	emb, err := vivaldi.Embed(topo.NumNodes(), topo.PairLatency, vivaldi.DefaultConfig(), cfg.VivaldiRounds, cfg.VivaldiSamples, rng)
+	emb, err := vivaldi.Embed(topo.NumNodes(), topo.PairLatency, vivaldi.DefaultConfig(), cfg.VivaldiRounds, vivaldiSamples, rng)
 	if err != nil {
 		return nil, fmt.Errorf("optimizer: vivaldi embedding: %w", err)
 	}
-
-	n := topo.NumNodes()
-	e := &Env{
-		Snapshot: &Snapshot{
-			Topo:    topo,
-			Stats:   stats,
-			space:   space,
-			vec:     emb.Coords,
-			load:    make([]float64, n),
-			pts:     make([]costspace.Point, n),
-			nodeIDs: makeNodeIDs(n),
-			cfg:     cfg,
-		},
-		base:  make([]float64, n),
-		rng:   rng,
-		dirty: make(map[topology.NodeID]dirtyRec),
-	}
-	e.EmbeddingQuality = emb.Evaluate(topo.PairLatency, 2000, rng)
-	for i := 0; i < n; i++ {
-		e.base[i] = rng.Float64() * cfg.MaxBackgroundLoad
-		e.load[i] = e.base[i]
-		e.pts[i] = space.NewPoint(e.vec[i], []float64{e.load[i]})
-	}
-
-	if cfg.UseDHT {
-		if err := e.buildDHT(); err != nil {
-			return nil, err
-		}
-	}
-	return e, nil
+	return newEnv(topo, stats, cfg, emb.Coords, rng)
 }
 
 // NewEnvFromCoords builds an environment from externally maintained
 // Vivaldi coordinates (a vivaldi.Ticker's Embedding, the way a deployed
 // overlay continuously refreshes coordinates) instead of batch-embedding
-// them. Embedding quality is evaluated against 2000 sampled
-// true-latency pairs, as in NewEnv.
+// them.
 func NewEnvFromCoords(topo *topology.Topology, stats *query.Catalog, cfg EnvConfig, coords []vivaldi.Coord) (*Env, error) {
 	if topo == nil || topo.NumNodes() < 2 {
 		return nil, fmt.Errorf("optimizer: need a topology with >= 2 nodes")
@@ -237,21 +191,26 @@ func NewEnvFromCoords(topo *topology.Topology, stats *query.Catalog, cfg EnvConf
 		return nil, fmt.Errorf("optimizer: %d coords for %d nodes", len(coords), topo.NumNodes())
 	}
 	cfg = cfg.withDefaults()
+	// The outer slice is copied so later SetCoordinates syncs never alias
+	// the caller's snapshot. The Coord vectors are shared: nothing writes
+	// a coordinate after it is handed over (a Ticker snapshot copies into
+	// an array of its own).
+	return newEnv(topo, stats, cfg, append([]vivaldi.Coord(nil), coords...), rand.New(rand.NewSource(cfg.Seed)))
+}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	space := costspace.NewLatencyLoadSpace(cfg.LoadScale)
-
-	n := topo.NumNodes()
+// newEnv is both constructors' body once the coordinates are known: it
+// evaluates the embedding against 2000 sampled true-latency pairs, then
+// draws every node's background load from rng, and, with UseDHT, builds
+// the node catalog in the dht frame.
+func newEnv(topo *topology.Topology, stats *query.Catalog, cfg EnvConfig, vec []vivaldi.Coord, rng *rand.Rand) (*Env, error) {
+	n := len(vec)
+	space := costspace.NewLatencyLoadSpace(loadScale)
 	e := &Env{
 		Snapshot: &Snapshot{
-			Topo:  topo,
-			Stats: stats,
-			space: space,
-			// The outer slice is copied so later SetCoordinates syncs
-			// never alias the caller's snapshot. The Coord vectors are
-			// shared: nothing writes a coordinate after it is handed
-			// over (a Ticker snapshot copies into an array of its own).
-			vec:     append([]vivaldi.Coord(nil), coords...),
+			Topo:    topo,
+			Stats:   stats,
+			space:   space,
+			vec:     vec,
 			load:    make([]float64, n),
 			pts:     make([]costspace.Point, n),
 			nodeIDs: makeNodeIDs(n),
@@ -261,58 +220,20 @@ func NewEnvFromCoords(topo *topology.Topology, stats *query.Catalog, cfg EnvConf
 		rng:   rng,
 		dirty: make(map[topology.NodeID]dirtyRec),
 	}
-	emb := &vivaldi.Embedding{Coords: e.vec}
-	e.EmbeddingQuality = emb.Evaluate(topo.PairLatency, 2000, rng)
+	e.EmbeddingQuality = (&vivaldi.Embedding{Coords: vec}).Evaluate(topo.PairLatency, 2000, rng)
 	for i := 0; i < n; i++ {
 		e.base[i] = rng.Float64() * cfg.MaxBackgroundLoad
 		e.load[i] = e.base[i]
 		e.pts[i] = space.NewPoint(e.vec[i], []float64{e.load[i]})
 	}
-
 	if cfg.UseDHT {
-		if err := e.buildDHT(); err != nil {
+		cat, err := dht.NewNodeCatalog(space, e.pts)
+		if err != nil {
 			return nil, err
 		}
+		e.catalog = cat
 	}
 	return e, nil
-}
-
-func (e *Env) buildDHT() error {
-	bits := e.cfg.HilbertBits
-	for uint(e.space.Dims())*bits > 64 {
-		bits--
-	}
-	curve, err := hilbert.New(uint(e.space.Dims()), bits)
-	if err != nil {
-		return fmt.Errorf("optimizer: hilbert curve: %w", err)
-	}
-	// Bounds must cover the worst-case scalar component (full load), not
-	// just current points, so republished coordinates stay in range.
-	all := make([]costspace.Point, 0, len(e.pts)+1)
-	all = append(all, e.pts...)
-	ceiling := e.space.NewPoint(e.vec[0], []float64{1.5})
-	all = append(all, ceiling)
-	bounds, err := costspace.ComputeBounds(all, 0.05)
-	if err != nil {
-		return err
-	}
-	ring := dht.NewRing()
-	for i := range e.pts {
-		if _, err := ring.AddPeer(topology.NodeID(i)); err != nil {
-			return err
-		}
-	}
-	cat, err := dht.NewCatalog(ring, e.space, curve, bounds)
-	if err != nil {
-		return err
-	}
-	for i, p := range e.pts {
-		if _, err := cat.Publish(topology.NodeID(i), p); err != nil {
-			return err
-		}
-	}
-	e.catalog = cat
-	return nil
 }
 
 // Freeze returns a read-only copy of the environment for concurrent
@@ -483,7 +404,7 @@ func (e *Env) SetBackgroundLoad(n topology.NodeID, l float64) {
 func (e *Env) AddServiceLoad(n topology.NodeID, inputRate float64) {
 	e.mutable("AddServiceLoad")
 	e.epoch++
-	e.load[n] += inputRate * e.cfg.LoadPerRate
+	e.load[n] += inputRate * LoadPerRate
 	e.refreshPoint(n, true)
 }
 
@@ -491,7 +412,7 @@ func (e *Env) AddServiceLoad(n topology.NodeID, inputRate float64) {
 func (e *Env) RemoveServiceLoad(n topology.NodeID, inputRate float64) {
 	e.mutable("RemoveServiceLoad")
 	e.epoch++
-	e.load[n] -= inputRate * e.cfg.LoadPerRate
+	e.load[n] -= inputRate * LoadPerRate
 	if e.load[n] < e.base[n] {
 		e.load[n] = e.base[n]
 	}

@@ -128,7 +128,7 @@ func TestTwoPhaseChargesBothHostsInFlight(t *testing.T) {
 		t.Fatal("no moves planned: the seed-23 fixture must overload a host that a move relieves")
 	}
 	m := plan.Moves[0]
-	perRate := env.Config().LoadPerRate
+	perRate := LoadPerRate
 	fromBefore, toBefore := env.Load(m.From), env.Load(m.To)
 
 	ticket, err := dep.BeginMigration(m)
@@ -195,7 +195,7 @@ func TestMigrationFixedPoint(t *testing.T) {
 	}
 	// Recompute expected load per node from scratch: background base +
 	// Σ hosted non-reused service input rates.
-	perRate := env.Config().LoadPerRate
+	perRate := LoadPerRate
 	expected := make(map[topology.NodeID]float64)
 	for _, c := range dep.Circuits() {
 		for _, s := range c.NewServices() {

@@ -124,7 +124,7 @@ func TestConsumerLatencyReusedPath(t *testing.T) {
 func reembed(t *testing.T, env *Env) int {
 	t.Helper()
 	cfg := env.Config()
-	emb, err := vivaldi.Embed(env.Topo.NumNodes(), env.Topo.PairLatency, vivaldi.DefaultConfig(), cfg.VivaldiRounds, cfg.VivaldiSamples, env.Rand())
+	emb, err := vivaldi.Embed(env.Topo.NumNodes(), env.Topo.PairLatency, vivaldi.DefaultConfig(), cfg.VivaldiRounds, vivaldiSamples, env.Rand())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +154,31 @@ func TestEnvReembedCoordinates(t *testing.T) {
 	}
 }
 
-func TestUpstreamLatencyOfMissingService(t *testing.T) {
+// TestUpstreamLatencyBoundsConsumerLatency checks the one path-latency
+// recursion at every service index: a source starts every path at
+// zero, no service lies further upstream than the consumer, and the
+// consumer's upstream latency is ConsumerLatency.
+func TestUpstreamLatencyBoundsConsumerLatency(t *testing.T) {
 	env, q := testSetup(t, 90, false)
 	res, err := NewIntegrated(env).Optimize(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ghost := &PlacedService{}
-	if got := upstreamLatency(res.Circuit, ghost, TrueLatency{Topo: env.Topo}); got != 0 {
-		t.Fatalf("upstreamLatency of foreign service = %v, want 0", got)
+	c, truth := res.Circuit, TrueLatency{Topo: env.Topo}
+	total := c.ConsumerLatency(truth)
+	if total <= 0 {
+		t.Fatalf("ConsumerLatency = %v, want > 0", total)
+	}
+	for i, s := range c.Services {
+		got := c.upstreamLatency(i, truth)
+		if s.Plan != nil && s.Plan.Kind == query.KindSource && got != 0 {
+			t.Fatalf("source service %d: upstream latency %v, want 0", i, got)
+		}
+		if got > total {
+			t.Fatalf("service %d: upstream latency %v above the consumer's %v", i, got, total)
+		}
+	}
+	if got := c.upstreamLatency(c.consumerIdx, truth); got != total {
+		t.Fatalf("consumer upstream latency %v, ConsumerLatency %v", got, total)
 	}
 }

@@ -120,7 +120,7 @@ func TestAdoptedMigrationCommitRebindsEverything(t *testing.T) {
 	env, dep, inst := adoptDep(t, 52, 3)
 	ro := NewReoptimizer(dep)
 	victim := inst.Node
-	perRate := env.Config().LoadPerRate
+	perRate := LoadPerRate
 
 	plan, err := ro.PlanEvacuation(map[topology.NodeID]bool{victim: true})
 	if err != nil {

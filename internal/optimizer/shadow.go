@@ -81,9 +81,8 @@ func (sh *ShadowEnv) Rebind(s *PlacedService, n topology.NodeID) { sh.binds[s] =
 // perform (including the background-load release clamp), and refreshes
 // both simulated points.
 func (sh *ShadowEnv) ShiftLoad(from, to topology.NodeID, inRate float64) {
-	perRate := sh.env.Config().LoadPerRate
-	sh.setLoad(from, sh.Load(from)-inRate*perRate)
-	sh.setLoad(to, sh.Load(to)+inRate*perRate)
+	sh.setLoad(from, sh.Load(from)-inRate*LoadPerRate)
+	sh.setLoad(to, sh.Load(to)+inRate*LoadPerRate)
 }
 
 // setLoad writes a simulated load, clamped at the node's background

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"github.com/hourglass/sbon/internal/costspace"
+	"github.com/hourglass/sbon/internal/dht"
 	"github.com/hourglass/sbon/internal/hilbert"
 	"github.com/hourglass/sbon/internal/query"
 	"github.com/hourglass/sbon/internal/topology"
@@ -88,11 +89,10 @@ func NodeRegions(env *Env, k int) ([]int32, error) {
 // is asked for, so batches encode only the nodes their queries name.
 // Nearby points share long key prefixes, so regions are contiguous
 // blobs in cost space — the locality that makes a region-local query's
-// whole footprint land in one shard. The curve and bounds are derived
-// from the environment the same way the DHT catalog's are (buildDHT),
-// but locally, so routing works identically with or without a catalog
-// and depends only on the points — deterministic for a fixed
-// environment. A plan cache keeps one for its current snapshot, which
+// whole footprint land in one shard. The curve and bounds are the dht
+// frame of the snapshot's points, built here rather than read off the
+// catalog, so routing works identically with or without one and depends
+// only on the points — deterministic for a fixed environment. A plan cache keeps one for its current snapshot, which
 // the sharded batches of that snapshot share: concurrent ones that
 // encode one node store the same value.
 type regionMap struct {
@@ -105,20 +105,9 @@ type regionMap struct {
 }
 
 func newRegionMap(env *Env, k int) (*regionMap, error) {
-	hbits := env.cfg.HilbertBits
-	for uint(env.space.Dims())*hbits > 64 {
-		hbits--
-	}
-	curve, err := hilbert.New(uint(env.space.Dims()), hbits)
+	curve, bounds, err := dht.Frame(env.space, env.pts)
 	if err != nil {
-		return nil, fmt.Errorf("optimizer: shard curve: %w", err)
-	}
-	all := make([]costspace.Point, 0, len(env.pts)+1)
-	all = append(all, env.pts...)
-	all = append(all, env.space.NewPoint(env.vec[0], []float64{1.5}))
-	bounds, err := costspace.ComputeBounds(all, 0.05)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("optimizer: shard frame: %w", err)
 	}
 	return &regionMap{k: k, pts: env.pts, curve: curve, bounds: bounds,
 		shift: curve.KeyBits() - uint(bits.TrailingZeros(uint(k))), memo: make([]atomic.Int32, len(env.pts))}, nil

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 	"testing"
@@ -335,6 +336,25 @@ func TestBatchAfterMutationMatchesFreshFreeze(t *testing.T) {
 				t.Fatal(err)
 			}
 			circuitsEqual(t, i, &got[i], want)
+		}
+	}
+}
+
+// TestNodeRegionsMatchCatalogKeys: on a fresh env the region map and
+// the DHT catalog key the same points in the same dht frame, so a node's
+// region is the top log2(k) bits of its catalog key.
+func TestNodeRegionsMatchCatalogKeys(t *testing.T) {
+	env, _ := testSetup(t, 7, true)
+	for _, k := range []int{2, 8, 16} {
+		regions, err := NodeRegions(env, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shift := 64 - uint(bits.TrailingZeros(uint(k)))
+		for _, n := range env.NodeIDs() {
+			if want := int32(env.Catalog().KeyOf(env.Point(n)) >> shift); regions[n] != want {
+				t.Fatalf("k=%d node %d: region %d, catalog key prefix %d", k, n, regions[n], want)
+			}
 		}
 	}
 }

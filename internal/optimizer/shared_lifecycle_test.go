@@ -122,7 +122,7 @@ func TestSharedCommitRebindsConsumers(t *testing.T) {
 	// Consumers' latency accounting reads the instance's recorded
 	// upstream latency; it must be recomputed against the new host, not
 	// left at the value captured when the owner deployed.
-	wantUp := upstreamLatency(ownerC, ownerC.Services[ownerSvc], TrueLatency{Topo: env.Topo})
+	wantUp := ownerC.upstreamLatency(ownerSvc, TrueLatency{Topo: env.Topo})
 	if math.Abs(inst.UpstreamLatency-wantUp) > 1e-12 {
 		t.Fatalf("instance UpstreamLatency = %v after commit, want %v recomputed at node %d",
 			inst.UpstreamLatency, wantUp, to)

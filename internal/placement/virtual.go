@@ -328,10 +328,11 @@ func (p *Problem) relax(maxIter int, tol, eps float64) int {
 type Weiszfeld struct {
 	MaxIter   int
 	Tolerance float64
-	// Epsilon is the smoothing length in coordinate units (default 1e-3,
-	// i.e. a microsecond in latency space).
-	Epsilon float64
 }
+
+// weiszfeldEpsilon is Weiszfeld's smoothing length ε in coordinate units:
+// a microsecond in latency space.
+const weiszfeldEpsilon = 1e-3
 
 // Name implements VirtualPlacer.
 func (w Weiszfeld) Name() string { return "weiszfeld" }
@@ -349,13 +350,9 @@ func (w Weiszfeld) PlaceVirtual(p *Problem) error {
 	if tol <= 0 {
 		tol = 1e-5
 	}
-	eps := w.Epsilon
-	if eps <= 0 {
-		eps = 1e-3
-	}
 	p.prepare()
 	// Seed from the quadratic optimum: a good convex start.
 	p.relax(maxIter, tol, 0)
-	p.relax(maxIter, tol, eps)
+	p.relax(maxIter, tol, weiszfeldEpsilon)
 	return nil
 }

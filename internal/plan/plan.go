@@ -37,8 +37,6 @@ type Enumerator struct {
 	// MaxExhaustive is the largest stream count for which all join trees
 	// are enumerated; above it the beam DP is used. Default 6.
 	MaxExhaustive int
-	// TopK bounds the number of plans returned (0 = all generated).
-	TopK int
 	// BeamWidth is the number of plans kept per stream subset in the DP
 	// (default 3).
 	BeamWidth int
@@ -74,11 +72,7 @@ func (e *Enumerator) EnumerateInto(t *Table, q query.Query) ([]*query.PlanNode, 
 		return nil, err
 	}
 	sort.Stable(&t.ranked)
-	plans := t.ranked.plans
-	if e.TopK > 0 && len(plans) > e.TopK {
-		plans = plans[:e.TopK]
-	}
-	return plans, nil
+	return t.ranked.plans, nil
 }
 
 // Best returns only the cheapest plan by intermediate rate — what a

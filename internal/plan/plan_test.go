@@ -137,19 +137,6 @@ func TestEnumerateAppliesFiltersAndAggregate(t *testing.T) {
 	}
 }
 
-func TestEnumerateTopK(t *testing.T) {
-	c := testCatalog(t, 4, 5)
-	e := NewEnumerator(c)
-	e.TopK = 3
-	plans, err := e.Enumerate(query.Query{ID: 1, Streams: streams(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plans) != 3 {
-		t.Fatalf("TopK=3 returned %d plans", len(plans))
-	}
-}
-
 func TestEnumerateSingleStream(t *testing.T) {
 	c := testCatalog(t, 1, 6)
 	e := NewEnumerator(c)
@@ -191,9 +178,6 @@ func TestBestReturnsCheapest(t *testing.T) {
 	}
 	if best.Signature() != all[0].Signature() {
 		t.Fatalf("Best() = %s, cheapest enumerated = %s", best, all[0])
-	}
-	if e.TopK != 0 {
-		t.Fatal("Best() must restore TopK")
 	}
 }
 
@@ -414,9 +398,6 @@ func referenceEnumerate(e *Enumerator, q query.Query) ([]*query.PlanNode, error)
 	sort.SliceStable(plans, func(i, j int) bool {
 		return referenceIntermediateRate(plans[i]) < referenceIntermediateRate(plans[j])
 	})
-	if e.TopK > 0 && len(plans) > e.TopK {
-		plans = plans[:e.TopK]
-	}
 	return plans, nil
 }
 
@@ -691,27 +672,24 @@ func referenceCase(t testing.TB, width int, filterMask uint, agg float64, seed i
 }
 
 // checkAgainstReference runs one differential case through Enumerate
-// (all plans and a TopK cut) and Best.
+// and Best.
 func checkAgainstReference(t testing.TB, c *query.Catalog, q query.Query) {
 	t.Helper()
-	for _, topK := range []int{0, 2} {
-		e := NewEnumerator(c)
-		e.TopK = topK
-		got, err := e.Enumerate(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := referenceEnumerate(e, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samePlans(t, got, want)
-		best, err := e.Best(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samePlans(t, []*query.PlanNode{best}, want[:1])
+	e := NewEnumerator(c)
+	got, err := e.Enumerate(q)
+	if err != nil {
+		t.Fatal(err)
 	}
+	want, err := referenceEnumerate(e, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePlans(t, got, want)
+	best, err := e.Best(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePlans(t, []*query.PlanNode{best}, want[:1])
 }
 
 // TestEnumerateMatchesReference holds the sub-plan table to the
@@ -746,7 +724,7 @@ func FuzzEnumerateMatchesReference(f *testing.F) {
 }
 
 // TestBestAndEnumerateShareAnEnumerator is the re-entrancy guard for
-// Best, which used to flip e.TopK around a call to Enumerate: concurrent
+// Best, which used to flip a plan-count cut around a call to Enumerate: concurrent
 // callers on one enumerator must each get the full, correct answer (run
 // under -race).
 func TestBestAndEnumerateShareAnEnumerator(t *testing.T) {
