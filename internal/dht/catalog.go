@@ -171,7 +171,7 @@ func (c *Catalog) Unpublish(node topology.NodeID) {
 // RepublishAll is Publish(n, pts[n]) for every n in nodes, in one pass
 // over the ring: it re-keys the entries, then moves each stored entry
 // whose owner changed. The catalog ends as per-node Publish leaves it,
-// peer lists aside, whose order no query reads. It publishes node by
+// up to the order of first-coordinate ties. It publishes node by
 // node when a node is new or a published entry is stored nowhere (a
 // crash not yet repaired).
 func (c *Catalog) RepublishAll(nodes []topology.NodeID, pts []costspace.Point) error {
@@ -213,6 +213,7 @@ func (c *Catalog) RepublishAll(nodes []topology.NodeID, pts []costspace.Point) e
 		}
 		clear(p.flat[len(kept):])
 		p.flat = kept
+		sortEntries(kept)
 	}
 	return nil
 }
@@ -308,32 +309,40 @@ func (c *Catalog) NearestAdmissible(startNode topology.NodeID, target costspace.
 // NearestFrom is NearestAdmissible's walk from owner, the peer owning
 // target's key, without the lookup (no LookupHops), for n >= 1 and a
 // target of the catalog's dimensionality.
+// It scans each peer outward from target's first coordinate, as the
+// package comment says.
 func (c *Catalog) NearestFrom(owner *Peer, target costspace.Point, n, maxScan int, exclude map[topology.NodeID]bool) Nearest {
 	want := oversample(n)
 	var best Nearest
 	cut := math.Inf(1)
 	seen := 0
-	best.PeersWalked = c.walkArcs(owner, maxScan, func(p *Peer) bool {
-		for i := range p.flat {
-			e := &p.flat[i]
-			pt := e.Point[:len(target)]
-			var ss float64
-			for k, t := range target {
-				d := t - pt[k]
-				ss += d * d
-			}
-			if ss > cut {
-				continue
-			}
-			d := math.Sqrt(ss)
-			if best.Found && (d > best.Distance || (d == best.Distance && e.Node >= best.Node)) {
-				continue
-			}
-			if exclude[e.Node] {
-				continue
-			}
+	// offer ranks e and reports whether the scan goes on past it.
+	offer := func(e *Entry) bool {
+		pt := e.Point[:len(target)]
+		d0 := target[0] - pt[0]
+		ss := d0 * d0
+		if ss > cut {
+			return false
+		}
+		for k := 1; k < len(target); k++ {
+			d := target[k] - pt[k]
+			ss += d * d
+		}
+		if ss > cut {
+			return true
+		}
+		d := math.Sqrt(ss)
+		if !(best.Found && (d > best.Distance || (d == best.Distance && e.Node >= best.Node))) && !exclude[e.Node] {
 			best.Found, best.Node, best.Distance = true, e.Node, d
 			cut = ss * cutSlack
+		}
+		return true
+	}
+	best.PeersWalked = c.walkArcs(owner, maxScan, func(p *Peer) bool {
+		mid := p.from(target[0])
+		for i := mid; i < len(p.flat) && offer(&p.flat[i]); i++ {
+		}
+		for i := mid - 1; i >= 0 && offer(&p.flat[i]); i-- {
 		}
 		seen += len(p.flat)
 		return seen >= want

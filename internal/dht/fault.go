@@ -242,7 +242,7 @@ func (c *Catalog) RepairAfterCrash(dead []topology.NodeID) CrashRepairReport {
 	for _, n := range nodes {
 		e := c.published[n]
 		owner := c.ring.Owner(e.Key)
-		if !owner.storeHas(e.Key, e.Node) {
+		if owner.find(e.Key, e.Node) < 0 {
 			// Defensive: churn may have stranded a live copy off-owner;
 			// remove it before re-storing.
 			c.removeStored(e)

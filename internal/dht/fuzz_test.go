@@ -108,6 +108,20 @@ func (w *admissibleWorld) check(start topology.NodeID, target costspace.Point, k
 	}
 }
 
+// requireSorted holds every peer's entries to first-coordinate order,
+// the order NearestFrom's outward scan relies on.
+func (w *admissibleWorld) requireSorted(steps int) {
+	w.t.Helper()
+	for _, p := range w.ring.peers {
+		for i := 1; i < len(p.flat); i++ {
+			if p.flat[i-1].Point[0] > p.flat[i].Point[0] {
+				w.t.Fatalf("after %d steps, peer %d stores node %d (x %v) before node %d (x %v)",
+					steps, p.node, p.flat[i-1].Node, p.flat[i-1].Point[0], p.flat[i].Node, p.flat[i].Point[0])
+			}
+		}
+	}
+}
+
 // excludeSet builds one of the exclusion shapes the mapper meets: none,
 // a few named nodes some of which map to false, the nearest few of the
 // ranked answer (so the running minimum has to pass over them), every
@@ -161,7 +175,8 @@ func (w *admissibleWorld) start(sel int) topology.NodeID {
 // FuzzNearestAdmissibleMatchesRanked: bytes → a sequence of catalog and
 // ring mutations (bulk syncs through RepublishAll among them)
 // interleaved with queries, then a fixed sweep of queries
-// over whatever state the sequence left. Clumped publishes put many
+// over whatever state the sequence left. After every step each peer's
+// entries must be in first-coordinate order. Clumped publishes put many
 // nodes on one point of a 64-unit grid and half the targets sit on the
 // 32-unit grid between them, so exact distance ties — decided by node id
 // — are the common case, not the rare one.
@@ -172,7 +187,8 @@ func FuzzNearestAdmissibleMatchesRanked(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w := newAdmissibleWorld(t)
 		b := &fuzzBytes{data: data}
-		for b.more() {
+		w.requireSorted(0)
+		for steps := 1; b.more(); steps++ {
 			switch b.next() % 9 {
 			case 0: // publish anywhere
 				w.publish(b.node(), float64(b.next()), float64(b.next()), float64(b.next())/255)
@@ -214,6 +230,7 @@ func FuzzNearestAdmissibleMatchesRanked(f *testing.F) {
 				}
 				_ = w.cat.RepublishAll(nodes, pts) // an emptied ring refuses it
 			}
+			w.requireSorted(steps)
 		}
 		for i, xy := range [][2]float64{{32, 32}, {96, 160}, {128, 128}, {250, 3}} {
 			target := w.space.IdealPoint(vivaldi.Coord{xy[0], xy[1]})

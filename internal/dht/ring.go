@@ -20,16 +20,23 @@
 // ever takes the first non-excluded entry of that ranking, which is the
 // nearest admissible entry the walk saw, so the visitor keeps one
 // running minimum instead of a ranked list, compares squared distances
-// and takes a square root only for an entry that may replace it. Same
-// walk, same stop, same (distance, node) order: the two agree to the
-// bit, and the tests and the fuzz target hold them to it.
+// and takes a square root only for an entry that may replace it. Each
+// peer keeps its entries sorted by first coordinate, so the visitor
+// starts at the target's and scans outward, stopping a direction once
+// the first term of the squared distance alone exceeds the best: a sum
+// of squares never falls below its first term, so every entry past that
+// point is one a full scan rejects too. Same walk, same stop, same
+// (distance, node) order: the two agree to the bit, and the tests and
+// the fuzz target hold them to it.
 // Queries are pure reads on their own stacks and may run concurrently;
 // nothing mutable hangs off the Catalog for them.
 package dht
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"github.com/hourglass/sbon/internal/topology"
@@ -50,33 +57,36 @@ type Peer struct {
 	// fingers[i] points at the peer owning id + 2^i (fully stabilized
 	// Chord finger table).
 	fingers []*Peer
-	// flat holds the catalog entries this peer owns, unordered: ring
-	// walks scan them far more often than publishes change them, every
-	// query ranks what it scans by (distance, node), and a removal moves
-	// the last entry into the gap.
+	// flat holds the catalog entries this peer owns, sorted by their
+	// point's first coordinate, ascending: a walk starts at the target's
+	// and scans outward only while an entry could still win.
 	flat []Entry
 }
 
-// storeAdd records e in the peer's entries.
+// storeAdd records e in the peer's entries, in order.
 func (p *Peer) storeAdd(e Entry) {
-	p.flat = append(p.flat, e)
+	p.flat = slices.Insert(p.flat, p.from(e.Point[0]), e)
 }
 
-// storeHas reports whether the peer stores the entry for (key, node).
-func (p *Peer) storeHas(key ID, node topology.NodeID) bool {
-	return p.find(key, node) >= 0
+// from returns the index of the first entry whose first coordinate is
+// not below x.
+func (p *Peer) from(x float64) int {
+	return sort.Search(len(p.flat), func(i int) bool { return !(p.flat[i].Point[0] < x) })
+}
+
+// sortEntries restores the order of a refilled entry list.
+func sortEntries(es []Entry) {
+	slices.SortFunc(es, func(a, b Entry) int { return cmp.Compare(a.Point[0], b.Point[0]) })
 }
 
 // storeRemove deletes the entry for (key, node), reporting whether it
-// was present. The last entry takes its place.
+// was present. The entries after it close the gap, keeping the order.
 func (p *Peer) storeRemove(key ID, node topology.NodeID) bool {
 	i := p.find(key, node)
 	if i < 0 {
 		return false
 	}
-	last := len(p.flat) - 1
-	p.flat[i], p.flat[last] = p.flat[last], Entry{}
-	p.flat = p.flat[:last]
+	p.flat = slices.Delete(p.flat, i, i+1)
 	return true
 }
 
@@ -90,8 +100,8 @@ func (p *Peer) find(key ID, node topology.NodeID) int {
 	return -1
 }
 
-// Entries returns the peer's stored entries as one slice. The caller
-// must not modify it.
+// Entries returns the peer's stored entries as one slice, in first
+// coordinate order. The caller must not modify it.
 func (p *Peer) Entries() []Entry { return p.flat }
 
 // ID returns the peer's ring identifier.
@@ -190,6 +200,7 @@ func (r *Ring) RemovePeer(n topology.NodeID) error {
 		// The departing peer's keys now belong to its successor.
 		succ := r.successor(p.id)
 		succ.flat = append(succ.flat, p.flat...)
+		sortEntries(succ.flat)
 		r.updateFingersOnLeave(p, pred, succ)
 	}
 	// Clear the departed peer's entries so stale references to it

@@ -42,7 +42,9 @@ type BatchOptions struct {
 // placement: the full path is deterministic for a fixed snapshot, so
 // the hit's Circuit, EstimatedUsage and MapStats match the sequential
 // Optimize result; an entry from before a load change is revalidated
-// first (see PlanCache). Hits report PlansConsidered and
+// first (see PlanCache). Known defect (ROADMAP item 24): that holds only
+// for queries listing their streams in canonical order, since the key is
+// canonical and the search is not. Hits report PlansConsidered and
 // CircuitsConsidered 1 and FromCache true.
 //
 // Results are returned in query order, each written once, by its

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/hourglass/sbon/internal/costspace"
+	"github.com/hourglass/sbon/internal/dht"
 	"github.com/hourglass/sbon/internal/query"
 	"github.com/hourglass/sbon/internal/topology"
 	"github.com/hourglass/sbon/internal/vivaldi"
@@ -185,6 +186,44 @@ func TestSetCoordinates(t *testing.T) {
 		}
 	}()
 	_, _ = env.Freeze().SetCoordinates(moved)
+}
+
+// TestSetCoordinatesReturnsPublishError: a sync that moves fewer than a
+// quarter of the nodes republishes node by node, and a catalog that
+// cannot publish (its ring emptied here) makes it return the error, as
+// the bulk path's RepublishAll does, instead of panicking. The moved
+// points are installed all the same.
+func TestSetCoordinatesReturnsPublishError(t *testing.T) {
+	topo, coords := coordsFixture(t)
+	stats, err := query.NewCatalog(0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := NewEnvFromCoords(topo, stats, DefaultEnvConfig(13), coords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := env.Catalog().Ring()
+	for _, p := range append([]*dht.Peer(nil), ring.Peers()...) {
+		if _, err := ring.CrashPeer(p.Node()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	moved := append([]vivaldi.Coord(nil), coords...)
+	moved[3] = moved[3].Add(vivaldi.Coord{1, 1})
+	moved[7] = moved[7].Add(vivaldi.Coord{-2, 0.5})
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("SetCoordinates panicked: %v", r)
+		}
+	}()
+	n, err := env.SetCoordinates(moved)
+	if err == nil || n != 2 {
+		t.Fatalf("SetCoordinates on an empty ring = (%d, %v), want (2, an error)", n, err)
+	}
+	if want := env.Space().NewPoint(moved[7], []float64{env.Load(7)}); !pointsEqual(env.Point(7), want) {
+		t.Fatalf("node 7 point %v, want %v", env.Point(7), want)
+	}
 }
 
 // TestSetCoordinatesAllocCeiling pins the coordinate sync's write path:

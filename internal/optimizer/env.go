@@ -18,6 +18,7 @@
 package optimizer
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -428,24 +429,27 @@ func (e *Env) RemoveServiceLoad(n topology.NodeID, inputRate float64) {
 // delta-logged point is in it.
 func (e *Env) refreshPoint(n topology.NodeID, loadOnly bool) {
 	p := take(&e.points, e.space.Dims())
-	e.setPoint(n, e.space.AppendPoint(p[:0], e.vec[n], []float64{e.load[n]}), loadOnly, true)
+	if err := e.setPoint(n, e.space.AppendPoint(p[:0], e.vec[n], []float64{e.load[n]}), loadOnly, true); err != nil {
+		// The ring always contains every node in this simulator; a
+		// publish failure indicates a programming error.
+		panic(fmt.Sprintf("optimizer: republish node %d: %v", n, err))
+	}
 }
 
 // setPoint installs p as the node's cost-space point: it logs the
-// mutation, patches the k-NN index and, if asked, republishes. p
-// belongs to the Env from then on and is never written again.
-func (e *Env) setPoint(n topology.NodeID, p costspace.Point, loadOnly, publish bool) {
+// mutation, patches the k-NN index and, if asked, republishes,
+// returning the catalog's error. p belongs to the Env from then on and
+// is never written again.
+func (e *Env) setPoint(n topology.NodeID, p costspace.Point, loadOnly, publish bool) error {
 	e.markDirty(n, loadOnly)
 	e.pts[n] = p
 	e.patchIndex(n)
 	if publish && e.catalog != nil {
 		// Republish; the catalog replaces the old entry.
-		if _, err := e.catalog.Publish(n, e.pts[n]); err != nil {
-			// The ring always contains every node in this simulator; a
-			// publish failure indicates a programming error.
-			panic(fmt.Sprintf("optimizer: republish node %d: %v", n, err))
-		}
+		_, err := e.catalog.Publish(n, e.pts[n])
+		return err
 	}
+	return nil
 }
 
 // dirtyRec is one delta-log entry: the epoch of the node's latest
@@ -538,7 +542,8 @@ func (e *Env) BackgroundLoad(n topology.NodeID) float64 {
 // cached k-NN index is dropped up front instead of churning its patch
 // budget, and the catalog republishes in one pass (RepublishAll). A
 // sync ends every PlanCache generation over the Env. Returns the number
-// of nodes whose coordinate changed.
+// of nodes whose coordinate changed and the catalog's first publish
+// error: every moved node's point is installed either way.
 //
 // The Env keeps each moved node's Coord as given, without copying, and
 // carves the moved nodes' points from one slab; the DHT republish copies
@@ -567,16 +572,17 @@ func (e *Env) SetCoordinates(coords []vivaldi.Coord) (int, error) {
 		e.idx.Store(nil)
 	}
 	slab := make(costspace.Point, 0, len(changed)*e.space.Dims())
+	var err error
 	for _, n := range changed {
 		e.vec[n] = coords[n]
 		at := len(slab)
 		slab = e.space.AppendPoint(slab, e.vec[n], []float64{e.load[n]})
-		e.setPoint(n, slab[at:len(slab):len(slab)], false, !bulk)
+		err = cmp.Or(err, e.setPoint(n, slab[at:len(slab):len(slab)], false, !bulk))
 	}
 	if bulk && e.catalog != nil {
 		return len(changed), e.catalog.RepublishAll(changed, e.pts)
 	}
-	return len(changed), nil
+	return len(changed), err
 }
 
 func coordEqual(a, b vivaldi.Coord) bool {

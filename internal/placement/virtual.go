@@ -32,6 +32,7 @@ package placement
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/hourglass/sbon/internal/vivaldi"
 )
@@ -65,11 +66,12 @@ type Problem struct {
 	Links    []Link
 
 	// Scratch, rebuilt by prepare. Vertex v's incident links are
-	// adj[adjOff[v]:adjOff[v+1]], in Links order. arena backs acc and the
-	// unpinned coordinates; it alternates with spare from solve to solve,
-	// so a solve that starts from the previous solve's coordinates never
-	// reads what it is overwriting.
-	adjOff       []int
+	// adj[adjOff[v]:adjOff[v+1]], in Links order; free (in adjOff's block)
+	// lists the unpinned vertices with links. arena backs acc and every
+	// vertex's coordinate, packed in vertex order; it alternates with
+	// spare from solve to solve, so a solve that starts from the previous
+	// solve's coordinates never reads what it is overwriting.
+	adjOff, free []int
 	adj          []adjEntry
 	arena, spare []float64
 	acc          vivaldi.Coord // per-vertex accumulator
@@ -157,9 +159,9 @@ func (p *Problem) neighbors(v int) []adjEntry { return p.adj[p.adjOff[v]:p.adjOf
 // buildAdjacency indexes the links by endpoint in compressed-row form.
 func (p *Problem) buildAdjacency() {
 	n := len(p.Vertices)
-	if cap(p.adjOff) < n+2 || cap(p.adj) < 2*len(p.Links) {
-		p.adjOff, p.adj = make([]int, n+2), make([]adjEntry, 2*len(p.Links))
-	}
+	// Scratch grows geometrically (slices.Grow), so a reused problem
+	// settles after a growth or two as its circuits widen.
+	p.adjOff, p.adj = slices.Grow(p.adjOff[:0], 2*n+2), slices.Grow(p.adj[:0], 2*len(p.Links))
 	// off[v+2] counts v's links, then off[v+1] is advanced from v's first
 	// slot to its end as they are filled in, leaving off[v]..off[v+1].
 	off := p.adjOff[:n+2]
@@ -178,49 +180,37 @@ func (p *Problem) buildAdjacency() {
 		p.adj[off[l.B+1]] = adjEntry{other: l.A, rate: l.Rate}
 		off[l.B+1]++
 	}
-	p.adjOff = off[:n+1]
+	p.adjOff, p.free = off[:n+1], off[n+2:n+2:2*n+2]
 }
 
 // prepare readies a validated problem for an in-place solve. It builds
-// the adjacency and moves every unpinned vertex's coordinate into the
-// problem's arena, holding its starting position: the caller's initial
-// guess (copied, so the caller's slice is never written through), or the
-// pinned centroid when it has none.
+// the adjacency and copies every coordinate into the packed arena, where
+// an unpinned vertex's Coord then lives, starting from the caller's
+// guess (never written through) or else the pinned centroid.
 func (p *Problem) prepare() {
 	p.buildAdjacency()
 	d := p.dims()
-	need := 2 * d
-	for _, v := range p.Vertices {
-		if !v.Pinned {
-			need += d
-		}
-	}
-	p.arena, p.spare = p.spare, p.arena
-	if cap(p.arena) < need {
-		p.arena = make([]float64, need)
-	}
-	a := p.arena[:need]
+	need := (2 + len(p.Vertices)) * d
+	p.arena, p.spare = slices.Grow(p.spare[:0], need)[:need], p.arena
+	a := p.arena
 	p.acc = a[:d:d]
 	seed := vivaldi.Coord(a[d : 2*d : 2*d])
-	seeded := false
-	for vi, off := 0, 2*d; vi < len(p.Vertices); vi++ {
+	p.pinnedCentroid(seed)
+	for vi, off := 0, 2*d; vi < len(p.Vertices); vi, off = vi+1, off+d {
 		v := &p.Vertices[vi]
-		if v.Pinned {
-			continue
-		}
 		// Full slice expression: a caller-side append must not run into
 		// the next vertex's coordinate.
 		own := vivaldi.Coord(a[off : off+d : off+d])
-		off += d
-		if len(v.Coord) != d {
-			if !seeded {
-				p.pinnedCentroid(seed)
-				seeded = true
-			}
+		if !v.Pinned && len(v.Coord) != d {
 			v.Coord = seed
 		}
 		copy(own, v.Coord)
-		v.Coord = own
+		if !v.Pinned {
+			v.Coord = own
+			if len(p.neighbors(vi)) > 0 {
+				p.free = append(p.free, vi)
+			}
+		}
 	}
 }
 
@@ -279,19 +269,36 @@ func (r Relaxation) PlaceVirtual(p *Problem) error {
 // √ is monotone, so √(max ss) is bit for bit the largest move.
 func (p *Problem) relax(maxIter int, tol, eps float64) int {
 	num := p.acc
+	d := len(num)
+	xs := p.arena[2*d:]
 	for iter := 0; iter < maxIter; iter++ {
 		maxSS := 0.0
-		for vi := range p.Vertices {
-			v, adj := &p.Vertices[vi], p.neighbors(vi)
-			if v.Pinned || len(adj) == 0 {
+		for _, vi := range p.free {
+			own := vivaldi.Coord(xs[vi*d : vi*d+d : vi*d+d])
+			if d == 2 && eps == 0 { // the spring pass on the plane, unrolled
+				var n0, n1, den float64
+				for _, e := range p.neighbors(vi) {
+					o := xs[2*e.other : 2*e.other+2 : 2*e.other+2]
+					n0 += e.rate * o[0]
+					n1 += e.rate * o[1]
+					den += e.rate
+				}
+				inv := 1 / den
+				x0, x1 := float64(n0*inv), float64(n1*inv)
+				d0, d1 := x0-own[0], x1-own[1]
+				own[0], own[1] = x0, x1
+				ss := d0 * d0
+				if ss += d1 * d1; ss > maxSS {
+					maxSS = ss
+				}
 				continue
 			}
 			clear(num)
 			var den float64
-			for _, e := range adj {
-				o, wgt := p.Vertices[e.other].Coord, e.rate
+			for _, e := range p.neighbors(vi) {
+				o, wgt := xs[e.other*d:e.other*d+d:e.other*d+d], e.rate
 				if eps > 0 {
-					dist := v.Coord.Distance(o)
+					dist := own.Distance(o)
 					wgt /= math.Sqrt(dist*dist + eps*eps)
 				}
 				for k := range num {
@@ -301,11 +308,11 @@ func (p *Problem) relax(maxIter int, tol, eps float64) int {
 			}
 			inv := 1 / den
 			var ss float64
-			for k, c := range v.Coord[:len(num)] {
-				x := float64(num[k] * inv) // rounded, never fused into d
-				d := x - c
-				ss += d * d
-				v.Coord[k] = x
+			for k, c := range own {
+				x := float64(num[k] * inv) // rounded, never fused into dx
+				dx := x - c
+				ss += dx * dx
+				own[k] = x
 			}
 			if ss > maxSS {
 				maxSS = ss
