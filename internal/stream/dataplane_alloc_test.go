@@ -9,46 +9,42 @@ import (
 	"github.com/hourglass/sbon/internal/query"
 )
 
-// TestJoinWindowMatchesNaiveScan replays random adds and probes against
-// a plain slice of the last `cap` tuples: the chained window must
-// return the same matches in the same (oldest first) order, whatever
-// mix of evictions, repeated keys and sole-slot chains the keys produce.
+// TestJoinWindowMatchesNaiveScan replays random tuples on random sides
+// through a Join and the naive scan of the last `window` tuples per
+// side: both must emit the same matches in the same (oldest first)
+// order, whatever mix of evictions, repeated keys and sole-slot chains
+// the keys produce.
 func TestJoinWindowMatchesNaiveScan(t *testing.T) {
-	for _, capacity := range []int{1, 2, 7, 64} {
-		rng := rand.New(rand.NewSource(int64(capacity)))
-		w := newJoinWindow(capacity)
-		var last []Tuple // arrival order, at most capacity long
+	for _, window := range []int{1, 2, 7, 64} {
+		rng := rand.New(rand.NewSource(int64(window)))
+		keyspace := window/2 + 3 // few keys: long chains
+		j, ref := NewJoin(window, int64(keyspace)), &naiveJoin{window: window}
+		var got []Tuple
+		emit := func(tu Tuple) {
+			if got = append(got, tu); len(got) > window {
+				t.Fatalf("window %d: more matches than the window holds (a chain loops)", window)
+			}
+		}
 		for i := 0; i < 5000; i++ {
-			key := int64(rng.Intn(capacity/2 + 2)) // few keys: long chains
-			w.add(Tuple{Key: key, Value: float64(i)})
-			if last = append(last, Tuple{Key: key, Value: float64(i)}); len(last) > capacity {
-				last = last[1:]
-			}
-			probe := int64(rng.Intn(capacity/2 + 3))
-			var got, want []float64
-			for s := w.oldest(probe); s >= 0; s = w.newer[s] {
-				got = append(got, w.fifo[s].Value)
-			}
-			for _, tu := range last {
-				if tu.Key == probe {
-					want = append(want, tu.Value)
-				}
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("cap %d step %d key %d: matches %v, want %v", capacity, i, probe, got, want)
+			side := rng.Intn(2)
+			tu := Tuple{Key: int64(rng.Intn(keyspace)), Value: float64(i)}
+			got = got[:0]
+			j.Process(side, tu, emit)
+			if want := ref.process(side, tu); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("window %d step %d side %d key %d: matches %v, want %v", window, i, side, tu.Key, got, want)
 			}
 		}
 	}
 }
 
-// TestJoinWindowSteadyStateDoesNotAllocate: once both windows are full
-// and the key index has seen its keys, a tuple through the join —
-// evict, insert, probe, emit — touches no allocator, at the benchmark's
-// window/keyspace shape and with every key in the window at once.
+// TestJoinWindowSteadyStateDoesNotAllocate: once both windows are full,
+// a tuple through the join — evict, insert, probe, emit — touches no
+// allocator, at the benchmark's window/keyspace shape and with every key
+// in the window at once.
 func TestJoinWindowSteadyStateDoesNotAllocate(t *testing.T) {
 	for _, shape := range []struct{ window, keyspace int }{{12, 250}, {64, 1000}, {64, 16}} {
 		rng := rand.New(rand.NewSource(7))
-		j := NewJoin(shape.window)
+		j := NewJoin(shape.window, int64(shape.keyspace))
 		emitted := 0
 		emit := func(Tuple) { emitted++ }
 		step := func() {
@@ -63,6 +59,19 @@ func TestJoinWindowSteadyStateDoesNotAllocate(t *testing.T) {
 		if emitted == 0 {
 			t.Fatalf("window %d keyspace %d: join never matched", shape.window, shape.keyspace)
 		}
+	}
+}
+
+// TestJoinDeployAllocCeiling: building a join at deploy time is three
+// allocations — the Join, its key table and its two rings in one block.
+func TestJoinDeployAllocCeiling(t *testing.T) {
+	node := &query.PlanNode{Kind: query.KindJoin, Sel: 0.1}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := OperatorFor(node, 250); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 3 {
+		t.Fatalf("OperatorFor builds a join in %v allocations, want <= 3", got)
 	}
 }
 

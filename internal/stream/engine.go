@@ -22,7 +22,8 @@ import (
 type EngineConfig struct {
 	// Keyspace is the producer key domain [0, Keyspace) (default 1000).
 	// Join windows are sized as selectivity·Keyspace to make measured
-	// join rates track the catalog model.
+	// join rates track the catalog model, and each join keeps a key
+	// table of Keyspace entries.
 	Keyspace int64
 	// TupleSizeKB is the producer tuple size (default 1.0).
 	TupleSizeKB float64

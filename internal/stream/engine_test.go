@@ -170,8 +170,8 @@ func TestEngineJoinCircuitFlows(t *testing.T) {
 	if m.TuplesOut == 0 {
 		t.Fatal("join circuit delivered nothing")
 	}
-	// Join rates are noisy (window fill, hash collisions): demand only
-	// the right order of magnitude versus the plan estimate.
+	// Join rates are noisy (window fill, the random key draws): demand
+	// only the right order of magnitude versus the plan estimate.
 	want := c.Plan.OutRate
 	if m.OutRateKBs < want*0.2 || m.OutRateKBs > want*4 {
 		t.Fatalf("join delivered rate %v, plan %v", m.OutRateKBs, want)

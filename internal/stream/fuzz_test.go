@@ -1,164 +1,97 @@
 package stream
 
 import (
-	"fmt"
 	"testing"
+	"time"
+
+	"github.com/hourglass/sbon/internal/query"
 )
 
-// mapWindow is the join window as it was before its key index became an
-// open-addressing table: the same FIFO and chains, indexed by a Go map.
-// It is the reference FuzzJoinWindowMatchesMap checks joinWindow against.
-type mapWindow struct {
-	cap   int
-	fifo  []Tuple
-	next  int
-	count int
-	newer []int32
-	byKey map[int64][2]int32 // head, tail
+// naiveJoin is the join as a scan: per side, the last `window` tuples in
+// arrival order, probed front to back. It is the reference
+// FuzzJoinMatchesNaive and TestJoinWindowMatchesNaiveScan check Join
+// against.
+type naiveJoin struct {
+	window  int
+	last    [2][]Tuple
+	arrived [2]int
 }
 
-func newMapWindow(capacity int) *mapWindow {
-	return &mapWindow{
-		cap:   capacity,
-		fifo:  make([]Tuple, capacity),
-		newer: make([]int32, capacity),
-		byKey: make(map[int64][2]int32),
+func (n *naiveJoin) process(side int, t Tuple) []Tuple {
+	if n.last[side] = append(n.last[side], t); len(n.last[side]) > n.window {
+		n.last[side] = n.last[side][1:]
 	}
-}
-
-func (w *mapWindow) add(t Tuple) {
-	slot := int32(w.next)
-	if w.count == w.cap {
-		old := w.fifo[slot].Key
-		if ch := w.byKey[old]; ch[0] == ch[1] {
-			delete(w.byKey, old)
-		} else {
-			ch[0] = w.newer[slot]
-			w.byKey[old] = ch
+	n.arrived[side]++
+	var out []Tuple
+	for _, m := range n.last[1-side] {
+		if m.Key == t.Key {
+			out = append(out, Tuple{Stream: t.Stream, Key: t.Key, Value: t.Value + m.Value, SizeKB: t.SizeKB + m.SizeKB, Created: t.Created})
 		}
-	} else {
-		w.count++
 	}
-	w.fifo[slot] = t
-	w.newer[slot] = -1
-	ch, ok := w.byKey[t.Key]
-	if ok {
-		w.newer[ch[1]] = slot
-	} else {
-		ch[0] = slot
-	}
-	ch[1] = slot
-	w.byKey[t.Key] = ch
-	w.next = (w.next + 1) % w.cap
+	return out
 }
 
-func (w *mapWindow) oldest(key int64) int32 {
-	if ch, ok := w.byKey[key]; ok {
-		return ch[0]
+// stateSizeKB sums each side in ring-slot order — arrival a sits in slot
+// a mod window, so slot s holds last[(s − arrived) mod len(last)] — and
+// adds the two sums, as Join.StateSizeKB does.
+func (n *naiveJoin) stateSizeKB() float64 {
+	var total [2]float64
+	for side, last := range n.last {
+		for s := range last {
+			total[side] += last[((s-n.arrived[side])%len(last)+len(last))%len(last)].SizeKB
+		}
 	}
-	return -1
+	return total[0] + total[1]
 }
 
-func (w *mapWindow) sizeKB() float64 {
-	var sum float64
-	for i := 0; i < w.count; i++ {
-		sum += w.fifo[i].SizeKB
-	}
-	return sum
-}
-
-// FuzzJoinWindowMatchesMap turns bytes into add / probe sequences on the
-// table-indexed window and the map-indexed reference side by side. Three
-// header bytes choose the capacity (1..64), the keyspace (1..4·cap) and
-// how keys are spread: consecutive, a wide stride, or picked so that
-// every key's home entry lies in the last two or the first two entries
-// of the table — the probe runs that wrap, where backward-shift delete's
-// cyclic interval test is easiest to get wrong. Every following pair of
-// bytes adds one tuple and probes one key (possibly one never added);
-// both windows must return the same chain of slots for the added key,
-// the probed key and, every 16 adds and at the end, every key, hold the
-// same number of live keys, and report the same state size.
-func FuzzJoinWindowMatchesMap(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0})                           // cap 1, one key
-	f.Add([]byte{7, 40, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}) // cap 8, wrapping homes
-	f.Add([]byte{63, 255, 1, 9, 200, 31, 7, 77, 150, 2, 2, 90, 14})    // cap 64, full keyspace, stride
+// FuzzJoinMatchesNaive feeds the same tuples to a Join and to the naive
+// scan. Two header bytes choose the window (1..64) and the keyspace
+// (1..4·window); every following byte pair is one tuple: the side and
+// its size from the first byte (sizes are multiples of 1/7, so a sum
+// taken in another order shows), the key from the second. After every
+// tuple both must have emitted the same tuples in the same order and
+// report bit-equal state sizes.
+func FuzzJoinMatchesNaive(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 2, 0, 3, 0})                                     // window 1, one key
+	f.Add([]byte{7, 3, 0, 1, 1, 1, 2, 2, 3, 2, 4, 3, 5, 0, 6, 1, 7, 1, 8, 2, 9, 3}) // window 8 ≥ keyspace 4
+	f.Add([]byte{63, 255, 9, 200, 30, 7, 77, 150, 2, 2, 90, 14, 91, 200})           // window 64, keyspace 256
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
+		if len(data) < 2 {
 			return
 		}
-		capacity := 1 + int(data[0])%64
-		keyspace := 1 + int(data[1])%(4*capacity)
-		w, ref := newJoinWindow(capacity), newMapWindow(capacity)
-
-		keys := make([]int64, keyspace+1) // the last one is never added
-		switch data[2] % 3 {
-		case 0:
-			for i := range keys {
-				keys[i] = int64(i)
-			}
-		case 1:
-			for i := range keys {
-				keys[i] = int64(i)*0x1_0000_0001 - 7
-			}
-		default:
-			size := len(w.index)
-			for i, k := 0, int64(0); i < len(keys); k++ {
-				if h := w.home(k); h < 2 || h >= size-2 {
-					keys[i] = k
-					i++
-				}
-			}
-		}
-
-		chain := func(oldest int32, newer []int32) []int32 {
-			var slots []int32
-			for s := oldest; s >= 0; s = newer[s] {
-				if slots = append(slots, s); len(slots) > capacity {
-					t.Fatalf("chain longer than the window: %v", slots)
-				}
-			}
-			return slots
-		}
-		check := func(step int, key int64) {
-			got, want := chain(w.oldest(key), w.newer), chain(ref.oldest(key), ref.newer)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("cap %d keyspace %d step %d key %d: chain %v, want %v", capacity, keyspace, step, key, got, want)
-			}
-			for _, s := range got {
-				if w.fifo[s] != ref.fifo[s] {
-					t.Fatalf("cap %d step %d slot %d: holds %+v, want %+v", capacity, step, s, w.fifo[s], ref.fifo[s])
-				}
-			}
-		}
-		checkAll := func(step int) {
-			for _, k := range keys {
-				check(step, k)
-			}
-			live := 0
-			for _, e := range w.index {
-				if e.head >= 0 {
-					live++
-				}
-			}
-			if live != len(ref.byKey) {
-				t.Fatalf("cap %d step %d: %d live index entries, want %d", capacity, step, live, len(ref.byKey))
-			}
-			if got, want := w.sizeKB(), ref.sizeKB(); got != want {
-				t.Fatalf("cap %d step %d: state %v KB, want %v", capacity, step, got, want)
-			}
-		}
-
+		window := 1 + int(data[0])%64
+		keyspace := 1 + int(data[1])%(4*window)
+		j, ref := NewJoin(window, int64(keyspace)), &naiveJoin{window: window}
+		var got []Tuple
 		step := 0
-		for ops := data[3:]; len(ops) >= 2; ops, step = ops[2:], step+1 {
-			tu := Tuple{Key: keys[int(ops[0])%keyspace], Value: float64(step), SizeKB: float64(1 + ops[0]%3)}
-			w.add(tu)
-			ref.add(tu)
-			check(step, tu.Key)
-			check(step, keys[int(ops[1])%len(keys)])
-			if step%16 == 15 {
-				checkAll(step)
+		emit := func(tu Tuple) {
+			if got = append(got, tu); len(got) > window {
+				t.Fatalf("window %d keyspace %d step %d: more matches than the window holds (a chain loops)", window, keyspace, step)
 			}
 		}
-		checkAll(step)
+		for ops := data[2:]; len(ops) >= 2; ops, step = ops[2:], step+1 {
+			side := int(ops[0] & 1)
+			tu := Tuple{
+				Stream:  query.StreamID(side),
+				Key:     int64(int(ops[1]) % keyspace),
+				Value:   float64(step),
+				SizeKB:  float64(ops[0]>>1) / 7,
+				Created: time.Unix(int64(step), 0),
+			}
+			got = got[:0]
+			j.Process(side, tu, emit)
+			want := ref.process(side, tu)
+			if len(got) != len(want) {
+				t.Fatalf("window %d keyspace %d step %d: %d matches, want %d", window, keyspace, step, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("window %d keyspace %d step %d match %d: %+v, want %+v", window, keyspace, step, i, got[i], want[i])
+				}
+			}
+			if g, w := j.StateSizeKB(), ref.stateSizeKB(); g != w {
+				t.Fatalf("window %d keyspace %d step %d: state %v KB, want %v", window, keyspace, step, g, w)
+			}
+		}
 	})
 }

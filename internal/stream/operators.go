@@ -76,172 +76,112 @@ func (f Filter) Process(_ int, t Tuple, emit Emit) {
 // StateSizeKB implements Operator: filters are stateless.
 func (Filter) StateSizeKB() float64 { return 0 }
 
-// Join is a symmetric windowed hash equi-join: each side keeps the last
-// Window tuples hashed by key; an arriving tuple probes the opposite
-// window and emits one combined tuple per match.
+// Join is a symmetric windowed equi-join: each side keeps its last
+// Window tuples in a ring, and an arriving tuple probes the opposite
+// ring and emits one combined tuple per match, oldest first.
+//
+// One key table, indexed directly by key, holds for each side the
+// oldest and the newest slot of that key; the slots of one key on one
+// side are chained oldest to newest through the ring. So a tuple reads
+// the slot it evicts (the one it overwrites), fixes the evicted key's
+// entry, appends to its own key's entry and walks the other side's
+// chain from that same entry: no hashing and no probing, and the whole
+// join is allocated once when it is built.
 type Join struct {
 	Window int // tuples retained per side (default 64)
 
-	left  *joinWindow
-	right *joinWindow
+	// keys[k] chains key k on both sides; keys are in [0, keyspace) by
+	// construction (producers draw them, every operator passes them on).
+	keys []keyChains
+	// slots holds both rings: side s owns slots[s·Window, (s+1)·Window).
+	slots []joinSlot
+	next  [2]int32 // the slot each side writes next
+	count [2]int32 // live slots per side
 }
 
-// NewJoin returns a join with the given per-side window size.
-func NewJoin(window int) *Join {
+// keyChains is one key's entry: per side, the oldest and the newest
+// slot holding the key; head < 0 marks that side empty.
+type keyChains struct {
+	head, tail [2]int32
+}
+
+// joinSlot is one retained tuple: what eviction and a match read. The
+// probe supplies Stream and Created.
+type joinSlot struct {
+	key           int64
+	value, sizeKB float64
+	// newer is the next slot, in arrival order, holding the same key on
+	// the same side; -1 ends the chain.
+	newer int32
+}
+
+// NewJoin returns a join with the given per-side window size over keys
+// in [0, keyspace); keyspace must be positive.
+func NewJoin(window int, keyspace int64) *Join {
 	if window <= 0 {
 		window = 64
 	}
-	return &Join{
+	j := &Join{
 		Window: window,
-		left:   newJoinWindow(window),
-		right:  newJoinWindow(window),
+		keys:   make([]keyChains, keyspace),
+		slots:  make([]joinSlot, 2*window),
+		next:   [2]int32{0, int32(window)},
 	}
+	for i := range j.keys {
+		j.keys[i].head = [2]int32{-1, -1}
+	}
+	return j
 }
 
 // Process implements Operator.
 func (j *Join) Process(side int, t Tuple, emit Emit) {
-	mine, other := j.left, j.right
-	if side == 1 {
-		mine, other = j.right, j.left
+	slot := j.next[side]
+	s := &j.slots[slot]
+	if j.count[side] == int32(j.Window) {
+		// The slot being overwritten holds this side's oldest tuple, so
+		// it heads its key's chain; a sole slot's newer empties it.
+		j.keys[s.key].head[side] = s.newer
+	} else {
+		j.count[side]++
 	}
-	mine.add(t)
-	for s := other.oldest(t.Key); s >= 0; s = other.newer[s] {
-		m := &other.fifo[s]
-		out := Tuple{
+	*s = joinSlot{key: t.Key, value: t.Value, sizeKB: t.SizeKB, newer: -1}
+	e := &j.keys[t.Key]
+	if e.head[side] >= 0 {
+		j.slots[e.tail[side]].newer = slot
+	} else {
+		e.head[side] = slot
+	}
+	e.tail[side] = slot
+	if slot++; slot == int32((side+1)*j.Window) {
+		slot -= int32(j.Window)
+	}
+	j.next[side] = slot
+	for m := e.head[1-side]; m >= 0; m = j.slots[m].newer {
+		ms := &j.slots[m]
+		emit(Tuple{
 			Stream: t.Stream,
 			Key:    t.Key,
-			Value:  t.Value + m.Value,
-			SizeKB: t.SizeKB + m.SizeKB,
+			Value:  t.Value + ms.value,
+			SizeKB: t.SizeKB + ms.sizeKB,
 			// Latency is measured from the triggering (probe) tuple: the
 			// matched tuple's window residency is state age, not
 			// delivery delay.
 			Created: t.Created,
-		}
-		emit(out)
+		})
 	}
 }
 
-// StateSizeKB implements Operator: both windows' retained tuple bytes.
+// StateSizeKB implements Operator: both windows' retained tuple bytes,
+// each side summed in slot order.
 func (j *Join) StateSizeKB() float64 {
-	return j.left.sizeKB() + j.right.sizeKB()
-}
-
-// joinWindow is a fixed-capacity FIFO with a key index threaded
-// through it: the slots holding one key form a chain, oldest first.
-// The index is an open-addressing table sized once for the window — at
-// most cap keys are live, in a power-of-two table of at least 2·cap
-// entries — so a window allocates nothing per tuple and probes a few
-// adjacent entries instead of hashing into a map.
-type joinWindow struct {
-	cap   int
-	fifo  []Tuple
-	next  int
-	count int
-	// newer[s] is the next slot, in arrival order, holding the same key
-	// as slot s; -1 ends the chain.
-	newer []int32
-	// index maps a live key to its chain by linear probing from the
-	// key's home entry; shift turns a hash into a home.
-	index []keyChain
-	shift uint
-}
-
-// keyChain is one index entry: the oldest and the newest slot holding
-// key; head < 0 marks the entry empty.
-type keyChain struct {
-	key        int64
-	head, tail int32
-}
-
-func newJoinWindow(capacity int) *joinWindow {
-	bits := uint(1)
-	for 1<<bits < 2*capacity {
-		bits++
-	}
-	w := &joinWindow{
-		cap:   capacity,
-		fifo:  make([]Tuple, capacity),
-		newer: make([]int32, capacity),
-		index: make([]keyChain, 1<<bits),
-		shift: 64 - bits,
-	}
-	for i := range w.index {
-		w.index[i].head = -1
-	}
-	return w
-}
-
-// home is the entry a key's probe sequence starts at: the top bits of a
-// multiplicative (Fibonacci) hash.
-func (w *joinWindow) home(key int64) int {
-	return int(uint64(key) * 0x9E3779B97F4A7C15 >> w.shift)
-}
-
-// find returns the index of the key's entry, or of the empty entry that
-// ends its probe sequence. The table is never more than half full (add
-// evicts before it inserts), so the scan ends.
-func (w *joinWindow) find(key int64) int {
-	mask := len(w.index) - 1
-	for i := w.home(key); ; i = (i + 1) & mask {
-		if e := &w.index[i]; e.head < 0 || e.key == key {
-			return i
+	side := func(s int) float64 {
+		var sum float64
+		for _, sl := range j.slots[s*j.Window:][:j.count[s]] {
+			sum += sl.sizeKB
 		}
+		return sum
 	}
-}
-
-// removeAt empties entry hole and closes the gap it leaves: every entry
-// after it, up to the next empty one, moves back into the hole if the
-// hole lies on its probe path — cyclically between its home and where
-// it sits.
-func (w *joinWindow) removeAt(hole int) {
-	mask := len(w.index) - 1
-	for i := (hole + 1) & mask; w.index[i].head >= 0; i = (i + 1) & mask {
-		if (i-w.home(w.index[i].key))&mask >= (i-hole)&mask {
-			w.index[hole] = w.index[i]
-			hole = i
-		}
-	}
-	w.index[hole].head = -1
-}
-
-func (w *joinWindow) add(t Tuple) {
-	slot := int32(w.next)
-	if w.count == w.cap {
-		// The slot being overwritten holds the oldest tuple of all, so
-		// it heads its key's chain.
-		i := w.find(w.fifo[slot].Key)
-		if ch := &w.index[i]; ch.head == ch.tail {
-			w.removeAt(i)
-		} else {
-			ch.head = w.newer[slot]
-		}
-	} else {
-		w.count++
-	}
-	w.fifo[slot] = t
-	w.newer[slot] = -1
-	ch := &w.index[w.find(t.Key)]
-	if ch.head >= 0 {
-		w.newer[ch.tail] = slot
-	} else {
-		ch.key, ch.head = t.Key, slot
-	}
-	ch.tail = slot
-	w.next = (w.next + 1) % w.cap
-}
-
-func (w *joinWindow) sizeKB() float64 {
-	var sum float64
-	for i := 0; i < w.count; i++ {
-		sum += w.fifo[i].SizeKB
-	}
-	return sum
-}
-
-// oldest returns the slot of the oldest retained tuple with the key, or
-// -1; following newer from it visits every match in arrival order.
-func (w *joinWindow) oldest(key int64) int32 {
-	return w.index[w.find(key)].head
+	return side(0) + side(1)
 }
 
 // Aggregate reduces count-N tumbling windows: after every N inputs it
@@ -297,12 +237,16 @@ func (Union) Process(_ int, t Tuple, emit Emit) { emit(t) }
 // StateSizeKB implements Operator: unions are stateless.
 func (Union) StateSizeKB() float64 { return 0 }
 
-// OperatorFor instantiates the executable operator for a plan node. The
-// join window is sized to sel·keyspace/2: each probe then matches
-// sel/2 of the time, and since a joined tuple carries both inputs (≈2×
-// the bytes), the output *data rate* lands on the catalog model's
-// sel·(rateL+rateR) KB/s.
+// OperatorFor instantiates the executable operator for a plan node over
+// keys in [0, keyspace), which must be positive: a join's key table has
+// one entry per key. The join window is sized to sel·keyspace/2: each
+// probe then matches sel/2 of the time, and since a joined tuple
+// carries both inputs (≈2× the bytes), the output *data rate* lands on
+// the catalog model's sel·(rateL+rateR) KB/s.
 func OperatorFor(n *query.PlanNode, keyspace int64) (Operator, error) {
+	if keyspace <= 0 {
+		return nil, fmt.Errorf("stream: keyspace %d, want > 0", keyspace)
+	}
 	switch n.Kind {
 	case query.KindFilter:
 		return Filter{Sel: n.Sel}, nil
@@ -311,7 +255,7 @@ func OperatorFor(n *query.PlanNode, keyspace int64) (Operator, error) {
 		if w < 1 {
 			w = 1
 		}
-		return NewJoin(w), nil
+		return NewJoin(w, keyspace), nil
 	case query.KindAggregate:
 		return NewAggregate(10, n.Sel), nil
 	case query.KindUnion:

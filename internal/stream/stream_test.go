@@ -57,7 +57,7 @@ func TestFilterDeterministicPerKey(t *testing.T) {
 }
 
 func TestJoinMatchesEqualKeys(t *testing.T) {
-	j := NewJoin(8)
+	j := NewJoin(8, 16)
 	emit, out := collect()
 	j.Process(0, Tuple{Key: 7, Value: 1, SizeKB: 1}, emit)
 	if len(*out) != 0 {
@@ -74,7 +74,7 @@ func TestJoinMatchesEqualKeys(t *testing.T) {
 }
 
 func TestJoinNoMatchAcrossDifferentKeys(t *testing.T) {
-	j := NewJoin(8)
+	j := NewJoin(8, 16)
 	emit, out := collect()
 	j.Process(0, Tuple{Key: 1}, emit)
 	j.Process(1, Tuple{Key: 2}, emit)
@@ -84,7 +84,7 @@ func TestJoinNoMatchAcrossDifferentKeys(t *testing.T) {
 }
 
 func TestJoinMultipleMatches(t *testing.T) {
-	j := NewJoin(8)
+	j := NewJoin(8, 16)
 	emit, out := collect()
 	j.Process(0, Tuple{Key: 5, Value: 1}, emit)
 	j.Process(0, Tuple{Key: 5, Value: 2}, emit)
@@ -95,7 +95,7 @@ func TestJoinMultipleMatches(t *testing.T) {
 }
 
 func TestJoinWindowEviction(t *testing.T) {
-	j := NewJoin(2)
+	j := NewJoin(2, 16)
 	emit, out := collect()
 	j.Process(0, Tuple{Key: 1}, emit)
 	j.Process(0, Tuple{Key: 2}, emit)
@@ -111,7 +111,7 @@ func TestJoinWindowEviction(t *testing.T) {
 }
 
 func TestJoinSymmetricSides(t *testing.T) {
-	j := NewJoin(8)
+	j := NewJoin(8, 16)
 	emit, out := collect()
 	j.Process(1, Tuple{Key: 9, Value: 4}, emit)
 	j.Process(0, Tuple{Key: 9, Value: 5}, emit)
@@ -121,7 +121,7 @@ func TestJoinSymmetricSides(t *testing.T) {
 }
 
 func TestJoinCreatedUsesTriggeringInput(t *testing.T) {
-	j := NewJoin(8)
+	j := NewJoin(8, 16)
 	emit, out := collect()
 	early := time.Now().Add(-time.Second)
 	late := time.Now()
@@ -139,7 +139,7 @@ func TestJoinCreatedUsesTriggeringInput(t *testing.T) {
 func TestJoinRateFaithfulness(t *testing.T) {
 	const keyspace = 500
 	const window = 50 // sel = 0.1
-	j := NewJoin(window)
+	j := NewJoin(window, keyspace)
 	emit, out := collect()
 	rng := rand.New(rand.NewSource(11))
 	const n = 20000
@@ -214,6 +214,16 @@ func TestOperatorForMapping(t *testing.T) {
 	}
 	if _, err := OperatorFor(source0, 1000); err == nil {
 		t.Fatal("OperatorFor(source) accepted")
+	}
+}
+
+// TestOperatorForRejectsEmptyKeyspace: a join sizes its key table from
+// the keyspace, so OperatorFor refuses one that is not positive.
+func TestOperatorForRejectsEmptyKeyspace(t *testing.T) {
+	for _, keyspace := range []int64{0, -1} {
+		if _, err := OperatorFor(&query.PlanNode{Kind: query.KindJoin, Sel: 0.1}, keyspace); err == nil {
+			t.Fatalf("OperatorFor(join, keyspace %d) accepted", keyspace)
+		}
 	}
 }
 
