@@ -17,9 +17,7 @@ import (
 	"github.com/hourglass/sbon/internal/trace"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_small.sha256 from this run")
-
-const goldenFile = "testdata/golden_small.sha256"
+var updateGolden = flag.Bool("update", false, "rewrite the golden file of each golden test that runs from this run")
 
 // hostTimeColumns are the CSV columns that report wall time of the
 // host: two runs of one binary already differ there, so the golden
@@ -58,27 +56,20 @@ func maskColumns(t *testing.T, raw []byte, cols []string) []byte {
 	return buf.Bytes()
 }
 
-// TestGoldenSmall pins commit-to-commit identity of what the
-// experiments emit, where the determinism tests pin only run-to-run
-// identity within one commit: the sha256 of every CSV exp.Run writes at
-// Small scale, of the JSONL trace of the small X12, X16 and X17
-// scenarios, and the placement fingerprints X16 and X17 report. A
-// refactor that changes none of the simulated behaviour leaves
-// testdata/golden_small.sha256 untouched; a change that means to move
-// the bytes regenerates it with `go test ./internal/exp -run
-// TestGoldenSmall -update` and says why.
-func TestGoldenSmall(t *testing.T) {
-	got := map[string]string{}
-	sum := func(name string, b []byte) { got[name] = fmt.Sprintf("%x", sha256.Sum256(b)) }
-
+// runHashes runs every experiment at scale through Run and returns the
+// sha256 of each file Run writes: every CSV, with the host-time columns
+// blanked, and every experiment's deterministic notes.
+func runHashes(t *testing.T, scale Scale) map[string]string {
+	t.Helper()
 	dir := t.TempDir()
-	if err := Run(io.Discard, nil, RunOptions{Scale: Small, OutDir: dir}); err != nil {
+	if err := Run(io.Discard, nil, RunOptions{Scale: scale, OutDir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := map[string]string{}
 	for _, path := range files {
 		raw, err := os.ReadFile(path)
 		if err != nil {
@@ -88,8 +79,72 @@ func TestGoldenSmall(t *testing.T) {
 		if cols := hostTimeColumns[name]; cols != nil {
 			raw = maskColumns(t, raw, cols)
 		}
-		sum(name, raw)
+		got[name] = fmt.Sprintf("%x", sha256.Sum256(raw))
 	}
+	return got
+}
+
+// checkGolden compares got with the sha256 lines of file, or rewrites
+// file from got under -update.
+func checkGolden(t *testing.T, file string, got map[string]string) {
+	t.Helper()
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if *updateGolden {
+		var b strings.Builder
+		for _, name := range names {
+			fmt.Fprintf(&b, "%s  %s\n", got[name], name)
+		}
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(file, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, ln := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		hash, name, ok := strings.Cut(ln, "  ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", file, ln)
+		}
+		want[name] = hash
+	}
+	for _, name := range names {
+		if want[name] == "" {
+			t.Errorf("%s is not in %s", name, file)
+		} else if got[name] != want[name] {
+			t.Errorf("%s changed: sha256 %s, golden %s", name, got[name], want[name])
+		}
+	}
+	for name := range want {
+		if got[name] == "" {
+			t.Errorf("%s is in %s but was not produced", name, file)
+		}
+	}
+}
+
+// TestGoldenSmall pins commit-to-commit identity of what the
+// experiments emit, where the determinism tests pin only run-to-run
+// identity within one commit: the sha256 of every CSV and notes file
+// exp.Run writes at Small scale, of the JSONL trace of the small X12,
+// X16 and X17 scenarios, and the placement fingerprints X16 and X17
+// report. A refactor that changes none of the simulated behaviour
+// leaves testdata/golden_small.sha256 untouched; a change that means to
+// move the bytes regenerates it with `go test ./internal/exp -run
+// TestGoldenSmall -update` and says why.
+func TestGoldenSmall(t *testing.T) {
+	got := runHashes(t, Small)
+	sum := func(name string, b []byte) { got[name] = fmt.Sprintf("%x", sha256.Sum256(b)) }
 
 	traced := func(name string, run func(tr *trace.Tracer) (*Table, error), fingerprint bool) {
 		tr := trace.New(simtime.NewVirtual())
@@ -114,47 +169,20 @@ func TestGoldenSmall(t *testing.T) {
 	traced("x16", func(tr *trace.Tracer) (*Table, error) { p := smallX16(); p.Trace = tr; return X16(p) }, true)
 	traced("x17", func(tr *trace.Tracer) (*Table, error) { p := smallX17(); p.Trace = tr; return X17(p) }, true)
 
-	names := make([]string, 0, len(got))
-	for name := range got {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if *updateGolden {
-		var b strings.Builder
-		for _, name := range names {
-			fmt.Fprintf(&b, "%s  %s\n", got[name], name)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenFile), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenFile, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
+	checkGolden(t, "testdata/golden_small.sha256", got)
+}
 
-	raw, err := os.ReadFile(goldenFile)
-	if err != nil {
-		t.Fatal(err)
+// TestGoldenFull is TestGoldenSmall at Full scale, without the traces:
+// the sha256 of every CSV and notes file exp.Run writes, pinned in
+// testdata/golden_full.sha256 (regenerate with -update). The whole
+// full-scale run takes ~15 s on a 2-core host, most of it X18's 102k
+// nodes, so it is opt-in: set SBON_FULLSCALE=1.
+func TestGoldenFull(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale experiments skipped in -short")
 	}
-	want := map[string]string{}
-	for _, ln := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		hash, name, ok := strings.Cut(ln, "  ")
-		if !ok {
-			t.Fatalf("%s: malformed line %q", goldenFile, ln)
-		}
-		want[name] = hash
+	if os.Getenv("SBON_FULLSCALE") == "" {
+		t.Skip("~15 s at full scale; set SBON_FULLSCALE=1 to run")
 	}
-	for _, name := range names {
-		if want[name] == "" {
-			t.Errorf("%s is not in %s", name, goldenFile)
-		} else if got[name] != want[name] {
-			t.Errorf("%s changed: sha256 %s, golden %s", name, got[name], want[name])
-		}
-	}
-	for name := range want {
-		if got[name] == "" {
-			t.Errorf("%s is in %s but was not produced", name, goldenFile)
-		}
-	}
+	checkGolden(t, "testdata/golden_full.sha256", runHashes(t, Full))
 }

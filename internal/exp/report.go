@@ -43,8 +43,13 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	// Notes are free-form lines printed under the table (e.g. summary
-	// statistics or expected shapes).
+	// statistics or expected shapes). They are deterministic: a run
+	// repeats them byte for byte, and the goldens pin them.
 	Notes []string
+	// HostNotes are the lines that report the host rather than the
+	// simulation (wall time, queries per host second). They print after
+	// Notes and are left out of every golden.
+	HostNotes []string
 }
 
 // NewTable creates a table with the given title and column headers.
@@ -72,6 +77,11 @@ func (t *Table) AddRow(vals ...any) {
 // AddNote appends a note line.
 func (t *Table) AddNote(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
+}
+
+// AddHostNote appends a host note line.
+func (t *Table) AddHostNote(format string, args ...any) {
+	t.HostNotes = append(t.HostNotes, fmt.Sprintf(format, args...))
 }
 
 // Fprint renders the table as aligned text.
@@ -111,6 +121,9 @@ func (t *Table) Fprint(w io.Writer) {
 		printRow(row)
 	}
 	for _, n := range t.Notes {
+		fmt.Fprintf(w, "# %s\n", n)
+	}
+	for _, n := range t.HostNotes {
 		fmt.Fprintf(w, "# %s\n", n)
 	}
 	fmt.Fprintln(w)

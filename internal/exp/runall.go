@@ -159,7 +159,8 @@ func Lookup(id string) (Experiment, bool) {
 type RunOptions struct {
 	Scale Scale
 	// OutDir, when non-empty, receives one CSV per experiment (and the
-	// fig2 point cloud).
+	// fig2 point cloud), and beside each CSV its deterministic notes as
+	// <id>.notes.txt.
 	OutDir string
 }
 
@@ -200,21 +201,33 @@ func Run(w io.Writer, ids []string, opts RunOptions) error {
 		if err != nil {
 			return fmt.Errorf("exp: %s: %w", e.ID, err)
 		}
-		table.AddNote("experiment %s completed in %v", e.ID, time.Since(start).Round(time.Millisecond))
+		table.AddHostNote("experiment %s completed in %v", e.ID, time.Since(start).Round(time.Millisecond))
 		table.Fprint(w)
 		if opts.OutDir != "" {
-			f, err := os.Create(filepath.Join(opts.OutDir, e.ID+".csv"))
-			if err != nil {
+			if err := writeOut(filepath.Join(opts.OutDir, e.ID+".csv"), table.WriteCSV); err != nil {
 				return err
 			}
-			if err := table.WriteCSV(f); err != nil {
-				f.Close()
+			notes := func(w io.Writer) error {
+				_, err := io.WriteString(w, strings.Join(table.Notes, "\n")+"\n")
 				return err
 			}
-			if err := f.Close(); err != nil {
+			if err := writeOut(filepath.Join(opts.OutDir, e.ID+".notes.txt"), notes); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// writeOut creates path and fills it with write.
+func writeOut(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

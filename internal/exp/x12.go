@@ -160,7 +160,7 @@ func X12(p X12Params) (*Table, error) {
 		p.KillFraction*100, topo.NumNodes(), len(w.Runs), produced, delivered)
 	t.AddNote("loss accounting: unrouted=%d, data-to-dead-node=%d (heartbeats to dead nodes: %d, counted separately)",
 		unrouted, downDropped, hbDropped)
-	t.AddNote("total network usage %.0f → %.0f KB·ms/s across the churn; wall %v",
-		usageBefore, usageAfter, wall.Round(time.Millisecond))
+	t.AddNote("total network usage %.0f → %.0f KB·ms/s across the churn", usageBefore, usageAfter)
+	t.AddHostNote("wall %v", wall.Round(time.Millisecond))
 	return t, nil
 }

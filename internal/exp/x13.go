@@ -141,7 +141,7 @@ func X13(p X13Params) (*Table, error) {
 		topo.NumNodes(), len(w.Runs), totalMigrations, p.Sweeps, usage, monotone)
 	t.AddNote("zero-loss accounting: unrouted=%d data-to-dead=%d; produced %d tuples, delivered %d; buffered %d / forwarded %d across handoffs",
 		unrouted, downDropped, produced, delivered, totalBuffered, totalForwarded)
-	t.AddNote("wall %v for %.0f simulated circuit-seconds of adaptive execution",
+	t.AddHostNote("wall %v for %.0f simulated circuit-seconds of adaptive execution",
 		wall.Round(time.Millisecond), float64(len(w.Runs))*(p.WarmupSimSeconds+float64(p.Sweeps)*p.IntervalSimSeconds))
 	return t, nil
 }

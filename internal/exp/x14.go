@@ -196,7 +196,7 @@ func X14(p X14Params) (*Table, error) {
 		on.nodes, on.circuits, p.Groups, on.usage, off.usage, reduction)
 	t.AddNote("reuse-on executed %d shared instances once each for %d subscribers (produced %d tuples vs %d without reuse); loss counters %d/%d (must be 0)",
 		on.instances, on.subscribers, on.produced, off.produced, on.unrouted+on.downDropped, off.unrouted+off.downDropped)
-	t.AddNote("wall %v for both %0.f-simulated-second passes under the virtual clock",
+	t.AddHostNote("wall %v for both %0.f-simulated-second passes under the virtual clock",
 		time.Since(wallStart).Round(time.Millisecond), p.MeasureSimSeconds)
 	return t, nil
 }

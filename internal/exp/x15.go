@@ -167,7 +167,7 @@ func X15(p X15Params) (*Table, error) {
 	if speedupAt1pct > 0 {
 		t.AddNote("1%%-node drift re-evaluated %.1fx fewer services than the full sweep", speedupAt1pct)
 	}
-	t.AddNote("wall %v for %d full+incremental re-planning rounds",
+	t.AddHostNote("wall %v for %d full+incremental re-planning rounds",
 		time.Since(wallStart).Round(time.Millisecond), len(p.DeltaFractions))
 	return t, nil
 }

@@ -251,7 +251,7 @@ func X16(p X16Params) (*Table, error) {
 		usageBefore, usageAfter, usageAfter/usageBefore, delivered)
 	t.AddNote("placement fingerprint %016x; data plane on %d event queue(s)",
 		placementFingerprint(dep), net.DataShards())
-	t.AddNote("wall %v for %.0f simulated seconds (warmup %.0f + repair loop %.0f + drain 3)",
+	t.AddHostNote("wall %v for %.0f simulated seconds (warmup %.0f + repair loop %.0f + drain 3)",
 		time.Since(wallStart).Round(time.Millisecond), p.WarmupSimSeconds+p.RunSimSeconds+3,
 		p.WarmupSimSeconds, p.RunSimSeconds)
 	return t, nil

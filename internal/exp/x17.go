@@ -266,15 +266,16 @@ func X17(p X17Params) (*Table, error) {
 
 	t.AddNote("%d nodes (%d stub domains, factored latency — no all-pairs matrix), %d streams, %d queries optimized",
 		n, topo.NumStubDomains(), p.Streams, len(results))
-	t.AddNote("sharded batch: %d shards, %d home-routed (%.1f%%), %d fallback; %.0f queries/s on this host (%v; one GOMAXPROCS worker pool and one plan cache serve every region)",
-		shardStats.Shards, homeRouted, 100*float64(homeRouted)/float64(len(qs)), shardStats.Fallback,
-		float64(len(qs))/optWall.Seconds(), optWall.Round(time.Millisecond))
+	t.AddNote("sharded batch: %d shards, %d home-routed (%.1f%%), %d fallback; one GOMAXPROCS worker pool and one plan cache serve every region",
+		shardStats.Shards, homeRouted, 100*float64(homeRouted)/float64(len(qs)), shardStats.Fallback)
 	t.AddNote("ticker coordinates: %d gossip rounds total, embedding median rel err %.3f; %d periodic syncs, %d oscillations out of %d migrations",
 		ticker.Rounds(), env.EmbeddingQuality.MedianRelErr, p.Rounds, int(oscCounter.Value()), totalMigrations)
 	t.AddNote("event kernel: peak %d pending events; %d circuits executing, %.0f heartbeats delivered; produced %d tuples, delivered %d, unrouted %d",
 		pendingPeak, len(w.Runs), beats, produced, delivered, unrouted)
 	t.AddNote("placement fingerprint %016x; data plane on %d event queue(s)",
 		placementFingerprint(dep), net.DataShards())
-	t.AddNote("wall %v end to end under virtual time", wall.Round(time.Millisecond))
+	t.AddHostNote("sharded batch: %.0f queries/s on this host (%v)",
+		float64(len(qs))/optWall.Seconds(), optWall.Round(time.Millisecond))
+	t.AddHostNote("wall %v end to end under virtual time", wall.Round(time.Millisecond))
 	return t, nil
 }
