@@ -42,9 +42,11 @@ func colMean(b *testing.B, t *exp.Table, col int) float64 {
 }
 
 func BenchmarkFig1_TwoStepVsIntegrated(b *testing.B) {
+	p := exp.DefaultFig1Params(exp.Small)
+	p.Seeds = 3
 	var last *exp.Table
 	for i := 0; i < b.N; i++ {
-		t, err := exp.Fig1(exp.Fig1Params{Scale: exp.Small, Seeds: 3})
+		t, err := exp.Fig1(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,9 +56,11 @@ func BenchmarkFig1_TwoStepVsIntegrated(b *testing.B) {
 }
 
 func BenchmarkFig3_PlacementMapping(b *testing.B) {
+	p := exp.DefaultFig3Params(exp.Small)
+	p.Trials = 30
 	var last *exp.Table
 	for i := 0; i < b.N; i++ {
-		t, err := exp.Fig3(exp.Fig3Params{Scale: exp.Small, Seed: 3, Trials: 30})
+		t, err := exp.Fig3(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,9 +71,11 @@ func BenchmarkFig3_PlacementMapping(b *testing.B) {
 }
 
 func BenchmarkX7_SpringVsWeiszfeld(b *testing.B) {
+	p := exp.DefaultX7Params(exp.Small)
+	p.Runs = 3
 	var last *exp.Table
 	for i := 0; i < b.N; i++ {
-		t, err := exp.X7(exp.X7Params{Scale: exp.Small, Seed: 17, Runs: 3})
+		t, err := exp.X7(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,9 +85,11 @@ func BenchmarkX7_SpringVsWeiszfeld(b *testing.B) {
 }
 
 func BenchmarkX9_PlanRewriting(b *testing.B) {
+	p := exp.DefaultX9Params(exp.Small)
+	p.Seeds = 3
 	var last *exp.Table
 	for i := 0; i < b.N; i++ {
-		t, err := exp.X9(exp.X9Params{Scale: exp.Small, Seeds: 3})
+		t, err := exp.X9(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +103,7 @@ func BenchmarkX9_PlanRewriting(b *testing.B) {
 func BenchmarkX11_ThousandNodeVirtual(b *testing.B) {
 	var last *exp.Table
 	for i := 0; i < b.N; i++ {
-		t, err := exp.X11(exp.DefaultX11Params())
+		t, err := exp.X11(exp.DefaultX11Params(exp.Full))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,7 +120,7 @@ func BenchmarkX11_ThousandNodeVirtual(b *testing.B) {
 func BenchmarkX12_NodeChurnLiveMigration(b *testing.B) {
 	var last *exp.Table
 	for i := 0; i < b.N; i++ {
-		t, err := exp.X12(exp.DefaultX12Params())
+		t, err := exp.X12(exp.DefaultX12Params(exp.Full))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +137,7 @@ func BenchmarkX12_NodeChurnLiveMigration(b *testing.B) {
 func BenchmarkX13_PeriodicAdaptation1024(b *testing.B) {
 	var last *exp.Table
 	for i := 0; i < b.N; i++ {
-		t, err := exp.X13(exp.DefaultX13Params())
+		t, err := exp.X13(exp.DefaultX13Params(exp.Full))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,7 +202,7 @@ func BenchmarkTwoStepOptimize592Nodes4Way(b *testing.B) {
 func BenchmarkX14_SharedExecution1024(b *testing.B) {
 	var last *exp.Table
 	for i := 0; i < b.N; i++ {
-		t, err := exp.X14(exp.DefaultX14Params())
+		t, err := exp.X14(exp.DefaultX14Params(exp.Full))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -214,7 +222,7 @@ func BenchmarkX14_SharedExecution1024(b *testing.B) {
 func BenchmarkX15_IncrementalReplanning1024(b *testing.B) {
 	var last *exp.Table
 	for i := 0; i < b.N; i++ {
-		t, err := exp.X15(exp.DefaultX15Params())
+		t, err := exp.X15(exp.DefaultX15Params(exp.Full))
 		if err != nil {
 			b.Fatal(err)
 		}

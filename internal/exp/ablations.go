@@ -19,23 +19,23 @@ import (
 	"github.com/hourglass/sbon/internal/workload"
 )
 
+const x1Seed = 11 // seeds X1's topology and workload
+
 // X1Params configures the placement-strategy comparison.
 type X1Params struct {
 	Scale       Scale
-	Seed        int64
 	QueryCounts []int
 }
 
-// DefaultX1Params returns the full-scale configuration.
-func DefaultX1Params() X1Params {
-	return X1Params{Scale: Full, Seed: 11, QueryCounts: []int{5, 10, 20}}
+// DefaultX1Params returns the configuration at scale s.
+func DefaultX1Params(s Scale) X1Params {
+	return X1Params{Scale: s, QueryCounts: []int{5, 10, 20}}
 }
 
 // X1 compares placement strategies for the same plans: the paper's
 // relaxation placement against random, at-consumer, and at-producer
 // baselines, reporting total network usage as the query population grows.
 func X1(p X1Params) (*Table, error) {
-	orDefaultList(&p.QueryCounts, DefaultX1Params().QueryCounts)
 	t := NewTable("X1 — placement strategies: total network usage (KB·ms/s)",
 		"queries", "relaxation", "random", "consumer", "producer", "random/relax", "consumer/relax", "producer/relax")
 
@@ -50,8 +50,8 @@ func X1(p X1Params) (*Table, error) {
 		for _, strat := range strategies {
 			// Fresh, identically seeded world per strategy so the
 			// workloads and topologies coincide exactly.
-			topo := genTopo(p.Scale, p.Seed)
-			rng := rand.New(rand.NewSource(p.Seed * 7))
+			topo := genTopo(p.Scale, x1Seed)
+			rng := rand.New(rand.NewSource(x1Seed * 7))
 			stats, err := workload.GenerateStats(topo, workload.DefaultStreamConfig(), rng)
 			if err != nil {
 				return nil, err
@@ -63,7 +63,7 @@ func X1(p X1Params) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			envCfg := optimizer.DefaultEnvConfig(p.Seed)
+			envCfg := optimizer.DefaultEnvConfig(x1Seed)
 			envCfg.UseDHT = false
 			env, err := optimizer.NewEnv(topo, stats, envCfg)
 			if err != nil {
@@ -99,48 +99,49 @@ func X1(p X1Params) (*Table, error) {
 	return t, nil
 }
 
+const x2Seed = 12 // seeds X2's topology and embeddings
+
 // X2Params configures the Vivaldi convergence sweep.
 type X2Params struct {
 	Scale  Scale
-	Seed   int64
 	Rounds []int
 }
 
-// DefaultX2Params returns the full-scale configuration.
-func DefaultX2Params() X2Params {
-	return X2Params{Scale: Full, Seed: 12, Rounds: []int{1, 2, 5, 10, 20, 40, 80}}
+// DefaultX2Params returns the configuration at scale s.
+func DefaultX2Params(s Scale) X2Params {
+	return X2Params{Scale: s, Rounds: []int{1, 2, 5, 10, 20, 40, 80}}
 }
 
 // X2 measures the Vivaldi embedding's error against update rounds — the
 // convergence behaviour the cost space's vector dimensions depend on.
 func X2(p X2Params) (*Table, error) {
-	orDefaultList(&p.Rounds, DefaultX2Params().Rounds)
-	topo := genTopo(p.Scale, p.Seed)
+	topo := genTopo(p.Scale, x2Seed)
 	t := NewTable("X2 — Vivaldi convergence (2-D, transit-stub latency matrix)",
 		"rounds", "median rel err", "p90 rel err", "mean rel err")
 	for _, rounds := range p.Rounds {
-		emb, err := vivaldi.Embed(topo.NumNodes(), topo.PairLatency, vivaldi.DefaultConfig(), rounds, 4, rand.New(rand.NewSource(p.Seed)))
+		emb, err := vivaldi.Embed(topo.NumNodes(), topo.PairLatency, vivaldi.DefaultConfig(), rounds, 4, rand.New(rand.NewSource(x2Seed)))
 		if err != nil {
 			return nil, err
 		}
-		q := emb.Evaluate(topo.PairLatency, 3000, rand.New(rand.NewSource(p.Seed+1)))
+		q := emb.Evaluate(topo.PairLatency, 3000, rand.New(rand.NewSource(x2Seed+1)))
 		t.AddRow(rounds, q.MedianRelErr, q.P90RelErr, q.MeanRelErr)
 	}
 	t.AddNote("expected shape: error falls steeply over the first tens of rounds and flattens — coordinates are usable long before full convergence")
 	return t, nil
 }
 
+const x3Seed = 13 // seeds X3's topology, embeddings and targets
+
 // X3Params configures the mapping-error study.
 type X3Params struct {
 	Scale   Scale
-	Seed    int64
 	Dims    []int
 	Targets int
 }
 
-// DefaultX3Params returns the full-scale configuration.
-func DefaultX3Params() X3Params {
-	return X3Params{Scale: Full, Seed: 13, Dims: []int{2, 3, 4, 5}, Targets: 100}
+// DefaultX3Params returns the configuration at scale s.
+func DefaultX3Params(s Scale) X3Params {
+	return X3Params{Scale: s, Dims: []int{2, 3, 4, 5}, Targets: 100}
 }
 
 // X3 measures Hilbert-DHT mapping error against cost-space
@@ -148,13 +149,11 @@ func DefaultX3Params() X3Params {
 // (fixed 64-bit keys buy fewer bits per dimension), so the walk must
 // inspect more candidates for the same accuracy.
 func X3(p X3Params) (*Table, error) {
-	orDefaultList(&p.Dims, DefaultX3Params().Dims)
-	orDefault(&p.Targets, DefaultX3Params().Targets)
-	topo := genTopo(p.Scale, p.Seed)
+	topo := genTopo(p.Scale, x3Seed)
 	t := NewTable("X3 — Hilbert-DHT mapping error vs cost-space dimensionality",
 		"vector dims", "bits/dim", "mean err ratio (dht/oracle)", "p95 err ratio", "mean lookup hops")
 	for _, d := range p.Dims {
-		ratios, hops, bits, err := x3ForDims(topo, d, p.Seed, p.Targets)
+		ratios, hops, bits, err := x3ForDims(topo, d, x3Seed, p.Targets)
 		if err != nil {
 			return nil, err
 		}
@@ -177,8 +176,10 @@ func x3ForDims(topo *topology.Topology, dims int, seed int64, targets int) ([]fl
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	builder := spaceBuilder{dims: dims}
-	space := builder.build()
+	space := &costspace.Space{
+		VectorDims: dims,
+		Scalars:    []costspace.ScalarDim{{Name: "cpu-load", Weight: costspace.SquaredWeight{Scale: 100}}},
+	}
 	env, err := newAdhocCatalog(topo, space, emb.Coords, rng)
 	if err != nil {
 		return nil, nil, 0, err
@@ -212,25 +213,20 @@ func x3ForDims(topo *topology.Topology, dims int, seed int64, targets int) ([]fl
 	return ratios, hops, env.catalog.Curve().Bits(), nil
 }
 
+const x4Seed = 14 // seeds X4's worlds and their churn
+
+// x4Churn is the load churn X4 applies every step.
+var x4Churn = workload.Churn{LoadFraction: 0.25, LoadMax: 0.95}
+
 // X4Params configures the re-optimization-under-churn study.
 type X4Params struct {
 	Scale   Scale
-	Seed    int64
 	Queries int
 	Steps   int
-	Churn   workload.Churn
 }
 
-// DefaultX4Params returns the full-scale configuration.
-func DefaultX4Params() X4Params {
-	return X4Params{
-		Scale:   Full,
-		Seed:    14,
-		Queries: 12,
-		Steps:   12,
-		Churn:   workload.Churn{LoadFraction: 0.25, LoadMax: 0.95},
-	}
-}
+// DefaultX4Params returns the configuration at scale s.
+func DefaultX4Params(s Scale) X4Params { return X4Params{Scale: s, Queries: 12, Steps: 12} }
 
 // X4 measures local re-optimization (§3.3) under load churn: two
 // identically seeded worlds evolve under the same dynamics, one with the
@@ -238,13 +234,11 @@ func DefaultX4Params() X4Params {
 // step: total load penalty (how hard circuits lean on busy nodes) and
 // network usage.
 func X4(p X4Params) (*Table, error) {
-	orDefault(&p.Queries, DefaultX4Params().Queries)
-	orDefault(&p.Steps, DefaultX4Params().Steps)
 	run := func(reopt bool) ([]float64, []float64, int, error) {
 		qCfg := workload.DefaultQueryConfig()
 		qCfg.NumQueries = p.Queries
 		w, err := scenario.Build(scenario.Spec{
-			Seed:     p.Seed,
+			Seed:     x4Seed,
 			Topology: topoConfig(p.Scale),
 			Streams:  workload.DefaultStreamConfig(),
 			Queries:  qCfg,
@@ -266,11 +260,11 @@ func X4(p X4Params) (*Table, error) {
 		}
 		co := w.Coordinator()
 		truth := optimizer.TrueLatency{Topo: topo}
-		churnRng := rand.New(rand.NewSource(p.Seed * 5))
+		churnRng := rand.New(rand.NewSource(x4Seed * 5))
 		var penalties, usages []float64
 		migrations := 0
 		for step := 0; step < p.Steps; step++ {
-			workload.ApplyChurn(topo, env, p.Churn, churnRng)
+			workload.ApplyChurn(topo, env, x4Churn, churnRng)
 			if reopt {
 				r, err := co.Round(nil, nil)
 				if err != nil {
@@ -304,23 +298,22 @@ func X4(p X4Params) (*Table, error) {
 	return t, nil
 }
 
+const x5Seed = 15 // seeds X5's lookups
+
 // X5Params configures the DHT hop-scaling measurement.
 type X5Params struct {
-	Seed    int64
 	Sizes   []int
 	Lookups int
 }
 
-// DefaultX5Params returns the full configuration.
-func DefaultX5Params() X5Params {
-	return X5Params{Seed: 15, Sizes: []int{32, 64, 128, 256, 512, 1024}, Lookups: 300}
+// DefaultX5Params returns the configuration, the same at every scale.
+func DefaultX5Params(Scale) X5Params {
+	return X5Params{Sizes: []int{32, 64, 128, 256, 512, 1024}, Lookups: 300}
 }
 
 // X5 measures Chord lookup hops against ring size — the cost of the
 // paper's physical-mapping primitive, expected O(log N).
 func X5(p X5Params) (*Table, error) {
-	orDefaultList(&p.Sizes, DefaultX5Params().Sizes)
-	orDefault(&p.Lookups, DefaultX5Params().Lookups)
 	t := NewTable("X5 — DHT lookup hops vs ring size", "peers", "mean hops", "max hops", "log2(N)")
 	for _, n := range p.Sizes {
 		ring := dht.NewRing()
@@ -329,7 +322,7 @@ func X5(p X5Params) (*Table, error) {
 				return nil, err
 			}
 		}
-		rng := rand.New(rand.NewSource(p.Seed + int64(n)))
+		rng := rand.New(rand.NewSource(x5Seed + int64(n)))
 		total, max := 0, 0
 		for k := 0; k < p.Lookups; k++ {
 			_, hops, err := ring.Lookup(topology.NodeID(rng.Intn(n)), dht.ID(rng.Uint64()))
@@ -347,15 +340,20 @@ func X5(p X5Params) (*Table, error) {
 	return t, nil
 }
 
+const x6Seed = 16 // seeds X6's topologies and workloads
+
 // X6Params configures the optimizer-scalability measurement.
 type X6Params struct {
-	Seed      int64
 	StubSizes []int
 }
 
-// DefaultX6Params returns the full configuration.
-func DefaultX6Params() X6Params {
-	return X6Params{Seed: 16, StubSizes: []int{1, 3, 6, 12}}
+// DefaultX6Params returns the configuration at scale s.
+func DefaultX6Params(s Scale) X6Params {
+	p := X6Params{StubSizes: []int{1, 3, 6, 12}}
+	if s == Small {
+		p.StubSizes = []int{1, 3}
+	}
+	return p
 }
 
 // X6 measures optimization time against network size: the cost-space
@@ -364,21 +362,20 @@ func DefaultX6Params() X6Params {
 // the §4 claim that "enumeration-based query optimization performs
 // poorly in a large-scale system".
 func X6(p X6Params) (*Table, error) {
-	orDefaultList(&p.StubSizes, DefaultX6Params().StubSizes)
 	t := NewTable("X6 — optimizer scalability vs network size (3-way join)",
 		"nodes", "integrated ms", "exhaustive ms", "speedup", "usage integrated", "usage exhaustive", "usage gap %")
 	for _, stubs := range p.StubSizes {
 		cfg := topology.DefaultConfig()
 		cfg.StubNodes = stubs
-		topo := topology.MustGenerate(cfg, rand.New(rand.NewSource(p.Seed)))
-		rng := rand.New(rand.NewSource(p.Seed * 9))
+		topo := topology.MustGenerate(cfg, rand.New(rand.NewSource(x6Seed)))
+		rng := rand.New(rand.NewSource(x6Seed * 9))
 		sCfg := workload.DefaultStreamConfig()
 		sCfg.NumStreams = 3
 		stats, err := workload.GenerateStats(topo, sCfg, rng)
 		if err != nil {
 			return nil, err
 		}
-		envCfg := optimizer.DefaultEnvConfig(p.Seed)
+		envCfg := optimizer.DefaultEnvConfig(x6Seed)
 		envCfg.UseDHT = false
 		// Zero background load: the exhaustive oracle optimizes usage
 		// only, so load-avoidance by the cost-space mapper would show up
@@ -431,26 +428,26 @@ func X6(p X6Params) (*Table, error) {
 	return t, nil
 }
 
+const x7Seed = 17 // run r of X7 uses seed x7Seed + r
+
 // X7Params configures the spring-vs-Weiszfeld placement ablation.
 type X7Params struct {
 	Scale Scale
-	Seed  int64
 	Runs  int
 }
 
-// DefaultX7Params returns the full configuration.
-func DefaultX7Params() X7Params { return X7Params{Scale: Full, Seed: 17, Runs: 12} }
+// DefaultX7Params returns the configuration at scale s.
+func DefaultX7Params(s Scale) X7Params { return X7Params{Scale: s, Runs: 12} }
 
 // X7 compares the paper's quadratic spring relaxation against direct
 // Weiszfeld minimization of Σ rate·latency for virtual placement: how
 // much does the quadratic surrogate cost in final measured usage?
 func X7(p X7Params) (*Table, error) {
-	orDefault(&p.Runs, DefaultX7Params().Runs)
 	t := NewTable("X7 — virtual placement objective: spring (rate·d²) vs Weiszfeld (rate·d)",
 		"run", "usage spring", "usage weiszfeld", "weiszfeld/spring")
 	var ratios []float64
 	for run := 1; run <= p.Runs; run++ {
-		seed := p.Seed + int64(run)
+		seed := x7Seed + int64(run)
 		topo := genTopo(p.Scale, seed)
 		rng := rand.New(rand.NewSource(seed * 21))
 		stats, err := workload.GenerateStats(topo, workload.DefaultStreamConfig(), rng)
@@ -505,20 +502,6 @@ type adhocSource struct {
 func (a *adhocSource) Space() *costspace.Space { return a.space }
 
 func (a *adhocSource) CostIndex() *costindex.Index { return a.ix }
-
-// spaceBuilder constructs a d-vector + squared-load cost space.
-type spaceBuilder struct {
-	dims int
-}
-
-func (b *spaceBuilder) build() *costspace.Space {
-	return &costspace.Space{
-		VectorDims: b.dims,
-		Scalars: []costspace.ScalarDim{
-			{Name: "cpu-load", Weight: costspace.SquaredWeight{Scale: 100}},
-		},
-	}
-}
 
 // newAdhocCatalog publishes random-load points for every topology node
 // into a fresh Hilbert-DHT catalog over the given space.

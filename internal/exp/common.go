@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
-	"time"
 
 	"github.com/hourglass/sbon/internal/optimizer"
 	"github.com/hourglass/sbon/internal/stream"
@@ -39,22 +38,6 @@ func topoConfig(s Scale) topology.Config {
 // genTopo builds the scaled topology deterministically from the seed.
 func genTopo(s Scale, seed int64) *topology.Topology {
 	return topology.MustGenerate(topoConfig(s), rand.New(rand.NewSource(seed)))
-}
-
-// orDefault replaces an unset size, count or duration (<= 0) with its
-// default, so each Params type states its literals once, in its
-// Default function.
-func orDefault[T int | float64 | time.Duration](v *T, def T) {
-	if *v <= 0 {
-		*v = def
-	}
-}
-
-// orDefaultList is orDefault for a sweep's list of points.
-func orDefaultList[T any](v *[]T, def []T) {
-	if len(*v) == 0 {
-		*v = def
-	}
 }
 
 // stubTopology is the paper's transit-stub shape with the given stub

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/hourglass/sbon/internal/workload"
 )
 
 func TestTableFormatting(t *testing.T) {
@@ -52,7 +50,9 @@ func cell(t *testing.T, tb *Table, row, col int) float64 {
 }
 
 func TestFig1SmallShape(t *testing.T) {
-	tb, err := Fig1(Fig1Params{Scale: Small, Seeds: 5})
+	p := DefaultFig1Params(Small)
+	p.Seeds = 5
+	tb, err := Fig1(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,9 @@ func TestFig1SmallShape(t *testing.T) {
 
 func TestFig2SmallShape(t *testing.T) {
 	var pts bytes.Buffer
-	tb, err := Fig2(Fig2Params{Scale: Small, Seed: 2, PointsCSV: &pts})
+	p := DefaultFig2Params(Small)
+	p.PointsCSV = &pts
+	tb, err := Fig2(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,9 @@ func TestFig2SmallShape(t *testing.T) {
 }
 
 func TestFig3SmallShape(t *testing.T) {
-	tb, err := Fig3(Fig3Params{Scale: Small, Seed: 3, Trials: 40})
+	p := DefaultFig3Params(Small)
+	p.Trials = 40
+	tb, err := Fig3(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +124,9 @@ func TestFig3SmallShape(t *testing.T) {
 }
 
 func TestFig4SmallShape(t *testing.T) {
-	tb, err := Fig4(Fig4Params{Scale: Small, Seed: 4, Background: 10, Probes: 6,
-		Radii: []float64{0, 20, math.Inf(1)}})
+	p := DefaultFig4Params(Small)
+	p.Background, p.Probes, p.Radii = 10, 6, []float64{0, 20, math.Inf(1)}
+	tb, err := Fig4(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +152,9 @@ func TestFig4SmallShape(t *testing.T) {
 }
 
 func TestX1SmallShape(t *testing.T) {
-	tb, err := X1(X1Params{Scale: Small, Seed: 11, QueryCounts: []int{4, 8}})
+	p := DefaultX1Params(Small)
+	p.QueryCounts = []int{4, 8}
+	tb, err := X1(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +170,9 @@ func TestX1SmallShape(t *testing.T) {
 }
 
 func TestX2SmallShape(t *testing.T) {
-	tb, err := X2(X2Params{Scale: Small, Seed: 12, Rounds: []int{1, 10, 50}})
+	p := DefaultX2Params(Small)
+	p.Rounds = []int{1, 10, 50}
+	tb, err := X2(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +184,9 @@ func TestX2SmallShape(t *testing.T) {
 }
 
 func TestX3SmallShape(t *testing.T) {
-	tb, err := X3(X3Params{Scale: Small, Seed: 13, Dims: []int{2, 4}, Targets: 30})
+	p := DefaultX3Params(Small)
+	p.Dims, p.Targets = []int{2, 4}, 30
+	tb, err := X3(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +202,9 @@ func TestX3SmallShape(t *testing.T) {
 }
 
 func TestX4SmallShape(t *testing.T) {
-	tb, err := X4(X4Params{Scale: Small, Seed: 14, Queries: 5, Steps: 5,
-		Churn: workload.Churn{LoadFraction: 0.3, LoadMax: 0.95}})
+	p := DefaultX4Params(Small)
+	p.Queries, p.Steps = 5, 5
+	tb, err := X4(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +222,9 @@ func TestX4SmallShape(t *testing.T) {
 }
 
 func TestX5Shape(t *testing.T) {
-	tb, err := X5(X5Params{Seed: 15, Sizes: []int{32, 256}, Lookups: 100})
+	p := DefaultX5Params(Small)
+	p.Sizes, p.Lookups = []int{32, 256}, 100
+	tb, err := X5(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +236,7 @@ func TestX5Shape(t *testing.T) {
 }
 
 func TestX6SmallShape(t *testing.T) {
-	tb, err := X6(X6Params{Seed: 16, StubSizes: []int{1, 3}})
+	tb, err := X6(DefaultX6Params(Small))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +254,9 @@ func TestX6SmallShape(t *testing.T) {
 }
 
 func TestX7SmallShape(t *testing.T) {
-	tb, err := X7(X7Params{Scale: Small, Seed: 17, Runs: 4})
+	p := DefaultX7Params(Small)
+	p.Runs = 4
+	tb, err := X7(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +273,9 @@ func TestX7SmallShape(t *testing.T) {
 
 func TestX8Quick(t *testing.T) {
 	// A 60-simulated-second window per circuit, instant.
-	tb, err := X8(X8Params{Seed: 18, RunFor: 600 * time.Millisecond})
+	p := DefaultX8Params(Small)
+	p.RunFor = 600 * time.Millisecond
+	tb, err := X8(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +297,9 @@ func TestX8Quick(t *testing.T) {
 // same-seed runs — the reproducibility acceptance criterion.
 func TestX8VirtualDeterministic(t *testing.T) {
 	run := func() *Table {
-		tb, err := X8(X8Params{Seed: 18, RunFor: 400 * time.Millisecond})
+		p := DefaultX8Params(Small)
+		p.RunFor = 400 * time.Millisecond
+		tb, err := X8(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,8 +317,8 @@ func TestX8VirtualDeterministic(t *testing.T) {
 }
 
 func TestX11SmallShape(t *testing.T) {
-	p := X11Params{Seed: 19, StubNodes: 5, Streams: 8, Queries: 25, SimSeconds: 2,
-		HeartbeatEvery: 500 * time.Millisecond, TupleSizeKB: 4}
+	p := DefaultX11Params(Small)
+	p.Streams, p.Queries = 8, 25
 	tb, err := X11(p)
 	if err != nil {
 		t.Fatal(err)
@@ -330,8 +350,8 @@ func TestX11SmallShape(t *testing.T) {
 // TestX11Deterministic checks same-seed reproducibility of the scenario
 // measurements (all columns except the wall-time stopwatch).
 func TestX11Deterministic(t *testing.T) {
-	p := X11Params{Seed: 19, StubNodes: 5, Streams: 8, Queries: 15, SimSeconds: 1,
-		HeartbeatEvery: 500 * time.Millisecond, TupleSizeKB: 4}
+	p := DefaultX11Params(Small)
+	p.Streams, p.Queries, p.SimSeconds = 8, 15, 1
 	run := func() []string {
 		tb, err := X11(p)
 		if err != nil {
@@ -391,7 +411,7 @@ func TestLookup(t *testing.T) {
 }
 
 func TestX10SmallShape(t *testing.T) {
-	tb, err := X10(X10Params{Scale: Small, Seeds: 3, States: []int{1, 2, 4, 8}})
+	tb, err := X10(DefaultX10Params(Small))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +430,7 @@ func TestX10SmallShape(t *testing.T) {
 }
 
 func TestX9SmallShape(t *testing.T) {
-	tb, err := X9(X9Params{Scale: Small, Seeds: 4})
+	tb, err := X9(DefaultX9Params(Small))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,17 +450,8 @@ func readFile(path string) ([]byte, error) {
 	return os.ReadFile(path)
 }
 
-// smallX12 is the CI-scale churn configuration.
-func smallX12() X12Params {
-	p := DefaultX12Params()
-	p.StubNodes = 5 // 256 nodes
-	p.Queries = 12
-	p.WarmupSimSeconds = 2
-	return p
-}
-
 func TestX12SmallShape(t *testing.T) {
-	tb, err := X12(smallX12())
+	tb, err := X12(DefaultX12Params(Small))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +478,7 @@ func TestX12SmallShape(t *testing.T) {
 
 func TestX12Deterministic(t *testing.T) {
 	run := func() [][]string {
-		tb, err := X12(smallX12())
+		tb, err := X12(DefaultX12Params(Small))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,19 +494,8 @@ func TestX12Deterministic(t *testing.T) {
 	}
 }
 
-// smallX13 is the CI-scale adaptation configuration.
-func smallX13() X13Params {
-	p := DefaultX13Params()
-	p.StubNodes = 5 // 256 nodes
-	p.Queries = 30
-	p.Budget = 6
-	p.IntervalSimSeconds = 1
-	p.WarmupSimSeconds = 2
-	return p
-}
-
 func TestX13SmallShape(t *testing.T) {
-	tb, err := X13(smallX13())
+	tb, err := X13(DefaultX13Params(Small))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +521,7 @@ func TestX13SmallShape(t *testing.T) {
 func TestX13NotesRepeat(t *testing.T) {
 	var first []string
 	for i := 0; i < 10; i++ {
-		tb, err := X13(smallX13())
+		tb, err := X13(DefaultX13Params(Small))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -545,7 +545,7 @@ func TestX13FullScaleTrajectory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-node scenario skipped in -short")
 	}
-	tb, err := X13(DefaultX13Params())
+	tb, err := X13(DefaultX13Params(Full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +569,7 @@ func TestX13FullScaleTrajectory(t *testing.T) {
 
 func TestX13Deterministic(t *testing.T) {
 	run := func() [][]string {
-		tb, err := X13(smallX13())
+		tb, err := X13(DefaultX13Params(Small))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -585,18 +585,8 @@ func TestX13Deterministic(t *testing.T) {
 	}
 }
 
-// smallX14 is the CI-scale shared-execution configuration.
-func smallX14() X14Params {
-	p := DefaultX14Params()
-	p.StubNodes = 5 // 256 nodes
-	p.Groups = 8
-	p.PerGroup = 3
-	p.MeasureSimSeconds = 2
-	return p
-}
-
 func TestX14SmallShape(t *testing.T) {
-	tb, err := X14(smallX14())
+	tb, err := X14(DefaultX14Params(Small))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -631,7 +621,7 @@ func TestX14FullScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-node scenario skipped in -short")
 	}
-	tb, err := X14(DefaultX14Params())
+	tb, err := X14(DefaultX14Params(Full))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -642,8 +632,8 @@ func TestX14FullScale(t *testing.T) {
 	if !(onUsage < offUsage) {
 		t.Fatalf("reuse did not lower data-plane usage at full scale: %v vs %v", onUsage, offUsage)
 	}
-	if shared := cell(t, tb, 0, 3); shared < float64(DefaultX14Params().Groups)/2 {
-		t.Fatalf("only %v shared instances executing, want most of the %d groups", shared, DefaultX14Params().Groups)
+	if shared := cell(t, tb, 0, 3); shared < float64(DefaultX14Params(Full).Groups)/2 {
+		t.Fatalf("only %v shared instances executing, want most of the %d groups", shared, DefaultX14Params(Full).Groups)
 	}
 	for r := 0; r < 2; r++ {
 		if loss := cell(t, tb, r, 8); loss != 0 {
@@ -652,20 +642,12 @@ func TestX14FullScale(t *testing.T) {
 	}
 }
 
-// smallX15 is the CI-scale incremental re-planning configuration.
-func smallX15() X15Params {
-	p := DefaultX15Params()
-	p.StubNodes = 5 // 256 nodes
-	p.Queries = 40
-	return p
-}
-
 func TestX15SmallShape(t *testing.T) {
-	tb, err := X15(smallX15())
+	tb, err := X15(DefaultX15Params(Small))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != len(smallX15().DeltaFractions) {
+	if len(tb.Rows) != len(x15DeltaFractions) {
 		t.Fatalf("rows = %d, want one per delta fraction", len(tb.Rows))
 	}
 	// Small deltas must stay incremental and evaluate strictly fewer
@@ -688,7 +670,7 @@ func TestX15SmallShape(t *testing.T) {
 
 func TestX15Deterministic(t *testing.T) {
 	run := func() [][]string {
-		tb, err := X15(smallX15())
+		tb, err := X15(DefaultX15Params(Small))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -712,11 +694,11 @@ func TestX15FullScaleSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-node scenario skipped in -short")
 	}
-	tb, err := X15(DefaultX15Params())
+	tb, err := X15(DefaultX15Params(Full))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, f := range DefaultX15Params().DeltaFractions {
+	for i, f := range x15DeltaFractions {
 		if f != 0.01 {
 			continue
 		}
@@ -731,7 +713,7 @@ func TestX15FullScaleSpeedup(t *testing.T) {
 
 func TestX14Deterministic(t *testing.T) {
 	run := func() [][]string {
-		tb, err := X14(smallX14())
+		tb, err := X14(DefaultX14Params(Small))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -747,20 +729,8 @@ func TestX14Deterministic(t *testing.T) {
 	}
 }
 
-// smallX16 is the CI-scale failure-recovery configuration (256 nodes,
-// ~13 crashes).
-func smallX16() X16Params {
-	p := DefaultX16Params()
-	p.StubNodes = 5 // 256 nodes
-	p.Queries = 30
-	p.WarmupSimSeconds = 2
-	p.CrashSpreadSimSeconds = 2
-	p.RunSimSeconds = 6
-	return p
-}
-
 func TestX16SmallShape(t *testing.T) {
-	tb, err := X16(smallX16())
+	tb, err := X16(DefaultX16Params(Small))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -789,7 +759,7 @@ func TestX16SmallShape(t *testing.T) {
 
 func TestX16Deterministic(t *testing.T) {
 	run := func() [][]string {
-		tb, err := X16(smallX16())
+		tb, err := X16(DefaultX16Params(Small))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -817,7 +787,7 @@ func TestX16FullScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-node scenario skipped in -short")
 	}
-	tb, err := X16(DefaultX16Params())
+	tb, err := X16(DefaultX16Params(Full))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ type Fig1Params struct {
 	Seeds int
 }
 
-// DefaultFig1Params returns the full-scale configuration.
-func DefaultFig1Params() Fig1Params { return Fig1Params{Scale: Full, Seeds: 15} }
+// DefaultFig1Params returns the configuration at scale s.
+func DefaultFig1Params(s Scale) Fig1Params { return Fig1Params{Scale: s, Seeds: 15} }
 
 // Fig1 reproduces Figure 1: the inefficiency of two-step optimization.
 //
@@ -35,7 +35,6 @@ func DefaultFig1Params() Fig1Params { return Fig1Params{Scale: Full, Seeds: 15} 
 // Reported: network usage (Σ rate·latency, measured on the true
 // topology) and consumer latency of both deployed circuits.
 func Fig1(p Fig1Params) (*Table, error) {
-	orDefault(&p.Seeds, DefaultFig1Params().Seeds)
 	t := NewTable("Figure 1 — two-step vs integrated optimization (4-way join, clustered producers)",
 		"seed", "two-step plan", "integrated plan", "usage two-step", "usage integrated",
 		"usage ratio", "latency two-step", "latency integrated")

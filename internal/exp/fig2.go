@@ -11,18 +11,19 @@ import (
 	"github.com/hourglass/sbon/internal/topology"
 )
 
+const fig2Seed = 2 // seeds the Figure 2 topology and embedding
+
 // Fig2Params configures the Figure 2 reproduction.
 type Fig2Params struct {
 	Scale Scale
-	Seed  int64
 	// PointsCSV, when non-nil, receives one row per node
 	// (id,kind,x,y,load,load_weighted) — the scatter the paper plots.
 	PointsCSV io.Writer
 }
 
-// DefaultFig2Params returns the full-scale configuration (≈600 nodes,
-// the paper's Figure 2 setting).
-func DefaultFig2Params() Fig2Params { return Fig2Params{Scale: Full, Seed: 2} }
+// DefaultFig2Params returns the configuration at scale s (Full is ≈600
+// nodes, the paper's Figure 2 setting).
+func DefaultFig2Params(s Scale) Fig2Params { return Fig2Params{Scale: s} }
 
 // Fig2 reproduces Figure 2: ~600 transit-stub nodes embedded in a
 // 3-dimensional cost space — two Vivaldi latency dimensions (x,y) and a
@@ -31,8 +32,8 @@ func DefaultFig2Params() Fig2Params { return Fig2Params{Scale: Full, Seed: 2} }
 // latency embedding, and how the squared weighting stretches loaded
 // nodes away from the latency plane.
 func Fig2(p Fig2Params) (*Table, error) {
-	topo := genTopo(p.Scale, p.Seed)
-	cfg := optimizer.DefaultEnvConfig(p.Seed)
+	topo := genTopo(p.Scale, fig2Seed)
+	cfg := optimizer.DefaultEnvConfig(fig2Seed)
 	env, err := optimizer.NewEnv(topo, nil, cfg)
 	if err != nil {
 		return nil, err

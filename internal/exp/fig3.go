@@ -10,15 +10,16 @@ import (
 	"github.com/hourglass/sbon/internal/vivaldi"
 )
 
+const fig3Seed = 3 // seeds the Figure 3 topology, embedding and trials
+
 // Fig3Params configures the Figure 3 reproduction.
 type Fig3Params struct {
 	Scale  Scale
-	Seed   int64
 	Trials int
 }
 
-// DefaultFig3Params returns the full-scale configuration.
-func DefaultFig3Params() Fig3Params { return Fig3Params{Scale: Full, Seed: 3, Trials: 150} }
+// DefaultFig3Params returns the configuration at scale s.
+func DefaultFig3Params(s Scale) Fig3Params { return Fig3Params{Scale: s, Trials: 150} }
 
 // Fig3 reproduces Figure 3: virtual placement followed by physical
 // mapping in the cost space. Per trial, a virtual coordinate is chosen
@@ -34,14 +35,13 @@ func DefaultFig3Params() Fig3Params { return Fig3Params{Scale: Full, Seed: 3, Tr
 // vector-only mapper must fall into it. Mapping error is the full-space
 // distance between the virtual coordinate and the chosen node.
 func Fig3(p Fig3Params) (*Table, error) {
-	orDefault(&p.Trials, DefaultFig3Params().Trials)
-	topo := genTopo(p.Scale, p.Seed)
-	cfg := optimizer.DefaultEnvConfig(p.Seed)
+	topo := genTopo(p.Scale, fig3Seed)
+	cfg := optimizer.DefaultEnvConfig(fig3Seed)
 	env, err := optimizer.NewEnv(topo, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(p.Seed * 31))
+	rng := rand.New(rand.NewSource(fig3Seed * 31))
 	space := env.Space()
 
 	mappers := []placement.Mapper{

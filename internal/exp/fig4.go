@@ -10,10 +10,11 @@ import (
 	"github.com/hourglass/sbon/internal/workload"
 )
 
+const fig4Seed = 4 // seeds the Figure 4 topology, catalog and queries
+
 // Fig4Params configures the Figure 4 reproduction.
 type Fig4Params struct {
 	Scale Scale
-	Seed  int64
 	// Background is the number of circuits deployed before probing.
 	Background int
 	// Probes is the number of new queries optimized at each radius.
@@ -23,11 +24,10 @@ type Fig4Params struct {
 	Radii []float64
 }
 
-// DefaultFig4Params returns the full-scale configuration.
-func DefaultFig4Params() Fig4Params {
+// DefaultFig4Params returns the configuration at scale s.
+func DefaultFig4Params(s Scale) Fig4Params {
 	return Fig4Params{
-		Scale:      Full,
-		Seed:       4,
+		Scale:      s,
 		Background: 30,
 		Probes:     15,
 		Radii:      []float64{0, 10, 25, 50, 100, math.Inf(1)},
@@ -42,11 +42,8 @@ func DefaultFig4Params() Fig4Params {
 // quantity pruning bounds), how often it found a reusable service, and
 // the marginal network usage of the circuits it built.
 func Fig4(p Fig4Params) (*Table, error) {
-	orDefault(&p.Background, DefaultFig4Params().Background)
-	orDefault(&p.Probes, DefaultFig4Params().Probes)
-	orDefaultList(&p.Radii, DefaultFig4Params().Radii)
-	topo := genTopo(p.Scale, p.Seed)
-	rng := rand.New(rand.NewSource(p.Seed * 13))
+	topo := genTopo(p.Scale, fig4Seed)
+	rng := rand.New(rand.NewSource(fig4Seed * 13))
 
 	streamCfg := workload.DefaultStreamConfig()
 	streamCfg.Placement = workload.Clustered
@@ -57,7 +54,7 @@ func Fig4(p Fig4Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	envCfg := optimizer.DefaultEnvConfig(p.Seed)
+	envCfg := optimizer.DefaultEnvConfig(fig4Seed)
 	envCfg.UseDHT = false // oracle mapping keeps the sweep deterministic and fast
 	env, err := optimizer.NewEnv(topo, stats, envCfg)
 	if err != nil {

@@ -165,9 +165,9 @@ func TestGoldenSmall(t *testing.T) {
 			sum(name+".placement", []byte(fingerprintNote(t, tb)))
 		}
 	}
-	traced("x12", func(tr *trace.Tracer) (*Table, error) { p := smallX12(); p.Trace = tr; return X12(p) }, false)
-	traced("x16", func(tr *trace.Tracer) (*Table, error) { p := smallX16(); p.Trace = tr; return X16(p) }, true)
-	traced("x17", func(tr *trace.Tracer) (*Table, error) { p := smallX17(); p.Trace = tr; return X17(p) }, true)
+	traced("x12", func(tr *trace.Tracer) (*Table, error) { p := DefaultX12Params(Small); p.Trace = tr; return X12(p) }, false)
+	traced("x16", func(tr *trace.Tracer) (*Table, error) { p := DefaultX16Params(Small); p.Trace = tr; return X16(p) }, true)
+	traced("x17", func(tr *trace.Tracer) (*Table, error) { p := DefaultX17Params(Small); p.Trace = tr; return X17(p) }, true)
 
 	checkGolden(t, "testdata/golden_small.sha256", got)
 }

@@ -1,10 +1,13 @@
 // Package exp contains the experiment harness that regenerates every
 // figure of the paper and the ablations and scenarios this repository
 // adds to them. Each experiment is a pure function from parameters to a
-// Table; cmd/sbon-exp prints them and the root benchmarks time them.
+// Table, run on its parameters exactly as given; its Default…Params(scale)
+// is the one place that writes its values, for both scales, and the knobs
+// no caller varies are constants beside it. Run prints the tables of All
+// (cmd/sbon-exp is its front end) and the root benchmarks time them.
 //
-// The artifacts (RunAll's list; golden_test.go pins the small-scale
-// bytes of each):
+// The artifacts (All's list; golden_test.go pins the bytes of each at
+// Small scale and, under SBON_FULLSCALE=1, at Full):
 //
 //	fig1  two-step vs integrated optimization (network usage)
 //	fig2  the ~600-node transit-stub network embedded in a cost space
@@ -64,8 +67,6 @@ func (t *Table) AddRow(vals ...any) {
 	for i, v := range vals {
 		switch x := v.(type) {
 		case float64:
-			row[i] = fmt.Sprintf("%.4g", x)
-		case float32:
 			row[i] = fmt.Sprintf("%.4g", x)
 		default:
 			row[i] = fmt.Sprintf("%v", v)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -20,128 +21,28 @@ type Experiment struct {
 // All returns every experiment in presentation order.
 func All() []Experiment {
 	return []Experiment{
-		{"fig1", func(s Scale) (*Table, error) { p := DefaultFig1Params(); p.Scale = s; return Fig1(p) }},
-		{"fig2", func(s Scale) (*Table, error) { p := DefaultFig2Params(); p.Scale = s; return Fig2(p) }},
-		{"fig3", func(s Scale) (*Table, error) { p := DefaultFig3Params(); p.Scale = s; return Fig3(p) }},
-		{"fig4", func(s Scale) (*Table, error) { p := DefaultFig4Params(); p.Scale = s; return Fig4(p) }},
-		{"x1", func(s Scale) (*Table, error) { p := DefaultX1Params(); p.Scale = s; return X1(p) }},
-		{"x2", func(s Scale) (*Table, error) { p := DefaultX2Params(); p.Scale = s; return X2(p) }},
-		{"x3", func(s Scale) (*Table, error) { p := DefaultX3Params(); p.Scale = s; return X3(p) }},
-		{"x4", func(s Scale) (*Table, error) { p := DefaultX4Params(); p.Scale = s; return X4(p) }},
-		{"x5", func(s Scale) (*Table, error) { return X5(DefaultX5Params()) }},
-		{"x6", func(s Scale) (*Table, error) {
-			p := DefaultX6Params()
-			if s == Small {
-				p.StubSizes = []int{1, 3}
-			}
-			return X6(p)
-		}},
-		{"x7", func(s Scale) (*Table, error) { p := DefaultX7Params(); p.Scale = s; return X7(p) }},
-		{"x8", func(s Scale) (*Table, error) {
-			p := DefaultX8Params()
-			if s == Small {
-				p.RunFor = 700 * time.Millisecond
-			}
-			return X8(p)
-		}},
-		{"x11", func(s Scale) (*Table, error) {
-			p := DefaultX11Params()
-			if s == Small {
-				p.StubNodes = 5 // 256 nodes
-				p.Queries = 30
-				p.SimSeconds = 2
-			}
-			return X11(p)
-		}},
-		{"x12", func(s Scale) (*Table, error) {
-			p := DefaultX12Params()
-			if s == Small {
-				p.StubNodes = 5 // 256 nodes
-				p.Queries = 12
-				p.WarmupSimSeconds = 2
-			}
-			return X12(p)
-		}},
-		{"x13", func(s Scale) (*Table, error) {
-			p := DefaultX13Params()
-			if s == Small {
-				p.StubNodes = 5 // 256 nodes
-				p.Queries = 30
-				p.Budget = 6
-				p.IntervalSimSeconds = 1
-				p.WarmupSimSeconds = 2
-			}
-			return X13(p)
-		}},
-		{"x14", func(s Scale) (*Table, error) {
-			p := DefaultX14Params()
-			if s == Small {
-				p.StubNodes = 5 // 256 nodes
-				p.Groups = 8
-				p.PerGroup = 3
-				p.MeasureSimSeconds = 2
-			}
-			return X14(p)
-		}},
-		{"x15", func(s Scale) (*Table, error) {
-			p := DefaultX15Params()
-			if s == Small {
-				p.StubNodes = 5 // 256 nodes
-				p.Queries = 40
-			}
-			return X15(p)
-		}},
-		{"x16", func(s Scale) (*Table, error) {
-			p := DefaultX16Params()
-			if s == Small {
-				p.StubNodes = 5 // 256 nodes
-				p.Queries = 30
-				p.WarmupSimSeconds = 2
-				p.CrashSpreadSimSeconds = 2
-				p.RunSimSeconds = 6
-			}
-			return X16(p)
-		}},
-		{"x17", func(s Scale) (*Table, error) {
-			p := DefaultX17Params()
-			if s == Small {
-				p.StubsPerTransit = 8
-				p.StubNodes = 8 // 1040 nodes
-				p.Queries = 2000
-				p.EngineCircuits = 64
-				p.TickerWarmRounds = 20
-				p.Rounds = 2
-			}
-			return X17(p)
-		}},
-		{"x18", func(s Scale) (*Table, error) {
-			p := DefaultX18Params()
-			if s == Small {
-				p.StubsPerTransit = 8
-				p.StubNodes = 8 // 4160 nodes
-				p.Streams = 32
-				p.Queries = 2000
-				p.EngineCircuits = 64
-				p.TickerWarmRounds = 10
-			}
-			return X17(p)
-		}},
-		{"x9", func(s Scale) (*Table, error) {
-			p := DefaultX9Params()
-			p.Scale = s
-			if s == Small {
-				p.Seeds = 4
-			}
-			return X9(p)
-		}},
-		{"x10", func(s Scale) (*Table, error) {
-			p := DefaultX10Params()
-			p.Scale = s
-			if s == Small {
-				p.Seeds = 3
-			}
-			return X10(p)
-		}},
+		{"fig1", func(s Scale) (*Table, error) { return Fig1(DefaultFig1Params(s)) }},
+		{"fig2", func(s Scale) (*Table, error) { return Fig2(DefaultFig2Params(s)) }},
+		{"fig3", func(s Scale) (*Table, error) { return Fig3(DefaultFig3Params(s)) }},
+		{"fig4", func(s Scale) (*Table, error) { return Fig4(DefaultFig4Params(s)) }},
+		{"x1", func(s Scale) (*Table, error) { return X1(DefaultX1Params(s)) }},
+		{"x2", func(s Scale) (*Table, error) { return X2(DefaultX2Params(s)) }},
+		{"x3", func(s Scale) (*Table, error) { return X3(DefaultX3Params(s)) }},
+		{"x4", func(s Scale) (*Table, error) { return X4(DefaultX4Params(s)) }},
+		{"x5", func(s Scale) (*Table, error) { return X5(DefaultX5Params(s)) }},
+		{"x6", func(s Scale) (*Table, error) { return X6(DefaultX6Params(s)) }},
+		{"x7", func(s Scale) (*Table, error) { return X7(DefaultX7Params(s)) }},
+		{"x8", func(s Scale) (*Table, error) { return X8(DefaultX8Params(s)) }},
+		{"x11", func(s Scale) (*Table, error) { return X11(DefaultX11Params(s)) }},
+		{"x12", func(s Scale) (*Table, error) { return X12(DefaultX12Params(s)) }},
+		{"x13", func(s Scale) (*Table, error) { return X13(DefaultX13Params(s)) }},
+		{"x14", func(s Scale) (*Table, error) { return X14(DefaultX14Params(s)) }},
+		{"x15", func(s Scale) (*Table, error) { return X15(DefaultX15Params(s)) }},
+		{"x16", func(s Scale) (*Table, error) { return X16(DefaultX16Params(s)) }},
+		{"x17", func(s Scale) (*Table, error) { return X17(DefaultX17Params(s)) }},
+		{"x18", func(s Scale) (*Table, error) { return X17(DefaultX18Params(s)) }},
+		{"x9", func(s Scale) (*Table, error) { return X9(DefaultX9Params(s)) }},
+		{"x10", func(s Scale) (*Table, error) { return X10(DefaultX10Params(s)) }},
 	}
 }
 
@@ -155,7 +56,7 @@ func Lookup(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// RunOptions controls Run/RunAll output.
+// RunOptions controls Run's output.
 type RunOptions struct {
 	Scale Scale
 	// OutDir, when non-empty, receives one CSV per experiment (and the
@@ -182,19 +83,12 @@ func Run(w io.Writer, ids []string, opts RunOptions) error {
 		start := time.Now()
 		var table *Table
 		var err error
-		if e.ID == "fig2" && opts.OutDir != "" {
+		var points bytes.Buffer
+		if e.ID == "fig2" {
 			// fig2 additionally dumps its point cloud.
-			f, ferr := os.Create(filepath.Join(opts.OutDir, "fig2_points.csv"))
-			if ferr != nil {
-				return ferr
-			}
-			p := DefaultFig2Params()
-			p.Scale = opts.Scale
-			p.PointsCSV = f
+			p := DefaultFig2Params(opts.Scale)
+			p.PointsCSV = &points
 			table, err = Fig2(p)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
 		} else {
 			table, err = e.Run(opts.Scale)
 		}
@@ -203,31 +97,25 @@ func Run(w io.Writer, ids []string, opts RunOptions) error {
 		}
 		table.AddHostNote("experiment %s completed in %v", e.ID, time.Since(start).Round(time.Millisecond))
 		table.Fprint(w)
-		if opts.OutDir != "" {
-			if err := writeOut(filepath.Join(opts.OutDir, e.ID+".csv"), table.WriteCSV); err != nil {
-				return err
-			}
-			notes := func(w io.Writer) error {
-				_, err := io.WriteString(w, strings.Join(table.Notes, "\n")+"\n")
-				return err
-			}
-			if err := writeOut(filepath.Join(opts.OutDir, e.ID+".notes.txt"), notes); err != nil {
+		if opts.OutDir == "" {
+			continue
+		}
+		var rows bytes.Buffer
+		if err := table.WriteCSV(&rows); err != nil {
+			return err
+		}
+		files := map[string][]byte{
+			e.ID + ".csv":       rows.Bytes(),
+			e.ID + ".notes.txt": []byte(strings.Join(table.Notes, "\n") + "\n"),
+		}
+		if e.ID == "fig2" {
+			files["fig2_points.csv"] = points.Bytes()
+		}
+		for name, b := range files {
+			if err := os.WriteFile(filepath.Join(opts.OutDir, name), b, 0o644); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// writeOut creates path and fills it with write.
-func writeOut(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

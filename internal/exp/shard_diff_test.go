@@ -23,7 +23,7 @@ import (
 func x16Artifacts(t *testing.T, shards int) ([][]string, string, []byte) {
 	t.Helper()
 	tr := trace.New(simtime.NewVirtual())
-	p := smallX16()
+	p := DefaultX16Params(Small)
 	p.Trace = tr
 	p.DataShards = shards
 	tb, err := X16(p)
@@ -42,7 +42,7 @@ func x16Artifacts(t *testing.T, shards int) ([][]string, string, []byte) {
 func x17Artifacts(t *testing.T, shards int) ([][]string, string, []byte) {
 	t.Helper()
 	tr := trace.New(simtime.NewVirtual())
-	p := smallX17()
+	p := DefaultX17Params(Small)
 	p.Trace = tr
 	p.DataShards = shards
 	tb, err := X17(p)
@@ -132,18 +132,8 @@ func TestX17ShardedBitIdentical(t *testing.T) {
 // 64-way sharding of the 102,464-node scale point, shrunk to test time)
 // and requires identical rows — the "deterministic reruns" criterion.
 func TestX18Deterministic(t *testing.T) {
-	small := func() X17Params {
-		p := DefaultX18Params()
-		p.StubsPerTransit = 8
-		p.StubNodes = 8 // 64 + 64·8·8 = 4160 nodes
-		p.Streams = 32
-		p.Queries = 2000
-		p.EngineCircuits = 64
-		p.TickerWarmRounds = 10
-		return p
-	}
 	run := func() ([][]string, string) {
-		tb, err := X17(small())
+		tb, err := X17(DefaultX18Params(Small))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func traced(t *testing.T, run func(tr *trace.Tracer) (*Table, error)) []byte {
 
 // tracedX16 runs the CI-scale crash/repair scenario traced.
 func tracedX16(t *testing.T) []byte {
-	return traced(t, func(tr *trace.Tracer) (*Table, error) { p := smallX16(); p.Trace = tr; return X16(p) })
+	return traced(t, func(tr *trace.Tracer) (*Table, error) { p := DefaultX16Params(Small); p.Trace = tr; return X16(p) })
 }
 
 // The tentpole determinism contract: two same-seed virtual-clock runs
@@ -95,7 +95,7 @@ func TestX16TraceCoversAllLayers(t *testing.T) {
 // trace must carry migration spans with their cutover instants.
 func TestX12TraceHasMigrationSpans(t *testing.T) {
 	tr := trace.New(simtime.NewVirtual())
-	p := smallX12()
+	p := DefaultX12Params(Small)
 	p.Trace = tr
 	if _, err := X12(p); err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestX12TraceHasMigrationSpans(t *testing.T) {
 func TestAdaptSpansSitUnderARound(t *testing.T) {
 	for name, raw := range map[string][]byte{
 		"x16": tracedX16(t),
-		"x17": traced(t, func(tr *trace.Tracer) (*Table, error) { p := smallX17(); p.Trace = tr; return X17(p) }),
+		"x17": traced(t, func(tr *trace.Tracer) (*Table, error) { p := DefaultX17Params(Small); p.Trace = tr; return X17(p) }),
 	} {
 		type span struct {
 			cat, name string

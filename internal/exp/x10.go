@@ -2,17 +2,22 @@ package exp
 
 import "github.com/hourglass/sbon/internal/optimizer"
 
+// x10States are the hypothetical-network-state counts to sweep.
+var x10States = []int{1, 2, 4, 8}
+
 // X10Params configures the precomputed-plan-bank comparison.
 type X10Params struct {
 	Scale Scale
 	Seeds int
-	// States are the hypothetical-network-state counts to sweep.
-	States []int
 }
 
-// DefaultX10Params returns the full-scale configuration.
-func DefaultX10Params() X10Params {
-	return X10Params{Scale: Full, Seeds: 8, States: []int{1, 2, 4, 8}}
+// DefaultX10Params returns the configuration at scale s.
+func DefaultX10Params(s Scale) X10Params {
+	p := X10Params{Scale: s, Seeds: 8}
+	if s == Small {
+		p.Seeds = 3
+	}
+	return p
 }
 
 // X10 quantifies §2.3's critique of precomputed dynamic plans (Graefe &
@@ -22,15 +27,13 @@ func DefaultX10Params() X10Params {
 // narrows the gap as K grows — at the cost of guessing the right states
 // in advance, which is exactly the limitation the paper calls out.
 func X10(p X10Params) (*Table, error) {
-	orDefault(&p.Seeds, DefaultX10Params().Seeds)
-	orDefaultList(&p.States, DefaultX10Params().States)
 	t := NewTable("X10 — precomputed plan banks (Graefe–Ward) vs two-step and integrated",
 		"seed", "two-step", "bank K=1", "bank K=2", "bank K=4", "bank K=8",
 		"integrated", "distinct plans @K=8")
 
 	type acc struct{ two, integ float64 }
 	var sums acc
-	bankSums := make([]float64, len(p.States))
+	bankSums := make([]float64, len(x10States))
 
 	for seed := int64(1); seed <= int64(p.Seeds); seed++ {
 		fs, err := newFig1Seed(p.Scale, seed)
@@ -45,7 +48,7 @@ func X10(p X10Params) (*Table, error) {
 
 		row := []any{seed, u2}
 		distinct := 0
-		for i, k := range p.States {
+		for i, k := range x10States {
 			pb := optimizer.NewPlanBank(fs.env)
 			pb.Mapper = fs.mapper
 			pb.Model = truth

@@ -8,11 +8,23 @@ import (
 	"github.com/hourglass/sbon/internal/stream"
 )
 
+const (
+	x11Seed = 19 // seeds X11's world
+	// x11WarmupSimSeconds runs the data plane before measurement starts
+	// so join windows fill.
+	x11WarmupSimSeconds = 5
+	// x11HeartbeatEvery is the per-node liveness ping period in
+	// simulated milliseconds of clock time.
+	x11HeartbeatEvery = 500 * time.Millisecond
+	// x11TupleSizeKB sets the producer tuple size; larger tuples mean
+	// fewer events for the same data rates.
+	x11TupleSizeKB = 4
+)
+
 // X11Params configures the large-scale virtual-time scenario.
 type X11Params struct {
-	Seed int64
-	// StubNodes is the per-stub-domain node count; the default 21 gives
-	// a 1024-node transit-stub topology.
+	// StubNodes is the per-stub-domain node count; 21 gives a 1024-node
+	// transit-stub topology.
 	StubNodes int
 	// Streams is the published stream population.
 	Streams int
@@ -20,30 +32,18 @@ type X11Params struct {
 	Queries int
 	// SimSeconds is the measurement window in simulated seconds.
 	SimSeconds float64
-	// WarmupSimSeconds runs the data plane before measurement starts so
-	// join windows fill (default 5).
-	WarmupSimSeconds float64
-	// HeartbeatEvery is the per-node liveness ping period in simulated
-	// milliseconds of clock time (0 disables heartbeats).
-	HeartbeatEvery time.Duration
-	// TupleSizeKB sets the producer tuple size; larger tuples mean
-	// fewer events for the same data rates.
-	TupleSizeKB float64
 }
 
-// DefaultX11Params returns the full-scale configuration: 1024 overlay
-// nodes and 200 concurrent queries.
-func DefaultX11Params() X11Params {
-	return X11Params{
-		Seed:             19,
-		StubNodes:        21,
-		Streams:          16,
-		Queries:          200,
-		SimSeconds:       3,
-		WarmupSimSeconds: 5,
-		HeartbeatEvery:   500 * time.Millisecond,
-		TupleSizeKB:      4,
+// DefaultX11Params returns the configuration at scale s: at Full, 1024
+// overlay nodes and 200 concurrent queries.
+func DefaultX11Params(s Scale) X11Params {
+	p := X11Params{StubNodes: 21, Streams: 16, Queries: 200, SimSeconds: 3}
+	if s == Small {
+		p.StubNodes = 5 // 256 nodes
+		p.Queries = 30
+		p.SimSeconds = 2
 	}
+	return p
 }
 
 // X11 is the thousand-node virtual-time scenario: a ≥1000-node overlay
@@ -54,17 +54,10 @@ func DefaultX11Params() X11Params {
 // delivery events — completes in seconds of wall time and is
 // bit-reproducible for a fixed seed.
 func X11(p X11Params) (*Table, error) {
-	d := DefaultX11Params()
-	orDefault(&p.StubNodes, d.StubNodes)
-	orDefault(&p.Streams, d.Streams)
-	orDefault(&p.Queries, d.Queries)
-	orDefault(&p.SimSeconds, d.SimSeconds)
-	orDefault(&p.WarmupSimSeconds, d.WarmupSimSeconds)
-	orDefault(&p.TupleSizeKB, d.TupleSizeKB)
 	wallStart := time.Now()
 
 	w, err := scenario.Build(scenario.Spec{
-		Seed:     p.Seed,
+		Seed:     x11Seed,
 		Topology: stubTopology(p.StubNodes),
 		Streams:  streamsOf(p.Streams),
 		// Relays, filters, and 2-way joins: the aggregate ratio is a
@@ -72,7 +65,7 @@ func X11(p X11Params) (*Table, error) {
 		// window-fill transient over short windows).
 		Queries: queriesOf(p.Queries, 1, 2),
 		UseDHT:  true,
-		Engine:  expEngine(p.TupleSizeKB),
+		Engine:  expEngine(x11TupleSizeKB),
 	})
 	if err != nil {
 		return nil, err
@@ -98,14 +91,12 @@ func X11(p X11Params) (*Table, error) {
 		analyticUsage += results[i].Circuit.NetworkUsage(truth)
 		analyticRate += results[i].Circuit.Plan.OutRate
 	}
-	if p.HeartbeatEvery > 0 {
-		w.StartHeartbeats(p.HeartbeatEvery)
-	}
+	w.StartHeartbeats(x11HeartbeatEvery)
 
 	// Warm up (join windows fill), snapshot, run the measurement window,
 	// and report steady-state deltas.
 	runs := w.Runs
-	w.SimSleep(p.WarmupSimSeconds)
+	w.SimSleep(x11WarmupSimSeconds)
 	before := make([]stream.Measurement, len(runs))
 	for i, run := range runs {
 		before[i] = run.Measure()

@@ -9,40 +9,41 @@ import (
 	"github.com/hourglass/sbon/internal/trace"
 )
 
+const (
+	x12Seed = 20 // seeds X12's world
+	// x12Streams is the published stream population.
+	x12Streams = 12
+	// x12KillFraction of overlay nodes depart mid-run.
+	x12KillFraction = 0.05
+	// x12HeartbeatEvery paces liveness pings.
+	x12HeartbeatEvery = 500 * time.Millisecond
+	// x12TupleSizeKB sets producer tuple granularity.
+	x12TupleSizeKB = 4
+)
+
 // X12Params configures the node-churn-during-execution scenario.
 type X12Params struct {
-	Seed int64
-	// StubNodes is the per-stub-domain node count (default 12 → 592
-	// nodes, the paper's scale).
+	// StubNodes is the per-stub-domain node count (12 → 592 nodes, the
+	// paper's scale).
 	StubNodes int
-	// Streams and Queries size the executing workload.
-	Streams int
+	// Queries sizes the executing workload.
 	Queries int
-	// KillFraction of overlay nodes depart mid-run (default 0.05).
-	KillFraction float64
 	// WarmupSimSeconds runs the data plane before the churn event.
 	WarmupSimSeconds float64
-	// HeartbeatEvery paces liveness pings (0 disables).
-	HeartbeatEvery time.Duration
-	// TupleSizeKB sets producer tuple granularity.
-	TupleSizeKB float64
 	// Trace, when set, records the run's structured events (drain
 	// migrations, adaptation rounds, sampled tuple hops).
 	Trace *trace.Tracer
 }
 
-// DefaultX12Params returns the full-scale configuration.
-func DefaultX12Params() X12Params {
-	return X12Params{
-		Seed:             20,
-		StubNodes:        12,
-		Streams:          12,
-		Queries:          40,
-		KillFraction:     0.05,
-		WarmupSimSeconds: 5,
-		HeartbeatEvery:   500 * time.Millisecond,
-		TupleSizeKB:      4,
+// DefaultX12Params returns the configuration at scale s.
+func DefaultX12Params(s Scale) X12Params {
+	p := X12Params{StubNodes: 12, Queries: 40, WarmupSimSeconds: 5}
+	if s == Small {
+		p.StubNodes = 5 // 256 nodes
+		p.Queries = 12
+		p.WarmupSimSeconds = 2
 	}
+	return p
 }
 
 // X12 is the node-churn scenario the deploy-once engine could never
@@ -56,22 +57,15 @@ func DefaultX12Params() X12Params {
 // producers — every produced tuple accounted for at a consumer or
 // inside a (counted) join/aggregate reduction.
 func X12(p X12Params) (*Table, error) {
-	d := DefaultX12Params()
-	orDefault(&p.StubNodes, d.StubNodes)
-	orDefault(&p.Streams, d.Streams)
-	orDefault(&p.Queries, d.Queries)
-	orDefault(&p.KillFraction, d.KillFraction)
-	orDefault(&p.WarmupSimSeconds, d.WarmupSimSeconds)
-	orDefault(&p.TupleSizeKB, d.TupleSizeKB)
 	wallStart := time.Now()
 
 	// Oracle mapping: identical results, faster churn sweeps.
 	w, err := scenario.Build(scenario.Spec{
-		Seed:     p.Seed,
+		Seed:     x12Seed,
 		Topology: stubTopology(p.StubNodes),
-		Streams:  streamsOf(p.Streams),
+		Streams:  streamsOf(x12Streams),
 		Queries:  queriesOf(p.Queries, 1, 2),
-		Engine:   expEngine(p.TupleSizeKB),
+		Engine:   expEngine(x12TupleSizeKB),
 		Tracer:   p.Trace,
 	})
 	if err != nil {
@@ -92,17 +86,15 @@ func X12(p X12Params) (*Table, error) {
 		return nil, err
 	}
 	truth := optimizer.TrueLatency{Topo: topo}
-	if p.HeartbeatEvery > 0 {
-		w.StartHeartbeats(p.HeartbeatEvery)
-	}
+	w.StartHeartbeats(x12HeartbeatEvery)
 	w.SimSleep(p.WarmupSimSeconds)
 
-	// Victim selection: KillFraction of all nodes, half of them hosting
+	// Victim selection: x12KillFraction of all nodes, half of them hosting
 	// an operator (a departure that never touches a running service
 	// would make the drain a no-op), none pinning an endpoint
 	// (producers and consumers cannot leave losslessly — "one cannot
 	// move mountains").
-	victims := w.CrashVictims(int(p.KillFraction*float64(topo.NumNodes())), true)
+	victims := w.CrashVictims(int(x12KillFraction*float64(topo.NumNodes())), true)
 	departed := make(map[topology.NodeID]bool, len(victims))
 	for _, v := range victims {
 		departed[v] = true
@@ -157,7 +149,7 @@ func X12(p X12Params) (*Table, error) {
 	t.AddRow("rejoin+sweep", len(victims), rejoin.Migrated, rejoin.Buffered, rejoin.Forwarded,
 		net.SimMillis(rejoin.SettleDuration), unrouted+downDropped-drainLoss)
 	t.AddNote("killed %.0f%% of %d nodes mid-execution; %d circuits kept running; produced %d tuples, delivered %d",
-		p.KillFraction*100, topo.NumNodes(), len(w.Runs), produced, delivered)
+		x12KillFraction*100, topo.NumNodes(), len(w.Runs), produced, delivered)
 	t.AddNote("loss accounting: unrouted=%d, data-to-dead-node=%d (heartbeats to dead nodes: %d, counted separately)",
 		unrouted, downDropped, hbDropped)
 	t.AddNote("total network usage %.0f → %.0f KB·ms/s across the churn", usageBefore, usageAfter)

@@ -9,42 +9,45 @@ import (
 	"github.com/hourglass/sbon/internal/workload"
 )
 
+const (
+	x13Seed = 23 // seeds X13's world
+	// x13Streams is the published stream population.
+	x13Streams = 16
+	// x13Sweeps is the number of adaptation rounds.
+	x13Sweeps = 4
+	// x13DriftFraction of nodes get fresh background loads before every
+	// sweep — the "drifting services" dynamic of the paper, §3.3.
+	x13DriftFraction = 0.1
+	// x13TupleSizeKB sets producer tuple granularity.
+	x13TupleSizeKB = 4
+)
+
 // X13Params configures the periodic-adaptation scenario.
 type X13Params struct {
-	Seed int64
-	// StubNodes is the per-stub-domain node count; the default 21 gives
-	// the 1024-node overlay.
+	// StubNodes is the per-stub-domain node count; 21 gives the
+	// 1024-node overlay.
 	StubNodes int
-	Streams   int
 	Queries   int
-	// Sweeps is the number of adaptation rounds (default 4).
-	Sweeps int
 	// Budget caps migrations per sweep so the adaptation spreads across
 	// rounds instead of thrashing in one.
 	Budget int
-	// DriftFraction of nodes get fresh background loads before every
-	// sweep — the "drifting services" dynamic of the paper, §3.3.
-	DriftFraction float64
 	// IntervalSimSeconds of dataflow run between sweeps.
 	IntervalSimSeconds float64
 	WarmupSimSeconds   float64
-	TupleSizeKB        float64
 }
 
-// DefaultX13Params returns the full-scale 1024-node configuration.
-func DefaultX13Params() X13Params {
-	return X13Params{
-		Seed:               23,
-		StubNodes:          21,
-		Streams:            16,
-		Queries:            120,
-		Sweeps:             4,
-		Budget:             16,
-		DriftFraction:      0.1,
-		IntervalSimSeconds: 2,
-		WarmupSimSeconds:   4,
-		TupleSizeKB:        4,
+// DefaultX13Params returns the configuration at scale s: at Full, the
+// 1024-node overlay.
+func DefaultX13Params(s Scale) X13Params {
+	p := X13Params{StubNodes: 21, Queries: 120, Budget: 16, IntervalSimSeconds: 2, WarmupSimSeconds: 4}
+	if s == Small {
+		p.StubNodes = 5 // 256 nodes
+		p.Queries = 30
+		p.Budget = 6
+		p.IntervalSimSeconds = 1
+		p.WarmupSimSeconds = 2
 	}
+	return p
 }
 
 // X13 is the continuous-adaptation scenario at scale: a 1024-node
@@ -58,25 +61,15 @@ func DefaultX13Params() X13Params {
 // migrates, with zero tuple loss — the paper's central "continuous
 // optimization" claim exercised end to end on running circuits.
 func X13(p X13Params) (*Table, error) {
-	d := DefaultX13Params()
-	orDefault(&p.StubNodes, d.StubNodes)
-	orDefault(&p.Streams, d.Streams)
-	orDefault(&p.Queries, d.Queries)
-	orDefault(&p.Sweeps, d.Sweeps)
-	orDefault(&p.Budget, d.Budget)
-	orDefault(&p.DriftFraction, d.DriftFraction)
-	orDefault(&p.IntervalSimSeconds, d.IntervalSimSeconds)
-	orDefault(&p.WarmupSimSeconds, d.WarmupSimSeconds)
-	orDefault(&p.TupleSizeKB, d.TupleSizeKB)
 	wallStart := time.Now()
 
 	// Oracle mapping: same answers, fast drift sweeps.
 	w, err := scenario.Build(scenario.Spec{
-		Seed:     p.Seed,
+		Seed:     x13Seed,
 		Topology: stubTopology(p.StubNodes),
-		Streams:  streamsOf(p.Streams),
+		Streams:  streamsOf(x13Streams),
 		Queries:  queriesOf(p.Queries, 1, 2),
-		Engine:   expEngine(p.TupleSizeKB),
+		Engine:   expEngine(x13TupleSizeKB),
 	})
 	if err != nil {
 		return nil, err
@@ -103,14 +96,14 @@ func X13(p X13Params) (*Table, error) {
 	// (precedent: X9's rewriting also re-optimizes against truth).
 	co.Model, co.Threshold = truth, 0.01
 	co.Select = func(plan optimizer.MigrationPlan) optimizer.MigrationPlan { return bestMoves(plan, p.Budget) }
-	churn := workload.Churn{LoadFraction: p.DriftFraction, LoadMax: 0.9}
+	churn := workload.Churn{LoadFraction: x13DriftFraction, LoadMax: 0.9}
 
 	t := NewTable(fmt.Sprintf("X13 — periodic adaptation on a %d-node overlay under drifting load", topo.NumNodes()),
 		"sweep", "planned", "migrated", "usage before", "usage after", "settle sim-ms", "buffered", "forwarded")
 	usage := dep.TotalUsage(truth)
 	var totalMigrations, totalBuffered, totalForwarded int
 	monotone := true
-	for sweep := 1; sweep <= p.Sweeps; sweep++ {
+	for sweep := 1; sweep <= x13Sweeps; sweep++ {
 		w.Drift(churn)
 		before := dep.TotalUsage(truth)
 		r, err := co.Round(nil, nil)
@@ -138,10 +131,10 @@ func X13(p X13Params) (*Table, error) {
 	wall := time.Since(wallStart)
 
 	t.AddNote("%d nodes, %d circuits, %d migrations over %d sweeps; final usage %.0f KB·ms/s; non-increasing per sweep, strictly lower on every sweep that migrated: %v",
-		topo.NumNodes(), len(w.Runs), totalMigrations, p.Sweeps, usage, monotone)
+		topo.NumNodes(), len(w.Runs), totalMigrations, x13Sweeps, usage, monotone)
 	t.AddNote("zero-loss accounting: unrouted=%d data-to-dead=%d; produced %d tuples, delivered %d; buffered %d / forwarded %d across handoffs",
 		unrouted, downDropped, produced, delivered, totalBuffered, totalForwarded)
 	t.AddHostNote("wall %v for %.0f simulated circuit-seconds of adaptive execution",
-		wall.Round(time.Millisecond), float64(len(w.Runs))*(p.WarmupSimSeconds+float64(p.Sweeps)*p.IntervalSimSeconds))
+		wall.Round(time.Millisecond), float64(len(w.Runs))*(p.WarmupSimSeconds+x13Sweeps*p.IntervalSimSeconds))
 	return t, nil
 }

@@ -12,40 +12,41 @@ import (
 	"github.com/hourglass/sbon/internal/topology"
 )
 
+const (
+	x14Seed = 29 // seeds X14's world and query population
+	// x14Streams is the published stream population.
+	x14Streams = 16
+	// x14TupleSizeKB sets producer tuple granularity.
+	x14TupleSizeKB = 4
+)
+
 // X14Params configures the shared-execution scenario.
 type X14Params struct {
-	Seed int64
-	// StubNodes is the per-stub-domain node count; the default 21 gives
-	// the 1024-node overlay.
+	// StubNodes is the per-stub-domain node count; 21 gives the
+	// 1024-node overlay.
 	StubNodes int
-	Streams   int
 	// Groups is the number of shared subtrees: distinct stream pairs
-	// whose join every query in the group computes (default 40).
+	// whose join every query in the group computes.
 	Groups int
-	// PerGroup is the number of queries per group (default 5, giving
+	// PerGroup is the number of queries per group (5 at Full, giving
 	// the 200-query workload): the first deploys the join, the rest
 	// stack distinct aggregates on top and reuse it.
 	PerGroup int
-	// Radius is the §3.4 reuse pruning radius for the reuse-on pass
-	// (default +Inf: full multi-query optimization).
-	Radius float64
 	// MeasureSimSeconds is the data-plane measurement window.
 	MeasureSimSeconds float64
-	TupleSizeKB       float64
 }
 
-// DefaultX14Params returns the full-scale 1024-node configuration.
-func DefaultX14Params() X14Params {
-	return X14Params{
-		Seed:              29,
-		StubNodes:         21,
-		Streams:           16,
-		Groups:            40,
-		PerGroup:          5,
-		Radius:            math.Inf(1),
-		MeasureSimSeconds: 5,
-		TupleSizeKB:       4,
+// DefaultX14Params returns the configuration at scale s: at Full, the
+// 1024-node overlay.
+func DefaultX14Params(s Scale) X14Params {
+	p := X14Params{StubNodes: 21, Groups: 40, PerGroup: 5, MeasureSimSeconds: 5}
+	if s == Small {
+		p.StubNodes = 5 // 256 nodes
+		p.Groups = 8
+		p.PerGroup = 3
+		p.MeasureSimSeconds = 2
 	}
+	return p
 }
 
 // x14Pass is one full build-optimize-deploy-execute-measure run of the
@@ -70,8 +71,8 @@ type x14Pass struct {
 // the same join so the join subtree is the only shareable part.
 func x14Queries(p X14Params, stubs []topology.NodeID, rng *rand.Rand) []query.Query {
 	var pairs [][2]query.StreamID
-	for a := 0; a < p.Streams; a++ {
-		for b := a + 1; b < p.Streams; b++ {
+	for a := 0; a < x14Streams; a++ {
+		for b := a + 1; b < x14Streams; b++ {
 			pairs = append(pairs, [2]query.StreamID{query.StreamID(a), query.StreamID(b)})
 		}
 	}
@@ -104,10 +105,10 @@ func x14RunPass(p X14Params, radius float64) (x14Pass, error) {
 	var out x14Pass
 	// Oracle mapping: same answers, fast sequential deploys.
 	w, err := scenario.Build(scenario.Spec{
-		Seed:     p.Seed,
+		Seed:     x14Seed,
 		Topology: stubTopology(p.StubNodes),
-		Streams:  streamsOf(p.Streams),
-		Engine:   expEngine(p.TupleSizeKB),
+		Streams:  streamsOf(x14Streams),
+		Engine:   expEngine(x14TupleSizeKB),
 	})
 	if err != nil {
 		return out, err
@@ -118,7 +119,7 @@ func x14RunPass(p X14Params, radius float64) (x14Pass, error) {
 	}
 	// The query population is identical for both passes: its own RNG,
 	// independent of the world's streams.
-	qs := x14Queries(p, w.Topo.StubNodeIDs(), rand.New(rand.NewSource(p.Seed*7)))
+	qs := x14Queries(p, w.Topo.StubNodeIDs(), rand.New(rand.NewSource(x14Seed*7)))
 
 	mq := optimizer.NewMultiQuery(w.Env, w.Deployment.Registry, radius)
 	mq.Mapper = placement.OracleMapper{Source: w.Env}
@@ -160,19 +161,11 @@ func x14RunPass(p X14Params, radius float64) (x14Pass, error) {
 // not just in control-plane accounting. Both passes are deterministic
 // under the virtual clock.
 func X14(p X14Params) (*Table, error) {
-	d := DefaultX14Params()
-	orDefault(&p.StubNodes, d.StubNodes)
-	orDefault(&p.Streams, d.Streams)
-	orDefault(&p.Groups, d.Groups)
-	orDefault(&p.PerGroup, d.PerGroup)
-	if p.Radius == 0 {
-		p.Radius = d.Radius
-	}
-	orDefault(&p.MeasureSimSeconds, d.MeasureSimSeconds)
-	orDefault(&p.TupleSizeKB, d.TupleSizeKB)
 	wallStart := time.Now()
 
-	on, err := x14RunPass(p, p.Radius)
+	// The reuse-on pass prunes reuse to radius +Inf: full multi-query
+	// optimization (§3.4).
+	on, err := x14RunPass(p, math.Inf(1))
 	if err != nil {
 		return nil, err
 	}

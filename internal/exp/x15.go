@@ -7,38 +7,39 @@ import (
 	"github.com/hourglass/sbon/internal/optimizer"
 	"github.com/hourglass/sbon/internal/placement"
 	"github.com/hourglass/sbon/internal/scenario"
-	"github.com/hourglass/sbon/internal/trace"
 	"github.com/hourglass/sbon/internal/workload"
 )
 
+const (
+	x15Seed = 31 // seeds X15's world
+	// x15Streams is the published stream population.
+	x15Streams = 16
+)
+
+// x15DeltaFractions are the per-round drift sizes: before each re-plan,
+// this fraction of nodes gets a fresh background load, and the round
+// compares a full sweep against the delta-driven incremental one. The
+// last (0.30) exceeds the re-optimizer's FullSweepFraction,
+// demonstrating the graceful fallback.
+var x15DeltaFractions = []float64{0.005, 0.01, 0.02, 0.05, 0.30}
+
 // X15Params configures the incremental re-planning scenario.
 type X15Params struct {
-	Seed int64
-	// StubNodes is the per-stub-domain node count; the default 21 gives
-	// the 1024-node overlay.
+	// StubNodes is the per-stub-domain node count; 21 gives the
+	// 1024-node overlay.
 	StubNodes int
-	Streams   int
 	Queries   int
-	// DeltaFractions are the per-round drift sizes: before each re-plan,
-	// this fraction of nodes gets a fresh background load, and the round
-	// compares a full sweep against the delta-driven incremental one.
-	// The last default (0.30) exceeds the re-optimizer's
-	// FullSweepFraction, demonstrating the graceful fallback.
-	DeltaFractions []float64
-	// Trace, when set, records plan/plan_incremental spans with
-	// per-move decision events for every round.
-	Trace *trace.Tracer
 }
 
-// DefaultX15Params returns the full-scale 1024-node configuration.
-func DefaultX15Params() X15Params {
-	return X15Params{
-		Seed:           31,
-		StubNodes:      21,
-		Streams:        16,
-		Queries:        200,
-		DeltaFractions: []float64{0.005, 0.01, 0.02, 0.05, 0.30},
+// DefaultX15Params returns the configuration at scale s: at Full, the
+// 1024-node overlay.
+func DefaultX15Params(s Scale) X15Params {
+	p := X15Params{StubNodes: 21, Queries: 200}
+	if s == Small {
+		p.StubNodes = 5 // 256 nodes
+		p.Queries = 40
 	}
+	return p
 }
 
 // X15 measures what incremental re-planning buys: 200 circuits deployed
@@ -53,18 +54,13 @@ func DefaultX15Params() X15Params {
 // degenerate to a full sweep rather than track a log bigger than the
 // overlay.
 func X15(p X15Params) (*Table, error) {
-	d := DefaultX15Params()
-	orDefault(&p.StubNodes, d.StubNodes)
-	orDefault(&p.Streams, d.Streams)
-	orDefault(&p.Queries, d.Queries)
-	orDefaultList(&p.DeltaFractions, d.DeltaFractions)
 	wallStart := time.Now()
 
 	// Oracle mapping: the incremental equivalence contract's regime.
 	w, err := scenario.Build(scenario.Spec{
-		Seed:     p.Seed,
+		Seed:     x15Seed,
 		Topology: stubTopology(p.StubNodes),
-		Streams:  streamsOf(p.Streams),
+		Streams:  streamsOf(x15Streams),
 		Queries:  queriesOf(p.Queries, 2, 3),
 	})
 	if err != nil {
@@ -84,7 +80,6 @@ func X15(p X15Params) (*Table, error) {
 
 	ro := optimizer.NewReoptimizer(dep)
 	ro.Mapper = placement.OracleMapper{Source: env}
-	ro.Tracer = p.Trace
 	// A generous hysteresis margin: the sweep's cost criterion charges a
 	// service's load to its current host but not yet to the candidate,
 	// so heavily loaded services can ping-pong between near-equal hosts
@@ -126,7 +121,7 @@ func X15(p X15Params) (*Table, error) {
 	t := NewTable("X15 — incremental re-planning vs full sweeps under load drift",
 		"delta %", "dirty nodes", "affected circuits", "evaluated full", "evaluated incr", "speedup", "full sweep", "moves")
 	var speedupAt1pct float64
-	for _, f := range p.DeltaFractions {
+	for _, f := range x15DeltaFractions {
 		w.Drift(workload.Churn{LoadFraction: f, LoadMax: 0.4})
 		full, err := ro.Plan()
 		if err != nil {
@@ -168,6 +163,6 @@ func X15(p X15Params) (*Table, error) {
 		t.AddNote("1%%-node drift re-evaluated %.1fx fewer services than the full sweep", speedupAt1pct)
 	}
 	t.AddHostNote("wall %v for %d full+incremental re-planning rounds",
-		time.Since(wallStart).Round(time.Millisecond), len(p.DeltaFractions))
+		time.Since(wallStart).Round(time.Millisecond), len(x15DeltaFractions))
 	return t, nil
 }

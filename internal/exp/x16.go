@@ -13,38 +13,41 @@ import (
 	"github.com/hourglass/sbon/internal/trace"
 )
 
+const (
+	x16Seed = 37 // seeds X16's world and fault plan
+	// x16Streams is the published stream population.
+	x16Streams = 16
+	// x16CrashFraction of all nodes crash, staggered across the crash
+	// window — the 5% crash scenario. Victims are drawn from
+	// non-endpoint nodes, half of them operator hosts, so every run
+	// exercises actual circuit repair rather than only ambient deaths.
+	x16CrashFraction = 0.05
+	// x16DropProb is the ambient per-message loss every send rides
+	// through, heartbeats included.
+	x16DropProb = 0.01
+	// x16JitterMs adds uniform extra latency to delivered messages.
+	x16JitterMs = 2
+	// x16HeartbeatSimMillis is the heartbeat period; detection latency
+	// is bounded by DeadMissed+1 periods.
+	x16HeartbeatSimMillis = 200
+	// x16RepairIntervalSimMillis paces the detect-repair-sweep loop.
+	x16RepairIntervalSimMillis = 500
+	// x16TupleSizeKB sets producer tuple granularity.
+	x16TupleSizeKB = 4
+)
+
 // X16Params configures the failure-recovery scenario.
 type X16Params struct {
-	Seed int64
-	// StubNodes is the per-stub-domain node count; the default 21 gives
-	// the 1024-node overlay.
+	// StubNodes is the per-stub-domain node count; 21 gives the
+	// 1024-node overlay.
 	StubNodes int
-	Streams   int
 	Queries   int
-	// CrashFraction of all nodes crash, staggered across the crash
-	// window (default 0.05 — the 5% crash scenario). Victims are drawn
-	// from non-endpoint nodes, half of them operator hosts, so every
-	// run exercises actual circuit repair rather than only ambient
-	// deaths.
-	CrashFraction float64
-	// DropProb is the ambient per-message loss every send rides
-	// through, heartbeats included (default 0.01).
-	DropProb float64
-	// JitterMs adds uniform extra latency to delivered messages.
-	JitterMs float64
-	// HeartbeatSimMillis is the heartbeat period (default 200);
-	// detection latency is bounded by DeadMissed+1 periods.
-	HeartbeatSimMillis float64
-	// RepairIntervalSimMillis paces the detect-repair-sweep loop
-	// (default 500).
-	RepairIntervalSimMillis float64
 	// WarmupSimSeconds of fault-free execution precede the crash
 	// window; CrashSpreadSimSeconds is the window's width; the repair
 	// loop then runs RunSimSeconds total after warmup.
 	WarmupSimSeconds      float64
 	CrashSpreadSimSeconds float64
 	RunSimSeconds         float64
-	TupleSizeKB           float64
 	// Trace, when set, records the run's structured events — fault
 	// injections, detector verdicts, repair rounds, migrations, sampled
 	// tuple hops. Nil (the default) traces nothing.
@@ -56,23 +59,18 @@ type X16Params struct {
 	DataShards int
 }
 
-// DefaultX16Params returns the full-scale 1024-node configuration.
-func DefaultX16Params() X16Params {
-	return X16Params{
-		Seed:                    37,
-		StubNodes:               21,
-		Streams:                 16,
-		Queries:                 120,
-		CrashFraction:           0.05,
-		DropProb:                0.01,
-		JitterMs:                2,
-		HeartbeatSimMillis:      200,
-		RepairIntervalSimMillis: 500,
-		WarmupSimSeconds:        4,
-		CrashSpreadSimSeconds:   4,
-		RunSimSeconds:           8,
-		TupleSizeKB:             4,
+// DefaultX16Params returns the configuration at scale s: at Full, the
+// 1024-node overlay.
+func DefaultX16Params(s Scale) X16Params {
+	p := X16Params{StubNodes: 21, Queries: 120, WarmupSimSeconds: 4, CrashSpreadSimSeconds: 4, RunSimSeconds: 8}
+	if s == Small {
+		p.StubNodes = 5 // 256 nodes
+		p.Queries = 30
+		p.WarmupSimSeconds = 2
+		p.CrashSpreadSimSeconds = 2
+		p.RunSimSeconds = 6
 	}
+	return p
 }
 
 // X16 is the unplanned-failure scenario end to end: ~120 circuits
@@ -90,28 +88,16 @@ func DefaultX16Params() X16Params {
 // and post-repair vs pre-crash network usage. The whole run is
 // virtual-clock deterministic: same seed, bit-identical table.
 func X16(p X16Params) (*Table, error) {
-	d := DefaultX16Params()
-	orDefault(&p.StubNodes, d.StubNodes)
-	orDefault(&p.Streams, d.Streams)
-	orDefault(&p.Queries, d.Queries)
-	orDefault(&p.CrashFraction, d.CrashFraction)
-	orDefault(&p.DropProb, d.DropProb)
-	orDefault(&p.HeartbeatSimMillis, d.HeartbeatSimMillis)
-	orDefault(&p.RepairIntervalSimMillis, d.RepairIntervalSimMillis)
-	orDefault(&p.WarmupSimSeconds, d.WarmupSimSeconds)
-	orDefault(&p.CrashSpreadSimSeconds, d.CrashSpreadSimSeconds)
-	orDefault(&p.RunSimSeconds, d.RunSimSeconds)
-	orDefault(&p.TupleSizeKB, d.TupleSizeKB)
 	wallStart := time.Now()
 
 	// Oracle mapping: same answers, fast repair sweeps.
 	w, err := scenario.Build(scenario.Spec{
-		Seed:       p.Seed,
+		Seed:       x16Seed,
 		Topology:   stubTopology(p.StubNodes),
-		Streams:    streamsOf(p.Streams),
+		Streams:    streamsOf(x16Streams),
 		Queries:    queriesOf(p.Queries, 1, 2),
 		DataShards: p.DataShards,
-		Engine:     expEngine(p.TupleSizeKB),
+		Engine:     expEngine(x16TupleSizeKB),
 		Tracer:     p.Trace,
 	})
 	if err != nil {
@@ -133,22 +119,22 @@ func X16(p X16Params) (*Table, error) {
 	}
 	truth := optimizer.TrueLatency{Topo: topo}
 
-	// CrashFraction of all nodes crash, none of them pinned endpoints
+	// x16CrashFraction of all nodes crash, none of them pinned endpoints
 	// (that path is unit-tested; this scenario measures repair), half of
 	// them operator hosts so affected circuits are guaranteed.
-	victims := w.CrashVictims(max(int(p.CrashFraction*float64(topo.NumNodes())+0.5), 1), true)
+	victims := w.CrashVictims(max(int(x16CrashFraction*float64(topo.NumNodes())+0.5), 1), true)
 	if len(victims) == 0 {
 		return nil, fmt.Errorf("x16: no crashable non-endpoint nodes")
 	}
 	warmup := time.Duration(p.WarmupSimSeconds * float64(time.Second))
 	spread := time.Duration(p.CrashSpreadSimSeconds * float64(time.Second))
 	fi := w.InjectFaults(overlay.FaultPlan{
-		Seed:     p.Seed,
-		DropProb: p.DropProb,
-		JitterMs: p.JitterMs,
+		Seed:     x16Seed,
+		DropProb: x16DropProb,
+		JitterMs: x16JitterMs,
 		Crashes:  scenario.StaggerCrashes(victims, warmup+500*time.Millisecond, spread),
 	})
-	det := w.StartFailureDetection(time.Duration(p.HeartbeatSimMillis * float64(time.Millisecond)))
+	det := w.StartFailureDetection(x16HeartbeatSimMillis * time.Millisecond)
 
 	co := w.Coordinator()
 	co.Model, co.Threshold, co.TicketTTL = truth, 0.3, 5*time.Second
@@ -158,8 +144,8 @@ func X16(p X16Params) (*Table, error) {
 	usageBefore := dep.TotalUsage(truth)
 
 	// The detect-repair-adapt loop: one Round per repair interval.
-	interval := time.Duration(p.RepairIntervalSimMillis * float64(time.Millisecond))
-	rounds := int(p.RunSimSeconds*1000/p.RepairIntervalSimMillis + 0.5)
+	interval := x16RepairIntervalSimMillis * time.Millisecond
+	rounds := int(p.RunSimSeconds*1000/x16RepairIntervalSimMillis + 0.5)
 	t := NewTable("X16 — crash detection and automatic circuit repair under ambient loss",
 		"round", "sim-ms", "died", "planned", "repaired", "zombie", "aborted", "buffered lost", "state lost KB")
 	var detections, outages []time.Duration
@@ -221,7 +207,7 @@ func X16(p X16Params) (*Table, error) {
 		lossPct = 100 * float64(lost) / float64(produced)
 	}
 	if lost == 0 {
-		return nil, fmt.Errorf("x16: crashes plus %g%% loss dropped nothing — the scenario is vacuous", 100*p.DropProb)
+		return nil, fmt.Errorf("x16: crashes plus %g%% loss dropped nothing — the scenario is vacuous", 100*x16DropProb)
 	}
 
 	simMs := func(ds []time.Duration) (avg, max float64) {
@@ -242,9 +228,9 @@ func X16(p X16Params) (*Table, error) {
 
 	t.AddNote("%d nodes, %d circuits; crashed %d nodes (%.1f%%) under %.0f%% ambient loss — %d services repaired (%d zombie), %d sweeps-migrated, zero manual Evacuate calls",
 		topo.NumNodes(), len(w.Runs), len(victims), 100*float64(len(victims))/float64(topo.NumNodes()),
-		100*p.DropProb, totalRep.Repaired, totalRep.ZombieRepaired, sweepMigrated)
+		100*x16DropProb, totalRep.Repaired, totalRep.ZombieRepaired, sweepMigrated)
 	t.AddNote("detection latency avg %.0f / max %.0f sim-ms; crash-to-repair avg %.0f / max %.0f sim-ms (beat %.0f ms, repair interval %.0f ms)",
-		detAvg, detMax, outAvg, outMax, p.HeartbeatSimMillis, p.RepairIntervalSimMillis)
+		detAvg, detMax, outAvg, outMax, float64(x16HeartbeatSimMillis), float64(x16RepairIntervalSimMillis))
 	t.AddNote("bounded loss: %d tuples+messages (%.2f%% of %d produced) = %d injector-dropped + %d at-corpse + %d unrouted + %d handoff-buffered; %d heartbeats dropped; operator state lost %.0f KB",
 		lost, lossPct, produced, faultDropped, downDropped, unrouted, bufferedLost, hbDropped, totalRep.StateLostKB)
 	t.AddNote("network usage %.0f KB·ms/s pre-crash vs %.0f post-repair (%.2fx); delivered %d tuples",

@@ -11,11 +11,29 @@ import (
 	"github.com/hourglass/sbon/internal/workload"
 )
 
+const (
+	// x17HeartbeatEvery paces full-population liveness traffic —
+	// heartbeats-on is the point of the scenario.
+	x17HeartbeatEvery = 500 * time.Millisecond
+	// x17TickerInterval is the Vivaldi gossip-round period;
+	// x17TickerSamples the peers each node measures per round.
+	x17TickerInterval = 200 * time.Millisecond
+	x17TickerSamples  = 4
+	// x17DriftFraction of nodes get fresh background loads each round.
+	x17DriftFraction = 0.02
+	// x17Budget caps migrations per adaptation round.
+	x17Budget = 32
+	// x17IntervalSimSeconds of dataflow run between rounds.
+	x17IntervalSimSeconds = 1
+	x17WarmupSimSeconds   = 2
+	x17TupleSizeKB        = 4
+)
+
 // X17Params configures the 16k-node scale scenario.
 type X17Params struct {
 	Seed int64
-	// Topology shape; the defaults give 16 transit + 16·64·16 stub =
-	// 16400 nodes.
+	// Topology shape; DefaultX17Params(Full) gives 16 transit +
+	// 16·64·16 stub = 16400 nodes.
 	TransitDomains  int
 	TransitNodes    int
 	StubsPerTransit int
@@ -39,58 +57,46 @@ type X17Params struct {
 	// heartbeats is what stresses the event kernel).
 	EngineCircuits int
 
-	// HeartbeatEvery enables full-population liveness traffic (0
-	// disables — but heartbeats-on is the point of the scenario).
-	HeartbeatEvery time.Duration
-
-	// TickerInterval is the Vivaldi gossip-round period; TickerSamples
-	// the peers each node measures per round; TickerWarmRounds the
-	// rounds run before the environment is built from the coordinates.
-	TickerInterval   time.Duration
-	TickerSamples    int
+	// TickerWarmRounds is the number of Vivaldi gossip rounds run
+	// before the environment is built from the coordinates.
 	TickerWarmRounds int
 
 	// Rounds is the number of drift → coordinate-sync → adapt rounds.
 	Rounds int
-	// DriftFraction of nodes get fresh background loads each round.
-	DriftFraction float64
-	// Budget caps migrations per adaptation round.
-	Budget int
-	// IntervalSimSeconds of dataflow between rounds.
-	IntervalSimSeconds float64
-	WarmupSimSeconds   float64
-	TupleSizeKB        float64
 
 	// Trace, when set, records the run's structured events (sampled
 	// tuple hops, migration spans, heartbeat drops). Nil traces nothing.
 	Trace *trace.Tracer
 }
 
-// DefaultX17Params returns the full-scale configuration: 16400 overlay
-// nodes, 100k queries through 16 shards, heartbeats on.
-func DefaultX17Params() X17Params {
-	return X17Params{
-		Seed:               29,
-		TransitDomains:     4,
-		TransitNodes:       4,
-		StubsPerTransit:    64,
-		StubNodes:          16,
-		Streams:            64,
-		Queries:            100_000,
-		Shards:             16,
-		DataShards:         16,
-		EngineCircuits:     512,
-		HeartbeatEvery:     500 * time.Millisecond,
-		TickerInterval:     200 * time.Millisecond,
-		TickerSamples:      4,
-		TickerWarmRounds:   40,
-		Rounds:             3,
-		DriftFraction:      0.02,
-		Budget:             32,
-		IntervalSimSeconds: 1,
-		WarmupSimSeconds:   2,
-		TupleSizeKB:        4,
+// DefaultX17Params returns the configuration at scale s: at Full, 16400
+// overlay nodes and 100k queries through 16 shards, heartbeats on; at
+// Small, ~1040 nodes and 2000 queries, so shape and determinism run in
+// unit-test time.
+func DefaultX17Params(s Scale) X17Params {
+	p := X17Params{
+		Seed:             29,
+		TransitDomains:   4,
+		TransitNodes:     4,
+		StubsPerTransit:  64,
+		StubNodes:        16,
+		Streams:          64,
+		Queries:          100_000,
+		Shards:           16,
+		DataShards:       16,
+		EngineCircuits:   512,
+		TickerWarmRounds: 40,
+		Rounds:           3,
 	}
+	if s == Small {
+		p.StubsPerTransit = 8
+		p.StubNodes = 8 // 16 + 16·8·8 = 1040 nodes
+		p.Queries = 2000
+		p.EngineCircuits = 64
+		p.TickerWarmRounds = 20
+		p.Rounds = 2
+	}
+	return p
 }
 
 // topologyConfig is the transit-stub shape the parameters describe.
@@ -123,24 +129,6 @@ func (p X17Params) topologyConfig() topology.Config {
 // numbers are recorded on the overlay metrics registry as
 // coord.syncs / coord.staleness_ms / adapt.oscillations.
 func X17(p X17Params) (*Table, error) {
-	d := DefaultX17Params()
-	orDefault(&p.TransitDomains, d.TransitDomains)
-	orDefault(&p.TransitNodes, d.TransitNodes)
-	orDefault(&p.StubsPerTransit, d.StubsPerTransit)
-	orDefault(&p.StubNodes, d.StubNodes)
-	orDefault(&p.Streams, d.Streams)
-	orDefault(&p.Queries, d.Queries)
-	orDefault(&p.Shards, d.Shards)
-	orDefault(&p.EngineCircuits, d.EngineCircuits)
-	orDefault(&p.TickerInterval, d.TickerInterval)
-	orDefault(&p.TickerSamples, d.TickerSamples)
-	orDefault(&p.TickerWarmRounds, d.TickerWarmRounds)
-	orDefault(&p.Rounds, d.Rounds)
-	orDefault(&p.DriftFraction, d.DriftFraction)
-	orDefault(&p.Budget, d.Budget)
-	orDefault(&p.IntervalSimSeconds, d.IntervalSimSeconds)
-	orDefault(&p.WarmupSimSeconds, d.WarmupSimSeconds)
-	orDefault(&p.TupleSizeKB, d.TupleSizeKB)
 	wallStart := time.Now()
 
 	// Everything runs on one virtual clock: Vivaldi gossip rounds, tuple
@@ -153,9 +141,9 @@ func X17(p X17Params) (*Table, error) {
 		Topology:   p.topologyConfig(),
 		Streams:    streamsOf(p.Streams),
 		Queries:    queriesOf(p.Queries, 1, 2),
-		Ticker:     &scenario.Ticker{Samples: p.TickerSamples, Interval: p.TickerInterval, WarmRounds: p.TickerWarmRounds},
+		Ticker:     &scenario.Ticker{Samples: x17TickerSamples, Interval: x17TickerInterval, WarmRounds: p.TickerWarmRounds},
 		DataShards: p.DataShards,
-		Engine:     expEngine(p.TupleSizeKB),
+		Engine:     expEngine(x17TupleSizeKB),
 		Tracer:     p.Trace,
 	})
 	if err != nil {
@@ -187,10 +175,8 @@ func X17(p X17Params) (*Table, error) {
 		return nil, err
 	}
 	truth := optimizer.TrueLatency{Topo: topo}
-	if p.HeartbeatEvery > 0 {
-		w.StartHeartbeats(p.HeartbeatEvery)
-	}
-	w.SimSleep(p.WarmupSimSeconds)
+	w.StartHeartbeats(x17HeartbeatEvery)
+	w.SimSleep(x17WarmupSimSeconds)
 	pendingPeak := clk.PendingEvents()
 
 	// lastFrom remembers where each (query, service) sat before its
@@ -201,7 +187,7 @@ func X17(p X17Params) (*Table, error) {
 	co := w.Coordinator()
 	co.Model, co.Threshold = truth, 0.01
 	co.Select = func(plan optimizer.MigrationPlan) optimizer.MigrationPlan {
-		selected := bestMoves(plan, p.Budget)
+		selected := bestMoves(plan, x17Budget)
 		for _, m := range selected.Moves {
 			key := fmt.Sprintf("%d/%d", m.Query, m.Service)
 			if prev, ok := lastFrom[key]; ok && prev == m.To {
@@ -211,7 +197,7 @@ func X17(p X17Params) (*Table, error) {
 		}
 		return selected
 	}
-	churn := workload.Churn{LoadFraction: p.DriftFraction, LoadMax: 0.9}
+	churn := workload.Churn{LoadFraction: x17DriftFraction, LoadMax: 0.9}
 
 	staleSeries := net.Metrics.Series("coord.staleness_ms")
 	syncCounter := net.Metrics.Counter("coord.syncs")
@@ -250,7 +236,7 @@ func X17(p X17Params) (*Table, error) {
 		}
 		oscCounter.Add(float64(osc))
 		totalMigrations += r.Sweep.Migrated
-		w.SimSleep(p.IntervalSimSeconds)
+		w.SimSleep(x17IntervalSimSeconds)
 		if pe := clk.PendingEvents(); pe > pendingPeak {
 			pendingPeak = pe
 		}

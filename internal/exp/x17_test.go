@@ -5,22 +5,8 @@ import (
 	"testing"
 )
 
-// smallX17 shrinks the scenario to ~1040 nodes / 2000 queries so shape
-// and determinism run in unit-test time; the full-scale configuration
-// is exercised by TestX17FullScale and BenchmarkX17.
-func smallX17() X17Params {
-	p := DefaultX17Params()
-	p.StubsPerTransit = 8
-	p.StubNodes = 8 // 16 + 16·8·8 = 1040 nodes
-	p.Queries = 2000
-	p.EngineCircuits = 64
-	p.TickerWarmRounds = 20
-	p.Rounds = 2
-	return p
-}
-
 func TestX17SmallShape(t *testing.T) {
-	tb, err := X17(smallX17())
+	tb, err := X17(DefaultX17Params(Small))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +28,7 @@ func TestX17SmallShape(t *testing.T) {
 
 func TestX17Deterministic(t *testing.T) {
 	run := func() [][]string {
-		tb, err := X17(smallX17())
+		tb, err := X17(DefaultX17Params(Small))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +60,7 @@ func TestX17FullScale(t *testing.T) {
 	if os.Getenv("SBON_FULLSCALE") == "" {
 		t.Skip("~5 CPU-seconds at 16k nodes; set SBON_FULLSCALE=1 to run")
 	}
-	tb, err := X17(DefaultX17Params())
+	tb, err := X17(DefaultX17Params(Full))
 	if err != nil {
 		t.Fatal(err)
 	}

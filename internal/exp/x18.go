@@ -7,19 +7,30 @@ package exp
 // event queue serializes everything one core can do; the sharded clock
 // runs K wheels that synchronize only at lookahead barriers, and the
 // event keys keep every artifact bit-identical to a single-queue run
-// (TestX18Deterministic).
-func DefaultX18Params() X17Params {
-	p := DefaultX17Params()
-	p.Seed = 31
-	p.TransitDomains = 8
-	p.TransitNodes = 8
-	p.StubsPerTransit = 16
-	p.StubNodes = 100
-	p.Streams = 128
-	p.Queries = 500_000
-	p.Shards = 64
-	p.DataShards = 64
-	p.EngineCircuits = 1024
-	p.Rounds = 2
+// (TestX18Deterministic). Small keeps that structure and 64-way
+// sharding at 4160 nodes and 2000 queries.
+func DefaultX18Params(s Scale) X17Params {
+	p := X17Params{
+		Seed:             31,
+		TransitDomains:   8,
+		TransitNodes:     8,
+		StubsPerTransit:  16,
+		StubNodes:        100,
+		Streams:          128,
+		Queries:          500_000,
+		Shards:           64,
+		DataShards:       64,
+		EngineCircuits:   1024,
+		TickerWarmRounds: 40,
+		Rounds:           2,
+	}
+	if s == Small {
+		p.StubsPerTransit = 8
+		p.StubNodes = 8 // 64 + 64·8·8 = 4160 nodes
+		p.Streams = 32
+		p.Queries = 2000
+		p.EngineCircuits = 64
+		p.TickerWarmRounds = 10
+	}
 	return p
 }

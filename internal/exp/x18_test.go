@@ -14,14 +14,14 @@ func TestDefaultParamsNodeCounts(t *testing.T) {
 		name      string
 		got, want int
 	}{
-		{"X11", nodes(DefaultX11Params().StubNodes), 1024},
-		{"X12", nodes(DefaultX12Params().StubNodes), 592},
-		{"X13", nodes(DefaultX13Params().StubNodes), 1024},
-		{"X14", nodes(DefaultX14Params().StubNodes), 1024},
-		{"X15", nodes(DefaultX15Params().StubNodes), 1024},
-		{"X16", nodes(DefaultX16Params().StubNodes), 1024},
-		{"X17", DefaultX17Params().topologyConfig().TotalNodes(), 16400},
-		{"X18", DefaultX18Params().topologyConfig().TotalNodes(), 102464},
+		{"X11", nodes(DefaultX11Params(Full).StubNodes), 1024},
+		{"X12", nodes(DefaultX12Params(Full).StubNodes), 592},
+		{"X13", nodes(DefaultX13Params(Full).StubNodes), 1024},
+		{"X14", nodes(DefaultX14Params(Full).StubNodes), 1024},
+		{"X15", nodes(DefaultX15Params(Full).StubNodes), 1024},
+		{"X16", nodes(DefaultX16Params(Full).StubNodes), 1024},
+		{"X17", DefaultX17Params(Full).topologyConfig().TotalNodes(), 16400},
+		{"X18", DefaultX18Params(Full).topologyConfig().TotalNodes(), 102464},
 	} {
 		if c.got != c.want {
 			t.Errorf("Default%sParams builds %d nodes, its doc comment states %d", c.name, c.got, c.want)
@@ -43,7 +43,7 @@ func TestX18FullScale(t *testing.T) {
 	if os.Getenv("SBON_FULLSCALE") == "" {
 		t.Skip("~15 s at 102k nodes; set SBON_FULLSCALE=1 to run")
 	}
-	tb, err := X17(DefaultX18Params())
+	tb, err := X17(DefaultX18Params(Full))
 	if err != nil {
 		t.Fatal(err)
 	}

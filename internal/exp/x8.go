@@ -17,17 +17,24 @@ import (
 // these units.
 const x8RunForScale = 10 * time.Microsecond
 
+const x8Seed = 18 // seeds X8's topology
+
 // X8Params configures the data-plane validation run.
 type X8Params struct {
-	Seed int64
 	// RunFor is the measurement window per circuit at 10µs per
 	// simulated millisecond (so 2s ≡ 200 simulated seconds); the window
 	// itself takes no wall time.
 	RunFor time.Duration
 }
 
-// DefaultX8Params returns the full configuration.
-func DefaultX8Params() X8Params { return X8Params{Seed: 18, RunFor: 2 * time.Second} }
+// DefaultX8Params returns the configuration at scale s.
+func DefaultX8Params(s Scale) X8Params {
+	p := X8Params{RunFor: 2 * time.Second}
+	if s == Small {
+		p.RunFor = 700 * time.Millisecond
+	}
+	return p
+}
 
 // X8 validates the analytic cost model against the executing data plane:
 // circuits are optimized, deployed on the overlay runtime, and run with
@@ -37,9 +44,8 @@ func DefaultX8Params() X8Params { return X8Params{Seed: 18, RunFor: 2 * time.Sec
 // discrete-event clock: milliseconds of wall time, bit-identical tables
 // for a fixed seed.
 func X8(p X8Params) (*Table, error) {
-	orDefault(&p.RunFor, DefaultX8Params().RunFor)
 	spec := scenario.Spec{
-		Seed: p.Seed,
+		Seed: x8Seed,
 		// Three hand-written circuits: a small topology regardless of
 		// scale.
 		Topology: topology.Config{

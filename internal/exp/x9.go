@@ -8,8 +8,14 @@ type X9Params struct {
 	Seeds int
 }
 
-// DefaultX9Params returns the full-scale configuration.
-func DefaultX9Params() X9Params { return X9Params{Scale: Full, Seeds: 10} }
+// DefaultX9Params returns the configuration at scale s.
+func DefaultX9Params(s Scale) X9Params {
+	p := X9Params{Scale: s, Seeds: 10}
+	if s == Small {
+		p.Seeds = 4
+	}
+	return p
+}
 
 // X9 measures the paper's §3.3 "limited plan re-writing": circuits are
 // first deployed by the two-step optimizer (which walks into the Figure
@@ -19,7 +25,6 @@ func DefaultX9Params() X9Params { return X9Params{Scale: Full, Seeds: 10} }
 // benefit can be recovered *online* by rewriting an already-running
 // circuit.
 func X9(p X9Params) (*Table, error) {
-	orDefault(&p.Seeds, DefaultX9Params().Seeds)
 	t := NewTable("X9 — online plan rewriting of running circuits (§3.3)",
 		"seed", "usage two-step", "after rewriting", "integrated (reference)",
 		"rewrites", "recovered %")
