@@ -1,7 +1,8 @@
-// Package metrics provides lightweight, concurrency-safe measurement
-// primitives used by the SBON simulator and stream engine: counters,
-// sample histograms with exact quantiles, time series, and a named
-// registry.
+// Package metrics provides lightweight measurement primitives used by
+// the SBON simulator and stream engine: concurrency-safe counters,
+// sample histograms with exact quantiles and time series, a named
+// registry, and Lanes, the unsynchronized per-lane counters of the
+// sharded data plane.
 //
 // The package is deliberately dependency-free (stdlib only) and designed
 // for deterministic tests: histograms store raw samples, so quantiles are
@@ -19,11 +20,18 @@ import (
 // concurrent use.
 type Counter struct {
 	bits atomic.Uint64
+	// read, when set, makes this a read-through counter
+	// (Registry.CounterFunc): Value is its result, and Add panics.
+	read func() float64
 }
 
 // Add increments the counter by v. Negative v is ignored so that the
-// counter remains monotone.
+// counter remains monotone. Adding to a read-through counter is a
+// programmer error and panics.
 func (c *Counter) Add(v float64) {
+	if c.read != nil {
+		panic("metrics: Add on a read-through counter")
+	}
 	if v < 0 || math.IsNaN(v) {
 		return
 	}
@@ -41,7 +49,51 @@ func (c *Counter) Add(v float64) {
 func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current counter value.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
+func (c *Counter) Value() float64 {
+	if c.read != nil {
+		return c.read()
+	}
+	return math.Float64frombits(c.bits.Load())
+}
+
+// Lanes is a set of counters kept as one row of plain slots per lane
+// of the sharded data plane: a lane adds to its own row with no lock
+// and no compare-and-swap, and rows are padded to whole 64-byte cache
+// lines, so parallel lanes share no line. Totals, read between windows,
+// add the rows in lane order: one lane gives the bits of a single
+// running sum, and any lane count one deterministic value.
+type Lanes struct {
+	row int // slots per lane: the counters, rounded up to a cache line
+	v   []float64
+}
+
+// NewLanes returns zeroed slots for n counters on each of lanes lanes
+// (at least one).
+func NewLanes(lanes, n int) Lanes {
+	row := (n + 7) &^ 7
+	return Lanes{row: row, v: make([]float64, max(lanes, 1)*row)}
+}
+
+// Add adds v to counter i of the lane. Like Counter.Add, it ignores a
+// negative or NaN v.
+func (l Lanes) Add(lane, i int, v float64) {
+	if v < 0 || math.IsNaN(v) {
+		return
+	}
+	l.v[lane*l.row+i] += v
+}
+
+// Get returns counter i of one lane.
+func (l Lanes) Get(lane, i int) float64 { return l.v[lane*l.row+i] }
+
+// Sum returns counter i summed over the lanes, in lane order.
+func (l Lanes) Sum(i int) float64 {
+	s := 0.0
+	for j := i; j < len(l.v); j += l.row {
+		s += l.v[j]
+	}
+	return s
+}
 
 // Histogram collects float64 samples and computes order statistics
 // over them. It is safe for concurrent use. Every sample is retained,
@@ -202,6 +254,16 @@ func (r *Registry) Counter(name string) *Counter {
 		c = &Counter{}
 		r.counters[name] = c
 	}
+	return c
+}
+
+// CounterFunc registers name as a read-through counter: its Value is
+// fn's result at each read (a sum of Lanes, say), reports list it like
+// any other counter, and Add on it panics. A counter already registered
+// under name becomes read-through, so earlier Counter pointers read fn.
+func (r *Registry) CounterFunc(name string, fn func() float64) *Counter {
+	c := r.Counter(name)
+	c.read = fn
 	return c
 }
 

@@ -234,3 +234,79 @@ func TestReportWriteJSON(t *testing.T) {
 		t.Fatalf("trace = %v", tr)
 	}
 }
+
+// TestCounterFuncReadsThrough checks a read-through counter: Value is
+// its function's result (here per-lane slots summed in lane order), a
+// report lists it like any other counter, and Add on it panics.
+func TestCounterFuncReadsThrough(t *testing.T) {
+	lanes := NewLanes(3, 2)
+	r := NewRegistry()
+	early := r.Counter("kb.sent") // looked up before it is registered
+	c := r.CounterFunc("kb.sent", func() float64 { return lanes.Sum(1) })
+	if c != early {
+		t.Fatal("CounterFunc replaced the registered counter instead of reading through it")
+	}
+	lanes.Add(0, 1, 1.5)
+	lanes.Add(2, 1, 2)
+	lanes.Add(1, 0, 1)
+	if got := early.Value(); got != 3.5 {
+		t.Fatalf("Value() = %v, want 3.5", got)
+	}
+
+	var buf bytes.Buffer
+	if err := (Report{Label: "lanes", Registry: r}).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Metrics struct {
+			Counters []struct {
+				Name  string
+				Value float64
+			}
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("report is not valid JSON: %v\n%s", err, buf.String())
+	}
+	if cs := doc.Metrics.Counters; len(cs) != 1 || cs[0].Name != "kb.sent" || cs[0].Value != 3.5 {
+		t.Fatalf("counters = %+v, want kb.sent = 3.5", cs)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Add on a read-through counter did not panic")
+		}
+	}()
+	c.Add(1)
+}
+
+// TestLanesKeepCounterRules checks the per-lane slots against Counter:
+// a negative or NaN amount is not counted, one lane reproduces a
+// Counter's bits, and lanes sum in lane order.
+func TestLanesKeepCounterRules(t *testing.T) {
+	one := NewLanes(1, 3)
+	var c Counter
+	for _, v := range []float64{0.1, 0.7, -1, math.NaN(), 1e-17, 3.3} {
+		one.Add(0, 2, v)
+		c.Add(v)
+	}
+	if one.Sum(2) != c.Value() || one.Sum(0) != 0 || one.Sum(1) != 0 {
+		t.Fatalf("one lane: slots %v %v %v, want 0 0 %v", one.Sum(0), one.Sum(1), one.Sum(2), c.Value())
+	}
+
+	// Added in another order these would not round to the same sum.
+	four := NewLanes(4, 1)
+	vals := []float64{1e16, 1, 1, 1}
+	want, reversed := 0.0, 0.0
+	for lane, v := range vals {
+		four.Add(lane, 0, v)
+		want += v
+		reversed += vals[len(vals)-1-lane]
+	}
+	if want == reversed {
+		t.Fatal("the lane values do not tell summation orders apart")
+	}
+	if four.Sum(0) != want || four.Get(0, 0) != 1e16 {
+		t.Fatalf("Sum = %v, want the lane-order sum %v", four.Sum(0), want)
+	}
+}

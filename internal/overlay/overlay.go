@@ -25,12 +25,15 @@
 // Concurrency model: the runtime starts no goroutine of its own. On a
 // single event queue all handlers run on the clock's scheduler
 // goroutine; on a sharded clock a node's handlers run serially on its
-// shard's lane worker. Either way handlers on one node never race with
-// each other, Send never blocks, and messages between the same pair of
-// instants are delivered in send order (FIFO event tie-breaking).
-// Dispatch takes no lock: a node's port table is an immutable slice
-// behind an atomic pointer, replaced whole by Register and Unregister,
-// which any goroutine may call while deliveries are running.
+// shard's lane worker, and control code (code between sleeps, control
+// events) runs only between windows, while no lane does. Either way
+// handlers on one node never race with each other, Send never blocks,
+// and messages between the same pair of instants are delivered in send
+// order (FIFO event tie-breaking). The send and dispatch path takes no
+// lock and no compare-and-swap: each lane owns a row of the traffic
+// counters (metrics.Lanes), written plainly and read between windows,
+// and a node's port table is an immutable slice behind an atomic
+// pointer, replaced whole by Register and Unregister.
 package overlay
 
 import (
@@ -104,7 +107,9 @@ type Config struct {
 	// shard 0. Callers derive it from the same Hilbert-prefix regions
 	// the sharded optimizer uses (optimizer.NodeRegions), so
 	// intra-region traffic — the bulk, by the cost-space locality the
-	// paper's placement optimizes for — stays shard-local.
+	// paper's placement optimizes for — stays shard-local. On a sharded
+	// clock it must be the clock's lane map: a shard's counters are
+	// written, unsynchronized, by that lane's events alone.
 	ShardOf []int32
 }
 
@@ -121,10 +126,12 @@ type Network struct {
 	stopOnce sync.Once
 
 	// shardOf maps nodes to data-plane shards (all zero without
-	// sharding); shardStats are the per-shard traffic counters that
-	// aggregate to the registry totals.
-	shardOf    []int32
-	shardStats []ShardStats
+	// sharding); lanes holds the traffic counters, one row per shard,
+	// which the registry's counters sum in shard order. A counter is
+	// charged to the lane that runs the event: the sender's for a send,
+	// the destination's for a delivery.
+	shardOf []int32
+	lanes   metrics.Lanes
 
 	// sampleCtr holds one trace-sampling counter per origin domain
 	// (index origin+1), so sampling decisions on the data path are a
@@ -132,14 +139,6 @@ type Network struct {
 	// single-queue and sharded execution. Counters are unsynchronized:
 	// a domain's events execute serially.
 	sampleCtr []uint64
-
-	// Cached registry counters for the send/dispatch hot path (a
-	// registry lookup per message is measurable at 100k nodes).
-	cMsgsSent, cKBSent, cUsageKBms      *metrics.Counter
-	cMsgsDropped, cMsgsDownRefused      *metrics.Counter
-	cMsgsDownDropped, cHBDownDropped    *metrics.Counter
-	cHBPostmortemDropped, cMsgsUnrouted *metrics.Counter
-	cFaultsDropped, cFaultsHBDropped    *metrics.Counter
 
 	// faults is the armed fault injector, nil when no FaultPlan is
 	// installed (see faults.go).
@@ -173,6 +172,10 @@ func NewNetwork(topo *topology.Topology, cfg Config) *Network {
 	if cfg.DataShards <= 0 {
 		cfg.DataShards = 1
 	}
+	if k := cfg.Clock.Shards(); k > 1 && k != cfg.DataShards || cfg.ShardOf != nil && len(cfg.ShardOf) != topo.NumNodes() {
+		panic(fmt.Sprintf("overlay: %d shards and %d ShardOf entries on a %d-lane clock with %d nodes",
+			cfg.DataShards, len(cfg.ShardOf), k, topo.NumNodes()))
+	}
 	n := &Network{
 		topo:    topo,
 		cfg:     cfg,
@@ -181,25 +184,12 @@ func NewNetwork(topo *topology.Topology, cfg Config) *Network {
 		Metrics: metrics.NewRegistry(),
 	}
 	n.shardOf = make([]int32, topo.NumNodes())
-	if cfg.ShardOf != nil {
-		if len(cfg.ShardOf) != topo.NumNodes() {
-			panic(fmt.Sprintf("overlay: ShardOf has %d entries for %d nodes", len(cfg.ShardOf), topo.NumNodes()))
-		}
-		copy(n.shardOf, cfg.ShardOf)
-	}
-	n.shardStats = make([]ShardStats, cfg.DataShards)
+	copy(n.shardOf, cfg.ShardOf)
+	n.lanes = metrics.NewLanes(cfg.DataShards, numStats)
 	n.sampleCtr = make([]uint64, topo.NumNodes()+1)
-	n.cMsgsSent = n.Metrics.Counter("msgs.sent")
-	n.cKBSent = n.Metrics.Counter("kb.sent")
-	n.cUsageKBms = n.Metrics.Counter("usage.kbms")
-	n.cMsgsDropped = n.Metrics.Counter("msgs.dropped")
-	n.cMsgsDownRefused = n.Metrics.Counter("msgs.down_refused")
-	n.cMsgsDownDropped = n.Metrics.Counter("msgs.down_dropped")
-	n.cHBDownDropped = n.Metrics.Counter("hb.down_dropped")
-	n.cHBPostmortemDropped = n.Metrics.Counter("hb.postmortem_dropped")
-	n.cMsgsUnrouted = n.Metrics.Counter("msgs.unrouted")
-	n.cFaultsDropped = n.Metrics.Counter("faults.dropped")
-	n.cFaultsHBDropped = n.Metrics.Counter("faults.hb_dropped")
+	for i := range statHBSent {
+		n.registerStat(i)
+	}
 	n.nodes = make([]*Node, topo.NumNodes())
 	for i := range n.nodes {
 		n.nodes[i] = &Node{id: topology.NodeID(i), net: n}
@@ -255,15 +245,45 @@ func (n *Network) TraceSampleCtr(id topology.NodeID) *uint64 {
 }
 
 // DataShards returns the configured shard count (1 when unsharded).
-func (n *Network) DataShards() int { return len(n.shardStats) }
+func (n *Network) DataShards() int { return n.cfg.DataShards }
 
-// ShardStats holds one data-plane shard's traffic counters. Fields are
-// atomics because sends from different lanes (and control context) may
-// account concurrently; increments are commutative so totals are
-// deterministic even though interleavings are not.
-type ShardStats struct {
-	msgsSent, hbSent, hbRecv, faultsDropped atomic.Int64
+// ShardOf returns the node's data-plane shard: the lane that runs its
+// events on a sharded clock, and so the one row of per-lane state that
+// code acting as the node may write.
+func (n *Network) ShardOf(id topology.NodeID) int { return int(n.shardOf[id]) }
+
+// The per-lane traffic counters, by their slot in a lane's row of
+// Network.lanes; statNames are their registry names.
+const (
+	statMsgsSent = iota
+	statKBSent
+	statUsageKBms
+	statMsgsDropped
+	statDownRefused
+	statDownDropped
+	statHBDownDropped
+	statHBPostmortem
+	statUnrouted
+	statFaultsDropped
+	statFaultsHBDropped
+	statHBSent // the heartbeat counters, registered once heartbeats start
+	statHBRecv
+	numStats
+)
+
+var statNames = [numStats]string{
+	"msgs.sent", "kb.sent", "usage.kbms", "msgs.dropped", "msgs.down_refused",
+	"msgs.down_dropped", "hb.down_dropped", "hb.postmortem_dropped", "msgs.unrouted",
+	"faults.dropped", "faults.hb_dropped", "hb.sent", "hb.recv",
 }
+
+// registerStat lists counter i in the registry, as its lanes' sum.
+func (n *Network) registerStat(i int) {
+	n.Metrics.CounterFunc(statNames[i], func() float64 { return n.lanes.Sum(i) })
+}
+
+// count adds one to counter i of the node's lane.
+func (n *Network) count(id topology.NodeID, i int) { n.lanes.Add(int(n.shardOf[id]), i, 1) }
 
 // ShardCounters is a point-in-time snapshot of one shard's counters.
 type ShardCounters struct {
@@ -274,14 +294,14 @@ type ShardCounters struct {
 // shards, MsgsSent equals the registry's msgs.sent, HBSent hb.sent,
 // HBRecv hb.recv, and FaultsDropped faults.dropped + faults.hb_dropped.
 func (n *Network) ShardCounters() []ShardCounters {
-	out := make([]ShardCounters, len(n.shardStats))
-	for i := range n.shardStats {
-		s := &n.shardStats[i]
+	out := make([]ShardCounters, n.cfg.DataShards)
+	for i := range out {
+		get := func(s int) int64 { return int64(n.lanes.Get(i, s)) }
 		out[i] = ShardCounters{
-			MsgsSent:      s.msgsSent.Load(),
-			HBSent:        s.hbSent.Load(),
-			HBRecv:        s.hbRecv.Load(),
-			FaultsDropped: s.faultsDropped.Load(),
+			MsgsSent:      get(statMsgsSent),
+			HBSent:        get(statHBSent),
+			HBRecv:        get(statHBRecv),
+			FaultsDropped: get(statFaultsDropped) + get(statFaultsHBDropped),
 		}
 	}
 	return out
@@ -393,44 +413,44 @@ func (n *Network) SetTracer(t *trace.Tracer) { n.tracer.Store(t) }
 // mailbox. Either way the key — and so the global delivery order — is
 // independent of which shard executes what when.
 func (nd *Node) Send(to topology.NodeID, port string, sizeKB float64, payload any) error {
-	return nd.send(Message{To: to, Port: port, SizeKB: sizeKB, Payload: payload})
+	return nd.send(&Message{To: to, Port: port, SizeKB: sizeKB, Payload: payload})
 }
 
 // SendData is Send for a stream tuple: the tuple rides in the Message
 // as Data, by value, so nothing is boxed and nothing is allocated.
 func (nd *Node) SendData(to topology.NodeID, port string, sizeKB float64, d Datum) error {
-	return nd.send(Message{To: to, Port: port, SizeKB: sizeKB, Data: d})
+	return nd.send(&Message{To: to, Port: port, SizeKB: sizeKB, Data: d})
 }
 
-// send stamps msg with its sender and send time and puts it in flight.
-func (nd *Node) send(msg Message) error {
+// send stamps msg with its sender and send time and puts a copy of it
+// in flight. Its counters go to the sender's lane.
+func (nd *Node) send(msg *Message) error {
 	to, port, sizeKB := msg.To, msg.Port, msg.SizeKB
 	if int(to) < 0 || int(to) >= len(nd.net.nodes) {
 		return fmt.Errorf("overlay: destination %d out of range", to)
 	}
 	n := nd.net
 	origin := simtime.Domain(nd.id)
+	lane := int(n.shardOf[nd.id])
 	if nd.down.Load() {
-		n.cMsgsDownRefused.Inc()
+		n.lanes.Add(lane, statDownRefused, 1)
 		return fmt.Errorf("overlay: node %d is down", nd.id)
 	}
 	msg.From, msg.SentAt = nd.id, n.clock.DomainNow(origin)
 	latMs := n.topo.Latency(nd.id, to)
 
-	n.cMsgsSent.Inc()
-	n.cKBSent.Add(sizeKB)
-	n.cUsageKBms.Add(sizeKB * latMs)
-	n.shardStats[n.shardOf[nd.id]].msgsSent.Add(1)
+	n.lanes.Add(lane, statMsgsSent, 1)
+	n.lanes.Add(lane, statKBSent, sizeKB)
+	n.lanes.Add(lane, statUsageKBms, sizeKB*latMs)
 
 	if fi := n.faults.Load(); fi != nil {
 		drop, extraMs := fi.onSend(nd.id, to, msg.SentAt)
 		if drop {
 			if port == HeartbeatPort {
-				n.cFaultsHBDropped.Inc()
+				n.lanes.Add(lane, statFaultsHBDropped, 1)
 			} else {
-				n.cFaultsDropped.Inc()
+				n.lanes.Add(lane, statFaultsDropped, 1)
 			}
-			n.shardStats[n.shardOf[nd.id]].faultsDropped.Add(1)
 			if tr := n.tracer.Load(); tr.Enabled() && tr.SampleAt(&n.sampleCtr[int(nd.id)+1]) {
 				n.clock.Observe(origin, func(at time.Time) {
 					tr.EmitAtTime(at, "overlay", "fault_drop",
@@ -447,7 +467,7 @@ func (nd *Node) send(msg Message) error {
 	// The delivery is a clock event that dispatches the handler directly
 	// at the arrival instant, in the destination's shard.
 	d := newDelivery()
-	d.net, d.msg = n, msg
+	d.net, d.msg = n, *msg
 	n.clock.ScheduleEvent(&d.ev, origin, simtime.Domain(to), delay)
 	return nil
 }
@@ -458,9 +478,10 @@ func (nd *Node) send(msg Message) error {
 // else ever holds it — Send hands out no handle, and handlers get the
 // Message by value — so a recycled record cannot be stopped, re-armed
 // or read through a stale reference. The pool, not a per-shard free
-// list: migration handoffs Send from control goroutines concurrently
-// with nothing to order them, and a shard that mostly receives would
-// grow a private list without bound.
+// list: a record leaves the lane that sent it and returns in the lane
+// that delivered it, so a shard that mostly receives would grow a
+// private list without bound (per-shard lists were measured and
+// rejected).
 type delivery struct {
 	ev  simtime.Event
 	net *Network
@@ -484,20 +505,23 @@ func (d *delivery) fire() {
 	n := d.net
 	select {
 	case <-n.quit:
-		n.cMsgsDropped.Inc()
+		n.count(d.msg.To, statMsgsDropped)
 	default:
-		n.nodes[d.msg.To].dispatch(d.msg)
+		n.nodes[d.msg.To].dispatch(&d.msg)
 	}
 	d.net, d.msg = nil, Message{} // the pool must not pin the payload
 	deliveries.Put(d)
 }
 
-func (nd *Node) dispatch(msg Message) {
+// dispatch hands the delivery record's message to the port's handler,
+// in the destination's lane, whose counters it charges.
+func (nd *Node) dispatch(msg *Message) {
+	n := nd.net
 	if nd.down.Load() {
 		if msg.Port == HeartbeatPort {
-			nd.net.cHBDownDropped.Inc()
+			n.count(nd.id, statHBDownDropped)
 		} else {
-			nd.net.cMsgsDownDropped.Inc()
+			n.count(nd.id, statDownDropped)
 		}
 		return
 	}
@@ -506,16 +530,16 @@ func (nd *Node) dispatch(msg Message) {
 	// failure detector, or a freshly dead node looks alive for an extra
 	// interval. Data messages from a dead source still deliver — they
 	// left the wire while the node lived.
-	if msg.Port == HeartbeatPort && nd.net.nodes[msg.From].down.Load() {
-		nd.net.cHBPostmortemDropped.Inc()
+	if msg.Port == HeartbeatPort && n.nodes[msg.From].down.Load() {
+		n.count(nd.id, statHBPostmortem)
 		return
 	}
 	h := nd.handler(msg.Port)
 	if h == nil {
-		nd.net.cMsgsUnrouted.Inc()
+		n.count(nd.id, statUnrouted)
 		return
 	}
-	h(msg)
+	h(*msg)
 }
 
 // HeartbeatPort is the reserved port heartbeat pings arrive on.
@@ -574,11 +598,10 @@ func (n *Network) StartHeartbeats(every time.Duration, sizeKB float64) *Heartbea
 // StartHeartbeatsOpts is StartHeartbeats with explicit options.
 func (n *Network) StartHeartbeatsOpts(every time.Duration, sizeKB float64, opts HeartbeatOpts) *Heartbeats {
 	hb := &Heartbeats{net: n}
-	recv := n.Metrics.Counter("hb.recv")
-	sent := n.Metrics.Counter("hb.sent")
+	n.registerStat(statHBRecv)
+	n.registerStat(statHBSent)
 	onBeat := func(m Message) {
-		recv.Inc()
-		n.shardStats[n.shardOf[m.To]].hbRecv.Add(1)
+		n.count(m.To, statHBRecv)
 		if ob := n.hbObserver.Load(); ob != nil {
 			n.clock.ObserveRecord(simtime.Domain(m.To), *ob, int(m.From), int(m.To))
 		}
@@ -612,8 +635,7 @@ func (n *Network) StartHeartbeatsOpts(every time.Duration, sizeKB float64, opts 
 			// Down nodes fall silent but keep their schedule, so a
 			// re-joined node resumes beating on the next round.
 			if nd.Send(to, HeartbeatPort, sizeKB, nil) == nil {
-				sent.Inc()
-				n.shardStats[n.shardOf[i]].hbSent.Add(1)
+				n.count(nd.id, statHBSent)
 			}
 			// Each node's schedule is its own domain, so beats execute
 			// shard-locally and reschedule without a barrier crossing.

@@ -1,6 +1,9 @@
 package simtime
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -103,8 +106,10 @@ func TestOwnedEventRearmsItself(t *testing.T) {
 			t.Fatalf("shards=%d: %d firings in 5.5 periods, want 5", shards, len(at))
 		}
 		// 10k periods, and the Sleep itself allocates nothing either.
-		if got := testing.AllocsPerRun(3, func() { c.Sleep(10_000 * period) }); got != 0 {
-			t.Fatalf("shards=%d: %v allocations over 10k re-arms, want 0", shards, got)
+		sleep := func() { c.Sleep(10_000 * period) }
+		if got := testing.AllocsPerRun(3, sleep); got != 0 {
+			t.Fatalf("shards=%d: %v allocations over 10k re-arms, want 0; on a rerun:\n%s",
+				shards, got, allocStacks(sleep))
 		}
 		if n := c.PendingEvents(); n != 1 {
 			t.Fatalf("shards=%d: %d events pending, want the one armed firing", shards, n)
@@ -114,4 +119,59 @@ func TestOwnedEventRearmsItself(t *testing.T) {
 		}
 		c.Stop()
 	}
+}
+
+// allocStacks runs fn once with every allocation sampled and returns
+// the stacks that allocated meanwhile, so that an allocation count
+// that should be zero names its cause.
+func allocStacks(fn func()) string {
+	before := allocsByStack()
+	rate := runtime.MemProfileRate
+	runtime.MemProfileRate = 1
+	fn()
+	runtime.MemProfileRate = rate
+	after := allocsByStack()
+	var b strings.Builder
+	for stk, n := range after {
+		if n -= before[stk]; n <= 0 {
+			continue
+		}
+		fmt.Fprintf(&b, "%d allocation(s) at:\n", n)
+		frames := runtime.CallersFrames(stk[:])
+		for {
+			f, more := frames.Next()
+			if f.Function != "" {
+				fmt.Fprintf(&b, "\t%s (%s:%d)\n", f.Function, f.File, f.Line)
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	if b.Len() == 0 {
+		return "no allocation sampled\n"
+	}
+	return b.String()
+}
+
+// allocsByStack returns the process's allocation counts per stack. The
+// profile publishes a sample once a garbage collection has finished
+// after it, hence the two collections.
+func allocsByStack() map[[32]uintptr]int64 {
+	runtime.GC()
+	runtime.GC()
+	recs := make([]runtime.MemProfileRecord, 64)
+	for {
+		n, ok := runtime.MemProfile(recs, true)
+		if ok {
+			recs = recs[:n]
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+64)
+	}
+	out := make(map[[32]uintptr]int64, len(recs))
+	for _, r := range recs {
+		out[r.Stack0] += r.AllocObjects
+	}
+	return out
 }

@@ -1,9 +1,6 @@
 package simtime
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Event is one callback on a virtual clock's timeline and the handle
 // that cancels it. The zero value with Fn set is ready to schedule.
@@ -100,43 +97,77 @@ type eventQueue interface {
 	len() int
 }
 
-// eventHeap orders events by (at, seq): earliest first, FIFO within one
-// virtual instant. It is the wheel's exact ready set.
+// eventHeap is a binary min-heap of events by (at, seq): earliest
+// first, FIFO within one virtual instant. It is the wheel's exact ready
+// set, sifted in place on its own type (the reference heap in the tests
+// drives it through container/heap instead); each event keeps its
+// position in idx.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by (at, seq).
+func (ev *Event) before(o *Event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return ev.seq < o.seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = int32(i)
-	h[j].idx = int32(j)
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
+func (h *eventHeap) push(ev *Event) {
 	ev.where = evReady
-	ev.idx = int32(len(*h))
 	*h = append(*h, ev)
+	h.up(len(*h)-1, ev)
 }
 
-func (h *eventHeap) Pop() any {
+// removeAt takes the event at position i out of the heap, marked idle.
+func (h *eventHeap) removeAt(i int) *Event {
 	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	ev, last := old[i], old[n]
+	old[n] = nil
+	*h = old[:n]
+	if i < n && !h.down(i, last) {
+		h.up(i, last)
+	}
 	ev.where = evIdle
-	*h = old[:n-1]
 	return ev
 }
 
-// Thin container/heap wrappers used by the wheel's ready set.
-func readyPush(h *eventHeap, ev *Event) { heap.Push(h, ev) }
-func readyPop(h *eventHeap) *Event      { return heap.Pop(h).(*Event) }
-func readyRemove(h *eventHeap, i int)   { heap.Remove(h, i) }
+// up places ev, which belongs at position j or above, by moving larger
+// parents down into the hole.
+func (h eventHeap) up(j int, ev *Event) {
+	for j > 0 {
+		p := (j - 1) / 2
+		if !ev.before(h[p]) {
+			break
+		}
+		h[j] = h[p]
+		h[j].idx = int32(j)
+		j = p
+	}
+	h[j] = ev
+	ev.idx = int32(j)
+}
+
+// down places ev, which belongs at position i or below, by moving
+// smaller children up into the hole; it reports whether ev moved.
+func (h eventHeap) down(i int, ev *Event) bool {
+	i0 := i
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(ev) {
+			break
+		}
+		h[i] = h[c]
+		h[i].idx = int32(i)
+		i = c
+	}
+	h[i] = ev
+	ev.idx = int32(i)
+	return i > i0
+}

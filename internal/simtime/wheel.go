@@ -121,7 +121,7 @@ func (q *wheelQueue) insert(ev *Event) {
 		// Already inside the ready window (a zero-delay schedule, or a
 		// schedule from code whose `now` trails the horizon): the
 		// exact heap absorbs it and ordering stays global.
-		readyPush(&q.ready, ev)
+		q.ready.push(ev)
 		return
 	}
 	q.place(ev, t)
@@ -166,7 +166,7 @@ func (q *wheelQueue) popMin() *Event {
 	for len(q.ready) == 0 {
 		q.advance()
 	}
-	ev := readyPop(&q.ready)
+	ev := q.ready.removeAt(0)
 	q.n--
 	q.observePop(ev.at)
 	return ev
@@ -284,7 +284,7 @@ func (q *wheelQueue) advance() {
 func (q *wheelQueue) remove(ev *Event) bool {
 	switch ev.where {
 	case evReady:
-		readyRemove(&q.ready, int(ev.idx))
+		q.ready.removeAt(int(ev.idx))
 	case evBucket:
 		if ev.next != nil {
 			ev.next.prev = ev.prev

@@ -106,8 +106,7 @@ type Running struct {
 	route []atomic.Int32
 	host  []atomic.Int32
 	// svcs carries each service's runtime state: the registered port,
-	// the operator instance that migrates with it, the gate serializing
-	// operator access across a handoff, and the cross-circuit
+	// the operator instance that migrates with it, and the cross-circuit
 	// subscription edges of circuits reusing the service.
 	svcs []svcRuntime
 
@@ -122,28 +121,36 @@ type Running struct {
 
 	migs []*Migration // under engine.mu
 
-	tuplesIn  *metrics.Counter // tuples entering at producers
-	sharedIn  *metrics.Counter // tuples delivered in from shared providers
-	tuplesOut *metrics.Counter
-	kbOut     *metrics.Counter
+	// lanes holds the counters the circuit's services add to from the
+	// lanes of their nodes (Network.ShardOf of the emitting node):
+	// tuples entering at producers, tuple deliveries in from shared
+	// providers (charged by the provider's emitting node), and the usage
+	// integral Σ sizeKB × latencyMs. Each lane writes only its own row.
+	lanes metrics.Lanes
+	// The sink's counters: the consumer is pinned, so one node's events
+	// write them.
+	tuplesOut int
+	kbOut     float64
 	latencyMs *metrics.Histogram
-	usageKBms *metrics.Counter
 }
+
+// The per-lane counters of a Running, by slot.
+const (
+	laneTuplesIn = iota
+	laneSharedIn
+	laneUsageKBms
+	numLaneCounters
+)
 
 // svcRuntime is the per-service executable state the migration protocol
 // hands between nodes.
 type svcRuntime struct {
 	port     string
 	operator Operator
-	// handler is the registered dispatch closure (gate-wrapped process).
+	// handler is the registered dispatch closure: it feeds the
+	// operator and emits downstream. It runs in the host's lane, or in
+	// the cutover replay, a control event, while no lane runs.
 	handler overlay.Handler
-	// process runs the operator without taking the gate — the replay
-	// path, called with the gate already held.
-	process func(side int, t Tuple)
-	// gate serializes operator access between a handler and the cutover
-	// replay; the scheduler already runs cutover between windows, so
-	// the lock is uncontended.
-	gate sync.Mutex
 	// migrating marks an in-flight handoff (under engine.mu).
 	migrating bool
 
@@ -209,7 +216,7 @@ func sendTuple(node *overlay.Node, to topology.NodeID, port string, side int, t 
 
 // tupleOf reads a data message back into the input side and the tuple
 // sendTuple was given.
-func tupleOf(m overlay.Message) (side int, t Tuple) {
+func tupleOf(m *overlay.Message) (side int, t Tuple) {
 	d := &m.Data
 	return int(d.Side), Tuple{
 		Stream: query.StreamID(d.Stream), Key: d.Key, Value: d.Value, SizeKB: m.SizeKB, Created: d.Created,
@@ -270,12 +277,8 @@ func (e *Engine) Deploy(c *optimizer.Circuit) (*Running, error) {
 		route:     make([]atomic.Int32, len(c.Services)),
 		host:      make([]atomic.Int32, len(c.Services)),
 		svcs:      make([]svcRuntime, len(c.Services)),
-		tuplesIn:  &metrics.Counter{},
-		sharedIn:  &metrics.Counter{},
-		tuplesOut: &metrics.Counter{},
-		kbOut:     &metrics.Counter{},
+		lanes:     metrics.NewLanes(e.net.DataShards(), numLaneCounters),
 		latencyMs: &metrics.Histogram{},
-		usageKBms: &metrics.Counter{},
 	}
 	for i, s := range c.Services {
 		r.route[i].Store(int32(s.Node))
@@ -317,8 +320,8 @@ func (e *Engine) Deploy(c *optimizer.Circuit) (*Running, error) {
 			p := port(i)
 			r.svcs[i].port = p
 			nd.Register(p, func(m overlay.Message) {
-				r.tuplesOut.Inc()
-				r.kbOut.Add(m.SizeKB)
+				r.tuplesOut++
+				r.kbOut += m.SizeKB
 				// NowAt, not clock.Since: under sharded execution the
 				// handler runs at the delivery instant of the consumer's
 				// shard, where the global clock is only barrier-fresh.
@@ -363,9 +366,9 @@ func (e *Engine) Deploy(c *optimizer.Circuit) (*Running, error) {
 			continue
 		}
 		rate := s.Plan.OutRate // KB/s simulated
-		emit := r.emitFor(i)
+		emit, lane := r.emitFor(i), e.net.ShardOf(s.Node)
 		counted := func(t Tuple) {
-			r.tuplesIn.Inc()
+			r.lanes.Add(lane, laneTuplesIn, 1)
 			emit(t)
 		}
 		stream := s.Plan.Stream
@@ -434,18 +437,15 @@ func (e *Engine) rebuildSubsLocked(r *Running, svc int) {
 	rt.subs.Store(&edges)
 }
 
-// install makes op the operator of service idx and builds the
-// processing chain around it: process feeds it and emits downstream,
-// handler is process behind the gate, as the port's overlay handler.
+// install makes op the operator of service idx and builds its port's
+// overlay handler, which feeds op and emits downstream.
 func (r *Running) install(idx int, op Operator) {
 	rt := &r.svcs[idx]
 	rt.operator = op
 	emit := r.emitFor(idx)
-	rt.process = func(side int, t Tuple) { op.Process(side, t, emit) }
 	rt.handler = func(m overlay.Message) {
-		rt.gate.Lock()
-		rt.process(tupleOf(m))
-		rt.gate.Unlock()
+		side, t := tupleOf(&m)
+		op.Process(side, t, emit)
 	}
 }
 
@@ -461,7 +461,7 @@ func (r *Running) emitFor(idx int) Emit {
 	q := int(r.Circuit.Query.ID)
 	return func(t Tuple) {
 		from := topology.NodeID(r.host[idx].Load())
-		node := e.net.Node(from)
+		node, lane := e.net.Node(from), e.net.ShardOf(from)
 		// Hop tracing samples against the emitting node's private counter
 		// and defers the emission through the clock's observation barrier:
 		// both the sampling decision and the recorded event order become
@@ -470,7 +470,7 @@ func (r *Running) emitFor(idx int) Emit {
 		if outs := rt.outs.Load(); outs != nil {
 			for _, tgt := range *outs {
 				to := topology.NodeID(r.route[tgt.svc].Load())
-				r.usageKBms.Add(t.SizeKB * e.topo.Latency(from, to))
+				r.lanes.Add(lane, laneUsageKBms, t.SizeKB*e.topo.Latency(from, to))
 				if tr.SampleAt(e.net.TraceSampleCtr(from)) {
 					hopTo, sizeKB := to, t.SizeKB
 					e.net.ObserveAt(from, func(at time.Time) {
@@ -485,8 +485,8 @@ func (r *Running) emitFor(idx int) Emit {
 		if subs := rt.subs.Load(); subs != nil {
 			for _, sb := range *subs {
 				to := topology.NodeID(sb.run.route[sb.svc].Load())
-				sb.run.sharedIn.Inc()
-				sb.run.usageKBms.Add(t.SizeKB * e.topo.Latency(from, to))
+				sb.run.lanes.Add(lane, laneSharedIn, 1)
+				sb.run.lanes.Add(lane, laneUsageKBms, t.SizeKB*e.topo.Latency(from, to))
 				if tr.SampleAt(e.net.TraceSampleCtr(from)) {
 					hopTo, sizeKB, subQ := to, t.SizeKB, int(sb.run.Circuit.Query.ID)
 					e.net.ObserveAt(from, func(at time.Time) {
@@ -517,20 +517,28 @@ func (e *Engine) produceInterval(rateKBs float64) time.Duration {
 // itself every interval. Each halts on its own — the zombie trim stops
 // the producers that only feed a cancelled circuit's private services
 // (by svc, the source's service index) while shared subtrees keep
-// flowing. The mutex covers the stop/reschedule handshake; no event
-// runs while code between sleeps tears down, so contention is nil.
+// flowing. Halting is control code, which never runs while the
+// producer's lane does, so stopped needs no lock.
 type producer struct {
 	svc     int
-	mu      sync.Mutex
 	ev      simtime.Event
 	stopped bool
+	// keys and vals are the next tuples' draws, made in bursts of
+	// prodBurst: Int63n then NormFloat64 per tuple, the order a draw
+	// per tuple makes, so every tuple keeps its bits while the rng's
+	// state is walked in one pass instead of read cold per tuple. next
+	// is the first unused draw.
+	next int
+	keys [prodBurst]int64
+	vals [prodBurst]float64
 }
 
+// prodBurst is how many tuples a producer draws at once.
+const prodBurst = 32
+
 func (p *producer) halt() {
-	p.mu.Lock()
 	p.stopped = true
 	p.ev.Stop()
-	p.mu.Unlock()
 }
 
 // startProducer schedules tuple emission as recurring clock events in
@@ -546,26 +554,29 @@ func (e *Engine) startProducer(svc int, host topology.NodeID, stream query.Strea
 	interval := e.produceInterval(rateKBs)
 	clk := e.clock
 	dom := simtime.Domain(host)
-	p := &producer{svc: svc}
+	p := &producer{svc: svc, next: prodBurst}
 	p.ev.Fn = func() {
-		p.mu.Lock()
 		if p.stopped {
-			p.mu.Unlock()
 			return
 		}
-		p.mu.Unlock()
+		if p.next == prodBurst {
+			for i := range p.keys {
+				p.keys[i] = rng.Int63n(e.cfg.Keyspace)
+				p.vals[i] = rng.NormFloat64()
+			}
+			p.next = 0
+		}
 		emit(Tuple{
 			Stream:  stream,
-			Key:     rng.Int63n(e.cfg.Keyspace),
-			Value:   rng.NormFloat64(),
+			Key:     p.keys[p.next],
+			Value:   p.vals[p.next],
 			SizeKB:  e.cfg.TupleSizeKB,
 			Created: clk.DomainNow(dom),
 		})
-		p.mu.Lock()
+		p.next++
 		if !p.stopped {
 			clk.ScheduleEvent(&p.ev, dom, dom, interval)
 		}
-		p.mu.Unlock()
 	}
 	clk.ScheduleEvent(&p.ev, dom, dom, interval)
 	return p
@@ -795,12 +806,12 @@ func (r *Running) HaltProducers() {
 }
 
 // TuplesProduced returns the number of tuples producers have injected.
-func (r *Running) TuplesProduced() int { return int(r.tuplesIn.Value()) }
+func (r *Running) TuplesProduced() int { return int(r.lanes.Sum(laneTuplesIn)) }
 
 // SharedIn returns the number of tuple deliveries the circuit received
 // from shared instances executing in other circuits (one per
 // subscription edge per emitted tuple).
-func (r *Running) SharedIn() int { return int(r.sharedIn.Value()) }
+func (r *Running) SharedIn() int { return int(r.lanes.Sum(laneSharedIn)) }
 
 // Host returns the node a service currently executes on.
 func (r *Running) Host(svc int) topology.NodeID {
@@ -912,13 +923,13 @@ func (r *Running) Measure() Measurement {
 	m := Measurement{
 		Wall:          wall,
 		SimSeconds:    simSec,
-		TuplesOut:     int(r.tuplesOut.Value()),
+		TuplesOut:     r.tuplesOut,
 		MeanLatencyMs: r.latencyMs.Mean(),
 		P95LatencyMs:  r.latencyMs.Quantile(0.95),
 	}
 	if simSec > 0 {
-		m.OutRateKBs = r.kbOut.Value() / simSec
-		m.NetworkUsage = r.usageKBms.Value() / simSec
+		m.OutRateKBs = r.kbOut / simSec
+		m.NetworkUsage = r.lanes.Sum(laneUsageKBms) / simSec
 	}
 	return m
 }

@@ -32,7 +32,6 @@ package stream
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/hourglass/sbon/internal/overlay"
@@ -74,7 +73,7 @@ type Migration struct {
 	running   *Running
 	rt        *svcRuntime
 	buf       *migBuffer
-	fwd       atomic.Int64
+	fwd       int // stragglers forwarded so far, by the old host's lane
 	cutoverAt time.Time
 	cutTimer  *simtime.Event
 	tearTimer *simtime.Event
@@ -91,9 +90,10 @@ func (m *Migration) Done() <-chan struct{} { return m.done }
 // until cutover).
 func (m *Migration) CutoverAt() time.Time { return m.cutoverAt }
 
-// migBuffer queues tuples arriving at the target before cutover.
+// migBuffer queues tuples arriving at the target before cutover. The
+// target's lane appends; cutover and abort, control events, drain it
+// while no lane runs.
 type migBuffer struct {
-	mu     sync.Mutex
 	msgs   []overlay.Message
 	closed bool
 }
@@ -209,22 +209,19 @@ func (e *Engine) MigrateUnder(parent trace.Span, id query.QueryID, svc int, to t
 	// T0: open the buffer on the target, flip the route, ship state.
 	buf := m.buf
 	e.net.Node(to).Register(rt.port, func(msg overlay.Message) {
-		buf.mu.Lock()
 		if buf.closed {
 			// Cutover already happened: process live instead of queueing
 			// into a drained buffer.
-			buf.mu.Unlock()
 			rt.handler(msg)
 			return
 		}
 		buf.msgs = append(buf.msgs, msg)
-		buf.mu.Unlock()
 	})
 	r.route[svc].Store(int32(to))
 	statePort := rt.port + statePortSuffix
 	e.net.Node(to).Register(statePort, func(overlay.Message) {})
 	_ = e.net.Node(from).Send(to, statePort, m.StateKB, nil)
-	r.usageKBms.Add(m.StateKB * stateLat)
+	r.lanes.Add(e.net.ShardOf(from), laneUsageKBms, m.StateKB*stateLat)
 
 	m.cutTimer = e.clock.AfterFunc(cutDelay, m.cutover)
 	r.migs = append(r.migs, m)
@@ -253,10 +250,11 @@ func (m *Migration) cutover() {
 	// the operator handler atomically, so no arrival can fall between
 	// handlers.
 	from, svc := m.From, m.Service
+	lane := e.net.ShardOf(from)
 	e.net.Node(from).Register(rt.port, func(msg overlay.Message) {
 		dst := topology.NodeID(r.route[svc].Load())
-		m.fwd.Add(1)
-		r.usageKBms.Add(msg.SizeKB * e.topo.Latency(from, dst))
+		m.fwd++
+		r.lanes.Add(lane, laneUsageKBms, msg.SizeKB*e.topo.Latency(from, dst))
 		_ = e.net.Node(from).SendData(dst, rt.port, msg.SizeKB, msg.Data)
 	})
 
@@ -271,21 +269,16 @@ func (m *Migration) cutover() {
 		t.consumer.host[t.svc].Store(int32(m.To))
 	}
 
-	// Install the live handler, then replay the queue while holding the
-	// gate: tuples that arrive concurrently serialize behind the replay,
-	// preserving buffer order.
-	rt.gate.Lock()
+	// Install the live handler, then replay the queue in buffer order.
+	// Cutover is a control event, so no tuple arrives meanwhile.
 	e.net.Node(m.To).Register(rt.port, rt.handler)
-	m.buf.mu.Lock()
 	queued := m.buf.msgs
 	m.buf.msgs = nil
 	m.buf.closed = true
-	m.buf.mu.Unlock()
 	m.Buffered = len(queued)
 	for _, msg := range queued {
-		rt.process(tupleOf(msg))
+		rt.handler(msg)
 	}
-	rt.gate.Unlock()
 	e.net.Node(m.To).Unregister(rt.port + statePortSuffix)
 	m.cutoverAt = e.clock.Now()
 	m.sp.Emit("cutover", trace.Int("buffered", m.Buffered))
@@ -306,7 +299,7 @@ func (m *Migration) teardown() {
 	default:
 	}
 	e.net.Node(m.From).Unregister(m.rt.port)
-	m.Forwarded = int(m.fwd.Load())
+	m.Forwarded = m.fwd
 	m.rt.migrating = false
 	e.mu.Unlock()
 	m.sp.End(trace.Str("outcome", "done"),
@@ -329,7 +322,7 @@ func (m *Migration) cancel() {
 	default:
 	}
 	m.Aborted = true
-	m.Forwarded = int(m.fwd.Load())
+	m.Forwarded = m.fwd
 	e := m.engine
 	e.net.Node(m.To).Unregister(m.rt.port + statePortSuffix)
 	// Whichever of old/new host is not the current registration owner

@@ -109,9 +109,7 @@ func (e *Engine) repairLocked(r *Running, svc int, to topology.NodeID) (*RepairR
 				continue
 			default:
 			}
-			m.buf.mu.Lock()
 			rec.BufferedLost += len(m.buf.msgs)
-			m.buf.mu.Unlock()
 			m.cancel()
 		}
 		if rec.BufferedLost > 0 {
@@ -235,7 +233,7 @@ func (m *Migration) AbortForFailure() bool {
 			m.tearTimer.Stop()
 		}
 		e.net.Node(m.From).Unregister(rt.port)
-		m.Forwarded = int(m.fwd.Load())
+		m.Forwarded = m.fwd
 		rt.migrating = false
 		m.doneOnce.Do(func() { close(m.done) })
 		return true
@@ -245,11 +243,9 @@ func (m *Migration) AbortForFailure() bool {
 	if m.cutTimer != nil {
 		m.cutTimer.Stop()
 	}
-	m.buf.mu.Lock()
 	lost := len(m.buf.msgs)
 	m.buf.msgs = nil
 	m.buf.closed = true
-	m.buf.mu.Unlock()
 	if lost > 0 {
 		e.net.Metrics.Counter("repair.buffered_lost").Add(float64(lost))
 	}

@@ -25,7 +25,14 @@ type sharedFixture struct {
 
 func newSharedFixture(t *testing.T, seed int64) *sharedFixture {
 	t.Helper()
-	s := newEngineSetup(t, seed)
+	return newSharedFixtureLanes(t, seed, 1)
+}
+
+// newSharedFixtureLanes is newSharedFixture on `shards` data-plane
+// lanes (see newEngineSetupLanes).
+func newSharedFixtureLanes(t *testing.T, seed int64, shards int) *sharedFixture {
+	t.Helper()
+	s := newEngineSetupLanes(t, seed, shards)
 	stubs := s.env.Topo.StubNodeIDs()
 	b := &optimizer.Builder{Env: s.env}
 
