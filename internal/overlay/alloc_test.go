@@ -11,9 +11,9 @@ import (
 )
 
 // Allocation ceilings and ownership guards of the virtual data path: a
-// delivery is one pooled record, a heartbeat one re-armed event. Each
-// test runs on the single queue and on 4 lanes, where the pool is
-// shared by the lane workers (run these under -race).
+// delivery is one recycled record, a heartbeat one re-armed event. Each
+// test runs on one lane and on 4, where records move between the lanes'
+// free lists (run these under -race).
 
 // laneNet builds a started 240-node virtual-clock network on `shards`
 // lanes (1: the single queue) with the test goroutine driving it.
@@ -51,7 +51,7 @@ func laneNet(t *testing.T, shards int) (*Network, *simtime.VirtualClock) {
 func allocsPerMessage(t *testing.T, net *Network, clk *simtime.VirtualClock, counter string, window time.Duration) float64 {
 	t.Helper()
 	c := net.Metrics.Counter(counter)
-	clk.Sleep(window) // warm up: pool, ready heaps, outboxes at working size
+	clk.Sleep(window) // warm up: free lists, ready heaps, outboxes at working size
 	before := c.Value()
 	const runs = 4
 	perRun := testing.AllocsPerRun(runs, func() { clk.Sleep(window) })
@@ -60,9 +60,6 @@ func allocsPerMessage(t *testing.T, net *Network, clk *simtime.VirtualClock, cou
 		t.Fatalf("window carried %v %s, want at least 10k", msgs, counter)
 	}
 	t.Logf("%.0f allocations over %.0f %s per window", perRun, msgs, counter)
-	if raceEnabled {
-		return 0 // the pool sheds records at random; the traffic was the test
-	}
 	return perRun / msgs
 }
 
@@ -146,7 +143,7 @@ func TestDeliveryRecordsAreNotAliased(t *testing.T) {
 		for k := kept; k < 11*kept; k++ {
 			send(k, "sink")
 			if k%kept == 0 {
-				clk.Sleep(time.Second) // records return to the pool and fly again
+				clk.Sleep(time.Second) // records return to the free lists and fly again
 			}
 		}
 		clk.Sleep(time.Second)

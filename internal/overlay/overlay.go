@@ -7,13 +7,14 @@
 // tests run real dataflows through it.
 //
 // The data path allocates nothing per message. A message in
-// flight is one pooled record — the clock event, the network and the
-// Message together — that Send takes from a sync.Pool and the event's
-// own callback puts back once the handler has returned; a node's
+// flight is one recycled record — the clock event, the network and the
+// Message together — that Send takes from the sending lane's free list
+// and the event's own callback puts back on the delivering lane's once
+// the handler has returned; a node's
 // heartbeat is one event that the beat itself re-arms every period.
 // Both rest on simtime's caller-owned event contract: an Event may be
 // scheduled again only after it fired or was stopped, and has one owner
-// (a goroutine, or under sharded execution a node domain) at a time.
+// (a goroutine, or inside a lane's window a node domain) at a time.
 // Handlers receive the Message by value and Send returns no handle, so
 // nothing can reach a record after it was recycled. A stream tuple
 // travels inside the Message too, by value, as its Datum: SendData
@@ -23,9 +24,9 @@
 // payload into Message.Payload.
 //
 // Concurrency model: the runtime starts no goroutine of its own. On a
-// single event queue all handlers run on the clock's scheduler
-// goroutine; on a sharded clock a node's handlers run serially on its
-// shard's lane worker, and control code (code between sleeps, control
+// one-lane clock all handlers run on the sleeping goroutine; on a
+// sharded clock a node's handlers run serially on its shard's lane
+// worker, and control code (code between sleeps, control
 // events) runs only between windows, while no lane does. Either way
 // handlers on one node never race with each other, Send never blocks,
 // and messages between the same pair of instants are delivered in send
@@ -93,7 +94,7 @@ type Config struct {
 	TimeScale time.Duration
 	InboxSize int
 	// Clock drives message delivery and timestamps. Nil means a fresh
-	// single-queue clock, reachable through Network.Clock; one built
+	// one-lane clock, reachable through Network.Clock; one built
 	// with simtime.NewVirtualSharded executes the data plane on
 	// parallel per-shard event queues (see DataShards/ShardOf).
 	Clock *simtime.VirtualClock
@@ -132,6 +133,11 @@ type Network struct {
 	// the destination's for a delivery.
 	shardOf []int32
 	lanes   metrics.Lanes
+
+	// recs holds each lane's free delivery records, spare the surplus
+	// rebalance moves between them.
+	recs  []records
+	spare []*delivery
 
 	// sampleCtr holds one trace-sampling counter per origin domain
 	// (index origin+1), so sampling decisions on the data path are a
@@ -186,6 +192,10 @@ func NewNetwork(topo *topology.Topology, cfg Config) *Network {
 	n.shardOf = make([]int32, topo.NumNodes())
 	copy(n.shardOf, cfg.ShardOf)
 	n.lanes = metrics.NewLanes(cfg.DataShards, numStats)
+	n.recs = make([]records, cfg.DataShards)
+	if cfg.DataShards > 1 {
+		cfg.Clock.OnBarrier(n.rebalance)
+	}
 	n.sampleCtr = make([]uint64, topo.NumNodes()+1)
 	for i := range statHBSent {
 		n.registerStat(i)
@@ -466,51 +476,76 @@ func (nd *Node) send(msg *Message) error {
 
 	// The delivery is a clock event that dispatches the handler directly
 	// at the arrival instant, in the destination's shard.
-	d := newDelivery()
-	d.net, d.msg = n, *msg
+	// The record comes from the sender's lane, or is made.
+	r := &n.recs[lane]
+	r.taken++
+	var d *delivery
+	if k := len(r.free) - 1; k >= 0 {
+		d, r.free = r.free[k], r.free[:k]
+	} else {
+		d = &delivery{net: n}
+		d.ev.Fn = d.fire // bound once, for every flight the record makes
+	}
+	d.msg = *msg
 	n.clock.ScheduleEvent(&d.ev, origin, simtime.Domain(to), delay)
 	return nil
 }
 
 // delivery is one message in flight: the clock event and what it
-// delivers, in one recycled record. Send takes it
-// from the pool and fire returns it once the handler is back; nothing
-// else ever holds it — Send hands out no handle, and handlers get the
-// Message by value — so a recycled record cannot be stopped, re-armed
-// or read through a stale reference. The pool, not a per-shard free
-// list: a record leaves the lane that sent it and returns in the lane
-// that delivered it, so a shard that mostly receives would grow a
-// private list without bound (per-shard lists were measured and
-// rejected).
+// delivers, in one recycled record. Send takes it from the sender's
+// lane and fire returns it to the destination's once the handler is
+// back; nothing else ever holds it — Send hands out no handle, and
+// handlers get the Message by value — so a recycled record cannot be
+// stopped, re-armed or read through a stale reference.
 type delivery struct {
 	ev  simtime.Event
 	net *Network
 	msg Message
 }
 
-var deliveries sync.Pool // of *delivery
+// records is one lane's free list of delivery records, on a cache line
+// of its own. taken counts the records the lane took since the last
+// barrier, want the most it took between two barriers.
+type records struct {
+	free        []*delivery
+	taken, want int
+	_           [64 - 40]byte
+}
 
-func newDelivery() *delivery {
-	if d, ok := deliveries.Get().(*delivery); ok {
-		return d
+// rebalance runs at every barrier of a sharded network. A record leaves
+// the lane that sent it and returns to the lane that delivered it, so a
+// lane that mostly receives would hoard records and one that mostly
+// sends would make new ones. Each lane keeps as many as it ever took in
+// one window: it hands the rest to a spare list, or refills from it.
+func (n *Network) rebalance() {
+	for i := range n.recs {
+		r := &n.recs[i]
+		r.want, r.taken = max(r.want, r.taken), 0
+		if k := len(r.free) - r.want; k > 0 {
+			n.spare = append(n.spare, r.free[r.want:]...)
+			clear(r.free[r.want:])
+			r.free = r.free[:r.want]
+		} else if k = min(-k, len(n.spare)); k > 0 {
+			r.free = append(r.free, n.spare[len(n.spare)-k:]...)
+			clear(n.spare[len(n.spare)-k:])
+			n.spare = n.spare[:len(n.spare)-k]
+		}
 	}
-	d := new(delivery)
-	d.ev.Fn = d.fire // bound once, for every flight the record makes
-	return d
 }
 
 // fire is the delivery event: dispatch at the arrival instant, in the
-// destination's shard, unless the runtime stopped meanwhile.
+// destination's lane, unless the runtime stopped meanwhile.
 func (d *delivery) fire() {
-	n := d.net
+	n, to := d.net, d.msg.To
 	select {
 	case <-n.quit:
-		n.count(d.msg.To, statMsgsDropped)
+		n.count(to, statMsgsDropped)
 	default:
-		n.nodes[d.msg.To].dispatch(&d.msg)
+		n.nodes[to].dispatch(&d.msg)
 	}
-	d.net, d.msg = nil, Message{} // the pool must not pin the payload
-	deliveries.Put(d)
+	d.msg = Message{} // a free record must not pin the payload
+	r := &n.recs[n.shardOf[to]]
+	r.free = append(r.free, d)
 }
 
 // dispatch hands the delivery record's message to the port's handler,
@@ -548,10 +583,9 @@ const HeartbeatPort = "overlay.hb"
 // ObserveHeartbeats installs fn as the heartbeat observer: it is
 // called for every delivered heartbeat with the beat's sender and
 // receiver and the virtual time of the delivery. Calls are routed
-// through the clock's observation barrier — under sharded execution
-// they run serialized at window ends in deterministic order, under
-// single-queue execution inline on the scheduler — so the observer may
-// touch shared state freely. A beat is staged as a record (the observer
+// through the clock's observation barrier — they run serialized at
+// window ends in deterministic order, on one lane and on K — so the
+// observer may touch shared state freely. A beat is staged as a record (the observer
 // and the two node ids), so observing allocates nothing per heartbeat.
 // Pass nil to remove. Failure detectors (package failure) consume
 // liveness traffic through this hook.

@@ -12,8 +12,8 @@ type Domain int32
 
 // Control is the domain of harness- and scheduler-context work. Control
 // events at an instant order before any node-domain event at the same
-// instant, which matches the barrier semantics of the sharded clock:
-// control work runs between parallel windows, never inside them.
+// instant, which matches the barrier semantics of the lanes: control
+// work runs between windows, never inside them.
 const Control Domain = -1
 
 // domainSeqBits splits the packed event key: the high bits carry

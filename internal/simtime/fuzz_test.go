@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -146,5 +147,30 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 		if wheel.len() != 0 {
 			t.Fatalf("wheel retains %d events after drain", wheel.len())
 		}
+	})
+}
+
+// FuzzInlineLaneMatchesReference runs the clock script the bytes encode
+// (see clockScript: three bytes an op, at most 200 ops) on a one-lane
+// clock and on the strict-order reference, and requires identical event
+// and observation logs: the lane's windows, cut at control events, must
+// fire exactly what one heap popped one event at a time would, with the
+// same Now readings.
+func FuzzInlineLaneMatchesReference(f *testing.F) {
+	// A node event at the instant of a control event, then a sleep.
+	f.Add([]byte{0, 1, 0, 1, 1, 2, 4, 3, 0})
+	// Node events that call AfterFunc(0) and chain same-instant events
+	// across domains.
+	f.Add([]byte{1, 0, 0, 1, 0, 1, 2, 0, 6, 1, 0, 2, 4, 7, 0, 0, 2, 0})
+	for _, seed := range []int64{1, 2, 3} {
+		ops := make([]byte, 300)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 600 {
+			ops = ops[:600]
+		}
+		matchReference(t, ops)
 	})
 }

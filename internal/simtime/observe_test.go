@@ -101,10 +101,10 @@ func TestObservationMergeMatchesSort(t *testing.T) {
 
 // TestRecordsAndClosuresShareOneOrder: node events that each stage a
 // closure, a record and another closure — many of them at equal instants
-// in different lanes — are observed in one order on the single queue,
-// where an observation runs inline, and on 4 lanes, where the barrier
-// merges them; every observation sees the instant of the event that
-// made it.
+// in different lanes — are observed in one order on one lane, where a
+// window's observations form one run, and on 4 lanes, where the barrier
+// merges the lanes' runs; every observation sees the instant of the
+// event that made it.
 func TestRecordsAndClosuresShareOneOrder(t *testing.T) {
 	const nodes, beats = 16, 20
 	run := func(shards int) []string {

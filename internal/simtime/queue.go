@@ -30,8 +30,8 @@ type Event struct {
 	// seq is the packed event key: (origin domain + 1) in the high
 	// bits, the origin's schedule counter in the low domainSeqBits.
 	// It breaks ties at equal timestamps — control events first, then
-	// node domains in id order, FIFO within a domain — identically in
-	// single-queue and sharded execution.
+	// node domains in id order, FIFO within a domain — identically on
+	// one lane and on K.
 	seq uint64
 
 	clk *VirtualClock // the clock the event was last scheduled on: Stop's way back
@@ -41,8 +41,8 @@ type Event struct {
 
 	// idx is the event's position in the ready (or reference) heap.
 	idx int32
-	// lane is the shard queue a pending event lives in, or -1 for the
-	// control queue (and for every event in single-queue mode).
+	// lane is the lane queue a pending event lives in, or -1 for the
+	// control queue.
 	lane int32
 
 	// where names the container holding the event (zero: none — never
@@ -59,42 +59,21 @@ const (
 )
 
 // Stop cancels the event, reporting whether it was still pending. Stop
-// is a control-context operation: calling it from inside a parallel
-// window panics (shard workers own their queues then).
+// is a control-context operation. Inside a window it panics for a
+// node-domain event (its lane owns the queue then) and for any event of
+// a sharded clock; on a one-lane clock a control event may be stopped
+// from anywhere, as it may be scheduled.
 func (ev *Event) Stop() bool {
 	c := ev.clk
 	if c == nil {
 		return false // never scheduled
 	}
-	if c.inWindow.Load() {
-		panic("simtime: Event.Stop inside a parallel window")
+	if c.inWindow.Load() && (ev.lane >= 0 || len(c.lanes) > 1) {
+		panic("simtime: Event.Stop of a lane's event inside a window")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.removeLocked(ev)
-}
-
-// eventQueue is the scheduler's priority-queue contract: push pending
-// events, pop the exact global (at, seq) minimum, remove a pending
-// event by handle. wheelQueue, the hierarchical timer wheel, is the
-// implementation every clock runs on; the binary heap it replaced
-// lives on in the tests as the order it is checked against. The
-// VirtualClock holds its mutex around every call, so implementations
-// need no locking of their own.
-type eventQueue interface {
-	// push enqueues a pending event (at and seq already assigned).
-	push(ev *Event)
-	// popMin removes and returns the event with the smallest (at, seq),
-	// marked idle. Callers guarantee len() > 0.
-	popMin() *Event
-	// peekMin returns the event popMin would return without removing
-	// it. Callers guarantee len() > 0.
-	peekMin() *Event
-	// remove cancels a pending event, reporting whether it was still
-	// queued (false if already fired or removed).
-	remove(ev *Event) bool
-	// len returns the number of pending events.
-	len() int
 }
 
 // eventHeap is a binary min-heap of events by (at, seq): earliest

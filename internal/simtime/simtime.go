@@ -26,13 +26,20 @@
 // may freely mutate simulation state (deploy circuits, register
 // handlers, read metrics) without racing event callbacks.
 //
+//   - Node-domain events run on lanes, in windows without a lock per
+//     event, and control events one at a time at the barriers between
+//     windows (sharded.go). The default clock's one lane is drained by
+//     the sleeper itself, and Now is exact inside its windows.
 //   - Goroutines that sleep on one clock at the same time take turns: a
 //     sleep holds the clock's driving mutex from start to wake-up, so
 //     concurrent sleeps run one after another and their lengths add up.
+//   - A goroutine that does not sleep may call AfterFunc, and Stop a
+//     control event, at any time, also during another's sleep. It must
+//     not touch node-domain events then: their lane owns them.
 //   - Event callbacks (AfterFunc functions) run on the sleeping
 //     goroutine, or on a lane worker of a sharded clock, and must not
 //     block. They may schedule further events and close the channel a
-//     SleepOrDone waits on.
+//     SleepOrDone waits on. On one lane, node code may call AfterFunc.
 //   - A callback must not sleep on its own clock. The sleeper running it
 //     holds the driving mutex, so the inner sleep blocks forever (in a
 //     test, Go's deadlock detector reports it). Nothing checks for this:

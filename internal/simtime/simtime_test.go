@@ -222,8 +222,8 @@ func TestSleepOrDoneTimerPath(t *testing.T) {
 
 // TestSleepOrDoneSignalWakesDeterministically: an event at 1s closes
 // done, and the sleeper resumes at that instant, before a later control
-// event and before a node event at the same instant — on a single queue
-// and on lanes, where that node event is a window's.
+// event and before a node event at the same instant, which a later
+// window runs — on one lane and on two.
 func TestSleepOrDoneSignalWakesDeterministically(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		c := NewVirtualSharded([]int32{0, 1}, shards, time.Millisecond)
@@ -320,5 +320,103 @@ func TestSleepOrDoneTimerBeatsLaterSignal(t *testing.T) {
 	close(done)
 	if got := c.Since(virtualEpoch); got != time.Second {
 		t.Fatalf("clock at +%v, want +1s", got)
+	}
+}
+
+// TestForeignAfterFuncDuringWindow: while the test goroutine sleeps
+// through heavy node-domain traffic, which runs in the lane's windows,
+// another goroutine schedules control events with AfterFunc and stops
+// some of them, in a loop. Every event fires at or after its due
+// instant, and each one either fired or was stopped. Run with -race it
+// checks that a control schedule during a window touches nothing the
+// lane owns.
+func TestForeignAfterFuncDuringWindow(t *testing.T) {
+	c := newTestClock(t)
+	const nodes = 64
+	beats := make([]Event, nodes)
+	for n := range beats {
+		dom, ev, period := Domain(n), &beats[n], time.Duration(1+n%7)*10*time.Microsecond
+		ev.Fn = func() { c.ScheduleEvent(ev, dom, dom, period) }
+		c.ScheduleEvent(ev, dom, dom, period)
+	}
+	var fired, early, inWindow atomic.Int64
+	stop, done := make(chan struct{}), make(chan struct{})
+	scheduled, stopped := 0, 0
+	go func() {
+		defer close(done)
+		var mine []*Event
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			d := time.Duration(i%50) * 10 * time.Microsecond
+			due := c.Now().Add(d)
+			if c.inWindow.Load() {
+				inWindow.Add(1)
+			}
+			mine = append(mine, c.AfterFunc(d, func() {
+				if c.Now().Before(due) {
+					early.Add(1)
+				}
+				fired.Add(1)
+			}))
+			scheduled++
+			if i%3 == 0 && mine[(i*7)%len(mine)].Stop() {
+				stopped++
+			}
+		}
+	}()
+	for i := 0; i < 20_000 && inWindow.Load() < 200; i++ {
+		c.Sleep(time.Millisecond)
+	}
+	close(stop)
+	<-done
+	for n := range beats {
+		beats[n].Stop()
+	}
+	c.Sleep(time.Second) // fire what the other goroutine left pending
+	if n := inWindow.Load(); n < 200 {
+		t.Fatalf("only %d schedules landed inside a window", n)
+	}
+	if n := early.Load(); n != 0 {
+		t.Fatalf("%d of %d events fired before their due instant", n, fired.Load())
+	}
+	if got := fired.Load() + int64(stopped); got != int64(scheduled) {
+		t.Fatalf("%d fired + %d stopped, want the %d scheduled", fired.Load(), stopped, scheduled)
+	}
+	if n := c.PendingEvents(); n != 0 {
+		t.Fatalf("%d events pending after the drain", n)
+	}
+}
+
+// TestShardLanesRejectsPendingNodeEvents: a node-domain event pending on
+// the one lane would sit outside its new lane's order, so ShardLanes
+// refuses it; once it fired, sharding goes ahead and the domain's
+// counter carries on.
+func TestShardLanesRejectsPendingNodeEvents(t *testing.T) {
+	c := newTestClock(t)
+	fired := 0
+	c.ScheduleDomain(1, 1, time.Millisecond, func() { fired++ })
+	mustPanic(t, "ShardLanes with a node event pending", func() {
+		c.ShardLanes([]int32{0, 1}, 2, time.Millisecond)
+	})
+	if c.Shards() != 1 {
+		t.Fatalf("a refused ShardLanes left %d lanes", c.Shards())
+	}
+	c.AfterFunc(0, func() {}) // pending control events do not matter
+	c.Sleep(2 * time.Millisecond)
+	c.ShardLanes([]int32{0, 1}, 2, time.Millisecond)
+	if c.Shards() != 2 {
+		t.Fatalf("%d lanes after ShardLanes, want 2", c.Shards())
+	}
+	ev := c.ScheduleDomain(1, 1, time.Millisecond, func() { fired++ })
+	if ev.seq != uint64(2)<<domainSeqBits|1 {
+		t.Fatalf("domain 1's second event keyed %#x, want its counter at 1", ev.seq)
+	}
+	c.Sleep(2 * time.Millisecond)
+	if fired != 2 {
+		t.Fatalf("%d of 2 node events fired", fired)
 	}
 }

@@ -1,6 +1,8 @@
 package simtime
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,68 +19,77 @@ var virtualEpoch = time.Date(2000, time.January, 1, 0, 0, 0, 0, time.UTC)
 // Events are keyed by (timestamp, origin domain, per-domain sequence):
 // the key is a pure function of the event history of the scheduling
 // domain, not of global scheduling order, so the same key set — and
-// therefore the same fire order — emerges whether the clock executes
-// events one at a time (single queue) or in parallel shard windows
-// (NewVirtualSharded). Control-domain events order before node-domain
-// events at the same instant, matching the sharded clock's barriers.
+// therefore the same fire order — emerges whether the node domains run
+// on one lane or on K parallel ones (NewVirtualSharded). Control-domain
+// events order before node-domain events at the same instant: they run
+// at the barriers between windows.
 type VirtualClock struct {
 	// drive is held by the goroutine sleeping on the clock, from its
 	// call to its wake-up: concurrent sleepers take turns.
 	drive sync.Mutex
-	mu    sync.Mutex
+	// mu guards the control queue, the control counter and the
+	// barrier's bookkeeping. A window runs without it.
+	mu sync.Mutex
 
-	// now is the virtual offset from virtualEpoch in nanoseconds. It is
-	// written under mu, at the three places the clock advances (the
-	// single-queue pop, the sharded control pop, the barrier commit), and
-	// atomic so Now — called on every Send, produced tuple and sink
-	// delivery — reads it without the lock.
+	// now is the virtual offset from virtualEpoch in nanoseconds,
+	// atomic so Now reads it without the lock. A control pop and a
+	// barrier advance it, and so does each event of a one-lane window.
 	now atomic.Int64
 
-	// domSeq holds the per-domain schedule counters, indexed by
-	// origin+1 (index 0 is the Control domain). During a parallel
-	// window each shard touches only the counters of the domains it
-	// owns; at barriers and in single-queue mode access is under mu.
-	domSeq []uint64
+	// cut is the end of the running window: a lane stops before its
+	// first event at or after it. A control event scheduled during a
+	// one-lane window lowers it to the event's instant.
+	cut atomic.Int64
 
-	// q holds the pending control-domain events (and, in single-queue
-	// mode, every event): the hierarchical timer wheel (wheelQueue),
-	// or in the differential tests the binary heap it is checked
-	// against.
-	q eventQueue
+	// ctlSeq is the Control domain's schedule counter, under mu; doms
+	// holds each node domain's, owned by its lane during a window.
+	ctlSeq uint64
+	doms   []domState
+
+	// q holds the pending control-domain events.
+	q *wheelQueue
 
 	// wake is the sleeper's wake-up event. One per clock is enough:
 	// only the holder of drive sleeps.
 	wake Event
 
-	// Sharded-mode state (empty lanes == single-queue mode); see
-	// sharded.go.
+	// lanes run the node domains: one, drained by the sleeper itself,
+	// or K with a worker goroutine each (sharded.go).
 	lanes     []*clockLane
-	laneOf    []int32 // node domain -> lane index
 	lookahead time.Duration
 	inWindow  atomic.Bool
 	laneDone  chan struct{}
 	winLanes  []*clockLane // scratch: lanes active in the current window
 	obsRuns   [][]obsEntry // scratch: the window's per-lane observation runs
 	obsBuf    []obsEntry   // scratch: those runs merged
+	barrier   []func()     // run at every window's end; see OnBarrier
 
 	stopped bool
 }
 
-// NewVirtual creates a virtual clock at the epoch. Its event queue is
-// the hierarchical timer wheel (wheel.go): O(1) amortized
-// schedule/fire, exact key order.
-func NewVirtual() *VirtualClock {
-	return &VirtualClock{q: newWheelQueue()}
+// domState is one node domain's schedule counter and the lane that
+// runs its events.
+type domState struct {
+	seq  uint64
+	lane int32
 }
 
-// stepLocked advances the clock by one step: on a sharded clock whose
-// lanes hold work due before the next control event, one parallel
-// window (sharded.go); otherwise it pops the earliest control event —
-// in single-queue mode, the earliest event — and runs it with mu
-// released, unless it is wake, which it only reports. Called with mu
-// held; returns with mu held.
+// NewVirtual creates a virtual clock at the epoch with one lane. Both
+// of its queues are hierarchical timer wheels (wheel.go): O(1)
+// amortized schedule/fire, exact key order.
+func NewVirtual() *VirtualClock {
+	c := &VirtualClock{q: newWheelQueue(), lookahead: math.MaxInt64}
+	c.lanes = []*clockLane{{c: c, q: newWheelQueue(), solo: true}}
+	return c
+}
+
+// stepLocked advances the clock by one step: one window, when a lane
+// holds work due before the next control event (sharded.go); otherwise
+// it pops the earliest control event and runs it with mu released,
+// unless it is wake, which it only reports. Called with mu held;
+// returns with mu held.
 func (c *VirtualClock) stepLocked(wake *Event) bool {
-	if len(c.lanes) > 0 && c.runWindowLocked() {
+	if c.runWindowLocked() {
 		return false
 	}
 	ev := c.q.popMin()
@@ -109,7 +120,9 @@ func (c *VirtualClock) Stop() {
 	if !c.stopped {
 		c.stopped = true
 		for _, ln := range c.lanes {
-			close(ln.work)
+			if ln.work != nil {
+				close(ln.work)
+			}
 		}
 	}
 	c.mu.Unlock()
@@ -146,42 +159,59 @@ func (c *VirtualClock) Since(t time.Time) time.Duration {
 	return c.Now().Sub(t)
 }
 
-// nextKeyLocked mints the next event key for origin: origin+1 in the
-// high bits, the domain's schedule counter in the low domainSeqBits.
-// Callers hold mu (the shard window path mints keys lock-free in
-// ScheduleDomain, where counter ownership is per-lane).
-func (c *VirtualClock) nextKeyLocked(origin Domain) uint64 {
-	i := int(origin) + 1
-	for i >= len(c.domSeq) {
-		c.domSeq = append(c.domSeq, 0)
+// key mints origin's next event key: origin+1 in the high bits, the
+// domain's schedule counter in the low domainSeqBits.
+func (c *VirtualClock) key(origin Domain) uint64 {
+	if origin < 0 {
+		k := c.ctlSeq
+		c.ctlSeq++
+		return k
 	}
-	k := uint64(i)<<domainSeqBits | c.domSeq[i]
-	c.domSeq[i]++
+	ds := c.domain(origin)
+	k := uint64(origin+1)<<domainSeqBits | ds.seq
+	ds.seq++
 	return k
 }
 
-// scheduleEventLocked enqueues ev at now+d keyed as origin's next
-// event, routed to exec's queue. Callers must hold mu and must not be
-// inside a parallel window (window-context scheduling goes through the
-// lock-free path in ScheduleEvent).
-func (c *VirtualClock) scheduleEventLocked(ev *Event, origin, exec Domain, d time.Duration) {
-	if d < 0 {
-		d = 0
+// domain returns node domain d's state. A one-lane clock grows the
+// table on first use; a sharded clock's spans its lane map, and a
+// domain outside it panics.
+func (c *VirtualClock) domain(d Domain) *domState {
+	if int(d) >= len(c.doms) {
+		if len(c.lanes) > 1 {
+			panic(fmt.Sprintf("simtime: node domain %d outside the %d-domain lane map", d, len(c.doms)))
+		}
+		c.doms = append(c.doms, make([]domState, int(d)+1-len(c.doms))...)
 	}
-	lane := int32(-1)
-	if exec >= 0 && len(c.lanes) > 0 {
-		lane = c.laneOf[exec]
+	return &c.doms[d]
+}
+
+// laneOf returns the lane that runs exec's events, -1 for the control
+// queue.
+func (c *VirtualClock) laneOf(exec Domain) int32 {
+	if exec < 0 {
+		return -1
 	}
-	ev.clk, ev.at, ev.seq, ev.lane = c, time.Duration(c.now.Load())+d, c.nextKeyLocked(origin), lane
+	return c.domain(exec).lane
+}
+
+// scheduleLocked enqueues ev at now+d, keyed as origin's next event,
+// in exec's queue. Callers hold mu.
+func (c *VirtualClock) scheduleLocked(ev *Event, origin, exec Domain, d time.Duration) {
+	ev.clk, ev.at, ev.seq, ev.lane = c, time.Duration(c.now.Load())+d, c.key(origin), c.laneOf(exec)
 	c.pushLocked(ev)
 }
 
-// pushLocked routes ev to its queue.
+// pushLocked routes ev to its queue. A control event lowers the
+// running window's cut to its instant.
 func (c *VirtualClock) pushLocked(ev *Event) {
 	if ev.lane >= 0 {
 		c.lanes[ev.lane].q.push(ev)
-	} else {
-		c.q.push(ev)
+		return
+	}
+	c.q.push(ev)
+	if int64(ev.at) < c.cut.Load() {
+		c.cut.Store(int64(ev.at))
 	}
 }
 
@@ -200,9 +230,11 @@ func (c *VirtualClock) removeLocked(ev *Event) bool {
 func (c *VirtualClock) Sleep(d time.Duration) { c.SleepOrDone(d, nil) }
 
 // SleepOrDone is Sleep that also ends, reporting true, right after the
-// step whose event closed done, at that event's instant; a done closed
-// before the call ends it at once. Close done from an event or before
-// the call: a close from another goroutine is seen only between events.
+// step that closed done: after the control event that closed it, at
+// that event's instant, or at the end of the window whose node event
+// did. A done closed before the call ends it at once. Close done from
+// an event or before the call: a close from another goroutine is seen
+// only between steps.
 func (c *VirtualClock) SleepOrDone(d time.Duration, done <-chan struct{}) bool {
 	if isClosed(done) {
 		return true
@@ -220,8 +252,9 @@ func (c *VirtualClock) SleepOrDone(d time.Duration, done <-chan struct{}) bool {
 	if wake.where != evIdle {
 		// Still queued: an event's panic cut the last sleep short.
 		c.removeLocked(wake)
+		c.inWindow.Store(false)
 	}
-	c.scheduleEventLocked(wake, Control, Control, d)
+	c.scheduleLocked(wake, Control, Control, d)
 	doneFired := false
 	for !c.stopped && !doneFired {
 		if c.stepLocked(wake) {
@@ -246,14 +279,10 @@ func isClosed(done <-chan struct{}) bool {
 }
 
 // AfterFunc schedules fn to run after d of virtual time, keyed to the
-// Control domain, and returns the Event that cancels it. Shard-context
-// code (event handlers acting as a node) must use ScheduleDomain
-// instead; calling AfterFunc from inside a parallel window panics,
-// because the control queue is coordinator-owned during windows.
+// Control domain, and returns the Event that cancels it. Node code on a
+// sharded clock must use ScheduleDomain with its own domain instead:
+// AfterFunc inside its windows panics.
 func (c *VirtualClock) AfterFunc(d time.Duration, fn func()) *Event {
-	if c.inWindow.Load() {
-		panic("simtime: AfterFunc inside a parallel window; use ScheduleDomain with the acting node's domain")
-	}
 	return c.ScheduleDomain(Control, Control, d, fn)
 }
 

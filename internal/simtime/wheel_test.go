@@ -3,7 +3,6 @@ package simtime
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 )
@@ -99,80 +98,165 @@ func TestWheelQueueDifferential(t *testing.T) {
 	}
 }
 
-// clockScript drives one VirtualClock through a deterministic
-// pseudo-random workload covering the full scheduling surface —
-// AfterFunc fires, timer Stop (both successful and too-late), Sleep,
-// SleepOrDone won by the timer, and SleepOrDone cut short by an event
-// closing its channel —
-// and returns the observed event log. Every log line embeds the virtual
-// timestamp, so two clocks agree only if their fire orders are
-// identical down to (timestamp, seq) ties.
-func clockScript(clk *VirtualClock, seed int64) []string {
-	var mu sync.Mutex
-	var log []string
+// scriptClock is what clockScript drives: a VirtualClock through
+// clockUnderTest, or the strict-order reference.
+type scriptClock interface {
+	Now() time.Time
+	DomainNow(Domain) time.Time
+	Observe(Domain, func(time.Time))
+	PendingEvents() int
+	Sleep(time.Duration)
+	SleepOrDone(time.Duration, <-chan struct{}) bool
+	schedule(origin, exec Domain, d time.Duration, fn func()) (stop func() bool)
+}
+
+// clockUnderTest adapts a VirtualClock to scriptClock: a Control
+// schedule is an AfterFunc, any other a ScheduleDomain.
+type clockUnderTest struct{ *VirtualClock }
+
+func (c clockUnderTest) schedule(origin, exec Domain, d time.Duration, fn func()) func() bool {
+	if origin == Control && exec == Control {
+		return c.AfterFunc(d, fn).Stop
+	}
+	return c.ScheduleDomain(origin, exec, d, fn).Stop
+}
+
+// scriptNodes is the number of node domains a clock script uses.
+const scriptNodes = 4
+
+// clockScript drives one clock through the workload that ops encodes,
+// three bytes an op, and returns its event log and its observation
+// log. The script covers the scheduling surface: control events and
+// their Stop (successful and too late), Sleep, SleepOrDone won by the
+// timer and cut short by a control event closing its channel,
+// node-domain events scheduled by control code, within a domain and
+// across two, and node events that chain zero-delay node events, send
+// to another domain, call AfterFunc and stop control events. Delays are
+// multiples of 100µs below 800µs, so control and node events of
+// several domains share instants. Every log line embeds the clock's
+// time, so two clocks agree only if their fire orders and their Now
+// readings are identical; observations go to a log of their own,
+// since a window defers them to its end.
+func clockScript(clk scriptClock, ops []byte) (log, obs []string) {
+	if len(ops) == 0 {
+		ops = []byte{0}
+	}
 	logf := func(format string, args ...any) {
-		mu.Lock()
 		log = append(log, fmt.Sprintf("%d "+format, append([]any{clk.Now().UnixNano()}, args...)...))
-		mu.Unlock()
+	}
+	dly := func(v byte) time.Duration { return time.Duration(v%8) * 100 * time.Microsecond }
+	var ctlStops, nodeStops []func() bool
+	next := 0
+
+	var node func(origin, dom Domain, d time.Duration, depth int)
+	var ctl func(d time.Duration, depth int)
+	node = func(origin, dom Domain, d time.Duration, depth int) {
+		id := next
+		next++
+		nodeStops = append(nodeStops, clk.schedule(origin, dom, d, func() {
+			logf("node %d dom %d at %d", id, dom, clk.DomainNow(dom).UnixNano())
+			clk.Observe(dom, func(at time.Time) { obs = append(obs, fmt.Sprintf("%d node %d", at.UnixNano(), id)) })
+			b := ops[(id*7+3)%len(ops)]
+			switch b % 5 {
+			case 0: // a zero-delay event in the node's own domain
+				if depth < 3 {
+					node(dom, dom, 0, depth+1)
+				}
+			case 1: // a send to another domain
+				if depth < 3 {
+					node(dom, (dom+1+Domain(b/5)%(scriptNodes-1))%scriptNodes, dly(b/5), depth+1)
+				}
+			case 2: // node code schedules a control event
+				ctl(dly(b/5), depth+1)
+			case 3: // node code stops a control event
+				if len(ctlStops) > 0 {
+					logf("node %d stops %d = %v", id, int(b/5)%len(ctlStops), ctlStops[int(b/5)%len(ctlStops)]())
+				}
+			}
+		}))
+	}
+	ctl = func(d time.Duration, depth int) {
+		id := next
+		next++
+		ctlStops = append(ctlStops, clk.schedule(Control, Control, d, func() {
+			logf("ctl %d", id)
+			if b := ops[(id*5+1)%len(ops)]; b%3 == 0 && depth < 3 {
+				node(Domain(b/3%scriptNodes), Domain(b/3%scriptNodes), dly(b/12), depth+1)
+			}
+		}))
 	}
 
-	rng := rand.New(rand.NewSource(seed))
-
-	var timers []*Event
-	for i := 0; i < 400; i++ {
-		id := i
-		switch rng.Intn(6) {
-		case 0, 1: // schedule a fire
-			d := time.Duration(rng.Intn(5000)) * time.Microsecond
-			timers = append(timers, clk.AfterFunc(d, func() { logf("fire %d", id) }))
-		case 2: // stop a random earlier timer
-			if len(timers) > 0 {
-				j := rng.Intn(len(timers))
-				logf("stop %d = %v", j, timers[j].Stop())
+	for i := 0; i+3 <= len(ops); i += 3 {
+		op, a, b := ops[i]%8, ops[i+1], ops[i+2]
+		switch op {
+		case 0:
+			ctl(dly(a), 0)
+		case 1:
+			dom := Domain(b % scriptNodes)
+			node(dom, dom, dly(a), 0)
+		case 2:
+			node(Domain(b%scriptNodes), Domain(b/scriptNodes%scriptNodes), dly(a), 0)
+		case 3:
+			if b%2 == 0 && len(ctlStops) > 0 {
+				logf("stop ctl %d = %v", int(a)%len(ctlStops), ctlStops[int(a)%len(ctlStops)]())
+			} else if len(nodeStops) > 0 {
+				logf("stop node %d = %v", int(a)%len(nodeStops), nodeStops[int(a)%len(nodeStops)]())
 			}
-		case 3: // plain sleep
-			clk.Sleep(time.Duration(rng.Intn(2000)) * time.Microsecond)
-			logf("slept %d", id)
-		case 4: // SleepOrDone won by the timer (signal arrives later)
+		case 4, 5:
+			clk.Sleep(dly(a) * time.Duration(1+b%4))
+			logf("slept %d", i)
+		case 6: // SleepOrDone won by the timer
 			ch := make(chan struct{})
-			clk.AfterFunc(time.Duration(1500+rng.Intn(500))*time.Microsecond, func() { close(ch) })
-			got := clk.SleepOrDone(time.Duration(rng.Intn(1000))*time.Microsecond, ch)
-			logf("sod-timer %d = %v", id, got)
-		default: // SleepOrDone cut short by the close
+			clk.schedule(Control, Control, 2*time.Millisecond+dly(b), func() { close(ch) })
+			logf("sod-timer %d = %v", i, clk.SleepOrDone(dly(a)+100*time.Microsecond, ch))
+		default: // SleepOrDone cut short by a control event's close
 			ch := make(chan struct{})
-			clk.AfterFunc(time.Duration(rng.Intn(500))*time.Microsecond, func() { close(ch) })
-			got := clk.SleepOrDone(time.Duration(1000+rng.Intn(1000))*time.Microsecond, ch)
-			logf("sod-signal %d = %v", id, got)
+			clk.schedule(Control, Control, dly(a), func() { close(ch) })
+			logf("sod-signal %d = %v", i, clk.SleepOrDone(time.Millisecond+dly(b), ch))
 		}
 	}
 	// Drain whatever is still pending so late fires are compared too.
 	clk.Sleep(10 * time.Second)
 	logf("done pending=%d", clk.PendingEvents())
-	return log
+	return log, obs
 }
 
-// TestWheelClockDifferential runs the same seeded scheduling script on
-// a wheel-backed clock and on the reference heap-backed clock and
-// requires byte-identical event logs — the end-to-end determinism
+// matchReference runs ops on a one-lane clock and on the strict-order
+// reference and fails on the first difference of either log.
+func matchReference(t *testing.T, ops []byte) {
+	t.Helper()
+	clk := NewVirtual()
+	defer clk.Stop()
+	gotLog, gotObs := clockScript(clockUnderTest{clk}, ops)
+	wantLog, wantObs := clockScript(NewVirtualReference(), ops)
+	for _, l := range []struct {
+		what      string
+		got, want []string
+	}{{"event log", gotLog, wantLog}, {"observation log", gotObs, wantObs}} {
+		for i := 0; i < len(l.got) || i < len(l.want); i++ {
+			var g, w string
+			if i < len(l.got) {
+				g = l.got[i]
+			}
+			if i < len(l.want) {
+				w = l.want[i]
+			}
+			if g != w {
+				t.Fatalf("%s line %d differs:\n  one lane:  %q\n  reference: %q", l.what, i, g, w)
+			}
+		}
+	}
+}
+
+// TestWheelClockDifferential runs seeded scheduling scripts on a
+// one-lane clock and on the strict-order reference and requires
+// identical event and observation logs — the end-to-end determinism
 // guarantee the bit-identity experiment tests (X8/X11/X16) build on.
 func TestWheelClockDifferential(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
-		wheelClk := NewVirtual()
-		wheelLog := clockScript(wheelClk, seed)
-		wheelClk.Stop()
-
-		heapClk := NewVirtualReference()
-		heapLog := clockScript(heapClk, seed)
-		heapClk.Stop()
-
-		if len(wheelLog) != len(heapLog) {
-			t.Fatalf("seed %d: log length wheel=%d heap=%d", seed, len(wheelLog), len(heapLog))
-		}
-		for i := range wheelLog {
-			if wheelLog[i] != heapLog[i] {
-				t.Fatalf("seed %d: log[%d] differs:\n  wheel: %s\n  heap:  %s", seed, i, wheelLog[i], heapLog[i])
-			}
-		}
+		ops := make([]byte, 1200)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { matchReference(t, ops) })
 	}
 }
 
@@ -206,26 +290,31 @@ func TestWheelFarFuture(t *testing.T) {
 
 // benchQueue measures raw schedule+fire throughput with `pending`
 // events resident, the regime the 16k-node heartbeat scenario puts the
-// kernel in. Each iteration pushes one event and pops the minimum, so
-// the queue stays at the target size while both code paths are
-// exercised.
+// kernel in. Each iteration re-arms the event the last one popped and
+// pops the minimum, so the queue stays at the target size, both code
+// paths are exercised, and the events are preallocated: the benchmark
+// times the queue, not the allocator.
 func benchQueue(b *testing.B, q eventQueue, pending int) {
 	rng := rand.New(rand.NewSource(1))
+	events := make([]Event, pending+1)
 	var now time.Duration
 	var seq uint64
-	push := func() {
-		q.push(&Event{at: now + time.Duration(rng.Intn(10_000_000))*time.Microsecond, seq: seq})
+	push := func(ev *Event) {
+		ev.at, ev.seq = now+time.Duration(rng.Intn(10_000_000))*time.Microsecond, seq
 		seq++
+		q.push(ev)
 	}
 	for i := 0; i < pending; i++ {
-		push()
+		push(&events[i])
 	}
+	spare := &events[pending]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		push()
-		ev := q.popMin()
-		if ev.at > now {
-			now = ev.at
+		push(spare)
+		spare = q.popMin()
+		if spare.at > now {
+			now = spare.at
 		}
 	}
 }

@@ -285,7 +285,13 @@ func (e *Engine) Deploy(c *optimizer.Circuit) (*Running, error) {
 		r.host[i].Store(int32(s.Node))
 	}
 
-	port := func(i int) string { return fmt.Sprintf("q%d.s%d", c.Query.ID, i) }
+	ports := make([]string, len(c.Services)) // one per port: dispatch compares pointers
+	port := func(i int) string {
+		if ports[i] == "" {
+			ports[i] = fmt.Sprintf("q%d.s%d", c.Query.ID, i)
+		}
+		return ports[i]
+	}
 
 	// Outgoing edges per service, with input side derived from link order
 	// at the receiver (left child link is appended first by the builder).
