@@ -94,16 +94,15 @@ func NewNodeCatalog(space *costspace.Space, pts []costspace.Point) (*Catalog, er
 	if err != nil {
 		return nil, err
 	}
-	ring := NewRing()
-	for i := range pts {
-		if _, err := ring.AddPeer(topology.NodeID(i)); err != nil {
-			return nil, err
-		}
+	ring, err := NewRingOf(len(pts))
+	if err != nil {
+		return nil, err
 	}
 	c, err := NewCatalog(ring, space, curve, bounds)
 	if err != nil {
 		return nil, err
 	}
+	c.published = make(map[topology.NodeID]Entry, len(pts))
 	for i, p := range pts {
 		if _, err := c.Publish(topology.NodeID(i), p); err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -103,6 +104,11 @@ func TestNewNodeCatalogPublishesEveryNode(t *testing.T) {
 	if _, err := NewNodeCatalog(env.space, nil); err == nil {
 		t.Fatal("catalog over no points accepted")
 	}
+}
+
+// NewRing returns the empty ring that the tests grow join by join.
+func NewRing() *Ring {
+	return &Ring{byNode: make(map[topology.NodeID]*Peer)}
 }
 
 // mustCurve is hilbert.New for a curve shape the test knows is valid.
@@ -584,6 +590,30 @@ func BenchmarkLookup512(b *testing.B) {
 		if _, _, err := r.Lookup(topology.NodeID(rng.Intn(512)), ID(rng.Uint64())); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkNodeCatalog times NewNodeCatalog, ring and publishes, at the
+// node counts of the bench's 2k-node workload, its 16k-node workloads
+// and X18's 100k-node overlay, over uniform points of a 250-unit
+// latency-load space.
+func BenchmarkNodeCatalog(b *testing.B) {
+	for _, n := range []int{2064, 16400, 102464} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			space := costspace.NewLatencyLoadSpace(100)
+			rng := rand.New(rand.NewSource(1))
+			pts := make([]costspace.Point, n)
+			for i := range pts {
+				pts[i] = space.NewPoint(vivaldi.Coord{rng.Float64() * 250, rng.Float64() * 250}, []float64{rng.Float64()})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewNodeCatalog(space, pts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/hourglass/sbon/internal/costspace"
@@ -239,6 +240,108 @@ func FuzzNearestAdmissibleMatchesRanked(f *testing.F) {
 				for mode := 0; mode < 5; mode++ {
 					k := 1 + (i+sel+mode)%12
 					w.check(start, target, k, maxScan, w.excludeSet(mode, 3, start, target, k, maxScan, b))
+				}
+			}
+		}
+	})
+}
+
+// joinedCatalog is NewNodeCatalog as it was built before NewRingOf: one
+// AddPeer per node, in node order, then one Publish per node.
+func joinedCatalog(t *testing.T, space *costspace.Space, pts []costspace.Point) *Catalog {
+	t.Helper()
+	curve, bounds, err := Frame(space, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := NewRing()
+	for i := range pts {
+		if _, err := ring.AddPeer(topology.NodeID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := NewCatalog(ring, space, curve, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		if _, err := c.Publish(topology.NodeID(i), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// FuzzNodeCatalogMatchesJoins: two bytes pick n ≤ 2,000 nodes, and the
+// rest is a pattern the nodes' points cycle through, so points repeat
+// once n outgrows it; a flag snaps first coordinates onto a 16-unit
+// grid, so ties in the first coordinate are common too. The bulk
+// NewNodeCatalog must equal the AddPeer loop plus Publish: the same
+// peers in the same order at the same positions, every finger, the same
+// Changes(), each peer's entries in the same order, and the same
+// NearestAdmissible answers.
+func FuzzNodeCatalogMatchesJoins(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 10, 20, 30})
+	f.Add([]byte{0, 1, 0, 200, 7, 0, 3, 99, 255})
+	f.Add([]byte{0, 2, 1, 40, 40, 0, 40, 41, 9, 17, 3, 128})
+	f.Add([]byte{5, 220, 1, 3, 250, 17, 96, 5, 200, 31, 64, 64, 200, 0, 130, 77, 18, 255, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := &fuzzBytes{data: data}
+		n := 1 + (b.next()<<8|b.next())%2000
+		grid := b.next()&1 == 1
+		pat := b.data
+		if len(pat) < 3 {
+			pat = []byte{0, 0, 0}
+		}
+		space := costspace.NewLatencyLoadSpace(100)
+		pts := make([]costspace.Point, n)
+		for i := range pts {
+			x, y, load := pat[3*i%len(pat)], pat[(3*i+1)%len(pat)], pat[(3*i+2)%len(pat)]
+			if grid {
+				x &^= 15
+			}
+			pts[i] = space.NewPoint(vivaldi.Coord{float64(x), float64(y) + float64(i%7)}, []float64{float64(load) / 255})
+		}
+		bulk, err := NewNodeCatalog(space, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joined := joinedCatalog(t, space, pts)
+		br, jr := bulk.Ring(), joined.Ring()
+		if br.NumPeers() != jr.NumPeers() || br.Changes() != jr.Changes() {
+			t.Fatalf("bulk ring: %d peers, %d changes; joined: %d, %d", br.NumPeers(), br.Changes(), jr.NumPeers(), jr.Changes())
+		}
+		for i, bp := range br.Peers() {
+			jp := jr.Peers()[i]
+			if bp.id != jp.id || bp.node != jp.node || bp.idx != i || jp.idx != i {
+				t.Fatalf("position %d: bulk peer (id %#x, node %d, idx %d), joined (%#x, %d, %d)", i, bp.id, bp.node, bp.idx, jp.id, jp.node, jp.idx)
+			}
+			if q, ok := br.PeerFor(bp.node); !ok || q != bp {
+				t.Fatalf("bulk ring does not find node %d's peer", bp.node)
+			}
+			for l := range jp.fingers {
+				if bp.fingers[l].node != jp.fingers[l].node {
+					t.Fatalf("node %d finger %d: bulk node %d, joined node %d", bp.node, l, bp.fingers[l].node, jp.fingers[l].node)
+				}
+			}
+			if len(bp.flat) != len(jp.flat) {
+				t.Fatalf("node %d stores %d entries in bulk, %d joined", bp.node, len(bp.flat), len(jp.flat))
+			}
+			for k, e := range bp.flat {
+				if je := jp.flat[k]; e.Key != je.Key || e.Node != je.Node || !slices.Equal(e.Point, je.Point) {
+					t.Fatalf("node %d entry %d: bulk %+v, joined %+v", bp.node, k, e, je)
+				}
+			}
+		}
+		exclude := map[topology.NodeID]bool{0: true, topology.NodeID(n / 2): true}
+		for i, xy := range [][2]float64{{0, 0}, {40, 40}, {128, 200}, {255, 255}} {
+			target := space.IdealPoint(vivaldi.Coord{xy[0], xy[1]})
+			start := topology.NodeID(i * 7 % n)
+			for _, ex := range []map[topology.NodeID]bool{nil, exclude} {
+				got, gerr := bulk.NearestAdmissible(start, target, 3, 8, ex)
+				want, werr := joined.NearestAdmissible(start, target, 3, 8, ex)
+				if gerr != nil || werr != nil || got != want {
+					t.Fatalf("target %v from %d: bulk %+v (%v), joined %+v (%v)", xy, start, got, gerr, want, werr)
 				}
 			}
 		}

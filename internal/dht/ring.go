@@ -146,18 +146,59 @@ type Ring struct {
 // spans and RPC fault events.
 func (r *Ring) SetTracer(t *trace.Tracer) { r.tracer = t }
 
-// NewRing returns an empty ring.
-func NewRing() *Ring {
-	return &Ring{byNode: make(map[topology.NodeID]*Peer)}
+// NewRingOf returns the ring that AddPeer(0) … AddPeer(n−1) builds on
+// an empty ring, which is NewRingOf(0). It builds it in one pass: the
+// same id-sorted peers, the same fingers and Changes() = n. It hashes
+// and sorts the ids once, then fills each finger level with forward
+// sweeps: the targets id + 2^b rise with id except for one wrap past
+// zero, so a level is two sorted runs, each swept from the ring's start.
+// It returns an error if two hashed IDs collide.
+func NewRingOf(n int) (*Ring, error) {
+	r := &Ring{
+		peers:   make([]*Peer, n),
+		byNode:  make(map[topology.NodeID]*Peer, n),
+		changes: uint64(n),
+	}
+	all := make([]Peer, n)
+	fingers := make([]*Peer, 64*n)
+	for i := range all {
+		p := &all[i]
+		p.id, p.node, p.fingers = PeerID(topology.NodeID(i)), topology.NodeID(i), fingers[64*i:64*(i+1)]
+		r.peers[i] = p
+		r.byNode[p.node] = p
+	}
+	slices.SortFunc(r.peers, func(a, b *Peer) int { return cmp.Compare(a.id, b.id) })
+	for i, p := range r.peers {
+		if i > 0 && r.peers[i-1].id == p.id {
+			return nil, fmt.Errorf("dht: identifier collision for node %d", max(p.node, r.peers[i-1].node))
+		}
+		p.idx = i
+	}
+	for b := 0; b < 64; b++ {
+		step := ID(1) << uint(b)
+		wrap := r.search(-step) // peers[wrap:] have id + step past zero
+		for _, run := range [][]*Peer{r.peers[:wrap], r.peers[wrap:]} {
+			j := 0
+			for _, p := range run {
+				for j < n && r.peers[j].id < p.id+step {
+					j++
+				}
+				p.fingers[b] = r.peers[j%n]
+			}
+		}
+	}
+	return r, nil
 }
 
 // AddPeer joins the overlay node to the ring and updates routing state.
-// Finger tables are maintained incrementally — only fingers the new
-// peer takes over are rewritten, O(log N) arcs instead of a full
-// O(N·log N) rebuild per join — and land in the fully stabilized state,
-// where finger i of every peer is the successor of its id + 2^i. It
-// returns an error if the node is already present or its hashed ID
-// collides with an existing peer.
+// Finger tables are maintained incrementally — only the fingers the new
+// peer takes over are rewritten, one arc per level — and land in the
+// fully stabilized state, where finger i of every peer is the successor
+// of its id + 2^i. A join still costs O(N): the id-sorted slice shifts
+// to make room and every later peer's position is rewritten, so a ring
+// built from scratch should come from NewRingOf. It returns an error if
+// the node is already present or its hashed ID collides with an
+// existing peer.
 func (r *Ring) AddPeer(n topology.NodeID) (*Peer, error) {
 	if _, ok := r.byNode[n]; ok {
 		return nil, fmt.Errorf("dht: node %d already joined", n)

@@ -316,11 +316,9 @@ func DefaultX5Params(Scale) X5Params {
 func X5(p X5Params) (*Table, error) {
 	t := NewTable("X5 — DHT lookup hops vs ring size", "peers", "mean hops", "max hops", "log2(N)")
 	for _, n := range p.Sizes {
-		ring := dht.NewRing()
-		for i := 0; i < n; i++ {
-			if _, err := ring.AddPeer(topology.NodeID(i)); err != nil {
-				return nil, err
-			}
+		ring, err := dht.NewRingOf(n)
+		if err != nil {
+			return nil, err
 		}
 		rng := rand.New(rand.NewSource(x5Seed + int64(n)))
 		total, max := 0, 0

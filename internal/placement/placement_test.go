@@ -374,12 +374,12 @@ func TestFigure3MappingScenario(t *testing.T) {
 // buildDHT publishes the fake source's points into a catalog.
 func buildDHT(t *testing.T, src *fakeSource) *dht.Catalog {
 	t.Helper()
-	ring := dht.NewRing()
+	ring, err := dht.NewRingOf(len(src.ids))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var pts []costspace.Point
 	for _, id := range src.ids {
-		if _, err := ring.AddPeer(id); err != nil {
-			t.Fatal(err)
-		}
 		pts = append(pts, src.points[id])
 	}
 	bounds, err := costspace.ComputeBounds(pts, 0.05)

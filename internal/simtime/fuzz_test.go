@@ -22,6 +22,15 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 	// A pop that carries the horizon into a higher-level slot it has not
 	// redistributed, then a push that lands below it at level 0.
 	f.Add([]byte{1, 0, 63, 1, 0, 70, 5, 0, 0, 1, 0, 37, 5, 0, 0, 5, 0, 0})
+	// 4,095 pops 1 ms apart, then events at the current instant and
+	// 500 ns past it: popping the first is the tick review that grows
+	// the tick to 64 µs while the second waits in the ready heap, and a
+	// push at the current instant must still pop before it.
+	retick := make([]byte, 0, 6*adaptEvery+9)
+	for i := 1; i < adaptEvery; i++ {
+		retick = append(retick, 2, 0, 1, 5, 0, 0)
+	}
+	f.Add(append(retick, 0, 0, 0, 0, 0, 1, 5, 0, 0, 0, 0, 0, 5, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wheel, ref := newWheelQueue(), &heapQueue{}
 		// One logical event is a pair of Events, one per queue, listed

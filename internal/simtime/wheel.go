@@ -206,10 +206,12 @@ func (q *wheelQueue) observePop(at time.Duration) {
 }
 
 // retick re-buckets every pending event under a coarser tick. The
-// horizon moves to the same point in time expressed in new ticks
-// (rounded down, so no bucketed event crosses below it), and the ready
-// heap — the exactness tier — is untouched, so fire order is exactly
-// preserved.
+// horizon moves to the same point in time expressed in new ticks,
+// rounded up so that it still covers every ready event: a later push
+// below the old horizon must land in the ready heap beside them, not in
+// a bucket behind them. Reinsertion moves each bucketed event below the
+// new horizon into the ready heap, so the partition, and with it fire
+// order, is exactly preserved.
 func (q *wheelQueue) retick(newTick time.Duration) {
 	var pend *Event // every bucketed event, chained through next
 	for l := 0; l < wheelLevels; l++ {
@@ -224,7 +226,7 @@ func (q *wheelQueue) retick(newTick time.Duration) {
 	}
 	horizonTime := time.Duration(q.horizon) * q.tick
 	q.tick = newTick
-	q.horizon = int64(horizonTime / newTick)
+	q.horizon = int64((horizonTime + newTick - 1) / newTick)
 	q.reinsert(pend)
 }
 

@@ -3,6 +3,7 @@ package simtime
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -257,6 +258,36 @@ func TestWheelClockDifferential(t *testing.T) {
 		ops := make([]byte, 1200)
 		rand.New(rand.NewSource(seed)).Read(ops)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { matchReference(t, ops) })
+	}
+}
+
+// TestRetickKeepsReadyEventsBehindEarlierPushes: 4,095 node events 1 ms
+// apart make the tick review at the 4,096th pop, the event at T, grow
+// the lane wheel's tick from 1 µs to 64 µs while T + 500 ns waits in
+// the ready heap. An event T schedules 200 ns ahead must still fire
+// before T + 500 ns: a horizon rounded down by the retick would bucket
+// it behind the ready event.
+func TestRetickKeepsReadyEventsBehindEarlierPushes(t *testing.T) {
+	c := newTestClock(t)
+	const node Domain = 0
+	for i := 1; i < adaptEvery; i++ {
+		c.ScheduleDomain(node, node, time.Duration(i)*time.Millisecond, func() {})
+	}
+	T := time.Duration(adaptEvery) * time.Millisecond
+	var fired []time.Duration
+	record := func() { fired = append(fired, c.DomainNow(node).Sub(virtualEpoch)) }
+	c.ScheduleDomain(node, node, T, func() {
+		record()
+		c.ScheduleDomain(node, node, 200*time.Nanosecond, record)
+	})
+	c.ScheduleDomain(node, node, T+500*time.Nanosecond, record)
+	c.Sleep(T + time.Millisecond)
+	if tick := c.lanes[0].q.tick; tick != 64*time.Microsecond {
+		t.Fatalf("lane tick %v after the review, want 64µs: the test no longer reaches a retick", tick)
+	}
+	want := []time.Duration{T, T + 200*time.Nanosecond, T + 500*time.Nanosecond}
+	if !slices.Equal(fired, want) {
+		t.Fatalf("fire order %v, want %v", fired, want)
 	}
 }
 
