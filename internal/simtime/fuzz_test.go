@@ -13,9 +13,10 @@ import (
 // delay scales of TestWheelQueueDifferential, peek, pop, removal of a
 // pending event, removal of a fired or removed one (must report false),
 // re-arm of such an idle caller-owned event, and a long run of evenly
-// spaced push/pop pairs that carries the wheel through a tick review
-// and, if nothing finer is queued, a retick.
+// spaced push/pop pairs that walks the wheel's cursor across thousands
+// of mostly empty slots.
 func FuzzWheelMatchesHeap(f *testing.F) {
+	const longRun = 4096
 	f.Add([]byte{0, 0, 1, 1, 0, 200, 2, 1, 44, 3, 0, 9, 5, 0, 0, 4, 0, 0})
 	f.Add([]byte{1, 3, 232, 2, 0, 5, 6, 0, 0, 7, 0, 0, 5, 0, 0, 8, 0, 0, 5, 0, 0})
 	f.Add([]byte{2, 0, 7, 9, 0, 3, 1, 0, 50, 5, 0, 0, 8, 0, 2, 9, 0, 40, 5, 0, 0})
@@ -23,14 +24,14 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 	// redistributed, then a push that lands below it at level 0.
 	f.Add([]byte{1, 0, 63, 1, 0, 70, 5, 0, 0, 1, 0, 37, 5, 0, 0, 5, 0, 0})
 	// 4,095 pops 1 ms apart, then events at the current instant and
-	// 500 ns past it: popping the first is the tick review that grows
-	// the tick to 64 µs while the second waits in the ready heap, and a
-	// push at the current instant must still pop before it.
-	retick := make([]byte, 0, 6*adaptEvery+9)
-	for i := 1; i < adaptEvery; i++ {
-		retick = append(retick, 2, 0, 1, 5, 0, 0)
+	// 500 ns past it: after the first pops, the second waits in the
+	// ready heap, and a push at the current instant must still pop
+	// before it.
+	long := make([]byte, 0, 6*longRun+9)
+	for i := 1; i < longRun; i++ {
+		long = append(long, 2, 0, 1, 5, 0, 0)
 	}
-	f.Add(append(retick, 0, 0, 0, 0, 0, 1, 5, 0, 0, 0, 0, 0, 5, 0, 0))
+	f.Add(append(long, 0, 0, 0, 0, 0, 1, 5, 0, 0, 0, 0, 0, 5, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wheel, ref := newWheelQueue(), &heapQueue{}
 		// One logical event is a pair of Events, one per queue, listed
@@ -136,12 +137,12 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 					unlist(&idle, p)
 					push(p, delay(v%4, v/4))
 				}
-			default: // two tick-review periods of evenly spaced push/pop pairs
+			default: // a long run of evenly spaced push/pop pairs
 				if runs++; runs > 2 {
 					continue
 				}
 				gap := time.Duration(1+v%2000) * 100 * time.Microsecond
-				for i := 0; i < 2*adaptEvery; i++ {
+				for i := 0; i < 2*longRun; i++ {
 					fresh(gap)
 					pop()
 				}

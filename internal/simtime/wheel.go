@@ -51,31 +51,7 @@ type wheelQueue struct {
 	occ     [wheelLevels]uint64 // occ[l] bit s set iff buckets[l][s] is non-empty
 
 	n int // total pending events (ready + buckets)
-
-	// tick is the level-0 bucketing granularity. It starts at
-	// wheelTick and adapts upward (never down) from the observed
-	// minimum inter-event gap: workloads whose events are
-	// milliseconds apart (heartbeat horizons) would otherwise cascade
-	// the cursor through thousands of empty microsecond slots per
-	// advance. Because exactness comes from the ready-heap partition,
-	// not the tick, retuning never changes fire order.
-	tick    time.Duration
-	lastPop time.Duration
-	minGap  time.Duration
-	pops    int
 }
-
-const (
-	// adaptEvery is how many pops elapse between tick reviews.
-	adaptEvery = 4096
-	// adaptSlack keeps the tick at most 1/4 of the observed minimum
-	// gap, so events that were distinct ticks apart stay distinct.
-	adaptSlack = 4
-	// adaptMaxTick caps growth; one second of virtual time per level-0
-	// slot is already far beyond any scheduling density here.
-	adaptMaxTick = time.Second
-	noGap        = time.Duration(1<<63 - 1)
-)
 
 const (
 	wheelSlotBits = 6
@@ -89,9 +65,7 @@ const (
 	wheelTick = time.Microsecond
 )
 
-func newWheelQueue() *wheelQueue { return &wheelQueue{tick: wheelTick, minGap: noGap} }
-
-func (q *wheelQueue) tickOf(at time.Duration) int64 { return int64(at / q.tick) }
+func newWheelQueue() *wheelQueue { return &wheelQueue{} }
 
 // wheelLevelFor returns the bucket level for an event at tick `t` given
 // the current wheel position `pos`: the level of the highest bit in
@@ -116,7 +90,7 @@ func (q *wheelQueue) push(ev *Event) {
 
 // insert routes an already-counted event to the ready heap or a bucket.
 func (q *wheelQueue) insert(ev *Event) {
-	t := q.tickOf(ev.at)
+	t := int64(ev.at / wheelTick)
 	if t < q.horizon {
 		// Already inside the ready window (a zero-delay schedule, or a
 		// schedule from code whose `now` trails the horizon): the
@@ -168,7 +142,6 @@ func (q *wheelQueue) popMin() *Event {
 	}
 	ev := q.ready.removeAt(0)
 	q.n--
-	q.observePop(ev.at)
 	return ev
 }
 
@@ -177,57 +150,6 @@ func (q *wheelQueue) peekMin() *Event {
 		q.advance()
 	}
 	return q.ready[0]
-}
-
-// observePop feeds the adaptive-tick statistics and retunes the wheel
-// when the workload's minimum inter-event gap shows the current tick is
-// needlessly fine.
-func (q *wheelQueue) observePop(at time.Duration) {
-	if gap := at - q.lastPop; gap > 0 && gap < q.minGap {
-		q.minGap = gap
-	}
-	q.lastPop = at
-	if q.pops++; q.pops < adaptEvery {
-		return
-	}
-	q.pops = 0
-	g := q.minGap
-	q.minGap = noGap
-	if g == noGap {
-		return
-	}
-	newTick := q.tick
-	for newTick < adaptMaxTick && newTick<<wheelSlotBits <= g/adaptSlack {
-		newTick <<= wheelSlotBits
-	}
-	if newTick != q.tick {
-		q.retick(newTick)
-	}
-}
-
-// retick re-buckets every pending event under a coarser tick. The
-// horizon moves to the same point in time expressed in new ticks,
-// rounded up so that it still covers every ready event: a later push
-// below the old horizon must land in the ready heap beside them, not in
-// a bucket behind them. Reinsertion moves each bucketed event below the
-// new horizon into the ready heap, so the partition, and with it fire
-// order, is exactly preserved.
-func (q *wheelQueue) retick(newTick time.Duration) {
-	var pend *Event // every bucketed event, chained through next
-	for l := 0; l < wheelLevels; l++ {
-		for q.occ[l] != 0 {
-			for ev := q.take(l, bits.TrailingZeros64(q.occ[l])); ev != nil; {
-				next := ev.next
-				ev.next = pend
-				pend = ev
-				ev = next
-			}
-		}
-	}
-	horizonTime := time.Duration(q.horizon) * q.tick
-	q.tick = newTick
-	q.horizon = int64((horizonTime + newTick - 1) / newTick)
-	q.reinsert(pend)
 }
 
 // advance moves the horizon to the next occupied slot. The scan runs
