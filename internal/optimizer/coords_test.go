@@ -3,6 +3,7 @@ package optimizer
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/hourglass/sbon/internal/costspace"
@@ -223,6 +224,56 @@ func TestSetCoordinatesReturnsPublishError(t *testing.T) {
 	}
 	if want := env.Space().NewPoint(moved[7], []float64{env.Load(7)}); !pointsEqual(env.Point(7), want) {
 		t.Fatalf("node 7 point %v, want %v", env.Point(7), want)
+	}
+}
+
+// TestCrashedNodeStaysUnpublished: a node that crash repair retired from
+// the catalog stays out of it when the Env refreshes its point — a
+// service's load released on it, load drift, a sync that moves it alone
+// (republished node by node) and one that moves every node (one bulk
+// RepublishAll) — until Catalog.Rejoin brings it back, after which its
+// entry follows its point again.
+func TestCrashedNodeStaysUnpublished(t *testing.T) {
+	env, _ := testSetup(t, 7, true)
+	cat := env.Catalog()
+	const dead topology.NodeID = 5
+	all := cat.NumPublished()
+	requireRetired := func(step string) {
+		t.Helper()
+		if _, ok := cat.PublishedEntry(dead); ok || cat.NumPublished() != all-1 {
+			t.Fatalf("after %s: node %d published %v, %d nodes published, want %d", step, dead, ok, cat.NumPublished(), all-1)
+		}
+	}
+	env.AddServiceLoad(dead, 10)
+	cat.RepairAfterCrash([]topology.NodeID{dead})
+	requireRetired("the repair")
+	env.RemoveServiceLoad(dead, 10)
+	requireRetired("a load release")
+	env.SetBackgroundLoad(dead, 0.3)
+	requireRetired("load drift")
+	moved := slices.Clone(env.vec)
+	moved[dead] = moved[dead].Add(vivaldi.Coord{1, 1})
+	if _, err := env.SetCoordinates(moved); err != nil {
+		t.Fatal(err)
+	}
+	requireRetired("a one-node sync")
+	moved = slices.Clone(moved)
+	for i := range moved {
+		moved[i] = moved[i].Add(vivaldi.Coord{-1, 2})
+	}
+	if n, err := env.SetCoordinates(moved); err != nil || n != len(moved) {
+		t.Fatalf("bulk sync = (%d, %v), want (%d, nil)", n, err, len(moved))
+	}
+	requireRetired("a bulk sync")
+
+	if err := cat.Rejoin(dead, env.Point(dead)); err != nil {
+		t.Fatal(err)
+	}
+	env.AddServiceLoad(dead, 10)
+	e, ok := cat.PublishedEntry(dead)
+	if !ok || cat.NumPublished() != all || !pointsEqual(e.Point, env.Point(dead)) {
+		t.Fatalf("after Rejoin and a load change: node %d published %v with %v, want %v; %d nodes published, want %d",
+			dead, ok, e.Point, env.Point(dead), cat.NumPublished(), all)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -444,12 +445,23 @@ func (e *Env) setPoint(n topology.NodeID, p costspace.Point, loadOnly, publish b
 	e.markDirty(n, loadOnly)
 	e.pts[n] = p
 	e.patchIndex(n)
-	if publish && e.catalog != nil {
+	if publish && e.published(n) {
 		// Republish; the catalog replaces the old entry.
 		_, err := e.catalog.Publish(n, e.pts[n])
 		return err
 	}
 	return nil
+}
+
+// published reports whether the catalog lists the node. The Env
+// republishes only such nodes: a node crash repair retired stays out
+// of the catalog until Catalog.Rejoin brings it back.
+func (e *Env) published(n topology.NodeID) bool {
+	if e.catalog == nil {
+		return false
+	}
+	_, ok := e.catalog.PublishedEntry(n)
+	return ok
 }
 
 // dirtyRec is one delta-log entry: the epoch of the node's latest
@@ -580,7 +592,9 @@ func (e *Env) SetCoordinates(coords []vivaldi.Coord) (int, error) {
 		err = cmp.Or(err, e.setPoint(n, slab[at:len(slab):len(slab)], false, !bulk))
 	}
 	if bulk && e.catalog != nil {
-		return len(changed), e.catalog.RepublishAll(changed, e.pts)
+		moved := len(changed)
+		changed = slices.DeleteFunc(changed, func(n topology.NodeID) bool { return !e.published(n) })
+		return moved, e.catalog.RepublishAll(changed, e.pts)
 	}
 	return len(changed), err
 }
