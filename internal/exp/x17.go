@@ -217,7 +217,7 @@ func X17(p X17Params) (*Table, error) {
 		fresh := ticker.Embedding().Coords
 		var displacement float64
 		for i, c := range fresh {
-			displacement += env.Coord(topology.NodeID(i)).Distance(c)
+			displacement += env.VecCoord(topology.NodeID(i)).Distance(c)
 		}
 		staleness := displacement / float64(n)
 		synced, err := env.SetCoordinates(fresh)

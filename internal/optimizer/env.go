@@ -363,11 +363,8 @@ func (s *Snapshot) patchIndex(n topology.NodeID) {
 // Point returns the node's current full cost-space point.
 func (s *Snapshot) Point(n topology.NodeID) costspace.Point { return s.pts[n] }
 
-// Coord returns the node's current Vivaldi coordinate. The caller must
-// not mutate it.
-func (s *Snapshot) Coord(n topology.NodeID) vivaldi.Coord { return s.vec[n] }
-
-// VecCoord returns the node's vector (latency) coordinate.
+// VecCoord returns the node's vector (latency) coordinate, its current
+// Vivaldi coordinate. The caller must not mutate it.
 func (s *Snapshot) VecCoord(n topology.NodeID) vivaldi.Coord { return s.vec[n] }
 
 // Load returns the node's current raw load.
