@@ -33,7 +33,7 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 	}
 	f.Add(append(long, 0, 0, 0, 0, 0, 1, 5, 0, 0, 0, 0, 0, 5, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		wheel, ref := newWheelQueue(), &heapQueue{}
+		wheel, ref := &wheelQueue{}, &heapQueue{}
 		// One logical event is a pair of Events, one per queue, listed
 		// as pending or idle at pos. The queues ignore Event.lane, so
 		// the reference's half carries the pair's index there: that is

@@ -154,7 +154,7 @@ func (c *VirtualClock) ShardLanes(laneOf []int32, shards int, lookahead time.Dur
 	c.laneDone = make(chan struct{}, shards)
 	c.lanes = make([]*clockLane, shards)
 	for i := range c.lanes {
-		ln := &clockLane{c: c, idx: int32(i), q: newWheelQueue(), work: make(chan struct{})}
+		ln := &clockLane{c: c, idx: int32(i), q: &wheelQueue{}, work: make(chan struct{})}
 		c.lanes[i] = ln
 		go ln.loop()
 	}

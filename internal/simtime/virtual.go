@@ -78,8 +78,8 @@ type domState struct {
 // of its queues are hierarchical timer wheels (wheel.go): O(1)
 // amortized schedule/fire, exact key order.
 func NewVirtual() *VirtualClock {
-	c := &VirtualClock{q: newWheelQueue(), lookahead: math.MaxInt64}
-	c.lanes = []*clockLane{{c: c, q: newWheelQueue(), solo: true}}
+	c := &VirtualClock{q: &wheelQueue{}, lookahead: math.MaxInt64}
+	c.lanes = []*clockLane{{c: c, q: &wheelQueue{}, solo: true}}
 	return c
 }
 

@@ -34,6 +34,8 @@ import (
 // occupied level either feeds ready directly (level 0, one tick per
 // slot) or redistributes into lower levels (cascade), strictly
 // decreasing each event's level so the loop terminates.
+//
+// The zero value is an empty wheel.
 type wheelQueue struct {
 	// horizon partitions pending events: tick < horizon → ready heap,
 	// tick >= horizon → buckets. Monotonically non-decreasing.
@@ -64,8 +66,6 @@ const (
 	// time one level-0 slot spans, not scheduling precision.
 	wheelTick = time.Microsecond
 )
-
-func newWheelQueue() *wheelQueue { return &wheelQueue{} }
 
 // wheelLevelFor returns the bucket level for an event at tick `t` given
 // the current wheel position `pos`: the level of the highest bit in

@@ -19,7 +19,7 @@ func TestWheelQueueDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			heapQ := &heapQueue{}
-			wheelQ := newWheelQueue()
+			wheelQ := &wheelQueue{}
 
 			type pair struct{ h, w *Event }
 			var pending []pair
@@ -292,7 +292,7 @@ func TestPushBehindReadyEventFiresFirst(t *testing.T) {
 // days of virtual time out must still fire in exact order after
 // cascading down through every level.
 func TestWheelFarFuture(t *testing.T) {
-	q := newWheelQueue()
+	q := &wheelQueue{}
 	ref := &heapQueue{}
 	delays := []time.Duration{
 		0, time.Nanosecond, time.Microsecond, 65 * time.Microsecond,
@@ -347,9 +347,9 @@ func benchQueue(b *testing.B, q eventQueue, pending int) {
 	}
 }
 
-func BenchmarkWheelQueue100kPending(b *testing.B) { benchQueue(b, newWheelQueue(), 100_000) }
+func BenchmarkWheelQueue100kPending(b *testing.B) { benchQueue(b, &wheelQueue{}, 100_000) }
 func BenchmarkHeapQueue100kPending(b *testing.B)  { benchQueue(b, &heapQueue{}, 100_000) }
-func BenchmarkWheelQueue1kPending(b *testing.B)   { benchQueue(b, newWheelQueue(), 1_000) }
+func BenchmarkWheelQueue1kPending(b *testing.B)   { benchQueue(b, &wheelQueue{}, 1_000) }
 func BenchmarkHeapQueue1kPending(b *testing.B)    { benchQueue(b, &heapQueue{}, 1_000) }
 
 // BenchmarkWheelQueueSparse measures the opposite regime: n periodic
@@ -362,7 +362,7 @@ func BenchmarkWheelQueueSparse(b *testing.B) {
 		period time.Duration
 	}{{1000, 500 * time.Millisecond}, {100, time.Second}, {16, 10 * time.Second}} {
 		b.Run(fmt.Sprintf("%dx%v", c.timers, c.period), func(b *testing.B) {
-			q := newWheelQueue()
+			q := &wheelQueue{}
 			events := make([]Event, c.timers)
 			var seq uint64
 			for i := range events {
