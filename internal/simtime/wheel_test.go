@@ -261,8 +261,9 @@ func TestWheelClockDifferential(t *testing.T) {
 	}
 }
 
-// TestPushBehindReadyEventFiresFirst: 4,095 node events 1 ms apart,
-// then one at T while T + 500 ns waits in the ready heap. An event T
+// TestPushBehindReadyEventFiresFirst: after 4,095 node events 1 ms
+// apart have carried the lane wheel's cursor up to its fourth level, the
+// event at T fires while T + 500 ns waits in the ready heap. An event T
 // schedules 200 ns ahead must still fire before T + 500 ns: it lands
 // below the horizon, in the ready heap beside the waiting event, and
 // not in a bucket behind it.
