@@ -1,8 +1,11 @@
 package dht
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"github.com/hourglass/sbon/internal/costspace"
 	"github.com/hourglass/sbon/internal/hilbert"
@@ -88,7 +91,11 @@ func Frame(space *costspace.Space, pts []costspace.Point) (hilbert.Curve, costsp
 }
 
 // NewNodeCatalog builds a ring of nodes 0..len(pts)-1 and a catalog over
-// it in Frame(space, pts), with pts[i] published for node i.
+// it in Frame(space, pts), with pts[i] published for node i. It leaves
+// what Publish for each node in turn leaves, in one sorted pass: every
+// peer's entries in first-coordinate order, ties by descending node (the
+// last one published goes first), and every point cloned into one
+// shared array.
 func NewNodeCatalog(space *costspace.Space, pts []costspace.Point) (*Catalog, error) {
 	curve, bounds, err := Frame(space, pts)
 	if err != nil {
@@ -102,12 +109,47 @@ func NewNodeCatalog(space *costspace.Space, pts []costspace.Point) (*Catalog, er
 	if err != nil {
 		return nil, err
 	}
-	c.published = make(map[topology.NodeID]Entry, len(pts))
+	type owned struct {
+		owner int
+		Entry
+	}
+	dims := space.Dims()
+	es := make([]owned, len(pts))
 	for i, p := range pts {
-		if _, err := c.Publish(topology.NodeID(i), p); err != nil {
-			return nil, err
+		if len(p) != dims {
+			return nil, fmt.Errorf("dht: publish %d-dim point in %d-dim space", len(p), dims)
+		}
+		k := c.KeyOf(p)
+		es[i] = owned{ring.search(k) % len(pts), Entry{Key: k, Node: topology.NodeID(i), Point: p}}
+	}
+	slices.SortFunc(es, func(a, b owned) int {
+		return cmp.Or(cmp.Compare(a.owner, b.owner), cmp.Compare(a.Point[0], b.Point[0]), cmp.Compare(b.Node, a.Node))
+	})
+	// Each peer's entries get room to grow, as Publish's appends would
+	// have left it: their count rounded up to a power of two.
+	room := 0
+	for i, j := 0, 0; i < len(es); i = j {
+		for j = i; j < len(es) && es[j].owner == es[i].owner; j++ {
+		}
+		room += 1 << bits.Len(uint(j-i-1))
+	}
+	flat, coords := make([]Entry, room), make([]float64, len(pts)*dims)
+	c.published = make(map[topology.NodeID]Entry, len(pts))
+	for i, j := 0, 0; i < len(es); i = j {
+		for j = i; j < len(es) && es[j].owner == es[i].owner; j++ {
+		}
+		k := 1 << bits.Len(uint(j-i-1))
+		p := ring.peers[es[i].owner]
+		p.flat, flat = flat[:j-i:k], flat[k:]
+		for m := range p.flat {
+			e := es[i+m].Entry
+			e.Point, coords = coords[:dims:dims], coords[dims:]
+			copy(e.Point, pts[e.Node])
+			p.flat[m] = e
+			c.published[e.Node] = e
 		}
 	}
+	c.version = uint64(len(pts))
 	return c, nil
 }
 
@@ -167,24 +209,29 @@ func (c *Catalog) Unpublish(node topology.NodeID) {
 	}
 }
 
-// RepublishAll is Publish(n, pts[n]) for every n in nodes, in one pass
-// over the ring: it re-keys the entries, then moves each stored entry
-// whose owner changed. The catalog ends as per-node Publish leaves it,
-// up to the order of first-coordinate ties. It publishes node by
-// node when a node is new or a published entry is stored nowhere (a
-// crash not yet repaired).
+// RepublishAll is Publish(n, pts[n]) for every n in nodes that the
+// catalog lists, in one pass over the ring: it re-keys the entries, then
+// moves each stored entry whose owner changed. The catalog ends as
+// per-node Publish leaves it, up to the order of first-coordinate ties.
+// A node the catalog does not list stays unpublished (crash repair
+// retired it; Rejoin brings it back). It publishes node by node when a
+// published entry is stored nowhere (a crash not yet repaired) or a
+// point has the wrong dimensionality, which Publish rejects.
 func (c *Catalog) RepublishAll(nodes []topology.NodeID, pts []costspace.Point) error {
 	stored := 0
 	for _, p := range c.ring.peers {
 		stored += len(p.flat)
 	}
 	for _, n := range nodes {
-		if _, ok := c.published[n]; !ok || len(pts[n]) != c.space.Dims() {
-			stored = -1 // Publish stores or rejects it
+		if _, ok := c.published[n]; ok && len(pts[n]) != c.space.Dims() {
+			stored = -1
 		}
 	}
 	if stored != len(c.published) {
 		for _, n := range nodes {
+			if _, ok := c.published[n]; !ok {
+				continue
+			}
 			if _, err := c.Publish(n, pts[n]); err != nil {
 				return err
 			}
@@ -192,7 +239,10 @@ func (c *Catalog) RepublishAll(nodes []topology.NodeID, pts []costspace.Point) e
 		return nil
 	}
 	for _, n := range nodes {
-		e := c.published[n]
+		e, ok := c.published[n]
+		if !ok {
+			continue
+		}
 		copy(e.Point, pts[n])
 		e.Key = c.KeyOf(e.Point)
 		c.published[n] = e

@@ -697,12 +697,13 @@ func TestUnpublishAfterPeerLeaveRemovesCopy(t *testing.T) {
 }
 
 // TestRepublishAllMatchesPublish: a bulk sync leaves what Publish for
-// each node in turn leaves on an identical catalog — the same entries
-// on every peer, the same PublishedEntry, the same Mutations — on a
-// fresh ring, after churn and an unpublish, and after a crash not yet
-// repaired (the per-node fallback), with nodes published for the first
-// time among them. Two syncs run in a row, then one plain republish,
-// which must find each entry where the bulk sync stored it.
+// each listed node in turn leaves on an identical catalog — the same
+// entries on every peer, the same PublishedEntry, the same Mutations —
+// on a fresh ring, after churn and an unpublish, and after a crash not
+// yet repaired (the per-node fallback). Nodes the catalog does not list
+// are among those synced, and stay unpublished. Two syncs run in a row,
+// then one plain republish, which must find each entry where the bulk
+// sync stored it.
 func TestRepublishAllMatchesPublish(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -734,13 +735,16 @@ func TestRepublishAllMatchesPublish(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, n := range nodes {
+				if _, ok := each.catalog.PublishedEntry(n); !ok {
+					continue
+				}
 				if _, err := each.catalog.Publish(n, pts[n]); err != nil {
 					t.Fatal(err)
 				}
 			}
 			requireSameCatalog(t, tc.name, bulk.catalog, each.catalog)
 			for _, n := range nodes {
-				if e, _ := bulk.catalog.PublishedEntry(n); &e.Point[0] == &pts[n][0] {
+				if e, ok := bulk.catalog.PublishedEntry(n); ok && &e.Point[0] == &pts[n][0] {
 					t.Fatalf("%s: node %d's entry shares the caller's point", tc.name, n)
 				}
 			}

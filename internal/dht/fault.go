@@ -119,13 +119,13 @@ func (r *Ring) rpc(from, to *Peer) bool {
 // starts at the top.
 func (r *Ring) nextHop(cur *Peer, k ID, succ *Peer) *Peer {
 	var lastFailed *Peer
-	top := len(cur.fingers) - 1
+	top := 63
 	if k != cur.id {
 		top = min(top, bits.Len64(uint64(k-cur.id))-1)
 	}
 	for i := top; i >= 0; i-- {
-		f := cur.fingers[i]
-		if f == nil || f == cur || f == lastFailed || !inOpenInterval(cur.id, k, f.id) {
+		f := r.finger(cur, i)
+		if f == cur || f == lastFailed || !inOpenInterval(cur.id, k, f.id) {
 			continue
 		}
 		if r.rpc(cur, f) {

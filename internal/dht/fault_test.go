@@ -24,9 +24,9 @@ func requireStabilizedFingers(t *testing.T, r *Ring) {
 	for _, p := range r.peers {
 		for i := 0; i < 64; i++ {
 			want := r.successor(p.id + 1<<uint(i))
-			if p.fingers[i] != want {
+			if got := r.finger(p, i); got != want {
 				t.Fatalf("peer %d finger %d: got node %d, want node %d",
-					p.node, i, p.fingers[i].node, want.node)
+					p.node, i, got.node, want.node)
 			}
 		}
 	}
@@ -317,9 +317,9 @@ func TestChurnUnderLoss(t *testing.T) {
 // start: every finger from the top, on every hop.
 func nextHopFullScan(r *Ring, cur *Peer, k ID, succ *Peer) *Peer {
 	var lastFailed *Peer
-	for i := len(cur.fingers) - 1; i >= 0; i-- {
-		f := cur.fingers[i]
-		if f == nil || f == cur || f == lastFailed || !inOpenInterval(cur.id, k, f.id) {
+	for i := 63; i >= 0; i-- {
+		f := r.finger(cur, i)
+		if f == cur || f == lastFailed || !inOpenInterval(cur.id, k, f.id) {
 			continue
 		}
 		if r.rpc(cur, f) {

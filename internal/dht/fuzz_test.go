@@ -319,9 +319,12 @@ func FuzzNodeCatalogMatchesJoins(f *testing.F) {
 			if q, ok := br.PeerFor(bp.node); !ok || q != bp {
 				t.Fatalf("bulk ring does not find node %d's peer", bp.node)
 			}
-			for l := range jp.fingers {
-				if bp.fingers[l].node != jp.fingers[l].node {
-					t.Fatalf("node %d finger %d: bulk node %d, joined node %d", bp.node, l, bp.fingers[l].node, jp.fingers[l].node)
+			if len(bp.fingers) != len(jp.fingers) {
+				t.Fatalf("node %d stores %d finger levels in bulk, %d joined", bp.node, len(bp.fingers), len(jp.fingers))
+			}
+			for l := 0; l < 64; l++ {
+				if bf, jf := br.finger(bp, l), jr.finger(jp, l); bf.node != jf.node {
+					t.Fatalf("node %d finger %d: bulk node %d, joined node %d", bp.node, l, bf.node, jf.node)
 				}
 			}
 			if len(bp.flat) != len(jp.flat) {

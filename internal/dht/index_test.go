@@ -18,9 +18,9 @@ func checkFingerInvariant(t *testing.T, r *Ring, when string) {
 	for _, p := range r.peers {
 		for i := 0; i < 64; i++ {
 			want := r.successor(p.id + 1<<uint(i))
-			if p.fingers[i] != want {
+			if got := r.finger(p, i); got != want {
 				t.Fatalf("%s: peer %d finger[%d] = peer %d, want %d",
-					when, p.node, i, p.fingers[i].node, want.node)
+					when, p.node, i, got.node, want.node)
 			}
 		}
 	}
@@ -69,6 +69,65 @@ func TestIncrementalFingersMatchFullStabilization(t *testing.T) {
 			checkFingerInvariant(t, r, "after change")
 		}
 	}
+}
+
+// storedFingers totals the finger levels the ring's peers store, and
+// fails if a peer stores any level its successor owns or misses one it
+// does not.
+func storedFingers(t *testing.T, r *Ring, when string) int {
+	t.Helper()
+	total := 0
+	for _, p := range r.peers {
+		if want := 64 - r.lowLevels(p); len(p.fingers) != want {
+			t.Fatalf("%s: peer %d stores %d finger levels, want %d", when, p.node, len(p.fingers), want)
+		}
+		total += len(p.fingers)
+	}
+	return total
+}
+
+// TestFingerTablesStayCompressed: the bulk ring at the bench's 16,400
+// nodes stores about log₂N finger levels per peer, not 64, and joins,
+// leaves and crashes keep every table exactly as compressed and every
+// level of it fully stabilized. A leave or crash rebuilds the
+// predecessor's table in its own storage.
+func TestFingerTablesStayCompressed(t *testing.T) {
+	const n = 16400
+	r, err := NewRingOf(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := storedFingers(t, r, "bulk"); got != 234318 || got > 20*n {
+		t.Fatalf("NewRingOf(%d) stores %d finger levels, want 234318 (<= %d)", n, got, 20*n)
+	}
+	rng := rand.New(rand.NewSource(3))
+	next := topology.NodeID(n)
+	for step := 0; step < 60; step++ {
+		victim := r.peers[rng.Intn(len(r.peers))]
+		pred := r.predecessorOf(victim)
+		table := &pred.fingers[:cap(pred.fingers)][0]
+		switch step % 3 {
+		case 0:
+			if _, err := r.AddPeer(next); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		case 1:
+			if err := r.RemovePeer(victim.node); err != nil {
+				t.Fatal(err)
+			}
+		case 2:
+			if _, err := r.CrashPeer(victim.node); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if step%3 != 0 && &pred.fingers[0] != table {
+			t.Fatalf("step %d: the predecessor's rebuilt table moved", step)
+		}
+		storedFingers(t, r, "after churn")
+	}
+	checkFingerInvariant(t, r, "after churn")
+	checkIdxInvariant(t, r, "after churn")
 }
 
 // checkOwnership asserts the catalog's stored state: every stored entry

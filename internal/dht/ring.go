@@ -11,6 +11,15 @@
 // short ring walk around a lookup target enumerates a compact cost-space
 // region (used for nearest-node mapping).
 //
+// A finger table is stored compressed. Finger i of a peer owns id + 2^i,
+// and every target that falls short of the next peer's id is owned by
+// that next peer, so a peer whose successor lies d ids ahead keeps only
+// levels bits.Len64(d) and up — about log₂N of the 64 in a ring of N —
+// and Ring.finger answers the levels below from the peer's slice
+// position. Only a peer's predecessor sees its successor change, so a
+// join, leave or crash rebuilds that one table and patches the stored
+// levels of the peers on each level's affected arc.
+//
 // Every catalog query is one Hilbert key, one Ring.Lookup and one
 // bidirectional walk (Catalog.walkArcs) with a visitor over the entries
 // of each peer it reaches. The paper's "closest n nodes" primitive ranks
@@ -36,6 +45,7 @@ import (
 	"cmp"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -54,8 +64,10 @@ type Peer struct {
 	// maintained on join/leave so ring-walk neighbor steps are O(1)
 	// instead of a binary search per step.
 	idx int
-	// fingers[i] points at the peer owning id + 2^i (fully stabilized
-	// Chord finger table).
+	// fingers holds the top levels of the fully stabilized Chord finger
+	// table: fingers[k] is finger 64 − len(fingers) + k, the peer owning
+	// id + 2^i for that level i. The levels below are all the successor
+	// (see Ring.finger).
 	fingers []*Peer
 	// flat holds the catalog entries this peer owns, sorted by their
 	// point's first coordinate, ascending: a walk starts at the target's
@@ -149,9 +161,10 @@ func (r *Ring) SetTracer(t *trace.Tracer) { r.tracer = t }
 // NewRingOf returns the ring that AddPeer(0) … AddPeer(n−1) builds on
 // an empty ring, which is NewRingOf(0). It builds it in one pass: the
 // same id-sorted peers, the same fingers and Changes() = n. It hashes
-// and sorts the ids once, then fills each finger level with forward
-// sweeps: the targets id + 2^b rise with id except for one wrap past
-// zero, so a level is two sorted runs, each swept from the ring's start.
+// and sorts the ids once, carves every peer's stored finger levels from
+// one slab, then fills each level with forward sweeps: the targets
+// id + 2^b rise with id except for one wrap past zero, so a level is two
+// sorted runs, each swept from the ring's start.
 // It returns an error if two hashed IDs collide.
 func NewRingOf(n int) (*Ring, error) {
 	r := &Ring{
@@ -160,19 +173,25 @@ func NewRingOf(n int) (*Ring, error) {
 		changes: uint64(n),
 	}
 	all := make([]Peer, n)
-	fingers := make([]*Peer, 64*n)
 	for i := range all {
 		p := &all[i]
-		p.id, p.node, p.fingers = PeerID(topology.NodeID(i)), topology.NodeID(i), fingers[64*i:64*(i+1)]
+		p.id, p.node = PeerID(topology.NodeID(i)), topology.NodeID(i)
 		r.peers[i] = p
 		r.byNode[p.node] = p
 	}
 	slices.SortFunc(r.peers, func(a, b *Peer) int { return cmp.Compare(a.id, b.id) })
+	stored := 0
 	for i, p := range r.peers {
 		if i > 0 && r.peers[i-1].id == p.id {
 			return nil, fmt.Errorf("dht: identifier collision for node %d", max(p.node, r.peers[i-1].node))
 		}
 		p.idx = i
+		stored += 64 - r.lowLevels(p)
+	}
+	slab := make([]*Peer, stored)
+	for _, p := range r.peers {
+		k := 64 - r.lowLevels(p)
+		p.fingers, slab = slab[:k:k], slab[k:]
 	}
 	for b := 0; b < 64; b++ {
 		step := ID(1) << uint(b)
@@ -180,14 +199,52 @@ func NewRingOf(n int) (*Ring, error) {
 		for _, run := range [][]*Peer{r.peers[:wrap], r.peers[wrap:]} {
 			j := 0
 			for _, p := range run {
+				lo := 64 - len(p.fingers)
+				if b < lo {
+					continue
+				}
 				for j < n && r.peers[j].id < p.id+step {
 					j++
 				}
-				p.fingers[b] = r.peers[j%n]
+				p.fingers[b-lo] = r.peers[j%n]
 			}
 		}
 	}
 	return r, nil
+}
+
+// lowLevels returns how many of p's finger levels its successor owns:
+// every level i with 2^i no further than the successor's id. A lone
+// peer is its own successor at distance 0 and stores all 64.
+func (r *Ring) lowLevels(p *Peer) int {
+	return bits.Len64(uint64(r.successorAfter(p).id - p.id))
+}
+
+// finger returns p's finger i, the peer owning p.id + 2^i.
+func (r *Ring) finger(p *Peer, i int) *Peer {
+	if lo := 64 - len(p.fingers); i >= lo {
+		return p.fingers[i-lo]
+	}
+	return r.successorAfter(p)
+}
+
+// setFinger points p's finger i at q if p stores that level. A level it
+// does not store is its successor, which changes only with a rebuild of
+// its table.
+func setFinger(p *Peer, i int, q *Peer) {
+	if lo := 64 - len(p.fingers); i >= lo {
+		p.fingers[i-lo] = q
+	}
+}
+
+// rebuildFingers recomputes p's stored levels after its successor
+// changed, in the table's own storage when it is large enough.
+func (r *Ring) rebuildFingers(p *Peer) {
+	lo := r.lowLevels(p)
+	p.fingers = slices.Grow(p.fingers[:0], 64-lo)
+	for i := lo; i < 64; i++ {
+		p.fingers = append(p.fingers, r.successor(p.id+1<<uint(i)))
+	}
 }
 
 // AddPeer joins the overlay node to the ring and updates routing state.
@@ -276,44 +333,41 @@ func (r *Ring) migrateOnJoin(p *Peer) {
 	next.flat = kept
 }
 
-// updateFingersOnJoin gives the new peer its finger table and redirects
-// the fingers it now terminates. A finger q.fingers[i] must point at p
-// exactly when q.id + 2^i lies in (pred.id, p.id] — i.e. q lies in that
-// interval shifted back by 2^i — so for each level only one short arc
-// of peers is rewritten.
+// updateFingersOnJoin gives the new peer its finger table, rebuilds its
+// predecessor's (whose successor it now is) and redirects the fingers it
+// now terminates. A finger q's level i must point at p exactly when
+// q.id + 2^i lies in (pred.id, p.id] — i.e. q lies in that interval
+// shifted back by 2^i — so for each level only one short arc of peers is
+// rewritten.
 func (r *Ring) updateFingersOnJoin(p *Peer) {
-	p.fingers = make([]*Peer, 64)
+	r.rebuildFingers(p)
 	if len(r.peers) == 1 {
-		for i := range p.fingers {
-			p.fingers[i] = p
-		}
 		return
 	}
-	for i := 0; i < 64; i++ {
-		p.fingers[i] = r.successor(p.id + 1<<uint(i))
-	}
 	pred := r.predecessorOf(p)
+	r.rebuildFingers(pred)
 	for i := 0; i < 64; i++ {
 		step := ID(1) << uint(i)
 		r.forEachInArc(pred.id-step, p.id-step, func(q *Peer) {
-			q.fingers[i] = p
+			setFinger(q, i, p)
 		})
 	}
 }
 
-// updateFingersOnLeave redirects fingers that pointed at the departed
-// peer p to its successor. Exactly the peers whose finger targets lay
-// in (pred.id, p.id] pointed at p; the == p check guards the arc
-// endpoints.
+// updateFingersOnLeave rebuilds the table of the departed peer p's
+// predecessor, whose successor is now succ, and redirects fingers that
+// pointed at p to succ. Exactly the peers whose finger targets lay in
+// (pred.id, p.id] pointed at p; the == p check guards the arc endpoints.
 func (r *Ring) updateFingersOnLeave(p, pred, succ *Peer) {
 	if pred == nil || pred == p {
 		return
 	}
+	r.rebuildFingers(pred)
 	for i := 0; i < 64; i++ {
 		step := ID(1) << uint(i)
 		r.forEachInArc(pred.id-step, p.id-step, func(q *Peer) {
-			if q.fingers[i] == p {
-				q.fingers[i] = succ
+			if r.finger(q, i) == p {
+				setFinger(q, i, succ)
 			}
 		})
 	}

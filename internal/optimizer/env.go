@@ -21,7 +21,6 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -589,9 +588,7 @@ func (e *Env) SetCoordinates(coords []vivaldi.Coord) (int, error) {
 		err = cmp.Or(err, e.setPoint(n, slab[at:len(slab):len(slab)], false, !bulk))
 	}
 	if bulk && e.catalog != nil {
-		moved := len(changed)
-		changed = slices.DeleteFunc(changed, func(n topology.NodeID) bool { return !e.published(n) })
-		return moved, e.catalog.RepublishAll(changed, e.pts)
+		return len(changed), e.catalog.RepublishAll(changed, e.pts)
 	}
 	return len(changed), err
 }

@@ -15,23 +15,21 @@ func TestUpdateDoesNotAllocate(t *testing.T) {
 	for dims := 1; dims <= 8; dims++ {
 		cfg := DefaultConfig()
 		cfg.Dims = dims
-		n, err := NewNode(cfg, rand.New(rand.NewSource(int64(dims))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		peer := make(Coord, dims)
+		self, peer := newState(1, cfg), newState(1, cfg)
+		rng := rand.New(rand.NewSource(int64(dims)))
+		peer[dims] = 0.5
 		far := testing.AllocsPerRun(50, func() {
-			for i := range peer {
-				peer[i] = n.coord[i] + 10
+			for i := range dims {
+				peer[i] = self[i] + 10
 			}
-			n.Update(peer, 0.5, 20)
+			cfg.update(self, peer, 20, rng)
 		})
 		coincident := testing.AllocsPerRun(50, func() {
-			copy(peer, n.coord)
-			n.Update(peer, 0.5, 20)
+			copy(peer, self[:dims])
+			cfg.update(self, peer, 20, rng)
 		})
 		if far != 0 || coincident != 0 {
-			t.Fatalf("Dims %d: Update allocates %v toward a peer, %v off a coincident one; want 0", dims, far, coincident)
+			t.Fatalf("Dims %d: update allocates %v toward a peer, %v off a coincident one; want 0", dims, far, coincident)
 		}
 	}
 }

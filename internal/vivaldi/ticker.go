@@ -18,7 +18,8 @@ import (
 // fixed seed reproduces the coordinate trajectory exactly.
 type Ticker struct {
 	mu      sync.Mutex
-	nodes   []*Node
+	cfg     Config
+	state   []float64 // per node: Dims coordinates, then the error estimate
 	lat     LatencyFunc
 	samples int
 	rng     *rand.Rand
@@ -49,12 +50,9 @@ func NewTicker(n int, lat LatencyFunc, cfg Config, samplesPerRound int, interval
 	if clock == nil {
 		return nil, fmt.Errorf("vivaldi: ticker needs a clock")
 	}
-	nodes, err := newNodes(n, cfg, rng)
-	if err != nil {
-		return nil, err
-	}
 	return &Ticker{
-		nodes:    nodes,
+		cfg:      cfg,
+		state:    newState(n, cfg),
 		lat:      lat,
 		samples:  samplesPerRound,
 		rng:      rng,
@@ -82,7 +80,7 @@ func (t *Ticker) tick() {
 	if !t.running {
 		return
 	}
-	runRound(t.nodes, t.lat, t.samples, t.rng)
+	runRound(t.state, &t.cfg, t.lat, t.samples, t.rng)
 	t.rounds++
 	t.timer = t.clock.AfterFunc(t.interval, t.tick)
 }
@@ -113,5 +111,5 @@ func (t *Ticker) Rounds() int {
 func (t *Ticker) Embedding() *Embedding {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return snapshot(t.nodes)
+	return snapshot(t.state, t.cfg.Dims)
 }

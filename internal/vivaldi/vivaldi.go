@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Coord is a point in the d-dimensional Euclidean coordinate space.
@@ -113,65 +114,36 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Node is one participant's Vivaldi state.
-type Node struct {
-	cfg   Config
-	coord Coord
-	err   float64
-	rng   *rand.Rand
-}
-
-// NewNode creates a node at the origin with the initial error estimate.
-// rng is used to break ties when two nodes sit at identical coordinates.
-func NewNode(cfg Config, rng *rand.Rand) (*Node, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Node{
-		cfg:   cfg,
-		coord: make(Coord, cfg.Dims),
-		err:   cfg.InitialError,
-		rng:   rng,
-	}, nil
-}
-
-// Coord returns a copy of the node's current coordinate.
-func (n *Node) Coord() Coord { return n.coord.Clone() }
-
-// Error returns the node's current local error estimate.
-func (n *Node) Error() float64 { return n.err }
-
-// Update folds one RTT observation (milliseconds) against a peer with the
-// given coordinate and error estimate into this node's state, following
-// the Vivaldi update rule.
-func (n *Node) Update(peer Coord, peerErr, rtt float64) {
+// update folds one RTT observation (milliseconds) against peer into
+// self, following the Vivaldi update rule. Each is one node's packed
+// state: its Dims coordinates, then its local error estimate. rng breaks
+// ties when the two sit at identical coordinates.
+func (c *Config) update(self, peer []float64, rtt float64, rng *rand.Rand) {
 	if rtt <= 0 {
 		return // measurement noise; a zero RTT carries no usable signal
 	}
-	dist := n.coord.Distance(peer)
+	coord, err := self[:c.Dims], self[c.Dims]
+	dist := Coord(coord).Distance(peer[:c.Dims])
 
 	// Confidence weight: how much of the blame for the error is ours.
-	w := n.err / (n.err + math.Max(peerErr, n.cfg.MinError))
+	w := err / (err + math.Max(peer[c.Dims], c.MinError))
 
 	// Relative error of this sample.
 	es := math.Abs(dist-rtt) / rtt
 
 	// Exponentially smoothed local error.
-	alpha := n.cfg.CE * w
-	n.err = es*alpha + n.err*(1-alpha)
-	if n.err < n.cfg.MinError {
-		n.err = n.cfg.MinError
-	}
+	alpha := c.CE * w
+	self[c.Dims] = max(es*alpha+err*(1-alpha), c.MinError)
 
 	// Move along the unit vector away from (or toward) the peer, in
 	// place. Each product is converted explicitly so that no compiler
 	// fuses it into the add: every component rounds as it would with the
 	// direction, its scaled step and the sum built one after another.
-	step := n.cfg.CC * w * (rtt - dist)
+	step := c.CC * w * (rtt - dist)
 	if dist > 1e-9 {
 		inv := 1 / dist
-		for i := range n.coord {
-			n.coord[i] += float64(float64((n.coord[i]-peer[i])*inv) * step)
+		for i := range coord {
+			coord[i] += float64(float64((coord[i]-peer[i])*inv) * step)
 		}
 		return
 	}
@@ -179,20 +151,20 @@ func (n *Node) Update(peer Coord, peerErr, rtt float64) {
 	// stack unless the space has more than eight dimensions.
 	var buf [8]float64
 	dir := buf[:]
-	if n.cfg.Dims > len(buf) {
-		dir = make([]float64, n.cfg.Dims)
+	if c.Dims > len(buf) {
+		dir = make([]float64, c.Dims)
 	}
-	dir = dir[:n.cfg.Dims]
+	dir = dir[:c.Dims]
 	var norm float64
 	for norm < 1e-9 {
 		for i := range dir {
-			dir[i] = n.rng.NormFloat64()
+			dir[i] = rng.NormFloat64()
 		}
 		norm = Coord(dir).Norm()
 	}
 	inv := 1 / norm
-	for i := range n.coord {
-		n.coord[i] += float64(float64(dir[i]*inv) * step)
+	for i := range coord {
+		coord[i] += float64(float64(dir[i]*inv) * step)
 	}
 }
 
@@ -220,59 +192,55 @@ func Embed(n int, lat LatencyFunc, cfg Config, rounds, samplesPerRound int, rng 
 	if rounds < 1 || samplesPerRound < 1 {
 		return nil, fmt.Errorf("vivaldi: rounds and samplesPerRound must be >= 1")
 	}
-	nodes, err := newNodes(n, cfg, rng)
-	if err != nil {
-		return nil, err
-	}
+	state := newState(n, cfg)
 	for r := 0; r < rounds; r++ {
-		runRound(nodes, lat, samplesPerRound, rng)
+		runRound(state, &cfg, lat, samplesPerRound, rng)
 	}
-	return snapshot(nodes), nil
+	return snapshot(state, cfg.Dims), nil
 }
 
-// newNodes builds n Vivaldi nodes sharing one rng.
-func newNodes(n int, cfg Config, rng *rand.Rand) ([]*Node, error) {
-	nodes := make([]*Node, n)
-	for i := range nodes {
-		nd, err := NewNode(cfg, rng)
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = nd
+// newState returns the packed state of n nodes at the origin with the
+// initial error estimate: per node its Dims coordinates, then its error.
+func newState(n int, cfg Config) []float64 {
+	state := make([]float64, n*(cfg.Dims+1))
+	for i := cfg.Dims; i < len(state); i += cfg.Dims + 1 {
+		state[i] = cfg.InitialError
 	}
-	return nodes, nil
+	return state
 }
 
-// runRound performs one gossip round: every node samples
-// samplesPerRound random peers and folds in the observed RTTs.
-func runRound(nodes []*Node, lat LatencyFunc, samplesPerRound int, rng *rand.Rand) {
-	n := len(nodes)
+// runRound performs one gossip round over the packed state: every node
+// samples samplesPerRound random peers and folds in the observed RTTs.
+func runRound(state []float64, cfg *Config, lat LatencyFunc, samplesPerRound int, rng *rand.Rand) {
+	stride := cfg.Dims + 1
+	n := len(state) / stride
 	for i := 0; i < n; i++ {
+		self := state[i*stride : (i+1)*stride]
 		for s := 0; s < samplesPerRound; s++ {
 			j := rng.Intn(n - 1)
 			if j >= i {
 				j++
 			}
-			nodes[i].Update(nodes[j].coord, nodes[j].err, lat(i, j))
+			cfg.update(self, state[j*stride:(j+1)*stride], lat(i, j), rng)
 		}
 	}
 }
 
-// snapshot copies the nodes' current coordinates and errors. All the
+// snapshot copies the packed state's coordinates and errors. All the
 // coordinates share one backing array; each is capped at its own
 // length, so appending to one can never overwrite the next.
-func snapshot(nodes []*Node) *Embedding {
-	d := nodes[0].cfg.Dims
-	flat := make([]float64, len(nodes)*d)
+func snapshot(state []float64, d int) *Embedding {
+	n := len(state) / (d + 1)
+	flat := make([]float64, n*d)
 	emb := &Embedding{
-		Coords: make([]Coord, len(nodes)),
-		Errors: make([]float64, len(nodes)),
+		Coords: make([]Coord, n),
+		Errors: make([]float64, n),
 	}
-	for i, nd := range nodes {
+	for i := range emb.Coords {
 		c := Coord(flat[i*d : (i+1)*d : (i+1)*d])
-		copy(c, nd.coord)
+		copy(c, state[i*(d+1):])
 		emb.Coords[i] = c
-		emb.Errors[i] = nd.err
+		emb.Errors[i] = state[i*(d+1)+d]
 	}
 	return emb
 }
@@ -313,7 +281,7 @@ func (e *Embedding) Evaluate(lat LatencyFunc, pairs int, rng *rand.Rand) Quality
 	if len(errs) == 0 {
 		return Quality{}
 	}
-	sortFloat64s(errs)
+	slices.Sort(errs)
 	q := Quality{
 		MedianRelErr: percentile(errs, 0.5),
 		P90RelErr:    percentile(errs, 0.9),
@@ -327,20 +295,6 @@ func (e *Embedding) Evaluate(lat LatencyFunc, pairs int, rng *rand.Rand) Quality
 func (q Quality) String() string {
 	return fmt.Sprintf("rel err median=%.3f p90=%.3f mean=%.3f over %d pairs",
 		q.MedianRelErr, q.P90RelErr, q.MeanRelErr, q.Pairs)
-}
-
-// sortFloat64s is an insertion-free wrapper to avoid importing sort in
-// multiple spots; it delegates to the stdlib.
-func sortFloat64s(v []float64) {
-	// Simple shell sort: n is small (sampled pairs), keeps this file
-	// self-contained and allocation-free.
-	for gap := len(v) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(v); i++ {
-			for j := i; j >= gap && v[j] < v[j-gap]; j -= gap {
-				v[j], v[j-gap] = v[j-gap], v[j]
-			}
-		}
-	}
 }
 
 func percentile(sorted []float64, q float64) float64 {

@@ -290,6 +290,25 @@ func BenchmarkEmbed200Nodes(b *testing.B) {
 	}
 }
 
+// BenchmarkTickerRound times one gossip round over the bench's
+// 16,400-node transit-stub network (4 transit domains of 4 nodes, 64
+// stubs of 16 nodes per transit node, seed 29), 4 samples per node, with
+// the bench's latency closure over the factored latency tables. Rounds
+// run on one state, so the coordinates converge as in a warm-up.
+func BenchmarkTickerRound(b *testing.B) {
+	cfg := topology.DefaultConfig()
+	cfg.TransitDomains, cfg.TransitNodes, cfg.StubsPerTransit, cfg.StubNodes = 4, 4, 64, 16
+	top := topology.MustGenerate(cfg, rand.New(rand.NewSource(29)))
+	lat := func(i, j int) float64 { return top.Latency(topology.NodeID(i), topology.NodeID(j)) }
+	vc := DefaultConfig()
+	state, rng := newState(top.NumNodes(), vc), rand.New(rand.NewSource(29*5))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runRound(state, &vc, lat, 4, rng)
+	}
+}
+
 func TestTickerMatchesEmbedRoundForRound(t *testing.T) {
 	const n, rounds, samples = 24, 10, 4
 	m := make([][]float64, n)

@@ -54,8 +54,6 @@ var reachKeep = map[string]string{
 	"topology.Topology.Nodes":            "accessor the topology and optimizer tests read",
 	"trace.Span.ParentID":                "the span nesting a planned trace query (critical-path explain) reads",
 	"vivaldi.Coord.Clone":                "accessor the vivaldi tests read",
-	"vivaldi.Node.Coord":                 "accessor the vivaldi tests read",
-	"vivaldi.Node.Error":                 "accessor the vivaldi tests read",
 }
 
 const modulePath = "github.com/hourglass/sbon"
