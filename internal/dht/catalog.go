@@ -120,7 +120,7 @@ func NewNodeCatalog(space *costspace.Space, pts []costspace.Point) (*Catalog, er
 			return nil, fmt.Errorf("dht: publish %d-dim point in %d-dim space", len(p), dims)
 		}
 		k := c.KeyOf(p)
-		es[i] = owned{ring.search(k) % len(pts), Entry{Key: k, Node: topology.NodeID(i), Point: p}}
+		es[i] = owned{ring.successor(k).idx, Entry{Key: k, Node: topology.NodeID(i), Point: p}}
 	}
 	slices.SortFunc(es, func(a, b owned) int {
 		return cmp.Or(cmp.Compare(a.owner, b.owner), cmp.Compare(a.Point[0], b.Point[0]), cmp.Compare(b.Node, a.Node))

@@ -108,7 +108,8 @@ func TestNewNodeCatalogPublishesEveryNode(t *testing.T) {
 
 // NewRing returns the empty ring that the tests grow join by join.
 func NewRing() *Ring {
-	return &Ring{byNode: make(map[topology.NodeID]*Peer)}
+	r, _ := NewRingOf(0) // no ids, so no collision
+	return r
 }
 
 // mustCurve is hilbert.New for a curve shape the test knows is valid.
@@ -577,19 +578,28 @@ func TestIntervalHelpers(t *testing.T) {
 	}
 }
 
-func BenchmarkLookup512(b *testing.B) {
-	r := NewRing()
-	for i := 0; i < 512; i++ {
-		if _, err := r.AddPeer(topology.NodeID(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := r.Lookup(topology.NodeID(rng.Intn(512)), ID(rng.Uint64())); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkLookup routes from a random start node to the owner of a
+// random key on NewRingOf rings of the bench's 2k- and 16k-node sizes,
+// and reports the mean hop count.
+func BenchmarkLookup(b *testing.B) {
+	for _, n := range []int{2064, 16400} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			r, err := NewRingOf(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			hops := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, h, err := r.Lookup(topology.NodeID(rng.Intn(n)), ID(rng.Uint64()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				hops += h
+			}
+			b.ReportMetric(float64(hops)/float64(b.N), "hops/op")
+		})
 	}
 }
 

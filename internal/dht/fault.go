@@ -2,8 +2,8 @@
 // loss and nodes crash without goodbye. Lookups treat every hop as an
 // RPC that a drop oracle may fail and retry it with capped exponential
 // backoff; a crashed peer leaves the ring without migrating its stored
-// entries (they died with the host — unlike a graceful RemovePeer) and
-// the fingers that routed through it repair to its successor, the
+// entries (they died with the host — unlike a graceful RemovePeer), and
+// the fingers that routed through it are at once its successor, the
 // state Chord stabilization converges to once the failure is detected.
 // Catalog.RepairAfterCrash restores catalog integrity afterwards:
 // dead publishers retire, surviving publishers whose entries were
@@ -11,7 +11,6 @@
 package dht
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 	"time"
@@ -143,26 +142,13 @@ func (r *Ring) nextHop(cur *Peer, k ID, succ *Peer) *Peer {
 // crash. Unlike the graceful RemovePeer, the peer's stored catalog
 // entries are NOT migrated — they died with the host and stay lost
 // until their publishers republish (Catalog.RepairAfterCrash does this
-// for surviving publishers). Fingers that pointed at the crashed peer
-// repair to its successor. Returns how many stored entries were lost.
+// for surviving publishers). Returns how many stored entries were lost.
 func (r *Ring) CrashPeer(n topology.NodeID) (int, error) {
-	p, ok := r.byNode[n]
-	if !ok {
-		return 0, fmt.Errorf("dht: node %d not in ring", n)
+	p, err := r.remove(n)
+	if err != nil {
+		return 0, err
 	}
-	var pred *Peer
-	if len(r.peers) > 1 {
-		pred = r.predecessorOf(p)
-	}
-	i := p.idx
-	r.peers = append(r.peers[:i], r.peers[i+1:]...)
-	delete(r.byNode, n)
-	r.reindexFrom(i)
-	r.changes++
 	lost := len(p.flat)
-	if len(r.peers) > 0 {
-		r.updateFingersOnLeave(p, pred, r.successor(p.id))
-	}
 	// Drop the dead entries so stale references cannot find the lost
 	// copies.
 	p.flat = nil
@@ -186,12 +172,11 @@ type CrashRepairReport struct {
 // RepairAfterCrash restores catalog integrity after unannounced node
 // crashes: the dead nodes' published coordinates retire (mapping
 // queries must stop returning them as placement targets), their ring
-// peers crash out without entry migration, fingers through them
-// repair, and every surviving publisher whose entry was stored at a
-// crashed peer republishes onto the key's new owner. Deterministic:
-// dead nodes and republishes process in node-id order. Nodes already
-// absent from the ring are skipped, so repeated repair of the same
-// dead set is idempotent.
+// peers crash out without entry migration, and every surviving
+// publisher whose entry was stored at a crashed peer republishes onto
+// the key's new owner. Deterministic: dead nodes and republishes
+// process in node-id order. Nodes already absent from the ring are
+// skipped, so repeated repair of the same dead set is idempotent.
 func (c *Catalog) RepairAfterCrash(dead []topology.NodeID) CrashRepairReport {
 	var rep CrashRepairReport
 	seen := make(map[topology.NodeID]bool, len(dead))

@@ -277,9 +277,9 @@ func joinedCatalog(t *testing.T, space *costspace.Space, pts []costspace.Point) 
 // once n outgrows it; a flag snaps first coordinates onto a 16-unit
 // grid, so ties in the first coordinate are common too. The bulk
 // NewNodeCatalog must equal the AddPeer loop plus Publish: the same
-// peers in the same order at the same positions, every finger, the same
-// Changes(), each peer's entries in the same order, and the same
-// NearestAdmissible answers.
+// peers in the same order at the same positions, the same Changes(),
+// each peer's entries in the same order, and the same NearestAdmissible
+// answers.
 func FuzzNodeCatalogMatchesJoins(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 10, 20, 30})
 	f.Add([]byte{0, 1, 0, 200, 7, 0, 3, 99, 255})
@@ -318,14 +318,6 @@ func FuzzNodeCatalogMatchesJoins(f *testing.F) {
 			}
 			if q, ok := br.PeerFor(bp.node); !ok || q != bp {
 				t.Fatalf("bulk ring does not find node %d's peer", bp.node)
-			}
-			if len(bp.fingers) != len(jp.fingers) {
-				t.Fatalf("node %d stores %d finger levels in bulk, %d joined", bp.node, len(bp.fingers), len(jp.fingers))
-			}
-			for l := 0; l < 64; l++ {
-				if bf, jf := br.finger(bp, l), jr.finger(jp, l); bf.node != jf.node {
-					t.Fatalf("node %d finger %d: bulk node %d, joined node %d", bp.node, l, bf.node, jf.node)
-				}
 			}
 			if len(bp.flat) != len(jp.flat) {
 				t.Fatalf("node %d stores %d entries in bulk, %d joined", bp.node, len(bp.flat), len(jp.flat))

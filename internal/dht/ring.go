@@ -11,14 +11,15 @@
 // short ring walk around a lookup target enumerates a compact cost-space
 // region (used for nearest-node mapping).
 //
-// A finger table is stored compressed. Finger i of a peer owns id + 2^i,
-// and every target that falls short of the next peer's id is owned by
-// that next peer, so a peer whose successor lies d ids ahead keeps only
-// levels bits.Len64(d) and up — about log₂N of the 64 in a ring of N —
-// and Ring.finger answers the levels below from the peer's slice
-// position. Only a peer's predecessor sees its successor change, so a
-// join, leave or crash rebuilds that one table and patches the stored
-// levels of the peers on each level's affected arc.
+// Fingers are computed, not stored. The simulated ring is always fully
+// stabilized, so finger i of a peer is by definition the successor of
+// id + 2^i in the id-sorted peer slice, and Ring.finger answers exactly
+// that. A successor search starts from the ring's head table: the
+// circle is cut into 2^bits.Len(N) equal buckets, head[j] is the first
+// peer at or past bucket j's start, and hashed ids fill the buckets
+// about one peer each, so a search steps past at most a bucket's few
+// peers. A join, leave or crash rebuilds the table and every peer's
+// slice position in one pass (Ring.reindex); nothing else changes.
 //
 // Every catalog query is one Hilbert key, one Ring.Lookup and one
 // bidirectional walk (Catalog.walkArcs) with a visitor over the entries
@@ -61,14 +62,9 @@ type Peer struct {
 	id   ID
 	node topology.NodeID
 	// idx is the peer's position in the ring's id-sorted peer slice,
-	// maintained on join/leave so ring-walk neighbor steps are O(1)
-	// instead of a binary search per step.
+	// rewritten on every join, leave and crash so ring-walk neighbor
+	// steps are O(1) instead of a search per step.
 	idx int
-	// fingers holds the top levels of the fully stabilized Chord finger
-	// table: fingers[k] is finger 64 − len(fingers) + k, the peer owning
-	// id + 2^i for that level i. The levels below are all the successor
-	// (see Ring.finger).
-	fingers []*Peer
 	// flat holds the catalog entries this peer owns, sorted by their
 	// point's first coordinate, ascending: a walk starts at the target's
 	// and scans outward only while an entry could still win.
@@ -143,6 +139,12 @@ type Ring struct {
 	byNode  map[topology.NodeID]*Peer
 	changes uint64 // see Changes
 
+	// head[j] is the first peer at or past j<<shift, or the last peer
+	// if none is, for each of the 2^(64−shift) buckets; see successor
+	// and reindex.
+	head  []*Peer
+	shift uint
+
 	// faults is the installed RPC fault configuration (zero value: no
 	// injection); fstats accumulates RPC outcomes under it.
 	faults RingFaults
@@ -160,12 +162,8 @@ func (r *Ring) SetTracer(t *trace.Tracer) { r.tracer = t }
 
 // NewRingOf returns the ring that AddPeer(0) … AddPeer(n−1) builds on
 // an empty ring, which is NewRingOf(0). It builds it in one pass: the
-// same id-sorted peers, the same fingers and Changes() = n. It hashes
-// and sorts the ids once, carves every peer's stored finger levels from
-// one slab, then fills each level with forward sweeps: the targets
-// id + 2^b rise with id except for one wrap past zero, so a level is two
-// sorted runs, each swept from the ring's start.
-// It returns an error if two hashed IDs collide.
+// same id-sorted peers at the same positions and Changes() = n. It
+// returns an error if two hashed IDs collide.
 func NewRingOf(n int) (*Ring, error) {
 	r := &Ring{
 		peers:   make([]*Peer, n),
@@ -180,126 +178,73 @@ func NewRingOf(n int) (*Ring, error) {
 		r.byNode[p.node] = p
 	}
 	slices.SortFunc(r.peers, func(a, b *Peer) int { return cmp.Compare(a.id, b.id) })
-	stored := 0
-	for i, p := range r.peers {
-		if i > 0 && r.peers[i-1].id == p.id {
-			return nil, fmt.Errorf("dht: identifier collision for node %d", max(p.node, r.peers[i-1].node))
-		}
-		p.idx = i
-		stored += 64 - r.lowLevels(p)
-	}
-	slab := make([]*Peer, stored)
-	for _, p := range r.peers {
-		k := 64 - r.lowLevels(p)
-		p.fingers, slab = slab[:k:k], slab[k:]
-	}
-	for b := 0; b < 64; b++ {
-		step := ID(1) << uint(b)
-		wrap := r.search(-step) // peers[wrap:] have id + step past zero
-		for _, run := range [][]*Peer{r.peers[:wrap], r.peers[wrap:]} {
-			j := 0
-			for _, p := range run {
-				lo := 64 - len(p.fingers)
-				if b < lo {
-					continue
-				}
-				for j < n && r.peers[j].id < p.id+step {
-					j++
-				}
-				p.fingers[b-lo] = r.peers[j%n]
-			}
+	for i := 1; i < n; i++ {
+		if a, b := r.peers[i-1], r.peers[i]; a.id == b.id {
+			return nil, fmt.Errorf("dht: identifier collision for node %d", max(a.node, b.node))
 		}
 	}
+	r.reindex()
 	return r, nil
 }
 
-// lowLevels returns how many of p's finger levels its successor owns:
-// every level i with 2^i no further than the successor's id. A lone
-// peer is its own successor at distance 0 and stores all 64.
-func (r *Ring) lowLevels(p *Peer) int {
-	return bits.Len64(uint64(r.successorAfter(p).id - p.id))
+// reindex rewrites every peer's slice position and rebuilds the head
+// table over 2^bits.Len(N) buckets, after the peer slice changed.
+func (r *Ring) reindex() {
+	n := len(r.peers)
+	b := bits.Len(uint(n))
+	r.shift = uint(64 - b)
+	r.head = slices.Grow(r.head[:0], 1<<b)
+	for i, p := range r.peers {
+		p.idx = i
+		for len(r.head) <= int(p.id>>r.shift) {
+			r.head = append(r.head, p)
+		}
+	}
+	for n > 0 && len(r.head) < 1<<b {
+		r.head = append(r.head, r.peers[n-1])
+	}
 }
 
 // finger returns p's finger i, the peer owning p.id + 2^i.
 func (r *Ring) finger(p *Peer, i int) *Peer {
-	if lo := 64 - len(p.fingers); i >= lo {
-		return p.fingers[i-lo]
-	}
-	return r.successorAfter(p)
+	return r.successor(p.id + 1<<uint(i))
 }
 
-// setFinger points p's finger i at q if p stores that level. A level it
-// does not store is its successor, which changes only with a rebuild of
-// its table.
-func setFinger(p *Peer, i int, q *Peer) {
-	if lo := 64 - len(p.fingers); i >= lo {
-		p.fingers[i-lo] = q
-	}
-}
-
-// rebuildFingers recomputes p's stored levels after its successor
-// changed, in the table's own storage when it is large enough.
-func (r *Ring) rebuildFingers(p *Peer) {
-	lo := r.lowLevels(p)
-	p.fingers = slices.Grow(p.fingers[:0], 64-lo)
-	for i := lo; i < 64; i++ {
-		p.fingers = append(p.fingers, r.successor(p.id+1<<uint(i)))
-	}
-}
-
-// AddPeer joins the overlay node to the ring and updates routing state.
-// Finger tables are maintained incrementally — only the fingers the new
-// peer takes over are rewritten, one arc per level — and land in the
-// fully stabilized state, where finger i of every peer is the successor
-// of its id + 2^i. A join still costs O(N): the id-sorted slice shifts
-// to make room and every later peer's position is rewritten, so a ring
-// built from scratch should come from NewRingOf. It returns an error if
-// the node is already present or its hashed ID collides with an
-// existing peer.
+// AddPeer joins the overlay node to the ring, taking over from its
+// successor the entries it now owns. A join costs O(N): the id-sorted
+// slice shifts to make room and reindex rewrites every position, so a
+// ring built from scratch should come from NewRingOf. It returns an
+// error if the node is already present or its hashed ID collides with
+// an existing peer.
 func (r *Ring) AddPeer(n topology.NodeID) (*Peer, error) {
 	if _, ok := r.byNode[n]; ok {
 		return nil, fmt.Errorf("dht: node %d already joined", n)
 	}
 	id := PeerID(n)
-	if i := r.search(id); i < len(r.peers) && r.peers[i].id == id {
+	i, taken := slices.BinarySearchFunc(r.peers, id, func(p *Peer, id ID) int { return cmp.Compare(p.id, id) })
+	if taken {
 		return nil, fmt.Errorf("dht: identifier collision for node %d", n)
 	}
 	p := &Peer{id: id, node: n}
-	i := r.search(id)
-	r.peers = append(r.peers, nil)
-	copy(r.peers[i+1:], r.peers[i:])
-	r.peers[i] = p
+	r.peers = slices.Insert(r.peers, i, p)
 	r.byNode[n] = p
-	r.reindexFrom(i)
+	r.reindex()
 	r.changes++
 	r.migrateOnJoin(p)
-	r.updateFingersOnJoin(p)
 	return p, nil
 }
 
 // RemovePeer removes the overlay node from the ring, transferring its
-// stored entries to the new owner, and updates routing state (fingers
-// that pointed at the departed peer move to its successor).
+// stored entries to the new owner, its successor.
 func (r *Ring) RemovePeer(n topology.NodeID) error {
-	p, ok := r.byNode[n]
-	if !ok {
-		return fmt.Errorf("dht: node %d not in ring", n)
+	p, err := r.remove(n)
+	if err != nil {
+		return err
 	}
-	var pred *Peer
-	if len(r.peers) > 1 {
-		pred = r.predecessorOf(p)
-	}
-	i := p.idx
-	r.peers = append(r.peers[:i], r.peers[i+1:]...)
-	delete(r.byNode, n)
-	r.reindexFrom(i)
-	r.changes++
 	if len(r.peers) > 0 {
-		// The departing peer's keys now belong to its successor.
 		succ := r.successor(p.id)
 		succ.flat = append(succ.flat, p.flat...)
 		sortEntries(succ.flat)
-		r.updateFingersOnLeave(p, pred, succ)
 	}
 	// Clear the departed peer's entries so stale references to it
 	// cannot find the dead copies.
@@ -307,11 +252,18 @@ func (r *Ring) RemovePeer(n topology.NodeID) error {
 	return nil
 }
 
-// reindexFrom refreshes the cached slice positions of peers[i:].
-func (r *Ring) reindexFrom(i int) {
-	for ; i < len(r.peers); i++ {
-		r.peers[i].idx = i
+// remove takes the node's peer out of the ring, leaving its entries on
+// it: the one leave path under RemovePeer and CrashPeer.
+func (r *Ring) remove(n topology.NodeID) (*Peer, error) {
+	p, ok := r.byNode[n]
+	if !ok {
+		return nil, fmt.Errorf("dht: node %d not in ring", n)
 	}
+	r.peers = slices.Delete(r.peers, p.idx, p.idx+1)
+	delete(r.byNode, n)
+	r.reindex()
+	r.changes++
+	return p, nil
 }
 
 // migrateOnJoin moves entries the new peer now owns from its successor.
@@ -333,75 +285,6 @@ func (r *Ring) migrateOnJoin(p *Peer) {
 	next.flat = kept
 }
 
-// updateFingersOnJoin gives the new peer its finger table, rebuilds its
-// predecessor's (whose successor it now is) and redirects the fingers it
-// now terminates. A finger q's level i must point at p exactly when
-// q.id + 2^i lies in (pred.id, p.id] — i.e. q lies in that interval
-// shifted back by 2^i — so for each level only one short arc of peers is
-// rewritten.
-func (r *Ring) updateFingersOnJoin(p *Peer) {
-	r.rebuildFingers(p)
-	if len(r.peers) == 1 {
-		return
-	}
-	pred := r.predecessorOf(p)
-	r.rebuildFingers(pred)
-	for i := 0; i < 64; i++ {
-		step := ID(1) << uint(i)
-		r.forEachInArc(pred.id-step, p.id-step, func(q *Peer) {
-			setFinger(q, i, p)
-		})
-	}
-}
-
-// updateFingersOnLeave rebuilds the table of the departed peer p's
-// predecessor, whose successor is now succ, and redirects fingers that
-// pointed at p to succ. Exactly the peers whose finger targets lay in
-// (pred.id, p.id] pointed at p; the == p check guards the arc endpoints.
-func (r *Ring) updateFingersOnLeave(p, pred, succ *Peer) {
-	if pred == nil || pred == p {
-		return
-	}
-	r.rebuildFingers(pred)
-	for i := 0; i < 64; i++ {
-		step := ID(1) << uint(i)
-		r.forEachInArc(pred.id-step, p.id-step, func(q *Peer) {
-			if r.finger(q, i) == p {
-				setFinger(q, i, succ)
-			}
-		})
-	}
-}
-
-// forEachInArc calls fn for every peer whose id lies in the half-open
-// circle interval (a, b].
-func (r *Ring) forEachInArc(a, b ID, fn func(*Peer)) {
-	if len(r.peers) == 0 {
-		return
-	}
-	if a == b {
-		for _, p := range r.peers {
-			fn(p)
-		}
-		return
-	}
-	i := r.search(a + 1) // first peer with id > a (a+1 wraps to 0 at the origin)
-	if i == len(r.peers) {
-		i = 0
-	}
-	for cnt := 0; cnt < len(r.peers); cnt++ {
-		p := r.peers[i]
-		if !inHalfOpenInterval(a, b, p.id) {
-			return
-		}
-		fn(p)
-		i++
-		if i == len(r.peers) {
-			i = 0
-		}
-	}
-}
-
 // Changes counts the ring's joins, leaves and crashes: while it stands
 // still, every key keeps its owner and, unless the ring is Faulty,
 // every lookup its route.
@@ -420,22 +303,22 @@ func (r *Ring) PeerFor(n topology.NodeID) (*Peer, bool) {
 	return p, ok
 }
 
-// search returns the index of the first peer with id >= target.
-func (r *Ring) search(target ID) int {
-	return sort.Search(len(r.peers), func(i int) bool { return r.peers[i].id >= target })
-}
-
 // successor returns the peer that owns key k: the first peer at or after
-// k on the circle (wrapping). Panics on an empty ring.
+// k on the circle (wrapping). It steps from the head of k's bucket past
+// the bucket's peers below k, about one on a ring of hashed ids, and
+// wraps after the last peer. Panics on an empty ring.
 func (r *Ring) successor(k ID) *Peer {
 	if len(r.peers) == 0 {
 		panic("dht: successor on empty ring")
 	}
-	i := r.search(k)
-	if i == len(r.peers) {
-		i = 0
+	p := r.head[k>>r.shift]
+	for i := p.idx + 1; p.id < k; i++ {
+		if i == len(r.peers) {
+			return r.peers[0]
+		}
+		p = r.peers[i]
 	}
-	return r.peers[i]
+	return p
 }
 
 // successorAfter returns the peer immediately following p on the circle

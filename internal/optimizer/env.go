@@ -427,8 +427,9 @@ func (e *Env) RemoveServiceLoad(n topology.NodeID, inputRate float64) {
 func (e *Env) refreshPoint(n topology.NodeID, loadOnly bool) {
 	p := take(&e.points, e.space.Dims())
 	if err := e.setPoint(n, e.space.AppendPoint(p[:0], e.vec[n], []float64{e.load[n]}), loadOnly, true); err != nil {
-		// The ring always contains every node in this simulator; a
-		// publish failure indicates a programming error.
+		// Only nodes the catalog lists republish, a listed node's peer
+		// is in the ring, and the point has the space's dimensionality,
+		// so a publish failure is a programming error.
 		panic(fmt.Sprintf("optimizer: republish node %d: %v", n, err))
 	}
 }

@@ -6,8 +6,10 @@
 // Rate semantics mirror the catalog's model (package query): a filter with
 // selectivity s passes ≈ s of its input; a windowed equi-join over keys
 // drawn uniformly from [0,K) with W tuples of window per side matches each
-// probe with probability ≈ W/K, so its output rate is ≈ (W/K)·(rA+rB) —
-// i.e. catalog selectivity sel corresponds to window/keyspace = sel; an
+// probe with probability ≈ W/K, so its output rate is ≈ (W/K)·(rA+rB)
+// tuples. OperatorFor sizes the window to W = sel·K/2, because a joined
+// tuple carries both inputs' bytes: the output data rate then lands on
+// the catalog's sel·(rA+rB) when the inputs' tuples are of equal size. An
 // aggregate over count-N windows emitting Frac·(window bytes) has output
 // rate Frac·input.
 package stream
